@@ -57,6 +57,9 @@ type Client struct {
 	pooledAccepted []*dataChannel
 	pooledDialed   []*dataChannel
 	passiveAddrs   []string
+	// wiring is non-nil while this session is one end of an established
+	// third-party data path (see ThirdParty); flushPools drops it.
+	wiring *thirdPartyWiring
 
 	cacheDisabled bool
 	delegated     bool
@@ -155,12 +158,19 @@ func (c *Client) Close() error {
 	return c.ctrl.Close()
 }
 
+// flushPools is the one place client-side data-channel state is
+// invalidated: every path that resets the server's data state (PASV, PORT
+// and their striped forms) or changes what a channel must look like
+// (mode, parallelism, protection, DCAU, DCSC, transport, delegation) comes
+// through here, so the client's pools, its passive address and its
+// third-party wiring can never outlive the server's.
 func (c *Client) flushPools() {
 	closeChannels(c.pooledAccepted)
 	closeChannels(c.pooledDialed)
 	c.pooledAccepted = nil
 	c.pooledDialed = nil
 	c.passiveAddrs = nil
+	c.wiring = nil
 }
 
 // countCommand records one control-channel command on the per-verb
@@ -200,6 +210,7 @@ func (c *Client) Delegate(lifetime time.Duration) error {
 		return err
 	}
 	c.delegated = true
+	c.flushPools() // the server's data security context changed
 	return nil
 }
 
@@ -442,7 +453,12 @@ func (c *Client) sendRestart() ([]Range, error) {
 }
 
 // passive puts the server in passive mode and returns the data address.
+// PASV — like SPAS, PORT and SPOR — resets the server's data state (it
+// closes listeners and flushes both its channel pools), so any channels we
+// still hold are now stale on the far end: flushing here keeps the pools
+// in lockstep, which is what makes channel caching safe.
 func (c *Client) passive() (string, error) {
+	c.flushPools()
 	r, err := c.cmdExpect("PASV", "", ftp.CodeEnteringPassive)
 	if err != nil {
 		return "", err
@@ -458,6 +474,7 @@ func (c *Client) passive() (string, error) {
 // spas puts the (striped) server in striped passive mode and returns all
 // data addresses.
 func (c *Client) spas() ([]string, error) {
+	c.flushPools()
 	r, err := c.cmdExpect("SPAS", "", ftp.CodeEnteringExtPasv)
 	if err != nil {
 		return nil, err
@@ -483,6 +500,7 @@ func (c *Client) Passive(striped bool) ([]string, error) {
 
 // Port sends the peer's data addresses to this (sender) server.
 func (c *Client) Port(addrs []string) error {
+	c.flushPools()
 	if len(addrs) == 1 {
 		_, err := c.cmdExpect("PORT", addrs[0], ftp.CodeOK)
 		return err
@@ -502,11 +520,6 @@ func (c *Client) ensurePassive() error {
 	if err != nil {
 		return err
 	}
-	// PASV resets the server's data state (it closes listeners and
-	// flushes both its channel pools), so mirror that here: any channels
-	// we still hold are now stale on the far end. Keeping the pools in
-	// lockstep is what makes channel caching safe.
-	c.flushPools()
 	c.passiveAddrs = []string{addr}
 	return nil
 }
@@ -587,17 +600,7 @@ func (c *Client) ensureListener() error {
 	}
 	addr := c.dataListener.Addr().String()
 	c.lmu.Unlock()
-	if _, err := c.cmdExpect("PORT", addr, ftp.CodeOK); err != nil {
-		return err
-	}
-	// PORT, like PASV, resets the server's data state; drop our now-stale
-	// pools to stay in lockstep (see ensurePassive).
-	closeChannels(c.pooledAccepted)
-	closeChannels(c.pooledDialed)
-	c.pooledAccepted = nil
-	c.pooledDialed = nil
-	c.passiveAddrs = nil
-	return nil
+	return c.Port([]string{addr})
 }
 
 // retire pools channels for reuse or closes them.

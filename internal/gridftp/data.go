@@ -452,11 +452,23 @@ func (sess *session) requireDataAuth() bool {
 	return true
 }
 
+// refuseTransfer answers a transfer command that failed before it used the
+// data path. In a third-party transfer the peer server has been told to
+// use that path too, and on a reused channel it would wait out the
+// first-block deadline for data that will never come; closing this
+// session's pooled channels fails the peer's pending transfer at once
+// (426). The client sees the refusal and re-negotiates before its next
+// transfer, so nothing stale is left on either side.
+func (sess *session) refuseTransfer(code int, err error) {
+	sess.data.flush()
+	sess.reply(code, errText(err))
+}
+
 // handleRetr sends a file. off/length >= 0 restrict to a region (ERET).
 func (sess *session) handleRetr(params string, off, length int64) {
 	p, err := sess.resolve(params)
 	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
+		sess.refuseTransfer(ftp.CodeBadFileName, err)
 		return
 	}
 	if !sess.requireDataAuth() {
@@ -464,13 +476,13 @@ func (sess *session) handleRetr(params string, off, length int64) {
 	}
 	f, err := sess.srv.cfg.Storage.Open(sess.localUser, p)
 	if err != nil {
-		sess.reply(ftp.CodeFileUnavailable, errText(err))
+		sess.refuseTransfer(ftp.CodeFileUnavailable, err)
 		return
 	}
 	defer f.Close()
 	size, err := f.Size()
 	if err != nil {
-		sess.reply(ftp.CodeLocalError, errText(err))
+		sess.refuseTransfer(ftp.CodeLocalError, err)
 		return
 	}
 	var ranges []Range
@@ -549,7 +561,7 @@ func (sess *session) handleRetr(params string, off, length int64) {
 func (sess *session) handleStor(params string) {
 	p, err := sess.resolve(params)
 	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
+		sess.refuseTransfer(ftp.CodeBadFileName, err)
 		return
 	}
 	if !sess.requireDataAuth() {
@@ -568,7 +580,7 @@ func (sess *session) handleStor(params string) {
 		f, err = sess.srv.cfg.Storage.Create(sess.localUser, p)
 	}
 	if err != nil {
-		sess.reply(ftp.CodeFileUnavailable, errText(err))
+		sess.refuseTransfer(ftp.CodeFileUnavailable, err)
 		return
 	}
 	defer f.Close()

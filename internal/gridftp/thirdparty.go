@@ -52,11 +52,57 @@ type ThirdPartyResult struct {
 	Markers []Range
 }
 
+// thirdPartyWiring marks an established third-party data path: the
+// destination server listens (PASV/SPAS), the source server holds its
+// address(es) (PORT/SPOR), and whatever channels they opened sit in their
+// pools. Both clients of the pair point at the same value, and either
+// one's flushPools drops its pointer — so "still wired" is "both still
+// hold the pointer this pair was wired with".
+type thirdPartyWiring struct {
+	striped bool
+}
+
+// wire (re-)establishes the pair's data path unless it is still wired for
+// the requested striping. PASV and PORT make both servers drop every pooled
+// channel, so after a re-wire stale bytes can never be read as the next
+// file. Clients dialled with DisableChannelCache never stay wired.
+func wire(src, dst *Client, striped bool) error {
+	if w := src.wiring; w != nil && w == dst.wiring && w.striped == striped {
+		return nil
+	}
+	// Passive first: the destination (receiver) listens.
+	addrs, err := dst.Passive(striped)
+	if err != nil {
+		return fmt.Errorf("gridftp: destination passive: %w", err)
+	}
+	if err := src.Port(addrs); err != nil {
+		return fmt.Errorf("gridftp: source port: %w", err)
+	}
+	if !src.cacheDisabled && !dst.cacheDisabled {
+		w := &thirdPartyWiring{striped: striped}
+		src.wiring, dst.wiring = w, w
+	}
+	return nil
+}
+
 // ThirdParty performs a third-party transfer: the client directs src to
 // send srcPath directly to dst as dstPath — data never touches the client
 // (§II.C, §VII of the paper). The destination is the listener, the source
 // issues the connects, exactly as the protocol requires.
-func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts ThirdPartyOptions) (*ThirdPartyResult, error) {
+//
+// The data path is established once per (src, dst) pair and reused: while
+// the pair stays wired, later calls skip PASV/PORT and the servers pick up
+// their pooled channels, so a run of files pays connection set-up and the
+// DCAU handshake once. Anything that flushes either client's pools — a
+// negotiation change, the client's own Get/Put/List, Close — or any failed
+// call un-wires the pair, and the next call starts from PASV/PORT again.
+func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts ThirdPartyOptions) (res *ThirdPartyResult, err error) {
+	defer func() {
+		if err != nil {
+			src.flushPools()
+			dst.flushPools()
+		}
+	}()
 	if opts.DCSC != nil {
 		switch opts.DCSCTarget {
 		case DCSCSource:
@@ -87,14 +133,9 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 	}
 
 	// Both endpoints must agree on the data channel parameters; the
-	// client has already negotiated them per-session. Passive first: the
-	// destination (receiver) listens.
-	addrs, err := dst.Passive(opts.Striped)
-	if err != nil {
-		return nil, fmt.Errorf("gridftp: destination passive: %w", err)
-	}
-	if err := src.Port(addrs); err != nil {
-		return nil, fmt.Errorf("gridftp: source port: %w", err)
+	// client has already negotiated them per-session.
+	if err := wire(src, dst, opts.Striped); err != nil {
+		return nil, err
 	}
 	if len(opts.Restart) > 0 {
 		marker := FromRanges(opts.Restart).Marker()
@@ -140,7 +181,7 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 	srcReply, srcErr := src.ctrl.ReadFinalReply(nil)
 	dstFinal := <-dstCh
 
-	res := &ThirdPartyResult{Duration: time.Since(start), Markers: lastMarkers}
+	res = &ThirdPartyResult{Duration: time.Since(start), Markers: lastMarkers}
 	if srcErr != nil {
 		return res, fmt.Errorf("gridftp: source control channel: %w", srcErr)
 	}
