@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -116,13 +117,19 @@ type sessionPair struct {
 	src, dst *gridftp.Client
 }
 
+// Close ends both sessions, the two QUIT round trips overlapping.
 func (p *sessionPair) Close() {
-	if p.src != nil {
-		p.src.Close()
+	var wg sync.WaitGroup
+	for _, c := range []*gridftp.Client{p.src, p.dst} {
+		if c != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.Close()
+			}()
+		}
 	}
-	if p.dst != nil {
-		p.dst.Close()
-	}
+	wg.Wait()
 }
 
 // measureRTT times one NOOP round trip on the source control channel —
@@ -136,58 +143,61 @@ func (p *sessionPair) measureRTT() time.Duration {
 	return time.Since(start)
 }
 
-// dialPair opens one worker's session pair: dial both endpoints,
-// delegate, join the caller's trace, set the marker cadence, label both
-// sessions with the task id for stream telemetry (SITE TASK — the
-// destination publishes its streams as "<task>", the source as
+// dialPair opens one worker's session pair, source and destination at the
+// same time: dial, delegate, join the caller's trace, set the marker
+// cadence, label both sessions with the task id for stream telemetry (SITE
+// TASK — the destination publishes its streams as "<task>", the source as
 // "<task>-src"), and — for cross-CA endpoint pairs — install the source
-// credential on the destination via DCSC once per session instead of
-// once per file.
+// credential on the destination via DCSC once per session instead of once
+// per file. If either side fails, the side that succeeded is closed.
 func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel string) (*sessionPair, error) {
-	dialOpts := gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams}
-	src, err := gridftp.DialWithOptions(s.host, srcEP.GridFTPAddr, srcProxy, srcEP.Trust, dialOpts)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := gridftp.DialWithOptions(s.host, dstEP.GridFTPAddr, dstProxy, dstEP.Trust, dialOpts)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	pair := &sessionPair{src: src, dst: dst}
-	for _, step := range []func() error{
-		func() error { return src.Delegate(2 * time.Hour) },
-		func() error { return dst.Delegate(2 * time.Hour) },
-		// Bind both servers' transfer spans to the caller's trace (SITE
-		// TRACE). Endpoints without the feature keep rooting locally.
-		func() error { _, err := src.PropagateTrace(sc); return err },
-		func() error { _, err := dst.PropagateTrace(sc); return err },
-		func() error { return dst.SetMarkerInterval(s.cfg.MarkerInterval) },
-		// Label both legs for the stream-telemetry plane. SetTask
-		// tolerates endpoints without the SITE TASK extension.
-		func() error {
-			if taskLabel == "" {
-				return nil
-			}
-			return src.SetTask(taskLabel)
-		},
-		func() error {
-			if taskLabel == "" {
-				return nil
-			}
-			return dst.SetTask(taskLabel)
-		},
-	} {
-		if err := step(); err != nil {
-			pair.Close()
+	open := func(ep *Endpoint, proxy *gsi.Credential, steps ...func(*gridftp.Client) error) (*gridftp.Client, error) {
+		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust,
+			gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams})
+		if err != nil {
 			return nil, err
 		}
-	}
-	if crossCA {
-		if err := dst.SendDCSC(srcProxy); err != nil {
-			pair.Close()
-			return nil, err
+		for _, step := range steps {
+			if err := step(c); err != nil {
+				c.Close()
+				return nil, err
+			}
 		}
+		return c, nil
+	}
+	delegate := func(c *gridftp.Client) error { return c.Delegate(2 * time.Hour) }
+	// Bind both servers' transfer spans to the caller's trace (SITE
+	// TRACE). Endpoints without the feature keep rooting locally.
+	trace := func(c *gridftp.Client) error { _, err := c.PropagateTrace(sc); return err }
+	// Label both legs for the stream-telemetry plane. SetTask tolerates
+	// endpoints without the SITE TASK extension.
+	label := func(c *gridftp.Client) error {
+		if taskLabel == "" {
+			return nil
+		}
+		return c.SetTask(taskLabel)
+	}
+
+	pair := &sessionPair{}
+	var srcErr, dstErr error
+	srcDone := make(chan struct{})
+	go func() {
+		defer close(srcDone)
+		pair.src, srcErr = open(srcEP, srcProxy, delegate, trace, label)
+	}()
+	pair.dst, dstErr = open(dstEP, dstProxy, delegate, trace,
+		func(c *gridftp.Client) error { return c.SetMarkerInterval(s.cfg.MarkerInterval) },
+		label,
+		func(c *gridftp.Client) error {
+			if !crossCA {
+				return nil
+			}
+			return c.SendDCSC(srcProxy)
+		})
+	<-srcDone
+	if err := errors.Join(srcErr, dstErr); err != nil {
+		pair.Close()
+		return nil, err
 	}
 	return pair, nil
 }
