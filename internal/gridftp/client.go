@@ -131,15 +131,24 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	}
 	c.ServerIdentity = srvID.Identity
 	c.ctrl.Upgrade(tc)
+	// The server session starts in RFC 959 stream mode, so the client's
+	// default (MODE E) is negotiated explicitly — written right behind the
+	// handshake instead of after the login reply: the server reads it once
+	// it has authorized the login and the two replies come back in order,
+	// one round trip instead of two. A refused login closes the connection
+	// and may fail this write; the login reply is the error to report.
+	c.countCommand("MODE")
+	modeErr := c.ctrl.Cmd("MODE", "E")
 	if _, err := c.ctrl.Expect(ftp.CodeUserLoggedIn); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("gridftp: login: %w", err)
 	}
-	// Negotiate the client's default mode (MODE E) explicitly — the
-	// server session starts in RFC 959 stream mode.
-	if _, err := c.cmdExpect("MODE", "E", ftp.CodeOK); err != nil {
+	if modeErr == nil {
+		_, modeErr = c.ctrl.Expect(ftp.CodeOK)
+	}
+	if modeErr != nil {
 		raw.Close()
-		return nil, fmt.Errorf("gridftp: MODE E: %w", err)
+		return nil, fmt.Errorf("gridftp: MODE E: %w", modeErr)
 	}
 	return c, nil
 }
@@ -187,6 +196,89 @@ func (c *Client) cmdExpect(name, params string, want ...int) (ftp.Reply, error) 
 		return ftp.Reply{}, err
 	}
 	return c.ctrl.Expect(want...)
+}
+
+// sessionCmd is one command of a batch: what to send and what its outcome
+// changes on the client. Every session command answers 200.
+type sessionCmd struct {
+	name, params string
+	// optional marks an extension the server may lack: its 500 is not an
+	// error (the SITE registry answers unknown subcommands at once, so
+	// sending one is the probe).
+	optional bool
+	// apply, if non-nil, makes the command's client-side state change. It
+	// runs only once the server has answered this command: accepted is
+	// false when an optional command was declined, and an error reply
+	// skips it.
+	apply func(accepted bool)
+}
+
+// batch writes every command before it reads any reply, so k commands
+// cost one round trip (the server reads pipelined commands in order), then
+// matches the k final replies to the commands in order. Each reply is
+// consumed even after a failure, so the control channel stays in step; the
+// first failure is returned.
+func (c *Client) batch(cmds ...sessionCmd) error {
+	for _, cmd := range cmds {
+		c.countCommand(cmd.name)
+		if err := c.ctrl.Cmd(cmd.name, "%s", cmd.params); err != nil {
+			return err
+		}
+	}
+	var first error
+	for _, cmd := range cmds {
+		r, err := c.ctrl.Expect(ftp.CodeOK)
+		declined := err != nil && cmd.optional && r.Code == ftp.CodeSyntaxError
+		switch {
+		case err == nil || declined:
+			if cmd.apply != nil {
+				cmd.apply(err == nil)
+			}
+		case r.Code == 0:
+			return err // the channel failed, not the command
+		case first == nil:
+			first = err
+		}
+	}
+	return first
+}
+
+// SessionSetup names the per-session settings a caller applies after
+// Delegate; zero fields are skipped.
+type SessionSetup struct {
+	// Trace binds the server's transfer spans to the caller's trace
+	// (PropagateTrace).
+	Trace obs.SpanContext
+	// MarkerInterval is the restart/perf marker cadence (SetMarkerInterval).
+	MarkerInterval time.Duration
+	// Task labels the session's transfers (SetTask).
+	Task string
+	// DCSC is installed as the data channel security context (SendDCSC).
+	DCSC *gsi.Credential
+}
+
+// Setup applies the settings in one flight: the commands PropagateTrace,
+// SetMarkerInterval, SetTask and SendDCSC would send one round trip at a
+// time go out together and their replies are read in order.
+func (c *Client) Setup(s SessionSetup) error {
+	var cmds []sessionCmd
+	if s.Trace.Valid() {
+		cmds = append(cmds, traceCmd(s.Trace))
+	}
+	if s.MarkerInterval > 0 {
+		cmds = append(cmds, c.markersCmd(s.MarkerInterval))
+	}
+	if s.Task != "" {
+		cmds = append(cmds, c.taskCmd(s.Task))
+	}
+	if s.DCSC != nil {
+		cmd, err := c.dcscCmd(s.DCSC)
+		if err != nil {
+			return err
+		}
+		cmds = append(cmds, cmd)
+	}
+	return c.batch(cmds...)
 }
 
 // Delegate delegates a proxy of the client credential to the server over
@@ -258,16 +350,21 @@ func (c *Client) SupportsTrace() bool {
 // PropagateTrace binds the server session to sc via SITE TRACE, so the
 // server's subsequent transfer spans join the caller's trace. It returns
 // joined=false with no error when sc is invalid or the server does not
-// advertise TRACE — propagation degrades to the server rooting its spans
-// locally, never to a protocol error.
+// know SITE TRACE (it answers 500 at once, so no FEAT probe precedes the
+// command) — propagation degrades to the server rooting its spans locally,
+// never to a protocol error.
 func (c *Client) PropagateTrace(sc obs.SpanContext) (joined bool, err error) {
-	if !sc.Valid() || !c.SupportsTrace() {
+	if !sc.Valid() {
 		return false, nil
 	}
-	if _, err := c.cmdExpect("SITE", "TRACE "+obs.Inject(sc), ftp.CodeOK); err != nil {
-		return false, err
-	}
-	return true, nil
+	cmd := traceCmd(sc)
+	cmd.apply = func(accepted bool) { joined = accepted }
+	err = c.batch(cmd)
+	return joined, err
+}
+
+func traceCmd(sc obs.SpanContext) sessionCmd {
+	return sessionCmd{name: "SITE", params: "TRACE " + obs.Inject(sc), optional: true}
 }
 
 // SetParallelism negotiates the number of parallel data streams.
@@ -313,12 +410,14 @@ func (c *Client) Allocate(size int64) {
 // SetMarkerInterval asks the receiving server to emit restart markers
 // every interval (rounded to milliseconds).
 func (c *Client) SetMarkerInterval(interval time.Duration) error {
-	ms := int(interval / time.Millisecond)
-	if _, err := c.cmdExpect("OPTS", fmt.Sprintf("RETR Markers=%d;", ms), ftp.CodeOK); err != nil {
-		return err
+	return c.batch(c.markersCmd(interval))
+}
+
+func (c *Client) markersCmd(interval time.Duration) sessionCmd {
+	return sessionCmd{
+		name: "OPTS", params: fmt.Sprintf("RETR Markers=%d;", int(interval/time.Millisecond)),
+		apply: func(bool) { c.spec.MarkerInterval = interval },
 	}
-	c.spec.MarkerInterval = interval
-	return nil
 }
 
 // SetMode switches between stream (S) and extended block (E) mode.
@@ -397,24 +496,24 @@ func (c *Client) SetProt(p ProtLevel) error {
 // data channels. Works against the single DCSC-capable endpoint of a
 // transfer even when the other endpoint is a legacy server.
 func (c *Client) SendDCSC(cred *gsi.Credential) error {
-	blob, err := EncodeDCSCBlob(cred)
+	cmd, err := c.dcscCmd(cred)
 	if err != nil {
 		return err
 	}
-	_, err = c.cmdExpect("DCSC", "P "+blob, ftp.CodeOK)
-	if err == nil {
-		c.flushPools()
+	return c.batch(cmd)
+}
+
+func (c *Client) dcscCmd(cred *gsi.Credential) (sessionCmd, error) {
+	blob, err := EncodeDCSCBlob(cred)
+	if err != nil {
+		return sessionCmd{}, err
 	}
-	return err
+	return sessionCmd{name: "DCSC", params: "P " + blob, apply: func(bool) { c.flushPools() }}, nil
 }
 
 // ResetDCSC reverts the server's data channel security context ("DCSC D").
 func (c *Client) ResetDCSC() error {
-	_, err := c.cmdExpect("DCSC", "D", ftp.CodeOK)
-	if err == nil {
-		c.flushPools()
-	}
-	return err
+	return c.batch(sessionCmd{name: "DCSC", params: "D", apply: func(bool) { c.flushPools() }})
 }
 
 // SetRestart arms restart ranges (bytes already transferred) for the next
@@ -714,15 +813,12 @@ func (c *Client) OnPerf(cb func(PerfMarker)) { c.perfCB = cb }
 // without the extension replies 500; that degrades to local-only labeling
 // rather than an error.
 func (c *Client) SetTask(label string) error {
-	c.task = label
-	if _, err := c.cmdExpect("SITE", "TASK "+label, ftp.CodeOK); err != nil {
-		var re *ftp.ReplyError
-		if errors.As(err, &re) && re.Reply.Code == ftp.CodeSyntaxError {
-			return nil
-		}
-		return err
-	}
-	return nil
+	return c.batch(c.taskCmd(label))
+}
+
+func (c *Client) taskCmd(label string) sessionCmd {
+	return sessionCmd{name: "SITE", params: "TASK " + label, optional: true,
+		apply: func(bool) { c.task = label }}
 }
 
 // trackChannels registers a MODE E transfer's channels with the client's

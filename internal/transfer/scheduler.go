@@ -144,38 +144,34 @@ func (p *sessionPair) measureRTT() time.Duration {
 }
 
 // dialPair opens one worker's session pair, source and destination at the
-// same time: dial, delegate, join the caller's trace, set the marker
-// cadence, label both sessions with the task id for stream telemetry (SITE
-// TASK — the destination publishes its streams as "<task>", the source as
-// "<task>-src"), and — for cross-CA endpoint pairs — install the source
-// credential on the destination via DCSC once per session instead of once
-// per file. If either side fails, the side that succeeded is closed.
+// same time: dial, delegate, then one flight of session commands — join the
+// caller's trace (SITE TRACE; endpoints without it keep rooting locally),
+// label the session with the task id for stream telemetry (SITE TASK — the
+// destination publishes its streams as "<task>", the source as
+// "<task>-src"), and on the destination set the marker cadence and — for
+// cross-CA endpoint pairs — install the source credential via DCSC once
+// per session instead of once per file. If either side fails, the side
+// that succeeded is closed.
 func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel string) (*sessionPair, error) {
-	open := func(ep *Endpoint, proxy *gsi.Credential, steps ...func(*gridftp.Client) error) (*gridftp.Client, error) {
+	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup) (*gridftp.Client, error) {
 		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust,
 			gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams})
 		if err != nil {
 			return nil, err
 		}
-		for _, step := range steps {
-			if err := step(c); err != nil {
-				c.Close()
-				return nil, err
-			}
+		if err = c.Delegate(2 * time.Hour); err == nil {
+			err = c.Setup(setup)
+		}
+		if err != nil {
+			c.Close()
+			return nil, err
 		}
 		return c, nil
 	}
-	delegate := func(c *gridftp.Client) error { return c.Delegate(2 * time.Hour) }
-	// Bind both servers' transfer spans to the caller's trace (SITE
-	// TRACE). Endpoints without the feature keep rooting locally.
-	trace := func(c *gridftp.Client) error { _, err := c.PropagateTrace(sc); return err }
-	// Label both legs for the stream-telemetry plane. SetTask tolerates
-	// endpoints without the SITE TASK extension.
-	label := func(c *gridftp.Client) error {
-		if taskLabel == "" {
-			return nil
-		}
-		return c.SetTask(taskLabel)
+	srcSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel}
+	dstSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel, MarkerInterval: s.cfg.MarkerInterval}
+	if crossCA {
+		dstSetup.DCSC = srcProxy
 	}
 
 	pair := &sessionPair{}
@@ -183,17 +179,9 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 	srcDone := make(chan struct{})
 	go func() {
 		defer close(srcDone)
-		pair.src, srcErr = open(srcEP, srcProxy, delegate, trace, label)
+		pair.src, srcErr = open(srcEP, srcProxy, srcSetup)
 	}()
-	pair.dst, dstErr = open(dstEP, dstProxy, delegate, trace,
-		func(c *gridftp.Client) error { return c.SetMarkerInterval(s.cfg.MarkerInterval) },
-		label,
-		func(c *gridftp.Client) error {
-			if !crossCA {
-				return nil
-			}
-			return c.SendDCSC(srcProxy)
-		})
+	pair.dst, dstErr = open(dstEP, dstProxy, dstSetup)
 	<-srcDone
 	if err := errors.Join(srcErr, dstErr); err != nil {
 		pair.Close()

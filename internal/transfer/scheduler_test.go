@@ -60,14 +60,14 @@ func runDirTask(t *testing.T, w *world, dir string) (*Task, time.Duration) {
 // TestSchedulerBeatsSequentialOnHighRTT is the scheduler's acceptance
 // scenario: 50 x 64 KiB files over 20 ms RTT links, once sequentially
 // (TaskConcurrency=1) and once fanned out across auto-sized worker session
-// pairs. Each leg is held to a round-trip budget (elapsed ÷ RTT) rather
-// than to a ratio between them: since a worker's files share one
+// pairs, which must cut wall-clock by at least 2x. Each leg is also held to
+// a round-trip budget (elapsed ÷ RTT): since a worker's files share one
 // inter-site data path both legs are several times faster than when every
-// file paid PASV + PORT + connect + DCAU handshake, and the ratio between
-// two fast legs says less than what each one costs. It also proves the
-// control-channel diet: the directory attempt issues zero per-file SIZE
-// commands (sizes ride the MLSD facts), asserted via the per-verb command
-// counters.
+// file paid PASV + PORT + connect + DCAU handshake, so the ratio between
+// them (2.3–2.5x, once 3.7x) says less than what each one costs. It also
+// proves the control-channel diet: the directory attempt issues zero
+// per-file SIZE commands (sizes ride the MLSD facts), asserted via the
+// per-verb command counters.
 func TestSchedulerBeatsSequentialOnHighRTT(t *testing.T) {
 	const nFiles = 50
 	const fileSize = 64 << 10
@@ -101,18 +101,18 @@ func TestSchedulerBeatsSequentialOnHighRTT(t *testing.T) {
 		seqElapsed.Round(time.Millisecond), seqRTTs, schedElapsed.Round(time.Millisecond), schedRTTs,
 		schedDone.Workers, float64(seqElapsed)/float64(schedElapsed))
 	// Sequential: pair set-up and plan, then the files one after another at
-	// under three round trips each (~130 measured; 395 when every file
-	// re-established the data path). Scheduled: the same set-up, the other
-	// workers' pairs opened in parallel, and a seventh of the files per
-	// worker (~77 measured; 110 before).
-	if seqRTTs > 4*nFiles {
-		t.Errorf("sequential leg took %.0f round trips, budget %d (4 per file)", seqRTTs, 4*nFiles)
+	// a little over two round trips each (~111 measured; 395 when every
+	// file re-established the data path). Scheduled: the same set-up, the
+	// other workers' pairs opened alongside, and a seventh of the files per
+	// worker (~45 measured; 110 before).
+	if budget := 3.0 * nFiles; seqRTTs > budget {
+		t.Errorf("sequential leg took %.0f round trips, budget %.0f (3 per file)", seqRTTs, budget)
 	}
-	if schedRTTs > 2*nFiles {
-		t.Errorf("scheduled leg took %.0f round trips, budget %d", schedRTTs, 2*nFiles)
+	if budget := 1.5 * nFiles; schedRTTs > budget {
+		t.Errorf("scheduled leg took %.0f round trips, budget %.0f", schedRTTs, budget)
 	}
-	if schedElapsed >= seqElapsed {
-		t.Errorf("fan-out did not help: sequential %v, scheduled %v", seqElapsed, schedElapsed)
+	if schedElapsed*2 > seqElapsed {
+		t.Errorf("scheduler not >= 2x faster: sequential %v vs scheduled %v", seqElapsed, schedElapsed)
 	}
 
 	// Zero per-file SIZE commands on either path; the counters are live
