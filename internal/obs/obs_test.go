@@ -228,6 +228,62 @@ func TestTracerBoundedBuffer(t *testing.T) {
 	}
 }
 
+// TestTracerRingKeepsStartOrder wraps the ring several times over and
+// checks that what is retained is the newest maxSpans spans, oldest first,
+// in Spans, Roots, Children and TreeString alike.
+func TestTracerRingKeepsStartOrder(t *testing.T) {
+	tr := NewTracer()
+	const total = 2*maxSpans + 50
+	root := tr.StartSpan("root")
+	for i := 1; i < total; i++ {
+		// Every third span is a child of the newest root, the rest are
+		// roots: a root's children must stay grouped under it in order.
+		if i%3 == 0 {
+			root.Child(fmt.Sprintf("c%05d", i))
+		} else {
+			root = tr.StartSpan(fmt.Sprintf("r%05d", i))
+		}
+	}
+	spans := tr.Spans()
+	if len(spans) != maxSpans {
+		t.Fatalf("retained %d spans, want %d", len(spans), maxSpans)
+	}
+	var want strings.Builder
+	for k, s := range spans {
+		i := total - maxSpans + k
+		name, indent := fmt.Sprintf("r%05d", i), ""
+		if i%3 == 0 {
+			name, indent = fmt.Sprintf("c%05d", i), "  "
+		}
+		if s.Name != name || s.ID != int64(i+1) {
+			t.Fatalf("Spans()[%d] = %s (id %d), want %s (id %d)", k, s.Name, s.ID, name, i+1)
+		}
+		// The oldest retained span may be a child whose root was evicted;
+		// TreeString renders only spans reachable from a retained root.
+		if k > 0 || indent == "" {
+			fmt.Fprintf(&want, "%s%s (open)\n", indent, name)
+		}
+	}
+	if got := tr.TreeString(); got != want.String() {
+		t.Fatalf("TreeString is not in start order after the ring wrapped:\n%s", got[:min(len(got), 400)])
+	}
+}
+
+// TestTracerFullRingAllocatesNoMore: once maxSpans spans are retained, a
+// new span must cost what it costs on an empty tracer — the span itself —
+// and not a copy of the whole buffer.
+func TestTracerFullRingAllocatesNoMore(t *testing.T) {
+	start := func(tr *Tracer) func() { return func() { tr.StartSpan("s").Child("c").End() } }
+	empty := testing.AllocsPerRun(200, start(NewTracer()))
+	full := NewTracer()
+	for i := 0; i < maxSpans+10; i++ {
+		full.StartSpan("fill")
+	}
+	if got := testing.AllocsPerRun(200, start(full)); got > empty {
+		t.Fatalf("a span pair on a full tracer allocates %.0f objects, %.0f on an empty one", got, empty)
+	}
+}
+
 func TestLoggerLevelsAndFields(t *testing.T) {
 	var b bytes.Buffer
 	l := NewLogger(&b, LevelInfo)

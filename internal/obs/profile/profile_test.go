@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -34,11 +35,24 @@ func newTestProfiler(o *obs.Obs) (*Profiler, *syntheticClock) {
 	return p, clk
 }
 
+// publishAllocations makes what the caller just allocated visible to the
+// next heap capture. The runtime samples one allocation per MemProfileRate
+// bytes and publishes a sample only once two collection cycles have
+// completed after it, so a window's 1.2 MB against the default 512 KiB rate
+// is a couple of samples that may or may not have surfaced by the capture.
+func publishAllocations() {
+	runtime.GC()
+	runtime.GC()
+}
+
 func TestCaptureWindowsAndRings(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 4096 // every 4 KiB chunk below is sampled
 	o := obs.Nop()
 	p, _ := newTestProfiler(o)
 	for i := 0; i < 12; i++ {
 		sink := chewMemory(300)
+		publishAllocations()
 		if _, err := p.CaptureOnce(); err != nil {
 			t.Fatalf("capture %d: %v", i, err)
 		}

@@ -17,7 +17,12 @@ import (
 type Tracer struct {
 	mu     sync.Mutex
 	nextID int64
-	spans  []*Span // all spans in start order, bounded by maxSpans
+	// ring holds the retained spans. It grows by append up to maxSpans;
+	// from then on it is a fixed ring in which head is the oldest span's
+	// slot and the next span to start overwrites it, so a full tracer
+	// costs a long-running daemon nothing per span beyond the span itself.
+	ring []*Span
+	head int
 }
 
 // maxSpans bounds the tracer's buffer; older spans are evicted whole-tree
@@ -80,9 +85,11 @@ func (t *Tracer) startSpan(name string, parent int64, tid TraceID, parentSpanID 
 		tracer: t, ID: t.nextID, Parent: parent, Name: name, Start: time.Now(),
 		TraceID: tid, SpanID: newSpanID(), ParentSpanID: parentSpanID,
 	}
-	t.spans = append(t.spans, s)
-	if len(t.spans) > maxSpans {
-		t.spans = append([]*Span(nil), t.spans[len(t.spans)-maxSpans:]...)
+	if len(t.ring) < maxSpans {
+		t.ring = append(t.ring, s)
+	} else {
+		t.ring[t.head] = s
+		t.head = (t.head + 1) % maxSpans
 	}
 	t.mu.Unlock()
 	return s
@@ -174,7 +181,8 @@ func (t *Tracer) Spans() []SpanInfo {
 		return nil
 	}
 	t.mu.Lock()
-	spans := append([]*Span(nil), t.spans...)
+	spans := make([]*Span, 0, len(t.ring))
+	spans = append(append(spans, t.ring[t.head:]...), t.ring[:t.head]...)
 	t.mu.Unlock()
 	out := make([]SpanInfo, 0, len(spans))
 	for _, s := range spans {

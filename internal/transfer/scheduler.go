@@ -18,10 +18,13 @@ import (
 // out to K worker pairs of control sessions, each draining a shared
 // per-task queue of pending files and running third-party transfers
 // concurrently, with the service-wide total bounded by the
-// Config.MaxActiveTransfers semaphore. Checkpointing is a per-file
-// completion set plus per-file restart markers, so an attempt that dies
-// with files in flight on several workers resumes only what is actually
-// unfinished.
+// Config.MaxActiveTransfers semaphore. A worker's files share the
+// inter-site data path its pair established for the first of them
+// (gridftp.ThirdParty keeps a pair wired until something invalidates it),
+// so a small file costs its transfer commands and its data, not a
+// connection and a handshake. Checkpointing is a per-file completion set
+// plus per-file restart markers, so an attempt that dies with files in
+// flight on several workers resumes only what is actually unfinished.
 
 // maxTaskWorkers caps a single task's fan-out regardless of file count.
 const maxTaskWorkers = 8

@@ -94,6 +94,10 @@ type Task struct {
 	// Workers is the scheduler fan-out the last attempt used (K control
 	// session pairs draining the task's file queue).
 	Workers int
+
+	// done is closed by run once the task is terminal and its bookkeeping
+	// (metrics, events, span) is complete; Wait blocks on it.
+	done chan struct{}
 }
 
 // Config tunes the service.
@@ -353,6 +357,7 @@ func (s *Service) Submit(user, srcEndpoint, srcPath, dstEndpoint, dstPath string
 		DstPath: dstPath,
 		Status:  TaskQueued,
 		Started: time.Now(),
+		done:    make(chan struct{}),
 	}
 	s.tasks[task.ID] = task
 	snapshot := *task
@@ -365,20 +370,25 @@ func (s *Service) Submit(user, srcEndpoint, srcPath, dstEndpoint, dstPath string
 
 // Wait blocks until the task reaches a terminal state (or the timeout).
 func (s *Service) Wait(taskID string, timeout time.Duration) (*Task, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		t, err := s.TaskStatus(taskID)
-		if err != nil {
-			return nil, err
-		}
-		if t.Status == TaskSucceeded || t.Status == TaskFailed {
-			return t, nil
-		}
-		if time.Now().After(deadline) {
-			return t, fmt.Errorf("transfer: task %s still %s after %v", taskID, t.Status, timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
+	t, err := s.TaskStatus(taskID)
+	if err != nil {
+		return nil, err
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-t.done:
+	case <-timer.C:
+	}
+	// Whichever fired, the status decides: the task can finish as the
+	// timer does.
+	if t, err = s.TaskStatus(taskID); err != nil {
+		return nil, err
+	}
+	if t.Status == TaskSucceeded || t.Status == TaskFailed {
+		return t, nil
+	}
+	return t, fmt.Errorf("transfer: task %s still %s after %v", taskID, t.Status, timeout)
 }
 
 // TaskStatus returns a snapshot of the task.
@@ -402,6 +412,7 @@ func (s *Service) update(task *Task, f func(*Task)) {
 
 // run drives one task to completion, retrying from restart markers.
 func (s *Service) run(task *Task) {
+	defer close(task.done)
 	s.update(task, func(t *Task) { t.Status = TaskActive })
 	reg := s.cfg.Obs.Registry()
 	ev := s.cfg.Obs.EventLog()

@@ -12,6 +12,7 @@ import (
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/oauth"
+	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -361,4 +362,41 @@ func pattern(n int) []byte {
 		data[i] = byte((i*7 + i/251) % 256)
 	}
 	return data
+}
+
+// TestWaitSignalsInsteadOfPolling: Wait returns when run closes the task's
+// channel, with the task's terminal bookkeeping already done; it times out
+// with the live snapshot while the task runs, and keeps answering after the
+// task is over.
+func TestWaitSignalsInsteadOfPolling(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o}, false)
+	activateBoth(t, w)
+	w.putSrc(t, "/wait.bin", pattern(256<<10))
+	w.nw.SetLink("siteA", "siteB", netsim.LinkParams{Bandwidth: 2e6, RTT: 2 * time.Millisecond, StreamWindow: 1 << 20})
+
+	task, err := w.svc.Submit("alice", "siteA", "/wait.bin", "siteB", "/wait.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := w.svc.Wait(task.ID, 10*time.Millisecond); err == nil || st == nil || st.Status != TaskActive {
+		t.Fatalf("a 10 ms wait on a ~130 ms task returned %+v, %v; want the ACTIVE snapshot and a timeout", st, err)
+	}
+	done, err := w.svc.Wait(task.ID, time.Minute)
+	returned := time.Now()
+	if err != nil || done.Status != TaskSucceeded {
+		t.Fatalf("wait: %+v, %v", done, err)
+	}
+	// Not asserted (scheduling noise); the benchmark's
+	// transfer.wait_poll_lag_ms tracks it. The 5 ms poll averaged 2.5 ms.
+	t.Logf("Wait returned %v after Task.Finished", returned.Sub(done.Finished))
+	if got := o.Metrics.Counter("transfer.tasks_succeeded").Value(); got != 1 {
+		t.Errorf("Wait returned before the task's bookkeeping: tasks_succeeded=%d", got)
+	}
+	if again, err := w.svc.Wait(task.ID, 0); err != nil || again.Status != TaskSucceeded {
+		t.Fatalf("wait on a finished task with no time left: %+v, %v", again, err)
+	}
+	if _, err := w.svc.Wait("task-999999", time.Second); err == nil {
+		t.Fatal("wait on an unknown task succeeded")
+	}
 }
