@@ -11,7 +11,6 @@ package instant
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -568,106 +567,4 @@ func BenchmarkE20TenantAttributionOverhead(b *testing.B) {
 	reportRate(b, onBest)
 	pct := (offBest - onBest) / offBest * 100
 	b.ReportMetric(pct, "pct-overhead")
-}
-
-// BenchmarkE19DataPath isolates the MODE E framing data path: one sender
-// streaming blocks to one receiver over a real TCP loopback socket and
-// over an unshaped netsim conn, in the historical form (fresh payload
-// buffer per block, header and payload as separate writes, per-block
-// receive allocation) and the fast-path form (pooled block buffers,
-// batched/vectored writes, pooled receive). The fast/legacy delta is the
-// PR's framing win with the protocol, crypto, and disk kept out of frame.
-func BenchmarkE19DataPath(b *testing.B) {
-	const totalBytes = 16 << 20
-	const blockSize = gridftp.DefaultBlockSize
-
-	run := func(b *testing.B, dial func() (net.Conn, net.Conn, error), fast bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			src, dst, err := dial()
-			if err != nil {
-				b.Fatal(err)
-			}
-			errCh := make(chan error, 1)
-			go func() {
-				errCh <- gridftp.SendBenchBlocks(src, totalBytes, blockSize, fast)
-			}()
-			start := time.Now()
-			got, err := gridftp.RecvBenchBlocks(dst, blockSize, fast)
-			elapsed := time.Since(start)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if serr := <-errCh; serr != nil {
-				b.Fatal(serr)
-			}
-			if got != totalBytes {
-				b.Fatalf("received %d bytes, want %d", got, totalBytes)
-			}
-			src.Close()
-			dst.Close()
-			reportRate(b, totalBytes/elapsed.Seconds())
-		}
-	}
-
-	tcpPair := func() (net.Conn, net.Conn, error) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		defer l.Close()
-		type accepted struct {
-			c   net.Conn
-			err error
-		}
-		ch := make(chan accepted, 1)
-		go func() {
-			c, err := l.Accept()
-			ch <- accepted{c, err}
-		}()
-		src, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return nil, nil, err
-		}
-		a := <-ch
-		if a.err != nil {
-			src.Close()
-			return nil, nil, a.err
-		}
-		return src, a.c, nil
-	}
-
-	simPair := func() (net.Conn, net.Conn, error) {
-		nw := netsim.NewNetwork()
-		nw.SetDefaultLink(netsim.LinkParams{}) // unshaped: framing is the bottleneck
-		l, err := nw.Listen("dst", 2811)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer l.Close()
-		type accepted struct {
-			c   net.Conn
-			err error
-		}
-		ch := make(chan accepted, 1)
-		go func() {
-			c, err := l.Accept()
-			ch <- accepted{c, err}
-		}()
-		src, err := nw.Dial("src", "dst:2811")
-		if err != nil {
-			return nil, nil, err
-		}
-		a := <-ch
-		if a.err != nil {
-			src.Close()
-			return nil, nil, a.err
-		}
-		return src, a.c, nil
-	}
-
-	b.Run("tcp-legacy", func(b *testing.B) { run(b, tcpPair, false) })
-	b.Run("tcp-fast", func(b *testing.B) { run(b, tcpPair, true) })
-	b.Run("netsim-legacy", func(b *testing.B) { run(b, simPair, false) })
-	b.Run("netsim-fast", func(b *testing.B) { run(b, simPair, true) })
 }

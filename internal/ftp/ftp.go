@@ -305,13 +305,23 @@ func (c *Conn) Expect(want ...int) (Reply, error) {
 
 const maxLineLen = 1 << 20 // DCSC blobs ride on command lines; allow 1 MiB
 
+// readLine reads one line, failing as soon as it has seen more than
+// maxLineLen bytes of it: the cap is checked per buffered fragment, before
+// the fragment is kept, so a peer that never sends a newline cannot grow
+// memory past the cap. A line that fits the read buffer costs one allocation.
 func (c *Conn) readLine() (string, error) {
-	line, err := c.br.ReadString('\n')
-	if err != nil {
-		return "", err
+	var line strings.Builder
+	for {
+		frag, err := c.br.ReadSlice('\n')
+		if err != nil && err != bufio.ErrBufferFull {
+			return "", err
+		}
+		if line.Len()+len(frag) > maxLineLen {
+			return "", fmt.Errorf("ftp: line exceeds %d bytes", maxLineLen)
+		}
+		line.Write(frag)
+		if err == nil {
+			return strings.TrimRight(line.String(), "\r\n"), nil
+		}
 	}
-	if len(line) > maxLineLen {
-		return "", fmt.Errorf("ftp: line exceeds %d bytes", maxLineLen)
-	}
-	return strings.TrimRight(line, "\r\n"), nil
 }

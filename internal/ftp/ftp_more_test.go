@@ -106,3 +106,69 @@ func TestReadFinalReplyPropagatesReadError(t *testing.T) {
 		t.Fatal("EOF mid-reply-stream not reported")
 	}
 }
+
+// readerConn is a read-only net.Conn over r that counts what was consumed.
+type readerConn struct {
+	net.Conn
+	r        io.Reader
+	consumed int
+}
+
+func (c *readerConn) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.consumed += n
+	return n, err
+}
+
+// endless yields 'A' forever: a peer that never sends a newline.
+type endless struct{}
+
+func (endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'A'
+	}
+	return len(p), nil
+}
+
+// TestReadLineBoundedBeforeBuffering: the line cap applies to what is being
+// accumulated, not to a line that has already been buffered whole — an
+// unauthenticated peer that never sends a newline is cut off after the cap
+// plus at most one read buffer, on the command side and the reply side.
+func TestReadLineBoundedBeforeBuffering(t *testing.T) {
+	const readBuffer = 4096 // bufio's default, which NewConn uses
+	for name, read := range map[string]func(*Conn) error{
+		"command": func(c *Conn) error { _, err := c.ReadCommand(); return err },
+		"reply":   func(c *Conn) error { _, err := c.ReadReply(); return err },
+	} {
+		nc := &readerConn{r: endless{}}
+		err := read(NewConn(nc))
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("%s: endless line returned %v, want the line-length error", name, err)
+		}
+		if nc.consumed > maxLineLen+readBuffer {
+			t.Fatalf("%s: consumed %d bytes before failing, want at most %d", name, nc.consumed, maxLineLen+readBuffer)
+		}
+	}
+}
+
+// TestReadLineAcceptsCapSizedLine: DCSC blobs ride on command lines, so a
+// line one byte under the 1 MiB cap still parses, and the next line after
+// it is intact.
+func TestReadLineAcceptsCapSizedLine(t *testing.T) {
+	blob := strings.Repeat("x", maxLineLen-1-len("DCSC P \r\n"))
+	c := NewConn(&readerConn{r: strings.NewReader("DCSC P " + blob + "\r\nNOOP\r\n")})
+	cmd, err := c.ReadCommand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmd.Name != "DCSC" || cmd.Params != "P "+blob {
+		t.Fatalf("parsed %s with %d parameter bytes, want DCSC with %d", cmd.Name, len(cmd.Params), len(blob)+2)
+	}
+	if cmd, err = c.ReadCommand(); err != nil || cmd.Name != "NOOP" {
+		t.Fatalf("line after the long one: %v %v", cmd, err)
+	}
+	over := strings.Repeat("x", maxLineLen) + "\r\n"
+	if _, err := NewConn(&readerConn{r: strings.NewReader(over)}).ReadCommand(); err == nil {
+		t.Fatal("a line over the cap parsed")
+	}
+}

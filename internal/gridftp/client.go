@@ -2,9 +2,7 @@ package gridftp
 
 import (
 	"crypto/tls"
-	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,30 +42,20 @@ type Client struct {
 	perfBytes map[int]int64
 	perfSeen  int
 
-	// Active-mode state: a listener on the client host plus pooled
-	// accepted channels; passive-mode state: pooled dialed channels.
-	// acceptCh/acceptErr are fed by a single pump goroutine owning the
-	// listener, so canceled transfers cannot strand accepted connections.
-	// lmu guards the listener fields: handshake pump goroutines may read
-	// them concurrently with Close.
-	lmu            sync.Mutex
-	dataListener   net.Listener
-	acceptCh       chan net.Conn
-	acceptErr      chan error
-	pooledAccepted []*dataChannel
-	pooledDialed   []*dataChannel
-	passiveAddrs   []string
+	// data is this end of the data-channel path: the listener on the client
+	// host that active-mode transfers (Get) accept on, the server's passive
+	// address that passive-mode ones (Put, List) connect to, and the pooled
+	// channels of both roles.
+	data dataPath
 	// wiring is non-nil while this session is one end of an established
 	// third-party data path (see ThirdParty); flushPools drops it.
 	wiring *thirdPartyWiring
 
-	cacheDisabled bool
-	delegated     bool
+	delegated bool
 
-	// streams is the client-side stream-telemetry registry; task labels
-	// the client's own transfers in it (see SetTask).
-	streams *streamstats.Registry
-	task    string
+	// task labels the client's own transfers in the stream-telemetry
+	// registry (see SetTask).
+	task string
 }
 
 // DialOptions tweak client connection behaviour.
@@ -95,15 +83,14 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		return nil, fmt.Errorf("gridftp: dial %s: %w", addr, err)
 	}
 	c := &Client{
-		ctrl:          ftp.NewConn(raw),
-		host:          host,
-		cred:          cred,
-		trust:         trust,
-		spec:          ChannelSpec{Mode: ModeExtended}.Normalize(),
-		cacheDisabled: opts.DisableChannelCache,
-		obs:           opts.Obs,
-		streams:       opts.Streams,
-		perfBytes:     make(map[int]int64),
+		ctrl:      ftp.NewConn(raw),
+		host:      host,
+		cred:      cred,
+		trust:     trust,
+		spec:      ChannelSpec{Mode: ModeExtended}.Normalize(),
+		obs:       opts.Obs,
+		perfBytes: make(map[int]int64),
+		data:      newClientDataPath(host, opts),
 	}
 	if _, err := c.ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
 		raw.Close()
@@ -153,15 +140,21 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	return c, nil
 }
 
+// newClientDataPath is a client's end of the data-channel path: every
+// connection starts or ends on the client host.
+func newClientDataPath(host *netsim.Host, opts DialOptions) dataPath {
+	return dataPath{
+		dialFrom: []*netsim.Host{host},
+		wait:     defaultDataWait,
+		cache:    !opts.DisableChannelCache,
+		streams:  opts.Streams,
+	}
+}
+
 // Close ends the session.
 func (c *Client) Close() error {
 	c.flushPools()
-	c.lmu.Lock()
-	if c.dataListener != nil {
-		c.dataListener.Close()
-		c.dataListener = nil
-	}
-	c.lmu.Unlock()
+	c.data.closeListeners()
 	c.ctrl.Cmd("QUIT", "")
 	c.ctrl.Expect(221)
 	return c.ctrl.Close()
@@ -174,11 +167,8 @@ func (c *Client) Close() error {
 // through here, so the client's pools, its passive address and its
 // third-party wiring can never outlive the server's.
 func (c *Client) flushPools() {
-	closeChannels(c.pooledAccepted)
-	closeChannels(c.pooledDialed)
-	c.pooledAccepted = nil
-	c.pooledDialed = nil
-	c.passiveAddrs = nil
+	c.data.flush()
+	c.data.targets = nil
 	c.wiring = nil
 }
 
@@ -538,6 +528,11 @@ func (c *Client) dataContext() *SecurityContext {
 	}
 }
 
+// channelParams is what the session has negotiated for its data channels.
+func (c *Client) channelParams() channelParams {
+	return channelParams{sec: c.dataContext(), spec: c.spec}
+}
+
 // sendRestart transmits any armed restart ranges.
 func (c *Client) sendRestart() ([]Range, error) {
 	if len(c.restart) == 0 {
@@ -612,107 +607,26 @@ func (c *Client) Port(addrs []string) error {
 // It must run BEFORE the transfer command is sent: once the command is in
 // flight the server is busy with the transfer and cannot answer PASV.
 func (c *Client) ensurePassive() error {
-	if len(c.passiveAddrs) > 0 {
+	if len(c.data.targets) > 0 {
 		return nil
 	}
 	addr, err := c.passive()
 	if err != nil {
 		return err
 	}
-	c.passiveAddrs = []string{addr}
+	c.data.targets = []string{addr}
 	return nil
-}
-
-// dialData opens and secures n data connections to the server's passive
-// address(es), reusing the pool when possible. ensurePassive must have
-// succeeded earlier in the session.
-func (c *Client) dialData(n int) ([]*dataChannel, error) {
-	if len(c.pooledDialed) == n {
-		chans := c.pooledDialed
-		c.pooledDialed = nil
-		return chans, nil
-	}
-	closeChannels(c.pooledDialed)
-	c.pooledDialed = nil
-	if len(c.passiveAddrs) == 0 {
-		return nil, errors.New("gridftp: no passive address (ensurePassive not run)")
-	}
-	// Establish concurrently so N channels cost one connect+handshake RTT.
-	chans := make([]*dataChannel, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raw, err := c.host.DialTransport(c.passiveAddrs[i%len(c.passiveAddrs)], c.spec.Transport)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sec, err := secureData(raw, c.dataContext(), c.spec.DCAU, c.spec.Prot, false)
-			if err != nil {
-				raw.Close()
-				errs[i] = err
-				return
-			}
-			chans[i] = &dataChannel{raw: raw, sec: maybeDeflate(sec, c.spec.Deflate)}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			closeChannels(compactChannels(chans))
-			return nil, err
-		}
-	}
-	return chans, nil
 }
 
 // ensureListener opens (once) the client-side data listener for
 // active-mode transfers and registers it with the server via PORT.
 func (c *Client) ensureListener() error {
-	c.lmu.Lock()
-	if c.dataListener == nil {
-		l, err := c.host.Listen(0)
-		if err != nil {
-			c.lmu.Unlock()
+	if len(c.data.listeners) == 0 {
+		if _, err := c.data.listen([]*netsim.Host{c.host}); err != nil {
 			return err
 		}
-		c.dataListener = l
-		c.acceptCh = make(chan net.Conn, 64)
-		c.acceptErr = make(chan error, 1)
-		go func(conns chan net.Conn, errs chan error) {
-			for {
-				conn, err := l.Accept()
-				if err != nil {
-					errs <- err
-					return
-				}
-				select {
-				case conns <- conn:
-				default:
-					conn.Close()
-				}
-			}
-		}(c.acceptCh, c.acceptErr)
 	}
-	addr := c.dataListener.Addr().String()
-	c.lmu.Unlock()
-	return c.Port([]string{addr})
-}
-
-// retire pools channels for reuse or closes them.
-func (c *Client) retire(chans []*dataChannel, ok bool) {
-	if !ok || c.spec.Mode != ModeExtended || c.cacheDisabled {
-		closeChannels(chans)
-		return
-	}
-	if len(chans) > 0 && chans[0].acceptor {
-		c.pooledAccepted = chans
-	} else {
-		c.pooledDialed = chans
-	}
+	return c.Port([]string{c.data.listeners[0].Addr().String()})
 }
 
 // parseOpeningSize extracts the announced byte count from a 150 reply of
@@ -821,21 +735,6 @@ func (c *Client) taskCmd(label string) sessionCmd {
 		apply: func(bool) { c.task = label }}
 }
 
-// trackChannels registers a MODE E transfer's channels with the client's
-// stream-telemetry registry; see session.trackChannels for the server twin.
-func (c *Client) trackChannels(verb string, chans []*dataChannel) ([]net.Conn, *streamstats.Transfer) {
-	conns := secConns(chans)
-	if c.streams == nil {
-		return conns, nil
-	}
-	t := c.streams.Begin(c.task, verb)
-	for i, ch := range chans {
-		conns[i] = t.Wrap(i, ch.sec, ch.raw)
-	}
-	t.SetAbort(func() { abortChannels(chans) })
-	return conns, t
-}
-
 // TransferStats reports what a transfer moved.
 type TransferStats struct {
 	Bytes    int64
@@ -866,7 +765,6 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	// Tell the server how big the destination will be so its storage
 	// preallocates once instead of grow-copying per block.
 	c.Allocate(size)
-	var lastMarkers []Range
 	if c.spec.Mode == ModeStream {
 		c.flushPools()
 		if err := c.ensurePassive(); err != nil {
@@ -876,7 +774,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
 			return nil, err
 		}
-		chans, err := c.dialData(1)
+		chans, err := c.data.dial(1, c.channelParams())
 		if err != nil {
 			c.ctrl.ReadFinalReply(nil)
 			return nil, err
@@ -887,6 +785,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		}
 		sendErr := sendStream(chans[0].sec, src, from, size, c.spec.BlockSize)
 		closeChannels(chans)
+		var lastMarkers []Range
 		r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
 			if ranges := c.handlePreliminary(p); ranges != nil {
 				lastMarkers = ranges
@@ -904,7 +803,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		return &TransferStats{Bytes: size - totalLen(restart), Duration: time.Since(start), Markers: lastMarkers}, nil
 	}
 
-	if len(c.pooledDialed) != c.spec.Parallelism {
+	if len(c.data.pooledDialed) != c.spec.Parallelism {
 		if err := c.ensurePassive(); err != nil {
 			return nil, err
 		}
@@ -913,7 +812,20 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
 		return nil, err
 	}
-	chans, err := c.dialData(c.spec.Parallelism)
+	markers, err := c.sendOne(src, ranges)
+	if err != nil {
+		return &TransferStats{Markers: markers}, err
+	}
+	return &TransferStats{Bytes: totalLen(ranges), Duration: time.Since(start), Markers: markers}, nil
+}
+
+// sendOne sends ranges of src as one MODE E transfer whose STOR is already
+// in flight — over pooled channels or fresh ones — and consumes its final
+// reply. It returns the last restart markers the server reported. Channels
+// are retired into the pool on success; any failure drops all data state,
+// since the server's failure path has done the same.
+func (c *Client) sendOne(src dsi.File, ranges []Range) (markers []Range, err error) {
+	chans, err := c.data.dial(c.spec.Parallelism, c.channelParams())
 	if err != nil {
 		// The server is waiting for a transfer that will not happen; it
 		// will time out its accept and report 425/426.
@@ -921,34 +833,25 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		return nil, err
 	}
 	sent := c.obs.Registry().Counter("gridftp.client.bytes_sent")
-	conns, tracker := c.trackChannels("put", chans)
-	sendErr := sendModeE(conns, src, ranges, c.spec.BlockSize,
-		func(stream int, n int64) { sent.Add(n) })
+	conns, tracker := c.data.trackChannels(c.task, "put", chans)
+	err = sendModeE(conns, src, ranges, c.spec.BlockSize, func(_ int, n int64) { sent.Add(n) })
 	r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
 		if ranges := c.handlePreliminary(p); ranges != nil {
-			lastMarkers = ranges
+			markers = ranges
 		}
 	})
-	switch {
-	case sendErr != nil:
-		tracker.Done(sendErr)
-		closeChannels(chans)
-		c.flushPools()
-		return &TransferStats{Markers: lastMarkers}, sendErr
-	case rerr != nil:
-		tracker.Done(rerr)
-		closeChannels(chans)
-		c.flushPools()
-		return &TransferStats{Markers: lastMarkers}, rerr
-	case r.Err() != nil:
-		tracker.Done(r.Err())
-		closeChannels(chans)
-		c.flushPools()
-		return &TransferStats{Markers: lastMarkers}, r.Err()
+	if err == nil {
+		err = rerr
 	}
-	tracker.Done(nil)
-	c.retire(chans, true)
-	return &TransferStats{Bytes: totalLen(ranges), Duration: time.Since(start), Markers: lastMarkers}, nil
+	if err == nil {
+		err = r.Err()
+	}
+	tracker.Done(err)
+	c.data.retire(chans, c.spec.Mode, err == nil)
+	if err != nil {
+		c.flushPools()
+	}
+	return markers, err
 }
 
 // Get downloads the remote path into dst. Active mode (default): this
@@ -980,24 +883,17 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 		if err := c.ctrl.Cmd(verb, "%s", params); err != nil {
 			return nil, err
 		}
-		raw, err := c.acceptOne()
+		chans, err := c.data.accept(1, c.channelParams())
 		if err != nil {
 			c.ctrl.ReadFinalReply(nil)
 			return nil, err
 		}
-		sec, err := secureData(raw, c.dataContext(), c.spec.DCAU, c.spec.Prot, true)
-		if err != nil {
-			raw.Close()
-			c.ctrl.ReadFinalReply(nil)
-			return nil, err
-		}
-		sec = maybeDeflate(sec, c.spec.Deflate)
 		offset := int64(0)
 		if len(restart) == 1 && restart[0].Start == 0 {
 			offset = restart[0].End
 		}
-		n, recvErr := recvStream(sec, dst, offset, c.spec.BlockSize)
-		raw.Close()
+		n, recvErr := recvStream(chans[0].sec, dst, offset, c.spec.BlockSize)
+		closeChannels(chans)
 		r, rerr := c.ctrl.ReadFinalReply(nil)
 		if recvErr != nil {
 			return nil, recvErr
@@ -1012,7 +908,7 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 	}
 
 	// MODE E active: pooled channels first, fresh ones off our listener.
-	if len(c.pooledAccepted) == 0 {
+	if len(c.data.pooledAccepted) == 0 {
 		if err := c.ensureListener(); err != nil {
 			return nil, err
 		}
@@ -1051,52 +947,10 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 // cancels the receive instead of timing it out. It retires channels into
 // the pool on success and flushes them on any failure.
 func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, ftp.Reply, error) {
-	pooled := c.pooledAccepted
-	c.pooledAccepted = nil
-	var fresh []*dataChannel
-	var freshMu sync.Mutex
-	sealed := false
-	pi := 0
-	securedAccept := parallelSecureAccept(c.acceptOneStop, c.dataContext(),
-		c.spec.DCAU, c.spec.Prot, c.spec.Deflate, func(ch *dataChannel) {
-			freshMu.Lock()
-			if sealed {
-				freshMu.Unlock()
-				ch.close()
-				return
-			}
-			fresh = append(fresh, ch)
-			freshMu.Unlock()
-		})
-	accept := func(stop <-chan struct{}) (net.Conn, error) {
-		if pi < len(pooled) {
-			ch := pooled[pi]
-			pi++
-			return ch.sec, nil
-		}
-		return securedAccept(stop)
-	}
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	cancelRecv := func() { cancelOnce.Do(func() { close(cancel) }) }
-	// Stream telemetry: instrument connections as they join the receive,
-	// and let the stall watchdog cancel it. accept runs on recvModeE's
-	// single acceptor goroutine, so the index needs no lock.
-	var tracker *streamstats.Transfer
-	if c.streams != nil {
-		tracker = c.streams.Begin(c.task, "get")
-		tracker.SetAbort(cancelRecv)
-		base := accept
-		idx := 0
-		accept = func(stop <-chan struct{}) (net.Conn, error) {
-			conn, err := base(stop)
-			if err != nil {
-				return conn, err
-			}
-			i := idx
-			idx++
-			return tracker.Wrap(i, conn, conn), nil
-		}
+	rcv, err := c.data.beginReceive(c.channelParams(), c.task, "get")
+	if err != nil {
+		c.ctrl.ReadFinalReply(nil)
+		return recvResult{Received: received, Err: err}, ftp.Reply{}, err
 	}
 	type finalReply struct {
 		r   ftp.Reply
@@ -1115,7 +969,7 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 		replyCh <- finalReply{r, err}
 	}()
 	resCh := make(chan recvResult, 1)
-	go func() { resCh <- recvModeE(accept, dst, received, c.spec.BlockSize, nil, cancel) }()
+	go func() { resCh <- recvModeE(rcv.accept, dst, received, c.spec.BlockSize, nil, rcv.canceled) }()
 
 	var res recvResult
 	var fin finalReply
@@ -1124,61 +978,24 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 		fin = <-replyCh
 	case fin = <-replyCh:
 		if fin.err != nil || fin.r.Err() != nil {
-			cancelRecv()
+			rcv.cancel()
 		}
 		res = <-resCh
 	}
-	// Any pooled channels the sender declined to reuse are stale.
-	for _, ch := range pooled[pi:] {
-		ch.close()
+	// The server's error reply names the root cause; a concurrent receive
+	// cancellation is just its consequence.
+	err = fin.err
+	if err == nil {
+		err = fin.r.Err()
 	}
-	freshMu.Lock()
-	sealed = true
-	all := append(pooled[:pi:pi], fresh...)
-	freshMu.Unlock()
-	switch {
-	case fin.err != nil:
-		tracker.Done(fin.err)
-	case fin.r.Err() != nil:
-		tracker.Done(fin.r.Err())
-	default:
-		tracker.Done(res.Err)
+	if err == nil {
+		err = res.Err
 	}
-	if fin.err != nil || fin.r.Err() != nil || res.Err != nil {
-		closeChannels(all)
+	rcv.finish(err)
+	if err != nil {
 		c.flushPools()
-	} else {
-		c.retire(all, true)
 	}
 	return res, fin.r, fin.err
-}
-
-func (c *Client) acceptOne() (net.Conn, error) {
-	return c.acceptOneStop(nil)
-}
-
-func (c *Client) acceptOneStop(stop <-chan struct{}) (net.Conn, error) {
-	c.lmu.Lock()
-	l, conns, errs := c.dataListener, c.acceptCh, c.acceptErr
-	c.lmu.Unlock()
-	if l == nil {
-		return nil, errors.New("gridftp: no data listener")
-	}
-	if stop == nil {
-		stop = make(chan struct{})
-	}
-	t := time.NewTimer(30 * time.Second)
-	defer t.Stop()
-	select {
-	case conn := <-conns:
-		return conn, nil
-	case err := <-errs:
-		return nil, err
-	case <-stop:
-		return nil, errors.New("gridftp: transfer concluded")
-	case <-t.C:
-		return nil, errors.New("gridftp: timed out waiting for data connection")
-	}
 }
 
 // --- Simple file operations ---
@@ -1251,7 +1068,7 @@ func (c *Client) List(path string) ([]string, error) {
 	if err := c.ctrl.Cmd("MLSD", "%s", path); err != nil {
 		return nil, err
 	}
-	chans, err := c.dialData(1)
+	chans, err := c.data.dial(1, c.channelParams())
 	if err != nil {
 		c.ctrl.ReadFinalReply(nil)
 		return nil, err

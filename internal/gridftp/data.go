@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
@@ -13,155 +12,58 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/eventlog"
-	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/usagestats"
-	"gridftp.dev/instant/internal/xio"
 )
-
-// deflateDriver is the shared MODE E compression driver: one instance,
-// because its flate writer/reader pools are what make per-channel
-// compression affordable on channel-caching workloads.
-var deflateDriver = &xio.DeflateDriver{}
-
-// maybeDeflate layers DEFLATE over a secured channel when the session
-// negotiated "OPTS RETR Deflate=1;". Compression sits above the security
-// layer (compress-then-encrypt) and below the MODE E framing, so block
-// headers and payload travel as one continuous DEFLATE stream that
-// survives pooled-channel reuse.
-func maybeDeflate(sec net.Conn, on bool) net.Conn {
-	if !on {
-		return sec
-	}
-	return deflateDriver.Wrap(sec)
-}
 
 func msDuration(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
 
-// dataTimeout returns the configured wait bound for data connections.
-func (sess *session) dataTimeout() time.Duration {
-	if d := sess.srv.cfg.DataTimeout; d > 0 {
-		return d
+// newDataPath is a session's end of the data-channel path: outbound
+// connections originate from the data hosts, inbound ones are awaited for
+// DataTimeout.
+func (s *Server) newDataPath() dataPath {
+	d := dataPath{
+		dialFrom: s.dataHosts(),
+		wait:     s.cfg.DataTimeout,
+		cache:    !s.cfg.DisableChannelCache,
+		streams:  s.cfg.Streams,
 	}
-	return 30 * time.Second
-}
-
-// dataChannel is one established (and secured) data connection.
-type dataChannel struct {
-	raw net.Conn
-	sec net.Conn
-	// acceptor records the TCP role (and hence TLS role) this end played.
-	acceptor bool
-}
-
-func (d *dataChannel) close() {
-	d.raw.Close()
-}
-
-// sessionData manages a session's data channel state: passive listeners,
-// active targets, and the cross-transfer channel cache. Channel caching
-// avoids re-paying connection setup and DCAU handshakes for every file,
-// which is what makes lots-of-small-files workloads viable (§II.A [11]).
-// Both ends of a session see the same negotiation commands, so their
-// pools flush in lockstep and stay consistent.
-type sessionData struct {
-	listeners []net.Listener
-	portAddrs []string
-
-	// acceptCh/acceptErr are fed by one pump goroutine per listener,
-	// started when the listeners open. A single owner per listener is
-	// essential: per-transfer Accept goroutines would race and strand
-	// connections in abandoned channels when a transfer is canceled.
-	acceptCh  chan net.Conn
-	acceptErr chan error
-
-	// pools of idle channels, by TCP role.
-	pooledAccepted []*dataChannel
-	pooledDialed   []*dataChannel
-
-	cacheDisabled bool
-}
-
-// startPumps launches one accept pump per listener. Pumps exit when their
-// listener closes.
-func (d *sessionData) startPumps() {
-	d.acceptCh = make(chan net.Conn, 64)
-	d.acceptErr = make(chan error, len(d.listeners))
-	for _, l := range d.listeners {
-		go func(l net.Listener, conns chan net.Conn, errs chan error) {
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					errs <- err
-					return
-				}
-				select {
-				case conns <- c:
-				default:
-					c.Close() // backlog overflow: refuse
-				}
-			}
-		}(l, d.acceptCh, d.acceptErr)
+	if d.wait <= 0 {
+		d.wait = defaultDataWait
 	}
+	return d
 }
 
-// flush closes every pooled channel; called whenever the data channel
-// parameters (mode, parallelism, protection, DCSC) change.
-func (d *sessionData) flush() {
-	for _, ch := range d.pooledAccepted {
-		ch.close()
+// dataHosts returns the hosts that move this server's data: the stripe
+// nodes of a striped server, else the PI host.
+func (s *Server) dataHosts() []*netsim.Host {
+	if len(s.cfg.StripeNodes) == 0 {
+		return []*netsim.Host{s.host}
 	}
-	for _, ch := range d.pooledDialed {
-		ch.close()
+	hosts := make([]*netsim.Host, len(s.cfg.StripeNodes))
+	for i, n := range s.cfg.StripeNodes {
+		hosts[i] = n.Host
 	}
-	d.pooledAccepted = nil
-	d.pooledDialed = nil
+	return hosts
 }
 
-// closeAll tears down all data state at session end.
-func (d *sessionData) closeAll() {
-	d.flush()
-	for _, l := range d.listeners {
-		l.Close()
-	}
-	d.listeners = nil
-}
-
-func (d *sessionData) closeListeners() {
-	for _, l := range d.listeners {
-		l.Close()
-	}
-	d.listeners = nil
+// channelParams is what the session has negotiated for its data channels.
+func (sess *session) channelParams() channelParams {
+	return channelParams{sec: sess.dataContext(), spec: sess.spec}
 }
 
 // handlePassive opens listener(s) and reports their addresses. For a
 // striped server, SPAS opens one listener per stripe node (§II.B); PASV
 // opens a single listener on the PI host.
 func (sess *session) handlePassive(striped bool) {
-	sess.data.closeListeners()
-	sess.data.flush()
-	sess.data.portAddrs = nil
-
-	hosts := []interface {
-		Listen(port int) (net.Listener, error)
-	}{sess.srv.host}
-	if striped && len(sess.srv.cfg.StripeNodes) > 0 {
-		hosts = hosts[:0]
-		for _, n := range sess.srv.cfg.StripeNodes {
-			hosts = append(hosts, n.Host)
-		}
+	hosts := []*netsim.Host{sess.srv.host}
+	if striped {
+		hosts = sess.srv.dataHosts()
 	}
-	var addrs []string
-	for _, h := range hosts {
-		l, err := h.Listen(0)
-		if err != nil {
-			sess.data.closeListeners()
-			sess.reply(ftp.CodeCantOpenData, errText(err))
-			return
-		}
-		sess.data.listeners = append(sess.data.listeners, l)
-		addrs = append(addrs, l.Addr().String())
+	addrs, err := sess.data.listen(hosts)
+	if err != nil {
+		sess.reply(ftp.CodeCantOpenData, errText(err))
+		return
 	}
-	sess.data.startPumps()
 	if striped {
 		lines := append([]string{"Entering Striped Passive Mode"}, addrs...)
 		lines = append(lines, "End")
@@ -188,255 +90,21 @@ func (sess *session) handlePort(params string, striped bool) {
 			return
 		}
 	}
-	sess.data.closeListeners()
-	sess.data.flush()
-	sess.data.portAddrs = addrs
+	sess.data.connectTo(addrs)
 	sess.reply(ftp.CodeOK, "Data address(es) accepted")
 }
 
-// dialHosts returns the hosts outbound data connections originate from:
-// the stripe nodes for a striped server, else the PI host.
-func (sess *session) dialHosts() []*dialHost {
-	tr := sess.spec.Transport
-	if len(sess.srv.cfg.StripeNodes) > 0 {
-		out := make([]*dialHost, len(sess.srv.cfg.StripeNodes))
-		for i, n := range sess.srv.cfg.StripeNodes {
-			out[i] = &dialHost{host: n.Host, tr: tr}
-		}
-		return out
-	}
-	return []*dialHost{{host: sess.srv.host, tr: tr}}
-}
-
-type dialHost struct {
-	host *netsim.Host
-	tr   netsim.Transport
-}
-
-func (d *dialHost) dial(target string) (net.Conn, error) {
-	return d.host.DialTransport(target, d.tr)
-}
-
-// establishChannels produces n secured data channels, reusing the pool
-// when possible. Dialed channels connect round-robin from the dial hosts
-// to the stored port addresses; accepted channels come off the passive
-// listeners.
+// establishChannels produces n secured data channels in the role the
+// client last negotiated: PORT/SPOR makes this end connect, PASV/SPAS
+// makes it accept.
 func (sess *session) establishChannels(n int) ([]*dataChannel, error) {
-	d := &sess.data
 	switch {
-	case len(d.portAddrs) > 0:
-		if len(d.pooledDialed) == n {
-			chans := d.pooledDialed
-			d.pooledDialed = nil
-			return chans, nil
-		}
-		for _, ch := range d.pooledDialed {
-			ch.close()
-		}
-		d.pooledDialed = nil
-		hosts := sess.dialHosts()
-		// Establish all channels concurrently: connection setup and DCAU
-		// handshakes would otherwise serialize N round trips.
-		chans := make([]*dataChannel, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				addr := d.portAddrs[i%len(d.portAddrs)]
-				raw, err := hosts[i%len(hosts)].dial(addr)
-				if err != nil {
-					errs[i] = fmt.Errorf("dial data %s: %w", addr, err)
-					return
-				}
-				sec, err := secureData(raw, sess.dataContext(), sess.spec.DCAU, sess.spec.Prot, false)
-				if err != nil {
-					raw.Close()
-					errs[i] = err
-					return
-				}
-				chans[i] = &dataChannel{raw: raw, sec: maybeDeflate(sec, sess.spec.Deflate)}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				closeChannels(compactChannels(chans))
-				return nil, err
-			}
-		}
-		return chans, nil
-	case len(d.listeners) > 0:
-		if len(d.pooledAccepted) == n {
-			chans := d.pooledAccepted
-			d.pooledAccepted = nil
-			return chans, nil
-		}
-		for _, ch := range d.pooledAccepted {
-			ch.close()
-		}
-		d.pooledAccepted = nil
-		// Accept serially (one listener feed) but run the DCAU handshakes
-		// concurrently so N connections cost one handshake latency.
-		accept := sess.multiAccept()
-		chans := make([]*dataChannel, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			raw, err := accept(nil)
-			if err != nil {
-				wg.Wait()
-				closeChannels(compactChannels(chans))
-				return nil, fmt.Errorf("accept data: %w", err)
-			}
-			wg.Add(1)
-			go func(i int, raw net.Conn) {
-				defer wg.Done()
-				sec, err := secureData(raw, sess.dataContext(), sess.spec.DCAU, sess.spec.Prot, true)
-				if err != nil {
-					raw.Close()
-					errs[i] = err
-					return
-				}
-				chans[i] = &dataChannel{raw: raw, sec: maybeDeflate(sec, sess.spec.Deflate), acceptor: true}
-			}(i, raw)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				closeChannels(compactChannels(chans))
-				return nil, err
-			}
-		}
-		return chans, nil
-	default:
-		return nil, errors.New("no data channel established (use PASV/SPAS or PORT/SPOR)")
+	case len(sess.data.targets) > 0:
+		return sess.data.dial(n, sess.channelParams())
+	case len(sess.data.listeners) > 0:
+		return sess.data.accept(n, sess.channelParams())
 	}
-}
-
-// multiAccept returns an accept function fed by the session's listener
-// pumps. It honors the stop channel so a receive that has already
-// concluded does not leave an accept blocked for its full timeout.
-func (sess *session) multiAccept() func(stop <-chan struct{}) (net.Conn, error) {
-	conns, errs := sess.data.acceptCh, sess.data.acceptErr
-	return func(stop <-chan struct{}) (net.Conn, error) {
-		if conns == nil {
-			return nil, errors.New("no passive listeners")
-		}
-		if stop == nil {
-			stop = make(chan struct{})
-		}
-		t := time.NewTimer(sess.dataTimeout())
-		defer t.Stop()
-		select {
-		case c := <-conns:
-			return c, nil
-		case err := <-errs:
-			return nil, err
-		case <-stop:
-			return nil, errors.New("transfer concluded")
-		case <-t.C:
-			return nil, errors.New("timed out waiting for data connection")
-		}
-	}
-}
-
-func closeChannels(chans []*dataChannel) {
-	for _, ch := range chans {
-		ch.close()
-	}
-}
-
-// parallelSecureAccept turns a raw accept source into one that performs
-// DCAU handshakes concurrently: a pump goroutine keeps accepting raw
-// connections and securing each on its own goroutine, so N inbound
-// channels cost one handshake latency instead of N. onNew is invoked
-// (serialized) with each secured channel so the caller can track it for
-// pooling. The pump stops when stop closes or the raw source fails.
-func parallelSecureAccept(rawAccept func(stop <-chan struct{}) (net.Conn, error),
-	ctx *SecurityContext, dcau DCAUMode, prot ProtLevel, deflate bool,
-	onNew func(*dataChannel)) func(stop <-chan struct{}) (net.Conn, error) {
-
-	secured := make(chan net.Conn, 64)
-	errCh := make(chan error, 1)
-	var once sync.Once
-	var mu sync.Mutex
-
-	start := func(stop <-chan struct{}) {
-		go func() {
-			for {
-				raw, err := rawAccept(stop)
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-				go func(raw net.Conn) {
-					sec, err := secureData(raw, ctx, dcau, prot, true)
-					if err != nil {
-						raw.Close()
-						select {
-						case errCh <- err:
-						default:
-						}
-						return
-					}
-					sec = maybeDeflate(sec, deflate)
-					mu.Lock()
-					onNew(&dataChannel{raw: raw, sec: sec, acceptor: true})
-					mu.Unlock()
-					select {
-					case secured <- sec:
-					case <-stop:
-						// Transfer concluded before this channel was used.
-					}
-				}(raw)
-			}
-		}()
-	}
-
-	return func(stop <-chan struct{}) (net.Conn, error) {
-		once.Do(func() { start(stop) })
-		if stop == nil {
-			stop = make(chan struct{})
-		}
-		select {
-		case c := <-secured:
-			return c, nil
-		case err := <-errCh:
-			return nil, err
-		case <-stop:
-			return nil, errors.New("transfer concluded")
-		}
-	}
-}
-
-// compactChannels drops nil slots (failed concurrent establishment).
-func compactChannels(chans []*dataChannel) []*dataChannel {
-	out := chans[:0]
-	for _, ch := range chans {
-		if ch != nil {
-			out = append(out, ch)
-		}
-	}
-	return out
-}
-
-// retire returns channels to the pool (MODE E with caching) or closes
-// them (stream mode, caching disabled, or failed transfer).
-func (sess *session) retire(chans []*dataChannel, ok bool) {
-	if !ok || sess.spec.Mode != ModeExtended || sess.data.cacheDisabled || sess.srv.cfg.DisableChannelCache {
-		closeChannels(chans)
-		return
-	}
-	if len(chans) > 0 && chans[0].acceptor {
-		sess.data.pooledAccepted = chans
-	} else {
-		sess.data.pooledDialed = chans
-	}
+	return nil, errors.New("no data channel established (use PASV/SPAS or PORT/SPOR)")
 }
 
 // requireDataAuth checks the DCAU prerequisites before a transfer.
@@ -528,8 +196,7 @@ func (sess *session) handleRetr(params string, off, length int64) {
 			defer close(perfDone)
 			perfEmitter(perf, sess.markerInterval(), sess.emitPerf, perfStop)
 		}()
-		conns, tracker := sess.trackChannels("RETR", chans)
-		tracker.SetAbort(func() { abortChannels(chans) })
+		conns, tracker := sess.data.trackChannels(sess.streamLabel("RETR"), "RETR", chans)
 		sendErr = sendModeE(conns, f, ranges, sess.spec.BlockSize, perf.add)
 		if tracker.StallAborted() && sendErr != nil {
 			sendErr = fmt.Errorf("stalled stream aborted by watchdog: %w", sendErr)
@@ -544,15 +211,13 @@ func (sess *session) handleRetr(params string, off, length int64) {
 		}
 		sendErr = sendStream(chans[0].sec, f, from, size, sess.spec.BlockSize)
 	}
+	sess.data.retire(chans, sess.spec.Mode, sendErr == nil)
 	if sendErr != nil {
-		closeChannels(chans)
-		sess.data.flush()
 		sess.observeTransfer(time.Since(start), false)
 		sess.eventAbort("RETR", p, sendErr)
 		sess.reply(ftp.CodeTransferAborted, errText(sendErr))
 		return
 	}
-	sess.retire(chans, true)
 	sess.reportUsage("RETR", p, totalLen(ranges), time.Since(start))
 	sess.reply(ftp.CodeClosingData, "Transfer complete")
 }
@@ -619,87 +284,12 @@ func (sess *session) handleStor(params string) {
 		return
 	}
 
-	// MODE E receive with restart markers. The receiver accepts channels
-	// dynamically: pooled channels first, then fresh ones off the
-	// listeners.
+	// MODE E receive with restart markers.
 	received := FromRanges(restart)
-	pooled := sess.data.pooledAccepted
-	sess.data.pooledAccepted = nil
-	var fresh []*dataChannel
-	pi := 0
-	var acceptRaw func(stop <-chan struct{}) (net.Conn, error)
-	if len(sess.data.listeners) > 0 {
-		acceptRaw = sess.multiAccept()
-	}
-	var freshMu sync.Mutex
-	sealed := false
-	var securedAccept func(stop <-chan struct{}) (net.Conn, error)
-	if acceptRaw != nil {
-		securedAccept = parallelSecureAccept(acceptRaw, sess.dataContext(),
-			sess.spec.DCAU, sess.spec.Prot, sess.spec.Deflate, func(ch *dataChannel) {
-				freshMu.Lock()
-				if sealed {
-					// The transfer already concluded; a late handshake's
-					// channel has no owner, so drop it.
-					freshMu.Unlock()
-					ch.close()
-					return
-				}
-				fresh = append(fresh, ch)
-				freshMu.Unlock()
-			})
-	}
-	accept := func(stop <-chan struct{}) (net.Conn, error) {
-		if pi < len(pooled) {
-			ch := pooled[pi]
-			pi++
-			return ch.sec, nil
-		}
-		if securedAccept == nil {
-			return nil, errors.New("no data channel source")
-		}
-		return securedAccept(stop)
-	}
-
-	if sess.data.portAddrs != nil && acceptRaw == nil && len(pooled) == 0 {
-		// Receiver was put in active mode: dial out instead.
-		chans, err := sess.establishChannels(sess.spec.Parallelism)
-		if err != nil {
-			sess.reply(ftp.CodeCantOpenData, errText(err))
-			return
-		}
-		pooled = chans
-		accept = func(stop <-chan struct{}) (net.Conn, error) {
-			if pi < len(pooled) {
-				ch := pooled[pi]
-				pi++
-				return ch.sec, nil
-			}
-			return nil, errors.New("sender wants more channels than parallelism")
-		}
-	}
-
-	// Stream telemetry: instrument each data connection as it joins the
-	// transfer, and give the stall watchdog a cancel path into the receive
-	// loop (closing cancelOnStall makes recvModeE close its active conns).
-	var tracker *streamstats.Transfer
-	var cancelOnStall chan struct{}
-	if reg := sess.srv.cfg.Streams; reg != nil {
-		tracker = reg.Begin(sess.streamLabel("STOR"), "STOR")
-		cancelOnStall = make(chan struct{})
-		var cancelOnce sync.Once
-		tracker.SetAbort(func() { cancelOnce.Do(func() { close(cancelOnStall) }) })
-		base := accept
-		idx := 0 // accept runs on recvModeE's single acceptor goroutine
-		accept = func(stop <-chan struct{}) (net.Conn, error) {
-			c, err := base(stop)
-			if err != nil {
-				return c, err
-			}
-			i := idx
-			idx++
-			return tracker.Wrap(i, c, c), nil
-		}
+	rcv, err := sess.data.beginReceive(sess.channelParams(), sess.streamLabel("STOR"), "STOR")
+	if err != nil {
+		sess.reply(ftp.CodeCantOpenData, errText(err))
+		return
 	}
 
 	sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
@@ -730,32 +320,21 @@ func (sess *session) handleStor(params string) {
 		defer close(perfDone)
 		perfEmitter(perf, sess.markerInterval(), sess.emitPerf, stop)
 	}()
-	res := recvModeE(accept, f, received, sess.spec.BlockSize, perf.add, cancelOnStall)
-	if tracker.StallAborted() && res.Err != nil {
+	res := recvModeE(rcv.accept, f, received, sess.spec.BlockSize, perf.add, rcv.canceled)
+	if rcv.tracker.StallAborted() && res.Err != nil {
 		res.Err = fmt.Errorf("stalled stream aborted by watchdog: %w", res.Err)
 	}
-	tracker.Done(res.Err)
+	rcv.finish(res.Err)
 	close(stop)
 	<-markerDone
 	<-perfDone
 
-	// Any pooled channels the sender declined to reuse are stale: close them.
-	for _, ch := range pooled[pi:] {
-		ch.close()
-	}
-	freshMu.Lock()
-	sealed = true
-	all := append(pooled[:pi:pi], fresh...)
-	freshMu.Unlock()
 	if res.Err != nil {
-		closeChannels(all)
-		sess.data.flush()
 		sess.observeTransfer(time.Since(start), false)
 		sess.eventAbort("STOR", p, res.Err)
 		sess.reply(ftp.CodeTransferAborted, errText(res.Err))
 		return
 	}
-	sess.retire(all, true)
 	sess.reportUsage("STOR", p, res.Received.Covered(), time.Since(start))
 	sess.reply(ftp.CodeClosingData, "Transfer complete")
 }
@@ -796,8 +375,8 @@ func (sess *session) handleMlsd(params string) {
 		listing.WriteString("\r\n")
 	}
 	_, werr := chans[0].sec.Write([]byte(listing.String()))
-	if hc, ok := chans[0].sec.(interface{ CloseWrite() error }); ok && werr == nil {
-		werr = hc.CloseWrite()
+	if werr == nil {
+		werr = closeWrite(chans[0].sec)
 	}
 	closeChannels(chans)
 	if werr != nil {
@@ -901,46 +480,6 @@ func (sess *session) streamLabel(verb string) string {
 		return sess.task + "-src"
 	}
 	return sess.task
-}
-
-// trackChannels registers a MODE E transfer's data channels with the
-// server's stream-telemetry registry and returns the instrumented conns
-// (or the plain secured conns when no registry is configured). The raw
-// conn rides along as the wire-counter source — TCP_INFO or netsim
-// WireStatus — which a TLS payload wrapper cannot provide.
-func (sess *session) trackChannels(verb string, chans []*dataChannel) ([]net.Conn, *streamstats.Transfer) {
-	conns := secConns(chans)
-	reg := sess.srv.cfg.Streams
-	if reg == nil {
-		return conns, nil
-	}
-	t := reg.Begin(sess.streamLabel(verb), verb)
-	for i, ch := range chans {
-		conns[i] = t.Wrap(i, ch.sec, ch.raw)
-	}
-	return conns, t
-}
-
-// abortChannels force-closes data connections, preferring a hard abort
-// (netsim's TCP RST analogue) so even writers paced out by a rate limiter
-// release immediately. The stall watchdog uses this to fail a stalled
-// transfer fast enough for the retry to matter.
-func abortChannels(chans []*dataChannel) {
-	for _, ch := range chans {
-		if ab, ok := ch.raw.(interface{ Abort() }); ok {
-			ab.Abort()
-		} else {
-			ch.raw.Close()
-		}
-	}
-}
-
-func secConns(chans []*dataChannel) []net.Conn {
-	out := make([]net.Conn, len(chans))
-	for i, ch := range chans {
-		out[i] = ch.sec
-	}
-	return out
 }
 
 func totalLen(rs []Range) int64 {

@@ -1,0 +1,116 @@
+package gridftp
+
+// DEFLATE compression for data channels ("OPTS RETR Deflate=1;"). Both
+// ends wrap the channel, and the wire carries one continuous DEFLATE
+// stream per direction, spanning pooled-channel reuse across transfers.
+// A flate.Writer carries ~1.2 MB of window and hash-chain state, so minting
+// one per data connection would dominate the allocation profile of
+// lots-of-small-files workloads where channel caching already amortizes
+// connection set-up; writers and readers are therefore drawn from
+// sync.Pools and returned when the connection closes.
+
+import (
+	"compress/flate"
+	"io"
+	"net"
+	"sync"
+)
+
+var (
+	flateWriters = sync.Pool{New: func() any {
+		w, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			panic(err) // only an invalid level fails, and this one is a constant
+		}
+		return w
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+)
+
+// deflateConn embeds the net.Conn interface, not the conn's concrete type,
+// so io.ReaderFrom and WriteBuffers of the conn below stay hidden: a
+// forwarded call would put uncompressed bytes on the wire.
+type deflateConn struct {
+	net.Conn
+
+	wmu sync.Mutex
+	fw  *flate.Writer
+
+	rmu sync.Mutex
+	fr  io.ReadCloser
+
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// newDeflateConn layers DEFLATE over conn. The compressor and decompressor
+// are acquired lazily on first Write/Read, so a pooled-but-unused channel
+// costs nothing.
+func newDeflateConn(conn net.Conn) net.Conn {
+	return &deflateConn{Conn: conn}
+}
+
+func (c *deflateConn) Write(p []byte) (int, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.fw == nil {
+		c.fw = flateWriters.Get().(*flate.Writer)
+		c.fw.Reset(c.Conn)
+	}
+	if _, err := c.fw.Write(p); err != nil {
+		return 0, err
+	}
+	// Flush per Write: the peer's decompressor must be able to yield these
+	// bytes now — a MODE E block header held back in the compressor would
+	// deadlock the receiver.
+	if err := c.fw.Flush(); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (c *deflateConn) Read(p []byte) (int, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.fr == nil {
+		c.fr = flateReaders.Get().(io.ReadCloser)
+		c.fr.(flate.Resetter).Reset(c.Conn, nil)
+	}
+	return c.fr.Read(p)
+}
+
+// CloseWrite terminates this direction's DEFLATE stream and forwards the
+// half-close when the transport supports it (stream-mode EOF).
+func (c *deflateConn) CloseWrite() error {
+	c.wmu.Lock()
+	if c.fw != nil {
+		c.fw.Close()
+		flateWriters.Put(c.fw)
+		c.fw = nil
+	}
+	c.wmu.Unlock()
+	return closeWrite(c.Conn)
+}
+
+func (c *deflateConn) Close() error {
+	c.closeOnce.Do(func() {
+		c.wmu.Lock()
+		if c.fw != nil {
+			// Flush rather than Close: Close emits a final-block marker,
+			// and a pooled writer reused on another connection must not
+			// have ended its stream.
+			c.fw.Flush()
+			flateWriters.Put(c.fw)
+			c.fw = nil
+		}
+		c.wmu.Unlock()
+		c.rmu.Lock()
+		if c.fr != nil {
+			flateReaders.Put(c.fr)
+			c.fr = nil
+		}
+		c.rmu.Unlock()
+		c.closeErr = c.Conn.Close()
+	})
+	return c.closeErr
+}

@@ -183,8 +183,8 @@ func TestChannelCachingReusesConnections(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if len(c.pooledDialed) != c.spec.Parallelism {
-		t.Fatalf("expected pooled channels after puts, have %d", len(c.pooledDialed))
+	if len(c.data.pooledDialed) != c.spec.Parallelism {
+		t.Fatalf("expected pooled channels after puts, have %d", len(c.data.pooledDialed))
 	}
 	// Gets use the accepted pool.
 	dst := dsi.NewBufferFile(nil)

@@ -31,6 +31,7 @@ func (s *Server) ServeLite(conn net.Conn, localUser string) {
 		ctrl: ftp.NewConn(conn),
 		spec: ChannelSpec{DCAU: DCAUNone}.Normalize(),
 		cwd:  "/",
+		data: s.newDataPath(),
 
 		authenticated: true,
 		localUser:     localUser,
@@ -83,6 +84,7 @@ func DialLite(host *netsim.Host, conn net.Conn) (*Client, error) {
 		ctrl: ftp.NewConn(conn),
 		host: host,
 		spec: ChannelSpec{Mode: ModeExtended, DCAU: DCAUNone}.Normalize(),
+		data: newClientDataPath(host, DialOptions{}),
 	}
 	c.spec.DCAU = DCAUNone
 	if _, err := c.ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {

@@ -125,7 +125,7 @@ func ReadBlock(r io.Reader, buf []byte, limit uint64) (Block, []byte, error) {
 
 // buffersWriter is the vectored-write capability: one call delivers several
 // byte slices as a single write on the wire. netsim connections and the
-// counting wrappers (xio telemetry, streamstats) implement it; TLS and
+// streamstats wrapper over them implement it; the TLS, integrity and
 // deflate layers deliberately do not, so framing falls back to a single
 // coalesced write there.
 type buffersWriter interface {

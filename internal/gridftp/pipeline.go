@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gridftp.dev/instant/internal/dsi"
-	"gridftp.dev/instant/internal/ftp"
 )
 
 // Command pipelining (§II.A [11] of the paper): for lots-of-small-files
@@ -34,7 +33,7 @@ func (c *Client) GetMany(items []GetItem) error {
 	if c.spec.Mode != ModeExtended {
 		return fmt.Errorf("gridftp: pipelining requires MODE E")
 	}
-	if len(c.pooledAccepted) == 0 {
+	if len(c.data.pooledAccepted) == 0 {
 		if err := c.ensureListener(); err != nil {
 			return err
 		}
@@ -79,7 +78,7 @@ func (c *Client) PutMany(items []PutItem) error {
 	if c.spec.Mode != ModeExtended {
 		return fmt.Errorf("gridftp: pipelining requires MODE E")
 	}
-	if len(c.pooledDialed) != c.spec.Parallelism {
+	if len(c.data.pooledDialed) != c.spec.Parallelism {
 		if err := c.ensurePassive(); err != nil {
 			return err
 		}
@@ -90,41 +89,13 @@ func (c *Client) PutMany(items []PutItem) error {
 		}
 	}
 	for i, it := range items {
-		if err := c.sendOne(it.Src); err != nil {
+		size, err := it.Src.Size()
+		if err == nil {
+			_, err = c.sendOne(it.Src, []Range{{0, size}})
+		}
+		if err != nil {
 			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)
 		}
 	}
-	return nil
-}
-
-// sendOne sends one MODE E transfer over pooled or fresh channels and
-// consumes its final reply.
-func (c *Client) sendOne(src dsi.File) error {
-	size, err := src.Size()
-	if err != nil {
-		return err
-	}
-	chans, err := c.dialData(c.spec.Parallelism)
-	if err != nil {
-		c.ctrl.ReadFinalReply(nil)
-		return err
-	}
-	sendErr := sendModeE(secConns(chans), src, []Range{{0, size}}, c.spec.BlockSize, nil)
-	r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) { c.handlePreliminary(p) })
-	switch {
-	case sendErr != nil:
-		closeChannels(chans)
-		c.flushPools()
-		return sendErr
-	case rerr != nil:
-		closeChannels(chans)
-		c.flushPools()
-		return rerr
-	case r.Err() != nil:
-		closeChannels(chans)
-		c.flushPools()
-		return r.Err()
-	}
-	c.retire(chans, true)
 	return nil
 }

@@ -136,7 +136,7 @@ func TestAbortedDataConnectionFailsTransfer(t *testing.T) {
 	if _, err := c.Put("/a.bin", dsi.NewBufferFile(payload)); err != nil {
 		t.Fatal(err)
 	}
-	for _, ch := range c.pooledDialed {
+	for _, ch := range c.data.pooledDialed {
 		if nc, ok := ch.raw.(*netsim.Conn); ok {
 			nc.Abort()
 		}

@@ -66,9 +66,6 @@ type ServerConfig struct {
 	Usage usagestats.Sink
 	// EndpointName identifies this server in usage reports.
 	EndpointName string
-	// Logf, if non-nil, receives debug logging (legacy hook; the
-	// structured Obs logger is the primary channel).
-	Logf func(format string, args ...any)
 	// Obs receives structured logs, metrics, and spans. Nil disables
 	// observability (all call sites degrade to no-ops).
 	Obs *obs.Obs
@@ -165,12 +162,6 @@ func (s *Server) serveLoop(l net.Listener) {
 	}
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // session is the per-control-connection state machine.
 type session struct {
 	srv  *Server
@@ -228,7 +219,7 @@ type session struct {
 	// the command loop.
 	lastReplyCode int
 
-	data sessionData
+	data dataPath
 }
 
 func (s *Server) serveSession(conn net.Conn) {
@@ -240,6 +231,7 @@ func (s *Server) serveSession(conn net.Conn) {
 		log:  s.log.With("session", id, "remote", conn.RemoteAddr().String()),
 		spec: ChannelSpec{}.Normalize(),
 		cwd:  "/",
+		data: s.newDataPath(),
 	}
 	reg := s.cfg.Obs.Registry()
 	ev := s.cfg.Obs.EventLog()
@@ -268,7 +260,7 @@ func (s *Server) serveSession(conn net.Conn) {
 }
 
 func (sess *session) close() {
-	sess.data.closeAll()
+	sess.data.reset()
 	sess.ctrl.Close()
 }
 
@@ -279,7 +271,7 @@ func (sess *session) reply(code int, lines ...string) {
 		sess.lastReplyCode = code
 	}
 	if err := sess.ctrl.WriteReply(code, lines...); err != nil {
-		sess.srv.logf("reply write failed: %v", err)
+		sess.log.Warn("reply write failed", "err", err)
 	}
 }
 
@@ -299,7 +291,6 @@ func (sess *session) loop() {
 		if err != nil {
 			return
 		}
-		sess.srv.logf("<- %s", cmd)
 		sess.log.Debug("command", "cmd", cmd.Name, "params", cmd.Params)
 		start := time.Now()
 		sess.beginCommandSpan(cmd)
@@ -387,7 +378,6 @@ func (sess *session) handleAuth(params string) bool {
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
 	ev := sess.srv.cfg.Obs.EventLog()
 	if err := tc.Handshake(); err != nil {
-		sess.srv.logf("control handshake failed: %v", err)
 		sess.log.Warn("control handshake failed", "err", err)
 		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
 			"session", sess.id, "stage", "handshake", "err", err.Error())
@@ -396,7 +386,6 @@ func (sess *session) handleAuth(params string) bool {
 	raw.SetDeadline(time.Time{})
 	id, err := gsi.PeerIdentity(tc, sess.srv.cfg.Trust)
 	if err != nil {
-		sess.srv.logf("control peer verification failed: %v", err)
 		sess.log.Warn("control peer verification failed", "err", err)
 		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
 			"session", sess.id, "stage", "verify", "err", err.Error())

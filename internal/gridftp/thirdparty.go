@@ -78,7 +78,7 @@ func wire(src, dst *Client, striped bool) error {
 	if err := src.Port(addrs); err != nil {
 		return fmt.Errorf("gridftp: source port: %w", err)
 	}
-	if !src.cacheDisabled && !dst.cacheDisabled {
+	if src.data.cache && dst.data.cache {
 		w := &thirdPartyWiring{striped: striped}
 		src.wiring, dst.wiring = w, w
 	}

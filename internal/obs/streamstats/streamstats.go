@@ -300,8 +300,8 @@ func (t *Transfer) Wrap(i int, payload, wire net.Conn) net.Conn {
 	return sc
 }
 
-// buffersWriter matches the vectored-write capability (xio.BuffersWriter,
-// netsim.Conn.WriteBuffers) structurally, avoiding an import direction.
+// buffersWriter matches the vectored-write capability
+// (netsim.Conn.WriteBuffers) structurally, avoiding an import direction.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
 }

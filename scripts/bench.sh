@@ -4,9 +4,10 @@
 #
 # Usage: ./scripts/bench.sh [output.json]    (default: BENCH_10.json)
 #
-# Runs `go test -bench . -benchtime=1x -benchmem` at the repo root and
-# writes a JSON object mapping each benchmark (including sub-benchmarks)
-# to its metrics:
+# Runs `go test -bench . -benchtime=1x -benchmem` over the repo root and
+# ./internal/gridftp (home of BenchmarkE19DataPath, whose legacy block
+# loops live in a _test.go file there) and writes a JSON object mapping
+# each benchmark (including sub-benchmarks) to its metrics:
 #
 #   {
 #     "BenchmarkE2ParallelStreams/gridftp-p4-8": {
@@ -43,7 +44,7 @@ ALLOC_GATE_BASELINE=30000
 TENANT_GATE_BENCH="BenchmarkE20TenantAttributionOverhead"
 TENANT_GATE_LIMIT=1.0
 
-go test -run '^$' -bench . -benchtime=1x -benchmem . | tee "$tmp"
+go test -run '^$' -bench . -benchtime=1x -benchmem . ./internal/gridftp | tee "$tmp"
 
 awk '
 /^Benchmark/ {

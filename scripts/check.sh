@@ -2,7 +2,8 @@
 # check.sh — the pre-commit gate: gofmt over the whole tree (bench/,
 # examples/ and the root package included), build, vet, the full test
 # suite, and the full test suite again under the race detector (about two
-# minutes on two cores).
+# minutes on two cores). It ends by printing the non-test lines of Go per
+# package (scripts/loc.sh) — the figure CHANGES.md reports, not a gate.
 #
 # Usage: ./scripts/check.sh [extra go-test args]
 set -eu
@@ -27,5 +28,8 @@ go test "$@" ./...
 
 echo "==> go test -race ./..."
 go test -race "$@" ./...
+
+echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
+./scripts/loc.sh
 
 echo "OK"
