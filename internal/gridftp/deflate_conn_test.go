@@ -79,7 +79,7 @@ func TestDeflateStreamSurvivesReuse(t *testing.T) {
 // compressor turnover — the lots-of-small-files shape, where channel
 // turnover is the workload — with the flate.Writer drawn from the pool.
 // Constructing one per connection instead (~1.2 MB of window/hash state)
-// is what the pool avoids; the PR that introduced it recorded the
+// is what the pool avoids; PR 8, which introduced it, recorded the
 // pooled-vs-unpooled pair (README.md here, "DEFLATE data-channel
 // compression").
 func BenchmarkDeflateConnPooled(b *testing.B) {

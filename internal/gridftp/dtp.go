@@ -34,7 +34,8 @@ type ChannelSpec struct {
 	DCAU        DCAUMode
 	Prot        ProtLevel
 	// Transport selects the data channel transport protocol (TCP or a
-	// rate-based UDT profile), reached through the XIO layer (§II.A [9]).
+	// rate-based UDT profile) the raw conn is dialled with — what the
+	// paper reaches through an XIO driver (§II.A [9]).
 	Transport netsim.Transport
 	// MarkerInterval is how often the receiving side reports restart
 	// markers; zero disables them.
