@@ -73,27 +73,38 @@ func secure(raw net.Conn, p channelParams, acceptor bool) (*dataChannel, error) 
 	return &dataChannel{raw: raw, sec: sec, acceptor: acceptor}, nil
 }
 
+// close is the one way a channel ends. The transport goes first — by a hard
+// abort (netsim's TCP RST analogue) when asked and available, so even a
+// writer paced out by a rate limiter releases at once — which makes any
+// transfer goroutine still inside the deflate layer let go of it; then that
+// layer's compressor and decompressor return to their pools, with nothing
+// written to the conn that has just been closed.
+func (ch *dataChannel) close(abort bool) {
+	if ab, ok := ch.raw.(interface{ Abort() }); abort && ok {
+		ab.Abort()
+	} else {
+		ch.raw.Close()
+	}
+	if dc, ok := ch.sec.(*deflateConn); ok {
+		dc.release()
+	}
+}
+
 // closeChannels closes every channel in chans; nil slots (channels that
 // failed to establish) are skipped.
 func closeChannels(chans []*dataChannel) {
 	for _, ch := range chans {
 		if ch != nil {
-			ch.raw.Close()
+			ch.close(false)
 		}
 	}
 }
 
-// abortChannels force-closes data connections, preferring a hard abort
-// (netsim's TCP RST analogue) so even writers paced out by a rate limiter
-// release immediately. The stall watchdog uses this to fail a stalled
-// transfer fast enough for the retry to matter.
+// abortChannels force-closes data connections. The stall watchdog uses this
+// to fail a stalled transfer fast enough for the retry to matter.
 func abortChannels(chans []*dataChannel) {
 	for _, ch := range chans {
-		if ab, ok := ch.raw.(interface{ Abort() }); ok {
-			ab.Abort()
-		} else {
-			ch.raw.Close()
-		}
+		ch.close(true)
 	}
 }
 
@@ -390,7 +401,7 @@ func (r *receive) join(ch *dataChannel) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sealed {
-		ch.raw.Close()
+		ch.close(false)
 		return false
 	}
 	r.joined = append(r.joined, ch)

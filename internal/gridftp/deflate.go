@@ -7,13 +7,15 @@ package gridftp
 // one per data connection would dominate the allocation profile of
 // lots-of-small-files workloads where channel caching already amortizes
 // connection set-up; writers and readers are therefore drawn from
-// sync.Pools and returned when the connection closes.
+// sync.Pools and returned when the connection closes — by dataChannel.close
+// on the MODE E path, where channels are closed through their transport.
 
 import (
 	"compress/flate"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 var (
@@ -39,8 +41,9 @@ type deflateConn struct {
 	rmu sync.Mutex
 	fr  io.ReadCloser
 
-	closeOnce sync.Once
-	closeErr  error
+	// released is set once the compressor state has gone back to the pools;
+	// a Write or Read arriving later must not draw a fresh one.
+	released atomic.Bool
 }
 
 // newDeflateConn layers DEFLATE over conn. The compressor and decompressor
@@ -53,6 +56,9 @@ func newDeflateConn(conn net.Conn) net.Conn {
 func (c *deflateConn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.released.Load() {
+		return 0, net.ErrClosed
+	}
 	if c.fw == nil {
 		c.fw = flateWriters.Get().(*flate.Writer)
 		c.fw.Reset(c.Conn)
@@ -72,6 +78,9 @@ func (c *deflateConn) Write(p []byte) (int, error) {
 func (c *deflateConn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	if c.released.Load() {
+		return 0, net.ErrClosed
+	}
 	if c.fr == nil {
 		c.fr = flateReaders.Get().(io.ReadCloser)
 		c.fr.(flate.Resetter).Reset(c.Conn, nil)
@@ -92,25 +101,29 @@ func (c *deflateConn) CloseWrite() error {
 	return closeWrite(c.Conn)
 }
 
+// Close closes the conn below, then releases the compressor state.
 func (c *deflateConn) Close() error {
-	c.closeOnce.Do(func() {
-		c.wmu.Lock()
-		if c.fw != nil {
-			// Flush rather than Close: Close emits a final-block marker,
-			// and a pooled writer reused on another connection must not
-			// have ended its stream.
-			c.fw.Flush()
-			flateWriters.Put(c.fw)
-			c.fw = nil
-		}
-		c.wmu.Unlock()
-		c.rmu.Lock()
-		if c.fr != nil {
-			flateReaders.Put(c.fr)
-			c.fr = nil
-		}
-		c.rmu.Unlock()
-		c.closeErr = c.Conn.Close()
-	})
-	return c.closeErr
+	err := c.Conn.Close()
+	c.release()
+	return err
+}
+
+// release returns the compressor and decompressor to their pools. The conn
+// below must already be closed: that is what makes a Write or Read still
+// running on another goroutine return and give up its lock. Nothing is
+// written here: every Write flushed itself.
+func (c *deflateConn) release() {
+	c.released.Store(true)
+	c.wmu.Lock()
+	if c.fw != nil {
+		flateWriters.Put(c.fw)
+		c.fw = nil
+	}
+	c.wmu.Unlock()
+	c.rmu.Lock()
+	if c.fr != nil {
+		flateReaders.Put(c.fr)
+		c.fr = nil
+	}
+	c.rmu.Unlock()
 }

@@ -3,8 +3,13 @@ package gridftp
 import (
 	"bytes"
 	"net"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/netsim"
 )
 
 func TestDeflateRoundTrip(t *testing.T) {
@@ -92,5 +97,78 @@ func BenchmarkDeflateConnPooled(b *testing.B) {
 			b.Fatal(err)
 		}
 		conn.Close()
+	}
+}
+
+// TestChannelCloseRefillsFlatePools: MODE E channels are closed through
+// their transport (dataChannel.close), and that close has to hand the
+// deflate layer's compressor back — with the channel cache off every
+// transfer opens new channels, and constructing a flate.Writer for each
+// (~1.2 MB of window and hash state) is exactly what the pool exists to
+// avoid. First the turnover itself, in the shape of
+// BenchmarkDeflateConnPooled; then the real path: "OPTS RETR Deflate=1;"
+// with the cache off at both ends, where the second and later transfers
+// must construct no writer.
+func TestChannelCloseRefillsFlatePools(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// No collection while pool hits are being counted: a GC cycle empties
+	// sync.Pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var constructed atomic.Int64
+	construct := flateWriters.New
+	flateWriters.New = func() any { constructed.Add(1); return construct() }
+	defer func() { flateWriters.New = construct }()
+
+	block := bytes.Repeat([]byte("gridftp"), 1024)
+	turnover := func() {
+		ch := &dataChannel{raw: discardConn{}, sec: newDeflateConn(discardConn{})}
+		if _, err := ch.sec.Write(block); err != nil {
+			t.Fatal(err)
+		}
+		ch.close(false)
+	}
+	turnover() // at most this one constructs
+	constructed.Store(0)
+	if allocs := testing.AllocsPerRun(50, turnover); constructed.Load() != 0 || allocs > 4 {
+		t.Fatalf("channel turnover constructed %d flate.Writers in 51 rounds (%.0f allocs each): close does not refill the pool",
+			constructed.Load(), allocs)
+	}
+
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.DisableChannelCache = true })
+	proxy := s.connect(t, nw.Host("laptop"), false).cred
+	c, err := DialWithOptions(nw.Host("laptop"), s.addr, proxy, s.trust, DialOptions{DisableChannelCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetParallelism(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetDeflate(true); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("compressible gridftp payload "), 4000)
+	round := func(i int) {
+		if _, err := c.Put("/z.bin", dsi.NewBufferFile(payload)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		got := dsi.NewBufferFile(nil)
+		if _, err := c.Get("/z.bin", got); err != nil || !bytes.Equal(got.Bytes(), payload) {
+			t.Fatalf("get %d: err=%v, %d bytes", i, err, len(got.Bytes()))
+		}
+	}
+	round(0)
+	constructed.Store(0)
+	for i := 1; i <= 3; i++ {
+		round(i)
+	}
+	if n := constructed.Load(); n != 0 {
+		t.Fatalf("transfers 2-4 with the channel cache off constructed %d flate.Writers, want 0", n)
 	}
 }
