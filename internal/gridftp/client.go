@@ -830,6 +830,7 @@ func (c *Client) sendOne(src dsi.File, ranges []Range) (markers []Range, err err
 		// The server is waiting for a transfer that will not happen; it
 		// will time out its accept and report 425/426.
 		c.ctrl.ReadFinalReply(nil)
+		c.flushPools()
 		return nil, err
 	}
 	sent := c.obs.Registry().Counter("gridftp.client.bytes_sent")
@@ -950,6 +951,7 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 	rcv, err := c.data.beginReceive(c.channelParams(), c.task, "get")
 	if err != nil {
 		c.ctrl.ReadFinalReply(nil)
+		c.flushPools()
 		return recvResult{Received: received, Err: err}, ftp.Reply{}, err
 	}
 	type finalReply struct {

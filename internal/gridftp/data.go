@@ -104,31 +104,33 @@ func (sess *session) establishChannels(n int) ([]*dataChannel, error) {
 	case len(sess.data.listeners) > 0:
 		return sess.data.accept(n, sess.channelParams())
 	}
-	return nil, errors.New("no data channel established (use PASV/SPAS or PORT/SPOR)")
+	return nil, errNoDataPath
 }
 
 // requireDataAuth checks the DCAU prerequisites before a transfer.
-func (sess *session) requireDataAuth() bool {
-	if sess.spec.DCAU == DCAUNone {
-		return true
+func (sess *session) requireDataAuth() error {
+	if sess.spec.DCAU != DCAUNone && sess.dataContext() == nil {
+		return errors.New("Data channel authentication requires a delegated credential or DCSC context")
 	}
-	if sess.dataContext() == nil {
-		sess.reply(ftp.CodeNotLoggedIn,
-			"Data channel authentication requires a delegated credential or DCSC context")
-		return false
-	}
-	return true
+	return nil
 }
 
-// refuseTransfer answers a transfer command that failed before it used the
-// data path. In a third-party transfer the peer server has been told to
-// use that path too, and on a reused channel it would wait out the
-// first-block deadline for data that will never come; closing this
-// session's pooled channels fails the peer's pending transfer at once
-// (426). The client sees the refusal and re-negotiates before its next
-// transfer, so nothing stale is left on either side.
+// refuseTransfer answers a transfer command that cannot run — a bad path,
+// a file that will not open, no data channel — and drops everything the
+// session has negotiated for its data path, as a transfer that fails midway
+// does (dataPath.retire). Two things depend on that. In a third-party
+// transfer the peer server has been told to use the path too, and on a
+// reused channel it would wait out the first-block deadline for data that
+// will never come: closing the pooled channels fails its pending transfer
+// at once (426). And with commands pipelined, the transfer commands queued
+// behind this one find no data path and are refused at once (425) instead
+// of dialling, or waiting for, a peer whose own queue has moved on. The
+// client sees the refusal and re-negotiates before its next transfer, so
+// nothing stale is left on either side — including a REST armed for the
+// refused command, which must not apply to the next one.
 func (sess *session) refuseTransfer(code int, err error) {
-	sess.data.flush()
+	sess.data.reset()
+	sess.restart = nil
 	sess.reply(code, errText(err))
 }
 
@@ -139,7 +141,8 @@ func (sess *session) handleRetr(params string, off, length int64) {
 		sess.refuseTransfer(ftp.CodeBadFileName, err)
 		return
 	}
-	if !sess.requireDataAuth() {
+	if err := sess.requireDataAuth(); err != nil {
+		sess.refuseTransfer(ftp.CodeNotLoggedIn, err)
 		return
 	}
 	f, err := sess.srv.cfg.Storage.Open(sess.localUser, p)
@@ -178,7 +181,7 @@ func (sess *session) handleRetr(params string, off, length int64) {
 	est.SetError(err)
 	est.End()
 	if err != nil {
-		sess.reply(ftp.CodeCantOpenData, errText(err))
+		sess.refuseTransfer(ftp.CodeCantOpenData, err)
 		return
 	}
 	sess.reply(ftp.CodeFileStatusOK, fmt.Sprintf("Opening data connection for %s (%d bytes)", p, size))
@@ -229,7 +232,8 @@ func (sess *session) handleStor(params string) {
 		sess.refuseTransfer(ftp.CodeBadFileName, err)
 		return
 	}
-	if !sess.requireDataAuth() {
+	if err := sess.requireDataAuth(); err != nil {
+		sess.refuseTransfer(ftp.CodeNotLoggedIn, err)
 		return
 	}
 	restart := sess.restart
@@ -262,7 +266,7 @@ func (sess *session) handleStor(params string) {
 		est.SetError(err)
 		est.End()
 		if err != nil {
-			sess.reply(ftp.CodeCantOpenData, errText(err))
+			sess.refuseTransfer(ftp.CodeCantOpenData, err)
 			return
 		}
 		sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
@@ -288,7 +292,7 @@ func (sess *session) handleStor(params string) {
 	received := FromRanges(restart)
 	rcv, err := sess.data.beginReceive(sess.channelParams(), sess.streamLabel("STOR"), "STOR")
 	if err != nil {
-		sess.reply(ftp.CodeCantOpenData, errText(err))
+		sess.refuseTransfer(ftp.CodeCantOpenData, err)
 		return
 	}
 
@@ -359,7 +363,8 @@ func (sess *session) handleMlsd(params string) {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
 		return
 	}
-	if !sess.requireDataAuth() {
+	if err := sess.requireDataAuth(); err != nil {
+		sess.reply(ftp.CodeNotLoggedIn, errText(err))
 		return
 	}
 	sess.data.flush() // MLSD never reuses transfer channels

@@ -31,6 +31,10 @@ import (
 // bypass the transform. secure is the one place a raw conn becomes a
 // channel — a new transport or endpoint type plugs in there.
 
+// errNoDataPath answers a transfer command on a session that has negotiated
+// no data path, or lost it to a failed transfer.
+var errNoDataPath = errors.New("no data channel established (use PASV/SPAS or PORT/SPOR)")
+
 // defaultDataWait bounds the wait for one inbound data connection unless
 // the server is configured otherwise (ServerConfig.DataTimeout).
 const defaultDataWait = 30 * time.Second
@@ -155,8 +159,10 @@ type dataPath struct {
 	// transfer and supervises it with the stall watchdog.
 	streams *streamstats.Registry
 
-	// listeners each feed inbound/inboundErr through one accept pump.
+	// listeners each feed inbound/inboundErr through one accept pump; pumps
+	// waits for those goroutines.
 	listeners  []net.Listener
+	pumps      *sync.WaitGroup
 	inbound    chan net.Conn
 	inboundErr chan error
 	// targets are the addresses this end connects to, round-robin.
@@ -174,12 +180,27 @@ func (d *dataPath) flush() {
 	d.pooledAccepted, d.pooledDialed = nil, nil
 }
 
-// closeListeners stops accepting; each listener's pump ends with it.
+// closeListeners stops accepting; each listener's pump ends with it. A
+// connection the pumps queued that no transfer has claimed is closed: its
+// dialler sits in the DCAU handshake for a transfer that will not run here,
+// and has to learn that now rather than at the handshake deadline.
 func (d *dataPath) closeListeners() {
+	if d.pumps == nil {
+		return
+	}
 	for _, l := range d.listeners {
 		l.Close()
 	}
-	d.listeners, d.inbound, d.inboundErr = nil, nil, nil
+	d.pumps.Wait()
+	for queued := true; queued; {
+		select {
+		case c := <-d.inbound:
+			c.Close()
+		default:
+			queued = false
+		}
+	}
+	d.listeners, d.pumps, d.inbound, d.inboundErr = nil, nil, nil, nil
 }
 
 // reset drops everything negotiated so far — listeners, connect addresses
@@ -203,6 +224,8 @@ func (d *dataPath) listen(hosts []*netsim.Host) ([]string, error) {
 	conns := make(chan net.Conn, 64)
 	errs := make(chan error, len(hosts))
 	addrs := make([]string, 0, len(hosts))
+	pumps := new(sync.WaitGroup)
+	d.pumps, d.inbound, d.inboundErr = pumps, conns, errs
 	for _, h := range hosts {
 		l, err := h.Listen(0)
 		if err != nil {
@@ -211,7 +234,9 @@ func (d *dataPath) listen(hosts []*netsim.Host) ([]string, error) {
 		}
 		d.listeners = append(d.listeners, l)
 		addrs = append(addrs, l.Addr().String())
+		pumps.Add(1)
 		go func() {
+			defer pumps.Done()
 			for {
 				c, err := l.Accept()
 				if err != nil {
@@ -226,7 +251,6 @@ func (d *dataPath) listen(hosts []*netsim.Host) ([]string, error) {
 			}
 		}()
 	}
-	d.inbound, d.inboundErr = conns, errs
 	return addrs, nil
 }
 
@@ -312,14 +336,17 @@ func (d *dataPath) accept(n int, p channelParams) ([]*dataChannel, error) {
 
 // retire takes back the channels of a finished transfer. After a clean
 // MODE E transfer with caching on they are pooled for the next one.
-// Stream-mode channels are spent (EOF is the close), and after a failure
+// Stream-mode channels are spent (EOF is the close). After a failure
 // nothing is known about what the peer still holds, so everything this end
-// holds goes — the peer's failure path does the same.
+// has negotiated goes — channels, listeners and connect addresses; the
+// peer's failure path does the same. That leaves nothing for a transfer
+// command queued behind the failed one to run on: it is refused at once,
+// and no connection is opened, until the client negotiates again.
 func (d *dataPath) retire(chans []*dataChannel, mode TransferMode, ok bool) {
 	switch {
 	case !ok:
 		closeChannels(chans)
-		d.flush()
+		d.reset()
 	case mode != ModeExtended || !d.cache:
 		closeChannels(chans)
 	case len(chans) > 0 && chans[0].acceptor:
@@ -372,19 +399,30 @@ type receive struct {
 // beginReceive sets up a MODE E receive over the channels this end is
 // wired for. An end told to connect (a server receiving in active mode)
 // has no listener to offer fresh channels from: it dials the negotiated
-// parallelism up front and the sender has to make do with those.
+// parallelism up front and the sender has to make do with those. An end
+// that has negotiated nothing has nothing to receive on.
+//
+// A listening end accepts at most the negotiated parallelism in fresh
+// connections — what a sender opens for one transfer, spread over however
+// many listeners there are. With commands pipelined and the channel cache
+// off at the sender, the connections of the next transfer arrive while
+// this receive still runs; they stay queued for the receive they belong to
+// instead of joining this one and landing their blocks in its file.
 func (d *dataPath) beginReceive(p channelParams, label, verb string) (*receive, error) {
 	r := &receive{d: d, mode: p.spec.Mode, canceled: make(chan struct{}), pooled: d.pooledAccepted}
 	d.pooledAccepted = nil
 	switch {
 	case len(d.listeners) > 0:
-		r.fresh = parallelSecureAccept(d.acceptRaw(), p, r.join)
-	case len(r.pooled) == 0 && len(d.targets) > 0:
+		r.fresh = parallelSecureAccept(d.acceptRaw(), p.spec.Parallelism, p, r.join)
+	case len(r.pooled) > 0:
+	case len(d.targets) > 0:
 		chans, err := d.dial(p.spec.Parallelism, p)
 		if err != nil {
 			return nil, err
 		}
 		r.pooled = chans
+	default:
+		return nil, errNoDataPath
 	}
 	r.tracker = d.streams.Begin(label, verb)
 	r.tracker.SetAbort(r.cancel)
@@ -452,8 +490,9 @@ func (r *receive) finish(err error) {
 // channels cost one handshake latency instead of n. join is offered each
 // secured channel so the caller can track it for pooling, and refuses it
 // once the transfer is over. The pump starts on the first call and stops
-// when that call's stop channel closes or the raw source fails.
-func parallelSecureAccept(acceptRaw func(stop <-chan struct{}) (net.Conn, error), p channelParams,
+// after limit connections, when that call's stop channel closes, or when
+// the raw source fails; a caller asking for more than limit waits for stop.
+func parallelSecureAccept(acceptRaw func(stop <-chan struct{}) (net.Conn, error), limit int, p channelParams,
 	join func(*dataChannel) bool) func(stop <-chan struct{}) (net.Conn, error) {
 
 	secured := make(chan net.Conn)
@@ -466,7 +505,7 @@ func parallelSecureAccept(acceptRaw func(stop <-chan struct{}) (net.Conn, error)
 	}
 	var once sync.Once
 	pump := func(stop <-chan struct{}) {
-		for {
+		for i := 0; i < limit; i++ {
 			raw, err := acceptRaw(stop)
 			if err != nil {
 				fail(err)

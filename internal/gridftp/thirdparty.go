@@ -62,12 +62,20 @@ type thirdPartyWiring struct {
 	striped bool
 }
 
+// wired reports whether the pair's data path is established for the
+// requested striping: both clients still hold the wiring they were given
+// together.
+func wired(src, dst *Client, striped bool) bool {
+	w := src.wiring
+	return w != nil && w == dst.wiring && w.striped == striped
+}
+
 // wire (re-)establishes the pair's data path unless it is still wired for
 // the requested striping. PASV and PORT make both servers drop every pooled
 // channel, so after a re-wire stale bytes can never be read as the next
 // file. Clients dialled with DisableChannelCache never stay wired.
 func wire(src, dst *Client, striped bool) error {
-	if w := src.wiring; w != nil && w == dst.wiring && w.striped == striped {
+	if wired(src, dst, striped) {
 		return nil
 	}
 	// Passive first: the destination (receiver) listens.
@@ -85,18 +93,68 @@ func wire(src, dst *Client, striped bool) error {
 	return nil
 }
 
-// ThirdParty performs a third-party transfer: the client directs src to
-// send srcPath directly to dst as dstPath — data never touches the client
-// (§II.C, §VII of the paper). The destination is the listener, the source
-// issues the connects, exactly as the protocol requires.
+// Pipeline owns the third-party transfers in flight on one (src, dst) pair
+// of sessions, oldest first. Begin writes a transfer's STOR and RETR behind
+// whatever is already in flight and reads nothing; both servers take their
+// queued commands in order, over the data path the pair is wired with, so
+// a run of small files costs one control round trip for the run instead of
+// one per file (command pipelining, §II.A [11]). Next reads the oldest
+// transfer's replies and runs its completion.
 //
-// The data path is established once per (src, dst) pair and reused: while
-// the pair stays wired, later calls skip PASV/PORT and the servers pick up
-// their pooled channels, so a run of files pays connection set-up and the
-// DCAU handshake once. Anything that flushes either client's pools — a
-// negotiation change, the client's own Get/Put/List, Close — or any failed
-// call un-wires the pair, and the next call starts from PASV/PORT again.
-func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts ThirdPartyOptions) (res *ThirdPartyResult, err error) {
+// While a Pipeline has transfers in flight the two sessions are its own:
+// the caller sends nothing else on them. What keeps a window of transfers
+// from tripping over each other:
+//
+//   - A command that expects a reply of its own is never written behind a
+//     transfer, whose replies it would read as its own. Begin first drains
+//     the FIFO — completions run, in order — whenever the transfer needs a
+//     control round trip before its STOR/RETR: the pair is not wired for
+//     the requested striping (always so for sessions dialled with
+//     DisableChannelCache), or Restart, DCSC or Trace is set.
+//     SetParallelism and SetBlockSize drain the same way when they change
+//     anything.
+//   - A transfer that fails leaves both servers without a data path (see
+//     session.refuseTransfer and dataPath.retire), so everything queued
+//     behind it is refused at once rather than dialling, or waiting for, a
+//     peer that has moved on; and it un-wires the pair here, so the next
+//     Begin drains what is left before it negotiates again. Every queued
+//     transfer still gets its own completion with its own outcome.
+//   - One receive never takes more fresh connections than the negotiated
+//     parallelism (dataPath.beginReceive), so with the channel cache off at
+//     a server the connections opened for the next file wait for it.
+type Pipeline struct {
+	src, dst *Client
+	inFlight []pipelined
+}
+
+// pipelined is one transfer whose STOR and RETR have been written and
+// whose replies have not been read.
+type pipelined struct {
+	start    time.Time
+	onMarker func([]Range)
+	done     func(*ThirdPartyResult, error)
+}
+
+// NewPipeline returns the (empty) pipeline of a session pair.
+func NewPipeline(src, dst *Client) *Pipeline {
+	return &Pipeline{src: src, dst: dst}
+}
+
+// InFlight is the number of transfers begun and not yet completed.
+func (p *Pipeline) InFlight() int { return len(p.inFlight) }
+
+// Begin starts a transfer of srcPath on the source to dstPath on the
+// destination: it negotiates whatever the transfer needs (see Pipeline for
+// when that drains the transfers in flight first), writes STOR and RETR,
+// and returns without reading their replies. done runs — from Next, Drain,
+// or a later call that has to drain — once both servers have answered. An
+// error means the transfer was not started; done will not run, and the pair
+// is un-wired.
+func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done func(*ThirdPartyResult, error)) (err error) {
+	src, dst := p.src, p.dst
+	if opts.DCSC != nil || opts.Trace.Valid() || len(opts.Restart) > 0 || !wired(src, dst, opts.Striped) {
+		p.Drain()
+	}
 	defer func() {
 		if err != nil {
 			src.flushPools()
@@ -104,75 +162,96 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 		}
 	}()
 	if opts.DCSC != nil {
-		switch opts.DCSCTarget {
-		case DCSCSource:
+		if opts.DCSCTarget == DCSCSource || opts.DCSCTarget == DCSCBoth {
 			if err := src.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to source: %w", err)
+				return fmt.Errorf("gridftp: DCSC to source: %w", err)
 			}
-		case DCSCDest:
+		}
+		if opts.DCSCTarget == DCSCDest || opts.DCSCTarget == DCSCBoth {
 			if err := dst.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to destination: %w", err)
-			}
-		case DCSCBoth:
-			if err := src.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to source: %w", err)
-			}
-			if err := dst.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to destination: %w", err)
+				return fmt.Errorf("gridftp: DCSC to destination: %w", err)
 			}
 		}
 	}
-
 	if opts.Trace.Valid() {
 		if _, err := src.PropagateTrace(opts.Trace); err != nil {
-			return nil, fmt.Errorf("gridftp: trace to source: %w", err)
+			return fmt.Errorf("gridftp: trace to source: %w", err)
 		}
 		if _, err := dst.PropagateTrace(opts.Trace); err != nil {
-			return nil, fmt.Errorf("gridftp: trace to destination: %w", err)
+			return fmt.Errorf("gridftp: trace to destination: %w", err)
 		}
 	}
 
 	// Both endpoints must agree on the data channel parameters; the
 	// client has already negotiated them per-session.
 	if err := wire(src, dst, opts.Striped); err != nil {
-		return nil, err
+		return err
 	}
 	if len(opts.Restart) > 0 {
 		marker := FromRanges(opts.Restart).Marker()
 		if _, err := dst.cmdExpect("REST", marker, ftp.CodeNeedAccount); err != nil {
-			return nil, fmt.Errorf("gridftp: destination REST: %w", err)
+			return fmt.Errorf("gridftp: destination REST: %w", err)
 		}
 		if _, err := src.cmdExpect("REST", marker, ftp.CodeNeedAccount); err != nil {
-			return nil, fmt.Errorf("gridftp: source REST: %w", err)
+			return fmt.Errorf("gridftp: source REST: %w", err)
 		}
 	}
 
-	start := time.Now()
-	dst.resetPerf()
-	var lastMarkers []Range
-
-	// Issue STOR on the destination and RETR on the source; the replies
-	// stream back concurrently on the two control channels.
+	// STOR on the destination, RETR on the source; the replies stream back
+	// on the two control channels and are read by Next.
 	dst.countCommand("STOR")
 	if err := dst.ctrl.Cmd("STOR", "%s", dstPath); err != nil {
-		return nil, err
+		return err
 	}
 	src.countCommand("RETR")
 	if err := src.ctrl.Cmd("RETR", "%s", srcPath); err != nil {
-		return nil, err
+		return err
 	}
+	p.inFlight = append(p.inFlight, pipelined{start: time.Now(), onMarker: opts.OnMarker, done: done})
+	return nil
+}
 
+// Next reads the replies of the oldest transfer in flight from both control
+// channels — restart and performance markers as they come, then the two
+// final replies — and runs its completion. It reports whether there was a
+// transfer to complete. A failed transfer un-wires the pair.
+func (p *Pipeline) Next() bool {
+	if len(p.inFlight) == 0 {
+		return false
+	}
+	t := p.inFlight[0]
+	p.inFlight[0] = pipelined{}
+	p.inFlight = p.inFlight[1:]
+	res, err := p.readReplies(t)
+	if err != nil {
+		p.src.flushPools()
+		p.dst.flushPools()
+	}
+	t.done(res, err)
+	return true
+}
+
+// Drain completes every transfer in flight, oldest first.
+func (p *Pipeline) Drain() {
+	for p.Next() {
+	}
+}
+
+func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
+	src, dst := p.src, p.dst
+	dst.resetPerf()
+	var lastMarkers []Range
 	type final struct {
 		reply ftp.Reply
 		err   error
 	}
 	dstCh := make(chan final, 1)
 	go func() {
-		r, err := dst.ctrl.ReadFinalReply(func(p ftp.Reply) {
-			if ranges := dst.handlePreliminary(p); ranges != nil {
+		r, err := dst.ctrl.ReadFinalReply(func(pre ftp.Reply) {
+			if ranges := dst.handlePreliminary(pre); ranges != nil {
 				lastMarkers = ranges
-				if opts.OnMarker != nil {
-					opts.OnMarker(ranges)
+				if t.onMarker != nil {
+					t.onMarker(ranges)
 				}
 			}
 		})
@@ -181,7 +260,7 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 	srcReply, srcErr := src.ctrl.ReadFinalReply(nil)
 	dstFinal := <-dstCh
 
-	res = &ThirdPartyResult{Duration: time.Since(start), Markers: lastMarkers}
+	res := &ThirdPartyResult{Duration: time.Since(t.start), Markers: lastMarkers}
 	if srcErr != nil {
 		return res, fmt.Errorf("gridftp: source control channel: %w", srcErr)
 	}
@@ -195,4 +274,54 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 		return res, fmt.Errorf("gridftp: destination: %w", err)
 	}
 	return res, nil
+}
+
+// SetParallelism negotiates n parallel streams on both sessions. A change
+// is a command with a reply of its own (and re-wires the pair), so the
+// transfers in flight complete first; asking for the value in effect is
+// free.
+func (p *Pipeline) SetParallelism(n int) error {
+	if p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n {
+		return nil
+	}
+	p.Drain()
+	if err := p.src.SetParallelism(n); err != nil {
+		return err
+	}
+	return p.dst.SetParallelism(n)
+}
+
+// SetBlockSize negotiates the MODE E block size on both sessions, under the
+// same rule as SetParallelism.
+func (p *Pipeline) SetBlockSize(n int) error {
+	if p.src.spec.BlockSize == n && p.dst.spec.BlockSize == n {
+		return nil
+	}
+	p.Drain()
+	if err := p.src.SetBlockSize(n); err != nil {
+		return err
+	}
+	return p.dst.SetBlockSize(n)
+}
+
+// ThirdParty performs a third-party transfer: the client directs src to
+// send srcPath directly to dst as dstPath — data never touches the client
+// (§II.C, §VII of the paper). The destination is the listener, the source
+// issues the connects, exactly as the protocol requires. It is a Pipeline
+// with a window of one: the transfer is begun and its replies are read
+// before the call returns.
+//
+// The data path is established once per (src, dst) pair and reused: while
+// the pair stays wired, later calls skip PASV/PORT and the servers pick up
+// their pooled channels, so a run of files pays connection set-up and the
+// DCAU handshake once. Anything that flushes either client's pools — a
+// negotiation change, the client's own Get/Put/List, Close — or any failed
+// call un-wires the pair, and the next call starts from PASV/PORT again.
+func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts ThirdPartyOptions) (res *ThirdPartyResult, err error) {
+	p := NewPipeline(src, dst)
+	if err := p.Begin(srcPath, dstPath, opts, func(r *ThirdPartyResult, e error) { res, err = r, e }); err != nil {
+		return nil, err
+	}
+	p.Next()
+	return res, err
 }

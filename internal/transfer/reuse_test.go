@@ -40,30 +40,45 @@ func verifyTree(t *testing.T, w *world, files map[string][]byte) {
 }
 
 // TestWorkersReuseInterSiteDataPath: a worker's files share one
-// established third-party data path, so a 24-file task at 4 workers opens
-// 4 inter-site connections (24 when every file re-wired) and sends one
-// PASV per worker plus the one the MLSD walk needs (25 before).
+// established third-party data path — every worker that gets a file wires
+// its pair exactly once (one PASV, one PORT, one connection per stream), and
+// the MLSD walk adds the only other PASV. With less than a window of bytes
+// the first worker has every file queued at the servers before the others
+// have dialled, so fewer pairs than workers may ever wire; with more than a
+// window per worker all of them do.
 func TestWorkersReuseInterSiteDataPath(t *testing.T) {
-	const nFiles, workers = 24, 4
-	o := obs.Nop()
-	w := buildWorld(t, Config{Obs: o, TaskConcurrency: workers}, false)
-	slowLinks(w, 10*time.Millisecond)
-	activateBoth(t, w)
-	files := distinctTree(t, w, "/tree", nFiles, 16<<10)
+	const workers = 4
+	for _, tc := range []struct {
+		name             string
+		nFiles, baseSize int
+		everyWorkerWires bool
+	}{
+		{"less than one window", 24, 16 << 10, false},
+		{"more than a window per worker", 40, 700 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.Nop()
+			w := buildWorld(t, Config{Obs: o, TaskConcurrency: workers}, false)
+			slowLinks(w, 10*time.Millisecond)
+			activateBoth(t, w)
+			files := distinctTree(t, w, "/tree", tc.nFiles, tc.baseSize)
 
-	done, _ := runDirTask(t, w, "/tree")
-	if done.CompletedFiles != nFiles || done.Workers != workers || done.Attempts != 1 {
-		t.Fatalf("completed %d files with %d workers in %d attempts", done.CompletedFiles, done.Workers, done.Attempts)
-	}
-	verifyTree(t, w, files)
-	if got := w.nw.LinkStats("siteA", "siteB").Conns; got != workers {
-		t.Errorf("%d siteA↔siteB connections for %d files, want %d (one per worker)", got, nFiles, workers)
-	}
-	if got := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=PASV")).Value(); got != workers+1 {
-		t.Errorf("%d PASV commands, want %d (one per worker + the MLSD walk)", got, workers+1)
-	}
-	if got := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=PORT")).Value(); got != workers {
-		t.Errorf("%d PORT commands, want %d", got, workers)
+			done, _ := runDirTask(t, w, "/tree")
+			if done.CompletedFiles != tc.nFiles || done.Workers != workers || done.Attempts != 1 {
+				t.Fatalf("completed %d files with %d workers in %d attempts", done.CompletedFiles, done.Workers, done.Attempts)
+			}
+			verifyTree(t, w, files)
+			conns := w.nw.LinkStats("siteA", "siteB").Conns
+			pasv := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=PASV")).Value()
+			port := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=PORT")).Value()
+			if conns != port || pasv != port+1 {
+				t.Errorf("%d siteA↔siteB connections, %d PASV, %d PORT for %d files: want connections = PORT (one wiring per pair that moved files) and PASV = PORT + 1 (the MLSD walk)",
+					conns, pasv, port, tc.nFiles)
+			}
+			if port < 1 || port > workers || (tc.everyWorkerWires && port != workers) {
+				t.Errorf("%d pairs wired, with %d workers (every worker expected to: %v)", port, workers, tc.everyWorkerWires)
+			}
+		})
 	}
 }
 

@@ -19,15 +19,23 @@ import (
 // per-task queue of pending files and running third-party transfers
 // concurrently, with the service-wide total bounded by the
 // Config.MaxActiveTransfers semaphore. A worker's files share the
-// inter-site data path its pair established for the first of them
-// (gridftp.ThirdParty keeps a pair wired until something invalidates it),
-// so a small file costs its transfer commands and its data, not a
-// connection and a handshake. Checkpointing is a per-file completion set
-// plus per-file restart markers, so an attempt that dies with files in
-// flight on several workers resumes only what is actually unfinished.
+// inter-site data path its pair established for the first of them, and the
+// worker keeps a window of them begun at both servers at once
+// (gridftp.Pipeline), so a small file costs its two transfer commands and
+// its data — not a connection, a handshake, or a control round trip of its
+// own. Checkpointing is a per-file completion set plus per-file restart
+// markers, so an attempt that dies with files in flight on several workers
+// resumes only what is actually unfinished.
 
 // maxTaskWorkers caps a single task's fan-out regardless of file count.
 const maxTaskWorkers = 8
+
+// pipelineWindow is how many bytes of files a worker keeps begun and
+// unfinished on its session pair. It is sized to hide a control
+// round trip behind data already queued at the servers — 4 MiB is 10 ms at
+// 400 MB/s or 100 ms at 40 MB/s — while keeping what a failure can leave
+// half-done small. A file larger than the window travels alone.
+const pipelineWindow = 4 << 20
 
 // planFile is one file of a task's plan: its path relative to the task
 // root ("" for a single-file task) and its size, learned from the MLSx
@@ -136,8 +144,8 @@ func (p *sessionPair) Close() {
 }
 
 // measureRTT times one NOOP round trip on the source control channel —
-// the task's estimate of per-command latency, which sizes the fan-out
-// and the autotuner's stream budget.
+// the task's estimate of per-command latency, which sizes the autotuner's
+// stream budget.
 func (p *sessionPair) measureRTT() time.Duration {
 	start := time.Now()
 	if err := p.src.Noop(); err != nil {
@@ -327,6 +335,9 @@ func (a *autotuner) budgetNow() int {
 
 // observe feeds one completed file's achieved throughput back (the same
 // signal the live 112 PERF markers carry, measured at file granularity).
+// dur is the time the file had the pair's data path to itself: since it
+// began, or since the file queued ahead of it completed if that is later —
+// time spent waiting behind a neighbour is not the stream being slow.
 // A per-stream rate that collapses below half the best seen means the
 // workers are sharing a bottleneck — adding streams is not adding
 // bandwidth — so the total budget backs off toward one stream per worker
@@ -431,41 +442,104 @@ type workerRun struct {
 	slot   int
 }
 
+// worker is one scheduler worker at work: its share of the run, the
+// pipeline of transfers it has begun on its session pair, and what it needs
+// to account for them as they complete.
+type worker struct {
+	workerRun
+	s    *Service
+	pipe *gridftp.Pipeline
+	// inFlight is the plan size of the files begun and not yet completed.
+	inFlight int64
+	// lastDone is when the pair last completed a file.
+	lastDone time.Time
+	// err is the first failure; the worker begins nothing more after it.
+	err error
+}
+
+// fileTransfer is one plan file between its begin and its completion.
+type fileTransfer struct {
+	index   int
+	size    int64
+	par     int
+	already int64           // bytes earlier attempts landed
+	latest  []gridftp.Range // newest restart markers seen
+	span    *obs.Span
+	begun   time.Time
+}
+
 // runWorker drains the task queue over one session pair until the queue
-// is empty, a file fails, or another worker signals stop.
+// is empty, a file fails, or another worker signals stop. It keeps up to
+// pipelineWindow bytes of files begun at both servers, completing the
+// oldest whenever it can begin no more; whatever is still in flight when it
+// stops is completed before it returns, so every file it claimed has been
+// accounted for.
 func (s *Service) runWorker(r workerRun, pair *sessionPair) error {
 	pair.dst.OnPerf(func(gridftp.PerfMarker) {
 		total, _, markers := pair.dst.PerfSnapshot()
 		r.agg.report(r.slot, total, markers)
 	})
-	for i := range r.queue {
-		select {
-		case <-r.stop:
-			return nil
-		default:
+	w := &worker{workerRun: r, s: s, pipe: gridftp.NewPipeline(pair.src, pair.dst)}
+	for w.err == nil {
+		for w.err == nil && w.inFlight < pipelineWindow && w.beginNext() {
 		}
-		if err := s.transferOne(r, pair, i); err != nil {
-			return err
+		if !w.pipe.Next() {
+			break
 		}
 	}
-	return nil
+	w.pipe.Drain()
+	return w.err
 }
 
-// transferOne moves one plan file third-party, bounded by the global
-// MaxActiveTransfers semaphore, resuming from the file's saved restart
-// markers and checkpointing new ones as the destination reports them.
-func (s *Service) transferOne(r workerRun, pair *sessionPair, i int) error {
-	reg := s.cfg.Obs.Registry()
-
+// beginNext claims the next queued file and begins it. It reports false
+// when there is nothing to begin now: the queue is empty, the task is
+// stopping, or no admission slot is free and the worker has files in flight
+// to complete first.
+func (w *worker) beginNext() bool {
 	// Global admission: a million-user fleet degrades gracefully instead
-	// of thundering. The wait is observable per file.
+	// of thundering. A file holds its slot from begin to completion, so a
+	// worker waits for one only while it holds none itself — waiting with
+	// unfinished files in hand is waiting for slots only it can free. The
+	// wait is observable per file.
 	waitStart := time.Now()
-	s.sem <- struct{}{}
+	if w.pipe.InFlight() == 0 {
+		w.s.sem <- struct{}{}
+	} else {
+		select {
+		case w.s.sem <- struct{}{}:
+		default:
+			return false
+		}
+	}
+	select {
+	case <-w.stop:
+		<-w.s.sem
+		return false
+	default:
+	}
+	i, ok := <-w.queue
+	if !ok {
+		<-w.s.sem
+		return false
+	}
+	w.begin(i, time.Since(waitStart))
+	return true
+}
+
+// begin is the first half of moving one plan file third-party: it takes
+// the file into the active set, negotiates what the autotuner wants for it
+// and writes its transfer commands behind the worker's files already in
+// flight. Renegotiating (parallelism or block size changed) and resuming
+// from restart markers need control round trips of their own, so such a
+// file completes everything ahead of it first — the pipeline sees to that.
+// complete runs exactly once for every file begun.
+func (w *worker) begin(i int, wait time.Duration) {
+	s, r := w.s, w.workerRun
+	reg := s.cfg.Obs.Registry()
 	var traceID string
 	if r.parent != nil {
 		traceID = r.parent.TraceID.String()
 	}
-	wait := time.Since(waitStart)
 	reg.Histogram("transfer.queue_wait_seconds", obs.DefaultDurationBuckets).
 		ObserveExemplar(wait.Seconds(), traceID)
 	s.cfg.Tenants.QueueWait(r.task.DN, wait)
@@ -473,13 +547,9 @@ func (s *Service) transferOne(r workerRun, pair *sessionPair, i int) error {
 	active := reg.Gauge("transfer.active_transfers")
 	active.Add(1)
 	reg.Gauge("transfer.active_transfers_peak").Max(active.Value())
-	defer func() {
-		active.Add(-1)
-		s.cfg.Tenants.TransferEnded(r.task.DN)
-		<-s.sem
-	}()
 
 	f := r.plan.files[i]
+	w.inFlight += f.size
 	srcPath, dstPath := r.task.SrcPath, r.task.DstPath
 	if f.rel != "" {
 		srcPath = strings.TrimSuffix(r.task.SrcPath, "/") + "/" + f.rel
@@ -488,74 +558,97 @@ func (s *Service) transferOne(r workerRun, pair *sessionPair, i int) error {
 
 	par := r.tuner.streamsFor(f.size)
 	s.update(r.task, func(t *Task) { t.FileSize = f.size; t.Parallelism = par })
-	// SetParallelism is a no-op round trip when the value is unchanged,
-	// so steady-state small-file streaks negotiate once per worker.
-	if err := pair.src.SetParallelism(par); err != nil {
-		return err
+	restart := r.plan.takeMarkers(i)
+	ft := &fileTransfer{
+		index: i, size: f.size, par: par,
+		already: gridftp.FromRanges(restart).Covered(), latest: restart,
 	}
-	if err := pair.dst.SetParallelism(par); err != nil {
-		return err
+	// Data phase: one span per file, third-party MODE E transfer.
+	ft.span = r.parent.Child("data")
+	ft.span.SetAttr("path", srcPath)
+	ft.span.SetAttr("size", f.size)
+	ft.span.SetAttr("parallelism", par)
+
+	// Asking for the parallelism in effect costs nothing, so steady-state
+	// small-file streaks negotiate once per worker.
+	if err := w.pipe.SetParallelism(par); err != nil {
+		w.complete(ft, err)
+		return
 	}
 	reg.Gauge("transfer.stream_budget").Set(int64(r.tuner.budgetNow()))
 
 	// Wire-aware block sizing: size MODE E blocks to the path's
 	// bandwidth-delay product as observed by the stream-telemetry plane.
-	// Best-effort — SetBlockSize is a no-op round trip when the value is
-	// unchanged, and an endpoint rejecting the OPTS extension keeps its
+	// Best-effort — an endpoint rejecting the OPTS extension keeps its
 	// negotiated default.
 	ws, _ := s.cfg.Streams.WireSummary(r.task.ID)
 	if bs := r.tuner.blockSizeFor(ws, par); bs > 0 {
-		if err := pair.src.SetBlockSize(bs); err == nil {
-			pair.dst.SetBlockSize(bs)
-		}
+		w.pipe.SetBlockSize(bs)
 		reg.Gauge("transfer.block_size").Set(int64(bs))
 	}
 
-	restart := r.plan.takeMarkers(i)
-	already := gridftp.FromRanges(restart).Covered()
-	latest := restart
 	opts := gridftp.ThirdPartyOptions{
 		Restart: restart,
 		OnMarker: func(rs []gridftp.Range) {
-			latest = rs
+			ft.latest = rs
 			r.plan.saveMarkers(i, rs)
 			s.update(r.task, func(t *Task) { t.Markers = rs })
 		},
 	}
+	ft.begun = time.Now()
+	if err := w.pipe.Begin(srcPath, dstPath, opts, func(_ *gridftp.ThirdPartyResult, err error) {
+		w.complete(ft, err)
+	}); err != nil {
+		w.complete(ft, err)
+	}
+}
 
-	// Data phase: one span per file, third-party MODE E transfer.
-	dataSpan := r.parent.Child("data")
-	dataSpan.SetAttr("path", srcPath)
-	dataSpan.SetAttr("size", f.size)
-	dataSpan.SetAttr("parallelism", par)
-	start := time.Now()
-	_, terr := gridftp.ThirdParty(pair.src, srcPath, pair.dst, dstPath, opts)
+// complete is the second half: the file leaves the active set — its
+// admission slot is free again — and the plan, the task and the tenant learn
+// what moved: everything on success, and on failure what the destination's
+// restart markers say landed, saved for the retry to resume from.
+func (w *worker) complete(ft *fileTransfer, terr error) {
+	s, r, i := w.s, w.workerRun, ft.index
+	reg := s.cfg.Obs.Registry()
+	reg.Gauge("transfer.active_transfers").Add(-1)
+	s.cfg.Tenants.TransferEnded(r.task.DN)
+	<-s.sem
+	w.inFlight -= ft.size
+	alone := ft.begun
+	if w.lastDone.After(alone) {
+		alone = w.lastDone
+	}
+	w.lastDone = time.Now()
+
 	if terr != nil {
-		dataSpan.SetError(terr)
-		dataSpan.End()
-		movedNow := gridftp.FromRanges(latest).Covered() - already
+		ft.span.SetError(terr)
+		ft.span.End()
+		movedNow := gridftp.FromRanges(ft.latest).Covered() - ft.already
 		if movedNow < 0 {
 			movedNow = 0
 		}
-		r.plan.saveMarkers(i, latest)
+		r.plan.saveMarkers(i, ft.latest)
 		s.update(r.task, func(t *Task) { t.BytesTransferred += movedNow })
 		reg.Counter("transfer.bytes_total").Add(movedNow)
 		s.cfg.Tenants.BytesMoved(r.task.DN, movedNow)
-		return terr
+		if w.err == nil {
+			w.err = terr
+		}
+		return
 	}
-	dataSpan.End()
-	r.tuner.observe(f.size-already, time.Since(start), par)
+	ft.span.End()
+	moved := ft.size - ft.already
+	r.tuner.observe(moved, w.lastDone.Sub(alone), ft.par)
 	r.plan.complete(i)
 	done := r.plan.doneCount()
 	s.update(r.task, func(t *Task) {
-		t.BytesTransferred += f.size - already
+		t.BytesTransferred += moved
 		t.CompletedFiles = done
 		t.Markers = nil
 	})
-	reg.Counter("transfer.bytes_total").Add(f.size - already)
+	reg.Counter("transfer.bytes_total").Add(moved)
 	reg.Counter("transfer.files_total").Inc()
-	s.cfg.Tenants.BytesMoved(r.task.DN, f.size-already)
-	return nil
+	s.cfg.Tenants.BytesMoved(r.task.DN, moved)
 }
 
 // schedule fans the plan's pending files out across workers: worker 0

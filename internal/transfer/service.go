@@ -116,9 +116,12 @@ type Config struct {
 	// fans its file plan out to. 0 (the default) auto-sizes from the
 	// pending file count and the measured control-channel RTT.
 	TaskConcurrency int
-	// MaxActiveTransfers bounds concurrent file transfers service-wide
+	// MaxActiveTransfers bounds the file transfers in flight service-wide
 	// (across all tasks and workers), so a large fleet degrades
-	// gracefully instead of thundering. Default 32.
+	// gracefully instead of thundering. A file is in flight from the
+	// moment a worker writes its transfer commands until it has read their
+	// final replies — a worker queues several small files at the servers at
+	// once, and each of them counts. Default 32.
 	MaxActiveTransfers int
 	// MarkerInterval is the restart/perf marker cadence requested from
 	// destination servers (OPTS RETR Markers). Default 25ms.
@@ -160,7 +163,7 @@ type Service struct {
 	nextTask    int
 
 	// sem is the global MaxActiveTransfers admission semaphore: one slot
-	// per in-flight file transfer, across all tasks and workers.
+	// per file begun and not yet completed, across all tasks and workers.
 	sem chan struct{}
 
 	// PasswordsSeen counts secrets that flowed through the service —
