@@ -27,11 +27,12 @@ import (
 // markers, so an attempt that dies with files in flight on several workers
 // resumes only what is actually unfinished.
 
-// maxTaskWorkers caps a single task's fan-out regardless of file count.
+// maxTaskWorkers caps a single task's fan-out regardless of its size.
 const maxTaskWorkers = 8
 
 // pipelineWindow is how many bytes of files a worker keeps begun and
-// unfinished on its session pair. It is sized to hide a control
+// unfinished on its session pair, and so also how much pending work
+// justifies one more pair (workerCount). It is sized to hide a control
 // round trip behind data already queued at the servers — 4 MiB is 10 ms at
 // 400 MB/s or 100 ms at 40 MB/s — while keeping what a failure can leave
 // half-done small. A file larger than the window travels alone.
@@ -202,23 +203,21 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 }
 
 // workerCount sizes a task's fan-out: an explicit Config.TaskConcurrency
-// wins; otherwise one worker per dozen pending files, twice as many on
-// high-RTT paths where per-file control latency dominates, clamped to
-// [1, maxTaskWorkers] and to the pending file count.
-func (s *Service) workerCount(pending int, rtt time.Duration) int {
+// wins; otherwise one session pair per pipelineWindow of pending bytes. A
+// pair that keeps a window of files queued at both servers pays no per-file
+// round trip, so the file count no longer calls for more pairs — only more
+// bytes than one pair's window covers do. Either way the result is clamped
+// to [1, maxTaskWorkers] and to the pending file count.
+func (s *Service) workerCount(pendingFiles int, pendingBytes int64) int {
 	k := s.cfg.TaskConcurrency
 	if k <= 0 {
-		per := 12
-		if rtt >= 10*time.Millisecond {
-			per = 6
-		}
-		k = (pending + per - 1) / per
-		if k > maxTaskWorkers {
-			k = maxTaskWorkers
+		k = maxTaskWorkers
+		if pendingBytes < maxTaskWorkers*pipelineWindow {
+			k = int((pendingBytes + pipelineWindow - 1) / pipelineWindow)
 		}
 	}
-	if k > pending {
-		k = pending
+	if k > pendingFiles {
+		k = pendingFiles
 	}
 	if k < 1 {
 		k = 1

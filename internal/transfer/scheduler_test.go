@@ -62,9 +62,9 @@ func runDirTask(t *testing.T, w *world, dir string) (*Task, time.Duration) {
 // of files queued at both servers, so the task costs its set-up (pair, plan,
 // wiring) plus the data — 45 round trips at most (elapsed ÷ RTT; 31–37
 // measured), where one file at a time cost 111 and an eight-pair fan-out
-// 44. That holds on one pair, on the auto-sized fan-out (eight pairs here,
-// seven of them dialling while the first already has every file queued) and
-// on two pairs. It also proves
+// 44. That holds on one pair, on the auto-sized fan-out — which for a
+// directory below one window is one pair — and on two pairs, whose second
+// pair dials while the first already has every file queued. It also proves
 // the control-channel diet: zero per-file SIZE commands (sizes ride the
 // MLSD facts), asserted via the per-verb command counters.
 func TestSmallFilesCostDataNotRoundTrips(t *testing.T) {
@@ -78,7 +78,7 @@ func TestSmallFilesCostDataNotRoundTrips(t *testing.T) {
 		workers     int
 	}{
 		{"one pair", 1, 1},
-		{"auto-sized", 0, 8},
+		{"auto-sized", 0, 1},
 		{"two pairs", 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,6 +161,35 @@ func TestSmallFilesCostDataNotRoundTrips(t *testing.T) {
 				t.Errorf("active_transfers gauge left at %d, want 0", v)
 			}
 		})
+	}
+}
+
+// TestWorkerCount: the fan-out follows the bytes one pair's window cannot
+// cover, not the file count.
+func TestWorkerCount(t *testing.T) {
+	const window = pipelineWindow
+	for _, tc := range []struct {
+		name        string
+		concurrency int
+		files       int
+		bytes       int64
+		want        int
+	}{
+		{"below one window", 0, 500, window - 1, 1},
+		{"exactly one window", 0, 500, window, 1},
+		{"just over one window", 0, 500, window + 1, 2},
+		{"eight windows", 0, 500, 8 * window, 8},
+		{"a hundred windows", 0, 500, 100 * window, maxTaskWorkers},
+		{"three files of 1 GiB", 0, 3, 3 << 30, 3},
+		{"nothing pending", 0, 0, 0, 1},
+		{"TaskConcurrency wins", 4, 500, 1000, 4},
+		{"TaskConcurrency above the cap is honoured", 12, 500, 1000, 12},
+		{"TaskConcurrency still clamps to pending", 4, 2, 100 * window, 2},
+	} {
+		s := &Service{cfg: Config{TaskConcurrency: tc.concurrency}}
+		if got := s.workerCount(tc.files, tc.bytes); got != tc.want {
+			t.Errorf("%s: workerCount(%d files, %d bytes) = %d, want %d", tc.name, tc.files, tc.bytes, got, tc.want)
+		}
 	}
 }
 

@@ -113,8 +113,8 @@ type Config struct {
 	// file (ablation).
 	DisableAutotune bool
 	// TaskConcurrency fixes the number of worker session pairs a task
-	// fans its file plan out to. 0 (the default) auto-sizes from the
-	// pending file count and the measured control-channel RTT.
+	// fans its file plan out to. 0 (the default) auto-sizes: one pair per
+	// 4 MiB of pending bytes, at most 8 and at most one per pending file.
 	TaskConcurrency int
 	// MaxActiveTransfers bounds the file transfers in flight service-wide
 	// (across all tasks and workers), so a large fleet degrades
@@ -608,7 +608,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) 
 	}
 	defer primary.Close()
 	// One timed NOOP estimates the control-channel RTT; it sizes the
-	// fan-out and the autotuner's stream budget.
+	// autotuner's stream budget.
 	rtt := primary.measureRTT()
 	ctlSpan.SetAttr("rtt_ms", float64(rtt)/float64(time.Millisecond))
 	ctlSpan.End()
@@ -629,7 +629,11 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) 
 	if len(pending) == 0 {
 		return nil
 	}
-	workers := s.workerCount(len(pending), rtt)
+	var pendingBytes int64
+	for _, i := range pending {
+		pendingBytes += plan.files[i].size
+	}
+	workers := s.workerCount(len(pending), pendingBytes)
 	tuner := newAutotuner(s.cfg, rtt, workers)
 	s.update(task, func(t *Task) { t.Workers = workers })
 	taskSpan.SetAttr("workers", workers)
