@@ -127,6 +127,9 @@ func (p *transferPlan) clearMarkers() {
 // sessions (source + destination).
 type sessionPair struct {
 	src, dst *gridftp.Client
+	// rtt is one control round trip to the source as dialPair saw it: the
+	// session-command flight, k commands written and k replies read.
+	rtt time.Duration
 }
 
 // Close ends both sessions, the two QUIT round trips overlapping.
@@ -144,17 +147,6 @@ func (p *sessionPair) Close() {
 	wg.Wait()
 }
 
-// measureRTT times one NOOP round trip on the source control channel —
-// the task's estimate of per-command latency, which sizes the autotuner's
-// stream budget.
-func (p *sessionPair) measureRTT() time.Duration {
-	start := time.Now()
-	if err := p.src.Noop(); err != nil {
-		return 0
-	}
-	return time.Since(start)
-}
-
 // dialPair opens one worker's session pair, source and destination at the
 // same time: dial, delegate, then one flight of session commands — join the
 // caller's trace (SITE TRACE; endpoints without it keep rooting locally),
@@ -162,23 +154,27 @@ func (p *sessionPair) measureRTT() time.Duration {
 // destination publishes its streams as "<task>", the source as
 // "<task>-src"), and on the destination set the marker cadence and — for
 // cross-CA endpoint pairs — install the source credential via DCSC once
-// per session instead of once per file. If either side fails, the side
-// that succeeded is closed.
+// per session instead of once per file. That flight is timed: it is the
+// task's estimate of a control round trip, taken from a flight the pair pays
+// for anyway. If either side fails, the side that succeeded is closed.
 func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel string) (*sessionPair, error) {
-	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup) (*gridftp.Client, error) {
+	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup) (*gridftp.Client, time.Duration, error) {
 		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust,
 			gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		var flight time.Duration
 		if err = c.Delegate(2 * time.Hour); err == nil {
+			start := time.Now()
 			err = c.Setup(setup)
+			flight = time.Since(start)
 		}
 		if err != nil {
 			c.Close()
-			return nil, err
+			return nil, 0, err
 		}
-		return c, nil
+		return c, flight, nil
 	}
 	srcSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel}
 	dstSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel, MarkerInterval: s.cfg.MarkerInterval}
@@ -191,9 +187,9 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 	srcDone := make(chan struct{})
 	go func() {
 		defer close(srcDone)
-		pair.src, srcErr = open(srcEP, srcProxy, srcSetup)
+		pair.src, pair.rtt, srcErr = open(srcEP, srcProxy, srcSetup)
 	}()
-	pair.dst, dstErr = open(dstEP, dstProxy, dstSetup)
+	pair.dst, _, dstErr = open(dstEP, dstProxy, dstSetup)
 	<-srcDone
 	if err := errors.Join(srcErr, dstErr); err != nil {
 		pair.Close()

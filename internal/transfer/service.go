@@ -607,9 +607,9 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) 
 		return err
 	}
 	defer primary.Close()
-	// One timed NOOP estimates the control-channel RTT; it sizes the
-	// autotuner's stream budget.
-	rtt := primary.measureRTT()
+	// The pair's session-command flight doubles as the control-channel RTT
+	// estimate; it sizes the autotuner's stream budget.
+	rtt := primary.rtt
 	ctlSpan.SetAttr("rtt_ms", float64(rtt)/float64(time.Millisecond))
 	ctlSpan.End()
 
