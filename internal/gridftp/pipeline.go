@@ -25,7 +25,9 @@ type PutItem struct {
 }
 
 // GetMany downloads the items over one session with pipelined RETR
-// commands (active mode). It stops at the first failure.
+// commands (active mode). It stops at the first failure and returns it,
+// after reading the server's refusal of every command queued behind the
+// failed one.
 func (c *Client) GetMany(items []GetItem) error {
 	if len(items) == 0 {
 		return nil
@@ -47,10 +49,24 @@ func (c *Client) GetMany(items []GetItem) error {
 	// Then drain the transfers in order.
 	for i, it := range items {
 		if err := c.recvOne(it.Dst); err != nil {
+			c.drainQueued(len(items) - i - 1)
 			return fmt.Errorf("gridftp: pipelined get %d (%s): %w", i, it.Path, err)
 		}
 	}
 	return nil
+}
+
+// drainQueued reads the final reply to each of the n transfer commands
+// still queued behind a transfer that failed. The failure left the server
+// without a data path (and this end has dropped its own), so each is
+// refused at once; reading the refusals is what keeps the control channel
+// in step for whatever the caller sends next.
+func (c *Client) drainQueued(n int) {
+	for ; n > 0; n-- {
+		if _, err := c.ctrl.ReadFinalReply(nil); err != nil {
+			return // the channel failed; there is nothing left to keep in step
+		}
+	}
 }
 
 // recvOne receives one MODE E transfer using pooled or fresh channels and
@@ -70,13 +86,24 @@ func (c *Client) recvOne(dst dsi.File) error {
 }
 
 // PutMany uploads the items over one session with pipelined STOR commands
-// (passive mode). It stops at the first failure.
+// (passive mode). It stops at the first failure and returns it, after
+// reading the server's refusal of every command queued behind the failed
+// one.
 func (c *Client) PutMany(items []PutItem) error {
 	if len(items) == 0 {
 		return nil
 	}
 	if c.spec.Mode != ModeExtended {
 		return fmt.Errorf("gridftp: pipelining requires MODE E")
+	}
+	// A source that cannot be sized fails here, before any STOR is queued.
+	sizes := make([]int64, len(items))
+	for i, it := range items {
+		size, err := it.Src.Size()
+		if err != nil {
+			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)
+		}
+		sizes[i] = size
 	}
 	if len(c.data.pooledDialed) != c.spec.Parallelism {
 		if err := c.ensurePassive(); err != nil {
@@ -89,11 +116,8 @@ func (c *Client) PutMany(items []PutItem) error {
 		}
 	}
 	for i, it := range items {
-		size, err := it.Src.Size()
-		if err == nil {
-			_, err = c.sendOne(it.Src, []Range{{0, size}})
-		}
-		if err != nil {
+		if _, err := c.sendOne(it.Src, []Range{{0, sizes[i]}}); err != nil {
+			c.drainQueued(len(items) - i - 1)
 			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)
 		}
 	}

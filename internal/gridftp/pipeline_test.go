@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,6 +65,66 @@ func TestGetManyMissingFileFailsCleanly(t *testing.T) {
 	// Session must still be usable after the failure.
 	if err := c.Noop(); err != nil {
 		t.Fatalf("session dead after pipelined failure: %v", err)
+	}
+}
+
+// TestPipelinedFailureMidwayLeavesSessionUsable: GetMany and PutMany with
+// the failing item in the middle return that item's error promptly, having
+// read the replies of the commands queued behind it, so the session's next
+// command gets its own reply and its next transfer is byte-exact.
+func TestPipelinedFailureMidwayLeavesSessionUsable(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.DataTimeout = 3 * time.Second })
+	c := s.connect(t, nw.Host("laptop"), true)
+	s.putFile(t, "/ok", pattern(3000))
+	s.putFile(t, "/ok2", pattern(5000))
+	if err := s.storage.Mkdir("alice", "/dir"); err != nil {
+		t.Fatal(err)
+	}
+	sink := func() dsi.File { return dsi.NewBufferFile(nil) }
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"GetMany", func() error {
+			return c.GetMany([]GetItem{{"/ok", sink()}, {"/missing", sink()}, {"/ok2", sink()}, {"/ok", sink()}})
+		}, "pipelined get 1 (/missing)"},
+		{"PutMany", func() error {
+			return c.PutMany([]PutItem{
+				{"/up0", dsi.NewBufferFile(pattern(100))},
+				{"/dir", dsi.NewBufferFile(pattern(200))}, // a directory: uncreatable
+				{"/up2", dsi.NewBufferFile(pattern(300))},
+				{"/up3", dsi.NewBufferFile(pattern(400))},
+			})
+		}, "pipelined put 1 (/dir)"},
+	} {
+		start := time.Now()
+		err := tc.run()
+		took := time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if took > time.Second {
+			t.Fatalf("%s took %v to fail (want < 1s)", tc.name, took)
+		}
+		start = time.Now()
+		if err := c.Noop(); err != nil {
+			t.Fatalf("NOOP after a failed %s: %v", tc.name, err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("NOOP after a failed %s took %v", tc.name, took)
+		}
+		got := dsi.NewBufferFile(nil)
+		if _, err := c.Get("/ok2", got); err != nil || !bytes.Equal(got.Bytes(), pattern(5000)) {
+			t.Fatalf("Get after a failed %s: err=%v, %d bytes", tc.name, err, len(got.Bytes()))
+		}
+		if _, err := c.Put("/after", dsi.NewBufferFile(pattern(7000))); err != nil {
+			t.Fatalf("Put after a failed %s: %v", tc.name, err)
+		}
+		if !bytes.Equal(s.readFile(t, "/after"), pattern(7000)) {
+			t.Fatalf("Put after a failed %s stored other bytes", tc.name)
+		}
 	}
 }
 
