@@ -250,8 +250,10 @@ func BenchmarkE12ControlSecurity(b *testing.B) {
 
 // BenchmarkE14SmallFilesScheduler measures the hosted service's
 // concurrent transfer scheduler on a many-small-files directory task over
-// high-RTT links (§VI.A task orchestration): the sequential path
-// (TaskConcurrency=1) vs the auto-sized worker fan-out.
+// high-RTT links (§VI.A task orchestration): one session pair
+// (TaskConcurrency=1, "sequential") vs the auto-sized fan-out ("scheduled")
+// — which, since a pair pipelines its files, is also one pair at this
+// size; the sub-benchmark names are the trajectory files' keys.
 func BenchmarkE14SmallFilesScheduler(b *testing.B) {
 	cfg := experiments.E14Config{
 		Files:     24,

@@ -10,7 +10,7 @@ import (
 
 // E14Config parameterizes the transfer-scheduler experiment: a directory
 // of many small files over a high-RTT path, the workload class where
-// control-channel latency dominates a sequential task.
+// control-channel latency dominates a task that moves one file at a time.
 type E14Config struct {
 	Files     int
 	FileBytes int
@@ -66,38 +66,41 @@ func runE14Once(cfg E14Config, concurrency int) (*transfer.Task, time.Duration, 
 	return done, elapsed, nil
 }
 
-// RunE14Scheduler measures the concurrent transfer scheduler against the
-// sequential path (§VI.A auto-tuning, extended to task orchestration):
-// the same many-small-files directory task at TaskConcurrency 1 vs the
-// auto-sized worker fan-out.
+// RunE14Scheduler measures the hosted service's scheduler on the
+// many-small-files directory task (§VI.A auto-tuning, extended to task
+// orchestration): one session pair, the auto-sized fan-out, and the
+// eight-pair fan-out that auto-sizing chose before a pair pipelined its
+// files.
 func RunE14Scheduler(cfg E14Config) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
-		Title:   "Concurrent transfer scheduler: many small files over a high-RTT path",
-		Paper:   `§VI.A: the hosted service "automatically tune[s] GridFTP transfer options for high performance" — here the task-level fan-out across control-session pairs`,
-		Columns: []string{"scheduling", "workers", "files", "elapsed", "throughput", "speedup"},
+		Title:   "Transfer scheduler: many small files over a high-RTT path",
+		Paper:   `§VI.A: the hosted service "automatically tune[s] GridFTP transfer options for high performance" — here the task-level fan-out across control-session pairs; §II.A: pipelining and channel caching make lots of small files viable`,
+		Columns: []string{"scheduling", "workers", "files", "elapsed", "throughput", "vs one pair"},
 	}
-	var seqElapsed time.Duration
-	for _, concurrency := range []int{1, 0} {
-		done, elapsed, err := runE14Once(cfg, concurrency)
+	var onePair time.Duration
+	for _, mode := range []struct {
+		label       string
+		concurrency int
+	}{
+		{"one pair (K=1)", 1},
+		{"auto-sized (auto K)", 0},
+		{"eight pairs (K=8)", 8},
+	} {
+		done, elapsed, err := runE14Once(cfg, mode.concurrency)
 		if err != nil {
 			return nil, err
 		}
-		label := "sequential (K=1)"
-		speedup := "1.0x"
-		if concurrency == 0 {
-			label = "scheduled (auto K)"
-			speedup = fmt.Sprintf("%.1fx", float64(seqElapsed)/float64(elapsed))
-		} else {
-			seqElapsed = elapsed
+		if mode.concurrency == 1 {
+			onePair = elapsed
 		}
 		total := int64(cfg.Files * cfg.FileBytes)
-		t.AddRow(label, fmt.Sprintf("%d", done.Workers),
+		t.AddRow(mode.label, fmt.Sprintf("%d", done.Workers),
 			fmt.Sprintf("%d x %d KiB", cfg.Files, cfg.FileBytes>>10),
 			elapsed.Round(time.Millisecond).String(),
-			mbps(rate(total, elapsed)), speedup)
+			mbps(rate(total, elapsed)), fmt.Sprintf("%.2fx", float64(onePair)/float64(elapsed)))
 	}
-	t.Note("every hop at %v RTT: per-file control round trips dominate the sequential task; workers amortize them in parallel",
+	t.Note("every hop at %v RTT: a pair keeps a window of files queued at both servers, so a file costs its data, not a round trip; auto K is one pair per 4 MiB pending, so below that it coincides with K=1, and more pairs only add their own set-up",
 		cfg.Link.RTT)
 	return t, nil
 }
