@@ -17,7 +17,7 @@
 //
 // With -files N (N > 1), the demo transfers a directory of N files of
 // -size each, exercising the concurrent scheduler: -concurrency pins the
-// per-task worker fan-out (0 = auto-sized from file count and RTT),
+// per-task worker fan-out (0 = auto-sized from the pending bytes),
 // -max-active bounds in-flight file transfers service-wide, and
 // -marker-interval sets the restart/perf marker cadence.
 //
@@ -58,7 +58,7 @@ import (
 func main() {
 	sizeStr := flag.String("size", "8M", "transfer size (per file with -files)")
 	files := flag.Int("files", 1, "number of files; > 1 transfers a directory through the scheduler")
-	concurrency := flag.Int("concurrency", 0, "per-task worker session pairs (0 = auto-size from file count and RTT)")
+	concurrency := flag.Int("concurrency", 0, "per-task worker session pairs (0 = auto-size: one per 4 MiB of pending bytes, at most 8)")
 	maxActive := flag.Int("max-active", 0, "service-wide cap on in-flight file transfers (0 = default 32)")
 	markerInterval := flag.Duration("marker-interval", 25*time.Millisecond, "restart/perf marker cadence requested from destination servers")
 	fault := flag.Bool("fault", false, "inject a receive-side fault at 60% and recover")

@@ -69,8 +69,7 @@ func runE14Once(cfg E14Config, concurrency int) (*transfer.Task, time.Duration, 
 // RunE14Scheduler measures the hosted service's scheduler on the
 // many-small-files directory task (§VI.A auto-tuning, extended to task
 // orchestration): one session pair, the auto-sized fan-out, and the
-// eight-pair fan-out that auto-sizing chose before a pair pipelined its
-// files.
+// largest fan-out auto-sizing can choose, eight pairs.
 func RunE14Scheduler(cfg E14Config) (*Table, error) {
 	t := &Table{
 		ID:      "E14",

@@ -107,12 +107,15 @@ func (sess *session) establishChannels(n int) ([]*dataChannel, error) {
 	return nil, errNoDataPath
 }
 
-// requireDataAuth checks the DCAU prerequisites before a transfer.
-func (sess *session) requireDataAuth() error {
-	if sess.spec.DCAU != DCAUNone && sess.dataContext() == nil {
-		return errors.New("Data channel authentication requires a delegated credential or DCSC context")
+// requireDataAuth checks the DCAU prerequisites before a transfer; a
+// session that fails them has been refused (refuseTransfer).
+func (sess *session) requireDataAuth() bool {
+	if sess.spec.DCAU == DCAUNone || sess.dataContext() != nil {
+		return true
 	}
-	return nil
+	sess.refuseTransfer(ftp.CodeNotLoggedIn,
+		errors.New("Data channel authentication requires a delegated credential or DCSC context"))
+	return false
 }
 
 // refuseTransfer answers a transfer command that cannot run — a bad path,
@@ -141,8 +144,7 @@ func (sess *session) handleRetr(params string, off, length int64) {
 		sess.refuseTransfer(ftp.CodeBadFileName, err)
 		return
 	}
-	if err := sess.requireDataAuth(); err != nil {
-		sess.refuseTransfer(ftp.CodeNotLoggedIn, err)
+	if !sess.requireDataAuth() {
 		return
 	}
 	f, err := sess.srv.cfg.Storage.Open(sess.localUser, p)
@@ -232,8 +234,7 @@ func (sess *session) handleStor(params string) {
 		sess.refuseTransfer(ftp.CodeBadFileName, err)
 		return
 	}
-	if err := sess.requireDataAuth(); err != nil {
-		sess.refuseTransfer(ftp.CodeNotLoggedIn, err)
+	if !sess.requireDataAuth() {
 		return
 	}
 	restart := sess.restart
@@ -363,8 +364,7 @@ func (sess *session) handleMlsd(params string) {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
 		return
 	}
-	if err := sess.requireDataAuth(); err != nil {
-		sess.reply(ftp.CodeNotLoggedIn, errText(err))
+	if !sess.requireDataAuth() {
 		return
 	}
 	sess.data.flush() // MLSD never reuses transfer channels

@@ -159,3 +159,26 @@ func TestAbortedDataConnectionFailsTransfer(t *testing.T) {
 		t.Fatal("content mismatch after recovery")
 	}
 }
+
+// TestRefusedTransferDropsArmedRestart: REST applies to the command that
+// follows it. When that command is refused, the ranges must not stay armed
+// for the next transfer of the session, which would silently skip them.
+func TestRefusedTransferDropsArmedRestart(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	c := s.connect(t, nw.Host("laptop"), true)
+	payload := pattern(50000)
+	s.putFile(t, "/ok", payload)
+
+	c.SetRestart([]Range{{0, 20000}})
+	if _, err := c.Get("/missing", dsi.NewBufferFile(nil)); err == nil {
+		t.Fatal("RETR of a missing file succeeded")
+	}
+	got := dsi.NewBufferFile(nil)
+	if _, err := c.Get("/ok", got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), payload) {
+		t.Fatalf("the refused command's REST applied to the next RETR: %d bytes differ from the %d stored", len(got.Bytes()), len(payload))
+	}
+}

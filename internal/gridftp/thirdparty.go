@@ -281,27 +281,26 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 // transfers in flight complete first; asking for the value in effect is
 // free.
 func (p *Pipeline) SetParallelism(n int) error {
-	if p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n {
-		return nil
-	}
-	p.Drain()
-	if err := p.src.SetParallelism(n); err != nil {
-		return err
-	}
-	return p.dst.SetParallelism(n)
+	return p.negotiate(p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n,
+		func(c *Client) error { return c.SetParallelism(n) })
 }
 
 // SetBlockSize negotiates the MODE E block size on both sessions, under the
 // same rule as SetParallelism.
 func (p *Pipeline) SetBlockSize(n int) error {
-	if p.src.spec.BlockSize == n && p.dst.spec.BlockSize == n {
+	return p.negotiate(p.src.spec.BlockSize == n && p.dst.spec.BlockSize == n,
+		func(c *Client) error { return c.SetBlockSize(n) })
+}
+
+func (p *Pipeline) negotiate(inEffect bool, set func(*Client) error) error {
+	if inEffect {
 		return nil
 	}
 	p.Drain()
-	if err := p.src.SetBlockSize(n); err != nil {
+	if err := set(p.src); err != nil {
 		return err
 	}
-	return p.dst.SetBlockSize(n)
+	return set(p.dst)
 }
 
 // ThirdParty performs a third-party transfer: the client directs src to

@@ -201,16 +201,13 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 // workerCount sizes a task's fan-out: an explicit Config.TaskConcurrency
 // wins; otherwise one session pair per pipelineWindow of pending bytes. A
 // pair that keeps a window of files queued at both servers pays no per-file
-// round trip, so the file count no longer calls for more pairs — only more
-// bytes than one pair's window covers do. Either way the result is clamped
-// to [1, maxTaskWorkers] and to the pending file count.
+// round trip, so it is not the number of files that calls for more pairs
+// but more bytes than one pair's window covers. Either way the result is
+// clamped to [1, maxTaskWorkers] and to the pending file count.
 func (s *Service) workerCount(pendingFiles int, pendingBytes int64) int {
 	k := s.cfg.TaskConcurrency
 	if k <= 0 {
-		k = maxTaskWorkers
-		if pendingBytes < maxTaskWorkers*pipelineWindow {
-			k = int((pendingBytes + pipelineWindow - 1) / pipelineWindow)
-		}
+		k = int(min(maxTaskWorkers, (pendingBytes+pipelineWindow-1)/pipelineWindow))
 	}
 	if k > pendingFiles {
 		k = pendingFiles
@@ -574,11 +571,11 @@ func (w *worker) begin(i int, wait time.Duration) {
 
 	// Wire-aware block sizing: size MODE E blocks to the path's
 	// bandwidth-delay product as observed by the stream-telemetry plane.
-	// Best-effort — an endpoint rejecting the OPTS extension keeps its
-	// negotiated default.
+	// Best-effort: an endpoint rejecting the OPTS extension keeps its
+	// negotiated default, so the error is dropped.
 	ws, _ := s.cfg.Streams.WireSummary(r.task.ID)
 	if bs := r.tuner.blockSizeFor(ws, par); bs > 0 {
-		w.pipe.SetBlockSize(bs)
+		_ = w.pipe.SetBlockSize(bs)
 		reg.Gauge("transfer.block_size").Set(int64(bs))
 	}
 

@@ -17,9 +17,11 @@
 # Per metric it prints each side's median [q1, q3] (quartiles the way
 # Python's statistics.quantiles(n=4) and bench -repeat compute them, the
 # arithmetic the acceptance rule is stated in), the pairs the change won
-# (ties count for neither), and whether the medians differ by more than the
-# distance between the parent's quartiles. A gain is claimed only when the
-# change wins at least nine tenths of the pairs and that last column says yes.
+# (ties count for neither), whether the medians differ by more than the
+# distance between the parent's quartiles, and whether the change's median is
+# worse than the parent's by more than the bound BENCHMARK.json fixes. A gain
+# is claimed only when the change wins at least nine tenths of the pairs and
+# the medians are that far apart; a regression is a median beyond the bound.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -69,11 +71,13 @@ while [ "$i" -lt "$pairs" ]; do
 	i=$((i + 1))
 done
 
-# The direction of "better" per end-to-end metric, from the change's spec.
+# Per end-to-end metric the direction of "better" and the regression bound,
+# from the change's spec (one key per line; "bound" closes an entry).
 awk '
 /"end_to_end"/ { inside = 1 }
 inside && /"name"/ { gsub(/[",]/, ""); name = $2 }
-inside && /"better"/ { gsub(/[",]/, ""); print name, $2 }
+inside && /"better"/ { gsub(/[",]/, ""); better = $2 }
+inside && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }
 inside && /\]/ { inside = 0 }
 ' "$tmp/change/BENCHMARK.json" >"$tmp/better"
 
@@ -94,11 +98,11 @@ function sorted(side, m, out,    i, j, n, t) {
 	for (i = 1; i < n; i++) { t = out[i]; for (j = i - 1; j >= 0 && out[j] > t; j--) out[j + 1] = out[j]; out[j + 1] = t }
 	return n
 }
-FILENAME == betterfile { better[$1] = $2; order[nm++] = $1; next }
+FILENAME == betterfile { better[$1] = $2; bound[$1] = $3; order[nm++] = $1; next }
 $2 ~ /^_/ { total[$1, $2] += $3; next }
 { val[$1, $2, count[$1, $2]++] = $3 }
 END {
-	printf "%-14s %-34s %-34s %-6s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins", "medians apart by more than the parent IQR"
+	printf "%-14s %-34s %-34s %-6s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins", "medians apart by more than the parent IQR; worse than the bound"
 	for (k = 0; k < nm; k++) {
 		m = order[k]
 		n = sorted("parent", m, p); sorted("change", m, c)
@@ -112,11 +116,12 @@ END {
 		iqr = quartile(p, n, 3) - quartile(p, n, 1)
 		diff = cm - pm; if (diff < 0) diff = -diff
 		worse = ((better[m] == "lower") == (cm > pm)) && cm != pm
-		verdict = (diff > iqr) ? (worse ? "yes, and the change is WORSE" : "yes") : "no"
-		printf "%-14s %-34s %-34s %-6s %s (%+.1f%%, IQR %.4g)\n", m,
+		verdict = (diff > iqr) ? (worse ? "yes, the change being worse" : "yes") : "no"
+		beyond = (worse && pm && diff / pm > bound[m]) ? "YES" : "no"
+		printf "%-14s %-34s %-34s %-6s %s (%+.1f%%, IQR %.4g); %s (bound %g%%)\n", m,
 			sprintf("%.6g [%.6g, %.6g]", pm, quartile(p, n, 1), quartile(p, n, 3)),
 			sprintf("%.6g [%.6g, %.6g]", cm, quartile(c, n, 1), quartile(c, n, 3)),
-			wins "/" n, verdict, pm ? 100 * (cm - pm) / pm : 0, iqr
+			wins "/" n, verdict, pm ? 100 * (cm - pm) / pm : 0, iqr, beyond, 100 * bound[m]
 	}
 	printf "failed ops: parent %d of %d, change %d of %d\n",
 		total["parent", "_failed"], total["parent", "_attempted"], total["change", "_failed"], total["change", "_attempted"]
