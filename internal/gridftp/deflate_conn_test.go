@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
@@ -116,6 +117,12 @@ func TestChannelCloseRefillsFlatePools(t *testing.T) {
 	// No collection while pool hits are being counted: a GC cycle empties
 	// sync.Pools.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P for the whole test, warm-up included. A sync.Pool keeps the last
+	// Put in the private slot of the P it ran on, and no other P ever takes
+	// from there; testing.AllocsPerRun sets GOMAXPROCS(1) itself, so a
+	// warm-up that ran on another P left its writer where the counted rounds
+	// cannot reach it, and the first of them constructed one — most runs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var constructed atomic.Int64
 	construct := flateWriters.New
 	flateWriters.New = func() any { constructed.Add(1); return construct() }
