@@ -7,6 +7,7 @@ package ftp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -202,11 +203,28 @@ func (c *Conn) Cmd(name, format string, args ...any) error {
 	return c.WriteCommand(Command{Name: name, Params: params})
 }
 
+// maxReplyBytes caps one reply, all lines together. The line cap alone lets
+// a peer grow a reader without limit by never sending the last line, and a
+// listing can ride in a reply (MLSC). ReadReply fails once it has read more;
+// WriteReply refuses to send what ReadReply would not take.
+const maxReplyBytes = 4 << 20
+
+// ErrReplyTooLarge is returned by WriteReply, with nothing written, and by
+// ReadReply, which stops reading there: after it the channel is out of step.
+var ErrReplyTooLarge = errors.New("ftp: reply exceeds " + strconv.Itoa(maxReplyBytes) + " bytes")
+
 // WriteReply sends a reply; multiple lines produce the RFC 959 multi-line
 // form ("code-first ... code last").
 func (c *Conn) WriteReply(code int, lines ...string) error {
 	if len(lines) == 0 {
 		lines = []string{"OK"}
+	}
+	size := 0
+	for _, line := range lines {
+		size += len("250-") + len(line) + len("\r\n")
+	}
+	if size > maxReplyBytes {
+		return ErrReplyTooLarge
 	}
 	if len(lines) == 1 {
 		if _, err := fmt.Fprintf(c.bw, "%d %s\r\n", code, lines[0]); err != nil {
@@ -253,10 +271,15 @@ func (c *Conn) ReadReply() (Reply, error) {
 		return Reply{}, fmt.Errorf("ftp: bad reply separator in %q", line)
 	}
 	terminator := line[:3] + " "
+	size := len(line)
 	for {
 		line, err := c.readLine()
 		if err != nil {
 			return Reply{}, err
+		}
+		// Checked before the line is kept, as readLine checks a fragment.
+		if size += len(line) + len("\r\n"); size > maxReplyBytes {
+			return Reply{}, ErrReplyTooLarge
 		}
 		if strings.HasPrefix(line, terminator) {
 			reply.Lines = append(reply.Lines, line[4:])

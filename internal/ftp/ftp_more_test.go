@@ -1,6 +1,7 @@
 package ftp
 
 import (
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -170,5 +171,63 @@ func TestReadLineAcceptsCapSizedLine(t *testing.T) {
 	over := strings.Repeat("x", maxLineLen) + "\r\n"
 	if _, err := NewConn(&readerConn{r: strings.NewReader(over)}).ReadCommand(); err == nil {
 		t.Fatal("a line over the cap parsed")
+	}
+}
+
+// endlessReply opens a multi-line reply and never sends its last line: every
+// line is short, so only the cap on the reply as a whole stops it.
+type endlessReply struct{ opened bool }
+
+func (e *endlessReply) Read(p []byte) (int, error) {
+	if !e.opened {
+		e.opened = true
+		return copy(p, "250-Listing\r\n"), nil
+	}
+	const line = " Type=file;Size=1;Modify=20120131123001; f\r\n"
+	n := 0
+	for n+len(line) <= len(p) {
+		n += copy(p[n:], line)
+	}
+	if n == 0 {
+		n = copy(p, line)
+	}
+	return n, nil
+}
+
+// TestReadReplyBoundedBeforeBuffering: a server that keeps a multi-line reply
+// open forever is cut off at the reply cap with an error — not a truncated
+// reply — having been read at most one read buffer past it.
+func TestReadReplyBoundedBeforeBuffering(t *testing.T) {
+	const readBuffer = 4096
+	nc := &readerConn{r: &endlessReply{}}
+	r, err := NewConn(nc).ReadReply()
+	if !errors.Is(err, ErrReplyTooLarge) || len(r.Lines) != 0 {
+		t.Fatalf("endless reply returned %d lines and %v, want none and ErrReplyTooLarge", len(r.Lines), err)
+	}
+	if nc.consumed > maxReplyBytes+readBuffer {
+		t.Fatalf("consumed %d bytes before failing, want at most %d", nc.consumed, maxReplyBytes+readBuffer)
+	}
+}
+
+// TestWriteReplyRefusesWhatReadReplyWould: the writer's bound is the reader's.
+// A reply just under the cap travels whole; the same reply with one more line
+// is refused with nothing written, so the channel stays usable.
+func TestWriteReplyRefusesWhatReadReplyWould(t *testing.T) {
+	line := strings.Repeat("x", 1018) // 1 KiB on the wire with "250-" and CRLF
+	lines := make([]string, maxReplyBytes/1024)
+	for i := range lines {
+		lines[i] = line
+	}
+	a, b := net.Pipe()
+	ca, cb := NewConn(a), NewConn(b)
+	defer a.Close()
+	defer b.Close()
+	if err := ca.WriteReply(250, append(lines, line)...); !errors.Is(err, ErrReplyTooLarge) {
+		t.Fatalf("over-cap reply: %v, want ErrReplyTooLarge", err)
+	}
+	go ca.WriteReply(250, lines...)
+	r, err := cb.ReadReply()
+	if err != nil || len(r.Lines) != len(lines) {
+		t.Fatalf("cap-sized reply: %d lines, %v; want %d", len(r.Lines), err, len(lines))
 	}
 }

@@ -52,6 +52,9 @@ type Client struct {
 	wiring *thirdPartyWiring
 
 	delegated bool
+	// noMLSC is set once the server has answered MLSC as an unknown verb;
+	// ListEntries then goes straight to MLSD.
+	noMLSC bool
 
 	// task labels the client's own transfers in the stream-telemetry
 	// registry (see SetTask).
@@ -1060,7 +1063,9 @@ func (c *Client) Stat(path string) (string, error) {
 	return strings.TrimSpace(r.Lines[1]), nil
 }
 
-// List runs MLSD over a fresh data channel and returns the entry lines.
+// List runs MLSD over a fresh data channel and returns the entry lines. It
+// drops the session's pooled channels and un-wires a third-party pair;
+// ListEntries lists without doing either where the server has MLSC.
 func (c *Client) List(path string) ([]string, error) {
 	c.flushPools()
 	if err := c.ensurePassive(); err != nil {

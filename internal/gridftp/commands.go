@@ -27,6 +27,7 @@ var featureList = []string{
 	"REST STREAM RANGES",
 	"MLST size*;modify*;type*",
 	"MLSD",
+	"MLSC",
 	"SIZE",
 	"CKSM MD5,SHA256,ADLER32",
 	"TRANSPORT TCP,UDT",
@@ -127,6 +128,8 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 		sess.handleMlst(cmd.Params)
 	case "MLSD":
 		sess.handleMlsd(cmd.Params)
+	case "MLSC":
+		sess.handleMlsc(cmd.Params)
 	case "MKD":
 		sess.handleMkd(cmd.Params)
 	case "DELE", "RMD":
@@ -403,6 +406,33 @@ func (sess *session) handleMlst(params string) {
 		return
 	}
 	sess.reply(ftp.CodeFileActionOK, "Listing "+p, mlstFacts(fi), "End")
+}
+
+// handleMlsc answers with the MLSD fact lines of a directory in a multi-line
+// 250 on the control channel (GridFTP's MLSC): one round trip, and no data
+// path state is read or changed, so a session's wiring and pooled channels
+// are what they were. A listing too large for one reply is refused with 504
+// — not implemented for that parameter — and MLSD is the way to get it.
+func (sess *session) handleMlsc(params string) {
+	p, err := sess.resolve(params)
+	if err != nil {
+		sess.reply(ftp.CodeBadFileName, errText(err))
+		return
+	}
+	infos, err := sess.srv.cfg.Storage.List(sess.localUser, p)
+	if err != nil {
+		sess.reply(ftp.CodeFileUnavailable, errText(err))
+		return
+	}
+	lines := make([]string, 0, len(infos)+2)
+	lines = append(lines, "Listing "+p)
+	for _, fi := range infos {
+		lines = append(lines, mlstFacts(fi))
+	}
+	lines = append(lines, "End")
+	if err := sess.reply(ftp.CodeFileActionOK, lines...); errors.Is(err, ftp.ErrReplyTooLarge) {
+		sess.reply(ftp.CodeParamNotImpl, "Listing too large for a control-channel reply; use MLSD")
+	}
 }
 
 func (sess *session) handleMkd(params string) {

@@ -1,9 +1,12 @@
 package gridftp
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gridftp.dev/instant/internal/ftp"
 )
 
 // MlsxEntry is one parsed MLSD/MLST fact line.
@@ -48,9 +51,44 @@ func ParseMlsxLine(line string) (MlsxEntry, error) {
 	return e, nil
 }
 
-// ListEntries runs MLSD and returns parsed entries.
+// errListOverData is listControl declining: this directory is to be listed
+// with MLSD.
+var errListOverData = errors.New("gridftp: listing not available on the control channel")
+
+// listControl lists path with MLSC: the fact lines come back in the reply,
+// so the listing costs one round trip and leaves the session's data channels,
+// passive address and third-party wiring alone. Sending it is the probe, as
+// for SITE TRACE: a server without the verb answers 500 or 502 at once, which
+// is remembered for the session. 504 is a server that has it declining this
+// one listing as too large for a reply.
+func (c *Client) listControl(path string) ([]string, error) {
+	if c.noMLSC {
+		return nil, errListOverData
+	}
+	r, err := c.cmdExpect("MLSC", path, ftp.CodeFileActionOK)
+	switch r.Code {
+	case ftp.CodeSyntaxError, ftp.CodeNotImplemented:
+		c.noMLSC = true
+		return nil, errListOverData
+	case ftp.CodeParamNotImpl:
+		return nil, errListOverData
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(r.Lines) < 2 {
+		return nil, fmt.Errorf("gridftp: bad MLSC reply %v", r.Lines)
+	}
+	return r.Lines[1 : len(r.Lines)-1], nil
+}
+
+// ListEntries lists a directory and returns the parsed entries: over the
+// control channel (MLSC) where the server can, else with List (MLSD).
 func (c *Client) ListEntries(path string) ([]MlsxEntry, error) {
-	lines, err := c.List(path)
+	lines, err := c.listControl(path)
+	if errors.Is(err, errListOverData) {
+		lines, err = c.List(path)
+	}
 	if err != nil {
 		return nil, err
 	}

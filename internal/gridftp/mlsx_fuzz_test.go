@@ -25,6 +25,13 @@ func FuzzParseMlsxLine(f *testing.F) {
 	f.Add(" ")
 	f.Add("Type=file;Size=1;")
 	f.Add("Type=file;Size=1; \x00\xff")
+	// An MLSC reply as ReadReply hands it over — "250-Listing /d", the fact
+	// lines with their leading space stripped, "250 End": the two framing
+	// lines are not entries, and a fact line that kept its space has no facts.
+	f.Add("Listing /dir")
+	f.Add("Type=file;Size=42;Modify=20120131123001; in a 250 reply.bin")
+	f.Add(" Type=dir;Size=0;Modify=20120131123001; sub")
+	f.Add("End")
 
 	f.Fuzz(func(t *testing.T, line string) {
 		e, err := ParseMlsxLine(line)

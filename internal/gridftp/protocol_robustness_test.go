@@ -43,6 +43,8 @@ func TestServerSurvivesGarbageCommands(t *testing.T) {
 		"CKSM MD5",
 		"RNTO /x", // RNTO without RNFR
 		"MLST /does/not/exist",
+		"MLSC /does/not/exist",
+		"MLSC /../escape",
 		"CWD /does/not/exist",
 		"SIZE /does/not/exist",
 	}
@@ -65,6 +67,38 @@ func TestServerSurvivesGarbageCommands(t *testing.T) {
 	}
 	if r, err := ctrl.ReadFinalReply(nil); err != nil || r.Code != 200 {
 		t.Fatalf("session dead after garbage: %v %v", r, err)
+	}
+}
+
+// TestListingRequiresLogin: MLSC reads the storage, so like MLST and MLSD it
+// answers 530 on a control channel that has not authenticated — and the
+// session is still there for the AUTH that follows.
+func TestListingRequiresLogin(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	s.putFile(t, "/secret.bin", pattern(10))
+	raw, err := nw.Host("laptop").Dial(s.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	ctrl := ftp.NewConn(raw)
+	if _, err := ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"MLSC", "MLST", "MLSD"} {
+		if err := ctrl.Cmd(verb, "/"); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := ctrl.ReadFinalReply(nil); err != nil || r.Code != ftp.CodeNotLoggedIn || len(r.Lines) != 1 {
+			t.Errorf("%s before login: %v %v, want a one-line 530", verb, r, err)
+		}
+	}
+	if err := ctrl.Cmd("AUTH", "TLS"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.Expect(ftp.CodeAuthOK); err != nil {
+		t.Fatalf("session unusable after refused listings: %v", err)
 	}
 }
 

@@ -264,15 +264,20 @@ func (sess *session) close() {
 	sess.ctrl.Close()
 }
 
-func (sess *session) reply(code int, lines ...string) {
+// reply writes one reply. The error matters to the one handler whose reply
+// grows with what it found (MLSC, see ftp.ErrReplyTooLarge); everyone else
+// learns of a dead control channel from the next read.
+func (sess *session) reply(code int, lines ...string) error {
 	sess.replyMu.Lock()
 	defer sess.replyMu.Unlock()
 	if code >= 200 {
 		sess.lastReplyCode = code
 	}
-	if err := sess.ctrl.WriteReply(code, lines...); err != nil {
+	err := sess.ctrl.WriteReply(code, lines...)
+	if err != nil {
 		sess.log.Warn("reply write failed", "err", err)
 	}
+	return err
 }
 
 func (sess *session) loop() {

@@ -42,7 +42,8 @@ func verifyTree(t *testing.T, w *world, files map[string][]byte) {
 // TestWorkersReuseInterSiteDataPath: a worker's files share one
 // established third-party data path — every worker that gets a file wires
 // its pair exactly once (one PASV, one PORT, one connection per stream), and
-// the MLSD walk adds the only other PASV. With less than a window of bytes
+// nothing else opens a data channel: the walk lists over the control
+// channel (MLSC). With less than a window of bytes
 // the first worker has every file queued at the servers before the others
 // have dialled, so fewer pairs than workers may ever wire; with more than a
 // window per worker all of them do.
@@ -71,8 +72,8 @@ func TestWorkersReuseInterSiteDataPath(t *testing.T) {
 			conns := w.nw.LinkStats("siteA", "siteB").Conns
 			pasv := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=PASV")).Value()
 			port := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=PORT")).Value()
-			if conns != port || pasv != port+1 {
-				t.Errorf("%d siteA↔siteB connections, %d PASV, %d PORT for %d files: want connections = PORT (one wiring per pair that moved files) and PASV = PORT + 1 (the MLSD walk)",
+			if conns != port || pasv != port {
+				t.Errorf("%d siteA↔siteB connections, %d PASV, %d PORT for %d files: want all three equal (one wiring per pair that moved files, and none for the walk)",
 					conns, pasv, port, tc.nFiles)
 			}
 			if port < 1 || port > workers || (tc.everyWorkerWires && port != workers) {
