@@ -282,6 +282,7 @@ func run(opts runOptions, o *obs.Obs) error {
 		Streams:            streams,
 		Tenants:            tenants,
 	})
+	defer svc.Close() // the session pairs it keeps warm between tasks
 	for _, ep := range []*gcmu.Endpoint{epA, epB} {
 		if err := svc.RegisterEndpoint(transfer.Endpoint{
 			Name: ep.Name, GridFTPAddr: ep.GridFTPAddr, MyProxyAddr: ep.MyProxyAddr,

@@ -57,6 +57,7 @@ func main() {
 	svc := transfer.NewService(nw.Host("globusonline"), transfer.Config{
 		RetryDelay: 20 * time.Millisecond,
 	})
+	defer svc.Close() // the session pairs it keeps warm between tasks
 	for _, ep := range []*gcmu.Endpoint{epA, epB} {
 		if err := svc.RegisterEndpoint(transfer.Endpoint{
 			Name: ep.Name, GridFTPAddr: ep.GridFTPAddr, MyProxyAddr: ep.MyProxyAddr,

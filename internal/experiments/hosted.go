@@ -72,6 +72,7 @@ func buildHostedWorld(cfg transfer.Config, withOAuth bool, markerInterval time.D
 }
 
 func (w *hostedWorld) close() {
+	w.svc.Close()
 	w.epA.Close()
 	w.epB.Close()
 }

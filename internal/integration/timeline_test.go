@@ -47,6 +47,7 @@ func TestTaskThroughputTimelineEndToEnd(t *testing.T) {
 	}
 
 	svc := transfer.NewService(nw.Host("globusonline"), transfer.Config{Obs: o})
+	t.Cleanup(svc.Close)
 	for _, name := range []string{"siteA", "siteB"} {
 		ep := endpoints[name]
 		if err := svc.RegisterEndpoint(transfer.Endpoint{

@@ -46,6 +46,7 @@ func TestDistributedTraceAcrossThreeProcesses(t *testing.T) {
 		RetryDelay: 25 * time.Millisecond,
 		Obs:        svcObs,
 	})
+	t.Cleanup(svc.Close)
 	for _, ep := range []*gcmu.Endpoint{srcEP, dstEP} {
 		if err := svc.RegisterEndpoint(transfer.Endpoint{
 			Name: ep.Name, GridFTPAddr: ep.GridFTPAddr, MyProxyAddr: ep.MyProxyAddr,

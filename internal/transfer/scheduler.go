@@ -127,9 +127,23 @@ func (p *transferPlan) clearMarkers() {
 // sessions (source + destination).
 type sessionPair struct {
 	src, dst *gridftp.Client
-	// rtt is one control round trip to the source as dialPair saw it: the
-	// session-command flight, k commands written and k replies read.
+	// rtt is one control round trip to the source as the pair's last
+	// session-command flight saw it (dialPair's, or relabel's on an adopted
+	// pair): k commands written and k replies read.
 	rtt time.Duration
+	// srcProxy and dstProxy are what the sessions authenticated with; a
+	// task's extra workers dial with the same two.
+	srcProxy, dstProxy *gsi.Credential
+	// deadline is the earlier of the proxies' expiry and the end of the
+	// delegated lifetime: past it the servers can open no data channel.
+	deadline time.Time
+
+	// What parking needs (see warm.go): the key a task must share to adopt
+	// the pair — set on a task's primary pair only — and, while parked, when
+	// it was parked and the timer that closes it if nobody adopts it.
+	key      pairKey
+	parkedAt time.Time
+	idle     *time.Timer
 }
 
 // Close ends both sessions, the two QUIT round trips overlapping.
@@ -165,7 +179,7 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 			return nil, 0, err
 		}
 		var flight time.Duration
-		if err = c.Delegate(2 * time.Hour); err == nil {
+		if err = c.Delegate(delegatedLifetime); err == nil {
 			start := time.Now()
 			err = c.Setup(setup)
 			flight = time.Since(start)
@@ -182,7 +196,12 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 		dstSetup.DCSC = srcProxy
 	}
 
-	pair := &sessionPair{}
+	pair := &sessionPair{srcProxy: srcProxy, dstProxy: dstProxy, deadline: time.Now().Add(delegatedLifetime)}
+	for _, proxy := range []*gsi.Credential{srcProxy, dstProxy} {
+		if proxy.Cert.NotAfter.Before(pair.deadline) {
+			pair.deadline = proxy.Cert.NotAfter
+		}
+	}
 	var srcErr, dstErr error
 	srcDone := make(chan struct{})
 	go func() {
@@ -467,9 +486,12 @@ type fileTransfer struct {
 // stops is completed before it returns, so every file it claimed has been
 // accounted for.
 func (s *Service) runWorker(r workerRun, pair *sessionPair) error {
+	// A session counts the markers of its whole life, and an adopted pair
+	// has lived through other tasks.
+	_, _, before := pair.dst.PerfSnapshot()
 	pair.dst.OnPerf(func(gridftp.PerfMarker) {
 		total, _, markers := pair.dst.PerfSnapshot()
-		r.agg.report(r.slot, total, markers)
+		r.agg.report(r.slot, total, markers-before)
 	})
 	w := &worker{workerRun: r, s: s, pipe: gridftp.NewPipeline(pair.src, pair.dst)}
 	for w.err == nil {
@@ -644,13 +666,12 @@ func (w *worker) complete(ft *fileTransfer, terr error) {
 }
 
 // schedule fans the plan's pending files out across workers: worker 0
-// reuses the primary session pair, workers 1..K-1 dial their own, and
-// all drain the shared queue until it is empty or a file fails. With a
-// single worker the task span owns the data spans directly (the
-// sequential shape); with K > 1 each worker gets a child span.
+// reuses the primary session pair, workers 1..K-1 dial their own with the
+// primary's proxies, and all drain the shared queue until it is empty or a
+// file fails. With a single worker the task span owns the data spans
+// directly (the sequential shape); with K > 1 each worker gets a child span.
 func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
-	srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential,
-	taskSpan *obs.Span, pending []int, workers int, tuner *autotuner) error {
+	srcEP, dstEP *Endpoint, taskSpan *obs.Span, pending []int, workers int, tuner *autotuner) error {
 
 	queue := make(chan int, len(pending))
 	for _, i := range pending {
@@ -695,7 +716,7 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 			pair := primary
 			if w != 0 {
 				var err error
-				pair, err = s.dialPair(srcEP, dstEP, srcProxy, dstProxy, wspan.Context(), crossCA, task.ID)
+				pair, err = s.dialPair(srcEP, dstEP, primary.srcProxy, primary.dstProxy, wspan.Context(), crossCA, task.ID)
 				if err != nil {
 					wspan.SetError(err)
 					fail(err)

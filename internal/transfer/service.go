@@ -161,6 +161,10 @@ type Service struct {
 	activations map[string]*activation // key: endpoint + "\x00" + user
 	tasks       map[string]*Task
 	nextTask    int
+	// parked holds the warm session pairs (warm.go), one per key; closed
+	// stops parking.
+	parked map[pairKey]*sessionPair
+	closed bool
 
 	// sem is the global MaxActiveTransfers admission semaphore: one slot
 	// per file begun and not yet completed, across all tasks and workers.
@@ -192,6 +196,7 @@ func NewService(host *netsim.Host, cfg Config) *Service {
 		endpoints:   make(map[string]*Endpoint),
 		activations: make(map[string]*activation),
 		tasks:       make(map[string]*Task),
+		parked:      make(map[pairKey]*sessionPair),
 		sem:         make(chan struct{}, cfg.MaxActiveTransfers),
 	}
 }
@@ -304,13 +309,20 @@ func (s *Service) ActivateWithOAuth(endpointName, user string, login UserLoginFu
 	return nil
 }
 
+// storeActivation records the new short-term certificate and drops the
+// session pairs parked for that (endpoint, user): they authenticated with the
+// one it replaces, could never be adopted again, and would hold their server
+// sessions until the idle timer (W4 in warm.go).
 func (s *Service) storeActivation(endpointName, user string, cred *gsi.Credential) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.activations[actKey(endpointName, user)] = &activation{
 		cred:    cred,
 		expires: cred.Cert.NotAfter,
 	}
+	s.mu.Unlock()
+	s.dropParked(func(p *sessionPair) bool {
+		return p.key.user == user && (p.key.src == endpointName || p.key.dst == endpointName)
+	})
 }
 
 // Activated reports whether (endpoint, user) holds a live activation.
@@ -433,7 +445,10 @@ func (s *Service) run(task *Task) {
 	var lastErr error
 	for attempt := 1; attempt <= s.cfg.RetryLimit; attempt++ {
 		s.update(task, func(t *Task) { t.Attempts = attempt })
-		err := s.attempt(task, &plan, span)
+		// Only the first attempt may run on a warm pair, and only when a
+		// cold attempt is left to follow it (W2, W3 in warm.go).
+		mayAdopt := attempt == 1 && s.cfg.RetryLimit > 1
+		adopted, err := s.attempt(task, &plan, span, mayAdopt)
 		s.recordWireEvidence(task, attempt, span.TraceID.String())
 		if err == nil {
 			s.update(task, func(t *Task) {
@@ -466,8 +481,10 @@ func (s *Service) run(task *Task) {
 			plan.clearMarkers()
 		}
 		// Sleep only between attempts: a permanently failing task should
-		// report failure immediately after its last attempt.
-		if attempt < s.cfg.RetryLimit {
+		// report failure immediately after its last attempt. And not after
+		// an attempt on an adopted pair: what failed may be only the pair,
+		// which is closed, so the cold attempt follows at once (W3).
+		if attempt < s.cfg.RetryLimit && !adopted {
 			time.Sleep(s.cfg.RetryDelay)
 		}
 	}
@@ -549,68 +566,81 @@ func (s *Service) observeTask(dur time.Duration, ok bool, traceID string) {
 		ObserveExemplar(dur.Seconds(), traceID)
 }
 
-// attempt reauthenticates to both endpoints with the stored short-term
-// certificates (§VI.B) and advances the plan as far as it can: building it
-// on the first attempt (single file, or a recursive directory walk that
-// captures sizes, so no per-file SIZE commands are ever issued), then
-// fanning the pending files out across the scheduler's worker session
-// pairs, each file resuming from its saved restart markers.
-func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) error {
+// attempt advances the plan as far as it can over a primary session pair:
+// the pair the previous task between these endpoints parked, when mayAdopt
+// and there is one (warm.go), else a pair dialled now — reauthenticating to
+// both endpoints with the stored short-term certificates (§VI.B). It builds
+// the plan on the first attempt (single file, or a recursive directory walk
+// that captures sizes, so no per-file SIZE commands are ever issued), then
+// fans the pending files out across the scheduler's worker session pairs,
+// each file resuming from its saved restart markers. A primary pair whose
+// attempt succeeded is parked; any failure closes it (W1). adopted reports
+// that the attempt ran on a parked pair.
+func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, mayAdopt bool) (adopted bool, err error) {
 	srcEP, err := s.endpoint(task.Src)
 	if err != nil {
-		return err
+		return false, err
 	}
 	dstEP, err := s.endpoint(task.Dst)
 	if err != nil {
-		return err
+		return false, err
 	}
 
-	// Activation phase: resolve the stored short-term certificates and
-	// derive the per-attempt proxies (§VI.B reauthentication).
+	// Activation phase: resolve the stored short-term certificates. They
+	// are half of what a parked pair is keyed by, and what a dialled pair's
+	// per-attempt proxies derive from.
 	actSpan := taskSpan.Child("activate")
 	srcCred, err := s.credentialFor(task.Src, task.User)
 	if err != nil {
 		actSpan.SetError(err)
 		actSpan.End()
-		return err
+		return false, err
 	}
 	dstCred, err := s.credentialFor(task.Dst, task.User)
 	if err != nil {
 		actSpan.SetError(err)
 		actSpan.End()
-		return err
-	}
-	srcProxy, err := gsi.NewProxy(srcCred, gsi.ProxyOptions{})
-	if err != nil {
-		actSpan.SetError(err)
-		actSpan.End()
-		return err
-	}
-	dstProxy, err := gsi.NewProxy(dstCred, gsi.ProxyOptions{})
-	if err != nil {
-		actSpan.SetError(err)
-		actSpan.End()
-		return err
+		return false, err
 	}
 	actSpan.End()
 
-	// Control phase: dial the primary session pair — authenticate,
-	// delegate, join the task trace, set marker cadence, and (cross-CA,
-	// §V) install the source credential on the destination via DCSC once
-	// for the whole session instead of once per file.
+	// Control phase: the primary session pair. Adopted, it costs one flight
+	// — join the task trace and take the task label on both sessions — and a
+	// pair that fails it is closed and replaced within the same attempt.
+	// Dialled, it authenticates, delegates, and in its own set-up flight
+	// also sets the marker cadence and (cross-CA, §V) installs the source
+	// credential on the destination via DCSC once for the whole session
+	// instead of once per file.
 	ctlSpan := taskSpan.Child("control")
 	crossCA := task.crossCA(srcEP, dstEP)
-	primary, err := s.dialPair(srcEP, dstEP, srcProxy, dstProxy, taskSpan.Context(), crossCA, task.ID)
-	if err != nil {
-		ctlSpan.SetError(err)
-		ctlSpan.End()
-		return err
+	key := pairKey{user: task.User, src: task.Src, dst: task.Dst, srcCred: srcCred, dstCred: dstCred, dcsc: crossCA}
+	var primary *sessionPair
+	if mayAdopt {
+		if primary = s.adopt(key); primary != nil && primary.relabel(taskSpan.Context(), task.ID) != nil {
+			primary.Close()
+			primary = nil
+		}
 	}
-	defer primary.Close()
+	adopted = primary != nil
+	if primary == nil {
+		if primary, err = s.dialPrimary(srcEP, dstEP, key, taskSpan.Context(), task.ID); err != nil {
+			ctlSpan.SetError(err)
+			ctlSpan.End()
+			return false, err
+		}
+	}
+	defer func() {
+		if err != nil {
+			primary.Close()
+		} else {
+			s.park(primary)
+		}
+	}()
 	// The pair's session-command flight doubles as the control-channel RTT
 	// estimate; it sizes the autotuner's stream budget.
 	rtt := primary.rtt
 	ctlSpan.SetAttr("rtt_ms", float64(rtt)/float64(time.Millisecond))
+	ctlSpan.SetAttr("warm", adopted)
 	ctlSpan.End()
 
 	s.update(task, func(t *Task) { t.PerfBytes = 0; t.PerfMarkers = 0 })
@@ -618,7 +648,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) 
 	if *planp == nil {
 		plan, err := s.buildPlan(task, primary.src, primary.dst)
 		if err != nil {
-			return err
+			return adopted, err
 		}
 		*planp = plan
 		s.update(task, func(t *Task) { t.TotalFiles = len(plan.files) })
@@ -627,7 +657,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) 
 
 	pending := plan.pending()
 	if len(pending) == 0 {
-		return nil
+		return adopted, nil
 	}
 	var pendingBytes int64
 	for _, i := range pending {
@@ -638,8 +668,26 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span) 
 	s.update(task, func(t *Task) { t.Workers = workers })
 	taskSpan.SetAttr("workers", workers)
 	s.cfg.Obs.Registry().Gauge("transfer.task_workers").Max(int64(workers))
-	return s.schedule(task, plan, primary, srcEP, dstEP, srcProxy, dstProxy,
-		taskSpan, pending, workers, tuner)
+	return adopted, s.schedule(task, plan, primary, srcEP, dstEP, taskSpan, pending, workers, tuner)
+}
+
+// dialPrimary dials a task's primary pair with proxies derived now from the
+// activation credentials in key, and gives it the key it can be parked under.
+func (s *Service) dialPrimary(srcEP, dstEP *Endpoint, key pairKey, sc obs.SpanContext, taskLabel string) (*sessionPair, error) {
+	srcProxy, err := gsi.NewProxy(key.srcCred, gsi.ProxyOptions{})
+	if err != nil {
+		return nil, err
+	}
+	dstProxy, err := gsi.NewProxy(key.dstCred, gsi.ProxyOptions{})
+	if err != nil {
+		return nil, err
+	}
+	pair, err := s.dialPair(srcEP, dstEP, srcProxy, dstProxy, sc, key.dcsc, taskLabel)
+	if err != nil {
+		return nil, err
+	}
+	pair.key = key
+	return pair, nil
 }
 
 // crossCA reports whether the two endpoints live in different trust

@@ -27,16 +27,26 @@ type world struct {
 
 func buildWorld(t *testing.T, cfg Config, withOAuth bool) *world {
 	t.Helper()
+	return buildWorldFor(t, cfg, withOAuth, "alice")
+}
+
+// buildWorldFor is buildWorld with the given local users at both sites, all
+// with the site's one password. The service's parked session pairs are
+// closed when the test ends.
+func buildWorldFor(t *testing.T, cfg Config, withOAuth bool, users ...string) *world {
+	t.Helper()
 	nw := netsim.NewNetwork()
 	mk := func(name, password string, oauthOn bool) (*gcmu.Endpoint, *dsi.FaultStorage) {
 		dir := pam.NewLDAPDirectory("dc=" + name)
-		dir.AddEntry("alice", password)
 		accounts := pam.NewAccountDB()
-		accounts.Add(pam.Account{Name: "alice"})
+		mem := dsi.NewMemStorage()
+		for _, user := range users {
+			dir.AddEntry(user, password)
+			accounts.Add(pam.Account{Name: user})
+			mem.AddUser(user)
+		}
 		stack := pam.NewStack("myproxy", accounts,
 			pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-		mem := dsi.NewMemStorage()
-		mem.AddUser("alice")
 		faulty := dsi.NewFaultStorage(mem)
 		ep, err := gcmu.Install(gcmu.Options{
 			Name:           name,
@@ -60,6 +70,7 @@ func buildWorld(t *testing.T, cfg Config, withOAuth bool) *world {
 	epB, faultB := mk("siteB", "pwB", withOAuth)
 
 	svc := NewService(nw.Host("globusonline"), cfg)
+	t.Cleanup(svc.Close)
 	for _, ep := range []*gcmu.Endpoint{epA, epB} {
 		rec := Endpoint{
 			Name:        ep.Name,
