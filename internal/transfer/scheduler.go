@@ -740,7 +740,9 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 // buildPlan resolves the task source into a file plan with sizes —
 // single files via the MLST Size fact, directories via WalkEntries, so
 // no per-file SIZE command is ever needed — and creates the destination
-// directory tree for recursive transfers.
+// directory tree for recursive transfers. The tree's root is needed as soon
+// as MLST says "directory", so the destination session creates it while the
+// source session walks; the directories below it follow the walk.
 func (s *Service) buildPlan(task *Task, src, dst *gridftp.Client) (*transferPlan, error) {
 	entry, err := src.StatEntry(task.SrcPath)
 	if err != nil {
@@ -749,7 +751,13 @@ func (s *Service) buildPlan(task *Task, src, dst *gridftp.Client) (*transferPlan
 	if !entry.IsDir {
 		return newTransferPlan([]planFile{{rel: "", size: entry.Size}}), nil
 	}
+	root := strings.TrimSuffix(task.DstPath, "/")
+	rootDone := make(chan error, 1)
+	go func() { rootDone <- ensureDir(dst, root) }()
 	entries, err := src.WalkEntries(task.SrcPath)
+	if rootErr := <-rootDone; err == nil {
+		err = rootErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -758,10 +766,10 @@ func (s *Service) buildPlan(task *Task, src, dst *gridftp.Client) (*transferPlan
 	for i, e := range entries {
 		files[i] = planFile{rel: e.Rel, size: e.Size}
 	}
-	// Create the destination tree (root plus every parent directory).
-	dirs := map[string]bool{strings.TrimSuffix(task.DstPath, "/"): true}
+	// Every parent directory below the root.
+	dirs := map[string]bool{}
 	for _, f := range files {
-		d := strings.TrimSuffix(task.DstPath, "/")
+		d := root
 		parts := strings.Split(f.rel, "/")
 		for _, p := range parts[:len(parts)-1] {
 			d += "/" + p
@@ -774,12 +782,20 @@ func (s *Service) buildPlan(task *Task, src, dst *gridftp.Client) (*transferPlan
 	}
 	sort.Strings(sorted) // parents before children
 	for _, d := range sorted {
-		if err := dst.Mkdir(d); err != nil {
-			// Tolerate pre-existing directories.
-			if _, serr := dst.StatEntry(d); serr != nil {
-				return nil, err
-			}
+		if err := ensureDir(dst, d); err != nil {
+			return nil, err
 		}
 	}
 	return newTransferPlan(files), nil
+}
+
+// ensureDir creates a destination directory, tolerating one that exists.
+func ensureDir(dst *gridftp.Client, d string) error {
+	err := dst.Mkdir(d)
+	if err != nil {
+		if _, serr := dst.StatEntry(d); serr == nil {
+			return nil
+		}
+	}
+	return err
 }
