@@ -5,6 +5,12 @@
 # minutes on two cores). It ends by printing the non-test lines of Go per
 # package (scripts/loc.sh) — the figure CHANGES.md reports, not a gate.
 #
+# The plain pass runs with -count=1 -shuffle=on: a cached "ok" is how a test
+# that failed most fresh runs once sat on main unnoticed, and a test that
+# passes only after the one declared above it is the same kind of luck. When
+# a shuffled package fails, go test prints "-test.shuffle <seed>" above the
+# failure; re-run that package with -shuffle=<seed> to get the same order.
+#
 # Usage: ./scripts/check.sh [extra go-test args]
 set -eu
 cd "$(dirname "$0")/.."
@@ -23,8 +29,8 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> go test ./..."
-go test "$@" ./...
+echo "==> go test -count=1 -shuffle=on ./..."
+go test -count=1 -shuffle=on "$@" ./...
 
 echo "==> go test -race ./..."
 go test -race "$@" ./...
