@@ -616,9 +616,12 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	key := pairKey{user: task.User, src: task.Src, dst: task.Dst, srcCred: srcCred, dstCred: dstCred, dcsc: crossCA}
 	var primary *sessionPair
 	if mayAdopt {
-		if primary = s.adopt(key); primary != nil && primary.relabel(taskSpan.Context(), task.ID) != nil {
-			primary.Close()
-			primary = nil
+		if primary = s.adopt(key); primary != nil {
+			if err := primary.relabel(taskSpan.Context(), task.ID); err != nil {
+				s.log.Warn("parked session pair failed its adoption flight; dialling", "task", task.ID, "err", err)
+				primary.Close()
+				primary = nil
+			}
 		}
 	}
 	adopted = primary != nil

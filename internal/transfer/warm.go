@@ -170,7 +170,9 @@ func (s *Service) dropParked(match func(*sessionPair) bool) {
 			drop = append(drop, p)
 		}
 	}
-	s.parkedGauge()
+	if len(drop) > 0 {
+		s.parkedGauge()
+	}
 	s.mu.Unlock()
 	var wg sync.WaitGroup
 	for _, p := range drop {
