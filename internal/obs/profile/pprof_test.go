@@ -21,12 +21,21 @@ func captureHeap(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// chewMemory allocates n pages and makes the runtime publish the samples.
+// Allocation samples reach a profile at garbage collections: taken before any
+// cycle has completed a profile has everything, later it has what the last
+// cycle saw. So whether a test found its burst depended on which tests ran
+// before it and on where the heap target happened to be — in declaration
+// order they passed, shuffled (check.sh) most orders failed. A collection
+// after the burst publishes it whatever came before.
+//
 //go:noinline
 func chewMemory(n int) [][]byte {
 	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, make([]byte, 4096))
 	}
+	runtime.GC()
 	return out
 }
 

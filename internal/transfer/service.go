@@ -201,14 +201,18 @@ func NewService(host *netsim.Host, cfg Config) *Service {
 	}
 }
 
-// RegisterEndpoint publishes an endpoint to the service.
+// RegisterEndpoint publishes an endpoint to the service. Registering a name
+// again replaces the record — address, trust — so the session pairs parked
+// to or from that name are dropped: they are connected to what the old
+// record said.
 func (s *Service) RegisterEndpoint(ep Endpoint) error {
 	if ep.Name == "" || ep.GridFTPAddr == "" || ep.Trust == nil {
 		return errors.New("transfer: endpoint needs name, gridftp address, and trust")
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.endpoints[ep.Name] = &ep
+	s.mu.Unlock()
+	s.dropParked(func(p *sessionPair) bool { return p.key.src == ep.Name || p.key.dst == ep.Name })
 	return nil
 }
 

@@ -42,9 +42,10 @@ import (
 //	    this one cleared when the pair was closed.
 //	W4  A parked pair holds two server sessions, a listener and the
 //	    goroutines behind them, so it is bounded four ways: storing a new
-//	    activation drops the pairs parked for that (endpoint, user); a pair
-//	    nobody adopts within parkedIdle is closed; at most maxParked are
-//	    parked service-wide, the oldest going first; and Close drops all.
+//	    activation drops the pairs parked for that (endpoint, user), as
+//	    registering an endpoint again drops the pairs parked to or from it;
+//	    a pair nobody adopts within parkedIdle is closed; at most maxParked
+//	    are parked service-wide, the oldest going first; and Close drops all.
 //
 // One pair per key, and only a task's primary pair: its extra workers exist
 // only above a pipeline window of bytes, where a dial is amortised. There is

@@ -299,6 +299,23 @@ func TestReactivationDropsParkedPairs(t *testing.T) {
 	verifyTree(t, w, files)
 }
 
+// TestReregisteringAnEndpointDropsParkedPairs: a parked pair is connected to
+// the address its endpoint record had; a new record for the name closes it.
+func TestReregisteringAnEndpointDropsParkedPairs(t *testing.T) {
+	w, o, _ := warmWorld(t, Config{})
+	ep, err := w.svc.endpoint("siteB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.svc.RegisterEndpoint(*ep); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.parkedPairs(); n != 0 {
+		t.Errorf("%d pairs parked after siteB was registered again, want 0", n)
+	}
+	waitSessions(t, o, 0)
+}
+
 // TestPairOfSupersededActivationIsNotParked: a task that was running when its
 // user re-activated finishes on the old credential; its pair could never be
 // adopted, so it is closed instead of parked.
