@@ -70,15 +70,40 @@ func (s ChannelSpec) Normalize() ChannelSpec {
 	return s
 }
 
+// minJobSize floors the blocks a short transfer is cut into (jobSize). A
+// block costs a 17-byte header, one ReadAt and one write whatever it carries;
+// from 16 KiB up that is under a thousandth of the payload and the block still
+// goes out as one vectored write (vectorMin), while cutting finer would only
+// spread a transfer that fits in a quarter of one 64 KiB window thinner.
+const minJobSize = 16 * 1024
+
+// jobSize is the payload of the blocks a transfer of total bytes is cut
+// into: the negotiated block size, unless that leaves streams idle — a
+// transfer shorter than streams × blockSize is cut into one share per stream
+// (never below minJobSize), so every channel that was paid for carries data.
+// Blocks smaller than negotiated are legal MODE E (blockLenLimit is an upper
+// bound), and from streams × blockSize bytes up the result is blockSize.
+func jobSize(total int64, streams, blockSize int) int {
+	share := (total + int64(streams) - 1) / int64(streams)
+	if share < minJobSize {
+		share = minJobSize
+	}
+	if share < int64(blockSize) {
+		return int(share)
+	}
+	return blockSize
+}
+
 // sendModeE streams the given file ranges over the (already secured)
-// connections as MODE E blocks. Connection 0 additionally carries the EOF
-// block announcing how many EODs the receiver should expect. onBytes, if
-// non-nil, is invoked per sent block with the stream index and byte count
-// (the performance-marker emitter samples the resulting counters).
+// connections as MODE E blocks of jobSize bytes. Connection 0 additionally
+// carries the EOF block announcing how many EODs the receiver should expect.
+// onBytes, if non-nil, is invoked per sent block with the stream index and
+// byte count (the performance-marker emitter samples the resulting counters).
 func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBytes func(stream int, n int64)) error {
 	if len(conns) == 0 {
 		return errors.New("gridftp: no data connections")
 	}
+	size := jobSize(totalLen(ranges), len(conns), blockSize)
 	type job struct {
 		off int64
 		n   int
@@ -87,8 +112,8 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 	go func() {
 		defer close(jobs)
 		for _, r := range ranges {
-			for off := r.Start; off < r.End; off += int64(blockSize) {
-				n := int64(blockSize)
+			for off := r.Start; off < r.End; off += int64(size) {
+				n := int64(size)
 				if off+n > r.End {
 					n = r.End - off
 				}
@@ -106,7 +131,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 			defer wg.Done()
 			buf := pool.Lease()
 			defer pool.Release(buf)
-			bw := newBlockWriter(conn, blockSize)
+			bw := newBlockWriter(conn, size)
 			if i == 0 {
 				if err := bw.writeBlock(DescEOF, 0, uint64(len(conns)), nil); err != nil {
 					errCh <- fmt.Errorf("gridftp: send EOF block: %w", err)

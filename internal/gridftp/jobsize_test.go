@@ -1,0 +1,250 @@
+package gridftp
+
+import (
+	"bytes"
+	"fmt"
+	"net"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/netsim"
+)
+
+func TestJobSize(t *testing.T) {
+	const block = DefaultBlockSize
+	for _, tc := range []struct {
+		total   int64
+		streams int
+		want    int
+	}{
+		{0, 16, minJobSize},
+		{1, 16, minJobSize},
+		{1 << 20, 16, 64 << 10},     // the wan_fresh_p16 shape: one share per stream
+		{1<<20 + 1, 16, 64<<10 + 1}, // shares round up, so streams × share covers the file
+		{256 << 10, 4, 64 << 10},
+		{256 << 10, 1, block},
+		{4<<20 - 1, 16, block}, // ⌈(4 MiB − 1) ÷ 16⌉ is the block size
+		{4 << 20, 16, block},   // streams × block and up: today's blocks
+		{5 << 20, 16, block},
+		{32 << 20, 16, block},
+		{100 << 10, 16, minJobSize}, // 6.25 KiB shares are floored
+	} {
+		if got := jobSize(tc.total, tc.streams, block); got != tc.want {
+			t.Errorf("jobSize(%d, %d, %d) = %d, want %d", tc.total, tc.streams, block, got, tc.want)
+		}
+	}
+}
+
+// blockLog is a receiving end that records every data block's (offset, count)
+// per stream and lands the bytes in a buffer.
+type blockLog struct {
+	mu     sync.Mutex
+	blocks [][2]int64
+	bytes  []int64 // per stream
+}
+
+// drain reads MODE E blocks off conns until each has sent EOD.
+func (l *blockLog) drain(t *testing.T, conns []net.Conn, dst dsi.File, blockSize int) {
+	t.Helper()
+	l.bytes = make([]int64, len(conns))
+	var wg sync.WaitGroup
+	for i, conn := range conns {
+		wg.Add(1)
+		go func(i int, conn net.Conn) {
+			defer wg.Done()
+			var buf []byte
+			for {
+				b, nbuf, err := ReadBlock(conn, buf, blockLenLimit(blockSize))
+				buf = nbuf
+				if err != nil {
+					t.Errorf("stream %d: %v", i, err)
+					return
+				}
+				if b.Count > 0 {
+					if _, err := dst.WriteAt(b.Data, int64(b.Offset)); err != nil {
+						t.Errorf("stream %d: %v", i, err)
+						return
+					}
+					l.mu.Lock()
+					l.blocks = append(l.blocks, [2]int64{int64(b.Offset), int64(b.Count)})
+					l.bytes[i] += int64(b.Count)
+					l.mu.Unlock()
+				}
+				if b.EOD() {
+					return
+				}
+			}
+		}(i, conn)
+	}
+	wg.Wait()
+	sort.Slice(l.blocks, func(a, b int) bool { return l.blocks[a][0] < l.blocks[b][0] })
+}
+
+func secConns(chans []*dataChannel) []net.Conn {
+	conns := make([]net.Conn, len(chans))
+	for i, ch := range chans {
+		conns[i] = ch.sec
+	}
+	return conns
+}
+
+// TestShortTransferUsesEveryStream is the wan_fresh_p16 shape: 1 MiB over 16
+// streams on a 64 KiB-window link. Cut at the negotiated 256 KiB block that
+// is 4 jobs, so 12 of the 16 channels carried an EOD and nothing else and the
+// other 4 pushed four windows each; cut per stream, every channel carries its
+// share.
+func TestShortTransferUsesEveryStream(t *testing.T) {
+	const streams, size = 16, 1 << 20
+	pp := newPathPair(t)
+	pp.nw.SetLink("lis", "con", netsim.LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 64 << 10})
+	accepted, dialed := pp.open(streams)
+	defer closeChannels(accepted)
+	defer closeChannels(dialed)
+
+	payload := pattern(size)
+	sent := make([]int64, streams)
+	var mu sync.Mutex
+	errCh := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize,
+			func(stream int, n int64) { mu.Lock(); sent[stream] += n; mu.Unlock() })
+	}()
+	dst := dsi.NewBufferFile(nil)
+	var log blockLog
+	log.drain(t, secConns(accepted), dst, DefaultBlockSize)
+	elapsed := time.Since(start)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst.Bytes(), payload) {
+		t.Fatal("received bytes differ from the source")
+	}
+	const share = size / streams
+	for i, n := range sent {
+		if n < share/2 || n > 2*share {
+			t.Errorf("stream %d carried %d bytes, want between half and twice a %d-byte share (all: %v)", i, n, share, sent)
+		}
+	}
+	// 64 KiB at 64 KiB per 20 ms, plus half a round trip to arrive: ≈ 30 ms.
+	// Four windows down each of four streams took ≈ 90 ms.
+	if elapsed > 60*time.Millisecond {
+		t.Errorf("1 MiB over %d streams took %v; every stream carrying one window is ≈ 30 ms", streams, elapsed)
+	}
+}
+
+// TestLongTransferBlocksAreUnchanged: from streams × block bytes up the
+// sender cuts exactly the blocks it always has — every range at the
+// negotiated block size — and below that, blocks of jobSize.
+func TestLongTransferBlocksAreUnchanged(t *testing.T) {
+	const block = 64 << 10 // small blocks keep the long cases cheap
+	for _, tc := range []struct {
+		name    string
+		streams int
+		ranges  []Range
+	}{
+		{"exactly streams x block", 4, []Range{{0, 4 * block}}},
+		{"longer, ragged tail", 4, []Range{{0, 5*block + 1234}}},
+		{"restart ranges", 2, []Range{{100, 3*block + 100}, {4 * block, 6*block + 7}}},
+		{"short", 4, []Range{{0, 2 * block}}},
+		{"short restart ranges", 4, []Range{{10, block}, {block + 500, 2 * block}}},
+		{"one byte", 4, []Range{{0, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pp := newPathPair(t)
+			accepted, dialed := pp.open(tc.streams)
+			defer closeChannels(accepted)
+			defer closeChannels(dialed)
+			end := tc.ranges[len(tc.ranges)-1].End
+			payload := pattern(int(end))
+			errCh := make(chan error, 1)
+			go func() {
+				errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), tc.ranges, block, nil)
+			}()
+			var log blockLog
+			log.drain(t, secConns(accepted), dsi.NewBufferFile(nil), block)
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			size := block
+			if total := totalLen(tc.ranges); total < int64(tc.streams*block) {
+				size = jobSize(total, tc.streams, block)
+				if size >= block {
+					t.Fatalf("a %d-byte transfer over %d streams is cut at %d, no smaller than the block", total, tc.streams, size)
+				}
+			}
+			var want [][2]int64
+			for _, r := range tc.ranges {
+				for off := r.Start; off < r.End; off += int64(size) {
+					want = append(want, [2]int64{off, min(int64(size), r.End-off)})
+				}
+			}
+			if fmt.Sprint(log.blocks) != fmt.Sprint(want) {
+				t.Fatalf("blocks (offset, count) sent:\n %v\nwant:\n %v", log.blocks, want)
+			}
+		})
+	}
+}
+
+// TestTransfersOfEverySizeAreByteExact moves files on both sides of the
+// streams × block boundary, whole and as restarts with two holes, in both
+// directions, at 1, 2 and 16 streams.
+func TestTransfersOfEverySizeAreByteExact(t *testing.T) {
+	sizes := []int{0, 1, 16<<10 - 1, 256 << 10, 1 << 20, 4<<20 - 1, 5 << 20}
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	for _, streams := range []int{1, 2, 16} {
+		c := s.connect(t, nw.Host("laptop"), true)
+		if err := c.SetParallelism(streams); err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range sizes {
+			payload := pattern(size)
+			// have is what a restart claims already landed: three pieces, two holes.
+			n := int64(size)
+			have := FromRanges([]Range{{0, n / 5}, {2 * n / 5, 3 * n / 5}, {4 * n / 5, n}}).Ranges()
+			partial := make([]byte, size) // the pieces in place, zeros in the holes
+			for _, r := range have {
+				copy(partial[r.Start:r.End], payload[r.Start:r.End])
+			}
+			for _, restart := range [][]Range{nil, have} {
+				name := fmt.Sprintf("p%d/%d bytes/restart %v", streams, size, restart != nil)
+				path := fmt.Sprintf("/f-%d-%d-%v.bin", streams, size, restart != nil)
+
+				// GET: the holes land in a destination that holds the pieces.
+				s.putFile(t, path, payload)
+				dst := dsi.NewBufferFile(nil)
+				if restart != nil {
+					dst = dsi.NewBufferFile(append([]byte(nil), partial...))
+					c.SetRestart(restart)
+				}
+				stats, err := c.Get(path, dst)
+				if err != nil {
+					t.Fatalf("%s: get: %v", name, err)
+				}
+				if want := n - totalLen(restart); stats.Bytes != want {
+					t.Errorf("%s: get moved %d bytes, want %d", name, stats.Bytes, want)
+				}
+				if !bytes.Equal(dst.Bytes(), payload) {
+					t.Fatalf("%s: downloaded bytes differ", name)
+				}
+
+				// PUT: the same, into a remote file that holds the pieces.
+				if restart != nil {
+					s.putFile(t, path, partial)
+					c.SetRestart(restart)
+				}
+				if _, err := c.Put(path, dsi.NewBufferFile(payload)); err != nil {
+					t.Fatalf("%s: put: %v", name, err)
+				}
+				if !bytes.Equal(s.readFile(t, path), payload) {
+					t.Fatalf("%s: uploaded bytes differ", name)
+				}
+			}
+		}
+		c.Close()
+	}
+}
