@@ -51,7 +51,10 @@ type Client struct {
 	// third-party data path (see ThirdParty); flushPools drops it.
 	wiring *thirdPartyWiring
 
-	delegated bool
+	// owed are the session commands written whose replies have not been
+	// read, oldest first (see settle.go).
+	owed []sessionCmd
+
 	// noMLSC is set once the server has answered MLSC as an unknown verb;
 	// ListEntries then goes straight to MLSD.
 	noMLSC bool
@@ -95,7 +98,7 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		perfBytes: make(map[int]int64),
 		data:      newClientDataPath(host, opts),
 	}
-	if _, err := c.ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
+	if _, err := c.expect(ftp.CodeReadyForNewUser); err != nil {
 		raw.Close()
 		return nil, err
 	}
@@ -103,7 +106,7 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		raw.Close()
 		return nil, err
 	}
-	if _, err := c.ctrl.Expect(ftp.CodeAuthOK); err != nil {
+	if _, err := c.expect(ftp.CodeAuthOK); err != nil {
 		raw.Close()
 		return nil, err
 	}
@@ -127,14 +130,13 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	// it has authorized the login and the two replies come back in order,
 	// one round trip instead of two. A refused login closes the connection
 	// and may fail this write; the login reply is the error to report.
-	c.countCommand("MODE")
-	modeErr := c.ctrl.Cmd("MODE", "E")
-	if _, err := c.ctrl.Expect(ftp.CodeUserLoggedIn); err != nil {
+	modeErr := c.send("MODE", "E")
+	if _, err := c.expect(ftp.CodeUserLoggedIn); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("gridftp: login: %w", err)
 	}
 	if modeErr == nil {
-		_, modeErr = c.ctrl.Expect(ftp.CodeOK)
+		_, modeErr = c.expect(ftp.CodeOK)
 	}
 	if modeErr != nil {
 		raw.Close()
@@ -159,7 +161,7 @@ func (c *Client) Close() error {
 	c.flushPools()
 	c.data.closeListeners()
 	c.ctrl.Cmd("QUIT", "")
-	c.ctrl.Expect(221)
+	c.expect(221)
 	return c.ctrl.Close()
 }
 
@@ -180,60 +182,6 @@ func (c *Client) flushPools() {
 // asserting a directory transfer issued zero per-file SIZE commands.
 func (c *Client) countCommand(name string) {
 	c.obs.Registry().Counter(obs.Name("gridftp.client.commands", "cmd="+name)).Inc()
-}
-
-// cmdExpect sends a command and requires one of the given reply codes.
-func (c *Client) cmdExpect(name, params string, want ...int) (ftp.Reply, error) {
-	c.countCommand(name)
-	if err := c.ctrl.Cmd(name, "%s", params); err != nil {
-		return ftp.Reply{}, err
-	}
-	return c.ctrl.Expect(want...)
-}
-
-// sessionCmd is one command of a batch: what to send and what its outcome
-// changes on the client. Every session command answers 200.
-type sessionCmd struct {
-	name, params string
-	// optional marks an extension the server may lack: its 500 is not an
-	// error (the SITE registry answers unknown subcommands at once, so
-	// sending one is the probe).
-	optional bool
-	// apply, if non-nil, makes the command's client-side state change. It
-	// runs only once the server has answered this command: accepted is
-	// false when an optional command was declined, and an error reply
-	// skips it.
-	apply func(accepted bool)
-}
-
-// batch writes every command before it reads any reply, so k commands
-// cost one round trip (the server reads pipelined commands in order), then
-// matches the k final replies to the commands in order. Each reply is
-// consumed even after a failure, so the control channel stays in step; the
-// first failure is returned.
-func (c *Client) batch(cmds ...sessionCmd) error {
-	for _, cmd := range cmds {
-		c.countCommand(cmd.name)
-		if err := c.ctrl.Cmd(cmd.name, "%s", cmd.params); err != nil {
-			return err
-		}
-	}
-	var first error
-	for _, cmd := range cmds {
-		r, err := c.ctrl.Expect(ftp.CodeOK)
-		declined := err != nil && cmd.optional && r.Code == ftp.CodeSyntaxError
-		switch {
-		case err == nil || declined:
-			if cmd.apply != nil {
-				cmd.apply(err == nil)
-			}
-		case r.Code == 0:
-			return err // the channel failed, not the command
-		case first == nil:
-			first = err
-		}
-	}
-	return first
 }
 
 // SessionSetup names the per-session settings a caller applies after
@@ -281,20 +229,15 @@ func (c *Client) Delegate(lifetime time.Duration) error {
 	if c.cred == nil {
 		return ErrLiteNoDelegation
 	}
-	c.countCommand("DELG")
-	if err := c.ctrl.Cmd("DELG", ""); err != nil {
-		return err
-	}
-	if _, err := c.ctrl.Expect(335); err != nil {
+	if _, err := c.cmdExpect("DELG", "", 335); err != nil {
 		return err
 	}
 	if err := gsi.Delegate(c.ctrl.RW(), c.cred, lifetime); err != nil {
 		return err
 	}
-	if _, err := c.ctrl.Expect(ftp.CodeOK); err != nil {
+	if _, err := c.expect(ftp.CodeOK); err != nil {
 		return err
 	}
-	c.delegated = true
 	c.flushPools() // the server's data security context changed
 	return nil
 }
@@ -365,12 +308,8 @@ func (c *Client) SetParallelism(n int) error {
 	if n == c.spec.Parallelism {
 		return nil
 	}
-	if _, err := c.cmdExpect("OPTS", fmt.Sprintf("RETR Parallelism=%d,%d,%d;", n, n, n), ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.Parallelism = n
-	c.flushPools()
-	return nil
+	return c.batch(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR Parallelism=%d,%d,%d;", n, n, n),
+		apply: func(bool) { c.spec.Parallelism = n; c.flushPools() }})
 }
 
 // SetBlockSize negotiates the MODE E block size. Renegotiating the value
@@ -379,25 +318,18 @@ func (c *Client) SetBlockSize(n int) error {
 	if n == c.spec.BlockSize {
 		return nil
 	}
-	if _, err := c.cmdExpect("OPTS", fmt.Sprintf("RETR BlockSize=%d;", n), ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.BlockSize = n
-	return nil
+	return c.batch(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR BlockSize=%d;", n),
+		apply: func(bool) { c.spec.BlockSize = n }})
 }
 
-// Allocate announces the size of the next upload (ALLO, RFC 959) so the
+// allocate announces the size of the next upload (ALLO, RFC 959) so the
 // server can preallocate the destination file. Best-effort: a server that
-// refuses ALLO costs nothing but the round trip.
-func (c *Client) Allocate(size int64) {
-	if size <= 0 {
-		return
+// refuses ALLO costs nothing but the round trip. Put has settled before it
+// calls, so the reply dropped here is ALLO's own.
+func (c *Client) allocate(size int64) {
+	if size > 0 && c.send("ALLO", strconv.FormatInt(size, 10)) == nil {
+		c.finalReply(nil)
 	}
-	c.countCommand("ALLO")
-	if err := c.ctrl.Cmd("ALLO", "%d", size); err != nil {
-		return
-	}
-	c.ctrl.ReadFinalReply(nil)
 }
 
 // SetMarkerInterval asks the receiving server to emit restart markers
@@ -415,26 +347,22 @@ func (c *Client) markersCmd(interval time.Duration) sessionCmd {
 
 // SetMode switches between stream (S) and extended block (E) mode.
 func (c *Client) SetMode(m TransferMode) error {
-	if _, err := c.cmdExpect("MODE", string(rune(m)), ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.Mode = m
-	c.spec = c.spec.Normalize()
-	c.flushPools()
-	return nil
+	return c.batch(sessionCmd{name: "MODE", params: string(rune(m)), apply: func(bool) {
+		c.spec.Mode = m
+		c.spec = c.spec.Normalize()
+		c.flushPools()
+	}})
 }
 
 // SetDCAU sets the data channel authentication mode.
 func (c *Client) SetDCAU(m DCAUMode) error {
-	if _, err := c.cmdExpect("DCAU", string(rune(m)), ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.DCAU = m
-	if m == DCAUNone {
-		c.spec.Prot = ProtClear
-	}
-	c.flushPools()
-	return nil
+	return c.batch(sessionCmd{name: "DCAU", params: string(rune(m)), apply: func(bool) {
+		c.spec.DCAU = m
+		if m == DCAUNone {
+			c.spec.Prot = ProtClear
+		}
+		c.flushPools()
+	}})
 }
 
 // SetTransport selects the data channel transport protocol: TCP (default)
@@ -445,12 +373,8 @@ func (c *Client) SetTransport(tr netsim.Transport) error {
 	if tr == netsim.TransportUDT {
 		name = "UDT"
 	}
-	if _, err := c.cmdExpect("OPTS", "RETR Transport="+name+";", ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.Transport = tr
-	c.flushPools()
-	return nil
+	return c.batch(sessionCmd{name: "OPTS", params: "RETR Transport=" + name + ";",
+		apply: func(bool) { c.spec.Transport = tr; c.flushPools() }})
 }
 
 // SetDeflate toggles DEFLATE compression on the data channels
@@ -461,27 +385,18 @@ func (c *Client) SetDeflate(on bool) error {
 	if on {
 		flag = "1"
 	}
-	if _, err := c.cmdExpect("OPTS", "RETR Deflate="+flag+";", ftp.CodeOK); err != nil {
-		return err
-	}
-	if on != c.spec.Deflate {
-		c.spec.Deflate = on
-		c.flushPools()
-	}
-	return nil
+	return c.batch(sessionCmd{name: "OPTS", params: "RETR Deflate=" + flag + ";", apply: func(bool) {
+		if on != c.spec.Deflate {
+			c.spec.Deflate = on
+			c.flushPools()
+		}
+	}})
 }
 
 // SetProt sets the data channel protection level.
 func (c *Client) SetProt(p ProtLevel) error {
-	if _, err := c.cmdExpect("PBSZ", "0", ftp.CodeOK); err != nil {
-		return err
-	}
-	if _, err := c.cmdExpect("PROT", string(rune(p)), ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.Prot = p
-	c.flushPools()
-	return nil
+	return c.batch(sessionCmd{name: "PBSZ", params: "0"},
+		sessionCmd{name: "PROT", params: string(rune(p)), apply: func(bool) { c.spec.Prot = p; c.flushPools() }})
 }
 
 // SendDCSC installs a data channel security context on the server (§V):
@@ -767,19 +682,18 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	c.resetPerf()
 	// Tell the server how big the destination will be so its storage
 	// preallocates once instead of grow-copying per block.
-	c.Allocate(size)
+	c.allocate(size)
 	if c.spec.Mode == ModeStream {
 		c.flushPools()
 		if err := c.ensurePassive(); err != nil {
 			return nil, err
 		}
-		c.countCommand("STOR")
-		if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
+		if err := c.send("STOR", path); err != nil {
 			return nil, err
 		}
 		chans, err := c.data.dial(1, c.channelParams())
 		if err != nil {
-			c.ctrl.ReadFinalReply(nil)
+			c.finalReply(nil)
 			return nil, err
 		}
 		from := int64(0)
@@ -789,7 +703,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		sendErr := sendStream(chans[0].sec, src, from, size, c.spec.BlockSize)
 		closeChannels(chans)
 		var lastMarkers []Range
-		r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
+		r, rerr := c.finalReply(func(p ftp.Reply) {
 			if ranges := c.handlePreliminary(p); ranges != nil {
 				lastMarkers = ranges
 			}
@@ -811,8 +725,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 			return nil, err
 		}
 	}
-	c.countCommand("STOR")
-	if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
+	if err := c.send("STOR", path); err != nil {
 		return nil, err
 	}
 	markers, err := c.sendOne(src, ranges)
@@ -832,14 +745,14 @@ func (c *Client) sendOne(src dsi.File, ranges []Range) (markers []Range, err err
 	if err != nil {
 		// The server is waiting for a transfer that will not happen; it
 		// will time out its accept and report 425/426.
-		c.ctrl.ReadFinalReply(nil)
+		c.finalReply(nil)
 		c.flushPools()
 		return nil, err
 	}
 	sent := c.obs.Registry().Counter("gridftp.client.bytes_sent")
 	conns, tracker := c.data.trackChannels(c.task, "put", chans)
 	err = sendModeE(conns, src, ranges, c.spec.BlockSize, func(_ int, n int64) { sent.Add(n) })
-	r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
+	r, rerr := c.finalReply(func(p ftp.Reply) {
 		if ranges := c.handlePreliminary(p); ranges != nil {
 			markers = ranges
 		}
@@ -883,13 +796,12 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 		if err := c.ensureListener(); err != nil {
 			return nil, err
 		}
-		c.countCommand(verb)
-		if err := c.ctrl.Cmd(verb, "%s", params); err != nil {
+		if err := c.send(verb, params); err != nil {
 			return nil, err
 		}
 		chans, err := c.data.accept(1, c.channelParams())
 		if err != nil {
-			c.ctrl.ReadFinalReply(nil)
+			c.finalReply(nil)
 			return nil, err
 		}
 		offset := int64(0)
@@ -898,7 +810,7 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 		}
 		n, recvErr := recvStream(chans[0].sec, dst, offset, c.spec.BlockSize)
 		closeChannels(chans)
-		r, rerr := c.ctrl.ReadFinalReply(nil)
+		r, rerr := c.finalReply(nil)
 		if recvErr != nil {
 			return nil, recvErr
 		}
@@ -917,8 +829,7 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 			return nil, err
 		}
 	}
-	c.countCommand(verb)
-	if err := c.ctrl.Cmd(verb, "%s", params); err != nil {
+	if err := c.send(verb, params); err != nil {
 		return nil, err
 	}
 
@@ -953,7 +864,7 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, ftp.Reply, error) {
 	rcv, err := c.data.beginReceive(c.channelParams(), c.task, "get")
 	if err != nil {
-		c.ctrl.ReadFinalReply(nil)
+		c.finalReply(nil)
 		c.flushPools()
 		return recvResult{Received: received, Err: err}, ftp.Reply{}, err
 	}
@@ -963,7 +874,7 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 	}
 	replyCh := make(chan finalReply, 1)
 	go func() {
-		r, err := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
+		r, err := c.finalReply(func(p ftp.Reply) {
 			// The sender's 150 announces the transfer size; preallocating
 			// the destination here spares the grow-copy per landed block.
 			if n := parseOpeningSize(p); n > 0 {
@@ -1071,13 +982,12 @@ func (c *Client) List(path string) ([]string, error) {
 	if err := c.ensurePassive(); err != nil {
 		return nil, err
 	}
-	c.countCommand("MLSD")
-	if err := c.ctrl.Cmd("MLSD", "%s", path); err != nil {
+	if err := c.send("MLSD", path); err != nil {
 		return nil, err
 	}
 	chans, err := c.data.dial(1, c.channelParams())
 	if err != nil {
-		c.ctrl.ReadFinalReply(nil)
+		c.finalReply(nil)
 		return nil, err
 	}
 	var listing []byte
@@ -1090,7 +1000,7 @@ func (c *Client) List(path string) ([]string, error) {
 		}
 	}
 	closeChannels(chans)
-	r, err := c.ctrl.ReadFinalReply(nil)
+	r, err := c.finalReply(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func DialLite(host *netsim.Host, conn net.Conn) (*Client, error) {
 		data: newClientDataPath(host, DialOptions{}),
 	}
 	c.spec.DCAU = DCAUNone
-	if _, err := c.ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
+	if _, err := c.expect(ftp.CodeReadyForNewUser); err != nil {
 		conn.Close()
 		return nil, err
 	}

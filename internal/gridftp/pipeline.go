@@ -42,7 +42,7 @@ func (c *Client) GetMany(items []GetItem) error {
 	}
 	// Pipeline: all commands at once.
 	for _, it := range items {
-		if err := c.ctrl.Cmd("RETR", "%s", it.Path); err != nil {
+		if err := c.send("RETR", it.Path); err != nil {
 			return err
 		}
 	}
@@ -63,7 +63,7 @@ func (c *Client) GetMany(items []GetItem) error {
 // in step for whatever the caller sends next.
 func (c *Client) drainQueued(n int) {
 	for ; n > 0; n-- {
-		if _, err := c.ctrl.ReadFinalReply(nil); err != nil {
+		if _, err := c.finalReply(nil); err != nil {
 			return // the channel failed; there is nothing left to keep in step
 		}
 	}
@@ -111,7 +111,7 @@ func (c *Client) PutMany(items []PutItem) error {
 		}
 	}
 	for _, it := range items {
-		if err := c.ctrl.Cmd("STOR", "%s", it.Path); err != nil {
+		if err := c.send("STOR", it.Path); err != nil {
 			return err
 		}
 	}

@@ -199,12 +199,10 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 
 	// STOR on the destination, RETR on the source; the replies stream back
 	// on the two control channels and are read by Next.
-	dst.countCommand("STOR")
-	if err := dst.ctrl.Cmd("STOR", "%s", dstPath); err != nil {
+	if err := dst.send("STOR", dstPath); err != nil {
 		return err
 	}
-	src.countCommand("RETR")
-	if err := src.ctrl.Cmd("RETR", "%s", srcPath); err != nil {
+	if err := src.send("RETR", srcPath); err != nil {
 		return err
 	}
 	p.inFlight = append(p.inFlight, pipelined{start: time.Now(), onMarker: opts.OnMarker, done: done})
@@ -247,7 +245,7 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 	}
 	dstCh := make(chan final, 1)
 	go func() {
-		r, err := dst.ctrl.ReadFinalReply(func(pre ftp.Reply) {
+		r, err := dst.finalReply(func(pre ftp.Reply) {
 			if ranges := dst.handlePreliminary(pre); ranges != nil {
 				lastMarkers = ranges
 				if t.onMarker != nil {
@@ -257,7 +255,7 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 		})
 		dstCh <- final{r, err}
 	}()
-	srcReply, srcErr := src.ctrl.ReadFinalReply(nil)
+	srcReply, srcErr := src.finalReply(nil)
 	dstFinal := <-dstCh
 
 	res := &ThirdPartyResult{Duration: time.Since(t.start), Markers: lastMarkers}
