@@ -536,15 +536,43 @@ func (c *Client) ensurePassive() error {
 	return nil
 }
 
-// ensureListener opens (once) the client-side data listener for
-// active-mode transfers and registers it with the server via PORT.
-func (c *Client) ensureListener() error {
-	if len(c.data.listeners) == 0 {
-		if _, err := c.data.listen([]*netsim.Host{c.host}); err != nil {
+// activeFlight writes an active-mode transfer's commands in one flight: PORT
+// first — opening the client listener on first use — unless pooled channels
+// will carry the transfer, then the n transfer commands write sends, and only
+// then reads PORT's 200 (and whatever the session owed before it). Nothing in
+// the flight depends on an earlier reply: a server that refuses PORT has no
+// address to connect to and refuses the transfer too. On any failure the
+// flight leaves nothing behind: the listener closes and the pools flush, so a
+// transfer the server did start fails at its first connect; the transfer
+// commands' final replies are read; the next transfer sends PORT again.
+func (c *Client) activeFlight(n int, write func() error) error {
+	port := len(c.data.pooledAccepted) == 0
+	if port {
+		if len(c.data.listeners) == 0 {
+			if _, err := c.data.listen([]*netsim.Host{c.host}); err != nil {
+				return err
+			}
+		}
+		c.flushPools() // PORT resets the server's data state
+		if err := c.send("PORT", c.data.listeners[0].Addr().String()); err != nil {
 			return err
 		}
 	}
-	return c.Port([]string{c.data.listeners[0].Addr().String()})
+	if err := write(); err != nil {
+		return err
+	}
+	var err error
+	if port {
+		_, err = c.expect(ftp.CodeOK)
+	} else {
+		_, err = c.settle()
+	}
+	if err != nil {
+		c.data.closeListeners()
+		c.flushPools()
+		c.drainQueued(n)
+	}
+	return err
 }
 
 // parseOpeningSize extracts the announced byte count from a 150 reply of
@@ -791,14 +819,11 @@ func (c *Client) GetPartial(path string, off, length int64, dst dsi.File) (*Tran
 func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*TransferStats, error) {
 	start := time.Now()
 	c.resetPerf()
+	if err := c.activeFlight(1, func() error { return c.send(verb, params) }); err != nil {
+		return nil, err
+	}
 
 	if c.spec.Mode == ModeStream {
-		if err := c.ensureListener(); err != nil {
-			return nil, err
-		}
-		if err := c.send(verb, params); err != nil {
-			return nil, err
-		}
 		chans, err := c.data.accept(1, c.channelParams())
 		if err != nil {
 			c.finalReply(nil)
@@ -824,15 +849,6 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 	}
 
 	// MODE E active: pooled channels first, fresh ones off our listener.
-	if len(c.data.pooledAccepted) == 0 {
-		if err := c.ensureListener(); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.send(verb, params); err != nil {
-		return nil, err
-	}
-
 	received := FromRanges(restart)
 	res, r, rerr := c.recvWithReplies(dst, received)
 	markers := res.Received.Ranges()
@@ -868,11 +884,11 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 		c.flushPools()
 		return recvResult{Received: received, Err: err}, ftp.Reply{}, err
 	}
-	type finalReply struct {
+	type final struct {
 		r   ftp.Reply
 		err error
 	}
-	replyCh := make(chan finalReply, 1)
+	replyCh := make(chan final, 1)
 	go func() {
 		r, err := c.finalReply(func(p ftp.Reply) {
 			// The sender's 150 announces the transfer size; preallocating
@@ -882,13 +898,13 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 			}
 			c.handlePreliminary(p)
 		})
-		replyCh <- finalReply{r, err}
+		replyCh <- final{r, err}
 	}()
 	resCh := make(chan recvResult, 1)
 	go func() { resCh <- recvModeE(rcv.accept, dst, received, c.spec.BlockSize, nil, rcv.canceled) }()
 
 	var res recvResult
-	var fin finalReply
+	var fin final
 	select {
 	case res = <-resCh:
 		fin = <-replyCh

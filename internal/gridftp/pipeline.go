@@ -35,16 +35,16 @@ func (c *Client) GetMany(items []GetItem) error {
 	if c.spec.Mode != ModeExtended {
 		return fmt.Errorf("gridftp: pipelining requires MODE E")
 	}
-	if len(c.data.pooledAccepted) == 0 {
-		if err := c.ensureListener(); err != nil {
-			return err
+	// Pipeline: all commands at once, behind the PORT they need.
+	if err := c.activeFlight(len(items), func() error {
+		for _, it := range items {
+			if err := c.send("RETR", it.Path); err != nil {
+				return err
+			}
 		}
-	}
-	// Pipeline: all commands at once.
-	for _, it := range items {
-		if err := c.send("RETR", it.Path); err != nil {
-			return err
-		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// Then drain the transfers in order.
 	for i, it := range items {
