@@ -303,23 +303,51 @@ func traceCmd(sc obs.SpanContext) sessionCmd {
 	return sessionCmd{name: "SITE", params: "TRACE " + obs.Inject(sc), optional: true}
 }
 
-// SetParallelism negotiates the number of parallel data streams.
+// The ranges the server accepts for "OPTS RETR Parallelism" and "BlockSize".
+// The client leaves those replies owed, so it refuses out-of-range values
+// itself, with the server's reply: the caller still hears at once.
+const (
+	maxParallelism             = 128
+	minBlockSize, maxBlockSize = 1024, 64 << 20
+)
+
+func badOption(text string) error {
+	return &ftp.ReplyError{Reply: ftp.Reply{Code: ftp.CodeParamSyntaxError, Lines: []string{text}}}
+}
+
+// SetParallelism negotiates the number of parallel data streams. The OPTS is
+// written and its reply left owed (settle.go): the pools flush now, so the
+// next transfer negotiates its data path again, and Parallelism follows when
+// the reply is read, in that transfer's first flight.
 func (c *Client) SetParallelism(n int) error {
 	if n == c.spec.Parallelism {
 		return nil
 	}
-	return c.batch(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR Parallelism=%d,%d,%d;", n, n, n),
-		apply: func(bool) { c.spec.Parallelism = n; c.flushPools() }})
+	if n < 1 || n > maxParallelism {
+		return badOption("Bad parallelism")
+	}
+	c.flushPools()
+	return c.owe(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR Parallelism=%d,%d,%d;", n, n, n),
+		apply: func(bool) { c.spec.Parallelism = n }})
 }
 
-// SetBlockSize negotiates the MODE E block size. Renegotiating the value
-// already in effect is a no-op (the autotuner calls this per transfer).
+// SetBlockSize negotiates the MODE E block size, its reply owed like
+// SetParallelism's. Renegotiating the value already in effect is a no-op
+// (the autotuner calls this per transfer). Block size is this tree's
+// extension to OPTS: a server without it keeps its own, and so does the client.
 func (c *Client) SetBlockSize(n int) error {
 	if n == c.spec.BlockSize {
 		return nil
 	}
-	return c.batch(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR BlockSize=%d;", n),
-		apply: func(bool) { c.spec.BlockSize = n }})
+	if n < minBlockSize || n > maxBlockSize {
+		return badOption("Bad block size")
+	}
+	return c.owe(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR BlockSize=%d;", n), optional: true,
+		apply: func(accepted bool) {
+			if accepted {
+				c.spec.BlockSize = n
+			}
+		}})
 }
 
 // allocate announces the size of the next upload (ALLO, RFC 959) so the
@@ -453,15 +481,23 @@ func (c *Client) channelParams() channelParams {
 
 // sendRestart transmits any armed restart ranges.
 func (c *Client) sendRestart() ([]Range, error) {
-	if len(c.restart) == 0 {
-		return nil, nil
-	}
 	ranges := c.restart
 	c.restart = nil
-	if _, err := c.cmdExpect("REST", FromRanges(ranges).Marker(), ftp.CodeNeedAccount); err != nil {
-		return nil, err
+	if len(ranges) == 0 {
+		return nil, nil
 	}
-	return ranges, nil
+	return ranges, c.rest(ranges)
+}
+
+// rest arms ranges for the session's next transfer command. It settles first:
+// were an owed refusal to come back in place of REST's 350, the caller would
+// give up on a transfer whose ranges the server keeps armed for the next one.
+func (c *Client) rest(ranges []Range) error {
+	if _, err := c.settle(); err != nil {
+		return err
+	}
+	_, err := c.cmdExpect("REST", FromRanges(ranges).Marker(), ftp.CodeNeedAccount)
+	return err
 }
 
 // passive puts the server in passive mode and returns the data address.
@@ -695,6 +731,12 @@ type TransferStats struct {
 func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	size, err := src.Size()
 	if err != nil {
+		return nil, err
+	}
+	// A Put needs PASV's answer before anything moves, so there is nothing
+	// to overlap an owed reply with: it is read now, and what is negotiated
+	// below is what the server has.
+	if _, err := c.settle(); err != nil {
 		return nil, err
 	}
 	restart, err := c.sendRestart()

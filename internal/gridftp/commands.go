@@ -230,7 +230,7 @@ func (sess *session) handleOpts(params string) {
 				idx = 1
 			}
 			n, err := strconv.Atoi(strings.TrimSpace(parts[idx]))
-			if err != nil || n < 1 || n > 128 {
+			if err != nil || n < 1 || n > maxParallelism {
 				sess.reply(ftp.CodeParamSyntaxError, "Bad parallelism")
 				return
 			}
@@ -240,7 +240,7 @@ func (sess *session) handleOpts(params string) {
 			}
 		case "blocksize":
 			n, err := strconv.Atoi(strings.TrimSpace(val))
-			if err != nil || n < 1024 || n > 64<<20 {
+			if err != nil || n < minBlockSize || n > maxBlockSize {
 				sess.reply(ftp.CodeParamSyntaxError, "Bad block size")
 				return
 			}

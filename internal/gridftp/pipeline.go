@@ -96,6 +96,9 @@ func (c *Client) PutMany(items []PutItem) error {
 	if c.spec.Mode != ModeExtended {
 		return fmt.Errorf("gridftp: pipelining requires MODE E")
 	}
+	if _, err := c.settle(); err != nil {
+		return err
+	}
 	// A source that cannot be sized fails here, before any STOR is queued.
 	sizes := make([]int64, len(items))
 	for i, it := range items {

@@ -15,9 +15,9 @@ import "gridftp.dev/instant/internal/ftp"
 // changes on the client. Every session command answers 200.
 type sessionCmd struct {
 	name, params string
-	// optional marks an extension the server may lack: its 500 is not an
-	// error (the SITE registry answers unknown subcommands at once, so
-	// sending one is the probe).
+	// optional marks an extension the server may lack: being told so — 500,
+	// 502, or 504 for an OPTS key — is not an error. The SITE registry
+	// answers unknown subcommands at once, so sending one is the probe.
 	optional bool
 	// apply, if non-nil, makes the command's client-side state change. It
 	// runs only once the server has answered this command: accepted is
@@ -53,7 +53,8 @@ func (c *Client) settle() (inStep bool, err error) {
 	c.owed = nil
 	for _, cmd := range owed {
 		r, rerr := c.ctrl.Expect(ftp.CodeOK)
-		declined := rerr != nil && cmd.optional && r.Code == ftp.CodeSyntaxError
+		declined := rerr != nil && cmd.optional &&
+			(r.Code == ftp.CodeSyntaxError || r.Code == ftp.CodeNotImplemented || r.Code == ftp.CodeParamNotImpl)
 		switch {
 		case rerr == nil || declined:
 			if cmd.apply != nil {

@@ -188,11 +188,10 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 		return err
 	}
 	if len(opts.Restart) > 0 {
-		marker := FromRanges(opts.Restart).Marker()
-		if _, err := dst.cmdExpect("REST", marker, ftp.CodeNeedAccount); err != nil {
+		if err := dst.rest(opts.Restart); err != nil {
 			return fmt.Errorf("gridftp: destination REST: %w", err)
 		}
-		if _, err := src.cmdExpect("REST", marker, ftp.CodeNeedAccount); err != nil {
+		if err := src.rest(opts.Restart); err != nil {
 			return fmt.Errorf("gridftp: source REST: %w", err)
 		}
 	}
