@@ -224,7 +224,10 @@ func (c *Client) Setup(s SessionSetup) error {
 
 // Delegate delegates a proxy of the client credential to the server over
 // the encrypted control channel; the server uses it to authenticate data
-// channels on the user's behalf (required for DCAU unless DCSC is used).
+// channels on the user's behalf (required for DCAU unless DCSC is used). It
+// returns once the signed proxy is written: the server's closing 200 is owed
+// (settle.go), and a server that rejects the proxy says so to the next call
+// that reads the channel.
 func (c *Client) Delegate(lifetime time.Duration) error {
 	if c.cred == nil {
 		return ErrLiteNoDelegation
@@ -235,9 +238,7 @@ func (c *Client) Delegate(lifetime time.Duration) error {
 	if err := gsi.Delegate(c.ctrl.RW(), c.cred, lifetime); err != nil {
 		return err
 	}
-	if _, err := c.expect(ftp.CodeOK); err != nil {
-		return err
-	}
+	c.owed = append(c.owed, sessionCmd{name: "DELG"})
 	c.flushPools() // the server's data security context changed
 	return nil
 }

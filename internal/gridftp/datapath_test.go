@@ -418,7 +418,7 @@ func TestPassiveDownloadParallel(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("round %d: %v", round, res.Err)
 		}
-		if r, err := c.ctrl.ReadFinalReply(nil); err != nil || r.Err() != nil {
+		if r, err := c.finalReply(nil); err != nil || r.Err() != nil {
 			t.Fatalf("round %d: final reply %v, %v", round, r, err)
 		}
 		if !bytes.Equal(dst.Bytes(), payload) {

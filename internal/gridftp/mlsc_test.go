@@ -204,7 +204,7 @@ func TestMlscRefusesListingTooLargeForAReply(t *testing.T) {
 	if err := c.ctrl.Cmd("MLSC", "/big"); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := c.ctrl.ReadFinalReply(nil); err != nil || r.Code != ftp.CodeParamNotImpl || len(r.Lines) != 1 {
+	if r, err := c.finalReply(nil); err != nil || r.Code != ftp.CodeParamNotImpl || len(r.Lines) != 1 {
 		t.Fatalf("MLSC of an over-cap directory: %d (%d lines) %v, want a one-line 504", r.Code, len(r.Lines), err)
 	}
 	entries, err := c.ListEntries("/big")
