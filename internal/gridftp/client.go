@@ -98,17 +98,21 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		perfBytes: make(map[int]int64),
 		data:      newClientDataPath(host, opts),
 	}
+	// AUTH TLS does not depend on the greeting, so it is written before the
+	// greeting is read and the 220 and 234 come back in order. A server that
+	// greets with 421 and hangs up may fail the write; the greeting is the
+	// error to report.
+	authErr := c.ctrl.Cmd("AUTH", "TLS")
 	if _, err := c.expect(ftp.CodeReadyForNewUser); err != nil {
 		raw.Close()
 		return nil, err
 	}
-	if err := c.ctrl.Cmd("AUTH", "TLS"); err != nil {
-		raw.Close()
-		return nil, err
+	if authErr == nil {
+		_, authErr = c.expect(ftp.CodeAuthOK)
 	}
-	if _, err := c.expect(ftp.CodeAuthOK); err != nil {
+	if authErr != nil {
 		raw.Close()
-		return nil, err
+		return nil, authErr
 	}
 	tc := tls.Client(raw, gsi.ClientTLSConfig(cred, trust))
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
