@@ -38,18 +38,16 @@ func TestJobSize(t *testing.T) {
 	}
 }
 
-// blockLog is a receiving end that records every data block's (offset, count)
-// per stream and lands the bytes in a buffer.
+// blockLog is a receiving end that records every data block's (offset,
+// count) and lands the bytes in a file.
 type blockLog struct {
 	mu     sync.Mutex
 	blocks [][2]int64
-	bytes  []int64 // per stream
 }
 
 // drain reads MODE E blocks off conns until each has sent EOD.
 func (l *blockLog) drain(t *testing.T, conns []net.Conn, dst dsi.File, blockSize int) {
 	t.Helper()
-	l.bytes = make([]int64, len(conns))
 	var wg sync.WaitGroup
 	for i, conn := range conns {
 		wg.Add(1)
@@ -70,7 +68,6 @@ func (l *blockLog) drain(t *testing.T, conns []net.Conn, dst dsi.File, blockSize
 					}
 					l.mu.Lock()
 					l.blocks = append(l.blocks, [2]int64{int64(b.Offset), int64(b.Count)})
-					l.bytes[i] += int64(b.Count)
 					l.mu.Unlock()
 				}
 				if b.EOD() {
@@ -94,46 +91,59 @@ func secConns(chans []*dataChannel) []net.Conn {
 // TestShortTransferUsesEveryStream is the wan_fresh_p16 shape: 1 MiB over 16
 // streams on a 64 KiB-window link. Cut at the negotiated 256 KiB block that
 // is 4 jobs, so 12 of the 16 channels carried an EOD and nothing else and the
-// other 4 pushed four windows each; cut per stream, every channel carries its
-// share.
+// other 4 pushed four windows each (≈ 90 ms); cut per stream, every channel
+// carries its share (≈ 30 ms: one window, and half a round trip to arrive).
 func TestShortTransferUsesEveryStream(t *testing.T) {
-	const streams, size = 16, 1 << 20
+	const streams, size, share = 16, 1 << 20, (1 << 20) / 16
 	pp := newPathPair(t)
 	pp.nw.SetLink("lis", "con", netsim.LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 64 << 10})
 	accepted, dialed := pp.open(streams)
 	defer closeChannels(accepted)
 	defer closeChannels(dialed)
-
 	payload := pattern(size)
-	sent := make([]int64, streams)
-	var mu sync.Mutex
-	errCh := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize,
-			func(stream int, n int64) { mu.Lock(); sent[stream] += n; mu.Unlock() })
-	}()
-	dst := dsi.NewBufferFile(nil)
-	var log blockLog
-	log.drain(t, secConns(accepted), dst, DefaultBlockSize)
-	elapsed := time.Since(start)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst.Bytes(), payload) {
-		t.Fatal("received bytes differ from the source")
-	}
-	const share = size / streams
-	for i, n := range sent {
-		if n < share/2 || n > 2*share {
-			t.Errorf("stream %d carried %d bytes, want between half and twice a %d-byte share (all: %v)", i, n, share, sent)
+
+	// Streams take jobs as they come free, so one whose goroutine starts a
+	// whole window (20 ms) late loses its share to a neighbour: that is the
+	// scheduler, not the cut, and costs this test a second attempt. Under the
+	// race detector starting a stream takes ≈ 1.5 ms and sixteen of them do
+	// not fit in a window; only the bytes are checked there.
+	var problem string
+	for attempt := 0; attempt < 3; attempt++ {
+		sent := make([]int64, streams)
+		var mu sync.Mutex
+		errCh := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize,
+				func(stream int, n int64) { mu.Lock(); sent[stream] += n; mu.Unlock() })
+		}()
+		dst := dsi.NewBufferFile(nil)
+		var log blockLog
+		log.drain(t, secConns(accepted), dst, DefaultBlockSize)
+		elapsed := time.Since(start)
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst.Bytes(), payload) {
+			t.Fatal("received bytes differ from the source")
+		}
+		if len(log.blocks) != streams {
+			t.Fatalf("%d blocks sent, want one %d-byte share per stream", len(log.blocks), share)
+		}
+		problem = ""
+		for i, n := range sent {
+			if n < share/2 || n > 2*share {
+				problem = fmt.Sprintf("stream %d carried %d bytes, want between half and twice a %d-byte share (all: %v)", i, n, share, sent)
+			}
+		}
+		if problem == "" && elapsed > 60*time.Millisecond {
+			problem = fmt.Sprintf("1 MiB over %d streams took %v; every stream carrying one window is ≈ 30 ms", streams, elapsed)
+		}
+		if problem == "" || raceEnabled {
+			return
 		}
 	}
-	// 64 KiB at 64 KiB per 20 ms, plus half a round trip to arrive: ≈ 30 ms.
-	// Four windows down each of four streams took ≈ 90 ms.
-	if elapsed > 60*time.Millisecond {
-		t.Errorf("1 MiB over %d streams took %v; every stream carrying one window is ≈ 30 ms", streams, elapsed)
-	}
+	t.Error(problem)
 }
 
 // TestLongTransferBlocksAreUnchanged: from streams × block bytes up the
