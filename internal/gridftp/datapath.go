@@ -378,8 +378,8 @@ func (d *dataPath) trackChannels(label, verb string, chans []*dataChannel) ([]ne
 type receive struct {
 	d    *dataPath
 	mode TransferMode
-	// fresh yields newly accepted and secured conns; nil without listeners.
-	fresh func(stop <-chan struct{}) (net.Conn, error)
+	// fresh yields newly accepted and secured channels; nil without listeners.
+	fresh func(stop <-chan struct{}) (*dataChannel, error)
 	// tracker is the transfer's stream-telemetry record (nil without a
 	// registry); accept wraps each conn as it joins. streams is the next
 	// stream index and belongs to recvModeE's single acceptor goroutine.
@@ -446,27 +446,29 @@ func (r *receive) join(ch *dataChannel) bool {
 	return true
 }
 
-// accept is the connection source handed to recvModeE.
+// accept is the connection source handed to recvModeE. Telemetry reads the
+// wire counters off the raw conn, as the sending side does: the secured conn
+// of a PROT P or S channel has none.
 func (r *receive) accept(stop <-chan struct{}) (net.Conn, error) {
-	var conn net.Conn
+	var ch *dataChannel
 	r.mu.Lock()
 	if !r.sealed && r.used < len(r.pooled) {
-		conn = r.pooled[r.used].sec
+		ch = r.pooled[r.used]
 		r.used++
 	}
 	r.mu.Unlock()
-	if conn == nil {
+	if ch == nil {
 		if r.fresh == nil {
 			return nil, errors.New("no further data channel to offer the sender")
 		}
 		var err error
-		if conn, err = r.fresh(stop); err != nil {
+		if ch, err = r.fresh(stop); err != nil {
 			return nil, err
 		}
 	}
 	i := r.streams
 	r.streams++
-	return r.tracker.Wrap(i, conn, conn), nil
+	return r.tracker.Wrap(i, ch.sec, ch.raw), nil
 }
 
 // finish concludes the receive with the transfer's outcome. Pooled
@@ -493,9 +495,9 @@ func (r *receive) finish(err error) {
 // after limit connections, when that call's stop channel closes, or when
 // the raw source fails; a caller asking for more than limit waits for stop.
 func parallelSecureAccept(acceptRaw func(stop <-chan struct{}) (net.Conn, error), limit int, p channelParams,
-	join func(*dataChannel) bool) func(stop <-chan struct{}) (net.Conn, error) {
+	join func(*dataChannel) bool) func(stop <-chan struct{}) (*dataChannel, error) {
 
-	secured := make(chan net.Conn)
+	secured := make(chan *dataChannel)
 	firstErr := make(chan error, 1)
 	fail := func(err error) {
 		select {
@@ -521,18 +523,18 @@ func parallelSecureAccept(acceptRaw func(stop <-chan struct{}) (net.Conn, error)
 					return
 				}
 				select {
-				case secured <- ch.sec:
+				case secured <- ch:
 				case <-stop:
 					// Transfer concluded before this channel was used.
 				}
 			}()
 		}
 	}
-	return func(stop <-chan struct{}) (net.Conn, error) {
+	return func(stop <-chan struct{}) (*dataChannel, error) {
 		once.Do(func() { go pump(stop) })
 		select {
-		case c := <-secured:
-			return c, nil
+		case ch := <-secured:
+			return ch, nil
 		case err := <-firstErr:
 			return nil, err
 		case <-stop:
