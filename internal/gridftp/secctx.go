@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
 	"sync"
@@ -208,31 +209,55 @@ func stepDown(tc *tls.Conn, raw net.Conn, prot ProtLevel, isListener bool) (net.
 
 // integrityConn provides integrity-only protection (PROT S): payload
 // frames carry an HMAC-SHA256 tag with a per-direction sequence number,
-// detecting tampering, truncation, and reordering without encrypting.
+// detecting tampering, truncation, and reordering without encrypting. Each
+// direction keys its HMAC once and resets it per frame, and a frame goes out
+// as one write: vectored where the conn below takes [header, payload, tag]
+// as it stands, coalesced otherwise. The steady state allocates nothing.
 type integrityConn struct {
 	net.Conn
-	key     [32]byte
+	vw  buffersWriter // non-nil: the conn takes vectored writes natively
+	tcp *net.TCPConn  // non-nil: net.Buffers reaches writev
+
+	w, r integrityHalf
+	whdr [4]byte
+	vecs [3][]byte // backing array for the vectored [header, payload, tag]
+	wbuf []byte    // the coalesced frame, for conns without vectored writes
+
+	rhdr    [4]byte
 	rbuf    []byte // decoded-but-unread payload
-	rseq    uint64
-	wseq    uint64
 	scratch []byte
 }
 
+// integrityHalf is one direction's MAC state. Its buffers are fields so that
+// handing them to the hash.Hash interface does not allocate per frame.
+type integrityHalf struct {
+	mac  hash.Hash
+	seq  uint64
+	seqb [8]byte
+	tag  [integrityTagLen]byte
+}
+
+// sum returns the tag of the direction's next frame; it is valid until the
+// next call.
+func (h *integrityHalf) sum(payload []byte) []byte {
+	binary.BigEndian.PutUint64(h.seqb[:], h.seq)
+	h.seq++
+	h.mac.Reset()
+	h.mac.Write(h.seqb[:])
+	h.mac.Write(payload)
+	return h.mac.Sum(h.tag[:0])
+}
+
 func newIntegrityConn(conn net.Conn, key [32]byte) *integrityConn {
-	return &integrityConn{Conn: conn, key: key}
+	c := &integrityConn{Conn: conn}
+	c.vw, _ = conn.(buffersWriter)
+	c.tcp, _ = conn.(*net.TCPConn)
+	c.w.mac, c.r.mac = hmac.New(sha256.New, key[:]), hmac.New(sha256.New, key[:])
+	return c
 }
 
 const integrityTagLen = 32
 const maxIntegrityFrame = 1 << 20
-
-func (c *integrityConn) mac(seq uint64, payload []byte) []byte {
-	m := hmac.New(sha256.New, c.key[:])
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], seq)
-	m.Write(s[:])
-	m.Write(payload)
-	return m.Sum(nil)
-}
 
 // Write implements net.Conn with [len(4)][payload][tag(32)] framing.
 func (c *integrityConn) Write(p []byte) (int, error) {
@@ -242,17 +267,20 @@ func (c *integrityConn) Write(p []byte) (int, error) {
 		if n > maxIntegrityFrame {
 			n = maxIntegrityFrame
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(n))
-		tag := c.mac(c.wseq, p[:n])
-		c.wseq++
-		if _, err := c.Conn.Write(hdr[:]); err != nil {
-			return total, err
+		binary.BigEndian.PutUint32(c.whdr[:], uint32(n))
+		c.vecs = [3][]byte{c.whdr[:], p[:n], c.w.sum(p[:n])}
+		var err error
+		switch {
+		case c.vw != nil:
+			_, err = c.vw.WriteBuffers(c.vecs[:])
+		case c.tcp != nil:
+			nb := net.Buffers(c.vecs[:])
+			_, err = nb.WriteTo(c.tcp)
+		default:
+			c.wbuf = append(append(append(c.wbuf[:0], c.vecs[0]...), c.vecs[1]...), c.vecs[2]...)
+			_, err = c.Conn.Write(c.wbuf)
 		}
-		if _, err := c.Conn.Write(p[:n]); err != nil {
-			return total, err
-		}
-		if _, err := c.Conn.Write(tag); err != nil {
+		if err != nil {
 			return total, err
 		}
 		total += n
@@ -264,11 +292,10 @@ func (c *integrityConn) Write(p []byte) (int, error) {
 // Read implements net.Conn, verifying each frame's tag.
 func (c *integrityConn) Read(p []byte) (int, error) {
 	if len(c.rbuf) == 0 {
-		var hdr [4]byte
-		if _, err := io.ReadFull(c.Conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(c.Conn, c.rhdr[:]); err != nil {
 			return 0, err
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
+		n := binary.BigEndian.Uint32(c.rhdr[:])
 		if n > maxIntegrityFrame {
 			return 0, fmt.Errorf("gridftp: integrity frame too large (%d)", n)
 		}
@@ -280,9 +307,7 @@ func (c *integrityConn) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		payload, tag := buf[:n], buf[n:]
-		want := c.mac(c.rseq, payload)
-		c.rseq++
-		if !hmac.Equal(tag, want) {
+		if !hmac.Equal(tag, c.r.sum(payload)) {
 			return 0, errors.New("gridftp: data channel integrity check failed")
 		}
 		c.rbuf = payload

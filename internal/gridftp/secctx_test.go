@@ -78,6 +78,116 @@ func TestIntegrityConnDetectsReordering(t *testing.T) {
 	}
 }
 
+// TestIntegrityConnRejectsEveryTampering takes the wire form of two good
+// frames and damages it three ways — a payload byte, a tag byte, the tail cut
+// off: the second frame must fail the read each time, and an untouched copy
+// must not.
+func TestIntegrityConnRejectsEveryTampering(t *testing.T) {
+	var key [32]byte
+	copy(key[:], "0123456789abcdef0123456789abcdef")
+	a, b := net.Pipe()
+	rec := &recorderConn{Conn: a}
+	w := newIntegrityConn(rec, key)
+	go io.Copy(io.Discard, b)
+	first, second := pattern(1000), pattern(5000)
+	w.Write(first)
+	w.Write(second)
+	a.Close()
+	wire := rec.buf.Bytes()
+	if want := 2*(4+integrityTagLen) + len(first) + len(second); len(wire) != want {
+		t.Fatalf("two frames are %d bytes on the wire, want %d", len(wire), want)
+	}
+	secondAt := 4 + len(first) + integrityTagLen
+
+	for _, tc := range []struct {
+		name   string
+		damage func(wire []byte) []byte
+		ok     bool
+	}{
+		{"untouched", func(w []byte) []byte { return w }, true},
+		{"payload byte flipped", func(w []byte) []byte { w[secondAt+4+100] ^= 1; return w }, false},
+		{"tag byte flipped", func(w []byte) []byte { w[len(w)-1] ^= 1; return w }, false},
+		{"frame truncated", func(w []byte) []byte { return w[:len(w)-10] }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, out := net.Pipe()
+			go func() {
+				in.Write(tc.damage(append([]byte(nil), wire...)))
+				in.Close()
+			}()
+			r := newIntegrityConn(out, key)
+			got := make([]byte, len(first))
+			if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, first) {
+				t.Fatalf("the intact first frame: %v", err)
+			}
+			got = make([]byte, len(second))
+			_, err := io.ReadFull(r, got)
+			if tc.ok && (err != nil || !bytes.Equal(got, second)) {
+				t.Fatalf("the intact second frame: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("the damaged frame was accepted")
+			}
+		})
+	}
+}
+
+// loopConn reads back what was written to it, and counts the writes; it takes
+// vectored writes, as netsim conns do.
+type loopConn struct {
+	net.Conn
+	buf    bytes.Buffer
+	writes int
+}
+
+func (l *loopConn) WriteBuffers(bufs [][]byte) (n int64, err error) {
+	l.writes++
+	for _, b := range bufs {
+		l.buf.Write(b)
+		n += int64(len(b))
+	}
+	return n, nil
+}
+func (l *loopConn) Write(p []byte) (int, error) { l.writes++; return l.buf.Write(p) }
+func (l *loopConn) Read(p []byte) (int, error)  { return l.buf.Read(p) }
+
+// TestIntegrityConnFramesWithoutAllocating: one keyed HMAC per direction and
+// tag buffers that live in the conn — a frame costs no allocation either way
+// and one write on the conn below, vectored or not.
+func TestIntegrityConnFramesWithoutAllocating(t *testing.T) {
+	var key [32]byte
+	payload, got := pattern(64<<10), make([]byte, 64<<10)
+	for _, vectored := range []bool{true, false} {
+		lc := &loopConn{}
+		c := newIntegrityConn(lc, key)
+		if c.vw == nil {
+			t.Fatal("the conn below takes vectored writes; the integrity layer did not notice")
+		}
+		if !vectored {
+			c.vw = nil
+		}
+		frame := func() {
+			if _, err := c.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(c, got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame() // sizes the scratch buffers
+		lc.writes = 0
+		if allocs := testing.AllocsPerRun(50, frame); allocs != 0 {
+			t.Errorf("vectored=%v: a frame costs %.1f allocations written and read, want 0", vectored, allocs)
+		}
+		if lc.writes != 51 { // AllocsPerRun warms up with one extra call
+			t.Errorf("vectored=%v: %d writes for 51 frames", vectored, lc.writes)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("payload differs")
+		}
+	}
+}
+
 type recorderConn struct {
 	net.Conn
 	buf bytes.Buffer
