@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -43,21 +44,20 @@ func TestE2ParallelStreamsSmall(t *testing.T) {
 		Loss:        []float64{0},
 	})
 	checkTable(t, table, err)
-	// Shape check: gridftp P=4 must beat scp.
-	var scpRate, p4Rate string
+	// Shape check: gridftp P=4 must beat scp. A 256 KiB file is one 64 KiB
+	// share per stream (gridftp.jobSize) and one round trip cheaper to start
+	// than it was (PORT and RETR in one flight): ten runs read 1.26–1.53x,
+	// median 1.40 (1.2–1.4x before). The margin is four windows in parallel
+	// against five TLS handshakes; 1.1 leaves the handshakes' CPU room on a
+	// busy machine.
+	var p4 float64
 	for _, row := range table.Rows {
-		if row[1] == "scp" {
-			scpRate = row[3]
-		}
 		if row[1] == "gridftp" && row[2] == "4" {
-			p4Rate = row[4]
+			fmt.Sscanf(row[4], "%fx", &p4)
 		}
 	}
-	if scpRate == "" || p4Rate == "" {
-		t.Fatalf("rows missing: %v", table.Rows)
-	}
-	if strings.HasPrefix(p4Rate, "0.") || strings.HasPrefix(p4Rate, "1.0x") {
-		t.Fatalf("P=4 speedup vs scp is %s; parallel streams should win", p4Rate)
+	if p4 < 1.1 {
+		t.Fatalf("P=4 speedup vs scp is %.1fx, want at least 1.1x; rows: %v", p4, table.Rows)
 	}
 }
 

@@ -69,18 +69,6 @@ func gridftpWanRate(link netsim.LinkParams, fileBytes, parallelism int, mode gri
 		if err := c.SetParallelism(parallelism); err != nil {
 			return 0, err
 		}
-		// Keep several blocks in flight per stream so parallelism has
-		// work to distribute even for modest file sizes.
-		block := fileBytes / (4 * parallelism)
-		if block > gridftp.DefaultBlockSize {
-			block = gridftp.DefaultBlockSize
-		}
-		if block < 16<<10 {
-			block = 16 << 10
-		}
-		if err := c.SetBlockSize(block); err != nil {
-			return 0, err
-		}
 	}
 	dst := dsi.NewBufferFile(nil)
 	start := time.Now()
