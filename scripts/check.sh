@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the pre-commit gate: gofmt over the whole tree (bench/,
-# examples/ and the root package included), build, vet, the full test
+# examples/ and the root package included), the client's one-place-for-reply-
+# reads guard (internal/gridftp/settle.go), build, vet, the full test
 # suite, and the full test suite again under the race detector (about two
 # minutes on two cores). It ends by printing the non-test lines of Go per
 # package (scripts/loc.sh) — the figure CHANGES.md reports, not a gate.
@@ -20,6 +21,13 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2
+	exit 1
+fi
+
+echo "==> control-channel reads stay in internal/gridftp/settle.go"
+# A reply read anywhere else can take an owed 200 for its own answer.
+if grep -nE 'ctrl\.(Expect|ReadFinalReply|ReadReply)\(' internal/gridftp/*.go | grep -vE '^internal/gridftp/(settle|[a-z_]*_test)\.go:'; then
+	echo "check.sh: read the control channel through Client.expect or Client.finalReply" >&2
 	exit 1
 fi
 
