@@ -242,8 +242,8 @@ func (c *Client) Delegate(lifetime time.Duration) error {
 	if err := gsi.Delegate(c.ctrl.RW(), c.cred, lifetime); err != nil {
 		return err
 	}
-	c.owed = append(c.owed, sessionCmd{name: "DELG"})
-	c.flushPools() // the server's data security context changed
+	c.owed = append(c.owed, sessionCmd{name: "DELG"}) // nothing more to write: the exchange was the command
+	c.flushPools()                                    // the server's data security context changed
 	return nil
 }
 

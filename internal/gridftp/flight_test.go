@@ -17,8 +17,6 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 )
 
-const flightRTT = 20 * time.Millisecond
-
 // scriptedServer is a fake server end for the client's flights: an ftp.Conn
 // over netsim that answers the commands of a fresh-session GET the way the
 // real server does — DELG runs the delegation exchange, RETR dials the PORT
@@ -44,7 +42,7 @@ type scriptedServer struct {
 func newScriptedSession(t *testing.T, files map[string][]byte) (*Client, *scriptedServer) {
 	t.Helper()
 	nw := netsim.NewNetwork()
-	nw.SetLink("laptop", "fake", netsim.LinkParams{Bandwidth: 100e6, RTT: flightRTT, StreamWindow: 1 << 20})
+	nw.SetLink("laptop", "fake", netsim.LinkParams{Bandwidth: 100e6, RTT: 20 * time.Millisecond, StreamWindow: 1 << 20})
 	l, err := nw.Host("fake").Listen(DefaultPort)
 	if err != nil {
 		t.Fatal(err)
@@ -391,8 +389,7 @@ func TestServerSequencesAFlight(t *testing.T) {
 	payload := pattern(300 << 10)
 	s.putFile(t, "/data.bin", payload)
 
-	// flight writes the lines and returns the final reply code of each
-	// command that is not a transfer, in order.
+	// flight writes the command lines back to back and reads nothing.
 	flight := func(c *Client, lines ...string) {
 		t.Helper()
 		for _, line := range lines {

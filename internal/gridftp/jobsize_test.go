@@ -96,7 +96,7 @@ func secConns(chans []*dataChannel) []net.Conn {
 func TestShortTransferUsesEveryStream(t *testing.T) {
 	const streams, size, share = 16, 1 << 20, (1 << 20) / 16
 	pp := newPathPair(t)
-	pp.nw.SetLink("lis", "con", netsim.LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 64 << 10})
+	pp.nw.SetLink("lis", "con", refWAN)
 	accepted, dialed := pp.open(streams)
 	defer closeChannels(accepted)
 	defer closeChannels(dialed)

@@ -275,8 +275,9 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 
 // SetParallelism negotiates n parallel streams on both sessions. A change
 // is a command with a reply of its own (and re-wires the pair), so the
-// transfers in flight complete first; asking for the value in effect is
-// free.
+// transfers in flight complete first; the reply itself is left owed and comes
+// back with the PASV/PORT of the next Begin. Asking for the value in effect
+// is free.
 func (p *Pipeline) SetParallelism(n int) error {
 	return p.negotiate(p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n,
 		func(c *Client) error { return c.SetParallelism(n) })
