@@ -52,8 +52,10 @@ type Client struct {
 	wiring *thirdPartyWiring
 
 	// owed are the session commands written whose replies have not been
-	// read, oldest first (see settle.go).
-	owed []sessionCmd
+	// read, oldest first, and written is set from a write to the next read
+	// (see settle.go).
+	owed    []sessionCmd
+	written bool
 
 	// noMLSC is set once the server has answered MLSC as an unknown verb;
 	// ListEntries then goes straight to MLSD.
@@ -202,9 +204,12 @@ type SessionSetup struct {
 	DCSC *gsi.Credential
 }
 
-// Setup applies the settings in one flight: the commands PropagateTrace,
-// SetMarkerInterval, SetTask and SendDCSC would send one round trip at a
-// time go out together and their replies are read in order.
+// Setup writes the commands PropagateTrace, SetMarkerInterval, SetTask and
+// SendDCSC would send one round trip at a time, and leaves their replies owed
+// (settle.go): they come back, in order, with whatever the caller sends next
+// — a session about to plan a transfer sends StartWalk, and the set-up costs
+// it no round trip of its own — or with Settle. The settings take effect
+// here as their replies are read, and a refused one is that read's error.
 func (c *Client) Setup(s SessionSetup) error {
 	var cmds []sessionCmd
 	if s.Trace.Valid() {
@@ -223,7 +228,7 @@ func (c *Client) Setup(s SessionSetup) error {
 		}
 		cmds = append(cmds, cmd)
 	}
-	return c.batch(cmds...)
+	return c.owe(cmds...)
 }
 
 // Delegate delegates a proxy of the client credential to the server over
@@ -1031,6 +1036,11 @@ func (c *Client) Stat(path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return mlstLine(r)
+}
+
+// mlstLine is the facts line of an MLST 250.
+func mlstLine(r ftp.Reply) (string, error) {
 	if len(r.Lines) < 2 {
 		return "", fmt.Errorf("gridftp: bad MLST reply %v", r.Lines)
 	}

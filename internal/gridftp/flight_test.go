@@ -281,7 +281,13 @@ func TestOwedRepliesSettleBeforeAnyCommand(t *testing.T) {
 		{"Mkdir", func(c *Client) error { return c.Mkdir("/dir-" + fmt.Sprint(time.Now().UnixNano())) }},
 		{"Size", func(c *Client) error { _, err := c.Size("/data.bin"); return err }},
 		{"SetProt", func(c *Client) error { return c.SetProt(ProtPrivate) }},
-		{"Setup", func(c *Client) error { return c.Setup(SessionSetup{Task: "t-1", MarkerInterval: time.Second}) }},
+		{"Setup", func(c *Client) error {
+			if err := c.Setup(SessionSetup{Task: "t-1", MarkerInterval: time.Second}); err != nil {
+				return err
+			}
+			return c.Settle()
+		}},
+		{"StartWalk", func(c *Client) error { _, err := c.StartWalk("/"); return err }},
 		{"Close", func(c *Client) error { c.Close(); return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -36,10 +36,11 @@ func nestedTree(t *testing.T, s *site) []WalkEntry {
 
 func sortedWalk(t *testing.T, c *Client, path string) []WalkEntry {
 	t.Helper()
-	got, err := c.WalkEntries(path)
+	w, err := c.WalkEntries(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := w.Files
 	sort.Slice(got, func(i, j int) bool { return got[i].Rel < got[j].Rel })
 	return got
 }

@@ -38,7 +38,7 @@ func ParseMlsxLine(line string) (MlsxEntry, error) {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < 0 {
 				// The size is untrusted remote input that flows straight
-				// into transfer planning (WalkEntries) and progress math; a
+				// into transfer planning (Walk) and progress math; a
 				// negative one must not survive parsing.
 				return MlsxEntry{}, fmt.Errorf("gridftp: bad Size in %q", line)
 			}
@@ -51,21 +51,17 @@ func ParseMlsxLine(line string) (MlsxEntry, error) {
 	return e, nil
 }
 
-// errListOverData is listControl declining: this directory is to be listed
-// with MLSD.
+// errListOverData is an MLSC declined: this directory is to be listed with
+// MLSD.
 var errListOverData = errors.New("gridftp: listing not available on the control channel")
 
-// listControl lists path with MLSC: the fact lines come back in the reply,
-// so the listing costs one round trip and leaves the session's data channels,
-// passive address and third-party wiring alone. Sending it is the probe, as
-// for SITE TRACE: a server without the verb answers 500 or 502 at once, which
-// is remembered for the session. 504 is a server that has it declining this
-// one listing as too large for a reply.
-func (c *Client) listControl(path string) ([]string, error) {
-	if c.noMLSC {
-		return nil, errListOverData
-	}
-	r, err := c.cmdExpect("MLSC", path, ftp.CodeFileActionOK)
+// mlscLines reads an MLSC reply's fact lines out of expect's return. The
+// listing costs one round trip and leaves the session's data channels, passive
+// address and third-party wiring alone. Sending the verb is the probe, as for
+// SITE TRACE: a server without it answers 500 or 502 at once, which is
+// remembered for the session. 504 is a server that has it declining this one
+// listing as too large for a reply.
+func (c *Client) mlscLines(r ftp.Reply, err error) ([]string, error) {
 	switch r.Code {
 	case ftp.CodeSyntaxError, ftp.CodeNotImplemented:
 		c.noMLSC = true
@@ -82,16 +78,16 @@ func (c *Client) listControl(path string) ([]string, error) {
 	return r.Lines[1 : len(r.Lines)-1], nil
 }
 
-// ListEntries lists a directory and returns the parsed entries: over the
-// control channel (MLSC) where the server can, else with List (MLSD).
-func (c *Client) ListEntries(path string) ([]MlsxEntry, error) {
-	lines, err := c.listControl(path)
-	if errors.Is(err, errListOverData) {
-		lines, err = c.List(path)
+// listControl lists path with MLSC.
+func (c *Client) listControl(path string) ([]string, error) {
+	if c.noMLSC {
+		return nil, errListOverData
 	}
-	if err != nil {
-		return nil, err
-	}
+	return c.mlscLines(c.cmdExpect("MLSC", path, ftp.CodeFileActionOK))
+}
+
+// parseListing parses a directory's fact lines.
+func parseListing(lines []string) ([]MlsxEntry, error) {
 	out := make([]MlsxEntry, 0, len(lines))
 	for _, line := range lines {
 		e, err := ParseMlsxLine(line)
@@ -103,6 +99,19 @@ func (c *Client) ListEntries(path string) ([]MlsxEntry, error) {
 	return out, nil
 }
 
+// ListEntries lists a directory and returns the parsed entries: over the
+// control channel (MLSC) where the server can, else with List (MLSD).
+func (c *Client) ListEntries(path string) ([]MlsxEntry, error) {
+	lines, err := c.listControl(path)
+	if errors.Is(err, errListOverData) {
+		lines, err = c.List(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return parseListing(lines)
+}
+
 // StatEntry runs MLST and returns the parsed entry.
 func (c *Client) StatEntry(path string) (MlsxEntry, error) {
 	line, err := c.Stat(path)
@@ -112,61 +121,170 @@ func (c *Client) StatEntry(path string) (MlsxEntry, error) {
 	return ParseMlsxLine(line)
 }
 
-// WalkEntry is one regular file found by WalkEntries: its slash-joined
-// path relative to the walk root, and its size as reported by the MLSD
-// Size fact — so callers planning transfers need no per-file SIZE round
-// trip afterwards.
+// WalkEntry is one regular file found by a walk: its slash-joined path
+// relative to the walk root, and its size as reported by the MLSx Size fact —
+// so callers planning transfers need no per-file SIZE round trip afterwards.
 type WalkEntry struct {
 	Rel  string
 	Size int64
 }
 
-// WalkEntries lists path recursively, returning a WalkEntry (relative
-// path plus size) for every regular file. Directories are traversed, not
-// returned.
-func (c *Client) WalkEntries(path string) ([]WalkEntry, error) {
-	var files []WalkEntry
-	var walk func(rel string) error
-	walk = func(rel string) error {
-		full := strings.TrimSuffix(path, "/")
-		if rel != "" {
-			full += "/" + rel
-		}
-		entries, err := c.ListEntries(full)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			childRel := e.Name
-			if rel != "" {
-				childRel = rel + "/" + e.Name
-			}
-			if e.IsDir {
-				if err := walk(childRel); err != nil {
-					return err
-				}
-			} else {
-				files = append(files, WalkEntry{Rel: childRel, Size: e.Size})
-			}
-		}
-		return nil
-	}
-	if err := walk(""); err != nil {
-		return nil, err
-	}
-	return files, nil
+// Walk is a recursive listing of one path: what it is, every regular file
+// under it, and every directory below it. StartWalk returns it with the path
+// itself examined; Finish lists what lies deeper.
+type Walk struct {
+	// IsDir reports whether the path is a directory. When it is not, Files
+	// is that one file, with Rel "".
+	IsDir bool
+	// Files are the regular files found, in listing order.
+	Files []WalkEntry
+	// Dirs are the directories found below the path, relative to it, every
+	// one after its parent. The path itself is not among them.
+	Dirs []string
+
+	c    *Client
+	root string
+	// level holds the directories found and not yet listed.
+	level []string
 }
 
-// Walk lists path recursively, returning slash-joined paths relative to
-// path for every regular file (directories are traversed, not returned).
-func (c *Client) Walk(path string) ([]string, error) {
-	entries, err := c.WalkEntries(path)
+// StartWalk is a walk's first flight: MLST for the path and, without waiting
+// to hear that it is a directory, the MLSC that lists it. Both are written
+// behind whatever the session owes, so one read sequence brings back the owed
+// replies, the facts and the listing. A path that is a file refuses the MLSC,
+// which is read and dropped. A refusal among the owed replies, or of the
+// MLST, is returned once every reply of the flight has been read.
+func (c *Client) StartWalk(path string) (*Walk, error) {
+	if err := c.send("MLST", path); err != nil {
+		return nil, err
+	}
+	speculative := !c.noMLSC
+	if speculative {
+		if err := c.send("MLSC", path); err != nil {
+			return nil, err
+		}
+	}
+	stat, err := c.expect(ftp.CodeFileActionOK)
+	if stat.Code == 0 {
+		return nil, err // the channel failed: there is no second reply to read
+	}
+	lines, listErr := []string(nil), errListOverData
+	if speculative {
+		lines, listErr = c.mlscLines(c.expect(ftp.CodeFileActionOK))
+	}
 	if err != nil {
 		return nil, err
 	}
-	files := make([]string, len(entries))
-	for i, e := range entries {
-		files[i] = e.Rel
+	line, err := mlstLine(stat)
+	if err != nil {
+		return nil, err
 	}
-	return files, nil
+	entry, err := ParseMlsxLine(line)
+	if err != nil {
+		return nil, err
+	}
+	w := &Walk{c: c, root: strings.TrimSuffix(path, "/"), IsDir: entry.IsDir}
+	if !entry.IsDir {
+		w.Files = []WalkEntry{{Size: entry.Size}}
+		return w, nil
+	}
+	if errors.Is(listErr, errListOverData) {
+		lines, listErr = c.List(path)
+	}
+	if listErr != nil {
+		return nil, listErr
+	}
+	return w, w.add("", lines)
+}
+
+// full is the server path of a directory of the walk.
+func (w *Walk) full(rel string) string {
+	switch {
+	case rel != "":
+		return w.root + "/" + rel
+	case w.root == "":
+		return "/"
+	}
+	return w.root
+}
+
+// add takes the listing of dir, one of the walk's directories, into the walk:
+// files are found, directories are found and queued for the next level.
+func (w *Walk) add(dir string, lines []string) error {
+	entries, err := parseListing(lines)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		rel := e.Name
+		if dir != "" {
+			rel = dir + "/" + e.Name
+		}
+		if !e.IsDir {
+			w.Files = append(w.Files, WalkEntry{Rel: rel, Size: e.Size})
+			continue
+		}
+		w.Dirs = append(w.Dirs, rel)
+		w.level = append(w.level, rel)
+	}
+	return nil
+}
+
+// Finish lists what StartWalk found directories for, down to the bottom, a
+// directory at a time.
+func (w *Walk) Finish() error {
+	for len(w.level) > 0 {
+		d := w.level[0]
+		w.level = w.level[1:]
+		if err := w.listFlight([]string{d}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *Walk) listFlight(dirs []string) error {
+	c := w.c
+	written := 0
+	if !c.noMLSC {
+		for _, d := range dirs {
+			if err := c.send("MLSC", w.full(d)); err != nil {
+				return err
+			}
+			written++
+		}
+	}
+	listings := make([][]string, len(dirs))
+	errs := make([]error, len(dirs))
+	for i := range dirs {
+		errs[i] = errListOverData
+		if i < written {
+			r, err := c.expect(ftp.CodeFileActionOK)
+			if r.Code == 0 {
+				return err // the channel failed
+			}
+			listings[i], errs[i] = c.mlscLines(r, err)
+		}
+	}
+	for i, d := range dirs {
+		if errors.Is(errs[i], errListOverData) {
+			listings[i], errs[i] = c.List(w.full(d))
+		}
+		if errs[i] != nil {
+			return errs[i]
+		}
+		if err := w.add(d, listings[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WalkEntries walks path to the bottom: StartWalk and Finish.
+func (c *Client) WalkEntries(path string) (*Walk, error) {
+	w, err := c.StartWalk(path)
+	if err == nil {
+		err = w.Finish()
+	}
+	return w, err
 }

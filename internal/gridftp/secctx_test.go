@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -257,18 +258,21 @@ func TestClientWalk(t *testing.T) {
 	s.putFile(t, "/tree/top.txt", []byte("1"))
 	s.putFile(t, "/tree/a/mid.txt", []byte("2"))
 	s.putFile(t, "/tree/a/b/leaf.txt", []byte("3"))
-	files, err := c.Walk("/tree")
+	w, err := c.WalkEntries("/tree")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{"top.txt": true, "a/mid.txt": true, "a/b/leaf.txt": true}
-	if len(files) != len(want) {
-		t.Fatalf("walk %v", files)
+	if len(w.Files) != len(want) {
+		t.Fatalf("walk %v", w.Files)
 	}
-	for _, f := range files {
-		if !want[f] {
-			t.Fatalf("unexpected walk entry %q in %v", f, files)
+	for _, f := range w.Files {
+		if !want[f.Rel] {
+			t.Fatalf("unexpected walk entry %q in %v", f.Rel, w.Files)
 		}
+	}
+	if !w.IsDir || !reflect.DeepEqual(w.Dirs, []string{"a", "a/b"}) {
+		t.Fatalf("walk: directory %v, directories below it %v", w.IsDir, w.Dirs)
 	}
 }
 

@@ -29,7 +29,18 @@ type sessionCmd struct {
 // send counts and writes one command and reads nothing.
 func (c *Client) send(name, params string) error {
 	c.countCommand(name)
+	c.written = true
 	return c.ctrl.Cmd(name, "%s", params)
+}
+
+// reading precedes every read of the control channel. The first read after a
+// write is where the client starts waiting out a round trip: it ends a flight,
+// and flights are counted as commands are.
+func (c *Client) reading() {
+	if c.written {
+		c.written = false
+		c.obs.Registry().Counter("gridftp.client.flights").Inc()
+	}
 }
 
 // owe writes the commands and leaves their replies owed.
@@ -52,6 +63,7 @@ func (c *Client) settle() (inStep bool, err error) {
 	owed := c.owed
 	c.owed = nil
 	for _, cmd := range owed {
+		c.reading()
 		r, rerr := c.ctrl.Expect(ftp.CodeOK)
 		declined := rerr != nil && cmd.optional &&
 			(r.Code == ftp.CodeSyntaxError || r.Code == ftp.CodeNotImplemented || r.Code == ftp.CodeParamNotImpl)
@@ -67,6 +79,14 @@ func (c *Client) settle() (inStep bool, err error) {
 		}
 	}
 	return true, err
+}
+
+// Settle reads the replies the session owes, if any, and returns the first
+// refusal among them: how a caller that left a flight owed (Setup) joins it
+// when it has nothing to send behind it.
+func (c *Client) Settle() error {
+	_, err := c.settle()
+	return err
 }
 
 // batch writes every command before it reads any reply, so k commands cost
@@ -87,6 +107,7 @@ func (c *Client) read(next func() (ftp.Reply, error)) (ftp.Reply, error) {
 	if !inStep {
 		return ftp.Reply{}, owedErr
 	}
+	c.reading()
 	r, err := next()
 	if owedErr != nil {
 		err = owedErr

@@ -30,6 +30,9 @@ func TestSetupIsOneRoundTrip(t *testing.T) {
 		Task:           "task-7",
 		DCSC:           s.user,
 	})
+	if err == nil {
+		err = c.Settle() // Setup leaves its replies owed
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

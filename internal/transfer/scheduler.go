@@ -127,10 +127,13 @@ func (p *transferPlan) clearMarkers() {
 // sessions (source + destination).
 type sessionPair struct {
 	src, dst *gridftp.Client
-	// rtt is one control round trip to the source as the pair's last
-	// session-command flight saw it (dialPair's, or relabel's on an adopted
-	// pair): k commands written and k replies read.
+	// rtt is one control round trip to the source as the pair's first flight
+	// saw it (dialPair's, or relabel's on an adopted pair): its commands
+	// written and their replies read.
 	rtt time.Duration
+	// walk is the walk of the task's source that flight started, when it
+	// was asked to plan; buildPlan finishes and takes it.
+	walk *gridftp.Walk
 	// srcProxy and dstProxy are what the sessions authenticated with; a
 	// task's extra workers dial with the same two.
 	srcProxy, dstProxy *gsi.Credential
@@ -161,16 +164,33 @@ func (p *sessionPair) Close() {
 	wg.Wait()
 }
 
+// firstFlight is what a session is sent before its files, as one flight
+// (warm.go): the set-up commands, written and left owed, and — on the source
+// session of an attempt that has yet to plan — the start of the walk right
+// behind them, so one read brings back the set-up replies, what the source
+// path is and what its top level holds. A session with nothing to plan reads
+// its set-up replies alone. A refused set-up command fails the flight.
+func firstFlight(c *gridftp.Client, setup gridftp.SessionSetup, planPath string) (*gridftp.Walk, error) {
+	if err := c.Setup(setup); err != nil {
+		return nil, err
+	}
+	if planPath == "" {
+		return nil, c.Settle()
+	}
+	return c.StartWalk(planPath)
+}
+
 // dialPair opens one worker's session pair, source and destination at the
-// same time: dial, delegate, then one flight of session commands — join the
+// same time: dial, delegate, then the session's first flight — join the
 // caller's trace (SITE TRACE; endpoints without it keep rooting locally),
 // label the session with the task id for stream telemetry (SITE TASK — the
 // destination publishes its streams as "<task>", the source as
-// "<task>-src"), and on the destination set the marker cadence and — for
+// "<task>-src"), on the destination set the marker cadence and — for
 // cross-CA endpoint pairs — install the source credential via DCSC once
-// per session instead of once per file. That flight is timed: it is the
-// task's estimate of a control round trip, taken from a flight the pair pays
-// for anyway. If either side fails, the side that succeeded is closed.
+// per session instead of once per file. The source's flight is timed: it is
+// the task's estimate of a control round trip, taken from a flight the pair
+// pays for anyway. Both flights have been read when dialPair returns; if
+// either side fails, the side that succeeded is closed.
 func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel string) (*sessionPair, error) {
 	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup) (*gridftp.Client, time.Duration, error) {
 		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust,
@@ -181,7 +201,7 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 		var flight time.Duration
 		if err = c.Delegate(delegatedLifetime); err == nil {
 			start := time.Now()
-			err = c.Setup(setup)
+			_, err = firstFlight(c, setup, "")
 			flight = time.Since(start)
 		}
 		if err != nil {
@@ -737,30 +757,35 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	return firstErr
 }
 
-// buildPlan resolves the task source into a file plan with sizes —
-// single files via the MLST Size fact, directories via WalkEntries, so
-// no per-file SIZE command is ever needed — and creates the destination
-// directory tree for recursive transfers. The tree's root is needed as soon
-// as MLST says "directory", so the destination session creates it while the
-// source session walks; the directories below it follow the walk.
-func (s *Service) buildPlan(task *Task, src, dst *gridftp.Client) (*transferPlan, error) {
-	entry, err := src.StatEntry(task.SrcPath)
-	if err != nil {
-		return nil, err
+// buildPlan resolves the task source into a file plan with sizes — a single
+// file's from the MLST Size fact, a directory's from the listings, so no
+// per-file SIZE command is ever needed — and creates the destination
+// directory tree for recursive transfers. It finishes the walk the primary
+// pair's first flight started (an adopted pair's; a dialled one starts it
+// here). The tree's root is needed as soon as the source is known to be a
+// directory, so the destination session creates it while the source session
+// walks on; the directories below it follow the walk.
+func (s *Service) buildPlan(task *Task, walk *gridftp.Walk, src, dst *gridftp.Client) (*transferPlan, error) {
+	if walk == nil {
+		var err error
+		if walk, err = src.StartWalk(task.SrcPath); err != nil {
+			return nil, err
+		}
 	}
-	if !entry.IsDir {
-		return newTransferPlan([]planFile{{rel: "", size: entry.Size}}), nil
+	if !walk.IsDir {
+		return newTransferPlan([]planFile{{rel: "", size: walk.Files[0].Size}}), nil
 	}
 	root := strings.TrimSuffix(task.DstPath, "/")
 	rootDone := make(chan error, 1)
 	go func() { rootDone <- ensureDir(dst, root) }()
-	entries, err := src.WalkEntries(task.SrcPath)
+	err := walk.Finish()
 	if rootErr := <-rootDone; err == nil {
 		err = rootErr
 	}
 	if err != nil {
 		return nil, err
 	}
+	entries := walk.Files
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Rel < entries[j].Rel })
 	files := make([]planFile, len(entries))
 	for i, e := range entries {

@@ -618,10 +618,16 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	ctlSpan := taskSpan.Child("control")
 	crossCA := task.crossCA(srcEP, dstEP)
 	key := pairKey{user: task.User, src: task.Src, dst: task.Dst, srcCred: srcCred, dstCred: dstCred, dcsc: crossCA}
+	// The first attempt has no plan yet, and on an adopted pair learns it in
+	// the adoption flight.
+	planPath := ""
+	if *planp == nil {
+		planPath = task.SrcPath
+	}
 	var primary *sessionPair
 	if mayAdopt {
 		if primary = s.adopt(key); primary != nil {
-			if err := primary.relabel(taskSpan.Context(), task.ID); err != nil {
+			if err := primary.relabel(taskSpan.Context(), task.ID, planPath); err != nil {
 				s.log.Warn("parked session pair failed its adoption flight; dialling", "task", task.ID, "err", err)
 				primary.Close()
 				primary = nil
@@ -653,7 +659,8 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	s.update(task, func(t *Task) { t.PerfBytes = 0; t.PerfMarkers = 0 })
 
 	if *planp == nil {
-		plan, err := s.buildPlan(task, primary.src, primary.dst)
+		plan, err := s.buildPlan(task, primary.walk, primary.src, primary.dst)
+		primary.walk = nil
 		if err != nil {
 			return adopted, err
 		}

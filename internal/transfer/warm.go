@@ -82,21 +82,24 @@ func (p *sessionPair) usable(now time.Time) bool {
 	return now.Add(parkMargin).Before(p.deadline)
 }
 
-// relabel is all an adopted pair is told about its new task: the trace to
-// join and the label to publish streams under, on both sessions at once. It
-// is also the liveness check of the two control channels and, like the
-// set-up flight of a dialled pair, the task's round-trip estimate.
-func (p *sessionPair) relabel(sc obs.SpanContext, taskLabel string) error {
+// relabel is all an adopted pair is told about its new task — the trace to
+// join and the label to publish streams under — and all the task asks before
+// its files: the walk of planPath starts behind the source's two commands
+// (firstFlight). Both sessions at once, and both flights read before relabel
+// returns: it is also the liveness check of the two control channels and,
+// like the first flight of a dialled pair, the task's round-trip estimate.
+func (p *sessionPair) relabel(sc obs.SpanContext, taskLabel, planPath string) error {
 	setup := gridftp.SessionSetup{Trace: sc, Task: taskLabel}
 	var dstErr error
 	dstDone := make(chan struct{})
 	go func() {
 		defer close(dstDone)
-		dstErr = p.dst.Setup(setup)
+		_, dstErr = firstFlight(p.dst, setup, "")
 	}()
 	start := time.Now()
-	srcErr := p.src.Setup(setup)
+	walk, srcErr := firstFlight(p.src, setup, planPath)
 	p.rtt = time.Since(start)
+	p.walk = walk
 	<-dstDone
 	return errors.Join(srcErr, dstErr)
 }
