@@ -12,9 +12,12 @@ import "gridftp.dev/instant/internal/ftp"
 // the only reads (scripts/check.sh greps for others).
 
 // sessionCmd is one session command: what to send and what its outcome
-// changes on the client. Every session command answers 200.
+// changes on the client.
 type sessionCmd struct {
 	name, params string
+	// code is the reply that means success; zero is 200, which every session
+	// command but MKD answers.
+	code int
 	// optional marks an extension the server may lack: being told so — 500,
 	// 502, or 504 for an OPTS key — is not an error. The SITE registry
 	// answers unknown subcommands at once, so sending one is the probe.
@@ -24,6 +27,10 @@ type sessionCmd struct {
 	// false when an optional command was declined, and an error reply
 	// skips it.
 	apply func(accepted bool)
+	// refused, if non-nil, takes the command's refusal in place of the flight
+	// that reads it: whether it matters is for what was written behind the
+	// command to say (Pipeline.Mkdirs).
+	refused func(error)
 }
 
 // send counts and writes one command and reads nothing.
@@ -57,14 +64,18 @@ func (c *Client) owe(cmds ...sessionCmd) error {
 // settle reads the final reply of every owed command, oldest first. A
 // command's state change is applied only on that command's own success; a
 // refusal does not stop the reading, so the channel stays in step, and the
-// first one is returned. inStep is false when the channel itself failed:
-// nothing more can be read from it.
+// first one that no command's refused takes is returned. inStep is false when
+// the channel itself failed: nothing more can be read from it.
 func (c *Client) settle() (inStep bool, err error) {
 	owed := c.owed
 	c.owed = nil
 	for _, cmd := range owed {
+		want := cmd.code
+		if want == 0 {
+			want = ftp.CodeOK
+		}
 		c.reading()
-		r, rerr := c.ctrl.Expect(ftp.CodeOK)
+		r, rerr := c.ctrl.Expect(want)
 		declined := rerr != nil && cmd.optional &&
 			(r.Code == ftp.CodeSyntaxError || r.Code == ftp.CodeNotImplemented || r.Code == ftp.CodeParamNotImpl)
 		switch {
@@ -74,6 +85,8 @@ func (c *Client) settle() (inStep bool, err error) {
 			}
 		case r.Code == 0:
 			return false, rerr
+		case cmd.refused != nil:
+			cmd.refused(rerr)
 		case err == nil:
 			err = rerr
 		}

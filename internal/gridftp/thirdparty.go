@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"gridftp.dev/instant/internal/ftp"
@@ -122,15 +123,22 @@ func wire(src, dst *Client, striped bool) error {
 //   - One receive never takes more fresh connections than the negotiated
 //     parallelism (dataPath.beginReceive), so with the channel cache off at
 //     a server the connections opened for the next file wait for it.
+//
+// The directories the transfers land in are created the same way (Mkdirs):
+// their MKDs are written ahead of the first STOR and nothing waits for them.
 type Pipeline struct {
 	src, dst *Client
 	inFlight []pipelined
+	// refused holds the reply to every MKD of Mkdirs that the destination
+	// refused, by directory, until a STOR under the directory has judged it.
+	refused map[string]error
 }
 
 // pipelined is one transfer whose STOR and RETR have been written and
 // whose replies have not been read.
 type pipelined struct {
 	start    time.Time
+	dstPath  string
 	onMarker func([]Range)
 	done     func(*ThirdPartyResult, error)
 }
@@ -204,8 +212,51 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 	if err := src.send("RETR", srcPath); err != nil {
 		return err
 	}
-	p.inFlight = append(p.inFlight, pipelined{start: time.Now(), onMarker: opts.OnMarker, done: done})
+	p.inFlight = append(p.inFlight, pipelined{start: time.Now(), dstPath: dstPath, onMarker: opts.OnMarker, done: done})
 	return nil
+}
+
+// Mkdirs asks the destination for the directories the transfers to come will
+// land in, a parent before what lies under it, and waits for none of them:
+// each MKD is a session command left owed (settle.go), so its reply is read
+// ahead of the first reply the destination is next asked for — the PASV that
+// wires a fresh pair, or the first STOR's 150 on a wired one — and the tree
+// costs no round trip of its own. An MKD is a command with a reply of its
+// own, so the transfers in flight complete first.
+//
+// A refused MKD is not an error here: most are a directory that exists. The
+// first STOR under the directory is the judge. It succeeds, and the refusal
+// is forgotten; or it is refused too, and its error names the directory and
+// carries the MKD's reply — and, like any failed transfer, un-wires the pair.
+func (p *Pipeline) Mkdirs(dirs []string) error {
+	p.Drain()
+	for _, d := range dirs {
+		if err := p.dst.owe(sessionCmd{name: "MKD", params: d, code: ftp.CodePathCreated,
+			refused: func(err error) { p.refuse(d, err) }}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *Pipeline) refuse(dir string, err error) {
+	if p.refused == nil {
+		p.refused = make(map[string]error)
+	}
+	p.refused[dir] = err
+}
+
+// judged takes the refused directories path lies under off the list — the
+// STOR at path is their verdict — and returns the outermost and its MKD's
+// reply; "" when there was none.
+func (p *Pipeline) judged(path string) (dir string, mkdErr error) {
+	for i := strings.LastIndexByte(path, '/'); i > 0 && len(p.refused) > 0; i = strings.LastIndexByte(path[:i], '/') {
+		if err, ok := p.refused[path[:i]]; ok {
+			dir, mkdErr = path[:i], err
+			delete(p.refused, dir)
+		}
+	}
+	return dir, mkdErr
 }
 
 // Next reads the replies of the oldest transfer in flight from both control
@@ -238,6 +289,7 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 	src, dst := p.src, p.dst
 	dst.resetPerf()
 	var lastMarkers []Range
+	opened := false // the destination answered 150: the STOR was not refused
 	type final struct {
 		reply ftp.Reply
 		err   error
@@ -245,6 +297,7 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 	dstCh := make(chan final, 1)
 	go func() {
 		r, err := dst.finalReply(func(pre ftp.Reply) {
+			opened = opened || pre.Code == ftp.CodeFileStatusOK
 			if ranges := dst.handlePreliminary(pre); ranges != nil {
 				lastMarkers = ranges
 				if t.onMarker != nil {
@@ -263,6 +316,11 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 	}
 	if dstFinal.err != nil {
 		return res, fmt.Errorf("gridftp: destination control channel: %w", dstFinal.err)
+	}
+	// A STOR refused under a directory whose MKD was refused: that is the
+	// cause, whatever the source made of the data path it was left with.
+	if dir, mkdErr := p.judged(t.dstPath); dir != "" && !opened && dstFinal.reply.Err() != nil {
+		return res, fmt.Errorf("gridftp: destination: MKD %s was refused (%v), and so was the STOR under it: %w", dir, mkdErr, dstFinal.reply.Err())
 	}
 	if err := srcReply.Err(); err != nil {
 		return res, fmt.Errorf("gridftp: source: %w", err)

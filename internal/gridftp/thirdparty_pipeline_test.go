@@ -2,12 +2,16 @@ package gridftp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/ftp"
+	"gridftp.dev/instant/internal/obs"
 )
 
 // windowFile is one file of a pipelined window: its name, what the source
@@ -325,4 +329,112 @@ func TestPipelineDrainsBeforeRoundTrips(t *testing.T) {
 	if pasv := commandCount(p.dstObs, "PASV"); pasv != 2 {
 		t.Errorf("PASV sent %d times, want 2", pasv)
 	}
+}
+
+// flights reads how many times a client has turned from writing to waiting.
+func flights(o *obs.Obs) int64 { return o.Metrics.Counter("gridftp.client.flights").Value() }
+
+// TestPipelineMkdirsAheadOfTheFirstStor: the directories a window lands in
+// are asked for and not waited for. On a pair that still has to wire, their
+// replies come back with the PASV; on a wired pair, with the first STOR's —
+// the destination is waited for once for the MKDs and every file behind them.
+// A directory that exists refuses its MKD and the STOR under it does not care.
+func TestPipelineMkdirsAheadOfTheFirstStor(t *testing.T) {
+	p := newTPPair(t, tpPairOptions{})
+	pipe := NewPipeline(p.src, p.dst)
+	begin := func(dstPath string) *windowFile {
+		t.Helper()
+		f := &windowFile{name: dstPath, payload: p.payload(p.files)}
+		src := fmt.Sprintf("/src%03d.bin", p.files)
+		p.files++
+		p.srcSite.putFile(t, src, f.payload)
+		if err := pipe.Begin(src, dstPath, ThirdPartyOptions{}, func(_ *ThirdPartyResult, err error) { f.done, f.err = true, err }); err != nil {
+			t.Fatalf("begin %s: %v", dstPath, err)
+		}
+		return f
+	}
+
+	before, owed := flights(p.dstObs), len(p.dst.owed) // DELG's 200
+	if err := pipe.Mkdirs([]string{"/out", "/out/a", "/out/a/b"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := flights(p.dstObs) - before; got != 0 || len(p.dst.owed) != owed+3 {
+		t.Fatalf("after Mkdirs: %d flights waited for and %d more replies owed, want 0 and 3", got, len(p.dst.owed)-owed)
+	}
+	first := begin("/out/a/b/deep.bin") // wires the pair: MKD MKD MKD PASV is one flight
+	if got := flights(p.dstObs) - before; got != 1 || len(p.dst.owed) != 0 {
+		t.Fatalf("after the first begin: %d destination flights and %d owed, want 1 (the MKDs and PASV together) and 0", got, len(p.dst.owed))
+	}
+	pipe.Drain()
+	p.wantLanded(first)
+
+	// Wired: two more directories, one of which exists, and a file into each.
+	before = flights(p.dstObs)
+	if err := pipe.Mkdirs([]string{"/out", "/more"}); err != nil {
+		t.Fatal(err)
+	}
+	window := []*windowFile{begin("/out/again.bin"), begin("/more/new.bin"), begin("/out/a/third.bin")}
+	if pipe.InFlight() != 3 || flights(p.dstObs) != before {
+		t.Fatalf("%d in flight and %d flights waited for after three begins on a wired pair", pipe.InFlight(), flights(p.dstObs)-before)
+	}
+	pipe.Drain()
+	for _, f := range window {
+		p.wantLanded(f)
+	}
+	if got := flights(p.dstObs) - before; got != 1 {
+		t.Errorf("two MKDs and three STORs cost the destination %d flights, want 1", got)
+	}
+	if len(pipe.refused) != 0 {
+		t.Errorf("refusals still unjudged after files landed under them: %v", pipe.refused)
+	}
+	if mkd, mlst := commandCount(p.dstObs, "MKD"), commandCount(p.dstObs, "MLST"); mkd != 5 || mlst != 0 {
+		t.Errorf("%d MKD and %d MLST, want 5 and 0", mkd, mlst)
+	}
+}
+
+// TestPipelineRefusedMkdirIsJudgedByItsStor: where a directory should go the
+// destination has a regular file. Nothing fails until the STOR under it does;
+// that transfer's error names the directory and carries both refusals,
+// everything queued behind it is refused at once (S2), the pair un-wires, and
+// the channels are in step for what comes next.
+func TestPipelineRefusedMkdirIsJudgedByItsStor(t *testing.T) {
+	p := newTPPair(t, tpPairOptions{})
+	p.transfer(ThirdPartyOptions{}) // wires the pair
+	p.dstSite.putFile(t, "/blocked", []byte("a file where a directory should go"))
+	p.srcSite.putFile(t, "/one.bin", pattern(30000))
+
+	pipe := NewPipeline(p.src, p.dst)
+	if err := pipe.Mkdirs([]string{"/blocked", "/blocked/sub"}); err != nil {
+		t.Fatalf("Mkdirs: %v (a refused MKD is not Mkdirs' error)", err)
+	}
+	var errs []error
+	for _, dst := range []string{"/blocked/sub/one.bin", "/blocked/two.bin", "/elsewhere.bin"} {
+		if err := pipe.Begin("/one.bin", dst, ThirdPartyOptions{}, func(_ *ThirdPartyResult, err error) { errs = append(errs, err) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	pipe.Drain()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the window took %v to resolve", took)
+	}
+	if len(errs) != 3 || errs[0] == nil || errs[1] == nil || errs[2] == nil {
+		t.Fatalf("outcomes %v, want three failures", errs)
+	}
+	var re *ftp.ReplyError
+	if msg := errs[0].Error(); !strings.Contains(msg, "MKD /blocked was refused") || !errors.As(errs[0], &re) || re.Reply.Code != ftp.CodeFileUnavailable {
+		t.Errorf("the first failure does not name the outermost refused directory and wrap the STOR's 550: %v", errs[0])
+	}
+	if strings.Contains(errs[2].Error(), "MKD") {
+		t.Errorf("a file under no refused directory blames one: %v", errs[2])
+	}
+	if wired(p.src, p.dst, false) {
+		t.Error("the pair is still wired after a refused STOR")
+	}
+	for _, c := range []*Client{p.src, p.dst} {
+		if err := c.Noop(); err != nil {
+			t.Fatalf("control channel out of step: %v", err)
+		}
+	}
+	p.transfer(ThirdPartyOptions{})
 }

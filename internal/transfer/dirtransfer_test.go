@@ -3,10 +3,12 @@ package transfer
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/obs"
 )
 
 // TestRecursiveDirectoryTransfer submits a directory: the service walks
@@ -127,4 +129,83 @@ func TestDirectoryTransferResumesAtFailedFile(t *testing.T) {
 			t.Fatalf("file %d mismatch", i)
 		}
 	}
+}
+
+// clientCommands reads the per-verb counter of commands the service's
+// sessions have sent.
+func clientCommands(o *obs.Obs, verb string) int64 {
+	return o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd="+verb)).Value()
+}
+
+// TestDestinationTreeAlreadyThere: the directories a task needs exist at the
+// destination, one of them holding a file. Their MKDs are refused, the STORs
+// behind them succeed, and that is all it costs: one attempt, no command
+// beyond an MKD per directory — in particular no MLST to look at what refused.
+func TestDestinationTreeAlreadyThere(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o}, false)
+	activateBoth(t, w)
+	for _, d := range []string{"/tree", "/tree/sub"} {
+		for _, s := range []dsi.Storage{w.epA.Storage, w.epB.Storage} {
+			if err := s.Mkdir("alice", d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	files := map[string][]byte{"/tree/top.bin": pattern(40 << 10), "/tree/sub/leaf.bin": pattern(70 << 10)}
+	for name, data := range files {
+		w.putSrc(t, name, data)
+	}
+	f, err := w.epB.Storage.Create("alice", "/tree/sub/kept.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	done, _ := runDirTask(t, w, "/tree")
+	if done.Attempts != 1 || done.CompletedFiles != len(files) {
+		t.Fatalf("%d files in %d attempts, want %d in 1", done.CompletedFiles, done.Attempts, len(files))
+	}
+	verifyTree(t, w, files)
+	if _, err := w.epB.Storage.Stat("alice", "/tree/sub/kept.bin"); err != nil {
+		t.Errorf("the file the destination already held: %v", err)
+	}
+	if mkd, mlst := clientCommands(o, "MKD"), clientCommands(o, "MLST"); mkd != 2 || mlst != 1 {
+		t.Errorf("%d MKD and %d MLST, want 2 (one per directory) and 1 (the source path)", mkd, mlst)
+	}
+}
+
+// TestDestinationPathIsAFile: where the task's root directory should go there
+// is a regular file. The MKD is refused, and so is the first STOR under it;
+// the attempt fails there, and its error says which directory could not be
+// made — not only that some file under it could not be stored.
+func TestDestinationPathIsAFile(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o, RetryLimit: 1}, false)
+	activateBoth(t, w)
+	distinctTree(t, w, "/data", 4, 16<<10)
+	f, err := w.epB.Storage.Create("alice", "/taken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	task, err := w.svc.Submit("alice", "siteA", "/data", "siteB", "/taken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := w.svc.Wait(task.ID, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != TaskFailed || done.Attempts != 1 || done.CompletedFiles != 0 {
+		t.Fatalf("task %s after %d attempts with %d files done, want failed after 1 with none", done.Status, done.Attempts, done.CompletedFiles)
+	}
+	if !strings.Contains(done.Error, "MKD /taken was refused") {
+		t.Errorf("the error does not name the directory that could not be made: %s", done.Error)
+	}
+	if fi, err := w.epB.Storage.Stat("alice", "/taken"); err != nil || fi.IsDir {
+		t.Errorf("the file in the way: %+v, %v", fi, err)
+	}
+	waitSessions(t, o, 0)
 }

@@ -47,18 +47,22 @@ type planFile struct {
 }
 
 // transferPlan is the durable state a task carries across attempts: the
-// file list, the per-file completion set, and per-file restart markers
-// for files that died in flight. Workers on several goroutines update it
-// concurrently.
+// destination directories the files land in (a parent before what lies under
+// it; none for a single-file task), the file list, the per-file completion
+// set, and per-file restart markers for files that died in flight. Workers on
+// several goroutines update it concurrently.
 type transferPlan struct {
+	dirs []string
+
 	mu      sync.Mutex
 	files   []planFile
 	done    []bool
 	markers [][]gridftp.Range
 }
 
-func newTransferPlan(files []planFile) *transferPlan {
+func newTransferPlan(dirs []string, files []planFile) *transferPlan {
 	return &transferPlan{
+		dirs:    dirs,
 		files:   files,
 		done:    make([]bool, len(files)),
 		markers: make([][]gridftp.Range, len(files)),
@@ -504,8 +508,9 @@ type fileTransfer struct {
 // pipelineWindow bytes of files begun at both servers, completing the
 // oldest whenever it can begin no more; whatever is still in flight when it
 // stops is completed before it returns, so every file it claimed has been
-// accounted for.
-func (s *Service) runWorker(r workerRun, pair *sessionPair) error {
+// accounted for. pipe is the pair's pipeline: the primary pair's comes with the
+// task's directories already asked for (schedule).
+func (s *Service) runWorker(r workerRun, pair *sessionPair, pipe *gridftp.Pipeline) error {
 	// A session counts the markers of its whole life, and an adopted pair
 	// has lived through other tasks.
 	_, _, before := pair.dst.PerfSnapshot()
@@ -513,7 +518,7 @@ func (s *Service) runWorker(r workerRun, pair *sessionPair) error {
 		total, _, markers := pair.dst.PerfSnapshot()
 		r.agg.report(r.slot, total, markers-before)
 	})
-	w := &worker{workerRun: r, s: s, pipe: gridftp.NewPipeline(pair.src, pair.dst)}
+	w := &worker{workerRun: r, s: s, pipe: pipe}
 	for w.err == nil {
 		for w.err == nil && w.inFlight < pipelineWindow && w.beginNext() {
 		}
@@ -690,6 +695,13 @@ func (w *worker) complete(ft *fileTransfer, terr error) {
 // primary's proxies, and all drain the shared queue until it is empty or a
 // file fails. With a single worker the task span owns the data spans
 // directly (the sequential shape); with K > 1 each worker gets a child span.
+//
+// The destination tree is asked for first, on the primary pair, and not
+// waited for: the MKDs are on their way before worker 0 writes its first
+// STOR behind them on the same channel, and before any other worker starts
+// the several round trips of dialling a pair to write one on another. Every
+// attempt asks again — a failed one says nothing about what the destination
+// kept — and an existing directory's refusal costs nothing (Pipeline.Mkdirs).
 func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	srcEP, dstEP *Endpoint, taskSpan *obs.Span, pending []int, workers int, tuner *autotuner) error {
 
@@ -701,11 +713,15 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	stop := make(chan struct{})
 	agg := newPerfAgg(s, task, workers)
 
+	primaryPipe := gridftp.NewPipeline(primary.src, primary.dst)
+	if err := primaryPipe.Mkdirs(plan.dirs); err != nil {
+		return err
+	}
 	if workers == 1 {
 		return s.runWorker(workerRun{
 			task: task, plan: plan, tuner: tuner, agg: agg,
 			queue: queue, stop: stop, parent: taskSpan, slot: 0,
-		}, primary)
+		}, primary, primaryPipe)
 	}
 
 	crossCA := task.crossCA(srcEP, dstEP)
@@ -733,7 +749,7 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 			defer wspan.End()
 			activeWorkers.Add(1)
 			defer activeWorkers.Add(-1)
-			pair := primary
+			pair, pipe := primary, primaryPipe
 			if w != 0 {
 				var err error
 				pair, err = s.dialPair(srcEP, dstEP, primary.srcProxy, primary.dstProxy, wspan.Context(), crossCA, task.ID)
@@ -743,11 +759,12 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 					return
 				}
 				defer pair.Close()
+				pipe = gridftp.NewPipeline(pair.src, pair.dst)
 			}
 			if err := s.runWorker(workerRun{
 				task: task, plan: plan, tuner: tuner, agg: agg,
 				queue: queue, stop: stop, parent: wspan, slot: w,
-			}, pair); err != nil {
+			}, pair, pipe); err != nil {
 				wspan.SetError(err)
 				fail(err)
 			}
@@ -757,70 +774,38 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	return firstErr
 }
 
-// buildPlan resolves the task source into a file plan with sizes — a single
-// file's from the MLST Size fact, a directory's from the listings, so no
-// per-file SIZE command is ever needed — and creates the destination
-// directory tree for recursive transfers. It finishes the walk the primary
-// pair's first flight started (an adopted pair's; a dialled one starts it
-// here). The tree's root is needed as soon as the source is known to be a
-// directory, so the destination session creates it while the source session
-// walks on; the directories below it follow the walk.
-func (s *Service) buildPlan(task *Task, walk *gridftp.Walk, src, dst *gridftp.Client) (*transferPlan, error) {
+// buildPlan finishes the walk the primary pair's first flight started (an
+// adopted pair's; a dialled one starts it here) and turns it into the task's
+// plan: the files with their sizes — a single file's
+// from the MLST Size fact, a directory's from the listings, so no per-file
+// SIZE command is ever needed — and, for a directory, the destination tree
+// they land in, root first. It creates nothing: the directories travel with
+// the plan and are asked for ahead of the first file (schedule). A flat
+// directory is finished already; a deeper one costs the source one more
+// flight per level.
+func buildPlan(task *Task, walk *gridftp.Walk, src *gridftp.Client) (*transferPlan, error) {
 	if walk == nil {
 		var err error
 		if walk, err = src.StartWalk(task.SrcPath); err != nil {
 			return nil, err
 		}
 	}
-	if !walk.IsDir {
-		return newTransferPlan([]planFile{{rel: "", size: walk.Files[0].Size}}), nil
-	}
-	root := strings.TrimSuffix(task.DstPath, "/")
-	rootDone := make(chan error, 1)
-	go func() { rootDone <- ensureDir(dst, root) }()
-	err := walk.Finish()
-	if rootErr := <-rootDone; err == nil {
-		err = rootErr
-	}
-	if err != nil {
+	if err := walk.Finish(); err != nil {
 		return nil, err
 	}
-	entries := walk.Files
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Rel < entries[j].Rel })
-	files := make([]planFile, len(entries))
-	for i, e := range entries {
+	files := make([]planFile, len(walk.Files))
+	for i, e := range walk.Files {
 		files[i] = planFile{rel: e.Rel, size: e.Size}
 	}
-	// Every parent directory below the root.
-	dirs := map[string]bool{}
-	for _, f := range files {
-		d := root
-		parts := strings.Split(f.rel, "/")
-		for _, p := range parts[:len(parts)-1] {
-			d += "/" + p
-			dirs[d] = true
-		}
+	if !walk.IsDir {
+		return newTransferPlan(nil, files), nil
 	}
-	sorted := make([]string, 0, len(dirs))
-	for d := range dirs {
-		sorted = append(sorted, d)
+	sort.Slice(files, func(i, j int) bool { return files[i].rel < files[j].rel })
+	root := strings.TrimSuffix(task.DstPath, "/")
+	dirs := make([]string, 0, 1+len(walk.Dirs))
+	dirs = append(dirs, root)
+	for _, d := range walk.Dirs {
+		dirs = append(dirs, root+"/"+d)
 	}
-	sort.Strings(sorted) // parents before children
-	for _, d := range sorted {
-		if err := ensureDir(dst, d); err != nil {
-			return nil, err
-		}
-	}
-	return newTransferPlan(files), nil
-}
-
-// ensureDir creates a destination directory, tolerating one that exists.
-func ensureDir(dst *gridftp.Client, d string) error {
-	err := dst.Mkdir(d)
-	if err != nil {
-		if _, serr := dst.StatEntry(d); serr == nil {
-			return nil
-		}
-	}
-	return err
+	return newTransferPlan(dirs, files), nil
 }

@@ -659,7 +659,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	s.update(task, func(t *Task) { t.PerfBytes = 0; t.PerfMarkers = 0 })
 
 	if *planp == nil {
-		plan, err := s.buildPlan(task, primary.walk, primary.src, primary.dst)
+		plan, err := buildPlan(task, primary.walk, primary.src)
 		primary.walk = nil
 		if err != nil {
 			return adopted, err
