@@ -191,28 +191,30 @@ func firstFlight(c *gridftp.Client, setup gridftp.SessionSetup, planPath string)
 // destination publishes its streams as "<task>", the source as
 // "<task>-src"), on the destination set the marker cadence and — for
 // cross-CA endpoint pairs — install the source credential via DCSC once
-// per session instead of once per file. The source's flight is timed: it is
-// the task's estimate of a control round trip, taken from a flight the pair
-// pays for anyway. Both flights have been read when dialPair returns; if
-// either side fails, the side that succeeded is closed.
-func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel string) (*sessionPair, error) {
-	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup) (*gridftp.Client, time.Duration, error) {
+// per session instead of once per file, and on the source start the walk of
+// planPath, when there is one. The source's flight is timed: it is the task's
+// estimate of a control round trip, taken from a flight the pair pays for
+// anyway. Both flights have been read when dialPair returns; if either side
+// fails, the side that succeeded is closed.
+func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel, planPath string) (*sessionPair, error) {
+	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup, planPath string) (*gridftp.Client, *gridftp.Walk, time.Duration, error) {
 		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust,
 			gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams})
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
+		var walk *gridftp.Walk
 		var flight time.Duration
 		if err = c.Delegate(delegatedLifetime); err == nil {
 			start := time.Now()
-			_, err = firstFlight(c, setup, "")
+			walk, err = firstFlight(c, setup, planPath)
 			flight = time.Since(start)
 		}
 		if err != nil {
 			c.Close()
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		return c, flight, nil
+		return c, walk, flight, nil
 	}
 	srcSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel}
 	dstSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel, MarkerInterval: s.cfg.MarkerInterval}
@@ -230,9 +232,9 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 	srcDone := make(chan struct{})
 	go func() {
 		defer close(srcDone)
-		pair.src, pair.rtt, srcErr = open(srcEP, srcProxy, srcSetup)
+		pair.src, pair.walk, pair.rtt, srcErr = open(srcEP, srcProxy, srcSetup, planPath)
 	}()
-	pair.dst, _, dstErr = open(dstEP, dstProxy, dstSetup)
+	pair.dst, _, _, dstErr = open(dstEP, dstProxy, dstSetup, "")
 	<-srcDone
 	if err := errors.Join(srcErr, dstErr); err != nil {
 		pair.Close()
@@ -752,7 +754,7 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 			pair, pipe := primary, primaryPipe
 			if w != 0 {
 				var err error
-				pair, err = s.dialPair(srcEP, dstEP, primary.srcProxy, primary.dstProxy, wspan.Context(), crossCA, task.ID)
+				pair, err = s.dialPair(srcEP, dstEP, primary.srcProxy, primary.dstProxy, wspan.Context(), crossCA, task.ID, "")
 				if err != nil {
 					wspan.SetError(err)
 					fail(err)
@@ -774,22 +776,15 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	return firstErr
 }
 
-// buildPlan finishes the walk the primary pair's first flight started (an
-// adopted pair's; a dialled one starts it here) and turns it into the task's
-// plan: the files with their sizes — a single file's
+// buildPlan finishes the walk the primary pair's first flight started and
+// turns it into the task's plan: the files with their sizes — a single file's
 // from the MLST Size fact, a directory's from the listings, so no per-file
 // SIZE command is ever needed — and, for a directory, the destination tree
 // they land in, root first. It creates nothing: the directories travel with
 // the plan and are asked for ahead of the first file (schedule). A flat
 // directory is finished already; a deeper one costs the source one more
 // flight per level.
-func buildPlan(task *Task, walk *gridftp.Walk, src *gridftp.Client) (*transferPlan, error) {
-	if walk == nil {
-		var err error
-		if walk, err = src.StartWalk(task.SrcPath); err != nil {
-			return nil, err
-		}
-	}
+func buildPlan(task *Task, walk *gridftp.Walk) (*transferPlan, error) {
 	if err := walk.Finish(); err != nil {
 		return nil, err
 	}

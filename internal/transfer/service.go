@@ -618,8 +618,8 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	ctlSpan := taskSpan.Child("control")
 	crossCA := task.crossCA(srcEP, dstEP)
 	key := pairKey{user: task.User, src: task.Src, dst: task.Dst, srcCred: srcCred, dstCred: dstCred, dcsc: crossCA}
-	// The first attempt has no plan yet, and on an adopted pair learns it in
-	// the adoption flight.
+	// The first attempt has no plan yet, and learns it in the pair's first
+	// flight, adopted or dialled.
 	planPath := ""
 	if *planp == nil {
 		planPath = task.SrcPath
@@ -636,7 +636,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	}
 	adopted = primary != nil
 	if primary == nil {
-		if primary, err = s.dialPrimary(srcEP, dstEP, key, taskSpan.Context(), task.ID); err != nil {
+		if primary, err = s.dialPrimary(srcEP, dstEP, key, taskSpan.Context(), task.ID, planPath); err != nil {
 			ctlSpan.SetError(err)
 			ctlSpan.End()
 			return false, err
@@ -659,7 +659,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	s.update(task, func(t *Task) { t.PerfBytes = 0; t.PerfMarkers = 0 })
 
 	if *planp == nil {
-		plan, err := buildPlan(task, primary.walk, primary.src)
+		plan, err := buildPlan(task, primary.walk)
 		primary.walk = nil
 		if err != nil {
 			return adopted, err
@@ -687,7 +687,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 
 // dialPrimary dials a task's primary pair with proxies derived now from the
 // activation credentials in key, and gives it the key it can be parked under.
-func (s *Service) dialPrimary(srcEP, dstEP *Endpoint, key pairKey, sc obs.SpanContext, taskLabel string) (*sessionPair, error) {
+func (s *Service) dialPrimary(srcEP, dstEP *Endpoint, key pairKey, sc obs.SpanContext, taskLabel, planPath string) (*sessionPair, error) {
 	srcProxy, err := gsi.NewProxy(key.srcCred, gsi.ProxyOptions{})
 	if err != nil {
 		return nil, err
@@ -696,7 +696,7 @@ func (s *Service) dialPrimary(srcEP, dstEP *Endpoint, key pairKey, sc obs.SpanCo
 	if err != nil {
 		return nil, err
 	}
-	pair, err := s.dialPair(srcEP, dstEP, srcProxy, dstProxy, sc, key.dcsc, taskLabel)
+	pair, err := s.dialPair(srcEP, dstEP, srcProxy, dstProxy, sc, key.dcsc, taskLabel, planPath)
 	if err != nil {
 		return nil, err
 	}
