@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,24 +17,31 @@ import (
 	"gridftp.dev/instant/internal/ftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/obs"
 )
 
 // scriptedServer is a fake server end for the client's flights: an ftp.Conn
-// over netsim that answers the commands of a fresh-session GET the way the
-// real server does — DELG runs the delegation exchange, RETR dials the PORT
-// address and sends MODE E over this package's own data path — except that
-// the first command of a verb named in refuse is answered with that code.
-// The control channel is cleartext and the data channels run DCAU N, so the
-// fake needs no credential of its own.
+// over netsim that answers the commands of a fresh-session GET and of a task's
+// plan the way the real server does — DELG runs the delegation exchange, RETR
+// dials the PORT address and sends MODE E over this package's own data path,
+// MLST and MLSC answer from files and listings — except that the first command
+// of a verb named in refuse is answered with that code. The control channel
+// is cleartext and the data channels run DCAU N, so the fake needs no
+// credential of its own.
 type scriptedServer struct {
 	ctrl  *ftp.Conn
 	files map[string][]byte
-	data  dataPath
-	done  chan struct{}
+	// listings holds the fact lines MLSC answers a directory with, as sent:
+	// what a listing may say is the script's to decide. Set before the
+	// first command is.
+	listings map[string][]string
+	data     dataPath
+	done     chan struct{}
 
 	mu     sync.Mutex
 	refuse map[string]int
 	seen   []string
+	lines  []string
 	par    int
 }
 
@@ -89,8 +98,18 @@ func (s *scriptedServer) commands() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seen := strings.Join(s.seen, " ")
-	s.seen = nil
+	s.seen, s.lines = nil, nil
 	return seen
+}
+
+// commandLines returns the commands seen since the last call, parameters
+// included.
+func (s *scriptedServer) commandLines() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lines := s.lines
+	s.seen, s.lines = nil, nil
+	return lines
 }
 
 func (s *scriptedServer) serve() {
@@ -104,6 +123,7 @@ func (s *scriptedServer) serve() {
 		}
 		s.mu.Lock()
 		s.seen = append(s.seen, cmd.Name)
+		s.lines = append(s.lines, cmd.String())
 		refused := s.refuse[cmd.Name]
 		delete(s.refuse, cmd.Name)
 		s.mu.Unlock()
@@ -140,6 +160,30 @@ func (s *scriptedServer) serve() {
 			s.retr(cmd.Params, refused)
 		case "NOOP":
 			s.ctrl.WriteReply(ftp.CodeOK, "NOOP ok")
+		case "SITE":
+			if refused != 0 {
+				s.ctrl.WriteReply(refused, "SITE refused")
+				continue
+			}
+			s.ctrl.WriteReply(ftp.CodeOK, "SITE ok")
+		case "MLST":
+			s.mlst(cmd.Params)
+		case "MLSC":
+			lines, ok := s.listings[cmd.Params]
+			if refused == 0 && !ok {
+				refused = ftp.CodeFileUnavailable
+			}
+			if refused != 0 {
+				s.ctrl.WriteReply(refused, "No listing")
+				continue
+			}
+			s.ctrl.WriteReply(ftp.CodeFileActionOK, append(append([]string{"Listing " + cmd.Params}, lines...), "End")...)
+		case "MKD":
+			if refused != 0 {
+				s.ctrl.WriteReply(refused, "Not created")
+				continue
+			}
+			s.ctrl.WriteReply(ftp.CodePathCreated, "created")
 		case "QUIT":
 			s.ctrl.WriteReply(221, "Goodbye")
 			return
@@ -147,6 +191,19 @@ func (s *scriptedServer) serve() {
 			s.ctrl.WriteReply(ftp.CodeNotImplemented, "not scripted")
 		}
 	}
+}
+
+func (s *scriptedServer) mlst(path string) {
+	facts := ""
+	if _, ok := s.listings[path]; ok {
+		facts = "Type=dir;Size=0; " + path
+	} else if content, ok := s.files[path]; ok {
+		facts = fmt.Sprintf("Type=file;Size=%d; %s", len(content), path)
+	} else {
+		s.ctrl.WriteReply(ftp.CodeFileUnavailable, "No such file")
+		return
+	}
+	s.ctrl.WriteReply(ftp.CodeFileActionOK, "Listing "+path, facts, "End")
 }
 
 // retr follows session.handleRetr: a refusal drops the data path.
@@ -500,5 +557,195 @@ func TestFreshGetRoundTripBudget(t *testing.T) {
 	}
 	if rtts := float64(best) / float64(refWAN.RTT); rtts > 14.5 {
 		t.Fatalf("a fresh-session 1 MiB GET at 16 streams took %.1f round trips (%v), want at most 14.5", rtts, best)
+	}
+}
+
+// fact is one listing line as a server sends it.
+func fact(kind, name string) string { return "Type=" + kind + ";Size=7; " + name }
+
+// binaryTree is the listings of a directory tree three levels deep: /t, two
+// directories in it, two in each of those — seven directories, a file in each.
+func binaryTree() map[string][]string {
+	listings := map[string][]string{"/t": {fact("file", "top.bin"), fact("dir", "a"), fact("dir", "b")}}
+	for _, d := range []string{"/t/a", "/t/b"} {
+		listings[d] = []string{fact("dir", "1"), fact("file", "mid.bin"), fact("dir", "2")}
+		listings[d+"/1"] = []string{fact("file", "leaf.bin")}
+		listings[d+"/2"] = []string{fact("file", "leaf.bin")}
+	}
+	return listings
+}
+
+// TestWalkIsOneFlightPerLevel: a tree of seven directories three levels deep
+// is walked in three flights — MLST and the root's MLSC behind the session's
+// owed set-up commands, then one flight of MLSCs per level — and the seven
+// MKDs that recreate it go out parents first in one flight that nothing waits
+// for.
+func TestWalkIsOneFlightPerLevel(t *testing.T) {
+	c, srv := newScriptedSession(t, nil)
+	srv.listings = binaryTree()
+	o := obs.Nop()
+	c.obs = o
+	if err := c.Setup(SessionSetup{Task: "task-1"}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.StartWalk("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.commands(); got != "SITE MLST MLSC" || flights(o) != 1 || c.task != "task-1" {
+		t.Fatalf("the first flight: server saw %q in %d flights, task label %q; want SITE MLST MLSC in 1", got, flights(o), c.task)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := srv.commandLines(), []string{"MLSC /t/a", "MLSC /t/b", "MLSC /t/a/1", "MLSC /t/a/2", "MLSC /t/b/1", "MLSC /t/b/2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("below the root the server saw %q, want %q", got, want)
+	}
+	if got := flights(o); got != 3 {
+		t.Errorf("seven directories on three levels were walked in %d flights, want 3", got)
+	}
+	if want := []string{"a", "b", "a/1", "a/2", "b/1", "b/2"}; !w.IsDir || !reflect.DeepEqual(w.Dirs, want) {
+		t.Errorf("directories %q, want %q (every one after its parent)", w.Dirs, want)
+	}
+	var files []string
+	for _, f := range w.Files {
+		files = append(files, f.Rel)
+	}
+	sort.Strings(files)
+	if want := []string{"a/1/leaf.bin", "a/2/leaf.bin", "a/mid.bin", "b/1/leaf.bin", "b/2/leaf.bin", "b/mid.bin", "top.bin"}; !reflect.DeepEqual(files, want) {
+		t.Errorf("files %q, want %q", files, want)
+	}
+
+	dirs := []string{"/copy"}
+	for _, d := range w.Dirs {
+		dirs = append(dirs, "/copy/"+d)
+	}
+	if err := NewPipeline(c, c).Mkdirs(dirs); err != nil {
+		t.Fatal(err)
+	}
+	if got := flights(o); got != 3 {
+		t.Errorf("Mkdirs waited: %d flights, still want 3", got)
+	}
+	if err := c.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"MKD /copy", "MKD /copy/a", "MKD /copy/b", "MKD /copy/a/1", "MKD /copy/a/2", "MKD /copy/b/1", "MKD /copy/b/2"}
+	if got := srv.commandLines(); !reflect.DeepEqual(got, want) || flights(o) != 4 {
+		t.Errorf("the tree was recreated with %q in %d flights, want %q in 1", got, flights(o)-3, want)
+	}
+}
+
+// TestSingleFileSurvivesTheSpeculativeListing: the walk asks for the listing
+// before it knows that the path is a directory. When it is a file the MLSC is
+// refused; the refusal is read and dropped, the walk is that one file, and the
+// channel is in step.
+func TestSingleFileSurvivesTheSpeculativeListing(t *testing.T) {
+	c, srv := newScriptedSession(t, map[string][]byte{"/data.bin": pattern(12345)})
+	o := obs.Nop()
+	c.obs = o
+	w, err := c.WalkEntries("/data.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []WalkEntry{{Rel: "", Size: 12345}}; w.IsDir || !reflect.DeepEqual(w.Files, want) || len(w.Dirs) != 0 {
+		t.Fatalf("walk of a file: dir=%v files=%v dirs=%v, want %v", w.IsDir, w.Files, w.Dirs, want)
+	}
+	if got := srv.commands(); got != "MLST MLSC" || flights(o) != 1 {
+		t.Fatalf("server saw %q in %d flights, want MLST MLSC in 1", got, flights(o))
+	}
+	start := time.Now()
+	if err := c.Noop(); err != nil {
+		t.Fatalf("NOOP after the walk: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("NOOP after the walk took %v: the refused MLSC was left unread", took)
+	}
+}
+
+// TestRefusedSetupFailsThePlanFlight: MLST and MLSC are written behind set-up
+// commands whose replies are owed. When one of those is refused the walk
+// returns that refusal — not a plan — after reading all four replies, and has
+// written nothing else.
+func TestRefusedSetupFailsThePlanFlight(t *testing.T) {
+	c, srv := newScriptedSession(t, nil)
+	srv.listings = binaryTree()
+	srv.refuseNext("SITE", ftp.CodeParamSyntaxError)
+	if err := c.Setup(SessionSetup{Task: "task-1", Trace: obs.NewTracer().StartSpan("task").Context()}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.StartWalk("/t")
+	var re *ftp.ReplyError
+	if w != nil || !errors.As(err, &re) || re.Reply.Code != ftp.CodeParamSyntaxError {
+		t.Fatalf("StartWalk behind a refused SITE TRACE: %v, %v; want the 501 and no walk", w, err)
+	}
+	if got := srv.commands(); got != "SITE SITE MLST MLSC" {
+		t.Fatalf("server saw %q, want SITE SITE MLST MLSC and nothing behind them", got)
+	}
+	if len(c.owed) != 0 || c.task != "task-1" {
+		t.Errorf("%d owed, task label %q: the accepted SITE TASK behind the refused command must still apply", len(c.owed), c.task)
+	}
+	start := time.Now()
+	if err := c.Noop(); err != nil || time.Since(start) > time.Second {
+		t.Fatalf("NOOP after the refused flight: %v after %v", err, time.Since(start))
+	}
+	// A path that is not there is the MLST's own refusal, read the same way.
+	if _, err := c.StartWalk("/missing"); !errors.As(err, &re) || re.Reply.Code != ftp.CodeFileUnavailable {
+		t.Fatalf("StartWalk of a missing path: %v, want the 550", err)
+	}
+	if err := c.Noop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlightsAreCapped: a level wider than one flight carries is listed in as
+// many flights as it takes, and so is a tree wider than that recreated — what
+// the client writes before it reads stays inside a socket buffer however
+// large the tree.
+func TestFlightsAreCapped(t *testing.T) {
+	for _, tc := range []struct {
+		paths []string
+		want  int
+	}{
+		{make([]string, 3*maxFlightCommands), maxFlightCommands},
+		{[]string{strings.Repeat("p", maxFlightBytes/2), strings.Repeat("q", maxFlightBytes/2), "r"}, 1},
+		{[]string{strings.Repeat("p", 2*maxFlightBytes), "q"}, 1}, // a path alone is a flight, however long
+		{[]string{"a", "b"}, 2},
+	} {
+		if got := flightLen(tc.paths); got != tc.want {
+			t.Errorf("flightLen of %d paths (the first %d bytes long) = %d, want %d", len(tc.paths), len(tc.paths[0]), got, tc.want)
+		}
+	}
+
+	const wide = maxFlightCommands + 8
+	listings := map[string][]string{"/w": nil}
+	dirs := []string{"/copy"}
+	for i := 0; i < wide; i++ {
+		name := fmt.Sprintf("d%02d", i)
+		listings["/w"] = append(listings["/w"], fact("dir", name))
+		listings["/w/"+name] = []string{fact("file", "f.bin")}
+		dirs = append(dirs, "/copy/"+name)
+	}
+	c, srv := newScriptedSession(t, nil)
+	srv.listings = listings
+	o := obs.Nop()
+	c.obs = o
+	w, err := c.WalkEntries("/w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Files) != wide || len(w.Dirs) != wide || flights(o) != 3 {
+		t.Fatalf("%d files and %d directories in %d flights, want %d and %d in 3 (the root, then %d and 8 directories)", len(w.Files), len(w.Dirs), flights(o), wide, wide, maxFlightCommands)
+	}
+	if err := NewPipeline(c, c).Mkdirs(dirs); err != nil {
+		t.Fatal(err)
+	}
+	if got, owed := flights(o), len(c.owed); got != 4 || owed != len(dirs)-maxFlightCommands {
+		t.Fatalf("after Mkdirs of %d directories: %d flights and %d replies owed, want 4 and %d (the first flight waited for, the second not)", len(dirs), got, owed, len(dirs)-maxFlightCommands)
+	}
+	if err := c.Noop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(srv.commands(), "MKD"); got != len(dirs) {
+		t.Errorf("server saw %d MKD, want %d", got, len(dirs))
 	}
 }

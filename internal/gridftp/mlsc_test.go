@@ -162,8 +162,9 @@ func withoutMLSC(t *testing.T, s *site, nw *netsim.Network) *Client {
 }
 
 // TestListEntriesFallsBackOnceWithoutMLSC: against a server without the verb
-// the first listing pays one refused MLSC, the session remembers, and every
-// later listing goes straight to MLSD — the walk still finds every file.
+// the first listing — the walk's speculative one, behind its MLST — pays one
+// refused MLSC, the session remembers, and every later listing goes straight
+// to MLSD — the walk still finds every file.
 func TestListEntriesFallsBackOnceWithoutMLSC(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -220,5 +221,14 @@ func TestMlscRefusesListingTooLargeForAReply(t *testing.T) {
 	}
 	if mlsc, mlsd := commandCount(o, "MLSC"), commandCount(o, "MLSD"); mlsc != 2 || mlsd != 1 {
 		t.Errorf("%d MLSC and %d MLSD through ListEntries, want 2 and 1", mlsc, mlsd)
+	}
+	// A walk meets the directory in a level's flight: it alone goes to MLSD,
+	// once the flight's replies are in, and nothing of the tree is missed.
+	w, err := c.WalkEntries("/")
+	if err != nil || len(w.Files) != n+1 || len(w.Dirs) != 1 {
+		t.Fatalf("walk of /: %d files, directories %v, %v; want %d files under one directory", len(w.Files), w.Dirs, err, n+1)
+	}
+	if mlsc, mlsd := commandCount(o, "MLSC"), commandCount(o, "MLSD"); mlsc != 4 || mlsd != 2 {
+		t.Errorf("%d MLSC and %d MLSD after the walk, want 4 and 2", mlsc, mlsd)
 	}
 }

@@ -129,6 +129,28 @@ type WalkEntry struct {
 	Size int64
 }
 
+// A flight is commands written back to back before any of their replies is
+// read. The server answers each as it reads it and the client is not reading
+// yet, so a flight must be small enough to be written whatever the server
+// does: capped well inside a socket buffer, counting the paths it carries.
+const (
+	maxFlightCommands = 32
+	maxFlightBytes    = 16 << 10
+)
+
+// flightLen is how many of the paths, from the first, one flight carries.
+func flightLen(paths []string) int {
+	n, size := 0, 0
+	for n < len(paths) && n < maxFlightCommands {
+		size += len("MLSC \r\n") + len(paths[n])
+		if n > 0 && size > maxFlightBytes {
+			break
+		}
+		n++
+	}
+	return n
+}
+
 // Walk is a recursive listing of one path: what it is, every regular file
 // under it, and every directory below it. StartWalk returns it with the path
 // itself examined; Finish lists what lies deeper.
@@ -144,7 +166,8 @@ type Walk struct {
 
 	c    *Client
 	root string
-	// level holds the directories found and not yet listed.
+	// level holds the directories found and not yet listed: all of one
+	// depth, the one Finish lists next.
 	level []string
 }
 
@@ -230,14 +253,23 @@ func (w *Walk) add(dir string, lines []string) error {
 	return nil
 }
 
-// Finish lists what StartWalk found directories for, down to the bottom, a
-// directory at a time.
+// Finish lists what StartWalk found directories for, one tree level at a
+// time: the MLSCs of a level go out as flights (see flightLen) and their
+// replies are read in order, so a tree costs a round trip per level, not per
+// directory. A directory the server will not list over the control channel —
+// every one, on a server without MLSC — is listed with MLSD once the flight's
+// replies are in. The first refusal fails the walk, after the replies behind
+// it have been read.
 func (w *Walk) Finish() error {
 	for len(w.level) > 0 {
-		d := w.level[0]
-		w.level = w.level[1:]
-		if err := w.listFlight([]string{d}); err != nil {
-			return err
+		level := w.level
+		w.level = nil
+		for len(level) > 0 {
+			n := flightLen(level)
+			if err := w.listFlight(level[:n]); err != nil {
+				return err
+			}
+			level = level[n:]
 		}
 	}
 	return nil

@@ -221,8 +221,9 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 // each MKD is a session command left owed (settle.go), so its reply is read
 // ahead of the first reply the destination is next asked for — the PASV that
 // wires a fresh pair, or the first STOR's 150 on a wired one — and the tree
-// costs no round trip of its own. An MKD is a command with a reply of its
-// own, so the transfers in flight complete first.
+// costs no round trip of its own. (More directories than one flight carries,
+// flightLen, cost one for each flight but the last.) An MKD is a command with
+// a reply of its own, so the transfers in flight complete first.
 //
 // A refused MKD is not an error here: most are a directory that exists. The
 // first STOR under the directory is the judge. It succeeds, and the refusal
@@ -230,10 +231,18 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 // carries the MKD's reply — and, like any failed transfer, un-wires the pair.
 func (p *Pipeline) Mkdirs(dirs []string) error {
 	p.Drain()
-	for _, d := range dirs {
-		if err := p.dst.owe(sessionCmd{name: "MKD", params: d, code: ftp.CodePathCreated,
-			refused: func(err error) { p.refuse(d, err) }}); err != nil {
-			return err
+	for len(dirs) > 0 {
+		n := flightLen(dirs)
+		for _, d := range dirs[:n] {
+			if err := p.dst.owe(sessionCmd{name: "MKD", params: d, code: ftp.CodePathCreated,
+				refused: func(err error) { p.refuse(d, err) }}); err != nil {
+				return err
+			}
+		}
+		if dirs = dirs[n:]; len(dirs) > 0 {
+			if err := p.dst.Settle(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -209,3 +209,33 @@ func TestDestinationPathIsAFile(t *testing.T) {
 	}
 	waitSessions(t, o, 0)
 }
+
+// TestTaskWithAListingTooLargeForAReply: the source directory's fact lines
+// exceed what one control-channel reply may carry, so the server refuses the
+// plan flight's speculative MLSC with 504 and the walk lists that directory
+// with MLSD instead. The task still takes one attempt and every file arrives.
+func TestTaskWithAListingTooLargeForAReply(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o}, false)
+	activateBoth(t, w)
+	if err := w.epA.Storage.Mkdir("alice", "/big"); err != nil {
+		t.Fatal(err)
+	}
+	// 300 names of 15000 bytes: a little over the 4 MiB a reply may carry.
+	const n = 300
+	long := strings.Repeat("n", 15000)
+	files := map[string][]byte{}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("/big/%s-%03d", long, i)
+		files[name] = pattern(100 + i)
+		w.putSrc(t, name, files[name])
+	}
+	done, _ := runDirTask(t, w, "/big")
+	if done.Attempts != 1 || done.CompletedFiles != n {
+		t.Fatalf("%d files in %d attempts, want %d in 1", done.CompletedFiles, done.Attempts, n)
+	}
+	verifyTree(t, w, files)
+	if mlsc, mlsd := clientCommands(o, "MLSC"), clientCommands(o, "MLSD"); mlsc != 1 || mlsd != 1 {
+		t.Errorf("%d MLSC and %d MLSD, want 1 refused and 1 in its place", mlsc, mlsd)
+	}
+}

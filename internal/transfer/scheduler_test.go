@@ -60,11 +60,12 @@ func runDirTask(t *testing.T, w *world, dir string) (*Task, time.Duration) {
 // TestSmallFilesCostDataNotRoundTrips is the scheduler's acceptance
 // scenario: 50 x 64 KiB files over 20 ms RTT links. A worker keeps a window
 // of files queued at both servers, so the task costs its set-up (pair, plan,
-// wiring) plus the data — 32 round trips at most for a cold task (elapsed ÷
-// RTT; 23–28 measured, 27–29 under the race detector), where one file at a
-// time cost 111 and an eight-pair fan-out 44 — and 17 at most (11–14
+// wiring) plus the data — 30 round trips at most for a cold task (elapsed ÷
+// RTT; 21–22 measured, a few more under the race detector), where one file at
+// a time cost 111 and an eight-pair fan-out 44 — and 16 at most (9–10
 // measured) for the next task between the same endpoints, which adopts the
-// parked pair, still wired, and pays for its plan and its files only. That
+// parked pair, still wired, and pays one flight for its plan and one for its
+// files. That
 // holds on one pair, on the auto-sized fan-out — which for a directory below
 // one window is one pair — and on two pairs, whose second pair dials while
 // the first already has every file queued. It also proves the control-channel
@@ -74,7 +75,7 @@ func TestSmallFilesCostDataNotRoundTrips(t *testing.T) {
 	const nFiles = 50
 	const fileSize = 64 << 10
 	const rtt = 20 * time.Millisecond
-	const coldBudget, warmBudget = 32, 17
+	const coldBudget, warmBudget = 30, 16
 
 	for _, tc := range []struct {
 		name        string

@@ -3,7 +3,9 @@ package transfer
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -531,4 +533,111 @@ func TestIdleExpiryAndCloseLeaveNothingBehind(t *testing.T) {
 		t.Errorf("%d pairs parked by a closed service", n)
 	}
 	waitSessions(t, o, 0)
+}
+
+// clientTraffic is what the service's sessions have sent so far: commands by
+// "VERB" (SITE by subcommand), and how many times a session turned from
+// writing to waiting for a reply.
+func clientTraffic(o *obs.Obs) (cmds map[string]int64, flights int64) {
+	cmds = map[string]int64{}
+	for _, m := range o.Metrics.Snapshot() {
+		if verb, ok := strings.CutPrefix(m.Name, "gridftp.client.commands{cmd="); ok && m.Value > 0 {
+			cmds[strings.TrimSuffix(verb, "}")] = m.Value
+		}
+	}
+	return cmds, o.Metrics.Counter("gridftp.client.flights").Value()
+}
+
+// TestWarmTaskIsTwoFlightsPerSession: a 24-file directory on a warm pair is
+// 55 commands — SITE TRACE and SITE TASK on each session, MLST and MLSC on the
+// source, MKD on the destination, 24 RETR, 24 STOR — and each session is
+// waited for twice: once for the plan (the destination's half of that flight
+// is its two SITE replies), once for the files.
+func TestWarmTaskIsTwoFlightsPerSession(t *testing.T) {
+	w, o, _ := warmWorld(t, Config{})
+	files := distinctTree(t, w, "/second", 24, 16<<10)
+	cmdsBefore, flightsBefore := clientTraffic(o)
+	wireBefore := w.wire(o)
+	done, _ := runDirTask(t, w, "/second")
+	if done.Attempts != 1 || done.CompletedFiles != 24 || done.Workers != 1 {
+		t.Fatalf("%d files in %d attempts on %d workers", done.CompletedFiles, done.Attempts, done.Workers)
+	}
+	verifyTree(t, w, files)
+	if got := w.wire(o).minus(wireBefore); got != (wire{}) {
+		t.Errorf("the warm task cost %+v on the wire, want nothing", got)
+	}
+	cmds, flights := clientTraffic(o)
+	for verb, n := range cmdsBefore {
+		cmds[verb] -= n
+		if cmds[verb] == 0 {
+			delete(cmds, verb)
+		}
+	}
+	want := map[string]int64{"SITE": 4, "MLST": 1, "MLSC": 1, "MKD": 1, "RETR": 24, "STOR": 24}
+	if !reflect.DeepEqual(cmds, want) {
+		t.Errorf("the warm task sent %v, want %v", cmds, want)
+	}
+	if got := flights - flightsBefore; got != 4 {
+		t.Errorf("the two sessions were waited for %d times, want 4: two flights each", got)
+	}
+}
+
+// TestWarmDeepTreeAndSingleFile: the other two shapes of a plan, on a warm
+// pair. A tree three levels deep costs the source one flight per level and
+// the destination still two in all, its seven MKDs riding ahead of the first
+// STOR; a single file costs the source its two flights — the speculative MLSC
+// is refused, read and forgotten — and the destination no MKD at all.
+func TestWarmDeepTreeAndSingleFile(t *testing.T) {
+	w, o, _ := warmWorld(t, Config{})
+	files := map[string][]byte{}
+	n := 0
+	for _, d := range []string{"/deep", "/deep/a", "/deep/b", "/deep/a/1", "/deep/a/2", "/deep/b/1", "/deep/b/2"} {
+		if err := w.epA.Storage.Mkdir("alice", d); err != nil {
+			t.Fatal(err)
+		}
+		n++
+		files[d+"/f.bin"] = pattern(10000 + 1000*n)
+		w.putSrc(t, d+"/f.bin", files[d+"/f.bin"])
+	}
+	if err := w.epA.Storage.Mkdir("alice", "/deep/b/empty"); err != nil {
+		t.Fatal(err)
+	}
+	cmdsBefore, flightsBefore := clientTraffic(o)
+	if done, _ := runDirTask(t, w, "/deep"); done.Attempts != 1 || done.CompletedFiles != len(files) {
+		t.Fatalf("%d files in %d attempts", done.CompletedFiles, done.Attempts)
+	}
+	verifyTree(t, w, files)
+	if fi, err := w.epB.Storage.Stat("alice", "/deep/b/empty"); err != nil || !fi.IsDir {
+		t.Errorf("the empty directory at the destination: %+v, %v", fi, err)
+	}
+	cmds, flights := clientTraffic(o)
+	if mlsc, mkd := cmds["MLSC"]-cmdsBefore["MLSC"], cmds["MKD"]-cmdsBefore["MKD"]; mlsc != 8 || mkd != 8 {
+		t.Errorf("%d MLSC and %d MKD for eight directories, want 8 and 8", mlsc, mkd)
+	}
+	// Source: plan, level two, level three (the empty directory is on it),
+	// files. Destination: its SITE replies, then the MKDs and files.
+	if got := flights - flightsBefore; got != 6 {
+		t.Errorf("the two sessions were waited for %d times, want 6 (source 4, destination 2)", got)
+	}
+
+	payload := pattern(90 << 10)
+	w.putSrc(t, "/single.bin", payload)
+	cmdsBefore, flightsBefore = clientTraffic(o)
+	task, err := w.svc.Submit("alice", "siteA", "/single.bin", "siteB", "/single.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := w.svc.Wait(task.ID, time.Minute); err != nil || done.Status != TaskSucceeded || done.Attempts != 1 {
+		t.Fatalf("single-file task: %+v, %v", done, err)
+	}
+	if !bytes.Equal(w.readDst(t, "/single.bin"), payload) {
+		t.Error("single file: content mismatch")
+	}
+	cmds, flights = clientTraffic(o)
+	if mlsc, mkd := cmds["MLSC"]-cmdsBefore["MLSC"], cmds["MKD"]-cmdsBefore["MKD"]; mlsc != 1 || mkd != 0 || flights-flightsBefore != 4 {
+		t.Errorf("single file: %d MLSC, %d MKD, %d flights; want 1, 0, 4", mlsc, mkd, flights-flightsBefore)
+	}
+	if n := w.parkedPairs(); n != 1 {
+		t.Errorf("%d pairs parked, want 1: the refused MLSC is not a failure", n)
+	}
 }
