@@ -46,12 +46,18 @@ type scriptedServer struct {
 }
 
 // newScriptedSession connects a Client to a scriptedServer over a 20 ms link.
-// The Client is built the way Dial leaves one (MODE E negotiated), minus the
-// TLS exchange.
 func newScriptedSession(t *testing.T, files map[string][]byte) (*Client, *scriptedServer) {
 	t.Helper()
+	return newScriptedSessionOver(t, files, 20*time.Millisecond)
+}
+
+// newScriptedSessionOver is newScriptedSession with the link's round trip
+// given. The Client is built the way Dial leaves one (MODE E negotiated),
+// minus the TLS exchange.
+func newScriptedSessionOver(t *testing.T, files map[string][]byte, rtt time.Duration) (*Client, *scriptedServer) {
+	t.Helper()
 	nw := netsim.NewNetwork()
-	nw.SetLink("laptop", "fake", netsim.LinkParams{Bandwidth: 100e6, RTT: 20 * time.Millisecond, StreamWindow: 1 << 20})
+	nw.SetLink("laptop", "fake", netsim.LinkParams{Bandwidth: 100e6, RTT: rtt, StreamWindow: 1 << 20})
 	l, err := nw.Host("fake").Listen(DefaultPort)
 	if err != nil {
 		t.Fatal(err)
@@ -747,5 +753,101 @@ func TestFlightsAreCapped(t *testing.T) {
 	}
 	if got := strings.Count(srv.commands(), "MKD"); got != len(dirs) {
 		t.Errorf("server saw %d MKD, want %d", got, len(dirs))
+	}
+}
+
+// TestWalkTakesOnlyPlainNamesFromAListing: the names in a listing are the
+// server's to choose and the walk joins them into source and destination
+// paths, so a name that is anything but one path element fails the walk, with
+// an error that says which listing held it — it does not steer a STOR outside
+// the task's root or (a directory named ".") list the same directory for
+// ever. The entries real MLSD servers send for the listed directory itself
+// and its parent are skipped, whatever they are called.
+func TestWalkTakesOnlyPlainNamesFromAListing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		entry string
+	}{
+		{"parent", fact("file", "..")},
+		{"self as a directory", fact("dir", ".")},
+		{"climbs out", fact("file", "a/../../b")},
+		{"absolute", fact("file", "/etc/passwd")},
+		{"two elements", fact("dir", "x/y")},
+		{"NUL", fact("file", "nul\x00byte")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, srv := newScriptedSession(t, nil)
+			srv.listings = map[string][]string{
+				"/t":     {fact("file", "fine.bin"), fact("dir", "sub")},
+				"/t/sub": {fact("file", "also-fine.bin"), tc.entry},
+			}
+			w, err := c.WalkEntries("/t")
+			if err == nil || !strings.Contains(err.Error(), "/t/sub") {
+				t.Fatalf("walk: %v (files %v); want an error that names the listing of /t/sub", err, w.Files)
+			}
+			if got := srv.commands(); got != "MLST MLSC MLSC" {
+				t.Errorf("server saw %q, want MLST MLSC MLSC: the walk must stop at the name", got)
+			}
+			if err := c.Noop(); err != nil {
+				t.Fatalf("NOOP after the refused listing: %v", err)
+			}
+		})
+	}
+
+	c, srv := newScriptedSession(t, nil)
+	srv.listings = map[string][]string{
+		"/t":     {fact("cdir", "."), fact("pdir", ".."), fact("file", "top.bin"), fact("dir", "sub")},
+		"/t/sub": {fact("cdir", "/t/sub"), fact("pdir", "/t"), fact("file", "leaf.bin")},
+	}
+	w, err := c.WalkEntries("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []WalkEntry{{"top.bin", 7}, {"sub/leaf.bin", 7}}; !reflect.DeepEqual(w.Files, want) || !reflect.DeepEqual(w.Dirs, []string{"sub"}) {
+		t.Errorf("walk past cdir and pdir entries: files %v, directories %v; want %v and [sub]", w.Files, w.Dirs, want)
+	}
+	if entries, err := c.ListEntries("/t"); err != nil || len(entries) != 2 {
+		t.Errorf("ListEntries past cdir and pdir entries: %v, %v; want the file and the directory", entries, err)
+	}
+}
+
+// TestWalkIsBounded: a server can answer every listing with one more
+// directory, or with more entries than anyone has memory for. The walk stops
+// at maxWalkDepth levels and at its budget of entries, and says where.
+func TestWalkIsBounded(t *testing.T) {
+	c, srv := newScriptedSessionOver(t, nil, time.Millisecond)
+	srv.listings = map[string][]string{}
+	dir, deepest := "/t", ""
+	for depth := 0; depth <= maxWalkDepth; depth++ {
+		srv.listings[dir] = []string{fact("dir", "d"), fact("file", "f.bin")}
+		dir += "/d"
+		deepest = dir
+	}
+	w, err := c.WalkEntries("/t")
+	if err == nil || !strings.Contains(err.Error(), deepest) {
+		t.Fatalf("walk of a tree %d directories deep: %v; want an error that names %s", maxWalkDepth+1, err, deepest)
+	}
+	if len(w.Dirs) != maxWalkDepth {
+		t.Errorf("%d directories found before the walk stopped, want %d", len(w.Dirs), maxWalkDepth)
+	}
+	if err := c.Noop(); err != nil {
+		t.Fatalf("NOOP after the walk stopped: %v", err)
+	}
+
+	c, srv = newScriptedSession(t, nil)
+	srv.listings = binaryTree()
+	w, err = c.StartWalk("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.budget != maxWalkEntries-3 {
+		t.Fatalf("budget %d after three entries, want %d", w.budget, maxWalkEntries-3)
+	}
+	w.budget = 4 // the second level has six
+	if err := w.Finish(); err == nil || !strings.Contains(err.Error(), "/t/b") {
+		t.Fatalf("walk past its budget: %v; want an error that names /t/b, where it ran out", err)
+	}
+	if err := c.Noop(); err != nil {
+		t.Fatalf("NOOP after the walk stopped: %v", err)
 	}
 }

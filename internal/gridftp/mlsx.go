@@ -14,6 +14,9 @@ type MlsxEntry struct {
 	Name  string
 	Size  int64
 	IsDir bool
+	// Type is the Type fact in lower case: "file", "dir", "cdir" and "pdir"
+	// (the listed directory itself and its parent), or a server's own.
+	Type string
 }
 
 // ParseMlsxLine parses a "Type=file;Size=123;Modify=...; name" fact line
@@ -33,7 +36,8 @@ func ParseMlsxLine(line string) (MlsxEntry, error) {
 		switch strings.ToLower(k) {
 		case "type":
 			sawType = true
-			e.IsDir = strings.EqualFold(v, "dir")
+			e.Type = strings.ToLower(v)
+			e.IsDir = e.Type == "dir"
 		case "size":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < 0 {
@@ -86,7 +90,9 @@ func (c *Client) listControl(path string) ([]string, error) {
 	return c.mlscLines(c.cmdExpect("MLSC", path, ftp.CodeFileActionOK))
 }
 
-// parseListing parses a directory's fact lines.
+// parseListing parses a directory's fact lines. The entries for the directory
+// itself and for its parent, which MLSD servers other than this one send
+// (Type=cdir, Type=pdir), are not among its children.
 func parseListing(lines []string) ([]MlsxEntry, error) {
 	out := make([]MlsxEntry, 0, len(lines))
 	for _, line := range lines {
@@ -94,7 +100,9 @@ func parseListing(lines []string) ([]MlsxEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		if e.Type != "cdir" && e.Type != "pdir" {
+			out = append(out, e)
+		}
 	}
 	return out, nil
 }
@@ -129,6 +137,17 @@ type WalkEntry struct {
 	Size int64
 }
 
+// What a walk will take from a server. Listings are remote input, and what
+// is found goes into source and destination paths: a server that lists a
+// directory inside itself, or without end, fails the walk, not the caller's
+// memory.
+const (
+	// maxWalkDepth is how many directories deep below its root a walk goes.
+	maxWalkDepth = 64
+	// maxWalkEntries is how many files and directories a walk returns.
+	maxWalkEntries = 1 << 20
+)
+
 // A flight is commands written back to back before any of their replies is
 // read. The server answers each as it reads it and the client is not reading
 // yet, so a flight must be small enough to be written whatever the server
@@ -151,6 +170,13 @@ func flightLen(paths []string) int {
 	return n
 }
 
+// plainName reports whether a listed name is one path element: joined to the
+// directory it was listed in, it names something in that directory and
+// nothing else. A walk takes no other name from a listing.
+func plainName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, "/\x00")
+}
+
 // Walk is a recursive listing of one path: what it is, every regular file
 // under it, and every directory below it. StartWalk returns it with the path
 // itself examined; Finish lists what lies deeper.
@@ -169,6 +195,10 @@ type Walk struct {
 	// level holds the directories found and not yet listed: all of one
 	// depth, the one Finish lists next.
 	level []string
+	depth int
+	// budget is how many more entries the walk takes: maxWalkEntries at its
+	// start.
+	budget int
 }
 
 // StartWalk is a walk's first flight: MLST for the path and, without waiting
@@ -206,7 +236,7 @@ func (c *Client) StartWalk(path string) (*Walk, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Walk{c: c, root: strings.TrimSuffix(path, "/"), IsDir: entry.IsDir}
+	w := &Walk{c: c, root: strings.TrimSuffix(path, "/"), IsDir: entry.IsDir, budget: maxWalkEntries}
 	if !entry.IsDir {
 		w.Files = []WalkEntry{{Size: entry.Size}}
 		return w, nil
@@ -239,6 +269,13 @@ func (w *Walk) add(dir string, lines []string) error {
 		return err
 	}
 	for _, e := range entries {
+		if !plainName(e.Name) {
+			return fmt.Errorf("gridftp: walk: the listing of %s names %q, which is not a file name", w.full(dir), e.Name)
+		}
+		if w.budget == 0 {
+			return fmt.Errorf("gridftp: walk: more than %d entries under %s; stopped in %s", len(w.Files)+len(w.Dirs), w.full(""), w.full(dir))
+		}
+		w.budget--
 		rel := e.Name
 		if dir != "" {
 			rel = dir + "/" + e.Name
@@ -246,6 +283,9 @@ func (w *Walk) add(dir string, lines []string) error {
 		if !e.IsDir {
 			w.Files = append(w.Files, WalkEntry{Rel: rel, Size: e.Size})
 			continue
+		}
+		if w.depth == maxWalkDepth {
+			return fmt.Errorf("gridftp: walk: %s is more than %d directories below %s", w.full(rel), maxWalkDepth, w.full(""))
 		}
 		w.Dirs = append(w.Dirs, rel)
 		w.level = append(w.level, rel)
@@ -264,6 +304,7 @@ func (w *Walk) Finish() error {
 	for len(w.level) > 0 {
 		level := w.level
 		w.level = nil
+		w.depth++
 		for len(level) > 0 {
 			n := flightLen(level)
 			if err := w.listFlight(level[:n]); err != nil {
