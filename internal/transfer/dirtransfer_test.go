@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +190,7 @@ func TestDestinationPathIsAFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	before := runtime.NumGoroutine()
 
 	task, err := w.svc.Submit("alice", "siteA", "/data", "siteB", "/taken")
 	if err != nil {
@@ -207,7 +209,11 @@ func TestDestinationPathIsAFile(t *testing.T) {
 	if fi, err := w.epB.Storage.Stat("alice", "/taken"); err != nil || fi.IsDir {
 		t.Errorf("the file in the way: %+v, %v", fi, err)
 	}
+	// The failed attempt closed its pair (W1): nothing is parked or running.
 	waitSessions(t, o, 0)
+	if after := goroutinesAtMost(before); after > before {
+		t.Errorf("goroutines grew from %d to %d across the failed task", before, after)
+	}
 }
 
 // TestTaskWithAListingTooLargeForAReply: the source directory's fact lines

@@ -125,28 +125,34 @@ func TestSecondTaskRunsOnTheWarmPair(t *testing.T) {
 	}
 }
 
-// TestControlLinkCutWhileParked: a parked pair whose control link died costs
-// the adopter the flight that finds out — not an attempt. The pair is closed,
-// a fresh one is dialled inside the same attempt, and the task succeeds.
+// TestControlLinkCutWhileParked: a parked pair whose control link died — to
+// the source, whose half of the adoption flight carries the plan, or to the
+// destination — costs the adopter the flight that finds out, not an attempt.
+// The pair is closed, a fresh one is dialled inside the same attempt and
+// plans in its own first flight, and the task succeeds.
 func TestControlLinkCutWhileParked(t *testing.T) {
-	w, o, _ := warmWorld(t, Config{})
-	w.nw.CutLink("globusonline", "siteA")
-	w.nw.RestoreLink("globusonline", "siteA")
-	before := w.wire(o)
-	files := distinctTree(t, w, "/second", 6, 16<<10)
-	done, _ := runDirTask(t, w, "/second")
-	if done.Attempts != 1 {
-		t.Errorf("%d attempts, want 1", done.Attempts)
+	for _, site := range []string{"siteA", "siteB"} {
+		t.Run(site, func(t *testing.T) {
+			w, o, _ := warmWorld(t, Config{})
+			w.nw.CutLink("globusonline", site)
+			w.nw.RestoreLink("globusonline", site)
+			before := w.wire(o)
+			files := distinctTree(t, w, "/second", 6, 16<<10)
+			done, _ := runDirTask(t, w, "/second")
+			if done.Attempts != 1 {
+				t.Errorf("%d attempts, want 1", done.Attempts)
+			}
+			if got := w.wire(o).minus(before); got.sessions != 2 || got.delg != 2 {
+				t.Errorf("after a dead parked pair the task cost %+v, want a fresh pair (2 sessions, 2 DELG)", got)
+			}
+			if v := o.Metrics.Counter("transfer.attempt_failures").Value(); v != 0 {
+				t.Errorf("%d attempt failures, want 0", v)
+			}
+			verifyTree(t, w, files)
+			// The dead pair's sessions are gone at both servers; the new pair is parked.
+			waitSessions(t, o, 2)
+		})
 	}
-	if got := w.wire(o).minus(before); got.sessions != 2 || got.delg != 2 {
-		t.Errorf("after a dead parked pair the task cost %+v, want a fresh pair (2 sessions, 2 DELG)", got)
-	}
-	if v := o.Metrics.Counter("transfer.attempt_failures").Value(); v != 0 {
-		t.Errorf("%d attempt failures, want 0", v)
-	}
-	verifyTree(t, w, files)
-	// The dead pair's sessions are gone at both servers; the new pair is parked.
-	waitSessions(t, o, 2)
 }
 
 // TestInterSiteLinkCutWhileParked: the adoption flight cannot see a dead
