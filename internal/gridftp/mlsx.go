@@ -120,15 +120,6 @@ func (c *Client) ListEntries(path string) ([]MlsxEntry, error) {
 	return parseListing(lines)
 }
 
-// StatEntry runs MLST and returns the parsed entry.
-func (c *Client) StatEntry(path string) (MlsxEntry, error) {
-	line, err := c.Stat(path)
-	if err != nil {
-		return MlsxEntry{}, err
-	}
-	return ParseMlsxLine(line)
-}
-
 // WalkEntry is one regular file found by a walk: its slash-joined path
 // relative to the walk root, and its size as reported by the MLSx Size fact —
 // so callers planning transfers need no per-file SIZE round trip afterwards.

@@ -573,9 +573,10 @@ func (s *Service) observeTask(dur time.Duration, ok bool, traceID string) {
 // attempt advances the plan as far as it can over a primary session pair:
 // the pair the previous task between these endpoints parked, when mayAdopt
 // and there is one (warm.go), else a pair dialled now — reauthenticating to
-// both endpoints with the stored short-term certificates (§VI.B). It builds
-// the plan on the first attempt (single file, or a recursive directory walk
-// that captures sizes, so no per-file SIZE commands are ever issued), then
+// both endpoints with the stored short-term certificates (§VI.B). The first
+// attempt has the pair's first flight start the walk of the source and builds
+// the plan from it (single file, or a recursive directory walk that captures
+// sizes, so no per-file SIZE commands are ever issued); every attempt then
 // fans the pending files out across the scheduler's worker session pairs,
 // each file resuming from its saved restart markers. A primary pair whose
 // attempt succeeded is parked; any failure closes it (W1). adopted reports
@@ -609,12 +610,12 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	actSpan.End()
 
 	// Control phase: the primary session pair. Adopted, it costs one flight
-	// — join the task trace and take the task label on both sessions — and a
-	// pair that fails it is closed and replaced within the same attempt.
-	// Dialled, it authenticates, delegates, and in its own set-up flight
-	// also sets the marker cadence and (cross-CA, §V) installs the source
-	// credential on the destination via DCSC once for the whole session
-	// instead of once per file.
+	// — join the task trace and take the task label on both sessions, and
+	// learn the plan on the source — and a pair that fails it is closed and
+	// replaced within the same attempt. Dialled, it authenticates, delegates,
+	// and in the same first flight also sets the marker cadence and (cross-CA,
+	// §V) installs the source credential on the destination via DCSC once for
+	// the whole session instead of once per file.
 	ctlSpan := taskSpan.Child("control")
 	crossCA := task.crossCA(srcEP, dstEP)
 	key := pairKey{user: task.User, src: task.Src, dst: task.Dst, srcCred: srcCred, dstCred: dstCred, dcsc: crossCA}

@@ -15,11 +15,21 @@ import (
 // is not its files: dialling, authenticating and delegating the pair, and
 // wiring the inter-site data path. So a successful attempt parks its primary
 // pair instead of closing it, and the next task between the same endpoints
-// adopts it: it re-sends only SITE TRACE and SITE TASK, on both sessions in
-// one flight, and finds the data path still wired — its first STOR/RETR goes
+// adopts it and finds the data path still wired — its first STOR/RETR goes
 // out with no PASV, PORT, connection or handshake. (Only together with
 // control-channel listing, gridftp's MLSC: an MLSD walk would un-wire the
-// pair before the first file.) Four rules keep that safe:
+// pair before the first file.)
+//
+// What is left of such a task's control plane is two flights per session,
+// each written whole before anything of it is read. The plan: SITE TRACE and
+// SITE TASK to both sessions, and behind them on the source MLST and a
+// speculative MLSC of the task's path (firstFlight) — both sessions answer,
+// which is the liveness check, and the task knows its files. The files: every
+// MKD of the destination tree, owed, and every STOR behind them; every RETR
+// on the source (schedule, gridftp.Pipeline). Only a tree deeper than one
+// level adds source flights, one per level. A dialled pair sends the same plan
+// flight behind DELG, and between its two flights wires the data path: the
+// MKDs' replies come back with the PASV. Four rules keep adoption safe:
 //
 //	W1  Only a pair whose attempt succeeded is parked, and any error on an
 //	    adopted pair closes it. After a failure nothing is known about what
