@@ -40,8 +40,7 @@ type scriptedServer struct {
 
 	mu     sync.Mutex
 	refuse map[string]int
-	seen   []string
-	lines  []string
+	lines  []string // the commands seen, parameters included
 	par    int
 }
 
@@ -99,23 +98,23 @@ func (s *scriptedServer) refuseNext(verb string, code int) {
 	s.mu.Unlock()
 }
 
-// commands returns the verbs seen since the last call.
-func (s *scriptedServer) commands() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := strings.Join(s.seen, " ")
-	s.seen, s.lines = nil, nil
-	return seen
-}
-
 // commandLines returns the commands seen since the last call, parameters
 // included.
 func (s *scriptedServer) commandLines() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lines := s.lines
-	s.seen, s.lines = nil, nil
+	s.lines = nil
 	return lines
+}
+
+// commands returns the verbs seen since the last call.
+func (s *scriptedServer) commands() string {
+	lines := s.commandLines()
+	for i, line := range lines {
+		lines[i], _, _ = strings.Cut(line, " ")
+	}
+	return strings.Join(lines, " ")
 }
 
 func (s *scriptedServer) serve() {
@@ -128,7 +127,6 @@ func (s *scriptedServer) serve() {
 			return
 		}
 		s.mu.Lock()
-		s.seen = append(s.seen, cmd.Name)
 		s.lines = append(s.lines, cmd.String())
 		refused := s.refuse[cmd.Name]
 		delete(s.refuse, cmd.Name)

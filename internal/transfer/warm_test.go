@@ -22,9 +22,7 @@ type wire struct {
 }
 
 func (w *world) wire(o *obs.Obs) wire {
-	cmd := func(verb string) int64 {
-		return o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd="+verb)).Value()
-	}
+	cmd := func(verb string) int64 { return clientCommands(o, verb) }
 	return wire{
 		sessions: o.Metrics.Counter("gridftp.server.sessions_total").Value(),
 		conns:    w.nw.LinkStats("siteA", "siteB").Conns,
