@@ -514,8 +514,9 @@ func BenchmarkE18StreamTelemetryOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			reg := streamstats.New(streamstats.Options{Obs: obs.Nop(), Interval: 500 * time.Millisecond})
+			stop := reg.Start()
 			on, err := experiments.MeasureStreamTelemetryRate(link, fileBytes, parallelism, reg)
-			reg.Close()
+			stop()
 			if err != nil {
 				b.Fatal(err)
 			}

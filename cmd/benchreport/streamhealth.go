@@ -34,7 +34,7 @@ func runStreamHealth(arg string) error {
 		Obs:      obs.Nop(),
 		Interval: 20 * time.Millisecond,
 	})
-	defer reg.Close()
+	defer reg.Start()()
 	// Zero-bandwidth link: run the workload CPU-bound so the table shows
 	// what the data path does at full tilt on this machine.
 	rate, err := experiments.MeasureStreamTelemetryRate(netsim.LinkParams{}, 8<<20, 4, reg)

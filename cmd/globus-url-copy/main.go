@@ -139,7 +139,7 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 		Stall:        stallTimeout,
 		AbortOnStall: stallTimeout > 0,
 	})
-	defer streams.Close()
+	defer streams.Start()()
 
 	// With -admin, the workbench exposes the same telemetry plane as the
 	// daemons — metrics, PERF-marker timelines (/debug/timeseries), SLO

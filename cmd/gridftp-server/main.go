@@ -77,8 +77,7 @@ func main() {
 			Obs:      o,
 		})
 		o.Profile = prof
-		prof.Start()
-		defer prof.Stop()
+		defer prof.Start()()
 	}
 	// Tenant accounting plane: per-DN attribution of commands and data
 	// bytes, surfaced on the admin plane's /tenants and federated to any

@@ -171,8 +171,7 @@ func run(opts runOptions, o *obs.Obs) error {
 			Obs:      o,
 		})
 		o.Profile = prof
-		prof.Start()
-		defer prof.Stop()
+		defer prof.Start()()
 	}
 
 	// Stream-telemetry plane: one registry shared by both endpoints and
@@ -183,7 +182,7 @@ func run(opts runOptions, o *obs.Obs) error {
 		Stall:        opts.stallTimeout,
 		AbortOnStall: opts.stallTimeout > 0,
 	})
-	defer streams.Close()
+	defer streams.Start()()
 
 	// Tenant accounting plane: one accountant shared by both endpoints
 	// and the scheduler attributes every task, queue wait, command, and

@@ -155,47 +155,28 @@ func (s *Server) EnableTelemetry(o *obs.Obs, rules []tsdb.Rule) (stop func()) {
 	// Metric-delta publisher: on each sampling interval, send connected
 	// stream clients only the counters/gauges that changed since the last
 	// tick — a live diff, cheap enough to run at the raw cadence.
-	deltaStop := make(chan struct{})
-	deltaDone := make(chan struct{})
-	go func() {
-		defer close(deltaDone)
-		tick := time.NewTicker(rec.Options().RawStep)
-		defer tick.Stop()
-		prev := make(map[string]int64)
-		for {
-			select {
-			case <-tick.C:
-				if s.hub.count() == 0 {
-					// Still track values so a new client's first delta
-					// frame is a diff, not a full dump.
-					for _, m := range o.Registry().Snapshot() {
-						prev[m.Name] = m.Value
-					}
-					continue
-				}
-				changed := make(map[string]int64)
-				for _, m := range o.Registry().Snapshot() {
-					if v, ok := prev[m.Name]; !ok || v != m.Value {
-						changed[m.Name] = m.Value
-					}
-					prev[m.Name] = m.Value
-				}
-				if len(changed) > 0 {
-					s.hub.broadcast(jsonFrame("metrics", map[string]any{
-						"t": time.Now().UTC(), "changed": changed,
-					}))
-				}
-			case <-deltaStop:
-				return
+	prev := make(map[string]int64)
+	stopDeltas := obs.Every(rec.Options().RawStep, func(now time.Time) {
+		// With no client connected the values are still tracked, so a new
+		// client's first delta frame is a diff, not a full dump.
+		changed := make(map[string]int64)
+		for _, m := range o.Registry().Snapshot() {
+			if v, ok := prev[m.Name]; !ok || v != m.Value {
+				changed[m.Name] = m.Value
 			}
+			prev[m.Name] = m.Value
 		}
-	}()
+		if len(changed) > 0 && s.hub.count() > 0 {
+			s.hub.broadcast(jsonFrame("metrics", map[string]any{
+				"t": now.UTC(), "changed": changed,
+			}))
+		}
+	})
 
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			close(deltaStop)
-			<-deltaDone
+			stopDeltas()
 			stopSampler()
 			untapEvents()
 			untapAlerts()

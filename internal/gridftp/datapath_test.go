@@ -348,8 +348,7 @@ func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
 // forwarded call would put untransformed bytes on the wire — and stream
 // telemetry stacked on top of them must advertise neither.
 func TestTransformingLayersHideFastPaths(t *testing.T) {
-	reg := streamstats.New(streamstats.Options{Obs: obs.Nop(), Interval: time.Hour})
-	defer reg.Close()
+	reg := streamstats.New(streamstats.Options{Obs: obs.Nop()})
 	tr := reg.Begin("layers", "test")
 	for i, tc := range []struct {
 		name string
@@ -457,7 +456,7 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	o := obs.Nop()
 	o.Series = log
 	reg := streamstats.New(streamstats.Options{Obs: o, Interval: 5 * time.Millisecond})
-	defer reg.Close()
+	defer reg.Start()()
 	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Streams = reg })
 	nw.SetLink("laptop", "siteA", netsim.LinkParams{Bandwidth: 20e6, RTT: 20 * time.Millisecond, StreamWindow: 1 << 20})
 	c := s.connect(t, nw.Host("laptop"), true)
@@ -490,8 +489,7 @@ func TestPutManyFeedsTelemetry(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
 	o := obs.Nop()
-	reg := streamstats.New(streamstats.Options{Obs: o, Interval: time.Hour})
-	defer reg.Close()
+	reg := streamstats.New(streamstats.Options{Obs: o})
 	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -187,10 +187,6 @@ type Service struct {
 	// profiles holds each instance's newest continuous-profile summary
 	// (profile.go); merged on demand, never ticked.
 	profiles map[string]*instanceProfile
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
 }
 
 // New builds a fleet service. The recorder and engine are created here;
@@ -613,34 +609,17 @@ func outlierRatio(rates []float64) float64 {
 }
 
 // Start launches the background loop: Tick every Step, scrape targets
-// every ScrapeInterval. The returned stop halts the loop and waits; it
-// is idempotent. Start may be called at most once per Service.
+// every ScrapeInterval. The returned stop halts it (obs.Every's contract).
 func (s *Service) Start() (stop func()) {
-	s.stopCh = make(chan struct{})
-	s.doneCh = make(chan struct{})
-	go func() {
-		defer close(s.doneCh)
-		tick := time.NewTicker(s.opts.Step)
-		defer tick.Stop()
-		lastScrape := time.Time{}
-		for {
-			select {
-			case <-tick.C:
-				now := s.opts.Now()
-				if now.Sub(lastScrape) >= s.opts.ScrapeInterval {
-					lastScrape = now
-					s.scrapeAll(now)
-				}
-				s.Tick(now)
-			case <-s.stopCh:
-				return
-			}
+	var lastScrape time.Time
+	return obs.Every(s.opts.Step, func(time.Time) {
+		now := s.opts.Now()
+		if now.Sub(lastScrape) >= s.opts.ScrapeInterval {
+			lastScrape = now
+			s.scrapeAll(now)
 		}
-	}()
-	return func() {
-		s.stopOnce.Do(func() { close(s.stopCh) })
-		<-s.doneCh
-	}
+		s.Tick(now)
+	})
 }
 
 // String renders a one-line summary for logs.

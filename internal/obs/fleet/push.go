@@ -107,26 +107,11 @@ func StartPusher(url, instance string, o *obs.Obs, acct *tenant.Accountant, inte
 			}
 		}
 	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				pushAll()
-			case <-stopCh:
-				pushAll()
-				return
-			}
-		}
-	}()
+	stopLoop := obs.Every(interval, func(time.Time) { pushAll() })
 	var once sync.Once
 	return func() {
-		once.Do(func() { close(stopCh) })
-		<-doneCh
+		stopLoop()
+		once.Do(pushAll)
 	}
 }
 

@@ -119,10 +119,6 @@ type Profiler struct {
 	captures *obs.Counter
 	failures *obs.Counter
 	capSec   *obs.Histogram
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // New builds a Profiler. Call Start for the background loop, or drive
@@ -133,8 +129,6 @@ func New(opts Options) *Profiler {
 		opts:    opts,
 		prevCum: make(map[string][]obs.ProfileFrame),
 		prevWin: make(map[string][]obs.ProfileFrame),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	reg := opts.Obs.Registry()
 	p.captures = reg.Counter("obs.profile.captures_total")
@@ -153,31 +147,14 @@ func New(opts Options) *Profiler {
 // Interval returns the configured capture cadence.
 func (p *Profiler) Interval() time.Duration { return p.opts.Interval }
 
-// Start launches the capture loop. Stop tears it down.
-func (p *Profiler) Start() {
-	go func() {
-		defer close(p.done)
-		t := time.NewTicker(p.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-t.C:
-				if _, err := p.CaptureOnce(); err != nil {
-					p.opts.Obs.Logger().Warn("profile capture failed", "err", err)
-				}
-			}
+// Start launches the capture loop; the returned stop halts it
+// (obs.Every's contract), waiting out a capture in progress.
+func (p *Profiler) Start() (stop func()) {
+	return obs.Every(p.opts.Interval, func(time.Time) {
+		if _, err := p.CaptureOnce(); err != nil {
+			p.opts.Obs.Logger().Warn("profile capture failed", "err", err)
 		}
-	}()
-}
-
-// Stop halts the capture loop and waits for it to exit. Safe to call
-// multiple times and without a prior Start... but then it blocks; only
-// call after Start.
-func (p *Profiler) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
+	})
 }
 
 // CaptureOnce performs one full capture window synchronously: CPU

@@ -198,7 +198,7 @@ func (f seriesFunc) Observe(name string, at time.Time, v float64) { f(name, at, 
 
 func TestStartStop(t *testing.T) {
 	p := New(Options{Interval: 10 * time.Millisecond, CPUDuration: -1, Obs: obs.Nop()})
-	p.Start()
+	stop := p.Start()
 	deadline := time.After(2 * time.Second)
 	for {
 		if _, ok := p.LatestID(); ok {
@@ -210,8 +210,8 @@ func TestStartStop(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	p.Stop()
-	p.Stop() // idempotent
+	stop()
+	stop() // idempotent
 }
 
 func TestNopProfilerViaObs(t *testing.T) {

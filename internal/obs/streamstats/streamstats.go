@@ -136,7 +136,7 @@ func (o Options) alpha() float64 {
 }
 
 // Registry tracks the streams of all active (and recently finished)
-// transfers and runs the poller/watchdog goroutine.
+// transfers; its poller is also the stall watchdog.
 type Registry struct {
 	opts Options
 
@@ -146,38 +146,22 @@ type Registry struct {
 	recent []*Transfer // finished, newest last, bounded by Retain
 
 	stalled int64 // streams currently stalled (poller-owned, read via atomic)
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// New creates a Registry and starts its poller. Close releases it.
+// New creates a Registry. Wrapped conns count bytes from the start; the
+// series, events and stall checks need the poller — Start, or poll driven
+// by hand in tests.
 func New(opts Options) *Registry {
-	r := &Registry{
-		opts: opts,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go r.run()
-	return r
+	return &Registry{opts: opts}
 }
 
-// Close stops the poller. Active transfers keep counting bytes, but no
-// further series, events, or stall checks are produced.
-func (r *Registry) Close() {
+// Start launches the poller/watchdog; the returned stop halts it
+// (obs.Every's contract). Active transfers keep counting bytes after stop.
+func (r *Registry) Start() (stop func()) {
 	if r == nil {
-		return
+		return func() {}
 	}
-	r.mu.Lock()
-	select {
-	case <-r.stop:
-		r.mu.Unlock()
-		return
-	default:
-	}
-	close(r.stop)
-	r.mu.Unlock()
-	<-r.done
+	return obs.Every(r.opts.interval(), r.poll)
 }
 
 // Stall returns the configured stall window (0 = watchdog disabled).
@@ -464,21 +448,6 @@ type streamStreamConn struct {
 func (c *streamStreamConn) ReadFrom(r io.Reader) (int64, error) { return c.readFrom(c.rf, r) }
 func (c *streamStreamConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	return c.writeBuffers(c.bw, bufs)
-}
-
-// run is the poller/watchdog loop.
-func (r *Registry) run() {
-	defer close(r.done)
-	tick := time.NewTicker(r.opts.interval())
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case now := <-tick.C:
-			r.poll(now)
-		}
-	}
 }
 
 // poll is one pass: refresh throughput EWMAs and wire counters, emit

@@ -13,9 +13,7 @@ import (
 
 func newTestRegistry(t *testing.T) *Registry {
 	t.Helper()
-	r := New(Options{Obs: obs.Nop(), Interval: time.Hour})
-	t.Cleanup(r.Close)
-	return r
+	return New(Options{Obs: obs.Nop()}) // never started: nothing polls behind the test's back
 }
 
 // streamHealth returns stream i of the registry's only transfer.
@@ -175,5 +173,151 @@ func TestWrapForwardsCloseWrite(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("EOF never reached the peer")
+	}
+}
+
+// The poller on a hand-driven clock: poll(now) is the loop's whole body
+// (Start only schedules it), so these tests choose every timestamp and
+// never sleep. A stream's counters are what its wrapped conn would have
+// written.
+
+// seriesLog is an obs.SeriesSink that keeps the last value per series.
+type seriesLog map[string]float64
+
+func (l seriesLog) Observe(name string, _ time.Time, v float64) { l[name] = v }
+
+// polledStream is one transfer with one stream on a registry nothing else
+// polls.
+func polledStream(t *testing.T, opts Options) (*Registry, *Transfer, *Stream, seriesLog) {
+	t.Helper()
+	series := seriesLog{}
+	o := obs.Nop()
+	o.Series = series
+	opts.Obs = o
+	reg := New(opts)
+	tr := reg.Begin("t", "retr")
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	tr.Wrap(0, a, nil)
+	return reg, tr, tr.streams[0], series
+}
+
+func eventsOfType(reg *Registry, typ string) []map[string]string {
+	var out []map[string]string
+	for _, ev := range reg.opts.Obs.EventLog().Events() {
+		if ev.Type == typ {
+			out = append(out, ev.Fields)
+		}
+	}
+	return out
+}
+
+func TestPollEWMAConverges(t *testing.T) {
+	reg, _, s, series := polledStream(t, Options{EWMAAlpha: 0.3})
+	t0 := time.Unix(1_700_000_000, 0)
+	reg.poll(t0) // baseline: no interval yet, so no rate
+	if got := series[SeriesPrefix+"t.0.throughput"]; got != 0 {
+		t.Fatalf("throughput after the baseline poll = %v, want 0", got)
+	}
+	const rate = 1000.0 // bytes per one-second poll
+	want, prev := 0.0, 0.0
+	for i := 1; i <= 30; i++ {
+		s.bytes.Add(int64(rate))
+		reg.poll(t0.Add(time.Duration(i) * time.Second))
+		want = 0.3*rate + 0.7*want
+		got := series[SeriesPrefix+"t.0.throughput"]
+		if diff := got - want; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("poll %d: EWMA %v, want %v", i, got, want)
+		}
+		if got <= prev {
+			t.Fatalf("poll %d: EWMA %v did not rise from %v under a steady rate", i, got, prev)
+		}
+		prev = got
+	}
+	if prev < 0.999*rate {
+		t.Fatalf("EWMA %v after 30 steady polls, want within 0.1%% of %v", prev, rate)
+	}
+	// An idle second pulls the estimate down by exactly the smoothing factor.
+	reg.poll(t0.Add(31 * time.Second))
+	if got, want := series[SeriesPrefix+"t.0.throughput"], 0.7*prev; got-want > 1e-6 || want-got > 1e-6 {
+		t.Fatalf("EWMA after one idle poll = %v, want %v", got, want)
+	}
+}
+
+func TestPollStallRaisesEventThenRecovers(t *testing.T) {
+	reg, tr, s, series := polledStream(t, Options{Stall: 5 * time.Second})
+	t0 := time.Unix(1_700_000_000, 0)
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	s.last.Store(t0.UnixNano())
+
+	reg.poll(at(time.Second))
+	if n := reg.StalledStreams(); n != 0 {
+		t.Fatalf("%d streams stalled one second after progress", n)
+	}
+	reg.poll(at(6 * time.Second))
+	reg.poll(at(7 * time.Second)) // still stalled: counted, not re-announced
+	if n := reg.StalledStreams(); n != 1 {
+		t.Fatalf("StalledStreams = %d past the stall window, want 1", n)
+	}
+	if got := series[StalledSeries]; got != 1 {
+		t.Fatalf("%s = %v, want 1", StalledSeries, got)
+	}
+	stalled := eventsOfType(reg, "stream.stalled")
+	if len(stalled) != 1 {
+		t.Fatalf("%d stream.stalled events over two stalled polls, want 1", len(stalled))
+	}
+	if stalled[0]["transfer"] != "t" || stalled[0]["stream"] != "0" || stalled[0]["idle_ms"] != "6000" {
+		t.Fatalf("stream.stalled fields = %v", stalled[0])
+	}
+	if tr.StallAborted() {
+		t.Fatal("transfer marked stall-aborted without AbortOnStall")
+	}
+
+	s.last.Store(at(7500 * time.Millisecond).UnixNano())
+	reg.poll(at(8 * time.Second))
+	if n := reg.StalledStreams(); n != 0 {
+		t.Fatalf("StalledStreams = %d after progress, want 0", n)
+	}
+	rec := eventsOfType(reg, "stream.recovered")
+	if len(rec) != 1 || rec[0]["reason"] != "progress" {
+		t.Fatalf("stream.recovered events = %v, want one with reason=progress", rec)
+	}
+
+	// A transfer that ends while stalled pairs its stall with reason=closed.
+	reg.poll(at(14 * time.Second))
+	tr.Done(nil)
+	rec = eventsOfType(reg, "stream.recovered")
+	if len(rec) != 2 || rec[1]["reason"] != "closed" {
+		t.Fatalf("stream.recovered events after Done = %v, want a second with reason=closed", rec)
+	}
+	reg.poll(at(15 * time.Second))
+	if n := reg.StalledStreams(); n != 0 {
+		t.Fatalf("StalledStreams = %d after the stalled transfer finished, want 0", n)
+	}
+}
+
+func TestPollAbortOnStallAbortsOnce(t *testing.T) {
+	reg, tr, s, _ := polledStream(t, Options{Stall: 5 * time.Second, AbortOnStall: true})
+	t0 := time.Unix(1_700_000_000, 0)
+	s.last.Store(t0.UnixNano())
+	aborts := 0
+	tr.SetAbort(func() { aborts++ })
+
+	reg.poll(t0.Add(4 * time.Second))
+	if aborts != 0 {
+		t.Fatal("abort called inside the stall window")
+	}
+	for _, d := range []time.Duration{6, 7, 8} {
+		reg.poll(t0.Add(d * time.Second))
+	}
+	// Recover and stall again: the transfer is already being torn down.
+	s.last.Store(t0.Add(9 * time.Second).UnixNano())
+	reg.poll(t0.Add(10 * time.Second))
+	reg.poll(t0.Add(20 * time.Second))
+	if aborts != 1 {
+		t.Fatalf("abort func called %d times, want once", aborts)
+	}
+	if !tr.StallAborted() {
+		t.Fatal("StallAborted() false after the watchdog aborted the transfer")
 	}
 }

@@ -125,10 +125,6 @@ type Accountant struct {
 	// last published clock for interval rates.
 	published   map[string]*pubState
 	lastPublish time.Time
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
 }
 
 // New returns an empty accountant with the given geometry.
@@ -554,30 +550,11 @@ func (a *Accountant) Publish(now time.Time) {
 	}
 }
 
-// Start launches the background publisher at PublishInterval. The
-// returned stop function halts it and waits; it is idempotent. Start
-// may be called at most once per Accountant.
+// Start launches the background publisher at PublishInterval; the
+// returned stop halts it (obs.Every's contract).
 func (a *Accountant) Start() (stop func()) {
 	if a == nil {
 		return func() {}
 	}
-	a.stopCh = make(chan struct{})
-	a.doneCh = make(chan struct{})
-	go func() {
-		defer close(a.doneCh)
-		tick := time.NewTicker(a.opts.PublishInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				a.Publish(time.Now())
-			case <-a.stopCh:
-				return
-			}
-		}
-	}()
-	return func() {
-		a.stopOnce.Do(func() { close(a.stopCh) })
-		<-a.doneCh
-	}
+	return obs.Every(a.opts.PublishInterval, a.Publish)
 }

@@ -185,10 +185,6 @@ type Recorder struct {
 	lastSample   time.Time
 	lastCounters map[string]int64
 	lastBuckets  map[string][]int64
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
 }
 
 // New returns an empty recorder with the given tier geometry.
@@ -494,29 +490,10 @@ func windowCounts(cur, prev []int64) []int64 {
 
 // Start launches the background sampling loop: every RawStep it samples
 // reg and, when engine is non-nil, evaluates the alert rules against the
-// fresh samples. The returned stop function halts the loop and waits for
-// it to exit; it is idempotent. Start may be called at most once per
-// Recorder.
+// fresh samples. The returned stop halts it (obs.Every's contract).
 func (r *Recorder) Start(reg *obs.Registry, engine *Engine) (stop func()) {
-	r.stopCh = make(chan struct{})
-	r.doneCh = make(chan struct{})
-	go func() {
-		defer close(r.doneCh)
-		tick := time.NewTicker(r.opts.RawStep)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				now := time.Now()
-				r.SampleRegistry(reg, now)
-				engine.Eval(now)
-			case <-r.stopCh:
-				return
-			}
-		}
-	}()
-	return func() {
-		r.stopOnce.Do(func() { close(r.stopCh) })
-		<-r.doneCh
-	}
+	return obs.Every(r.opts.RawStep, func(now time.Time) {
+		r.SampleRegistry(reg, now)
+		engine.Eval(now)
+	})
 }

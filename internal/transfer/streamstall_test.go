@@ -73,7 +73,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 		Stall:        120 * time.Millisecond,
 		AbortOnStall: true,
 	})
-	defer streams.Close()
+	defer streams.Start()()
 
 	adm := admin.New(o)
 	adm.SetTelemetry(rec, eng)
