@@ -436,7 +436,7 @@ func BenchmarkE16FleetAggregation(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		now = now.Add(time.Second)
 		for i, snap := range snaps {
-			if err := svc.Ingest(fmt.Sprintf("inst-%03d", i), "", snap, now); err != nil {
+			if err := svc.Ingest("", fleet.Envelope{Instance: fmt.Sprintf("inst-%03d", i), Metrics: snap}, now); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -57,7 +57,6 @@ func main() {
 	collectorURL := flag.String("collector", "", "push completed spans to this collector /v1/spans URL on exit")
 	fleetPush := flag.String("fleet-push", "", "push this server's metrics to a fleet head's /v1/metrics URL")
 	fleetInstance := flag.String("fleet-instance", "", "instance name for -fleet-push (default: -name)")
-	fleetPushInterval := flag.Duration("fleet-push-interval", time.Second, "push cadence for -fleet-push")
 	profileInterval := flag.Duration("profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
 	profileRetain := flag.Duration("profile-retain", 5*time.Minute, "how long raw continuous-profile captures are retained (summaries persist ~2h)")
 	flag.Parse()
@@ -93,7 +92,7 @@ func main() {
 		if instance == "" {
 			instance = *name
 		}
-		stopPush := fleet.StartPusher(*fleetPush, instance, o, tenants, *fleetPushInterval)
+		stopPush := fleet.StartPusher(*fleetPush, instance, o, tenants)
 		defer stopPush()
 	}
 	err := run(*name, *user, *password, *selftest, *withOAuth, *adminAddr, o, prof, tenants)

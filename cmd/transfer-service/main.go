@@ -72,7 +72,6 @@ func main() {
 	fleetBundleDir := flag.String("fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
 	fleetPush := flag.String("fleet-push", "", "push this process's metrics to a fleet head's /v1/metrics URL")
 	fleetInstance := flag.String("fleet-instance", "transfer-service", "instance name for -fleet-push")
-	fleetPushInterval := flag.Duration("fleet-push-interval", time.Second, "push cadence for -fleet-push")
 	profileInterval := flag.Duration("profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
 	profileRetain := flag.Duration("profile-retain", 5*time.Minute, "how long raw continuous-profile captures are retained (summaries persist ~2h)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "abort a data stream making no progress for this long and retry from checkpoint (0 disables the stall watchdog)")
@@ -82,23 +81,22 @@ func main() {
 		o = obs.New(os.Stderr, obs.LevelDebug)
 	}
 	err := run(runOptions{
-		sizeStr:           *sizeStr,
-		files:             *files,
-		concurrency:       *concurrency,
-		maxActive:         *maxActive,
-		markerInterval:    *markerInterval,
-		fault:             *fault,
-		useOAuth:          *useOAuth,
-		adminAddr:         *adminAddr,
-		fleetHead:         *fleetHead || *fleetScrape != "" || *fleetBundleDir != "",
-		fleetScrape:       *fleetScrape,
-		fleetBundleDir:    *fleetBundleDir,
-		fleetPush:         *fleetPush,
-		fleetInstance:     *fleetInstance,
-		fleetPushInterval: *fleetPushInterval,
-		profileInterval:   *profileInterval,
-		profileRetain:     *profileRetain,
-		stallTimeout:      *stallTimeout,
+		sizeStr:         *sizeStr,
+		files:           *files,
+		concurrency:     *concurrency,
+		maxActive:       *maxActive,
+		markerInterval:  *markerInterval,
+		fault:           *fault,
+		useOAuth:        *useOAuth,
+		adminAddr:       *adminAddr,
+		fleetHead:       *fleetHead || *fleetScrape != "" || *fleetBundleDir != "",
+		fleetScrape:     *fleetScrape,
+		fleetBundleDir:  *fleetBundleDir,
+		fleetPush:       *fleetPush,
+		fleetInstance:   *fleetInstance,
+		profileInterval: *profileInterval,
+		profileRetain:   *profileRetain,
+		stallTimeout:    *stallTimeout,
 	}, o)
 	if *metrics {
 		fmt.Fprint(os.Stderr, o.DebugSnapshot())
@@ -132,23 +130,22 @@ func parseSize(s string) int {
 }
 
 type runOptions struct {
-	sizeStr           string
-	files             int
-	concurrency       int
-	maxActive         int
-	markerInterval    time.Duration
-	fault             bool
-	useOAuth          bool
-	adminAddr         string
-	fleetHead         bool
-	fleetScrape       string
-	fleetBundleDir    string
-	fleetPush         string
-	fleetInstance     string
-	fleetPushInterval time.Duration
-	profileInterval   time.Duration
-	profileRetain     time.Duration
-	stallTimeout      time.Duration
+	sizeStr         string
+	files           int
+	concurrency     int
+	maxActive       int
+	markerInterval  time.Duration
+	fault           bool
+	useOAuth        bool
+	adminAddr       string
+	fleetHead       bool
+	fleetScrape     string
+	fleetBundleDir  string
+	fleetPush       string
+	fleetInstance   string
+	profileInterval time.Duration
+	profileRetain   time.Duration
+	stallTimeout    time.Duration
 }
 
 func run(opts runOptions, o *obs.Obs) error {
@@ -238,7 +235,7 @@ func run(opts runOptions, o *obs.Obs) error {
 		}
 	}
 	if opts.fleetPush != "" {
-		stopPush := fleet.StartPusher(opts.fleetPush, opts.fleetInstance, o, tenants, opts.fleetPushInterval)
+		stopPush := fleet.StartPusher(opts.fleetPush, opts.fleetInstance, o, tenants)
 		defer stopPush()
 	}
 

@@ -115,8 +115,6 @@ func New(o *obs.Obs) *Server {
 	s.mux.HandleFunc("/alerts", s.handleAlerts)
 	s.mux.HandleFunc("/fleet/", s.handleFleet)
 	s.mux.HandleFunc("/v1/metrics", s.handleFleet)
-	s.mux.HandleFunc("/v1/profile", s.handleFleet)
-	s.mux.HandleFunc("/v1/tenants", s.handleFleet)
 	s.mux.HandleFunc("/debug/profile/continuous", s.handleProfileContinuous)
 	s.mux.HandleFunc("/debug/profile/continuous/top", s.handleProfileTop)
 	s.mux.HandleFunc("/debug/profile/continuous/diff", s.handleProfileDiff)
@@ -339,8 +337,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /debug/series   time-series lifecycle inventory (JSON; ?series= prefix)")
 	fmt.Fprintln(w, "  /tenants        per-DN top-K tenant attribution (JSON; ?k=)")
 	fmt.Fprintln(w, "  /fleet/         fleet federation plane (instances, metrics, timeseries, bundles, profile)")
-	fmt.Fprintln(w, "  /v1/metrics     fleet metric push ingest (POST, expfmt)")
-	fmt.Fprintln(w, "  /v1/tenants     fleet tenant-table push ingest (POST, JSON)")
+	fmt.Fprintln(w, "  /v1/metrics     fleet push ingest (POST, one JSON envelope: metrics, tenant table, profile summary)")
 	fmt.Fprintln(w, "  /debug/profile/continuous  continuous profiler windows (JSON; /top /diff /raw)")
 	fmt.Fprintln(w, "  /debug/pprof/   on-demand Go profiling (continuous history: /debug/profile/continuous)")
 }

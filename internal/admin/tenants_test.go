@@ -64,10 +64,10 @@ func TestTenantsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTenantPushRouteForwardsToFleet: the pusher targets
-// /v1/tenants on the head's admin plane, which must forward to the
-// mounted fleet handler like /v1/metrics does (regression: the route
-// was missing and pushes 404ed).
+// TestTenantPushRouteForwardsToFleet: a pushed tenant table reaches the
+// mounted fleet handler through the head's admin plane. It rides the one
+// envelope on /v1/metrics; the route of its own it once had is gone, not
+// kept beside it.
 func TestTenantPushRouteForwardsToFleet(t *testing.T) {
 	s := New(obs.Nop())
 	fl := fleet.New(fleet.Options{Obs: obs.Nop()})
@@ -75,15 +75,23 @@ func TestTenantPushRouteForwardsToFleet(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `[{"dn":"/CN=pusher","hash":"00000000","weight":10,"bytes":10}]`
-	resp, err := ts.Client().Post(
-		ts.URL+"/v1/tenants?instance=ep1", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	body := `{"instance":"ep1","metrics":"","tenants":[{"dn":"/CN=pusher","hash":"00000000","weight":10,"bytes":10}]}`
+	post := func(path string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("POST /v1/tenants via admin mux = %d, want 204", resp.StatusCode)
+	if code := post("/v1/metrics"); code != http.StatusNoContent {
+		t.Fatalf("POST /v1/metrics via admin mux = %d, want 204", code)
+	}
+	for _, gone := range []string{"/v1/tenants", "/v1/profile"} {
+		if code := post(gone); code != http.StatusNotFound {
+			t.Fatalf("POST %s = %d, want 404: the envelope is the one push route", gone, code)
+		}
 	}
 	code, out, _ := get(t, ts, "/fleet/tenants")
 	if code != http.StatusOK || !strings.Contains(out, "/CN=pusher") {

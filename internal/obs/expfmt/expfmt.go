@@ -28,6 +28,7 @@ package expfmt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -176,6 +177,27 @@ func labelPair(instance string) string {
 type Snapshot struct {
 	Metrics    []obs.Metric            // counters and gauges ("histogram"-kind entries are ignored)
 	Histograms []obs.HistogramSnapshot // bucket-level state, exemplars included
+}
+
+// MarshalJSON renders the snapshot as one JSON string holding its text
+// exposition: the bucket bounds end in +Inf, which JSON numbers cannot
+// say, and the text form is the one the parser and its fuzzer already
+// cover.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	var text bytes.Buffer
+	if err := WriteSnapshot(&text, s); err != nil {
+		return nil, err
+	}
+	return json.Marshal(text.String())
+}
+
+// UnmarshalJSON parses what MarshalJSON wrote.
+func (s *Snapshot) UnmarshalJSON(data []byte) (err error) {
+	var text string
+	if err = json.Unmarshal(data, &text); err == nil {
+		*s, err = ParseTextSnapshot(strings.NewReader(text))
+	}
+	return err
 }
 
 // SnapshotRegistry captures reg as a Snapshot.

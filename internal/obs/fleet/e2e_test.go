@@ -72,7 +72,7 @@ func (in *instanceSim) observe(col *collector.Collector) {
 
 func (in *instanceSim) push(t *testing.T, url string) {
 	t.Helper()
-	if err := fleet.Push(url+"/v1/metrics", in.name, in.o.Registry()); err != nil {
+	if err := fleet.Push(url+"/v1/metrics", fleet.Collect(in.name, in.o, nil)); err != nil {
 		t.Fatalf("push %s: %v", in.name, err)
 	}
 }

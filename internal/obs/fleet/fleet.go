@@ -1,7 +1,8 @@
 // Package fleet is the federation layer over per-process telemetry: one
-// service ingests metric snapshots from N gridftp/transfer processes
-// (expfmt pushes to POST /v1/metrics, or periodic scrapes of configured
-// /metrics URLs), keeps an instance registry keyed by instance name with
+// service ingests an Envelope per tick from N gridftp/transfer processes
+// (metrics, tenant table and profile summary in one POST to /v1/metrics,
+// or a periodic scrape of a configured /metrics URL, which fills the
+// metrics alone), keeps an instance registry keyed by instance name with
 // identity anchored in process.start_time_seconds, and merges the
 // per-instance series into fleet aggregates: counters summed across
 // restart epochs, gauges summed over live instances, histograms merged
@@ -22,6 +23,7 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/collector"
 	"gridftp.dev/instant/internal/obs/expfmt"
+	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
@@ -118,14 +120,18 @@ type instanceState struct {
 	histBase    map[string]obs.HistogramSnapshot
 	histRaw     map[string]obs.HistogramSnapshot
 
-	// Per-tenant accounting tables pushed via POST /v1/tenants, under the
-	// same epoch discipline as counters: tenantRaw is the current
-	// incarnation as reported, tenantBase the folded prior incarnations
-	// (process restarts fold everything; a per-DN counter running
-	// backwards — the pusher's sketch evicted and readmitted that DN —
-	// folds just that DN). See tenants.go.
+	// The envelope's tenant table, under the same epoch discipline as
+	// counters: tenantRaw is the current incarnation as reported,
+	// tenantBase the folded prior incarnations (process restarts fold
+	// everything; a per-DN counter running backwards — the pusher's sketch
+	// evicted and readmitted that DN — folds just that DN). See tenants.go.
 	tenantBase map[string]tenantCounters
 	tenantRaw  map[string]tenantCounters
+
+	// profile is the envelope's newest continuous-profile summary
+	// (profile.go); merged on demand, never ticked, stale when the
+	// instance is.
+	profile *obs.ProfileSummary
 
 	goodputPrev float64 // effective goodput-counter sum at the last Tick
 	goodputRate float64 // bytes/sec over the last Tick interval
@@ -184,9 +190,6 @@ type Service struct {
 	scrapes   map[string]string // instance name -> /metrics URL
 	lastTick  time.Time
 	agg       expfmt.Snapshot // latest fleet aggregate (fleet.-prefixed)
-	// profiles holds each instance's newest continuous-profile summary
-	// (profile.go); merged on demand, never ticked.
-	profiles map[string]*instanceProfile
 }
 
 // New builds a fleet service. The recorder and engine are created here;
@@ -234,23 +237,39 @@ func (s *Service) AddScrapeTarget(instance, url string) {
 	s.mu.Unlock()
 }
 
-// Ingest folds one telemetry snapshot from the named instance into the
-// registry. addr is advisory (the push's remote address or scrape URL).
-// It is the shared core of the push handler and the scraper.
-func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.Time) error {
+// Envelope is everything one instance reports in one tick: its whole
+// registry (on the wire, the text exposition with exemplars as one JSON
+// string — expfmt.Snapshot marshals itself that way), its full tenant
+// sketch table (not a truncated top-K, so the head merges exact per-DN
+// aggregates) and its newest continuous-profile summary. A scrape fills
+// Metrics alone; absent parts leave the instance's earlier state as it was.
+type Envelope struct {
+	Instance string              `json:"instance"`
+	Metrics  expfmt.Snapshot     `json:"metrics"`
+	Tenants  []tenant.Stat       `json:"tenants,omitempty"`
+	Profile  *obs.ProfileSummary `json:"profile,omitempty"`
+}
+
+// Ingest folds one envelope into the registry under one lock, so a restart
+// (a changed start time) folds counters, histograms and the tenant table
+// in the same critical section, before any of the new epoch's values land.
+// addr is advisory (the push's remote address or scrape URL). It is the
+// shared core of the push handler and the scraper.
+func (s *Service) Ingest(addr string, env Envelope, now time.Time) error {
+	instance := env.Instance
 	if instance == "" {
 		return fmt.Errorf("fleet: ingest without instance name")
 	}
 	// Canonicalize into the wire-form namespace so in-process snapshots
 	// (dotted names) and parsed pushes (underscored) land on the same
 	// series. Copied, not mutated: the caller keeps its snapshot.
-	metrics := make([]obs.Metric, len(snap.Metrics))
-	for i, m := range snap.Metrics {
+	metrics := make([]obs.Metric, len(env.Metrics.Metrics))
+	for i, m := range env.Metrics.Metrics {
 		m.Name = expfmt.CanonicalName(m.Name)
 		metrics[i] = m
 	}
-	hists := make([]obs.HistogramSnapshot, len(snap.Histograms))
-	for i, h := range snap.Histograms {
+	hists := make([]obs.HistogramSnapshot, len(env.Metrics.Histograms))
+	for i, h := range env.Metrics.Histograms {
 		h.Name = expfmt.CanonicalName(h.Name)
 		hists[i] = h
 	}
@@ -265,9 +284,26 @@ func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.T
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inst, err := s.lockedInstance(instance, addr, now)
-	if err != nil {
-		return err
+	inst, ok := s.instances[instance]
+	if !ok {
+		if len(s.instances) >= maxInstances {
+			return fmt.Errorf("fleet: instance registry full (%d), rejecting %q", maxInstances, instance)
+		}
+		inst = &instanceState{
+			name: instance, firstSeen: now,
+			gauges:      make(map[string]int64),
+			counterBase: make(map[string]int64),
+			counterRaw:  make(map[string]int64),
+			histBase:    make(map[string]obs.HistogramSnapshot),
+			histRaw:     make(map[string]obs.HistogramSnapshot),
+			tenantBase:  make(map[string]tenantCounters),
+			tenantRaw:   make(map[string]tenantCounters),
+		}
+		s.instances[instance] = inst
+		s.o.EventLog().Append("fleet.instance.joined", "instance", instance, "addr", addr)
+	}
+	if addr != "" {
+		inst.addr = addr
 	}
 
 	// Restart detection: a changed start time is authoritative; a counter
@@ -310,38 +346,14 @@ func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.T
 	for _, h := range hists {
 		inst.histRaw[h.Name] = h
 	}
+	inst.ingestTenants(env.Tenants)
+	if env.Profile != nil {
+		inst.profile = env.Profile
+	}
 	inst.lastSeen = now
 	inst.stale = false
 	inst.pushes++
 	return nil
-}
-
-// lockedInstance returns the named instance record, registering it when
-// new. The caller holds s.mu. Shared by the metric and tenant ingest
-// paths so either kind of push can introduce an instance.
-func (s *Service) lockedInstance(instance, addr string, now time.Time) (*instanceState, error) {
-	inst, ok := s.instances[instance]
-	if !ok {
-		if len(s.instances) >= maxInstances {
-			return nil, fmt.Errorf("fleet: instance registry full (%d), rejecting %q", maxInstances, instance)
-		}
-		inst = &instanceState{
-			name: instance, firstSeen: now,
-			gauges:      make(map[string]int64),
-			counterBase: make(map[string]int64),
-			counterRaw:  make(map[string]int64),
-			histBase:    make(map[string]obs.HistogramSnapshot),
-			histRaw:     make(map[string]obs.HistogramSnapshot),
-			tenantBase:  make(map[string]tenantCounters),
-			tenantRaw:   make(map[string]tenantCounters),
-		}
-		s.instances[instance] = inst
-		s.o.EventLog().Append("fleet.instance.joined", "instance", instance, "addr", addr)
-	}
-	if addr != "" {
-		inst.addr = addr
-	}
-	return inst, nil
 }
 
 // effectiveCounter is the instance's restart-proof counter value.

@@ -10,39 +10,28 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs/expfmt"
-	"gridftp.dev/instant/internal/obs/tenant"
 )
 
 // Handler returns the federation head's HTTP plane, mounted by the admin
 // server under its own mux:
 //
-//	POST /v1/metrics            ingest one expfmt push (X-Fleet-Instance
-//	                            header or ?instance= names the sender)
+//	POST /v1/metrics            ingest one Envelope (JSON; at most 16 MiB)
 //	GET  /fleet/instances       the instance registry (JSON)
 //	GET  /fleet/metrics         merged fleet aggregate as expfmt text with
-//	                            exemplars; ?format=json for the snapshot
-//	                            shape, ?instances=1 for per-instance
+//	                            exemplars; ?instances=1 for per-instance
 //	                            labeled series
 //	GET  /fleet/timeseries      fleet recorder dump (?series=, ?since=,
 //	                            ?step= as /debug/timeseries)
 //	GET  /fleet/alerts          fleet alert engine state
 //	GET  /fleet/bundles         diagnostic bundle manifests; append
 //	                            /<bundle>/<file> for one artifact
-//	POST /v1/profile            ingest one continuous-profile summary
-//	                            (JSON obs.ProfileSummary, same instance
-//	                            naming as /v1/metrics)
 //	GET  /fleet/profile         merged fleet-wide hot-function rankings
 //	                            with per-instance summaries (?n= top size)
-//	POST /v1/tenants            ingest one tenant accounting table (JSON
-//	                            []tenant.Stat, same instance naming as
-//	                            /v1/metrics)
 //	GET  /fleet/tenants         fleet-merged top tenants by bytes moved
 //	                            (?k= table size, default 10)
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/metrics", s.handlePush)
-	mux.HandleFunc("/v1/profile", s.handleProfilePush)
-	mux.HandleFunc("/v1/tenants", s.handleTenantsPush)
 	mux.HandleFunc("/fleet/tenants", s.handleTenants)
 	mux.HandleFunc("/fleet/profile", s.handleProfile)
 	mux.HandleFunc("/fleet/instances", func(w http.ResponseWriter, r *http.Request) {
@@ -66,47 +55,16 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	instance := r.Header.Get("X-Fleet-Instance")
-	if instance == "" {
-		instance = r.URL.Query().Get("instance")
-	}
-	if instance == "" {
-		http.Error(w, "missing instance (X-Fleet-Instance header or ?instance=)", http.StatusBadRequest)
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	snap, err := expfmt.ParseTextSnapshot(body)
-	if err != nil {
+	var env Envelope
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEnvelope)).Decode(&env); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.Ingest(instance, r.RemoteAddr, snap, s.opts.Now()); err != nil {
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
+	if env.Instance == "" {
+		http.Error(w, "envelope names no instance", http.StatusBadRequest)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Service) handleTenantsPush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	instance := r.Header.Get("X-Fleet-Instance")
-	if instance == "" {
-		instance = r.URL.Query().Get("instance")
-	}
-	if instance == "" {
-		http.Error(w, "missing instance (X-Fleet-Instance header or ?instance=)", http.StatusBadRequest)
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	var table []tenant.Stat
-	if err := json.NewDecoder(body).Decode(&table); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.IngestTenants(instance, r.RemoteAddr, table, s.opts.Now()); err != nil {
+	if err := s.Ingest(r.RemoteAddr, env, s.opts.Now()); err != nil {
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	}
@@ -130,10 +88,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.Aggregate()
 	if r.URL.Query().Get("instances") == "1" {
 		snap = s.PerInstance()
-	}
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, snap)
-		return
 	}
 	w.Header().Set("Content-Type", expfmt.TextContentType)
 	expfmt.WriteSnapshot(w, snap)

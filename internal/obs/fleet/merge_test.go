@@ -153,13 +153,13 @@ func TestIngestCounterResetAccumulates(t *testing.T) {
 			{Name: "gridftp.server.bytes_in", Kind: "counter", Value: bytes},
 		}}
 	}
-	if err := s.Ingest("ep1", "", snap(100, 500), now); err != nil {
+	if err := s.Ingest("", Envelope{Instance: "ep1", Metrics: snap(100, 500)}, now); err != nil {
 		t.Fatal(err)
 	}
 	s.Tick(now)
 	now = now.Add(time.Second)
 	// Restart: new start time, counter reset to 80.
-	if err := s.Ingest("ep1", "", snap(200, 80), now); err != nil {
+	if err := s.Ingest("", Envelope{Instance: "ep1", Metrics: snap(200, 80)}, now); err != nil {
 		t.Fatal(err)
 	}
 	s.Tick(now)
@@ -197,8 +197,8 @@ func TestIngestCounterDecreaseWithoutIdentity(t *testing.T) {
 			{Name: "transfer.bytes_total", Kind: "counter", Value: v},
 		}}
 	}
-	s.Ingest("ep", "", snap(900), now)
-	s.Ingest("ep", "", snap(40), now.Add(time.Second)) // went backwards
+	s.Ingest("", Envelope{Instance: "ep", Metrics: snap(900)}, now)
+	s.Ingest("", Envelope{Instance: "ep", Metrics: snap(40)}, now.Add(time.Second)) // went backwards
 	s.Tick(now.Add(time.Second))
 	for _, m := range s.Aggregate().Metrics {
 		if m.Name == "fleet.transfer_bytes_total" && m.Value != 940 {

@@ -1,35 +1,21 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"time"
 
 	"gridftp.dev/instant/internal/obs"
 )
 
 // This file federates the continuous-profiling plane: instances push
-// their newest profile summary (POST /v1/profile, JSON) alongside the
-// metric push, and the head merges the per-instance top-N tables into
+// their newest profile summary in the envelope, and the head merges the
+// per-instance top-N tables into
 // fleet-wide hot-function rankings at GET /fleet/profile — "what is the
 // fleet as a whole burning CPU and allocation on", with the per-
 // instance summaries preserved for drill-down. Merging top-N tables is
 // approximate (each instance already truncated its tail) but that tail
 // is exactly what a hot-function ranking doesn't need.
-
-// maxProfilePush bounds one profile-summary push body.
-const maxProfilePush = 4 << 20
-
-// instanceProfile is one instance's pushed summary plus receipt time
-// (staleness for profiles follows the same horizon as metric pushes).
-type instanceProfile struct {
-	summary obs.ProfileSummary
-	seen    time.Time
-}
 
 // FleetProfile is the merged view served at /fleet/profile.
 type FleetProfile struct {
@@ -43,48 +29,28 @@ type FleetProfile struct {
 	TopRegressed []obs.ProfileFrame `json:"top_regressed,omitempty"`
 }
 
-// IngestProfile stores an instance's newest profile summary. The
-// instance registry cap applies: profiles from unknown instances are
-// accepted (a profile push may land before the first metric push) but
-// the combined name space stays bounded.
-func (s *Service) IngestProfile(instance string, sum obs.ProfileSummary, now time.Time) error {
-	if instance == "" {
-		return fmt.Errorf("fleet: profile push without instance name")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.profiles == nil {
-		s.profiles = make(map[string]*instanceProfile)
-	}
-	if _, ok := s.profiles[instance]; !ok {
-		if _, known := s.instances[instance]; !known && len(s.profiles) >= maxInstances {
-			return fmt.Errorf("fleet: profile registry full (%d), rejecting %q", maxInstances, instance)
-		}
-	}
-	s.profiles[instance] = &instanceProfile{summary: sum, seen: now}
-	return nil
-}
-
-// Profile merges the fresh per-instance summaries into the fleet view.
-// Summaries older than the staleness horizon drop out of the rankings
-// but stay listed per instance (marked only by their window timestamps).
+// Profile merges the live instances' summaries into the fleet view. A
+// stale instance's summary drops out of the rankings but stays listed
+// (marked only by its window timestamps).
 func (s *Service) Profile(topN int) FleetProfile {
 	if topN <= 0 {
 		topN = 10
 	}
-	now := s.opts.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := FleetProfile{Instances: make(map[string]obs.ProfileSummary, len(s.profiles))}
+	out := FleetProfile{Instances: make(map[string]obs.ProfileSummary)}
 	var cpu, alloc, regressed []obs.ProfileFrame
-	for name, ip := range s.profiles {
-		out.Instances[name] = ip.summary
-		if now.Sub(ip.seen) > s.opts.StaleAfter {
+	for name, inst := range s.instances {
+		if inst.profile == nil {
 			continue
 		}
-		cpu = append(cpu, ip.summary.TopCPU...)
-		alloc = append(alloc, ip.summary.TopAlloc...)
-		regressed = append(regressed, ip.summary.TopRegressed...)
+		out.Instances[name] = *inst.profile
+		if inst.stale {
+			continue
+		}
+		cpu = append(cpu, inst.profile.TopCPU...)
+		alloc = append(alloc, inst.profile.TopAlloc...)
+		regressed = append(regressed, inst.profile.TopRegressed...)
 	}
 	out.TopCPU = mergeFrames(cpu, topN, false)
 	out.TopAlloc = mergeFrames(alloc, topN, false)
@@ -130,32 +96,6 @@ func mergeFrames(frames []obs.ProfileFrame, n int, byDelta bool) []obs.ProfileFr
 	return out
 }
 
-func (s *Service) handleProfilePush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	instance := r.Header.Get("X-Fleet-Instance")
-	if instance == "" {
-		instance = r.URL.Query().Get("instance")
-	}
-	if instance == "" {
-		http.Error(w, "missing instance (X-Fleet-Instance header or ?instance=)", http.StatusBadRequest)
-		return
-	}
-	var sum obs.ProfileSummary
-	body := http.MaxBytesReader(w, r.Body, maxProfilePush)
-	if err := json.NewDecoder(body).Decode(&sum); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.IngestProfile(instance, sum, s.opts.Now()); err != nil {
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 	topN := 10
 	if v := r.URL.Query().Get("n"); v != "" {
@@ -165,29 +105,4 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, s.Profile(topN))
-}
-
-// PushProfile exports one profile summary to a fleet head's POST
-// /v1/profile under the given instance name.
-func PushProfile(url, instance string, sum obs.ProfileSummary) error {
-	data, err := json.Marshal(sum)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Fleet-Instance", instance)
-	resp, err := pushClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("fleet: profile push to %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("fleet: profile push to %s: %s", url, resp.Status)
-	}
-	return nil
 }

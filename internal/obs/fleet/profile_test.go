@@ -262,8 +262,9 @@ func TestBundleProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFleetProfileMerge pushes two instances' summaries over HTTP and
-// asserts the fleet-wide ranking sums shared functions.
+// TestFleetProfileMerge pushes two instances' summaries over HTTP (an
+// envelope with nothing but a profile) and asserts the fleet-wide ranking
+// sums shared functions.
 func TestFleetProfileMerge(t *testing.T) {
 	clk := &fleetClock{now: time.Unix(1_700_000_000, 0)}
 	o := obs.Nop()
@@ -285,12 +286,14 @@ func TestFleetProfileMerge(t *testing.T) {
 			TopRegressed: []obs.ProfileFrame{{Func: fn, Flat: flat, Delta: flat / 2}},
 		}
 	}
-	if err := fleet.PushProfile(ts.URL+"/v1/profile", "ep-a", mk(3, "a.alloc", 1000)); err != nil {
-		t.Fatalf("push a: %v", err)
+	pushProfile := func(instance string, sum obs.ProfileSummary) {
+		t.Helper()
+		if err := fleet.Push(ts.URL+"/v1/metrics", fleet.Envelope{Instance: instance, Profile: &sum}); err != nil {
+			t.Fatalf("push %s: %v", instance, err)
+		}
 	}
-	if err := fleet.PushProfile(ts.URL+"/v1/profile", "ep-b", mk(5, "b.alloc", 400)); err != nil {
-		t.Fatalf("push b: %v", err)
-	}
+	pushProfile("ep-a", mk(3, "a.alloc", 1000))
+	pushProfile("ep-b", mk(5, "b.alloc", 400))
 
 	var fp fleet.FleetProfile
 	getJSON(t, ts.Client(), ts.URL+"/fleet/profile", &fp)
@@ -316,10 +319,11 @@ func TestFleetProfileMerge(t *testing.T) {
 		t.Fatalf("fleet TopRegressed = %+v, want a.alloc leading by delta", fp.TopRegressed)
 	}
 
-	// Staleness: advance past the horizon; rankings empty but the
+	// Staleness: a tick past the horizon marks both instances stale, and a
+	// profile is stale exactly when its instance is; rankings empty but the
 	// per-instance summaries stay listed. Fresh struct: the ranking
 	// fields are omitempty, so re-decoding into fp would keep old data.
-	clk.Advance(time.Minute)
+	svc.Tick(clk.Advance(time.Minute))
 	var stale fleet.FleetProfile
 	getJSON(t, ts.Client(), ts.URL+"/fleet/profile", &stale)
 	if len(stale.TopAlloc) != 0 {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -10,14 +9,13 @@ import (
 
 // This file federates the per-instance tenant accounting planes
 // (internal/obs/tenant) into one fleet-wide "who is consuming the
-// fleet" view. Instances push their full sketch tables (POST
-// /v1/tenants, same instance naming as metric pushes); the head keeps
-// them under the same epoch discipline as counters:
+// fleet" view. Instances push their full sketch tables in the envelope;
+// the head keeps them under the same epoch discipline as counters:
 //
-//   - a process restart (detected here as any per-DN byte counter
-//     running backwards, and in Ingest via process.start_time_seconds)
-//     folds the instance's raw table into its base, so fleet totals
-//     stay monotone across restarts;
+//   - a process restart (detected in Ingest: process.start_time_seconds
+//     changed, or a metric counter ran backwards) folds the instance's
+//     raw table into its base in the same critical section, so fleet
+//     totals stay monotone across restarts;
 //   - sketch eviction/readmission on the pusher looks like a restart
 //     for exactly one DN, so the fold is per-DN, not per-instance —
 //     other tenants' running totals are untouched;
@@ -84,8 +82,7 @@ func (c tenantCounters) fold(raw tenantCounters) tenantCounters {
 }
 
 // foldTenants folds the whole raw table into base — the process-restart
-// path, called from Ingest under s.mu when the instance's
-// process.start_time_seconds changes.
+// path, called from Ingest under s.mu.
 func (i *instanceState) foldTenants() {
 	for dn, raw := range i.tenantRaw {
 		i.tenantBase[dn] = i.tenantBase[dn].fold(raw)
@@ -93,41 +90,26 @@ func (i *instanceState) foldTenants() {
 	i.tenantRaw = make(map[string]tenantCounters)
 }
 
-// IngestTenants folds one tenant-table push from the named instance
-// into the registry. The table is the pusher's full sketch table
-// (tenant.Accountant.Table), not a truncated top-K, so the head merges
-// exact per-DN aggregates.
-func (s *Service) IngestTenants(instance, addr string, table []tenant.Stat, now time.Time) error {
-	if instance == "" {
-		return fmt.Errorf("fleet: tenant ingest without instance name")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, err := s.lockedInstance(instance, addr, now)
-	if err != nil {
-		return err
-	}
+// ingestTenants lands an envelope's tenant table on the raw side, called
+// from Ingest under s.mu after any restart fold.
+func (i *instanceState) ingestTenants(table []tenant.Stat) {
 	for _, st := range table {
 		if st.DN == "" {
 			continue
 		}
 		cur := countersFrom(st)
-		prev, seen := inst.tenantRaw[st.DN]
-		if !seen && len(inst.tenantRaw) >= maxTenantsPerInstance {
+		prev, seen := i.tenantRaw[st.DN]
+		if !seen && len(i.tenantRaw) >= maxTenantsPerInstance {
 			continue // bounded: drop table overflow, never grow past the cap
 		}
 		if seen && cur.bytes < prev.bytes {
 			// This DN's counters went backwards: the pusher's sketch
-			// evicted and readmitted it (or the process restarted and
-			// Ingest hasn't seen the new epoch yet). Fold the finished
-			// incarnation — only this DN's.
-			inst.tenantBase[st.DN] = inst.tenantBase[st.DN].fold(prev)
+			// evicted and readmitted it. Fold the finished incarnation —
+			// only this DN's.
+			i.tenantBase[st.DN] = i.tenantBase[st.DN].fold(prev)
 		}
-		inst.tenantRaw[st.DN] = cur
+		i.tenantRaw[st.DN] = cur
 	}
-	inst.lastSeen = now
-	inst.stale = false
-	return nil
 }
 
 // Tenants returns the fleet-merged tenant table, heaviest first, at

@@ -14,6 +14,20 @@ func tstat(dn string, bytes int64, active int64) tenant.Stat {
 	return tenant.Stat{DN: dn, Weight: bytes, Bytes: bytes, Active: active}
 }
 
+// ingestTenants folds an envelope that carries a tenant table and nothing
+// else.
+func ingestTenants(s *Service, instance string, now time.Time, table ...tenant.Stat) error {
+	return s.Ingest("", Envelope{Instance: instance, Tenants: table}, now)
+}
+
+// startedAt is the metrics half of an envelope from a process started at
+// the given time.
+func startedAt(start int64) expfmt.Snapshot {
+	return expfmt.Snapshot{Metrics: []obs.Metric{
+		{Name: "process.start_time_seconds", Kind: "gauge", Value: start},
+	}}
+}
+
 // TestTenantsMergeAcrossInstances: per-DN sums across pushers, heaviest
 // first, with Share computed against fleet bytes and ranks assigned
 // after the merge.
@@ -21,10 +35,10 @@ func TestTenantsMergeAcrossInstances(t *testing.T) {
 	now := time.Unix(10000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
 
-	if err := s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 100, 2), tstat("B", 50, 1)}, now); err != nil {
+	if err := ingestTenants(s, "i1", now, tstat("A", 100, 2), tstat("B", 50, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.IngestTenants("i2", "", []tenant.Stat{tstat("A", 30, 1)}, now); err != nil {
+	if err := ingestTenants(s, "i2", now, tstat("A", 30, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,9 +68,9 @@ func TestTenantsPerDNFold(t *testing.T) {
 	now := time.Unix(20000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
 
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 100, 0), tstat("B", 50, 0)}, now)
+	ingestTenants(s, "i1", now, tstat("A", 100, 0), tstat("B", 50, 0))
 	// A went backwards (evicted, readmitted at 20); B simply advanced.
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 20, 0), tstat("B", 60, 0)}, now.Add(time.Second))
+	ingestTenants(s, "i1", now.Add(time.Second), tstat("A", 20, 0), tstat("B", 60, 0))
 
 	byDN := map[string]tenant.Stat{}
 	for _, st := range s.Tenants(0) {
@@ -70,27 +84,21 @@ func TestTenantsPerDNFold(t *testing.T) {
 	}
 }
 
-// TestTenantsRestartFold: a process restart detected by the metric path
-// (process.start_time_seconds changed) folds the whole tenant table, so
-// the post-restart push — every DN starting over — keeps fleet totals
-// monotone.
+// TestTenantsRestartFold: a process restart (process.start_time_seconds
+// changed) folds the whole tenant table, so the post-restart envelope —
+// every DN starting over — keeps fleet totals monotone.
 func TestTenantsRestartFold(t *testing.T) {
 	now := time.Unix(30000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
-	snap := func(start int64) expfmt.Snapshot {
-		return expfmt.Snapshot{Metrics: []obs.Metric{
-			{Name: "process.start_time_seconds", Kind: "gauge", Value: start},
-		}}
-	}
 
-	s.Ingest("i1", "", snap(100), now)
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 500, 1), tstat("B", 5, 0)}, now)
+	s.Ingest("", Envelope{Instance: "i1", Metrics: startedAt(100),
+		Tenants: []tenant.Stat{tstat("A", 500, 1), tstat("B", 5, 0)}}, now)
 
-	// Restart: new start time arrives on the metric plane, then the new
-	// incarnation's first tenant push (A back at 80, B gone entirely).
+	// Restart: the new incarnation's first envelope carries the new start
+	// time and its tenant table (A back at 80, B gone entirely).
 	now = now.Add(time.Second)
-	s.Ingest("i1", "", snap(200), now)
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 80, 1)}, now)
+	s.Ingest("", Envelope{Instance: "i1", Metrics: startedAt(200),
+		Tenants: []tenant.Stat{tstat("A", 80, 1)}}, now)
 
 	byDN := map[string]tenant.Stat{}
 	for _, st := range s.Tenants(0) {
@@ -107,6 +115,35 @@ func TestTenantsRestartFold(t *testing.T) {
 	}
 }
 
+// TestRestartFoldsTenantsInTheSameIngest: a restarted process whose new
+// epoch has already moved more for a DN than the old one did shows no per-DN
+// counter running backwards, so only the start time can tell — and the fold
+// has to happen before the new table lands, in that same ingest. (With the
+// table on its own route, whichever push arrived first decided: the table
+// first replaced 500 with 600 and the metric push then folded the 600,
+// counting the new epoch twice from its next push on.)
+func TestRestartFoldsTenantsInTheSameIngest(t *testing.T) {
+	now := time.Unix(35000, 0)
+	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
+
+	s.Ingest("", Envelope{Instance: "i1", Metrics: startedAt(100),
+		Tenants: []tenant.Stat{tstat("A", 500, 0)}}, now)
+	s.Ingest("", Envelope{Instance: "i1", Metrics: startedAt(200),
+		Tenants: []tenant.Stat{tstat("A", 600, 0)}}, now.Add(time.Second))
+	if got := s.Tenants(0)[0].Bytes; got != 1100 {
+		t.Fatalf("A after the restart envelope = %d bytes, want 1100 (500 folded + 600 new epoch)", got)
+	}
+	// The new epoch's next envelope replaces its raw side, nothing more.
+	s.Ingest("", Envelope{Instance: "i1", Metrics: startedAt(200),
+		Tenants: []tenant.Stat{tstat("A", 610, 0)}}, now.Add(2*time.Second))
+	if got := s.Tenants(0)[0].Bytes; got != 1110 {
+		t.Fatalf("A one push later = %d bytes, want 1110", got)
+	}
+	if got := s.Instances()[0].Restarts; got != 1 {
+		t.Fatalf("restarts = %d, want 1", got)
+	}
+}
+
 // TestTenantsStaleInstance: a silent instance keeps its cumulative
 // contribution frozen in the fleet sums, but its gauge-like Active
 // count drops out — same discipline as the counter plane.
@@ -114,12 +151,12 @@ func TestTenantsStaleInstance(t *testing.T) {
 	now := time.Unix(40000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
 
-	s.IngestTenants("live", "", []tenant.Stat{tstat("A", 100, 2)}, now)
-	s.IngestTenants("gone", "", []tenant.Stat{tstat("A", 40, 5)}, now)
+	ingestTenants(s, "live", now, tstat("A", 100, 2))
+	ingestTenants(s, "gone", now, tstat("A", 40, 5))
 
 	// Past StaleAfter with only "live" still pushing.
 	now = now.Add(time.Minute)
-	s.IngestTenants("live", "", []tenant.Stat{tstat("A", 100, 2)}, now)
+	ingestTenants(s, "live", now, tstat("A", 100, 2))
 	s.Tick(now)
 
 	got := s.Tenants(0)
@@ -145,7 +182,7 @@ func TestTenantsTruncationAndCap(t *testing.T) {
 	for i := 0; i < maxTenantsPerInstance+100; i++ {
 		table = append(table, tstat(fmt.Sprintf("/CN=flood-%05d", i), int64(i+1), 0))
 	}
-	if err := s.IngestTenants("flood", "", table, now); err != nil {
+	if err := ingestTenants(s, "flood", now, table...); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Tenants(maxTenantsPerInstance * 2)); got > maxTenantsPerInstance {
@@ -166,10 +203,10 @@ func TestTenantsTruncationAndCap(t *testing.T) {
 	}
 
 	// Empty DNs and empty instance names are rejected/skipped.
-	if err := s.IngestTenants("", "", table[:1], now); err == nil {
+	if err := ingestTenants(s, "", now, table[:1]...); err == nil {
 		t.Fatal("ingest without instance name must error")
 	}
-	s.IngestTenants("flood", "", []tenant.Stat{{DN: "", Bytes: 9}}, now)
+	ingestTenants(s, "flood", now, tenant.Stat{DN: "", Bytes: 9})
 	for _, st := range s.Tenants(1) {
 		if st.DN == "" {
 			t.Fatal("empty DN leaked into the merged table")
