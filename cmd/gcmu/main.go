@@ -6,11 +6,13 @@
 // Usage:
 //
 //	gcmu steps                      # print the setup-step comparison
-//	gcmu install [-admin ADDR]      # perform a live install + first transfer
-//	gcmu console [-admin ADDR]      # install + drive the web admin console (§VIII)
+//	gcmu install [observability flags]  # perform a live install + first transfer
+//	gcmu console [observability flags]  # install + drive the web admin console (§VIII)
 //
-// With -admin, install/console serve the HTTP admin plane (Prometheus
-// /metrics, /debug/events, ...) on ADDR and hold until SIGINT/SIGTERM.
+// The observability flags are the set every binary here shares
+// (admin.Flags). With -admin ADDR, install/console serve the HTTP admin
+// plane (Prometheus /metrics, /debug/events, ...) on ADDR and hold until
+// SIGINT/SIGTERM.
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -37,48 +38,24 @@ func main() {
 		cmd = args[0]
 		args = args[1:]
 	}
+	run, ok := map[string]func(*admin.Daemon) error{"steps": steps, "install": install, "console": console}[cmd]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "usage: gcmu [steps|install|console] [observability flags]\n")
+		os.Exit(2)
+	}
 	fs := flag.NewFlagSet("gcmu "+cmd, flag.ExitOnError)
-	adminAddr := fs.String("admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
+	boot := admin.Flags(fs)
 	fs.Parse(args)
 
-	o := obs.FromEnv()
-	var err error
-	switch cmd {
-	case "steps":
-		err = steps()
-	case "install":
-		err = install(*adminAddr, o)
-	case "console":
-		err = console(*adminAddr, o)
-	default:
-		fmt.Fprintf(os.Stderr, "usage: gcmu [steps|install|console] [-admin ADDR]\n")
-		os.Exit(2)
+	d, err := boot.Start("gcmu")
+	if err == nil {
+		err = run(d)
+		d.Close()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// startAdmin brings up the admin plane when addr is non-empty; the
-// returned hold func blocks until interrupt (and is a no-op otherwise).
-func startAdmin(addr string, o *obs.Obs) (hold func(), cleanup func(), err error) {
-	if addr == "" {
-		return func() {}, func() {}, nil
-	}
-	adm := admin.New(o)
-	stopTelemetry := adm.EnableTelemetry(o, nil)
-	bound, err := adm.ListenAndServe(addr)
-	if err != nil {
-		stopTelemetry()
-		return nil, nil, err
-	}
-	fmt.Printf("admin plane: http://%s/\n", bound)
-	hold = func() {
-		fmt.Printf("\nholding for scrapes (curl http://%s/metrics); Ctrl-C to exit\n", bound)
-		admin.AwaitInterrupt()
-	}
-	return hold, func() { adm.Close(); stopTelemetry() }, nil
 }
 
 func printSteps(title string, list []gcmu.Step) {
@@ -91,7 +68,7 @@ func printSteps(title string, list []gcmu.Step) {
 		sum.Steps, sum.Manual, sum.OutOfBand, sum.TotalTime)
 }
 
-func steps() error {
+func steps(*admin.Daemon) error {
 	fmt.Println("Conventional GridFTP deployment (paper §III.A):")
 	fmt.Println()
 	printSteps("server installation + security configuration:", gcmu.ConventionalServerSetup())
@@ -107,12 +84,7 @@ func steps() error {
 	return nil
 }
 
-func install(adminAddr string, o *obs.Obs) error {
-	hold, cleanup, err := startAdmin(adminAddr, o)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
+func install(d *admin.Daemon) error {
 	nw := netsim.NewNetwork()
 	dir := pam.NewLDAPDirectory("dc=siteA")
 	dir.AddEntry("alice", "secret")
@@ -128,12 +100,13 @@ func install(adminAddr string, o *obs.Obs) error {
 	start := time.Now()
 	ep, err := gcmu.Install(gcmu.Options{
 		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts,
-		Obs: o,
+		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
 	})
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
+	d.Ready()
 	fmt.Printf("  created site CA:        %s\n", ep.SigningCA.DN())
 	fmt.Printf("  started myproxy server: %s\n", ep.MyProxyAddr)
 	fmt.Printf("  started gridftp server: %s\n", ep.GridFTPAddr)
@@ -152,18 +125,13 @@ func install(adminAddr string, o *obs.Obs) error {
 	}
 	fmt.Printf("\ninstant GridFTP: install -> credential -> first transfer in %v\n",
 		time.Since(start).Round(time.Millisecond))
-	hold()
+	d.Hold()
 	return nil
 }
 
 // console installs an endpoint, starts the §VIII admin console, and
 // exercises it: status, account provisioning, locking.
-func console(adminAddr string, o *obs.Obs) error {
-	hold, cleanup, err := startAdmin(adminAddr, o)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
+func console(d *admin.Daemon) error {
 	nw := netsim.NewNetwork()
 	dir := pam.NewLDAPDirectory("dc=siteA")
 	dir.AddEntry("alice", "secret")
@@ -173,12 +141,13 @@ func console(adminAddr string, o *obs.Obs) error {
 		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
 	ep, err := gcmu.Install(gcmu.Options{
 		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts,
-		Obs: o,
+		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
 	})
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
+	d.Ready()
 	adminConsole := &gcmu.Console{Endpoint: ep, Token: "demo-admin-token"}
 	addr, err := adminConsole.ListenAndServe(8443)
 	if err != nil {
@@ -209,6 +178,6 @@ func console(adminAddr string, o *obs.Obs) error {
 	call("POST", "/accounts", `{"name":"bob"}`)
 	call("GET", "/accounts", "")
 	call("POST", "/accounts/lock", `{"name":"bob","locked":true}`)
-	hold()
+	d.Hold()
 	return nil
 }

@@ -15,6 +15,12 @@
 // When two URL arguments are given they select the direction: file: to
 // gsiftp: uploads, gsiftp: to file: downloads, gsiftp: to gsiftp: runs a
 // third-party transfer (add -dcsc when the sites' CAs differ).
+//
+// It also takes the observability flags every binary here shares
+// (admin.Flags): with -admin the workbench exposes the same telemetry plane
+// as the daemons — metrics, PERF-marker timelines (/debug/timeseries), SLO
+// alerts, the stream-health table — and holds after the copy so an operator
+// or `benchreport -dashboard` can inspect the run.
 package main
 
 import (
@@ -32,9 +38,6 @@ import (
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/collector"
-	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -50,9 +53,7 @@ func main() {
 	thirdparty := flag.Bool("thirdparty", false, "server-to-server transfer between two sites")
 	dcsc := flag.Bool("dcsc", false, "use DCSC for the cross-CA third-party data channel")
 	lite := flag.Bool("lite", false, "use GridFTP-Lite (sshftp://): SSH-tunneled control channel, no data security")
-	adminAddr := flag.String("admin", "", "serve the HTTP admin plane on this address and hold after the copy until interrupted")
-	collectorURL := flag.String("collector", "", "push completed spans to this collector /v1/spans URL on exit")
-	stallTimeout := flag.Duration("stall-timeout", 0, "abort a data stream making no progress for this long (0 disables the stall watchdog)")
+	boot := admin.Flags(flag.CommandLine)
 	flag.Parse()
 
 	// URL arguments override the -thirdparty flag and direction.
@@ -82,13 +83,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	o := obs.FromEnv()
-	err := run(*size, *parallel, *rtt, *bw, *window, *loss, *mode, *prot, *thirdparty, *dcsc, *lite, *adminAddr, *stallTimeout, o)
-	if *collectorURL != "" {
-		// Best-effort: a dead collector must not fail the copy.
-		if perr := collector.Push(*collectorURL, "globus-url-copy", o.Tracer().Spans()); perr != nil {
-			fmt.Fprintf(os.Stderr, "span export: %v\n", perr)
-		}
+	d, err := boot.Start("globus-url-copy")
+	if err == nil {
+		err = run(*size, *parallel, *rtt, *bw, *window, *loss, *mode, *prot, *thirdparty, *dcsc, *lite, d)
+		d.Close()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
@@ -113,7 +111,7 @@ func parseSize(s string) (int, error) {
 	return n * mult, nil
 }
 
-func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr string, loss float64, modeStr, protStr string, thirdparty, dcsc, lite bool, adminAddr string, stallTimeout time.Duration, o *obs.Obs) error {
+func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr string, loss float64, modeStr, protStr string, thirdparty, dcsc, lite bool, d *admin.Daemon) error {
 	size, err := parseSize(sizeStr)
 	if err != nil {
 		return err
@@ -132,49 +130,19 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 	nw := netsim.NewNetwork()
 	nw.SetDefaultLink(link)
 
-	// Stream-telemetry plane: both sites and the client share one
-	// registry so a third-party copy shows both legs in one table.
-	streams := streamstats.New(streamstats.Options{
-		Obs:          o,
-		Stall:        stallTimeout,
-		AbortOnStall: stallTimeout > 0,
-	})
-	defer streams.Start()()
-
-	// With -admin, the workbench exposes the same telemetry plane as the
-	// daemons — metrics, PERF-marker timelines (/debug/timeseries), SLO
-	// alerts, the SSE live feed — and holds after the copy so an operator
-	// or the benchreport dashboard can inspect the run.
-	hold := func() {}
-	if adminAddr != "" {
-		adm := admin.New(o)
-		adm.SetStreamStats(streams)
-		stopTelemetry := adm.EnableTelemetry(o, nil)
-		defer stopTelemetry()
-		addr, aerr := adm.ListenAndServe(adminAddr)
-		if aerr != nil {
-			return aerr
-		}
-		defer adm.Close()
-		fmt.Printf("admin plane: http://%s/\n", addr)
-		hold = func() {
-			fmt.Printf("\nholding for scrapes (benchreport -dashboard http://%s); Ctrl-C to exit\n", addr)
-			admin.AwaitInterrupt()
-		}
-	}
-
 	if lite {
-		if err := runLite(nw, size, parallel, o); err != nil {
+		if err := runLite(nw, size, parallel, d); err != nil {
 			return err
 		}
-		hold()
+		d.Hold()
 		return nil
 	}
 
-	siteA, err := buildSite(nw, "siteA", o, streams)
+	siteA, err := buildSite(nw, "siteA", d)
 	if err != nil {
 		return err
 	}
+	d.Ready()
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -188,10 +156,10 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 	fmt.Printf("file: %s, streams: %d, mode: %s, prot: %s\n\n", sizeStr, parallel, modeStr, protStr)
 
 	if thirdparty {
-		if err := runThirdParty(nw, siteA, size, parallel, dcsc, o); err != nil {
+		if err := runThirdParty(nw, siteA, size, parallel, dcsc); err != nil {
 			return err
 		}
-		hold()
+		d.Hold()
 		return nil
 	}
 
@@ -227,12 +195,12 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 		return err
 	}
 	report("gsiftp://siteA/data.bin -> file:/data.bin", size, time.Since(start))
-	hold()
+	d.Hold()
 	return nil
 }
 
-func runThirdParty(nw *netsim.Network, siteA *simpleSite, size, parallel int, useDCSC bool, o *obs.Obs) error {
-	siteB, err := buildSite(nw, "siteB", o, siteA.streams)
+func runThirdParty(nw *netsim.Network, siteA *simpleSite, size, parallel int, useDCSC bool) error {
+	siteB, err := buildSite(nw, "siteB", siteA.d)
 	if err != nil {
 		return err
 	}
@@ -292,11 +260,10 @@ type simpleSite struct {
 	storage *dsi.MemStorage
 	addr    string
 	nw      *netsim.Network
-	o       *obs.Obs
-	streams *streamstats.Registry
+	d       *admin.Daemon // both sites and the client share its stream registry: one table, both legs
 }
 
-func buildSite(nw *netsim.Network, name string, o *obs.Obs, streams *streamstats.Registry) (*simpleSite, error) {
+func buildSite(nw *netsim.Network, name string, d *admin.Daemon) (*simpleSite, error) {
 	ca, err := gsi.NewCA(gsi.DN("/O=Grid/OU="+name+"/CN=CA"), 24*time.Hour)
 	if err != nil {
 		return nil, err
@@ -321,7 +288,7 @@ func buildSite(nw *netsim.Network, name string, o *obs.Obs, streams *streamstats
 	gm.AddEntry(userCred.DN(), "alice")
 	srv, err := gridftp.NewServer(nw.Host(name), gridftp.ServerConfig{
 		HostCred: hostCred, Trust: trust, Authz: gm, Storage: storage, EndpointName: name,
-		Obs: o, Streams: streams,
+		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
 	})
 	if err != nil {
 		return nil, err
@@ -330,7 +297,7 @@ func buildSite(nw *netsim.Network, name string, o *obs.Obs, streams *streamstats
 	if err != nil {
 		return nil, err
 	}
-	return &simpleSite{name: name, trust: trust, user: userCred, storage: storage, addr: addr.String(), nw: nw, o: o, streams: streams}, nil
+	return &simpleSite{name: name, trust: trust, user: userCred, storage: storage, addr: addr.String(), nw: nw, d: d}, nil
 }
 
 func (s *simpleSite) putFile(path string, content []byte) error {
@@ -347,7 +314,7 @@ func (s *simpleSite) connect(from *netsim.Host) (*gridftp.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := gridftp.DialWithOptions(from, s.addr, proxy, s.trust, gridftp.DialOptions{Obs: s.o, Streams: s.streams})
+	c, err := gridftp.DialWithOptions(from, s.addr, proxy, s.trust, gridftp.DialOptions{Obs: s.d.Obs, Streams: s.d.Streams})
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +327,7 @@ func (s *simpleSite) connect(from *netsim.Host) (*gridftp.Client, error) {
 
 // runLite drives GridFTP-Lite (§III.B): SSH-style password logon, control
 // channel tunneled, cleartext data channel, no delegation.
-func runLite(nw *netsim.Network, size, parallel int, o *obs.Obs) error {
+func runLite(nw *netsim.Network, size, parallel int, d *admin.Daemon) error {
 	ca, err := gsi.NewCA("/O=x/CN=CA", 24*time.Hour)
 	if err != nil {
 		return err
@@ -381,7 +348,7 @@ func runLite(nw *netsim.Network, size, parallel int, o *obs.Obs) error {
 	trust.AddCA(ca.Certificate())
 	gfs, err := gridftp.NewServer(nw.Host("siteA"), gridftp.ServerConfig{
 		HostCred: hostCred, Trust: trust, Authz: authz.NewGridmap(), Storage: storage,
-		Obs: o,
+		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
 	})
 	if err != nil {
 		return err

@@ -10,21 +10,17 @@
 // Usage:
 //
 //	gridftp-server [-name siteA] [-user alice] [-password secret]
-//	               [-stripes N] [-selftest] [-oauth] [-verbose] [-metrics]
-//	               [-admin 127.0.0.1:9970] [-collector http://host/v1/spans]
-//	               [-fleet-push http://head/v1/metrics] [-fleet-instance name]
-//	               [-profile-interval 10s] [-profile-retain 5m]
+//	               [-selftest] [-oauth] [observability flags]
 //
-// With -admin, an HTTP admin plane (Prometheus /metrics, /healthz,
-// /readyz, /debug/spans, /debug/events, /debug/pprof/, and the
-// continuous profiler's /debug/profile/continuous window history) is
-// served on the given address and the process holds until
-// SIGINT/SIGTERM so the endpoints stay scrapeable.
-//
-// With -fleet-push, the server periodically pushes its metrics snapshot
-// (exemplars included) to a fleet federation head — a transfer-service
-// run with -fleet — which merges every instance's series into fleet-wide
-// aggregates.
+// The observability flags are the set every binary here shares
+// (admin.Flags; "how a daemon boots" in internal/obs/README.md). With
+// -admin, the HTTP admin plane — every route in that README's table,
+// /debug/streams and /tenants included — is served on the given address,
+// /readyz answers ok once the endpoint is installed, and the process holds
+// until SIGINT/SIGTERM so the endpoints stay scrapeable. With -fleet-push,
+// the server pushes one envelope a second (metrics with exemplars, per-DN
+// tenant table, profile summary) to a fleet federation head — a
+// transfer-service run with -fleet — as -fleet-instance (default: -name).
 package main
 
 import (
@@ -37,11 +33,6 @@ import (
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/collector"
-	"gridftp.dev/instant/internal/obs/fleet"
-	"gridftp.dev/instant/internal/obs/profile"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -51,59 +42,15 @@ func main() {
 	password := flag.String("password", "secret", "site password for the account")
 	selftest := flag.Bool("selftest", true, "run a loopback transfer after startup")
 	withOAuth := flag.Bool("oauth", false, "also start the OAuth server")
-	verbose := flag.Bool("verbose", false, "structured debug logging to stderr")
-	metrics := flag.Bool("metrics", false, "dump the metrics/span snapshot on exit")
-	adminAddr := flag.String("admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
-	collectorURL := flag.String("collector", "", "push completed spans to this collector /v1/spans URL on exit")
-	fleetPush := flag.String("fleet-push", "", "push this server's metrics to a fleet head's /v1/metrics URL")
-	fleetInstance := flag.String("fleet-instance", "", "instance name for -fleet-push (default: -name)")
-	profileInterval := flag.Duration("profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
-	profileRetain := flag.Duration("profile-retain", 5*time.Minute, "how long raw continuous-profile captures are retained (summaries persist ~2h)")
+	boot := admin.Flags(flag.CommandLine)
 	flag.Parse()
 
-	o := obs.FromEnv()
-	if *verbose {
-		o = obs.New(os.Stderr, obs.LevelDebug)
-	}
-	// Continuous profiler: always-on capture into the bounded window ring
-	// whenever anything can read it — the admin plane's
-	// /debug/profile/continuous or a fleet head via the pusher.
-	var prof *profile.Profiler
-	if *profileInterval > 0 && (*adminAddr != "" || *fleetPush != "") {
-		prof = profile.New(profile.Options{
-			Interval: *profileInterval,
-			Recent:   int(*profileRetain / *profileInterval),
-			Obs:      o,
-		})
-		o.Profile = prof
-		defer prof.Start()()
-	}
-	// Tenant accounting plane: per-DN attribution of commands and data
-	// bytes, surfaced on the admin plane's /tenants and federated to any
-	// fleet head. Only minted when something can read it.
-	var tenants *tenant.Accountant
-	if *adminAddr != "" || *fleetPush != "" {
-		tenants = tenant.New(tenant.Options{Obs: o})
-		stopTenants := tenants.Start()
-		defer stopTenants()
-	}
-	if *fleetPush != "" {
-		instance := *fleetInstance
-		if instance == "" {
-			instance = *name
-		}
-		stopPush := fleet.StartPusher(*fleetPush, instance, o, tenants)
-		defer stopPush()
-	}
-	err := run(*name, *user, *password, *selftest, *withOAuth, *adminAddr, o, prof, tenants)
-	if *metrics {
-		fmt.Fprint(os.Stderr, o.DebugSnapshot())
-	}
-	if *collectorURL != "" {
-		// Best-effort: a dead collector must not fail the server run.
-		if perr := collector.Push(*collectorURL, *name, o.Tracer().Spans()); perr != nil {
-			fmt.Fprintf(os.Stderr, "span export: %v\n", perr)
-		}
+	// The admin plane comes up before the install so /healthz answers
+	// immediately; /readyz flips once the endpoint is serving.
+	d, err := boot.Start(*name)
+	if err == nil {
+		err = run(d, *name, *user, *password, *selftest, *withOAuth)
+		d.Close()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
@@ -111,40 +58,8 @@ func main() {
 	}
 }
 
-func run(name, user, password string, selftest, withOAuth bool, adminAddr string, o *obs.Obs, prof *profile.Profiler, tenants *tenant.Accountant) error {
+func run(d *admin.Daemon, name, user, password string, selftest, withOAuth bool) error {
 	nw := netsim.NewNetwork()
-
-	// The admin plane comes up before the install so /healthz answers
-	// immediately; /readyz flips once the endpoint is serving.
-	installed := make(chan struct{})
-	var adm *admin.Server
-	if adminAddr != "" {
-		adm = admin.New(o)
-		adm.AddReadiness("endpoint", func() error {
-			select {
-			case <-installed:
-				return nil
-			default:
-				return fmt.Errorf("endpoint not yet installed")
-			}
-		})
-		// Full telemetry: time-series flight recorder, SLO alert engine,
-		// and the /debug/stream live feed.
-		stopTelemetry := adm.EnableTelemetry(o, nil)
-		defer stopTelemetry()
-		if prof != nil {
-			adm.SetProfiler(prof)
-		}
-		if tenants != nil {
-			adm.SetTenants(tenants)
-		}
-		addr, err := adm.ListenAndServe(adminAddr)
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Printf("admin plane:     http://%s/\n", addr)
-	}
 
 	dir := pam.NewLDAPDirectory("dc=" + name)
 	dir.AddEntry(user, password)
@@ -161,14 +76,15 @@ func run(name, user, password string, selftest, withOAuth bool, adminAddr string
 		Auth:      stack,
 		Accounts:  accounts,
 		WithOAuth: withOAuth,
-		Obs:       o,
-		Tenants:   tenants,
+		Obs:       d.Obs,
+		Streams:   d.Streams,
+		Tenants:   d.Tenants,
 	})
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	close(installed)
+	d.Ready()
 	fmt.Printf("install complete in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	fmt.Printf("endpoint:        %s\n", ep.Name)
@@ -205,9 +121,6 @@ func run(name, user, password string, selftest, withOAuth bool, adminAddr string
 		}
 		fmt.Printf("self-test OK: 1 MiB round trip in %v\n", time.Since(t0).Round(time.Millisecond))
 	}
-	if adm != nil {
-		fmt.Printf("\nholding for scrapes (curl http://%s/metrics); Ctrl-C to exit\n", adm.Addr())
-		admin.AwaitInterrupt()
-	}
+	d.Hold()
 	return nil
 }

@@ -8,11 +8,12 @@
 //
 //	myproxy-logon [-user alice] [-password secret] [-lifetime 12h]
 //	              [-wrong-password]  # demonstrate the failure path
-//	              [-admin 127.0.0.1:9972]
+//	              [observability flags]
 //
-// With -admin, the HTTP admin plane (Prometheus /metrics, auth events at
-// /debug/events, ...) is served on the given address and the process
-// holds until SIGINT/SIGTERM.
+// The observability flags are the set every binary here shares
+// (admin.Flags). With -admin, the HTTP admin plane (Prometheus /metrics,
+// auth events at /debug/events, ...) is served on the given address and
+// the process holds until SIGINT/SIGTERM.
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/myproxy"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -35,31 +35,22 @@ func main() {
 	password := flag.String("password", "secret", "site password")
 	lifetime := flag.Duration("lifetime", 12*time.Hour, "requested credential lifetime")
 	wrong := flag.Bool("wrong-password", false, "attempt logon with a wrong password")
-	adminAddr := flag.String("admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
+	boot := admin.Flags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*user, *password, *lifetime, *wrong, *adminAddr); err != nil {
+	d, err := boot.Start("myproxy-logon")
+	if err == nil {
+		err = run(*user, *password, *lifetime, *wrong, d)
+		d.Close()
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(user, password string, lifetime time.Duration, wrong bool, adminAddr string) error {
+func run(user, password string, lifetime time.Duration, wrong bool, d *admin.Daemon) error {
 	nw := netsim.NewNetwork()
-	o := obs.FromEnv()
-
-	var adm *admin.Server
-	if adminAddr != "" {
-		adm = admin.New(o)
-		stopTelemetry := adm.EnableTelemetry(o, nil)
-		defer stopTelemetry()
-		addr, err := adm.ListenAndServe(adminAddr)
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Printf("admin plane: http://%s/\n", addr)
-	}
 
 	// Site side: online CA over an LDAP-backed PAM stack.
 	signing, err := gsi.NewCA("/O=GCMU/OU=siteA/CN=siteA MyProxy CA", 10*365*24*time.Hour)
@@ -79,12 +70,13 @@ func run(user, password string, lifetime time.Duration, wrong bool, adminAddr st
 	if err != nil {
 		return err
 	}
-	srv := &myproxy.Server{OnlineCA: online, HostCred: hostCred, Obs: o}
+	srv := &myproxy.Server{OnlineCA: online, HostCred: hostCred, Obs: d.Obs}
 	addr, err := srv.ListenAndServe(nw.Host("siteA"), myproxy.DefaultPort)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
+	d.Ready()
 	fmt.Printf("myproxy server: %s (CA: %s)\n\n", addr, signing.DN())
 
 	attempt := password
@@ -96,7 +88,7 @@ func run(user, password string, lifetime time.Duration, wrong bool, adminAddr st
 	cred, err := myproxy.Logon(nw.Host("laptop"), addr.String(), user,
 		pam.PasswordConv(attempt), myproxy.LogonOptions{Lifetime: lifetime})
 	if err != nil {
-		hold(adm)
+		d.Hold()
 		return fmt.Errorf("logon failed (as expected with -wrong-password): %w", err)
 	}
 
@@ -117,18 +109,8 @@ func run(user, password string, lifetime time.Duration, wrong bool, adminAddr st
 		preview = preview[:300]
 	}
 	fmt.Printf("%s...\n", preview)
-	hold(adm)
+	d.Hold()
 	return nil
-}
-
-// hold blocks until interrupt when the admin plane is up, so its
-// endpoints stay scrapeable after the demo completes.
-func hold(adm *admin.Server) {
-	if adm == nil {
-		return
-	}
-	fmt.Printf("\nholding for scrapes (curl http://%s/metrics); Ctrl-C to exit\n", adm.Addr())
-	admin.AwaitInterrupt()
 }
 
 func maskPassword(p string) string {

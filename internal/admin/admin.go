@@ -338,7 +338,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /tenants        per-DN top-K tenant attribution (JSON; ?k=)")
 	fmt.Fprintln(w, "  /fleet/         fleet federation plane (instances, metrics, timeseries, bundles, profile)")
 	fmt.Fprintln(w, "  /v1/metrics     fleet push ingest (POST, one JSON envelope: metrics, tenant table, profile summary)")
-	fmt.Fprintln(w, "  /debug/profile/continuous  continuous profiler windows (JSON; /top /diff /raw)")
+	fmt.Fprintln(w, "  /debug/profile/continuous  continuous profiler windows (JSON)")
+	fmt.Fprintln(w, "  /debug/profile/continuous/top   newest window's hot functions (?kind= ?n=)")
+	fmt.Fprintln(w, "  /debug/profile/continuous/diff  two windows diffed (?base= ?cur= ?kind=)")
+	fmt.Fprintln(w, "  /debug/profile/continuous/raw   one raw capture, .pprof.gz (?id= ?kind=)")
 	fmt.Fprintln(w, "  /debug/pprof/   on-demand Go profiling (continuous history: /debug/profile/continuous)")
 }
 

@@ -1,0 +1,216 @@
+package admin
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"sync/atomic"
+	"time"
+
+	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/collector"
+	"gridftp.dev/instant/internal/obs/fleet"
+	"gridftp.dev/instant/internal/obs/profile"
+	"gridftp.dev/instant/internal/obs/streamstats"
+	"gridftp.dev/instant/internal/obs/tenant"
+)
+
+// This file is the one way a binary gets its observability: Flags
+// registers the flags, Start boots the planes they ask for, and the
+// Daemon it returns hands the binary what its configs take (Obs, Streams,
+// Tenants) and closes everything in reverse order. The paper's endpoint
+// comes up from one short install with nothing left to hand-assemble
+// (§IV.D); so do the daemons' own status pages.
+//
+// Boot order — each step may use everything above it:
+//
+//	obs bundle       OBS_LOG_LEVEL, or debug to stderr with -verbose
+//	profiler         when -admin or -fleet-push can read it and
+//	                 -profile-interval is not 0
+//	stream registry  always (the -stall-timeout watchdog acts on its own)
+//	tenant accounts  always
+//	admin server     -admin: recorder, alert engine, SSE feed, every plane
+//	                 above mounted, /readyz failing until Ready
+//	fleet head       -fleet, -fleet-scrape or -fleet-bundle-dir (needs -admin)
+//	pusher           -fleet-push
+//	listener         -admin's socket, last: it serves a finished plane
+//
+// Close runs that bottom to top — the pusher's stop sends one last
+// envelope while everything it reads is still alive — and then writes the
+// -metrics dump and the -collector push, which read only the bundle.
+
+// Boot holds the parsed observability flags of one binary.
+type Boot struct {
+	verbose, metrics, fleetHead                                             bool
+	admin, collector, fleetScrape, fleetBundleDir, fleetPush, fleetInstance string
+	profileInterval, profileRetain, stallTimeout                            time.Duration
+}
+
+// Flags registers the observability flags — the same set on every binary —
+// on fs and returns where they will be parsed to.
+func Flags(fs *flag.FlagSet) *Boot {
+	b := &Boot{}
+	fs.BoolVar(&b.verbose, "verbose", false, "structured debug logging to stderr")
+	fs.BoolVar(&b.metrics, "metrics", false, "dump the metrics/span snapshot to stderr on exit")
+	fs.StringVar(&b.admin, "admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
+	fs.StringVar(&b.collector, "collector", "", "push completed spans to this collector /v1/spans URL on exit")
+	fs.BoolVar(&b.fleetHead, "fleet", false, "act as the fleet federation head (needs -admin): accept pushes on /v1/metrics, serve /fleet/*")
+	fs.StringVar(&b.fleetScrape, "fleet-scrape", "", "comma-separated name=url /metrics endpoints the fleet head scrapes (implies -fleet)")
+	fs.StringVar(&b.fleetBundleDir, "fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
+	fs.StringVar(&b.fleetPush, "fleet-push", "", "push this process's metrics, tenant table and profile summary to a fleet head's /v1/metrics URL, once a second")
+	fs.StringVar(&b.fleetInstance, "fleet-instance", "", "instance name for -fleet-push (default: the process's own name)")
+	fs.DurationVar(&b.profileInterval, "profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
+	fs.DurationVar(&b.profileRetain, "profile-retain", 5*time.Minute, "how long raw continuous-profile captures are retained (summaries persist ~2h)")
+	fs.DurationVar(&b.stallTimeout, "stall-timeout", 0, "abort a data stream making no progress for this long (0 disables the stall watchdog)")
+	return b
+}
+
+// Daemon is a booted process: the handles its configs take, and the
+// lifecycle of everything behind them.
+type Daemon struct {
+	Obs     *obs.Obs
+	Streams *streamstats.Registry
+	Tenants *tenant.Accountant
+	// Admin is the admin server, nil without -admin.
+	Admin *Server
+
+	boot  *Boot
+	name  string
+	ready atomic.Bool
+	stops []func() // boot order; Close runs it backwards
+}
+
+// Start boots the planes the flags ask for, in the order at the top of
+// this file. name is the process's name: the -fleet-instance default and
+// the service the -collector push reports as.
+func (b *Boot) Start(name string) (*Daemon, error) {
+	d, err := b.boot(name)
+	if err != nil || d.Admin == nil {
+		return d, err
+	}
+	addr, err := d.Admin.ListenAndServe(b.admin)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	d.stops = append(d.stops, func() { d.Admin.Close() })
+	fmt.Printf("admin plane: http://%s/\n", addr)
+	if b.isFleetHead() {
+		fmt.Printf("fleet head: push to http://%s/v1/metrics, browse http://%s/fleet/metrics\n", addr, addr)
+	}
+	return d, nil
+}
+
+func (b *Boot) isFleetHead() bool {
+	return b.fleetHead || b.fleetScrape != "" || b.fleetBundleDir != ""
+}
+
+// boot is Start without the socket.
+func (b *Boot) boot(name string) (*Daemon, error) {
+	if b.isFleetHead() && b.admin == "" {
+		return nil, fmt.Errorf("-fleet, -fleet-scrape and -fleet-bundle-dir need -admin: the head is served on the admin plane")
+	}
+	scrapes := map[string]string{}
+	for _, target := range strings.Split(b.fleetScrape, ",") {
+		if target = strings.TrimSpace(target); target == "" {
+			continue
+		}
+		instance, url, ok := strings.Cut(target, "=")
+		if !ok {
+			return nil, fmt.Errorf("-fleet-scrape: want name=url, got %q", target)
+		}
+		scrapes[instance] = url
+	}
+	o := obs.FromEnv()
+	if b.verbose {
+		o = obs.New(os.Stderr, obs.LevelDebug)
+	}
+	d := &Daemon{Obs: o, boot: b, name: name}
+
+	var prof *profile.Profiler
+	if b.profileInterval > 0 && (b.admin != "" || b.fleetPush != "") {
+		prof = profile.New(profile.Options{
+			Interval: b.profileInterval,
+			Recent:   int(b.profileRetain / b.profileInterval),
+			Obs:      o,
+		})
+		o.Profile = prof
+		d.stops = append(d.stops, prof.Start())
+	}
+	// One registry and one accountant for everything in the process, so
+	// both legs of a third-party copy share a table and the scheduler's
+	// wire evidence reads what the servers wrote.
+	d.Streams = streamstats.New(streamstats.Options{
+		Obs:          o,
+		Stall:        b.stallTimeout,
+		AbortOnStall: b.stallTimeout > 0,
+	})
+	d.stops = append(d.stops, d.Streams.Start())
+	d.Tenants = tenant.New(tenant.Options{Obs: o})
+	d.stops = append(d.stops, d.Tenants.Start())
+
+	if b.admin != "" {
+		d.Admin = New(o)
+		d.Admin.AddReadiness("service", func() error {
+			if !d.ready.Load() {
+				return fmt.Errorf("not serving yet")
+			}
+			return nil
+		})
+		d.stops = append(d.stops, d.Admin.EnableTelemetry(o, nil))
+		d.Admin.SetStreamStats(d.Streams)
+		d.Admin.SetTenants(d.Tenants)
+		if prof != nil {
+			d.Admin.SetProfiler(prof)
+		}
+	}
+	if b.isFleetHead() {
+		head := fleet.New(fleet.Options{Obs: o, Bundle: fleet.BundleOptions{Dir: b.fleetBundleDir}})
+		for instance, url := range scrapes {
+			head.AddScrapeTarget(instance, url)
+		}
+		d.stops = append(d.stops, head.Start())
+		d.Admin.SetFleet(head.Handler())
+	}
+	if b.fleetPush != "" {
+		instance := b.fleetInstance
+		if instance == "" {
+			instance = name
+		}
+		d.stops = append(d.stops, fleet.StartPusher(b.fleetPush, instance, o, d.Tenants))
+	}
+	return d, nil
+}
+
+// Ready flips /readyz to ok: the process's own service is up.
+func (d *Daemon) Ready() { d.ready.Store(true) }
+
+// Hold blocks until SIGINT or SIGTERM when the admin plane is up, so its
+// endpoints stay scrapeable after the binary's own work is done; without
+// -admin it returns at once.
+func (d *Daemon) Hold() {
+	if d.Admin == nil {
+		return
+	}
+	fmt.Printf("\nholding for scrapes (curl http://%s/metrics); Ctrl-C to exit\n", d.Admin.Addr())
+	AwaitInterrupt()
+}
+
+// Close stops everything Start started, last first, then writes the
+// exit-time exports. Safe to call once.
+func (d *Daemon) Close() {
+	for i := len(d.stops) - 1; i >= 0; i-- {
+		d.stops[i]()
+	}
+	d.stops = nil
+	if d.boot.metrics {
+		fmt.Fprint(os.Stderr, d.Obs.DebugSnapshot())
+	}
+	if d.boot.collector != "" {
+		// Best-effort: a dead collector must not fail the run.
+		if err := collector.Push(d.boot.collector, d.name, d.Obs.Tracer().Spans()); err != nil {
+			fmt.Fprintf(os.Stderr, "span export: %v\n", err)
+		}
+	}
+}
