@@ -4,20 +4,11 @@
 // operators can see transfer state without shelling into endpoints; this
 // is the equivalent surface for the reproduction's daemons.
 //
-// Endpoints:
-//
-//	/metrics       Prometheus text exposition (?format=json for JSON)
-//	/healthz       liveness probes (200 ok / 503 with failing probe names)
-//	/readyz        readiness probes (same contract, separate set)
-//	/debug/spans   the live span forest as JSON
-//	/debug/events  the structured event ring as JSON (?n= limit, ?type= prefix)
-//	/debug/streams per-stream wire telemetry (stream-health table; ?format=text)
-//	/debug/series  time-series lifecycle inventory: live vs tombstoned series
-//	/tenants       per-DN tenant attribution: top-K table plus sketch summary
-//	/debug/pprof/  the standard on-demand Go profiling endpoints; for the
-//	               retained capture history see /debug/profile/continuous
-//	/debug/profile/continuous  the continuous profiler's window ring
-//	               (listing, /top, /diff, /raw — see profile.go)
+// The routes are one table (Server.routes, built in New): what is mounted
+// is what GET / lists. The bundle's own routes are always there; each
+// optional plane in Planes brings its routes with it and a nil plane
+// brings none (404, and absent from the index) — there is no "not enabled"
+// answer.
 //
 // The admin listener is a real OS socket (net.Listen), deliberately
 // outside the simulated network substrate the daemons move data over:
@@ -52,74 +43,100 @@ import (
 // Probe reports one aspect of process health; nil means healthy.
 type Probe func() error
 
+// Planes are the optional planes an admin server serves, each with the
+// routes it brings. The bootstrap (boot.go) fills all of them.
+type Planes struct {
+	// Recorder is behind /debug/timeseries, /debug/series and the
+	// /debug/stream SSE feed; Engine behind /alerts (telemetry.go).
+	Recorder *tsdb.Recorder
+	Engine   *tsdb.Engine
+	// Streams is the per-stream wire-telemetry registry: /debug/streams.
+	Streams *streamstats.Registry
+	// Tenants is the per-DN accounting plane: /tenants.
+	Tenants *tenant.Accountant
+	// Profiler is the continuous profiler: /debug/profile/continuous and
+	// its /top, /diff, /raw (profile.go).
+	Profiler *profile.Profiler
+	// Fleet is the federation head's HTTP plane (fleet.Service.Handler):
+	// /fleet/ and the /v1/metrics push ingest.
+	Fleet http.Handler
+}
+
+// route is one line of the route table: what is mounted and what the
+// index page says about it.
+type route struct {
+	path, doc string
+	h         http.HandlerFunc
+}
+
 // Server serves the admin endpoints for one obs bundle.
 type Server struct {
-	o   *obs.Obs
-	mux *http.ServeMux
+	o      *obs.Obs
+	p      Planes
+	mux    *http.ServeMux
+	routes []route
+
+	// hub fans frames out to /debug/stream clients; heartbeat overrides
+	// the stream keepalive cadence (0 = default; tests shrink it).
+	hub       streamHub
+	heartbeat time.Duration
 
 	mu     sync.Mutex
 	health map[string]Probe
 	ready  map[string]Probe
-
-	// Telemetry plane (telemetry.go): the time-series recorder and alert
-	// engine behind /debug/timeseries, /alerts, and /debug/stream, plus
-	// the SSE fan-out hub. heartbeat overrides the stream keepalive
-	// cadence (0 = default; tests shrink it).
-	rec       *tsdb.Recorder
-	engine    *tsdb.Engine
-	hub       streamHub
-	heartbeat time.Duration
-
-	// fleet is the federation head's HTTP plane (internal/obs/fleet),
-	// delegated to under /fleet/ and /v1/metrics; nil answers 503 so the
-	// admin plane keeps one shape whether or not this daemon federates.
-	fleet http.Handler
-
-	// profiler is the continuous profiler behind /debug/profile/continuous
-	// (profile.go); nil answers 503.
-	profiler *profile.Profiler
-
-	// streams is the per-stream wire-telemetry registry behind
-	// /debug/streams; nil answers 503 so the route keeps one shape whether
-	// or not this daemon tracks data streams.
-	streams *streamstats.Registry
-
-	// tenants is the per-DN accounting plane behind /tenants
-	// (internal/obs/tenant); nil answers 503.
-	tenants *tenant.Accountant
-
-	srv *http.Server
-	ln  net.Listener
+	srv    *http.Server
+	ln     net.Listener
 }
 
 // New builds an admin server over the given obs bundle (nil is valid and
-// serves empty telemetry).
-func New(o *obs.Obs) *Server {
+// serves empty telemetry) and planes.
+func New(o *obs.Obs, p Planes) *Server {
 	s := &Server{
 		o:      o,
+		p:      p,
 		mux:    http.NewServeMux(),
 		health: make(map[string]Probe),
 		ready:  make(map[string]Probe),
 	}
+	s.routes = []route{
+		{"/metrics", "Prometheus text exposition (?format=json)", s.handleMetrics},
+		{"/healthz", "liveness probes", s.probeHandler(&s.health)},
+		{"/readyz", "readiness probes", s.probeHandler(&s.ready)},
+		{"/debug/spans", "span forest (JSON; ?trace=)", s.handleSpans},
+		{"/debug/events", "event ring (JSON; ?n=50 ?type=transfer.)", s.handleEvents},
+		{"/debug/pprof/", "on-demand Go profiling (capture on request)", pprof.Index},
+	}
+	if p.Recorder != nil {
+		s.routes = append(s.routes,
+			route{"/debug/timeseries", "recorded series (JSON; ?series= ?since=30s ?step=5s)", s.handleTimeseries},
+			route{"/debug/series", "time-series lifecycle inventory (JSON; ?series= prefix)", s.handleSeries},
+			route{"/debug/stream", "live SSE feed (metric deltas, events, alerts)", s.handleStream})
+	}
+	if p.Engine != nil {
+		s.routes = append(s.routes, route{"/alerts", "SLO alert rules with live state (JSON)", s.handleAlerts})
+	}
+	if p.Streams != nil {
+		s.routes = append(s.routes, route{"/debug/streams", "per-stream wire telemetry / stream-health table (JSON; ?format=text)", s.handleStreams})
+	}
+	if p.Tenants != nil {
+		s.routes = append(s.routes, route{"/tenants", "per-DN top-K tenant attribution (JSON; ?k=)", s.handleTenants})
+	}
+	if p.Profiler != nil {
+		s.routes = append(s.routes,
+			route{"/debug/profile/continuous", "continuous profiler windows (JSON)", s.handleProfileContinuous},
+			route{"/debug/profile/continuous/top", "newest window's hot functions (?kind= ?n=)", s.handleProfileTop},
+			route{"/debug/profile/continuous/diff", "two windows diffed (?base= ?cur= ?kind=)", s.handleProfileDiff},
+			route{"/debug/profile/continuous/raw", "one raw capture, .pprof.gz (?id= ?kind=)", s.handleProfileRaw})
+	}
+	if p.Fleet != nil {
+		s.routes = append(s.routes,
+			route{"/fleet/", "fleet federation plane (instances, metrics, timeseries, alerts, tenants, profile, bundles)", p.Fleet.ServeHTTP},
+			route{"/v1/metrics", "fleet push ingest (POST, one JSON envelope: metrics, tenant table, profile summary)", p.Fleet.ServeHTTP})
+	}
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.probeHandler(&s.health))
-	s.mux.HandleFunc("/readyz", s.probeHandler(&s.ready))
-	s.mux.HandleFunc("/debug/spans", s.handleSpans)
-	s.mux.HandleFunc("/debug/events", s.handleEvents)
-	s.mux.HandleFunc("/debug/timeseries", s.handleTimeseries)
-	s.mux.HandleFunc("/debug/streams", s.handleStreams)
-	s.mux.HandleFunc("/debug/stream", s.handleStream)
-	s.mux.HandleFunc("/debug/series", s.handleSeries)
-	s.mux.HandleFunc("/tenants", s.handleTenants)
-	s.mux.HandleFunc("/alerts", s.handleAlerts)
-	s.mux.HandleFunc("/fleet/", s.handleFleet)
-	s.mux.HandleFunc("/v1/metrics", s.handleFleet)
-	s.mux.HandleFunc("/debug/profile/continuous", s.handleProfileContinuous)
-	s.mux.HandleFunc("/debug/profile/continuous/top", s.handleProfileTop)
-	s.mux.HandleFunc("/debug/profile/continuous/diff", s.handleProfileDiff)
-	s.mux.HandleFunc("/debug/profile/continuous/raw", s.handleProfileRaw)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	for _, rt := range s.routes {
+		s.mux.HandleFunc(rt.path, rt.h)
+	}
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
@@ -131,43 +148,12 @@ func New(o *obs.Obs) *Server {
 // admin plane under an existing server).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetFleet mounts a fleet federation handler (internal/obs/fleet) under
-// /fleet/ and /v1/metrics. Nil unmounts; the routes then answer 503.
-func (s *Server) SetFleet(h http.Handler) {
-	s.mu.Lock()
-	s.fleet = h
-	s.mu.Unlock()
-}
-
-// SetStreamStats mounts a per-stream wire-telemetry registry
-// (internal/obs/streamstats) under /debug/streams. Nil unmounts; the
-// route then answers 503.
-func (s *Server) SetStreamStats(reg *streamstats.Registry) {
-	s.mu.Lock()
-	s.streams = reg
-	s.mu.Unlock()
-}
-
-// SetTenants mounts a per-DN accounting plane (internal/obs/tenant)
-// under /tenants. Nil unmounts; the route then answers 503.
-func (s *Server) SetTenants(a *tenant.Accountant) {
-	s.mu.Lock()
-	s.tenants = a
-	s.mu.Unlock()
-}
-
 // handleTenants serves the top-K tenant attribution table plus sketch
 // summary (capacity, admissions, evictions, max overestimate). ?k=
 // widens or narrows the table; the sketch's configured TopK is the
 // default.
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	acct := s.tenants
-	s.mu.Unlock()
-	if acct == nil {
-		http.Error(w, "tenant accounting not enabled", http.StatusServiceUnavailable)
-		return
-	}
+	acct := s.p.Tenants
 	k := 0
 	if raw := r.URL.Query().Get("k"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -193,13 +179,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // reclaim it. This is the operator's view into cardinality governance:
 // what obs.tsdb.series_active counts, by name.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	rec := s.rec
-	s.mu.Unlock()
-	if rec == nil {
-		http.Error(w, "telemetry recording not enabled", http.StatusServiceUnavailable)
-		return
-	}
+	rec := s.p.Recorder
 	inv := rec.Inventory()
 	if prefix := r.URL.Query().Get("series"); prefix != "" {
 		kept := inv[:0:0]
@@ -227,14 +207,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 // JSON by default; ?format=text renders the same table an operator sees
 // in benchreport's dashboard.
 func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	reg := s.streams
-	s.mu.Unlock()
-	if reg == nil {
-		http.Error(w, "stream telemetry not enabled", http.StatusServiceUnavailable)
-		return
-	}
-	transfers := reg.Health()
+	transfers := s.p.Streams.Health()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, streamstats.FormatTable(transfers))
@@ -244,17 +217,6 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		transfers = []streamstats.TransferHealth{}
 	}
 	writeJSON(w, map[string]any{"transfers": transfers})
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	h := s.fleet
-	s.mu.Unlock()
-	if h == nil {
-		http.Error(w, "fleet federation not enabled", http.StatusServiceUnavailable)
-		return
-	}
-	h.ServeHTTP(w, r)
 }
 
 // AddHealth registers a liveness probe under name (replacing any probe
@@ -325,24 +287,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "instant-gridftp admin plane")
-	fmt.Fprintln(w, "  /metrics        Prometheus text exposition (?format=json)")
-	fmt.Fprintln(w, "  /healthz        liveness probes")
-	fmt.Fprintln(w, "  /readyz         readiness probes")
-	fmt.Fprintln(w, "  /debug/spans    span forest (JSON)")
-	fmt.Fprintln(w, "  /debug/events   event ring (JSON; ?n=50 ?type=transfer.)")
-	fmt.Fprintln(w, "  /alerts         SLO alert rules with live state (JSON)")
-	fmt.Fprintln(w, "  /debug/timeseries  recorded series (JSON; ?series= ?since=30s ?step=5s)")
-	fmt.Fprintln(w, "  /debug/stream   live SSE feed (metric deltas, events, alerts)")
-	fmt.Fprintln(w, "  /debug/streams  per-stream wire telemetry / stream-health table (JSON; ?format=text)")
-	fmt.Fprintln(w, "  /debug/series   time-series lifecycle inventory (JSON; ?series= prefix)")
-	fmt.Fprintln(w, "  /tenants        per-DN top-K tenant attribution (JSON; ?k=)")
-	fmt.Fprintln(w, "  /fleet/         fleet federation plane (instances, metrics, timeseries, bundles, profile)")
-	fmt.Fprintln(w, "  /v1/metrics     fleet push ingest (POST, one JSON envelope: metrics, tenant table, profile summary)")
-	fmt.Fprintln(w, "  /debug/profile/continuous  continuous profiler windows (JSON)")
-	fmt.Fprintln(w, "  /debug/profile/continuous/top   newest window's hot functions (?kind= ?n=)")
-	fmt.Fprintln(w, "  /debug/profile/continuous/diff  two windows diffed (?base= ?cur= ?kind=)")
-	fmt.Fprintln(w, "  /debug/profile/continuous/raw   one raw capture, .pprof.gz (?id= ?kind=)")
-	fmt.Fprintln(w, "  /debug/pprof/   on-demand Go profiling (continuous history: /debug/profile/continuous)")
+	for _, rt := range s.routes {
+		fmt.Fprintf(w, "  %-30s %s\n", rt.path, rt.doc)
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

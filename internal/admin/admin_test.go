@@ -31,7 +31,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	o := obs.Nop()
 	o.Registry().Counter("gridftp.server.sessions").Add(2)
 	o.Registry().Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Observe(0.003)
-	ts := httptest.NewServer(New(o).Handler())
+	ts := httptest.NewServer(New(o, Planes{}).Handler())
 	defer ts.Close()
 
 	code, body, hdr := get(t, ts, "/metrics")
@@ -65,7 +65,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestProbes(t *testing.T) {
-	s := New(obs.Nop())
+	s := New(obs.Nop(), Planes{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -99,7 +99,7 @@ func TestSpansEndpoint(t *testing.T) {
 	child := parent.Child("attempt")
 	child.End()
 	parent.End()
-	ts := httptest.NewServer(New(o).Handler())
+	ts := httptest.NewServer(New(o, Planes{}).Handler())
 	defer ts.Close()
 
 	_, body, _ := get(t, ts, "/debug/spans")
@@ -132,7 +132,7 @@ func TestSpansTraceFilter(t *testing.T) {
 	t1.End()
 	t2 := o.Tracer().StartSpan("task-two")
 	t2.End()
-	ts := httptest.NewServer(New(o).Handler())
+	ts := httptest.NewServer(New(o, Planes{}).Handler())
 	defer ts.Close()
 
 	type node struct {
@@ -181,7 +181,7 @@ func TestEventsEndpoint(t *testing.T) {
 	o.EventLog().Append(eventlog.SessionOpen, "session", "s1")
 	o.EventLog().Append(eventlog.TransferStart, "session", "s1", "path", "/a")
 	o.EventLog().Append(eventlog.TransferComplete, "session", "s1", "path", "/a")
-	ts := httptest.NewServer(New(o).Handler())
+	ts := httptest.NewServer(New(o, Planes{}).Handler())
 	defer ts.Close()
 
 	decode := func(body string) []eventlog.Event {
@@ -212,7 +212,7 @@ func TestEventsEndpoint(t *testing.T) {
 }
 
 func TestListenAndServe(t *testing.T) {
-	s := New(obs.Nop())
+	s := New(obs.Nop(), Planes{})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

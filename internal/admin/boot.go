@@ -14,6 +14,7 @@ import (
 	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
+	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
 // This file is the one way a binary gets its observability: Flags
@@ -30,9 +31,11 @@ import (
 //	                 -profile-interval is not 0
 //	stream registry  always (the -stall-timeout watchdog acts on its own)
 //	tenant accounts  always
-//	admin server     -admin: recorder, alert engine, SSE feed, every plane
-//	                 above mounted, /readyz failing until Ready
+//	recorder, alerts -admin: the flight recorder becomes the bundle's series
+//	                 sink, tsdb.DefaultRules watch it
 //	fleet head       -fleet, -fleet-scrape or -fleet-bundle-dir (needs -admin)
+//	admin server     -admin: every plane above mounted, the sampler and the
+//	                 SSE feed running, /readyz failing until Ready
 //	pusher           -fleet-push
 //	listener         -admin's socket, last: it serves a finished plane
 //
@@ -151,27 +154,30 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 	d.stops = append(d.stops, d.Tenants.Start())
 
 	if b.admin != "" {
-		d.Admin = New(o)
+		// The recorder is the bundle's series sink from here on: PERF-marker
+		// timelines, the stream poller and the tenant publisher all land in it.
+		rec := tsdb.New(tsdb.Options{})
+		o.Series = rec
+		planes := Planes{
+			Recorder: rec, Engine: tsdb.NewEngine(rec, o, tsdb.DefaultRules()),
+			Streams: d.Streams, Tenants: d.Tenants, Profiler: prof,
+		}
+		if b.isFleetHead() {
+			head := fleet.New(fleet.Options{Obs: o, Bundle: fleet.BundleOptions{Dir: b.fleetBundleDir}})
+			for instance, url := range scrapes {
+				head.AddScrapeTarget(instance, url)
+			}
+			d.stops = append(d.stops, head.Start())
+			planes.Fleet = head.Handler()
+		}
+		d.Admin = New(o, planes)
 		d.Admin.AddReadiness("service", func() error {
 			if !d.ready.Load() {
 				return fmt.Errorf("not serving yet")
 			}
 			return nil
 		})
-		d.stops = append(d.stops, d.Admin.EnableTelemetry(o, nil))
-		d.Admin.SetStreamStats(d.Streams)
-		d.Admin.SetTenants(d.Tenants)
-		if prof != nil {
-			d.Admin.SetProfiler(prof)
-		}
-	}
-	if b.isFleetHead() {
-		head := fleet.New(fleet.Options{Obs: o, Bundle: fleet.BundleOptions{Dir: b.fleetBundleDir}})
-		for instance, url := range scrapes {
-			head.AddScrapeTarget(instance, url)
-		}
-		d.stops = append(d.stops, head.Start())
-		d.Admin.SetFleet(head.Handler())
+		d.stops = append(d.stops, d.Admin.Start())
 	}
 	if b.fleetPush != "" {
 		instance := b.fleetInstance

@@ -39,7 +39,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	}
 	defer ep.Close()
 
-	ts := httptest.NewServer(admin.New(o).Handler())
+	ts := httptest.NewServer(admin.New(o, admin.Planes{}).Handler())
 	defer ts.Close()
 
 	client, err := ep.Connect(nw.Host("laptop"), "alice", pam.PasswordConv("secret"))

@@ -19,32 +19,8 @@ import (
 //	/debug/profile/continuous/diff  diff two windows (?base=3&cur=7&kind=heap)
 //	/debug/profile/continuous/raw   raw gzipped pprof (?id=7&kind=cpu)
 
-// SetProfiler mounts a continuous profiler's endpoints. Nil unmounts;
-// the routes then answer 503, keeping the admin plane one shape whether
-// or not the daemon runs the profiler.
-func (s *Server) SetProfiler(p *profile.Profiler) {
-	s.mu.Lock()
-	s.profiler = p
-	s.mu.Unlock()
-}
-
-// getProfiler returns the mounted profiler or writes the 503.
-func (s *Server) getProfiler(w http.ResponseWriter) (*profile.Profiler, bool) {
-	s.mu.Lock()
-	p := s.profiler
-	s.mu.Unlock()
-	if p == nil {
-		http.Error(w, "continuous profiling not enabled", http.StatusServiceUnavailable)
-		return nil, false
-	}
-	return p, true
-}
-
 func (s *Server) handleProfileContinuous(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.getProfiler(w)
-	if !ok {
-		return
-	}
+	p := s.p.Profiler
 	latest, ready := p.ProfileSummary()
 	resp := map[string]any{
 		"interval_seconds": p.Interval().Seconds(),
@@ -59,10 +35,7 @@ func (s *Server) handleProfileContinuous(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *Server) handleProfileTop(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.getProfiler(w)
-	if !ok {
-		return
-	}
+	p := s.p.Profiler
 	kind := r.URL.Query().Get("kind")
 	if kind == "" {
 		kind = profile.KindHeap
@@ -80,10 +53,7 @@ func (s *Server) handleProfileTop(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.getProfiler(w)
-	if !ok {
-		return
-	}
+	p := s.p.Profiler
 	q := r.URL.Query()
 	base, err1 := strconv.Atoi(q.Get("base"))
 	cur, err2 := strconv.Atoi(q.Get("cur"))
@@ -104,10 +74,7 @@ func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProfileRaw(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.getProfiler(w)
-	if !ok {
-		return
-	}
+	p := s.p.Profiler
 	q := r.URL.Query()
 	id, err := strconv.Atoi(q.Get("id"))
 	if err != nil {

@@ -9,9 +9,8 @@ package admin
 //	/debug/stream      SSE live feed: metric deltas, new events, alert
 //	                   transitions, with heartbeats and slow-client eviction
 //
-// The endpoints answer 503 until SetTelemetry (usually via
-// EnableTelemetry) installs a recorder, so the admin plane's shape is
-// identical across daemons whether or not they record history.
+// They are mounted when Planes carries a recorder (and, for /alerts, an
+// engine); Server.Start runs the loops that feed them.
 
 import (
 	"encoding/json"
@@ -101,42 +100,20 @@ func jsonFrame(event string, v any) streamFrame {
 	return streamFrame{event: event, data: data}
 }
 
-// SetTelemetry installs the recorder and alert engine behind
-// /debug/timeseries, /alerts, and /debug/stream. Either may be nil; the
-// corresponding endpoints then answer 503.
-func (s *Server) SetTelemetry(rec *tsdb.Recorder, eng *tsdb.Engine) {
-	s.mu.Lock()
-	s.rec, s.engine = rec, eng
-	s.mu.Unlock()
-}
-
-func (s *Server) telemetry() (*tsdb.Recorder, *tsdb.Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec, s.engine
-}
-
 // StreamClientCount reports the number of connected /debug/stream
 // clients (eviction and shutdown visibility for tests and operators).
 func (s *Server) StreamClientCount() int { return s.hub.count() }
 
-// EnableTelemetry wires a full recording pipeline into the server: a
-// recorder with default geometry (1s raw / 15s aggregate), an alert
-// engine over rules (nil = tsdb.DefaultRules()), the background registry
-// sampler, and the live-stream taps. The recorder is installed as
-// o.Series, so components with explicit timelines (PERF markers) feed it
-// through obs.TimeSeries(). The returned stop halts the sampler, the
-// delta publisher, and the taps; it is idempotent.
-func (s *Server) EnableTelemetry(o *obs.Obs, rules []tsdb.Rule) (stop func()) {
-	if rules == nil {
-		rules = tsdb.DefaultRules()
+// Start runs the recording pipeline over the server's recorder and
+// engine: the background registry sampler (registry → recorder → alert
+// evaluation), the live-stream taps, and the metric-delta publisher. The
+// returned stop halts all three; it is idempotent. A server without a
+// recorder has nothing to run.
+func (s *Server) Start() (stop func()) {
+	o, rec, eng := s.o, s.p.Recorder, s.p.Engine
+	if rec == nil {
+		return func() {}
 	}
-	rec := tsdb.New(tsdb.Options{})
-	eng := tsdb.NewEngine(rec, o, rules)
-	if o != nil {
-		o.Series = rec
-	}
-	s.SetTelemetry(rec, eng)
 
 	// Live-stream taps: every appended event and every alert transition
 	// becomes an SSE frame the moment it happens.
@@ -205,11 +182,7 @@ func parseSince(v string, now time.Time) (time.Time, error) {
 }
 
 func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	rec, _ := s.telemetry()
-	if rec == nil {
-		http.Error(w, "time-series recorder not enabled", http.StatusServiceUnavailable)
-		return
-	}
+	rec := s.p.Recorder
 	q := r.URL.Query()
 	var prefixes []string
 	for _, p := range strings.Split(q.Get("series"), ",") {
@@ -239,11 +212,7 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	_, eng := s.telemetry()
-	if eng == nil {
-		http.Error(w, "alert engine not enabled", http.StatusServiceUnavailable)
-		return
-	}
+	eng := s.p.Engine
 	alerts := eng.Alerts()
 	// Firing first, then pending, then inactive; stable by name within a
 	// state so the operator view doesn't shuffle between refreshes.
@@ -265,11 +234,6 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 const streamHeartbeat = 15 * time.Second
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	rec, _ := s.telemetry()
-	if rec == nil {
-		http.Error(w, "telemetry stream not enabled", http.StatusServiceUnavailable)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)

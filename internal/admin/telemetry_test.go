@@ -17,21 +17,43 @@ import (
 
 var tt0 = time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 
+// telemetryServer is a server over a fresh recorder (installed as o.Series)
+// and an engine with the given rules (nil = tsdb.DefaultRules()) — the pair
+// the bootstrap builds.
+func telemetryServer(o *obs.Obs, rules []tsdb.Rule) *Server {
+	if rules == nil {
+		rules = tsdb.DefaultRules()
+	}
+	rec := tsdb.New(tsdb.Options{})
+	o.Series = rec
+	return New(o, Planes{Recorder: rec, Engine: tsdb.NewEngine(rec, o, rules)})
+}
+
+// TestTelemetryEndpointsDisabled: a plane that was not handed to New has no
+// routes — 404, and nothing on the index page — rather than routes that
+// answer "not enabled".
 func TestTelemetryEndpointsDisabled(t *testing.T) {
-	ts := httptest.NewServer(New(obs.Nop()).Handler())
+	ts := httptest.NewServer(New(obs.Nop(), Planes{}).Handler())
 	defer ts.Close()
-	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/stream"} {
-		if code, _, _ := get(t, ts, path); code != http.StatusServiceUnavailable {
-			t.Errorf("%s without telemetry: status %d, want 503", path, code)
+	_, index, _ := get(t, ts, "/")
+	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/stream", "/debug/series",
+		"/debug/streams", "/tenants", "/debug/profile/continuous", "/fleet/instances", "/v1/metrics"} {
+		if code, _, _ := get(t, ts, path); code != http.StatusNotFound {
+			t.Errorf("%s without its plane: status %d, want 404", path, code)
 		}
+		if strings.Contains(index, "  "+path+" ") {
+			t.Errorf("the index lists %s, which is not mounted:\n%s", path, index)
+		}
+	}
+	if !strings.Contains(index, "/metrics") || !strings.Contains(index, "/debug/events") {
+		t.Errorf("the index lost the bundle's own routes:\n%s", index)
 	}
 }
 
 func TestTimeseriesEndpoint(t *testing.T) {
 	o := obs.Nop()
-	s := New(o)
-	rec := tsdb.New(tsdb.Options{})
-	s.SetTelemetry(rec, tsdb.NewEngine(rec, o, nil))
+	s := telemetryServer(o, nil)
+	rec := s.p.Recorder
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -90,13 +112,11 @@ func TestTimeseriesEndpoint(t *testing.T) {
 
 func TestAlertsEndpoint(t *testing.T) {
 	o := obs.Nop()
-	s := New(o)
-	rec := tsdb.New(tsdb.Options{})
-	eng := tsdb.NewEngine(rec, o, []tsdb.Rule{
+	s := telemetryServer(o, []tsdb.Rule{
 		{Name: "calm", Series: "x", Kind: tsdb.KindThreshold, Op: tsdb.OpGreater, Value: 100},
 		{Name: "hot", Series: "x", Kind: tsdb.KindThreshold, Op: tsdb.OpGreater, Value: 1},
 	})
-	s.SetTelemetry(rec, eng)
+	rec, eng := s.p.Recorder, s.p.Engine
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -185,9 +205,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestStreamMultiClientDelivery(t *testing.T) {
 	o := obs.Nop()
-	s := New(o)
-	stop := s.EnableTelemetry(o, []tsdb.Rule{})
-	defer stop()
+	s := telemetryServer(o, []tsdb.Rule{})
+	defer s.Start()()
 	ts := httptest.NewServer(s.Handler())
 	// Cleanup, not defer: the SSE response bodies (closed by startSSE's
 	// later-registered cleanups) must close before ts.Close, or Close
@@ -236,10 +255,7 @@ func TestStreamMultiClientDelivery(t *testing.T) {
 }
 
 func TestStreamSlowClientEviction(t *testing.T) {
-	o := obs.Nop()
-	s := New(o)
-	rec := tsdb.New(tsdb.Options{})
-	s.SetTelemetry(rec, tsdb.NewEngine(rec, o, nil))
+	s := telemetryServer(obs.Nop(), nil)
 
 	// Subscribe directly at the hub and never drain: once the buffer
 	// overflows the hub must evict (close) the client rather than block
@@ -277,10 +293,7 @@ func TestStreamSlowClientEviction(t *testing.T) {
 }
 
 func TestStreamHeartbeat(t *testing.T) {
-	o := obs.Nop()
-	s := New(o)
-	rec := tsdb.New(tsdb.Options{})
-	s.SetTelemetry(rec, tsdb.NewEngine(rec, o, nil))
+	s := telemetryServer(obs.Nop(), nil)
 	s.heartbeat = 20 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close) // before startSSE's body-close cleanup (LIFO)
@@ -300,17 +313,10 @@ func TestStreamHeartbeat(t *testing.T) {
 
 func TestEnableTelemetrySamplesAndAlerts(t *testing.T) {
 	o := obs.Nop()
-	s := New(o)
-	stop := s.EnableTelemetry(o, nil)
+	s := telemetryServer(o, nil)
+	stop := s.Start()
 	defer stop()
-
-	if o.Series == nil {
-		t.Fatal("EnableTelemetry did not install o.Series")
-	}
-	rec, eng := s.telemetry()
-	if rec == nil || eng == nil {
-		t.Fatal("telemetry not installed")
-	}
+	rec := s.p.Recorder
 	// The sampler picks up registry state in the background (1s cadence).
 	o.Registry().Gauge("g").Set(9)
 	waitFor(t, "background sample", func() bool {
@@ -328,9 +334,8 @@ func TestEnableTelemetrySamplesAndAlerts(t *testing.T) {
 
 func TestStreamLastEventIDResume(t *testing.T) {
 	o := obs.Nop()
-	s := New(o)
-	stop := s.EnableTelemetry(o, []tsdb.Rule{})
-	defer stop()
+	s := telemetryServer(o, []tsdb.Rule{})
+	defer s.Start()()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

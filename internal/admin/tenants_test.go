@@ -15,21 +15,12 @@ import (
 )
 
 func TestTenantsEndpoint(t *testing.T) {
-	s := New(obs.Nop())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// 503 until an accountant is mounted — same pattern as the other
-	// optional planes.
-	if code, _, _ := get(t, ts, "/tenants"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/tenants unmounted = %d, want 503", code)
-	}
-
 	a := tenant.New(tenant.Options{Capacity: 8, TopK: 4})
 	a.BytesMoved("/CN=alice", 700)
 	a.BytesMoved("/CN=bob", 300)
 	a.TaskSubmitted("/CN=bob")
-	s.SetTenants(a)
+	ts := httptest.NewServer(New(obs.Nop(), Planes{Tenants: a}).Handler())
+	defer ts.Close()
 
 	code, body, hdr := get(t, ts, "/tenants")
 	if code != http.StatusOK {
@@ -69,10 +60,8 @@ func TestTenantsEndpoint(t *testing.T) {
 // envelope on /v1/metrics; the route of its own it once had is gone, not
 // kept beside it.
 func TestTenantPushRouteForwardsToFleet(t *testing.T) {
-	s := New(obs.Nop())
 	fl := fleet.New(fleet.Options{Obs: obs.Nop()})
-	s.SetFleet(fl.Handler())
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(New(obs.Nop(), Planes{Fleet: fl.Handler()}).Handler())
 	defer ts.Close()
 
 	body := `{"instance":"ep1","metrics":"","tenants":[{"dn":"/CN=pusher","hash":"00000000","weight":10,"bytes":10}]}`
@@ -100,16 +89,9 @@ func TestTenantPushRouteForwardsToFleet(t *testing.T) {
 }
 
 func TestSeriesEndpoint(t *testing.T) {
-	s := New(obs.Nop())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if code, _, _ := get(t, ts, "/debug/series"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/debug/series without recorder = %d, want 503", code)
-	}
-
 	rec := tsdb.New(tsdb.Options{})
-	s.SetTelemetry(rec, nil)
+	ts := httptest.NewServer(New(obs.Nop(), Planes{Recorder: rec}).Handler())
+	defer ts.Close()
 	t0 := time.Unix(1000, 0)
 	rec.Observe("transfer.task.t1.throughput", t0, 1)
 	rec.Observe("gridftp.stream.s1.rtt", t0, 2)

@@ -104,9 +104,7 @@ func TestFleetEndToEnd(t *testing.T) {
 
 	// The federation plane mounts into the admin server exactly as the
 	// daemons wire it; the pushes below travel through real HTTP.
-	adm := admin.New(headObs)
-	adm.SetFleet(svc.Handler())
-	ts := httptest.NewServer(adm.Handler())
+	ts := httptest.NewServer(admin.New(headObs, admin.Planes{Fleet: svc.Handler()}).Handler())
 	defer ts.Close()
 
 	const n = 12

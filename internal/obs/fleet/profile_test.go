@@ -214,9 +214,7 @@ func TestBundleProfileRoundTrip(t *testing.T) {
 	}
 
 	// Serve the bundle plane over real HTTP through the admin mount.
-	adm := admin.New(o)
-	adm.SetFleet(svc.Handler())
-	ts := httptest.NewServer(adm.Handler())
+	ts := httptest.NewServer(admin.New(o, admin.Planes{Fleet: svc.Handler()}).Handler())
 	defer ts.Close()
 
 	var listing struct {
@@ -269,9 +267,7 @@ func TestFleetProfileMerge(t *testing.T) {
 	clk := &fleetClock{now: time.Unix(1_700_000_000, 0)}
 	o := obs.Nop()
 	svc := fleet.New(fleet.Options{Obs: o, Now: clk.Now})
-	adm := admin.New(o)
-	adm.SetFleet(svc.Handler())
-	ts := httptest.NewServer(adm.Handler())
+	ts := httptest.NewServer(admin.New(o, admin.Planes{Fleet: svc.Handler()}).Handler())
 	defer ts.Close()
 
 	mk := func(id int, fn string, flat int64) obs.ProfileSummary {

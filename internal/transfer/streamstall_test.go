@@ -75,9 +75,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	})
 	defer streams.Start()()
 
-	adm := admin.New(o)
-	adm.SetTelemetry(rec, eng)
-	adm.SetStreamStats(streams)
+	adm := admin.New(o, admin.Planes{Recorder: rec, Engine: eng, Streams: streams})
 	admAddr, err := adm.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
