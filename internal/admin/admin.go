@@ -17,7 +17,6 @@
 package admin
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -108,12 +107,12 @@ func New(o *obs.Obs, p Planes) *Server {
 	}
 	if p.Recorder != nil {
 		s.routes = append(s.routes,
-			route{"/debug/timeseries", "recorded series (JSON; ?series= ?since=30s ?step=5s)", s.handleTimeseries},
+			route{"/debug/timeseries", "recorded series (JSON; ?series= ?since=30s ?step=5s)", tsdb.TimeseriesHandler(p.Recorder, time.Now)},
 			route{"/debug/series", "time-series lifecycle inventory (JSON; ?series= prefix)", s.handleSeries},
 			route{"/debug/stream", "live SSE feed (metric deltas, events, alerts)", s.handleStream})
 	}
 	if p.Engine != nil {
-		s.routes = append(s.routes, route{"/alerts", "SLO alert rules with live state (JSON)", s.handleAlerts})
+		s.routes = append(s.routes, route{"/alerts", "SLO alert rules with live state (JSON)", tsdb.AlertsHandler(p.Engine)})
 	}
 	if p.Streams != nil {
 		s.routes = append(s.routes, route{"/debug/streams", "per-stream wire telemetry / stream-health table (JSON; ?format=text)", s.handleStreams})
@@ -167,7 +166,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	if tenants == nil {
 		tenants = []tenant.Stat{}
 	}
-	writeJSON(w, map[string]any{
+	expfmt.ServeJSON(w, map[string]any{
 		"tenants": tenants,
 		"summary": acct.Stats(),
 	})
@@ -194,7 +193,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		inv = []tsdb.SeriesInfo{}
 	}
 	live, tombstoned, retiredTotal := rec.LifecycleStats()
-	writeJSON(w, map[string]any{
+	expfmt.ServeJSON(w, map[string]any{
 		"series":        inv,
 		"live":          live,
 		"tombstoned":    tombstoned,
@@ -216,7 +215,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	if transfers == nil {
 		transfers = []streamstats.TransferHealth{}
 	}
-	writeJSON(w, map[string]any{"transfers": transfers})
+	expfmt.ServeJSON(w, map[string]any{"transfers": transfers})
 }
 
 // AddHealth registers a liveness probe under name (replacing any probe
@@ -399,7 +398,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if roots == nil {
 		roots = []*spanJSON{}
 	}
-	writeJSON(w, map[string]any{"spans": roots})
+	expfmt.ServeJSON(w, map[string]any{"spans": roots})
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -428,14 +427,5 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if events == nil {
 		events = []eventlog.Event{}
 	}
-	writeJSON(w, map[string]any{"events": events})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	expfmt.ServeJSON(w, map[string]any{"events": events})
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"gridftp.dev/instant/internal/obs/expfmt"
 	"gridftp.dev/instant/internal/obs/profile"
 )
 
@@ -31,7 +32,7 @@ func (s *Server) handleProfileContinuous(w http.ResponseWriter, r *http.Request)
 	if ready {
 		resp["latest"] = latest
 	}
-	writeJSON(w, resp)
+	expfmt.ServeJSON(w, resp)
 }
 
 func (s *Server) handleProfileTop(w http.ResponseWriter, r *http.Request) {
@@ -49,7 +50,7 @@ func (s *Server) handleProfileTop(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	writeJSON(w, map[string]any{"kind": kind, "frames": p.Top(kind, n)})
+	expfmt.ServeJSON(w, map[string]any{"kind": kind, "frames": p.Top(kind, n)})
 }
 
 func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
@@ -70,7 +71,7 @@ func (s *Server) handleProfileDiff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "window not in the raw-capture tier", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, map[string]any{"kind": kind, "base": base, "cur": cur, "frames": frames})
+	expfmt.ServeJSON(w, map[string]any{"kind": kind, "base": base, "cur": cur, "frames": frames})
 }
 
 func (s *Server) handleProfileRaw(w http.ResponseWriter, r *http.Request) {

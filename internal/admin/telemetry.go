@@ -1,24 +1,16 @@
 package admin
 
-// Telemetry endpoints over the time-series flight recorder and SLO alert
-// engine (internal/obs/tsdb):
-//
-//	/debug/timeseries  recorded series as JSON (?series= prefix filter,
-//	                   ?since= RFC3339 or relative duration, ?step= rebucket)
-//	/alerts            every alert rule with live state, firing first
-//	/debug/stream      SSE live feed: metric deltas, new events, alert
-//	                   transitions, with heartbeats and slow-client eviction
-//
-// They are mounted when Planes carries a recorder (and, for /alerts, an
-// engine); Server.Start runs the loops that feed them.
+// The live half of the telemetry plane: /debug/stream, the SSE feed of
+// metric deltas, new events and alert transitions, with heartbeats and
+// slow-client eviction — and Server.Start, which runs the loops that feed
+// it and the recorder. (/debug/timeseries and /alerts are tsdb's own
+// handlers, shared with the fleet head.)
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -159,74 +151,6 @@ func (s *Server) Start() (stop func()) {
 			untapAlerts()
 		})
 	}
-}
-
-// parseSince interprets the ?since= query value: empty means all
-// retained history, a Go duration means "that long ago", otherwise
-// RFC3339.
-func parseSince(v string, now time.Time) (time.Time, error) {
-	if v == "" {
-		return time.Time{}, nil
-	}
-	if d, err := time.ParseDuration(v); err == nil {
-		if d < 0 {
-			d = -d
-		}
-		return now.Add(-d), nil
-	}
-	t, err := time.Parse(time.RFC3339, v)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("since: want duration (30s) or RFC3339: %v", err)
-	}
-	return t, nil
-}
-
-func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	rec := s.p.Recorder
-	q := r.URL.Query()
-	var prefixes []string
-	for _, p := range strings.Split(q.Get("series"), ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			prefixes = append(prefixes, p)
-		}
-	}
-	now := time.Now()
-	since, err := parseSince(q.Get("since"), now)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var step time.Duration
-	if v := q.Get("step"); v != "" {
-		step, err = time.ParseDuration(v)
-		if err != nil || step < 0 {
-			http.Error(w, "step: want a positive Go duration (15s)", http.StatusBadRequest)
-			return
-		}
-	}
-	series := rec.DumpSeries(prefixes, since, step)
-	if series == nil {
-		series = []tsdb.SeriesDump{}
-	}
-	writeJSON(w, map[string]any{"now": now.UTC(), "series": series})
-}
-
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	eng := s.p.Engine
-	alerts := eng.Alerts()
-	// Firing first, then pending, then inactive; stable by name within a
-	// state so the operator view doesn't shuffle between refreshes.
-	rank := map[tsdb.State]int{tsdb.StateFiring: 0, tsdb.StatePending: 1, tsdb.StateInactive: 2}
-	sort.SliceStable(alerts, func(i, j int) bool {
-		if rank[alerts[i].State] != rank[alerts[j].State] {
-			return rank[alerts[i].State] < rank[alerts[j].State]
-		}
-		return alerts[i].Rule.Name < alerts[j].Rule.Name
-	})
-	if alerts == nil {
-		alerts = []tsdb.Alert{}
-	}
-	writeJSON(w, map[string]any{"alerts": alerts, "active": len(eng.Active())})
 }
 
 // streamHeartbeat is the default keepalive cadence for /debug/stream;

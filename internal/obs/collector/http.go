@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/expfmt"
 )
 
 // pushPayload is the body of a POST /v1/spans: the exporting process's
@@ -47,14 +48,14 @@ func (c *Collector) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("/v1/traces", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.TraceIDs())
+		expfmt.ServeJSON(w, c.TraceIDs())
 	})
 	mux.HandleFunc("/v1/has", func(w http.ResponseWriter, r *http.Request) {
 		// Lightweight exemplar→trace resolution: a fleet dashboard holding
 		// an exemplar trace id asks whether the collector can expand it
 		// before linking, without paying for a full stitch.
 		id := r.URL.Query().Get("id")
-		writeJSON(w, map[string]any{
+		expfmt.ServeJSON(w, map[string]any{
 			"id": id, "found": c.HasTrace(id), "spans": c.SpanCount(id),
 		})
 	})
@@ -65,7 +66,7 @@ func (c *Collector) Handler() http.Handler {
 			http.Error(w, "unknown trace id", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, map[string]any{
+		expfmt.ServeJSON(w, map[string]any{
 			"id":            t.ID,
 			"connected":     t.Connected(),
 			"spans":         t.Spans,
@@ -77,13 +78,6 @@ func (c *Collector) Handler() http.Handler {
 		})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // Push exports a tracer snapshot to a collector's /v1/spans endpoint.

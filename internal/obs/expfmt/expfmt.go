@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -276,6 +277,17 @@ func WriteSnapshot(w io.Writer, snap Snapshot) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ServeJSON answers an HTTP request with v as indented JSON — the one way
+// the admin plane, the fleet head and the span collector write a JSON body.
+func ServeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // jsonHistogram is one histogram in the JSON exposition.

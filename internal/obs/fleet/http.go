@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"gridftp.dev/instant/internal/obs/expfmt"
+	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
 // Handler returns the federation head's HTTP plane, mounted by the admin
@@ -22,7 +22,7 @@ import (
 //	                            labeled series
 //	GET  /fleet/timeseries      fleet recorder dump (?series=, ?since=,
 //	                            ?step= as /debug/timeseries)
-//	GET  /fleet/alerts          fleet alert engine state
+//	GET  /fleet/alerts          fleet alert engine state (as /alerts)
 //	GET  /fleet/bundles         diagnostic bundle manifests; append
 //	                            /<bundle>/<file> for one artifact
 //	GET  /fleet/profile         merged fleet-wide hot-function rankings
@@ -35,16 +35,11 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/fleet/tenants", s.handleTenants)
 	mux.HandleFunc("/fleet/profile", s.handleProfile)
 	mux.HandleFunc("/fleet/instances", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Instances())
+		expfmt.ServeJSON(w, s.Instances())
 	})
 	mux.HandleFunc("/fleet/metrics", s.handleMetrics)
-	mux.HandleFunc("/fleet/timeseries", s.handleTimeseries)
-	mux.HandleFunc("/fleet/alerts", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
-			"alerts": s.engine.Alerts(),
-			"active": s.engine.Active(),
-		})
-	})
+	mux.HandleFunc("/fleet/timeseries", tsdb.TimeseriesHandler(s.rec, s.opts.Now))
+	mux.HandleFunc("/fleet/alerts", tsdb.AlertsHandler(s.engine))
 	mux.HandleFunc("/fleet/bundles", s.handleBundles)
 	mux.HandleFunc("/fleet/bundles/", s.handleBundles)
 	return mux
@@ -81,7 +76,7 @@ func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	writeJSON(w, map[string]any{"tenants": s.Tenants(k)})
+	expfmt.ServeJSON(w, map[string]any{"tenants": s.Tenants(k)})
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -93,37 +88,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	expfmt.WriteSnapshot(w, snap)
 }
 
-func (s *Service) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var prefixes []string
-	if sel := q.Get("series"); sel != "" {
-		prefixes = strings.Split(sel, ",")
-	}
-	var since time.Time
-	if raw := q.Get("since"); raw != "" {
-		if d, err := time.ParseDuration(raw); err == nil && d > 0 {
-			since = s.opts.Now().Add(-d)
-		} else if t, err := time.Parse(time.RFC3339, raw); err == nil {
-			since = t
-		} else {
-			http.Error(w, "bad since (duration or RFC3339)", http.StatusBadRequest)
-			return
-		}
-	}
-	var step time.Duration
-	if raw := q.Get("step"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad step duration", http.StatusBadRequest)
-			return
-		}
-		step = d
-	}
-	writeJSON(w, map[string]any{
-		"series": s.rec.DumpSeries(prefixes, since, step),
-	})
-}
-
 func (s *Service) handleBundles(w http.ResponseWriter, r *http.Request) {
 	if s.bundler == nil {
 		http.Error(w, "bundle capture disabled", http.StatusNotFound)
@@ -132,7 +96,7 @@ func (s *Service) handleBundles(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/fleet/bundles")
 	rest = strings.Trim(rest, "/")
 	if rest == "" {
-		writeJSON(w, map[string]any{
+		expfmt.ServeJSON(w, map[string]any{
 			"bundles": s.bundler.Bundles(),
 			"skipped": s.bundler.Skipped(),
 		})
@@ -148,11 +112,4 @@ func (s *Service) handleBundles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.ServeFile(w, r, filepath.Join(s.bundler.opts.Dir, parts[0], parts[1]))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/expfmt"
 )
 
 // This file federates the continuous-profiling plane: instances push
@@ -104,5 +105,5 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, s.Profile(topN))
+	expfmt.ServeJSON(w, s.Profile(topN))
 }

@@ -1,7 +1,6 @@
 package fleet_test
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -95,9 +94,19 @@ func TestFleetTimeseriesAndAlertsRoutes(t *testing.T) {
 			State string
 			Value float64
 		}
-		Active json.RawMessage
+		Active int
 	}
+	// "active" is the count firing, as on a daemon's /alerts. (It was the
+	// list of them here, which benchreport's one alert document — an int —
+	// could not decode: the fleet dashboard lost its alert table exactly
+	// when something fired.)
 	getJSON(t, ts.Client(), ts.URL+"/fleet/alerts", &alerts)
+	if alerts.Active != 1 {
+		t.Errorf("active = %d, want 1", alerts.Active)
+	}
+	if alerts.Alerts[0].State != "firing" {
+		t.Errorf("the firing alert is not listed first: %+v", alerts.Alerts)
+	}
 	if len(alerts.Alerts) != len(tsdb.DefaultFleetRules()) {
 		t.Fatalf("/fleet/alerts lists %d rules, want %d", len(alerts.Alerts), len(tsdb.DefaultFleetRules()))
 	}
