@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the pre-commit gate: gofmt over the whole tree (bench/,
 # examples/ and the root package included), the client's one-place-for-reply-
-# reads guard (internal/gridftp/settle.go), build, vet, the full test
+# reads guard (internal/gridftp/settle.go), the binaries' no-plane-imports
+# guard (internal/admin/boot.go), build, vet, the full test
 # suite, and the full test suite again under the race detector (about two
 # minutes on two cores). It ends by printing the non-test lines of Go per
 # package (scripts/loc.sh) — the figure CHANGES.md reports, not a gate.
@@ -28,6 +29,14 @@ echo "==> control-channel reads stay in internal/gridftp/settle.go"
 # A reply read anywhere else can take an owed 200 for its own answer.
 if grep -nE 'ctrl\.(Expect|ReadFinalReply|ReadReply)\(' internal/gridftp/*.go | grep -vE '^internal/gridftp/(settle|[a-z_]*_test)\.go:'; then
 	echo "check.sh: read the control channel through Client.expect or Client.finalReply" >&2
+	exit 1
+fi
+
+echo "==> the binaries get their observability from the bootstrap (internal/admin/boot.go)"
+# A main that imports a plane is a main assembling planes by hand again;
+# benchreport reads planes for a living and is exempt.
+if grep -nE '"gridftp.dev/instant/internal/obs/(fleet|profile|tenant|streamstats|tsdb|collector)"' cmd/*/*.go | grep -v '^cmd/benchreport/'; then
+	echo "check.sh: cmd/* takes Obs, Streams and Tenants from admin.Daemon; the planes are booted in internal/admin" >&2
 	exit 1
 fi
 

@@ -1,0 +1,55 @@
+#!/bin/sh
+# smoke.sh — start the two daemons the way an operator would and ask them
+# for their status: transfer-service as fleet head, gridftp-server as an
+# instance pushing to it, then the three pages that were wrong when the
+# planes were wired by hand — the server's stream table, and the head's
+# instance registry and merged tenant table. About ten seconds; CI's check
+# job runs it, and it is the quickest end-to-end drive of internal/admin's
+# bootstrap. The push URL carries a query string on purpose: the pusher has
+# one URL and must use it as given.
+#
+# Usage: ./scripts/smoke.sh [head-port=19971] [server-port=19970]
+set -eu
+cd "$(dirname "$0")/.."
+head=127.0.0.1:${1:-19971}
+server=127.0.0.1:${2:-19970}
+
+tmp=$(mktemp -d)
+pids=
+trap 'kill $pids 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT INT TERM
+
+go build -o "$tmp/transfer-service" ./cmd/transfer-service
+go build -o "$tmp/gridftp-server" ./cmd/gridftp-server
+
+"$tmp/transfer-service" -size 2M -admin "$head" -fleet >"$tmp/head.log" 2>&1 &
+pids="$pids $!"
+"$tmp/gridftp-server" -admin "$server" -fleet-push "http://$head/v1/metrics?via=smoke" >"$tmp/server.log" 2>&1 &
+pids="$pids $!"
+
+# Both hold for scrapes once their demo is done; /readyz says when.
+ready() {
+	for _ in $(seq 1 50); do
+		if curl -sf "http://$1/readyz" >/dev/null 2>&1; then return 0; fi
+		sleep 0.2
+	done
+	echo "smoke.sh: $1 never became ready" >&2
+	cat "$tmp/head.log" "$tmp/server.log" >&2
+	return 1
+}
+ready "$head"
+ready "$server"
+sleep 3 # the self-test's transfers, and two or three pushes
+
+page() { # page <url> <pattern>: fetch (failing on any HTTP error) and require the pattern
+	if ! curl -sf "$1" | grep -q "$2"; then
+		echo "smoke.sh: $1 lacks $2" >&2
+		curl -s "$1" | head -40 >&2
+		exit 1
+	fi
+	echo "ok  $1  ($2)"
+}
+page "http://$server/debug/streams?format=text" 'STOR'
+page "http://$server/debug/streams?format=text" 'RETR'
+page "http://$head/fleet/instances" '"name": "siteA"'
+page "http://$head/fleet/tenants" '/O=GCMU/OU=siteA/CN=alice'
+echo "OK"
