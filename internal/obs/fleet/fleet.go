@@ -16,7 +16,6 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -632,18 +631,4 @@ func (s *Service) Start() (stop func()) {
 		}
 		s.Tick(now)
 	})
-}
-
-// String renders a one-line summary for logs.
-func (s *Service) String() string {
-	insts := s.Instances()
-	up := 0
-	for _, i := range insts {
-		if i.Up {
-			up++
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d instances (%d up)", len(insts), up)
-	return b.String()
 }
