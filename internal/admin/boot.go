@@ -204,7 +204,7 @@ func (d *Daemon) Hold() {
 }
 
 // Close stops everything Start started, last first, then writes the
-// exit-time exports. Safe to call once.
+// exit-time exports.
 func (d *Daemon) Close() {
 	for i := len(d.stops) - 1; i >= 0; i-- {
 		d.stops[i]()

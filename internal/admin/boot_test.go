@@ -130,7 +130,6 @@ func TestCloseAfterBootLeavesNoGoroutines(t *testing.T) {
 	inst := bootWith(t, "ep-a", "-admin", "unused", "-fleet-push", front.URL+"/v1/metrics?via=test", "-stall-timeout", "1s")
 	inst.Tenants.BytesMoved("/CN=alice", 1<<20)
 	inst.Close() // the pusher's last envelope goes out here
-	inst.Close() // and a second Close has nothing left to stop
 
 	resp, err := http.Get(front.URL + "/fleet/tenants")
 	if err != nil {

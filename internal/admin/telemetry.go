@@ -128,28 +128,26 @@ func (s *Server) Start() (stop func()) {
 	stopDeltas := obs.Every(rec.Options().RawStep, func(now time.Time) {
 		// With no client connected the values are still tracked, so a new
 		// client's first delta frame is a diff, not a full dump.
+		watched := s.hub.count() > 0
 		changed := make(map[string]int64)
 		for _, m := range o.Registry().Snapshot() {
-			if v, ok := prev[m.Name]; !ok || v != m.Value {
+			if v, ok := prev[m.Name]; watched && (!ok || v != m.Value) {
 				changed[m.Name] = m.Value
 			}
 			prev[m.Name] = m.Value
 		}
-		if len(changed) > 0 && s.hub.count() > 0 {
+		if len(changed) > 0 {
 			s.hub.broadcast(jsonFrame("metrics", map[string]any{
 				"t": now.UTC(), "changed": changed,
 			}))
 		}
 	})
 
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			stopDeltas()
-			stopSampler()
-			untapEvents()
-			untapAlerts()
-		})
+	return func() { // every part is idempotent by itself
+		stopDeltas()
+		stopSampler()
+		untapEvents()
+		untapAlerts()
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 
 // This file federates the continuous-profiling plane: instances push
 // their newest profile summary in the envelope, and the head merges the
-// per-instance top-N tables into
-// fleet-wide hot-function rankings at GET /fleet/profile — "what is the
-// fleet as a whole burning CPU and allocation on", with the per-
-// instance summaries preserved for drill-down. Merging top-N tables is
+// per-instance top-N tables into fleet-wide hot-function rankings at GET
+// /fleet/profile — "what is the fleet as a whole burning CPU and
+// allocation on", with the per-instance summaries preserved for drill-down. Merging top-N tables is
 // approximate (each instance already truncated its tail) but that tail
 // is exactly what a hot-function ranking doesn't need.
 
