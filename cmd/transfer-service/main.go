@@ -21,11 +21,11 @@
 // (admin.Flags; "how a daemon boots" in internal/obs/README.md). With
 // -admin, the HTTP admin plane is served on the given address and the
 // process holds after the demo transfer until SIGINT/SIGTERM. With -fleet
-// (or -fleet-scrape / -fleet-bundle-dir), that admin plane is also the
-// fleet federation head: other processes push one envelope a second to
-// its /v1/metrics (their -fleet-push), the head merges them into
-// fleet-wide aggregates under /fleet/*, and firing fleet alerts capture
-// diagnostic bundles into -fleet-bundle-dir. -stall-timeout aborts a data
+// (or -fleet-bundle-dir), that admin plane is also the fleet federation
+// head: other processes push one envelope a second to its /v1/metrics
+// (their -fleet-push), the head merges them into fleet-wide aggregates
+// under /fleet/*, and firing fleet alerts capture diagnostic bundles into
+// -fleet-bundle-dir. -stall-timeout aborts a data
 // stream making no progress for that long; the scheduler retries the file
 // from its checkpoint.
 package main

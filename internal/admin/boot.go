@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -33,7 +32,7 @@ import (
 //	tenant accounts  always
 //	recorder, alerts -admin: the flight recorder becomes the bundle's series
 //	                 sink, tsdb.DefaultRules watch it
-//	fleet head       -fleet, -fleet-scrape or -fleet-bundle-dir (needs -admin)
+//	fleet head       -fleet or -fleet-bundle-dir (needs -admin)
 //	admin server     -admin: every plane above mounted, the sampler and the
 //	                 SSE feed running, /readyz failing until Ready
 //	pusher           -fleet-push
@@ -45,9 +44,9 @@ import (
 
 // Boot holds the parsed observability flags of one binary.
 type Boot struct {
-	verbose, metrics, fleetHead                                             bool
-	admin, collector, fleetScrape, fleetBundleDir, fleetPush, fleetInstance string
-	profileInterval, profileRetain, stallTimeout                            time.Duration
+	verbose, metrics, fleetHead                                bool
+	admin, collector, fleetBundleDir, fleetPush, fleetInstance string
+	profileInterval, profileRetain, stallTimeout               time.Duration
 }
 
 // Flags registers the observability flags — the same set on every binary —
@@ -59,7 +58,6 @@ func Flags(fs *flag.FlagSet) *Boot {
 	fs.StringVar(&b.admin, "admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
 	fs.StringVar(&b.collector, "collector", "", "push completed spans to this collector /v1/spans URL on exit")
 	fs.BoolVar(&b.fleetHead, "fleet", false, "act as the fleet federation head (needs -admin): accept pushes on /v1/metrics, serve /fleet/*")
-	fs.StringVar(&b.fleetScrape, "fleet-scrape", "", "comma-separated name=url /metrics endpoints the fleet head scrapes (implies -fleet)")
 	fs.StringVar(&b.fleetBundleDir, "fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
 	fs.StringVar(&b.fleetPush, "fleet-push", "", "push this process's metrics, tenant table and profile summary to a fleet head's /v1/metrics URL, once a second")
 	fs.StringVar(&b.fleetInstance, "fleet-instance", "", "instance name for -fleet-push (default: the process's own name)")
@@ -106,24 +104,13 @@ func (b *Boot) Start(name string) (*Daemon, error) {
 }
 
 func (b *Boot) isFleetHead() bool {
-	return b.fleetHead || b.fleetScrape != "" || b.fleetBundleDir != ""
+	return b.fleetHead || b.fleetBundleDir != ""
 }
 
 // boot is Start without the socket.
 func (b *Boot) boot(name string) (*Daemon, error) {
 	if b.isFleetHead() && b.admin == "" {
-		return nil, fmt.Errorf("-fleet, -fleet-scrape and -fleet-bundle-dir need -admin: the head is served on the admin plane")
-	}
-	scrapes := map[string]string{}
-	for _, target := range strings.Split(b.fleetScrape, ",") {
-		if target = strings.TrimSpace(target); target == "" {
-			continue
-		}
-		instance, url, ok := strings.Cut(target, "=")
-		if !ok {
-			return nil, fmt.Errorf("-fleet-scrape: want name=url, got %q", target)
-		}
-		scrapes[instance] = url
+		return nil, fmt.Errorf("-fleet and -fleet-bundle-dir need -admin: the head is served on the admin plane")
 	}
 	o := obs.FromEnv()
 	if b.verbose {
@@ -164,9 +151,6 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 		}
 		if b.isFleetHead() {
 			head := fleet.New(fleet.Options{Obs: o, Bundle: fleet.BundleOptions{Dir: b.fleetBundleDir}})
-			for instance, url := range scrapes {
-				head.AddScrapeTarget(instance, url)
-			}
 			d.stops = append(d.stops, head.Start())
 			planes.Fleet = head.Handler()
 		}

@@ -95,8 +95,7 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 }
 
 func TestBootRefusesAHeadWithoutAnAdminPlane(t *testing.T) {
-	for _, args := range [][]string{{"-fleet"}, {"-fleet-scrape", "a=http://x/metrics"}, {"-fleet-bundle-dir", "/tmp/x"},
-		{"-admin", "unused", "-fleet-scrape", "no-equals-sign"}} {
+	for _, args := range [][]string{{"-fleet"}, {"-fleet-bundle-dir", "/tmp/x"}} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		b := Flags(fs)
 		if err := fs.Parse(args); err != nil {

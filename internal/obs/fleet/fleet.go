@@ -1,8 +1,7 @@
 // Package fleet is the federation layer over per-process telemetry: one
 // service ingests an Envelope per tick from N gridftp/transfer processes
-// (metrics, tenant table and profile summary in one POST to /v1/metrics,
-// or a periodic scrape of a configured /metrics URL, which fills the
-// metrics alone), keeps an instance registry keyed by instance name with
+// (metrics, tenant table and profile summary in one POST to /v1/metrics),
+// keeps an instance registry keyed by instance name with
 // identity anchored in process.start_time_seconds, and merges the
 // per-instance series into fleet aggregates: counters summed across
 // restart epochs, gauges summed over live instances, histograms merged
@@ -32,14 +31,11 @@ const maxInstances = 1024
 
 // Options configures a fleet Service. Zero fields take defaults.
 type Options struct {
-	// StaleAfter is how long an instance may go without a push/scrape
-	// before it is marked stale (default 10s).
+	// StaleAfter is how long an instance may go without a push before it
+	// is marked stale (default 10s).
 	StaleAfter time.Duration
 	// Step is the Tick cadence of the background loop (default 1s).
 	Step time.Duration
-	// ScrapeInterval is how often configured scrape targets are pulled
-	// (default 5s).
-	ScrapeInterval time.Duration
 	// GoodputCounters are the counter names whose summed rate is the
 	// fleet's goodput (default gridftp.server.bytes_in/bytes_out).
 	GoodputCounters []string
@@ -74,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Step <= 0 {
 		o.Step = time.Second
-	}
-	if o.ScrapeInterval <= 0 {
-		o.ScrapeInterval = 5 * time.Second
 	}
 	if len(o.GoodputCounters) == 0 {
 		o.GoodputCounters = []string{"gridftp.server.bytes_in", "gridftp.server.bytes_out"}
@@ -186,7 +179,6 @@ type Service struct {
 
 	mu        sync.Mutex
 	instances map[string]*instanceState
-	scrapes   map[string]string // instance name -> /metrics URL
 	lastTick  time.Time
 	agg       expfmt.Snapshot // latest fleet aggregate (fleet.-prefixed)
 }
@@ -201,7 +193,6 @@ func New(opts Options) *Service {
 		o:         o.Obs,
 		rec:       tsdb.New(o.Recorder),
 		instances: make(map[string]*instanceState),
-		scrapes:   make(map[string]string),
 	}
 	s.engine = tsdb.NewEngine(s.rec, o.Obs, o.Rules)
 	if o.Bundle.Dir != "" {
@@ -225,23 +216,12 @@ func (s *Service) Engine() *tsdb.Engine { return s.engine }
 // Bundler exposes the diagnostic bundler, nil when bundling is disabled.
 func (s *Service) Bundler() *Bundler { return s.bundler }
 
-// AddScrapeTarget registers a /metrics URL to pull on every scrape
-// interval under the given instance name.
-func (s *Service) AddScrapeTarget(instance, url string) {
-	if instance == "" || url == "" {
-		return
-	}
-	s.mu.Lock()
-	s.scrapes[instance] = url
-	s.mu.Unlock()
-}
-
 // Envelope is everything one instance reports in one tick: its whole
 // registry (on the wire, the text exposition with exemplars as one JSON
 // string — expfmt.Snapshot marshals itself that way), its full tenant
 // sketch table (not a truncated top-K, so the head merges exact per-DN
-// aggregates) and its newest continuous-profile summary. A scrape fills
-// Metrics alone; absent parts leave the instance's earlier state as it was.
+// aggregates) and its newest continuous-profile summary. Absent parts leave
+// the instance's earlier state as it was.
 type Envelope struct {
 	Instance string              `json:"instance"`
 	Metrics  expfmt.Snapshot     `json:"metrics"`
@@ -252,8 +232,7 @@ type Envelope struct {
 // Ingest folds one envelope into the registry under one lock, so a restart
 // (a changed start time) folds counters, histograms and the tenant table
 // in the same critical section, before any of the new epoch's values land.
-// addr is advisory (the push's remote address or scrape URL). It is the
-// shared core of the push handler and the scraper.
+// addr is advisory (the push's remote address).
 func (s *Service) Ingest(addr string, env Envelope, now time.Time) error {
 	instance := env.Instance
 	if instance == "" {
@@ -619,16 +598,8 @@ func outlierRatio(rates []float64) float64 {
 	return r
 }
 
-// Start launches the background loop: Tick every Step, scrape targets
-// every ScrapeInterval. The returned stop halts it (obs.Every's contract).
+// Start launches the background loop: Tick every Step. The returned stop
+// halts it (obs.Every's contract).
 func (s *Service) Start() (stop func()) {
-	var lastScrape time.Time
-	return obs.Every(s.opts.Step, func(time.Time) {
-		now := s.opts.Now()
-		if now.Sub(lastScrape) >= s.opts.ScrapeInterval {
-			lastScrape = now
-			s.scrapeAll(now)
-		}
-		s.Tick(now)
-	})
+	return obs.Every(s.opts.Step, func(time.Time) { s.Tick(s.opts.Now()) })
 }

@@ -15,14 +15,13 @@ import (
 )
 
 // This file is the exporter side of federation: daemons push their own
-// envelope to a fleet head (Push/StartPusher), and the head pulls
-// configured /metrics URLs (scrapeAll) — both land in Ingest, so a fleet
-// can mix push-only processes behind NAT with scrapable long-lived ones.
+// envelope to a fleet head (Push/StartPusher) — the one way in, so a
+// process behind NAT or a short-lived one reports like any other.
 
 var pushClient = &http.Client{Timeout: 10 * time.Second}
 
 const (
-	// maxEnvelope bounds one push body and one scrape response.
+	// maxEnvelope bounds one push body.
 	maxEnvelope = 16 << 20
 	// pushInterval is the pusher's cadence, the head's Step.
 	pushInterval = time.Second
@@ -80,43 +79,4 @@ func StartPusher(url, instance string, o *obs.Obs, acct *tenant.Accountant) (sto
 		stopLoop()
 		once.Do(push)
 	}
-}
-
-// scrapeAll pulls every configured scrape target once, concurrently, and
-// ingests what parses. A failed or unparsable scrape leaves the target's
-// lastSeen untouched, which is exactly what drives it stale.
-func (s *Service) scrapeAll(now time.Time) {
-	s.mu.Lock()
-	targets := make(map[string]string, len(s.scrapes))
-	for name, url := range s.scrapes {
-		targets[name] = url
-	}
-	s.mu.Unlock()
-	if len(targets) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for name, url := range targets {
-		wg.Add(1)
-		go func(name, url string) {
-			defer wg.Done()
-			resp, err := pushClient.Get(url)
-			if err != nil {
-				s.o.Logger().Debug("fleet: scrape failed", "instance", name, "err", err.Error())
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode >= 300 {
-				s.o.Logger().Debug("fleet: scrape failed", "instance", name, "status", resp.Status)
-				return
-			}
-			snap, err := expfmt.ParseTextSnapshot(io.LimitReader(resp.Body, maxEnvelope))
-			if err != nil {
-				s.o.Logger().Debug("fleet: scrape unparsable", "instance", name, "err", err.Error())
-				return
-			}
-			s.Ingest(url, Envelope{Instance: name, Metrics: snap}, now)
-		}(name, url)
-	}
-	wg.Wait()
 }
