@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/collector"
 	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
@@ -40,13 +39,13 @@ import (
 //
 // Close runs that bottom to top — the pusher's stop sends one last
 // envelope while everything it reads is still alive — and then writes the
-// -metrics dump and the -collector push, which read only the bundle.
+// -metrics dump, which reads only the bundle.
 
 // Boot holds the parsed observability flags of one binary.
 type Boot struct {
-	verbose, metrics, fleetHead                                bool
-	admin, collector, fleetBundleDir, fleetPush, fleetInstance string
-	profileInterval, profileRetain, stallTimeout               time.Duration
+	verbose, metrics, fleetHead                     bool
+	admin, fleetBundleDir, fleetPush, fleetInstance string
+	profileInterval, profileRetain, stallTimeout    time.Duration
 }
 
 // Flags registers the observability flags — the same set on every binary —
@@ -56,7 +55,6 @@ func Flags(fs *flag.FlagSet) *Boot {
 	fs.BoolVar(&b.verbose, "verbose", false, "structured debug logging to stderr")
 	fs.BoolVar(&b.metrics, "metrics", false, "dump the metrics/span snapshot to stderr on exit")
 	fs.StringVar(&b.admin, "admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
-	fs.StringVar(&b.collector, "collector", "", "push completed spans to this collector /v1/spans URL on exit")
 	fs.BoolVar(&b.fleetHead, "fleet", false, "act as the fleet federation head (needs -admin): accept pushes on /v1/metrics, serve /fleet/*")
 	fs.StringVar(&b.fleetBundleDir, "fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
 	fs.StringVar(&b.fleetPush, "fleet-push", "", "push this process's metrics, tenant table and profile summary to a fleet head's /v1/metrics URL, once a second")
@@ -77,14 +75,12 @@ type Daemon struct {
 	Admin *Server
 
 	boot  *Boot
-	name  string
 	ready atomic.Bool
 	stops []func() // boot order; Close runs it backwards
 }
 
 // Start boots the planes the flags ask for, in the order at the top of
-// this file. name is the process's name: the -fleet-instance default and
-// the service the -collector push reports as.
+// this file. name is the process's name: the -fleet-instance default.
 func (b *Boot) Start(name string) (*Daemon, error) {
 	d, err := b.boot(name)
 	if err != nil || d.Admin == nil {
@@ -116,7 +112,7 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 	if b.verbose {
 		o = obs.New(os.Stderr, obs.LevelDebug)
 	}
-	d := &Daemon{Obs: o, boot: b, name: name}
+	d := &Daemon{Obs: o, boot: b}
 
 	var prof *profile.Profiler
 	if b.profileInterval > 0 && (b.admin != "" || b.fleetPush != "") {
@@ -188,7 +184,7 @@ func (d *Daemon) Hold() {
 }
 
 // Close stops everything Start started, last first, then writes the
-// exit-time exports.
+// -metrics dump.
 func (d *Daemon) Close() {
 	for i := len(d.stops) - 1; i >= 0; i-- {
 		d.stops[i]()
@@ -196,11 +192,5 @@ func (d *Daemon) Close() {
 	d.stops = nil
 	if d.boot.metrics {
 		fmt.Fprint(os.Stderr, d.Obs.DebugSnapshot())
-	}
-	if d.boot.collector != "" {
-		// Best-effort: a dead collector must not fail the run.
-		if err := collector.Push(d.boot.collector, d.name, d.Obs.Tracer().Spans()); err != nil {
-			fmt.Fprintf(os.Stderr, "span export: %v\n", err)
-		}
 	}
 }

@@ -88,8 +88,8 @@ func TestDistributedTraceAcrossThreeProcesses(t *testing.T) {
 		t.Fatalf("task %s: %s (%s)", done.ID, done.Status, done.Error)
 	}
 
-	// Export each "process" into the collector, exactly as three daemons
-	// pushing to /v1/spans (or being scraped via /debug/spans) would.
+	// Export each "process" into the collector, exactly as three daemons'
+	// /debug/spans exports read by benchreport -trace-timeline would.
 	c := collector.New()
 	c.Add(collector.FromInfos("transfer-service", svcObs.Tracer().Spans())...)
 	c.Add(collector.FromInfos("gridftp-siteA", srcObs.Tracer().Spans())...)

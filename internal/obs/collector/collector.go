@@ -1,7 +1,7 @@
 // Package collector stitches span exports from multiple processes into
 // distributed traces. Each process exports its completed spans as JSON
-// (pushed to a collector URL, or scraped from the admin plane's
-// /debug/spans); the collector groups them by trace id, reconnects
+// (its admin plane's /debug/spans, saved or fetched; export.go reads it);
+// the collector groups them by trace id, reconnects
 // parent/child links across process boundaries, computes the critical
 // path, and flags gaps — time inside the trace covered by no span, which
 // is where un-instrumented work (or queueing) hides.
@@ -67,9 +67,9 @@ func FromInfos(process string, infos []obs.SpanInfo) []Span {
 type Collector struct {
 	mu     sync.Mutex
 	traces map[string][]Span
-	// seen indexes ingested (trace id, span id) pairs so a retried
-	// export is idempotent: the exporter side pushes periodically and on
-	// network errors re-sends whole snapshots, and duplicated spans would
+	// seen indexes ingested (trace id, span id) pairs so reading the same
+	// export twice is idempotent: a /debug/spans snapshot fetched again
+	// holds every span the last one did, and duplicated spans would
 	// corrupt stitched traces (double roots, inflated critical paths).
 	seen map[string]map[string]bool
 }
@@ -86,7 +86,7 @@ func New() *Collector {
 // or without an end time are dropped (the export side should already
 // have filtered them). Ingest is idempotent per (trace id, span id):
 // the first copy of a span wins and later copies are ignored, so
-// re-pushing the same export is safe.
+// adding the same export again is safe.
 func (c *Collector) Add(spans ...Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,28 +105,6 @@ func (c *Collector) Add(spans ...Span) {
 		ids[s.SpanID] = true
 		c.traces[s.TraceID] = append(c.traces[s.TraceID], s)
 	}
-}
-
-// HasTrace reports whether the collector holds any span of the given
-// trace — the lookup behind exemplar resolution: a fleet exemplar's
-// trace id is resolvable when the trace exists here.
-func (c *Collector) HasTrace(traceID string) bool {
-	if c == nil || traceID == "" {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.traces[traceID]) > 0
-}
-
-// SpanCount returns the number of spans held for the given trace id.
-func (c *Collector) SpanCount(traceID string) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.traces[traceID])
 }
 
 // TraceIDs lists the trace ids seen so far, sorted.

@@ -2,8 +2,6 @@ package collector
 
 import (
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -200,93 +198,6 @@ func TestGapsFindUncoveredTime(t *testing.T) {
 	}
 }
 
-func TestHTTPPushAndStitch(t *testing.T) {
-	c := New()
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	svc, src, dst, traceID := threeProcessTrace(t)
-	for _, export := range [][]Span{svc, src, dst} {
-		infos := export // Push takes obs.SpanInfo; re-marshal via payload instead
-		body, _ := json.Marshal(pushPayload{Spans: infos})
-		resp, err := http.Post(ts.URL+"/v1/spans", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("push: %s", resp.Status)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	if err := json.NewDecoder(resp.Body).Decode(&ids); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(ids) != 1 || ids[0] != traceID {
-		t.Fatalf("/v1/traces = %v, want [%s]", ids, traceID)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/trace?id=" + traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Connected bool   `json:"connected"`
-		Spans     []Span `json:"spans"`
-		Timeline  string `json:"timeline"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !out.Connected || len(out.Spans) != 6 {
-		t.Fatalf("stitched over HTTP: connected=%v spans=%d", out.Connected, len(out.Spans))
-	}
-	if out.Timeline == "" {
-		t.Error("empty timeline in /v1/trace response")
-	}
-
-	// Unknown id is a 404, bad method a 405.
-	if resp, _ := http.Get(ts.URL + "/v1/trace?id=nope"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown trace: %s", resp.Status)
-	}
-	if resp, _ := http.Get(ts.URL + "/v1/spans"); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/spans: %s", resp.Status)
-	}
-}
-
-func TestPushHelper(t *testing.T) {
-	c := New()
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	tr := obs.NewTracer()
-	root := tr.StartSpan("work")
-	root.Child("step").End()
-	root.End()
-	open := tr.StartSpan("still-open") // must be skipped by the export
-	_ = open
-
-	if err := Push(ts.URL+"/v1/spans", "testproc", tr.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	got := c.Stitch(root.TraceID.String())
-	if got == nil || len(got.Spans) != 2 {
-		t.Fatalf("pushed trace has %v", got)
-	}
-	for _, s := range got.Spans {
-		if s.Process != "testproc" {
-			t.Errorf("span %s process %q, want testproc", s.Name, s.Process)
-		}
-	}
-}
-
 // TestParseExportAdminShape feeds the collector the nested tree the admin
 // plane's /debug/spans serves (duration_ms + ended + children) and checks
 // it flattens into the same span model.
@@ -345,66 +256,42 @@ func TestParseExportAdminShape(t *testing.T) {
 	}
 }
 
+// TestIdempotentIngest: reading the same exports again (a /debug/spans
+// snapshot fetched twice holds every span the first one did) must not
+// duplicate spans in the stitched trace. The exports go through ParseExport
+// in the flat shape — what FromInfos and CI's stitched-trace artifact
+// marshal to.
 func TestIdempotentIngest(t *testing.T) {
-	// A retried POST /v1/spans (or an exporter re-pushing its whole
-	// snapshot) must not duplicate spans in the stitched trace.
 	svc, src, dst, traceID := threeProcessTrace(t)
 	c := New()
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-
-	push := func(export []Span) {
+	add := func(export []Span) {
 		t.Helper()
-		body, _ := json.Marshal(pushPayload{Spans: export})
-		resp, err := http.Post(ts.URL+"/v1/spans", "application/json", strings.NewReader(string(body)))
+		body, _ := json.Marshal(map[string]any{"spans": export})
+		spans, err := ParseExport(body, "unused: every span names its process")
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("push: %s", resp.Status)
-		}
+		c.Add(spans...)
 	}
-	for _, export := range [][]Span{svc, src, dst} {
-		push(export)
-	}
-	want := c.SpanCount(traceID)
-	if want != 6 {
-		t.Fatalf("SpanCount = %d, want 6", want)
-	}
-
-	// Re-push every export twice more: span count and stitch must not move.
-	for i := 0; i < 2; i++ {
+	for round := 0; round < 3; round++ {
 		for _, export := range [][]Span{svc, src, dst} {
-			push(export)
+			add(export)
+		}
+		tr := c.Stitch(traceID)
+		if !tr.Connected() || len(tr.Spans) != 6 || len(tr.Roots) != 1 {
+			t.Fatalf("round %d: connected=%v spans=%d roots=%d, want one connected tree of 6",
+				round, tr.Connected(), len(tr.Spans), len(tr.Roots))
+		}
+		for _, s := range tr.Spans {
+			if strings.HasPrefix(s.Process, "unused") {
+				t.Errorf("span %s lost its process name in the flat shape", s.Name)
+			}
 		}
 	}
-	if got := c.SpanCount(traceID); got != want {
-		t.Fatalf("SpanCount after re-push = %d, want %d", got, want)
+	if ids := c.TraceIDs(); len(ids) != 1 || ids[0] != traceID {
+		t.Fatalf("TraceIDs = %v, want [%s]", ids, traceID)
 	}
-	tr := c.Stitch(traceID)
-	if !tr.Connected() || len(tr.Spans) != want || len(tr.Roots) != 1 {
-		t.Fatalf("stitch after re-push: connected=%v spans=%d roots=%d",
-			tr.Connected(), len(tr.Spans), len(tr.Roots))
-	}
-
-	// The resolution endpoint sees the trace; an unknown id resolves false.
-	var has struct {
-		Found bool `json:"found"`
-		Spans int  `json:"spans"`
-	}
-	resp, err := http.Get(ts.URL + "/v1/has?id=" + traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&has); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !has.Found || has.Spans != want {
-		t.Fatalf("/v1/has = %+v, want found with %d spans", has, want)
-	}
-	if !c.HasTrace(traceID) || c.HasTrace("feedfacefeedfacefeedfacefeedface") {
-		t.Error("HasTrace misresolves")
+	if c.Stitch("feedfacefeedfacefeedfacefeedface") != nil {
+		t.Error("an unknown trace id stitched to something")
 	}
 }

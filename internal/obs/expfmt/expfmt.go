@@ -280,7 +280,7 @@ func WriteSnapshot(w io.Writer, snap Snapshot) error {
 }
 
 // ServeJSON answers an HTTP request with v as indented JSON — the one way
-// the admin plane, the fleet head and the span collector write a JSON body.
+// the admin plane and the fleet head write a JSON body.
 func ServeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -64,8 +64,8 @@ type BundleMeta struct {
 	AlertAt    time.Time `json:"alert_at"`
 	CapturedAt time.Time `json:"captured_at"`
 	// ExemplarTraceIDs are the trace ids the fleet aggregate's histogram
-	// exemplars carried at capture time — each resolvable against the
-	// span collector for a representative slow trace.
+	// exemplars carried at capture time — each names a representative
+	// slow trace in the /debug/spans export of the instance that made it.
 	ExemplarTraceIDs []string   `json:"exemplar_trace_ids,omitempty"`
 	Instances        []Instance `json:"instances,omitempty"`
 	// Profile is the head's continuous-profile window at capture time —
@@ -196,18 +196,9 @@ func (b *Bundler) Capture(tr tsdb.Transition, seq int) (string, error) {
 	return name, nil
 }
 
-// captureSpans dumps the fleet's stitched spans when a collector is
-// wired, falling back to the head process's own tracer.
+// captureSpans dumps the head process's own completed spans by trace id.
 func (b *Bundler) captureSpans() map[string][]collector.Span {
 	out := make(map[string][]collector.Span)
-	if c := b.svc.opts.Collector; c != nil {
-		for _, id := range c.TraceIDs() {
-			if t := c.Stitch(id); t != nil {
-				out[id] = t.Spans
-			}
-		}
-		return out
-	}
 	for _, s := range collector.FromInfos("fleet-head", b.svc.o.Tracer().Spans()) {
 		out[s.TraceID] = append(out[s.TraceID], s)
 	}

@@ -8,7 +8,8 @@ package fleet_test
 // buckets match a pooled-observation reference exactly, a silent
 // instance drives the stale alert through firing and back to resolved,
 // and the firing transition captures a diagnostic bundle whose exemplar
-// trace ids resolve against the span collector.
+// trace ids resolve in a collector fed the instances' span exports, and
+// whose spans.json is the head's own tracer.
 
 import (
 	"io"
@@ -88,12 +89,15 @@ func alertState(eng *tsdb.Engine, rule string) tsdb.State {
 
 func TestFleetEndToEnd(t *testing.T) {
 	clock := &fleetClock{now: time.Unix(1_700_000_000, 0)}
+	// col is what an operator stitches traces in: the instances' span
+	// exports, added by hand. The head holds no collector.
 	col := collector.New()
 	headObs := obs.Nop()
+	headSpan := headObs.Tracer().StartSpan("fleet.head.work")
+	headSpan.End()
 
 	svc := fleet.New(fleet.Options{
 		StaleAfter: 3 * time.Second,
-		Collector:  col,
 		Obs:        headObs,
 		Now:        clock.Now,
 		Bundle: fleet.BundleOptions{
@@ -231,7 +235,8 @@ func TestFleetEndToEnd(t *testing.T) {
 
 	// Tentpole 3: the bundle appears on disk (capture is asynchronous;
 	// the profile alone takes ProfileDuration) with exemplar trace ids
-	// that resolve in the collector.
+	// that resolve in the collector fed the instances' exports, and a
+	// spans.json holding the head's own spans.
 	var bundles []fleet.BundleMeta
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -262,6 +267,15 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("bundle files %v missing spans.json", meta.Files)
+	}
+	if resp, err := http.Get(ts.URL + "/fleet/bundles/" + meta.Name + "/spans.json"); err == nil {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), headSpan.TraceID.String()) || !strings.Contains(string(body), `"fleet-head"`) {
+			t.Errorf("spans.json does not hold the head's own span %s:\n%.400s", headSpan.TraceID, body)
+		}
+	} else {
+		t.Errorf("GET bundle spans.json: %v", err)
 	}
 	if resp, err := http.Get(ts.URL + "/fleet/bundles/" + meta.Name + "/meta.json"); err == nil {
 		if resp.StatusCode != http.StatusOK {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/collector"
 	"gridftp.dev/instant/internal/obs/expfmt"
 	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
@@ -54,9 +53,6 @@ type Options struct {
 	Recorder tsdb.Options
 	// Bundle configures diagnostic bundle capture; a zero Dir disables it.
 	Bundle BundleOptions
-	// Collector, when set, contributes the whole fleet's stitched spans
-	// to diagnostic bundles (instead of only the head process's tracer).
-	Collector *collector.Collector
 	// Obs is the federation head's own observability bundle; alerts and
 	// events report into it. Nil degrades to no-ops.
 	Obs *obs.Obs
@@ -441,7 +437,8 @@ func histNames(inst *instanceState) map[string]bool {
 
 // ExemplarTraceIDs collects the distinct exemplar trace ids present in
 // the latest fleet aggregate, newest first — the links a firing alert
-// (and its diagnostic bundle) hands to the span collector.
+// (and its diagnostic bundle) hands to whoever stitches the instances'
+// /debug/spans exports.
 func (s *Service) ExemplarTraceIDs() []string {
 	s.mu.Lock()
 	agg := s.agg
