@@ -187,16 +187,25 @@ func renderTopTenants(td tenantDocument, series []tsSeries) {
 	fmt.Println()
 }
 
-func fetchJSON(url string, v any) error {
-	resp, err := http.Get(url)
+// readSource returns what src holds: the body of an http(s):// URL (any
+// status but 200 is an error) or the contents of a file.
+func readSource(src string) ([]byte, error) {
+	if !strings.HasPrefix(src, "http://") && !strings.HasPrefix(src, "https://") {
+		return os.ReadFile(src)
+	}
+	resp, err := http.Get(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scrape %s: %s", url, resp.Status)
+		return nil, fmt.Errorf("scrape %s: %s", src, resp.Status)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	return io.ReadAll(resp.Body)
+}
+
+func fetchJSON(url string, v any) error {
+	raw, err := readSource(url)
 	if err != nil {
 		return err
 	}
@@ -204,19 +213,8 @@ func fetchJSON(url string, v any) error {
 }
 
 func fetchText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("scrape %s: %s", url, resp.Status)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	raw, err := readSource(url)
+	return string(raw), err
 }
 
 func renderAlertTable(a alertDocument) {

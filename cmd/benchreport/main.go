@@ -7,9 +7,9 @@
 //	benchreport                        # run everything
 //	benchreport -exp e2                # run one experiment (e1..e12, e14, blocksize, cache, autotune, transport)
 //	benchreport -list                  # list experiment ids
-//	benchreport -metrics-snapshot f    # render a metrics snapshot file (obs.WriteMetrics format)
+//	benchreport -metrics-snapshot f    # render a binary's -metrics exit dump
 //	benchreport -metrics-snapshot http://127.0.0.1:9970/metrics
-//	                                   # scrape a live admin /metrics endpoint
+//	                                   # the same table from a live admin /metrics
 //	benchreport -trace-timeline src[,src...]
 //	                                   # stitch span exports (files or /debug/spans
 //	                                   # URLs) into per-trace Gantt timelines
@@ -36,17 +36,15 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"gridftp.dev/instant/internal/experiments"
-	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/collector"
 	"gridftp.dev/instant/internal/obs/expfmt"
 )
@@ -54,7 +52,7 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	snapshot := flag.String("metrics-snapshot", "", "render a metrics snapshot and exit: a file (obs.WriteMetrics format) or an http(s):// URL of a live admin /metrics endpoint")
+	snapshot := flag.String("metrics-snapshot", "", "render a metrics snapshot and exit: the file a binary's -metrics flag dumped, or an http(s):// URL of a live admin /metrics endpoint (both the text exposition format)")
 	timeline := flag.String("trace-timeline", "", "comma-separated span-export sources (JSON files or http(s):// /debug/spans URLs); stitch them and render per-trace timelines")
 	traceID := flag.String("trace", "", "with -trace-timeline: render only this trace id")
 	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, top tasks) or a saved /debug/timeseries JSON file")
@@ -166,30 +164,11 @@ func renderTimelines(sources []string, only string) error {
 		if src == "" {
 			continue
 		}
-		var raw []byte
-		label := src
-		if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
-			resp, err := http.Get(src)
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode != http.StatusOK {
-				resp.Body.Close()
-				return fmt.Errorf("scrape %s: %s", src, resp.Status)
-			}
-			raw, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-		} else {
-			var err error
-			raw, err = os.ReadFile(src)
-			if err != nil {
-				return err
-			}
+		raw, err := readSource(src)
+		if err != nil {
+			return err
 		}
-		spans, err := collector.ParseExport(raw, label)
+		spans, err := collector.ParseExport(raw, src)
 		if err != nil {
 			return fmt.Errorf("%s: %w", src, err)
 		}
@@ -214,42 +193,19 @@ func renderTimelines(sources []string, only string) error {
 }
 
 // renderSnapshot loads a metrics snapshot and prints it as an aligned
-// table, one row per metric. The source is either a file in the text
-// format WriteMetrics emits (what the -metrics flags of
-// gridftp-server/transfer-service dump) or, when it starts with
-// http:// or https://, a live admin-plane /metrics endpoint in
-// Prometheus text exposition format. A full -metrics dump also carries
-// the span forest after a "# spans" header; that part is not metric
-// lines, so it is split off and echoed verbatim.
+// table, one row per metric. The source is in the text exposition format
+// either way: a live admin-plane /metrics URL, or the file a binary's
+// -metrics flag dumped on exit. The dump also carries the span forest as
+// comment lines after "# spans"; the parser skips them and they are echoed
+// below the table.
 func renderSnapshot(src string) error {
-	var metrics []obs.Metric
-	spans := ""
-	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
-		resp, err := http.Get(src)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("scrape %s: %s", src, resp.Status)
-		}
-		metrics, err = expfmt.ParseText(resp.Body)
-		if err != nil {
-			return fmt.Errorf("scrape %s: %w", src, err)
-		}
-	} else {
-		raw, err := os.ReadFile(src)
-		if err != nil {
-			return err
-		}
-		text := string(raw)
-		if i := strings.Index(text, "# spans\n"); i >= 0 {
-			text, spans = text[:i], text[i+len("# spans\n"):]
-		}
-		metrics, err = obs.ParseSnapshot(strings.NewReader(text))
-		if err != nil {
-			return err
-		}
+	raw, err := readSource(src)
+	if err != nil {
+		return err
+	}
+	metrics, err := expfmt.ParseText(bytes.NewReader(raw))
+	if err != nil {
+		return fmt.Errorf("%s: %w", src, err)
 	}
 	fmt.Printf("%-10s %-48s %14s %16s %12s %12s %12s\n",
 		"kind", "name", "value", "sum", "p50", "p90", "p99")
@@ -267,8 +223,8 @@ func renderSnapshot(src string) error {
 			m.Kind, m.Name, m.Value, sum, p50, p90, p99)
 	}
 	fmt.Printf("(%d metrics)\n", len(metrics))
-	if strings.TrimSpace(spans) != "" {
-		fmt.Printf("\nspans:\n%s", spans)
+	if _, spans, _ := strings.Cut(string(raw), "# spans\n# "); spans != "" {
+		fmt.Printf("\nspans:\n%s", strings.ReplaceAll(spans, "\n# ", "\n"))
 	}
 	return nil
 }

@@ -98,7 +98,7 @@ func New(o *obs.Obs, p Planes) *Server {
 		ready:  make(map[string]Probe),
 	}
 	s.routes = []route{
-		{"/metrics", "Prometheus text exposition (?format=json)", s.handleMetrics},
+		{"/metrics", "Prometheus text exposition, bucket exemplars included", s.handleMetrics},
 		{"/healthz", "liveness probes", s.probeHandler(&s.health)},
 		{"/readyz", "readiness probes", s.probeHandler(&s.ready)},
 		{"/debug/spans", "span forest (JSON; ?trace=)", s.handleSpans},
@@ -292,17 +292,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.o.Registry()
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		if err := expfmt.WriteJSON(w, reg); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
 	w.Header().Set("Content-Type", expfmt.TextContentType)
-	if err := expfmt.WriteText(w, reg); err != nil {
+	if err := expfmt.WriteText(w, s.o.Registry()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

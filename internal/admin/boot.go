@@ -3,11 +3,14 @@ package admin
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/expfmt"
 	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
@@ -53,7 +56,7 @@ type Boot struct {
 func Flags(fs *flag.FlagSet) *Boot {
 	b := &Boot{}
 	fs.BoolVar(&b.verbose, "verbose", false, "structured debug logging to stderr")
-	fs.BoolVar(&b.metrics, "metrics", false, "dump the metrics/span snapshot to stderr on exit")
+	fs.BoolVar(&b.metrics, "metrics", false, "dump the metrics (the /metrics text) and the span forest to stderr on exit")
 	fs.StringVar(&b.admin, "admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
 	fs.BoolVar(&b.fleetHead, "fleet", false, "act as the fleet federation head (needs -admin): accept pushes on /v1/metrics, serve /fleet/*")
 	fs.StringVar(&b.fleetBundleDir, "fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
@@ -191,6 +194,19 @@ func (d *Daemon) Close() {
 	}
 	d.stops = nil
 	if d.boot.metrics {
-		fmt.Fprint(os.Stderr, d.Obs.DebugSnapshot())
+		d.writeDump(os.Stderr)
+	}
+}
+
+// writeDump is the -metrics exit dump: the registry exactly as /metrics
+// would have served it, then the span forest after a "# spans" line. Every
+// line of the forest is a comment to the exposition's parser, so the whole
+// dump reads back with expfmt.ParseTextSnapshot (benchreport
+// -metrics-snapshot) and nothing has to split it first.
+func (d *Daemon) writeDump(w io.Writer) {
+	expfmt.WriteText(w, d.Obs.Registry())
+	fmt.Fprintln(w, "# spans")
+	if tree := strings.TrimSuffix(d.Obs.Tracer().TreeString(), "\n"); tree != "" {
+		fmt.Fprintf(w, "# %s\n", strings.ReplaceAll(tree, "\n", "\n# "))
 	}
 }

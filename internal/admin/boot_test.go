@@ -4,14 +4,19 @@ import (
 	"context"
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/expfmt"
 )
 
 // bootWith boots a daemon from a command line, without the socket.
@@ -92,6 +97,82 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 			t.Errorf("GET %s = %d %q", path, w.Code, strings.TrimSpace(w.Body.String()))
 		}
 	}
+}
+
+// TestMetricsDumpReadsBackLikeTheMetricsRoute: the -metrics exit dump is the
+// /metrics body followed by the span forest as comments, so one parser —
+// expfmt.ParseTextSnapshot, what benchreport -metrics-snapshot and the fleet
+// head use — reads both to the same counters, gauges and histogram buckets.
+// (go_* and process_* are read from the runtime at snapshot time; they must
+// be in both, with whatever value.)
+func TestMetricsDumpReadsBackLikeTheMetricsRoute(t *testing.T) {
+	d := bootWith(t, "dumper", "-admin", "unused")
+	reg := d.Obs.Registry()
+	reg.Counter("gridftp.server.bytes_in").Add(123456)
+	reg.Counter(obs.Name("usage.bytes_total", "siteA")).Add(99)
+	reg.Counter(obs.Name("gridftp.client.commands", "cmd=RETR")).Add(12)
+	reg.Gauge("gridftp.server.sessions_active").Set(3)
+	h := reg.Histogram(obs.Name("transfer.task_seconds", "outcome=ok"), obs.DefaultDurationBuckets)
+	task := d.Obs.Tracer().StartSpan("task")
+	task.Child("data").End()
+	task.End()
+	h.ObserveExemplar(0.25, task.TraceID.String())
+	h.Observe(1.5)
+	h.Observe(1e6) // the +Inf bucket
+	d.Close()      // loops stopped: nothing but the runtime moves between the two reads
+
+	served := httptest.NewRecorder()
+	d.Admin.Handler().ServeHTTP(served, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var dump strings.Builder
+	d.writeDump(&dump)
+	if !strings.Contains(dump.String(), "\n# spans\n# task ") || !strings.Contains(dump.String(), "\n#   data ") {
+		t.Errorf("the dump's span forest is not commented lines after # spans:\n%s", dump.String())
+	}
+
+	stable := func(text string) (kept expfmt.Snapshot, fromRuntime int) {
+		snap, err := expfmt.ParseTextSnapshot(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("ParseTextSnapshot: %v\n%s", err, text)
+		}
+		volatile := func(name string) bool {
+			return strings.HasPrefix(name, "go_") || strings.HasPrefix(name, "process_")
+		}
+		for _, m := range snap.Metrics {
+			if volatile(m.Name) {
+				fromRuntime++
+			} else {
+				kept.Metrics = append(kept.Metrics, m)
+			}
+		}
+		for _, h := range snap.Histograms {
+			if volatile(h.Name) {
+				fromRuntime++
+			} else {
+				kept.Histograms = append(kept.Histograms, h)
+			}
+		}
+		return kept, fromRuntime
+	}
+	want, wantRuntime := stable(served.Body.String())
+	got, gotRuntime := stable(dump.String())
+	if len(want.Metrics) < 4 || len(want.Histograms) < 1 || wantRuntime == 0 {
+		t.Fatalf("/metrics parsed to %d metrics, %d histograms, %d runtime series", len(want.Metrics), len(want.Histograms), wantRuntime)
+	}
+	if gotRuntime != wantRuntime {
+		t.Errorf("%d runtime series in the dump, %d on /metrics", gotRuntime, wantRuntime)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the dump and /metrics parse differently:\ndump     %+v\n/metrics %+v", got, want)
+	}
+	for _, h := range got.Histograms {
+		if h.Name == "transfer_task_seconds{outcome=ok}" {
+			if h.Count != 3 || h.Counts[len(h.Counts)-1] != 3 || !math.IsInf(h.Bounds[len(h.Bounds)-1], 1) {
+				t.Errorf("histogram lost its buckets: %+v", h)
+			}
+			return
+		}
+	}
+	t.Errorf("transfer_task_seconds{outcome=ok} is not in the dump: %+v", got.Histograms)
 }
 
 func TestBootRefusesAHeadWithoutAnAdminPlane(t *testing.T) {

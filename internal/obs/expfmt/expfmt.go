@@ -1,10 +1,10 @@
-// Package expfmt renders an obs.Registry in wire formats external
+// Package expfmt renders an obs.Registry in the one wire format external
 // consumers understand: the Prometheus text exposition format (counters,
 // gauges, and histograms with cumulative _bucket/_sum/_count series and
-// the +Inf bucket) and a JSON form carrying the same data plus the
-// interpolated p50/p90/p99 estimates. ParseText reads the Prometheus
-// format back, which is what lets benchreport scrape a live /metrics
-// endpoint instead of a dump file.
+// the +Inf bucket). It is what /metrics serves, what the fleet envelope
+// carries and what the binaries' -metrics flag dumps on exit;
+// ParseTextSnapshot reads it back, for the fleet head and for benchreport
+// -metrics-snapshot alike.
 //
 // Registry names are dotted paths with an optional brace-delimited
 // instance ("netsim.link.bytes{siteA|siteB}"); the exposition maps dots
@@ -288,66 +288,6 @@ func ServeJSON(w http.ResponseWriter, v any) {
 	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// jsonHistogram is one histogram in the JSON exposition.
-type jsonHistogram struct {
-	Name     string       `json:"name"`
-	Instance string       `json:"instance,omitempty"`
-	Count    int64        `json:"count"`
-	Sum      float64      `json:"sum"`
-	P50      float64      `json:"p50"`
-	P90      float64      `json:"p90"`
-	P99      float64      `json:"p99"`
-	Buckets  []jsonBucket `json:"buckets"`
-}
-
-type jsonBucket struct {
-	Le    string `json:"le"` // "+Inf" for the last bucket
-	Count int64  `json:"count"`
-}
-
-type jsonSample struct {
-	Name     string `json:"name"`
-	Instance string `json:"instance,omitempty"`
-	Value    int64  `json:"value"`
-}
-
-type jsonExport struct {
-	Counters   []jsonSample    `json:"counters"`
-	Gauges     []jsonSample    `json:"gauges"`
-	Histograms []jsonHistogram `json:"histograms"`
-}
-
-// WriteJSON renders the registry as one JSON document: counters, gauges,
-// and histograms with buckets and interpolated quantiles. Names keep
-// their registry (dotted) form; instances are split into their own field.
-func WriteJSON(w io.Writer, r *obs.Registry) error {
-	out := jsonExport{Counters: []jsonSample{}, Gauges: []jsonSample{}, Histograms: []jsonHistogram{}}
-	for _, m := range r.Snapshot() {
-		base, inst := splitInstance(m.Name)
-		switch m.Kind {
-		case "counter":
-			out.Counters = append(out.Counters, jsonSample{Name: base, Instance: inst, Value: m.Value})
-		case "gauge":
-			out.Gauges = append(out.Gauges, jsonSample{Name: base, Instance: inst, Value: m.Value})
-		}
-	}
-	for _, h := range r.HistogramSnapshots() {
-		base, inst := splitInstance(h.Name)
-		jh := jsonHistogram{
-			Name: base, Instance: inst, Count: h.Count, Sum: h.Sum,
-			P50: h.P50, P90: h.P90, P99: h.P99,
-			Buckets: make([]jsonBucket, len(h.Bounds)),
-		}
-		for i, b := range h.Bounds {
-			jh.Buckets[i] = jsonBucket{Le: formatLe(b), Count: h.Counts[i]}
-		}
-		out.Histograms = append(out.Histograms, jh)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // histAcc accumulates one histogram's series during a text parse.

@@ -273,47 +273,6 @@ func TestParseSampleExemplarWithoutLabels(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	r := obs.NewRegistry()
-	r.Counter("c").Inc()
-	r.Histogram("h", []float64{1}).Observe(0.5)
-	var b strings.Builder
-	if err := WriteJSON(&b, r); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-		Histograms []struct {
-			Name    string  `json:"name"`
-			Count   int64   `json:"count"`
-			P50     float64 `json:"p50"`
-			Buckets []struct {
-				Le    string `json:"le"`
-				Count int64  `json:"count"`
-			} `json:"buckets"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &out); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
-	}
-	if len(out.Counters) != 1 || out.Counters[0].Name != "c" || out.Counters[0].Value != 1 {
-		t.Errorf("counters = %+v", out.Counters)
-	}
-	if len(out.Histograms) != 1 || out.Histograms[0].Count != 1 {
-		t.Fatalf("histograms = %+v", out.Histograms)
-	}
-	hh := out.Histograms[0]
-	if hh.P50 <= 0 || hh.P50 > 1 {
-		t.Errorf("p50 = %v, want in (0,1]", hh.P50)
-	}
-	if len(hh.Buckets) != 2 || hh.Buckets[1].Le != "+Inf" {
-		t.Errorf("buckets = %+v, want finite + +Inf", hh.Buckets)
-	}
-}
-
 // TestSnapshotJSONRoundTrip: a Snapshot inside a JSON document (the fleet
 // envelope) is its text exposition as one string, so +Inf bounds and
 // exemplars survive, and garbage inside the string is a decode error.

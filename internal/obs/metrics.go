@@ -1,13 +1,8 @@
 package obs
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -449,73 +444,4 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// WriteMetrics renders the snapshot in the text export format:
-//
-//	<kind> <name> <value> [<sum> [<p50> <p90> <p99>]]
-//
-// one metric per line, sorted by name. Histograms with observations carry
-// their interpolated quantiles; the extra columns are optional so older
-// dumps still parse. cmd/benchreport consumes this via ParseSnapshot.
-func (r *Registry) WriteMetrics(w io.Writer) error {
-	for _, m := range r.Snapshot() {
-		var err error
-		switch {
-		case m.Kind == "histogram" && m.Value > 0:
-			_, err = fmt.Fprintf(w, "%s %s %d %g %g %g %g\n",
-				m.Kind, m.Name, m.Value, m.Sum, m.P50, m.P90, m.P99)
-		case m.Kind == "histogram":
-			_, err = fmt.Fprintf(w, "%s %s %d %g\n", m.Kind, m.Name, m.Value, m.Sum)
-		default:
-			_, err = fmt.Fprintf(w, "%s %s %d\n", m.Kind, m.Name, m.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseSnapshot reads the WriteMetrics text format back into metrics.
-// Blank lines and lines starting with '#' are skipped; a malformed line
-// is an error.
-func ParseSnapshot(r io.Reader) ([]Metric, error) {
-	var out []Metric
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 3 {
-			return nil, fmt.Errorf("obs: malformed metric line %q", line)
-		}
-		v, err := strconv.ParseInt(f[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: bad value in %q: %v", line, err)
-		}
-		m := Metric{Kind: f[0], Name: f[1], Value: v}
-		if len(f) >= 4 {
-			if m.Sum, err = strconv.ParseFloat(f[3], 64); err != nil {
-				return nil, fmt.Errorf("obs: bad sum in %q: %v", line, err)
-			}
-		}
-		if len(f) >= 7 {
-			qs := [3]*float64{&m.P50, &m.P90, &m.P99}
-			for i, q := range qs {
-				if *q, err = strconv.ParseFloat(f[4+i], 64); err != nil {
-					return nil, fmt.Errorf("obs: bad quantile in %q: %v", line, err)
-				}
-			}
-		}
-		switch m.Kind {
-		case "counter", "gauge", "histogram":
-		default:
-			return nil, fmt.Errorf("obs: unknown metric kind in %q", line)
-		}
-		out = append(out, m)
-	}
-	return out, sc.Err()
 }

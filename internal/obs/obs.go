@@ -15,7 +15,6 @@ package obs
 import (
 	"io"
 	"os"
-	"strings"
 
 	"gridftp.dev/instant/internal/obs/eventlog"
 )
@@ -116,18 +115,6 @@ func (o *Obs) EventLog() *eventlog.Log {
 		return discardEvents
 	}
 	return o.Events
-}
-
-// DebugSnapshot renders the current metrics and finished spans as one
-// human-readable text block — the "dump everything" surface behind the
-// binaries' -metrics flag.
-func (o *Obs) DebugSnapshot() string {
-	var b strings.Builder
-	b.WriteString("# metrics\n")
-	o.Registry().WriteMetrics(&b)
-	b.WriteString("# spans\n")
-	b.WriteString(o.Tracer().TreeString())
-	return b.String()
 }
 
 var (

@@ -42,8 +42,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				r.Snapshot()
-				var b bytes.Buffer
-				r.WriteMetrics(&b)
+				r.HistogramSnapshots()
 			}
 		}()
 	}
@@ -95,53 +94,6 @@ func TestHistogramBuckets(t *testing.T) {
 	for i, w := range want {
 		if counts[i] != w {
 			t.Errorf("bucket %d (<=%g) = %d, want %d", i, bounds[i], counts[i], w)
-		}
-	}
-}
-
-// TestSnapshotRoundTrip verifies the text export format survives a
-// write/parse cycle — the contract between the -metrics flags and
-// benchreport -metrics-snapshot.
-func TestSnapshotRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("gridftp.server.bytes_in").Add(123456)
-	r.Counter(Name("usage.bytes_total", "siteA")).Add(99)
-	r.Gauge("gridftp.server.sessions_active").Set(3)
-	h := r.Histogram("transfer.task_seconds", DefaultDurationBuckets)
-	h.Observe(0.25)
-	h.Observe(1.5)
-
-	var b bytes.Buffer
-	if err := r.WriteMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseSnapshot(strings.NewReader("# comment\n\n" + b.String()))
-	if err != nil {
-		t.Fatalf("ParseSnapshot: %v\n%s", err, b.String())
-	}
-	want := r.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("parsed %d metrics, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Name != want[i].Name || got[i].Kind != want[i].Kind || got[i].Value != want[i].Value {
-			t.Errorf("metric %d: got %+v, want %+v", i, got[i], want[i])
-		}
-		if d := got[i].Sum - want[i].Sum; d < -1e-9 || d > 1e-9 {
-			t.Errorf("metric %d sum: got %g, want %g", i, got[i].Sum, want[i].Sum)
-		}
-	}
-}
-
-func TestParseSnapshotRejectsMalformed(t *testing.T) {
-	for _, line := range []string{
-		"counter only_two",
-		"counter test.x notanumber",
-		"sparkline test.x 5",
-		"histogram test.h 5 notafloat",
-	} {
-		if _, err := ParseSnapshot(strings.NewReader(line)); err == nil {
-			t.Errorf("ParseSnapshot(%q) should fail", line)
 		}
 	}
 }
@@ -329,10 +281,6 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	var h *Histogram
 	h.Observe(1)
-
-	if o.DebugSnapshot() == "" {
-		t.Error("nil Obs DebugSnapshot should still render headers")
-	}
 }
 
 func TestParseLevel(t *testing.T) {
