@@ -29,30 +29,19 @@ type BundleOptions struct {
 	// Dir is the directory bundles are written under; empty disables
 	// capture.
 	Dir string
-	// Limit bounds how many bundles are kept on disk; the oldest are
-	// pruned (default 8).
-	Limit int
 	// ProfileDuration is how long the CPU profile runs (default 250ms —
 	// long enough to catch a hot loop, short enough not to delay the
 	// rest of the capture).
 	ProfileDuration time.Duration
-	// TimeseriesWindow is how much fleet history the bundle includes
-	// (default 5m).
-	TimeseriesWindow time.Duration
 }
 
-func (o BundleOptions) withDefaults() BundleOptions {
-	if o.Limit <= 0 {
-		o.Limit = 8
-	}
-	if o.ProfileDuration <= 0 {
-		o.ProfileDuration = 250 * time.Millisecond
-	}
-	if o.TimeseriesWindow <= 0 {
-		o.TimeseriesWindow = 5 * time.Minute
-	}
-	return o
-}
+const (
+	// bundleLimit bounds how many bundles are kept on disk; the oldest are
+	// pruned.
+	bundleLimit = 8
+	// bundleWindow is how much fleet history a bundle includes.
+	bundleWindow = 5 * time.Minute
+)
 
 // BundleMeta is the manifest written into every bundle as meta.json.
 type BundleMeta struct {
@@ -88,7 +77,10 @@ type Bundler struct {
 }
 
 func newBundler(opts BundleOptions, svc *Service) *Bundler {
-	return &Bundler{opts: opts.withDefaults(), svc: svc}
+	if opts.ProfileDuration <= 0 {
+		opts.ProfileDuration = 250 * time.Millisecond
+	}
+	return &Bundler{opts: opts, svc: svc}
 }
 
 // trigger starts an asynchronous capture for the transition. At most one
@@ -181,7 +173,7 @@ func (b *Bundler) Capture(tr tsdb.Transition, seq int) (string, error) {
 	writeJSONFile("spans.json", b.captureSpans())
 	writeJSONFile("events.json", b.svc.o.EventLog().Last(200))
 	writeJSONFile("timeseries.json", b.svc.rec.DumpSeries(
-		[]string{"fleet."}, now.Add(-b.opts.TimeseriesWindow), 0))
+		[]string{"fleet."}, now.Add(-bundleWindow), 0))
 
 	data, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
@@ -205,11 +197,11 @@ func (b *Bundler) captureSpans() map[string][]collector.Span {
 	return out
 }
 
-// prune removes the oldest bundles beyond the configured limit. Bundle
+// prune removes the oldest bundles beyond bundleLimit. Bundle
 // directory names sort chronologically (UTC timestamp prefix).
 func (b *Bundler) prune() {
 	names := b.bundleNames()
-	for len(names) > b.opts.Limit {
+	for len(names) > bundleLimit {
 		os.RemoveAll(filepath.Join(b.opts.Dir, names[0]))
 		names = names[1:]
 	}

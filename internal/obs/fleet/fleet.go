@@ -33,24 +33,9 @@ type Options struct {
 	// StaleAfter is how long an instance may go without a push before it
 	// is marked stale (default 10s).
 	StaleAfter time.Duration
-	// Step is the Tick cadence of the background loop (default 1s).
-	Step time.Duration
-	// GoodputCounters are the counter names whose summed rate is the
-	// fleet's goodput (default gridftp.server.bytes_in/bytes_out).
-	GoodputCounters []string
-	// ActiveGauges are the gauge names whose fleet sum gates the goodput
-	// floor: the deficit series is zero while the fleet is idle (default
-	// transfer.active, gridftp.server.active_transfers).
-	ActiveGauges []string
-	// GoodputFloor is the goodput SLO in bytes/sec; the
-	// fleet.goodput.deficit series carries max(0, floor−goodput) while
-	// the fleet is active. Zero disables the floor.
-	GoodputFloor float64
 	// Rules are the alert rules for the fleet engine (default
 	// tsdb.DefaultFleetRules).
 	Rules []tsdb.Rule
-	// Recorder sizes the fleet recorder's tiers.
-	Recorder tsdb.Options
 	// Bundle configures diagnostic bundle capture; a zero Dir disables it.
 	Bundle BundleOptions
 	// Obs is the federation head's own observability bundle; alerts and
@@ -64,20 +49,6 @@ func (o Options) withDefaults() Options {
 	if o.StaleAfter <= 0 {
 		o.StaleAfter = 10 * time.Second
 	}
-	if o.Step <= 0 {
-		o.Step = time.Second
-	}
-	if len(o.GoodputCounters) == 0 {
-		o.GoodputCounters = []string{"gridftp.server.bytes_in", "gridftp.server.bytes_out"}
-	}
-	if len(o.ActiveGauges) == 0 {
-		o.ActiveGauges = []string{"transfer.active", "gridftp.server.active_transfers"}
-	}
-	// Ingested names are canonicalized to their wire form (dots become
-	// underscores on the Prometheus exposition); the lookups must live in
-	// the same namespace.
-	o.GoodputCounters = canonicalNames(o.GoodputCounters)
-	o.ActiveGauges = canonicalNames(o.ActiveGauges)
 	if o.Rules == nil {
 		o.Rules = tsdb.DefaultFleetRules()
 	}
@@ -129,6 +100,11 @@ type instanceState struct {
 // identity gauge anchoring restart detection.
 const startTimeGauge = "process_start_time_seconds"
 
+// goodputCounters are the counters whose summed rate is an instance's
+// goodput, in the canonical wire form ingested names have (dots become
+// underscores on the exposition).
+var goodputCounters = [...]string{"gridftp_server_bytes_in", "gridftp_server_bytes_out"}
+
 // identityGauges are per-process identity, not fleet quantities: they
 // anchor restart detection and are excluded from gauge aggregation
 // (summing start times across a fleet is meaningless). Keys are
@@ -136,16 +112,6 @@ const startTimeGauge = "process_start_time_seconds"
 var identityGauges = map[string]bool{
 	startTimeGauge:           true,
 	"process_uptime_seconds": true,
-}
-
-// canonicalNames maps every name through expfmt.CanonicalName into a
-// fresh slice.
-func canonicalNames(names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = expfmt.CanonicalName(n)
-	}
-	return out
 }
 
 // Instance is the registry view of one instance served by
@@ -187,7 +153,7 @@ func New(opts Options) *Service {
 	s := &Service{
 		opts:      o,
 		o:         o.Obs,
-		rec:       tsdb.New(o.Recorder),
+		rec:       tsdb.New(tsdb.Options{}),
 		instances: make(map[string]*instanceState),
 	}
 	s.engine = tsdb.NewEngine(s.rec, o.Obs, o.Rules)
@@ -468,7 +434,7 @@ func (s *Service) ExemplarTraceIDs() []string {
 // Tick runs one deterministic aggregation pass at now: staleness
 // evaluation, fleet merge, recorder sampling of the merged aggregate,
 // derived goodput/outlier series, then an alert evaluation. The
-// background loop calls it every Step; tests call it directly with a
+// background loop calls it every second; tests call it directly with a
 // synthetic clock.
 func (s *Service) Tick(now time.Time) {
 	s.mu.Lock()
@@ -533,7 +499,7 @@ func (s *Service) Tick(now time.Time) {
 	var fleetGoodput float64
 	for _, inst := range s.instances {
 		var cur float64
-		for _, c := range s.opts.GoodputCounters {
+		for _, c := range goodputCounters {
 			cur += float64(inst.effectiveCounter(c))
 		}
 		if !firstTick && interval > 0 {
@@ -548,10 +514,6 @@ func (s *Service) Tick(now time.Time) {
 		}
 		fleetGoodput += inst.goodputRate
 	}
-	var active int64
-	for _, g := range s.opts.ActiveGauges {
-		active += gaugeSum[g]
-	}
 	s.mu.Unlock()
 
 	// Recorder + derived series + alerts run outside the registry lock:
@@ -562,11 +524,6 @@ func (s *Service) Tick(now time.Time) {
 	s.rec.Observe("fleet.instances.stale", now, float64(stale))
 	s.rec.Observe("fleet.instances.restarts", now, float64(restarts))
 	s.rec.Observe("fleet.goodput.bytes_per_sec", now, fleetGoodput)
-	deficit := 0.0
-	if s.opts.GoodputFloor > 0 && active > 0 && fleetGoodput < s.opts.GoodputFloor {
-		deficit = s.opts.GoodputFloor - fleetGoodput
-	}
-	s.rec.Observe("fleet.goodput.deficit", now, deficit)
 	s.rec.Observe("fleet.goodput.outlier_ratio", now, outlierRatio(rates))
 	s.engine.Eval(now)
 }
@@ -595,8 +552,8 @@ func outlierRatio(rates []float64) float64 {
 	return r
 }
 
-// Start launches the background loop: Tick every Step. The returned stop
-// halts it (obs.Every's contract).
+// Start launches the background loop: Tick every second, the pushers'
+// cadence. The returned stop halts it (obs.Every's contract).
 func (s *Service) Start() (stop func()) {
-	return obs.Every(s.opts.Step, func(time.Time) { s.Tick(s.opts.Now()) })
+	return obs.Every(pushInterval, func(time.Time) { s.Tick(s.opts.Now()) })
 }

@@ -23,7 +23,7 @@ var pushClient = &http.Client{Timeout: 10 * time.Second}
 const (
 	// maxEnvelope bounds one push body.
 	maxEnvelope = 16 << 20
-	// pushInterval is the pusher's cadence, the head's Step.
+	// pushInterval is the pusher's cadence and the head's tick.
 	pushInterval = time.Second
 )
 

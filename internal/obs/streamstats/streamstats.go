@@ -107,9 +107,6 @@ type Options struct {
 	// stalls, so the attempt fails fast and the scheduler retries the
 	// file from its checkpoint instead of waiting out the transfer.
 	AbortOnStall bool
-	// Retain is how many finished transfers Health keeps for
-	// /debug/streams. Default 16.
-	Retain int
 	// EWMAAlpha is the throughput smoothing factor in (0, 1]. Default 0.3.
 	EWMAAlpha float64
 }
@@ -121,12 +118,8 @@ func (o Options) interval() time.Duration {
 	return o.Interval
 }
 
-func (o Options) retain() int {
-	if o.Retain <= 0 {
-		return 16
-	}
-	return o.Retain
-}
+// retain is how many finished transfers Health keeps for /debug/streams.
+const retain = 16
 
 func (o Options) alpha() float64 {
 	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
@@ -143,7 +136,7 @@ type Registry struct {
 	mu     sync.Mutex
 	seq    int64
 	active []*Transfer
-	recent []*Transfer // finished, newest last, bounded by Retain
+	recent []*Transfer // finished, newest last, bounded by retain
 
 	stalled int64 // streams currently stalled (poller-owned, read via atomic)
 }
@@ -344,8 +337,8 @@ func (t *Transfer) Done(err error) {
 		}
 	}
 	r.recent = append(r.recent, t)
-	if n := r.opts.retain(); len(r.recent) > n {
-		r.recent = r.recent[len(r.recent)-n:]
+	if len(r.recent) > retain {
+		r.recent = r.recent[len(r.recent)-retain:]
 	}
 	r.mu.Unlock()
 	if !labelLive {

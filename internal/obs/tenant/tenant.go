@@ -60,9 +60,6 @@ type Options struct {
 	TopK int
 	// Obs receives the published series and events; nil discards.
 	Obs *obs.Obs
-	// PublishInterval is the cadence of the background publisher started
-	// by Start (default 1s, matching the tsdb raw tier).
-	PublishInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -74,9 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TopK > o.Capacity {
 		o.TopK = o.Capacity
-	}
-	if o.PublishInterval <= 0 {
-		o.PublishInterval = time.Second
 	}
 	return o
 }
@@ -550,11 +544,11 @@ func (a *Accountant) Publish(now time.Time) {
 	}
 }
 
-// Start launches the background publisher at PublishInterval; the
-// returned stop halts it (obs.Every's contract).
+// Start launches the background publisher, once a second to match the
+// tsdb raw tier; the returned stop halts it (obs.Every's contract).
 func (a *Accountant) Start() (stop func()) {
 	if a == nil {
 		return func() {}
 	}
-	return obs.Every(a.opts.PublishInterval, a.Publish)
+	return obs.Every(time.Second, a.Publish)
 }

@@ -243,25 +243,16 @@ func DefaultRules() []Rule {
 // over the fleet-level recorder. The watched series are the derived
 // "fleet.*" aggregates the federator maintains from merged per-instance
 // snapshots (see internal/obs/fleet): staleness and outlier counts are
-// computed gauges, goodput deficit is floor−goodput clamped at zero and
-// only nonzero while the fleet has active transfers, and the queue-wait
-// quantile comes from bucket-wise merged histograms.
+// computed gauges, and the queue-wait quantile comes from bucket-wise
+// merged histograms.
 func DefaultFleetRules() []Rule {
 	return []Rule{
 		{
-			// One or more registered instances stopped reporting: pushes
-			// and scrapes both went quiet past the staleness horizon.
+			// One or more registered instances stopped reporting: its pushes
+			// went quiet past the staleness horizon.
 			Name: "fleet-instance-stale", Series: "fleet.instances.stale",
 			Kind: KindThreshold, Op: OpGreater, Value: 0,
 			For: 2 * time.Second, Severity: "page",
-		},
-		{
-			// Fleet-wide goodput under the configured floor while transfers
-			// are supposed to be moving — the deficit series is zero when
-			// the fleet is idle, so an idle fleet never pages.
-			Name: "fleet-goodput-floor", Series: "fleet.goodput.deficit",
-			Kind: KindBurnRate, Op: OpGreater, Value: 0,
-			For: 3 * time.Second, Window: 10 * time.Second, Severity: "page",
 		},
 		{
 			// One endpoint dragging the fleet: an instance contributing
