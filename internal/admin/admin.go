@@ -39,7 +39,7 @@ import (
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
-// Probe reports one aspect of process health; nil means healthy.
+// Probe reports one aspect of readiness; nil means ready.
 type Probe func() error
 
 // Planes are the optional planes an admin server serves, each with the
@@ -80,27 +80,25 @@ type Server struct {
 	hub       streamHub
 	heartbeat time.Duration
 
-	mu     sync.Mutex
-	health map[string]Probe
-	ready  map[string]Probe
-	srv    *http.Server
-	ln     net.Listener
+	mu    sync.Mutex
+	ready map[string]Probe
+	srv   *http.Server
+	ln    net.Listener
 }
 
 // New builds an admin server over the given obs bundle (nil is valid and
 // serves empty telemetry) and planes.
 func New(o *obs.Obs, p Planes) *Server {
 	s := &Server{
-		o:      o,
-		p:      p,
-		mux:    http.NewServeMux(),
-		health: make(map[string]Probe),
-		ready:  make(map[string]Probe),
+		o:     o,
+		p:     p,
+		mux:   http.NewServeMux(),
+		ready: make(map[string]Probe),
 	}
 	s.routes = []route{
 		{"/metrics", "Prometheus text exposition, bucket exemplars included", s.handleMetrics},
-		{"/healthz", "liveness probes", s.probeHandler(&s.health)},
-		{"/readyz", "readiness probes", s.probeHandler(&s.ready)},
+		{"/healthz", "liveness: ok while the process answers HTTP", handleHealthz},
+		{"/readyz", "readiness probes", s.handleReadyz},
 		{"/debug/spans", "span forest (JSON; ?trace=)", s.handleSpans},
 		{"/debug/events", "event ring (JSON; ?n=50 ?type=transfer.)", s.handleEvents},
 		{"/debug/pprof/", "on-demand Go profiling (capture on request)", pprof.Index},
@@ -218,15 +216,8 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	expfmt.ServeJSON(w, map[string]any{"transfers": transfers})
 }
 
-// AddHealth registers a liveness probe under name (replacing any probe
+// AddReadiness registers a readiness probe under name (replacing any probe
 // of the same name).
-func (s *Server) AddHealth(name string, p Probe) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.health[name] = p
-}
-
-// AddReadiness registers a readiness probe under name.
 func (s *Server) AddReadiness(name string, p Probe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -298,41 +289,46 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// probeHandler serves one probe set: 200 with a per-probe "name: ok"
-// report, or 503 listing what failed. An empty set is healthy — a daemon
+// handleHealthz is liveness: a process that answers is alive. (There was a
+// registry of liveness probes; nothing ever registered one.)
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// handleReadyz serves the readiness probes: 200 with a per-probe "name: ok"
+// report, or 503 listing what failed. An empty set is ready — a server
 // that registered nothing has nothing that can fail.
-func (s *Server) probeHandler(set *map[string]Probe) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		probes := make(map[string]Probe, len(*set))
-		for name, p := range *set {
-			probes[name] = p
-		}
-		s.mu.Unlock()
-		names := make([]string, 0, len(probes))
-		for name := range probes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var b strings.Builder
-		failed := 0
-		for _, name := range names {
-			if err := probes[name](); err != nil {
-				failed++
-				fmt.Fprintf(&b, "%s: %v\n", name, err)
-			} else {
-				fmt.Fprintf(&b, "%s: ok\n", name)
-			}
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if failed > 0 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		if b.Len() == 0 {
-			b.WriteString("ok\n")
-		}
-		w.Write([]byte(b.String()))
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	probes := make(map[string]Probe, len(s.ready))
+	for name, p := range s.ready {
+		probes[name] = p
 	}
+	s.mu.Unlock()
+	names := make([]string, 0, len(probes))
+	for name := range probes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	failed := 0
+	for _, name := range names {
+		if err := probes[name](); err != nil {
+			failed++
+			fmt.Fprintf(&b, "%s: %v\n", name, err)
+		} else {
+			fmt.Fprintf(&b, "%s: ok\n", name)
+		}
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if failed > 0 {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	if b.Len() == 0 {
+		b.WriteString("ok\n")
+	}
+	w.Write([]byte(b.String()))
 }
 
 // spanJSON is one span (and its subtree) in the /debug/spans response.

@@ -343,53 +343,6 @@ func (s *Service) Aggregate() expfmt.Snapshot {
 	return s.agg
 }
 
-// PerInstance renders every instance's current effective state as one
-// snapshot with instance-labeled series — the ?instances=1 view of
-// /fleet/metrics.
-func (s *Service) PerInstance() expfmt.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var snap expfmt.Snapshot
-	for _, name := range s.sortedInstanceNames() {
-		inst := s.instances[name]
-		label := "instance=" + name
-		for gname, v := range inst.gauges {
-			snap.Metrics = append(snap.Metrics, obs.Metric{
-				Name: obs.Name(gname, label), Kind: "gauge", Value: v,
-			})
-		}
-		counters := make(map[string]bool, len(inst.counterBase)+len(inst.counterRaw))
-		for n := range inst.counterBase {
-			counters[n] = true
-		}
-		for n := range inst.counterRaw {
-			counters[n] = true
-		}
-		for cname := range counters {
-			snap.Metrics = append(snap.Metrics, obs.Metric{
-				Name: obs.Name(cname, label), Kind: "counter", Value: inst.effectiveCounter(cname),
-			})
-		}
-		for hname := range histNames(inst) {
-			h := inst.effectiveHist(hname)
-			h.Name = obs.Name(hname, label)
-			snap.Histograms = append(snap.Histograms, h)
-		}
-	}
-	sort.Slice(snap.Metrics, func(i, j int) bool { return snap.Metrics[i].Name < snap.Metrics[j].Name })
-	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
-	return snap
-}
-
-func (s *Service) sortedInstanceNames() []string {
-	names := make([]string, 0, len(s.instances))
-	for n := range s.instances {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func histNames(inst *instanceState) map[string]bool {
 	out := make(map[string]bool, len(inst.histBase)+len(inst.histRaw))
 	for n := range inst.histBase {

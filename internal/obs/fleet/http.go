@@ -18,8 +18,7 @@ import (
 //	POST /v1/metrics            ingest one Envelope (JSON; at most 16 MiB)
 //	GET  /fleet/instances       the instance registry (JSON)
 //	GET  /fleet/metrics         merged fleet aggregate as expfmt text with
-//	                            exemplars; ?instances=1 for per-instance
-//	                            labeled series
+//	                            exemplars
 //	GET  /fleet/timeseries      fleet recorder dump (?series=, ?since=,
 //	                            ?step= as /debug/timeseries)
 //	GET  /fleet/alerts          fleet alert engine state (as /alerts)
@@ -37,7 +36,10 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/fleet/instances", func(w http.ResponseWriter, r *http.Request) {
 		expfmt.ServeJSON(w, s.Instances())
 	})
-	mux.HandleFunc("/fleet/metrics", s.handleMetrics)
+	mux.HandleFunc("/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", expfmt.TextContentType)
+		expfmt.WriteSnapshot(w, s.Aggregate())
+	})
 	mux.HandleFunc("/fleet/timeseries", tsdb.TimeseriesHandler(s.rec, s.opts.Now))
 	mux.HandleFunc("/fleet/alerts", tsdb.AlertsHandler(s.engine))
 	mux.HandleFunc("/fleet/bundles", s.handleBundles)
@@ -77,15 +79,6 @@ func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
 		k = n
 	}
 	expfmt.ServeJSON(w, map[string]any{"tenants": s.Tenants(k)})
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.Aggregate()
-	if r.URL.Query().Get("instances") == "1" {
-		snap = s.PerInstance()
-	}
-	w.Header().Set("Content-Type", expfmt.TextContentType)
-	expfmt.WriteSnapshot(w, snap)
 }
 
 func (s *Service) handleBundles(w http.ResponseWriter, r *http.Request) {
