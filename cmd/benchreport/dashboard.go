@@ -30,8 +30,7 @@ var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 const sparkWidth = 40
 
 type tsPoint struct {
-	T time.Time `json:"t"`
-	V float64   `json:"v"`
+	V float64 `json:"v"`
 }
 
 type tsSeries struct {
@@ -49,13 +48,11 @@ type alertDocument struct {
 	Alerts []struct {
 		Rule struct {
 			Name     string  `json:"name"`
-			Series   string  `json:"series"`
 			Value    float64 `json:"value"`
 			Severity string  `json:"severity"`
 		} `json:"rule"`
-		State string    `json:"state"`
-		Value float64   `json:"value"`
-		Since time.Time `json:"since"`
+		State string  `json:"state"`
+		Value float64 `json:"value"`
 	} `json:"alerts"`
 }
 
@@ -75,11 +72,9 @@ type tenantStat struct {
 type tenantDocument struct {
 	Tenants []tenantStat `json:"tenants"`
 	Summary struct {
-		Tracked    int   `json:"tracked"`
-		Capacity   int   `json:"capacity"`
-		Admissions int64 `json:"admissions"`
-		Evictions  int64 `json:"evictions"`
-		MaxError   int64 `json:"max_error"`
+		Tracked  int   `json:"tracked"`
+		Capacity int   `json:"capacity"`
+		MaxError int64 `json:"max_error"`
 	} `json:"summary"`
 }
 
@@ -108,13 +103,13 @@ func renderDashboard(src string) error {
 		if err := fetchJSON(base+"/alerts", &a); err == nil {
 			alerts = &a
 		}
-		// An unreachable /alerts (older daemon, 503) just hides the table.
-		// Same contract for the stream-health table: daemons without the
-		// stream-telemetry plane answer 503 and the section is omitted.
+		// An unreachable /alerts (a server built without the plane: 404)
+		// just hides the table. Same contract for the stream-health table:
+		// without the stream-telemetry plane the section is omitted.
 		if txt, err := fetchText(base + "/debug/streams?format=text"); err == nil {
 			streamTable = txt
 		}
-		// Same again for tenant accounting: daemons without the plane 503.
+		// Same again for tenant accounting.
 		var td tenantDocument
 		if err := fetchJSON(base+"/tenants", &td); err == nil {
 			tenants = &td

@@ -17,8 +17,6 @@ import (
 
 type fleetInstance struct {
 	Name       string    `json:"name"`
-	Addr       string    `json:"addr"`
-	Up         bool      `json:"up"`
 	Stale      bool      `json:"stale"`
 	LastSeen   time.Time `json:"last_seen"`
 	Restarts   int       `json:"restarts"`
@@ -26,14 +24,9 @@ type fleetInstance struct {
 	GoodputBps float64   `json:"goodput_bps"`
 }
 
-type fleetTSDocument struct {
-	Series []tsSeries `json:"series"`
-}
-
 type fleetBundleDocument struct {
 	Bundles []struct {
 		Name             string    `json:"name"`
-		Rule             string    `json:"rule"`
 		CapturedAt       time.Time `json:"captured_at"`
 		ExemplarTraceIDs []string  `json:"exemplar_trace_ids"`
 		Files            []string  `json:"files"`
@@ -78,7 +71,7 @@ func renderFleetDashboard(src string) error {
 		renderFleetTenants(tenants)
 	}
 
-	var ts fleetTSDocument
+	var ts tsDocument
 	if err := fetchJSON(base+"/fleet/timeseries?series=fleet.", &ts); err != nil {
 		return err
 	}
@@ -92,7 +85,7 @@ func renderFleetDashboard(src string) error {
 func renderFleetInstances(instances []fleetInstance) {
 	fmt.Printf("instances (%d)\n", len(instances))
 	if len(instances) == 0 {
-		fmt.Println("  (none registered — nothing pushed or scraped yet)")
+		fmt.Println("  (none registered — nothing pushed yet)")
 		fmt.Println()
 		return
 	}

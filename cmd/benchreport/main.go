@@ -61,48 +61,22 @@ func main() {
 	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table: an admin-plane base URL (/debug/streams) or \"e18\" to drive the instrumented workload in-process")
 	flag.Parse()
 
-	if *streamHealth != "" {
-		if err := runStreamHealth(*streamHealth); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
+	// The read-something-and-render-it modes, first one asked for wins.
+	for _, mode := range []struct {
+		arg string
+		run func(string) error
+	}{
+		{*streamHealth, runStreamHealth},
+		{*profileDiff, runProfileDiff},
+		{*fleetDashboard, renderFleetDashboard},
+		{*dashboard, renderDashboard},
+		{*timeline, func(srcs string) error { return renderTimelines(strings.Split(srcs, ","), *traceID) }},
+		{*snapshot, renderSnapshot},
+	} {
+		if mode.arg == "" {
+			continue
 		}
-		return
-	}
-
-	if *profileDiff != "" {
-		if err := runProfileDiff(*profileDiff); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fleetDashboard != "" {
-		if err := renderFleetDashboard(*fleetDashboard); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *dashboard != "" {
-		if err := renderDashboard(*dashboard); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *timeline != "" {
-		if err := renderTimelines(strings.Split(*timeline, ","), *traceID); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *snapshot != "" {
-		if err := renderSnapshot(*snapshot); err != nil {
+		if err := mode.run(mode.arg); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}

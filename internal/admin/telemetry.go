@@ -92,10 +92,6 @@ func jsonFrame(event string, v any) streamFrame {
 	return streamFrame{event: event, data: data}
 }
 
-// StreamClientCount reports the number of connected /debug/stream
-// clients (eviction and shutdown visibility for tests and operators).
-func (s *Server) StreamClientCount() int { return s.hub.count() }
-
 // Start runs the recording pipeline over the server's recorder and
 // engine: the background registry sampler (registry → recorder → alert
 // evaluation), the live-stream taps, and the metric-delta publisher. The

@@ -215,7 +215,7 @@ func TestStreamMultiClientDelivery(t *testing.T) {
 
 	c1 := startSSE(t, ts)
 	c2 := startSSE(t, ts)
-	waitFor(t, "both clients subscribed", func() bool { return s.StreamClientCount() == 2 })
+	waitFor(t, "both clients subscribed", func() bool { return s.hub.count() == 2 })
 
 	// An eventlog append fans out to every client.
 	o.EventLog().Append("transfer.start", "task", "t1")
@@ -261,14 +261,14 @@ func TestStreamSlowClientEviction(t *testing.T) {
 	// overflows the hub must evict (close) the client rather than block
 	// the broadcaster.
 	_, ch := s.hub.subscribe()
-	if s.StreamClientCount() != 1 {
-		t.Fatalf("clients = %d, want 1", s.StreamClientCount())
+	if s.hub.count() != 1 {
+		t.Fatalf("clients = %d, want 1", s.hub.count())
 	}
 	for i := 0; i < streamBuffer+5; i++ {
 		s.hub.broadcast(jsonFrame("event", map[string]int{"i": i}))
 	}
-	if s.StreamClientCount() != 0 {
-		t.Fatalf("slow client not evicted: %d clients", s.StreamClientCount())
+	if s.hub.count() != 0 {
+		t.Fatalf("slow client not evicted: %d clients", s.hub.count())
 	}
 	// The channel was closed with exactly the buffered frames inside.
 	n := 0
@@ -287,9 +287,9 @@ func TestStreamSlowClientEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /debug/stream: %v", err)
 	}
-	waitFor(t, "stream subscribed", func() bool { return s.StreamClientCount() == 1 })
+	waitFor(t, "stream subscribed", func() bool { return s.hub.count() == 1 })
 	resp.Body.Close()
-	waitFor(t, "handler unsubscribed", func() bool { return s.StreamClientCount() == 0 })
+	waitFor(t, "handler unsubscribed", func() bool { return s.hub.count() == 0 })
 }
 
 func TestStreamHeartbeat(t *testing.T) {
@@ -402,7 +402,7 @@ func TestStreamLastEventIDResume(t *testing.T) {
 
 	// A live event arrives exactly once — the replay boundary must not
 	// duplicate or swallow it.
-	waitFor(t, "subscription live", func() bool { return s.StreamClientCount() == 1 })
+	waitFor(t, "subscription live", func() bool { return s.hub.count() == 1 })
 	o.EventLog().Append("transfer.start", "task", "t2")
 	waitFor(t, "live event after resume", func() bool { return countPayload(`"t2"`) >= 1 })
 	if got := countPayload(`"t2"`); got != 1 {

@@ -145,27 +145,6 @@ func (l *Log) Last(n int) []Event {
 	return evs
 }
 
-// Len returns the number of retained events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Seq returns the sequence number of the most recent event (0 when none
-// have been appended).
-func (l *Log) Seq() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // Tap registers fn to be called synchronously with every subsequent
 // event; the returned function removes the tap. Taps are the test hook:
 // subscribe, drive the system, assert on what arrived.

@@ -147,10 +147,11 @@ func TestHistogramQuantile(t *testing.T) {
 		h.Observe(1.5) // all ten land in the (1,2] bucket
 	}
 	// rank(p50)=5 of 10 in-bucket → 1 + (2-1)*5/10 = 1.5
-	if got := h.Quantile(0.5); math.Abs(got-1.5) > 1e-9 {
+	bounds, counts := h.Buckets()
+	if got := obs.QuantileFromBuckets(bounds, counts, 0.5); math.Abs(got-1.5) > 1e-9 {
 		t.Errorf("p50 = %v, want 1.5", got)
 	}
-	if got := h.Quantile(1.0); math.Abs(got-2.0) > 1e-9 {
+	if got := obs.QuantileFromBuckets(bounds, counts, 1.0); math.Abs(got-2.0) > 1e-9 {
 		t.Errorf("p100 = %v, want 2.0 (bucket upper edge)", got)
 	}
 }

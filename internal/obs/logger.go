@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -150,16 +149,3 @@ func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
 // Error logs at error level.
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 
-// Fields returns the logger's permanent context as sorted "k=v" strings
-// (diagnostic helper for tests).
-func (l *Logger) Fields() []string {
-	if l == nil {
-		return nil
-	}
-	out := make([]string, len(l.fields))
-	for i, f := range l.fields {
-		out[i] = f.key + "=" + f.val
-	}
-	sort.Strings(out)
-	return out
-}

@@ -133,9 +133,6 @@ type Exemplar struct {
 // (values observed in seconds).
 var DefaultDurationBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// DefaultSizeBuckets suits transfer sizes in bytes.
-var DefaultSizeBuckets = []float64{1 << 10, 32 << 10, 1 << 20, 8 << 20, 64 << 20, 1 << 30}
-
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
@@ -223,26 +220,17 @@ func (h *Histogram) Buckets() ([]float64, []int64) {
 	return bounds, counts
 }
 
-// Quantile estimates the q-quantile (0..1) of the observed distribution
-// by linear interpolation inside the bucket the rank falls in — the same
-// estimate Prometheus's histogram_quantile computes. An empty (or nil)
-// histogram returns the defined sentinel 0 rather than NaN, so quantiles
-// can feed JSON encoders, the exposition format, and alert rules without
-// a NaN guard at every consumer; the highest finite bound is returned
-// when the rank lands in the +Inf bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	bounds, counts := h.Buckets()
-	return QuantileFromBuckets(bounds, counts, q)
-}
-
-// QuantileFromBuckets interpolates the q-quantile from cumulative bucket
-// data (bounds ascending, the last typically +Inf; counts cumulative,
-// parallel to bounds). It is the shared estimator behind
-// Histogram.Quantile and the exposition/scrape layers. Malformed input
-// and a zero observation count return the sentinel 0, never NaN.
+// QuantileFromBuckets estimates the q-quantile (0..1) from cumulative
+// bucket data (bounds ascending, the last typically +Inf; counts
+// cumulative, parallel to bounds) by linear interpolation inside the
+// bucket the rank falls in — the same estimate Prometheus's
+// histogram_quantile computes; the highest finite bound is returned when
+// the rank lands in the +Inf bucket. It is the one estimator behind
+// snapshots, the exposition parser and the recorder's windowed quantiles.
+// Malformed input and a zero observation count return the defined
+// sentinel 0 rather than NaN, so quantiles can feed JSON encoders, the
+// exposition format and alert rules without a NaN guard at every
+// consumer.
 func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 	if len(bounds) == 0 || len(bounds) != len(counts) {
 		return 0

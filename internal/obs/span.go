@@ -145,19 +145,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// Duration returns end-start (zero while the span is still open).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.end.IsZero() {
-		return 0
-	}
-	return s.end.Sub(s.Start)
-}
-
 // SpanInfo is an immutable snapshot of one span. TraceID/SpanID/
 // ParentSpanID are the lowercase-hex wire ids (ParentSpanID is empty for
 // true roots).

@@ -157,14 +157,6 @@ func (r *Registry) Start() (stop func()) {
 	return obs.Every(r.opts.interval(), r.poll)
 }
 
-// Stall returns the configured stall window (0 = watchdog disabled).
-func (r *Registry) Stall() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.opts.Stall
-}
-
 // Begin registers a transfer under the given label ("task-7", or a
 // server-generated fallback) and verb ("retr", "stor", "get", "put").
 // Safe on a nil Registry: returns a nil Transfer whose methods no-op.
@@ -207,14 +199,6 @@ type Transfer struct {
 	err     string
 
 	stallAborted atomic.Bool
-}
-
-// Label returns the transfer's series label.
-func (t *Transfer) Label() string {
-	if t == nil {
-		return ""
-	}
-	return t.label
 }
 
 // Stream is the per-stream record: cumulative bytes, last-progress

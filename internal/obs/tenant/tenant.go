@@ -132,14 +132,6 @@ func New(opts Options) *Accountant {
 	}
 }
 
-// Options reports the accountant's effective (defaulted) geometry.
-func (a *Accountant) Options() Options {
-	if a == nil {
-		return Options{}.withDefaults()
-	}
-	return a.opts
-}
-
 // touch is the space-saving update: charge weightDelta to dn, admitting
 // it (and evicting the minimum slot when full) if unseen. Returns the
 // slot with a.mu held by the caller.
