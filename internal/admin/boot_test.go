@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/expfmt"
 )
@@ -189,16 +190,6 @@ func TestBootRefusesAHeadWithoutAnAdminPlane(t *testing.T) {
 	}
 }
 
-// goroutinesAtMost polls until the goroutine count is back at or under limit
-// (connection teardown is asynchronous) and returns the last count.
-func goroutinesAtMost(limit int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); n > limit && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return n
-}
-
 // TestCloseAfterBootLeavesNoGoroutines boots a head and an instance that
 // pushes to it — every plane and every loop between them — and closes both.
 func TestCloseAfterBootLeavesNoGoroutines(t *testing.T) {
@@ -224,7 +215,7 @@ func TestCloseAfterBootLeavesNoGoroutines(t *testing.T) {
 	head.Close()
 	front.Close()
 	http.DefaultClient.CloseIdleConnections()
-	if after := goroutinesAtMost(before); after > before {
+	if after := leakcheck.AtMost(before); after > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines before boot, %d after close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}

@@ -3,7 +3,8 @@ package experiments
 import (
 	"runtime"
 	"testing"
-	"time"
+
+	"gridftp.dev/instant/internal/leakcheck"
 )
 
 func TestGoroutineLeakAfterE2(t *testing.T) {
@@ -17,19 +18,10 @@ func TestGoroutineLeakAfterE2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(500 * time.Millisecond)
-	after := runtime.NumGoroutine()
+	after := leakcheck.AtMost(before)
 	t.Logf("goroutines before=%d after=%d", before, after)
-	if after > before+20 {
+	if after > before {
 		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("leaked %d goroutines:\n%s", after-before, truncate(string(buf[:n]), 4000))
+		t.Fatalf("leaked %d goroutines:\n%.4000s", after-before, buf[:runtime.Stack(buf, true)])
 	}
-}
-
-func truncate(s string, n int) string {
-	if len(s) > n {
-		return s[:n]
-	}
-	return s
 }

@@ -13,6 +13,7 @@ import (
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gsi"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/streamstats"
@@ -137,7 +138,7 @@ func sameChannels(a, b []*dataChannel) bool {
 
 func wantNoNewGoroutines(t *testing.T, before int) {
 	t.Helper()
-	if after := goroutinesAtMost(before); after > before {
+	if after := leakcheck.AtMost(before); after > before {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("goroutines %d → %d:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}

@@ -16,6 +16,7 @@ import (
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/ftp"
 	"gridftp.dev/instant/internal/gsi"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 )
@@ -307,7 +308,7 @@ func TestFlightRefusals(t *testing.T) {
 			}
 			c.Close()
 			<-srv.done
-			if n := goroutinesAtMost(before); n > before {
+			if n := leakcheck.AtMost(before); n > before {
 				t.Fatalf("%d goroutines after the session closed, %d before it opened", n, before)
 			}
 		})

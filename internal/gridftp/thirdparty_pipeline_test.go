@@ -11,6 +11,7 @@ import (
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/ftp"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/obs"
 )
 
@@ -186,7 +187,7 @@ func TestPipelineWindowFailureResolvesEveryEntry(t *testing.T) {
 			if pasv := commandCount(p.dstObs, "PASV"); pasv != 2 {
 				t.Errorf("PASV sent %d times, want 2 (the pair must re-wire after a failed window)", pasv)
 			}
-			if after := goroutinesAtMost(before); after > before {
+			if after := leakcheck.AtMost(before); after > before {
 				buf := make([]byte, 1<<20)
 				t.Fatalf("goroutines %d → %d across a failed window:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 			}

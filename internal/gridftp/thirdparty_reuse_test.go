@@ -9,6 +9,7 @@ import (
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gsi"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 )
@@ -263,22 +264,8 @@ func TestThirdPartyRefusedSourceFailsFast(t *testing.T) {
 	if pasv := commandCount(p.dstObs, "PASV"); pasv != 2 {
 		t.Fatalf("PASV sent %d times, want 2 (the pair must re-wire after a failed transfer)", pasv)
 	}
-	if after := goroutinesAtMost(before); after > before {
+	if after := leakcheck.AtMost(before); after > before {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("goroutines %d → %d across a refused transfer:\n%s", before, after, buf[:runtime.Stack(buf, true)])
-	}
-}
-
-// goroutinesAtMost polls until the goroutine count is back at or under
-// limit (transfer goroutines unwind a moment after the final reply is
-// read) and returns the last count seen.
-func goroutinesAtMost(limit int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= limit || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -148,4 +148,3 @@ func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
 
 // Error logs at error level.
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-

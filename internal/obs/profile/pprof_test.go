@@ -40,7 +40,12 @@ func chewMemory(n int) [][]byte {
 }
 
 func TestParseRealHeapProfile(t *testing.T) {
-	sink := chewMemory(600) // ~2.4 MB, well past the 512KiB sampling rate
+	// 600 × 4 KiB against the default 512 KiB rate is ≈ 4.7 expected
+	// samples: about one run in a hundred sees none in chewMemory. At 4096
+	// every page is sampled.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 4096
+	sink := chewMemory(600)
 	runtime.KeepAlive(sink)
 	data := captureHeap(t)
 	p, err := ParsePprof(data)

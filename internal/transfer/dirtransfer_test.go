@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/obs"
 )
 
@@ -211,7 +212,7 @@ func TestDestinationPathIsAFile(t *testing.T) {
 	}
 	// The failed attempt closed its pair (W1): nothing is parked or running.
 	waitSessions(t, o, 0)
-	if after := goroutinesAtMost(before); after > before {
+	if after := leakcheck.AtMost(before); after > before {
 		t.Errorf("goroutines grew from %d to %d across the failed task", before, after)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/obs"
 )
 
@@ -52,16 +53,6 @@ func waitSessions(t *testing.T, o *obs.Obs, want int64) {
 	waitFor(t, 5*time.Second, fmt.Sprintf("%d active server sessions", want), func() bool {
 		return sessionsActive(o) == want
 	})
-}
-
-// goroutinesAtMost polls until the goroutine count is back at or under limit
-// (teardown is asynchronous on the server side) and returns the last count.
-func goroutinesAtMost(limit int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); n > limit && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return n
 }
 
 // warmWorld is a world with one finished directory task, whose pair is parked.
@@ -517,7 +508,7 @@ func TestIdleExpiryAndCloseLeaveNothingBehind(t *testing.T) {
 	w.svc.mu.Unlock()
 	waitFor(t, 5*time.Second, "the idle timer to drop the pair", func() bool { return w.parkedPairs() == 0 })
 	waitSessions(t, o, 0)
-	if after := goroutinesAtMost(before); after > before {
+	if after := leakcheck.AtMost(before); after > before {
 		t.Errorf("goroutines grew from %d to %d across an idle expiry", before, after)
 	}
 
@@ -527,7 +518,7 @@ func TestIdleExpiryAndCloseLeaveNothingBehind(t *testing.T) {
 		t.Fatalf("%d pairs parked after Close", n)
 	}
 	waitSessions(t, o, 0)
-	if after := goroutinesAtMost(before); after > before {
+	if after := leakcheck.AtMost(before); after > before {
 		t.Errorf("goroutines grew from %d to %d across Close", before, after)
 	}
 	// A closed service still runs tasks; it just keeps nothing afterwards.
