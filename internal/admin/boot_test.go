@@ -98,6 +98,59 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 			t.Errorf("GET %s = %d %q", path, w.Code, strings.TrimSpace(w.Body.String()))
 		}
 	}
+	// The span collector's routes were never mounted by a binary and are
+	// gone with it; nothing else may bring them back.
+	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has"} {
+		if w := get(path); w.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, w.Code)
+		}
+		if strings.Contains(index, path) {
+			t.Errorf("the index page lists %s:\n%s", path, index)
+		}
+	}
+}
+
+// TestFlagsAreTheDocumentedOnes: admin.Flags registers exactly the flags in
+// the root README's table — a flag cannot come back, or arrive, undocumented.
+func TestFlagsAreTheDocumentedOnes(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| flag | does |")
+	if !ok {
+		t.Fatal("README.md has no observability flag table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	documented := map[string]bool{}
+	for _, row := range strings.Split(table, "\n") {
+		cell, _, _ := strings.Cut(strings.TrimPrefix(row, "|"), "|") // the flag column
+		for _, m := range regexp.MustCompile("`-([a-z-]+)").FindAllStringSubmatch(cell, -1) {
+			documented[m[1]] = true
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Flags(fs)
+	registered := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		registered++
+		if !documented[f.Name] {
+			t.Errorf("-%s is registered by admin.Flags but not in README's flag table", f.Name)
+		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("-%s is in README's flag table but admin.Flags does not register it", name)
+	}
+	if registered != 10 {
+		t.Errorf("admin.Flags registers %d flags, README says ten", registered)
+	}
+	for _, gone := range []string{"-fleet-scrape=a=http://x/metrics", "-collector=http://x/v1/spans"} {
+		if err := fs.Parse([]string{gone}); err == nil {
+			t.Errorf("%s is accepted as a flag", gone)
+		}
+	}
 }
 
 // TestMetricsDumpReadsBackLikeTheMetricsRoute: the -metrics exit dump is the

@@ -3,10 +3,13 @@
 # for their status: transfer-service as fleet head, gridftp-server as an
 # instance pushing to it, then the three pages that were wrong when the
 # planes were wired by hand — the server's stream table, and the head's
-# instance registry and merged tenant table. About ten seconds; CI's check
-# job runs it, and it is the quickest end-to-end drive of internal/admin's
-# bootstrap. The push URL carries a query string on purpose: the pusher has
-# one URL and must use it as given.
+# instance registry and merged tenant table. Then the one exposition format
+# from both ends: the server's live /metrics body and, once it is stopped,
+# its -metrics exit dump each go through `benchreport -metrics-snapshot`.
+# Last, the two flags that are gone must be refused. About fifteen seconds;
+# CI's check job runs it, and it is the quickest end-to-end drive of
+# internal/admin's bootstrap. The push URL carries a query string on
+# purpose: the pusher has one URL and must use it as given.
 #
 # Usage: ./scripts/smoke.sh [head-port=19971] [server-port=19970]
 set -eu
@@ -20,11 +23,13 @@ trap 'kill $pids 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' E
 
 go build -o "$tmp/transfer-service" ./cmd/transfer-service
 go build -o "$tmp/gridftp-server" ./cmd/gridftp-server
+go build -o "$tmp/benchreport" ./cmd/benchreport
 
 "$tmp/transfer-service" -size 2M -admin "$head" -fleet >"$tmp/head.log" 2>&1 &
 pids="$pids $!"
-"$tmp/gridftp-server" -admin "$server" -fleet-push "http://$head/v1/metrics?via=smoke" >"$tmp/server.log" 2>&1 &
-pids="$pids $!"
+"$tmp/gridftp-server" -admin "$server" -metrics -fleet-push "http://$head/v1/metrics?via=smoke" >"$tmp/server.log" 2>"$tmp/server.dump" &
+server_pid=$!
+pids="$pids $server_pid"
 
 # Both hold for scrapes once their demo is done; /readyz says when.
 ready() {
@@ -33,7 +38,7 @@ ready() {
 		sleep 0.2
 	done
 	echo "smoke.sh: $1 never became ready" >&2
-	cat "$tmp/head.log" "$tmp/server.log" >&2
+	cat "$tmp/head.log" "$tmp/server.log" "$tmp/server.dump" >&2
 	return 1
 }
 ready "$head"
@@ -52,4 +57,28 @@ page "http://$server/debug/streams?format=text" 'STOR'
 page "http://$server/debug/streams?format=text" 'RETR'
 page "http://$head/fleet/instances" '"name": "siteA"'
 page "http://$head/fleet/tenants" '/O=GCMU/OU=siteA/CN=alice'
+
+snapshot() { # snapshot <file|url> <pattern>: benchreport must render it, with the pattern in the table
+	if ! "$tmp/benchreport" -metrics-snapshot "$1" >"$tmp/table" 2>&1 || ! grep -q "$2" "$tmp/table"; then
+		echo "smoke.sh: benchreport -metrics-snapshot $1 did not render $2" >&2
+		head -40 "$tmp/table" >&2
+		exit 1
+	fi
+	echo "ok  benchreport -metrics-snapshot $1  ($2)"
+}
+snapshot "http://$server/metrics" '^histogram  *gridftp_server_command_seconds '
+kill -INT "$server_pid"
+wait "$server_pid" || true
+snapshot "$tmp/server.dump" '^histogram  *gridftp_server_command_seconds '
+snapshot "$tmp/server.dump" '^gridftp.stor ' # the span forest, echoed below the table
+
+for gone in '-fleet-scrape x=y' '-collector http://x'; do
+	# shellcheck disable=SC2086 # the flag and its value are two words
+	if "$tmp/gridftp-server" -selftest=false $gone >"$tmp/gone.log" 2>&1 || ! grep -q 'flag provided but not defined' "$tmp/gone.log"; then
+		echo "smoke.sh: gridftp-server accepted $gone" >&2
+		cat "$tmp/gone.log" >&2
+		exit 1
+	fi
+	echo "ok  gridftp-server refuses $gone"
+done
 echo "OK"
