@@ -130,7 +130,6 @@ func TestFlagsAreTheDocumentedOnes(t *testing.T) {
 		}
 	}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
 	Flags(fs)
 	registered := 0
 	fs.VisitAll(func(f *flag.Flag) {
@@ -145,11 +144,6 @@ func TestFlagsAreTheDocumentedOnes(t *testing.T) {
 	}
 	if registered != 10 {
 		t.Errorf("admin.Flags registers %d flags, README says ten", registered)
-	}
-	for _, gone := range []string{"-fleet-scrape=a=http://x/metrics", "-collector=http://x/v1/spans"} {
-		if err := fs.Parse([]string{gone}); err == nil {
-			t.Errorf("%s is accepted as a flag", gone)
-		}
 	}
 }
 
