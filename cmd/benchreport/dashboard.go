@@ -114,14 +114,8 @@ func renderDashboard(src string) error {
 		if err := fetchJSON(base+"/tenants", &td); err == nil {
 			tenants = &td
 		}
-	} else {
-		raw, err := os.ReadFile(src)
-		if err != nil {
-			return err
-		}
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", src, err)
-		}
+	} else if err := fetchJSON(src, &doc); err != nil {
+		return fmt.Errorf("%s: %w", src, err)
 	}
 
 	fmt.Printf("telemetry dashboard — %s", src)

@@ -25,9 +25,8 @@
 // head: other processes push one envelope a second to its /v1/metrics
 // (their -fleet-push), the head merges them into fleet-wide aggregates
 // under /fleet/*, and firing fleet alerts capture diagnostic bundles into
-// -fleet-bundle-dir. -stall-timeout aborts a data
-// stream making no progress for that long; the scheduler retries the file
-// from its checkpoint.
+// -fleet-bundle-dir. -stall-timeout aborts a data stream making no progress
+// for that long; the scheduler retries the file from its checkpoint.
 package main
 
 import (

@@ -289,8 +289,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHealthz is liveness: a process that answers is alive. (There was a
-// registry of liveness probes; nothing ever registered one.)
+// handleHealthz is liveness: a process that answers is alive.
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")

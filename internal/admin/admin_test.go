@@ -51,7 +51,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// One format: the JSON variant is gone, and asking for it changes nothing.
+	// There is one format; asking for another changes nothing.
 	_, again, hdr := get(t, ts, "/metrics?format=json")
 	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") || !strings.Contains(again, "gridftp_server_sessions 2") {
 		t.Errorf("/metrics?format=json: Content-Type %q, body:\n%s", ct, again)

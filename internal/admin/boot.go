@@ -77,9 +77,9 @@ type Daemon struct {
 	// Admin is the admin server, nil without -admin.
 	Admin *Server
 
-	boot  *Boot
-	ready atomic.Bool
-	stops []func() // boot order; Close runs it backwards
+	metrics bool // -metrics: Close ends with the exit dump
+	ready   atomic.Bool
+	stops   []func() // boot order; Close runs it backwards
 }
 
 // Start boots the planes the flags ask for, in the order at the top of
@@ -115,7 +115,7 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 	if b.verbose {
 		o = obs.New(os.Stderr, obs.LevelDebug)
 	}
-	d := &Daemon{Obs: o, boot: b}
+	d := &Daemon{Obs: o, metrics: b.metrics}
 
 	var prof *profile.Profiler
 	if b.profileInterval > 0 && (b.admin != "" || b.fleetPush != "") {
@@ -193,7 +193,7 @@ func (d *Daemon) Close() {
 		d.stops[i]()
 	}
 	d.stops = nil
-	if d.boot.metrics {
+	if d.metrics {
 		d.writeDump(os.Stderr)
 	}
 }

@@ -98,8 +98,7 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 			t.Errorf("GET %s = %d %q", path, w.Code, strings.TrimSpace(w.Body.String()))
 		}
 	}
-	// The span collector's routes were never mounted by a binary and are
-	// gone with it; nothing else may bring them back.
+	// There is no span collector server: nothing may mount its routes.
 	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has"} {
 		if w := get(path); w.Code != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, w.Code)
