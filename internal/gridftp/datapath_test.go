@@ -357,7 +357,7 @@ func TestTransformingLayersHideFastPaths(t *testing.T) {
 	}{
 		{"deflate", newDeflateConn},
 		{"tls", func(conn net.Conn) net.Conn { return tls.Client(conn, &tls.Config{}) }},
-		{"integrity", func(conn net.Conn) net.Conn { return newIntegrityConn(conn, [32]byte{}) }},
+		{"integrity", func(conn net.Conn) net.Conn { return newIntegrityConn(conn, keyAB, keyBA) }},
 	} {
 		a, b := net.Pipe()
 		capable := &fullCapConn{Conn: a}

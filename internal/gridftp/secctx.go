@@ -2,7 +2,6 @@ package gridftp
 
 import (
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"crypto/tls"
 	"encoding/base64"
@@ -124,9 +123,16 @@ func EncodeDCSCBlob(cred *gsi.Credential) (string, error) {
 // secureData authenticates and protects one data connection according to
 // dcau/prot. The listening side acts as TLS server. After authentication,
 // ProtClear steps down to the raw connection and ProtSafe steps down to an
-// HMAC-framed integrity layer keyed over the authenticated channel; both
+// HMAC-framed integrity layer keyed from the authenticated handshake; both
 // preserve DCAU's authentication guarantee while avoiding bulk encryption
 // (which the paper notes costs an order of magnitude on fast links, §II.C).
+//
+// Neither end gets a conn back — so neither hands a byte to the layers above
+// — before it has verified the peer's chain and identity. In TLS 1.3 the
+// connector's handshake ends with its own Finished, before the listener has
+// judged its certificate: a connector that sends does so to a receiver it has
+// authenticated, and one the listener goes on to refuse finds the connection
+// closed at its first read or a later write.
 func secureData(conn net.Conn, ctx *SecurityContext, dcau DCAUMode, prot ProtLevel, isListener bool) (net.Conn, error) {
 	if dcau == DCAUNone {
 		if prot != ProtClear {
@@ -137,11 +143,17 @@ func secureData(conn net.Conn, ctx *SecurityContext, dcau DCAUMode, prot ProtLev
 	if ctx == nil || ctx.Cred == nil {
 		return nil, errors.New("gridftp: data channel authentication requires a credential (delegate or DCSC first)")
 	}
+	// A channel that steps down runs its handshake over a recordConn, so the
+	// tls.Conn has read nothing of what follows the handshake on the wire.
+	transport := conn
+	if prot != ProtPrivate {
+		transport = &recordConn{Conn: conn}
+	}
 	var tc *tls.Conn
 	if isListener {
-		tc = tls.Server(conn, ctx.tlsConfig(true))
+		tc = tls.Server(transport, ctx.tlsConfig(true))
 	} else {
-		tc = tls.Client(conn, ctx.tlsConfig(false))
+		tc = tls.Client(transport, ctx.tlsConfig(false))
 	}
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	if err := tc.Handshake(); err != nil {
@@ -158,58 +170,82 @@ func secureData(conn net.Conn, ctx *SecurityContext, dcau DCAUMode, prot ProtLev
 	switch prot {
 	case ProtPrivate:
 		return tc, nil
-	case ProtClear, ProtSafe:
-		return stepDown(tc, conn, prot, isListener)
+	case ProtClear:
+		return conn, nil
+	case ProtSafe:
+		return stepDownSafe(tc, conn, isListener)
 	default:
 		return nil, fmt.Errorf("gridftp: unknown PROT level %c", prot)
 	}
 }
 
-// stepDown finishes the authenticated TLS exchange and continues on the
-// raw connection, optionally inserting an integrity layer. The exchange is
-// over-read-proof in both data directions:
+// recordConn is the transport under the DCAU handshake of a channel that
+// steps down (PROT C and S). A tls.Conn keeps whatever its transport hands it
+// beyond the record it asked for, and on such a channel what follows the
+// handshake is not TLS: the sender's first block travels right behind its
+// Finished, often in the same segment. So Read follows the record framing —
+// the 5-byte header, then the length it announces — and never returns a byte
+// past the end of the record it is in; it holds no data of its own. The
+// handshake reads whole records and only the ones it needs, so when it
+// returns, every byte after its last record is still in the conn below. That
+// makes stepping down a matter of dropping the tls.Conn: nothing is sent or
+// awaited to quiesce it.
 //
-//   - the listener TLS-writes the integrity key and then raw-reads a
-//     one-byte ack, so its tls.Conn performs no reads after the handshake
-//     and cannot buffer raw-phase bytes;
-//   - the connector TLS-reads the key — at which point the listener has
-//     sent nothing further, so there is nothing to over-read — and then
-//     raw-writes the ack;
-//   - whichever side sends application data does so only after the ack,
-//     by which time both tls.Conn objects are quiesced.
-func stepDown(tc *tls.Conn, raw net.Conn, prot ProtLevel, isListener bool) (net.Conn, error) {
-	var key [32]byte
-	var ack [1]byte
+// The lengths come from a peer that is not authenticated yet. They are only
+// ever used to bound a read; judging the records stays with crypto/tls.
+type recordConn struct {
+	net.Conn
+	hdr  [5]byte
+	have int // bytes of the next record's header read so far
+	body int // bytes of the current record's body still to come
+}
+
+func (c *recordConn) Read(p []byte) (int, error) {
+	limit := c.body
+	if limit == 0 {
+		limit = len(c.hdr) - c.have
+	}
+	if len(p) > limit {
+		p = p[:limit]
+	}
+	n, err := c.Conn.Read(p)
+	if c.body > 0 {
+		c.body -= n
+		return n, err
+	}
+	c.have += copy(c.hdr[c.have:], p[:n])
+	if c.have == len(c.hdr) {
+		c.have, c.body = 0, int(binary.BigEndian.Uint16(c.hdr[3:]))
+	}
+	return n, err
+}
+
+// integrityKeyLabel names the PROT S keys among the handshake's exported
+// keying material (RFC 5705, RFC 8446 §7.5).
+const integrityKeyLabel = "EXPERIMENTAL gridftp.dev/instant PROT S"
+
+// stepDownSafe continues on the raw connection under the integrity layer.
+// Both ends derive its keys from the handshake they have just authenticated —
+// nothing is sent — and each direction has its own half: the first 32 bytes
+// key connector→listener, the last 32 listener→connector, so a frame sent
+// back to its sender does not verify.
+func stepDownSafe(tc *tls.Conn, raw net.Conn, isListener bool) (net.Conn, error) {
+	cs := tc.ConnectionState()
+	keys, err := cs.ExportKeyingMaterial(integrityKeyLabel, nil, 2*integrityKeyLen)
+	if err != nil {
+		return nil, fmt.Errorf("gridftp: step-down keys: %w", err)
+	}
+	toListener, toConnector := keys[:integrityKeyLen], keys[integrityKeyLen:]
 	if isListener {
-		if prot == ProtSafe {
-			if _, err := rand.Read(key[:]); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := tc.Write(key[:]); err != nil {
-			return nil, fmt.Errorf("gridftp: step-down send: %w", err)
-		}
-		if _, err := io.ReadFull(raw, ack[:]); err != nil {
-			return nil, fmt.Errorf("gridftp: step-down ack: %w", err)
-		}
-	} else {
-		if _, err := io.ReadFull(tc, key[:]); err != nil {
-			return nil, fmt.Errorf("gridftp: step-down recv: %w", err)
-		}
-		ack[0] = 0x17
-		if _, err := raw.Write(ack[:]); err != nil {
-			return nil, fmt.Errorf("gridftp: step-down ack: %w", err)
-		}
+		return newIntegrityConn(raw, toConnector, toListener), nil
 	}
-	if prot == ProtClear {
-		return raw, nil
-	}
-	return newIntegrityConn(raw, key), nil
+	return newIntegrityConn(raw, toListener, toConnector), nil
 }
 
 // integrityConn provides integrity-only protection (PROT S): payload
-// frames carry an HMAC-SHA256 tag with a per-direction sequence number,
-// detecting tampering, truncation, and reordering without encrypting. Each
+// frames carry an HMAC-SHA256 tag under a per-direction key and sequence
+// number, detecting tampering, truncation, reordering and reflection without
+// encrypting. Each
 // direction keys its HMAC once and resets it per frame, and a frame goes out
 // as one write: vectored where the conn below takes [header, payload, tag]
 // as it stands, coalesced otherwise. The steady state allocates nothing.
@@ -248,14 +284,17 @@ func (h *integrityHalf) sum(payload []byte) []byte {
 	return h.mac.Sum(h.tag[:0])
 }
 
-func newIntegrityConn(conn net.Conn, key [32]byte) *integrityConn {
+// newIntegrityConn frames conn, writing under writeKey and verifying under
+// readKey: the peer's the other way round.
+func newIntegrityConn(conn net.Conn, writeKey, readKey []byte) *integrityConn {
 	c := &integrityConn{Conn: conn}
 	c.vw, _ = conn.(buffersWriter)
 	c.tcp, _ = conn.(*net.TCPConn)
-	c.w.mac, c.r.mac = hmac.New(sha256.New, key[:]), hmac.New(sha256.New, key[:])
+	c.w.mac, c.r.mac = hmac.New(sha256.New, writeKey), hmac.New(sha256.New, readKey)
 	return c
 }
 
+const integrityKeyLen = 32
 const integrityTagLen = 32
 const maxIntegrityFrame = 1 << 20
 

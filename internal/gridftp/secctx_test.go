@@ -13,11 +13,12 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 )
 
+// The two directions' keys of the integrity tests.
+var keyAB, keyBA = []byte("0123456789abcdef0123456789abcdef"), []byte("fedcba9876543210fedcba9876543210")
+
 func integrityPair() (net.Conn, net.Conn) {
 	a, b := net.Pipe()
-	var key [32]byte
-	copy(key[:], "0123456789abcdef0123456789abcdef")
-	return newIntegrityConn(a, key), newIntegrityConn(b, key)
+	return newIntegrityConn(a, keyAB, keyBA), newIntegrityConn(b, keyBA, keyAB)
 }
 
 func TestIntegrityConnRoundTrip(t *testing.T) {
@@ -37,8 +38,7 @@ func TestIntegrityConnRoundTrip(t *testing.T) {
 
 func TestIntegrityConnDetectsTampering(t *testing.T) {
 	raw1, raw2 := net.Pipe()
-	var key [32]byte
-	ic := newIntegrityConn(raw2, key)
+	ic := newIntegrityConn(raw2, keyBA, keyAB)
 	// Handcraft a frame with a bad tag.
 	go func() {
 		frame := []byte{0, 0, 0, 4, 'e', 'v', 'i', 'l'}
@@ -55,9 +55,8 @@ func TestIntegrityConnDetectsReordering(t *testing.T) {
 	// Two frames written with sequence 0 and 1; replaying frame 0 twice
 	// (a reorder/replay) must fail the second verification.
 	a, b := net.Pipe()
-	var key [32]byte
-	w := newIntegrityConn(a, key)
-	r := newIntegrityConn(b, key)
+	w := newIntegrityConn(a, keyAB, keyBA)
+	r := newIntegrityConn(b, keyBA, keyAB)
 	done := make(chan []byte, 1)
 	go func() {
 		// Capture the wire form of one frame by writing through a recorder.
@@ -82,13 +81,13 @@ func TestIntegrityConnDetectsReordering(t *testing.T) {
 // TestIntegrityConnRejectsEveryTampering takes the wire form of two good
 // frames and damages it three ways — a payload byte, a tag byte, the tail cut
 // off: the second frame must fail the read each time, and an untouched copy
-// must not.
+// must not. Nor may the frames be read by the end that wrote them: each
+// direction has its own key, so a frame reflected to its sender — whose read
+// sequence number would match — is refused at the first.
 func TestIntegrityConnRejectsEveryTampering(t *testing.T) {
-	var key [32]byte
-	copy(key[:], "0123456789abcdef0123456789abcdef")
 	a, b := net.Pipe()
 	rec := &recorderConn{Conn: a}
-	w := newIntegrityConn(rec, key)
+	w := newIntegrityConn(rec, keyAB, keyBA)
 	go io.Copy(io.Discard, b)
 	first, second := pattern(1000), pattern(5000)
 	w.Write(first)
@@ -116,7 +115,7 @@ func TestIntegrityConnRejectsEveryTampering(t *testing.T) {
 				in.Write(tc.damage(append([]byte(nil), wire...)))
 				in.Close()
 			}()
-			r := newIntegrityConn(out, key)
+			r := newIntegrityConn(out, keyBA, keyAB)
 			got := make([]byte, len(first))
 			if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, first) {
 				t.Fatalf("the intact first frame: %v", err)
@@ -131,6 +130,17 @@ func TestIntegrityConnRejectsEveryTampering(t *testing.T) {
 			}
 		})
 	}
+	t.Run("reflected frame refused", func(t *testing.T) {
+		in, out := net.Pipe()
+		go func() {
+			in.Write(wire)
+			in.Close()
+		}()
+		sender := newIntegrityConn(out, keyAB, keyBA) // the writer's own end: it reads under keyBA
+		if _, err := io.ReadFull(sender, make([]byte, len(first))); err == nil {
+			t.Fatal("a frame sent back to its sender was accepted")
+		}
+	})
 }
 
 // loopConn reads back what was written to it, and counts the writes; it takes
@@ -156,11 +166,10 @@ func (l *loopConn) Read(p []byte) (int, error)  { return l.buf.Read(p) }
 // tag buffers that live in the conn — a frame costs no allocation either way
 // and one write on the conn below, vectored or not.
 func TestIntegrityConnFramesWithoutAllocating(t *testing.T) {
-	var key [32]byte
 	payload, got := pattern(64<<10), make([]byte, 64<<10)
 	for _, vectored := range []bool{true, false} {
 		lc := &loopConn{}
-		c := newIntegrityConn(lc, key)
+		c := newIntegrityConn(lc, keyAB, keyAB) // a loop: it reads what it wrote
 		if c.vw == nil {
 			t.Fatal("the conn below takes vectored writes; the integrity layer did not notice")
 		}
