@@ -2,14 +2,14 @@
 // extends: command and reply line discipline (CRLF, multi-line replies,
 // preliminary replies), reply-code classification, and a connection
 // wrapper that supports mid-session transport upgrades (the AUTH TLS
-// security handshake replaces the raw socket with an encrypted one).
+// security handshake replaces the raw socket with an encrypted one built
+// over it).
 package ftp
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -146,33 +146,32 @@ func NewConn(nc net.Conn) *Conn {
 	return &Conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 }
 
-// Upgrade replaces the underlying transport (after a TLS handshake). Any
-// data buffered from the old transport is discarded; the protocol
-// guarantees the upgrade happens at a message boundary.
+// Upgrade replaces the transport with nc, which its caller has built over RW
+// (a tls.Conn, after its handshake). Nothing the old line buffer holds is
+// dropped and nothing in it is ever parsed as a line again: nc reads through
+// that buffer, so what arrived behind the line that announced the upgrade —
+// a ClientHello sent in one flight with AUTH TLS, or an attacker's plaintext
+// command (the STARTTLS injection of CVE-2011-0411) — is input to nc's
+// handshake and to nothing else.
 func (c *Conn) Upgrade(nc net.Conn) {
 	c.nc = nc
 	c.br = bufio.NewReader(nc)
 	c.bw = bufio.NewWriter(nc)
 }
 
-// Transport returns the current underlying connection.
-func (c *Conn) Transport() net.Conn { return c.nc }
+// RW returns the connection as an in-band exchange sees it — GSI delegation,
+// the TLS handshake of AUTH TLS: reads go through the line buffer, so bytes
+// that arrived behind the line that started the exchange are not lost, and
+// everything else goes to the transport (nothing is ever left in the write
+// buffer). The view stays on the transport it was taken from across Upgrade.
+func (c *Conn) RW() net.Conn { return inBand{Conn: c.nc, br: c.br} }
 
-// RW returns an io.ReadWriter view of the connection that reads through
-// the line buffer (so bytes already buffered are not lost) and writes to
-// the transport. In-band exchanges such as GSI delegation use it.
-func (c *Conn) RW() io.ReadWriter { return bufferedRW{c} }
-
-type bufferedRW struct{ c *Conn }
-
-func (b bufferedRW) Read(p []byte) (int, error) { return b.c.br.Read(p) }
-func (b bufferedRW) Write(p []byte) (int, error) {
-	n, err := b.c.bw.Write(p)
-	if err != nil {
-		return n, err
-	}
-	return n, b.c.bw.Flush()
+type inBand struct {
+	net.Conn
+	br *bufio.Reader
 }
+
+func (b inBand) Read(p []byte) (int, error) { return b.br.Read(p) }
 
 // Close closes the transport.
 func (c *Conn) Close() error { return c.nc.Close() }

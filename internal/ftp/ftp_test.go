@@ -177,21 +177,62 @@ func abs(x int) int {
 	return x
 }
 
+// xorConn stands in for a security layer: every byte it carries is flipped
+// on the wire, so a byte read on the wrong side of an upgrade is garbage.
+type xorConn struct{ net.Conn }
+
+func (x xorConn) Read(p []byte) (int, error) {
+	n, err := x.Conn.Read(p)
+	for i := range p[:n] {
+		p[i] ^= 0xff
+	}
+	return n, err
+}
+
+func (x xorConn) Write(p []byte) (int, error) {
+	q := make([]byte, len(p))
+	for i := range p {
+		q[i] = p[i] ^ 0xff
+	}
+	return x.Conn.Write(q)
+}
+
+// TestUpgradeSwapsTransport: replies cross on the old transport before the
+// upgrade and on the new one after it. The new transport is built over RW, so
+// when its first bytes arrived in one segment with the last line of the old
+// one — they sit in the line buffer by the time Upgrade runs — they are the
+// new transport's input: not dropped, and not parsed as a line of the old.
 func TestUpgradeSwapsTransport(t *testing.T) {
-	a1, b1 := net.Pipe()
-	a2, b2 := net.Pipe()
-	ca, cb := NewConn(a1), NewConn(b1)
+	a, b := net.Pipe()
+	ca, cb := NewConn(a), NewConn(b)
 	go ca.WriteReply(220, "ready")
 	if r, _ := cb.ReadReply(); r.Code != 220 {
 		t.Fatal("pre-upgrade reply lost")
 	}
-	ca.Upgrade(a2)
-	cb.Upgrade(b2)
+	ca.Upgrade(xorConn{ca.RW()})
+	cb.Upgrade(xorConn{cb.RW()})
 	go ca.WriteReply(234, "secured")
 	if r, _ := cb.ReadReply(); r.Code != 234 {
 		t.Fatal("post-upgrade reply lost")
 	}
-	if ca.Transport() != a2 {
-		t.Fatal("Transport not swapped")
-	}
+
+	t.Run("bytes buffered behind the last line", func(t *testing.T) {
+		a, b := net.Pipe()
+		cb := NewConn(b)
+		secured := []byte("200 over the new transport\r\n")
+		for i := range secured {
+			secured[i] ^= 0xff
+		}
+		go a.Write(append([]byte("234 go ahead\r\n"), secured...)) // one segment
+		if r, _ := cb.ReadReply(); r.Code != 234 {
+			t.Fatal("the line that announces the upgrade was lost")
+		}
+		if cb.br.Buffered() != len(secured) {
+			t.Fatalf("%d bytes buffered behind the 234, want the %d of the next transport", cb.br.Buffered(), len(secured))
+		}
+		cb.Upgrade(xorConn{cb.RW()})
+		if r, err := cb.ReadReply(); err != nil || r.Code != 200 || r.Lines[0] != "over the new transport" {
+			t.Fatalf("the buffered bytes did not reach the new transport: %v %v", r, err)
+		}
+	})
 }

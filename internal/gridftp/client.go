@@ -3,6 +3,7 @@ package gridftp
 import (
 	"crypto/tls"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,25 +101,21 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		perfBytes: make(map[int]int64),
 		data:      newClientDataPath(host, opts),
 	}
-	// AUTH TLS does not depend on the greeting, so it is written before the
-	// greeting is read and the 220 and 234 come back in order. A server that
-	// greets with 421 and hangs up may fail the write; the greeting is the
-	// error to report.
-	authErr := c.ctrl.Cmd("AUTH", "TLS")
-	if _, err := c.expect(ftp.CodeReadyForNewUser); err != nil {
-		raw.Close()
-		return nil, err
-	}
-	if authErr == nil {
-		_, authErr = c.expect(ftp.CodeAuthOK)
-	}
-	if authErr != nil {
-		raw.Close()
-		return nil, authErr
-	}
-	tc := tls.Client(raw, gsi.ClientTLSConfig(cred, trust))
+	// Neither AUTH TLS nor the ClientHello depends on what the server says
+	// first, so both are written before anything is read: the 220 and the 234
+	// come back ahead of the ServerHello, and the handshake's first read takes
+	// them off the line reader (loginConn).
+	login := &loginConn{Conn: c.ctrl.RW(), c: c, err: c.ctrl.Cmd("AUTH", "TLS")}
+	tc := tls.Client(login, gsi.ClientTLSConfig(cred, trust))
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := tc.Handshake(); err != nil {
+	err = tc.Handshake()
+	// A server that greets with 421 and hangs up, or refuses AUTH, fails the
+	// handshake, perhaps at its first write; its reply is the error to report.
+	if replyErr := login.replies(); replyErr != nil {
+		raw.Close()
+		return nil, replyErr
+	}
+	if err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("gridftp: control handshake: %w", err)
 	}
@@ -149,6 +146,38 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		return nil, fmt.Errorf("gridftp: MODE E: %w", modeErr)
 	}
 	return c, nil
+}
+
+// loginConn is the transport under the control channel's TLS client: the
+// connection as ftp.Conn.RW gives it, reading through the line reader, with
+// the two replies that precede the handshake on the wire taken off first.
+type loginConn struct {
+	net.Conn
+	c *Client
+	// read is set once the replies have been read; err is then the 220's
+	// refusal, else the 234's — or, from the start, AUTH's failed write, which
+	// only the greeting's refusal replaces.
+	read bool
+	err  error
+}
+
+func (l *loginConn) replies() error {
+	if !l.read {
+		l.read = true
+		if _, err := l.c.expect(ftp.CodeReadyForNewUser); err != nil {
+			l.err = err
+		} else if l.err == nil {
+			_, l.err = l.c.expect(ftp.CodeAuthOK)
+		}
+	}
+	return l.err
+}
+
+func (l *loginConn) Read(p []byte) (int, error) {
+	if err := l.replies(); err != nil {
+		return 0, err
+	}
+	return l.Conn.Read(p)
 }
 
 // newClientDataPath is a client's end of the data-channel path: every

@@ -367,7 +367,12 @@ func (sess *session) endCommandSpan() {
 
 // handleAuth performs the RFC 2228 security exchange: AUTH TLS upgrades
 // the control channel to mutually authenticated TLS, then the
-// authorization callout determines the local user (§II.C).
+// authorization callout determines the local user (§II.C). The handshake
+// reads through the control channel's line buffer (ftp.Conn.RW): this tree's
+// client sends its ClientHello in one flight with AUTH TLS, one that waits
+// for the 234 sends it a round trip later, and either way whatever arrived
+// behind the AUTH line is handshake input — a plaintext command injected
+// there fails the handshake and is never dispatched.
 func (sess *session) handleAuth(params string) bool {
 	if params != "TLS" && params != "GSSAPI" {
 		sess.reply(ftp.CodeParamNotImpl, "Only AUTH TLS/GSSAPI supported")
@@ -378,7 +383,7 @@ func (sess *session) handleAuth(params string) bool {
 		return false
 	}
 	sess.reply(ftp.CodeAuthOK, "Proceed with security exchange")
-	raw := sess.ctrl.Transport()
+	raw := sess.ctrl.RW()
 	tc := tls.Server(raw, gsi.ServerTLSConfig(sess.srv.cfg.HostCred, sess.srv.cfg.Trust))
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
 	ev := sess.srv.cfg.Obs.EventLog()
