@@ -163,6 +163,14 @@ func (s *scriptedServer) serve() {
 			s.ctrl.WriteReply(ftp.CodeOK, "Data address accepted")
 		case "RETR":
 			s.retr(cmd.Params, refused)
+		case "STOR":
+			// A receiving end no sender ever reaches.
+			if refused != 0 {
+				s.ctrl.WriteReply(refused, "Cannot create "+cmd.Params)
+				continue
+			}
+			s.ctrl.WriteReply(ftp.CodeFileStatusOK, "Ready for data")
+			s.ctrl.WriteReply(ftp.CodeTransferAborted, "No data arrived")
 		case "NOOP":
 			s.ctrl.WriteReply(ftp.CodeOK, "NOOP ok")
 		case "SITE":
@@ -565,6 +573,40 @@ func TestFreshGetRoundTripBudget(t *testing.T) {
 	}
 }
 
+// TestThirdPartyErrorIsTheCause: when the destination refuses the STOR before
+// any 150, the source is left with no data path and answers 425 (S2) — the
+// echo of the refusal, not the failure. The transfer's error is the
+// destination's reply. Once the STOR was accepted, a failing source is the
+// cause and the destination's 426 the consequence.
+func TestThirdPartyErrorIsTheCause(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		refuseStor int
+		srcPath    string
+		want, not  string
+	}{
+		{"refused STOR, 425 from the source", ftp.CodeBadFileName, "/f.bin", "destination: ftp: 553 Cannot create /out.bin", "425"},
+		{"accepted STOR, failing source", 0, "/missing.bin", "source: ftp: 550 No such file", "426"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, _ := newScriptedSessionOver(t, map[string][]byte{"/f.bin": pattern(100)}, 0)
+			dst, dstSrv := newScriptedSessionOver(t, nil, 0)
+			w := &thirdPartyWiring{} // as wire leaves a pair; the source's script has no address to connect to
+			src.wiring, dst.wiring = w, w
+			if tc.refuseStor != 0 {
+				dstSrv.refuseNext("STOR", tc.refuseStor)
+			}
+			_, err := ThirdParty(src, tc.srcPath, dst, "/out.bin", ThirdPartyOptions{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), tc.not) {
+				t.Fatalf("the transfer's error is %q, want the cause (%q) and not its consequence (%s)", err, tc.want, tc.not)
+			}
+			if wired(src, dst, false) {
+				t.Error("the pair is still wired after a failed transfer")
+			}
+		})
+	}
+}
+
 // fact is one listing line as a server sends it.
 func fact(kind, name string) string { return "Type=" + kind + ";Size=7; " + name }
 
@@ -625,7 +667,7 @@ func TestWalkIsOneFlightPerLevel(t *testing.T) {
 	for _, d := range w.Dirs {
 		dirs = append(dirs, "/copy/"+d)
 	}
-	if err := NewPipeline(c, c).Mkdirs(dirs); err != nil {
+	if _, err := NewPipeline(c, c).Mkdirs(dirs); err != nil {
 		t.Fatal(err)
 	}
 	if got := flights(o); got != 3 {
@@ -741,7 +783,7 @@ func TestFlightsAreCapped(t *testing.T) {
 	if len(w.Files) != wide || len(w.Dirs) != wide || flights(o) != 3 {
 		t.Fatalf("%d files and %d directories in %d flights, want %d and %d in 3 (the root, then %d and 8 directories)", len(w.Files), len(w.Dirs), flights(o), wide, wide, maxFlightCommands)
 	}
-	if err := NewPipeline(c, c).Mkdirs(dirs); err != nil {
+	if _, err := NewPipeline(c, c).Mkdirs(dirs); err != nil {
 		t.Fatal(err)
 	}
 	if got, owed := flights(o), len(c.owed); got != 4 || owed != len(dirs)-maxFlightCommands {

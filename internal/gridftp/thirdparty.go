@@ -225,27 +225,43 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 // flightLen, cost one for each flight but the last.) An MKD is a command with
 // a reply of its own, so the transfers in flight complete first.
 //
+// answered closes when the last of the replies has been read, whatever they
+// said. On these sessions the STORs are ordered behind the MKDs by the channel
+// they share; a STOR on any other session to the same destination has to wait
+// for answered, or it may overtake the MKD of the directory it lands in.
+//
 // A refused MKD is not an error here: most are a directory that exists. The
 // first STOR under the directory is the judge. It succeeds, and the refusal
 // is forgotten; or it is refused too, and its error names the directory and
 // carries the MKD's reply — and, like any failed transfer, un-wires the pair.
-func (p *Pipeline) Mkdirs(dirs []string) error {
+func (p *Pipeline) Mkdirs(dirs []string) (answered <-chan struct{}, err error) {
 	p.Drain()
+	done := make(chan struct{})
+	unanswered := len(dirs)
+	answer := func() {
+		if unanswered--; unanswered == 0 {
+			close(done)
+		}
+	}
+	if unanswered == 0 {
+		close(done)
+	}
 	for len(dirs) > 0 {
 		n := flightLen(dirs)
 		for _, d := range dirs[:n] {
 			if err := p.dst.owe(sessionCmd{name: "MKD", params: d, code: ftp.CodePathCreated,
-				refused: func(err error) { p.refuse(d, err) }}); err != nil {
-				return err
+				apply:   func(bool) { answer() },
+				refused: func(err error) { p.refuse(d, err); answer() }}); err != nil {
+				return nil, err
 			}
 		}
 		if dirs = dirs[n:]; len(dirs) > 0 {
 			if err := p.dst.Settle(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return done, nil
 }
 
 func (p *Pipeline) refuse(dir string, err error) {
@@ -326,10 +342,15 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 	if dstFinal.err != nil {
 		return res, fmt.Errorf("gridftp: destination control channel: %w", dstFinal.err)
 	}
-	// A STOR refused under a directory whose MKD was refused: that is the
-	// cause, whatever the source made of the data path it was left with.
-	if dir, mkdErr := p.judged(t.dstPath); dir != "" && !opened && dstFinal.reply.Err() != nil {
-		return res, fmt.Errorf("gridftp: destination: MKD %s was refused (%v), and so was the STOR under it: %w", dir, mkdErr, dstFinal.reply.Err())
+	// A STOR refused before any 150 is the cause, whatever the source made of
+	// the data path it was left with: its 425 is the echo of this refusal (S2).
+	// Under a directory whose MKD was refused, that in turn is the STOR's.
+	dir, mkdErr := p.judged(t.dstPath)
+	if err := dstFinal.reply.Err(); err != nil && !opened {
+		if dir != "" {
+			return res, fmt.Errorf("gridftp: destination: MKD %s was refused (%v), and so was the STOR under it: %w", dir, mkdErr, err)
+		}
+		return res, fmt.Errorf("gridftp: destination: %w", err)
 	}
 	if err := srcReply.Err(); err != nil {
 		return res, fmt.Errorf("gridftp: source: %w", err)

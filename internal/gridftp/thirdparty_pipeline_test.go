@@ -356,7 +356,7 @@ func TestPipelineMkdirsAheadOfTheFirstStor(t *testing.T) {
 	}
 
 	before, owed := flights(p.dstObs), len(p.dst.owed) // DELG's 200
-	if err := pipe.Mkdirs([]string{"/out", "/out/a", "/out/a/b"}); err != nil {
+	if _, err := pipe.Mkdirs([]string{"/out", "/out/a", "/out/a/b"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := flights(p.dstObs) - before; got != 0 || len(p.dst.owed) != owed+3 {
@@ -371,7 +371,7 @@ func TestPipelineMkdirsAheadOfTheFirstStor(t *testing.T) {
 
 	// Wired: two more directories, one of which exists, and a file into each.
 	before = flights(p.dstObs)
-	if err := pipe.Mkdirs([]string{"/out", "/more"}); err != nil {
+	if _, err := pipe.Mkdirs([]string{"/out", "/more"}); err != nil {
 		t.Fatal(err)
 	}
 	window := []*windowFile{begin("/out/again.bin"), begin("/more/new.bin"), begin("/out/a/third.bin")}
@@ -405,7 +405,7 @@ func TestPipelineRefusedMkdirIsJudgedByItsStor(t *testing.T) {
 	p.srcSite.putFile(t, "/one.bin", pattern(30000))
 
 	pipe := NewPipeline(p.src, p.dst)
-	if err := pipe.Mkdirs([]string{"/blocked", "/blocked/sub"}); err != nil {
+	if _, err := pipe.Mkdirs([]string{"/blocked", "/blocked/sub"}); err != nil {
 		t.Fatalf("Mkdirs: %v (a refused MKD is not Mkdirs' error)", err)
 	}
 	var errs []error

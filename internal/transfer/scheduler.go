@@ -698,12 +698,15 @@ func (w *worker) complete(ft *fileTransfer, terr error) {
 // file fails. With a single worker the task span owns the data spans
 // directly (the sequential shape); with K > 1 each worker gets a child span.
 //
-// The destination tree is asked for first, on the primary pair, and not
-// waited for: the MKDs are on their way before worker 0 writes its first
-// STOR behind them on the same channel, and before any other worker starts
-// the several round trips of dialling a pair to write one on another. Every
-// attempt asks again — a failed one says nothing about what the destination
-// kept — and an existing directory's refusal costs nothing (Pipeline.Mkdirs).
+// The destination tree is asked for first, on the primary pair, and worker 0
+// does not wait for it: its first STOR follows the MKDs on the same channel.
+// Every other worker writes on a channel of its own, where a STOR could
+// overtake the MKD of the directory it lands in; it dials its pair at once and
+// begins its first file when the primary pair has read the last MKD's reply —
+// with its wiring or its first file's, a flight worker 0 waits out anyway.
+// Every attempt asks again — a failed one says nothing about what the
+// destination kept — and an existing directory's refusal costs nothing
+// (Pipeline.Mkdirs).
 func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	srcEP, dstEP *Endpoint, taskSpan *obs.Span, pending []int, workers int, tuner *autotuner) error {
 
@@ -716,7 +719,8 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	agg := newPerfAgg(s, task, workers)
 
 	primaryPipe := gridftp.NewPipeline(primary.src, primary.dst)
-	if err := primaryPipe.Mkdirs(plan.dirs); err != nil {
+	dirsAnswered, err := primaryPipe.Mkdirs(plan.dirs)
+	if err != nil {
 		return err
 	}
 	if workers == 1 {
@@ -762,6 +766,11 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 				}
 				defer pair.Close()
 				pipe = gridftp.NewPipeline(pair.src, pair.dst)
+				select {
+				case <-dirsAnswered:
+				case <-stop:
+					return
+				}
 			}
 			if err := s.runWorker(workerRun{
 				task: task, plan: plan, tuner: tuner, agg: agg,

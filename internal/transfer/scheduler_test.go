@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,4 +362,57 @@ func TestBlockSizeForBDP(t *testing.T) {
 	if got := a.blockSizeFor(streamstats.WireSummary{RTT: time.Second, Throughput: 1e9}, 1); got != gridftp.DefaultBlockSize {
 		t.Errorf("disabled tuner: blockSizeFor = %d, want default", got)
 	}
+}
+
+// gatedMkdir is a Storage whose Mkdir waits for the gate; it counts the files
+// created while the gate was still shut.
+type gatedMkdir struct {
+	dsi.Storage
+	gate  chan struct{}
+	early atomic.Int32
+}
+
+func (g *gatedMkdir) Mkdir(user, p string) error {
+	<-g.gate
+	return g.Storage.Mkdir(user, p)
+}
+
+func (g *gatedMkdir) Create(user, p string) (dsi.File, error) {
+	select {
+	case <-g.gate:
+	default:
+		g.early.Add(1)
+	}
+	return g.Storage.Create(user, p)
+}
+
+// TestNoWorkerStoresAheadOfTheTree: the destination tree's MKDs travel on
+// the primary pair, and a second worker's STOR travels on a session of its
+// own, where nothing on the wire keeps it behind them. With the destination
+// slow to make directories, the second pair is dialled and idle long before
+// the first MKD is answered; its worker has to wait for that answer, or its
+// STOR finds no directory, fails the attempt and costs the task a retry.
+func TestNoWorkerStoresAheadOfTheTree(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o, TaskConcurrency: 2}, false)
+	activateBoth(t, w)
+	slow := &gatedMkdir{Storage: w.faultB.Storage, gate: make(chan struct{})}
+	w.faultB.Storage = slow
+	files := distinctTree(t, w, "/tree", 6, 20<<10)
+
+	task, err := w.svc.Submit("alice", "siteA", "/tree", "siteB", "/tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "both workers' session pairs", func() bool { return sessionsActive(o) == 4 })
+	time.Sleep(100 * time.Millisecond) // a worker that does not wait has written its STOR by now
+	close(slow.gate)
+	done, err := w.svc.Wait(task.ID, time.Minute)
+	if err != nil || done.Status != TaskSucceeded {
+		t.Fatalf("task: %+v, %v", done, err)
+	}
+	if n := slow.early.Load(); n != 0 || done.Attempts != 1 {
+		t.Errorf("%d files were stored before their directory was made, and the task took %d attempts; want 0 and 1", n, done.Attempts)
+	}
+	verifyTree(t, w, files)
 }
