@@ -526,9 +526,11 @@ var refWAN = netsim.LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, Stre
 
 // TestFreshGetRoundTripBudget is wan_fresh_p16's operation: dial, delegate,
 // sixteen streams, one 1 MiB GET, close. The floors — written out in
-// README.md — add up to about 12 round trips and the measured cost is 13.0;
-// 19.4 before short transfers used every stream and before the client stopped
-// waiting for replies it did not need.
+// README.md — add up to about 9 round trips and the measured cost is 11.0, of
+// which Dial is 3.3: connect, AUTH TLS with the handshake behind it, the
+// login. (13.0 while AUTH TLS waited for its 234 and every data channel for a
+// key and an ack; 19.4 before short transfers used every stream and before the
+// client stopped waiting for replies it did not need.)
 func TestFreshGetRoundTripBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("seventeen TLS handshakes under the race detector cost two round trips of CPU; the budget is wall time")
@@ -542,13 +544,16 @@ func TestFreshGetRoundTripBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := time.Duration(0)
+	best, bestDial := time.Duration(0), time.Duration(0)
 	for try := 0; try < 3; try++ { // the budget is about the protocol, not about a busy machine
 		dst := dsi.NewBufferFile(nil)
 		start := time.Now()
 		c, err := Dial(nw.Host("laptop"), s.addr, proxy, s.trust)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if took := time.Since(start); bestDial == 0 || took < bestDial {
+			bestDial = took
 		}
 		if err := c.Delegate(time.Hour); err != nil {
 			t.Fatal(err)
@@ -568,8 +573,11 @@ func TestFreshGetRoundTripBudget(t *testing.T) {
 			best = took
 		}
 	}
-	if rtts := float64(best) / float64(refWAN.RTT); rtts > 14.5 {
-		t.Fatalf("a fresh-session 1 MiB GET at 16 streams took %.1f round trips (%v), want at most 14.5", rtts, best)
+	if rtts := float64(bestDial) / float64(refWAN.RTT); rtts > 3.6 {
+		t.Errorf("Dial took %.1f round trips (%v), want at most 3.6", rtts, bestDial)
+	}
+	if rtts := float64(best) / float64(refWAN.RTT); rtts > 12.5 {
+		t.Errorf("a fresh-session 1 MiB GET at 16 streams took %.1f round trips (%v), want at most 12.5", rtts, best)
 	}
 }
 

@@ -3,9 +3,10 @@
 # examples/ and the root package included), the client's one-place-for-reply-
 # reads guard (internal/gridftp/settle.go), the binaries' no-plane-imports
 # guard (internal/admin/boot.go), build, vet, the full test
-# suite, and the full test suite again under the race detector (about two
-# minutes on two cores). It ends by printing the non-test lines of Go per
-# package (scripts/loc.sh) — the figure CHANGES.md reports, not a gate.
+# suite, the full test suite again under the race detector (about two
+# minutes on two cores), and ten seconds of the record-boundary fuzzer. It
+# ends by printing the non-test lines of Go per package (scripts/loc.sh) —
+# the figure CHANGES.md reports, not a gate.
 #
 # The plain pass runs with -count=1 -shuffle=on: a cached "ok" is how a test
 # that failed most fresh runs once sat on main unnoticed, and a test that
@@ -51,6 +52,11 @@ go test -count=1 -shuffle=on "$@" ./...
 
 echo "==> go test -race ./..."
 go test -race "$@" ./...
+
+echo "==> go test -fuzz FuzzRecordConn -fuzztime 10s ./internal/gridftp"
+# recordConn parses lengths a peer sends before it has authenticated, on every
+# data port; the committed corpus is a handful of segmentations, this is more.
+go test -run '^$' -fuzz FuzzRecordConn -fuzztime 10s ./internal/gridftp
 
 echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
 ./scripts/loc.sh
