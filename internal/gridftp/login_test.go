@@ -15,16 +15,6 @@ import (
 	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
-// observedSite is a site whose server reports into o.
-func observedSite(t *testing.T, nw *netsim.Network) (*site, *obs.Obs) {
-	o := obs.Nop()
-	return newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Obs = o }), o
-}
-
-func dispatched(o *obs.Obs) int64 {
-	return o.Metrics.Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Count()
-}
-
 // TestClassicClientStillLogsIn: an RFC 4217 client reads the greeting, sends
 // AUTH TLS, waits for the 234 and only then starts its handshake. The server
 // reads that handshake through the control channel's line buffer, which is
@@ -73,7 +63,8 @@ func TestClassicClientStillLogsIn(t *testing.T) {
 // that holds the session's open, its failed handshake and its close.
 func TestPlaintextBehindAuthIsNeverACommand(t *testing.T) {
 	nw := netsim.NewNetwork()
-	s, o := observedSite(t, nw)
+	o := obs.Nop()
+	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Obs = o })
 	raw, err := nw.Host("laptop").Dial(s.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +87,7 @@ func TestPlaintextBehindAuthIsNeverACommand(t *testing.T) {
 		t.Errorf("behind the 234 the server sent %q, want no reply line", lines[2])
 	}
 	waitFor(t, "the session to end", func() bool { return len(o.Events.Events()) >= 3 })
-	if n := dispatched(o); n != 1 {
+	if n := o.Metrics.Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Count(); n != 1 {
 		t.Errorf("%d commands dispatched, want 1 (the AUTH)", n)
 	}
 	var types []string

@@ -235,11 +235,11 @@ func stepDownSafe(tc *tls.Conn, raw net.Conn, isListener bool) (net.Conn, error)
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: step-down keys: %w", err)
 	}
-	toListener, toConnector := keys[:integrityKeyLen], keys[integrityKeyLen:]
+	writeKey, readKey := keys[:integrityKeyLen], keys[integrityKeyLen:]
 	if isListener {
-		return newIntegrityConn(raw, toConnector, toListener), nil
+		writeKey, readKey = readKey, writeKey
 	}
-	return newIntegrityConn(raw, toListener, toConnector), nil
+	return newIntegrityConn(raw, writeKey, readKey), nil
 }
 
 // integrityConn provides integrity-only protection (PROT S): payload
