@@ -2,6 +2,8 @@ package gridftp
 
 import (
 	"crypto/tls"
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -28,6 +30,9 @@ type Client struct {
 	// ServerIdentity is the GSI identity the server's host certificate
 	// presented on the control channel.
 	ServerIdentity gsi.DN
+	// delegKey is the server session's delegation public key (PKIX DER) as
+	// the login reply carried it; Delegate signs over it.
+	delegKey []byte
 
 	spec     ChannelSpec
 	restart  []Range
@@ -134,9 +139,16 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	// one round trip instead of two. A refused login closes the connection
 	// and may fail this write; the login reply is the error to report.
 	modeErr := c.send("MODE", "E")
-	if _, err := c.expect(ftp.CodeUserLoggedIn); err != nil {
+	login230, err := c.expect(ftp.CodeUserLoggedIn)
+	if err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("gridftp: login: %w", err)
+	}
+	for _, line := range login230.Lines {
+		if b64, ok := strings.CutPrefix(line, delegKeyPrefix); ok {
+			// A key that does not decode is no key: Delegate says so.
+			c.delegKey, _ = base64.StdEncoding.DecodeString(b64)
+		}
 	}
 	if modeErr == nil {
 		_, modeErr = c.expect(ftp.CodeOK)
@@ -262,23 +274,24 @@ func (c *Client) Setup(s SessionSetup) error {
 
 // Delegate delegates a proxy of the client credential to the server over
 // the encrypted control channel; the server uses it to authenticate data
-// channels on the user's behalf (required for DCAU unless DCSC is used). It
-// returns once the signed proxy is written: the server's closing 200 is owed
-// (settle.go), and a server that rejects the proxy says so to the next call
-// that reads the channel.
+// channels on the user's behalf (required for DCAU unless DCSC is used). The
+// server's key arrived with the login, so the proxy is signed here and sent
+// as one command, and nothing is waited for: DELG's 200 is owed (settle.go),
+// and a server that rejects the proxy says so to the next call that reads the
+// channel.
 func (c *Client) Delegate(lifetime time.Duration) error {
 	if c.cred == nil {
 		return ErrLiteNoDelegation
 	}
-	if _, err := c.cmdExpect("DELG", "", 335); err != nil {
+	if c.delegKey == nil {
+		return errors.New("gridftp: the server's login reply offered no delegation key")
+	}
+	bundle, err := gsi.SignDelegation(c.cred, c.delegKey, lifetime)
+	if err != nil {
 		return err
 	}
-	if err := gsi.Delegate(c.ctrl.RW(), c.cred, lifetime); err != nil {
-		return err
-	}
-	c.owed = append(c.owed, sessionCmd{name: "DELG"}) // nothing more to write: the exchange was the command
-	c.flushPools()                                    // the server's data security context changed
-	return nil
+	c.flushPools() // the server's data security context changes
+	return c.owe(sessionCmd{name: "DELG", params: base64.StdEncoding.EncodeToString(bundle)})
 }
 
 // Features runs FEAT and returns the advertised feature lines.

@@ -74,7 +74,7 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 	case "PASS":
 		sess.reply(ftp.CodeUserLoggedIn, "Already authenticated via GSI")
 	case "DELG":
-		sess.handleDelegation()
+		sess.handleDelegation(cmd.Params)
 	case "PWD":
 		sess.reply(ftp.CodePathCreated, fmt.Sprintf("%q is the current directory", sess.cwd))
 	case "CWD":

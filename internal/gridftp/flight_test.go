@@ -2,6 +2,8 @@ package gridftp
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"net"
@@ -23,7 +25,7 @@ import (
 
 // scriptedServer is a fake server end for the client's flights: an ftp.Conn
 // over netsim that answers the commands of a fresh-session GET and of a task's
-// plan the way the real server does — DELG runs the delegation exchange, RETR
+// plan the way the real server does — DELG takes a proxy over its key, RETR
 // dials the PORT address and sends MODE E over this package's own data path,
 // MLST and MLSC answer from files and listings — except that the first command
 // of a verb named in refuse is answered with that code. The control channel
@@ -38,6 +40,8 @@ type scriptedServer struct {
 	listings map[string][]string
 	data     dataPath
 	done     chan struct{}
+	// delegKey is what a real session generates at login.
+	delegKey *ecdsa.PrivateKey
 
 	mu     sync.Mutex
 	refuse map[string]int
@@ -72,8 +76,12 @@ func newScriptedSessionOver(t *testing.T, files map[string][]byte, rtt time.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
+	key, pubDER, err := gsi.NewDelegationKey()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := &scriptedServer{
-		ctrl: ftp.NewConn(<-accepted), files: files, done: make(chan struct{}),
+		ctrl: ftp.NewConn(<-accepted), files: files, done: make(chan struct{}), delegKey: key,
 		data:   dataPath{dialFrom: []*netsim.Host{nw.Host("fake")}, wait: 3 * time.Second, cache: true},
 		refuse: map[string]int{}, par: 1,
 	}
@@ -81,7 +89,7 @@ func newScriptedSessionOver(t *testing.T, files map[string][]byte, rtt time.Dura
 
 	user := testSecurity(t, "alice")
 	c := &Client{
-		ctrl: ftp.NewConn(raw), host: nw.Host("laptop"), cred: user.Cred, trust: user.Trust,
+		ctrl: ftp.NewConn(raw), host: nw.Host("laptop"), cred: user.Cred, trust: user.Trust, delegKey: pubDER,
 		spec:      ChannelSpec{Mode: ModeExtended, DCAU: DCAUNone}.Normalize(),
 		perfBytes: make(map[int]int64),
 		data:      newClientDataPath(nw.Host("laptop"), DialOptions{}),
@@ -134,9 +142,9 @@ func (s *scriptedServer) serve() {
 		s.mu.Unlock()
 		switch cmd.Name {
 		case "DELG":
-			s.ctrl.WriteReply(335, "Ready for delegation")
-			if _, err := gsi.AcceptDelegation(s.ctrl.RW()); err != nil {
-				refused = ftp.CodeLocalError
+			bundle, _ := base64.StdEncoding.DecodeString(cmd.Params)
+			if _, err := gsi.AcceptBundle(s.delegKey, bundle); err != nil && refused == 0 {
+				refused = ftp.CodeParamSyntaxError
 			}
 			if refused != 0 {
 				s.ctrl.WriteReply(refused, "Delegation refused")

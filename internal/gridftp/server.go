@@ -1,7 +1,9 @@
 package gridftp
 
 import (
+	"crypto/ecdsa"
 	"crypto/tls"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"net"
@@ -179,6 +181,10 @@ type session struct {
 	identity      *gsi.VerifiedIdentity
 	localUser     string
 
+	// delegKey is the session's delegation key pair, generated when the
+	// login is authorized; its public half travels in the 230 and every DELG
+	// of the session is a proxy signed over it. Nil on a Lite session.
+	delegKey *ecdsa.PrivateKey
 	// delegated is the user proxy delegated over the control channel;
 	// it is the default data channel credential.
 	delegated *gsi.Credential
@@ -419,22 +425,54 @@ func (sess *session) handleAuth(params string) bool {
 	sess.log.Info("session authenticated")
 	ev.Append(eventlog.AuthSuccess, "component", "gridftp-server",
 		"session", sess.id, "dn", string(id.Identity), "user", user)
-	sess.reply(ftp.CodeUserLoggedIn,
-		fmt.Sprintf("User %s logged in as local user %s", id.Identity, user))
+	// The delegation key rides the login reply: the client signs its proxy
+	// over it without asking for it, so DELG costs no round trip of its own.
+	// The key pair is the session's, not the delegation's — it never leaves
+	// this process and dies with the session, so a later DELG renews the
+	// certificate over the same key and loses nothing a fresh key would keep.
+	lines := []string{fmt.Sprintf("User %s logged in as local user %s", id.Identity, user)}
+	if key, pubDER, err := gsi.NewDelegationKey(); err != nil {
+		sess.log.Warn("no delegation key", "err", err) // DELG will be refused
+	} else {
+		sess.delegKey = key
+		lines = append(lines, delegKeyPrefix+base64.StdEncoding.EncodeToString(pubDER))
+	}
+	sess.reply(ftp.CodeUserLoggedIn, lines...)
 	return false
 }
 
-// handleDelegation receives a delegated proxy over the (now encrypted)
-// control channel; it becomes the default data channel credential.
-func (sess *session) handleDelegation() {
-	sess.reply(335, "Ready for delegation")
-	cred, err := gsi.AcceptDelegation(sess.ctrl.RW())
-	if err != nil {
-		sess.reply(ftp.CodeLocalError, fmt.Sprintf("Delegation failed: %v", err))
+// delegKeyPrefix starts the line of the 230 that carries the session's
+// delegation public key, base64 of its PKIX DER.
+const delegKeyPrefix = "DELGKEY "
+
+// handleDelegation takes "DELG <base64 PEM bundle>": a proxy of the login's
+// credential signed over the session's delegation key (the one the 230
+// carried), with its chain. Installed, it is the default data channel
+// credential — so nothing is installed that the server has not checked the
+// way it checks a peer: the leaf certifies the session's own key, and the
+// bundle verifies in the server's trust store to the identity that logged in.
+// A refusal changes nothing: the credential and the pooled channels stay.
+func (sess *session) handleDelegation(params string) {
+	if params == "" || sess.delegKey == nil {
+		sess.reply(ftp.CodeParamSyntaxError, "DELG takes a proxy signed over the login reply's DELGKEY")
 		return
 	}
-	// The delegated identity must match the control channel login.
-	if cred.Identity() != sess.identity.Identity {
+	bundle, err := base64.StdEncoding.DecodeString(params)
+	if err != nil {
+		sess.reply(ftp.CodeParamSyntaxError, "Delegation bundle is not base64")
+		return
+	}
+	cred, err := gsi.AcceptBundle(sess.delegKey, bundle)
+	if err != nil {
+		sess.reply(ftp.CodeParamSyntaxError, fmt.Sprintf("Delegation failed: %s", errText(err)))
+		return
+	}
+	id, err := sess.srv.cfg.Trust.Verify(cred.FullChain(), time.Now())
+	if err != nil {
+		sess.reply(ftp.CodeNotLoggedIn, fmt.Sprintf("Delegated credential rejected: %s", errText(err)))
+		return
+	}
+	if id.Identity != sess.identity.Identity {
 		sess.reply(ftp.CodeNotLoggedIn, "Delegated credential identity mismatch")
 		return
 	}
