@@ -8,18 +8,21 @@
 // Wire protocol (CRLF-free, one line per message, over TLS):
 //
 //	C: LOGON <username> <lifetime-seconds> [traceparent]
+//	C: PUBKEY <base64 PKIX DER>   (in one flight with LOGON)
 //	S: PROMPT <0|1> <text>        (repeated; 0 = secret prompt)
 //	C: RESPONSE <text>
-//	S: ERR <message>              (terminal)  |  S: OK
-//	C: PUBKEY <base64 PKIX DER>
-//	S: CERT <base64 PEM bundle>   (certificate + chain, no key)
+//	S: CERT <base64 PEM bundle>   (certificate + chain, no key)  |  S: ERR <message>
+//
+// The public key is no secret and does not depend on anything the server
+// says, so it rides the request instead of waiting for the conversation's
+// outcome: the server parses it before the first prompt, signs nothing over
+// it until authentication has succeeded, and answers the last RESPONSE with
+// the certificate or the refusal — a logon costs the TLS handshake, one round
+// trip per prompt, and nothing else. ERR is terminal wherever it appears.
 package myproxy
 
 import (
 	"bufio"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/base64"
@@ -120,6 +123,29 @@ func (s *Server) serve(raw net.Conn) {
 	if len(fields) == 4 {
 		sc, _ = obs.Extract(fields[3])
 	}
+	// The key arrived behind LOGON. It is parsed before the conversation, so
+	// a request that could never be served costs the user no prompt, and used
+	// only once the conversation has succeeded.
+	line, err = readLine(br)
+	if err != nil {
+		return
+	}
+	keyB64, ok := strings.CutPrefix(line, "PUBKEY ")
+	if !ok {
+		fmt.Fprintf(tc, "ERR expected PUBKEY\n")
+		return
+	}
+	keyDER, err := base64.StdEncoding.DecodeString(keyB64)
+	if err != nil {
+		fmt.Fprintf(tc, "ERR bad key encoding\n")
+		return
+	}
+	pub, err := x509.ParsePKIXPublicKey(keyDER)
+	if err != nil {
+		fmt.Fprintf(tc, "ERR unparsable public key\n")
+		return
+	}
+
 	span := s.Obs.Tracer().StartSpanContext("myproxy.logon", sc)
 	span.SetAttr("user", username)
 	defer span.End()
@@ -144,9 +170,8 @@ func (s *Server) serve(raw net.Conn) {
 		return resp, nil
 	}
 
-	// Authenticate before accepting a key: run PAM through the online CA
-	// by doing a two-phase issue — authenticate first so failures are
-	// reported before the client sends its key.
+	// Authenticate, then issue: a two-phase logon through the online CA, so
+	// nothing is signed for a user who has not answered every prompt.
 	acct, err := s.OnlineCA.Auth.Authenticate(username, conv)
 	if err != nil {
 		reg.Counter("myproxy.logons_denied").Inc()
@@ -155,29 +180,6 @@ func (s *Server) serve(raw net.Conn) {
 		s.Obs.EventLog().Append(eventlog.AuthFailure,
 			traceEventKV(span, "component", "myproxy", "user", username, "err", err.Error())...)
 		fmt.Fprintf(tc, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-		return
-	}
-	if _, err := fmt.Fprintf(tc, "OK\n"); err != nil {
-		return
-	}
-
-	line, err = readLine(br)
-	if err != nil {
-		return
-	}
-	keyB64, ok := strings.CutPrefix(line, "PUBKEY ")
-	if !ok {
-		fmt.Fprintf(tc, "ERR expected PUBKEY\n")
-		return
-	}
-	keyDER, err := base64.StdEncoding.DecodeString(keyB64)
-	if err != nil {
-		fmt.Fprintf(tc, "ERR bad key encoding\n")
-		return
-	}
-	pub, err := x509.ParsePKIXPublicKey(keyDER)
-	if err != nil {
-		fmt.Fprintf(tc, "ERR unparsable public key\n")
 		return
 	}
 	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, pub, time.Duration(seconds)*time.Second)
@@ -258,11 +260,16 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 	raw.SetDeadline(time.Time{})
 	br := bufio.NewReader(tc)
 
+	key, pubDER, err := gsi.NewDelegationKey()
+	if err != nil {
+		return nil, err
+	}
 	req := fmt.Sprintf("LOGON %s %d", username, int(opts.Lifetime/time.Second))
 	if opts.Trace.Valid() {
 		req += " " + obs.Inject(opts.Trace)
 	}
-	if _, err := fmt.Fprintf(tc, "%s\n", req); err != nil {
+	// One write: the request and the key are one flight, and one TLS record.
+	if _, err := fmt.Fprintf(tc, "%s\nPUBKEY %s\n", req, base64.StdEncoding.EncodeToString(pubDER)); err != nil {
 		return nil, err
 	}
 	for {
@@ -270,9 +277,9 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 		if err != nil {
 			return nil, fmt.Errorf("myproxy: %w", err)
 		}
-		switch {
-		case strings.HasPrefix(line, "PROMPT "):
-			rest := strings.TrimPrefix(line, "PROMPT ")
+		kind, rest, _ := strings.Cut(line, " ")
+		switch kind {
+		case "PROMPT":
 			echoStr, prompt, _ := strings.Cut(rest, " ")
 			resp, err := conv(prompt, echoStr == "1")
 			if err != nil {
@@ -281,47 +288,16 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 			if _, err := fmt.Fprintf(tc, "RESPONSE %s\n", resp); err != nil {
 				return nil, err
 			}
-		case line == "OK":
-			return finishLogon(tc, br)
-		case strings.HasPrefix(line, "ERR "):
-			return nil, fmt.Errorf("myproxy: %s", strings.TrimPrefix(line, "ERR "))
+		case "CERT":
+			bundle, err := base64.StdEncoding.DecodeString(rest)
+			if err != nil {
+				return nil, err
+			}
+			return gsi.AcceptBundle(key, bundle)
+		case "ERR":
+			return nil, fmt.Errorf("myproxy: %s", rest)
 		default:
 			return nil, fmt.Errorf("myproxy: unexpected server message %q", line)
 		}
 	}
-}
-
-func finishLogon(tc *tls.Conn, br *bufio.Reader) (*gsi.Credential, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	pubDER, err := x509.MarshalPKIXPublicKey(&key.PublicKey)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fmt.Fprintf(tc, "PUBKEY %s\n", base64.StdEncoding.EncodeToString(pubDER)); err != nil {
-		return nil, err
-	}
-	line, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasPrefix(line, "ERR ") {
-		return nil, fmt.Errorf("myproxy: %s", strings.TrimPrefix(line, "ERR "))
-	}
-	certB64, ok := strings.CutPrefix(line, "CERT ")
-	if !ok {
-		return nil, fmt.Errorf("myproxy: unexpected server message %q", line)
-	}
-	bundle, err := base64.StdEncoding.DecodeString(certB64)
-	if err != nil {
-		return nil, err
-	}
-	cred, err := gsi.DecodePEM(bundle)
-	if err != nil {
-		return nil, err
-	}
-	cred.Key = key
-	return cred, nil
 }
