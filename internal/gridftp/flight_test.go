@@ -438,11 +438,11 @@ func TestOwedRefusalBehindAQuery(t *testing.T) {
 	}
 }
 
-// TestDelegationLeavesPipelinedCommandsAlone pins the hazard of leaving
-// DELG's 200 owed: the commands of the next flight reach the server right
-// behind the signed certificate, often in the same read. The server's side of
-// the exchange must take the certificate through the control connection's own
-// buffered reader and stop at its newline, or it swallows them.
+// TestDelegationLeavesPipelinedCommandsAlone pins what leaving DELG's 200
+// owed relies on: the commands of the next flight reach the server right
+// behind the signed certificate, often in the same read, and a bundle is a
+// few kilobytes — longer than the line reader's buffer. DELG is one command
+// line and the line reader takes all of it and nothing more.
 func TestDelegationLeavesPipelinedCommandsAlone(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -534,11 +534,13 @@ var refWAN = netsim.LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, Stre
 
 // TestFreshGetRoundTripBudget is wan_fresh_p16's operation: dial, delegate,
 // sixteen streams, one 1 MiB GET, close. The floors — written out in
-// README.md — add up to about 9 round trips and the measured cost is 11.0, of
+// README.md — add up to about 8 round trips and the measured cost is 10.1, of
 // which Dial is 3.3: connect, AUTH TLS with the handshake behind it, the
-// login. (13.0 while AUTH TLS waited for its 234 and every data channel for a
-// key and an ack; 19.4 before short transfers used every stream and before the
-// client stopped waiting for replies it did not need.)
+// login, whose reply carries the key Delegate signs over. (11.0 while DELG
+// fetched that key in an exchange of its own; 13.0 while AUTH TLS waited for
+// its 234 and every data channel for a key and an ack; 19.4 before short
+// transfers used every stream and before the client stopped waiting for
+// replies it did not need.)
 func TestFreshGetRoundTripBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("seventeen TLS handshakes under the race detector cost two round trips of CPU; the budget is wall time")
@@ -584,8 +586,8 @@ func TestFreshGetRoundTripBudget(t *testing.T) {
 	if rtts := float64(bestDial) / float64(refWAN.RTT); rtts > 3.6 {
 		t.Errorf("Dial took %.1f round trips (%v), want at most 3.6", rtts, bestDial)
 	}
-	if rtts := float64(best) / float64(refWAN.RTT); rtts > 12.5 {
-		t.Errorf("a fresh-session 1 MiB GET at 16 streams took %.1f round trips (%v), want at most 12.5", rtts, best)
+	if rtts := float64(best) / float64(refWAN.RTT); rtts > 11.5 {
+		t.Errorf("a fresh-session 1 MiB GET at 16 streams took %.1f round trips (%v), want at most 11.5", rtts, best)
 	}
 }
 

@@ -1,0 +1,84 @@
+package netsim
+
+import (
+	"io"
+	"sort"
+	"testing"
+	"time"
+)
+
+// TestPacedWritesLeaveTheLinkIdle measures, and only measures, what a writer
+// that sends back to back leaves unused of a shaped link. writev sleeps out
+// every paced write on a timer and reserve books the next write from
+// max(free, now), so however late the timer wakes the writer is time in which
+// the link carries nothing: the simulated link is slower than its Bandwidth
+// by one timer lateness per write. On the hosted benchmark's hop (40 MB/s,
+// 10 ms) with writes the size of its files (16–256 KiB, 0.4–6.5 ms of link
+// each) that idle time is what internal/gridftp/README.md's warm-task table
+// used to book to per-file server work. It is reported, not fixed: changing
+// the model moves every benchmark figure and is its own change. The one
+// assertion is a bound loose enough to hold on a busy machine.
+func TestPacedWritesLeaveTheLinkIdle(t *testing.T) {
+	link := LinkParams{Bandwidth: 40e6, RTT: 10 * time.Millisecond, StreamWindow: 1 << 20}
+	nw := NewNetwork()
+	nw.SetLink("a", "b", link)
+	l, err := nw.Listen("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(io.Discard, c)
+	}()
+	c, err := nw.Dial("a", "b:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const rounds, sizes = 8, 24
+	buf := make([]byte, 256<<10)
+	var idle []time.Duration
+	var free time.Time // when the link has sent everything written so far
+	var busy time.Duration
+	begin := time.Now()
+	for i := 0; i < rounds*sizes; i++ {
+		n := (16 + 10*(i%sizes)) << 10 // 16, 26, … 246 KiB
+		now := time.Now()
+		if i > 0 {
+			idle = append(idle, max(0, now.Sub(free)))
+		}
+		onLink := time.Duration(float64(n) / link.Bandwidth * float64(time.Second))
+		free = maxTime(free, now).Add(onLink)
+		busy += onLink
+		if _, err := c.Write(buf[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	elapsed := time.Since(begin)
+
+	sort.Slice(idle, func(i, j int) bool { return idle[i] < idle[j] })
+	var total time.Duration
+	for _, d := range idle {
+		total += d
+	}
+	p50, p90 := idle[len(idle)/2], idle[len(idle)*9/10]
+	t.Logf("%d back-to-back paced writes of 16–246 KiB from one goroutine: link idle per write p50 %v, p90 %v, mean %v; %v elapsed = %v of bytes on the link + %v idle (%.0f%%)",
+		len(idle)+1, p50.Round(10*time.Microsecond), p90.Round(10*time.Microsecond), (total / time.Duration(len(idle))).Round(10*time.Microsecond),
+		elapsed.Round(time.Millisecond), busy.Round(time.Millisecond), total.Round(time.Millisecond), 100*total.Seconds()/elapsed.Seconds())
+	if p50 >= 3*time.Millisecond {
+		t.Errorf("link idle per paced write p50 %v, want under 3 ms: the writer's wake-up is costing more than a timer's lateness", p50)
+	}
+}
+
+func maxTime(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
+}

@@ -61,8 +61,8 @@ func runDirTask(t *testing.T, w *world, dir string) (*Task, time.Duration) {
 // TestSmallFilesCostDataNotRoundTrips is the scheduler's acceptance
 // scenario: 50 x 64 KiB files over 20 ms RTT links. A worker keeps a window
 // of files queued at both servers, so the task costs its set-up (pair, plan,
-// wiring) plus the data — 28 round trips at most for a cold task (elapsed ÷
-// RTT; 19–20 measured, a few more under the race detector), where one file at
+// wiring) plus the data — 26 round trips at most for a cold task (elapsed ÷
+// RTT; 17 measured, a few more under the race detector), where one file at
 // a time cost 111 and an eight-pair fan-out 44 — and 16 at most (9–10
 // measured) for the next task between the same endpoints, which adopts the
 // parked pair, still wired, and pays one flight for its plan and one for its
@@ -76,7 +76,7 @@ func TestSmallFilesCostDataNotRoundTrips(t *testing.T) {
 	const nFiles = 50
 	const fileSize = 64 << 10
 	const rtt = 20 * time.Millisecond
-	const coldBudget, warmBudget = 28, 16
+	const coldBudget, warmBudget = 26, 16
 
 	for _, tc := range []struct {
 		name        string

@@ -4,7 +4,8 @@
 # reads guard (internal/gridftp/settle.go), the binaries' no-plane-imports
 # guard (internal/admin/boot.go), build, vet, the full test
 # suite, the full test suite again under the race detector (about two
-# minutes on two cores), and ten seconds of the record-boundary fuzzer. It
+# minutes on two cores), and ten seconds each of the record-boundary fuzzer
+# and the delegation-bundle fuzzer. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
 # the figure CHANGES.md reports, not a gate.
 #
@@ -32,6 +33,14 @@ if grep -nE 'ctrl\.(Expect|ReadFinalReply|ReadReply)\(' internal/gridftp/*.go | 
 	echo "check.sh: read the control channel through Client.expect or Client.finalReply" >&2
 	exit 1
 fi
+# The connection under the line reader is handed out twice, to the two TLS
+# handshakes of the login (Dial, handleAuth). Any other holder of it reads
+# replies or commands the line reader never sees.
+if [ "$(grep -cE 'ctrl\.RW\(\)' internal/gridftp/client.go)" != 1 ] || [ "$(grep -cE 'ctrl\.RW\(\)' internal/gridftp/server.go)" != 1 ] ||
+	grep -nE 'ctrl\.RW\(\)' internal/gridftp/*.go | grep -vE '^internal/gridftp/(client|server|[a-z_]*_test)\.go:'; then
+	echo "check.sh: ctrl.RW() is for the login's two handshakes only (Dial, handleAuth)" >&2
+	exit 1
+fi
 
 echo "==> the binaries get their observability from the bootstrap (internal/admin/boot.go)"
 # A main that imports a plane is a main assembling planes by hand again;
@@ -57,6 +66,11 @@ echo "==> go test -fuzz FuzzRecordConn -fuzztime 10s ./internal/gridftp"
 # recordConn parses lengths a peer sends before it has authenticated, on every
 # data port; the committed corpus is a handful of segmentations, this is more.
 go test -run '^$' -fuzz FuzzRecordConn -fuzztime 10s ./internal/gridftp
+
+echo "==> go test -fuzz FuzzDelegationBundle -fuzztime 10s ./internal/gridftp"
+# DELG's parameter becomes the credential the server presents on its data
+# channels; whatever it holds, nothing unchecked may be installed.
+go test -run '^$' -fuzz FuzzDelegationBundle -fuzztime 10s ./internal/gridftp
 
 echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
 ./scripts/loc.sh
