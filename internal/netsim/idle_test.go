@@ -49,12 +49,18 @@ func TestPacedWritesLeaveTheLinkIdle(t *testing.T) {
 	begin := time.Now()
 	for i := 0; i < rounds*sizes; i++ {
 		n := (16 + 10*(i%sizes)) << 10 // 16, 26, … 246 KiB
-		now := time.Now()
-		if i > 0 {
-			idle = append(idle, max(0, now.Sub(free)))
+		// The link books this write from max(free, now): whatever now is past
+		// free by, it carried nothing for.
+		if now := time.Now(); now.After(free) {
+			if i > 0 {
+				idle = append(idle, now.Sub(free))
+			}
+			free = now
+		} else {
+			idle = append(idle, 0)
 		}
 		onLink := time.Duration(float64(n) / link.Bandwidth * float64(time.Second))
-		free = maxTime(free, now).Add(onLink)
+		free = free.Add(onLink)
 		busy += onLink
 		if _, err := c.Write(buf[:n]); err != nil {
 			t.Fatal(err)
@@ -74,11 +80,4 @@ func TestPacedWritesLeaveTheLinkIdle(t *testing.T) {
 	if p50 >= 3*time.Millisecond {
 		t.Errorf("link idle per paced write p50 %v, want under 3 ms: the writer's wake-up is costing more than a timer's lateness", p50)
 	}
-}
-
-func maxTime(a, b time.Time) time.Time {
-	if a.After(b) {
-		return a
-	}
-	return b
 }
