@@ -184,9 +184,9 @@ func TestDelegateCostsNoRoundTrip(t *testing.T) {
 }
 
 // TestDelegRefusalsLeaveTheSessionAlive: the exchange this command used to
-// open is gone — a DELG with no bundle is a syntax error, not a 335 — and a
-// Lite session has no delegation at all; either way the next command is
-// answered.
+// open is gone — a DELG with no bundle is a syntax error, not an intermediate
+// reply — and a Lite session has no delegation at all; either way the next
+// command is answered.
 func TestDelegRefusalsLeaveTheSessionAlive(t *testing.T) {
 	s, c, payload, _ := delegationSite(t, netsim.LinkParams{})
 	for _, params := range []string{"", "not base64 !", base64.StdEncoding.EncodeToString([]byte("not PEM"))} {
