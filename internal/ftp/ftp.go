@@ -135,15 +135,18 @@ func (e *ReplyError) Temporary() bool { return e.Reply.TransientError() }
 // Conn wraps a net.Conn with FTP line discipline. It is used by both the
 // server PI (read commands, write replies) and the client PI (write
 // commands, read replies).
+//
+// Writes are not buffered between calls: every Write* method frames what it
+// was given and hands the transport those bytes as one Write — one TLS record
+// and one segment for a flight of replies or commands, however many it holds.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 }
 
 // NewConn wraps a transport connection.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	return &Conn{nc: nc, br: bufio.NewReader(nc)}
 }
 
 // Upgrade replaces the transport with nc, which its caller has built over RW
@@ -156,14 +159,13 @@ func NewConn(nc net.Conn) *Conn {
 func (c *Conn) Upgrade(nc net.Conn) {
 	c.nc = nc
 	c.br = bufio.NewReader(nc)
-	c.bw = bufio.NewWriter(nc)
 }
 
 // RW returns the connection as an in-band exchange sees it — GSI delegation,
 // the TLS handshake of AUTH TLS: reads go through the line buffer, so bytes
 // that arrived behind the line that started the exchange are not lost, and
-// everything else goes to the transport (nothing is ever left in the write
-// buffer). The view stays on the transport it was taken from across Upgrade.
+// everything else goes to the transport (there is no write buffer to pass).
+// The view stays on the transport it was taken from across Upgrade.
 func (c *Conn) RW() net.Conn { return inBand{Conn: c.nc, br: c.br} }
 
 type inBand struct {
@@ -189,11 +191,17 @@ func (c *Conn) ReadCommand() (Command, error) {
 }
 
 // WriteCommand sends a command line.
-func (c *Conn) WriteCommand(cmd Command) error {
-	if _, err := c.bw.WriteString(cmd.String() + "\r\n"); err != nil {
-		return err
+func (c *Conn) WriteCommand(cmd Command) error { return c.WriteCommands(cmd) }
+
+// WriteCommands sends the command lines in order as one write: a client that
+// has several to send before it reads pays for one segment, not one each.
+func (c *Conn) WriteCommands(cmds ...Command) error {
+	var b []byte
+	for _, cmd := range cmds {
+		b = append(append(b, cmd.String()...), "\r\n"...)
 	}
-	return c.bw.Flush()
+	_, err := c.nc.Write(b)
+	return err
 }
 
 // Cmd formats and sends a command.
@@ -215,37 +223,41 @@ var ErrReplyTooLarge = errors.New("ftp: reply exceeds " + strconv.Itoa(maxReplyB
 // WriteReply sends a reply; multiple lines produce the RFC 959 multi-line
 // form ("code-first ... code last").
 func (c *Conn) WriteReply(code int, lines ...string) error {
-	if len(lines) == 0 {
-		lines = []string{"OK"}
-	}
-	size := 0
-	for _, line := range lines {
-		size += len("250-") + len(line) + len("\r\n")
-	}
-	if size > maxReplyBytes {
-		return ErrReplyTooLarge
-	}
-	if len(lines) == 1 {
-		if _, err := fmt.Fprintf(c.bw, "%d %s\r\n", code, lines[0]); err != nil {
-			return err
+	return c.WriteReplies(Reply{Code: code, Lines: lines})
+}
+
+// WriteReplies sends the replies in order, each framed as WriteReply frames
+// it, as one write: a transfer's closing markers and its completion reply are
+// one segment on the wire instead of one each. If any of them is too large
+// for ReadReply, nothing is written.
+func (c *Conn) WriteReplies(replies ...Reply) error {
+	var b []byte
+	for _, r := range replies {
+		lines := r.Lines
+		if len(lines) == 0 {
+			lines = []string{"OK"}
 		}
-		return c.bw.Flush()
-	}
-	for i, line := range lines {
-		var err error
-		switch {
-		case i == 0:
-			_, err = fmt.Fprintf(c.bw, "%d-%s\r\n", code, line)
-		case i == len(lines)-1:
-			_, err = fmt.Fprintf(c.bw, "%d %s\r\n", code, line)
-		default:
-			_, err = fmt.Fprintf(c.bw, " %s\r\n", line)
+		size := 0
+		for _, line := range lines {
+			size += len("250-") + len(line) + len("\r\n")
 		}
-		if err != nil {
-			return err
+		if size > maxReplyBytes {
+			return ErrReplyTooLarge
+		}
+		for i, line := range lines {
+			switch {
+			case i == len(lines)-1:
+				b = append(strconv.AppendInt(b, int64(r.Code), 10), ' ')
+			case i == 0:
+				b = append(strconv.AppendInt(b, int64(r.Code), 10), '-')
+			default:
+				b = append(b, ' ')
+			}
+			b = append(append(b, line...), "\r\n"...)
 		}
 	}
-	return c.bw.Flush()
+	_, err := c.nc.Write(b)
+	return err
 }
 
 // ReadReply reads one full reply, collecting multi-line bodies.

@@ -231,3 +231,62 @@ func TestWriteReplyRefusesWhatReadReplyWould(t *testing.T) {
 		t.Fatalf("cap-sized reply: %d lines, %v; want %d", len(r.Lines), err, len(lines))
 	}
 }
+
+// writeLog is a transport that records each Write it is handed.
+type writeLog struct {
+	net.Conn
+	writes []string
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
+}
+
+// TestFlightIsOneWrite: WriteReplies and WriteCommands hand the transport one
+// Write however many they frame, the bytes are what one call per reply or
+// command writes, and nothing waits in the Conn between calls — 40 multi-line
+// replies (past 4 KiB, where a buffered writer would have cut) included. A
+// flight with one reply too large for ReadReply writes nothing.
+func TestFlightIsOneWrite(t *testing.T) {
+	var flight []Reply
+	for i := 0; i < 40; i++ {
+		flight = append(flight, Reply{Code: 112, Lines: []string{"Perf Marker", strings.Repeat("x", 100), "", "End"}})
+	}
+	flight = append(flight, Reply{Code: 226, Lines: []string{"Transfer complete"}}, Reply{Code: 200})
+
+	one, each := &writeLog{}, &writeLog{}
+	if err := NewConn(one).WriteReplies(flight...); err != nil {
+		t.Fatal(err)
+	}
+	ce := NewConn(each)
+	for _, r := range flight {
+		if err := ce.WriteReply(r.Code, r.Lines...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(one.writes) != 1 || len(each.writes) != len(flight) {
+		t.Fatalf("%d writes for the flight and %d for its %d replies one by one, want 1 and %d",
+			len(one.writes), len(each.writes), len(flight), len(flight))
+	}
+	if one.writes[0] != strings.Join(each.writes, "") {
+		t.Fatalf("a flight's bytes differ from its replies' written one by one:\n%q\n%q", one.writes[0], strings.Join(each.writes, ""))
+	}
+	if !strings.HasSuffix(one.writes[0], "112 End\r\n226 Transfer complete\r\n200 OK\r\n") {
+		t.Fatalf("flight ends %q", one.writes[0][len(one.writes[0])-60:])
+	}
+
+	cmds := &writeLog{}
+	if err := NewConn(cmds).WriteCommands(Command{Name: "OPTS", Params: "RETR Parallelism=4,4,4;"}, Command{Name: "PORT", Params: "h:1"}, Command{Name: "NOOP"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(cmds.writes) != 1 || cmds.writes[0] != "OPTS RETR Parallelism=4,4,4;\r\nPORT h:1\r\nNOOP\r\n" {
+		t.Fatalf("three commands written as %q", cmds.writes)
+	}
+
+	huge := &writeLog{}
+	err := NewConn(huge).WriteReplies(Reply{Code: 112, Lines: []string{"ok"}}, Reply{Code: 250, Lines: []string{strings.Repeat("x", maxReplyBytes)}})
+	if !errors.Is(err, ErrReplyTooLarge) || len(huge.writes) != 0 {
+		t.Fatalf("flight with an over-cap reply: %v and %d writes, want ErrReplyTooLarge and none", err, len(huge.writes))
+	}
+}

@@ -190,25 +190,21 @@ func (sess *session) handleRetr(params string, off, length int64) {
 	sess.eventTransfer(eventlog.TransferStart, "RETR", p, size)
 	start := time.Now()
 	var sendErr error
+	// closing is the transfer's last markers, framed and not yet written: they
+	// leave with the completion reply, as one write (complete).
+	var closing []ftp.Reply
 	if sess.spec.Mode == ModeExtended {
-		// Emit in-flight 112 performance markers (per-stripe bytes sent)
-		// while the send runs; the final set is flushed before the
-		// completion reply so the last marker carries the end totals.
+		// In-flight 112 performance markers (per-stripe bytes sent) while the
+		// send runs.
 		perf := &perfTracker{}
-		perfStop := make(chan struct{})
-		perfDone := make(chan struct{})
-		go func() {
-			defer close(perfDone)
-			perfEmitter(perf, sess.markerInterval(), sess.emitPerf, perfStop)
-		}()
+		finish := sess.startMarkers(perf.frame)
 		conns, tracker := sess.data.trackChannels(sess.streamLabel("RETR"), "RETR", chans)
 		sendErr = sendModeE(conns, f, ranges, sess.spec.BlockSize, perf.add)
 		if tracker.StallAborted() && sendErr != nil {
 			sendErr = fmt.Errorf("stalled stream aborted by watchdog: %w", sendErr)
 		}
 		tracker.Done(sendErr)
-		close(perfStop)
-		<-perfDone
+		closing = finish()
 	} else {
 		from := int64(0)
 		if len(ranges) > 0 {
@@ -220,11 +216,11 @@ func (sess *session) handleRetr(params string, off, length int64) {
 	if sendErr != nil {
 		sess.observeTransfer(time.Since(start), false)
 		sess.eventAbort("RETR", p, sendErr)
-		sess.reply(ftp.CodeTransferAborted, errText(sendErr))
+		sess.complete(closing, ftp.CodeTransferAborted, errText(sendErr))
 		return
 	}
 	sess.reportUsage("RETR", p, totalLen(ranges), time.Since(start))
-	sess.reply(ftp.CodeClosingData, "Transfer complete")
+	sess.complete(closing, ftp.CodeClosingData, "Transfer complete")
 }
 
 // handleStor receives a file, emitting restart markers while it runs.
@@ -300,48 +296,82 @@ func (sess *session) handleStor(params string) {
 	sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
 	sess.eventTransfer(eventlog.TransferStart, "STOR", p, -1)
 
-	stop := make(chan struct{})
-	markerDone := make(chan struct{})
+	// Restart markers carry *which ranges* landed (for checkpointing), perf
+	// markers *per-stripe throughput counters* (for in-flight monitoring);
+	// both are framed on the same tick.
+	perf := &perfTracker{}
 	// Capture the command span before launching the marker goroutine: it
 	// must not read sess.cmdSpan concurrently with the command loop.
 	cmdSpan := sess.cmdSpan
-	go func() {
-		defer close(markerDone)
-		markerEmitter(received, sess.markerInterval(), func(m string) {
-			sess.reply(ftp.CodeRestartMarker, "Range Marker "+m)
+	lastRanges := ""
+	finish := sess.startMarkers(func(closing bool) []ftp.Reply {
+		var set []ftp.Reply
+		if m := received.Marker(); m != "" && m != lastRanges {
+			lastRanges = m
+			set = append(set, ftp.Reply{Code: ftp.CodeRestartMarker, Lines: []string{"Range Marker " + m}})
 			// Each restart marker is a durable checkpoint: record it so
 			// /debug/events shows how far a later resume could pick up.
 			kv := []any{"component", "gridftp-server", "session", sess.id,
 				"path", p, "ranges", m}
 			sess.srv.cfg.Obs.EventLog().Append(eventlog.Checkpoint, traceFields(kv, cmdSpan)...)
-		}, stop)
-	}()
-	// Performance markers ride alongside restart markers: restart markers
-	// carry *which ranges* landed (for checkpointing), perf markers carry
-	// *per-stripe throughput counters* (for in-flight monitoring).
-	perf := &perfTracker{}
-	perfDone := make(chan struct{})
-	go func() {
-		defer close(perfDone)
-		perfEmitter(perf, sess.markerInterval(), sess.emitPerf, stop)
-	}()
+		}
+		return append(set, perf.frame(closing)...)
+	})
 	res := recvModeE(rcv.accept, f, received, sess.spec.BlockSize, perf.add, rcv.canceled)
 	if rcv.tracker.StallAborted() && res.Err != nil {
 		res.Err = fmt.Errorf("stalled stream aborted by watchdog: %w", res.Err)
 	}
 	rcv.finish(res.Err)
-	close(stop)
-	<-markerDone
-	<-perfDone
+	closing := finish()
 
 	if res.Err != nil {
 		sess.observeTransfer(time.Since(start), false)
 		sess.eventAbort("STOR", p, res.Err)
-		sess.reply(ftp.CodeTransferAborted, errText(res.Err))
+		sess.complete(closing, ftp.CodeTransferAborted, errText(res.Err))
 		return
 	}
 	sess.reportUsage("STOR", p, res.Received.Covered(), time.Since(start))
-	sess.reply(ftp.CodeClosingData, "Transfer complete")
+	sess.complete(closing, ftp.CodeClosingData, "Transfer complete")
+}
+
+// startMarkers runs the marker side of one MODE E transfer: every marker
+// interval it writes what frame(false) returns — the markers of what moved
+// since the last tick. The function it returns stops the ticks and returns
+// frame(true), the closing set, unwritten: the handler sends it with the
+// completion reply (complete). With no interval there are no markers at all
+// and frame is never called. frame's calls do not overlap.
+func (sess *session) startMarkers(frame func(closing bool) []ftp.Reply) (finish func() []ftp.Reply) {
+	interval := sess.markerInterval()
+	if interval <= 0 {
+		return func() []ftp.Reply { return nil }
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				for _, r := range frame(false) {
+					sess.replies(r)
+				}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	return func() []ftp.Reply {
+		close(stop)
+		<-done
+		return frame(true)
+	}
+}
+
+// complete ends a transfer command: its closing markers and its completion
+// reply, in that order and in one write.
+func (sess *session) complete(closing []ftp.Reply, code int, text string) {
+	sess.replies(append(closing, ftp.Reply{Code: code, Lines: []string{text}})...)
 }
 
 func (sess *session) markerInterval() time.Duration {
@@ -389,12 +419,6 @@ func (sess *session) handleMlsd(params string) {
 		return
 	}
 	sess.reply(ftp.CodeClosingData, "MLSD complete")
-}
-
-// emitPerf writes one 112 performance marker on the control channel
-// (serialized with all other replies via replyMu).
-func (sess *session) emitPerf(m PerfMarker) {
-	sess.reply(CodePerfMarker, perfMarkerLines(m)...)
 }
 
 // traceFields appends span's wire ids to an event's key/value list so

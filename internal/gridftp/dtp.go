@@ -436,30 +436,3 @@ func recvStream(conn net.Conn, f dsi.File, offset int64, blockSize int) (int64, 
 		}
 	}
 }
-
-// markerEmitter periodically renders the received range set through emit
-// until stop is closed. It emits a final marker before returning so the
-// last state is always reported.
-func markerEmitter(set *RangeSet, interval time.Duration, emit func(marker string), stop <-chan struct{}) {
-	if interval <= 0 {
-		<-stop
-		return
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	last := ""
-	for {
-		select {
-		case <-t.C:
-			if m := set.Marker(); m != "" && m != last {
-				emit(m)
-				last = m
-			}
-		case <-stop:
-			if m := set.Marker(); m != "" && m != last {
-				emit(m)
-			}
-			return
-		}
-	}
-}

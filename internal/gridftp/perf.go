@@ -41,7 +41,7 @@ type PerfMarker struct {
 }
 
 // perfMarkerLines renders the marker as reply lines for a multi-line 112
-// reply (ftp.Conn.WriteReply adds the code framing).
+// reply (ftp.Conn.WriteReplies adds the code framing).
 func perfMarkerLines(m PerfMarker) []string {
 	ts := float64(m.Timestamp.UnixNano()) / float64(time.Second)
 	return []string{
@@ -114,12 +114,14 @@ func ParsePerfMarker(r ftp.Reply) (PerfMarker, bool) {
 const CodePerfMarker = ftp.CodeRestartMarker + 1 // 112
 
 // perfTracker accumulates per-stripe byte counts during a transfer. Data
-// goroutines call add on every block; the emitter samples snapshots. The
-// stripe set grows dynamically because MODE E receivers learn the stream
-// count only from the EOF block.
+// goroutines call add on every block; the session's marker goroutine frames
+// what moved. The stripe set grows dynamically because MODE E receivers learn
+// the stream count only from the EOF block.
 type perfTracker struct {
 	mu    sync.Mutex
 	bytes []int64
+	// framed is the snapshot frame last rendered from; only frame touches it.
+	framed []int64
 }
 
 func (t *perfTracker) add(stripe int, n int64) {
@@ -151,40 +153,26 @@ func (t *perfTracker) total() int64 {
 	return sum
 }
 
-// perfEmitter periodically renders the tracker through emit (one call per
-// stripe that moved since the last tick) until stop closes, then emits a
-// final complete set so the last marker always carries the end totals.
-func perfEmitter(t *perfTracker, interval time.Duration, emit func(PerfMarker), stop <-chan struct{}) {
-	if interval <= 0 {
-		<-stop
-		return
-	}
-	var last []int64
-	send := func(final bool) {
-		cur := t.snapshot()
-		for i, b := range cur {
-			changed := i >= len(last) || last[i] != b
-			if b == 0 || (!changed && !final) {
-				continue
-			}
-			emit(PerfMarker{
-				Timestamp:    time.Now(),
-				Stripe:       i,
-				StripeBytes:  b,
-				TotalStripes: len(cur),
-			})
+// frame renders as 112 replies the stripes that moved since the last call —
+// with closing set, every stripe that has carried bytes, so a transfer's last
+// markers always carry the end totals. The set is one sample and carries one
+// timestamp. Calls must not overlap (session.startMarkers orders them).
+func (t *perfTracker) frame(closing bool) []ftp.Reply {
+	cur := t.snapshot()
+	now := time.Now()
+	var set []ftp.Reply
+	for i, b := range cur {
+		moved := i >= len(t.framed) || t.framed[i] != b
+		if b == 0 || !(moved || closing) {
+			continue
 		}
-		last = cur
+		set = append(set, ftp.Reply{Code: CodePerfMarker, Lines: perfMarkerLines(PerfMarker{
+			Timestamp:    now,
+			Stripe:       i,
+			StripeBytes:  b,
+			TotalStripes: len(cur),
+		})})
 	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			send(false)
-		case <-stop:
-			send(true)
-			return
-		}
-	}
+	t.framed = cur
+	return set
 }

@@ -66,8 +66,9 @@ func TestParsePerfMarkerRejects(t *testing.T) {
 }
 
 // TestPerfTrackerEmitter drives the tracker from concurrent writers (as
-// the data goroutines do) and checks the emitter's final flush carries the
-// end totals for every stripe.
+// the data goroutines do) and checks what it frames: a tick carries the
+// stripes that moved and nothing twice, the closing set every stripe with
+// its end total.
 func TestPerfTrackerEmitter(t *testing.T) {
 	tr := &perfTracker{}
 	var wg sync.WaitGroup
@@ -86,20 +87,24 @@ func TestPerfTrackerEmitter(t *testing.T) {
 		t.Fatalf("tracker total %d, want %d", got, stripes*adds*chunk)
 	}
 
-	var markers []PerfMarker
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		perfEmitter(tr, time.Millisecond, func(m PerfMarker) { markers = append(markers, m) }, stop)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	<-done
+	if got := len(tr.frame(false)); got != stripes {
+		t.Fatalf("first tick framed %d markers, want %d", got, stripes)
+	}
+	if got := len(tr.frame(false)); got != 0 {
+		t.Fatalf("a tick with nothing moved framed %d markers", got)
+	}
+	tr.add(2, chunk)
+	if got := len(tr.frame(false)); got != 1 {
+		t.Fatalf("a tick with one stripe moved framed %d markers", got)
+	}
 
-	// The final flush reports every stripe with its end total.
+	// The closing set reports every stripe with its end total.
 	final := make(map[int]int64)
-	for _, m := range markers {
+	for _, r := range tr.frame(true) {
+		m, ok := ParsePerfMarker(r)
+		if !ok {
+			t.Fatalf("framed reply does not parse: %v", r)
+		}
 		final[m.Stripe] = m.StripeBytes
 		if m.TotalStripes != stripes {
 			t.Errorf("marker reports %d total stripes, want %d", m.TotalStripes, stripes)
@@ -109,23 +114,27 @@ func TestPerfTrackerEmitter(t *testing.T) {
 		t.Fatalf("markers covered %d stripes, want %d", len(final), stripes)
 	}
 	for s := 0; s < stripes; s++ {
-		if final[s] != adds*chunk {
-			t.Errorf("stripe %d final bytes %d, want %d", s, final[s], adds*chunk)
+		want := int64(adds * chunk)
+		if s == 2 {
+			want += chunk
+		}
+		if final[s] != want {
+			t.Errorf("stripe %d final bytes %d, want %d", s, final[s], want)
 		}
 	}
 }
 
+// TestPerfEmitterDisabled: with no marker interval a transfer has no markers,
+// the closing set included.
 func TestPerfEmitterDisabled(t *testing.T) {
-	tr := &perfTracker{}
-	tr.add(0, 100)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		perfEmitter(tr, 0, func(PerfMarker) { t.Error("emitter fired with interval 0") }, stop)
-	}()
-	close(stop)
-	<-done
+	sess := &session{srv: &Server{}}
+	finish := sess.startMarkers(func(bool) []ftp.Reply {
+		t.Error("markers framed with interval 0")
+		return nil
+	})
+	if closing := finish(); len(closing) != 0 {
+		t.Errorf("closing set of %d replies with interval 0", len(closing))
+	}
 }
 
 // TestPerfMarkersDuringTransfer is the end-to-end round trip the ISSUE

@@ -46,8 +46,11 @@ type ServerConfig struct {
 	Storage dsi.Storage
 	// Banner is the 220 greeting text.
 	Banner string
-	// MarkerInterval is how often STOR emits restart markers (111
-	// replies). Zero disables them.
+	// MarkerInterval is the cadence of a MODE E transfer's markers on the
+	// control channel: the restart markers of a STOR (111 replies) and the
+	// performance markers of a STOR or a RETR (112 replies, one per stream).
+	// Zero disables both, the closing set included; a session's
+	// "OPTS RETR Markers=" overrides it.
 	MarkerInterval time.Duration
 	// StripeNodes, when non-empty, turns this into a striped server: the
 	// PI runs on the main host, DTPs on the stripe nodes.
@@ -173,8 +176,8 @@ type session struct {
 	id  int64
 	log *obs.Logger
 
-	// replyMu serializes control-channel writes (marker goroutines write
-	// 111 replies concurrently with the command loop).
+	// replyMu serializes control-channel writes (a transfer's marker
+	// goroutine writes 1xx replies concurrently with the command loop).
 	replyMu sync.Mutex
 
 	authenticated bool
@@ -274,12 +277,26 @@ func (sess *session) close() {
 // grows with what it found (MLSC, see ftp.ErrReplyTooLarge); everyone else
 // learns of a dead control channel from the next read.
 func (sess *session) reply(code int, lines ...string) error {
+	return sess.replies(ftp.Reply{Code: code, Lines: lines})
+}
+
+// replies writes a flight of replies — a tick's markers, or a transfer's
+// closing markers and its completion reply — in order and as one write
+// (ftp.Conn.WriteReplies). It and reply are the session's only writers, and
+// neither leaves anything unwritten behind it: what the network charges for a
+// write it charges per write, so the count of them is what the server owns.
+func (sess *session) replies(flight ...ftp.Reply) error {
+	if len(flight) == 0 {
+		return nil
+	}
 	sess.replyMu.Lock()
 	defer sess.replyMu.Unlock()
-	if code >= 200 {
-		sess.lastReplyCode = code
+	for _, r := range flight {
+		if r.Code >= 200 {
+			sess.lastReplyCode = r.Code
+		}
 	}
-	err := sess.ctrl.WriteReply(code, lines...)
+	err := sess.ctrl.WriteReplies(flight...)
 	if err != nil {
 		sess.log.Warn("reply write failed", "err", err)
 	}
