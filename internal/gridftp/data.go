@@ -353,9 +353,7 @@ func (sess *session) startMarkers(frame func(closing bool) []ftp.Reply) (finish 
 		for {
 			select {
 			case <-tick.C:
-				for _, r := range frame(false) {
-					sess.replies(r)
-				}
+				sess.replies(frame(false)...)
 			case <-stop:
 				return
 			}

@@ -1,6 +1,8 @@
 package gridftp
 
 import (
+	"bytes"
+	"crypto/tls"
 	"errors"
 	"io"
 	"net"
@@ -11,6 +13,7 @@ import (
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/ftp"
+	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
 )
 
@@ -239,6 +242,54 @@ func TestClosingFlightIsOneRecord(t *testing.T) {
 	}
 }
 
+// TestTickIsOneWrite: a slow 4-stream GET whose every stream moves between
+// ticks writes one set per tick, not one reply per stream that moved.
+func TestTickIsOneWrite(t *testing.T) {
+	nw := netsim.NewNetwork()
+	// 8 MB/s: 4 MiB takes half a second, ten ticks of 50 ms.
+	nw.SetLink("laptop", "siteA", netsim.LinkParams{Bandwidth: 8e6, RTT: 10 * time.Millisecond})
+	s := newSite(t, nw, "siteA")
+	payload := pattern(4 << 20)
+	s.putFile(t, "/slow.bin", payload)
+	c, w := countedLite(t, s, nw, 4)
+	if err := c.SetBlockSize(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	_, before := w.since(0)
+	start := time.Now()
+	if _, err := c.Get("/slow.bin", dsi.NewBufferFile(nil)); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	writes, _ := w.since(before)
+	closingWrite(t, writes, 4, 0, ftp.CodeClosingData, int64(len(payload)))
+
+	var ticks, full int
+	for _, write := range writes[:len(writes)-1] {
+		perf, _, final := markersIn(t, write)
+		if final != 0 || len(perf) == 0 {
+			continue // the OPTS reply, the PORT reply, the 150
+		}
+		ticks++
+		seen := map[int]bool{}
+		for _, m := range perf {
+			if seen[m.Stripe] || m.Timestamp != perf[0].Timestamp {
+				t.Errorf("one tick's write reports stripe %d twice, or two samples: %v", m.Stripe, perf)
+			}
+			seen[m.Stripe] = true
+		}
+		if len(perf) == 4 {
+			full++
+		}
+	}
+	if limit := int(elapsed/(50*time.Millisecond)) + 1; ticks > limit {
+		t.Errorf("%d marker writes in %v: more than one per 50 ms tick", ticks, elapsed)
+	}
+	if full == 0 {
+		t.Errorf("no tick of %d carried all four streams' markers in one write", ticks)
+	}
+}
+
 // failingReads is a storage whose files fail ReadAt past a byte offset.
 type failingReads struct {
 	dsi.Storage
@@ -384,4 +435,68 @@ func TestFailedTransferStillDeliversItsClosingFlight(t *testing.T) {
 		_, err := c.Get("/big.bin", dsi.NewBufferFile(nil))
 		aborted(t, c, w, before, err)
 	})
+}
+
+// TestPortAndRetrInOneSegment: a client writes PORT and RETR in one TLS
+// record and does not accept the data connection until it has read PORT's
+// 200. That works because the server writes every reply when it is framed.
+// The rule that would save more writes — hold a final reply while the next
+// command line is already buffered, as SMTP and Redis pipelining do — was
+// measured for ISSUE 23 (+0 on wan_stream_p16 and wan_fresh_p16 on top of
+// the closing flight) and deadlocks exactly here unless the held 200 is
+// flushed before the data path is waited for: this test is what a future
+// change of that kind has to keep passing.
+func TestPortAndRetrInOneSegment(t *testing.T) {
+	nw := netsim.NewNetwork()
+	nw.SetLink("laptop", "siteA", netsim.LinkParams{RTT: 2 * time.Millisecond})
+	s := newSite(t, nw, "siteA")
+	payload := pattern(300_000)
+	s.putFile(t, "/f.bin", payload)
+
+	raw, err := nw.Host("laptop").Dial(s.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(10 * time.Second)) // a deadlock fails here, not at the suite's timeout
+	ctrl := ftp.NewConn(raw)
+	expect := func(code int) {
+		t.Helper()
+		if r, err := ctrl.Expect(code); err != nil {
+			t.Fatalf("want %d: %v %v", code, r, err)
+		}
+	}
+	expect(ftp.CodeReadyForNewUser)
+	ctrl.WriteCommand(ftp.Command{Name: "AUTH", Params: "TLS"})
+	expect(ftp.CodeAuthOK)
+	tc := tls.Client(raw, gsi.ClientTLSConfig(s.user, s.trust))
+	if err := tc.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	ctrl = ftp.NewConn(tc)
+	expect(ftp.CodeUserLoggedIn)
+	ctrl.WriteCommand(ftp.Command{Name: "DCAU", Params: "N"}) // a cleartext data connection, stream mode
+	expect(ftp.CodeOK)
+
+	l, err := nw.Host("laptop").Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := ctrl.WriteCommands(
+		ftp.Command{Name: "PORT", Params: l.Addr().String()},
+		ftp.Command{Name: "RETR", Params: "/f.bin"}); err != nil {
+		t.Fatal(err)
+	}
+	expect(ftp.CodeOK) // PORT's, read before the listener is looked at
+	data, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data.SetDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(data)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read %d bytes of %d over the data connection: %v", len(got), len(payload), err)
+	}
+	expect(ftp.CodeClosingData) // behind its 150
 }
