@@ -47,7 +47,9 @@ type Options struct {
 	LegacyGridmap *authz.Gridmap
 	// CertLifetime is the short-lived user certificate lifetime.
 	CertLifetime time.Duration
-	// MarkerInterval for GridFTP restart markers.
+	// MarkerInterval is the endpoint server's marker cadence: STOR's restart
+	// markers (111) and the performance markers (112) of STOR and RETR. Zero
+	// disables both (gridftp.ServerConfig.MarkerInterval).
 	MarkerInterval time.Duration
 	// DataTimeout bounds GridFTP waits for data connections.
 	DataTimeout time.Duration

@@ -412,8 +412,9 @@ func (c *Client) allocate(size int64) {
 	}
 }
 
-// SetMarkerInterval asks the receiving server to emit restart markers
-// every interval (rounded to milliseconds).
+// SetMarkerInterval asks the server to emit this session's markers — restart
+// markers when it receives, performance markers either way — every interval
+// (rounded to milliseconds).
 func (c *Client) SetMarkerInterval(interval time.Duration) error {
 	return c.batch(c.markersCmd(interval))
 }

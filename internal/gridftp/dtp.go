@@ -37,8 +37,9 @@ type ChannelSpec struct {
 	// rate-based UDT profile) the raw conn is dialled with — what the
 	// paper reaches through an XIO driver (§II.A [9]).
 	Transport netsim.Transport
-	// MarkerInterval is how often the receiving side reports restart
-	// markers; zero disables them.
+	// MarkerInterval is the session's marker cadence ("OPTS RETR Markers="):
+	// restart markers (111) from the receiving side and performance markers
+	// (112) from either. Zero leaves the server's own setting in force.
 	MarkerInterval time.Duration
 	// Deflate layers DEFLATE compression over each data channel
 	// ("OPTS RETR Deflate=1;"). Both ends of the session see the same

@@ -23,6 +23,10 @@ func FuzzParsePerfMarker(f *testing.F) {
 	f.Add("Perf Marker")
 	f.Add("not a marker at all")
 	f.Add("Perf Marker\nStripe Index:: 1\n: 2\nTimestamp: -3.5")
+	// A closing flight as it arrives since it became one segment — markers
+	// back to back, the 226 behind them — read as if it were one reply's body.
+	f.Add("Perf Marker\n Timestamp: 1328000000.250\n Stripe Index: 0\n Stripe Bytes Transferred: 1048576\n Total Stripe Count: 2\n112 End\r\n" +
+		"112-Perf Marker\n Timestamp: 1328000000.250\n Stripe Index: 1\n Stripe Bytes Transferred: 1048576\n Total Stripe Count: 2\n112 End\r\n226 Transfer complete\r")
 
 	f.Fuzz(func(t *testing.T, body string) {
 		r := ftp.Reply{Code: CodePerfMarker, Lines: strings.Split(body, "\n")}

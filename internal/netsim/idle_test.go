@@ -81,3 +81,71 @@ func TestPacedWritesLeaveTheLinkIdle(t *testing.T) {
 		t.Errorf("link idle per paced write p50 %v, want under 3 ms: the writer's wake-up is costing more than a timer's lateness", p50)
 	}
 }
+
+// TestSmallWritesCostAWakeupEach prices a small write where every caller can
+// see it. A write on a shaped link returns once its bytes have been sent, and
+// the writer sleeps that time out on a timer however short it is: 150 bytes
+// are 3.75 µs of the reference WAN (40 MB/s, 20 ms, 64 KiB window) and cost a
+// timer's wake-up, the same as 4800 bytes do. So 32 replies written one by
+// one — a 32-stream transfer's closing markers before internal/gridftp wrote
+// them as one flight — cost 32 wake-ups where one write of the same bytes
+// costs one. It is a property of this simulator (a kernel socket charges a
+// syscall and, under TCP_NODELAY, a segment), reported and not fixed: every
+// reply and every command pays it, not only the writes at file boundaries
+// that TestPacedWritesLeaveTheLinkIdle measures. The one assertion is that
+// the single write is not the slower way.
+func TestSmallWritesCostAWakeupEach(t *testing.T) {
+	link := LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 64 << 10}
+	nw := NewNetwork()
+	nw.SetLink("a", "b", link)
+	l, err := nw.Listen("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(io.Discard, c)
+	}()
+	c, err := nw.Dial("a", "b:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const rounds, small, count = 20, 150, 32
+	buf := make([]byte, small*count)
+	var each, sets, singles []time.Duration
+	for r := 0; r < rounds; r++ {
+		begin := time.Now()
+		for i := 0; i < count; i++ {
+			start := time.Now()
+			if _, err := c.Write(buf[:small]); err != nil {
+				t.Fatal(err)
+			}
+			each = append(each, time.Since(start))
+		}
+		sets = append(sets, time.Since(begin))
+		begin = time.Now()
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		singles = append(singles, time.Since(begin))
+	}
+	for _, d := range [][]time.Duration{each, sets, singles} {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	}
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	t.Logf("a %d-byte write (%.2f µs of link): p50 %v, p90 %v; %d of them back to back: p50 %v, p90 %v; one %d-byte write (%.0f µs of link): p50 %v, p90 %v",
+		small, small/link.Bandwidth*1e6, us(each[len(each)/2]), us(each[len(each)*9/10]),
+		count, us(sets[rounds/2]), us(sets[rounds*9/10]),
+		len(buf), float64(len(buf))/link.Bandwidth*1e6, us(singles[rounds/2]), us(singles[rounds*9/10]))
+	if singles[rounds/2] > sets[rounds/2] {
+		t.Errorf("one %d-byte write took %v (p50), %d writes of %d bytes %v: the single write must not be the slower way",
+			len(buf), singles[rounds/2], count, small, sets[rounds/2])
+	}
+}

@@ -123,8 +123,10 @@ type Config struct {
 	// final replies — a worker queues several small files at the servers at
 	// once, and each of them counts. Default 32.
 	MaxActiveTransfers int
-	// MarkerInterval is the restart/perf marker cadence requested from
-	// destination servers (OPTS RETR Markers). Default 25ms.
+	// MarkerInterval is the restart (111) and performance (112) marker
+	// cadence requested from destination servers (OPTS RETR Markers); source
+	// sessions are not asked and keep their server's own. Zero means the
+	// default, 25ms.
 	MarkerInterval time.Duration
 	// Obs receives structured logs, metrics, and per-task span trees
 	// (activation → control → data, plus per-worker spans when a task
