@@ -89,6 +89,16 @@ type Reply struct {
 	Lines []string
 }
 
+// lines is what the reply is written as: a reply with no text says OK.
+func (r Reply) lines() []string {
+	if len(r.Lines) == 0 {
+		return okLines
+	}
+	return r.Lines
+}
+
+var okLines = []string{"OK"}
+
 // Text returns the reply's lines joined by newlines.
 func (r Reply) Text() string { return strings.Join(r.Lines, "\n") }
 
@@ -231,19 +241,20 @@ func (c *Conn) WriteReply(code int, lines ...string) error {
 // one segment on the wire instead of one each. If any of them is too large
 // for ReadReply, nothing is written.
 func (c *Conn) WriteReplies(replies ...Reply) error {
-	var b []byte
+	total := 0
 	for _, r := range replies {
-		lines := r.Lines
-		if len(lines) == 0 {
-			lines = []string{"OK"}
-		}
 		size := 0
-		for _, line := range lines {
+		for _, line := range r.lines() {
 			size += len("250-") + len(line) + len("\r\n")
 		}
 		if size > maxReplyBytes {
 			return ErrReplyTooLarge
 		}
+		total += size
+	}
+	b := make([]byte, 0, total)
+	for _, r := range replies {
+		lines := r.lines()
 		for i, line := range lines {
 			switch {
 			case i == len(lines)-1:
@@ -260,7 +271,10 @@ func (c *Conn) WriteReplies(replies ...Reply) error {
 	return err
 }
 
-// ReadReply reads one full reply, collecting multi-line bodies.
+// ReadReply reads one full reply, collecting multi-line bodies. The lines
+// behind the first are read into one buffer and cut from one string, so a
+// reply costs a few allocations however many lines it has: a transfer at 16
+// streams sends hundreds of six-line markers.
 func (c *Conn) ReadReply() (Reply, error) {
 	line, err := c.readLine()
 	if err != nil {
@@ -274,30 +288,38 @@ func (c *Conn) ReadReply() (Reply, error) {
 		return Reply{}, fmt.Errorf("ftp: bad reply code in %q", line)
 	}
 	sep := line[3]
-	reply := Reply{Code: code, Lines: []string{line[4:]}}
 	if sep == ' ' {
-		return reply, nil
+		return Reply{Code: code, Lines: []string{line[4:]}}, nil
 	}
 	if sep != '-' {
 		return Reply{}, fmt.Errorf("ftp: bad reply separator in %q", line)
 	}
 	terminator := line[:3] + " "
 	size := len(line)
-	for {
-		line, err := c.readLine()
-		if err != nil {
+	var bodyBuf [512]byte
+	var endsBuf [16]int
+	body, ends := bodyBuf[:0], endsBuf[:0] // where each line ends in body
+	for last := false; !last; {
+		start := len(body)
+		if body, err = c.appendLine(body); err != nil {
 			return Reply{}, err
 		}
-		// Checked before the line is kept, as readLine checks a fragment.
-		if size += len(line) + len("\r\n"); size > maxReplyBytes {
+		// Checked before another line is read, as appendLine checks a fragment.
+		if size += len(body) - start + len("\r\n"); size > maxReplyBytes {
 			return Reply{}, ErrReplyTooLarge
 		}
-		if strings.HasPrefix(line, terminator) {
-			reply.Lines = append(reply.Lines, line[4:])
-			return reply, nil
-		}
-		reply.Lines = append(reply.Lines, strings.TrimPrefix(line, " "))
+		ends = append(ends, len(body))
+		last = len(body)-start >= 4 && string(body[start:start+4]) == terminator
 	}
+	text := string(body)
+	lines := make([]string, 1, 1+len(ends))
+	lines[0] = line[4:]
+	start := 0
+	for _, end := range ends[:len(ends)-1] {
+		lines = append(lines, strings.TrimPrefix(text[start:end], " "))
+		start = end
+	}
+	return Reply{Code: code, Lines: append(lines, text[start+4:])}, nil
 }
 
 // ReadFinalReply reads replies until a non-preliminary one arrives,
@@ -339,23 +361,38 @@ func (c *Conn) Expect(want ...int) (Reply, error) {
 
 const maxLineLen = 1 << 20 // DCSC blobs ride on command lines; allow 1 MiB
 
-// readLine reads one line, failing as soon as it has seen more than
-// maxLineLen bytes of it: the cap is checked per buffered fragment, before
-// the fragment is kept, so a peer that never sends a newline cannot grow
-// memory past the cap. A line that fits the read buffer costs one allocation.
+// readLine reads one line. A line that fits the stack buffer costs one
+// allocation, the string.
 func (c *Conn) readLine() (string, error) {
-	var line strings.Builder
+	var buf [256]byte
+	line, err := c.appendLine(buf[:0])
+	if err != nil {
+		return "", err
+	}
+	return string(line), nil
+}
+
+// appendLine appends the next line, less its line ending, to buf. It fails as
+// soon as it has seen more than maxLineLen bytes of the line: the cap is
+// checked per buffered fragment, before the fragment is kept, so a peer that
+// never sends a newline cannot grow memory past the cap.
+func (c *Conn) appendLine(buf []byte) ([]byte, error) {
+	start := len(buf)
 	for {
 		frag, err := c.br.ReadSlice('\n')
 		if err != nil && err != bufio.ErrBufferFull {
-			return "", err
+			return buf, err
 		}
-		if line.Len()+len(frag) > maxLineLen {
-			return "", fmt.Errorf("ftp: line exceeds %d bytes", maxLineLen)
+		if len(buf)-start+len(frag) > maxLineLen {
+			return buf, fmt.Errorf("ftp: line exceeds %d bytes", maxLineLen)
 		}
-		line.Write(frag)
+		buf = append(buf, frag...)
 		if err == nil {
-			return strings.TrimRight(line.String(), "\r\n"), nil
+			end := len(buf)
+			for end > start && (buf[end-1] == '\r' || buf[end-1] == '\n') {
+				end--
+			}
+			return buf[:end], nil
 		}
 	}
 }

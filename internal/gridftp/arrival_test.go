@@ -159,3 +159,34 @@ func TestPipelineReadsAClosingFlightHoweverItIsCut(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkersAreCheapToFrameAndRead: once a tick's markers are one write they
+// arrive on their cadence — about four times as many reach the client of a
+// 16-stream transfer as when each waited its turn on a busy link — so what a
+// marker costs shows in allocs_per_op. Framing and writing one costs the
+// server two allocations (its string, its lines) and reading one costs the
+// client five; both were about ten while every line was its own string.
+func TestMarkersAreCheapToFrameAndRead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const streams = 16
+	tr := &perfTracker{}
+	for i := 0; i < streams; i++ {
+		tr.add(i, 1<<20)
+	}
+	conn := ftp.NewConn(writerConn{io.Discard})
+	if n := testing.AllocsPerRun(100, func() { conn.WriteReplies(tr.frame(true)...) }); n > 3*streams {
+		t.Errorf("framing and writing %d markers costs %.0f allocations, want at most %d", streams, n, 3*streams)
+	}
+	wire := closingFlight(t, streams, 1<<20, false)
+	n := testing.AllocsPerRun(100, func() {
+		c := bareClient([][]byte{wire})
+		if _, err := c.finalReply(func(p ftp.Reply) { c.handlePreliminary(p) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 6*streams {
+		t.Errorf("reading %d markers and a 226 costs %.0f allocations, want at most %d", streams, n, 6*streams)
+	}
+}

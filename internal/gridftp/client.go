@@ -724,7 +724,7 @@ func (c *Client) notePerf(m PerfMarker) {
 	// (the sender's sampling clock, which may arrive out of order): the
 	// per-stripe cumulative byte timeline for this session.
 	c.obs.TimeSeries().Observe(
-		fmt.Sprintf("gridftp.client.stripe.%d.bytes", m.Stripe),
+		"gridftp.client.stripe."+strconv.Itoa(m.Stripe)+".bytes",
 		m.Timestamp, float64(m.StripeBytes))
 	if c.perfCB != nil {
 		c.perfCB(m)
