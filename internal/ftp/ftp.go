@@ -147,8 +147,9 @@ func (e *ReplyError) Temporary() bool { return e.Reply.TransientError() }
 // commands, read replies).
 //
 // Writes are not buffered between calls: every Write* method frames what it
-// was given and hands the transport those bytes as one Write — one TLS record
-// and one segment for a flight of replies or commands, however many it holds.
+// was given and hands the transport those bytes as one Write — one segment,
+// and one TLS record up to the size the TLS layer cuts at, for a flight of
+// replies however many it holds.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -200,17 +201,9 @@ func (c *Conn) ReadCommand() (Command, error) {
 	return ParseCommand(line)
 }
 
-// WriteCommand sends a command line.
-func (c *Conn) WriteCommand(cmd Command) error { return c.WriteCommands(cmd) }
-
-// WriteCommands sends the command lines in order as one write: a client that
-// has several to send before it reads pays for one segment, not one each.
-func (c *Conn) WriteCommands(cmds ...Command) error {
-	var b []byte
-	for _, cmd := range cmds {
-		b = append(append(b, cmd.String()...), "\r\n"...)
-	}
-	_, err := c.nc.Write(b)
+// WriteCommand sends a command line, as one write.
+func (c *Conn) WriteCommand(cmd Command) error {
+	_, err := c.nc.Write([]byte(cmd.String() + "\r\n"))
 	return err
 }
 

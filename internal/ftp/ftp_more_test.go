@@ -243,11 +243,11 @@ func (w *writeLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFlightIsOneWrite: WriteReplies and WriteCommands hand the transport one
-// Write however many they frame, the bytes are what one call per reply or
-// command writes, and nothing waits in the Conn between calls — 40 multi-line
-// replies (past 4 KiB, where a buffered writer would have cut) included. A
-// flight with one reply too large for ReadReply writes nothing.
+// TestFlightIsOneWrite: WriteReplies hands the transport one Write however
+// many replies it frames, the bytes are what one call per reply writes, and
+// nothing waits in the Conn between calls — 40 multi-line replies (past
+// 4 KiB, where a buffered writer would have cut) included. A flight with one
+// reply too large for ReadReply writes nothing.
 func TestFlightIsOneWrite(t *testing.T) {
 	var flight []Reply
 	for i := 0; i < 40; i++ {
@@ -274,14 +274,6 @@ func TestFlightIsOneWrite(t *testing.T) {
 	}
 	if !strings.HasSuffix(one.writes[0], "112 End\r\n226 Transfer complete\r\n200 OK\r\n") {
 		t.Fatalf("flight ends %q", one.writes[0][len(one.writes[0])-60:])
-	}
-
-	cmds := &writeLog{}
-	if err := NewConn(cmds).WriteCommands(Command{Name: "OPTS", Params: "RETR Parallelism=4,4,4;"}, Command{Name: "PORT", Params: "h:1"}, Command{Name: "NOOP"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cmds.writes) != 1 || cmds.writes[0] != "OPTS RETR Parallelism=4,4,4;\r\nPORT h:1\r\nNOOP\r\n" {
-		t.Fatalf("three commands written as %q", cmds.writes)
 	}
 
 	huge := &writeLog{}

@@ -57,10 +57,9 @@ type Client struct {
 	// third-party data path (see ThirdParty); flushPools drops it.
 	wiring *thirdPartyWiring
 
-	// queued are the commands counted and not yet written, oldest first; owed
-	// the session commands, queued or written, whose replies have not been
-	// read; written is set from a write to the next read (see settle.go).
-	queued  []ftp.Command
+	// owed are the session commands written whose replies have not been
+	// read, oldest first, and written is set from a write to the next read
+	// (see settle.go).
 	owed    []sessionCmd
 	written bool
 
@@ -208,7 +207,6 @@ func newClientDataPath(host *netsim.Host, opts DialOptions) dataPath {
 func (c *Client) Close() error {
 	c.flushPools()
 	c.data.closeListeners()
-	c.flush() // QUIT goes behind whatever the session still had to say
 	c.ctrl.Cmd("QUIT", "")
 	c.expect(221)
 	return c.ctrl.Close()
@@ -247,12 +245,11 @@ type SessionSetup struct {
 	DCSC *gsi.Credential
 }
 
-// Setup queues the commands PropagateTrace, SetMarkerInterval, SetTask and
+// Setup writes the commands PropagateTrace, SetMarkerInterval, SetTask and
 // SendDCSC would send one round trip at a time, and leaves their replies owed
-// (settle.go): they leave in the write of whatever the caller sends next and
-// their replies come back with its own, in order — a session about to plan a
-// transfer sends StartWalk, and the set-up costs it neither a round trip nor
-// a write of its own — or with Settle. The settings take effect
+// (settle.go): they come back, in order, with whatever the caller sends next
+// — a session about to plan a transfer sends StartWalk, and the set-up costs
+// it no round trip of its own — or with Settle. The settings take effect
 // here as their replies are read, and a refused one is that read's error.
 func (c *Client) Setup(s SessionSetup) error {
 	var cmds []sessionCmd
@@ -272,17 +269,16 @@ func (c *Client) Setup(s SessionSetup) error {
 		}
 		cmds = append(cmds, cmd)
 	}
-	c.owe(cmds...)
-	return nil
+	return c.owe(cmds...)
 }
 
 // Delegate delegates a proxy of the client credential to the server over
 // the encrypted control channel; the server uses it to authenticate data
 // channels on the user's behalf (required for DCAU unless DCSC is used). The
-// server's key arrived with the login, so the proxy is signed here and queued
-// as one command, and nothing is waited for: DELG leaves in the write of the
-// session's next command, its 200 is owed (settle.go), and a server that
-// rejects the proxy says so to the next call that reads the channel.
+// server's key arrived with the login, so the proxy is signed here and sent
+// as one command, and nothing is waited for: DELG's 200 is owed (settle.go),
+// and a server that rejects the proxy says so to the next call that reads the
+// channel.
 func (c *Client) Delegate(lifetime time.Duration) error {
 	if c.cred == nil {
 		return ErrLiteNoDelegation
@@ -295,8 +291,7 @@ func (c *Client) Delegate(lifetime time.Duration) error {
 		return err
 	}
 	c.flushPools() // the server's data security context changes
-	c.owe(sessionCmd{name: "DELG", params: base64.StdEncoding.EncodeToString(bundle)})
-	return nil
+	return c.owe(sessionCmd{name: "DELG", params: base64.StdEncoding.EncodeToString(bundle)})
 }
 
 // Features runs FEAT and returns the advertised feature lines.
@@ -373,7 +368,7 @@ func badOption(text string) error {
 }
 
 // SetParallelism negotiates the number of parallel data streams. The OPTS is
-// queued and its reply left owed (settle.go): the pools flush now, so the
+// written and its reply left owed (settle.go): the pools flush now, so the
 // next transfer negotiates its data path again, and Parallelism follows when
 // the reply is read, in that transfer's first flight.
 func (c *Client) SetParallelism(n int) error {
@@ -384,9 +379,8 @@ func (c *Client) SetParallelism(n int) error {
 		return badOption("Bad parallelism")
 	}
 	c.flushPools()
-	c.owe(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR Parallelism=%d,%d,%d;", n, n, n),
+	return c.owe(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR Parallelism=%d,%d,%d;", n, n, n),
 		apply: func(bool) { c.spec.Parallelism = n }})
-	return nil
 }
 
 // SetBlockSize negotiates the MODE E block size, its reply owed like
@@ -400,13 +394,12 @@ func (c *Client) SetBlockSize(n int) error {
 	if n < minBlockSize || n > maxBlockSize {
 		return badOption("Bad block size")
 	}
-	c.owe(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR BlockSize=%d;", n), optional: true,
+	return c.owe(sessionCmd{name: "OPTS", params: fmt.Sprintf("RETR BlockSize=%d;", n), optional: true,
 		apply: func(accepted bool) {
 			if accepted {
 				c.spec.BlockSize = n
 			}
 		}})
-	return nil
 }
 
 // allocate announces the size of the next upload (ALLO, RFC 959) so the

@@ -478,7 +478,7 @@ func TestServerSequencesAFlight(t *testing.T) {
 		t.Helper()
 		for _, line := range lines {
 			name, params, _ := strings.Cut(line, " ")
-			if err := c.send(name, params); err != nil {
+			if err := c.ctrl.Cmd(name, "%s", params); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -203,11 +203,6 @@ func TestMlscRefusesListingTooLargeForAReply(t *testing.T) {
 	c := s.connect(t, nw.Host("laptop"), true)
 	c.obs = o
 
-	// Written around the client, so uncounted — and behind the DELG connect
-	// left queued, which Settle sends and answers first.
-	if err := c.Settle(); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.ctrl.Cmd("MLSC", "/big"); err != nil {
 		t.Fatal(err)
 	}

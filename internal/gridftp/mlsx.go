@@ -194,19 +194,19 @@ type Walk struct {
 
 // StartWalk is a walk's first flight: MLST for the path and, without waiting
 // to hear that it is a directory, the MLSC that lists it. Both are written
-// behind whatever the session owes and in the same write, so one segment
-// carries the flight out and one read sequence brings back the owed replies,
-// the facts and the listing. A path that is a file refuses the MLSC,
+// behind whatever the session owes, so one read sequence brings back the owed
+// replies, the facts and the listing. A path that is a file refuses the MLSC,
 // which is read and dropped. A refusal among the owed replies, or of the
 // MLST, is returned once every reply of the flight has been read.
 func (c *Client) StartWalk(path string) (*Walk, error) {
-	c.queue("MLST", path)
+	if err := c.send("MLST", path); err != nil {
+		return nil, err
+	}
 	speculative := !c.noMLSC
 	if speculative {
-		c.queue("MLSC", path)
-	}
-	if err := c.flush(); err != nil {
-		return nil, err
+		if err := c.send("MLSC", path); err != nil {
+			return nil, err
+		}
 	}
 	stat, err := c.expect(ftp.CodeFileActionOK)
 	if stat.Code == 0 {

@@ -5,9 +5,8 @@ import "gridftp.dev/instant/internal/ftp"
 // The client's reply discipline. A command costs a round trip only where the
 // client waits for its answer, so the client does not wait for answers it
 // does not need yet: a session command — one that answers 200 and whose
-// outcome is a state change here — may be left *owed*: it is queued, written
-// in one write with the next command the session sends (or ahead of its next
-// read), and its reply is read with that flight, by settle. Every read of the control
+// outcome is a state change here — may be written and left *owed*, and its
+// reply is read with the next flight, by settle. Every read of the control
 // channel goes through expect or finalReply, which settle first, so an owed
 // reply can never be taken for the answer to a later command; this file holds
 // the only reads (scripts/check.sh greps for others).
@@ -34,51 +33,32 @@ type sessionCmd struct {
 	refused func(error)
 }
 
-// queue counts one command and holds it, unwritten, for the session's next
-// write: a command nobody waits for yet has no write of its own to pay for.
-func (c *Client) queue(name, params string) {
-	c.countCommand(name)
-	c.queued = append(c.queued, ftp.Command{Name: name, Params: params})
-}
-
-// flush writes the queued commands, in order and as one write.
-func (c *Client) flush() error {
-	if len(c.queued) == 0 {
-		return nil
-	}
-	cmds := c.queued
-	c.queued = nil
-	c.written = true
-	return c.ctrl.WriteCommands(cmds...)
-}
-
-// send counts and writes one command — behind everything queued, in the same
-// write — and reads nothing.
+// send counts and writes one command and reads nothing.
 func (c *Client) send(name, params string) error {
-	c.queue(name, params)
-	return c.flush()
+	c.countCommand(name)
+	c.written = true
+	return c.ctrl.Cmd(name, "%s", params)
 }
 
-// reading precedes every read of the control channel: whatever is queued
-// goes out first, so no reply is waited for whose command has not been
-// written. The first read after a write is where the client starts waiting
-// out a round trip: it ends a flight, and flights are counted as commands are.
-func (c *Client) reading() error {
-	err := c.flush()
+// reading precedes every read of the control channel. The first read after a
+// write is where the client starts waiting out a round trip: it ends a flight,
+// and flights are counted as commands are.
+func (c *Client) reading() {
 	if c.written {
 		c.written = false
 		c.obs.Registry().Counter("gridftp.client.flights").Inc()
 	}
-	return err
 }
 
-// owe queues the commands and leaves their replies owed: they are written
-// with the next command the session sends, or ahead of its next read.
-func (c *Client) owe(cmds ...sessionCmd) {
+// owe writes the commands and leaves their replies owed.
+func (c *Client) owe(cmds ...sessionCmd) error {
 	for _, cmd := range cmds {
-		c.queue(cmd.name, cmd.params)
+		if err := c.send(cmd.name, cmd.params); err != nil {
+			return err
+		}
 		c.owed = append(c.owed, cmd)
 	}
+	return nil
 }
 
 // settle reads the final reply of every owed command, oldest first. A
@@ -94,9 +74,7 @@ func (c *Client) settle() (inStep bool, err error) {
 		if want == 0 {
 			want = ftp.CodeOK
 		}
-		if err := c.reading(); err != nil {
-			return false, err
-		}
+		c.reading()
 		r, rerr := c.ctrl.Expect(want)
 		declined := rerr != nil && cmd.optional &&
 			(r.Code == ftp.CodeSyntaxError || r.Code == ftp.CodeNotImplemented || r.Code == ftp.CodeParamNotImpl)
@@ -127,7 +105,9 @@ func (c *Client) Settle() error {
 // batch writes every command before it reads any reply, so k commands cost
 // one round trip (the server reads pipelined commands in order), and settles.
 func (c *Client) batch(cmds ...sessionCmd) error {
-	c.owe(cmds...)
+	if err := c.owe(cmds...); err != nil {
+		return err
+	}
 	_, err := c.settle()
 	return err
 }
@@ -140,9 +120,7 @@ func (c *Client) read(next func() (ftp.Reply, error)) (ftp.Reply, error) {
 	if !inStep {
 		return ftp.Reply{}, owedErr
 	}
-	if err := c.reading(); err != nil {
-		return ftp.Reply{}, err
-	}
+	c.reading()
 	r, err := next()
 	if owedErr != nil {
 		err = owedErr

@@ -249,9 +249,11 @@ func (p *Pipeline) Mkdirs(dirs []string) (answered <-chan struct{}, err error) {
 	for len(dirs) > 0 {
 		n := flightLen(dirs)
 		for _, d := range dirs[:n] {
-			p.dst.owe(sessionCmd{name: "MKD", params: d, code: ftp.CodePathCreated,
+			if err := p.dst.owe(sessionCmd{name: "MKD", params: d, code: ftp.CodePathCreated,
 				apply:   func(bool) { answer() },
-				refused: func(err error) { p.refuse(d, err); answer() }})
+				refused: func(err error) { p.refuse(d, err); answer() }}); err != nil {
+				return nil, err
+			}
 		}
 		if dirs = dirs[n:]; len(dirs) > 0 {
 			if err := p.dst.Settle(); err != nil {

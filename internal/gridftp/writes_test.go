@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"gridftp.dev/instant/internal/ftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/obs"
 )
 
 // What the network charges for a small write — a syscall, a TLS record, a
@@ -384,10 +382,9 @@ func TestFailedTransferStillDeliversItsClosingFlight(t *testing.T) {
 			}
 		}
 		expect(ftp.CodeReadyForNewUser)
-		ctrl.WriteCommands(
-			ftp.Command{Name: "MODE", Params: "E"},
-			ftp.Command{Name: "OPTS", Params: "RETR Parallelism=4,4,4;"},
-			ftp.Command{Name: "PORT", Params: l.Addr().String()})
+		ctrl.WriteCommand(ftp.Command{Name: "MODE", Params: "E"})
+		ctrl.WriteCommand(ftp.Command{Name: "OPTS", Params: "RETR Parallelism=4,4,4;"})
+		ctrl.WriteCommand(ftp.Command{Name: "PORT", Params: l.Addr().String()})
 		expect(ftp.CodeOK)
 		expect(ftp.CodeOK)
 		expect(ftp.CodeOK)
@@ -485,9 +482,7 @@ func TestPortAndRetrInOneSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := ctrl.WriteCommands(
-		ftp.Command{Name: "PORT", Params: l.Addr().String()},
-		ftp.Command{Name: "RETR", Params: "/f.bin"}); err != nil {
+	if _, err := tc.Write([]byte("PORT " + l.Addr().String() + "\r\nRETR /f.bin\r\n")); err != nil { // one record
 		t.Fatal(err)
 	}
 	expect(ftp.CodeOK) // PORT's, read before the listener is looked at
@@ -501,81 +496,4 @@ func TestPortAndRetrInOneSegment(t *testing.T) {
 		t.Fatalf("read %d bytes of %d over the data connection: %v", len(got), len(payload), err)
 	}
 	expect(ftp.CodeClosingData) // behind its 150
-}
-
-// TestOwedCommandsRideTheNextWrite is the client's side of the count: a
-// command nobody waits for yet is queued, not written, and leaves in the write
-// of the next command the session sends — OPTS with the PORT of the Get behind
-// it, a Setup's two SITE commands with the walk's MLST and MLSC — or ahead of
-// the session's next read, and QUIT goes behind whatever is still queued.
-func TestOwedCommandsRideTheNextWrite(t *testing.T) {
-	nw := netsim.NewNetwork()
-	nw.SetLink("laptop", "siteA", netsim.LinkParams{RTT: 2 * time.Millisecond})
-	s := newSite(t, nw, "siteA")
-	if err := s.storage.Mkdir("alice", "/d"); err != nil {
-		t.Fatal(err)
-	}
-	s.putFile(t, "/d/f.bin", pattern(1000))
-	clientEnd, _ := countedLiteConn(t, s, nw)
-	client := &ctrlWrites{Conn: clientEnd} // here it is the client's writes that count
-	c, err := DialLite(nw.Host("laptop"), client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := func(write string) []string {
-		var verbs []string
-		for _, line := range strings.Split(strings.TrimSuffix(write, "\r\n"), "\r\n") {
-			verb, _, _ := strings.Cut(line, " ")
-			verbs = append(verbs, verb)
-		}
-		return verbs
-	}
-	_, before := client.since(0)
-
-	if err := c.SetParallelism(4); err != nil {
-		t.Fatal(err)
-	}
-	if w, _ := client.since(before); len(w) != 0 {
-		t.Fatalf("SetParallelism wrote %q: its OPTS is owed, and queued", w)
-	}
-	if _, err := c.Get("/d/f.bin", dsi.NewBufferFile(nil)); err != nil {
-		t.Fatal(err)
-	}
-	w, before := client.since(before)
-	if len(w) != 2 || !reflect.DeepEqual(lines(w[0]), []string{"OPTS", "PORT"}) || !reflect.DeepEqual(lines(w[1]), []string{"RETR"}) {
-		t.Fatalf("a Get behind an owed OPTS wrote %q, want OPTS and PORT in one write, then RETR", w)
-	}
-
-	if err := c.Setup(SessionSetup{Trace: obs.NewTracer().StartSpan("t").Context(), Task: "task-1"}); err != nil {
-		t.Fatal(err)
-	}
-	walk, err := c.StartWalk("/d")
-	if err != nil || !walk.IsDir {
-		t.Fatalf("StartWalk: %+v, %v", walk, err)
-	}
-	w, before = client.since(before)
-	if len(w) != 1 || !reflect.DeepEqual(lines(w[0]), []string{"SITE", "SITE", "MLST", "MLSC"}) {
-		t.Fatalf("a walk behind a Setup wrote %q, want SITE TRACE, SITE TASK, MLST and MLSC in one write", w)
-	}
-
-	// Nothing to send behind them: the read flushes.
-	if err := c.Setup(SessionSetup{Task: "task-2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	if w, before = client.since(before); len(w) != 1 || !reflect.DeepEqual(lines(w[0]), []string{"SITE"}) {
-		t.Fatalf("Settle behind a Setup wrote %q, want the queued SITE TASK", w)
-	}
-
-	if err := c.SetBlockSize(128 << 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w, _ = client.since(before); len(w) != 2 || !reflect.DeepEqual(lines(w[0]), []string{"OPTS"}) || !reflect.DeepEqual(lines(w[1]), []string{"QUIT"}) {
-		t.Fatalf("Close behind an owed OPTS wrote %q, want the OPTS, then QUIT", w)
-	}
 }

@@ -1,9 +1,8 @@
 #!/bin/sh
 # check.sh — the pre-commit gate: gofmt over the whole tree (bench/,
 # examples/ and the root package included), the client's one-place-for-reply-
-# reads guard (internal/gridftp/settle.go), the control channel's
-# one-place-for-writes guards (session.reply/replies, Client.send/queue), the
-# binaries' no-plane-imports
+# reads guard (internal/gridftp/settle.go), the server's one-place-for-reply-
+# writes guard (session.reply/replies), the binaries' no-plane-imports
 # guard (internal/admin/boot.go), build, vet, the full test
 # suite, the full test suite again under the race detector (about two
 # minutes on two cores), and ten seconds each of the record-boundary fuzzer
@@ -44,27 +43,17 @@ if [ "$sites" != "internal/gridftp/client.go internal/gridftp/server.go " ]; the
 	exit 1
 fi
 
-echo "==> control-channel writes: one place on the server, one on the client"
+echo "==> control-channel replies are written in one place, one write per flight"
 # What the network charges for a write it charges per write, so the server
 # frames a flight of replies and writes it once: session.reply and its batch
 # sibling session.replies (server.go) are the only callers of the reply
-# writers, and ftp.Conn keeps no write buffer for anyone else to flush.
+# writers, and ftp.Conn keeps no write buffer for anyone to leave bytes in.
 if grep -nE '\.(WriteReply|WriteReplies)\(' internal/gridftp/*.go cmd/*/*.go internal/transfer/*.go internal/gcmu/*.go | grep -vE '^internal/gridftp/(server|[a-z_]*_test)\.go:'; then
 	echo "check.sh: write replies through session.reply or session.replies (internal/gridftp/server.go)" >&2
 	exit 1
 fi
 if grep -nE 'bufio\.(NewWriter|Writer)' internal/ftp/ftp.go; then
 	echo "check.sh: ftp.Conn hands the transport one Write per flight and buffers nothing between calls" >&2
-	exit 1
-fi
-# Every client command is counted and queued through Client.send/queue and
-# every read flushes the queue first (Client.reading): a command written
-# around them can overtake the ones queued ahead of it. Dial's AUTH TLS (the
-# session's first bytes) and Close's QUIT (behind an explicit flush) are the
-# two that are not.
-sites=$(grep -nE 'ctrl\.(Cmd|WriteCommand|WriteCommands)\(' internal/gridftp/*.go | grep -v '_test\.go:' | cut -d: -f1 | sort | uniq -c | tr -s ' \n' ' ')
-if [ "$sites" != " 2 internal/gridftp/client.go 1 internal/gridftp/settle.go " ]; then
-	echo "check.sh: client commands go through Client.send or Client.queue (settle.go); ctrl.Cmd is for Dial's AUTH and Close's QUIT only; found:$sites" >&2
 	exit 1
 fi
 
