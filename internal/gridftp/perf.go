@@ -51,10 +51,10 @@ func perfMarkerLines(m PerfMarker) []string {
 	b = strconv.AppendInt(append(b, "Stripe Index: "...), int64(m.Stripe), 10)
 	index := len(b)
 	b = strconv.AppendInt(append(b, "Stripe Bytes Transferred: "...), m.StripeBytes, 10)
-	bytes := len(b)
+	moved := len(b)
 	b = strconv.AppendInt(append(b, "Total Stripe Count: "...), int64(m.TotalStripes), 10)
 	s := string(b)
-	return []string{"Perf Marker", s[:ts], s[ts:index], s[index:bytes], s[bytes:], "End"}
+	return []string{"Perf Marker", s[:ts], s[ts:index], s[index:moved], s[moved:], "End"}
 }
 
 // maxStripeIndex bounds the stripe index / stripe count accepted from the
