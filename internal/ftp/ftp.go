@@ -250,7 +250,7 @@ func (c *Conn) WriteReplies(replies ...Reply) error {
 		lines := r.lines()
 		for i, line := range lines {
 			switch {
-			case i == len(lines)-1:
+			case i == len(lines)-1: // a one-line reply is its own last line
 				b = append(strconv.AppendInt(b, int64(r.Code), 10), ' ')
 			case i == 0:
 				b = append(strconv.AppendInt(b, int64(r.Code), 10), '-')

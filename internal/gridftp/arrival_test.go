@@ -69,21 +69,20 @@ func closingFlight(t *testing.T, streams int, share int64, restart bool) []byte 
 	flight = append(flight, tr.frame(true)...)
 	flight = append(flight, ftp.Reply{Code: ftp.CodeClosingData, Lines: []string{"Transfer complete"}})
 	var wire bytes.Buffer
-	if err := ftp.NewConn(writerConn{&wire}).WriteReplies(flight...); err != nil {
+	if err := ftp.NewConn(writerConn{w: &wire}).WriteReplies(flight...); err != nil {
 		t.Fatal(err)
 	}
 	return wire.Bytes()
 }
 
-type writerConn struct{ io.Writer }
+// writerConn is the writing half of a control connection: what is written
+// goes to w, and nothing else is called.
+type writerConn struct {
+	net.Conn
+	w io.Writer
+}
 
-func (writerConn) Read([]byte) (int, error)         { return 0, io.EOF }
-func (writerConn) Close() error                     { return nil }
-func (writerConn) LocalAddr() net.Addr              { return nil }
-func (writerConn) RemoteAddr() net.Addr             { return nil }
-func (writerConn) SetDeadline(time.Time) error      { return nil }
-func (writerConn) SetReadDeadline(time.Time) error  { return nil }
-func (writerConn) SetWriteDeadline(time.Time) error { return nil }
+func (c writerConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
 // bareClient is a session that has only a control channel to read.
 func bareClient(pieces [][]byte) *Client {
@@ -175,7 +174,7 @@ func TestMarkersAreCheapToFrameAndRead(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		tr.add(i, 1<<20)
 	}
-	conn := ftp.NewConn(writerConn{io.Discard})
+	conn := ftp.NewConn(writerConn{w: io.Discard})
 	if n := testing.AllocsPerRun(100, func() { conn.WriteReplies(tr.frame(true)...) }); n > 3*streams {
 		t.Errorf("framing and writing %d markers costs %.0f allocations, want at most %d", streams, n, 3*streams)
 	}

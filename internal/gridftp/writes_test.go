@@ -90,10 +90,7 @@ func countedLiteConn(t *testing.T, s *site, nw *netsim.Network) (net.Conn, *ctrl
 // reply boundary: nothing is ever half-written.
 func markersIn(t *testing.T, write string) (perf []PerfMarker, restart, final int) {
 	t.Helper()
-	a, b := net.Pipe()
-	defer b.Close()
-	go func() { a.Write([]byte(write)); a.Close() }()
-	rc := ftp.NewConn(b)
+	rc := ftp.NewConn(&chunks{pieces: [][]byte{[]byte(write)}})
 	for {
 		r, err := rc.ReadReply()
 		if err != nil {
