@@ -18,8 +18,6 @@ import (
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/expfmt"
-	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
@@ -397,58 +395,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkE16FleetAggregation measures the federation head's cost of
-// one full fleet pass at scale: 100 instances × ~50 series each ingested
-// (the push path minus HTTP), then one Tick — staleness sweep, counter
-// and gauge merge, bucket-wise histogram merge across all 100 instances,
-// recorder sampling of the aggregate, and an alert evaluation. The
-// budget is <=5% of the 1s aggregation interval, reported as
-// pct-of-1s-interval.
-func BenchmarkE16FleetAggregation(b *testing.B) {
-	const instances = 100
-	// ~50 series per instance: identity gauge + 24 counters + 15 gauges +
-	// 2 histograms (each a bucket set plus sum/count on the wire).
-	snaps := make([]expfmt.Snapshot, instances)
-	for i := range snaps {
-		o := obs.Nop()
-		reg := o.Registry()
-		for c := 0; c < 24; c++ {
-			reg.Counter(fmt.Sprintf("bench.fleet.counter.%02d", c)).Add(int64(i*100 + c))
-		}
-		for g := 0; g < 15; g++ {
-			reg.Gauge(fmt.Sprintf("bench.fleet.gauge.%02d", g)).Set(int64(i + g))
-		}
-		for h := 0; h < 2; h++ {
-			hist := reg.Histogram(fmt.Sprintf("bench.fleet.hist.%d", h), obs.DefaultDurationBuckets)
-			for j := 0; j < 16; j++ {
-				hist.ObserveExemplar(float64(j)/20, fmt.Sprintf("%032x", i*16+j))
-			}
-		}
-		snaps[i] = expfmt.SnapshotRegistry(reg)
-	}
-
-	now := time.Unix(1_700_000_000, 0)
-	svc := fleet.New(fleet.Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
-
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		now = now.Add(time.Second)
-		for i, snap := range snaps {
-			if err := svc.Ingest("", fleet.Envelope{Instance: fmt.Sprintf("inst-%03d", i), Metrics: snap}, now); err != nil {
-				b.Fatal(err)
-			}
-		}
-		svc.Tick(now)
-	}
-	b.StopTimer()
-
-	if got := len(svc.Instances()); got != instances {
-		b.Fatalf("registry has %d instances, want %d", got, instances)
-	}
-	perPass := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(perPass/1e9*100, "pct-of-1s-interval")
 }
 
 // BenchmarkE17ProfilerOverhead measures the continuous profiler's cost

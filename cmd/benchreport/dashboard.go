@@ -57,8 +57,7 @@ type alertDocument struct {
 }
 
 // tenantStat mirrors the wire shape of internal/obs/tenant.Stat as
-// served by /tenants and /fleet/tenants — only the fields the table
-// renders.
+// served by /tenants — only the fields the table renders.
 type tenantStat struct {
 	Rank      int     `json:"rank"`
 	DN        string  `json:"dn"`

@@ -1,11 +1,11 @@
 package main
 
-// Golden output for the two live dashboards, each rendered against a daemon
-// the bootstrap built (admin.Flags + Start, as the five mains do) and then
+// Golden output for the live dashboard, rendered against a daemon the
+// bootstrap built (admin.Flags + Start, as the five mains do) and then
 // closed: with every background loop stopped, the planes hold exactly what
-// the test fed them, so the page is the same every run. What the pages read
-// — /debug/timeseries, /alerts, /debug/streams, /tenants, and the head's
-// /fleet/* — is held byte for byte. Regenerate with
+// the test fed them, so the page is the same every run. What the page reads
+// — /debug/timeseries, /alerts, /debug/streams, /tenants — is held byte for
+// byte. Regenerate with
 //
 //	go test ./cmd/benchreport -run Golden -update
 
@@ -21,9 +21,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/admin"
-	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/expfmt"
-	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/tenant"
 )
 
@@ -34,7 +31,7 @@ const (
 	bob   = "/O=GCMU/OU=siteB/CN=bob"
 )
 
-// quietDaemon boots a daemon with every plane and a head, closes it, and
+// quietDaemon boots a daemon with every plane, closes it, and
 // serves its admin plane from an httptest server. A daemon one of whose
 // loops got a tick in before Close is thrown away: its recorder already
 // holds samples of this process.
@@ -43,10 +40,10 @@ func quietDaemon(t *testing.T) (*admin.Daemon, *httptest.Server) {
 	for try := 0; try < 5; try++ {
 		fs := flag.NewFlagSet("golden", flag.ContinueOnError)
 		boot := admin.Flags(fs)
-		if err := fs.Parse([]string{"-admin", "127.0.0.1:0", "-fleet", "-profile-interval", "0"}); err != nil {
+		if err := fs.Parse([]string{"-admin", "127.0.0.1:0", "-profile-interval", "0"}); err != nil {
 			t.Fatal(err)
 		}
-		d, err := boot.Start("golden")
+		d, err := boot.Start()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,28 +149,6 @@ func TestDashboardGolden(t *testing.T) {
 
 	src := ts.URL + "/debug/timeseries?series=transfer.task.,tenant.,gridftp.server."
 	checkGolden(t, "dashboard.golden", captureStdout(t, func() error { return renderDashboard(src) }))
-}
-
-func TestFleetDashboardGolden(t *testing.T) {
-	_, ts := quietDaemon(t)
-
-	push := func(instance string, bytesIn int64, tenants ...tenant.Stat) {
-		t.Helper()
-		env := fleet.Envelope{Instance: instance, Tenants: tenants, Metrics: expfmt.Snapshot{Metrics: []obs.Metric{
-			{Name: "process.start_time_seconds", Kind: "gauge", Value: 1_700_000_000},
-			{Name: "gridftp.server.bytes_in", Kind: "counter", Value: bytesIn},
-		}}}
-		if err := fleet.Push(ts.URL+"/v1/metrics", env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	push("siteA", 4<<20, tenant.Stat{DN: alice, Weight: 4 << 20, Bytes: 4 << 20, Active: 1, Commands: 10})
-	push("siteB", 3<<20,
-		tenant.Stat{DN: alice, Weight: 2 << 20, Bytes: 2 << 20, Commands: 6},
-		tenant.Stat{DN: bob, Weight: 1 << 20, Bytes: 1 << 20, Commands: 4, CommandErrors: 1})
-	push("siteB", 3<<20) // a second push: the registry counts them
-
-	checkGolden(t, "fleet-dashboard.golden", captureStdout(t, func() error { return renderFleetDashboard(ts.URL) }))
 }
 
 // TestDashboardOfASavedDocument: a saved /debug/timeseries document renders

@@ -18,10 +18,6 @@
 //	benchreport -dashboard http://127.0.0.1:9970
 //	                                   # live telemetry dashboard: sparklines
 //	                                   # per series, active alerts, top tasks
-//	benchreport -fleet-dashboard http://127.0.0.1:9971
-//	                                   # fleet federation dashboard: instance
-//	                                   # registry, fleet alerts, diagnostic
-//	                                   # bundles, fleet.* sparklines
 //	benchreport -profile-diff e2       # profile the E2 parallel-stream path
 //	                                   # and name its allocation owners
 //	benchreport -profile-diff a.pprof,b.pprof
@@ -56,7 +52,6 @@ func main() {
 	timeline := flag.String("trace-timeline", "", "comma-separated span-export sources (JSON files or http(s):// /debug/spans URLs); stitch them and render per-trace timelines")
 	traceID := flag.String("trace", "", "with -trace-timeline: render only this trace id")
 	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, top tasks) or a saved /debug/timeseries JSON file")
-	fleetDashboard := flag.String("fleet-dashboard", "", "render a fleet federation dashboard (instance registry, fleet alerts, bundles, fleet.* sparklines) from a fleet head's admin-plane base URL")
 	profileDiff := flag.String("profile-diff", "", "attribute allocation/CPU deltas: \"e2\" profiles the parallel-stream workload live, or \"base.pprof,cur.pprof\" diffs two saved captures (e.g. /debug/profile/continuous/raw downloads); live processes serve the same diff at /debug/profile/continuous/diff")
 	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table: an admin-plane base URL (/debug/streams) or \"e18\" to drive the instrumented workload in-process")
 	flag.Parse()
@@ -68,7 +63,6 @@ func main() {
 	}{
 		{*streamHealth, runStreamHealth},
 		{*profileDiff, runProfileDiff},
-		{*fleetDashboard, renderFleetDashboard},
 		{*dashboard, renderDashboard},
 		{*timeline, func(srcs string) error { return renderTimelines(strings.Split(srcs, ","), *traceID) }},
 		{*snapshot, renderSnapshot},

@@ -47,7 +47,7 @@ func main() {
 	boot := admin.Flags(fs)
 	fs.Parse(args)
 
-	d, err := boot.Start("gcmu")
+	d, err := boot.Start()
 	if err == nil {
 		err = run(d)
 		d.Close()

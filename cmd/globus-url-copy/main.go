@@ -83,7 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	d, err := boot.Start("globus-url-copy")
+	d, err := boot.Start()
 	if err == nil {
 		err = run(*size, *parallel, *rtt, *bw, *window, *loss, *mode, *prot, *thirdparty, *dcsc, *lite, d)
 		d.Close()

@@ -17,10 +17,7 @@
 // -admin, the HTTP admin plane — every route in that README's table,
 // /debug/streams and /tenants included — is served on the given address,
 // /readyz answers ok once the endpoint is installed, and the process holds
-// until SIGINT/SIGTERM so the endpoints stay scrapeable. With -fleet-push,
-// the server pushes one envelope a second (metrics with exemplars, per-DN
-// tenant table, profile summary) to a fleet federation head — a
-// transfer-service run with -fleet — as -fleet-instance (default: -name).
+// until SIGINT/SIGTERM so the endpoints stay scrapeable.
 package main
 
 import (
@@ -47,7 +44,7 @@ func main() {
 
 	// The admin plane comes up before the install so /healthz answers
 	// immediately; /readyz flips once the endpoint is serving.
-	d, err := boot.Start(*name)
+	d, err := boot.Start()
 	if err == nil {
 		err = run(d, *name, *user, *password, *selftest, *withOAuth)
 		d.Close()

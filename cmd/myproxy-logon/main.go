@@ -38,7 +38,7 @@ func main() {
 	boot := admin.Flags(flag.CommandLine)
 	flag.Parse()
 
-	d, err := boot.Start("myproxy-logon")
+	d, err := boot.Start()
 	if err == nil {
 		err = run(*user, *password, *lifetime, *wrong, d)
 		d.Close()

@@ -20,13 +20,9 @@
 // The observability flags are the set every binary here shares
 // (admin.Flags; "how a daemon boots" in internal/obs/README.md). With
 // -admin, the HTTP admin plane is served on the given address and the
-// process holds after the demo transfer until SIGINT/SIGTERM. With -fleet
-// (or -fleet-bundle-dir), that admin plane is also the fleet federation
-// head: other processes push one envelope a second to its /v1/metrics
-// (their -fleet-push), the head merges them into fleet-wide aggregates
-// under /fleet/*, and firing fleet alerts capture diagnostic bundles into
-// -fleet-bundle-dir. -stall-timeout aborts a data stream making no progress
-// for that long; the scheduler retries the file from its checkpoint.
+// process holds after the demo transfer until SIGINT/SIGTERM.
+// -stall-timeout aborts a data stream making no progress for that long; the
+// scheduler retries the file from its checkpoint.
 package main
 
 import (
@@ -58,7 +54,7 @@ func main() {
 	boot := admin.Flags(flag.CommandLine)
 	flag.Parse()
 
-	d, err := boot.Start("transfer-service")
+	d, err := boot.Start()
 	if err == nil {
 		err = run(opts, d)
 		d.Close()

@@ -56,9 +56,6 @@ type Planes struct {
 	// Profiler is the continuous profiler: /debug/profile/continuous and
 	// its /top, /diff, /raw (profile.go).
 	Profiler *profile.Profiler
-	// Fleet is the federation head's HTTP plane (fleet.Service.Handler):
-	// /fleet/ and the /v1/metrics push ingest.
-	Fleet http.Handler
 }
 
 // route is one line of the route table: what is mounted and what the
@@ -124,11 +121,6 @@ func New(o *obs.Obs, p Planes) *Server {
 			route{"/debug/profile/continuous/top", "newest window's hot functions (?kind= ?n=)", s.handleProfileTop},
 			route{"/debug/profile/continuous/diff", "two windows diffed (?base= ?cur= ?kind=)", s.handleProfileDiff},
 			route{"/debug/profile/continuous/raw", "one raw capture, .pprof.gz (?id= ?kind=)", s.handleProfileRaw})
-	}
-	if p.Fleet != nil {
-		s.routes = append(s.routes,
-			route{"/fleet/", "fleet federation plane (instances, metrics, timeseries, alerts, tenants, profile, bundles)", p.Fleet.ServeHTTP},
-			route{"/v1/metrics", "fleet push ingest (POST, one JSON envelope: metrics, tenant table, profile summary)", p.Fleet.ServeHTTP})
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	for _, rt := range s.routes {

@@ -11,7 +11,6 @@ import (
 
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/expfmt"
-	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
@@ -28,27 +27,23 @@ import (
 // Boot order — each step may use everything above it:
 //
 //	obs bundle       OBS_LOG_LEVEL, or debug to stderr with -verbose
-//	profiler         when -admin or -fleet-push can read it and
-//	                 -profile-interval is not 0
+//	profiler         -admin, unless -profile-interval is 0
 //	stream registry  always (the -stall-timeout watchdog acts on its own)
 //	tenant accounts  always
 //	recorder, alerts -admin: the flight recorder becomes the bundle's series
 //	                 sink, tsdb.DefaultRules watch it
-//	fleet head       -fleet or -fleet-bundle-dir (needs -admin)
 //	admin server     -admin: every plane above mounted, the sampler and the
 //	                 SSE feed running, /readyz failing until Ready
-//	pusher           -fleet-push
 //	listener         -admin's socket, last: it serves a finished plane
 //
-// Close runs that bottom to top — the pusher's stop sends one last
-// envelope while everything it reads is still alive — and then writes the
-// -metrics dump, which reads only the bundle.
+// Close runs that bottom to top and then writes the -metrics dump, which
+// reads only the bundle.
 
 // Boot holds the parsed observability flags of one binary.
 type Boot struct {
-	verbose, metrics, fleetHead                     bool
-	admin, fleetBundleDir, fleetPush, fleetInstance string
-	profileInterval, profileRetain, stallTimeout    time.Duration
+	verbose, metrics                             bool
+	admin                                        string
+	profileInterval, profileRetain, stallTimeout time.Duration
 }
 
 // Flags registers the observability flags — the same set on every binary —
@@ -58,11 +53,7 @@ func Flags(fs *flag.FlagSet) *Boot {
 	fs.BoolVar(&b.verbose, "verbose", false, "structured debug logging to stderr")
 	fs.BoolVar(&b.metrics, "metrics", false, "dump the metrics (the /metrics text) and the span forest to stderr on exit")
 	fs.StringVar(&b.admin, "admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
-	fs.BoolVar(&b.fleetHead, "fleet", false, "act as the fleet federation head (needs -admin): accept pushes on /v1/metrics, serve /fleet/*")
-	fs.StringVar(&b.fleetBundleDir, "fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
-	fs.StringVar(&b.fleetPush, "fleet-push", "", "push this process's metrics, tenant table and profile summary to a fleet head's /v1/metrics URL, once a second")
-	fs.StringVar(&b.fleetInstance, "fleet-instance", "", "instance name for -fleet-push (default: the process's own name)")
-	fs.DurationVar(&b.profileInterval, "profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
+	fs.DurationVar(&b.profileInterval, "profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin is set")
 	fs.DurationVar(&b.profileRetain, "profile-retain", 5*time.Minute, "how long raw continuous-profile captures are retained (summaries persist ~2h)")
 	fs.DurationVar(&b.stallTimeout, "stall-timeout", 0, "abort a data stream making no progress for this long (0 disables the stall watchdog)")
 	return b
@@ -83,11 +74,11 @@ type Daemon struct {
 }
 
 // Start boots the planes the flags ask for, in the order at the top of
-// this file. name is the process's name: the -fleet-instance default.
-func (b *Boot) Start(name string) (*Daemon, error) {
-	d, err := b.boot(name)
-	if err != nil || d.Admin == nil {
-		return d, err
+// this file.
+func (b *Boot) Start() (*Daemon, error) {
+	d := b.boot()
+	if d.Admin == nil {
+		return d, nil
 	}
 	addr, err := d.Admin.ListenAndServe(b.admin)
 	if err != nil {
@@ -96,21 +87,11 @@ func (b *Boot) Start(name string) (*Daemon, error) {
 	}
 	d.stops = append(d.stops, func() { d.Admin.Close() })
 	fmt.Printf("admin plane: http://%s/\n", addr)
-	if b.isFleetHead() {
-		fmt.Printf("fleet head: push to http://%s/v1/metrics, browse http://%s/fleet/metrics\n", addr, addr)
-	}
 	return d, nil
 }
 
-func (b *Boot) isFleetHead() bool {
-	return b.fleetHead || b.fleetBundleDir != ""
-}
-
 // boot is Start without the socket.
-func (b *Boot) boot(name string) (*Daemon, error) {
-	if b.isFleetHead() && b.admin == "" {
-		return nil, fmt.Errorf("-fleet and -fleet-bundle-dir need -admin: the head is served on the admin plane")
-	}
+func (b *Boot) boot() *Daemon {
 	o := obs.FromEnv()
 	if b.verbose {
 		o = obs.New(os.Stderr, obs.LevelDebug)
@@ -118,7 +99,7 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 	d := &Daemon{Obs: o, metrics: b.metrics}
 
 	var prof *profile.Profiler
-	if b.profileInterval > 0 && (b.admin != "" || b.fleetPush != "") {
+	if b.profileInterval > 0 && b.admin != "" {
 		prof = profile.New(profile.Options{
 			Interval: b.profileInterval,
 			Recent:   int(b.profileRetain / b.profileInterval),
@@ -148,11 +129,6 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 			Recorder: rec, Engine: tsdb.NewEngine(rec, o, tsdb.DefaultRules()),
 			Streams: d.Streams, Tenants: d.Tenants, Profiler: prof,
 		}
-		if b.isFleetHead() {
-			head := fleet.New(fleet.Options{Obs: o, Bundle: fleet.BundleOptions{Dir: b.fleetBundleDir}})
-			d.stops = append(d.stops, head.Start())
-			planes.Fleet = head.Handler()
-		}
 		d.Admin = New(o, planes)
 		d.Admin.AddReadiness("service", func() error {
 			if !d.ready.Load() {
@@ -162,14 +138,7 @@ func (b *Boot) boot(name string) (*Daemon, error) {
 		})
 		d.stops = append(d.stops, d.Admin.Start())
 	}
-	if b.fleetPush != "" {
-		instance := b.fleetInstance
-		if instance == "" {
-			instance = name
-		}
-		d.stops = append(d.stops, fleet.StartPusher(b.fleetPush, instance, o, d.Tenants))
-	}
-	return d, nil
+	return d
 }
 
 // Ready flips /readyz to ok: the process's own service is up.

@@ -3,7 +3,6 @@ package admin
 import (
 	"context"
 	"flag"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -28,11 +27,7 @@ func bootWith(t *testing.T, name string, args ...string) *Daemon {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	d, err := b.boot(name)
-	if err != nil {
-		t.Fatalf("boot %v: %v", args, err)
-	}
-	return d
+	return b.boot()
 }
 
 // documentedRoutes reads the admin plane's route table out of
@@ -64,7 +59,7 @@ func documentedRoutes(t *testing.T) []string {
 // hand and forgot the stream registry: /debug/streams answered 503 for ever
 // on the one daemon that is all data path.)
 func TestBootMountsEveryDocumentedRoute(t *testing.T) {
-	d := bootWith(t, "every-plane", "-admin", "unused", "-fleet", "-stall-timeout", "30s")
+	d := bootWith(t, "every-plane", "-admin", "unused", "-stall-timeout", "30s")
 	defer d.Close()
 	d.Ready()
 	h := d.Admin.Handler()
@@ -79,9 +74,8 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 		return w
 	}
 	index := get("/").Body.String()
-	for _, route := range documentedRoutes(t) {
-		path := strings.TrimSuffix(route, "*") // "/fleet/*" names a subtree
-		if w := get(path); w.Code == http.StatusServiceUnavailable || w.Code == http.StatusNotFound && path != "/fleet/" {
+	for _, path := range documentedRoutes(t) {
+		if w := get(path); w.Code == http.StatusServiceUnavailable || w.Code == http.StatusNotFound {
 			t.Errorf("GET %s = %d %q", path, w.Code, strings.TrimSpace(w.Body.String()))
 		}
 		if !strings.Contains(index, "  "+path+" ") {
@@ -93,13 +87,9 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 	if body := get("/debug/streams?format=text").Body.String(); !strings.Contains(body, "task-000001 (STOR, done)") {
 		t.Errorf("/debug/streams does not show the registry the daemon hands out:\n%s", body)
 	}
-	for _, path := range []string{"/fleet/instances", "/fleet/tenants", "/fleet/profile", "/fleet/alerts", "/fleet/timeseries"} {
-		if w := get(path); w.Code != http.StatusOK {
-			t.Errorf("GET %s = %d %q", path, w.Code, strings.TrimSpace(w.Body.String()))
-		}
-	}
-	// There is no span collector server: nothing may mount its routes.
-	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has"} {
+	// There is no span collector server and no federation head: nothing
+	// may mount their routes.
+	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has", "/fleet/", "/v1/metrics"} {
 		if w := get(path); w.Code != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, w.Code)
 		}
@@ -141,15 +131,15 @@ func TestFlagsAreTheDocumentedOnes(t *testing.T) {
 	for name := range documented {
 		t.Errorf("-%s is in README's flag table but admin.Flags does not register it", name)
 	}
-	if registered != 10 {
-		t.Errorf("admin.Flags registers %d flags, README says ten", registered)
+	if registered != 6 {
+		t.Errorf("admin.Flags registers %d flags, README says six", registered)
 	}
 }
 
 // TestMetricsDumpReadsBackLikeTheMetricsRoute: the -metrics exit dump is the
 // /metrics body followed by the span forest as comments, so one parser —
-// expfmt.ParseTextSnapshot, what benchreport -metrics-snapshot and the fleet
-// head use — reads both to the same counters, gauges and histogram buckets.
+// expfmt.ParseTextSnapshot, behind benchreport -metrics-snapshot — reads both
+// to the same counters, gauges and histogram buckets.
 // (go_* and process_* are read from the runtime at snapshot time; they must
 // be in both, with whatever value.)
 func TestMetricsDumpReadsBackLikeTheMetricsRoute(t *testing.T) {
@@ -222,45 +212,17 @@ func TestMetricsDumpReadsBackLikeTheMetricsRoute(t *testing.T) {
 	t.Errorf("transfer_task_seconds{outcome=ok} is not in the dump: %+v", got.Histograms)
 }
 
-func TestBootRefusesAHeadWithoutAnAdminPlane(t *testing.T) {
-	for _, args := range [][]string{{"-fleet"}, {"-fleet-bundle-dir", "/tmp/x"}} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		b := Flags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		if d, err := b.boot("t"); err == nil {
-			d.Close()
-			t.Errorf("boot %v succeeded", args)
-		}
-	}
-}
-
-// TestCloseAfterBootLeavesNoGoroutines boots a head and an instance that
-// pushes to it — every plane and every loop between them — and closes both.
+// TestCloseAfterBootLeavesNoGoroutines boots two daemons with every plane
+// and every loop — one of them with the stall watchdog armed — and closes both.
 func TestCloseAfterBootLeavesNoGoroutines(t *testing.T) {
-	http.DefaultClient.CloseIdleConnections()
 	before := runtime.NumGoroutine()
 
-	head := bootWith(t, "head", "-admin", "unused", "-fleet")
-	front := httptest.NewServer(head.Admin.Handler())
-	inst := bootWith(t, "ep-a", "-admin", "unused", "-fleet-push", front.URL+"/v1/metrics?via=test", "-stall-timeout", "1s")
-	inst.Tenants.BytesMoved("/CN=alice", 1<<20)
-	inst.Close() // the pusher's last envelope goes out here
+	a := bootWith(t, "a", "-admin", "unused")
+	b := bootWith(t, "b", "-admin", "unused", "-stall-timeout", "1s")
+	b.Tenants.BytesMoved("/CN=alice", 1<<20)
+	b.Close()
+	a.Close()
 
-	resp, err := http.Get(front.URL + "/fleet/tenants")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || !strings.Contains(string(body), `"dn": "/CN=alice"`) {
-		t.Errorf("the head never saw the instance's tenant table (%v):\n%s", err, body)
-	}
-
-	head.Close()
-	front.Close()
-	http.DefaultClient.CloseIdleConnections()
 	if after := leakcheck.AtMost(before); after > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines before boot, %d after close:\n%s", before, after, buf[:runtime.Stack(buf, true)])

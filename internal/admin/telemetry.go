@@ -4,7 +4,7 @@ package admin
 // metric deltas, new events and alert transitions, with heartbeats and
 // slow-client eviction — and Server.Start, which runs the loops that feed
 // it and the recorder. (/debug/timeseries and /alerts are tsdb's own
-// handlers, shared with the fleet head.)
+// handlers.)
 
 import (
 	"encoding/json"

@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
@@ -52,39 +50,6 @@ func TestTenantsEndpoint(t *testing.T) {
 	}
 	if code, _, _ = get(t, ts, "/tenants?k=zero"); code != http.StatusBadRequest {
 		t.Fatalf("/tenants?k=zero = %d, want 400", code)
-	}
-}
-
-// TestTenantPushRouteForwardsToFleet: a pushed tenant table reaches the
-// mounted fleet handler through the head's admin plane. It rides the one
-// envelope on /v1/metrics; the route of its own it once had is gone, not
-// kept beside it.
-func TestTenantPushRouteForwardsToFleet(t *testing.T) {
-	fl := fleet.New(fleet.Options{Obs: obs.Nop()})
-	ts := httptest.NewServer(New(obs.Nop(), Planes{Fleet: fl.Handler()}).Handler())
-	defer ts.Close()
-
-	body := `{"instance":"ep1","metrics":"","tenants":[{"dn":"/CN=pusher","hash":"00000000","weight":10,"bytes":10}]}`
-	post := func(path string) int {
-		t.Helper()
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post("/v1/metrics"); code != http.StatusNoContent {
-		t.Fatalf("POST /v1/metrics via admin mux = %d, want 204", code)
-	}
-	for _, gone := range []string{"/v1/tenants", "/v1/profile"} {
-		if code := post(gone); code != http.StatusNotFound {
-			t.Fatalf("POST %s = %d, want 404: the envelope is the one push route", gone, code)
-		}
-	}
-	code, out, _ := get(t, ts, "/fleet/tenants")
-	if code != http.StatusOK || !strings.Contains(out, "/CN=pusher") {
-		t.Fatalf("GET /fleet/tenants = %d %q, want the pushed DN", code, out)
 	}
 }
 

@@ -239,39 +239,6 @@ func DefaultRules() []Rule {
 	}
 }
 
-// DefaultFleetRules is the rule set a fleet federation head installs
-// over the fleet-level recorder. The watched series are the derived
-// "fleet.*" aggregates the federator maintains from merged per-instance
-// snapshots (see internal/obs/fleet): staleness and outlier counts are
-// computed gauges, and the queue-wait quantile comes from bucket-wise
-// merged histograms.
-func DefaultFleetRules() []Rule {
-	return []Rule{
-		{
-			// One or more registered instances stopped reporting: its pushes
-			// went quiet past the staleness horizon.
-			Name: "fleet-instance-stale", Series: "fleet.instances.stale",
-			Kind: KindThreshold, Op: OpGreater, Value: 0,
-			For: 2 * time.Second, Severity: "page",
-		},
-		{
-			// One endpoint dragging the fleet: an instance contributing
-			// outlier-low goodput relative to the fleet median.
-			Name: "fleet-instance-outlier", Series: "fleet.goodput.outlier_ratio",
-			Kind: KindThreshold, Op: OpGreater, Value: 0.8,
-			For: 5 * time.Second, Severity: "warn",
-		},
-		{
-			// Fleet admission queue burning: the merged-bucket p99 queue
-			// wait holding above 500ms across the fleet. The histogram name
-			// is the canonical wire form (dots underscored on ingest).
-			Name: "fleet-queue-wait-p99-burn", Series: "fleet.transfer_queue_wait_seconds.p99",
-			Kind: KindBurnRate, Op: OpGreater, Value: 0.5,
-			For: 2 * time.Second, Window: 15 * time.Second, Severity: "warn",
-		},
-	}
-}
-
 // Tap registers fn to receive every subsequent transition synchronously
 // from Eval; the returned function removes the tap.
 func (e *Engine) Tap(fn func(Transition)) (remove func()) {

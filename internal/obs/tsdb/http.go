@@ -11,9 +11,8 @@ import (
 )
 
 // The two HTTP views over a (Recorder, Engine) pair. A daemon's admin plane
-// mounts them at /debug/timeseries and /alerts, the fleet head at
-// /fleet/timeseries and /fleet/alerts; benchreport's dashboards decode both
-// with one set of types.
+// mounts them at /debug/timeseries and /alerts; benchreport's dashboard
+// decodes both.
 
 // parseSince interprets the ?since= query value: empty means all
 // retained history, a Go duration means "that long ago", otherwise

@@ -1,20 +1,19 @@
 #!/bin/sh
 # smoke.sh — start the two daemons the way an operator would and ask them
-# for their status: transfer-service as fleet head, gridftp-server as an
-# instance pushing to it, then the three pages that were wrong when the
-# planes were wired by hand — the server's stream table, and the head's
-# instance registry and merged tenant table. Then the one exposition format
-# from both ends: the server's live /metrics body and, once it is stopped,
-# its -metrics exit dump each go through `benchreport -metrics-snapshot`.
-# Last, the two flags that are gone must be refused. About fifteen seconds;
-# CI's check job runs it, and it is the quickest end-to-end drive of
-# internal/admin's bootstrap. The push URL carries a query string on
-# purpose: the pusher has one URL and must use it as given.
+# for their status: transfer-service and gridftp-server, each with -admin,
+# then the pages the bootstrap mounts — the server's stream table (503 for
+# ever when the planes were wired by hand), the service's tenant table, and
+# the toolchain's own /debug/pprof/heap. Then the one exposition format from
+# both ends: the server's live /metrics body and, once it is stopped, its
+# -metrics exit dump each go through `benchreport -metrics-snapshot`. Last,
+# the flags that are gone must be refused. About fifteen seconds; CI's check
+# job runs it, and it is the quickest end-to-end drive of internal/admin's
+# bootstrap.
 #
-# Usage: ./scripts/smoke.sh [head-port=19971] [server-port=19970]
+# Usage: ./scripts/smoke.sh [service-port=19971] [server-port=19970]
 set -eu
 cd "$(dirname "$0")/.."
-head=127.0.0.1:${1:-19971}
+service=127.0.0.1:${1:-19971}
 server=127.0.0.1:${2:-19970}
 
 tmp=$(mktemp -d)
@@ -25,9 +24,9 @@ go build -o "$tmp/transfer-service" ./cmd/transfer-service
 go build -o "$tmp/gridftp-server" ./cmd/gridftp-server
 go build -o "$tmp/benchreport" ./cmd/benchreport
 
-"$tmp/transfer-service" -size 2M -admin "$head" -fleet >"$tmp/head.log" 2>&1 &
+"$tmp/transfer-service" -size 2M -admin "$service" >"$tmp/service.log" 2>&1 &
 pids="$pids $!"
-"$tmp/gridftp-server" -admin "$server" -metrics -fleet-push "http://$head/v1/metrics?via=smoke" >"$tmp/server.log" 2>"$tmp/server.dump" &
+"$tmp/gridftp-server" -admin "$server" -metrics >"$tmp/server.log" 2>"$tmp/server.dump" &
 server_pid=$!
 pids="$pids $server_pid"
 
@@ -38,12 +37,12 @@ ready() {
 		sleep 0.2
 	done
 	echo "smoke.sh: $1 never became ready" >&2
-	cat "$tmp/head.log" "$tmp/server.log" "$tmp/server.dump" >&2
+	cat "$tmp/service.log" "$tmp/server.log" "$tmp/server.dump" >&2
 	return 1
 }
-ready "$head"
+ready "$service"
 ready "$server"
-sleep 3 # the self-test's transfers, and two or three pushes
+sleep 3 # the self-test's and the demo's transfers
 
 page() { # page <url> <pattern>: fetch (failing on any HTTP error) and require the pattern
 	if ! curl -sf "$1" | grep -q "$2"; then
@@ -55,8 +54,13 @@ page() { # page <url> <pattern>: fetch (failing on any HTTP error) and require t
 }
 page "http://$server/debug/streams?format=text" 'STOR'
 page "http://$server/debug/streams?format=text" 'RETR'
-page "http://$head/fleet/instances" '"name": "siteA"'
-page "http://$head/fleet/tenants" '/O=GCMU/OU=siteA/CN=alice'
+page "http://$service/tenants" '/O=GCMU/OU=siteA/CN=alice'
+# On-demand profiles are the toolchain's: a heap capture is a gzipped pprof.
+if [ "$(curl -sf "http://$server/debug/pprof/heap" | od -An -tx1 -N2 | tr -d ' ')" != 1f8b ]; then
+	echo "smoke.sh: http://$server/debug/pprof/heap is not a gzip body" >&2
+	exit 1
+fi
+echo "ok  http://$server/debug/pprof/heap  (gzip)"
 
 snapshot() { # snapshot <file|url> <pattern>: benchreport must render it, with the pattern in the table
 	if ! "$tmp/benchreport" -metrics-snapshot "$1" >"$tmp/table" 2>&1 || ! grep -q "$2" "$tmp/table"; then
@@ -72,7 +76,8 @@ wait "$server_pid" || true
 snapshot "$tmp/server.dump" '^histogram  *gridftp_server_command_seconds '
 snapshot "$tmp/server.dump" '^gridftp.stor ' # the span forest, echoed below the table
 
-for gone in '-fleet-scrape x=y' '-collector http://x'; do
+for gone in '-fleet-scrape x=y' '-collector http://x' '-fleet' '-fleet-bundle-dir /tmp' \
+	'-fleet-push http://x' '-fleet-instance x'; do
 	# shellcheck disable=SC2086 # the flag and its value are two words
 	if "$tmp/gridftp-server" -selftest=false $gone >"$tmp/gone.log" 2>&1 || ! grep -q 'flag provided but not defined' "$tmp/gone.log"; then
 		echo "smoke.sh: gridftp-server accepted $gone" >&2
