@@ -18,7 +18,6 @@ import (
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
@@ -395,39 +394,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkE17ProfilerOverhead measures the continuous profiler's cost
-// per capture window: heap, mutex, block, and goroutine capture, gzip
-// pprof parsing, table building, and regression analysis against the
-// previous window. CPU sampling is disabled here because its cost is a
-// fixed wall-clock *sleep* while the runtime samples at ~100 Hz — wall
-// time a wall-clock benchmark would misread as work. The always-on
-// budget is <=1% of the default 10 s capture interval, reported as
-// pct-of-10s-interval.
-func BenchmarkE17ProfilerOverhead(b *testing.B) {
-	prof := profile.New(profile.Options{
-		Interval:    10 * time.Second,
-		CPUDuration: -1,
-		Obs:         obs.Nop(),
-	})
-	if _, err := prof.CaptureOnce(); err != nil { // baseline window
-		b.Fatal(err)
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prof.CaptureOnce(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-
-	if _, ok := prof.ProfileSummary(); !ok {
-		b.Fatal("profiler produced no summary")
-	}
-	perPass := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(perPass/10e9*100, "pct-of-10s-interval")
 }
 
 // BenchmarkE18StreamTelemetryOverhead prices the data-path X-ray: the

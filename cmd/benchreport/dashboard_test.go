@@ -40,7 +40,7 @@ func quietDaemon(t *testing.T) (*admin.Daemon, *httptest.Server) {
 	for try := 0; try < 5; try++ {
 		fs := flag.NewFlagSet("golden", flag.ContinueOnError)
 		boot := admin.Flags(fs)
-		if err := fs.Parse([]string{"-admin", "127.0.0.1:0", "-profile-interval", "0"}); err != nil {
+		if err := fs.Parse([]string{"-admin", "127.0.0.1:0"}); err != nil {
 			t.Fatal(err)
 		}
 		d, err := boot.Start()

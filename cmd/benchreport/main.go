@@ -18,12 +18,6 @@
 //	benchreport -dashboard http://127.0.0.1:9970
 //	                                   # live telemetry dashboard: sparklines
 //	                                   # per series, active alerts, top tasks
-//	benchreport -profile-diff e2       # profile the E2 parallel-stream path
-//	                                   # and name its allocation owners
-//	benchreport -profile-diff a.pprof,b.pprof
-//	                                   # diff two saved pprof captures (for
-//	                                   # live processes, see the admin
-//	                                   # plane's /debug/profile/continuous)
 //	benchreport -stream-health http://127.0.0.1:9970
 //	                                   # per-stream wire-telemetry health
 //	                                   # table from a live /debug/streams
@@ -52,7 +46,6 @@ func main() {
 	timeline := flag.String("trace-timeline", "", "comma-separated span-export sources (JSON files or http(s):// /debug/spans URLs); stitch them and render per-trace timelines")
 	traceID := flag.String("trace", "", "with -trace-timeline: render only this trace id")
 	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, top tasks) or a saved /debug/timeseries JSON file")
-	profileDiff := flag.String("profile-diff", "", "attribute allocation/CPU deltas: \"e2\" profiles the parallel-stream workload live, or \"base.pprof,cur.pprof\" diffs two saved captures (e.g. /debug/profile/continuous/raw downloads); live processes serve the same diff at /debug/profile/continuous/diff")
 	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table: an admin-plane base URL (/debug/streams) or \"e18\" to drive the instrumented workload in-process")
 	flag.Parse()
 
@@ -62,7 +55,6 @@ func main() {
 		run func(string) error
 	}{
 		{*streamHealth, runStreamHealth},
-		{*profileDiff, runProfileDiff},
 		{*dashboard, renderDashboard},
 		{*timeline, func(srcs string) error { return renderTimelines(strings.Split(srcs, ","), *traceID) }},
 		{*snapshot, renderSnapshot},

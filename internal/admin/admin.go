@@ -33,7 +33,6 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/expfmt"
-	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
@@ -53,9 +52,6 @@ type Planes struct {
 	Streams *streamstats.Registry
 	// Tenants is the per-DN accounting plane: /tenants.
 	Tenants *tenant.Accountant
-	// Profiler is the continuous profiler: /debug/profile/continuous and
-	// its /top, /diff, /raw (profile.go).
-	Profiler *profile.Profiler
 }
 
 // route is one line of the route table: what is mounted and what the
@@ -114,13 +110,6 @@ func New(o *obs.Obs, p Planes) *Server {
 	}
 	if p.Tenants != nil {
 		s.routes = append(s.routes, route{"/tenants", "per-DN top-K tenant attribution (JSON; ?k=)", s.handleTenants})
-	}
-	if p.Profiler != nil {
-		s.routes = append(s.routes,
-			route{"/debug/profile/continuous", "continuous profiler windows (JSON)", s.handleProfileContinuous},
-			route{"/debug/profile/continuous/top", "newest window's hot functions (?kind= ?n=)", s.handleProfileTop},
-			route{"/debug/profile/continuous/diff", "two windows diffed (?base= ?cur= ?kind=)", s.handleProfileDiff},
-			route{"/debug/profile/continuous/raw", "one raw capture, .pprof.gz (?id= ?kind=)", s.handleProfileRaw})
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	for _, rt := range s.routes {

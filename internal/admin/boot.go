@@ -11,7 +11,6 @@ import (
 
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/expfmt"
-	"gridftp.dev/instant/internal/obs/profile"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
@@ -27,7 +26,6 @@ import (
 // Boot order — each step may use everything above it:
 //
 //	obs bundle       OBS_LOG_LEVEL, or debug to stderr with -verbose
-//	profiler         -admin, unless -profile-interval is 0
 //	stream registry  always (the -stall-timeout watchdog acts on its own)
 //	tenant accounts  always
 //	recorder, alerts -admin: the flight recorder becomes the bundle's series
@@ -41,9 +39,9 @@ import (
 
 // Boot holds the parsed observability flags of one binary.
 type Boot struct {
-	verbose, metrics                             bool
-	admin                                        string
-	profileInterval, profileRetain, stallTimeout time.Duration
+	verbose, metrics bool
+	admin            string
+	stallTimeout     time.Duration
 }
 
 // Flags registers the observability flags — the same set on every binary —
@@ -53,8 +51,6 @@ func Flags(fs *flag.FlagSet) *Boot {
 	fs.BoolVar(&b.verbose, "verbose", false, "structured debug logging to stderr")
 	fs.BoolVar(&b.metrics, "metrics", false, "dump the metrics (the /metrics text) and the span forest to stderr on exit")
 	fs.StringVar(&b.admin, "admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
-	fs.DurationVar(&b.profileInterval, "profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin is set")
-	fs.DurationVar(&b.profileRetain, "profile-retain", 5*time.Minute, "how long raw continuous-profile captures are retained (summaries persist ~2h)")
 	fs.DurationVar(&b.stallTimeout, "stall-timeout", 0, "abort a data stream making no progress for this long (0 disables the stall watchdog)")
 	return b
 }
@@ -98,16 +94,6 @@ func (b *Boot) boot() *Daemon {
 	}
 	d := &Daemon{Obs: o, metrics: b.metrics}
 
-	var prof *profile.Profiler
-	if b.profileInterval > 0 && b.admin != "" {
-		prof = profile.New(profile.Options{
-			Interval: b.profileInterval,
-			Recent:   int(b.profileRetain / b.profileInterval),
-			Obs:      o,
-		})
-		o.Profile = prof
-		d.stops = append(d.stops, prof.Start())
-	}
 	// One registry and one accountant for everything in the process, so
 	// both legs of a third-party copy share a table and the scheduler's
 	// wire evidence reads what the servers wrote.
@@ -127,7 +113,7 @@ func (b *Boot) boot() *Daemon {
 		o.Series = rec
 		planes := Planes{
 			Recorder: rec, Engine: tsdb.NewEngine(rec, o, tsdb.DefaultRules()),
-			Streams: d.Streams, Tenants: d.Tenants, Profiler: prof,
+			Streams: d.Streams, Tenants: d.Tenants,
 		}
 		d.Admin = New(o, planes)
 		d.Admin.AddReadiness("service", func() error {

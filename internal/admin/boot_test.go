@@ -47,7 +47,7 @@ func documentedRoutes(t *testing.T) []string {
 	for _, m := range regexp.MustCompile("(?m)^\\| `(/[^`]*)` \\|").FindAllStringSubmatch(section, -1) {
 		routes = append(routes, m[1])
 	}
-	if len(routes) < 15 {
+	if len(routes) < 12 {
 		t.Fatalf("found only %d routes in the README's admin table: %v", len(routes), routes)
 	}
 	return routes
@@ -87,9 +87,9 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 	if body := get("/debug/streams?format=text").Body.String(); !strings.Contains(body, "task-000001 (STOR, done)") {
 		t.Errorf("/debug/streams does not show the registry the daemon hands out:\n%s", body)
 	}
-	// There is no span collector server and no federation head: nothing
-	// may mount their routes.
-	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has", "/fleet/", "/v1/metrics"} {
+	// There is no span collector server, no federation head and no profiler
+	// but the toolchain's: nothing may mount their routes.
+	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has", "/fleet/", "/v1/metrics", "/debug/profile/continuous"} {
 		if w := get(path); w.Code != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, w.Code)
 		}
@@ -131,8 +131,8 @@ func TestFlagsAreTheDocumentedOnes(t *testing.T) {
 	for name := range documented {
 		t.Errorf("-%s is in README's flag table but admin.Flags does not register it", name)
 	}
-	if registered != 6 {
-		t.Errorf("admin.Flags registers %d flags, README says six", registered)
+	if registered != 4 {
+		t.Errorf("admin.Flags registers %d flags, README says four", registered)
 	}
 }
 

@@ -34,10 +34,6 @@ type Obs struct {
 	// time-series flight recorder, internal/obs/tsdb). Nil discards them;
 	// use TimeSeries() at call sites.
 	Series SeriesSink
-	// Profile, when set, is the always-on continuous profiler
-	// (internal/obs/profile). Nil degrades to a no-op; use Profiler() at
-	// call sites.
-	Profile ContinuousProfiler
 }
 
 // New returns a fully wired Obs: logger writing to w at the given level,

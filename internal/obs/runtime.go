@@ -9,11 +9,10 @@ import (
 
 // This file adds the Go runtime's own health to every default registry:
 // GC pause latency, live heap size and object count, and cumulative
-// process CPU time. The continuous profiler's obs.profile.* series
-// (internal/obs/profile) attribute allocation and CPU to functions;
-// these series are the runtime-level context to correlate them against
-// — an alloc-rate regression with flat go.heap.alloc_bytes is churn, one
-// with a climbing heap is a leak.
+// process CPU time. A pprof capture (/debug/pprof/) attributes allocation
+// and CPU to functions; these series are the runtime-level context to
+// correlate it against — an alloc-rate regression with flat
+// go.heap.alloc_bytes is churn, one with a climbing heap is a leak.
 
 // DefaultGCPauseBuckets suit Go stop-the-world pauses, which run tens of
 // microseconds to low milliseconds (values observed in seconds).

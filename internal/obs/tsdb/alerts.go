@@ -189,25 +189,6 @@ func DefaultRules() []Rule {
 			For: 5 * time.Second, Severity: "warn",
 		},
 		{
-			// Continuous-profiler attribution: this window's allocation
-			// rate a multiple of the previous window's. The profiler holds
-			// the ratio for a whole capture window, so For spans at least
-			// two windows at the default 10s cadence — a step change in
-			// alloc behavior, not one busy window. The firing alert's
-			// diagnostic bundle carries the profile window and the
-			// top-regressed frames that own the growth.
-			Name: "profile-alloc-regression", Series: "obs.profile.alloc.regression_ratio",
-			Kind: KindThreshold, Op: OpGreater, Value: 3.0,
-			For: 15 * time.Second, Severity: "page",
-		},
-		{
-			// CPU-hotspot regression from the same plane: the profiled
-			// busy fraction jumping versus the previous window.
-			Name: "profile-cpu-regression", Series: "obs.profile.cpu.regression_ratio",
-			Kind: KindThreshold, Op: OpGreater, Value: 3.0,
-			For: 15 * time.Second, Severity: "warn",
-		},
-		{
 			// Single-tenant fleet capture: one DN moving >90% of the
 			// instance's bytes while at least two tenants are active (the
 			// tenant plane writes 0 when fewer than two tenants moved bytes

@@ -60,7 +60,7 @@ fi
 echo "==> the binaries get their observability from the bootstrap (internal/admin/boot.go)"
 # A main that imports a plane is a main assembling planes by hand again;
 # benchreport reads planes for a living and is exempt.
-if grep -nE '"gridftp.dev/instant/internal/obs/(profile|tenant|streamstats|tsdb|collector)"' cmd/*/*.go | grep -v '^cmd/benchreport/'; then
+if grep -nE '"gridftp.dev/instant/internal/obs/(tenant|streamstats|tsdb|collector)"' cmd/*/*.go | grep -v '^cmd/benchreport/'; then
 	echo "check.sh: cmd/* takes Obs, Streams and Tenants from admin.Daemon; the planes are booted in internal/admin" >&2
 	exit 1
 fi

@@ -77,7 +77,7 @@ snapshot "$tmp/server.dump" '^histogram  *gridftp_server_command_seconds '
 snapshot "$tmp/server.dump" '^gridftp.stor ' # the span forest, echoed below the table
 
 for gone in '-fleet-scrape x=y' '-collector http://x' '-fleet' '-fleet-bundle-dir /tmp' \
-	'-fleet-push http://x' '-fleet-instance x'; do
+	'-fleet-push http://x' '-fleet-instance x' '-profile-interval 10s' '-profile-retain 5m'; do
 	# shellcheck disable=SC2086 # the flag and its value are two words
 	if "$tmp/gridftp-server" -selftest=false $gone >"$tmp/gone.log" 2>&1 || ! grep -q 'flag provided but not defined' "$tmp/gone.log"; then
 		echo "smoke.sh: gridftp-server accepted $gone" >&2
