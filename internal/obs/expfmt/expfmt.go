@@ -1,10 +1,9 @@
 // Package expfmt renders an obs.Registry in the one wire format external
 // consumers understand: the Prometheus text exposition format (counters,
 // gauges, and histograms with cumulative _bucket/_sum/_count series and
-// the +Inf bucket). It is what /metrics serves, what the fleet envelope
-// carries and what the binaries' -metrics flag dumps on exit;
-// ParseTextSnapshot reads it back, for the fleet head and for benchreport
-// -metrics-snapshot alike.
+// the +Inf bucket). It is what /metrics serves and what the binaries'
+// -metrics flag dumps on exit; ParseTextSnapshot reads it back, for
+// benchreport -metrics-snapshot.
 //
 // Registry names are dotted paths with an optional brace-delimited
 // instance ("netsim.link.bytes{siteA|siteB}"); the exposition maps dots
@@ -28,7 +27,6 @@ package expfmt
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,21 +67,6 @@ func SanitizeName(name string) string {
 		}
 	}
 	return b.String()
-}
-
-// CanonicalName maps a registry name onto the form it has after a round
-// trip through the text exposition: the base sanitized onto the
-// Prometheus charset, the brace-delimited instance (if any) preserved.
-// Consumers that mix in-process snapshots with parsed wire snapshots
-// (the fleet federation layer) canonicalize through this so "a.b" and
-// its wire form "a_b" name the same series.
-func CanonicalName(name string) string {
-	base, inst := splitInstance(name)
-	s := SanitizeName(base)
-	if inst == "" {
-		return s
-	}
-	return s + "{" + inst + "}"
 }
 
 // splitInstance separates "base{inst}" into base and instance.
@@ -170,35 +153,13 @@ func labelPair(instance string) string {
 	return "{" + strings.Join(pairs, ",") + "}"
 }
 
-// Snapshot is the full-fidelity state of one registry (or of a merged
-// fleet aggregate): counters and gauges as flat metrics, histograms at
-// bucket level with their exemplars. It is the unit the federation
-// layer moves — WriteSnapshot renders it, ParseTextSnapshot reads it
-// back with nothing lost.
+// Snapshot is the full-fidelity state of one registry: counters and
+// gauges as flat metrics, histograms at bucket level with their
+// exemplars. WriteSnapshot renders it, ParseTextSnapshot reads it back
+// with nothing lost.
 type Snapshot struct {
 	Metrics    []obs.Metric            // counters and gauges ("histogram"-kind entries are ignored)
 	Histograms []obs.HistogramSnapshot // bucket-level state, exemplars included
-}
-
-// MarshalJSON renders the snapshot as one JSON string holding its text
-// exposition: the bucket bounds end in +Inf, which JSON numbers cannot
-// say, and the text form is the one the parser and its fuzzer already
-// cover.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	var text bytes.Buffer
-	if err := WriteSnapshot(&text, s); err != nil {
-		return nil, err
-	}
-	return json.Marshal(text.String())
-}
-
-// UnmarshalJSON parses what MarshalJSON wrote.
-func (s *Snapshot) UnmarshalJSON(data []byte) (err error) {
-	var text string
-	if err = json.Unmarshal(data, &text); err == nil {
-		*s, err = ParseTextSnapshot(strings.NewReader(text))
-	}
-	return err
 }
 
 // SnapshotRegistry captures reg as a Snapshot.
@@ -280,7 +241,7 @@ func WriteSnapshot(w io.Writer, snap Snapshot) error {
 }
 
 // ServeJSON answers an HTTP request with v as indented JSON — the one way
-// the admin plane and the fleet head write a JSON body.
+// the admin plane writes a JSON body.
 func ServeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -327,8 +288,7 @@ func ParseText(r io.Reader) ([]obs.Metric, error) {
 // ParseTextSnapshot reads a Prometheus text exposition back into a
 // full-fidelity Snapshot: counters/gauges as flat metrics, histograms
 // reassembled at bucket level with exemplars and recomputed quantile
-// estimates. This is the parse the fleet federation layer uses — merged
-// aggregation needs the buckets, not just the point estimates.
+// estimates.
 func ParseTextSnapshot(r io.Reader) (Snapshot, error) {
 	types := make(map[string]string)
 	plain := make(map[string]obs.Metric) // counters/gauges by full name

@@ -1,7 +1,6 @@
 package expfmt
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -271,48 +270,5 @@ func TestParseSampleExemplarWithoutLabels(t *testing.T) {
 	_, _, _, ex, err = parseSample(`bar_total 2 # {oops} nope`)
 	if err != nil || ex != nil {
 		t.Errorf("malformed exemplar: ex=%+v err=%v", ex, err)
-	}
-}
-
-// TestSnapshotJSONRoundTrip: a Snapshot inside a JSON document (the fleet
-// envelope) is its text exposition as one string, so +Inf bounds and
-// exemplars survive, and garbage inside the string is a decode error.
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("gridftp.server.bytes_in").Add(42)
-	reg.Histogram("gridftp.server.transfer_seconds", obs.DefaultDurationBuckets).
-		ObserveExemplar(0.05, "4bf92f3577b34da6a3ce929d0e0e4736")
-
-	data, err := json.Marshal(map[string]any{"metrics": SnapshotRegistry(reg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct{ Metrics Snapshot }
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("decode %s: %v", data, err)
-	}
-	got := doc.Metrics
-	if len(got.Metrics) != 1 || got.Metrics[0].Name != "gridftp_server_bytes_in" || got.Metrics[0].Value != 42 {
-		t.Fatalf("metrics = %+v", got.Metrics)
-	}
-	if len(got.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", got.Histograms)
-	}
-	h := got.Histograms[0]
-	if !math.IsInf(h.Bounds[len(h.Bounds)-1], 1) || h.Count != 1 {
-		t.Fatalf("histogram lost its +Inf bucket or its count: %+v", h)
-	}
-	found := false
-	for _, e := range h.Exemplars {
-		found = found || e.TraceID == "4bf92f3577b34da6a3ce929d0e0e4736"
-	}
-	if !found {
-		t.Fatalf("exemplar lost: %+v", h.Exemplars)
-	}
-	if err := json.Unmarshal([]byte(`{"metrics":"not a sample line {"}`), &doc); err == nil {
-		t.Fatal("an unparsable exposition decoded without error")
-	}
-	if err := json.Unmarshal([]byte(`{"metrics":{"Metrics":[]}}`), &doc); err == nil {
-		t.Fatal("a JSON object where the exposition string belongs decoded without error")
 	}
 }

@@ -397,18 +397,6 @@ func (a *Accountant) topKLocked(k int) []Stat {
 	return out
 }
 
-// Table returns the full tracked table (up to Capacity entries), ranked
-// — the fleet-push payload, so the federation head can merge exact
-// per-DN aggregates instead of already-truncated top-Ks.
-func (a *Accountant) Table() []Stat {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.topKLocked(len(a.slots))
-}
-
 // Summary is the plane-level accounting snapshot.
 type Summary struct {
 	// Tracked is the number of DNs currently holding slots; Capacity the

@@ -78,7 +78,7 @@ func TestChurnBoundedAndAccurate(t *testing.T) {
 		t.Fatalf("MaxError %d, want N/C = %d", sum.MaxError, bound)
 	}
 
-	table := a.Table()
+	table := a.TopK(capacity)
 	byDN := make(map[string]Stat, len(table))
 	for _, st := range table {
 		byDN[st.DN] = st
@@ -252,9 +252,6 @@ func TestNilAccountantSafe(t *testing.T) {
 	defer a.Start()()
 	if got := a.TopK(5); got != nil {
 		t.Fatalf("nil TopK = %v", got)
-	}
-	if got := a.Table(); got != nil {
-		t.Fatalf("nil Table = %v", got)
 	}
 	if got := a.Stats(); got != (Summary{}) {
 		t.Fatalf("nil Stats = %+v", got)

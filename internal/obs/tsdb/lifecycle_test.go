@@ -123,11 +123,14 @@ func TestRetirePrefixDotBoundary(t *testing.T) {
 func TestSamplerBaselineCleanupOnReclaim(t *testing.T) {
 	r := New(Options{RetireHorizon: time.Second})
 	t0 := time.Unix(90000, 0)
-	snap := func(v int64) []obs.Metric {
-		return []obs.Metric{{Name: "c", Kind: "counter", Value: v}}
+	reg := obs.NewRegistry()
+	snap := func(v int64) *obs.Registry {
+		c := reg.Counter("c")
+		c.Add(v - c.Value())
+		return reg
 	}
-	r.SampleSnapshot(snap(100), nil, t0)
-	r.SampleSnapshot(snap(400), nil, t0.Add(time.Second))
+	r.SampleRegistry(snap(100), t0)
+	r.SampleRegistry(snap(400), t0.Add(time.Second))
 	if p, ok := r.Latest("c.rate"); !ok || p.V != 300 {
 		t.Fatalf("rate = %+v, want 300/s", p)
 	}
@@ -137,11 +140,11 @@ func TestSamplerBaselineCleanupOnReclaim(t *testing.T) {
 	// horizon reclaims the series and its baseline, so this pass is a
 	// baseline-establishing pass again — no rate point re-minted yet,
 	// even though the counter jumped.
-	r.SampleSnapshot(snap(1_000_000), nil, t0.Add(3*time.Second))
+	r.SampleRegistry(snap(1_000_000), t0.Add(3*time.Second))
 	if _, ok := r.Latest("c.rate"); ok {
 		t.Fatal("rate re-minted on the baseline-establishing pass after reclaim")
 	}
-	r.SampleSnapshot(snap(1_000_050), nil, t0.Add(4*time.Second))
+	r.SampleRegistry(snap(1_000_050), t0.Add(4*time.Second))
 	if p, ok := r.Latest("c.rate"); !ok || p.V != 50 {
 		t.Fatalf("re-minted rate = %+v, want a fresh 50/s window", p)
 	}
@@ -149,14 +152,14 @@ func TestSamplerBaselineCleanupOnReclaim(t *testing.T) {
 
 // TestSampleSnapshotRecordsCardinality: every sampling pass records the
 // recorder's own live/retired gauges — the feed for the
-// cardinality-watermark alert on daemons and fleet heads alike.
+// cardinality-watermark alert.
 func TestSampleSnapshotRecordsCardinality(t *testing.T) {
 	r := New(Options{})
 	t0 := time.Unix(95000, 0)
 	r.Observe("a", t0, 1)
 	r.Observe("b", t0, 1)
 	r.RetireAt("b", t0)
-	r.SampleSnapshot(nil, nil, t0.Add(time.Second))
+	r.SampleRegistry(obs.NewRegistry(), t0.Add(time.Second))
 
 	p, ok := r.Latest("obs.tsdb.series_active")
 	// a + b (tombstoned, inside horizon) + the two self-accounting

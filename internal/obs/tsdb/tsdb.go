@@ -399,19 +399,7 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 	if r == nil || reg == nil {
 		return
 	}
-	r.SampleSnapshot(reg.Snapshot(), reg.HistogramSnapshots(), now)
-}
-
-// SampleSnapshot is SampleRegistry over already-captured snapshots
-// instead of a live registry — the seam the fleet federator uses to run
-// the same counter-rate / windowed-quantile derivation over merged fleet
-// aggregates. Callers must not interleave SampleSnapshot with
-// SampleRegistry on the same Recorder for overlapping metric names: the
-// delta baselines are shared per name.
-func (r *Recorder) SampleSnapshot(metrics []obs.Metric, hists []obs.HistogramSnapshot, now time.Time) {
-	if r == nil {
-		return
-	}
+	metrics, hists := reg.Snapshot(), reg.HistogramSnapshots()
 	r.smu.Lock()
 	defer r.smu.Unlock()
 	r.sweepBaselines(now) // reclaim tombstoned series past their horizon
@@ -462,7 +450,7 @@ func (r *Recorder) SampleSnapshot(metrics []obs.Metric, hists []obs.HistogramSna
 
 	// Self-accounting: the recorder's own cardinality, recorded as
 	// series so the watermark alert (DefaultRules) and dashboards see
-	// them on any sampled recorder — daemon or fleet head alike.
+	// them.
 	live, _, retired := r.LifecycleStats()
 	r.Observe("obs.tsdb.series_active", now, float64(live))
 	r.Observe("obs.tsdb.series_retired_total", now, float64(retired))
