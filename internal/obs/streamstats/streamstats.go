@@ -107,8 +107,6 @@ type Options struct {
 	// stalls, so the attempt fails fast and the scheduler retries the
 	// file from its checkpoint instead of waiting out the transfer.
 	AbortOnStall bool
-	// EWMAAlpha is the throughput smoothing factor in (0, 1]. Default 0.3.
-	EWMAAlpha float64
 }
 
 func (o Options) interval() time.Duration {
@@ -121,12 +119,9 @@ func (o Options) interval() time.Duration {
 // retain is how many finished transfers Health keeps for /debug/streams.
 const retain = 16
 
-func (o Options) alpha() float64 {
-	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
-		return 0.3
-	}
-	return o.EWMAAlpha
-}
+// ewmaAlpha is the throughput smoothing factor: the weight of the newest
+// poll's rate in a stream's EWMA.
+const ewmaAlpha = 0.3
 
 // Registry tracks the streams of all active (and recently finished)
 // transfers; its poller is also the stall watchdog.
@@ -437,7 +432,6 @@ func (r *Registry) poll(now time.Time) {
 	o := r.opts.Obs
 	sink := o.TimeSeries()
 	events := o.EventLog()
-	alpha := r.opts.alpha()
 
 	var stalledCount int64
 	worstRatio := 1.0
@@ -469,7 +463,7 @@ func (r *Registry) poll(now time.Time) {
 				dt := now.Sub(s.prevAt).Seconds()
 				if dt > 0 {
 					inst := float64(b-s.prevBytes) / dt
-					s.ewma = alpha*inst + (1-alpha)*s.ewma
+					s.ewma = ewmaAlpha*inst + (1-ewmaAlpha)*s.ewma
 				}
 			}
 			s.prevBytes, s.prevAt = b, now

@@ -213,7 +213,7 @@ func eventsOfType(reg *Registry, typ string) []map[string]string {
 }
 
 func TestPollEWMAConverges(t *testing.T) {
-	reg, _, s, series := polledStream(t, Options{EWMAAlpha: 0.3})
+	reg, _, s, series := polledStream(t, Options{})
 	t0 := time.Unix(1_700_000_000, 0)
 	reg.poll(t0) // baseline: no interval yet, so no rate
 	if got := series[SeriesPrefix+"t.0.throughput"]; got != 0 {
