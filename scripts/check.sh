@@ -3,7 +3,8 @@
 # examples/ and the root package included), the client's one-place-for-reply-
 # reads guard (internal/gridftp/settle.go), the server's one-place-for-reply-
 # writes guard (session.reply/replies), the binaries' no-plane-imports
-# guard (internal/admin/boot.go), build, vet, the full test
+# guard (internal/admin/boot.go), the two deleted planes' stay-deleted guard
+# and the observability tree's size ratchet, build, vet, the full test
 # suite, the full test suite again under the race detector (about two
 # minutes on two cores), and ten seconds each of the record-boundary fuzzer
 # and the delegation-bundle fuzzer. It
@@ -64,6 +65,27 @@ if grep -nE '"gridftp.dev/instant/internal/obs/(tenant|streamstats|tsdb|collecto
 	echo "check.sh: cmd/* takes Obs, Streams and Tenants from admin.Daemon; the planes are booted in internal/admin" >&2
 	exit 1
 fi
+
+echo "==> the federation head and the continuous profiler stay deleted; internal/obs/* stays smaller than the engine"
+# Neither plane had a reader outside itself (CHANGES.md, PR 24): profiles are
+# the toolchain's (/debug/pprof/, go tool pprof -diff_base), and every
+# measured world is one process.
+if git grep -nE 'internal/obs/(fleet|profile)' -- '*.go' '*.sh' '*.yml'; then
+	echo "check.sh: the fleet and profile planes under internal/obs are gone; nothing names them" >&2
+	exit 1
+fi
+# ROADMAP item 6's done-condition: the tree that observes the engine is
+# smaller than the engine (non-test lines, scripts/loc.sh).
+./scripts/loc.sh | awk '
+	$1 ~ /^internal\/obs/ { obs += $2 }
+	$1 == "internal/gridftp" { engine = $2 }
+	END {
+		if (obs >= engine) {
+			printf "check.sh: internal/obs* is %d non-test lines, internal/gridftp %d: the observability tree must stay below the engine\n", obs, engine > "/dev/stderr"
+			exit 1
+		}
+		printf "internal/obs* %d < internal/gridftp %d\n", obs, engine
+	}'
 
 echo "==> go build ./..."
 go build ./...
