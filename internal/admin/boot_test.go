@@ -219,7 +219,6 @@ func TestCloseAfterBootLeavesNoGoroutines(t *testing.T) {
 
 	a := bootWith(t, "a", "-admin", "unused")
 	b := bootWith(t, "b", "-admin", "unused", "-stall-timeout", "1s")
-	b.Tenants.BytesMoved("/CN=alice", 1<<20)
 	b.Close()
 	a.Close()
 

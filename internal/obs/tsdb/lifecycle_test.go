@@ -124,13 +124,13 @@ func TestSamplerBaselineCleanupOnReclaim(t *testing.T) {
 	r := New(Options{RetireHorizon: time.Second})
 	t0 := time.Unix(90000, 0)
 	reg := obs.NewRegistry()
-	snap := func(v int64) *obs.Registry {
-		c := reg.Counter("c")
+	c := reg.Counter("c")
+	sample := func(v int64, at time.Time) {
 		c.Add(v - c.Value())
-		return reg
+		r.SampleRegistry(reg, at)
 	}
-	r.SampleRegistry(snap(100), t0)
-	r.SampleRegistry(snap(400), t0.Add(time.Second))
+	sample(100, t0)
+	sample(400, t0.Add(time.Second))
 	if p, ok := r.Latest("c.rate"); !ok || p.V != 300 {
 		t.Fatalf("rate = %+v, want 300/s", p)
 	}
@@ -140,11 +140,11 @@ func TestSamplerBaselineCleanupOnReclaim(t *testing.T) {
 	// horizon reclaims the series and its baseline, so this pass is a
 	// baseline-establishing pass again — no rate point re-minted yet,
 	// even though the counter jumped.
-	r.SampleRegistry(snap(1_000_000), t0.Add(3*time.Second))
+	sample(1_000_000, t0.Add(3*time.Second))
 	if _, ok := r.Latest("c.rate"); ok {
 		t.Fatal("rate re-minted on the baseline-establishing pass after reclaim")
 	}
-	r.SampleRegistry(snap(1_000_050), t0.Add(4*time.Second))
+	sample(1_000_050, t0.Add(4*time.Second))
 	if p, ok := r.Latest("c.rate"); !ok || p.V != 50 {
 		t.Fatalf("re-minted rate = %+v, want a fresh 50/s window", p)
 	}

@@ -449,8 +449,7 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 	}
 
 	// Self-accounting: the recorder's own cardinality, recorded as
-	// series so the watermark alert (DefaultRules) and dashboards see
-	// them.
+	// series so the watermark alert (DefaultRules) and dashboards see them.
 	live, _, retired := r.LifecycleStats()
 	r.Observe("obs.tsdb.series_active", now, float64(live))
 	r.Observe("obs.tsdb.series_retired_total", now, float64(retired))
