@@ -87,6 +87,10 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 	if body := get("/debug/streams?format=text").Body.String(); !strings.Contains(body, "task-000001 (STOR, done)") {
 		t.Errorf("/debug/streams does not show the registry the daemon hands out:\n%s", body)
 	}
+	// Profiles are the toolchain's: a heap capture on request, gzipped pprof.
+	if w := get("/debug/pprof/heap"); w.Code != http.StatusOK || !strings.HasPrefix(w.Body.String(), "\x1f\x8b") {
+		t.Errorf("GET /debug/pprof/heap = %d, %d bytes, not a gzip body", w.Code, w.Body.Len())
+	}
 	// There is no span collector server, no federation head and no profiler
 	// but the toolchain's: nothing may mount their routes.
 	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has", "/fleet/", "/v1/metrics", "/debug/profile/continuous"} {

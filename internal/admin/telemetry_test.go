@@ -101,12 +101,21 @@ func TestTimeseriesEndpoint(t *testing.T) {
 		t.Errorf("since/step gave %+v, want a shorter rebucketed tail", out.Series)
 	}
 
-	// Malformed parameters are 400s, not 500s.
-	if code, _, _ := get(t, ts, "/debug/timeseries?since=yesterday"); code != http.StatusBadRequest {
-		t.Errorf("bad since: status %d, want 400", code)
+	// since as a point in time: the samples at -3s, -2s and -1s.
+	since := now.Add(-3500 * time.Millisecond).UTC().Format(time.RFC3339Nano)
+	_, body, _ = get(t, ts, "/debug/timeseries?series=transfer.task.&since="+since)
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatalf("bad JSON: %v", err)
 	}
-	if code, _, _ := get(t, ts, "/debug/timeseries?step=-3s"); code != http.StatusBadRequest {
-		t.Errorf("bad step: status %d, want 400", code)
+	if len(out.Series) != 1 || len(out.Series[0].Points) != 3 {
+		t.Errorf("since=<RFC 3339> gave %+v, want the last 3 points", out.Series)
+	}
+
+	// Malformed parameters are 400s, not 500s.
+	for _, bad := range []string{"since=yesterday", "step=-3s", "step=soon"} {
+		if code, _, _ := get(t, ts, "/debug/timeseries?"+bad); code != http.StatusBadRequest {
+			t.Errorf("?%s: status %d, want 400", bad, code)
+		}
 	}
 }
 
