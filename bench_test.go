@@ -159,11 +159,11 @@ func BenchmarkE6CheckpointRestart(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var moved int64
 			for i := 0; i < b.N; i++ {
-				m, err := experiments.MeasureCheckpointTask(cfg, mode.checkpoints)
+				task, err := experiments.MeasureCheckpointTask(cfg, mode.checkpoints)
 				if err != nil {
 					b.Fatal(err)
 				}
-				moved = m
+				moved = task.BytesTransferred
 			}
 			b.ReportMetric(float64(moved)/float64(cfg.FileBytes), "bytes-moved/file-size")
 		})

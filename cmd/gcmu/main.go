@@ -29,6 +29,7 @@ import (
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/pam"
+	"gridftp.dev/instant/internal/world"
 )
 
 func main() {
@@ -86,12 +87,7 @@ func steps(*admin.Daemon) error {
 
 func install(d *admin.Daemon) error {
 	nw := netsim.NewNetwork()
-	dir := pam.NewLDAPDirectory("dc=siteA")
-	dir.AddEntry("alice", "secret")
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: "alice"})
-	stack := pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
+	stack, accounts := world.Directory("siteA", map[string]string{"alice": "secret"})
 
 	fmt.Println("$ wget https://.../globusconnect-multiuser-latest.tgz")
 	fmt.Println("$ tar -xvzf globusconnect-multiuser-latest.tgz")
@@ -133,16 +129,10 @@ func install(d *admin.Daemon) error {
 // exercises it: status, account provisioning, locking.
 func console(d *admin.Daemon) error {
 	nw := netsim.NewNetwork()
-	dir := pam.NewLDAPDirectory("dc=siteA")
-	dir.AddEntry("alice", "secret")
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: "alice"})
-	stack := pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-	ep, err := gcmu.Install(gcmu.Options{
-		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts,
+	ep, err := world.NewEndpoint(gcmu.Options{
+		Name: "siteA", Host: nw.Host("siteA"),
 		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
-	})
+	}, map[string]string{"alice": "secret"})
 	if err != nil {
 		return err
 	}

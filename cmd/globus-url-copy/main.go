@@ -32,13 +32,12 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/admin"
-	"gridftp.dev/instant/internal/authz"
 	"gridftp.dev/instant/internal/baseline"
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/pam"
+	"gridftp.dev/instant/internal/world"
 )
 
 func main() {
@@ -138,16 +137,21 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 		return nil
 	}
 
-	siteA, err := buildSite(nw, "siteA", d)
+	// Both sites and the client share the daemon's stream registry: one
+	// table, both legs.
+	cfg := gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants}
+	dial := gridftp.DialOptions{Obs: d.Obs, Streams: d.Streams}
+	siteA, err := world.NewSite(nw, "siteA", cfg)
 	if err != nil {
 		return err
 	}
+	defer siteA.Close()
 	d.Ready()
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	if err := siteA.putFile("/data.bin", payload); err != nil {
+	if err := siteA.Put("/data.bin", payload); err != nil {
 		return err
 	}
 
@@ -156,14 +160,19 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 	fmt.Printf("file: %s, streams: %d, mode: %s, prot: %s\n\n", sizeStr, parallel, modeStr, protStr)
 
 	if thirdparty {
-		if err := runThirdParty(nw, siteA, size, parallel, dcsc); err != nil {
+		siteB, err := world.NewSite(nw, "siteB", cfg)
+		if err != nil {
+			return err
+		}
+		defer siteB.Close()
+		if err := runThirdParty(nw, siteA, siteB, dial, size, parallel, dcsc); err != nil {
 			return err
 		}
 		d.Hold()
 		return nil
 	}
 
-	client, err := siteA.connect(nw.Host("laptop"))
+	client, err := siteA.Connect(nw.Host("laptop"), dial)
 	if err != nil {
 		return err
 	}
@@ -199,18 +208,14 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 	return nil
 }
 
-func runThirdParty(nw *netsim.Network, siteA *simpleSite, size, parallel int, useDCSC bool) error {
-	siteB, err := buildSite(nw, "siteB", siteA.d)
-	if err != nil {
-		return err
-	}
+func runThirdParty(nw *netsim.Network, siteA, siteB *world.Site, dial gridftp.DialOptions, size, parallel int, useDCSC bool) error {
 	laptop := nw.Host("laptop")
-	cA, err := siteA.connect(laptop)
+	cA, err := siteA.Connect(laptop, dial)
 	if err != nil {
 		return err
 	}
 	defer cA.Close()
-	cB, err := siteB.connect(laptop)
+	cB, err := siteB.Connect(laptop, dial)
 	if err != nil {
 		return err
 	}
@@ -222,7 +227,7 @@ func runThirdParty(nw *netsim.Network, siteA *simpleSite, size, parallel int, us
 	}
 	opts := gridftp.ThirdPartyOptions{}
 	if useDCSC {
-		opts.DCSC = siteA.user
+		opts.DCSC = siteA.User
 		opts.DCSCTarget = gridftp.DCSCDest
 		fmt.Println("DCSC: passing site A's credential to site B (Fig 5)")
 	} else {
@@ -252,121 +257,29 @@ func fmtRate(r float64) string {
 	return fmt.Sprintf("%.0f KB/s", r/1e3)
 }
 
-// simpleSite is a minimal one-user GridFTP site for the workbench.
-type simpleSite struct {
-	name    string
-	trust   *gsi.TrustStore
-	user    *gsi.Credential
-	storage *dsi.MemStorage
-	addr    string
-	nw      *netsim.Network
-	d       *admin.Daemon // both sites and the client share its stream registry: one table, both legs
-}
-
-func buildSite(nw *netsim.Network, name string, d *admin.Daemon) (*simpleSite, error) {
-	ca, err := gsi.NewCA(gsi.DN("/O=Grid/OU="+name+"/CN=CA"), 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	hostCred, err := ca.Issue(gsi.IssueOptions{
-		Subject: gsi.DN("/O=Grid/OU=" + name + "/CN=host"), Lifetime: 12 * time.Hour, Host: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	userCred, err := ca.Issue(gsi.IssueOptions{
-		Subject: gsi.DN("/O=Grid/OU=" + name + "/CN=alice"), Lifetime: 12 * time.Hour,
-	})
-	if err != nil {
-		return nil, err
-	}
-	trust := gsi.NewTrustStore()
-	trust.AddCA(ca.Certificate())
-	storage := dsi.NewMemStorage()
-	storage.AddUser("alice")
-	gm := authz.NewGridmap()
-	gm.AddEntry(userCred.DN(), "alice")
-	srv, err := gridftp.NewServer(nw.Host(name), gridftp.ServerConfig{
-		HostCred: hostCred, Trust: trust, Authz: gm, Storage: storage, EndpointName: name,
-		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
-	})
-	if err != nil {
-		return nil, err
-	}
-	addr, err := srv.ListenAndServe(gridftp.DefaultPort)
-	if err != nil {
-		return nil, err
-	}
-	return &simpleSite{name: name, trust: trust, user: userCred, storage: storage, addr: addr.String(), nw: nw, d: d}, nil
-}
-
-func (s *simpleSite) putFile(path string, content []byte) error {
-	f, err := s.storage.Create("alice", path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dsi.WriteAll(f, content)
-}
-
-func (s *simpleSite) connect(from *netsim.Host) (*gridftp.Client, error) {
-	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
-	if err != nil {
-		return nil, err
-	}
-	c, err := gridftp.DialWithOptions(from, s.addr, proxy, s.trust, gridftp.DialOptions{Obs: s.d.Obs, Streams: s.d.Streams})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Delegate(2 * time.Hour); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
 // runLite drives GridFTP-Lite (§III.B): SSH-style password logon, control
 // channel tunneled, cleartext data channel, no delegation.
 func runLite(nw *netsim.Network, size, parallel int, d *admin.Daemon) error {
-	ca, err := gsi.NewCA("/O=x/CN=CA", 24*time.Hour)
+	site, err := world.NewSite(nw, "siteA", gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants})
 	if err != nil {
 		return err
 	}
-	hostCred, err := ca.Issue(gsi.IssueOptions{Subject: "/O=x/CN=host", Lifetime: 12 * time.Hour, Host: true})
+	defer site.Close()
+	sshdCred, err := site.CA.Issue(gsi.IssueOptions{Subject: "/O=Grid/OU=siteA/CN=sshd", Lifetime: 12 * time.Hour, Host: true})
 	if err != nil {
 		return err
 	}
-	dir := pam.NewLDAPDirectory("dc=x")
-	dir.AddEntry("alice", "pw")
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: "alice"})
-	stack := pam.NewStack("sshd", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-	storage := dsi.NewMemStorage()
-	storage.AddUser("alice")
-	trust := gsi.NewTrustStore()
-	trust.AddCA(ca.Certificate())
-	gfs, err := gridftp.NewServer(nw.Host("siteA"), gridftp.ServerConfig{
-		HostCred: hostCred, Trust: trust, Authz: authz.NewGridmap(), Storage: storage,
-		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
-	})
-	if err != nil {
-		return err
-	}
-	liteSrv := &baseline.LiteServer{HostCred: hostCred, Auth: stack, GridFTP: gfs}
+	stack, _ := world.Directory("siteA", map[string]string{world.User: "pw"})
+	liteSrv := &baseline.LiteServer{HostCred: sshdCred, Auth: stack, GridFTP: site.Server}
 	addr, err := liteSrv.ListenAndServe(nw.Host("siteA"), baseline.LitePort)
 	if err != nil {
 		return err
 	}
 	defer liteSrv.Close()
 
-	payload := make([]byte, size)
-	f, err := storage.Create("alice", "/data.bin")
-	if err != nil {
+	if err := site.Put("/data.bin", make([]byte, size)); err != nil {
 		return err
 	}
-	dsi.WriteAll(f, payload)
-	f.Close()
 
 	fmt.Println("GridFTP-Lite: SSH password logon, tunneled control channel (paper §III.B)")
 	c, err := baseline.LiteDial(nw.Host("laptop"), addr.String(), "alice", "pw")

@@ -31,6 +31,7 @@ import (
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/pam"
+	"gridftp.dev/instant/internal/world"
 )
 
 func main() {
@@ -58,25 +59,16 @@ func main() {
 func run(d *admin.Daemon, name, user, password string, selftest, withOAuth bool) error {
 	nw := netsim.NewNetwork()
 
-	dir := pam.NewLDAPDirectory("dc=" + name)
-	dir.AddEntry(user, password)
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: user})
-	stack := pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-
 	fmt.Printf("installing GCMU endpoint %q (the paper's four-command install, §IV.D)...\n", name)
 	start := time.Now()
-	ep, err := gcmu.Install(gcmu.Options{
+	ep, err := world.NewEndpoint(gcmu.Options{
 		Name:      name,
 		Host:      nw.Host(name),
-		Auth:      stack,
-		Accounts:  accounts,
 		WithOAuth: withOAuth,
 		Obs:       d.Obs,
 		Streams:   d.Streams,
 		Tenants:   d.Tenants,
-	})
+	}, map[string]string{user: password})
 	if err != nil {
 		return err
 	}
@@ -91,7 +83,7 @@ func run(d *admin.Daemon, name, user, password string, selftest, withOAuth bool)
 		fmt.Printf("oauth:           https://%s\n", ep.OAuthAddr)
 	}
 	fmt.Printf("site CA:         %s\n", ep.SigningCA.DN())
-	fmt.Printf("accounts:        %v\n", accounts.Names())
+	fmt.Printf("accounts:        %v\n", ep.Accounts.Names())
 	fmt.Printf("gridmap file:    none (AUTHZ callout parses username from DN, §IV.C)\n\n")
 
 	if selftest {

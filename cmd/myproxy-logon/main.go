@@ -1,8 +1,8 @@
 // Command myproxy-logon demonstrates the GCMU client credential flow
-// (§IV.E): it starts a MyProxy Online CA tied to a simulated site identity
-// store, performs the logon with a site username/password, and prints the
-// issued short-lived certificate — showing the username embedded in the
-// DN (no external CA, no gridmap).
+// (§IV.E): it installs a GCMU endpoint whose MyProxy Online CA is tied to a
+// simulated site identity store, performs the logon against that CA with a
+// site username/password, and prints the issued short-lived certificate —
+// showing the username embedded in the DN (no external CA, no gridmap).
 //
 // Usage:
 //
@@ -23,11 +23,12 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/admin"
-	"gridftp.dev/instant/internal/ca"
+	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/myproxy"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/pam"
+	"gridftp.dev/instant/internal/world"
 )
 
 func main() {
@@ -53,31 +54,15 @@ func run(user, password string, lifetime time.Duration, wrong bool, d *admin.Dae
 	nw := netsim.NewNetwork()
 
 	// Site side: online CA over an LDAP-backed PAM stack.
-	signing, err := gsi.NewCA("/O=GCMU/OU=siteA/CN=siteA MyProxy CA", 10*365*24*time.Hour)
+	ep, err := world.NewEndpoint(gcmu.Options{Name: "siteA", Host: nw.Host("siteA"), Obs: d.Obs},
+		map[string]string{user: password})
 	if err != nil {
 		return err
 	}
-	dir := pam.NewLDAPDirectory("dc=siteA")
-	dir.AddEntry(user, password)
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: user})
-	stack := pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-	online := ca.New(signing, stack, "/O=GCMU/OU=siteA")
-	hostCred, err := signing.Issue(gsi.IssueOptions{
-		Subject: "/O=GCMU/OU=siteA/CN=host myproxy.siteA", Lifetime: 365 * 24 * time.Hour, Host: true,
-	})
-	if err != nil {
-		return err
-	}
-	srv := &myproxy.Server{OnlineCA: online, HostCred: hostCred, Obs: d.Obs}
-	addr, err := srv.ListenAndServe(nw.Host("siteA"), myproxy.DefaultPort)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
+	defer ep.Close()
 	d.Ready()
-	fmt.Printf("myproxy server: %s (CA: %s)\n\n", addr, signing.DN())
+	addr := ep.MyProxyAddr
+	fmt.Printf("myproxy server: %s (CA: %s)\n\n", addr, ep.SigningCA.DN())
 
 	attempt := password
 	if wrong {
@@ -85,7 +70,7 @@ func run(user, password string, lifetime time.Duration, wrong bool, d *admin.Dae
 	}
 	fmt.Printf("$ myproxy-logon -b -T -s %s -l %s\n", addr, user)
 	fmt.Printf("Enter MyProxy pass phrase: %s\n", maskPassword(attempt))
-	cred, err := myproxy.Logon(nw.Host("laptop"), addr.String(), user,
+	cred, err := myproxy.Logon(nw.Host("laptop"), addr, user,
 		pam.PasswordConv(attempt), myproxy.LogonOptions{Lifetime: lifetime})
 	if err != nil {
 		d.Hold()

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -36,15 +37,13 @@ import (
 	"gridftp.dev/instant/internal/admin"
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gcmu"
-	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/oauth"
-	"gridftp.dev/instant/internal/pam"
 	"gridftp.dev/instant/internal/transfer"
+	"gridftp.dev/instant/internal/world"
 )
 
 func main() {
 	var opts runOptions
-	flag.StringVar(&opts.sizeStr, "size", "8M", "transfer size (per file with -files)")
+	flag.StringVar(&opts.sizeStr, "size", "8M", "transfer size (per file with -files): a positive integer with an optional K or M suffix")
 	flag.IntVar(&opts.files, "files", 1, "number of files; > 1 transfers a directory through the scheduler")
 	flag.IntVar(&opts.concurrency, "concurrency", 0, "per-task worker session pairs (0 = auto-size: one per 4 MiB of pending bytes, at most 8)")
 	flag.IntVar(&opts.maxActive, "max-active", 0, "service-wide cap on in-flight file transfers (0 = default 32)")
@@ -53,10 +52,15 @@ func main() {
 	flag.BoolVar(&opts.useOAuth, "oauth", false, "activate endpoints via OAuth instead of passwords")
 	boot := admin.Flags(flag.CommandLine)
 	flag.Parse()
+	size, err := parseSize(opts.sizeStr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		os.Exit(2)
+	}
 
 	d, err := boot.Start()
 	if err == nil {
-		err = run(opts, d)
+		err = run(opts, size, d)
 		d.Close()
 	}
 	if err != nil {
@@ -65,20 +69,21 @@ func main() {
 	}
 }
 
-func parseSize(s string) int {
-	mult := 1
+// parseSize reads -size: a positive number of bytes, KiB (K) or MiB (M), at
+// most 1 GiB — the payload is held in memory at both sites.
+func parseSize(s string) (int, error) {
+	n, mult := s, 1
 	switch {
 	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
+		n, mult = strings.TrimSuffix(s, "K"), 1<<10
 	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
+		n, mult = strings.TrimSuffix(s, "M"), 1<<20
 	}
-	n, _ := strconv.Atoi(s)
-	if n <= 0 {
-		n = 8
-		mult = 1 << 20
+	v, err := strconv.Atoi(n)
+	if err != nil || v <= 0 || v > (1<<30)/mult {
+		return 0, fmt.Errorf("bad -size %q: want a positive integer with an optional K or M suffix", s)
 	}
-	return n * mult
+	return v * mult, nil
 }
 
 type runOptions struct {
@@ -91,45 +96,14 @@ type runOptions struct {
 	useOAuth       bool
 }
 
-func run(opts runOptions, d *admin.Daemon) error {
+func run(opts runOptions, size int, d *admin.Daemon) error {
 	sizeStr, fault, useOAuth := opts.sizeStr, opts.fault, opts.useOAuth
-	size := parseSize(sizeStr)
 	if opts.files < 1 {
 		opts.files = 1
 	}
-	nw := netsim.NewNetwork()
-
-	install := func(name, pw string) (*gcmu.Endpoint, *dsi.FaultStorage, error) {
-		dir := pam.NewLDAPDirectory("dc=" + name)
-		dir.AddEntry("alice", pw)
-		accounts := pam.NewAccountDB()
-		accounts.Add(pam.Account{Name: "alice"})
-		stack := pam.NewStack("myproxy", accounts,
-			pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-		mem := dsi.NewMemStorage()
-		mem.AddUser("alice")
-		faulty := dsi.NewFaultStorage(mem)
-		ep, err := gcmu.Install(gcmu.Options{
-			Name: name, Host: nw.Host(name), Auth: stack, Accounts: accounts,
-			Storage: faulty, WithOAuth: useOAuth, MarkerInterval: 25 * time.Millisecond,
-			Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
-		})
-		return ep, faulty, err
-	}
 
 	fmt.Println("installing GCMU endpoints siteA and siteB (independent CAs)...")
-	epA, _, err := install("siteA", "pwA")
-	if err != nil {
-		return err
-	}
-	defer epA.Close()
-	epB, faultB, err := install("siteB", "pwB")
-	if err != nil {
-		return err
-	}
-	defer epB.Close()
-
-	svc := transfer.NewService(nw.Host("globusonline"), transfer.Config{
+	w, err := world.NewHosted(transfer.Config{
 		RetryDelay:         25 * time.Millisecond,
 		TaskConcurrency:    opts.concurrency,
 		MaxActiveTransfers: opts.maxActive,
@@ -137,44 +111,26 @@ func run(opts runOptions, d *admin.Daemon) error {
 		Obs:                d.Obs,
 		Streams:            d.Streams,
 		Tenants:            d.Tenants,
+	}, gcmu.Options{
+		WithOAuth: useOAuth, MarkerInterval: 25 * time.Millisecond,
+		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
 	})
-	defer svc.Close() // the session pairs it keeps warm between tasks
-	for _, ep := range []*gcmu.Endpoint{epA, epB} {
-		if err := svc.RegisterEndpoint(transfer.Endpoint{
-			Name: ep.Name, GridFTPAddr: ep.GridFTPAddr, MyProxyAddr: ep.MyProxyAddr,
-			OAuthAddr: ep.OAuthAddr, Trust: ep.Trust, CADN: ep.SigningCA.DN(),
-		}); err != nil {
-			return err
-		}
-		if ep.OAuth != nil {
-			ep.OAuth.RegisterClient(transfer.OAuthClient)
-		}
+	if err != nil {
+		return err
+	}
+	defer w.Close() // the service first: the session pairs it keeps warm between tasks
+	for _, ep := range []*gcmu.Endpoint{w.A, w.B} {
 		fmt.Printf("  registered endpoint %s (CA %s)\n", ep.Name, ep.SigningCA.DN())
 	}
 
 	fmt.Println("\nactivating endpoints...")
+	if err := w.Activate(); err != nil {
+		return err
+	}
 	if useOAuth {
-		login := func(ep *gcmu.Endpoint, pw string) transfer.UserLoginFunc {
-			return func(base, session string) (string, error) {
-				userHTTP := oauth.HTTPClient(nw.Host("laptop"), ep.Trust)
-				return oauth.Login(userHTTP, base, session, "alice", pw)
-			}
-		}
-		if err := svc.ActivateWithOAuth("siteA", "alice", login(epA, "pwA")); err != nil {
-			return err
-		}
-		if err := svc.ActivateWithOAuth("siteB", "alice", login(epB, "pwB")); err != nil {
-			return err
-		}
-		fmt.Printf("  OAuth activation: passwords seen by the service = %d (Fig 7)\n", svc.PasswordsSeen)
+		fmt.Printf("  OAuth activation: passwords seen by the service = %d (Fig 7)\n", w.Service.PasswordsSeen)
 	} else {
-		if err := svc.ActivateWithPassword("siteA", "alice", "pwA"); err != nil {
-			return err
-		}
-		if err := svc.ActivateWithPassword("siteB", "alice", "pwB"); err != nil {
-			return err
-		}
-		fmt.Printf("  password activation: passwords seen by the service = %d (Fig 6)\n", svc.PasswordsSeen)
+		fmt.Printf("  password activation: passwords seen by the service = %d (Fig 6)\n", w.Service.PasswordsSeen)
 	}
 
 	d.Ready() // endpoints registered and activated: the service takes submissions
@@ -187,7 +143,7 @@ func run(opts runOptions, d *admin.Daemon) error {
 	srcPath, dstPath := "/dataset.bin", "/dataset.bin"
 	if opts.files > 1 {
 		srcPath, dstPath = "/dataset", "/dataset"
-		if err := epA.Storage.Mkdir("alice", srcPath); err != nil {
+		if err := w.A.Storage.Mkdir(world.User, srcPath); err != nil {
 			return err
 		}
 	}
@@ -196,16 +152,13 @@ func run(opts runOptions, d *admin.Daemon) error {
 		if opts.files > 1 {
 			path = fmt.Sprintf("%s/f%03d.bin", srcPath, i)
 		}
-		f, err := epA.Storage.Create("alice", path)
-		if err != nil {
+		if err := w.Put(path, payload); err != nil {
 			return err
 		}
-		dsi.WriteAll(f, payload)
-		f.Close()
 	}
 
 	if fault {
-		faultB.Arm(int64(float64(size) * 0.6))
+		w.FaultB.Arm(int64(float64(size) * 0.6))
 		fmt.Printf("\nfault armed: site B's storage will fail after %d bytes\n", int(float64(size)*0.6))
 	}
 
@@ -215,11 +168,11 @@ func run(opts runOptions, d *admin.Daemon) error {
 	} else {
 		fmt.Printf("\nsubmitting third-party transfer siteA:%s -> siteB:%s (%s)...\n", srcPath, dstPath, sizeStr)
 	}
-	task, err := svc.Submit("alice", "siteA", srcPath, "siteB", dstPath)
+	task, err := w.Service.Submit(world.User, "siteA", srcPath, "siteB", dstPath)
 	if err != nil {
 		return err
 	}
-	done, err := svc.Wait(task.ID, 2*time.Minute)
+	done, err := w.Service.Wait(task.ID, 2*time.Minute)
 	if err != nil {
 		return err
 	}
@@ -245,7 +198,7 @@ func run(opts runOptions, d *admin.Daemon) error {
 	if opts.files > 1 {
 		verifyPath = fmt.Sprintf("%s/f%03d.bin", dstPath, opts.files-1)
 	}
-	g, err := epB.Storage.Open("alice", verifyPath)
+	g, err := w.B.Storage.Open(world.User, verifyPath)
 	if err != nil {
 		return err
 	}
@@ -254,8 +207,8 @@ func run(opts runOptions, d *admin.Daemon) error {
 	if err != nil {
 		return err
 	}
-	if len(got) != len(payload) {
-		return fmt.Errorf("verification failed: %d of %d bytes", len(got), len(payload))
+	if !bytes.Equal(got, payload) {
+		return fmt.Errorf("verification failed: destination holds %d bytes that differ from the %d sent", len(got), len(payload))
 	}
 	fmt.Println("  verification:    destination content matches")
 	d.Hold()

@@ -15,6 +15,7 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/pam"
+	"gridftp.dev/instant/internal/world"
 )
 
 // TestAdminPlaneEndToEnd is the acceptance scenario: a GCMU endpoint
@@ -25,15 +26,8 @@ import (
 func TestAdminPlaneEndToEnd(t *testing.T) {
 	o := obs.Nop()
 	nw := netsim.NewNetwork()
-	dir := pam.NewLDAPDirectory("dc=siteA")
-	dir.AddEntry("alice", "secret")
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: "alice"})
-	stack := pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-	ep, err := gcmu.Install(gcmu.Options{
-		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts, Obs: o,
-	})
+	ep, err := world.NewEndpoint(gcmu.Options{Name: "siteA", Host: nw.Host("siteA"), Obs: o},
+		map[string]string{"alice": "secret"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gridftp"
-	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/world"
 )
 
 // AblationBlockSizeConfig parameterizes the MODE E block size sweep.
@@ -38,7 +38,7 @@ func RunAblationBlockSize(cfg AblationBlockSizeConfig) (*Table, error) {
 	}
 	var base float64
 	for _, bs := range cfg.BlockSizes {
-		r, err := blockSizeRate(cfg, bs)
+		r, err := MeasureBlockSizeRate(cfg, bs)
 		if err != nil {
 			return nil, fmt.Errorf("block=%d: %w", bs, err)
 		}
@@ -51,18 +51,19 @@ func RunAblationBlockSize(cfg AblationBlockSizeConfig) (*Table, error) {
 	return t, nil
 }
 
-func blockSizeRate(cfg AblationBlockSizeConfig, blockSize int) (float64, error) {
+// MeasureBlockSizeRate runs one download at the given MODE E block size.
+func MeasureBlockSizeRate(cfg AblationBlockSizeConfig, blockSize int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "siteA", cfg.Link)
-	s, err := newSite(nw, "siteA", siteOptions{})
+	s, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
-	if err := s.putFile("/b.bin", pattern(cfg.FileBytes)); err != nil {
+	defer s.Close()
+	if err := s.Put("/b.bin", pattern(cfg.FileBytes)); err != nil {
 		return 0, err
 	}
-	c, err := s.connect(nw.Host("client"), true)
+	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +115,7 @@ func RunAblationChannelCache(cfg AblationCacheConfig) (*Table, error) {
 	}
 	var baseline time.Duration
 	for _, cached := range []bool{false, true} {
-		d, err := cacheRun(cfg, cached)
+		d, err := MeasureCacheRun(cfg, cached)
 		if err != nil {
 			return nil, err
 		}
@@ -135,32 +136,27 @@ func RunAblationChannelCache(cfg AblationCacheConfig) (*Table, error) {
 	return t, nil
 }
 
-func cacheRun(cfg AblationCacheConfig, cached bool) (time.Duration, error) {
+// MeasureCacheRun times a many-small-files session with caching on/off.
+func MeasureCacheRun(cfg AblationCacheConfig, cached bool) (time.Duration, error) {
 	nw := netsim.NewNetwork()
 	nw.SetDefaultLink(netsim.LinkParams{Bandwidth: 50e6, RTT: cfg.RTT, StreamWindow: 1 << 22})
-	s, err := newSite(nw, "siteA", siteOptions{disableCache: !cached})
+	scfg := siteConfig
+	scfg.DisableChannelCache = !cached
+	s, err := world.NewSite(nw, "siteA", scfg)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
+	defer s.Close()
 	for i := 0; i < cfg.Files; i++ {
-		if err := s.putFile(fmt.Sprintf("/c%03d", i), pattern(cfg.FileBytes)); err != nil {
+		if err := s.Put(fmt.Sprintf("/c%03d", i), pattern(cfg.FileBytes)); err != nil {
 			return 0, err
 		}
 	}
-	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
-	if err != nil {
-		return 0, err
-	}
-	c, err := gridftp.DialWithOptions(nw.Host("laptop"), s.addr, proxy, s.trust,
-		gridftp.DialOptions{DisableChannelCache: !cached})
+	c, err := s.Connect(nw.Host("laptop"), gridftp.DialOptions{DisableChannelCache: !cached})
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	if err := c.Delegate(time.Hour); err != nil {
-		return 0, err
-	}
 	start := time.Now()
 	for i := 0; i < cfg.Files; i++ {
 		if _, err := c.Get(fmt.Sprintf("/c%03d", i), dsi.NewBufferFile(nil)); err != nil {
@@ -225,15 +221,15 @@ func RunAblationTransport(cfg AblationTransportConfig) (*Table, error) {
 func transportRate(cfg AblationTransportConfig, tr netsim.Transport, streams int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "siteA", cfg.Link)
-	s, err := newSite(nw, "siteA", siteOptions{})
+	s, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
-	if err := s.putFile("/t.bin", pattern(cfg.FileBytes)); err != nil {
+	defer s.Close()
+	if err := s.Put("/t.bin", pattern(cfg.FileBytes)); err != nil {
 		return 0, err
 	}
-	c, err := s.connect(nw.Host("client"), true)
+	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
 	if err != nil {
 		return 0, err
 	}

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"crypto/x509"
-	"fmt"
-
-	"gridftp.dev/instant/internal/dsi"
 	"time"
 
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/world"
 )
 
 // RunE4DcscMatrix reproduces Figures 4 and 5 plus §V: the data channel
@@ -42,13 +39,10 @@ func RunE4DcscMatrix() (*Table, error) {
 	}
 
 	for _, sc := range scenarios {
-		ok, err := runDcscScenario(sc.sameCA, sc.dcscWhat)
+		ok, _ := MeasureDcscScenario(sc.sameCA, sc.dcscWhat)
 		observed := "transfer succeeded"
 		if !ok {
 			observed = "transfer refused"
-			if err != nil {
-				observed = "transfer refused"
-			}
 		}
 		expected := "succeed"
 		if !sc.expectOK {
@@ -68,51 +62,51 @@ func RunE4DcscMatrix() (*Table, error) {
 	return t, nil
 }
 
-// runDcscScenario executes one matrix cell; returns whether the transfer
-// succeeded.
-func runDcscScenario(sameCA bool, dcscWhat string) (bool, error) {
+// MeasureDcscScenario executes one matrix cell on a fresh pair of sites;
+// it returns whether the third-party transfer succeeded.
+func MeasureDcscScenario(sameCA bool, dcscWhat string) (bool, error) {
 	nw := netsim.NewNetwork()
-	src, err := newSite(nw, "siteA", siteOptions{})
+	src, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return false, err
 	}
-	defer src.close()
+	defer src.Close()
 
-	var dst *site
+	var dst *world.Site
 	if sameCA {
 		// Build the destination inside site A's trust domain.
-		dst, err = newSiteSharedCA(nw, "siteA2", src)
+		dst, err = src.Peer(nw, "siteA2")
 	} else {
-		dst, err = newSite(nw, "siteB", siteOptions{})
+		dst, err = world.NewSite(nw, "siteB", siteConfig)
 	}
 	if err != nil {
 		return false, err
 	}
-	defer dst.close()
+	defer dst.Close()
 
 	laptop := nw.Host("laptop")
-	cSrc, err := src.connect(laptop, true)
+	cSrc, err := src.Connect(laptop, gridftp.DialOptions{})
 	if err != nil {
 		return false, err
 	}
 	defer cSrc.Close()
-	cDst, err := dst.connect(laptop, true)
+	cDst, err := dst.Connect(laptop, gridftp.DialOptions{})
 	if err != nil {
 		return false, err
 	}
 	defer cDst.Close()
 
-	if err := src.putFile("/m.bin", pattern(256<<10)); err != nil {
+	if err := src.Put("/m.bin", pattern(256<<10)); err != nil {
 		return false, err
 	}
 
 	opts := gridftp.ThirdPartyOptions{}
 	switch dcscWhat {
 	case "credA->dst":
-		opts.DCSC = src.user
+		opts.DCSC = src.User
 		opts.DCSCTarget = gridftp.DCSCDest
 	case "credB->src":
-		opts.DCSC = dst.user
+		opts.DCSC = dst.User
 		opts.DCSCTarget = gridftp.DCSCSource
 	case "selfsigned-both":
 		ss, err := gsi.SelfSignedCredential("/CN=dcsc-random", time.Hour)
@@ -130,7 +124,7 @@ func runDcscScenario(sameCA bool, dcscWhat string) (bool, error) {
 		opts.DCSCTarget = gridftp.DCSCDest
 	case "revert":
 		// Install a working context, then revert it with DCSC D.
-		if err := cDst.SendDCSC(src.user); err != nil {
+		if err := cDst.SendDCSC(src.User); err != nil {
 			return false, err
 		}
 		if err := cDst.ResetDCSC(); err != nil {
@@ -139,59 +133,4 @@ func runDcscScenario(sameCA bool, dcscWhat string) (bool, error) {
 	}
 	_, terr := gridftp.ThirdParty(cSrc, "/m.bin", cDst, "/m.bin", opts)
 	return terr == nil, terr
-}
-
-// newSiteSharedCA builds a second server in an existing site's trust
-// domain (same CA, same user mapping).
-func newSiteSharedCA(nw *netsim.Network, name string, base *site) (*site, error) {
-	hostCred, err := base.ca.Issue(gsi.IssueOptions{
-		Subject: gsi.DN(fmt.Sprintf("/O=Grid/OU=%s/CN=host-%s", base.name, name)), Lifetime: 12 * time.Hour, Host: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &site{
-		name: name, ca: base.ca, trust: base.trust, host: nw.Host(name),
-		user: base.user, gridmap: base.gridmap,
-	}
-	s.storage = newMemWithUser("alice")
-	srv, err := gridftp.NewServer(s.host, gridftp.ServerConfig{
-		HostCred:     hostCred,
-		Trust:        base.trust,
-		Authz:        base.gridmap,
-		Storage:      s.storage,
-		EndpointName: name,
-	})
-	if err != nil {
-		return nil, err
-	}
-	addr, err := srv.ListenAndServe(gridftp.DefaultPort)
-	if err != nil {
-		return nil, err
-	}
-	s.server = srv
-	s.addr = addr.String()
-	return s, nil
-}
-
-// certChainWithRoot is a helper kept for DCSC blob construction in other
-// experiments: ensures the CA root rides in the credential chain.
-func certChainWithRoot(cred *gsi.Credential, root *x509.Certificate) *gsi.Credential {
-	for _, c := range cred.Chain {
-		if gsi.CertDN(c) == gsi.CertDN(root) {
-			return cred
-		}
-	}
-	return &gsi.Credential{
-		Cert:  cred.Cert,
-		Key:   cred.Key,
-		Chain: append(append([]*x509.Certificate{}, cred.Chain...), root),
-	}
-}
-
-// newMemWithUser builds an in-memory store with one provisioned user.
-func newMemWithUser(user string) *dsi.MemStorage {
-	m := dsi.NewMemStorage()
-	m.AddUser(user)
-	return m
 }

@@ -1,9 +1,10 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure and quantitative claim in the paper (see
 // DESIGN.md's per-experiment index, E1-E13, plus ablations). Each
-// experiment builds its scenario on the netsim substrate, runs the real
-// protocol stacks, and returns a Table whose rows benchreport prints and
-// EXPERIMENTS.md records.
+// experiment takes its scenario from internal/world — a conventional site,
+// a GCMU endpoint or the hosted triangle on the netsim substrate — runs the
+// real protocol stacks, and returns a Table whose rows benchreport prints
+// and EXPERIMENTS.md records.
 //
 // Bandwidths are scaled down (a simulated "10 Gb/s WAN" runs at tens of
 // MB/s wall-clock) so the full suite completes in minutes; the quantities
@@ -16,14 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"gridftp.dev/instant/internal/authz"
-	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gridftp"
-	"gridftp.dev/instant/internal/gsi"
-	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
-	"gridftp.dev/instant/internal/pam"
 )
 
 // Table is one experiment's result, formatted like the row/series the
@@ -109,145 +103,9 @@ func pattern(n int) []byte {
 	return data
 }
 
-// site is one administrative domain for experiment scenarios.
-type site struct {
-	name    string
-	ca      *gsi.CA
-	trust   *gsi.TrustStore
-	host    *netsim.Host
-	server  *gridftp.Server
-	storage *dsi.MemStorage
-	addr    string
-	user    *gsi.Credential
-	gridmap *authz.Gridmap
-	faults  *dsi.FaultStorage
-}
-
-type siteOptions struct {
-	stripes        int
-	markerInterval time.Duration
-	disableCache   bool
-	withFaults     bool
-	// streams, when non-nil, installs per-stream wire telemetry on the
-	// server's data path (the E18 overhead experiment).
-	streams *streamstats.Registry
-	// tenants, when non-nil, installs per-DN accounting on the server's
-	// command and data paths (the E20 overhead experiment).
-	tenants *tenant.Accountant
-}
-
-// newSite builds a GridFTP site with CA, host cred, one user "alice".
-func newSite(nw *netsim.Network, name string, opts siteOptions) (*site, error) {
-	ca, err := gsi.NewCA(gsi.DN("/O=Grid/OU="+name+"/CN=CA"), 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	hostCred, err := ca.Issue(gsi.IssueOptions{
-		Subject: gsi.DN(fmt.Sprintf("/O=Grid/OU=%s/CN=host-%s", name, name)), Lifetime: 12 * time.Hour, Host: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	userCred, err := ca.Issue(gsi.IssueOptions{
-		Subject: gsi.DN(fmt.Sprintf("/O=Grid/OU=%s/CN=alice", name)), Lifetime: 12 * time.Hour,
-	})
-	if err != nil {
-		return nil, err
-	}
-	trust := gsi.NewTrustStore()
-	if err := trust.AddCA(ca.Certificate()); err != nil {
-		return nil, err
-	}
-	storage := dsi.NewMemStorage()
-	storage.AddUser("alice")
-	gm := authz.NewGridmap()
-	gm.AddEntry(userCred.DN(), "alice")
-
-	if opts.markerInterval == 0 {
-		opts.markerInterval = 50 * time.Millisecond
-	}
-	cfg := gridftp.ServerConfig{
-		HostCred:            hostCred,
-		Trust:               trust,
-		Authz:               gm,
-		Storage:             storage,
-		MarkerInterval:      opts.markerInterval,
-		EndpointName:        name,
-		DisableChannelCache: opts.disableCache,
-		Streams:             opts.streams,
-		Tenants:             opts.tenants,
-	}
-	s := &site{
-		name: name, ca: ca, trust: trust, host: nw.Host(name),
-		storage: storage, user: userCred, gridmap: gm,
-	}
-	if opts.withFaults {
-		s.faults = dsi.NewFaultStorage(storage)
-		cfg.Storage = s.faults
-	}
-	for i := 0; i < opts.stripes; i++ {
-		cfg.StripeNodes = append(cfg.StripeNodes, gridftp.StripeNode{
-			Host: nw.Host(fmt.Sprintf("%s-dtp%d", name, i)),
-		})
-	}
-	srv, err := gridftp.NewServer(s.host, cfg)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := srv.ListenAndServe(gridftp.DefaultPort)
-	if err != nil {
-		return nil, err
-	}
-	s.server = srv
-	s.addr = addr.String()
-	return s, nil
-}
-
-func (s *site) close() {
-	if s.server != nil {
-		s.server.Close()
-	}
-}
-
-// connect opens an authenticated session from clientHost with a fresh
-// proxy of the site user, optionally delegating.
-func (s *site) connect(clientHost *netsim.Host, delegate bool) (*gridftp.Client, error) {
-	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
-	if err != nil {
-		return nil, err
-	}
-	c, err := gridftp.Dial(clientHost, s.addr, proxy, s.trust)
-	if err != nil {
-		return nil, err
-	}
-	if delegate {
-		if err := c.Delegate(2 * time.Hour); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// putFile writes a file into the site's storage directly.
-func (s *site) putFile(path string, content []byte) error {
-	f, err := s.storage.Create("alice", path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dsi.WriteAll(f, content)
-}
-
-// newPAMStack builds a one-user LDAP stack for GCMU-based experiments.
-func newPAMStack(domain, user, password string) (*pam.Stack, *pam.AccountDB) {
-	dir := pam.NewLDAPDirectory("dc=" + domain)
-	dir.AddEntry(user, password)
-	accounts := pam.NewAccountDB()
-	accounts.Add(pam.Account{Name: user})
-	return pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}}), accounts
-}
+// siteConfig is the server config of every conventional site an experiment
+// starts (world.NewSite): markers every 50 ms.
+var siteConfig = gridftp.ServerConfig{MarkerInterval: 50 * time.Millisecond}
 
 // All runs every experiment with default parameters, in order.
 func All() []func() (*Table, error) {

@@ -7,90 +7,27 @@ import (
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/oauth"
 	"gridftp.dev/instant/internal/pam"
 	"gridftp.dev/instant/internal/transfer"
+	"gridftp.dev/instant/internal/world"
 )
 
-// hostedWorld wires two GCMU endpoints plus the Globus Online-style
-// service on its own host.
-type hostedWorld struct {
-	nw     *netsim.Network
-	svc    *transfer.Service
-	epA    *gcmu.Endpoint
-	epB    *gcmu.Endpoint
-	faultB *dsi.FaultStorage
-}
-
-func buildHostedWorld(cfg transfer.Config, withOAuth bool, markerInterval time.Duration) (*hostedWorld, error) {
-	nw := netsim.NewNetwork()
-	mk := func(name, password string) (*gcmu.Endpoint, *dsi.FaultStorage, error) {
-		stack, accounts := newPAMStack(name, "alice", password)
-		mem := dsi.NewMemStorage()
-		mem.AddUser("alice")
-		faulty := dsi.NewFaultStorage(mem)
-		ep, err := gcmu.Install(gcmu.Options{
-			Name:           name,
-			Host:           nw.Host(name),
-			Auth:           stack,
-			Accounts:       accounts,
-			Storage:        faulty,
-			WithOAuth:      withOAuth,
-			MarkerInterval: markerInterval,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ep, faulty, nil
-	}
-	epA, _, err := mk("siteA", "pwA")
+// hostedTask submits alice's siteA:src -> siteB:dst to the triangle's
+// service and waits for it to succeed; it returns the task and its wall time.
+func hostedTask(w *world.Hosted, src, dst string) (*transfer.Task, time.Duration, error) {
+	start := time.Now()
+	task, err := w.Service.Submit(world.User, "siteA", src, "siteB", dst)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	epB, faultB, err := mk("siteB", "pwB")
+	done, err := w.Service.Wait(task.ID, 5*time.Minute)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	svc := transfer.NewService(nw.Host("globusonline"), cfg)
-	for _, ep := range []*gcmu.Endpoint{epA, epB} {
-		err := svc.RegisterEndpoint(transfer.Endpoint{
-			Name:        ep.Name,
-			GridFTPAddr: ep.GridFTPAddr,
-			MyProxyAddr: ep.MyProxyAddr,
-			OAuthAddr:   ep.OAuthAddr,
-			Trust:       ep.Trust,
-			CADN:        ep.SigningCA.DN(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if ep.OAuth != nil {
-			ep.OAuth.RegisterClient(transfer.OAuthClient)
-		}
+	if done.Status != transfer.TaskSucceeded {
+		return nil, 0, fmt.Errorf("task %s: %s", done.Status, done.Error)
 	}
-	return &hostedWorld{nw: nw, svc: svc, epA: epA, epB: epB, faultB: faultB}, nil
-}
-
-func (w *hostedWorld) close() {
-	w.svc.Close()
-	w.epA.Close()
-	w.epB.Close()
-}
-
-func (w *hostedWorld) putSrc(path string, content []byte) error {
-	f, err := w.epA.Storage.Create("alice", path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dsi.WriteAll(f, content)
-}
-
-func (w *hostedWorld) activate() error {
-	if err := w.svc.ActivateWithPassword("siteA", "alice", "pwA"); err != nil {
-		return err
-	}
-	return w.svc.ActivateWithPassword("siteB", "alice", "pwB")
+	return done, time.Since(start), nil
 }
 
 // E6Config parameterizes the checkpoint-restart experiment.
@@ -125,7 +62,7 @@ func RunE6Checkpoint(cfg E6Config) (*Table, error) {
 		Columns: []string{"checkpointing", "attempts", "file", "bytes moved", "overhead"},
 	}
 	for _, checkpoints := range []bool{true, false} {
-		task, err := runE6Once(cfg, checkpoints)
+		task, err := MeasureCheckpointTask(cfg, checkpoints)
 		if err != nil {
 			return nil, err
 		}
@@ -144,35 +81,28 @@ func RunE6Checkpoint(cfg E6Config) (*Table, error) {
 	return t, nil
 }
 
-func runE6Once(cfg E6Config, checkpoints bool) (*transfer.Task, error) {
-	w, err := buildHostedWorld(transfer.Config{
+// MeasureCheckpointTask runs one hosted transfer whose receive side fails
+// at cfg.FaultFraction on the first attempt, and returns the finished task:
+// its attempts and the bytes moved across all of them.
+func MeasureCheckpointTask(cfg E6Config, checkpoints bool) (*transfer.Task, error) {
+	w, err := world.NewHosted(transfer.Config{
 		RetryDelay:           10 * time.Millisecond,
 		DisableCheckpointing: !checkpoints,
-	}, false, 15*time.Millisecond)
+	}, gcmu.Options{MarkerInterval: 15 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	defer w.close()
-	w.nw.SetLink("siteA", "siteB", cfg.Link)
-	if err := w.activate(); err != nil {
+	defer w.Close()
+	w.Net.SetLink("siteA", "siteB", cfg.Link)
+	if err := w.Activate(); err != nil {
 		return nil, err
 	}
-	if err := w.putSrc("/ckpt.bin", pattern(cfg.FileBytes)); err != nil {
+	if err := w.Put("/ckpt.bin", pattern(cfg.FileBytes)); err != nil {
 		return nil, err
 	}
-	w.faultB.Arm(int64(float64(cfg.FileBytes) * cfg.FaultFraction))
-	task, err := w.svc.Submit("alice", "siteA", "/ckpt.bin", "siteB", "/ckpt.bin")
-	if err != nil {
-		return nil, err
-	}
-	done, err := w.svc.Wait(task.ID, 2*time.Minute)
-	if err != nil {
-		return nil, err
-	}
-	if done.Status != transfer.TaskSucceeded {
-		return nil, fmt.Errorf("task %s: %s", done.Status, done.Error)
-	}
-	return done, nil
+	w.FaultB.Arm(int64(float64(cfg.FileBytes) * cfg.FaultFraction))
+	done, _, err := hostedTask(w, "/ckpt.bin", "/ckpt.bin")
+	return done, err
 }
 
 // RunE10Workflow reproduces Fig 3 end to end and reports each step of the
@@ -187,10 +117,7 @@ func RunE10Workflow() (*Table, error) {
 		Columns: []string{"step", "observation", "verdict"},
 	}
 	nw := netsim.NewNetwork()
-	stack, accounts := newPAMStack("siteA", "alice", "pw")
-	ep, err := gcmu.Install(gcmu.Options{
-		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts,
-	})
+	ep, err := world.NewEndpoint(gcmu.Options{Name: "siteA", Host: nw.Host("siteA")}, map[string]string{"alice": "pw"})
 	if err != nil {
 		return nil, err
 	}
@@ -259,71 +186,37 @@ func RunE11OAuthAudit() (*Table, error) {
 		Paper:   "Fig 6 (password passes through Globus Online) vs Fig 7 (OAuth: password entered only at the site)",
 		Columns: []string{"activation method", "passwords seen by service", "transfer works", "verdict"},
 	}
-	// Password activation.
-	{
-		w, err := buildHostedWorld(transfer.Config{}, false, 0)
+	for _, withOAuth := range []bool{false, true} {
+		seen, ok, err := auditRun(withOAuth)
 		if err != nil {
 			return nil, err
 		}
-		if err := w.activate(); err != nil {
-			w.close()
-			return nil, err
+		label, want := "username/password via service (Fig 6)", 2
+		if withOAuth {
+			label, want = "OAuth at the site's web page (Fig 7)", 0
 		}
-		ok, err := hostedRoundTrip(w)
-		if err != nil {
-			w.close()
-			return nil, err
-		}
-		t.AddRow("username/password via service (Fig 6)",
-			fmt.Sprintf("%d", w.svc.PasswordsSeen), boolWord(ok), verdict(w.svc.PasswordsSeen == 2 && ok))
-		w.close()
-	}
-	// OAuth activation.
-	{
-		w, err := buildHostedWorld(transfer.Config{}, true, 0)
-		if err != nil {
-			return nil, err
-		}
-		login := func(ep *gcmu.Endpoint, pw string) transfer.UserLoginFunc {
-			return func(base, session string) (string, error) {
-				userHTTP := oauth.HTTPClient(w.nw.Host("laptop"), ep.Trust)
-				return oauth.Login(userHTTP, base, session, "alice", pw)
-			}
-		}
-		if err := w.svc.ActivateWithOAuth("siteA", "alice", login(w.epA, "pwA")); err != nil {
-			w.close()
-			return nil, err
-		}
-		if err := w.svc.ActivateWithOAuth("siteB", "alice", login(w.epB, "pwB")); err != nil {
-			w.close()
-			return nil, err
-		}
-		ok, err := hostedRoundTrip(w)
-		if err != nil {
-			w.close()
-			return nil, err
-		}
-		t.AddRow("OAuth at the site's web page (Fig 7)",
-			fmt.Sprintf("%d", w.svc.PasswordsSeen), boolWord(ok), verdict(w.svc.PasswordsSeen == 0 && ok))
-		w.close()
+		t.AddRow(label, fmt.Sprintf("%d", seen), boolWord(ok), verdict(seen == want && ok))
 	}
 	t.Note("the service counts every password that crosses its trust boundary; OAuth reduces that to zero while transfers still work")
 	return t, nil
 }
 
-func hostedRoundTrip(w *hostedWorld) (bool, error) {
-	if err := w.putSrc("/audit.bin", pattern(128<<10)); err != nil {
-		return false, err
-	}
-	task, err := w.svc.Submit("alice", "siteA", "/audit.bin", "siteB", "/audit.bin")
+// auditRun activates a fresh triangle and moves one file through it; it
+// returns the passwords the service saw and whether the transfer worked.
+func auditRun(withOAuth bool) (int, bool, error) {
+	w, err := world.NewHosted(transfer.Config{}, gcmu.Options{WithOAuth: withOAuth})
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	done, err := w.svc.Wait(task.ID, time.Minute)
-	if err != nil {
-		return false, err
+	defer w.Close()
+	if err := w.Activate(); err != nil {
+		return 0, false, err
 	}
-	return done.Status == transfer.TaskSucceeded, nil
+	if err := w.Put("/audit.bin", pattern(128<<10)); err != nil {
+		return 0, false, err
+	}
+	_, _, terr := hostedTask(w, "/audit.bin", "/audit.bin")
+	return w.Service.PasswordsSeen, terr == nil, nil
 }
 
 func boolWord(b bool) string {
@@ -365,34 +258,9 @@ func RunAblationAutotune(cfg AblationAutotuneConfig) (*Table, error) {
 		Columns: []string{"tuning", "parallelism chosen", "elapsed", "throughput"},
 	}
 	for _, autotune := range []bool{true, false} {
-		w, err := buildHostedWorld(transfer.Config{DisableAutotune: !autotune}, false, 0)
+		done, elapsed, err := autotuneTask(cfg, autotune)
 		if err != nil {
 			return nil, err
-		}
-		w.nw.SetLink("siteA", "siteB", cfg.Link)
-		if err := w.activate(); err != nil {
-			w.close()
-			return nil, err
-		}
-		if err := w.putSrc("/tune.bin", pattern(cfg.FileBytes)); err != nil {
-			w.close()
-			return nil, err
-		}
-		start := time.Now()
-		task, err := w.svc.Submit("alice", "siteA", "/tune.bin", "siteB", "/tune.bin")
-		if err != nil {
-			w.close()
-			return nil, err
-		}
-		done, err := w.svc.Wait(task.ID, 2*time.Minute)
-		if err != nil {
-			w.close()
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if done.Status != transfer.TaskSucceeded {
-			w.close()
-			return nil, fmt.Errorf("task: %s (%s)", done.Status, done.Error)
 		}
 		label := "autotune"
 		if !autotune {
@@ -401,9 +269,24 @@ func RunAblationAutotune(cfg AblationAutotuneConfig) (*Table, error) {
 		t.AddRow(label, fmt.Sprintf("%d", done.Parallelism),
 			elapsed.Round(time.Millisecond).String(),
 			mbps(rate(int64(cfg.FileBytes), elapsed)))
-		w.close()
 	}
 	t.Note("file %d MiB over %v RTT, %d KiB windows: auto-tuned parallelism recovers the window-limited loss",
 		cfg.FileBytes>>20, cfg.Link.RTT, cfg.Link.StreamWindow/1024)
 	return t, nil
+}
+
+func autotuneTask(cfg AblationAutotuneConfig, autotune bool) (*transfer.Task, time.Duration, error) {
+	w, err := world.NewHosted(transfer.Config{DisableAutotune: !autotune}, gcmu.Options{})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer w.Close()
+	w.Net.SetLink("siteA", "siteB", cfg.Link)
+	if err := w.Activate(); err != nil {
+		return nil, 0, err
+	}
+	if err := w.Put("/tune.bin", pattern(cfg.FileBytes)); err != nil {
+		return nil, 0, err
+	}
+	return hostedTask(w, "/tune.bin", "/tune.bin")
 }

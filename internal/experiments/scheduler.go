@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/transfer"
+	"gridftp.dev/instant/internal/world"
 )
 
 // E14Config parameterizes the transfer-scheduler experiment: a directory
@@ -33,47 +35,31 @@ func DefaultE14() E14Config {
 // With warm set the measured task is the world's second: an unmeasured task
 // between the same endpoints runs first and leaves its session pair parked.
 func runE14Once(cfg E14Config, concurrency int, warm bool) (*transfer.Task, time.Duration, error) {
-	w, err := buildHostedWorld(transfer.Config{TaskConcurrency: concurrency}, false, 0)
+	w, err := world.NewHosted(transfer.Config{TaskConcurrency: concurrency}, gcmu.Options{})
 	if err != nil {
 		return nil, 0, err
 	}
-	defer w.close()
-	w.nw.SetLink("globusonline", "siteA", cfg.Link)
-	w.nw.SetLink("globusonline", "siteB", cfg.Link)
-	w.nw.SetLink("siteA", "siteB", cfg.Link)
-	if err := w.activate(); err != nil {
+	defer w.Close()
+	w.Net.SetLink("globusonline", "siteA", cfg.Link)
+	w.Net.SetLink("globusonline", "siteB", cfg.Link)
+	w.Net.SetLink("siteA", "siteB", cfg.Link)
+	if err := w.Activate(); err != nil {
 		return nil, 0, err
 	}
-	if err := w.epA.Storage.Mkdir("alice", "/many"); err != nil {
+	if err := w.A.Storage.Mkdir(world.User, "/many"); err != nil {
 		return nil, 0, err
 	}
 	for i := 0; i < cfg.Files; i++ {
-		if err := w.putSrc(fmt.Sprintf("/many/f%03d.bin", i), pattern(cfg.FileBytes)); err != nil {
+		if err := w.Put(fmt.Sprintf("/many/f%03d.bin", i), pattern(cfg.FileBytes)); err != nil {
 			return nil, 0, err
 		}
-	}
-	move := func(dst string) (*transfer.Task, time.Duration, error) {
-		start := time.Now()
-		task, err := w.svc.Submit("alice", "siteA", "/many", "siteB", dst)
-		if err != nil {
-			return nil, 0, err
-		}
-		done, err := w.svc.Wait(task.ID, 5*time.Minute)
-		if err != nil {
-			return nil, 0, err
-		}
-		elapsed := time.Since(start)
-		if done.Status != transfer.TaskSucceeded {
-			return nil, 0, fmt.Errorf("task %s: %s", done.Status, done.Error)
-		}
-		return done, elapsed, nil
 	}
 	if warm {
-		if _, _, err := move("/before"); err != nil {
+		if _, _, err := hostedTask(w, "/many", "/before"); err != nil {
 			return nil, 0, err
 		}
 	}
-	return move("/many")
+	return hostedTask(w, "/many", "/many")
 }
 
 // RunE14Scheduler measures the hosted service's scheduler on the

@@ -9,6 +9,7 @@ import (
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/world"
 )
 
 // RunE12ControlSecurity verifies §II.C's control channel guarantees at the
@@ -23,11 +24,11 @@ func RunE12ControlSecurity() (*Table, error) {
 		Columns: []string{"invariant", "probe", "observed", "verdict"},
 	}
 	nw := netsim.NewNetwork()
-	s, err := newSite(nw, "siteA", siteOptions{})
+	s, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.Close()
 	laptop := nw.Host("laptop")
 
 	check := func(name, probe, observed string, ok bool) {
@@ -40,7 +41,7 @@ func RunE12ControlSecurity() (*Table, error) {
 
 	// 1. Commands before AUTH are refused with 530.
 	{
-		conn, err := nw.Dial("laptop", s.addr)
+		conn, err := nw.Dial("laptop", s.Addr)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +56,7 @@ func RunE12ControlSecurity() (*Table, error) {
 
 	// 2. Password login (USER/PASS) cannot substitute for GSI auth.
 	{
-		conn, _ := nw.Dial("laptop", s.addr)
+		conn, _ := nw.Dial("laptop", s.Addr)
 		fc := ftp.NewConn(conn)
 		fc.Expect(ftp.CodeReadyForNewUser)
 		fc.Cmd("USER", "alice")
@@ -72,7 +73,7 @@ func RunE12ControlSecurity() (*Table, error) {
 
 	// 3. A client without a certificate cannot complete AUTH TLS.
 	{
-		_, err := gridftp.Dial(laptop, s.addr, nil, s.trust)
+		_, err := gridftp.Dial(laptop, s.Addr, nil, s.Trust)
 		check("client certificate obligatory", "AUTH TLS with no client cert",
 			errString(err), err != nil)
 	}
@@ -87,41 +88,45 @@ func RunE12ControlSecurity() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		clientTrust := s.trust.Clone()
+		clientTrust := s.Trust.Clone()
 		clientTrust.AddCA(other.Certificate())
-		_, derr := gridftp.Dial(laptop, s.addr, mallory, clientTrust)
+		_, derr := gridftp.Dial(laptop, s.Addr, mallory, clientTrust)
 		check("untrusted CA rejected", "login with /O=Evil credential", errString(derr), derr != nil)
 	}
 
 	// 5. An authenticated-but-unmapped identity is refused (530).
 	{
-		ghost, err := s.ca.Issue(gsi.IssueOptions{Subject: "/O=Grid/OU=siteA/CN=ghost", Lifetime: time.Hour})
+		ghost, err := s.CA.Issue(gsi.IssueOptions{Subject: "/O=Grid/OU=siteA/CN=ghost", Lifetime: time.Hour})
 		if err != nil {
 			return nil, err
 		}
-		_, derr := gridftp.Dial(laptop, s.addr, ghost, s.trust)
+		_, derr := gridftp.Dial(laptop, s.Addr, ghost, s.Trust)
 		check("authorization callout enforced", "valid cert, no local mapping", errString(derr), derr != nil)
 	}
 
 	// 6. Expired credentials are rejected.
 	{
-		shortLived, err := s.ca.Issue(gsi.IssueOptions{Subject: "/O=Grid/OU=siteA/CN=alice", Lifetime: time.Millisecond})
+		shortLived, err := s.CA.Issue(gsi.IssueOptions{Subject: "/O=Grid/OU=siteA/CN=alice", Lifetime: time.Millisecond})
 		if err != nil {
 			return nil, err
 		}
 		time.Sleep(5 * time.Millisecond)
-		_, derr := gridftp.Dial(laptop, s.addr, shortLived, s.trust)
+		_, derr := gridftp.Dial(laptop, s.Addr, shortLived, s.Trust)
 		check("expired credential rejected", "login with expired cert", errString(derr), derr != nil)
 	}
 
 	// 7. Data channel authentication requires a credential (delegation or
 	//    DCSC) — a session without one cannot transfer under DCAU.
 	{
-		c, err := s.connect(laptop, false) // no delegation
+		proxy, err := gsi.NewProxy(s.User, gsi.ProxyOptions{})
 		if err != nil {
 			return nil, err
 		}
-		if err := s.putFile("/x.bin", pattern(1024)); err != nil {
+		c, err := gridftp.Dial(laptop, s.Addr, proxy, s.Trust) // no delegation
+		if err != nil {
+			return nil, err
+		}
+		if err := s.Put("/x.bin", pattern(1024)); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -132,7 +137,7 @@ func RunE12ControlSecurity() (*Table, error) {
 
 	// 8. And the same session works once delegation is performed.
 	{
-		c, err := s.connect(laptop, true)
+		c, err := s.Connect(laptop, gridftp.DialOptions{})
 		if err != nil {
 			return nil, err
 		}

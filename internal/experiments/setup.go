@@ -8,6 +8,7 @@ import (
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/pam"
+	"gridftp.dev/instant/internal/world"
 )
 
 // RunE5Setup reproduces the paper's setup-complexity comparison (§III vs
@@ -56,7 +57,7 @@ func RunE5Setup() (*Table, error) {
 
 	// Live validation: run the actual GCMU install + logon + transfer and
 	// time it (the machine part; human latencies above are estimates).
-	elapsed, err := timeGCMUFirstTransfer()
+	elapsed, err := MeasureGCMUFirstTransfer()
 	if err != nil {
 		return nil, fmt.Errorf("live GCMU validation: %w", err)
 	}
@@ -65,14 +66,11 @@ func RunE5Setup() (*Table, error) {
 	return t, nil
 }
 
-// timeGCMUFirstTransfer measures install -> logon -> transfer wall time.
-func timeGCMUFirstTransfer() (time.Duration, error) {
+// MeasureGCMUFirstTransfer measures install -> logon -> transfer wall time.
+func MeasureGCMUFirstTransfer() (time.Duration, error) {
 	nw := netsim.NewNetwork()
-	stack, accounts := newPAMStack("siteA", "alice", "pw")
 	start := time.Now()
-	ep, err := gcmu.Install(gcmu.Options{
-		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts,
-	})
+	ep, err := world.NewEndpoint(gcmu.Options{Name: "siteA", Host: nw.Host("siteA")}, map[string]string{"alice": "pw"})
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/world"
 )
 
 // E7Config parameterizes the lots-of-small-files experiment.
@@ -40,20 +41,20 @@ func RunE7SmallFiles(cfg E7Config) (*Table, error) {
 	nw.SetDefaultLink(netsim.LinkParams{
 		Bandwidth: 50e6, RTT: cfg.RTT, StreamWindow: 1 << 22,
 	})
-	s, err := newSite(nw, "siteA", siteOptions{})
+	s, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.Close()
 	paths := make([]string, cfg.Files)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/small/f%04d", i)
 	}
-	if err := s.storage.Mkdir("alice", "/small"); err != nil {
+	if err := s.Storage.Mkdir(world.User, "/small"); err != nil {
 		return nil, err
 	}
 	for _, p := range paths {
-		if err := s.putFile(p, pattern(cfg.FileBytes)); err != nil {
+		if err := s.Put(p, pattern(cfg.FileBytes)); err != nil {
 			return nil, err
 		}
 	}
@@ -63,7 +64,7 @@ func RunE7SmallFiles(cfg E7Config) (*Table, error) {
 	// channel setup every time.
 	naive, err := timeIt(func() error {
 		for _, p := range paths {
-			c, err := s.connect(laptop, true)
+			c, err := s.Connect(laptop, gridftp.DialOptions{})
 			if err != nil {
 				return err
 			}
@@ -81,7 +82,7 @@ func RunE7SmallFiles(cfg E7Config) (*Table, error) {
 
 	// (b) One session, sequential commands (channel caching on).
 	sequential, err := timeIt(func() error {
-		c, err := s.connect(laptop, true)
+		c, err := s.Connect(laptop, gridftp.DialOptions{})
 		if err != nil {
 			return err
 		}
@@ -99,7 +100,7 @@ func RunE7SmallFiles(cfg E7Config) (*Table, error) {
 
 	// (c) Pipelined commands (GridFTP pipelining).
 	pipelined, err := timeIt(func() error {
-		c, err := s.connect(laptop, true)
+		c, err := s.Connect(laptop, gridftp.DialOptions{})
 		if err != nil {
 			return err
 		}
@@ -122,7 +123,7 @@ func RunE7SmallFiles(cfg E7Config) (*Table, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				c, err := s.connect(laptop, true)
+				c, err := s.Connect(laptop, gridftp.DialOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -206,7 +207,7 @@ func RunE8Striping(cfg E8Config) (*Table, error) {
 	}
 	var base float64
 	for _, stripes := range cfg.Stripes {
-		r, err := stripedRate(cfg, stripes)
+		r, err := MeasureStripedRate(cfg, stripes)
 		if err != nil {
 			return nil, fmt.Errorf("stripes=%d: %w", stripes, err)
 		}
@@ -220,32 +221,41 @@ func RunE8Striping(cfg E8Config) (*Table, error) {
 	return t, nil
 }
 
-func stripedRate(cfg E8Config, stripes int) (float64, error) {
+// MeasureStripedRate runs one striped third-party transfer between two
+// clusters of the given stripe count and returns bytes/sec.
+func MeasureStripedRate(cfg E8Config, stripes int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetDefaultLink(cfg.PerLink)
-	src, err := newSite(nw, "clusterA", siteOptions{stripes: stripes})
+	cluster := func(name string) (*world.Site, error) {
+		scfg := siteConfig
+		for i := 0; i < stripes; i++ {
+			scfg.StripeNodes = append(scfg.StripeNodes,
+				gridftp.StripeNode{Host: nw.Host(fmt.Sprintf("%s-dtp%d", name, i))})
+		}
+		return world.NewSite(nw, name, scfg)
+	}
+	src, err := cluster("clusterA")
 	if err != nil {
 		return 0, err
 	}
-	defer src.close()
-	dst, err := newSite(nw, "clusterB", siteOptions{stripes: stripes})
+	defer src.Close()
+	dst, err := cluster("clusterB")
 	if err != nil {
 		return 0, err
 	}
-	defer dst.close()
+	defer dst.Close()
 	// Shared trust for the data channel (striping is orthogonal to DCSC).
-	src.trust.AddCA(dst.ca.Certificate())
-	dst.trust.AddCA(src.ca.Certificate())
-	dst.gridmap.AddEntry(src.user.DN(), "alice")
+	src.Trust.AddCA(dst.CA.Certificate())
+	dst.Trust.AddCA(src.CA.Certificate())
+	dst.Gridmap.AddEntry(src.User.DN(), world.User)
 
 	laptop := nw.Host("laptop")
-	cSrc, err := src.connect(laptop, true)
+	cSrc, err := src.Connect(laptop, gridftp.DialOptions{})
 	if err != nil {
 		return 0, err
 	}
 	defer cSrc.Close()
-	proxy := src.user
-	cDst, err := gridftp.Dial(laptop, dst.addr, proxy, dst.trust)
+	cDst, err := gridftp.Dial(laptop, dst.Addr, src.User, dst.Trust)
 	if err != nil {
 		return 0, err
 	}
@@ -259,7 +269,7 @@ func stripedRate(cfg E8Config, stripes int) (float64, error) {
 	if err := cDst.SetParallelism(stripes); err != nil {
 		return 0, err
 	}
-	if err := src.putFile("/s.bin", pattern(cfg.FileBytes)); err != nil {
+	if err := src.Put("/s.bin", pattern(cfg.FileBytes)); err != nil {
 		return 0, err
 	}
 	start := time.Now()
@@ -304,33 +314,33 @@ func RunE9ThirdParty(cfg E9Config) (*Table, error) {
 	nw.SetLink("laptop", "siteB", cfg.ClientLink)
 
 	// GridFTP third-party.
-	src, err := newSite(nw, "siteA", siteOptions{})
+	src, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return nil, err
 	}
-	defer src.close()
-	dst, err := newSite(nw, "siteB", siteOptions{})
+	defer src.Close()
+	dst, err := world.NewSite(nw, "siteB", siteConfig)
 	if err != nil {
 		return nil, err
 	}
-	defer dst.close()
-	if err := src.putFile("/f.bin", pattern(cfg.FileBytes)); err != nil {
+	defer dst.Close()
+	if err := src.Put("/f.bin", pattern(cfg.FileBytes)); err != nil {
 		return nil, err
 	}
 	laptop := nw.Host("laptop")
-	cSrc, err := src.connect(laptop, true)
+	cSrc, err := src.Connect(laptop, gridftp.DialOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer cSrc.Close()
-	cDst, err := dst.connect(laptop, true)
+	cDst, err := dst.Connect(laptop, gridftp.DialOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer cDst.Close()
 	start := time.Now()
 	if _, err := gridftp.ThirdParty(cSrc, "/f.bin", cDst, "/f.bin", gridftp.ThirdPartyOptions{
-		DCSC: src.user, DCSCTarget: gridftp.DCSCDest,
+		DCSC: src.User, DCSCTarget: gridftp.DCSCDest,
 	}); err != nil {
 		return nil, fmt.Errorf("third party: %w", err)
 	}
@@ -356,8 +366,11 @@ func RunE9ThirdParty(cfg E9Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dsi.WriteAll(f, pattern(cfg.FileBytes))
+	err = dsi.WriteAll(f, pattern(cfg.FileBytes))
 	f.Close()
+	if err != nil {
+		return nil, err
+	}
 	start = time.Now()
 	if _, err := baseline.SCPRelay(laptop, addrA, "alice", "pw", "/f.bin", addrB, "alice", "pw", "/f.bin"); err != nil {
 		return nil, fmt.Errorf("scp relay: %w", err)

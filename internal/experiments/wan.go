@@ -12,6 +12,7 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tenant"
+	"gridftp.dev/instant/internal/world"
 )
 
 // E2Config parameterizes the parallel-streams experiment.
@@ -42,26 +43,26 @@ func DefaultE2() E2Config {
 	}
 }
 
-// gridftpWanRate transfers one file site-to-client over the given link and
-// returns bytes/sec.
-func gridftpWanRate(link netsim.LinkParams, fileBytes, parallelism int, mode gridftp.TransferMode) (float64, error) {
+// MeasureWanRate transfers one file site-to-client over the given link, in
+// stream mode or in MODE E on parallelism streams, and returns bytes/sec.
+func MeasureWanRate(link netsim.LinkParams, fileBytes, parallelism int, stream bool) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "siteA", link)
-	s, err := newSite(nw, "siteA", siteOptions{})
+	s, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
+	defer s.Close()
 	payload := pattern(fileBytes)
-	if err := s.putFile("/wan.bin", payload); err != nil {
+	if err := s.Put("/wan.bin", payload); err != nil {
 		return 0, err
 	}
-	c, err := s.connect(nw.Host("client"), true)
+	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	if mode == gridftp.ModeStream {
+	if stream {
 		if err := c.SetMode(gridftp.ModeStream); err != nil {
 			return 0, err
 		}
@@ -82,9 +83,9 @@ func gridftpWanRate(link netsim.LinkParams, fileBytes, parallelism int, mode gri
 	return rate(int64(fileBytes), elapsed), nil
 }
 
-// scpWanRate transfers one file over the SCP baseline and returns
+// MeasureSCPRate transfers one file over the SCP baseline and returns
 // bytes/sec.
-func scpWanRate(link netsim.LinkParams, fileBytes int) (float64, error) {
+func MeasureSCPRate(link netsim.LinkParams, fileBytes int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "server", link)
 	srv, addr, storage, err := newSCPServer(nw, "server")
@@ -118,7 +119,7 @@ func newSCPServer(nw *netsim.Network, hostName string) (*baseline.SCPServer, str
 	if err != nil {
 		return nil, "", nil, err
 	}
-	stack, _ := newPAMStack(hostName, "alice", "pw")
+	stack, _ := world.Directory(hostName, map[string]string{"alice": "pw"})
 	storage := dsi.NewMemStorage()
 	storage.AddUser("alice")
 	srv := &baseline.SCPServer{HostCred: hostCred, Auth: stack, Storage: storage}
@@ -145,20 +146,20 @@ func RunE2ParallelStreams(cfg E2Config) (*Table, error) {
 		link.Loss = loss
 		lossLabel := fmt.Sprintf("%.2f%%", loss*100)
 
-		scpRate, err := scpWanRate(link, cfg.FileBytes)
+		scpRate, err := MeasureSCPRate(link, cfg.FileBytes)
 		if err != nil {
 			return nil, fmt.Errorf("scp: %w", err)
 		}
 		t.AddRow(lossLabel, "scp", "1", mbps(scpRate), "1.0x")
 
-		ftpRate, err := gridftpWanRate(link, cfg.FileBytes, 1, gridftp.ModeStream)
+		ftpRate, err := MeasureWanRate(link, cfg.FileBytes, 1, true)
 		if err != nil {
 			return nil, fmt.Errorf("ftp stream: %w", err)
 		}
 		t.AddRow(lossLabel, "ftp (stream)", "1", mbps(ftpRate), speedup(ftpRate, scpRate))
 
 		for _, p := range cfg.Parallelism {
-			r, err := gridftpWanRate(link, cfg.FileBytes, p, gridftp.ModeExtended)
+			r, err := MeasureWanRate(link, cfg.FileBytes, p, false)
 			if err != nil {
 				return nil, fmt.Errorf("gridftp p=%d: %w", p, err)
 			}
@@ -213,7 +214,7 @@ func RunE3DcauOverhead(cfg E3Config) (*Table, error) {
 		{gridftp.ProtSafe, "PROT S", "integrity (HMAC-SHA256 framing)"},
 		{gridftp.ProtPrivate, "PROT P", "private (TLS encryption)"},
 	} {
-		r, err := protRate(cfg.FileBytes, row.prot)
+		r, err := MeasureProtRate(cfg.FileBytes, row.prot)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", row.label, err)
 		}
@@ -230,21 +231,21 @@ func RunE3DcauOverhead(cfg E3Config) (*Table, error) {
 	return t, nil
 }
 
-// protRate measures CPU-bound throughput at one protection level. The
+// MeasureProtRate measures CPU-bound throughput at one protection level. The
 // measurement is best-of-three with a GC between runs: a single shot is
 // dominated by allocator/GC state left over from whatever ran before,
 // which is noise, not protocol cost.
-func protRate(fileBytes int, prot gridftp.ProtLevel) (float64, error) {
+func MeasureProtRate(fileBytes int, prot gridftp.ProtLevel) (float64, error) {
 	nw := netsim.NewNetwork()
-	s, err := newSite(nw, "siteA", siteOptions{})
+	s, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
-	if err := s.putFile("/prot.bin", pattern(fileBytes)); err != nil {
+	defer s.Close()
+	if err := s.Put("/prot.bin", pattern(fileBytes)); err != nil {
 		return 0, err
 	}
-	c, err := s.connect(nw.Host("client"), true)
+	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -270,32 +271,34 @@ func protRate(fileBytes int, prot gridftp.ProtLevel) (float64, error) {
 	return best, nil
 }
 
-// tenantAttributionRate measures parallel-download throughput with the
+// MeasureTenantAttributionRate measures parallel-download throughput with the
 // per-DN accounting plane either installed on the server (every command
 // and every transferred byte attributed to the session DN, publisher
 // live) or absent — the E20 overhead experiment. The accounting hot
 // path is one mutex-guarded sketch touch per command and per transfer
 // completion, so the expected cost on a 16-stream MODE E download is
 // noise; this measurement is the proof. Best-of-three with a GC between
-// runs, like protRate.
-func tenantAttributionRate(link netsim.LinkParams, fileBytes, parallelism int, acct *tenant.Accountant) (float64, error) {
+// runs, like MeasureProtRate.
+func MeasureTenantAttributionRate(link netsim.LinkParams, fileBytes, parallelism int, acct *tenant.Accountant) (float64, error) {
 	nw := netsim.NewNetwork()
 	if link.Bandwidth > 0 {
 		nw.SetLink("client", "siteA", link)
 	}
-	s, err := newSite(nw, "siteA", siteOptions{tenants: acct})
+	scfg := siteConfig
+	scfg.Tenants = acct
+	s, err := world.NewSite(nw, "siteA", scfg)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
+	defer s.Close()
 	if acct != nil {
 		stop := acct.Start()
 		defer stop()
 	}
-	if err := s.putFile("/tenant.bin", pattern(fileBytes)); err != nil {
+	if err := s.Put("/tenant.bin", pattern(fileBytes)); err != nil {
 		return 0, err
 	}
-	c, err := s.connect(nw.Host("client"), true)
+	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -318,39 +321,33 @@ func tenantAttributionRate(link netsim.LinkParams, fileBytes, parallelism int, a
 	return best, nil
 }
 
-// streamTelemetryRate measures parallel-download throughput with
+// MeasureStreamTelemetryRate measures parallel-download throughput with
 // per-stream wire telemetry either fully installed (server data path
 // instrumented, client data path instrumented, poller live) or absent —
 // the E18 overhead experiment. A zero-bandwidth link leaves the path
 // unshaped (CPU-bound); a shaped link measures the deployment question —
 // whether the X-ray costs achieved WAN throughput. Best-of-three with a
-// GC between runs, like protRate.
-func streamTelemetryRate(link netsim.LinkParams, fileBytes, parallelism int, reg *streamstats.Registry) (float64, error) {
+// GC between runs, like MeasureProtRate.
+func MeasureStreamTelemetryRate(link netsim.LinkParams, fileBytes, parallelism int, reg *streamstats.Registry) (float64, error) {
 	nw := netsim.NewNetwork()
 	if link.Bandwidth > 0 {
 		nw.SetLink("client", "siteA", link)
 	}
-	s, err := newSite(nw, "siteA", siteOptions{streams: reg})
+	scfg := siteConfig
+	scfg.Streams = reg
+	s, err := world.NewSite(nw, "siteA", scfg)
 	if err != nil {
 		return 0, err
 	}
-	defer s.close()
-	if err := s.putFile("/xray.bin", pattern(fileBytes)); err != nil {
+	defer s.Close()
+	if err := s.Put("/xray.bin", pattern(fileBytes)); err != nil {
 		return 0, err
 	}
-	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
-	if err != nil {
-		return 0, err
-	}
-	c, err := gridftp.DialWithOptions(nw.Host("client"), s.addr, proxy, s.trust,
-		gridftp.DialOptions{Streams: reg})
+	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{Streams: reg})
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	if err := c.Delegate(2 * time.Hour); err != nil {
-		return 0, err
-	}
 	if err := c.SetParallelism(parallelism); err != nil {
 		return 0, err
 	}

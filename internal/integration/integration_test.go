@@ -16,28 +16,22 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/pam"
 	"gridftp.dev/instant/internal/usagestats"
+	"gridftp.dev/instant/internal/world"
 )
 
 // installLDAP builds a GCMU endpoint with an LDAP stack and n users
 // (user0..userN with password "pw<i>").
 func installLDAP(t *testing.T, nw *netsim.Network, name string, users int, storage dsi.Storage, mut ...func(*gcmu.Options)) *gcmu.Endpoint {
 	t.Helper()
-	dir := pam.NewLDAPDirectory("dc=" + name)
-	accounts := pam.NewAccountDB()
+	passwords := map[string]string{}
 	for i := 0; i < users; i++ {
-		u := fmt.Sprintf("user%d", i)
-		dir.AddEntry(u, fmt.Sprintf("pw%d", i))
-		accounts.Add(pam.Account{Name: u})
+		passwords[fmt.Sprintf("user%d", i)] = fmt.Sprintf("pw%d", i)
 	}
-	stack := pam.NewStack("myproxy", accounts,
-		pam.Entry{Control: pam.Required, Module: &pam.LDAPModule{Dir: dir}})
-	opts := gcmu.Options{
-		Name: name, Host: nw.Host(name), Auth: stack, Accounts: accounts, Storage: storage,
-	}
+	opts := gcmu.Options{Name: name, Host: nw.Host(name), Storage: storage}
 	for _, m := range mut {
 		m(&opts)
 	}
-	ep, err := gcmu.Install(opts)
+	ep, err := world.NewEndpoint(opts, passwords)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,12 @@ import (
 	"testing"
 	"time"
 
-	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gcmu"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/tsdb"
 	"gridftp.dev/instant/internal/transfer"
+	"gridftp.dev/instant/internal/world"
 )
 
 func TestTaskThroughputTimelineEndToEnd(t *testing.T) {
@@ -24,62 +24,33 @@ func TestTaskThroughputTimelineEndToEnd(t *testing.T) {
 	rec := tsdb.New(tsdb.Options{})
 	o.Series = rec
 
-	nw := netsim.NewNetwork()
+	// Fast markers so even a quick test transfer produces several
+	// timeline samples.
+	w, err := world.NewHosted(transfer.Config{Obs: o}, gcmu.Options{MarkerInterval: 10 * time.Millisecond, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
 	// Shape the WAN so the 1 MiB payload takes a few hundred ms: the
 	// 10ms marker interval then yields many aggregate reports, and the
 	// throughput series (computed from deltas between reports) is
 	// guaranteed at least one point even on a fast machine.
-	nw.SetDefaultLink(netsim.LinkParams{
+	w.Net.SetDefaultLink(netsim.LinkParams{
 		Bandwidth: 2e6, RTT: 2 * time.Millisecond, StreamWindow: 1 << 20,
 	})
-	mem := map[string]*dsi.MemStorage{}
-	endpoints := map[string]*gcmu.Endpoint{}
-	for _, name := range []string{"siteA", "siteB"} {
-		m := dsi.NewMemStorage()
-		m.AddUser("user0")
-		mem[name] = m
-		// Fast markers so even a quick test transfer produces several
-		// timeline samples.
-		endpoints[name] = installLDAP(t, nw, name, 1, m, func(op *gcmu.Options) {
-			op.MarkerInterval = 10 * time.Millisecond
-			op.Obs = o
-		})
-	}
-
-	svc := transfer.NewService(nw.Host("globusonline"), transfer.Config{Obs: o})
-	t.Cleanup(svc.Close)
-	for _, name := range []string{"siteA", "siteB"} {
-		ep := endpoints[name]
-		if err := svc.RegisterEndpoint(transfer.Endpoint{
-			Name:        ep.Name,
-			GridFTPAddr: ep.GridFTPAddr,
-			MyProxyAddr: ep.MyProxyAddr,
-			Trust:       ep.Trust,
-			CADN:        ep.SigningCA.DN(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i * 131)
 	}
-	f, err := mem["siteA"].Create("user0", "/flight.bin")
-	if err != nil {
+	if err := w.Put("/flight.bin", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := dsi.WriteAll(f, payload); err != nil {
+	if err := w.Activate(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	for _, name := range []string{"siteA", "siteB"} {
-		if err := svc.ActivateWithPassword(name, "user0", "pw0"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	task, err := svc.Submit("user0", "siteA", "/flight.bin", "siteB", "/flight.bin")
+	svc := w.Service
+	task, err := svc.Submit(world.User, "siteA", "/flight.bin", "siteB", "/flight.bin")
 	if err != nil {
 		t.Fatal(err)
 	}

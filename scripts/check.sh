@@ -1,10 +1,11 @@
 #!/bin/sh
-# check.sh — the pre-commit gate: gofmt over the whole tree (bench/,
-# examples/ and the root package included), the client's one-place-for-reply-
-# reads guard (internal/gridftp/settle.go), the server's one-place-for-reply-
-# writes guard (session.reply/replies), the binaries' no-plane-imports
-# guard (internal/admin/boot.go), the two deleted planes' stay-deleted guard
-# and the observability tree's size ratchet, build, vet, the full test
+# check.sh — the pre-commit gate: gofmt over the whole tree (bench/ and the
+# root package included), the client's one-place-for-reply-reads guard
+# (internal/gridftp/settle.go), the server's one-place-for-reply-writes guard
+# (session.reply/replies), the binaries' no-plane-imports guard
+# (internal/admin/boot.go), the two deleted planes' stay-deleted guard and
+# the observability tree's size ratchet, the one-place-per-scenario guard
+# (internal/world) with examples/ staying deleted, build, vet, the full test
 # suite, the full test suite again under the race detector (about two
 # minutes on two cores), and ten seconds each of the record-boundary fuzzer
 # and the delegation-bundle fuzzer. It
@@ -86,6 +87,24 @@ fi
 		}
 		printf "internal/obs* %d < internal/gridftp %d\n", obs, engine
 	}'
+
+echo "==> every scenario is built in internal/world; examples/ stays deleted"
+# A site, an endpoint's PAM stack or the hosted triangle built anywhere else
+# is a second builder of the same world. bench/ keeps its own until a
+# benchmark change widens its surface by internal/world; cmd/gcmu's install
+# keeps its literal gcmu.Install, the paper's §IV.D walk-through.
+if [ -e examples ]; then
+	echo "check.sh: examples/ is gone; README's quick start names the command that shows each example" >&2
+	exit 1
+fi
+if find . -name '*.go' ! -name '*_test.go' ! -path './internal/world/*' ! -path './bench/*' -exec \
+	grep -nE '(gcmu\.Install|transfer\.NewService|pam\.NewLDAPDirectory)\(' {} + |
+	grep -vE '^\./cmd/gcmu/main\.go:[0-9]+:.*gcmu\.Install\(' ||
+	[ "$(grep -c 'gcmu\.Install(' cmd/gcmu/main.go)" != 1 ] ||
+	grep -n 'gridftp\.NewServer(' internal/experiments/*.go; then
+	echo "check.sh: build sites, endpoints and the hosted triangle with internal/world (cmd/gcmu's install keeps one gcmu.Install)" >&2
+	exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...

@@ -5,10 +5,13 @@
 # ever when the planes were wired by hand), the service's tenant table, and
 # the toolchain's own /debug/pprof/heap. Then the one exposition format from
 # both ends: the server's live /metrics body and, once it is stopped, its
-# -metrics exit dump each go through `benchreport -metrics-snapshot`. Last,
-# the flags that are gone must be refused. About fifteen seconds; CI's check
-# job runs it, and it is the quickest end-to-end drive of internal/admin's
-# bootstrap.
+# -metrics exit dump each go through `benchreport -metrics-snapshot`. Then
+# the flags that are gone must be refused. Last, the demos README's quick
+# start names: a cross-CA third-party copy refused (Fig 4) and completed
+# with DCSC (Fig 5), a hosted transfer with OAuth activation and an injected
+# fault, the GCMU install and console, and E7's four small-file rows. About
+# twenty-five seconds; CI's check job runs it, and it is the quickest
+# end-to-end drive of internal/admin's bootstrap and of internal/world.
 #
 # Usage: ./scripts/smoke.sh [service-port=19971] [server-port=19970]
 set -eu
@@ -23,6 +26,8 @@ trap 'kill $pids 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' E
 go build -o "$tmp/transfer-service" ./cmd/transfer-service
 go build -o "$tmp/gridftp-server" ./cmd/gridftp-server
 go build -o "$tmp/benchreport" ./cmd/benchreport
+go build -o "$tmp/globus-url-copy" ./cmd/globus-url-copy
+go build -o "$tmp/gcmu" ./cmd/gcmu
 
 "$tmp/transfer-service" -size 2M -admin "$service" >"$tmp/service.log" 2>&1 &
 pids="$pids $!"
@@ -52,6 +57,12 @@ page() { # page <url> <pattern>: fetch (failing on any HTTP error) and require t
 	fi
 	echo "ok  $1  ($2)"
 }
+if ! grep -q '^self-test OK' "$tmp/server.log"; then
+	echo "smoke.sh: gridftp-server's self-test did not print OK" >&2
+	cat "$tmp/server.log" >&2
+	exit 1
+fi
+echo "ok  gridftp-server self-test"
 page "http://$server/debug/streams?format=text" 'STOR'
 page "http://$server/debug/streams?format=text" 'RETR'
 page "http://$service/tenants" '/O=GCMU/OU=siteA/CN=alice'
@@ -86,4 +97,39 @@ for gone in '-fleet-scrape x=y' '-collector http://x' '-fleet' '-fleet-bundle-di
 	fi
 	echo "ok  gridftp-server refuses $gone"
 done
+
+run() { # run <0|fail> <command...>: require that exit, keep the output for says
+	want=$1
+	shift
+	if "$@" >"$tmp/run.log" 2>&1; then got=0; else got=fail; fi
+	if [ "$got" != "$want" ]; then
+		echo "smoke.sh: $* exited $got, want $want" >&2
+		cat "$tmp/run.log" >&2
+		exit 1
+	fi
+	echo "ok  $*  (exit $got)"
+}
+says() { # says <ERE> [n]: the last run printed a line matching it (exactly n of them)
+	n=$(grep -cE -e "$1" "$tmp/run.log" || true)
+	if [ "$n" = 0 ] || [ "$n" != "${2:-$n}" ]; then
+		echo "smoke.sh: want ${2:-some} line(s) matching $1, got $n" >&2
+		cat "$tmp/run.log" >&2
+		exit 1
+	fi
+	echo "ok    $1"
+}
+run fail "$tmp/globus-url-copy" -thirdparty -size 1M -rtt 5ms
+says 'data channel auth: .*untrusted root'
+run 0 "$tmp/globus-url-copy" -thirdparty -dcsc -size 1M -rtt 5ms
+says '-> gsiftp://siteB/data.bin \(third party\)'
+run 0 "$tmp/transfer-service" -oauth -fault -size 2M
+says 'passwords seen by the service = 0'
+says 'attempts: +([2-9]|[1-9][0-9]+)$'
+says 'destination content matches'
+run 0 "$tmp/gcmu" install
+says 'first transfer in'
+run 0 "$tmp/gcmu" console
+says '/accounts/lock'
+run 0 "$tmp/benchreport" -exp e7
+says '^(fresh session per file|one session, sequential|one session, pipelined|[0-9]+ concurrent pipelined sessions) ' 4
 echo "OK"
