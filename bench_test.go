@@ -19,7 +19,6 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
@@ -429,45 +428,6 @@ func BenchmarkE18StreamTelemetryOverhead(b *testing.B) {
 			stop := reg.Start()
 			on, err := experiments.MeasureStreamTelemetryRate(link, fileBytes, parallelism, reg)
 			stop()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if on > onBest {
-				onBest = on
-			}
-			if off > offBest {
-				offBest = off
-			}
-		}
-	}
-	reportRate(b, onBest)
-	pct := (offBest - onBest) / offBest * 100
-	b.ReportMetric(pct, "pct-overhead")
-}
-
-// BenchmarkE20TenantAttributionOverhead prices per-DN tenant
-// accounting on the E2/p16 path: the reference shaped-WAN 16-stream
-// download with the accounting plane fully installed on the server
-// (every command and transferred byte attributed to the session DN,
-// publisher live at the daemons' default cadence) versus absent. The
-// accounting hot path is one mutex-guarded sketch touch per command
-// and per transfer completion — against a megabyte-scale transfer the
-// budget is <=1% of achieved throughput. Paired best-of runs like E18;
-// small negative pct-overhead values are residual noise in the
-// instrumented run's favor.
-func BenchmarkE20TenantAttributionOverhead(b *testing.B) {
-	const parallelism = 16
-	const pairs = 3
-	var onBest, offBest float64
-	for i := 0; i < b.N; i++ {
-		onBest, offBest = 0, 0
-		for p := 0; p < pairs; p++ {
-			off, err := experiments.MeasureTenantAttributionRate(benchLink, benchFileBytes, parallelism, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			acct := tenant.New(tenant.Options{Obs: obs.Nop()})
-			on, err := experiments.MeasureTenantAttributionRate(benchLink, benchFileBytes, parallelism, acct)
 			if err != nil {
 				b.Fatal(err)
 			}

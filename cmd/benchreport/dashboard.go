@@ -56,34 +56,12 @@ type alertDocument struct {
 	} `json:"alerts"`
 }
 
-// tenantStat mirrors the wire shape of internal/obs/tenant.Stat as
-// served by /tenants — only the fields the table renders.
-type tenantStat struct {
-	Rank      int     `json:"rank"`
-	DN        string  `json:"dn"`
-	Hash      string  `json:"hash"`
-	Bytes     int64   `json:"bytes"`
-	Active    int64   `json:"active"`
-	ErrorRate float64 `json:"error_rate"`
-	Share     float64 `json:"share"`
-}
-
-type tenantDocument struct {
-	Tenants []tenantStat `json:"tenants"`
-	Summary struct {
-		Tracked  int   `json:"tracked"`
-		Capacity int   `json:"capacity"`
-		MaxError int64 `json:"max_error"`
-	} `json:"summary"`
-}
-
 // renderDashboard loads the recorder state from src — an admin-plane base
 // URL (or a full /debug/timeseries URL) or a JSON file — and prints the
 // dashboard. Alerts are fetched from the same base when src is a URL.
 func renderDashboard(src string) error {
 	var doc tsDocument
 	var alerts *alertDocument
-	var tenants *tenantDocument
 	var streamTable string
 
 	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
@@ -108,11 +86,6 @@ func renderDashboard(src string) error {
 		if txt, err := fetchText(base + "/debug/streams?format=text"); err == nil {
 			streamTable = txt
 		}
-		// Same again for tenant accounting.
-		var td tenantDocument
-		if err := fetchJSON(base+"/tenants", &td); err == nil {
-			tenants = &td
-		}
 	} else if err := fetchJSON(src, &doc); err != nil {
 		return fmt.Errorf("%s: %w", src, err)
 	}
@@ -133,46 +106,9 @@ func renderDashboard(src string) error {
 		}
 		fmt.Println()
 	}
-	if tenants != nil {
-		renderTopTenants(*tenants, doc.Series)
-	}
 	renderTopTasks(doc.Series)
 	renderSparklines(doc.Series)
 	return nil
-}
-
-// renderTopTenants prints the per-DN attribution table. Cumulative
-// columns (share, error rate) come from the /tenants sketch snapshot;
-// the instantaneous bytes/s column is joined from the recorder's
-// tenant.<hash>.bytes_per_sec series when present.
-func renderTopTenants(td tenantDocument, series []tsSeries) {
-	if len(td.Tenants) == 0 {
-		return
-	}
-	rates := make(map[string]float64)
-	for _, s := range series {
-		rest, ok := strings.CutPrefix(s.Name, "tenant.")
-		if !ok || !strings.HasSuffix(rest, ".bytes_per_sec") || len(s.Points) == 0 {
-			continue
-		}
-		rates[strings.TrimSuffix(rest, ".bytes_per_sec")] = s.Points[len(s.Points)-1].V
-	}
-	fmt.Printf("top tenants by bytes moved (tracking %d/%d DNs, max overestimate %s)\n",
-		td.Summary.Tracked, td.Summary.Capacity, fmtBytes(float64(td.Summary.MaxError)))
-	fmt.Printf("  %4s %-40s %12s %8s %7s %7s\n", "rank", "dn", "bytes/s", "moved", "err%", "share")
-	for _, t := range td.Tenants {
-		dn := t.DN
-		if len(dn) > 40 {
-			dn = "…" + dn[len(dn)-39:]
-		}
-		rate := "-"
-		if v, ok := rates[t.Hash]; ok {
-			rate = fmtBytes(v) + "/s"
-		}
-		fmt.Printf("  %4d %-40s %12s %8s %6.1f%% %6.1f%%\n",
-			t.Rank, dn, rate, fmtBytes(float64(t.Bytes)), t.ErrorRate*100, t.Share*100)
-	}
-	fmt.Println()
 }
 
 // readSource returns what src holds: the body of an http(s):// URL (any

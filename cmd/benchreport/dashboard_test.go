@@ -4,8 +4,8 @@ package main
 // bootstrap built (admin.Flags + Start, as the five mains do) and then
 // closed: with every background loop stopped, the planes hold exactly what
 // the test fed them, so the page is the same every run. What the page reads
-// — /debug/timeseries, /alerts, /debug/streams, /tenants — is held byte for
-// byte. Regenerate with
+// — /debug/timeseries, /alerts, /debug/streams — is held byte for byte.
+// Regenerate with
 //
 //	go test ./cmd/benchreport -run Golden -update
 
@@ -21,15 +21,9 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/admin"
-	"gridftp.dev/instant/internal/obs/tenant"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
-
-const (
-	alice = "/O=GCMU/OU=siteA/CN=alice"
-	bob   = "/O=GCMU/OU=siteB/CN=bob"
-)
 
 // quietDaemon boots a daemon with every plane, closes it, and
 // serves its admin plane from an httptest server. A daemon one of whose
@@ -117,7 +111,7 @@ func TestDashboardGolden(t *testing.T) {
 	d, ts := quietDaemon(t)
 
 	// The recorder: two task timelines (one with a worker series the top-task
-	// table must skip), a tenant's live rate and a plain counter rate.
+	// table must skip) and a plain counter rate.
 	base := time.Now().Truncate(time.Second).Add(-40 * time.Second)
 	series := d.Obs.TimeSeries()
 	for i := 0; i < 12; i++ {
@@ -125,14 +119,7 @@ func TestDashboardGolden(t *testing.T) {
 		series.Observe("transfer.task.task-000001.throughput", at, float64(i)*4e6)
 		series.Observe("transfer.task.task-000001.worker.0.throughput", at, float64(i)*4e6)
 		series.Observe("transfer.task.task-000002.throughput", at, 1.5e6)
-		series.Observe("tenant."+tenant.Hash(alice)+".bytes_per_sec", at, float64(12-i)*1e6)
 		series.Observe("gridftp.server.bytes_in.rate", at, float64(i%3)*0.25)
-	}
-	// The accountant: two tenants, one of them failing a command in four.
-	d.Tenants.BytesMoved(alice, 4<<20)
-	d.Tenants.BytesMoved(bob, 1<<20)
-	for i := 0; i < 4; i++ {
-		d.Tenants.Command(bob, i == 0)
 	}
 	// The stream registry: one finished two-stream transfer.
 	tr := d.Streams.Begin("task-000001", "STOR")
@@ -147,7 +134,7 @@ func TestDashboardGolden(t *testing.T) {
 	}
 	tr.Done(nil)
 
-	src := ts.URL + "/debug/timeseries?series=transfer.task.,tenant.,gridftp.server."
+	src := ts.URL + "/debug/timeseries?series=transfer.task.,gridftp.server."
 	checkGolden(t, "dashboard.golden", captureStdout(t, func() error { return renderDashboard(src) }))
 }
 

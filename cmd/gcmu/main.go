@@ -96,7 +96,7 @@ func install(d *admin.Daemon) error {
 	start := time.Now()
 	ep, err := gcmu.Install(gcmu.Options{
 		Name: "siteA", Host: nw.Host("siteA"), Auth: stack, Accounts: accounts,
-		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
+		Obs: d.Obs, Streams: d.Streams,
 	})
 	if err != nil {
 		return err
@@ -131,7 +131,7 @@ func console(d *admin.Daemon) error {
 	nw := netsim.NewNetwork()
 	ep, err := world.NewEndpoint(gcmu.Options{
 		Name: "siteA", Host: nw.Host("siteA"),
-		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
+		Obs: d.Obs, Streams: d.Streams,
 	}, map[string]string{"alice": "secret"})
 	if err != nil {
 		return err

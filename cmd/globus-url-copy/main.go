@@ -139,7 +139,7 @@ func run(sizeStr string, parallel int, rtt time.Duration, bwStr, windowStr strin
 
 	// Both sites and the client share the daemon's stream registry: one
 	// table, both legs.
-	cfg := gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants}
+	cfg := gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams}
 	dial := gridftp.DialOptions{Obs: d.Obs, Streams: d.Streams}
 	siteA, err := world.NewSite(nw, "siteA", cfg)
 	if err != nil {
@@ -260,7 +260,7 @@ func fmtRate(r float64) string {
 // runLite drives GridFTP-Lite (§III.B): SSH-style password logon, control
 // channel tunneled, cleartext data channel, no delegation.
 func runLite(nw *netsim.Network, size, parallel int, d *admin.Daemon) error {
-	site, err := world.NewSite(nw, "siteA", gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants})
+	site, err := world.NewSite(nw, "siteA", gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@
 // The observability flags are the set every binary here shares
 // (admin.Flags; "how a daemon boots" in internal/obs/README.md). With
 // -admin, the HTTP admin plane — every route in that README's table,
-// /debug/streams and /tenants included — is served on the given address,
+// /debug/streams included — is served on the given address,
 // /readyz answers ok once the endpoint is installed, and the process holds
 // until SIGINT/SIGTERM so the endpoints stay scrapeable.
 package main
@@ -67,7 +67,6 @@ func run(d *admin.Daemon, name, user, password string, selftest, withOAuth bool)
 		WithOAuth: withOAuth,
 		Obs:       d.Obs,
 		Streams:   d.Streams,
-		Tenants:   d.Tenants,
 	}, map[string]string{user: password})
 	if err != nil {
 		return err

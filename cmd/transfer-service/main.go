@@ -110,10 +110,9 @@ func run(opts runOptions, size int, d *admin.Daemon) error {
 		MarkerInterval:     opts.markerInterval,
 		Obs:                d.Obs,
 		Streams:            d.Streams,
-		Tenants:            d.Tenants,
 	}, gcmu.Options{
 		WithOAuth: useOAuth, MarkerInterval: 25 * time.Millisecond,
-		Obs: d.Obs, Streams: d.Streams, Tenants: d.Tenants,
+		Obs: d.Obs, Streams: d.Streams,
 	})
 	if err != nil {
 		return err

@@ -34,7 +34,6 @@ import (
 	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/expfmt"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
@@ -50,8 +49,6 @@ type Planes struct {
 	Engine   *tsdb.Engine
 	// Streams is the per-stream wire-telemetry registry: /debug/streams.
 	Streams *streamstats.Registry
-	// Tenants is the per-DN accounting plane: /tenants.
-	Tenants *tenant.Accountant
 }
 
 // route is one line of the route table: what is mounted and what the
@@ -108,9 +105,6 @@ func New(o *obs.Obs, p Planes) *Server {
 	if p.Streams != nil {
 		s.routes = append(s.routes, route{"/debug/streams", "per-stream wire telemetry / stream-health table (JSON; ?format=text)", s.handleStreams})
 	}
-	if p.Tenants != nil {
-		s.routes = append(s.routes, route{"/tenants", "per-DN top-K tenant attribution (JSON; ?k=)", s.handleTenants})
-	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	for _, rt := range s.routes {
 		s.mux.HandleFunc(rt.path, rt.h)
@@ -125,31 +119,6 @@ func New(o *obs.Obs, p Planes) *Server {
 // Handler returns the admin mux (for httptest and for embedding the
 // admin plane under an existing server).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// handleTenants serves the top-K tenant attribution table plus sketch
-// summary (capacity, admissions, evictions, max overestimate). ?k=
-// widens or narrows the table; the sketch's configured TopK is the
-// default.
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	acct := s.p.Tenants
-	k := 0
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad k parameter", http.StatusBadRequest)
-			return
-		}
-		k = n
-	}
-	tenants := acct.TopK(k)
-	if tenants == nil {
-		tenants = []tenant.Stat{}
-	}
-	expfmt.ServeJSON(w, map[string]any{
-		"tenants": tenants,
-		"summary": acct.Stats(),
-	})
-}
 
 // handleSeries serves the time-series lifecycle inventory: every series
 // the recorder holds with its state (live or retired), point count, and

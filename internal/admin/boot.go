@@ -12,14 +12,13 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/expfmt"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
 // This file is the one way a binary gets its observability: Flags
 // registers the flags, Start boots the planes they ask for, and the
-// Daemon it returns hands the binary what its configs take (Obs, Streams,
-// Tenants) and closes everything in reverse order. The paper's endpoint
+// Daemon it returns hands the binary what its configs take (Obs and
+// Streams) and closes everything in reverse order. The paper's endpoint
 // comes up from one short install with nothing left to hand-assemble
 // (§IV.D); so do the daemons' own status pages.
 //
@@ -27,7 +26,6 @@ import (
 //
 //	obs bundle       OBS_LOG_LEVEL, or debug to stderr with -verbose
 //	stream registry  always (the -stall-timeout watchdog acts on its own)
-//	tenant accounts  always
 //	recorder, alerts -admin: the flight recorder becomes the bundle's series
 //	                 sink, tsdb.DefaultRules watch it
 //	admin server     -admin: every plane above mounted, the sampler and the
@@ -60,7 +58,6 @@ func Flags(fs *flag.FlagSet) *Boot {
 type Daemon struct {
 	Obs     *obs.Obs
 	Streams *streamstats.Registry
-	Tenants *tenant.Accountant
 	// Admin is the admin server, nil without -admin.
 	Admin *Server
 
@@ -94,26 +91,24 @@ func (b *Boot) boot() *Daemon {
 	}
 	d := &Daemon{Obs: o, metrics: b.metrics}
 
-	// One registry and one accountant for everything in the process, so
-	// both legs of a third-party copy share a table and the scheduler's
-	// wire evidence reads what the servers wrote.
+	// One registry for everything in the process, so both legs of a
+	// third-party copy share a table and the scheduler's wire evidence
+	// reads what the servers wrote.
 	d.Streams = streamstats.New(streamstats.Options{
 		Obs:          o,
 		Stall:        b.stallTimeout,
 		AbortOnStall: b.stallTimeout > 0,
 	})
 	d.stops = append(d.stops, d.Streams.Start())
-	d.Tenants = tenant.New(tenant.Options{Obs: o})
-	d.stops = append(d.stops, d.Tenants.Start())
 
 	if b.admin != "" {
 		// The recorder is the bundle's series sink from here on: PERF-marker
-		// timelines, the stream poller and the tenant publisher all land in it.
+		// timelines and the stream poller land in it.
 		rec := tsdb.New(tsdb.Options{})
 		o.Series = rec
 		planes := Planes{
 			Recorder: rec, Engine: tsdb.NewEngine(rec, o, tsdb.DefaultRules()),
-			Streams: d.Streams, Tenants: d.Tenants,
+			Streams: d.Streams,
 		}
 		d.Admin = New(o, planes)
 		d.Admin.AddReadiness("service", func() error {

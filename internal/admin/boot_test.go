@@ -47,7 +47,7 @@ func documentedRoutes(t *testing.T) []string {
 	for _, m := range regexp.MustCompile("(?m)^\\| `(/[^`]*)` \\|").FindAllStringSubmatch(section, -1) {
 		routes = append(routes, m[1])
 	}
-	if len(routes) < 12 {
+	if len(routes) < 11 {
 		t.Fatalf("found only %d routes in the README's admin table: %v", len(routes), routes)
 	}
 	return routes
@@ -91,9 +91,9 @@ func TestBootMountsEveryDocumentedRoute(t *testing.T) {
 	if w := get("/debug/pprof/heap"); w.Code != http.StatusOK || !strings.HasPrefix(w.Body.String(), "\x1f\x8b") {
 		t.Errorf("GET /debug/pprof/heap = %d, %d bytes, not a gzip body", w.Code, w.Body.Len())
 	}
-	// There is no span collector server, no federation head and no profiler
-	// but the toolchain's: nothing may mount their routes.
-	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has", "/fleet/", "/v1/metrics", "/debug/profile/continuous"} {
+	// There is no span collector server, no federation head, no profiler
+	// but the toolchain's and no tenant table: nothing may mount their routes.
+	for _, path := range []string{"/v1/spans", "/v1/traces", "/v1/trace", "/v1/has", "/fleet/", "/v1/metrics", "/debug/profile/continuous", "/tenants"} {
 		if w := get(path); w.Code != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, w.Code)
 		}

@@ -37,7 +37,7 @@ func TestTelemetryEndpointsDisabled(t *testing.T) {
 	defer ts.Close()
 	_, index, _ := get(t, ts, "/")
 	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/stream", "/debug/series",
-		"/debug/streams", "/tenants"} {
+		"/debug/streams"} {
 		if code, _, _ := get(t, ts, path); code != http.StatusNotFound {
 			t.Errorf("%s without its plane: status %d, want 404", path, code)
 		}
@@ -116,6 +116,49 @@ func TestTimeseriesEndpoint(t *testing.T) {
 		if code, _, _ := get(t, ts, "/debug/timeseries?"+bad); code != http.StatusBadRequest {
 			t.Errorf("?%s: status %d, want 400", bad, code)
 		}
+	}
+}
+
+func TestSeriesEndpoint(t *testing.T) {
+	rec := tsdb.New(tsdb.Options{})
+	ts := httptest.NewServer(New(obs.Nop(), Planes{Recorder: rec}).Handler())
+	defer ts.Close()
+	t0 := time.Unix(1000, 0)
+	rec.Observe("transfer.task.t1.throughput", t0, 1)
+	rec.Observe("gridftp.stream.s1.rtt", t0, 2)
+	rec.RetireAt("transfer.task.t1.", t0)
+
+	code, body, _ := get(t, ts, "/debug/series")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/series = %d: %s", code, body)
+	}
+	var doc struct {
+		Series       []tsdb.SeriesInfo `json:"series"`
+		Live         int               `json:"live"`
+		Tombstoned   int               `json:"tombstoned"`
+		RetiredTotal int64             `json:"retired_total"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("body: %v\n%s", err, body)
+	}
+	if doc.Live != 2 || doc.Tombstoned != 1 || doc.RetiredTotal != 1 {
+		t.Fatalf("lifecycle counts = %+v", doc)
+	}
+	states := map[string]string{}
+	for _, si := range doc.Series {
+		states[si.Name] = si.State
+	}
+	if states["transfer.task.t1.throughput"] != "retired" || states["gridftp.stream.s1.rtt"] != "live" {
+		t.Fatalf("states = %+v", states)
+	}
+
+	// Prefix filter narrows the inventory, not the counts.
+	_, body, _ = get(t, ts, "/debug/series?series=gridftp.")
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("filtered body: %v", err)
+	}
+	if len(doc.Series) != 1 || doc.Series[0].Name != "gridftp.stream.s1.rtt" {
+		t.Fatalf("filtered series = %+v", doc.Series)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/world"
 )
 
@@ -262,56 +261,6 @@ func MeasureProtRate(fileBytes int, prot gridftp.ProtLevel) (float64, error) {
 		dst := dsi.NewBufferFile(nil)
 		start := time.Now()
 		if _, err := c.Get("/prot.bin", dst); err != nil {
-			return 0, err
-		}
-		if r := rate(int64(fileBytes), time.Since(start)); r > best {
-			best = r
-		}
-	}
-	return best, nil
-}
-
-// MeasureTenantAttributionRate measures parallel-download throughput with the
-// per-DN accounting plane either installed on the server (every command
-// and every transferred byte attributed to the session DN, publisher
-// live) or absent — the E20 overhead experiment. The accounting hot
-// path is one mutex-guarded sketch touch per command and per transfer
-// completion, so the expected cost on a 16-stream MODE E download is
-// noise; this measurement is the proof. Best-of-three with a GC between
-// runs, like MeasureProtRate.
-func MeasureTenantAttributionRate(link netsim.LinkParams, fileBytes, parallelism int, acct *tenant.Accountant) (float64, error) {
-	nw := netsim.NewNetwork()
-	if link.Bandwidth > 0 {
-		nw.SetLink("client", "siteA", link)
-	}
-	scfg := siteConfig
-	scfg.Tenants = acct
-	s, err := world.NewSite(nw, "siteA", scfg)
-	if err != nil {
-		return 0, err
-	}
-	defer s.Close()
-	if acct != nil {
-		stop := acct.Start()
-		defer stop()
-	}
-	if err := s.Put("/tenant.bin", pattern(fileBytes)); err != nil {
-		return 0, err
-	}
-	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	if err := c.SetParallelism(parallelism); err != nil {
-		return 0, err
-	}
-	var best float64
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		dst := dsi.NewBufferFile(nil)
-		start := time.Now()
-		if _, err := c.Get("/tenant.bin", dst); err != nil {
 			return 0, err
 		}
 		if r := rate(int64(fileBytes), time.Since(start)); r > best {

@@ -21,7 +21,6 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/pam"
 	"gridftp.dev/instant/internal/usagestats"
 )
@@ -64,11 +63,6 @@ type Options struct {
 	// (bytes, EWMA throughput, TCP_INFO, stall watchdog). Nil disables
 	// stream telemetry.
 	Streams *streamstats.Registry
-	// Tenants is the per-DN accounting plane passed through to the
-	// GridFTP server: every authenticated command and data byte is
-	// attributed to the session's credential DN. Nil disables tenant
-	// accounting.
-	Tenants *tenant.Accountant
 }
 
 // Endpoint is a running GCMU installation.
@@ -205,7 +199,6 @@ func Install(opts Options) (*Endpoint, error) {
 		EndpointName:   opts.Name,
 		Obs:            opts.Obs,
 		Streams:        opts.Streams,
-		Tenants:        opts.Tenants,
 	})
 	if err != nil {
 		return nil, err

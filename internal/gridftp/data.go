@@ -469,9 +469,6 @@ func (sess *session) reportUsage(op, path string, bytes int64, dur time.Duration
 	reg := sess.srv.cfg.Obs.Registry()
 	reg.Counter("gridftp.server.transfers_total").Inc()
 	reg.Counter(obs.Name("gridftp.server.bytes", op)).Add(bytes)
-	if sess.identity != nil {
-		sess.srv.cfg.Tenants.BytesMoved(string(sess.identity.Identity), bytes)
-	}
 	sess.observeTransfer(dur, true)
 	sess.cmdSpan.SetAttr("bytes", bytes)
 	sess.log.Info("transfer complete",

@@ -20,7 +20,6 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/usagestats"
 )
 
@@ -81,13 +80,6 @@ type ServerConfig struct {
 	// stream is declared stalled and — with AbortOnStall — torn down so
 	// the client can retry from its restart markers).
 	Streams *streamstats.Registry
-	// Tenants, if non-nil, receives per-DN accounting from every
-	// authenticated session: one Command observation per dispatched
-	// command (with its error outcome) and the byte count of every
-	// completed transfer, keyed on the control-channel identity. This is
-	// the server-side half of tenant attribution; the hosted transfer
-	// service attributes at task granularity.
-	Tenants *tenant.Accountant
 }
 
 // Server is a GridFTP server protocol interpreter plus its DTP(s).
@@ -337,12 +329,6 @@ func (sess *session) loop() {
 			cmdErr.ObserveExemplar(dur, traceID)
 		} else {
 			cmdOK.ObserveExemplar(dur, traceID)
-		}
-		// Lite sessions authenticate via the SSH tunnel and carry no
-		// credential DN — tenant accounting is GSI-keyed, so they skip it
-		// (same rule as the per-transfer byte attribution).
-		if sess.authenticated && sess.identity != nil {
-			sess.srv.cfg.Tenants.Command(string(sess.identity.Identity), sess.lastReplyCode >= 400)
 		}
 		if quit {
 			return

@@ -7,9 +7,9 @@ import (
 
 // Every calls fn on its own goroutine once per interval d, passing the
 // tick's time, until the returned stop function is called. It is the one
-// background loop of the telemetry planes — the tenant publisher, the
-// recorder's sampler, the stream poller and the admin plane's delta
-// publisher all start here — so they share one lifecycle: stop is
+// background loop of the telemetry planes — the recorder's sampler, the
+// stream poller and the admin plane's delta publisher all start here — so
+// they share one lifecycle: stop is
 // idempotent, returns only after a running fn has returned, and fn is never
 // called after stop has returned. Ticks that fall due while fn runs are
 // dropped, not queued.

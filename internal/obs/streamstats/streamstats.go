@@ -132,8 +132,6 @@ type Registry struct {
 	seq    int64
 	active []*Transfer
 	recent []*Transfer // finished, newest last, bounded by retain
-
-	stalled int64 // streams currently stalled (poller-owned, read via atomic)
 }
 
 // New creates a Registry. Wrapped conns count bytes from the start; the
@@ -168,15 +166,6 @@ func (r *Registry) Begin(label, verb string) *Transfer {
 	r.active = append(r.active, t)
 	r.mu.Unlock()
 	return t
-}
-
-// StalledStreams returns how many streams are currently past the stall
-// window.
-func (r *Registry) StalledStreams() int {
-	if r == nil {
-		return 0
-	}
-	return int(atomic.LoadInt64(&r.stalled))
 }
 
 // Transfer is the stream set of one data transfer.
@@ -538,7 +527,6 @@ func (r *Registry) poll(now time.Time) {
 		}
 	}
 
-	atomic.StoreInt64(&r.stalled, stalledCount)
 	sink.Observe(StalledSeries, now, float64(stalledCount))
 	sink.Observe(ImbalanceSeries, now, worstRatio)
 	reg := o.Registry()

@@ -251,16 +251,13 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 	s.last.Store(t0.UnixNano())
 
 	reg.poll(at(time.Second))
-	if n := reg.StalledStreams(); n != 0 {
-		t.Fatalf("%d streams stalled one second after progress", n)
+	if got := series[StalledSeries]; got != 0 {
+		t.Fatalf("%s = %v one second after progress, want 0", StalledSeries, got)
 	}
 	reg.poll(at(6 * time.Second))
 	reg.poll(at(7 * time.Second)) // still stalled: counted, not re-announced
-	if n := reg.StalledStreams(); n != 1 {
-		t.Fatalf("StalledStreams = %d past the stall window, want 1", n)
-	}
 	if got := series[StalledSeries]; got != 1 {
-		t.Fatalf("%s = %v, want 1", StalledSeries, got)
+		t.Fatalf("%s = %v past the stall window, want 1", StalledSeries, got)
 	}
 	stalled := eventsOfType(reg, "stream.stalled")
 	if len(stalled) != 1 {
@@ -275,8 +272,8 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 
 	s.last.Store(at(7500 * time.Millisecond).UnixNano())
 	reg.poll(at(8 * time.Second))
-	if n := reg.StalledStreams(); n != 0 {
-		t.Fatalf("StalledStreams = %d after progress, want 0", n)
+	if got := series[StalledSeries]; got != 0 {
+		t.Fatalf("%s = %v after progress, want 0", StalledSeries, got)
 	}
 	rec := eventsOfType(reg, "stream.recovered")
 	if len(rec) != 1 || rec[0]["reason"] != "progress" {
@@ -291,8 +288,8 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 		t.Fatalf("stream.recovered events after Done = %v, want a second with reason=closed", rec)
 	}
 	reg.poll(at(15 * time.Second))
-	if n := reg.StalledStreams(); n != 0 {
-		t.Fatalf("StalledStreams = %d after the stalled transfer finished, want 0", n)
+	if got := series[StalledSeries]; got != 0 {
+		t.Fatalf("%s = %v after the stalled transfer finished, want 0", StalledSeries, got)
 	}
 }
 

@@ -189,25 +189,6 @@ func DefaultRules() []Rule {
 			For: 5 * time.Second, Severity: "warn",
 		},
 		{
-			// Single-tenant fleet capture: one DN moving >90% of the
-			// instance's bytes while at least two tenants are active (the
-			// tenant plane writes 0 when fewer than two tenants moved bytes
-			// in the window, so a single-user box never warns). The series
-			// is published by internal/obs/tenant from its top-K sketch.
-			Name: "tenant-share-of-fleet", Series: "tenant.top_share",
-			Kind: KindThreshold, Op: OpGreater, Value: 0.9,
-			For: 10 * time.Second, Severity: "warn",
-		},
-		{
-			// Tenant error burn: the worst per-tenant error rate among the
-			// top-K (failed tasks + failed commands over events) burning
-			// above 50% — one user's workload is systematically failing,
-			// which is either their credential/quota or our bug; page.
-			Name: "tenant-error-burn", Series: "tenant.error_burn",
-			Kind: KindBurnRate, Op: OpGreater, Value: 0.5,
-			For: 5 * time.Second, Window: 15 * time.Second, Severity: "page",
-		},
-		{
 			// Cardinality watermark: the recorder's live series count past
 			// the level the lifecycle plane should be holding it under. A
 			// sustained breach means a mint site is leaking series without

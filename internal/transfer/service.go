@@ -21,7 +21,6 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
-	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -59,10 +58,10 @@ const (
 type Task struct {
 	ID   string
 	User string
-	// DN is the tenant identity: the distinguished name of the user's
-	// activation credential on the source endpoint, captured at submit.
-	// It is what the per-tenant accounting plane keys on — usernames are
-	// per-endpoint local accounts, the DN is the global identity.
+	// DN is the distinguished name of the user's activation credential on
+	// the source endpoint, captured at submit: the task's owner as every
+	// endpoint sees it, where User is only a per-endpoint local account.
+	// GET /task/{id} returns it.
 	DN       string
 	Src, Dst string // endpoint names
 	SrcPath  string
@@ -139,10 +138,6 @@ type Config struct {
 	// in-process simulation shape — publish their data streams under it.
 	// Nil disables wire-evidence records.
 	Streams *streamstats.Registry
-	// Tenants is the per-DN accounting plane: submissions, outcomes,
-	// queue waits, active transfers, and bytes moved are attributed to
-	// the task's credential DN. Nil disables attribution.
-	Tenants *tenant.Accountant
 	// RetireGrace delays the retirement of a completed task's
 	// "transfer.task.<id>.*" series past the terminal state, for
 	// stragglers (late PERF markers from a worker still draining).
@@ -360,8 +355,8 @@ func (s *Service) Submit(user, srcEndpoint, srcPath, dstEndpoint, dstPath string
 	if !s.Activated(srcEndpoint, user) || !s.Activated(dstEndpoint, user) {
 		return nil, errors.New("transfer: both endpoints must be activated first")
 	}
-	// The tenant identity is the DN of the activation credential just
-	// verified above; endpoint-local usernames are not globally unique.
+	// The owner is the DN of the activation credential just verified
+	// above; endpoint-local usernames are not globally unique.
 	var dn string
 	if cred, err := s.credentialFor(srcEndpoint, user); err == nil {
 		dn = string(cred.DN())
@@ -383,7 +378,6 @@ func (s *Service) Submit(user, srcEndpoint, srcPath, dstEndpoint, dstPath string
 	s.tasks[task.ID] = task
 	snapshot := *task
 	s.mu.Unlock()
-	s.cfg.Tenants.TaskSubmitted(dn)
 	go s.run(task)
 	// Return a snapshot: the live task is mutated concurrently by run().
 	return &snapshot, nil
@@ -465,7 +459,6 @@ func (s *Service) run(task *Task) {
 			span.SetAttr("attempts", attempt)
 			span.End()
 			reg.Counter("transfer.tasks_succeeded").Inc()
-			s.cfg.Tenants.TaskDone(task.DN, true)
 			s.retireTaskSeries(task.ID)
 			s.observeTask(time.Since(task.Started), true, span.TraceID.String())
 			log.Info("task succeeded", "attempts", attempt,
@@ -502,7 +495,6 @@ func (s *Service) run(task *Task) {
 	span.SetError(lastErr)
 	span.End()
 	reg.Counter("transfer.tasks_failed").Inc()
-	s.cfg.Tenants.TaskDone(task.DN, false)
 	s.retireTaskSeries(task.ID)
 	s.observeTask(time.Since(task.Started), false, span.TraceID.String())
 	log.Error("task failed", "err", lastErr)

@@ -339,6 +339,15 @@ func TestRESTAPI(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&task)
 		resp.Body.Close()
 		if task.Status == TaskSucceeded {
+			// The task carries its owner: the DN of the credential the
+			// service activated on the source endpoint.
+			cred, err := w.svc.credentialFor("siteA", "alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := string(cred.DN()); want == "" || task.DN != want {
+				t.Fatalf("task DN = %q, want the activated credential's %q", task.DN, want)
+			}
 			break
 		}
 		if task.Status == TaskFailed {

@@ -24,7 +24,7 @@ func TestAdmissionCannotDeadlockAtOneSlot(t *testing.T) {
 		if v := reg.Gauge("transfer.active_transfers").Value(); v != 0 {
 			t.Errorf("active_transfers gauge left at %d, want 0", v)
 		}
-		if c := reg.Histogram("transfer.queue_wait_seconds", obs.DefaultDurationBuckets).Count(); c != files {
+		if c := reg.Histogram("transfer.queue_wait_seconds", queueWaitBuckets).Count(); c != files {
 			t.Errorf("queue_wait_seconds observed %d waits, want %d (one per file)", c, files)
 		}
 	}

@@ -3,7 +3,7 @@
 # root package included), the client's one-place-for-reply-reads guard
 # (internal/gridftp/settle.go), the server's one-place-for-reply-writes guard
 # (session.reply/replies), the binaries' no-plane-imports guard
-# (internal/admin/boot.go), the two deleted planes' stay-deleted guard and
+# (internal/admin/boot.go), the three deleted planes' stay-deleted guard and
 # the observability tree's size ratchet, the one-place-per-scenario guard
 # (internal/world) with examples/ staying deleted, build, vet, the full test
 # suite, the full test suite again under the race detector (about two
@@ -62,17 +62,19 @@ fi
 echo "==> the binaries get their observability from the bootstrap (internal/admin/boot.go)"
 # A main that imports a plane is a main assembling planes by hand again;
 # benchreport reads planes for a living and is exempt.
-if grep -nE '"gridftp.dev/instant/internal/obs/(tenant|streamstats|tsdb|collector)"' cmd/*/*.go | grep -v '^cmd/benchreport/'; then
-	echo "check.sh: cmd/* takes Obs, Streams and Tenants from admin.Daemon; the planes are booted in internal/admin" >&2
+if grep -nE '"gridftp.dev/instant/internal/obs/(streamstats|tsdb|collector)"' cmd/*/*.go | grep -v '^cmd/benchreport/'; then
+	echo "check.sh: cmd/* takes Obs and Streams from admin.Daemon; the planes are booted in internal/admin" >&2
 	exit 1
 fi
 
-echo "==> the federation head and the continuous profiler stay deleted; internal/obs/* stays smaller than the engine"
-# Neither plane had a reader outside itself (CHANGES.md, PR 24): profiles are
-# the toolchain's (/debug/pprof/, go tool pprof -diff_base), and every
-# measured world is one process.
-if git grep -nE 'internal/obs/(fleet|profile)' -- '*.go' '*.sh' '*.yml'; then
-	echo "check.sh: the fleet and profile planes under internal/obs are gone; nothing names them" >&2
+echo "==> the federation head, the continuous profiler and the tenant plane stay deleted; internal/obs/* stays smaller than the engine"
+# None of the three had a reader outside itself (CHANGES.md): profiles are
+# the toolchain's (/debug/pprof/, go tool pprof -diff_base), every measured
+# world is one process, and a task reports its own owner (transfer.Task.DN).
+# The config fields that fed these planes had their types from them, so this
+# also keeps those fields from coming back.
+if git grep -nE 'internal/obs/(fleet|profile|tenant)' -- '*.go' '*.sh' '*.yml'; then
+	echo "check.sh: the fleet, profile and tenant planes under internal/obs are gone; nothing names them" >&2
 	exit 1
 fi
 # ROADMAP item 6's done-condition: the tree that observes the engine is

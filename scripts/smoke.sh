@@ -2,8 +2,8 @@
 # smoke.sh — start the two daemons the way an operator would and ask them
 # for their status: transfer-service and gridftp-server, each with -admin,
 # then the pages the bootstrap mounts — the server's stream table (503 for
-# ever when the planes were wired by hand), the service's tenant table, and
-# the toolchain's own /debug/pprof/heap. Then the one exposition format from
+# ever when the planes were wired by hand), the service's /metrics counting
+# the demo task's files, and the toolchain's own /debug/pprof/heap. Then the one exposition format from
 # both ends: the server's live /metrics body and, once it is stopped, its
 # -metrics exit dump each go through `benchreport -metrics-snapshot`. Then
 # the flags that are gone must be refused. Last, the demos README's quick
@@ -65,7 +65,7 @@ fi
 echo "ok  gridftp-server self-test"
 page "http://$server/debug/streams?format=text" 'STOR'
 page "http://$server/debug/streams?format=text" 'RETR'
-page "http://$service/tenants" '/O=GCMU/OU=siteA/CN=alice'
+page "http://$service/metrics" '^transfer_files_total '
 # On-demand profiles are the toolchain's: a heap capture is a gzipped pprof.
 if [ "$(curl -sf "http://$server/debug/pprof/heap" | od -An -tx1 -N2 | tr -d ' ')" != 1f8b ]; then
 	echo "smoke.sh: http://$server/debug/pprof/heap is not a gzip body" >&2
