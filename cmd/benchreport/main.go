@@ -1,12 +1,13 @@
 // Command benchreport regenerates every table and figure of the Instant
-// GridFTP reproduction (experiments E1-E13 plus ablations; see DESIGN.md
-// for the per-experiment index) and prints them as aligned text tables.
+// GridFTP reproduction (experiments.All: E1-E12, E14 and four ablations;
+// see DESIGN.md for the per-experiment index) and prints them as aligned
+// text tables.
 //
 // Usage:
 //
-//	benchreport                        # run everything
-//	benchreport -exp e2                # run one experiment (e1..e12, e14, blocksize, cache, autotune, transport)
-//	benchreport -list                  # list experiment ids
+//	benchreport                        # run everything, in the paper's order
+//	benchreport -exp e2                # run one experiment
+//	benchreport -list                  # list experiment ids, in the paper's order
 //	benchreport -metrics-snapshot f    # render a binary's -metrics exit dump
 //	benchreport -metrics-snapshot http://127.0.0.1:9970/metrics
 //	                                   # the same table from a live admin /metrics
@@ -21,8 +22,6 @@
 //	benchreport -stream-health http://127.0.0.1:9970
 //	                                   # per-stream wire-telemetry health
 //	                                   # table from a live /debug/streams
-//	benchreport -stream-health e18     # same table from an in-process run
-//	                                   # of the instrumented E18 workload
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -46,7 +44,7 @@ func main() {
 	timeline := flag.String("trace-timeline", "", "comma-separated span-export sources (JSON files or http(s):// /debug/spans URLs); stitch them and render per-trace timelines")
 	traceID := flag.String("trace", "", "with -trace-timeline: render only this trace id")
 	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, top tasks) or a saved /debug/timeseries JSON file")
-	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table: an admin-plane base URL (/debug/streams) or \"e18\" to drive the instrumented workload in-process")
+	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table from an admin-plane base URL (/debug/streams)")
 	flag.Parse()
 
 	// The read-something-and-render-it modes, first one asked for wins.
@@ -54,7 +52,7 @@ func main() {
 		arg string
 		run func(string) error
 	}{
-		{*streamHealth, runStreamHealth},
+		{*streamHealth, renderStreamHealth},
 		{*dashboard, renderDashboard},
 		{*timeline, func(srcs string) error { return renderTimelines(strings.Split(srcs, ","), *traceID) }},
 		{*snapshot, renderSnapshot},
@@ -69,36 +67,34 @@ func main() {
 		return
 	}
 
-	byID := experiments.ByID()
 	if *list {
-		ids := make([]string, 0, len(byID))
-		for id := range byID {
-			ids = append(ids, id)
+		for _, e := range experiments.All {
+			fmt.Println(e.ID)
 		}
-		sort.Strings(ids)
-		fmt.Println(strings.Join(ids, "\n"))
 		return
 	}
 
 	if *exp != "" {
-		run, ok := byID[strings.ToLower(*exp)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+		for _, e := range experiments.All {
+			if e.ID != strings.ToLower(*exp) {
+				continue
+			}
+			if err := runOne(e.Run); err != nil {
+				fmt.Fprintf(os.Stderr, "error: %v\n", err)
+				os.Exit(1)
+			}
+			return
 		}
-		if err := runOne(run); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
+		os.Exit(2)
 	}
 
 	fmt.Println("Instant GridFTP reproduction — full experiment report")
 	fmt.Println("======================================================")
 	start := time.Now()
 	failed := 0
-	for _, run := range experiments.All() {
-		if err := runOne(run); err != nil {
+	for _, e := range experiments.All {
+		if err := runOne(e.Run); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			failed++
 		}
@@ -186,6 +182,20 @@ func renderSnapshot(src string) error {
 	if _, spans, _ := strings.Cut(string(raw), "# spans\n# "); spans != "" {
 		fmt.Printf("\nspans:\n%s", strings.ReplaceAll(spans, "\n# ", "\n"))
 	}
+	return nil
+}
+
+// renderStreamHealth prints the per-stream wire-telemetry table a live
+// admin plane serves at /debug/streams.
+func renderStreamHealth(base string) error {
+	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+		return fmt.Errorf("stream-health: want an admin-plane base URL, got %q", base)
+	}
+	txt, err := fetchText(strings.TrimRight(base, "/") + "/debug/streams?format=text")
+	if err != nil {
+		return err
+	}
+	fmt.Print(txt)
 	return nil
 }
 

@@ -7,10 +7,9 @@
 // baselines — all running over an in-process network simulator.
 //
 // Start with README.md for the tour, DESIGN.md for the system inventory
-// and the per-experiment index (E1-E13 plus ablations), and EXPERIMENTS.md
+// and the per-experiment index (E1-E14 plus ablations), and EXPERIMENTS.md
 // for the paper-vs-measured record. The packages live under internal/
-// (internal/world builds every scenario); runnable entry points under cmd/.
-// This file exists so the module root documents itself; the root package
-// otherwise holds only the benchmark harness (bench_test.go), which
-// regenerates every experiment's measurements via `go test -bench=.`.
+// (internal/world builds every scenario); runnable entry points under cmd/,
+// where `go run ./cmd/benchreport` runs every experiment. This file exists
+// so the module root documents itself; the root package holds nothing else.
 package instant

@@ -38,7 +38,7 @@ func RunAblationBlockSize(cfg AblationBlockSizeConfig) (*Table, error) {
 	}
 	var base float64
 	for _, bs := range cfg.BlockSizes {
-		r, err := MeasureBlockSizeRate(cfg, bs)
+		r, err := measureBlockSizeRate(cfg, bs)
 		if err != nil {
 			return nil, fmt.Errorf("block=%d: %w", bs, err)
 		}
@@ -51,8 +51,8 @@ func RunAblationBlockSize(cfg AblationBlockSizeConfig) (*Table, error) {
 	return t, nil
 }
 
-// MeasureBlockSizeRate runs one download at the given MODE E block size.
-func MeasureBlockSizeRate(cfg AblationBlockSizeConfig, blockSize int) (float64, error) {
+// measureBlockSizeRate runs one download at the given MODE E block size.
+func measureBlockSizeRate(cfg AblationBlockSizeConfig, blockSize int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "siteA", cfg.Link)
 	s, err := world.NewSite(nw, "siteA", siteConfig)
@@ -115,7 +115,7 @@ func RunAblationChannelCache(cfg AblationCacheConfig) (*Table, error) {
 	}
 	var baseline time.Duration
 	for _, cached := range []bool{false, true} {
-		d, err := MeasureCacheRun(cfg, cached)
+		d, err := measureCacheRun(cfg, cached)
 		if err != nil {
 			return nil, err
 		}
@@ -136,8 +136,8 @@ func RunAblationChannelCache(cfg AblationCacheConfig) (*Table, error) {
 	return t, nil
 }
 
-// MeasureCacheRun times a many-small-files session with caching on/off.
-func MeasureCacheRun(cfg AblationCacheConfig, cached bool) (time.Duration, error) {
+// measureCacheRun times a many-small-files session with caching on/off.
+func measureCacheRun(cfg AblationCacheConfig, cached bool) (time.Duration, error) {
 	nw := netsim.NewNetwork()
 	nw.SetDefaultLink(netsim.LinkParams{Bandwidth: 50e6, RTT: cfg.RTT, StreamWindow: 1 << 22})
 	scfg := siteConfig

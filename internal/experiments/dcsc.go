@@ -39,7 +39,7 @@ func RunE4DcscMatrix() (*Table, error) {
 	}
 
 	for _, sc := range scenarios {
-		ok, _ := MeasureDcscScenario(sc.sameCA, sc.dcscWhat)
+		ok, _ := measureDcscScenario(sc.sameCA, sc.dcscWhat)
 		observed := "transfer succeeded"
 		if !ok {
 			observed = "transfer refused"
@@ -62,9 +62,9 @@ func RunE4DcscMatrix() (*Table, error) {
 	return t, nil
 }
 
-// MeasureDcscScenario executes one matrix cell on a fresh pair of sites;
+// measureDcscScenario executes one matrix cell on a fresh pair of sites;
 // it returns whether the third-party transfer succeeded.
-func MeasureDcscScenario(sameCA bool, dcscWhat string) (bool, error) {
+func measureDcscScenario(sameCA bool, dcscWhat string) (bool, error) {
 	nw := netsim.NewNetwork()
 	src, err := world.NewSite(nw, "siteA", siteConfig)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure and quantitative claim in the paper (see
-// DESIGN.md's per-experiment index, E1-E13, plus ablations). Each
+// DESIGN.md's per-experiment index, E1-E14, plus ablations). Each
 // experiment takes its scenario from internal/world — a conventional site,
 // a GCMU endpoint or the hosted triangle on the netsim substrate — runs the
 // real protocol stacks, and returns a Table whose rows benchreport prints
@@ -107,48 +107,30 @@ func pattern(n int) []byte {
 // starts (world.NewSite): markers every 50 ms.
 var siteConfig = gridftp.ServerConfig{MarkerInterval: 50 * time.Millisecond}
 
-// All runs every experiment with default parameters, in order.
-func All() []func() (*Table, error) {
-	return []func() (*Table, error){
-		func() (*Table, error) { return RunE1Usage(DefaultE1()) },
-		func() (*Table, error) { return RunE2ParallelStreams(DefaultE2()) },
-		func() (*Table, error) { return RunE3DcauOverhead(DefaultE3()) },
-		func() (*Table, error) { return RunE4DcscMatrix() },
-		func() (*Table, error) { return RunE5Setup() },
-		func() (*Table, error) { return RunE6Checkpoint(DefaultE6()) },
-		func() (*Table, error) { return RunE7SmallFiles(DefaultE7()) },
-		func() (*Table, error) { return RunE8Striping(DefaultE8()) },
-		func() (*Table, error) { return RunE9ThirdParty(DefaultE9()) },
-		func() (*Table, error) { return RunE10Workflow() },
-		func() (*Table, error) { return RunE11OAuthAudit() },
-		func() (*Table, error) { return RunE12ControlSecurity() },
-		func() (*Table, error) { return RunE14Scheduler(DefaultE14()) },
-		func() (*Table, error) { return RunAblationBlockSize(DefaultAblationBlockSize()) },
-		func() (*Table, error) { return RunAblationChannelCache(DefaultAblationCache()) },
-		func() (*Table, error) { return RunAblationAutotune(DefaultAblationAutotune()) },
-		func() (*Table, error) { return RunAblationTransport(DefaultAblationTransport()) },
-	}
+// Experiment is one table with its default parameters, under the id
+// benchreport -exp takes.
+type Experiment struct {
+	ID  string
+	Run func() (*Table, error)
 }
 
-// ByID maps experiment ids to runners for benchreport -exp.
-func ByID() map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"e1":        func() (*Table, error) { return RunE1Usage(DefaultE1()) },
-		"e2":        func() (*Table, error) { return RunE2ParallelStreams(DefaultE2()) },
-		"e3":        func() (*Table, error) { return RunE3DcauOverhead(DefaultE3()) },
-		"e4":        func() (*Table, error) { return RunE4DcscMatrix() },
-		"e5":        func() (*Table, error) { return RunE5Setup() },
-		"e6":        func() (*Table, error) { return RunE6Checkpoint(DefaultE6()) },
-		"e7":        func() (*Table, error) { return RunE7SmallFiles(DefaultE7()) },
-		"e8":        func() (*Table, error) { return RunE8Striping(DefaultE8()) },
-		"e9":        func() (*Table, error) { return RunE9ThirdParty(DefaultE9()) },
-		"e10":       func() (*Table, error) { return RunE10Workflow() },
-		"e11":       func() (*Table, error) { return RunE11OAuthAudit() },
-		"e12":       func() (*Table, error) { return RunE12ControlSecurity() },
-		"e14":       func() (*Table, error) { return RunE14Scheduler(DefaultE14()) },
-		"blocksize": func() (*Table, error) { return RunAblationBlockSize(DefaultAblationBlockSize()) },
-		"cache":     func() (*Table, error) { return RunAblationChannelCache(DefaultAblationCache()) },
-		"autotune":  func() (*Table, error) { return RunAblationAutotune(DefaultAblationAutotune()) },
-		"transport": func() (*Table, error) { return RunAblationTransport(DefaultAblationTransport()) },
-	}
+// All is every experiment, in the paper's order (DESIGN.md's index).
+var All = []Experiment{
+	{"e1", func() (*Table, error) { return RunE1Usage(DefaultE1()) }},
+	{"e2", func() (*Table, error) { return RunE2ParallelStreams(DefaultE2()) }},
+	{"e3", func() (*Table, error) { return RunE3DcauOverhead(DefaultE3()) }},
+	{"e4", RunE4DcscMatrix},
+	{"e5", RunE5Setup},
+	{"e6", func() (*Table, error) { return RunE6Checkpoint(DefaultE6()) }},
+	{"e7", func() (*Table, error) { return RunE7SmallFiles(DefaultE7()) }},
+	{"e8", func() (*Table, error) { return RunE8Striping(DefaultE8()) }},
+	{"e9", func() (*Table, error) { return RunE9ThirdParty(DefaultE9()) }},
+	{"e10", RunE10Workflow},
+	{"e11", RunE11OAuthAudit},
+	{"e12", RunE12ControlSecurity},
+	{"e14", func() (*Table, error) { return RunE14Scheduler(DefaultE14()) }},
+	{"blocksize", func() (*Table, error) { return RunAblationBlockSize(DefaultAblationBlockSize()) }},
+	{"cache", func() (*Table, error) { return RunAblationChannelCache(DefaultAblationCache()) }},
+	{"autotune", func() (*Table, error) { return RunAblationAutotune(DefaultAblationAutotune()) }},
+	{"transport", func() (*Table, error) { return RunAblationTransport(DefaultAblationTransport()) }},
 }

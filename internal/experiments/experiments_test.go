@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/netsim"
-	"gridftp.dev/instant/internal/transfer"
 )
 
 // checkTable validates a table has rows and no MISMATCH/FAIL verdicts.
@@ -136,6 +135,21 @@ func TestE12ControlSecurity(t *testing.T) {
 	}
 }
 
+func TestE14SchedulerSmall(t *testing.T) {
+	table, err := RunE14Scheduler(E14Config{
+		Files:     24,
+		FileBytes: 64 << 10,
+		Link:      netsim.LinkParams{Bandwidth: 40e6, RTT: 10 * time.Millisecond, StreamWindow: 1 << 20},
+	})
+	checkTable(t, table, err)
+	if len(table.Rows) != 4 {
+		t.Fatalf("want 4 scheduling rows, got %d", len(table.Rows))
+	}
+	if row := table.Rows[0]; row[0] != "one pair (K=1)" || row[1] != "1" {
+		t.Fatalf("first row should be K=1 with one worker: %v", row)
+	}
+}
+
 func TestAblationBlockSizeSmall(t *testing.T) {
 	table, err := RunAblationBlockSize(AblationBlockSizeConfig{
 		FileBytes:  2 << 20,
@@ -156,7 +170,6 @@ func TestAblationAutotuneSmall(t *testing.T) {
 		Link:      netsim.LinkParams{Bandwidth: 40e6, RTT: 10 * time.Millisecond, StreamWindow: 128 << 10},
 	})
 	checkTable(t, table, err)
-	_ = transfer.TaskSucceeded // keep import for future assertions
 }
 
 func TestTableFormat(t *testing.T) {

@@ -62,7 +62,7 @@ func RunE6Checkpoint(cfg E6Config) (*Table, error) {
 		Columns: []string{"checkpointing", "attempts", "file", "bytes moved", "overhead"},
 	}
 	for _, checkpoints := range []bool{true, false} {
-		task, err := MeasureCheckpointTask(cfg, checkpoints)
+		task, err := measureCheckpointTask(cfg, checkpoints)
 		if err != nil {
 			return nil, err
 		}
@@ -81,10 +81,10 @@ func RunE6Checkpoint(cfg E6Config) (*Table, error) {
 	return t, nil
 }
 
-// MeasureCheckpointTask runs one hosted transfer whose receive side fails
+// measureCheckpointTask runs one hosted transfer whose receive side fails
 // at cfg.FaultFraction on the first attempt, and returns the finished task:
 // its attempts and the bytes moved across all of them.
-func MeasureCheckpointTask(cfg E6Config, checkpoints bool) (*transfer.Task, error) {
+func measureCheckpointTask(cfg E6Config, checkpoints bool) (*transfer.Task, error) {
 	w, err := world.NewHosted(transfer.Config{
 		RetryDelay:           10 * time.Millisecond,
 		DisableCheckpointing: !checkpoints,

@@ -103,13 +103,3 @@ func RunE14Scheduler(cfg E14Config) (*Table, error) {
 		cfg.Link.RTT)
 	return t, nil
 }
-
-// MeasureSchedulerRun runs one E14 directory task at the given
-// concurrency (0 = auto) and returns aggregate bytes/sec.
-func MeasureSchedulerRun(cfg E14Config, concurrency int) (float64, error) {
-	_, elapsed, err := runE14Once(cfg, concurrency, false)
-	if err != nil {
-		return 0, err
-	}
-	return rate(int64(cfg.Files*cfg.FileBytes), elapsed), nil
-}

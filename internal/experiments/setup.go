@@ -57,7 +57,7 @@ func RunE5Setup() (*Table, error) {
 
 	// Live validation: run the actual GCMU install + logon + transfer and
 	// time it (the machine part; human latencies above are estimates).
-	elapsed, err := MeasureGCMUFirstTransfer()
+	elapsed, err := measureGCMUFirstTransfer()
 	if err != nil {
 		return nil, fmt.Errorf("live GCMU validation: %w", err)
 	}
@@ -66,8 +66,8 @@ func RunE5Setup() (*Table, error) {
 	return t, nil
 }
 
-// MeasureGCMUFirstTransfer measures install -> logon -> transfer wall time.
-func MeasureGCMUFirstTransfer() (time.Duration, error) {
+// measureGCMUFirstTransfer measures install -> logon -> transfer wall time.
+func measureGCMUFirstTransfer() (time.Duration, error) {
 	nw := netsim.NewNetwork()
 	start := time.Now()
 	ep, err := world.NewEndpoint(gcmu.Options{Name: "siteA", Host: nw.Host("siteA")}, map[string]string{"alice": "pw"})

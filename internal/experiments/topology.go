@@ -207,7 +207,7 @@ func RunE8Striping(cfg E8Config) (*Table, error) {
 	}
 	var base float64
 	for _, stripes := range cfg.Stripes {
-		r, err := MeasureStripedRate(cfg, stripes)
+		r, err := measureStripedRate(cfg, stripes)
 		if err != nil {
 			return nil, fmt.Errorf("stripes=%d: %w", stripes, err)
 		}
@@ -221,9 +221,9 @@ func RunE8Striping(cfg E8Config) (*Table, error) {
 	return t, nil
 }
 
-// MeasureStripedRate runs one striped third-party transfer between two
+// measureStripedRate runs one striped third-party transfer between two
 // clusters of the given stripe count and returns bytes/sec.
-func MeasureStripedRate(cfg E8Config, stripes int) (float64, error) {
+func measureStripedRate(cfg E8Config, stripes int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetDefaultLink(cfg.PerLink)
 	cluster := func(name string) (*world.Site, error) {

@@ -42,9 +42,9 @@ func DefaultE2() E2Config {
 	}
 }
 
-// MeasureWanRate transfers one file site-to-client over the given link, in
+// measureWanRate transfers one file site-to-client over the given link, in
 // stream mode or in MODE E on parallelism streams, and returns bytes/sec.
-func MeasureWanRate(link netsim.LinkParams, fileBytes, parallelism int, stream bool) (float64, error) {
+func measureWanRate(link netsim.LinkParams, fileBytes, parallelism int, stream bool) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "siteA", link)
 	s, err := world.NewSite(nw, "siteA", siteConfig)
@@ -82,9 +82,9 @@ func MeasureWanRate(link netsim.LinkParams, fileBytes, parallelism int, stream b
 	return rate(int64(fileBytes), elapsed), nil
 }
 
-// MeasureSCPRate transfers one file over the SCP baseline and returns
+// measureSCPRate transfers one file over the SCP baseline and returns
 // bytes/sec.
-func MeasureSCPRate(link netsim.LinkParams, fileBytes int) (float64, error) {
+func measureSCPRate(link netsim.LinkParams, fileBytes int) (float64, error) {
 	nw := netsim.NewNetwork()
 	nw.SetLink("client", "server", link)
 	srv, addr, storage, err := newSCPServer(nw, "server")
@@ -145,20 +145,20 @@ func RunE2ParallelStreams(cfg E2Config) (*Table, error) {
 		link.Loss = loss
 		lossLabel := fmt.Sprintf("%.2f%%", loss*100)
 
-		scpRate, err := MeasureSCPRate(link, cfg.FileBytes)
+		scpRate, err := measureSCPRate(link, cfg.FileBytes)
 		if err != nil {
 			return nil, fmt.Errorf("scp: %w", err)
 		}
 		t.AddRow(lossLabel, "scp", "1", mbps(scpRate), "1.0x")
 
-		ftpRate, err := MeasureWanRate(link, cfg.FileBytes, 1, true)
+		ftpRate, err := measureWanRate(link, cfg.FileBytes, 1, true)
 		if err != nil {
 			return nil, fmt.Errorf("ftp stream: %w", err)
 		}
 		t.AddRow(lossLabel, "ftp (stream)", "1", mbps(ftpRate), speedup(ftpRate, scpRate))
 
 		for _, p := range cfg.Parallelism {
-			r, err := MeasureWanRate(link, cfg.FileBytes, p, false)
+			r, err := measureWanRate(link, cfg.FileBytes, p, false)
 			if err != nil {
 				return nil, fmt.Errorf("gridftp p=%d: %w", p, err)
 			}
@@ -213,7 +213,7 @@ func RunE3DcauOverhead(cfg E3Config) (*Table, error) {
 		{gridftp.ProtSafe, "PROT S", "integrity (HMAC-SHA256 framing)"},
 		{gridftp.ProtPrivate, "PROT P", "private (TLS encryption)"},
 	} {
-		r, err := MeasureProtRate(cfg.FileBytes, row.prot)
+		r, err := bestGetRate(netsim.LinkParams{}, cfg.FileBytes, 4, row.prot, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", row.label, err)
 		}
@@ -230,54 +230,13 @@ func RunE3DcauOverhead(cfg E3Config) (*Table, error) {
 	return t, nil
 }
 
-// MeasureProtRate measures CPU-bound throughput at one protection level. The
-// measurement is best-of-three with a GC between runs: a single shot is
-// dominated by allocator/GC state left over from whatever ran before,
-// which is noise, not protocol cost.
-func MeasureProtRate(fileBytes int, prot gridftp.ProtLevel) (float64, error) {
-	nw := netsim.NewNetwork()
-	s, err := world.NewSite(nw, "siteA", siteConfig)
-	if err != nil {
-		return 0, err
-	}
-	defer s.Close()
-	if err := s.Put("/prot.bin", pattern(fileBytes)); err != nil {
-		return 0, err
-	}
-	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{})
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	if err := c.SetParallelism(4); err != nil {
-		return 0, err
-	}
-	if err := c.SetProt(prot); err != nil {
-		return 0, err
-	}
-	var best float64
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		dst := dsi.NewBufferFile(nil)
-		start := time.Now()
-		if _, err := c.Get("/prot.bin", dst); err != nil {
-			return 0, err
-		}
-		if r := rate(int64(fileBytes), time.Since(start)); r > best {
-			best = r
-		}
-	}
-	return best, nil
-}
-
-// MeasureStreamTelemetryRate measures parallel-download throughput with
-// per-stream wire telemetry either fully installed (server data path
-// instrumented, client data path instrumented, poller live) or absent —
-// the E18 overhead experiment. A zero-bandwidth link leaves the path
-// unshaped (CPU-bound); a shaped link measures the deployment question —
-// whether the X-ray costs achieved WAN throughput. Best-of-three with a
-// GC between runs, like MeasureProtRate.
-func MeasureStreamTelemetryRate(link netsim.LinkParams, fileBytes, parallelism int, reg *streamstats.Registry) (float64, error) {
+// bestGetRate measures one session's parallel GET from a site: over link,
+// or unshaped (CPU-bound) when link has no bandwidth; at one protection
+// level (E3's rows); with reg, when not nil, instrumenting both data-path
+// ends (E18's benchmark). It is best-of-three with a GC between runs: a
+// single shot is dominated by allocator/GC state left over from whatever
+// ran before, which is noise, not protocol cost.
+func bestGetRate(link netsim.LinkParams, fileBytes, parallelism int, prot gridftp.ProtLevel, reg *streamstats.Registry) (float64, error) {
 	nw := netsim.NewNetwork()
 	if link.Bandwidth > 0 {
 		nw.SetLink("client", "siteA", link)
@@ -289,7 +248,7 @@ func MeasureStreamTelemetryRate(link netsim.LinkParams, fileBytes, parallelism i
 		return 0, err
 	}
 	defer s.Close()
-	if err := s.Put("/xray.bin", pattern(fileBytes)); err != nil {
+	if err := s.Put("/get.bin", pattern(fileBytes)); err != nil {
 		return 0, err
 	}
 	c, err := s.Connect(nw.Host("client"), gridftp.DialOptions{Streams: reg})
@@ -300,12 +259,15 @@ func MeasureStreamTelemetryRate(link netsim.LinkParams, fileBytes, parallelism i
 	if err := c.SetParallelism(parallelism); err != nil {
 		return 0, err
 	}
+	if err := c.SetProt(prot); err != nil {
+		return 0, err
+	}
 	var best float64
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 		dst := dsi.NewBufferFile(nil)
 		start := time.Now()
-		if _, err := c.Get("/xray.bin", dst); err != nil {
+		if _, err := c.Get("/get.bin", dst); err != nil {
 			return 0, err
 		}
 		if r := rate(int64(fileBytes), time.Since(start)); r > best {

@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// FormatTable renders a health snapshot as the aligned text table shown
-// by `benchreport -dashboard` and written as the CI stream-health
-// artifact: one header row per transfer, one row per stream.
+// FormatTable renders a health snapshot as the aligned text table that
+// /debug/streams?format=text serves (and `benchreport -stream-health` and
+// `-dashboard` show): one header row per transfer, one row per stream.
 func FormatTable(transfers []TransferHealth) string {
 	if len(transfers) == 0 {
 		return "(no transfers tracked)\n"

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -287,4 +288,51 @@ func TestConcurrentObserveAndQuery(t *testing.T) {
 		r.SeriesNames()
 	}
 	<-done
+}
+
+// BenchmarkE15RecorderOverhead measures the time-series flight
+// recorder's per-tick cost at production scale: one SampleRegistry pass
+// over a registry wide enough to produce ~500 recorded series (gauges,
+// counter rates, histogram rate+quantiles). The budget is <1% of the 1s
+// sampling interval — recording history must be free relative to moving
+// bytes — reported as pct-of-1s-interval.
+func BenchmarkE15RecorderOverhead(b *testing.B) {
+	reg := obs.NewRegistry()
+	// 200 gauges + 100 counters (".rate") + 50 histograms (".rate",
+	// ".p50", ".p90", ".p99") = 500 series per sampling pass.
+	for i := 0; i < 200; i++ {
+		reg.Gauge(fmt.Sprintf("bench.gauge.%03d", i)).Set(int64(i))
+	}
+	for i := 0; i < 100; i++ {
+		reg.Counter(fmt.Sprintf("bench.counter.%03d", i)).Add(int64(i))
+	}
+	bounds := []float64{0.001, 0.01, 0.1, 1, 10}
+	for i := 0; i < 50; i++ {
+		h := reg.Histogram(fmt.Sprintf("bench.hist.%02d", i), bounds)
+		for j := 0; j < 8; j++ {
+			h.Observe(float64(j) / 10)
+		}
+	}
+	rec := New(Options{})
+	now := time.Unix(1_700_000_000, 0)
+	rec.SampleRegistry(reg, now) // baseline pass
+	if n := len(rec.SeriesNames()); n < 200 {
+		b.Fatalf("baseline recorded %d series", n)
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Touch the registry so every pass sees fresh deltas, as a live
+		// daemon's would.
+		reg.Counter("bench.counter.000").Inc()
+		now = now.Add(time.Second)
+		rec.SampleRegistry(reg, now)
+	}
+	b.StopTimer()
+	if n := len(rec.SeriesNames()); n < 500 {
+		b.Fatalf("recorded %d series, want >= 500", n)
+	}
+	perPass := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perPass/1e9*100, "pct-of-1s-interval")
+	b.ReportMetric(float64(len(rec.SeriesNames())), "series")
 }

@@ -5,8 +5,10 @@
 # (session.reply/replies), the binaries' no-plane-imports guard
 # (internal/admin/boot.go), the three deleted planes' stay-deleted guard and
 # the observability tree's size ratchet, the one-place-per-scenario guard
-# (internal/world) with examples/ staying deleted, build, vet, the full test
-# suite, the full test suite again under the race detector (about two
+# (internal/world) with examples/ staying deleted, the one-experiment-runner
+# guard (benchreport; no scripts/bench.*, no root *_test.go), build, vet,
+# the full test suite (the allocation canary TestFreshParallelGetAllocBudget
+# included), the full test suite again under the race detector (about two
 # minutes on two cores), and ten seconds each of the record-boundary fuzzer
 # and the delegation-bundle fuzzer. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
@@ -107,6 +109,15 @@ if find . -name '*.go' ! -name '*_test.go' ! -path './internal/world/*' ! -path 
 	echo "check.sh: build sites, endpoints and the hosted triangle with internal/world (cmd/gcmu's install keeps one gcmu.Install)" >&2
 	exit 1
 fi
+
+echo "==> benchreport runs the experiments; the 1x bench script and root tests stay deleted"
+# One runner per experiment: benchreport -exp <id>, with each experiment's test in internal/experiments.
+for f in scripts/bench.* ./*_test.go; do
+	if [ -e "$f" ]; then
+		echo "check.sh: $f is back; scripts/bench.* and the root *_test.go are gone, run an experiment with benchreport -exp <id>" >&2
+		exit 1
+	fi
+done
 
 echo "==> go build ./..."
 go build ./...
