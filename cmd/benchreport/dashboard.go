@@ -2,8 +2,8 @@ package main
 
 // The -dashboard renderer: a one-shot terminal view of a live admin
 // plane's time-series recorder — a sparkline per series, the active
-// alerts, and the busiest transfer tasks by current throughput. Point it
-// at any daemon started with -admin:
+// alerts and the stream-health table. Point it at any daemon started with
+// -admin:
 //
 //	benchreport -dashboard http://127.0.0.1:9970
 //
@@ -16,7 +16,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 )
@@ -106,7 +105,6 @@ func renderDashboard(src string) error {
 		}
 		fmt.Println()
 	}
-	renderTopTasks(doc.Series)
 	renderSparklines(doc.Series)
 	return nil
 }
@@ -156,43 +154,6 @@ func renderAlertTable(a alertDocument) {
 		}
 		fmt.Printf("%s %-8s %-34s %-10s %12.4g %12.4g\n",
 			marker, al.State, al.Rule.Name, al.Rule.Severity, al.Value, al.Rule.Value)
-	}
-	fmt.Println()
-}
-
-// renderTopTasks lists tasks by their latest throughput sample, busiest
-// first — the "what is moving right now" view.
-func renderTopTasks(series []tsSeries) {
-	type taskRate struct {
-		task string
-		rate float64
-	}
-	var tasks []taskRate
-	for _, s := range series {
-		name, ok := strings.CutPrefix(s.Name, "transfer.task.")
-		if !ok || !strings.HasSuffix(name, ".throughput") || strings.Contains(name, ".worker.") {
-			continue
-		}
-		if len(s.Points) == 0 {
-			continue
-		}
-		tasks = append(tasks, taskRate{
-			task: strings.TrimSuffix(name, ".throughput"),
-			rate: s.Points[len(s.Points)-1].V,
-		})
-	}
-	if len(tasks) == 0 {
-		return
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].rate > tasks[j].rate })
-	const topN = 10
-	fmt.Println("top tasks by current throughput")
-	for i, tr := range tasks {
-		if i == topN {
-			fmt.Printf("  ... and %d more\n", len(tasks)-topN)
-			break
-		}
-		fmt.Printf("  %2d. %-28s %12s/s\n", i+1, tr.task, fmtBytes(tr.rate))
 	}
 	fmt.Println()
 }
@@ -255,16 +216,4 @@ func fmtValue(v float64) string {
 		return fmt.Sprintf("%.3g", v)
 	}
 	return fmt.Sprintf("%.3f", v)
-}
-
-func fmtBytes(v float64) string {
-	switch {
-	case v >= 1e9:
-		return fmt.Sprintf("%.2f GB", v/1e9)
-	case v >= 1e6:
-		return fmt.Sprintf("%.2f MB", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.1f KB", v/1e3)
-	}
-	return fmt.Sprintf("%.0f B", v)
 }

@@ -18,7 +18,7 @@
 //	                                   # render one specific trace id
 //	benchreport -dashboard http://127.0.0.1:9970
 //	                                   # live telemetry dashboard: sparklines
-//	                                   # per series, active alerts, top tasks
+//	                                   # per series, active alerts, stream health
 //	benchreport -stream-health http://127.0.0.1:9970
 //	                                   # per-stream wire-telemetry health
 //	                                   # table from a live /debug/streams
@@ -43,7 +43,7 @@ func main() {
 	snapshot := flag.String("metrics-snapshot", "", "render a metrics snapshot and exit: the file a binary's -metrics flag dumped, or an http(s):// URL of a live admin /metrics endpoint (both the text exposition format)")
 	timeline := flag.String("trace-timeline", "", "comma-separated span-export sources (JSON files or http(s):// /debug/spans URLs); stitch them and render per-trace timelines")
 	traceID := flag.String("trace", "", "with -trace-timeline: render only this trace id")
-	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, top tasks) or a saved /debug/timeseries JSON file")
+	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, stream health) or a saved /debug/timeseries JSON file")
 	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table from an admin-plane base URL (/debug/streams)")
 	flag.Parse()
 

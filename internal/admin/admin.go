@@ -43,8 +43,8 @@ type Probe func() error
 // Planes are the optional planes an admin server serves, each with the
 // routes it brings. The bootstrap (boot.go) fills all of them.
 type Planes struct {
-	// Recorder is behind /debug/timeseries, /debug/series and the
-	// /debug/stream SSE feed; Engine behind /alerts (telemetry.go).
+	// Recorder is behind /debug/timeseries, Engine behind /alerts; Start
+	// runs the sampler that feeds the one and evaluates the other.
 	Recorder *tsdb.Recorder
 	Engine   *tsdb.Engine
 	// Streams is the per-stream wire-telemetry registry: /debug/streams.
@@ -64,11 +64,6 @@ type Server struct {
 	p      Planes
 	mux    *http.ServeMux
 	routes []route
-
-	// hub fans frames out to /debug/stream clients; heartbeat overrides
-	// the stream keepalive cadence (0 = default; tests shrink it).
-	hub       streamHub
-	heartbeat time.Duration
 
 	mu    sync.Mutex
 	ready map[string]Probe
@@ -94,10 +89,7 @@ func New(o *obs.Obs, p Planes) *Server {
 		{"/debug/pprof/", "on-demand Go profiling (capture on request)", pprof.Index},
 	}
 	if p.Recorder != nil {
-		s.routes = append(s.routes,
-			route{"/debug/timeseries", "recorded series (JSON; ?series= ?since=30s ?step=5s)", tsdb.TimeseriesHandler(p.Recorder, time.Now)},
-			route{"/debug/series", "time-series lifecycle inventory (JSON; ?series= prefix)", s.handleSeries},
-			route{"/debug/stream", "live SSE feed (metric deltas, events, alerts)", s.handleStream})
+		s.routes = append(s.routes, route{"/debug/timeseries", "recorded series (JSON; ?series= ?since=30s ?step=5s)", tsdb.TimeseriesHandler(p.Recorder, time.Now)})
 	}
 	if p.Engine != nil {
 		s.routes = append(s.routes, route{"/alerts", "SLO alert rules with live state (JSON)", tsdb.AlertsHandler(p.Engine)})
@@ -120,33 +112,14 @@ func New(o *obs.Obs, p Planes) *Server {
 // admin plane under an existing server).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// handleSeries serves the time-series lifecycle inventory: every series
-// the recorder holds with its state (live or retired), point count, and
-// — for tombstones — when it was retired and when the sweeper will
-// reclaim it. This is the operator's view into cardinality governance:
-// what obs.tsdb.series_active counts, by name.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	rec := s.p.Recorder
-	inv := rec.Inventory()
-	if prefix := r.URL.Query().Get("series"); prefix != "" {
-		kept := inv[:0:0]
-		for _, si := range inv {
-			if strings.HasPrefix(si.Name, prefix) {
-				kept = append(kept, si)
-			}
-		}
-		inv = kept
+// Start runs the registry sampler over the server's recorder, evaluating
+// the alert rules after every pass, and returns its stop (idempotent). A
+// server without a recorder has nothing to run.
+func (s *Server) Start() (stop func()) {
+	if s.p.Recorder == nil {
+		return func() {}
 	}
-	if inv == nil {
-		inv = []tsdb.SeriesInfo{}
-	}
-	live, tombstoned, retiredTotal := rec.LifecycleStats()
-	expfmt.ServeJSON(w, map[string]any{
-		"series":        inv,
-		"live":          live,
-		"tombstoned":    tombstoned,
-		"retired_total": retiredTotal,
-	})
+	return s.p.Recorder.Start(s.o.Registry(), s.p.Engine)
 }
 
 // handleStreams serves the stream-health table: per-transfer, per-stream

@@ -26,10 +26,10 @@ import (
 //
 //	obs bundle       OBS_LOG_LEVEL, or debug to stderr with -verbose
 //	stream registry  always (the -stall-timeout watchdog acts on its own)
-//	recorder, alerts -admin: the flight recorder becomes the bundle's series
-//	                 sink, tsdb.DefaultRules watch it
-//	admin server     -admin: every plane above mounted, the sampler and the
-//	                 SSE feed running, /readyz failing until Ready
+//	recorder, alerts -admin: the flight recorder, which samples the bundle's
+//	                 registry, and tsdb.DefaultRules over it
+//	admin server     -admin: every plane above mounted, the sampler running,
+//	                 /readyz failing until Ready
 //	listener         -admin's socket, last: it serves a finished plane
 //
 // Close runs that bottom to top and then writes the -metrics dump, which
@@ -102,10 +102,7 @@ func (b *Boot) boot() *Daemon {
 	d.stops = append(d.stops, d.Streams.Start())
 
 	if b.admin != "" {
-		// The recorder is the bundle's series sink from here on: PERF-marker
-		// timelines and the stream poller land in it.
 		rec := tsdb.New(tsdb.Options{})
-		o.Series = rec
 		planes := Planes{
 			Recorder: rec, Engine: tsdb.NewEngine(rec, o, tsdb.DefaultRules()),
 			Streams: d.Streams,

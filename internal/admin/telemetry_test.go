@@ -1,13 +1,10 @@
 package admin
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,15 +14,13 @@ import (
 
 var tt0 = time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 
-// telemetryServer is a server over a fresh recorder (installed as o.Series)
-// and an engine with the given rules (nil = tsdb.DefaultRules()) — the pair
-// the bootstrap builds.
+// telemetryServer is a server over a fresh recorder and an engine with the
+// given rules (nil = tsdb.DefaultRules()) — the pair the bootstrap builds.
 func telemetryServer(o *obs.Obs, rules []tsdb.Rule) *Server {
 	if rules == nil {
 		rules = tsdb.DefaultRules()
 	}
 	rec := tsdb.New(tsdb.Options{})
-	o.Series = rec
 	return New(o, Planes{Recorder: rec, Engine: tsdb.NewEngine(rec, o, rules)})
 }
 
@@ -36,8 +31,7 @@ func TestTelemetryEndpointsDisabled(t *testing.T) {
 	ts := httptest.NewServer(New(obs.Nop(), Planes{}).Handler())
 	defer ts.Close()
 	_, index, _ := get(t, ts, "/")
-	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/stream", "/debug/series",
-		"/debug/streams"} {
+	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/streams"} {
 		if code, _, _ := get(t, ts, path); code != http.StatusNotFound {
 			t.Errorf("%s without its plane: status %d, want 404", path, code)
 		}
@@ -57,13 +51,17 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// The recorder's one input: ten passes of the sampler over a registry,
+	// a second apart, the last one a second ago.
+	reg := obs.NewRegistry()
 	now := time.Now()
 	for i := 0; i < 10; i++ {
-		rec.Observe("transfer.task.t1.throughput", now.Add(time.Duration(i-10)*time.Second), float64(i))
+		reg.Gauge("transfer.active_transfers").Set(int64(i))
+		reg.Gauge("other.gauge").Set(1)
+		rec.SampleRegistry(reg, now.Add(time.Duration(i-10)*time.Second))
 	}
-	rec.Observe("other.series", now, 1)
 
-	code, body, hdr := get(t, ts, "/debug/timeseries?series=transfer.task.")
+	code, body, hdr := get(t, ts, "/debug/timeseries?series=transfer.")
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -82,15 +80,15 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
-	if len(out.Series) != 1 || out.Series[0].Name != "transfer.task.t1.throughput" {
-		t.Fatalf("series = %+v, want only the task series", out.Series)
+	if len(out.Series) != 1 || out.Series[0].Name != "transfer.active_transfers" {
+		t.Fatalf("series = %+v, want only the transfer gauge", out.Series)
 	}
 	if len(out.Series[0].Points) != 10 {
 		t.Errorf("points = %d, want 10", len(out.Series[0].Points))
 	}
 
 	// Relative since + step: only the last ~5s, rebucketed at 2s.
-	code, body, _ = get(t, ts, "/debug/timeseries?series=transfer.task.&since=5s&step=2s")
+	code, body, _ = get(t, ts, "/debug/timeseries?series=transfer.&since=5s&step=2s")
 	if code != http.StatusOK {
 		t.Fatalf("since/step status %d: %s", code, body)
 	}
@@ -103,7 +101,7 @@ func TestTimeseriesEndpoint(t *testing.T) {
 
 	// since as a point in time: the samples at -3s, -2s and -1s.
 	since := now.Add(-3500 * time.Millisecond).UTC().Format(time.RFC3339Nano)
-	_, body, _ = get(t, ts, "/debug/timeseries?series=transfer.task.&since="+since)
+	_, body, _ = get(t, ts, "/debug/timeseries?series=transfer.&since="+since)
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
@@ -119,49 +117,6 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	}
 }
 
-func TestSeriesEndpoint(t *testing.T) {
-	rec := tsdb.New(tsdb.Options{})
-	ts := httptest.NewServer(New(obs.Nop(), Planes{Recorder: rec}).Handler())
-	defer ts.Close()
-	t0 := time.Unix(1000, 0)
-	rec.Observe("transfer.task.t1.throughput", t0, 1)
-	rec.Observe("gridftp.stream.s1.rtt", t0, 2)
-	rec.RetireAt("transfer.task.t1.", t0)
-
-	code, body, _ := get(t, ts, "/debug/series")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/series = %d: %s", code, body)
-	}
-	var doc struct {
-		Series       []tsdb.SeriesInfo `json:"series"`
-		Live         int               `json:"live"`
-		Tombstoned   int               `json:"tombstoned"`
-		RetiredTotal int64             `json:"retired_total"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("body: %v\n%s", err, body)
-	}
-	if doc.Live != 2 || doc.Tombstoned != 1 || doc.RetiredTotal != 1 {
-		t.Fatalf("lifecycle counts = %+v", doc)
-	}
-	states := map[string]string{}
-	for _, si := range doc.Series {
-		states[si.Name] = si.State
-	}
-	if states["transfer.task.t1.throughput"] != "retired" || states["gridftp.stream.s1.rtt"] != "live" {
-		t.Fatalf("states = %+v", states)
-	}
-
-	// Prefix filter narrows the inventory, not the counts.
-	_, body, _ = get(t, ts, "/debug/series?series=gridftp.")
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("filtered body: %v", err)
-	}
-	if len(doc.Series) != 1 || doc.Series[0].Name != "gridftp.stream.s1.rtt" {
-		t.Fatalf("filtered series = %+v", doc.Series)
-	}
-}
-
 func TestAlertsEndpoint(t *testing.T) {
 	o := obs.Nop()
 	s := telemetryServer(o, []tsdb.Rule{
@@ -172,7 +127,9 @@ func TestAlertsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	rec.Observe("x", tt0, 50)
+	reg := obs.NewRegistry()
+	reg.Gauge("x").Set(50)
+	rec.SampleRegistry(reg, tt0)
 	eng.Eval(tt0)
 
 	code, body, _ := get(t, ts, "/alerts")
@@ -198,52 +155,6 @@ func TestAlertsEndpoint(t *testing.T) {
 	}
 }
 
-// sseClient tails /debug/stream, recording event names and raw frames.
-type sseClient struct {
-	mu     sync.Mutex
-	events []string
-	raw    []string
-	done   chan struct{}
-}
-
-func startSSE(t *testing.T, ts *httptest.Server) *sseClient {
-	t.Helper()
-	c := &sseClient{done: make(chan struct{})}
-	resp, err := ts.Client().Get(ts.URL + "/debug/stream")
-	if err != nil {
-		t.Fatalf("GET /debug/stream: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		resp.Body.Close()
-		t.Fatalf("stream Content-Type = %q", ct)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	go func() {
-		defer close(c.done)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			c.mu.Lock()
-			c.raw = append(c.raw, line)
-			if strings.HasPrefix(line, "event: ") {
-				c.events = append(c.events, strings.TrimPrefix(line, "event: "))
-			}
-			c.mu.Unlock()
-		}
-	}()
-	return c
-}
-
-func (c *sseClient) snapshot() (events, raw []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.events...), append([]string(nil), c.raw...)
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -255,117 +166,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func TestStreamMultiClientDelivery(t *testing.T) {
-	o := obs.Nop()
-	s := telemetryServer(o, []tsdb.Rule{})
-	defer s.Start()()
-	ts := httptest.NewServer(s.Handler())
-	// Cleanup, not defer: the SSE response bodies (closed by startSSE's
-	// later-registered cleanups) must close before ts.Close, or Close
-	// waits forever on the live streams.
-	t.Cleanup(ts.Close)
-
-	c1 := startSSE(t, ts)
-	c2 := startSSE(t, ts)
-	waitFor(t, "both clients subscribed", func() bool { return s.hub.count() == 2 })
-
-	// An eventlog append fans out to every client.
-	o.EventLog().Append("transfer.start", "task", "t1")
-	for _, c := range []*sseClient{c1, c2} {
-		waitFor(t, "event frame", func() bool {
-			events, _ := c.snapshot()
-			for _, e := range events {
-				if e == "event" {
-					return true
-				}
-			}
-			return false
-		})
-	}
-	_, raw := c1.snapshot()
-	found := false
-	for _, line := range raw {
-		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"transfer.start"`) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("event payload missing from frames: %v", raw)
-	}
-
-	// Metric deltas: bump a counter, the delta publisher broadcasts it.
-	o.Registry().Counter("transfer.tasks_total").Add(3)
-	waitFor(t, "metrics frame", func() bool {
-		events, _ := c2.snapshot()
-		for _, e := range events {
-			if e == "metrics" {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-func TestStreamSlowClientEviction(t *testing.T) {
-	s := telemetryServer(obs.Nop(), nil)
-
-	// Subscribe directly at the hub and never drain: once the buffer
-	// overflows the hub must evict (close) the client rather than block
-	// the broadcaster.
-	_, ch := s.hub.subscribe()
-	if s.hub.count() != 1 {
-		t.Fatalf("clients = %d, want 1", s.hub.count())
-	}
-	for i := 0; i < streamBuffer+5; i++ {
-		s.hub.broadcast(jsonFrame("event", map[string]int{"i": i}))
-	}
-	if s.hub.count() != 0 {
-		t.Fatalf("slow client not evicted: %d clients", s.hub.count())
-	}
-	// The channel was closed with exactly the buffered frames inside.
-	n := 0
-	for range ch {
-		n++
-	}
-	if n != streamBuffer {
-		t.Errorf("drained %d frames, want %d", n, streamBuffer)
-	}
-
-	// End-to-end: a client that disconnects is unsubscribed by its
-	// handler, so the hub's view returns to zero.
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/debug/stream")
-	if err != nil {
-		t.Fatalf("GET /debug/stream: %v", err)
-	}
-	waitFor(t, "stream subscribed", func() bool { return s.hub.count() == 1 })
-	resp.Body.Close()
-	waitFor(t, "handler unsubscribed", func() bool { return s.hub.count() == 0 })
-}
-
-func TestStreamHeartbeat(t *testing.T) {
-	s := telemetryServer(obs.Nop(), nil)
-	s.heartbeat = 20 * time.Millisecond
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close) // before startSSE's body-close cleanup (LIFO)
-
-	c := startSSE(t, ts)
-	waitFor(t, "heartbeat comments", func() bool {
-		_, raw := c.snapshot()
-		n := 0
-		for _, line := range raw {
-			if line == ": hb" {
-				n++
-			}
-		}
-		return n >= 2
-	})
-}
-
+// TestEnableTelemetrySamplesAndAlerts: Start runs the registry sampler and
+// evaluates the rules on what it sampled.
 func TestEnableTelemetrySamplesAndAlerts(t *testing.T) {
 	o := obs.Nop()
-	s := telemetryServer(o, nil)
+	s := telemetryServer(o, []tsdb.Rule{
+		{Name: "g-high", Series: "g", Kind: tsdb.KindThreshold, Op: tsdb.OpGreater, Value: 5},
+	})
 	stop := s.Start()
 	defer stop()
 	rec := s.p.Recorder
@@ -375,101 +182,7 @@ func TestEnableTelemetrySamplesAndAlerts(t *testing.T) {
 		p, ok := rec.Latest("g")
 		return ok && p.V == 9
 	})
-	// Components feed explicit timelines through the obs bundle.
-	o.TimeSeries().Observe("transfer.task.x.throughput", time.Now(), 1e6)
-	if _, ok := rec.Latest("transfer.task.x.throughput"); !ok {
-		t.Fatal("o.Series observation did not reach the recorder")
-	}
+	waitFor(t, "the rule on the sampled gauge firing", func() bool { return len(s.p.Engine.Active()) == 1 })
 	stop()
 	stop() // idempotent
-}
-
-func TestStreamLastEventIDResume(t *testing.T) {
-	o := obs.Nop()
-	s := telemetryServer(o, []tsdb.Rule{})
-	defer s.Start()()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	// Three events happen while the "dashboard" is disconnected.
-	e1 := o.EventLog().Append("transfer.start", "task", "t1")
-	o.EventLog().Append("transfer.progress", "task", "t1")
-	o.EventLog().Append("transfer.done", "task", "t1")
-
-	// Reconnect having seen only the first event: the two missed events
-	// replay immediately, each with its id line.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/stream", nil)
-	req.Header.Set("Last-Event-ID", strconv.FormatInt(e1.Seq, 10))
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-
-	c := &sseClient{done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			c.mu.Lock()
-			c.raw = append(c.raw, line)
-			if strings.HasPrefix(line, "event: ") {
-				c.events = append(c.events, strings.TrimPrefix(line, "event: "))
-			}
-			c.mu.Unlock()
-		}
-	}()
-
-	countPayload := func(substr string) int {
-		_, raw := c.snapshot()
-		n := 0
-		for _, line := range raw {
-			if strings.HasPrefix(line, "data: ") && strings.Contains(line, substr) {
-				n++
-			}
-		}
-		return n
-	}
-	waitFor(t, "replayed events", func() bool {
-		return countPayload(`"transfer.progress"`) == 1 && countPayload(`"transfer.done"`) == 1
-	})
-	if got := countPayload(`"transfer.start"`); got != 0 {
-		t.Errorf("event before Last-Event-ID replayed %d times, want 0", got)
-	}
-	// id lines carry the eventlog sequence numbers.
-	_, raw := c.snapshot()
-	ids := 0
-	for _, line := range raw {
-		if strings.HasPrefix(line, "id: ") {
-			if _, err := strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64); err != nil {
-				t.Errorf("bad id line %q", line)
-			}
-			ids++
-		}
-	}
-	if ids != 2 {
-		t.Errorf("got %d id lines after replay, want 2", ids)
-	}
-
-	// A live event arrives exactly once — the replay boundary must not
-	// duplicate or swallow it.
-	waitFor(t, "subscription live", func() bool { return s.hub.count() == 1 })
-	o.EventLog().Append("transfer.start", "task", "t2")
-	waitFor(t, "live event after resume", func() bool { return countPayload(`"t2"`) >= 1 })
-	if got := countPayload(`"t2"`); got != 1 {
-		t.Errorf("live event delivered %d times, want 1", got)
-	}
-
-	// A malformed Last-Event-ID is a 400, not a silent full replay.
-	req2, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/stream", nil)
-	req2.Header.Set("Last-Event-ID", "not-a-number")
-	resp2, err := ts.Client().Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed Last-Event-ID: status %d, want 400", resp2.StatusCode)
-	}
 }

@@ -720,12 +720,6 @@ func (c *Client) notePerf(m PerfMarker) {
 	reg.Counter("gridftp.client.perf_markers").Inc()
 	reg.Gauge("gridftp.client.perf_bytes").Set(total)
 	reg.Gauge("gridftp.client.perf_stripes").Set(int64(m.TotalStripes))
-	// Feed the time-series flight recorder at the marker's own timestamp
-	// (the sender's sampling clock, which may arrive out of order): the
-	// per-stripe cumulative byte timeline for this session.
-	c.obs.TimeSeries().Observe(
-		"gridftp.client.stripe."+strconv.Itoa(m.Stripe)+".bytes",
-		m.Timestamp, float64(m.StripeBytes))
 	if c.perfCB != nil {
 		c.perfCB(m)
 	}

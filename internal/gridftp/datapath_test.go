@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -432,31 +431,13 @@ func TestPassiveDownloadParallel(t *testing.T) {
 	}
 }
 
-// seriesLog is a time-series sink that keeps every observation.
-type seriesLog struct {
-	mu  sync.Mutex
-	obs map[string][]float64
-}
-
-func (l *seriesLog) Observe(series string, _ time.Time, v float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.obs == nil {
-		l.obs = make(map[string][]float64)
-	}
-	l.obs[series] = append(l.obs[series], v)
-}
-
 // TestProtectedReceiveReportsWireCounters: the receiving end of a PROT P
 // transfer hands stream telemetry the raw conn as its wire-counter source —
 // the TLS conn the transfer reads from has no RTT or retransmit counters — so
-// the receiver's streams publish an .rtt series like the sender's do.
+// the receiver's streams report an RTT like the sender's do.
 func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	nw := netsim.NewNetwork()
-	log := &seriesLog{}
-	o := obs.Nop()
-	o.Series = log
-	reg := streamstats.New(streamstats.Options{Obs: o, Interval: 5 * time.Millisecond})
+	reg := streamstats.New(streamstats.Options{Obs: obs.Nop(), Interval: 5 * time.Millisecond})
 	defer reg.Start()()
 	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Streams = reg })
 	nw.SetLink("laptop", "siteA", netsim.LinkParams{Bandwidth: 20e6, RTT: 20 * time.Millisecond, StreamWindow: 1 << 20})
@@ -470,16 +451,12 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	if _, err := c.Put("/up.bin", dsi.NewBufferFile(pattern(2<<20))); err != nil { // ≈ 100 ms on the wire
 		t.Fatal(err)
 	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	rtts := log.obs[streamstats.SeriesPrefix+"wire.0.rtt"]
-	if len(rtts) == 0 {
-		t.Fatalf("the receiving server published no .rtt series for its PROT P stream; it has %d series", len(log.obs))
+	health := reg.Health()
+	if len(health) != 1 || health[0].Label != "wire" || len(health[0].Streams) == 0 {
+		t.Fatalf("the receiving server's stream table is %+v, want the one transfer labelled wire", health)
 	}
-	for _, v := range rtts {
-		if v <= 0 {
-			t.Fatalf("rtt samples %v: want every one positive (the link's 20 ms)", rtts)
-		}
+	if rtt := health[0].Streams[0].RTTMillis; rtt <= 0 {
+		t.Fatalf("the receiving server reports RTT %v ms for its PROT P stream, want it positive (the link's 20 ms)", rtt)
 	}
 }
 

@@ -86,12 +86,13 @@ func (sess *session) handleSiteTrace(params string) {
 	sess.reply(ftp.CodeOK, "Trace context accepted")
 }
 
-// maxTaskLabel bounds SITE TASK labels: they become time-series names, so
-// an unbounded remote-supplied label would mint unbounded series.
+// maxTaskLabel bounds SITE TASK labels: the stream registry keeps the label
+// of every retained transfer and prints it in the health table, so a
+// remote-supplied label must not be unbounded.
 const maxTaskLabel = 128
 
 // handleSiteTask installs the session's task label. The stream-telemetry
-// plane names this session's per-stream series after it, so a transfer
+// plane labels this session's transfers with it, so a transfer
 // scheduler can send the same label to both endpoints of a third-party
 // transfer and read back one coherent stream-health picture. An empty
 // label clears it.

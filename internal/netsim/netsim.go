@@ -28,8 +28,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"gridftp.dev/instant/internal/obs"
 )
 
 // mathisC is the constant of the Mathis et al. TCP throughput upper bound
@@ -214,35 +212,6 @@ func (n *Network) RestoreLink(a, b string) {
 // on first use, like linkBetween).
 func (n *Network) LinkStats(a, b string) LinkStats {
 	return n.linkBetween(a, b).statsSnapshot()
-}
-
-// ReportMetrics publishes every configured link's counters into the given
-// metrics registry under netsim.link.*{a-b} names. Counters are exported
-// as gauges because the simulator owns the authoritative values; calling
-// again overwrites with fresh snapshots.
-func (n *Network) ReportMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	n.mu.Lock()
-	type entry struct {
-		name string
-		lk   *link
-	}
-	entries := make([]entry, 0, len(n.links))
-	for k, lk := range n.links {
-		entries = append(entries, entry{k.a + "-" + k.b, lk})
-	}
-	n.mu.Unlock()
-	for _, e := range entries {
-		st := e.lk.statsSnapshot()
-		reg.Gauge(obs.Name("netsim.link.bytes", e.name)).Set(st.Bytes)
-		reg.Gauge(obs.Name("netsim.link.queue_depth", e.name)).Set(st.QueueDepth)
-		reg.Gauge(obs.Name("netsim.link.queue_max", e.name)).Set(st.MaxQueue)
-		reg.Gauge(obs.Name("netsim.link.drops", e.name)).Set(st.Drops)
-		reg.Gauge(obs.Name("netsim.link.conns", e.name)).Set(st.Conns)
-		reg.Gauge(obs.Name("netsim.link.retransmits", e.name)).Set(st.Retransmits)
-	}
 }
 
 // Dial connects from one host to "otherhost:port".

@@ -1,16 +1,12 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 	"time"
-
-	"gridftp.dev/instant/internal/obs"
 )
 
 // TestLinkStatsAndMetrics checks the per-link instrumentation: bytes
-// transferred, connection counts, cut-link drops, and the registry
-// export.
+// transferred, connection counts and cut-link drops.
 func TestLinkStatsAndMetrics(t *testing.T) {
 	nw := NewNetwork()
 	nw.SetLink("a", "b", LinkParams{RTT: time.Millisecond})
@@ -65,17 +61,5 @@ func TestLinkStatsAndMetrics(t *testing.T) {
 	}
 	if st = nw.LinkStats("a", "b"); st.Drops < 1 {
 		t.Errorf("link drops %d, want >= 1", st.Drops)
-	}
-
-	reg := obs.NewRegistry()
-	nw.ReportMetrics(reg)
-	var found bool
-	for _, m := range reg.Snapshot() {
-		if strings.HasPrefix(m.Name, "netsim.link.bytes{") && m.Value >= int64(len(payload)) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("ReportMetrics published no netsim.link.bytes series: %+v", reg.Snapshot())
 	}
 }

@@ -7,8 +7,7 @@
 //
 // The ring is fixed-capacity: a long-running daemon keeps the most recent
 // events and discards the oldest, so memory stays bounded no matter the
-// traffic. Subscriber taps receive every appended event synchronously,
-// which gives tests a deterministic hook without polling.
+// traffic.
 //
 // Like the rest of internal/obs, a nil *Log is valid everywhere: all
 // methods degrade to no-ops.
@@ -63,7 +62,7 @@ type Event struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// Log is a concurrency-safe bounded event ring with subscriber taps.
+// Log is a concurrency-safe bounded event ring.
 type Log struct {
 	mu   sync.Mutex
 	cap  int
@@ -71,9 +70,6 @@ type Log struct {
 	buf  []Event
 	head int // index of the oldest retained event
 	n    int // number of retained events
-
-	taps    map[int]func(Event)
-	nextTap int
 }
 
 // DefaultCapacity is the ring size New uses for capacity <= 0.
@@ -84,7 +80,7 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{cap: capacity, buf: make([]Event, capacity), taps: make(map[int]func(Event))}
+	return &Log{cap: capacity, buf: make([]Event, capacity)}
 }
 
 // Append records an event of the given type; kv are key/value pairs
@@ -99,6 +95,7 @@ func (l *Log) Append(typ string, kv ...any) Event {
 		fields[fmt.Sprint(kv[i])] = fmt.Sprint(kv[i+1])
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.seq++
 	ev := Event{Seq: l.seq, Time: time.Now(), Type: typ, Fields: fields}
 	if l.n < l.cap {
@@ -107,17 +104,6 @@ func (l *Log) Append(typ string, kv ...any) Event {
 	} else {
 		l.buf[l.head] = ev
 		l.head = (l.head + 1) % l.cap
-	}
-	var taps []func(Event)
-	if len(l.taps) > 0 {
-		taps = make([]func(Event), 0, len(l.taps))
-		for _, fn := range l.taps {
-			taps = append(taps, fn)
-		}
-	}
-	l.mu.Unlock()
-	for _, fn := range taps {
-		fn(ev)
 	}
 	return ev
 }
@@ -134,32 +120,4 @@ func (l *Log) Events() []Event {
 		out[i] = l.buf[(l.head+i)%l.cap]
 	}
 	return out
-}
-
-// Last returns at most n of the most recent events, oldest first.
-func (l *Log) Last(n int) []Event {
-	evs := l.Events()
-	if n >= 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
-// Tap registers fn to be called synchronously with every subsequent
-// event; the returned function removes the tap. Taps are the test hook:
-// subscribe, drive the system, assert on what arrived.
-func (l *Log) Tap(fn func(Event)) (remove func()) {
-	if l == nil || fn == nil {
-		return func() {}
-	}
-	l.mu.Lock()
-	id := l.nextTap
-	l.nextTap++
-	l.taps[id] = fn
-	l.mu.Unlock()
-	return func() {
-		l.mu.Lock()
-		delete(l.taps, id)
-		l.mu.Unlock()
-	}
 }

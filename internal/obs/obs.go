@@ -15,6 +15,7 @@ package obs
 import (
 	"io"
 	"os"
+	"time"
 
 	"gridftp.dev/instant/internal/obs/eventlog"
 )
@@ -30,10 +31,6 @@ type Obs struct {
 	// (session open/close, auth outcomes, transfer progress); the admin
 	// plane serves it at /debug/events.
 	Events *eventlog.Log
-	// Series, when set, receives explicit timestamped observations (the
-	// time-series flight recorder, internal/obs/tsdb). Nil discards them;
-	// use TimeSeries() at call sites.
-	Series SeriesSink
 }
 
 // New returns a fully wired Obs: logger writing to w at the given level,
@@ -63,6 +60,23 @@ func Nop() *Obs {
 	registerProcessMetrics(o.Metrics)
 	registerRuntimeMetrics(o.Metrics)
 	return o
+}
+
+// processStart anchors the process.* metrics: one value per process, set
+// at init so every registry that registers the process metrics reports
+// the same start time.
+var processStart = time.Now()
+
+// registerProcessMetrics adds the process identity gauges every exported
+// registry should carry: the Unix start time (the Prometheus
+// process_start_time_seconds convention) and a live uptime computed at
+// snapshot time. Both render in the text dump and in the Prometheus
+// exposition because each goes through Registry.Snapshot.
+func registerProcessMetrics(r *Registry) {
+	r.GaugeFunc("process.start_time_seconds", func() int64 { return processStart.Unix() })
+	r.GaugeFunc("process.uptime_seconds", func() int64 {
+		return int64(time.Since(processStart).Seconds())
+	})
 }
 
 // FromEnv builds an Obs honoring the OBS_LOG_LEVEL environment variable

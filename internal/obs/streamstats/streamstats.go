@@ -11,17 +11,13 @@
 // timestamp. A background poller derives an EWMA throughput per stream,
 // polls wire-level counters (RTT, retransmits, cwnd) — from TCP_INFO on
 // real Linux TCP sockets, or from the netsim limiter/loss injector on
-// simulated connections — and feeds per-stream series into the
-// time-series recorder:
+// simulated connections. Health serves the per-stream table; the poller
+// also sets the registry gauges the alert rules watch once the recorder
+// has sampled them:
 //
-//	gridftp.stream.<label>.<n>.throughput   bytes/sec (EWMA)
-//	gridftp.stream.<label>.<n>.rtt          seconds
-//	gridftp.stream.<label>.<n>.retransmits  cumulative segments
-//
-// plus two fleet-level stall/imbalance series the alert rules watch:
-//
-//	gridftp.streams.stalled     streams currently past the stall window
-//	gridftp.streams.imbalance   worst max/min stream-throughput ratio
+//	gridftp.streams.active          streams of active transfers
+//	gridftp.streams.stalled         streams currently past the stall window
+//	gridftp.streams.imbalance_pct   worst max/min stream-throughput ratio, in percent
 //
 // The poller doubles as the stall watchdog: a stream with no progress
 // for the configured window raises a stream.stalled event (and, when
@@ -37,6 +33,7 @@ package streamstats
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -47,13 +44,10 @@ import (
 	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
-// SeriesPrefix is the namespace of the per-stream series.
-const SeriesPrefix = "gridftp.stream."
-
-// Fleet-level series maintained by the poller for the alert rules.
+// Registry gauges the poller sets for the alert rules.
 const (
 	StalledSeries   = "gridftp.streams.stalled"
-	ImbalanceSeries = "gridftp.streams.imbalance"
+	ImbalanceSeries = "gridftp.streams.imbalance_pct"
 )
 
 // WireInfo is a point-in-time snapshot of one stream's transport-level
@@ -95,8 +89,8 @@ func wireInfo(c net.Conn) (WireInfo, bool) {
 
 // Options configures a Registry.
 type Options struct {
-	// Obs receives the per-stream series (via its SeriesSink), the
-	// stall/recovery events, and the gridftp.streams.* gauges.
+	// Obs receives the stall/recovery events and the gridftp.streams.*
+	// gauges.
 	Obs *obs.Obs
 	// Interval is the poll/watchdog cadence. Default 500ms.
 	Interval time.Duration
@@ -135,8 +129,8 @@ type Registry struct {
 }
 
 // New creates a Registry. Wrapped conns count bytes from the start; the
-// series, events and stall checks need the poller — Start, or poll driven
-// by hand in tests.
+// rates, gauges, events and stall checks need the poller — Start, or poll
+// driven by hand in tests.
 func New(opts Options) *Registry {
 	return &Registry{opts: opts}
 }
@@ -288,19 +282,9 @@ func (t *Transfer) Done(err error) {
 
 	r := t.reg
 	r.mu.Lock()
-	labelLive := false
 	for i, a := range r.active {
 		if a == t {
 			r.active = append(r.active[:i], r.active[i+1:]...)
-			break
-		}
-	}
-	// Successive files of one task Begin under the same label and reuse
-	// the same series names; only retire the label's timelines when no
-	// active transfer is still writing them.
-	for _, a := range r.active {
-		if a.label == t.label {
-			labelLive = true
 			break
 		}
 	}
@@ -309,13 +293,6 @@ func (t *Transfer) Done(err error) {
 		r.recent = r.recent[len(r.recent)-retain:]
 	}
 	r.mu.Unlock()
-	if !labelLive {
-		// Lifecycle half of the poller's series mints: tombstone
-		// "gridftp.stream.<label>.*" (per-stream throughput/rtt/
-		// retransmits). The recorder keeps them queryable for its
-		// horizon; the next transfer under this label re-mints.
-		r.opts.Obs.RetireSeries(SeriesPrefix + t.label + ".")
-	}
 	t.finishStreams(r.opts.Obs.EventLog())
 }
 
@@ -411,15 +388,14 @@ func (c *streamStreamConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	return c.writeBuffers(c.bw, bufs)
 }
 
-// poll is one pass: refresh throughput EWMAs and wire counters, emit
-// series, and run the stall watchdog.
+// poll is one pass: refresh throughput EWMAs and wire counters, set the
+// gauges, and run the stall watchdog.
 func (r *Registry) poll(now time.Time) {
 	r.mu.Lock()
 	transfers := append([]*Transfer(nil), r.active...)
 	r.mu.Unlock()
 
 	o := r.opts.Obs
-	sink := o.TimeSeries()
 	events := o.EventLog()
 
 	var stalledCount int64
@@ -459,7 +435,7 @@ func (r *Registry) poll(now time.Time) {
 			if wiOK {
 				s.lastWire, s.wireOK = wi, true
 			}
-			ewma, wireOK, lastWire := s.ewma, s.wireOK, s.lastWire
+			ewma := s.ewma
 
 			// Watchdog: no progress since the stall window ago.
 			newlyStalled, recovered := false, false
@@ -480,13 +456,6 @@ func (r *Registry) poll(now time.Time) {
 				stalledCount++
 			}
 			s.mu.Unlock()
-
-			name := fmt.Sprintf("%s%s.%d.", SeriesPrefix, t.label, s.idx)
-			sink.Observe(name+"throughput", now, ewma)
-			if wireOK {
-				sink.Observe(name+"rtt", now, lastWire.RTT.Seconds())
-				sink.Observe(name+"retransmits", now, float64(lastWire.Retransmits))
-			}
 
 			if ewma > 0 {
 				if rated == 0 || ewma < minRate {
@@ -527,10 +496,11 @@ func (r *Registry) poll(now time.Time) {
 		}
 	}
 
-	sink.Observe(StalledSeries, now, float64(stalledCount))
-	sink.Observe(ImbalanceSeries, now, worstRatio)
 	reg := o.Registry()
-	reg.Gauge("gridftp.streams.stalled").Set(stalledCount)
+	reg.Gauge(StalledSeries).Set(stalledCount)
+	// A stream whose rate decays toward zero drives the ratio without
+	// bound; the gauge saturates rather than overflow int64.
+	reg.Gauge(ImbalanceSeries).Set(int64(math.Min(math.Round(worstRatio*100), math.MaxInt32)))
 	reg.Gauge("gridftp.streams.active").Set(int64(activeStreams))
 }
 

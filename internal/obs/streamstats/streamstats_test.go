@@ -3,12 +3,14 @@ package streamstats
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
 func newTestRegistry(t *testing.T) *Registry {
@@ -181,25 +183,22 @@ func TestWrapForwardsCloseWrite(t *testing.T) {
 // never sleep. A stream's counters are what its wrapped conn would have
 // written.
 
-// seriesLog is an obs.SeriesSink that keeps the last value per series.
-type seriesLog map[string]float64
-
-func (l seriesLog) Observe(name string, _ time.Time, v float64) { l[name] = v }
-
 // polledStream is one transfer with one stream on a registry nothing else
 // polls.
-func polledStream(t *testing.T, opts Options) (*Registry, *Transfer, *Stream, seriesLog) {
+func polledStream(t *testing.T, opts Options) (*Registry, *Transfer, *Stream) {
 	t.Helper()
-	series := seriesLog{}
-	o := obs.Nop()
-	o.Series = series
-	opts.Obs = o
+	opts.Obs = obs.Nop()
 	reg := New(opts)
 	tr := reg.Begin("t", "retr")
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
 	tr.Wrap(0, a, nil)
-	return reg, tr, tr.streams[0], series
+	return reg, tr, tr.streams[0]
+}
+
+// gauge reads one of the poller's registry gauges.
+func gauge(reg *Registry, name string) int64 {
+	return reg.opts.Obs.Registry().Gauge(name).Value()
 }
 
 func eventsOfType(reg *Registry, typ string) []map[string]string {
@@ -213,10 +212,10 @@ func eventsOfType(reg *Registry, typ string) []map[string]string {
 }
 
 func TestPollEWMAConverges(t *testing.T) {
-	reg, _, s, series := polledStream(t, Options{})
+	reg, _, s := polledStream(t, Options{})
 	t0 := time.Unix(1_700_000_000, 0)
 	reg.poll(t0) // baseline: no interval yet, so no rate
-	if got := series[SeriesPrefix+"t.0.throughput"]; got != 0 {
+	if got := streamHealth(t, reg, 0).Throughput; got != 0 {
 		t.Fatalf("throughput after the baseline poll = %v, want 0", got)
 	}
 	const rate = 1000.0 // bytes per one-second poll
@@ -225,7 +224,7 @@ func TestPollEWMAConverges(t *testing.T) {
 		s.bytes.Add(int64(rate))
 		reg.poll(t0.Add(time.Duration(i) * time.Second))
 		want = 0.3*rate + 0.7*want
-		got := series[SeriesPrefix+"t.0.throughput"]
+		got := streamHealth(t, reg, 0).Throughput
 		if diff := got - want; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("poll %d: EWMA %v, want %v", i, got, want)
 		}
@@ -239,24 +238,24 @@ func TestPollEWMAConverges(t *testing.T) {
 	}
 	// An idle second pulls the estimate down by exactly the smoothing factor.
 	reg.poll(t0.Add(31 * time.Second))
-	if got, want := series[SeriesPrefix+"t.0.throughput"], 0.7*prev; got-want > 1e-6 || want-got > 1e-6 {
+	if got, want := streamHealth(t, reg, 0).Throughput, 0.7*prev; got-want > 1e-6 || want-got > 1e-6 {
 		t.Fatalf("EWMA after one idle poll = %v, want %v", got, want)
 	}
 }
 
 func TestPollStallRaisesEventThenRecovers(t *testing.T) {
-	reg, tr, s, series := polledStream(t, Options{Stall: 5 * time.Second})
+	reg, tr, s := polledStream(t, Options{Stall: 5 * time.Second})
 	t0 := time.Unix(1_700_000_000, 0)
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
 	s.last.Store(t0.UnixNano())
 
 	reg.poll(at(time.Second))
-	if got := series[StalledSeries]; got != 0 {
+	if got := gauge(reg, StalledSeries); got != 0 || streamHealth(t, reg, 0).Stalled {
 		t.Fatalf("%s = %v one second after progress, want 0", StalledSeries, got)
 	}
 	reg.poll(at(6 * time.Second))
 	reg.poll(at(7 * time.Second)) // still stalled: counted, not re-announced
-	if got := series[StalledSeries]; got != 1 {
+	if got := gauge(reg, StalledSeries); got != 1 || !streamHealth(t, reg, 0).Stalled {
 		t.Fatalf("%s = %v past the stall window, want 1", StalledSeries, got)
 	}
 	stalled := eventsOfType(reg, "stream.stalled")
@@ -272,7 +271,7 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 
 	s.last.Store(at(7500 * time.Millisecond).UnixNano())
 	reg.poll(at(8 * time.Second))
-	if got := series[StalledSeries]; got != 0 {
+	if got := gauge(reg, StalledSeries); got != 0 || streamHealth(t, reg, 0).Stalled {
 		t.Fatalf("%s = %v after progress, want 0", StalledSeries, got)
 	}
 	rec := eventsOfType(reg, "stream.recovered")
@@ -288,13 +287,13 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 		t.Fatalf("stream.recovered events after Done = %v, want a second with reason=closed", rec)
 	}
 	reg.poll(at(15 * time.Second))
-	if got := series[StalledSeries]; got != 0 {
+	if got := gauge(reg, StalledSeries); got != 0 {
 		t.Fatalf("%s = %v after the stalled transfer finished, want 0", StalledSeries, got)
 	}
 }
 
 func TestPollAbortOnStallAbortsOnce(t *testing.T) {
-	reg, tr, s, _ := polledStream(t, Options{Stall: 5 * time.Second, AbortOnStall: true})
+	reg, tr, s := polledStream(t, Options{Stall: 5 * time.Second, AbortOnStall: true})
 	t0 := time.Unix(1_700_000_000, 0)
 	s.last.Store(t0.UnixNano())
 	aborts := 0
@@ -316,5 +315,70 @@ func TestPollAbortOnStallAbortsOnce(t *testing.T) {
 	}
 	if !tr.StallAborted() {
 		t.Fatal("StallAborted() false after the watchdog aborted the transfer")
+	}
+}
+
+// TestImbalanceGaugeFiresTheRule: two streams of one transfer moving 1000
+// and 100 bytes a second set gridftp.streams.imbalance_pct to 1000, and
+// the stock stream-imbalance rule, reading that gauge through the
+// recorder's sampler, fires once it has held for the rule's For.
+func TestImbalanceGaugeFiresTheRule(t *testing.T) {
+	reg := newTestRegistry(t)
+	tr := reg.Begin("t", "retr")
+	for i := 0; i < 2; i++ {
+		a, b := net.Pipe()
+		t.Cleanup(func() { a.Close(); b.Close() })
+		tr.Wrap(i, a, nil)
+	}
+	var rule tsdb.Rule
+	for _, r := range tsdb.DefaultRules() {
+		if r.Name == "stream-imbalance" {
+			rule = r
+		}
+	}
+	if rule.Series != ImbalanceSeries || rule.For <= 0 {
+		t.Fatalf("stream-imbalance rule = %+v, want one on %s with a For", rule, ImbalanceSeries)
+	}
+	o := reg.opts.Obs
+	rec := tsdb.New(tsdb.Options{})
+	eng := tsdb.NewEngine(rec, o, []tsdb.Rule{rule})
+	firing := func() bool { return len(eng.Active()) == 1 }
+
+	t0 := time.Unix(1_700_000_000, 0)
+	tick := func(at time.Time) {
+		reg.poll(at)
+		rec.SampleRegistry(o.Registry(), at)
+		eng.Eval(at)
+	}
+	tick(t0) // baseline: no rates yet, the ratio reads 1x
+	if got := gauge(reg, ImbalanceSeries); got != 100 {
+		t.Fatalf("%s = %d with no rates, want 100", ImbalanceSeries, got)
+	}
+	breach := t0.Add(time.Second)
+	for at := breach; !at.After(breach.Add(rule.For)); at = at.Add(time.Second) {
+		if firing() {
+			t.Fatalf("stream-imbalance fired at +%v, before its For of %v", at.Sub(breach), rule.For)
+		}
+		tr.streams[0].bytes.Add(1000)
+		tr.streams[1].bytes.Add(100)
+		tick(at)
+		if got := gauge(reg, ImbalanceSeries); got != 1000 {
+			t.Fatalf("%s = %d at 1000 vs 100 B/s, want 1000", ImbalanceSeries, got)
+		}
+	}
+	if !firing() {
+		t.Fatalf("stream-imbalance not firing after %v at 10x: %+v", rule.For, eng.Alerts())
+	}
+
+	// One stream goes quiet while the other keeps moving: its rate decays
+	// toward zero and the gauge saturates instead of wrapping negative.
+	at := breach.Add(rule.For)
+	for i := 0; i < 200; i++ {
+		at = at.Add(time.Second)
+		tr.streams[0].bytes.Add(1000)
+		tick(at)
+	}
+	if got := gauge(reg, ImbalanceSeries); got != math.MaxInt32 || !firing() {
+		t.Fatalf("%s = %d with one stream idle, want it saturated at %d and the rule firing", ImbalanceSeries, got, math.MaxInt32)
 	}
 }

@@ -13,9 +13,8 @@ import (
 // evaluated on every sampling tick, with for-duration hysteresis in both
 // directions (a rule must hold for For before firing and must stay clear
 // for For before resolving — flap suppression). Transitions land in the
-// event log (alert.firing / alert.resolved), on the obs.alerts_active /
-// obs.alerts_fired_total metrics, and on subscriber taps (the SSE live
-// stream).
+// event log (alert.firing / alert.resolved) and on the obs.alerts_active /
+// obs.alerts_fired_total metrics.
 
 // Kind selects how a rule turns series points into a test value.
 type Kind string
@@ -87,18 +86,6 @@ type Alert struct {
 	Fires int `json:"fires"`
 }
 
-// Transition is one state change, delivered to taps and (for
-// firing/resolved) the event log.
-type Transition struct {
-	Rule     string    `json:"rule"`
-	Series   string    `json:"series"`
-	From     State     `json:"from"`
-	To       State     `json:"to"`
-	At       time.Time `json:"at"`
-	Value    float64   `json:"value"`
-	Severity string    `json:"severity,omitempty"`
-}
-
 // alertState is the engine's mutable per-rule record.
 type alertState struct {
 	rule       Rule
@@ -114,16 +101,14 @@ type Engine struct {
 	rec *Recorder
 	o   *obs.Obs
 
-	mu      sync.Mutex
-	alerts  []*alertState
-	taps    map[int]func(Transition)
-	nextTap int
+	mu     sync.Mutex
+	alerts []*alertState
 }
 
 // NewEngine builds an engine over rec reporting into o (both may be nil
 // for a disconnected engine, which then never fires).
 func NewEngine(rec *Recorder, o *obs.Obs, rules []Rule) *Engine {
-	e := &Engine{rec: rec, o: o, taps: make(map[int]func(Transition))}
+	e := &Engine{rec: rec, o: o}
 	for _, r := range rules {
 		if r.Window <= 0 {
 			r.Window = time.Minute
@@ -169,8 +154,8 @@ func DefaultRules() []Rule {
 		},
 		{
 			// The stream-stall watchdog (internal/obs/streamstats): one or
-			// more data streams past the no-progress window. The series is
-			// written by the streamstats poller, so it reflects wire-level
+			// more data streams past the no-progress window. The gauge is
+			// set by the streamstats poller, so it reflects wire-level
 			// reality, not queue state — a firing alert means bytes stopped
 			// moving on a live transfer.
 			Name: "stream-stall", Series: "gridftp.streams.stalled",
@@ -179,43 +164,15 @@ func DefaultRules() []Rule {
 		},
 		{
 			// Inter-stream imbalance: the worst max/min per-stream EWMA
-			// throughput ratio across active transfers. Parallel streams
-			// should split a path roughly evenly; a sustained 4x skew means
-			// one stream is starved (lossy path, unfair shaping) and the
-			// transfer is running at a fraction of its negotiated
-			// parallelism.
-			Name: "stream-imbalance", Series: "gridftp.streams.imbalance",
-			Kind: KindThreshold, Op: OpGreater, Value: 4.0,
+			// throughput ratio across active transfers, as a percentage
+			// (400 is 4x). Parallel streams should split a path roughly
+			// evenly; a sustained 4x skew means one stream is starved (lossy
+			// path, unfair shaping) and the transfer is running at a
+			// fraction of its negotiated parallelism.
+			Name: "stream-imbalance", Series: "gridftp.streams.imbalance_pct",
+			Kind: KindThreshold, Op: OpGreater, Value: 400,
 			For: 5 * time.Second, Severity: "warn",
 		},
-		{
-			// Cardinality watermark: the recorder's live series count past
-			// the level the lifecycle plane should be holding it under. A
-			// sustained breach means a mint site is leaking series without
-			// retiring them (or K/retention is misconfigured) — the exact
-			// failure mode series lifecycle governance exists to prevent.
-			Name: "tsdb-cardinality-watermark", Series: "obs.tsdb.series_active",
-			Kind: KindThreshold, Op: OpGreater, Value: 4000,
-			For: 30 * time.Second, Severity: "warn",
-		},
-	}
-}
-
-// Tap registers fn to receive every subsequent transition synchronously
-// from Eval; the returned function removes the tap.
-func (e *Engine) Tap(fn func(Transition)) (remove func()) {
-	if e == nil || fn == nil {
-		return func() {}
-	}
-	e.mu.Lock()
-	id := e.nextTap
-	e.nextTap++
-	e.taps[id] = fn
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		delete(e.taps, id)
-		e.mu.Unlock()
 	}
 }
 
@@ -252,7 +209,14 @@ func (e *Engine) Eval(now time.Time) {
 	if e == nil {
 		return
 	}
-	var fired []Transition
+	// fired are the rules that changed to or from firing on this pass,
+	// with the value that moved them.
+	type transition struct {
+		rule   Rule
+		value  float64
+		firing bool
+	}
+	var fired []transition
 	e.mu.Lock()
 	for _, a := range e.alerts {
 		value, ok := e.measure(a.rule, now)
@@ -276,11 +240,7 @@ func (e *Engine) Eval(now time.Time) {
 				}
 				if now.Sub(a.clearSince) >= a.rule.For {
 					a.state, a.since, a.clearSince = StateInactive, now, time.Time{}
-					fired = append(fired, Transition{
-						Rule: a.rule.Name, Series: a.rule.Series,
-						From: StateFiring, To: StateInactive,
-						At: now, Value: value, Severity: a.rule.Severity,
-					})
+					fired = append(fired, transition{a.rule, value, false})
 				}
 			}
 		}
@@ -288,11 +248,7 @@ func (e *Engine) Eval(now time.Time) {
 		if a.state == StatePending && condition && now.Sub(a.since) >= a.rule.For {
 			a.state, a.since, a.clearSince = StateFiring, now, time.Time{}
 			a.fires++
-			fired = append(fired, Transition{
-				Rule: a.rule.Name, Series: a.rule.Series,
-				From: StatePending, To: StateFiring,
-				At: now, Value: value, Severity: a.rule.Severity,
-			})
+			fired = append(fired, transition{a.rule, value, true})
 		}
 	}
 	active := 0
@@ -301,30 +257,19 @@ func (e *Engine) Eval(now time.Time) {
 			active++
 		}
 	}
-	var taps []func(Transition)
-	if len(fired) > 0 && len(e.taps) > 0 {
-		taps = make([]func(Transition), 0, len(e.taps))
-		for _, fn := range e.taps {
-			taps = append(taps, fn)
-		}
-	}
 	e.mu.Unlock()
 
 	reg := e.o.Registry()
 	reg.Gauge("obs.alerts_active").Set(int64(active))
 	for _, tr := range fired {
-		typ := eventlog.AlertFiring
-		if tr.To == StateInactive {
-			typ = eventlog.AlertResolved
-		} else {
+		typ := eventlog.AlertResolved
+		if tr.firing {
+			typ = eventlog.AlertFiring
 			reg.Counter("obs.alerts_fired_total").Inc()
 		}
 		e.o.EventLog().Append(typ, "component", "tsdb",
-			"alert", tr.Rule, "series", tr.Series, "severity", tr.Severity,
-			"value", fmt.Sprintf("%g", tr.Value))
-		for _, fn := range taps {
-			fn(tr)
-		}
+			"alert", tr.rule.Name, "series", tr.rule.Series, "severity", tr.rule.Severity,
+			"value", fmt.Sprintf("%g", tr.value))
 	}
 }
 

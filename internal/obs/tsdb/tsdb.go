@@ -1,21 +1,18 @@
 // Package tsdb is the in-memory time-series flight recorder: fixed-size
 // ring buffers of (timestamp, value) points with two-tier downsampling,
-// periodically sampled from an obs.Registry (counters become rates,
-// gauges values, histograms windowed quantiles) and fed directly by
-// components with per-event timelines (the transfer scheduler's PERF
-// markers). It answers the questions a point-in-time /metrics scrape
-// cannot — "what was the transfer rate 30 seconds ago?", "is p99
-// latency degrading?" — without an external Prometheus, per the
+// sampled from an obs.Registry (counters become rates, gauges values,
+// histograms windowed quantiles). The sampler is its one input, so the
+// series it holds are named by the metrics in the code and their number
+// does not grow with traffic. It answers the questions a point-in-time
+// /metrics scrape cannot — "what was the transfer rate 30 seconds ago?",
+// "is p99 latency degrading?" — without an external Prometheus, per the
 // self-contained production-service goal.
 //
 // Data model: each series keeps a raw tier at the sampling cadence
 // (default 1s, retained ~5 minutes) and an aggregated tier of
 // step-averaged points (default 15s, retained ~2 hours). Memory per
 // series is bounded by the two ring capacities, so a daemon recording
-// hundreds of series for weeks stays flat. Out-of-order observations
-// (PERF markers carry sender clocks) are inserted in time order into the
-// raw tier; samples older than the aggregation tier's open bucket only
-// land in the raw tier.
+// hundreds of series for weeks stays flat.
 //
 // The package is stdlib-only and depends on internal/obs alone; the
 // alert engine over it lives in alerts.go.
@@ -49,12 +46,6 @@ type Options struct {
 	AggStep time.Duration
 	// AggRetention is the aggregated tier's span (default 2h).
 	AggRetention time.Duration
-	// RetireHorizon is how long a retired (tombstoned) series stays
-	// queryable before its memory is reclaimed (default 1m). The horizon
-	// is the grace window: dashboards and alert rules keep seeing the
-	// final points of a completed task's timeline for RetireHorizon, then
-	// the series disappears from the map entirely.
-	RetireHorizon time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -72,9 +63,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AggStep < o.RawStep {
 		o.AggStep = o.RawStep
-	}
-	if o.RetireHorizon <= 0 {
-		o.RetireHorizon = time.Minute
 	}
 	return o
 }
@@ -95,44 +83,15 @@ func newRing(capacity int) *ring {
 
 func (r *ring) at(i int) Point { return r.buf[(r.head+i)%len(r.buf)] }
 
-func (r *ring) setAt(i int, p Point) { r.buf[(r.head+i)%len(r.buf)] = p }
-
 // push appends p at the newest end, evicting the oldest point when full.
 func (r *ring) push(p Point) {
 	if r.n < len(r.buf) {
-		r.setAt(r.n, p)
+		r.buf[(r.head+r.n)%len(r.buf)] = p
 		r.n++
 		return
 	}
 	r.buf[r.head] = p
 	r.head = (r.head + 1) % len(r.buf)
-}
-
-// insert places p in time order. The common case (p at or after the
-// newest point) is an O(1) push; an out-of-order point shifts newer
-// points right. A point older than everything in a full ring is dropped
-// — storing it would evict a newer, more valuable point.
-func (r *ring) insert(p Point) {
-	if r.n == 0 || !p.T.Before(r.at(r.n-1).T) {
-		r.push(p)
-		return
-	}
-	// Find the first logical index whose point is after p.
-	i := sort.Search(r.n, func(i int) bool { return r.at(i).T.After(p.T) })
-	if r.n == len(r.buf) {
-		if i == 0 {
-			return // older than the whole full ring
-		}
-		// Evict the oldest to make room; the insert position shifts left.
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-		i--
-	}
-	for j := r.n; j > i; j-- {
-		r.setAt(j, r.at(j-1))
-	}
-	r.setAt(i, p)
-	r.n++
 }
 
 // points returns the ring's contents oldest first.
@@ -158,16 +117,9 @@ type series struct {
 	raw *ring
 	agg *ring
 
-	bucketStart time.Time // zero when no bucket is open
+	bucketStart time.Time
 	bucketSum   float64
-	bucketN     int
-
-	// retiredAt is the series' lifecycle tombstone: zero while live,
-	// set by Retire. A tombstoned series keeps serving queries until
-	// retiredAt+RetireHorizon, when the sweep reclaims it. A fresh
-	// Observe before the sweep revives the series (re-mint in place);
-	// one after the sweep mints a brand-new series under the old name.
-	retiredAt time.Time
+	bucketN     int // zero when no bucket is open
 }
 
 // Recorder is the concurrency-safe recorder. The zero value is not
@@ -175,9 +127,8 @@ type series struct {
 type Recorder struct {
 	opts Options
 
-	mu           sync.Mutex
-	series       map[string]*series
-	retiredTotal int64 // cumulative tombstones created (survives reclaim)
+	mu     sync.Mutex
+	series map[string]*series
 
 	// Sampler state: previous cumulative values, so counters and
 	// histogram buckets turn into windowed rates/quantiles.
@@ -198,9 +149,6 @@ func New(opts Options) *Recorder {
 	}
 }
 
-// Options reports the recorder's effective (defaulted) geometry.
-func (r *Recorder) Options() Options { return r.opts }
-
 func (r *Recorder) rawCap() int {
 	return int(r.opts.RawRetention / r.opts.RawStep)
 }
@@ -218,41 +166,35 @@ func (r *Recorder) seriesFor(name string) *series {
 	return s
 }
 
-// Observe records value v for the named series at time t. NaN and ±Inf
-// values are dropped (they would poison downstream averages and alert
-// comparisons), as are zero timestamps. Observe implements
-// obs.SeriesSink, so a Recorder can sit in Obs.Series.
-func (r *Recorder) Observe(name string, t time.Time, v float64) {
+// observe records value v for the named series at time t, which the
+// sampler guarantees is no earlier than the series' newest point. NaN and
+// ±Inf values are dropped (they would poison downstream averages and
+// alert comparisons), as are zero timestamps.
+func (r *Recorder) observe(name string, t time.Time, v float64) {
 	if r == nil || name == "" || t.IsZero() || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.seriesFor(name)
-	s.retiredAt = time.Time{} // a fresh observation revives a tombstoned series
-	s.raw.insert(Point{T: t, V: v})
+	s.raw.push(Point{T: t, V: v})
 	r.aggregate(s, t, v)
 }
 
 // aggregate folds one observation into the series' aggregated tier:
 // accumulate while t lands in the open bucket, roll the bucket's average
-// into the agg ring when t crosses into a later bucket. Observations
-// older than the open bucket stay raw-only — the agg tier is append-only
-// by design, so a straggling out-of-order marker cannot rewrite history
-// that queries may already have served.
+// into the agg ring when t crosses into a later bucket.
 func (r *Recorder) aggregate(s *series, t time.Time, v float64) {
 	bucket := t.Truncate(r.opts.AggStep)
-	switch {
-	case s.bucketN == 0 || s.bucketStart.IsZero():
-		s.bucketStart, s.bucketSum, s.bucketN = bucket, v, 1
-	case bucket.Equal(s.bucketStart):
-		s.bucketSum += v
-		s.bucketN++
-	case bucket.After(s.bucketStart):
+	if s.bucketN > 0 && bucket.After(s.bucketStart) {
 		s.agg.push(Point{T: s.bucketStart, V: s.bucketSum / float64(s.bucketN)})
-		s.bucketStart, s.bucketSum, s.bucketN = bucket, v, 1
+		s.bucketN = 0
 	}
-	// bucket before bucketStart: raw tier only.
+	if s.bucketN == 0 {
+		s.bucketStart, s.bucketSum = bucket, 0
+	}
+	s.bucketSum += v
+	s.bucketN++
 }
 
 // SeriesNames returns every recorded series name, sorted.
@@ -357,7 +299,7 @@ type SeriesDump struct {
 // DumpSeries renders every series whose name matches one of the given
 // prefixes (nil/empty = all) through Query(since, step), skipping series
 // with no points in range. A prefix matches exactly or as a name prefix,
-// so "transfer.task." selects every task timeline.
+// so "gridftp.streams." selects every stream-health gauge.
 func (r *Recorder) DumpSeries(prefixes []string, since time.Time, step time.Duration) []SeriesDump {
 	var out []SeriesDump
 	for _, name := range r.SeriesNames() {
@@ -402,7 +344,6 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 	metrics, hists := reg.Snapshot(), reg.HistogramSnapshots()
 	r.smu.Lock()
 	defer r.smu.Unlock()
-	r.sweepBaselines(now) // reclaim tombstoned series past their horizon
 	interval := now.Sub(r.lastSample)
 	first := r.lastSample.IsZero()
 	r.lastSample = now
@@ -410,7 +351,7 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 	for _, m := range metrics {
 		switch m.Kind {
 		case "gauge":
-			r.Observe(m.Name, now, float64(m.Value))
+			r.observe(m.Name, now, float64(m.Value))
 		case "counter":
 			prev, seen := r.lastCounters[m.Name]
 			r.lastCounters[m.Name] = m.Value
@@ -421,7 +362,7 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 			if delta < 0 {
 				delta = 0 // registry reset: a rate is never negative
 			}
-			r.Observe(m.Name+".rate", now, float64(delta)/interval.Seconds())
+			r.observe(m.Name+".rate", now, float64(delta)/interval.Seconds())
 		}
 	}
 	for _, h := range hists {
@@ -435,7 +376,7 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 		if len(window) > 0 {
 			total = window[len(window)-1]
 		}
-		r.Observe(h.Name+".rate", now, float64(total)/interval.Seconds())
+		r.observe(h.Name+".rate", now, float64(total)/interval.Seconds())
 		for _, q := range [...]struct {
 			suffix string
 			q      float64
@@ -444,15 +385,9 @@ func (r *Recorder) SampleRegistry(reg *obs.Registry, now time.Time) {
 			if total > 0 {
 				v = obs.QuantileFromBuckets(h.Bounds, window, q.q)
 			}
-			r.Observe(h.Name+q.suffix, now, v)
+			r.observe(h.Name+q.suffix, now, v)
 		}
 	}
-
-	// Self-accounting: the recorder's own cardinality, recorded as
-	// series so the watermark alert (DefaultRules) and dashboards see them.
-	live, _, retired := r.LifecycleStats()
-	r.Observe("obs.tsdb.series_active", now, float64(live))
-	r.Observe("obs.tsdb.series_retired_total", now, float64(retired))
 }
 
 // windowCounts computes the cumulative bucket counts of the window

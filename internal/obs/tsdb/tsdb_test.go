@@ -26,7 +26,7 @@ func TestTwoTierDownsamplingRollover(t *testing.T) {
 	// Nine 1s samples: buckets [0,3) [3,6) close when crossed; [6,9) stays
 	// open until a 10th point arrives.
 	for i := 0; i < 9; i++ {
-		r.Observe("s", t0.Add(time.Duration(i)*time.Second), float64(i))
+		r.observe("s", t0.Add(time.Duration(i)*time.Second), float64(i))
 	}
 
 	// Raw ring (cap 5) keeps the newest five: values 4..8.
@@ -74,14 +74,14 @@ func TestExactTierBoundary(t *testing.T) {
 	r := testRecorder()
 	// A point exactly on an agg-bucket boundary opens the next bucket; the
 	// previous bucket's average lands at the previous bucket's start.
-	r.Observe("s", t0.Add(2*time.Second), 10)
-	r.Observe("s", t0.Add(3*time.Second), 20) // exactly on the [3,6) edge
+	r.observe("s", t0.Add(2*time.Second), 10)
+	r.observe("s", t0.Add(3*time.Second), 20) // exactly on the [3,6) edge
 	all := r.Query("s", time.Time{}, 0)
 	if len(all) != 2 {
 		t.Fatalf("points = %v", all)
 	}
 	// Force the open bucket to roll and check its stamp.
-	r.Observe("s", t0.Add(6*time.Second), 30)
+	r.observe("s", t0.Add(6*time.Second), 30)
 	r.mu.Lock()
 	agg := r.series["s"].agg.points()
 	r.mu.Unlock()
@@ -96,73 +96,17 @@ func TestExactTierBoundary(t *testing.T) {
 	}
 }
 
-func TestOutOfOrderObserve(t *testing.T) {
-	r := testRecorder()
-	r.Observe("s", t0.Add(1*time.Second), 1)
-	r.Observe("s", t0.Add(4*time.Second), 4)
-	r.Observe("s", t0.Add(2*time.Second), 2) // late marker, still in raw span
-
-	pts := r.Query("s", time.Time{}, 0)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].T.Before(pts[i-1].T) {
-			t.Fatalf("raw points out of order: %v", pts)
-		}
-	}
-	if len(pts) != 3 || pts[1].V != 2 {
-		t.Fatalf("points = %v, want the late sample in the middle", pts)
-	}
-
-	// The agg tier is append-only: the late point must not reopen or
-	// rewrite a closed bucket.
-	r.Observe("s", t0.Add(7*time.Second), 7) // closes [3,6)
-	r.mu.Lock()
-	aggBefore := r.series["s"].agg.points()
-	r.mu.Unlock()
-	r.Observe("s", t0.Add(5*time.Second), 100) // straggler into closed [3,6)
-	r.mu.Lock()
-	aggAfter := r.series["s"].agg.points()
-	r.mu.Unlock()
-	if len(aggAfter) != len(aggBefore) {
-		t.Fatalf("straggler reopened agg tier: %v -> %v", aggBefore, aggAfter)
-	}
-	for i := range aggBefore {
-		if aggAfter[i] != aggBefore[i] {
-			t.Fatalf("straggler rewrote closed bucket %d: %v -> %v", i, aggBefore, aggAfter)
-		}
-	}
-	// ...but it does land in the raw tier.
-	if pts := r.Query("s", time.Time{}, 0); len(pts) != 5 {
-		t.Fatalf("raw points = %v, want straggler inserted", pts)
-	}
-
-	// A point older than every retained raw point in a full ring drops.
-	for i := 10; i < 15; i++ { // fill the 5-slot ring
-		r.Observe("s", t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	before := len(r.Query("s", time.Time{}, 0))
-	r.Observe("s", t0.Add(1*time.Second), 999)
-	after := r.Query("s", time.Time{}, 0)
-	if len(after) != before {
-		t.Fatalf("too-old point was stored: %v", after)
-	}
-	for _, p := range after {
-		if p.V == 999 {
-			t.Fatalf("too-old point present: %v", after)
-		}
-	}
-}
-
 func TestObserveRejectsGarbage(t *testing.T) {
 	r := testRecorder()
-	r.Observe("", t0, 1)
-	r.Observe("s", time.Time{}, 1)
-	r.Observe("s", t0, math.NaN())
-	r.Observe("s", t0, math.Inf(1))
+	r.observe("", t0, 1)
+	r.observe("s", time.Time{}, 1)
+	r.observe("s", t0, math.NaN())
+	r.observe("s", t0, math.Inf(1))
 	if names := r.SeriesNames(); len(names) != 0 {
 		t.Fatalf("garbage observations created series %v", names)
 	}
 	var nilRec *Recorder
-	nilRec.Observe("s", t0, 1) // must not panic
+	nilRec.observe("s", t0, 1) // must not panic
 	if _, ok := nilRec.Latest("s"); ok {
 		t.Fatal("nil recorder returned a point")
 	}
@@ -232,17 +176,17 @@ func TestSampleRegistryWindowedQuantiles(t *testing.T) {
 
 func TestDumpSeriesPrefixes(t *testing.T) {
 	r := New(Options{})
-	r.Observe("transfer.task.t1.throughput", t0, 1)
-	r.Observe("transfer.task.t2.throughput", t0, 2)
-	r.Observe("gridftp.server.command_seconds.p99", t0, 3)
+	r.observe("gridftp.streams.active", t0, 1)
+	r.observe("gridftp.streams.stalled", t0, 2)
+	r.observe("gridftp.server.command_seconds.p99", t0, 3)
 
 	all := r.DumpSeries(nil, time.Time{}, 0)
 	if len(all) != 3 {
 		t.Fatalf("DumpSeries(nil) = %d series, want 3", len(all))
 	}
-	tasks := r.DumpSeries([]string{"transfer.task."}, time.Time{}, 0)
-	if len(tasks) != 2 {
-		t.Fatalf("prefix dump = %v, want the 2 task series", tasks)
+	streams := r.DumpSeries([]string{"gridftp.streams."}, time.Time{}, 0)
+	if len(streams) != 2 {
+		t.Fatalf("prefix dump = %v, want the 2 stream gauges", streams)
 	}
 	exact := r.DumpSeries([]string{"gridftp.server.command_seconds.p99"}, time.Time{}, 0)
 	if len(exact) != 1 || len(exact[0].Points) != 1 {
@@ -279,7 +223,7 @@ func TestConcurrentObserveAndQuery(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			r.Observe("s", t0.Add(time.Duration(i)*time.Millisecond), float64(i))
+			r.observe("s", t0.Add(time.Duration(i)*time.Millisecond), float64(i))
 		}
 	}()
 	for i := 0; i < 200; i++ {

@@ -2,7 +2,6 @@ package transfer
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -415,58 +414,28 @@ type perfAgg struct {
 	mu      sync.Mutex
 	bytes   []int64
 	markers []int
-	// Per-worker and per-task throughput timeline state: the previous
-	// snapshot each rate is computed against.
-	workerT []time.Time
-	lastSum int64
-	lastT   time.Time
 }
 
 func newPerfAgg(svc *Service, task *Task, workers int) *perfAgg {
 	return &perfAgg{
 		svc: svc, task: task,
 		bytes: make([]int64, workers), markers: make([]int, workers),
-		workerT: make([]time.Time, workers),
 	}
 }
 
 // report records worker slot's latest per-session perf snapshot and
-// refreshes the task's aggregate view. Each report also feeds the
-// time-series flight recorder with the task's live timeline — cumulative
-// bytes, task throughput, and the reporting worker's own throughput — so
-// /debug/timeseries can answer "what was this transfer doing 30 seconds
-// ago, and which worker was slow".
+// refreshes the task's aggregate view, which GET /task/{id} serves.
 func (g *perfAgg) report(slot int, total int64, markers int) {
-	now := time.Now()
 	g.mu.Lock()
-	prevWorker, prevWorkerT := g.bytes[slot], g.workerT[slot]
 	g.bytes[slot] = total
 	g.markers[slot] = markers
-	g.workerT[slot] = now
 	var sumBytes int64
 	sumMarkers := 0
 	for i := range g.bytes {
 		sumBytes += g.bytes[i]
 		sumMarkers += g.markers[i]
 	}
-	prevSum, prevT := g.lastSum, g.lastT
-	g.lastSum, g.lastT = sumBytes, now
 	g.mu.Unlock()
-
-	sink := g.svc.cfg.Obs.TimeSeries()
-	prefix := "transfer.task." + g.task.ID
-	sink.Observe(prefix+".bytes", now, float64(sumBytes))
-	if !prevT.IsZero() {
-		if dt := now.Sub(prevT).Seconds(); dt > 0 && sumBytes >= prevSum {
-			sink.Observe(prefix+".throughput", now, float64(sumBytes-prevSum)/dt)
-		}
-	}
-	if !prevWorkerT.IsZero() {
-		if dt := now.Sub(prevWorkerT).Seconds(); dt > 0 && total >= prevWorker {
-			sink.Observe(fmt.Sprintf("%s.worker.%d.throughput", prefix, slot),
-				now, float64(total-prevWorker)/dt)
-		}
-	}
 
 	g.svc.cfg.Obs.Registry().Counter("transfer.perf_markers").Inc()
 	g.svc.update(g.task, func(t *Task) {

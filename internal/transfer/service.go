@@ -138,13 +138,6 @@ type Config struct {
 	// in-process simulation shape — publish their data streams under it.
 	// Nil disables wire-evidence records.
 	Streams *streamstats.Registry
-	// RetireGrace delays the retirement of a completed task's
-	// "transfer.task.<id>.*" series past the terminal state, for
-	// stragglers (late PERF markers from a worker still draining).
-	// Retirement itself is soft — the recorder keeps tombstoned series
-	// queryable for its RetireHorizon — so the default 0 retires at
-	// completion and lets the horizon be the grace window.
-	RetireGrace time.Duration
 }
 
 // Service is the hosted transfer service.
@@ -459,7 +452,6 @@ func (s *Service) run(task *Task) {
 			span.SetAttr("attempts", attempt)
 			span.End()
 			reg.Counter("transfer.tasks_succeeded").Inc()
-			s.retireTaskSeries(task.ID)
 			s.observeTask(time.Since(task.Started), true, span.TraceID.String())
 			log.Info("task succeeded", "attempts", attempt,
 				"bytes", task.BytesTransferred,
@@ -495,7 +487,6 @@ func (s *Service) run(task *Task) {
 	span.SetError(lastErr)
 	span.End()
 	reg.Counter("transfer.tasks_failed").Inc()
-	s.retireTaskSeries(task.ID)
 	s.observeTask(time.Since(task.Started), false, span.TraceID.String())
 	log.Error("task failed", "err", lastErr)
 	ev.Append(eventlog.TaskComplete, "component", "transfer-service",
@@ -503,28 +494,12 @@ func (s *Service) run(task *Task) {
 		"trace", span.TraceID.String())
 }
 
-// retireTaskSeries hands the task's tsdb timelines back at terminal
-// state: everything minted under "transfer.task.<id>." — the perfAgg's
-// bytes/throughput/per-worker series and the wire-evidence series — is
-// tombstoned (after RetireGrace, when configured), stays queryable for
-// the recorder's horizon, then has its memory reclaimed. This is what
-// keeps series cardinality bounded by the active task set plus the
-// horizon instead of growing with every task ever run.
-func (s *Service) retireTaskSeries(taskID string) {
-	prefix := "transfer.task." + taskID + "."
-	if s.cfg.RetireGrace <= 0 {
-		s.cfg.Obs.RetireSeries(prefix)
-		return
-	}
-	time.AfterFunc(s.cfg.RetireGrace, func() { s.cfg.Obs.RetireSeries(prefix) })
-}
-
 // recordWireEvidence closes out one attempt against the stream-telemetry
 // plane: it aggregates every tracked transfer labeled with the task id
 // (both the "<task>" destination and "<task>-src" source legs, installed
 // on the endpoints via SITE TASK) and records the attempt's retransmit
 // total, worst inter-stream imbalance, and stall-abort count as a
-// transfer.wire event plus per-task series. This is the wire-level
+// transfer.wire event. This is the wire-level
 // counterpart of the 112 PERF progress view: PERF says how far the
 // attempt got, the wire evidence says why it went no faster.
 func (s *Service) recordWireEvidence(task *Task, attempt int, traceID string) {
@@ -532,11 +507,6 @@ func (s *Service) recordWireEvidence(task *Task, attempt int, traceID string) {
 	if !ok {
 		return
 	}
-	now := time.Now()
-	sink := s.cfg.Obs.TimeSeries()
-	prefix := "transfer.task." + task.ID
-	sink.Observe(prefix+".imbalance", now, ws.Imbalance)
-	sink.Observe(prefix+".retransmits", now, float64(ws.Retransmits))
 	if ws.Retransmits > 0 {
 		s.cfg.Obs.Registry().Counter("transfer.wire_retransmits").Add(ws.Retransmits)
 	}

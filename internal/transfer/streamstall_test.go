@@ -2,10 +2,10 @@ package transfer
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,14 +21,16 @@ import (
 // transfer's bandwidth collapses mid-flight (without the link dying, so
 // nothing errors on its own — the classic silent stall), the stall
 // watchdog notices the wire going quiet and aborts the attempt, the
-// stream-stall alert fires off the gridftp.streams.stalled series, the
-// scheduler retries the file from its checkpoint once the path heals,
-// and the whole episode is queryable afterwards through the admin
-// plane's /debug/timeseries and /debug/streams endpoints.
+// stream-stall alert fires off the gridftp.streams.stalled gauge as the
+// recorder samples it, the scheduler retries the file from its checkpoint
+// once the path heals, and the whole episode is queryable afterwards
+// through the admin plane's /alerts, /debug/timeseries and /debug/streams
+// endpoints.
 func TestStreamStallWatchdogRecovery(t *testing.T) {
 	o := obs.New(io.Discard, obs.LevelInfo)
-	rec := tsdb.New(tsdb.Options{})
-	o.Series = rec
+	// Sample well under the poller interval so the stalled>0 gauge cannot
+	// slip between samples; the short raw retention keeps the rings small.
+	rec := tsdb.New(tsdb.Options{RawStep: 5 * time.Millisecond, RawRetention: 5 * time.Second})
 
 	// The stock stream-stall rule with For collapsed to zero so the test
 	// doesn't have to hold the stall for a wall-clock second.
@@ -39,34 +41,6 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	}}
 	eng := tsdb.NewEngine(rec, o, rules)
 
-	var (
-		transMu     sync.Mutex
-		transitions []tsdb.Transition
-	)
-	removeTap := eng.Tap(func(tr tsdb.Transition) {
-		transMu.Lock()
-		transitions = append(transitions, tr)
-		transMu.Unlock()
-	})
-	defer removeTap()
-
-	// Evaluate continuously at a cadence well under the poller interval
-	// so the stalled>0 sample cannot slip between evals.
-	evalStop := make(chan struct{})
-	defer close(evalStop)
-	go func() {
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-evalStop:
-				return
-			case <-tick.C:
-				eng.Eval(time.Now())
-			}
-		}
-	}()
-
 	streams := streamstats.New(streamstats.Options{
 		Obs:          o,
 		Interval:     20 * time.Millisecond,
@@ -76,6 +50,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	defer streams.Start()()
 
 	adm := admin.New(o, admin.Planes{Recorder: rec, Engine: eng, Streams: streams})
+	defer adm.Start()() // the registry sampler, then alert evaluation
 	admAddr, err := adm.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -155,24 +130,18 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 		t.Fatal("no transfer.wire evidence event recorded")
 	}
 
-	// The alert must have gone through a full fire/resolve cycle. The
-	// firing edge lands while the stall is live; the resolve edge needs
-	// one more poller pass after the aborted transfers drain, so give
-	// the background evaluator a moment.
+	// The alert must have gone through a full fire/resolve cycle, which
+	// the engine writes to the event log. The firing edge lands while the
+	// stall is live; the resolve edge needs one more poller pass after the
+	// aborted transfers drain, so give the background evaluator a moment.
 	waitFor(t, 5*time.Second, "stream-stall alert fire+resolve", func() bool {
-		transMu.Lock()
-		defer transMu.Unlock()
 		var fired, resolved bool
-		for _, tr := range transitions {
-			if tr.Rule != "stream-stall" {
+		for _, ev := range events.Events() {
+			if ev.Fields["alert"] != "stream-stall" {
 				continue
 			}
-			if tr.To == tsdb.StateFiring {
-				fired = true
-			}
-			if tr.From == tsdb.StateFiring && tr.To == tsdb.StateInactive {
-				resolved = true
-			}
+			fired = fired || ev.Type == eventlog.AlertFiring
+			resolved = resolved || (fired && ev.Type == eventlog.AlertResolved)
 		}
 		return fired && resolved
 	})
@@ -191,15 +160,18 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 
 	// And the whole episode is queryable over the admin plane.
 	base := "http://" + admAddr.String()
-	series := httpGetBody(t, base+"/debug/timeseries?series=gridftp.stream")
-	if !strings.Contains(series, streamstats.StalledSeries) {
+	var alerts struct {
+		Alerts []tsdb.Alert `json:"alerts"`
+	}
+	if err := json.Unmarshal([]byte(httpGetBody(t, base+"/alerts")), &alerts); err != nil {
+		t.Fatal(err)
+	}
+	if len(alerts.Alerts) != 1 || alerts.Alerts[0].Fires == 0 {
+		t.Fatalf("/alerts does not count the stream-stall firing: %+v", alerts.Alerts)
+	}
+	series := httpGetBody(t, base+"/debug/timeseries?series="+streamstats.StalledSeries)
+	if !strings.Contains(series, `"name": "`+streamstats.StalledSeries+`"`) {
 		t.Fatalf("timeseries dump missing %s:\n%s", streamstats.StalledSeries, series)
-	}
-	if !strings.Contains(series, streamstats.SeriesPrefix+task.ID) {
-		t.Fatalf("timeseries dump missing per-stream series for task %s", task.ID)
-	}
-	if !strings.Contains(series, ".throughput") {
-		t.Fatal("timeseries dump missing per-stream throughput series")
 	}
 	health := httpGetBody(t, base+"/debug/streams")
 	if !strings.Contains(strings.ReplaceAll(health, " ", ""), `"stall_aborted":true`) {

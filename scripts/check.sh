@@ -4,7 +4,8 @@
 # (internal/gridftp/settle.go), the server's one-place-for-reply-writes guard
 # (session.reply/replies), the binaries' no-plane-imports guard
 # (internal/admin/boot.go), the three deleted planes' stay-deleted guard and
-# the observability tree's size ratchet, the one-place-per-scenario guard
+# the observability tree's size ratchet, the recorder's one-input guard (no
+# series push, no push feed from the admin plane), the one-place-per-scenario guard
 # (internal/world) with examples/ staying deleted, the one-experiment-runner
 # guard (benchreport; no scripts/bench.*, no root *_test.go), build, vet,
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
@@ -91,6 +92,14 @@ fi
 		}
 		printf "internal/obs* %d < internal/gridftp %d\n", obs, engine
 	}'
+
+echo "==> the registry sampler is the recorder's one input; the admin plane pushes nothing"
+# One input to the recorder, and no push feed without a reader (CHANGES.md).
+if git grep -nE 'SeriesSink|RetireSeries|\.Tap\(' -- '*.go' ':!*_test.go' ||
+	grep -nE '"/debug/(stream|series)"' internal/admin/*.go | grep -v '_test\.go:'; then
+	echo "check.sh: the recorder samples the registry and nothing pushes series into it or events out of the admin plane" >&2
+	exit 1
+fi
 
 echo "==> every scenario is built in internal/world; examples/ stays deleted"
 # A site, an endpoint's PAM stack or the hosted triangle built anywhere else
