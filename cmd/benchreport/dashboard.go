@@ -2,7 +2,7 @@ package main
 
 // The -dashboard renderer: a one-shot terminal view of a live admin
 // plane's time-series recorder — a sparkline per series, the active
-// alerts and the stream-health table. Point it at any daemon started with
+// alerts and the stream health table. Point it at any daemon started with
 // -admin:
 //
 //	benchreport -dashboard http://127.0.0.1:9970
@@ -80,7 +80,7 @@ func renderDashboard(src string) error {
 			alerts = &a
 		}
 		// An unreachable /alerts (a server built without the plane: 404)
-		// just hides the table. Same contract for the stream-health table:
+		// just hides the table. Same contract for the stream health table:
 		// without the stream-telemetry plane the section is omitted.
 		if txt, err := fetchText(base + "/debug/streams?format=text"); err == nil {
 			streamTable = txt

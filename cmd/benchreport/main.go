@@ -8,9 +8,6 @@
 //	benchreport                        # run everything, in the paper's order
 //	benchreport -exp e2                # run one experiment
 //	benchreport -list                  # list experiment ids, in the paper's order
-//	benchreport -metrics-snapshot f    # render a binary's -metrics exit dump
-//	benchreport -metrics-snapshot http://127.0.0.1:9970/metrics
-//	                                   # the same table from a live admin /metrics
 //	benchreport -trace-timeline src[,src...]
 //	                                   # stitch span exports (files or /debug/spans
 //	                                   # URLs) into per-trace Gantt timelines
@@ -19,13 +16,9 @@
 //	benchreport -dashboard http://127.0.0.1:9970
 //	                                   # live telemetry dashboard: sparklines
 //	                                   # per series, active alerts, stream health
-//	benchreport -stream-health http://127.0.0.1:9970
-//	                                   # per-stream wire-telemetry health
-//	                                   # table from a live /debug/streams
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -34,17 +27,14 @@ import (
 
 	"gridftp.dev/instant/internal/experiments"
 	"gridftp.dev/instant/internal/obs/collector"
-	"gridftp.dev/instant/internal/obs/expfmt"
 )
 
 func main() {
 	exp := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	snapshot := flag.String("metrics-snapshot", "", "render a metrics snapshot and exit: the file a binary's -metrics flag dumped, or an http(s):// URL of a live admin /metrics endpoint (both the text exposition format)")
 	timeline := flag.String("trace-timeline", "", "comma-separated span-export sources (JSON files or http(s):// /debug/spans URLs); stitch them and render per-trace timelines")
 	traceID := flag.String("trace", "", "with -trace-timeline: render only this trace id")
 	dashboard := flag.String("dashboard", "", "render a terminal telemetry dashboard from an admin-plane base URL (sparklines, alerts, stream health) or a saved /debug/timeseries JSON file")
-	streamHealth := flag.String("stream-health", "", "print the per-stream wire-telemetry table from an admin-plane base URL (/debug/streams)")
 	flag.Parse()
 
 	// The read-something-and-render-it modes, first one asked for wins.
@@ -52,10 +42,8 @@ func main() {
 		arg string
 		run func(string) error
 	}{
-		{*streamHealth, renderStreamHealth},
 		{*dashboard, renderDashboard},
 		{*timeline, func(srcs string) error { return renderTimelines(strings.Split(srcs, ","), *traceID) }},
-		{*snapshot, renderSnapshot},
 	} {
 		if mode.arg == "" {
 			continue
@@ -145,57 +133,6 @@ func renderTimelines(sources []string, only string) error {
 		}
 		fmt.Println(tr.Timeline())
 	}
-	return nil
-}
-
-// renderSnapshot loads a metrics snapshot and prints it as an aligned
-// table, one row per metric. The source is in the text exposition format
-// either way: a live admin-plane /metrics URL, or the file a binary's
-// -metrics flag dumped on exit. The dump also carries the span forest as
-// comment lines after "# spans"; the parser skips them and they are echoed
-// below the table.
-func renderSnapshot(src string) error {
-	raw, err := readSource(src)
-	if err != nil {
-		return err
-	}
-	metrics, err := expfmt.ParseText(bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("%s: %w", src, err)
-	}
-	fmt.Printf("%-10s %-48s %14s %16s %12s %12s %12s\n",
-		"kind", "name", "value", "sum", "p50", "p90", "p99")
-	for _, m := range metrics {
-		sum, p50, p90, p99 := "", "", "", ""
-		if m.Kind == "histogram" {
-			sum = fmt.Sprintf("%.6f", m.Sum)
-			if m.Value > 0 {
-				p50 = fmt.Sprintf("%.6f", m.P50)
-				p90 = fmt.Sprintf("%.6f", m.P90)
-				p99 = fmt.Sprintf("%.6f", m.P99)
-			}
-		}
-		fmt.Printf("%-10s %-48s %14d %16s %12s %12s %12s\n",
-			m.Kind, m.Name, m.Value, sum, p50, p90, p99)
-	}
-	fmt.Printf("(%d metrics)\n", len(metrics))
-	if _, spans, _ := strings.Cut(string(raw), "# spans\n# "); spans != "" {
-		fmt.Printf("\nspans:\n%s", strings.ReplaceAll(spans, "\n# ", "\n"))
-	}
-	return nil
-}
-
-// renderStreamHealth prints the per-stream wire-telemetry table a live
-// admin plane serves at /debug/streams.
-func renderStreamHealth(base string) error {
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		return fmt.Errorf("stream-health: want an admin-plane base URL, got %q", base)
-	}
-	txt, err := fetchText(strings.TrimRight(base, "/") + "/debug/streams?format=text")
-	if err != nil {
-		return err
-	}
-	fmt.Print(txt)
 	return nil
 }
 

@@ -19,7 +19,7 @@
 // It also takes the observability flags every binary here shares
 // (admin.Flags): with -admin the workbench exposes the same telemetry plane
 // as the daemons — metrics, their sampled history (/debug/timeseries), SLO
-// alerts, the stream-health table — and holds after the copy so an operator
+// alerts, the stream health table — and holds after the copy so an operator
 // or `benchreport -dashboard` can inspect the run.
 package main
 

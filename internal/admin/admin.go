@@ -81,7 +81,7 @@ func New(o *obs.Obs, p Planes) *Server {
 		ready: make(map[string]Probe),
 	}
 	s.routes = []route{
-		{"/metrics", "Prometheus text exposition, bucket exemplars included", s.handleMetrics},
+		{"/metrics", "Prometheus text exposition", s.handleMetrics},
 		{"/healthz", "liveness: ok while the process answers HTTP", handleHealthz},
 		{"/readyz", "readiness probes", s.handleReadyz},
 		{"/debug/spans", "span forest (JSON; ?trace=)", s.handleSpans},
@@ -95,7 +95,7 @@ func New(o *obs.Obs, p Planes) *Server {
 		s.routes = append(s.routes, route{"/alerts", "SLO alert rules with live state (JSON)", tsdb.AlertsHandler(p.Engine)})
 	}
 	if p.Streams != nil {
-		s.routes = append(s.routes, route{"/debug/streams", "per-stream wire telemetry / stream-health table (JSON; ?format=text)", s.handleStreams})
+		s.routes = append(s.routes, route{"/debug/streams", "per-stream wire telemetry / stream health table (JSON; ?format=text)", s.handleStreams})
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	for _, rt := range s.routes {
@@ -122,7 +122,7 @@ func (s *Server) Start() (stop func()) {
 	return s.p.Recorder.Start(s.o.Registry(), s.p.Engine)
 }
 
-// handleStreams serves the stream-health table: per-transfer, per-stream
+// handleStreams serves the stream health table: per-transfer, per-stream
 // wire telemetry (bytes, EWMA throughput, RTT, retransmits, stall state).
 // JSON by default; ?format=text renders the same table an operator sees
 // in benchreport's dashboard.

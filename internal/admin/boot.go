@@ -94,11 +94,7 @@ func (b *Boot) boot() *Daemon {
 	// One registry for everything in the process, so both legs of a
 	// third-party copy share a table and the scheduler's wire evidence
 	// reads what the servers wrote.
-	d.Streams = streamstats.New(streamstats.Options{
-		Obs:          o,
-		Stall:        b.stallTimeout,
-		AbortOnStall: b.stallTimeout > 0,
-	})
+	d.Streams = streamstats.New(streamstats.Options{Obs: o, Stall: b.stallTimeout})
 	d.stops = append(d.stops, d.Streams.Start())
 
 	if b.admin != "" {
@@ -147,9 +143,8 @@ func (d *Daemon) Close() {
 
 // writeDump is the -metrics exit dump: the registry exactly as /metrics
 // would have served it, then the span forest after a "# spans" line. Every
-// line of the forest is a comment to the exposition's parser, so the whole
-// dump reads back with expfmt.ParseTextSnapshot (benchreport
-// -metrics-snapshot) and nothing has to split it first.
+// line of the forest is a comment, so the whole dump is still valid text
+// format and `grep -v '^#'` leaves the samples.
 func (d *Daemon) writeDump(w io.Writer) {
 	expfmt.WriteText(w, d.Obs.Registry())
 	fmt.Fprintln(w, "# spans")

@@ -3,21 +3,20 @@ package admin
 import (
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/gcmu"
+	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/leakcheck"
-	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/expfmt"
+	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/transfer"
 	"gridftp.dev/instant/internal/world"
 )
@@ -141,80 +140,88 @@ func TestFlagsAreTheDocumentedOnes(t *testing.T) {
 	}
 }
 
-// TestMetricsDumpReadsBackLikeTheMetricsRoute: the -metrics exit dump is the
-// /metrics body followed by the span forest as comments, so one parser —
-// expfmt.ParseTextSnapshot, behind benchreport -metrics-snapshot — reads both
-// to the same counters, gauges and histogram buckets.
-// (go_* and process_* are read from the runtime at snapshot time; they must
-// be in both, with whatever value.)
+// sampleLine is the sample grammar of the Prometheus text format, version
+// 0.0.4, as /metrics declares it: `name{k="v",…} value`, with no timestamp
+// and nothing after the value.
+var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\.)*"(,[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\.)*")*\})?` +
+	` ([-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?|[-+]Inf|NaN)$`)
+
+// TestMetricsDumpReadsBackLikeTheMetricsRoute: after one real GridFTP GET
+// through a site on the daemon's Obs, every sample line of /metrics is valid
+// text format, and the -metrics exit dump is the /metrics body line for line
+// followed by the span forest as comments. (go_* and process_* are read from
+// the runtime at each write; only their values may differ.)
 func TestMetricsDumpReadsBackLikeTheMetricsRoute(t *testing.T) {
 	d := bootWith(t, "dumper", "-admin", "unused")
-	reg := d.Obs.Registry()
-	reg.Counter("gridftp.server.bytes_in").Add(123456)
-	reg.Counter(obs.Name("usage.bytes_total", "siteA")).Add(99)
-	reg.Counter(obs.Name("gridftp.client.commands", "cmd=RETR")).Add(12)
-	reg.Gauge("gridftp.server.sessions_active").Set(3)
-	h := reg.Histogram(obs.Name("transfer.task_seconds", "outcome=ok"), obs.DefaultDurationBuckets)
-	task := d.Obs.Tracer().StartSpan("task")
-	task.Child("data").End()
-	task.End()
-	h.ObserveExemplar(0.25, task.TraceID.String())
-	h.Observe(1.5)
-	h.Observe(1e6) // the +Inf bucket
-	d.Close()      // loops stopped: nothing but the runtime moves between the two reads
+	nw := netsim.NewNetwork()
+	site, err := world.NewSite(nw, "siteA", gridftp.ServerConfig{Obs: d.Obs, Streams: d.Streams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Put("/f.bin", make([]byte, 256<<10)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := site.Connect(nw.Host("laptop"), gridftp.DialOptions{Obs: d.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get("/f.bin", dsi.NewBufferFile(nil)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	site.Close()
+	d.Close() // loops stopped: nothing but the runtime moves between the two writes
 
 	served := httptest.NewRecorder()
 	d.Admin.Handler().ServeHTTP(served, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	var dump strings.Builder
 	d.writeDump(&dump)
-	if !strings.Contains(dump.String(), "\n# spans\n# task ") || !strings.Contains(dump.String(), "\n#   data ") {
+	metrics, spans, ok := strings.Cut(dump.String(), "# spans\n")
+	if !ok || !strings.Contains(spans, "# gridftp.retr ") {
 		t.Errorf("the dump's span forest is not commented lines after # spans:\n%s", dump.String())
 	}
+	for _, line := range strings.Split(spans, "\n") {
+		if line != "" && !strings.HasPrefix(line, "# ") {
+			t.Errorf("span forest line %q is not a comment", line)
+		}
+	}
 
-	stable := func(text string) (kept expfmt.Snapshot, fromRuntime int) {
-		snap, err := expfmt.ParseTextSnapshot(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("ParseTextSnapshot: %v\n%s", err, text)
-		}
-		volatile := func(name string) bool {
-			return strings.HasPrefix(name, "go_") || strings.HasPrefix(name, "process_")
-		}
-		for _, m := range snap.Metrics {
-			if volatile(m.Name) {
-				fromRuntime++
-			} else {
-				kept.Metrics = append(kept.Metrics, m)
+	want := strings.Split(served.Body.String(), "\n")
+	got := strings.Split(metrics, "\n")
+	for name, lines := range map[string][]string{"/metrics": want, "the dump": got} {
+		for _, line := range lines {
+			if line != "" && !strings.HasPrefix(line, "# TYPE ") && !sampleLine.MatchString(line) {
+				t.Errorf("%s: %q is not a text-format sample", name, line)
 			}
 		}
-		for _, h := range snap.Histograms {
-			if volatile(h.Name) {
-				fromRuntime++
-			} else {
-				kept.Histograms = append(kept.Histograms, h)
-			}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the dump has %d metric lines, /metrics %d", len(got), len(want))
+	}
+	fromRuntime := 0
+	for i := range want {
+		if want[i] == got[i] {
+			continue
 		}
-		return kept, fromRuntime
+		w, _, _ := strings.Cut(want[i], " ")
+		g, _, _ := strings.Cut(got[i], " ")
+		if w == g && (strings.HasPrefix(w, "go_") || strings.HasPrefix(w, "process_")) {
+			fromRuntime++
+			continue
+		}
+		t.Errorf("line %d: the dump has %q, /metrics %q", i+1, got[i], want[i])
 	}
-	want, wantRuntime := stable(served.Body.String())
-	got, gotRuntime := stable(dump.String())
-	if len(want.Metrics) < 4 || len(want.Histograms) < 1 || wantRuntime == 0 {
-		t.Fatalf("/metrics parsed to %d metrics, %d histograms, %d runtime series", len(want.Metrics), len(want.Histograms), wantRuntime)
-	}
-	if gotRuntime != wantRuntime {
-		t.Errorf("%d runtime series in the dump, %d on /metrics", gotRuntime, wantRuntime)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("the dump and /metrics parse differently:\ndump     %+v\n/metrics %+v", got, want)
-	}
-	for _, h := range got.Histograms {
-		if h.Name == "transfer_task_seconds{outcome=ok}" {
-			if h.Count != 3 || h.Counts[len(h.Counts)-1] != 3 || !math.IsInf(h.Bounds[len(h.Bounds)-1], 1) {
-				t.Errorf("histogram lost its buckets: %+v", h)
-			}
-			return
+	t.Logf("%d lines, %d runtime samples moved between the two writes", len(want), fromRuntime)
+	for _, line := range []string{
+		`gridftp_server_bytes{instance="RETR"} 262144`,
+		`gridftp_server_transfer_seconds_count{outcome="ok"} 1`,
+		`gridftp_server_command_seconds_bucket{le="+Inf"} `,
+	} {
+		if !strings.Contains(served.Body.String(), "\n"+line) {
+			t.Errorf("/metrics has no line starting %q:\n%s", line, served.Body.String())
 		}
 	}
-	t.Errorf("transfer_task_seconds{outcome=ok} is not in the dump: %+v", got.Histograms)
 }
 
 // TestRecorderSeriesDoNotGrowWithTasks: the registry sampler is the

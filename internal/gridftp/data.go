@@ -446,23 +446,15 @@ func (sess *session) eventAbort(op, path string, err error) {
 }
 
 // observeTransfer feeds the transfer latency histograms: the unlabeled
-// aggregate plus the ok|err outcome split. The command span's trace id
-// rides along as the bucket exemplar so a fleet-level latency alert can
-// name a representative transfer trace.
+// aggregate plus the ok|err outcome split.
 func (sess *session) observeTransfer(dur time.Duration, ok bool) {
 	reg := sess.srv.cfg.Obs.Registry()
-	var traceID string
-	if sess.cmdSpan != nil {
-		traceID = sess.cmdSpan.TraceID.String()
-	}
-	reg.Histogram("gridftp.server.transfer_seconds", obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
+	reg.Histogram("gridftp.server.transfer_seconds", obs.DefaultDurationBuckets).Observe(dur.Seconds())
 	outcome := "outcome=ok"
 	if !ok {
 		outcome = "outcome=err"
 	}
-	reg.Histogram(obs.Name("gridftp.server.transfer_seconds", outcome), obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
+	reg.Histogram(obs.Name("gridftp.server.transfer_seconds", outcome), obs.DefaultDurationBuckets).Observe(dur.Seconds())
 }
 
 func (sess *session) reportUsage(op, path string, bytes int64, dur time.Duration) {
@@ -491,7 +483,7 @@ func (sess *session) reportUsage(op, path string, bytes int64, dur time.Duration
 	})
 }
 
-// streamLabel names this session's current transfer in the stream-health
+// streamLabel names this session's current transfer in the stream health
 // plane: the SITE TASK label when one is installed — with a "-src" suffix
 // on RETR, so the sending leg of a third-party transfer stays
 // distinguishable from the receiving leg under one task prefix — or empty,

@@ -461,7 +461,7 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 }
 
 // TestPutManyFeedsTelemetry: pipelined uploads go through the same send
-// path as Put, so they show up in the stream-health table (and under the
+// path as Put, so they show up in the stream health table (and under the
 // stall watchdog) and in the client byte counter.
 func TestPutManyFeedsTelemetry(t *testing.T) {
 	nw := netsim.NewNetwork()

@@ -77,8 +77,8 @@ type ServerConfig struct {
 	// MODE E transfer this server carries: cumulative bytes, EWMA
 	// throughput, RTT/retransmit/cwnd wire counters, and stall-watchdog
 	// supervision (the registry's Stall window decides when a silent
-	// stream is declared stalled and — with AbortOnStall — torn down so
-	// the client can retry from its restart markers).
+	// stream is declared stalled and torn down so the client can retry
+	// from its restart markers).
 	Streams *streamstats.Registry
 }
 
@@ -315,20 +315,13 @@ func (sess *session) loop() {
 		start := time.Now()
 		sess.beginCommandSpan(cmd)
 		quit := sess.dispatch(cmd)
-		// Capture the trace id before endCommandSpan clears the span: the
-		// histogram exemplar is what links a fleet latency alert back to a
-		// representative trace in the collector.
-		var traceID string
-		if sess.cmdSpan != nil {
-			traceID = sess.cmdSpan.TraceID.String()
-		}
 		sess.endCommandSpan()
 		dur := time.Since(start).Seconds()
-		cmdHist.ObserveExemplar(dur, traceID)
+		cmdHist.Observe(dur)
 		if sess.lastReplyCode >= 400 {
-			cmdErr.ObserveExemplar(dur, traceID)
+			cmdErr.Observe(dur)
 		} else {
-			cmdOK.ObserveExemplar(dur, traceID)
+			cmdOK.Observe(dur)
 		}
 		if quit {
 			return

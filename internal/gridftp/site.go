@@ -94,7 +94,7 @@ const maxTaskLabel = 128
 // handleSiteTask installs the session's task label. The stream-telemetry
 // plane labels this session's transfers with it, so a transfer
 // scheduler can send the same label to both endpoints of a third-party
-// transfer and read back one coherent stream-health picture. An empty
+// transfer and read back one coherent stream health picture. An empty
 // label clears it.
 func (sess *session) handleSiteTask(params string) {
 	label := strings.TrimSpace(params)

@@ -29,7 +29,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // client sends after "SITE " lands here). The dispatcher must never
 // panic, must answer every input with exactly one final reply, must
 // never install a task label that violates the label bounds (labels
-// name rows of the stream-health table), and must never let a malformed
+// name rows of the stream health table), and must never let a malformed
 // traceparent disturb an installed trace context.
 func FuzzSiteDispatch(f *testing.F) {
 	f.Add("HELP")

@@ -112,8 +112,7 @@ func wire(src, dst *Client, striped bool) error {
 //     control round trip before its STOR/RETR: the pair is not wired for
 //     the requested striping (always so for sessions dialled with
 //     DisableChannelCache), or Restart, DCSC or Trace is set.
-//     SetParallelism and SetBlockSize drain the same way when they change
-//     anything.
+//     SetParallelism drains the same way when it changes anything.
 //   - A transfer that fails leaves both servers without a data path (see
 //     session.refuseTransfer and dataPath.retire), so everything queued
 //     behind it is refused at once rather than dialling, or waiting for, a
@@ -367,26 +366,14 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 // back with the PASV/PORT of the next Begin. Asking for the value in effect
 // is free.
 func (p *Pipeline) SetParallelism(n int) error {
-	return p.negotiate(p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n,
-		func(c *Client) error { return c.SetParallelism(n) })
-}
-
-// SetBlockSize negotiates the MODE E block size on both sessions, under the
-// same rule as SetParallelism.
-func (p *Pipeline) SetBlockSize(n int) error {
-	return p.negotiate(p.src.spec.BlockSize == n && p.dst.spec.BlockSize == n,
-		func(c *Client) error { return c.SetBlockSize(n) })
-}
-
-func (p *Pipeline) negotiate(inEffect bool, set func(*Client) error) error {
-	if inEffect {
+	if p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n {
 		return nil
 	}
 	p.Drain()
-	if err := set(p.src); err != nil {
+	if err := p.src.SetParallelism(n); err != nil {
 		return err
 	}
-	return set(p.dst)
+	return p.dst.SetParallelism(n)
 }
 
 // ThirdParty performs a third-party transfer: the client directs src to

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry is a concurrency-safe collection of named metrics. Metric
@@ -114,19 +113,6 @@ type Histogram struct {
 	buckets []atomic.Int64 // len(bounds)+1; last is +Inf
 	count   atomic.Int64
 	sum     atomic.Uint64 // float64 bits, CAS-accumulated
-	// exemplars holds the most recent traced observation per bucket
-	// (parallel to buckets); nil pointers mean no exemplar yet.
-	exemplars []atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one recent histogram observation to the distributed
-// trace it was recorded under, so an aggregate view (a fleet p99, a
-// firing alert) can point at a concrete representative trace. A zero
-// TraceID means "no exemplar".
-type Exemplar struct {
-	Value   float64   `json:"value"`
-	TraceID string    `json:"trace_id"`
-	Time    time.Time `json:"time"`
 }
 
 // DefaultDurationBuckets suits millisecond-scale simulated operations
@@ -136,33 +122,16 @@ var DefaultDurationBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	return &Histogram{
-		bounds:    bs,
-		buckets:   make([]atomic.Int64, len(bs)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bs)+1),
-	}
+	return &Histogram{bounds: bs, buckets: make([]atomic.Int64, len(bs)+1)}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.ObserveExemplar(v, "")
-}
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// remembers it as the bucket's exemplar — the trace id of a recent
-// observation that landed in that bucket. Hot paths that already hold a
-// span call this instead of Observe so fleet aggregates and alerts can
-// link to a representative trace.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
+	h.buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.count.Add(1)
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
-	}
 	for {
 		old := h.sum.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
@@ -170,22 +139,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 			return
 		}
 	}
-}
-
-// Exemplars returns the per-bucket exemplars, parallel to Buckets
-// (including the +Inf bucket). Buckets that never saw a traced
-// observation yield the zero Exemplar.
-func (h *Histogram) Exemplars() []Exemplar {
-	if h == nil {
-		return nil
-	}
-	out := make([]Exemplar, len(h.exemplars))
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out[i] = *e
-		}
-	}
-	return out
 }
 
 // Count returns the total number of observations.
@@ -226,7 +179,7 @@ func (h *Histogram) Buckets() ([]float64, []int64) {
 // bucket the rank falls in — the same estimate Prometheus's
 // histogram_quantile computes; the highest finite bound is returned when
 // the rank lands in the +Inf bucket. It is the one estimator behind
-// snapshots, the exposition parser and the recorder's windowed quantiles.
+// snapshots and the recorder's windowed quantiles.
 // Malformed input and a zero observation count return the defined
 // sentinel 0 rather than NaN, so quantiles can feed JSON encoders, the
 // exposition format and alert rules without a NaN guard at every
@@ -271,27 +224,19 @@ func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 }
 
 // HistogramSnapshot is the full state of one histogram: cumulative
-// buckets (including +Inf) plus the interpolated p50/p90/p99. The
-// quantiles are zero (not NaN) for an empty histogram so snapshots stay
-// JSON-encodable.
+// buckets (including +Inf), count and sum.
 type HistogramSnapshot struct {
 	Name   string
 	Bounds []float64 // ascending; last is +Inf
 	Counts []int64   // cumulative, parallel to Bounds
 	Count  int64
 	Sum    float64
-	P50    float64
-	P90    float64
-	P99    float64
-	// Exemplars is parallel to Bounds; a zero TraceID means the bucket
-	// has no exemplar. Nil when the snapshot came from a source without
-	// exemplar support.
-	Exemplars []Exemplar
 }
 
 // HistogramSnapshots returns every histogram's full state, sorted by
 // name. Counters and gauges are covered by Snapshot; this is the
-// bucket-level view the exposition layer needs.
+// bucket-level view the exposition and the recorder's windowed quantiles
+// need.
 func (r *Registry) HistogramSnapshots() []HistogramSnapshot {
 	r.mu.Lock()
 	hs := make(map[string]*Histogram, len(r.histograms))
@@ -302,16 +247,9 @@ func (r *Registry) HistogramSnapshots() []HistogramSnapshot {
 	out := make([]HistogramSnapshot, 0, len(hs))
 	for name, h := range hs {
 		bounds, counts := h.Buckets()
-		snap := HistogramSnapshot{
-			Name: name, Bounds: bounds, Counts: counts,
-			Count: h.Count(), Sum: h.Sum(), Exemplars: h.Exemplars(),
-		}
-		if snap.Count > 0 {
-			snap.P50 = QuantileFromBuckets(bounds, counts, 0.50)
-			snap.P90 = QuantileFromBuckets(bounds, counts, 0.90)
-			snap.P99 = QuantileFromBuckets(bounds, counts, 0.99)
-		}
-		out = append(out, snap)
+		out = append(out, HistogramSnapshot{
+			Name: name, Bounds: bounds, Counts: counts, Count: h.Count(), Sum: h.Sum(),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +96,48 @@ func TestHistogramBuckets(t *testing.T) {
 		if counts[i] != w {
 			t.Errorf("bucket %d (<=%g) = %d, want %d", i, bounds[i], counts[i], w)
 		}
+	}
+}
+
+func TestQuantileEdgeCases(t *testing.T) {
+	// Degenerate inputs return the defined sentinel 0 — never NaN, which
+	// would leak into JSON encoders and the exposition format.
+	if v := QuantileFromBuckets(nil, nil, 0.5); v != 0 {
+		t.Errorf("empty buckets: got %v, want 0", v)
+	}
+	// A histogram with no observations has all-zero cumulative counts.
+	if v := QuantileFromBuckets([]float64{1, math.Inf(1)}, []int64{0, 0}, 0.5); v != 0 {
+		t.Errorf("zero counts: got %v, want 0", v)
+	}
+	// Single (+Inf-only) bucket: no finite bound to interpolate against.
+	if v := QuantileFromBuckets([]float64{math.Inf(1)}, []int64{7}, 0.5); v != 0 {
+		t.Errorf("+Inf-only bucket: got %v, want 0", v)
+	}
+	// Single finite bucket: interpolate within [0, bound].
+	got := QuantileFromBuckets([]float64{2, math.Inf(1)}, []int64{4, 4}, 0.5)
+	if math.Abs(got-1.0) > 1e-9 {
+		t.Errorf("single finite bucket p50 = %v, want 1.0", got)
+	}
+	// Rank in the +Inf bucket clamps to the highest finite bound.
+	got = QuantileFromBuckets([]float64{1, math.Inf(1)}, []int64{1, 10}, 0.99)
+	if got != 1 {
+		t.Errorf("+Inf-bucket rank = %v, want 1 (highest finite bound)", got)
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("q", []float64{1, 2, 4})
+	for i := 0; i < 10; i++ {
+		h.Observe(1.5) // all ten land in the (1,2] bucket
+	}
+	// rank(p50)=5 of 10 in-bucket → 1 + (2-1)*5/10 = 1.5
+	bounds, counts := h.Buckets()
+	if got := QuantileFromBuckets(bounds, counts, 0.5); math.Abs(got-1.5) > 1e-9 {
+		t.Errorf("p50 = %v, want 1.5", got)
+	}
+	if got := QuantileFromBuckets(bounds, counts, 1.0); math.Abs(got-2.0) > 1e-9 {
+		t.Errorf("p100 = %v, want 2.0 (bucket upper edge)", got)
 	}
 }
 

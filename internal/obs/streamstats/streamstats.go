@@ -20,10 +20,9 @@
 //	gridftp.streams.imbalance_pct   worst max/min stream-throughput ratio, in percent
 //
 // The poller doubles as the stall watchdog: a stream with no progress
-// for the configured window raises a stream.stalled event (and, when
-// AbortOnStall is set, aborts the transfer so the scheduler retries the
-// file from its restart-marker checkpoint); progress or transfer end
-// raises stream.recovered.
+// for the configured window raises a stream.stalled event and aborts the
+// transfer, so the scheduler retries the file from its restart-marker
+// checkpoint; progress or transfer end raises stream.recovered.
 //
 // Like the rest of internal/obs, a nil *Registry and a nil *Transfer are
 // valid everywhere: all methods degrade to no-ops, so the data path never
@@ -95,12 +94,10 @@ type Options struct {
 	// Interval is the poll/watchdog cadence. Default 500ms.
 	Interval time.Duration
 	// Stall is the no-progress window after which a stream is flagged
-	// stalled. Zero disables the watchdog (telemetry still flows).
+	// stalled and its transfer aborted, so the attempt fails fast and the
+	// scheduler retries the file from its checkpoint instead of waiting
+	// out the transfer. Zero disables the watchdog (telemetry still flows).
 	Stall time.Duration
-	// AbortOnStall makes the watchdog abort a transfer whose stream
-	// stalls, so the attempt fails fast and the scheduler retries the
-	// file from its checkpoint instead of waiting out the transfer.
-	AbortOnStall bool
 }
 
 func (o Options) interval() time.Duration {
@@ -246,8 +243,8 @@ type buffersWriter interface {
 }
 
 // SetAbort installs the function the stall watchdog calls (once) when a
-// stream of this transfer stalls and the registry is in AbortOnStall
-// mode. It should tear down the transfer's data connections.
+// stream of this transfer stalls. It should tear down the transfer's data
+// connections.
 func (t *Transfer) SetAbort(fn func()) {
 	if t == nil {
 		return
@@ -490,7 +487,7 @@ func (r *Registry) poll(now time.Time) {
 				worstRatio = ratio
 			}
 		}
-		if stalledStream != nil && r.opts.AbortOnStall && abort != nil && !t.stallAborted.Load() {
+		if stalledStream != nil && abort != nil && !t.stallAborted.Load() {
 			t.stallAborted.Store(true)
 			abort()
 		}
@@ -638,14 +635,6 @@ type WireSummary struct {
 	Imbalance float64
 	// Stalls is how many transfers were aborted by the stall watchdog.
 	Stalls int
-	// RTT is the largest per-stream RTT observed (the path RTT for
-	// bandwidth-delay-product sizing).
-	RTT time.Duration
-	// CwndSegments is the largest per-stream congestion window observed.
-	CwndSegments int64
-	// Throughput is the summed per-stream EWMA throughput (bytes/sec)
-	// across the matched transfers' streams.
-	Throughput float64
 }
 
 // WireSummary aggregates every transfer whose label starts with prefix
@@ -670,13 +659,6 @@ func (r *Registry) WireSummary(prefix string) (WireSummary, bool) {
 		}
 		for _, sh := range th.Streams {
 			ws.Retransmits += sh.Retransmits
-			ws.Throughput += sh.Throughput
-			if rtt := time.Duration(sh.RTTMillis * float64(time.Millisecond)); rtt > ws.RTT {
-				ws.RTT = rtt
-			}
-			if sh.CwndSegments > ws.CwndSegments {
-				ws.CwndSegments = sh.CwndSegments
-			}
 		}
 	}
 	return ws, ws.Transfers > 0

@@ -265,10 +265,6 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 	if stalled[0]["transfer"] != "t" || stalled[0]["stream"] != "0" || stalled[0]["idle_ms"] != "6000" {
 		t.Fatalf("stream.stalled fields = %v", stalled[0])
 	}
-	if tr.StallAborted() {
-		t.Fatal("transfer marked stall-aborted without AbortOnStall")
-	}
-
 	s.last.Store(at(7500 * time.Millisecond).UnixNano())
 	reg.poll(at(8 * time.Second))
 	if got := gauge(reg, StalledSeries); got != 0 || streamHealth(t, reg, 0).Stalled {
@@ -292,8 +288,8 @@ func TestPollStallRaisesEventThenRecovers(t *testing.T) {
 	}
 }
 
-func TestPollAbortOnStallAbortsOnce(t *testing.T) {
-	reg, tr, s := polledStream(t, Options{Stall: 5 * time.Second, AbortOnStall: true})
+func TestPollStallAbortsOnce(t *testing.T) {
+	reg, tr, s := polledStream(t, Options{Stall: 5 * time.Second})
 	t0 := time.Unix(1_700_000_000, 0)
 	s.last.Store(t0.UnixNano())
 	aborts := 0

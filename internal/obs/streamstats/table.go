@@ -6,8 +6,8 @@ import (
 )
 
 // FormatTable renders a health snapshot as the aligned text table that
-// /debug/streams?format=text serves (and `benchreport -stream-health` and
-// `-dashboard` show): one header row per transfer, one row per stream.
+// /debug/streams?format=text serves (and `benchreport -dashboard` shows):
+// one header row per transfer, one row per stream.
 func FormatTable(transfers []TransferHealth) string {
 	if len(transfers) == 0 {
 		return "(no transfers tracked)\n"

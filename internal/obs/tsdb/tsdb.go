@@ -1,6 +1,6 @@
-// Package tsdb is the in-memory time-series flight recorder: fixed-size
-// ring buffers of (timestamp, value) points with two-tier downsampling,
-// sampled from an obs.Registry (counters become rates, gauges values,
+// Package tsdb is the in-memory time-series flight recorder: one
+// fixed-size ring buffer of (timestamp, value) points per series, sampled
+// from an obs.Registry (counters become rates, gauges values,
 // histograms windowed quantiles). The sampler is its one input, so the
 // series it holds are named by the metrics in the code and their number
 // does not grow with traffic. It answers the questions a point-in-time
@@ -8,11 +8,10 @@
 // "is p99 latency degrading?" — without an external Prometheus, per the
 // self-contained production-service goal.
 //
-// Data model: each series keeps a raw tier at the sampling cadence
-// (default 1s, retained ~5 minutes) and an aggregated tier of
-// step-averaged points (default 15s, retained ~2 hours). Memory per
-// series is bounded by the two ring capacities, so a daemon recording
-// hundreds of series for weeks stays flat.
+// Data model: each series keeps one tier of points at the sampling cadence
+// (default 1s, retained 5 minutes). Memory per series is bounded by the
+// ring's capacity, so a daemon recording hundreds of series for weeks
+// stays flat.
 //
 // The package is stdlib-only and depends on internal/obs alone; the
 // alert engine over it lives in alerts.go.
@@ -34,35 +33,21 @@ type Point struct {
 	V float64   `json:"v"`
 }
 
-// Options size the recorder's tiers. Zero fields take the defaults.
+// Options size the recorder's one tier. Zero fields take the defaults.
 type Options struct {
-	// RawStep is the sampling cadence of the raw tier and of the
-	// background registry sampler (default 1s).
-	RawStep time.Duration
-	// RawRetention is how much history the raw tier keeps (default 5m).
-	RawRetention time.Duration
-	// AggStep is the aggregated tier's resolution: raw points are
-	// averaged per AggStep bucket as they age out (default 15s).
-	AggStep time.Duration
-	// AggRetention is the aggregated tier's span (default 2h).
-	AggRetention time.Duration
+	// Step is the cadence of the background registry sampler, and so the
+	// spacing of a series' points (default 1s).
+	Step time.Duration
+	// Retention is how much history each series keeps (default 5m).
+	Retention time.Duration
 }
 
 func (o Options) withDefaults() Options {
-	if o.RawStep <= 0 {
-		o.RawStep = time.Second
+	if o.Step <= 0 {
+		o.Step = time.Second
 	}
-	if o.RawRetention <= 0 {
-		o.RawRetention = 5 * time.Minute
-	}
-	if o.AggStep <= 0 {
-		o.AggStep = 15 * time.Second
-	}
-	if o.AggRetention <= 0 {
-		o.AggRetention = 2 * time.Hour
-	}
-	if o.AggStep < o.RawStep {
-		o.AggStep = o.RawStep
+	if o.Retention <= 0 {
+		o.Retention = 5 * time.Minute
 	}
 	return o
 }
@@ -103,32 +88,13 @@ func (r *ring) points() []Point {
 	return out
 }
 
-func (r *ring) oldest() (Point, bool) {
-	if r.n == 0 {
-		return Point{}, false
-	}
-	return r.at(0), true
-}
-
-// series is one named timeline: the raw ring, the aggregated ring, and
-// the open aggregation bucket raw points accumulate into before rolling
-// over.
-type series struct {
-	raw *ring
-	agg *ring
-
-	bucketStart time.Time
-	bucketSum   float64
-	bucketN     int // zero when no bucket is open
-}
-
 // Recorder is the concurrency-safe recorder. The zero value is not
 // usable; construct with New.
 type Recorder struct {
 	opts Options
 
 	mu     sync.Mutex
-	series map[string]*series
+	series map[string]*ring
 
 	// Sampler state: previous cumulative values, so counters and
 	// histogram buckets turn into windowed rates/quantiles.
@@ -143,24 +109,16 @@ func New(opts Options) *Recorder {
 	o := opts.withDefaults()
 	return &Recorder{
 		opts:         o,
-		series:       make(map[string]*series),
+		series:       make(map[string]*ring),
 		lastCounters: make(map[string]int64),
 		lastBuckets:  make(map[string][]int64),
 	}
 }
 
-func (r *Recorder) rawCap() int {
-	return int(r.opts.RawRetention / r.opts.RawStep)
-}
-
-func (r *Recorder) aggCap() int {
-	return int(r.opts.AggRetention / r.opts.AggStep)
-}
-
-func (r *Recorder) seriesFor(name string) *series {
+func (r *Recorder) seriesFor(name string) *ring {
 	s, ok := r.series[name]
 	if !ok {
-		s = &series{raw: newRing(r.rawCap()), agg: newRing(r.aggCap())}
+		s = newRing(int(r.opts.Retention / r.opts.Step))
 		r.series[name] = s
 	}
 	return s
@@ -176,25 +134,7 @@ func (r *Recorder) observe(name string, t time.Time, v float64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesFor(name)
-	s.raw.push(Point{T: t, V: v})
-	r.aggregate(s, t, v)
-}
-
-// aggregate folds one observation into the series' aggregated tier:
-// accumulate while t lands in the open bucket, roll the bucket's average
-// into the agg ring when t crosses into a later bucket.
-func (r *Recorder) aggregate(s *series, t time.Time, v float64) {
-	bucket := t.Truncate(r.opts.AggStep)
-	if s.bucketN > 0 && bucket.After(s.bucketStart) {
-		s.agg.push(Point{T: s.bucketStart, V: s.bucketSum / float64(s.bucketN)})
-		s.bucketN = 0
-	}
-	if s.bucketN == 0 {
-		s.bucketStart, s.bucketSum = bucket, 0
-	}
-	s.bucketSum += v
-	s.bucketN++
+	r.seriesFor(name).push(Point{T: t, V: v})
 }
 
 // SeriesNames returns every recorded series name, sorted.
@@ -213,33 +153,16 @@ func (r *Recorder) SeriesNames() []string {
 }
 
 // Query returns the named series' points at or after since (zero = all
-// retained history), oldest first: aggregated-tier points for the span
-// the raw tier no longer covers, then the raw points. A step > 0
-// re-buckets the result by averaging per step — the ?step= selection of
-// the admin endpoint.
+// retained history), oldest first. A step > 0 re-buckets the result by
+// averaging per step — the ?step= selection of the admin endpoint.
 func (r *Recorder) Query(name string, since time.Time, step time.Duration) []Point {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	s, ok := r.series[name]
 	var out []Point
-	if ok {
-		raw := s.raw.points()
-		if oldestRaw, any := s.raw.oldest(); any {
-			for _, p := range s.agg.points() {
-				// Stitch on the bucket's END: an agg bucket that overlaps
-				// the raw span would double-count the raw points it
-				// averaged, so only buckets wholly before raw coverage
-				// contribute.
-				if !p.T.Add(r.opts.AggStep).After(oldestRaw.T) {
-					out = append(out, p)
-				}
-			}
-		} else {
-			out = s.agg.points()
-		}
-		out = append(out, raw...)
+	if s, ok := r.series[name]; ok {
+		out = s.points()
 	}
 	r.mu.Unlock()
 	if !since.IsZero() {
@@ -284,10 +207,10 @@ func (r *Recorder) Latest(name string) (Point, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.series[name]
-	if !ok || s.raw.n == 0 {
+	if !ok || s.n == 0 {
 		return Point{}, false
 	}
-	return s.raw.at(s.raw.n - 1), true
+	return s.at(s.n - 1), true
 }
 
 // SeriesDump is one series in the /debug/timeseries response shape.
@@ -299,7 +222,7 @@ type SeriesDump struct {
 // DumpSeries renders every series whose name matches one of the given
 // prefixes (nil/empty = all) through Query(since, step), skipping series
 // with no points in range. A prefix matches exactly or as a name prefix,
-// so "gridftp.streams." selects every stream-health gauge.
+// so "gridftp.streams." selects every stream health gauge.
 func (r *Recorder) DumpSeries(prefixes []string, since time.Time, step time.Duration) []SeriesDump {
 	var out []SeriesDump
 	for _, name := range r.SeriesNames() {
@@ -410,11 +333,11 @@ func windowCounts(cur, prev []int64) []int64 {
 	return out
 }
 
-// Start launches the background sampling loop: every RawStep it samples
+// Start launches the background sampling loop: every Step it samples
 // reg and, when engine is non-nil, evaluates the alert rules against the
 // fresh samples. The returned stop halts it (obs.Every's contract).
 func (r *Recorder) Start(reg *obs.Registry, engine *Engine) (stop func()) {
-	return obs.Every(r.opts.RawStep, func(now time.Time) {
+	return obs.Every(r.opts.Step, func(now time.Time) {
 		r.SampleRegistry(reg, now)
 		engine.Eval(now)
 	})

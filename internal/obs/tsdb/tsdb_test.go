@@ -14,52 +14,28 @@ import (
 var t0 = time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 
 func testRecorder() *Recorder {
-	// Tiny geometry: 5 raw points, 3s agg buckets, 10 agg points.
-	return New(Options{
-		RawStep: time.Second, RawRetention: 5 * time.Second,
-		AggStep: 3 * time.Second, AggRetention: 30 * time.Second,
-	})
+	// Tiny geometry: five points at a 1s step.
+	return New(Options{Step: time.Second, Retention: 5 * time.Second})
 }
 
-func TestTwoTierDownsamplingRollover(t *testing.T) {
+func TestRingKeepsRetentionAndRebuckets(t *testing.T) {
 	r := testRecorder()
-	// Nine 1s samples: buckets [0,3) [3,6) close when crossed; [6,9) stays
-	// open until a 10th point arrives.
 	for i := 0; i < 9; i++ {
 		r.observe("s", t0.Add(time.Duration(i)*time.Second), float64(i))
 	}
 
-	// Raw ring (cap 5) keeps the newest five: values 4..8.
-	raw := r.Query("s", t0.Add(4*time.Second), 0)
-	if len(raw) != 5 || raw[0].V != 4 || raw[4].V != 8 {
-		t.Fatalf("raw tail = %v, want values 4..8", raw)
-	}
-
-	// Aggregated tier holds the two closed buckets, stamped at the bucket
-	// start, averaging their three members: (0+1+2)/3=1, (3+4+5)/3=4.
+	// The ring (cap 5) keeps the newest five: values 4..8, oldest first.
 	all := r.Query("s", time.Time{}, 0)
-	// Raw retains 4..8 (oldest raw is t0+4s); agg points strictly before
-	// that: only the [0,3) bucket at t0. The [3,6) bucket (t0+3s) overlaps
-	// the raw span and must not be duplicated into the result.
-	if len(all) != 6 {
-		t.Fatalf("merged query = %v, want 1 agg + 5 raw points", all)
+	if len(all) != 5 || all[0].V != 4 || all[4].V != 8 {
+		t.Fatalf("retained = %v, want values 4..8", all)
 	}
-	if !all[0].T.Equal(t0) || all[0].V != 1 {
-		t.Errorf("agg point = %+v, want t0 avg 1", all[0])
-	}
-	for i := 1; i < len(all); i++ {
-		if !all[i].T.After(all[i-1].T) {
-			t.Errorf("merged points not strictly increasing at %d: %v", i, all)
-		}
+	if since := r.Query("s", t0.Add(7*time.Second), 0); len(since) != 2 || since[0].V != 7 {
+		t.Errorf("since t0+7s = %v, want values 7, 8", since)
 	}
 
-	// The open [6,9) bucket has not rolled over: a query stepping at 3s
-	// over the raw tail still sees its raw members.
+	// A 3s step averages per step-aligned bucket: t0+3s→(4+5)/2, t0+6s→(6+7+8)/3.
 	stepped := r.Query("s", time.Time{}, 3*time.Second)
-	// Buckets: t0 (agg avg 1), t0+3 (raw 4,5 → wait raw starts at 4s) —
-	// compute: points are (t0,1) (4s,4) (5s,5) (6s,6) (7s,7) (8s,8):
-	// t0→1, t0+3s→(4+5)/2=4.5, t0+6s→(6+7+8)/3=7.
-	want := []Point{{t0, 1}, {t0.Add(3 * time.Second), 4.5}, {t0.Add(6 * time.Second), 7}}
+	want := []Point{{t0.Add(3 * time.Second), 4.5}, {t0.Add(6 * time.Second), 7}}
 	if len(stepped) != len(want) {
 		t.Fatalf("stepped = %v, want %v", stepped, want)
 	}
@@ -67,32 +43,6 @@ func TestTwoTierDownsamplingRollover(t *testing.T) {
 		if !stepped[i].T.Equal(want[i].T) || math.Abs(stepped[i].V-want[i].V) > 1e-9 {
 			t.Errorf("stepped[%d] = %+v, want %+v", i, stepped[i], want[i])
 		}
-	}
-}
-
-func TestExactTierBoundary(t *testing.T) {
-	r := testRecorder()
-	// A point exactly on an agg-bucket boundary opens the next bucket; the
-	// previous bucket's average lands at the previous bucket's start.
-	r.observe("s", t0.Add(2*time.Second), 10)
-	r.observe("s", t0.Add(3*time.Second), 20) // exactly on the [3,6) edge
-	all := r.Query("s", time.Time{}, 0)
-	if len(all) != 2 {
-		t.Fatalf("points = %v", all)
-	}
-	// Force the open bucket to roll and check its stamp.
-	r.observe("s", t0.Add(6*time.Second), 30)
-	r.mu.Lock()
-	agg := r.series["s"].agg.points()
-	r.mu.Unlock()
-	if len(agg) != 2 {
-		t.Fatalf("agg = %v, want 2 closed buckets", agg)
-	}
-	if !agg[0].T.Equal(t0) || agg[0].V != 10 {
-		t.Errorf("agg[0] = %+v, want {t0 10}", agg[0])
-	}
-	if !agg[1].T.Equal(t0.Add(3*time.Second)) || agg[1].V != 20 {
-		t.Errorf("agg[1] = %+v, want {t0+3s 20}", agg[1])
 	}
 }
 
@@ -199,7 +149,7 @@ func TestDumpSeriesPrefixes(t *testing.T) {
 }
 
 func TestStartSamplesAndStops(t *testing.T) {
-	r := New(Options{RawStep: 5 * time.Millisecond})
+	r := New(Options{Step: 5 * time.Millisecond})
 	reg := obs.NewRegistry()
 	reg.Gauge("g").Set(42)
 	stop := r.Start(reg, nil)

@@ -10,7 +10,6 @@ import (
 	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/streamstats"
 )
 
 // This file is the concurrent transfer scheduler: a task's file plan fans
@@ -331,45 +330,6 @@ func (a *autotuner) streamsFor(size int64) int {
 	return n
 }
 
-// Block-size autotuning bounds: the BDP estimate is clamped to
-// [64 KiB, 2 MiB] so short paths keep framing overhead low without
-// degenerating into tiny blocks, and long fat paths stop growing before a
-// single block monopolizes the receive pool.
-const (
-	minAutoBlockSize = 64 << 10
-	maxAutoBlockSize = 2 << 20
-)
-
-// blockSizeFor picks the MODE E block size from the path's
-// bandwidth-delay product: each stream should be able to keep roughly one
-// block in flight, so the per-stream share of throughput×RTT is rounded
-// down to a power of two and clamped. The wire evidence comes from the
-// stream-telemetry plane (per-stream RTT and EWMA throughput, with
-// cwnd×MSS as the cold-start fallback); with no evidence the negotiated
-// default stands.
-func (a *autotuner) blockSizeFor(ws streamstats.WireSummary, streams int) int {
-	if a.disabled {
-		return gridftp.DefaultBlockSize
-	}
-	bdp := ws.Throughput * ws.RTT.Seconds()
-	if bdp <= 0 && ws.CwndSegments > 0 {
-		// Cold start: no throughput EWMA yet, but the kernel's congestion
-		// window says how much this path keeps in flight per stream.
-		bdp = float64(ws.CwndSegments) * 1460
-	}
-	if bdp <= 0 {
-		return gridftp.DefaultBlockSize
-	}
-	if streams > 1 {
-		bdp /= float64(streams)
-	}
-	bs := minAutoBlockSize
-	for bs*2 <= maxAutoBlockSize && float64(bs*2) <= bdp {
-		bs *= 2
-	}
-	return bs
-}
-
 // budgetNow reports the current total stream budget (for metrics).
 func (a *autotuner) budgetNow() int {
 	a.mu.Lock()
@@ -547,19 +507,14 @@ func (w *worker) beginNext() bool {
 // begin is the first half of moving one plan file third-party: it takes
 // the file into the active set, negotiates what the autotuner wants for it
 // and writes its transfer commands behind the worker's files already in
-// flight. Renegotiating (parallelism or block size changed) and resuming
+// flight. Renegotiating a changed parallelism and resuming
 // from restart markers need control round trips of their own, so such a
 // file completes everything ahead of it first — the pipeline sees to that.
 // complete runs exactly once for every file begun.
 func (w *worker) begin(i int, wait time.Duration) {
 	s, r := w.s, w.workerRun
 	reg := s.cfg.Obs.Registry()
-	var traceID string
-	if r.parent != nil {
-		traceID = r.parent.TraceID.String()
-	}
-	reg.Histogram("transfer.queue_wait_seconds", queueWaitBuckets).
-		ObserveExemplar(wait.Seconds(), traceID)
+	reg.Histogram("transfer.queue_wait_seconds", queueWaitBuckets).Observe(wait.Seconds())
 	active := reg.Gauge("transfer.active_transfers")
 	active.Add(1)
 	reg.Gauge("transfer.active_transfers_peak").Max(active.Value())
@@ -592,16 +547,6 @@ func (w *worker) begin(i int, wait time.Duration) {
 		return
 	}
 	reg.Gauge("transfer.stream_budget").Set(int64(r.tuner.budgetNow()))
-
-	// Wire-aware block sizing: size MODE E blocks to the path's
-	// bandwidth-delay product as observed by the stream-telemetry plane.
-	// Best-effort: an endpoint rejecting the OPTS extension keeps its
-	// negotiated default, so the error is dropped.
-	ws, _ := s.cfg.Streams.WireSummary(r.task.ID)
-	if bs := r.tuner.blockSizeFor(ws, par); bs > 0 {
-		_ = w.pipe.SetBlockSize(bs)
-		reg.Gauge("transfer.block_size").Set(int64(bs))
-	}
 
 	opts := gridftp.ThirdPartyOptions{
 		Restart: restart,

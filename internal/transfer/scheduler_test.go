@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
-	"gridftp.dev/instant/internal/gridftp"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/streamstats"
 )
 
 // slowLinks puts every hop of the hosted-transfer triangle (service to
@@ -331,36 +329,6 @@ func TestSchedulerCheckpointResume(t *testing.T) {
 		if !bytes.Equal(got, pattern(fileSize)) {
 			t.Fatalf("file %d mismatch", i)
 		}
-	}
-}
-
-func TestBlockSizeForBDP(t *testing.T) {
-	a := &autotuner{workers: 1, budget: 8}
-	cases := []struct {
-		name    string
-		ws      streamstats.WireSummary
-		streams int
-		want    int
-	}{
-		{"no evidence keeps default", streamstats.WireSummary{}, 4, gridftp.DefaultBlockSize},
-		{"lan path clamps low", streamstats.WireSummary{
-			RTT: 200 * time.Microsecond, Throughput: 10e6}, 1, minAutoBlockSize},
-		{"wan path sizes to bdp", streamstats.WireSummary{
-			RTT: 50 * time.Millisecond, Throughput: 40e6}, 1, 1 << 20},
-		{"streams share the bdp", streamstats.WireSummary{
-			RTT: 50 * time.Millisecond, Throughput: 40e6}, 4, 256 << 10},
-		{"long fat path clamps high", streamstats.WireSummary{
-			RTT: 200 * time.Millisecond, Throughput: 1e9}, 1, maxAutoBlockSize},
-		{"cwnd cold start", streamstats.WireSummary{CwndSegments: 100}, 1, 128 << 10},
-	}
-	for _, tc := range cases {
-		if got := a.blockSizeFor(tc.ws, tc.streams); got != tc.want {
-			t.Errorf("%s: blockSizeFor = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	a.disabled = true
-	if got := a.blockSizeFor(streamstats.WireSummary{RTT: time.Second, Throughput: 1e9}, 1); got != gridftp.DefaultBlockSize {
-		t.Errorf("disabled tuner: blockSizeFor = %d, want default", got)
 	}
 }
 

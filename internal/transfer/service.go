@@ -452,7 +452,7 @@ func (s *Service) run(task *Task) {
 			span.SetAttr("attempts", attempt)
 			span.End()
 			reg.Counter("transfer.tasks_succeeded").Inc()
-			s.observeTask(time.Since(task.Started), true, span.TraceID.String())
+			s.observeTask(time.Since(task.Started), true)
 			log.Info("task succeeded", "attempts", attempt,
 				"bytes", task.BytesTransferred,
 				"dur", time.Since(task.Started).Round(time.Microsecond))
@@ -487,7 +487,7 @@ func (s *Service) run(task *Task) {
 	span.SetError(lastErr)
 	span.End()
 	reg.Counter("transfer.tasks_failed").Inc()
-	s.observeTask(time.Since(task.Started), false, span.TraceID.String())
+	s.observeTask(time.Since(task.Started), false)
 	log.Error("task failed", "err", lastErr)
 	ev.Append(eventlog.TaskComplete, "component", "transfer-service",
 		"task", task.ID, "status", string(TaskFailed), "err", lastErr.Error(),
@@ -520,18 +520,15 @@ func (s *Service) recordWireEvidence(task *Task, attempt int, traceID string) {
 }
 
 // observeTask records the task duration on the aggregate histogram and on
-// the outcome-labeled series, carrying the task span's trace id as the
-// bucket exemplar.
-func (s *Service) observeTask(dur time.Duration, ok bool, traceID string) {
+// the outcome-labeled series.
+func (s *Service) observeTask(dur time.Duration, ok bool) {
 	reg := s.cfg.Obs.Registry()
-	reg.Histogram("transfer.task_seconds", obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
+	reg.Histogram("transfer.task_seconds", obs.DefaultDurationBuckets).Observe(dur.Seconds())
 	outcome := "outcome=ok"
 	if !ok {
 		outcome = "outcome=err"
 	}
-	reg.Histogram(obs.Name("transfer.task_seconds", outcome), obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
+	reg.Histogram(obs.Name("transfer.task_seconds", outcome), obs.DefaultDurationBuckets).Observe(dur.Seconds())
 }
 
 // attempt advances the plan as far as it can over a primary session pair:

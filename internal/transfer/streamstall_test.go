@@ -30,7 +30,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	o := obs.New(io.Discard, obs.LevelInfo)
 	// Sample well under the poller interval so the stalled>0 gauge cannot
 	// slip between samples; the short raw retention keeps the rings small.
-	rec := tsdb.New(tsdb.Options{RawStep: 5 * time.Millisecond, RawRetention: 5 * time.Second})
+	rec := tsdb.New(tsdb.Options{Step: 5 * time.Millisecond, Retention: 5 * time.Second})
 
 	// The stock stream-stall rule with For collapsed to zero so the test
 	// doesn't have to hold the stall for a wall-clock second.
@@ -42,10 +42,9 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	eng := tsdb.NewEngine(rec, o, rules)
 
 	streams := streamstats.New(streamstats.Options{
-		Obs:          o,
-		Interval:     20 * time.Millisecond,
-		Stall:        120 * time.Millisecond,
-		AbortOnStall: true,
+		Obs:      o,
+		Interval: 20 * time.Millisecond,
+		Stall:    120 * time.Millisecond,
 	})
 	defer streams.Start()()
 

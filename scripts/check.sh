@@ -5,7 +5,9 @@
 # (session.reply/replies), the binaries' no-plane-imports guard
 # (internal/admin/boot.go), the three deleted planes' stay-deleted guard and
 # the observability tree's size ratchet, the recorder's one-input guard (no
-# series push, no push feed from the admin plane), the one-place-per-scenario guard
+# series push, no push feed from the admin plane), the one-writer guard for
+# /metrics (no trace exemplars on its text, no in-tree parser of it, no
+# benchreport mode that re-renders it or the stream table), the one-place-per-scenario guard
 # (internal/world) with examples/ staying deleted, the one-experiment-runner
 # guard (benchreport; no scripts/bench.*, no root *_test.go), build, vet,
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
@@ -98,6 +100,15 @@ echo "==> the registry sampler is the recorder's one input; the admin plane push
 if git grep -nE 'SeriesSink|RetireSeries|\.Tap\(' -- '*.go' ':!*_test.go' ||
 	grep -nE '"/debug/(stream|series)"' internal/admin/*.go | grep -v '_test\.go:'; then
 	echo "check.sh: the recorder samples the registry and nothing pushes series into it or events out of the admin plane" >&2
+	exit 1
+fi
+
+echo "==> /metrics is plain text format with one writer and no in-tree reader"
+# Exemplars are OpenMetrics, not text format 0.0.4; the exposition is read as
+# it is, so nothing parses it back or renders it again (CHANGES.md). The
+# bracketed letters keep this file from matching its own pattern.
+if git grep -nE 'Observe[E]xemplar|Parse[T]ext|metrics[-]snapshot|stream[-]health' -- '*.go' '*.sh' '*.yml'; then
+	echo "check.sh: /metrics is written by expfmt.WriteText alone; read it (or /debug/streams?format=text) as it is" >&2
 	exit 1
 fi
 

@@ -5,7 +5,8 @@
 # ever when the planes were wired by hand), the service's /metrics counting
 # the demo task's files, and the toolchain's own /debug/pprof/heap. Then the one exposition format from
 # both ends: the server's live /metrics body and, once it is stopped, its
-# -metrics exit dump each go through `benchreport -metrics-snapshot`. Then
+# -metrics exit dump (the same text, then the span forest as "# " lines) are
+# grepped as they are. Then
 # the flags that are gone must be refused. Last, the demos README's quick
 # start names: a cross-CA third-party copy refused (Fig 4) and completed
 # with DCSC (Fig 5), a hosted transfer with OAuth activation and an injected
@@ -73,19 +74,19 @@ if [ "$(curl -sf "http://$server/debug/pprof/heap" | od -An -tx1 -N2 | tr -d ' '
 fi
 echo "ok  http://$server/debug/pprof/heap  (gzip)"
 
-snapshot() { # snapshot <file|url> <pattern>: benchreport must render it, with the pattern in the table
-	if ! "$tmp/benchreport" -metrics-snapshot "$1" >"$tmp/table" 2>&1 || ! grep -q "$2" "$tmp/table"; then
-		echo "smoke.sh: benchreport -metrics-snapshot $1 did not render $2" >&2
-		head -40 "$tmp/table" >&2
-		exit 1
-	fi
-	echo "ok  benchreport -metrics-snapshot $1  ($2)"
-}
-snapshot "http://$server/metrics" '^histogram  *gridftp_server_command_seconds '
+page "http://$server/metrics" '^gridftp_server_command_seconds_count '
 kill -INT "$server_pid"
 wait "$server_pid" || true
-snapshot "$tmp/server.dump" '^histogram  *gridftp_server_command_seconds '
-snapshot "$tmp/server.dump" '^gridftp.stor ' # the span forest, echoed below the table
+dump() { # dump <pattern>: the server's -metrics exit dump has a line matching it
+	if ! grep -q "$1" "$tmp/server.dump"; then
+		echo "smoke.sh: the -metrics exit dump lacks $1" >&2
+		head -40 "$tmp/server.dump" >&2
+		exit 1
+	fi
+	echo "ok  -metrics exit dump  ($1)"
+}
+dump '^gridftp_server_command_seconds_count '
+dump '^# gridftp.stor ' # the span forest, after the samples
 
 for gone in '-fleet-scrape x=y' '-collector http://x' '-fleet' '-fleet-bundle-dir /tmp' \
 	'-fleet-push http://x' '-fleet-instance x' '-profile-interval 10s' '-profile-retain 5m'; do
