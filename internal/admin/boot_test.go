@@ -170,6 +170,11 @@ func TestMetricsDumpReadsBackLikeTheMetricsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+	// Close hangs up without waiting for the 221: the server session ends, and
+	// its gauge drops, half a round trip later.
+	waitFor(t, "the server session to end", func() bool {
+		return d.Obs.Metrics.Gauge("gridftp.server.sessions_active").Value() == 0
+	})
 	site.Close()
 	d.Close() // loops stopped: nothing but the runtime moves between the two writes
 

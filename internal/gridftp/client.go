@@ -203,12 +203,15 @@ func newClientDataPath(host *netsim.Host, opts DialOptions) dataPath {
 	}
 }
 
-// Close ends the session.
+// Close ends the session: it writes QUIT and hangs up. It reads nothing — not
+// the 221, which tells the client nothing, and not the replies still owed,
+// which nothing can use once the session is gone — so it never waits on the
+// server. The server session ends half a round trip later, when the QUIT or
+// the hang-up reaches it.
 func (c *Client) Close() error {
 	c.flushPools()
 	c.data.closeListeners()
 	c.ctrl.Cmd("QUIT", "")
-	c.expect(221)
 	return c.ctrl.Close()
 }
 

@@ -206,6 +206,9 @@ func (s *scriptedServer) serve() {
 			}
 			s.ctrl.WriteReply(ftp.CodePathCreated, "created")
 		case "QUIT":
+			if refused != 0 {
+				continue // never answered: the session lasts until the client hangs up
+			}
 			s.ctrl.WriteReply(221, "Goodbye")
 			return
 		default:
@@ -366,7 +369,6 @@ func TestOwedRepliesSettleBeforeAnyCommand(t *testing.T) {
 			return c.Settle()
 		}},
 		{"StartWalk", func(c *Client) error { _, err := c.StartWalk("/"); return err }},
-		{"Close", func(c *Client) error { c.Close(); return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
@@ -400,6 +402,111 @@ func TestOwedRepliesSettleBeforeAnyCommand(t *testing.T) {
 	}
 	if got := s.readFile(t, "/up.bin"); !bytes.Equal(got, payload) {
 		t.Fatal("the Put behind owed replies stored different bytes")
+	}
+}
+
+// TestCloseDoesNotWait: Close writes QUIT and hangs up. It reads neither the
+// 221 nor the replies still owed, so a server that never answers QUIT does not
+// hold it, and nothing is left running once the server sees the hang-up.
+func TestCloseDoesNotWait(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, srv := newScriptedSession(t, nil)
+	srv.refuseNext("QUIT", ftp.CodeSyntaxError)
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetParallelism(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Setup(SessionSetup{Task: "task-1"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.owed) != 3 {
+		t.Fatalf("%d replies owed, want 3", len(c.owed))
+	}
+	closed := make(chan time.Duration, 1)
+	start := time.Now()
+	go func() {
+		c.Close()
+		closed <- time.Since(start)
+	}()
+	select {
+	case took := <-closed:
+		if took > 100*time.Millisecond {
+			t.Errorf("Close took %v on a 20 ms link, want under 100 ms", took)
+		}
+	case <-time.After(2 * time.Second):
+		c.ctrl.Close() // lets the waiting Close return, so the test fails rather than hangs
+		<-closed
+		t.Fatal("Close still waiting after 2 s on a server that never answers QUIT")
+	}
+	<-srv.done
+	if got := srv.commands(); got != "DELG OPTS SITE QUIT" {
+		t.Errorf("the server saw %q, want DELG OPTS SITE QUIT", got)
+	}
+	if n := leakcheck.AtMost(before); n > before {
+		t.Errorf("%d goroutines after Close, %d before the session opened", n, before)
+	}
+}
+
+// TestFlightsOfAFreshSession pins how often a fresh session waits for a
+// reply on a 20 ms link: a GET session — Dial, Delegate, SetParallelism, Get,
+// Close — waits for the login and for the GET's flight
+// (gridftp.client.flights 2), and its Close for nothing. While Close read
+// QUIT's 221 the counter read 2 as well: QUIT was never counted as written,
+// so its wait, a round trip, was never counted as a flight either.
+func TestFlightsOfAFreshSession(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	s.putFile(t, "/data.bin", pattern(1<<20))
+	nw.SetLink("laptop", "siteA", refWAN)
+	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.Nop()
+	c, err := DialWithOptions(nw.Host("laptop"), s.addr, proxy, s.trust, DialOptions{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetParallelism(16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get("/data.bin", dsi.NewBufferFile(nil)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	c.Close()
+	if took := time.Since(start); took > refWAN.RTT/2 {
+		t.Errorf("Close took %v, want well under the %v round trip", took, refWAN.RTT)
+	}
+	if got := flights(o); got != 2 {
+		t.Errorf("a fresh GET session waited %d times, want 2", got)
+	}
+}
+
+// TestQuitEndsASessionQuietly: Close hangs up behind its QUIT, so the
+// server's 221 usually meets a closed connection. That is how every session
+// ends, and the server logs no warning for it.
+func TestQuitEndsASessionQuietly(t *testing.T) {
+	var logged bytes.Buffer // the logger serialises its writes; the gauge orders the read after them
+	o := obs.New(&logged, obs.LevelWarn)
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Obs = o })
+	for i := 0; i < 5; i++ {
+		s.connect(t, nw.Host("laptop"), false).Close()
+	}
+	active := o.Metrics.Gauge("gridftp.server.sessions_active")
+	for deadline := time.Now().Add(5 * time.Second); active.Value() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d server sessions still active", active.Value())
+		}
+	}
+	if strings.Contains(logged.String(), "reply write failed") {
+		t.Errorf("the server warned as its sessions ended:\n%s", logged.String())
 	}
 }
 

@@ -289,7 +289,9 @@ func (sess *session) replies(flight ...ftp.Reply) error {
 		}
 	}
 	err := sess.ctrl.WriteReplies(flight...)
-	if err != nil {
+	// QUIT's 221 ends the session, and the client hangs up behind its QUIT
+	// without reading it (Client.Close): that write failing is no news.
+	if err != nil && sess.lastReplyCode != 221 {
 		sess.log.Warn("reply write failed", "err", err)
 	}
 	return err

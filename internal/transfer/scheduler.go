@@ -159,19 +159,14 @@ type sessionPair struct {
 	idle     *time.Timer
 }
 
-// Close ends both sessions, the two QUIT round trips overlapping.
+// Close ends both sessions. Neither waits on its server (gridftp's
+// Client.Close), so there is nothing to overlap.
 func (p *sessionPair) Close() {
-	var wg sync.WaitGroup
 	for _, c := range []*gridftp.Client{p.src, p.dst} {
 		if c != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c.Close()
-			}()
+			c.Close()
 		}
 	}
-	wg.Wait()
 }
 
 // firstFlight is what a session is sent before its files, as one flight

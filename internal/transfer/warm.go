@@ -2,7 +2,6 @@ package transfer
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"gridftp.dev/instant/internal/gridftp"
@@ -172,8 +171,9 @@ func (s *Service) adopt(key pairKey) *sessionPair {
 }
 
 // dropParked is the one place parked pairs are invalidated: every pair match
-// selects leaves the table, and is closed before dropParked returns. A pair
-// that was adopted in the meantime is not in the table and is not touched.
+// selects leaves the table and is hung up on before dropParked returns, and
+// its server sessions end half a round trip later. A pair that was adopted in
+// the meantime is not in the table and is not touched.
 func (s *Service) dropParked(match func(*sessionPair) bool) {
 	s.mu.Lock()
 	var drop []*sessionPair
@@ -188,15 +188,9 @@ func (s *Service) dropParked(match func(*sessionPair) bool) {
 		s.parkedGauge()
 	}
 	s.mu.Unlock()
-	var wg sync.WaitGroup
 	for _, p := range drop {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Close()
-		}()
+		p.Close()
 	}
-	wg.Wait()
 }
 
 // parkedGauge publishes the parked population; s.mu is held.

@@ -46,8 +46,8 @@ func sessionsActive(o *obs.Obs) int64 {
 }
 
 // waitSessions waits for the servers to have seen their sessions end: a
-// session's gauge drops when its goroutine returns, a moment after the QUIT
-// reply that Close waits for.
+// session's gauge drops when its goroutine returns, half a round trip after
+// Close has written QUIT and hung up.
 func waitSessions(t *testing.T, o *obs.Obs, want int64) {
 	t.Helper()
 	waitFor(t, 5*time.Second, fmt.Sprintf("%d active server sessions", want), func() bool {
@@ -271,10 +271,11 @@ func onlyKey(t *testing.T, w *world) pairKey {
 	panic("unreachable")
 }
 
-// TestReactivationDropsParkedPairs (W4): storing a new activation closes the
-// pairs parked for that (endpoint, user) before it returns — they
-// authenticated with the credential it replaces — and the next task dials
-// with the new one.
+// TestReactivationDropsParkedPairs (W4): storing a new activation unparks
+// and hangs up on the pairs parked for that (endpoint, user) before it
+// returns — they authenticated with the credential it replaces — their
+// server sessions end half a round trip later, and the next task dials with
+// the new one.
 func TestReactivationDropsParkedPairs(t *testing.T) {
 	w, o, _ := warmWorld(t, Config{})
 	if n := sessionsActive(o); n != 2 {
