@@ -406,12 +406,12 @@ func (c *Client) SetBlockSize(n int) error {
 }
 
 // allocate announces the size of the next upload (ALLO, RFC 959) so the
-// server can preallocate the destination file. Best-effort: a server that
-// refuses ALLO costs nothing but the round trip. Put has settled before it
-// calls, so the reply dropped here is ALLO's own.
+// server can preallocate the destination file. ALLO is written and its reply
+// left owed, to come back with the Put's next flight; a refusal is dropped
+// there, since ALLO is advisory: a server without it grows the file instead.
 func (c *Client) allocate(size int64) {
-	if size > 0 && c.send("ALLO", strconv.FormatInt(size, 10)) == nil {
-		c.finalReply(nil)
+	if size > 0 {
+		c.owe(sessionCmd{name: "ALLO", params: strconv.FormatInt(size, 10), refused: func(error) {}})
 	}
 }
 
@@ -500,7 +500,8 @@ func (c *Client) dcscCmd(cred *gsi.Credential) (sessionCmd, error) {
 	if err != nil {
 		return sessionCmd{}, err
 	}
-	return sessionCmd{name: "DCSC", params: "P " + blob, apply: func(bool) { c.flushPools() }}, nil
+	c.flushPools() // when written, as Delegate does: Put counts on it
+	return sessionCmd{name: "DCSC", params: "P " + blob}, nil
 }
 
 // ResetDCSC reverts the server's data channel security context ("DCSC D").
@@ -783,12 +784,6 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A Put needs PASV's answer before anything moves, so there is nothing
-	// to overlap an owed reply with: it is read now, and what is negotiated
-	// below is what the server has.
-	if _, err := c.settle(); err != nil {
-		return nil, err
-	}
 	restart, err := c.sendRestart()
 	if err != nil {
 		return nil, err
@@ -800,14 +795,32 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 
 	start := time.Now()
 	c.resetPerf()
+	if c.spec.Mode == ModeStream {
+		c.flushPools()
+	}
+	// PASV goes out unless pooled channels or a passive address the server
+	// still listens on will carry the data. That is decided before the owed
+	// replies are read, and it can be: every owed command that changes what a
+	// channel must look like (Delegate, SetParallelism, DCSC) flushes the pools
+	// and the address when it is written, so a session that owes one sends
+	// PASV, and the owed replies, ALLO's and PASV's come back in one flight.
+	passive := len(c.data.targets) == 0 && len(c.data.pooledDialed) != c.spec.Parallelism
+	if !passive {
+		// Nothing is read before the data leaves, so what the session owed
+		// before the Put is read first: a refusal among it stops the Put here.
+		if _, err := c.settle(); err != nil {
+			return nil, err
+		}
+	}
 	// Tell the server how big the destination will be so its storage
 	// preallocates once instead of grow-copying per block.
 	c.allocate(size)
-	if c.spec.Mode == ModeStream {
-		c.flushPools()
+	if passive {
 		if err := c.ensurePassive(); err != nil {
 			return nil, err
 		}
+	}
+	if c.spec.Mode == ModeStream {
 		if err := c.send("STOR", path); err != nil {
 			return nil, err
 		}
@@ -840,11 +853,6 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		return &TransferStats{Bytes: size - totalLen(restart), Duration: time.Since(start), Markers: lastMarkers}, nil
 	}
 
-	if len(c.data.pooledDialed) != c.spec.Parallelism {
-		if err := c.ensurePassive(); err != nil {
-			return nil, err
-		}
-	}
 	if err := c.send("STOR", path); err != nil {
 		return nil, err
 	}

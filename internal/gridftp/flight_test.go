@@ -488,6 +488,76 @@ func TestFlightsOfAFreshSession(t *testing.T) {
 	}
 }
 
+// TestPutReadsItsSetUpInOneFlight: a fresh session's Put writes ALLO and PASV
+// behind the replies it owes and reads them all in one flight, then the
+// STOR's — 2 flights (4 while it settled, then waited for ALLO, then PASV). A
+// Put on pooled channels owes nothing and writes ALLO, STOR and the data
+// before it reads — 1 flight (2). When something is owed, a Put on pooled
+// channels reads it first, and an owed refusal ends the Put before its STOR.
+func TestPutReadsItsSetUpInOneFlight(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	nw.SetLink("laptop", "siteA", refWAN)
+	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.Nop()
+	c, err := DialWithOptions(nw.Host("laptop"), s.addr, proxy, s.trust, DialOptions{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetParallelism(4); err != nil {
+		t.Fatal(err)
+	}
+	stors := o.Metrics.Counter(obs.Name("gridftp.client.commands", "cmd=STOR"))
+	payload := pattern(4 << 10)
+	for _, tc := range []struct {
+		name, path string
+		flights    int64
+	}{
+		{"a fresh session's Put", "/fresh.bin", 2},
+		{"a Put on pooled channels", "/pooled.bin", 1},
+	} {
+		before := flights(o)
+		if _, err := c.Put(tc.path, dsi.NewBufferFile(payload)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := flights(o) - before; got != tc.flights {
+			t.Errorf("%s waited %d times, want %d", tc.name, got, tc.flights)
+		}
+		if !bytes.Equal(s.readFile(t, tc.path), payload) {
+			t.Errorf("%s stored different bytes", tc.name)
+		}
+	}
+	if len(c.data.pooledDialed) != 4 {
+		t.Fatalf("%d channels pooled, want 4", len(c.data.pooledDialed))
+	}
+
+	if err := c.owe(c.markersCmd(-time.Second)); err != nil { // a marker interval the server refuses
+		t.Fatal(err)
+	}
+	sent := stors.Value()
+	_, err = c.Put("/refused.bin", dsi.NewBufferFile(payload))
+	var re *ftp.ReplyError
+	if !errors.As(err, &re) || re.Reply.Code != ftp.CodeParamSyntaxError {
+		t.Fatalf("Put behind a refused OPTS: %v, want the 501", err)
+	}
+	if got := stors.Value() - sent; got != 0 {
+		t.Errorf("Put behind a refused OPTS wrote %d STOR, want none", got)
+	}
+	if _, err := s.storage.Open("alice", "/refused.bin"); err == nil {
+		t.Error("Put behind a refused OPTS created its file")
+	}
+	if err := c.Noop(); err != nil {
+		t.Fatalf("NOOP after the refused Put: %v", err)
+	}
+}
+
 // TestQuitEndsASessionQuietly: Close hangs up behind its QUIT, so the
 // server's 221 usually meets a closed connection. That is how every session
 // ends, and the server logs no warning for it.
