@@ -10,11 +10,19 @@ import (
 )
 
 // TLSCertificate converts the credential into a crypto/tls certificate
-// (leaf first, then the chain, as TLS requires).
+// (leaf first, then the chain, as TLS requires). A trailing self-signed CA is
+// left out: it is a trust anchor, which a sender may omit (RFC 8446 §4.4.2),
+// and verifyChain anchors at the store's root, found by issuer DN, never at a
+// presented one. A self-signed end-entity (a DCSC context) is not a CA, and
+// is sent.
 func (c *Credential) TLSCertificate() tls.Certificate {
-	raw := make([][]byte, 0, len(c.Chain)+1)
+	chain := c.Chain
+	if n := len(chain); n > 0 && chain[n-1].IsCA && CertDN(chain[n-1]) == IssuerDN(chain[n-1]) {
+		chain = chain[:n-1]
+	}
+	raw := make([][]byte, 0, len(chain)+1)
 	raw = append(raw, c.Cert.Raw)
-	for _, cc := range c.Chain {
+	for _, cc := range chain {
 		raw = append(raw, cc.Raw)
 	}
 	return tls.Certificate{

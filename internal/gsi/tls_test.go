@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"crypto/x509"
 	"net"
 	"testing"
 	"time"
@@ -94,6 +95,72 @@ func TestTLSMutualAuthWithProxy(t *testing.T) {
 	}
 	if serverID.Identity != "/O=Grid/CN=host-gridftp" {
 		t.Fatalf("client saw server identity %q", serverID.Identity)
+	}
+}
+
+// TestTrustAnchorIsNotSent: the chain a credential presents leaves out a
+// trailing self-signed CA, and no verification outcome depends on it — each
+// case verifies the same, identity and all, with the anchor and without it.
+func TestTrustAnchorIsNotSent(t *testing.T) {
+	caA, _, userA := testSite(t, "/O=Grid/CN=CA-A")
+	_, _, userB := testSite(t, "/O=Grid/CN=CA-B")
+	proxyA, err := NewProxy(userA, ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxyB, err := NewProxy(userB, ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcsc, err := SelfSignedCredential("/CN=dcsc-random", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trustA := NewTrustStore()
+	trustA.AddCA(caA.Certificate())
+	direct := trustA.Clone()
+	direct.AddDirect(dcsc.Cert)
+	overlay := trustA.Clone() // what DecodeDCSCBlob builds for a CA-B context
+	overlay.AddCA(userB.Chain[len(userB.Chain)-1])
+
+	for _, tc := range []struct {
+		name   string
+		cred   *Credential
+		trust  *TrustStore
+		accept bool
+	}{
+		{"trusted CA", proxyA, trustA, true},
+		{"untrusted CA", proxyB, trustA, false},
+		{"DCSC self-signed end-entity", dcsc, direct, true},
+		{"cross-CA DCSC overlay", proxyB, overlay, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			presented := tc.cred.TLSCertificate().Certificate
+			for _, raw := range presented {
+				cert, err := x509.ParseCertificate(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cert.IsCA && CertDN(cert) == IssuerDN(cert) {
+					t.Errorf("the presented chain holds the self-signed CA %q", CertDN(cert))
+				}
+			}
+			if want := len(tc.cred.FullChain()); tc.cred.Chain != nil && len(presented) != want-1 {
+				t.Errorf("%d certificates presented, want %d: all but the anchor", len(presented), want-1)
+			}
+			full := make([][]byte, 0, len(tc.cred.FullChain()))
+			for _, cert := range tc.cred.FullChain() {
+				full = append(full, cert.Raw)
+			}
+			withAnchor, errWith := tc.trust.VerifyRaw(full, time.Now())
+			without, errWithout := tc.trust.VerifyRaw(presented, time.Now())
+			if (errWith == nil) != tc.accept || (errWithout == nil) != tc.accept {
+				t.Fatalf("with the anchor: %v; without: %v; want accepted=%v both times", errWith, errWithout, tc.accept)
+			}
+			if tc.accept && (withAnchor.Identity != without.Identity || withAnchor.IssuerCA != without.IssuerCA) {
+				t.Errorf("with the anchor %+v, without %+v", withAnchor, without)
+			}
+		})
 	}
 }
 
