@@ -452,9 +452,8 @@ func TestCloseDoesNotWait(t *testing.T) {
 // TestFlightsOfAFreshSession pins how often a fresh session waits for a
 // reply on a 20 ms link: a GET session — Dial, Delegate, SetParallelism, Get,
 // Close — waits for the login and for the GET's flight
-// (gridftp.client.flights 2), and its Close for nothing. While Close read
-// QUIT's 221 the counter read 2 as well: QUIT was never counted as written,
-// so its wait, a round trip, was never counted as a flight either.
+// (gridftp.client.flights 2), and its Close for nothing. QUIT is written
+// without send, so the counter cannot see a wait for its 221: Close is timed.
 func TestFlightsOfAFreshSession(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -490,10 +489,10 @@ func TestFlightsOfAFreshSession(t *testing.T) {
 
 // TestPutReadsItsSetUpInOneFlight: a fresh session's Put writes ALLO and PASV
 // behind the replies it owes and reads them all in one flight, then the
-// STOR's — 2 flights (4 while it settled, then waited for ALLO, then PASV). A
-// Put on pooled channels owes nothing and writes ALLO, STOR and the data
-// before it reads — 1 flight (2). When something is owed, a Put on pooled
-// channels reads it first, and an owed refusal ends the Put before its STOR.
+// STOR's: 2 flights. A Put on pooled channels owes nothing and writes ALLO,
+// STOR and the data before it reads: 1 flight. When something is owed, a Put
+// on pooled channels reads it first, and an owed refusal ends the Put before
+// its STOR.
 func TestPutReadsItsSetUpInOneFlight(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -518,11 +517,19 @@ func TestPutReadsItsSetUpInOneFlight(t *testing.T) {
 	payload := pattern(4 << 10)
 	for _, tc := range []struct {
 		name, path string
+		owe        *SessionSetup
 		flights    int64
 	}{
-		{"a fresh session's Put", "/fresh.bin", 2},
-		{"a Put on pooled channels", "/pooled.bin", 1},
+		{"a fresh session's Put", "/fresh.bin", nil, 2},
+		{"a Put on pooled channels", "/pooled.bin", nil, 1},
+		// DCSC flushes the pools as it is written, so this Put sends PASV.
+		{"a Put behind an owed DCSC", "/dcsc.bin", &SessionSetup{DCSC: proxy}, 2},
 	} {
+		if tc.owe != nil {
+			if err := c.Setup(*tc.owe); err != nil {
+				t.Fatal(err)
+			}
+		}
 		before := flights(o)
 		if _, err := c.Put(tc.path, dsi.NewBufferFile(payload)); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
