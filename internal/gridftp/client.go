@@ -203,11 +203,9 @@ func newClientDataPath(host *netsim.Host, opts DialOptions) dataPath {
 	}
 }
 
-// Close ends the session: it writes QUIT and hangs up. It reads nothing — not
-// the 221, which tells the client nothing, and not the replies still owed,
-// which nothing can use once the session is gone — so it never waits on the
-// server. The server session ends half a round trip later, when the QUIT or
-// the hang-up reaches it.
+// Close writes QUIT and hangs up. It reads nothing — not the 221, nor replies
+// still owed, which nothing can use after Close — so it never waits on the
+// server, whose session ends half a round trip later.
 func (c *Client) Close() error {
 	c.flushPools()
 	c.data.closeListeners()
@@ -500,7 +498,7 @@ func (c *Client) dcscCmd(cred *gsi.Credential) (sessionCmd, error) {
 	if err != nil {
 		return sessionCmd{}, err
 	}
-	c.flushPools() // when written, as Delegate does: Put counts on it
+	c.flushPools() // as it is written, like Delegate: Put relies on it
 	return sessionCmd{name: "DCSC", params: "P " + blob}, nil
 }
 
@@ -798,16 +796,16 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	if c.spec.Mode == ModeStream {
 		c.flushPools()
 	}
-	// PASV goes out unless pooled channels or a passive address the server
-	// still listens on will carry the data. That is decided before the owed
-	// replies are read, and it can be: every owed command that changes what a
-	// channel must look like (Delegate, SetParallelism, DCSC) flushes the pools
-	// and the address when it is written, so a session that owes one sends
-	// PASV, and the owed replies, ALLO's and PASV's come back in one flight.
+	// PASV goes out unless pooled channels, or a passive address the server
+	// still listens on, will carry the data. Deciding that before the owed
+	// replies are read is safe: every owed command that changes what a channel
+	// must look like (Delegate, SetParallelism, DCSC) flushes the pools and the
+	// address as it is written. The owed replies, ALLO's and PASV's then come
+	// back in PASV's flight.
 	passive := len(c.data.targets) == 0 && len(c.data.pooledDialed) != c.spec.Parallelism
 	if !passive {
-		// Nothing is read before the data leaves, so what the session owed
-		// before the Put is read first: a refusal among it stops the Put here.
+		// Nothing is read before the data leaves, so a refusal owed from
+		// before the Put is read now, and stops it.
 		if _, err := c.settle(); err != nil {
 			return nil, err
 		}

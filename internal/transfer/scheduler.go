@@ -159,8 +159,7 @@ type sessionPair struct {
 	idle     *time.Timer
 }
 
-// Close ends both sessions. Neither waits on its server (gridftp's
-// Client.Close), so there is nothing to overlap.
+// Close ends both sessions; neither waits on its server (Client.Close).
 func (p *sessionPair) Close() {
 	for _, c := range []*gridftp.Client{p.src, p.dst} {
 		if c != nil {
