@@ -800,7 +800,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	// still listens on, will carry the data. Deciding that before the owed
 	// replies are read is safe: every owed command that changes what a channel
 	// must look like (Delegate, SetParallelism, DCSC) flushes the pools and the
-	// address as it is written. The owed replies, ALLO's and PASV's then come
+	// address as it is written. The owed replies, ALLO's and PASV's, then come
 	// back in PASV's flight.
 	passive := len(c.data.targets) == 0 && len(c.data.pooledDialed) != c.spec.Parallelism
 	if !passive {

@@ -145,8 +145,8 @@ func TestTrustAnchorIsNotSent(t *testing.T) {
 					t.Errorf("the presented chain holds the self-signed CA %q", CertDN(cert))
 				}
 			}
-			if want := len(tc.cred.FullChain()); tc.cred.Chain != nil && len(presented) != want-1 {
-				t.Errorf("%d certificates presented, want %d: all but the anchor", len(presented), want-1)
+			if want := len(tc.cred.FullChain()) - 1; tc.cred.Chain != nil && len(presented) != want {
+				t.Errorf("%d certificates presented, want %d: all but the anchor", len(presented), want)
 			}
 			full := make([][]byte, 0, len(tc.cred.FullChain()))
 			for _, cert := range tc.cred.FullChain() {
