@@ -459,22 +459,6 @@ func (c *Client) SetTransport(tr netsim.Transport) error {
 		apply: func(bool) { c.spec.Transport = tr; c.flushPools() }})
 }
 
-// SetDeflate toggles DEFLATE compression on the data channels
-// ("OPTS RETR Deflate=1;"). Both ends wrap every subsequent channel
-// symmetrically; existing pools flush on both sides.
-func (c *Client) SetDeflate(on bool) error {
-	flag := "0"
-	if on {
-		flag = "1"
-	}
-	return c.batch(sessionCmd{name: "OPTS", params: "RETR Deflate=" + flag + ";", apply: func(bool) {
-		if on != c.spec.Deflate {
-			c.spec.Deflate = on
-			c.flushPools()
-		}
-	}})
-}
-
 // SetProt sets the data channel protection level.
 func (c *Client) SetProt(p ProtLevel) error {
 	return c.batch(sessionCmd{name: "PBSZ", params: "0"},

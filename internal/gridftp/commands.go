@@ -256,16 +256,6 @@ func (sess *session) handleOpts(params string) {
 				return
 			}
 			sess.data.flush()
-		case "deflate":
-			on := strings.TrimSpace(val) == "1"
-			if !on && strings.TrimSpace(val) != "0" {
-				sess.reply(ftp.CodeParamSyntaxError, "Bad deflate flag (want 0 or 1)")
-				return
-			}
-			if on != sess.spec.Deflate {
-				sess.spec.Deflate = on
-				sess.data.flush()
-			}
 		case "markers":
 			d, err := strconv.Atoi(strings.TrimSpace(val))
 			if err != nil || d < 0 {

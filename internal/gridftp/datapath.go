@@ -19,15 +19,13 @@ import (
 //	raw conn          netsim or TCP, per ChannelSpec.Transport
 //	→ secureData      DCAU handshake; PROT P keeps the TLS conn, PROT S
 //	                  steps down to HMAC frames, PROT C to the raw conn
-//	→ deflate         only when negotiated; above the security layer
-//	                  (compress-then-encrypt), below the framing
 //	→ streamstats     Transfer.Wrap, per transfer rather than per channel
 //	→ MODE E framing  blockWriter / ReadBlock (or the MODE S byte stream)
 //
 // Only a layer that leaves the byte stream as it found it may forward
 // io.ReaderFrom (sendfile) and WriteBuffers (one vectored write per block):
 // streamstats does, exactly when the conn below has them; TLS, the
-// integrity frames and deflate never do, because a forwarded call would
+// integrity frames never do, because a forwarded call would
 // bypass the transform. secure is the one place a raw conn becomes a
 // channel — a new transport or endpoint type plugs in there.
 
@@ -59,38 +57,25 @@ type dataChannel struct {
 	acceptor bool
 }
 
-// secure authenticates and protects raw per the negotiated DCAU/PROT and
-// layers DEFLATE over it when the session negotiated "OPTS RETR
-// Deflate=1;": compression sits above the security layer and below the
-// MODE E framing, so block headers and payload travel as one continuous
-// DEFLATE stream that survives pooled-channel reuse. raw is closed on
-// failure.
+// secure authenticates and protects raw per the negotiated DCAU/PROT. raw is
+// closed on failure.
 func secure(raw net.Conn, p channelParams, acceptor bool) (*dataChannel, error) {
 	sec, err := secureData(raw, p.sec, p.spec.DCAU, p.spec.Prot, acceptor)
 	if err != nil {
 		raw.Close()
 		return nil, err
 	}
-	if p.spec.Deflate {
-		sec = newDeflateConn(sec)
-	}
 	return &dataChannel{raw: raw, sec: sec, acceptor: acceptor}, nil
 }
 
-// close is the one way a channel ends. The transport goes first — by a hard
-// abort (netsim's TCP RST analogue) when asked and available, so even a
-// writer paced out by a rate limiter releases at once — which makes any
-// transfer goroutine still inside the deflate layer let go of it; then that
-// layer's compressor and decompressor return to their pools, with nothing
-// written to the conn that has just been closed.
+// close is the one way a channel ends: by a hard abort (netsim's TCP RST
+// analogue) when asked and available, so even a writer paced out by a rate
+// limiter releases at once, else by closing the transport.
 func (ch *dataChannel) close(abort bool) {
 	if ab, ok := ch.raw.(interface{ Abort() }); abort && ok {
 		ab.Abort()
 	} else {
 		ch.raw.Close()
-	}
-	if dc, ok := ch.sec.(*deflateConn); ok {
-		dc.release()
 	}
 }
 

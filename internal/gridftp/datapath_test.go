@@ -342,11 +342,11 @@ func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	return (*net.Buffers)(&bufs).WriteTo(c.Conn)
 }
 
-// TestTransformingLayersHideFastPaths: deflate, TLS and the PROT S
-// integrity frames transform the byte stream, so they must swallow
-// io.ReaderFrom and WriteBuffers even over a conn that has both — a
-// forwarded call would put untransformed bytes on the wire — and stream
-// telemetry stacked on top of them must advertise neither.
+// TestTransformingLayersHideFastPaths: TLS and the PROT S integrity frames
+// transform the byte stream, so they must swallow io.ReaderFrom and
+// WriteBuffers even over a conn that has both — a forwarded call would put
+// untransformed bytes on the wire — and stream telemetry stacked on top of
+// them must advertise neither.
 func TestTransformingLayersHideFastPaths(t *testing.T) {
 	reg := streamstats.New(streamstats.Options{Obs: obs.Nop()})
 	tr := reg.Begin("layers", "test")
@@ -354,7 +354,6 @@ func TestTransformingLayersHideFastPaths(t *testing.T) {
 		name string
 		wrap func(net.Conn) net.Conn
 	}{
-		{"deflate", newDeflateConn},
 		{"tls", func(conn net.Conn) net.Conn { return tls.Client(conn, &tls.Config{}) }},
 		{"integrity", func(conn net.Conn) net.Conn { return newIntegrityConn(conn, keyAB, keyBA) }},
 	} {

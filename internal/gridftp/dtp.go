@@ -41,11 +41,6 @@ type ChannelSpec struct {
 	// restart markers (111) from the receiving side and performance markers
 	// (112) from either. Zero leaves the server's own setting in force.
 	MarkerInterval time.Duration
-	// Deflate layers DEFLATE compression over each data channel
-	// ("OPTS RETR Deflate=1;"). Both ends of the session see the same
-	// negotiation, so their channel pools flush in lockstep and every
-	// channel is wrapped symmetrically.
-	Deflate bool
 }
 
 // Normalize fills defaults.
