@@ -889,19 +889,9 @@ func (c *Client) Get(path string, dst dsi.File) (*TransferStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.retrieve("RETR", path, restart, dst)
-}
-
-// GetPartial retrieves length bytes starting at off via the ERET command;
-// the data lands at its original file offsets in dst.
-func (c *Client) GetPartial(path string, off, length int64, dst dsi.File) (*TransferStats, error) {
-	return c.retrieve("ERET", fmt.Sprintf("P %d %d %s", off, length, path), nil, dst)
-}
-
-func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*TransferStats, error) {
 	start := time.Now()
 	c.resetPerf()
-	if err := c.activeFlight(1, func() error { return c.send(verb, params) }); err != nil {
+	if err := c.activeFlight(1, func() error { return c.send("RETR", path) }); err != nil {
 		return nil, err
 	}
 

@@ -31,7 +31,6 @@ var featureList = []string{
 	"SIZE",
 	"CKSM MD5,SHA256,ADLER32",
 	"TRANSPORT TCP,UDT",
-	"ERET",
 	"MARKERS",
 	"TRACE",
 }
@@ -115,9 +114,7 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 	case "ALLO":
 		sess.handleAllo(cmd.Params)
 	case "RETR":
-		sess.handleRetr(cmd.Params, -1, -1)
-	case "ERET":
-		sess.handleEret(cmd.Params)
+		sess.handleRetr(cmd.Params)
 	case "STOR":
 		sess.handleStor(cmd.Params)
 	case "SIZE":
@@ -482,22 +479,6 @@ func (sess *session) handleRnto(params string) {
 		return
 	}
 	sess.reply(ftp.CodeFileActionOK, "Renamed")
-}
-
-// handleEret implements partial retrieve: "ERET P <offset> <length> <path>".
-func (sess *session) handleEret(params string) {
-	fields := strings.Fields(params)
-	if len(fields) < 4 || !strings.EqualFold(fields[0], "P") {
-		sess.reply(ftp.CodeParamSyntaxError, "ERET P <offset> <length> <path>")
-		return
-	}
-	off, err1 := strconv.ParseInt(fields[1], 10, 64)
-	length, err2 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil || off < 0 || length < 0 {
-		sess.reply(ftp.CodeParamSyntaxError, "Bad ERET offsets")
-		return
-	}
-	sess.handleRetr(strings.Join(fields[3:], " "), off, length)
 }
 
 func errText(err error) string {

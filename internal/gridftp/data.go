@@ -137,8 +137,8 @@ func (sess *session) refuseTransfer(code int, err error) {
 	sess.reply(code, errText(err))
 }
 
-// handleRetr sends a file. off/length >= 0 restrict to a region (ERET).
-func (sess *session) handleRetr(params string, off, length int64) {
+// handleRetr sends a file, or the ranges a REST left missing.
+func (sess *session) handleRetr(params string) {
 	p, err := sess.resolve(params)
 	if err != nil {
 		sess.refuseTransfer(ftp.CodeBadFileName, err)
@@ -158,22 +158,10 @@ func (sess *session) handleRetr(params string, off, length int64) {
 		sess.refuseTransfer(ftp.CodeLocalError, err)
 		return
 	}
-	var ranges []Range
-	switch {
-	case off >= 0:
-		end := off + length
-		if end > size {
-			end = size
-		}
-		if off > size {
-			off = size
-		}
-		ranges = []Range{{off, end}}
-	case len(sess.restart) > 0:
+	ranges := []Range{{0, size}}
+	if len(sess.restart) > 0 {
 		ranges = FromRanges(sess.restart).Missing(size)
 		sess.restart = nil
-	default:
-		ranges = []Range{{0, size}}
 	}
 
 	sess.cmdSpan.SetAttr("path", p)

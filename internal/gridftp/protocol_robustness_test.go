@@ -39,6 +39,8 @@ func TestServerSurvivesGarbageCommands(t *testing.T) {
 		"REST -5",
 		"REST 10-5",
 		"ERET P x y /f",
+		"ERET P 0 10 /f",       // well formed: the verb is not served
+		"OPTS RETR Deflate=1;", // nor is data-channel compression
 		"DCSC",
 		"CKSM MD5",
 		"RNTO /x", // RNTO without RNFR

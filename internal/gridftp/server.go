@@ -334,11 +334,7 @@ func (sess *session) loop() {
 // tracedCommand reports whether a command gets its own span: the transfer
 // verbs, whose server-side timing is what multi-process timelines need.
 func tracedCommand(name string) bool {
-	switch name {
-	case "RETR", "STOR", "ERET":
-		return true
-	}
-	return false
+	return name == "RETR" || name == "STOR"
 }
 
 // beginCommandSpan starts the span covering one transfer command, bound
