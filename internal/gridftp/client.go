@@ -68,7 +68,7 @@ type Client struct {
 	noMLSC bool
 
 	// task labels the client's own transfers in the stream-telemetry
-	// registry (see SetTask).
+	// registry (SessionSetup.Task).
 	task string
 }
 
@@ -236,18 +236,22 @@ func (c *Client) countCommand(name string) {
 // Delegate; zero fields are skipped.
 type SessionSetup struct {
 	// Trace binds the server's transfer spans to the caller's trace
-	// (PropagateTrace).
+	// ("SITE TRACE <traceparent>"). A server without SITE TRACE declines it
+	// and roots its spans locally; that is not an error.
 	Trace obs.SpanContext
-	// MarkerInterval is the restart/perf marker cadence (SetMarkerInterval).
+	// MarkerInterval is the session's cadence for restart markers (when the
+	// server receives) and performance markers ("OPTS RETR Markers=", in
+	// milliseconds).
 	MarkerInterval time.Duration
-	// Task labels the session's transfers (SetTask).
+	// Task labels the session's transfers in the stream-telemetry plane,
+	// here and — by "SITE TASK" — on the server, so both ends of a transfer
+	// share one label; a server without SITE TASK labels only this end.
 	Task string
 	// DCSC is installed as the data channel security context (SendDCSC).
 	DCSC *gsi.Credential
 }
 
-// Setup writes the commands PropagateTrace, SetMarkerInterval, SetTask and
-// SendDCSC would send one round trip at a time, and leaves their replies owed
+// Setup writes the session's set-up commands and leaves their replies owed
 // (settle.go): they come back, in order, with whatever the caller sends next
 // — a session about to plan a transfer sends StartWalk, and the set-up costs
 // it no round trip of its own — or with Settle. The settings take effect
@@ -255,13 +259,17 @@ type SessionSetup struct {
 func (c *Client) Setup(s SessionSetup) error {
 	var cmds []sessionCmd
 	if s.Trace.Valid() {
-		cmds = append(cmds, traceCmd(s.Trace))
+		cmds = append(cmds, sessionCmd{name: "SITE", params: "TRACE " + obs.Inject(s.Trace), optional: true})
 	}
 	if s.MarkerInterval > 0 {
-		cmds = append(cmds, c.markersCmd(s.MarkerInterval))
+		cmds = append(cmds, sessionCmd{
+			name: "OPTS", params: fmt.Sprintf("RETR Markers=%d;", int(s.MarkerInterval/time.Millisecond)),
+			apply: func(bool) { c.spec.MarkerInterval = s.MarkerInterval },
+		})
 	}
 	if s.Task != "" {
-		cmds = append(cmds, c.taskCmd(s.Task))
+		cmds = append(cmds, sessionCmd{name: "SITE", params: "TASK " + s.Task, optional: true,
+			apply: func(bool) { c.task = s.Task }})
 	}
 	if s.DCSC != nil {
 		cmd, err := c.dcscCmd(s.DCSC)
@@ -305,55 +313,6 @@ func (c *Client) Features() ([]string, error) {
 		return r.Lines[1 : len(r.Lines)-1], nil
 	}
 	return nil, nil
-}
-
-// SupportsDCSC reports whether the server advertises the DCSC extension.
-func (c *Client) SupportsDCSC() bool {
-	feats, err := c.Features()
-	if err != nil {
-		return false
-	}
-	for _, f := range feats {
-		if strings.HasPrefix(strings.ToUpper(strings.TrimSpace(f)), "DCSC") {
-			return true
-		}
-	}
-	return false
-}
-
-// SupportsTrace reports whether the server advertises the TRACE feature
-// (distributed trace-context propagation via SITE TRACE).
-func (c *Client) SupportsTrace() bool {
-	feats, err := c.Features()
-	if err != nil {
-		return false
-	}
-	for _, f := range feats {
-		if strings.EqualFold(strings.TrimSpace(f), "TRACE") {
-			return true
-		}
-	}
-	return false
-}
-
-// PropagateTrace binds the server session to sc via SITE TRACE, so the
-// server's subsequent transfer spans join the caller's trace. It returns
-// joined=false with no error when sc is invalid or the server does not
-// know SITE TRACE (it answers 500 at once, so no FEAT probe precedes the
-// command) — propagation degrades to the server rooting its spans locally,
-// never to a protocol error.
-func (c *Client) PropagateTrace(sc obs.SpanContext) (joined bool, err error) {
-	if !sc.Valid() {
-		return false, nil
-	}
-	cmd := traceCmd(sc)
-	cmd.apply = func(accepted bool) { joined = accepted }
-	err = c.batch(cmd)
-	return joined, err
-}
-
-func traceCmd(sc obs.SpanContext) sessionCmd {
-	return sessionCmd{name: "SITE", params: "TRACE " + obs.Inject(sc), optional: true}
 }
 
 // The ranges the server accepts for "OPTS RETR Parallelism" and "BlockSize".
@@ -410,20 +369,6 @@ func (c *Client) SetBlockSize(n int) error {
 func (c *Client) allocate(size int64) {
 	if size > 0 {
 		c.owe(sessionCmd{name: "ALLO", params: strconv.FormatInt(size, 10), refused: func(error) {}})
-	}
-}
-
-// SetMarkerInterval asks the server to emit this session's markers — restart
-// markers when it receives, performance markers either way — every interval
-// (rounded to milliseconds).
-func (c *Client) SetMarkerInterval(interval time.Duration) error {
-	return c.batch(c.markersCmd(interval))
-}
-
-func (c *Client) markersCmd(interval time.Duration) sessionCmd {
-	return sessionCmd{
-		name: "OPTS", params: fmt.Sprintf("RETR Markers=%d;", int(interval/time.Millisecond)),
-		apply: func(bool) { c.spec.MarkerInterval = interval },
 	}
 }
 
@@ -735,20 +680,6 @@ func (c *Client) PerfSnapshot() (total int64, stripes, markers int) {
 // OnPerf registers a callback receiving in-flight 112 performance markers
 // during transfers.
 func (c *Client) OnPerf(cb func(PerfMarker)) { c.perfCB = cb }
-
-// SetTask labels this session's transfers in the stream-telemetry plane,
-// both locally and — via SITE TASK — on the server, so the per-stream
-// series of both ends of a transfer share one task prefix. A server
-// without the extension replies 500; that degrades to local-only labeling
-// rather than an error.
-func (c *Client) SetTask(label string) error {
-	return c.batch(c.taskCmd(label))
-}
-
-func (c *Client) taskCmd(label string) sessionCmd {
-	return sessionCmd{name: "SITE", params: "TASK " + label, optional: true,
-		apply: func(bool) { c.task = label }}
-}
 
 // TransferStats reports what a transfer moved.
 type TransferStats struct {

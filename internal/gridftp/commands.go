@@ -46,15 +46,8 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 	case "AUTH":
 		return sess.handleAuth(cmd.Params)
 	case "FEAT":
-		lines := []string{"Features:"}
-		for _, f := range featureList {
-			if f == "TRACE" && sess.srv.cfg.DisableTrace {
-				continue
-			}
-			lines = append(lines, f)
-		}
-		lines = append(lines, "End")
-		sess.reply(ftp.CodeFeatures, lines...)
+		lines := append([]string{"Features:"}, featureList...)
+		sess.reply(ftp.CodeFeatures, append(lines, "End")...)
 		return false
 	case "QUIT":
 		sess.reply(221, "Goodbye")

@@ -444,9 +444,7 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	if err := c.SetProt(ProtPrivate); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetTask("wire"); err != nil {
-		t.Fatal(err)
-	}
+	setup(t, c, SessionSetup{Task: "wire"})
 	if _, err := c.Put("/up.bin", dsi.NewBufferFile(pattern(2<<20))); err != nil { // ≈ 100 ms on the wire
 		t.Fatal(err)
 	}

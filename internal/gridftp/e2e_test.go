@@ -254,9 +254,7 @@ func TestRestartMarkersEmitted(t *testing.T) {
 	})
 	s := newSite(t, nw, "siteA")
 	c := s.connect(t, nw.Host("laptop"), true)
-	if err := c.SetMarkerInterval(30 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	setup(t, c, SessionSetup{MarkerInterval: 30 * time.Millisecond})
 	var markerCount int
 	c.OnMarker(func(rs []Range) { markerCount++ })
 	payload := pattern(600000) // ~300ms at 2 MB/s

@@ -545,7 +545,7 @@ func TestPutReadsItsSetUpInOneFlight(t *testing.T) {
 		t.Fatalf("%d channels pooled, want 4", len(c.data.pooledDialed))
 	}
 
-	if err := c.owe(c.markersCmd(-time.Second)); err != nil { // a marker interval the server refuses
+	if err := c.owe(sessionCmd{name: "OPTS", params: "RETR Markers=-1000;"}); err != nil { // a marker interval the server refuses
 		t.Fatal(err)
 	}
 	sent := stors.Value()
@@ -915,7 +915,8 @@ func TestSingleFileSurvivesTheSpeculativeListing(t *testing.T) {
 // TestRefusedSetupFailsThePlanFlight: MLST and MLSC are written behind set-up
 // commands whose replies are owed. When one of those is refused the walk
 // returns that refusal — not a plan — after reading all four replies, and has
-// written nothing else.
+// written nothing else. A SITE answered 500 is declined, not refused: the
+// server lacks the extension, and the walk goes on.
 func TestRefusedSetupFailsThePlanFlight(t *testing.T) {
 	c, srv := newScriptedSession(t, nil)
 	srv.listings = binaryTree()
@@ -944,6 +945,21 @@ func TestRefusedSetupFailsThePlanFlight(t *testing.T) {
 	}
 	if err := c.Noop(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A server without SITE TRACE roots its spans locally, and the task
+	// label behind the declined command still applies.
+	c, srv = newScriptedSession(t, nil)
+	srv.listings = binaryTree()
+	srv.refuseNext("SITE", ftp.CodeSyntaxError)
+	if err := c.Setup(SessionSetup{Task: "task-1", Trace: obs.NewTracer().StartSpan("task").Context()}); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := c.StartWalk("/t"); w == nil || err != nil {
+		t.Fatalf("StartWalk behind a declined SITE TRACE: %v, %v; want the walk", w, err)
+	}
+	if len(c.owed) != 0 || c.task != "task-1" {
+		t.Errorf("%d owed, task label %q after a declined SITE TRACE, want none owed and task-1", len(c.owed), c.task)
 	}
 }
 

@@ -87,9 +87,7 @@ func TestRestartAfterInjectedFault(t *testing.T) {
 		cfg.MarkerInterval = 20 * time.Millisecond
 	})
 	c := s.connect(t, nw.Host("laptop"), true)
-	if err := c.SetMarkerInterval(20 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	setup(t, c, SessionSetup{MarkerInterval: 20 * time.Millisecond})
 
 	payload := pattern(1 << 20)
 	faulty.Arm(400_000) // fail after ~40% received

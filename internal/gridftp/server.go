@@ -57,10 +57,6 @@ type ServerConfig struct {
 	// DisableChannelCache turns off cross-transfer data channel reuse
 	// (used by the ablation benchmark).
 	DisableChannelCache bool
-	// DisableTrace removes the TRACE feature: FEAT stops advertising it
-	// and SITE TRACE is rejected as unknown. Used to prove clients degrade
-	// gracefully against servers without distributed tracing.
-	DisableTrace bool
 	// DataTimeout bounds waits for data connections (default 30s).
 	DataTimeout time.Duration
 	// Usage, if non-nil, receives per-transfer usage reports (the

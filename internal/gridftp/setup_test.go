@@ -12,8 +12,8 @@ import (
 )
 
 // TestSetupIsOneRoundTrip sends all four session commands over a 50 ms
-// link: together they must cost one round trip, not four, and leave the
-// same state behind as the single setters do.
+// link: together they must cost one round trip, not four, and leave each
+// setting in force at both ends.
 func TestSetupIsOneRoundTrip(t *testing.T) {
 	const rtt = 50 * time.Millisecond
 	nw := netsim.NewNetwork()
@@ -59,10 +59,11 @@ func TestSetupIsOneRoundTrip(t *testing.T) {
 
 // TestBatchAppliesStatePerCommand: a refused command in the middle of a
 // batch must not stop the replies after it from being read, must not apply
-// its own state change, and must not undo its neighbours'.
+// its own state change, and must not undo its neighbours'. A declined
+// optional one — an extension the server lacks — is not a refusal.
 func TestBatchAppliesStatePerCommand(t *testing.T) {
 	nw := netsim.NewNetwork()
-	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.DisableTrace = true })
+	s := newSite(t, nw, "siteA")
 	c := s.connect(t, nw.Host("laptop"), true)
 
 	var applied []string
@@ -74,10 +75,8 @@ func TestBatchAppliesStatePerCommand(t *testing.T) {
 			applied = append(applied, name)
 		}
 	}
-	declined := traceCmd(obs.NewTracer().StartSpan("task").Context())
-	declined.apply = note("trace")
 	err := c.batch(
-		declined, // optional, unknown to this server: 500 tolerated
+		sessionCmd{name: "SITE", params: "NOSUCHEXT on", optional: true, apply: note("extension")}, // 500, declined
 		sessionCmd{name: "OPTS", params: "RETR Markers=40;", apply: note("markers")},
 		sessionCmd{name: "OPTS", params: "RETR Markers=bogus;", apply: note("bad markers")},  // 501
 		sessionCmd{name: "SITE", params: "FROBNICATE", apply: note("unknown, not optional")}, // 500
@@ -87,7 +86,7 @@ func TestBatchAppliesStatePerCommand(t *testing.T) {
 	if !errors.As(err, &re) || re.Reply.Code != ftp.CodeParamSyntaxError {
 		t.Fatalf("want the first failure (501), got %v", err)
 	}
-	want := []string{"trace (declined)", "markers", "task"}
+	want := []string{"extension (declined)", "markers", "task"}
 	if len(applied) != len(want) {
 		t.Fatalf("applied %v, want %v", applied, want)
 	}

@@ -33,21 +33,14 @@ func init() {
 	registerSite("TASK", "TASK <label> — label this session's transfers for stream telemetry", (*session).handleSiteTask)
 }
 
-// siteDisabled reports whether a registered subcommand is switched off by
-// configuration (it then behaves as unknown: absent from HELP, 500 on use).
-func (sess *session) siteDisabled(name string) bool {
-	return name == "TRACE" && sess.srv.cfg.DisableTrace
-}
-
 func (sess *session) handleSite(params string) {
 	sub, rest, _ := strings.Cut(strings.TrimSpace(params), " ")
 	if sub == "" {
 		sess.reply(ftp.CodeParamSyntaxError, "SITE requires a subcommand (try SITE HELP)")
 		return
 	}
-	name := strings.ToUpper(sub)
-	h, ok := siteRegistry[name]
-	if !ok || sess.siteDisabled(name) {
+	h, ok := siteRegistry[strings.ToUpper(sub)]
+	if !ok {
 		sess.reply(ftp.CodeSyntaxError, "Unknown SITE subcommand "+sub)
 		return
 	}
@@ -57,9 +50,7 @@ func (sess *session) handleSite(params string) {
 func (sess *session) handleSiteHelp(string) {
 	names := make([]string, 0, len(siteRegistry))
 	for name := range siteRegistry {
-		if !sess.siteDisabled(name) {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	lines := []string{"SITE subcommands:"}

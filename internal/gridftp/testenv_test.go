@@ -105,6 +105,18 @@ func (s *site) connect(t *testing.T, clientHost *netsim.Host, delegate bool) *Cl
 	return c
 }
 
+// setup applies s to c's session and reads the replies Setup leaves owed.
+func setup(t *testing.T, c *Client, s SessionSetup) {
+	t.Helper()
+	err := c.Setup(s)
+	if err == nil {
+		err = c.Settle()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // putFile stores content directly into the site's storage.
 func (s *site) putFile(t *testing.T, path string, content []byte) {
 	t.Helper()

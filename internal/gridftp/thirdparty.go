@@ -7,7 +7,6 @@ import (
 
 	"gridftp.dev/instant/internal/ftp"
 	"gridftp.dev/instant/internal/gsi"
-	"gridftp.dev/instant/internal/obs"
 )
 
 // DCSCTarget selects which endpoint of a third-party transfer receives a
@@ -39,11 +38,6 @@ type ThirdPartyOptions struct {
 	Restart []Range
 	// OnMarker receives restart markers from the destination.
 	OnMarker func([]Range)
-	// Trace, when valid, is forwarded to both endpoints via SITE TRACE so
-	// the source's RETR span and the destination's STOR span join the
-	// caller's distributed trace. Endpoints without the TRACE feature
-	// simply keep rooting their spans locally.
-	Trace obs.SpanContext
 }
 
 // ThirdPartyResult reports the outcome.
@@ -159,7 +153,7 @@ func (p *Pipeline) InFlight() int { return len(p.inFlight) }
 // is un-wired.
 func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done func(*ThirdPartyResult, error)) (err error) {
 	src, dst := p.src, p.dst
-	if opts.DCSC != nil || opts.Trace.Valid() || len(opts.Restart) > 0 || !wired(src, dst, opts.Striped) {
+	if opts.DCSC != nil || len(opts.Restart) > 0 || !wired(src, dst, opts.Striped) {
 		p.Drain()
 	}
 	defer func() {
@@ -178,14 +172,6 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 			if err := dst.SendDCSC(opts.DCSC); err != nil {
 				return fmt.Errorf("gridftp: DCSC to destination: %w", err)
 			}
-		}
-	}
-	if opts.Trace.Valid() {
-		if _, err := src.PropagateTrace(opts.Trace); err != nil {
-			return fmt.Errorf("gridftp: trace to source: %w", err)
-		}
-		if _, err := dst.PropagateTrace(opts.Trace); err != nil {
-			return fmt.Errorf("gridftp: trace to destination: %w", err)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -53,15 +54,12 @@ func TestSiteTraceBindsTransferSpans(t *testing.T) {
 	s.putFile(t, "/data.bin", pattern(128<<10))
 	c := s.connect(t, nw.Host("laptop"), true)
 
-	if !c.SupportsTrace() {
-		t.Fatal("server should advertise TRACE")
+	if feats, err := c.Features(); err != nil || !slices.Contains(feats, "TRACE") {
+		t.Fatalf("features %v, %v: want TRACE advertised", feats, err)
 	}
 	caller := obs.NewTracer()
 	parent := caller.StartSpan("task")
-	joined, err := c.PropagateTrace(parent.Context())
-	if err != nil || !joined {
-		t.Fatalf("PropagateTrace: joined=%v err=%v", joined, err)
-	}
+	setup(t, c, SessionSetup{Trace: parent.Context()})
 
 	if _, err := c.Get("/data.bin", dsi.NewBufferFile(nil)); err != nil {
 		t.Fatal(err)
@@ -130,9 +128,7 @@ func TestSiteTraceMalformedKeepsPriorContext(t *testing.T) {
 
 	caller := obs.NewTracer()
 	parent := caller.StartSpan("task")
-	if joined, err := c.PropagateTrace(parent.Context()); err != nil || !joined {
-		t.Fatalf("PropagateTrace: joined=%v err=%v", joined, err)
-	}
+	setup(t, c, SessionSetup{Trace: parent.Context()})
 	if _, err := c.cmdExpect("SITE", "TRACE garbage", 501); err != nil {
 		t.Fatalf("want 501, got %v", err)
 	}
@@ -148,46 +144,6 @@ func TestSiteTraceMalformedKeepsPriorContext(t *testing.T) {
 		}
 	}
 	t.Fatal("no gridftp.retr span recorded")
-}
-
-func TestTraceDisabledDegradesGracefully(t *testing.T) {
-	nw := netsim.NewNetwork()
-	s, o := obsSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.DisableTrace = true })
-	s.putFile(t, "/data.bin", pattern(32<<10))
-	c := s.connect(t, nw.Host("laptop"), true)
-
-	if c.SupportsTrace() {
-		t.Fatal("DisableTrace server must not advertise TRACE")
-	}
-	caller := obs.NewTracer()
-	parent := caller.StartSpan("task")
-	joined, err := c.PropagateTrace(parent.Context())
-	if err != nil {
-		t.Fatalf("PropagateTrace against no-TRACE server must not error: %v", err)
-	}
-	if joined {
-		t.Fatal("PropagateTrace should report not joined")
-	}
-	// SITE TRACE sent anyway is rejected as unknown, and SITE HELP hides it.
-	if _, err := c.cmdExpect("SITE", "TRACE "+obs.Inject(parent.Context()), 500); err != nil {
-		t.Fatalf("SITE TRACE on disabled server: want 500, got %v", err)
-	}
-	r, err := c.cmdExpect("SITE", "HELP", 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.Join(r.Lines, "\n"), "TRACE") {
-		t.Error("SITE HELP should not list TRACE when disabled")
-	}
-	// Transfers still work; spans root locally.
-	if _, err := c.Get("/data.bin", dsi.NewBufferFile(nil)); err != nil {
-		t.Fatal(err)
-	}
-	for _, si := range o.Trace.Spans() {
-		if si.Name == "gridftp.retr" && si.TraceID == parent.TraceID.String() {
-			t.Error("span joined remote trace despite DisableTrace")
-		}
-	}
 }
 
 func TestThirdPartyTraceJoinsBothEndpoints(t *testing.T) {
@@ -215,11 +171,17 @@ func TestThirdPartyTraceJoinsBothEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The trace goes to both endpoints the way the hosted service sends it:
+	// in each session's set-up, whose replies the transfer's first flight
+	// reads.
 	caller := obs.NewTracer()
 	parent := caller.StartSpan("task")
-	if _, err := ThirdParty(src, "/src.bin", dst, "/dst.bin", ThirdPartyOptions{
-		Trace: parent.Context(),
-	}); err != nil {
+	for _, c := range []*Client{src, dst} {
+		if err := c.Setup(SessionSetup{Trace: parent.Context()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ThirdParty(src, "/src.bin", dst, "/dst.bin", ThirdPartyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := dstSite.readFile(t, "/dst.bin"); len(got) != 256<<10 {
