@@ -27,17 +27,13 @@ type Client struct {
 	cred  *gsi.Credential
 	trust *gsi.TrustStore
 
-	// ServerIdentity is the GSI identity the server's host certificate
-	// presented on the control channel.
-	ServerIdentity gsi.DN
 	// delegKey is the server session's delegation public key (PKIX DER) as
 	// the login reply carried it; Delegate signs over it.
 	delegKey []byte
 
-	spec     ChannelSpec
-	restart  []Range
-	markerCB func([]Range)
-	perfCB   func(PerfMarker)
+	spec    ChannelSpec
+	restart []Range
+	perfCB  func(PerfMarker)
 
 	// obs receives client-side metrics: perf-marker observations feed
 	// gauges/counters so callers can watch a transfer without polling.
@@ -64,7 +60,7 @@ type Client struct {
 	written bool
 
 	// noMLSC is set once the server has answered MLSC as an unknown verb;
-	// ListEntries then goes straight to MLSD.
+	// walks then list with MLSD alone.
 	noMLSC bool
 
 	// task labels the client's own transfers in the stream-telemetry
@@ -125,12 +121,10 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		return nil, fmt.Errorf("gridftp: control handshake: %w", err)
 	}
 	raw.SetDeadline(time.Time{})
-	srvID, err := gsi.PeerIdentity(tc, trust)
-	if err != nil {
+	if _, err := gsi.PeerIdentity(tc, trust); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("gridftp: server verification: %w", err)
 	}
-	c.ServerIdentity = srvID.Identity
 	c.ctrl.Upgrade(tc)
 	// The server session starts in RFC 959 stream mode, so the client's
 	// default (MODE E) is negotiated explicitly — written right behind the
@@ -440,10 +434,6 @@ func (c *Client) ResetDCSC() error {
 // transfer command.
 func (c *Client) SetRestart(ranges []Range) { c.restart = ranges }
 
-// OnMarker registers a callback receiving restart-marker updates during
-// transfers.
-func (c *Client) OnMarker(cb func([]Range)) { c.markerCB = cb }
-
 // dataContext is the security context for the client's own data channels
 // (nil for credential-less GridFTP-Lite sessions, whose data channels run
 // without DCAU).
@@ -623,9 +613,6 @@ func (c *Client) handlePreliminary(r ftp.Reply) []Range {
 		ranges, err := ParseRanges(strings.TrimSpace(text))
 		if err != nil {
 			return nil
-		}
-		if c.markerCB != nil {
-			c.markerCB(ranges)
 		}
 		return ranges
 	case CodePerfMarker:
@@ -855,9 +842,6 @@ func (c *Client) Get(path string, dst dsi.File) (*TransferStats, error) {
 	received := FromRanges(restart)
 	res, r, rerr := c.recvWithReplies(dst, received)
 	markers := res.Received.Ranges()
-	if c.markerCB != nil && res.Received.Covered() > 0 {
-		c.markerCB(markers)
-	}
 	switch {
 	case rerr != nil:
 		return &TransferStats{Markers: markers}, rerr
@@ -954,24 +938,12 @@ func (c *Client) Mkdir(path string) error {
 	return err
 }
 
-// Delete removes a remote file or empty directory.
-func (c *Client) Delete(path string) error {
-	_, err := c.cmdExpect("DELE", path, ftp.CodeFileActionOK)
-	return err
-}
-
 // Rename moves a remote file.
 func (c *Client) Rename(from, to string) error {
 	if _, err := c.cmdExpect("RNFR", from, ftp.CodeNeedAccount); err != nil {
 		return err
 	}
 	_, err := c.cmdExpect("RNTO", to, ftp.CodeFileActionOK)
-	return err
-}
-
-// Chdir changes the remote working directory.
-func (c *Client) Chdir(path string) error {
-	_, err := c.cmdExpect("CWD", path, ftp.CodeFileActionOK)
 	return err
 }
 
@@ -999,8 +971,8 @@ func mlstLine(r ftp.Reply) (string, error) {
 }
 
 // List runs MLSD over a fresh data channel and returns the entry lines. It
-// drops the session's pooled channels and un-wires a third-party pair;
-// ListEntries lists without doing either where the server has MLSC.
+// drops the session's pooled channels and un-wires a third-party pair; a walk
+// lists without doing either where the server has MLSC.
 func (c *Client) List(path string) ([]string, error) {
 	c.flushPools()
 	if err := c.ensurePassive(); err != nil {
@@ -1039,9 +1011,3 @@ func (c *Client) List(path string) ([]string, error) {
 	}
 	return out, nil
 }
-
-// Parallelism returns the current negotiated parallelism.
-func (c *Client) Parallelism() int { return c.spec.Parallelism }
-
-// Mode returns the current transfer mode.
-func (c *Client) Mode() TransferMode { return c.spec.Mode }

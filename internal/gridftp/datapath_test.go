@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/tls"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -457,10 +458,9 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	}
 }
 
-// TestPutManyFeedsTelemetry: pipelined uploads go through the same send
-// path as Put, so they show up in the stream health table (and under the
-// stall watchdog) and in the client byte counter.
-func TestPutManyFeedsTelemetry(t *testing.T) {
+// TestPutFeedsTelemetry: the client's uploads show up in its stream health
+// table (and under the stall watchdog) and in its byte counter.
+func TestPutFeedsTelemetry(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
 	o := obs.Nop()
@@ -477,12 +477,11 @@ func TestPutManyFeedsTelemetry(t *testing.T) {
 	if err := c.Delegate(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	items := []PutItem{
-		{Path: "/m0.bin", Src: dsi.NewBufferFile(pattern(30000))},
-		{Path: "/m1.bin", Src: dsi.NewBufferFile(pattern(50000))},
-	}
-	if err := c.PutMany(items); err != nil {
-		t.Fatal(err)
+	sizes := []int{30000, 50000}
+	for i, n := range sizes {
+		if _, err := c.Put(fmt.Sprintf("/m%d.bin", i), dsi.NewBufferFile(pattern(n))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var puts int
 	var streamed int64
@@ -495,8 +494,8 @@ func TestPutManyFeedsTelemetry(t *testing.T) {
 			streamed += sh.Bytes
 		}
 	}
-	if puts != len(items) {
-		t.Fatalf("health table shows %d put transfers, want %d", puts, len(items))
+	if puts != len(sizes) {
+		t.Fatalf("health table shows %d put transfers, want %d", puts, len(sizes))
 	}
 	if streamed < 80000 {
 		t.Fatalf("streams counted %d bytes, want at least the 80000 payload bytes", streamed)

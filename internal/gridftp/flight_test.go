@@ -349,14 +349,13 @@ func TestOwedRepliesSettleBeforeAnyCommand(t *testing.T) {
 	}{
 		{"Put", func(c *Client) error { _, err := c.Put("/up.bin", dsi.NewBufferFile(payload)); return err }},
 		{"Put of an empty file", func(c *Client) error { _, err := c.Put("/empty.bin", dsi.NewBufferFile(nil)); return err }},
-		{"PutMany", func(c *Client) error { return c.PutMany([]PutItem{{"/many.bin", dsi.NewBufferFile(payload)}}) }},
 		{"GetMany", func(c *Client) error { return c.GetMany([]GetItem{{"/data.bin", dsi.NewBufferFile(nil)}}) }},
 		{"Get with restart", func(c *Client) error {
 			c.SetRestart([]Range{{0, 500}})
 			_, err := c.Get("/data.bin", dsi.NewBufferFile(nil))
 			return err
 		}},
-		{"ListEntries", func(c *Client) error { _, err := c.ListEntries("/"); return err }},
+		{"MLSC", func(c *Client) error { _, err := mlsc(c, "/"); return err }},
 		{"List", func(c *Client) error { _, err := c.List("/"); return err }},
 		{"Stat", func(c *Client) error { _, err := c.Stat("/data.bin"); return err }},
 		{"Mkdir", func(c *Client) error { return c.Mkdir("/dir-" + fmt.Sprint(time.Now().UnixNano())) }},
@@ -893,7 +892,7 @@ func TestSingleFileSurvivesTheSpeculativeListing(t *testing.T) {
 	c, srv := newScriptedSession(t, map[string][]byte{"/data.bin": pattern(12345)})
 	o := obs.Nop()
 	c.obs = o
-	w, err := c.WalkEntries("/data.bin")
+	w, err := walk(c, "/data.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -995,7 +994,7 @@ func TestFlightsAreCapped(t *testing.T) {
 	srv.listings = listings
 	o := obs.Nop()
 	c.obs = o
-	w, err := c.WalkEntries("/w")
+	w, err := walk(c, "/w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1041,7 +1040,7 @@ func TestWalkTakesOnlyPlainNamesFromAListing(t *testing.T) {
 				"/t":     {fact("file", "fine.bin"), fact("dir", "sub")},
 				"/t/sub": {fact("file", "also-fine.bin"), tc.entry},
 			}
-			w, err := c.WalkEntries("/t")
+			w, err := walk(c, "/t")
 			if err == nil || !strings.Contains(err.Error(), "/t/sub") {
 				t.Fatalf("walk: %v (files %v); want an error that names the listing of /t/sub", err, w.Files)
 			}
@@ -1059,15 +1058,16 @@ func TestWalkTakesOnlyPlainNamesFromAListing(t *testing.T) {
 		"/t":     {fact("cdir", "."), fact("pdir", ".."), fact("file", "top.bin"), fact("dir", "sub")},
 		"/t/sub": {fact("cdir", "/t/sub"), fact("pdir", "/t"), fact("file", "leaf.bin")},
 	}
-	w, err := c.WalkEntries("/t")
+	w, err := walk(c, "/t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []WalkEntry{{"top.bin", 7}, {"sub/leaf.bin", 7}}; !reflect.DeepEqual(w.Files, want) || !reflect.DeepEqual(w.Dirs, []string{"sub"}) {
 		t.Errorf("walk past cdir and pdir entries: files %v, directories %v; want %v and [sub]", w.Files, w.Dirs, want)
 	}
-	if entries, err := c.ListEntries("/t"); err != nil || len(entries) != 2 {
-		t.Errorf("ListEntries past cdir and pdir entries: %v, %v; want the file and the directory", entries, err)
+	lines, err := mlsc(c, "/t")
+	if entries, perr := parseListing(lines); err != nil || perr != nil || len(entries) != 2 {
+		t.Errorf("listing past cdir and pdir entries: %v, %v, %v; want the file and the directory", entries, err, perr)
 	}
 }
 
@@ -1083,7 +1083,7 @@ func TestWalkIsBounded(t *testing.T) {
 		dir += "/d"
 		deepest = dir
 	}
-	w, err := c.WalkEntries("/t")
+	w, err := walk(c, "/t")
 	if err == nil || !strings.Contains(err.Error(), deepest) {
 		t.Fatalf("walk of a tree %d directories deep: %v; want an error that names %s", maxWalkDepth+1, err, deepest)
 	}

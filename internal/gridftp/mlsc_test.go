@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -34,9 +35,24 @@ func nestedTree(t *testing.T, s *site) []WalkEntry {
 	return want
 }
 
+// walk walks path to the bottom: StartWalk and Finish.
+func walk(c *Client, path string) (*Walk, error) {
+	w, err := c.StartWalk(path)
+	if err == nil {
+		err = w.Finish()
+	}
+	return w, err
+}
+
+// mlsc lists path over the control channel, as a walk does; a listing the
+// server declines there is errListOverData.
+func mlsc(c *Client, path string) ([]string, error) {
+	return c.mlscLines(c.cmdExpect("MLSC", path, ftp.CodeFileActionOK))
+}
+
 func sortedWalk(t *testing.T, c *Client, path string) []WalkEntry {
 	t.Helper()
-	w, err := c.WalkEntries(path)
+	w, err := walk(c, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +84,7 @@ func TestMlscListsWhatMlsdLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		overControl, err := c.listControl(dir)
+		overControl, err := mlsc(c, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,9 +108,9 @@ func TestMlscListsWhatMlsdLists(t *testing.T) {
 }
 
 // TestListEntriesKeepsPairWired: listing is no longer one of the things that
-// un-wire a third-party pair — after ListEntries on both sessions the next
-// file still goes out with no PASV, PORT or connection of its own. List
-// (MLSD) still un-wires, as the second half shows.
+// un-wire a third-party pair — after an MLSC on both sessions the next file
+// still goes out with no PASV, PORT or connection of its own. List (MLSD)
+// still un-wires, as the second half shows.
 func TestListEntriesKeepsPairWired(t *testing.T) {
 	p := newTPPair(t, tpPairOptions{})
 	p.transfer(ThirdPartyOptions{})
@@ -103,16 +119,16 @@ func TestListEntriesKeepsPairWired(t *testing.T) {
 	}
 	conns := p.interSiteConns(0)
 	for _, c := range []*Client{p.src, p.dst} {
-		if entries, err := c.ListEntries("/"); err != nil || len(entries) != 1 {
-			t.Fatalf("ListEntries: %v %v", entries, err)
+		if lines, err := mlsc(c, "/"); err != nil || len(lines) != 1 {
+			t.Fatalf("MLSC: %v %v", lines, err)
 		}
 	}
 	if !wired(p.src, p.dst, false) {
-		t.Fatal("ListEntries un-wired the pair")
+		t.Fatal("MLSC un-wired the pair")
 	}
 	p.transfer(ThirdPartyOptions{})
 	if pasv, port := commandCount(p.dstObs, "PASV"), commandCount(p.srcObs, "PORT"); pasv != 1 || port != 1 || p.interSiteConns(0) != conns {
-		t.Errorf("after ListEntries: %d PASV, %d PORT, %d connections; want 1, 1, %d", pasv, port, p.interSiteConns(0), conns)
+		t.Errorf("after MLSC: %d PASV, %d PORT, %d connections; want 1, 1, %d", pasv, port, p.interSiteConns(0), conns)
 	}
 
 	if _, err := p.src.List("/"); err != nil {
@@ -174,8 +190,8 @@ func TestListEntriesFallsBackOnceWithoutMLSC(t *testing.T) {
 	if got := sortedWalk(t, c, "/tree"); !reflect.DeepEqual(got, want) {
 		t.Errorf("walk found %v, want %v", got, want)
 	}
-	if mlsc, mlsd := commandCount(c.obs, "MLSC"), commandCount(c.obs, "MLSD"); mlsc != 1 || mlsd != 5 {
-		t.Errorf("%d MLSC and %d MLSD for five directories, want 1 and 5", mlsc, mlsd)
+	if mlscs, mlsds := commandCount(c.obs, "MLSC"), commandCount(c.obs, "MLSD"); mlscs != 1 || mlsds != 5 {
+		t.Errorf("%d MLSC and %d MLSD for five directories, want 1 and 5", mlscs, mlsds)
 	}
 	if !c.noMLSC {
 		t.Error("the refusal was not remembered")
@@ -184,8 +200,8 @@ func TestListEntriesFallsBackOnceWithoutMLSC(t *testing.T) {
 
 // TestMlscRefusesListingTooLargeForAReply: a directory whose fact lines
 // exceed the reply cap is refused by the server with 504 — nothing of the
-// listing is sent — and ListEntries gets it over MLSD instead, through the
-// same fallback as a server without the verb but for that directory only.
+// listing is sent — and a walk gets it over MLSD instead, through the same
+// fallback as a server without the verb but for that directory only.
 func TestMlscRefusesListingTooLargeForAReply(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -209,26 +225,22 @@ func TestMlscRefusesListingTooLargeForAReply(t *testing.T) {
 	if r, err := c.finalReply(nil); err != nil || r.Code != ftp.CodeParamNotImpl || len(r.Lines) != 1 {
 		t.Fatalf("MLSC of an over-cap directory: %d (%d lines) %v, want a one-line 504", r.Code, len(r.Lines), err)
 	}
-	entries, err := c.ListEntries("/big")
-	if err != nil || len(entries) != n {
-		t.Fatalf("ListEntries fell back to %d entries, %v; want %d", len(entries), err, n)
+	if _, err := mlsc(c, "/big"); !errors.Is(err, errListOverData) {
+		t.Fatalf("the client took the 504 as %v, want errListOverData", err)
 	}
 	if c.noMLSC {
 		t.Error("one oversized directory turned MLSC off for the session")
 	}
-	if entries, err := c.ListEntries("/"); err != nil || len(entries) != 2 {
-		t.Fatalf("ListEntries /: %v %v", entries, err)
-	}
-	if mlsc, mlsd := commandCount(o, "MLSC"), commandCount(o, "MLSD"); mlsc != 2 || mlsd != 1 {
-		t.Errorf("%d MLSC and %d MLSD through ListEntries, want 2 and 1", mlsc, mlsd)
+	if lines, err := mlsc(c, "/"); err != nil || len(lines) != 2 {
+		t.Fatalf("MLSC /: %v %v", lines, err)
 	}
 	// A walk meets the directory in a level's flight: it alone goes to MLSD,
 	// once the flight's replies are in, and nothing of the tree is missed.
-	w, err := c.WalkEntries("/")
+	w, err := walk(c, "/")
 	if err != nil || len(w.Files) != n+1 || len(w.Dirs) != 1 {
 		t.Fatalf("walk of /: %d files, directories %v, %v; want %d files under one directory", len(w.Files), w.Dirs, err, n+1)
 	}
-	if mlsc, mlsd := commandCount(o, "MLSC"), commandCount(o, "MLSD"); mlsc != 4 || mlsd != 2 {
-		t.Errorf("%d MLSC and %d MLSD after the walk, want 4 and 2", mlsc, mlsd)
+	if mlscs, mlsds := commandCount(o, "MLSC"), commandCount(o, "MLSD"); mlscs != 4 || mlsds != 1 {
+		t.Errorf("%d MLSC and %d MLSD after the walk, want 4 and 1", mlscs, mlsds)
 	}
 }

@@ -82,14 +82,6 @@ func (c *Client) mlscLines(r ftp.Reply, err error) ([]string, error) {
 	return r.Lines[1 : len(r.Lines)-1], nil
 }
 
-// listControl lists path with MLSC.
-func (c *Client) listControl(path string) ([]string, error) {
-	if c.noMLSC {
-		return nil, errListOverData
-	}
-	return c.mlscLines(c.cmdExpect("MLSC", path, ftp.CodeFileActionOK))
-}
-
 // parseListing parses a directory's fact lines. The entries for the directory
 // itself and for its parent, which MLSD servers other than this one send
 // (Type=cdir, Type=pdir), are not among its children.
@@ -105,19 +97,6 @@ func parseListing(lines []string) ([]MlsxEntry, error) {
 		}
 	}
 	return out, nil
-}
-
-// ListEntries lists a directory and returns the parsed entries: over the
-// control channel (MLSC) where the server can, else with List (MLSD).
-func (c *Client) ListEntries(path string) ([]MlsxEntry, error) {
-	lines, err := c.listControl(path)
-	if errors.Is(err, errListOverData) {
-		lines, err = c.List(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return parseListing(lines)
 }
 
 // WalkEntry is one regular file found by a walk: its slash-joined path
@@ -342,13 +321,4 @@ func (w *Walk) listFlight(dirs []string) error {
 		}
 	}
 	return nil
-}
-
-// WalkEntries walks path to the bottom: StartWalk and Finish.
-func (c *Client) WalkEntries(path string) (*Walk, error) {
-	w, err := c.StartWalk(path)
-	if err == nil {
-		err = w.Finish()
-	}
-	return w, err
 }

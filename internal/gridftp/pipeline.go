@@ -18,12 +18,6 @@ type GetItem struct {
 	Dst  dsi.File
 }
 
-// PutItem pairs a local source with its remote path.
-type PutItem struct {
-	Path string
-	Src  dsi.File
-}
-
 // GetMany downloads the items over one session with pipelined RETR
 // commands (active mode). It stops at the first failure and returns it,
 // after reading the server's refusal of every command queued behind the
@@ -81,48 +75,6 @@ func (c *Client) recvOne(dst dsi.File) error {
 		return r.Err()
 	case res.Err != nil:
 		return res.Err
-	}
-	return nil
-}
-
-// PutMany uploads the items over one session with pipelined STOR commands
-// (passive mode). It stops at the first failure and returns it, after
-// reading the server's refusal of every command queued behind the failed
-// one.
-func (c *Client) PutMany(items []PutItem) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if c.spec.Mode != ModeExtended {
-		return fmt.Errorf("gridftp: pipelining requires MODE E")
-	}
-	if _, err := c.settle(); err != nil {
-		return err
-	}
-	// A source that cannot be sized fails here, before any STOR is queued.
-	sizes := make([]int64, len(items))
-	for i, it := range items {
-		size, err := it.Src.Size()
-		if err != nil {
-			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)
-		}
-		sizes[i] = size
-	}
-	if len(c.data.pooledDialed) != c.spec.Parallelism {
-		if err := c.ensurePassive(); err != nil {
-			return err
-		}
-	}
-	for _, it := range items {
-		if err := c.send("STOR", it.Path); err != nil {
-			return err
-		}
-	}
-	for i, it := range items {
-		if _, err := c.sendOne(it.Src, []Range{{0, sizes[i]}}); err != nil {
-			c.drainQueued(len(items) - i - 1)
-			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)
-		}
 	}
 	return nil
 }

@@ -11,25 +11,18 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 )
 
-func TestPutManyGetManyRoundTrip(t *testing.T) {
+func TestGetManyRoundTrip(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
 	c := s.connect(t, nw.Host("laptop"), true)
 
 	const n = 20
-	var puts []PutItem
 	var payloads [][]byte
 	for i := 0; i < n; i++ {
 		p := pattern(1000 + i*137)
 		payloads = append(payloads, p)
-		puts = append(puts, PutItem{Path: fmt.Sprintf("/f%02d", i), Src: dsi.NewBufferFile(p)})
-	}
-	if err := c.PutMany(puts); err != nil {
-		t.Fatal(err)
-	}
-	for i := range puts {
-		if got := s.readFile(t, puts[i].Path); !bytes.Equal(got, payloads[i]) {
-			t.Fatalf("file %d mismatch", i)
+		if _, err := c.Put(fmt.Sprintf("/f%02d", i), dsi.NewBufferFile(p)); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -68,8 +61,8 @@ func TestGetManyMissingFileFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestPipelinedFailureMidwayLeavesSessionUsable: GetMany and PutMany with
-// the failing item in the middle return that item's error promptly, having
+// TestPipelinedFailureMidwayLeavesSessionUsable: GetMany with the failing
+// item in the middle returns that item's error promptly, having
 // read the replies of the commands queued behind it, so the session's next
 // command gets its own reply and its next transfer is byte-exact.
 func TestPipelinedFailureMidwayLeavesSessionUsable(t *testing.T) {
@@ -90,14 +83,6 @@ func TestPipelinedFailureMidwayLeavesSessionUsable(t *testing.T) {
 		{"GetMany", func() error {
 			return c.GetMany([]GetItem{{"/ok", sink()}, {"/missing", sink()}, {"/ok2", sink()}, {"/ok", sink()}})
 		}, "pipelined get 1 (/missing)"},
-		{"PutMany", func() error {
-			return c.PutMany([]PutItem{
-				{"/up0", dsi.NewBufferFile(pattern(100))},
-				{"/dir", dsi.NewBufferFile(pattern(200))}, // a directory: uncreatable
-				{"/up2", dsi.NewBufferFile(pattern(300))},
-				{"/up3", dsi.NewBufferFile(pattern(400))},
-			})
-		}, "pipelined put 1 (/dir)"},
 	} {
 		start := time.Now()
 		err := tc.run()

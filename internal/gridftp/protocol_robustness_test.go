@@ -125,7 +125,7 @@ func TestRelativePathsResolveAgainstCWD(t *testing.T) {
 	if err := c.Mkdir("/deep"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Chdir("/deep"); err != nil {
+	if _, err := c.cmdExpect("CWD", "/deep", ftp.CodeFileActionOK); err != nil {
 		t.Fatal(err)
 	}
 	s.putFile(t, "/deep/rel.bin", pattern(100))
@@ -138,7 +138,7 @@ func TestRelativePathsResolveAgainstCWD(t *testing.T) {
 	if err := c.Rename("rel.bin", "rel2.bin"); err != nil {
 		t.Fatalf("relative RNFR/RNTO: %v", err)
 	}
-	if err := c.Delete("rel2.bin"); err != nil {
+	if _, err := c.cmdExpect("DELE", "rel2.bin", ftp.CodeFileActionOK); err != nil {
 		t.Fatalf("relative DELE: %v", err)
 	}
 }

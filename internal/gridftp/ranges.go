@@ -89,14 +89,6 @@ func (s *RangeSet) Contains(start, end int64) bool {
 	return false
 }
 
-// Complete reports whether the set covers exactly [0, size).
-func (s *RangeSet) Complete(size int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ranges) == 1 && s.ranges[0].Start == 0 && s.ranges[0].End >= size ||
-		(size == 0 && len(s.ranges) == 0)
-}
-
 // Missing returns the complement of the set within [0, size).
 func (s *RangeSet) Missing(size int64) []Range {
 	s.mu.Lock()

@@ -51,13 +51,13 @@ func TestRangeSetMissing(t *testing.T) {
 			t.Fatalf("missing %v want %v", missing, want)
 		}
 	}
-	if !NewRangeSet().Complete(0) {
-		t.Fatal("empty set should be complete for size 0")
+	if len(NewRangeSet().Missing(0)) != 0 {
+		t.Fatal("empty set should miss nothing of size 0")
 	}
 	full := NewRangeSet()
 	full.Add(0, 60)
-	if !full.Complete(60) || len(full.Missing(60)) != 0 {
-		t.Fatal("full set should be complete")
+	if len(full.Missing(60)) != 0 {
+		t.Fatal("full set should miss nothing")
 	}
 }
 

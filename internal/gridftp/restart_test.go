@@ -92,13 +92,11 @@ func TestRestartAfterInjectedFault(t *testing.T) {
 	payload := pattern(1 << 20)
 	faulty.Arm(400_000) // fail after ~40% received
 
-	var lastMarkers []Range
-	c.OnMarker(func(rs []Range) { lastMarkers = rs })
-
-	_, err := c.Put("/restart.bin", dsi.NewBufferFile(payload))
-	if err == nil {
-		t.Fatal("expected injected fault to fail the first attempt")
+	failed, err := c.Put("/restart.bin", dsi.NewBufferFile(payload))
+	if err == nil || failed == nil {
+		t.Fatalf("the first attempt: %v, %+v; want the injected fault, with the markers seen before it", err, failed)
 	}
+	lastMarkers := failed.Markers
 	if len(lastMarkers) == 0 {
 		t.Fatal("no restart markers collected before the fault")
 	}

@@ -267,7 +267,7 @@ func TestClientWalk(t *testing.T) {
 	s.putFile(t, "/tree/top.txt", []byte("1"))
 	s.putFile(t, "/tree/a/mid.txt", []byte("2"))
 	s.putFile(t, "/tree/a/b/leaf.txt", []byte("3"))
-	w, err := c.WalkEntries("/tree")
+	w, err := walk(c, "/tree")
 	if err != nil {
 		t.Fatal(err)
 	}
