@@ -7,7 +7,6 @@
 package authz
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"strings"
@@ -44,77 +43,11 @@ func NewGridmap() *Gridmap {
 	return &Gridmap{entries: make(map[gsi.DN]string)}
 }
 
-// ParseGridmap parses the classic format: one `"<DN>" <username>` pair per
-// line, '#' comments.
-func ParseGridmap(data string) (*Gridmap, error) {
-	g := NewGridmap()
-	sc := bufio.NewScanner(strings.NewReader(data))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !strings.HasPrefix(line, `"`) {
-			return nil, fmt.Errorf("authz: gridmap line %d: DN must be quoted", lineNo)
-		}
-		end := strings.Index(line[1:], `"`)
-		if end < 0 {
-			return nil, fmt.Errorf("authz: gridmap line %d: unterminated DN", lineNo)
-		}
-		dn := gsi.DN(line[1 : 1+end])
-		user := strings.TrimSpace(line[end+2:])
-		if user == "" || strings.ContainsAny(user, " \t") {
-			return nil, fmt.Errorf("authz: gridmap line %d: bad username %q", lineNo, user)
-		}
-		if !dn.Valid() {
-			return nil, fmt.Errorf("authz: gridmap line %d: bad DN %q", lineNo, dn)
-		}
-		g.entries[dn] = user
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Format renders the gridmap in its file format, sorted for stability.
-func (g *Gridmap) Format() string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	dns := make([]string, 0, len(g.entries))
-	for dn := range g.entries {
-		dns = append(dns, string(dn))
-	}
-	sortStrings(dns)
-	var b strings.Builder
-	for _, dn := range dns {
-		fmt.Fprintf(&b, "%q %s\n", dn, g.entries[gsi.DN(dn)])
-	}
-	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // AddEntry maps a DN to a username.
 func (g *Gridmap) AddEntry(dn gsi.DN, user string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.entries[dn] = user
-}
-
-// RemoveEntry deletes a mapping.
-func (g *Gridmap) RemoveEntry(dn gsi.DN) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.entries, dn)
 }
 
 // Len returns the number of entries.

@@ -37,9 +37,10 @@ func TestGridmapMapping(t *testing.T) {
 	if err != nil || user != "asmith" {
 		t.Fatalf("map: %q %v", user, err)
 	}
-	g.RemoveEntry("/O=Grid/CN=alice smith")
+	g = NewGridmap()
+	g.AddEntry("/O=Grid/CN=alice smithers", "asmithers")
 	if _, err := g.Map(id); !errors.Is(err, ErrNoMapping) {
-		t.Fatalf("after removal: %v", err)
+		t.Fatalf("unmapped DN: %v", err)
 	}
 }
 
@@ -58,45 +59,6 @@ func TestGridmapProxyIdentityMapping(t *testing.T) {
 	g.AddEntry("/O=Grid/CN=bob", "bob")
 	if u, err := g.Map(id); err != nil || u != "bob" {
 		t.Fatalf("proxy map: %q %v", u, err)
-	}
-}
-
-func TestGridmapParseFormat(t *testing.T) {
-	text := `# comment
-"/O=Grid/CN=alice" alice
-"/O=Grid/OU=x/CN=bob jones" bjones
-`
-	g, err := ParseGridmap(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("entries %d", g.Len())
-	}
-	// Round trip.
-	g2, err := ParseGridmap(g.Format())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Len() != 2 {
-		t.Fatalf("round trip entries %d", g2.Len())
-	}
-	if !strings.Contains(g.Format(), `"/O=Grid/CN=alice" alice`) {
-		t.Fatalf("format: %s", g.Format())
-	}
-}
-
-func TestGridmapParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		`/O=Grid/CN=x user`,  // unquoted DN
-		`"/O=Grid/CN=x user`, // unterminated
-		`"/O=Grid/CN=x"`,     // missing user
-		`"/O=Grid/CN=x" a b`, // user with spaces
-		`"not-a-dn" user`,    // invalid DN
-	} {
-		if _, err := ParseGridmap(bad); err == nil {
-			t.Errorf("ParseGridmap(%q) should fail", bad)
-		}
 	}
 }
 
@@ -150,8 +112,7 @@ func TestChainFallsThrough(t *testing.T) {
 		t.Fatalf("empty chain: %v", err)
 	}
 	// Chain with no matching callout reports all reasons.
-	gm.RemoveEntry("/O=Grid/CN=carol")
-	if _, err := chain.Map(id); err == nil || !strings.Contains(err.Error(), "gridmap") {
+	if _, err := (Chain{gcmuCo, NewGridmap()}).Map(id); err == nil || !strings.Contains(err.Error(), "gridmap") {
 		t.Fatalf("chain failure detail: %v", err)
 	}
 }

@@ -51,14 +51,6 @@ func (a *ArchivalStorage) stage(user, p string) {
 	a.mu.Unlock()
 }
 
-// Staged reports whether a file is currently resident in the disk cache.
-func (a *ArchivalStorage) Staged(user, p string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	until, ok := a.staged[user+"\x00"+p]
-	return ok && time.Now().Before(until)
-}
-
 // Open implements Storage, paying stage latency for cold files.
 func (a *ArchivalStorage) Open(user, p string) (File, error) {
 	a.stage(user, p)

@@ -110,18 +110,6 @@ func (r Reply) String() string {
 // Preliminary reports a 1xx reply (more replies follow for this command).
 func (r Reply) Preliminary() bool { return r.Code >= 100 && r.Code < 200 }
 
-// Success reports a 2xx reply.
-func (r Reply) Success() bool { return r.Code >= 200 && r.Code < 300 }
-
-// Intermediate reports a 3xx reply.
-func (r Reply) Intermediate() bool { return r.Code >= 300 && r.Code < 400 }
-
-// TransientError reports a 4xx reply.
-func (r Reply) TransientError() bool { return r.Code >= 400 && r.Code < 500 }
-
-// PermanentError reports a 5xx reply.
-func (r Reply) PermanentError() bool { return r.Code >= 500 }
-
 // Err converts an error reply into a Go error (nil for 1xx-3xx).
 func (r Reply) Err() error {
 	if r.Code < 400 {
@@ -137,10 +125,6 @@ type ReplyError struct {
 
 // Error implements the error interface.
 func (e *ReplyError) Error() string { return "ftp: " + e.Reply.String() }
-
-// Temporary reports whether the failure is transient (4xx), the signal the
-// Globus Online-style transfer service uses to decide whether to retry.
-func (e *ReplyError) Temporary() bool { return e.Reply.TransientError() }
 
 // Conn wraps a net.Conn with FTP line discipline. It is used by both the
 // server PI (read commands, write replies) and the client PI (write

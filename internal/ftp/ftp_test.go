@@ -65,7 +65,7 @@ func TestSingleLineReply(t *testing.T) {
 	if r.Code != 230 || r.Lines[0] != "User logged in" {
 		t.Fatalf("%+v", r)
 	}
-	if !r.Success() || r.Err() != nil {
+	if r.Err() != nil {
 		t.Fatal("230 should be success")
 	}
 }
@@ -119,9 +119,6 @@ func TestExpect(t *testing.T) {
 	if !errors.As(err, &re) || re.Reply.Code != 550 {
 		t.Fatalf("want ReplyError 550, got %v", err)
 	}
-	if re.Temporary() {
-		t.Fatal("550 is permanent")
-	}
 }
 
 func TestReplyErrClassification(t *testing.T) {
@@ -129,14 +126,11 @@ func TestReplyErrClassification(t *testing.T) {
 		t.Fatal("426 should err")
 	}
 	var re *ReplyError
-	if errors.As((Reply{Code: 426}).Err(), &re); !re.Temporary() {
-		t.Fatal("426 should be temporary")
+	if !errors.As((Reply{Code: 426}).Err(), &re) || re.Reply.Code != 426 {
+		t.Fatal("426's error should carry the reply")
 	}
 	if (Reply{Code: 350}).Err() != nil {
 		t.Fatal("350 should not err")
-	}
-	if !(Reply{Code: 331}).Intermediate() {
-		t.Fatal("331 intermediate")
 	}
 }
 

@@ -52,11 +52,6 @@ func (c *Credential) Identity() DN {
 	return c.identity
 }
 
-// Expired reports whether the certificate is outside its validity window.
-func (c *Credential) Expired(now time.Time) bool {
-	return now.After(c.Cert.NotAfter) || now.Before(c.Cert.NotBefore)
-}
-
 // FullChain returns the leaf followed by the chain, the order TLS expects.
 func (c *Credential) FullChain() []*x509.Certificate {
 	out := make([]*x509.Certificate, 0, len(c.Chain)+1)
@@ -279,18 +274,4 @@ func DecodePEM(data []byte) (*Credential, error) {
 		return nil, errors.New("gsi: no certificate in bundle")
 	}
 	return &cred, nil
-}
-
-// EncodeCertPEM serializes a single certificate.
-func EncodeCertPEM(cert *x509.Certificate) []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: cert.Raw})
-}
-
-// DecodeCertPEM parses the first certificate in a PEM buffer.
-func DecodeCertPEM(data []byte) (*x509.Certificate, error) {
-	block, _ := pem.Decode(data)
-	if block == nil || block.Type != "CERTIFICATE" {
-		return nil, errors.New("gsi: no certificate PEM block")
-	}
-	return x509.ParseCertificate(block.Bytes)
 }

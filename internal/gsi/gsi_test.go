@@ -281,47 +281,6 @@ func TestSigningPolicyEnforced(t *testing.T) {
 	}
 }
 
-func TestSigningPolicyParseFormat(t *testing.T) {
-	text := `# EACL for Test CA
-access_id_CA  X509  '/O=Grid/CN=Test CA'
-pos_rights    globus CA:sign
-cond_subjects globus '"/O=Grid/*" "/O=Lab/*"'
-`
-	p, err := ParseSigningPolicy(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CA != "/O=Grid/CN=Test CA" || len(p.Subjects) != 2 {
-		t.Fatalf("parsed %+v", p)
-	}
-	// Round trip.
-	p2, err := ParseSigningPolicy(FormatSigningPolicy(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.CA != p.CA || len(p2.Subjects) != len(p.Subjects) {
-		t.Fatalf("round trip %+v", p2)
-	}
-	if !p.Allows("/O=Lab/CN=x") || p.Allows("/O=Other/CN=x") {
-		t.Fatal("Allows misbehaves")
-	}
-}
-
-func TestSigningPolicyParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"access_id_CA X509 '/O=x'\n", // missing rights+subjects
-		"access_id_CA PGP '/O=x'\npos_rights globus CA:sign\ncond_subjects globus '\"/a/*\"'\n",
-		"pos_rights globus CA:sign\ncond_subjects globus '\"/a/*\"'\n", // no CA
-		"garbage line here\n",
-	}
-	for _, text := range bad {
-		if _, err := ParseSigningPolicy(text); err == nil {
-			t.Errorf("ParseSigningPolicy(%q) should fail", text)
-		}
-	}
-}
-
 func TestExpiredCertificateRejected(t *testing.T) {
 	ca := mustCA(t, "/O=Grid/CN=CA")
 	user := mustIssue(t, ca, IssueOptions{Subject: "/O=Grid/CN=u", Lifetime: time.Hour})

@@ -1,11 +1,5 @@
 package gsi
 
-import (
-	"bufio"
-	"fmt"
-	"strings"
-)
-
 // SigningPolicy restricts which subject DNs a CA may sign, mirroring the
 // Globus *.signing_policy EACL files installed next to trusted CA
 // certificates. A CA with no registered policy may sign anything (the
@@ -26,129 +20,4 @@ func (p *SigningPolicy) Allows(subject DN) bool {
 		}
 	}
 	return false
-}
-
-// ParseSigningPolicy parses the Globus signing_policy file format:
-//
-//	access_id_CA  X509  '/C=US/O=Grid/CN=Example CA'
-//	pos_rights    globus CA:sign
-//	cond_subjects globus '"/C=US/O=Grid/*" "/C=US/O=Lab/*"'
-//
-// Comment lines start with '#'. Only the globus CA:sign right is modelled.
-func ParseSigningPolicy(data string) (*SigningPolicy, error) {
-	var p SigningPolicy
-	sawRights := false
-	sc := bufio.NewScanner(strings.NewReader(data))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := splitPolicyLine(line)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("gsi: malformed signing policy line %q", line)
-		}
-		switch fields[0] {
-		case "access_id_CA":
-			if fields[1] != "X509" {
-				return nil, fmt.Errorf("gsi: unsupported access_id_CA type %q", fields[1])
-			}
-			p.CA = DN(fields[2])
-		case "pos_rights":
-			if fields[1] != "globus" || fields[2] != "CA:sign" {
-				return nil, fmt.Errorf("gsi: unsupported pos_rights %q %q", fields[1], fields[2])
-			}
-			sawRights = true
-		case "cond_subjects":
-			if fields[1] != "globus" {
-				return nil, fmt.Errorf("gsi: unsupported cond_subjects namespace %q", fields[1])
-			}
-			for _, sub := range splitQuotedList(fields[2]) {
-				p.Subjects = append(p.Subjects, sub)
-			}
-		default:
-			return nil, fmt.Errorf("gsi: unknown signing policy directive %q", fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if p.CA == "" {
-		return nil, fmt.Errorf("gsi: signing policy missing access_id_CA")
-	}
-	if !sawRights {
-		return nil, fmt.Errorf("gsi: signing policy missing pos_rights")
-	}
-	if len(p.Subjects) == 0 {
-		return nil, fmt.Errorf("gsi: signing policy missing cond_subjects")
-	}
-	return &p, nil
-}
-
-// FormatSigningPolicy renders the policy in the Globus file format.
-func FormatSigningPolicy(p *SigningPolicy) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "access_id_CA  X509  '%s'\n", p.CA)
-	fmt.Fprintf(&b, "pos_rights    globus CA:sign\n")
-	quoted := make([]string, len(p.Subjects))
-	for i, s := range p.Subjects {
-		quoted[i] = `"` + s + `"`
-	}
-	fmt.Fprintf(&b, "cond_subjects globus '%s'\n", strings.Join(quoted, " "))
-	return b.String()
-}
-
-// splitPolicyLine splits on whitespace but keeps single-quoted segments
-// intact (quotes stripped).
-func splitPolicyLine(line string) []string {
-	var fields []string
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		if line[i] == '\'' {
-			j := strings.IndexByte(line[i+1:], '\'')
-			if j < 0 {
-				fields = append(fields, line[i+1:])
-				return fields
-			}
-			fields = append(fields, line[i+1:i+1+j])
-			i += j + 2
-			continue
-		}
-		j := strings.IndexAny(line[i:], " \t")
-		if j < 0 {
-			fields = append(fields, line[i:])
-			break
-		}
-		fields = append(fields, line[i:i+j])
-		i += j
-	}
-	return fields
-}
-
-// splitQuotedList splits `"/a/*" "/b/*"` into its double-quoted members.
-func splitQuotedList(s string) []string {
-	var out []string
-	for {
-		start := strings.IndexByte(s, '"')
-		if start < 0 {
-			s = strings.TrimSpace(s)
-			if s != "" {
-				out = append(out, s)
-			}
-			return out
-		}
-		end := strings.IndexByte(s[start+1:], '"')
-		if end < 0 {
-			out = append(out, s[start+1:])
-			return out
-		}
-		out = append(out, s[start+1:start+1+end])
-		s = s[start+end+2:]
-	}
 }

@@ -189,8 +189,8 @@ func TestUsageStatsFlowThroughServer(t *testing.T) {
 	if bytesMoved != 5*12345 {
 		t.Fatalf("collector saw %d bytes, want %d", bytesMoved, 5*12345)
 	}
-	if collector.EndpointCount() != 1 {
-		t.Fatalf("endpoints %d", collector.EndpointCount())
+	if eps := collector.TopEndpoints(10); len(eps) != 1 {
+		t.Fatalf("endpoints %v", eps)
 	}
 }
 

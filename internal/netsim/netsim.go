@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -154,18 +153,6 @@ func (n *Network) hostLocked(name string) *Host {
 		n.hosts[name] = h
 	}
 	return h
-}
-
-// Hosts returns the names of all hosts, sorted.
-func (n *Network) Hosts() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	names := make([]string, 0, len(n.hosts))
-	for name := range n.hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // linkBetween returns the shaping state for the a<->b path.
@@ -387,12 +374,6 @@ func (l *listener) Close() error {
 }
 
 func (l *listener) Addr() net.Addr { return addr{l.host.name, l.port} }
-
-// Dialer is the interface consumed by client code that must work over both
-// the simulator and (in principle) real networks.
-type Dialer interface {
-	Dial(target string) (net.Conn, error)
-}
 
 // addr implements net.Addr for simulated endpoints.
 type addr struct {

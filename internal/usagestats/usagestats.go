@@ -187,13 +187,6 @@ func (c *Collector) Totals() (transfers int64, bytes int64) {
 	return
 }
 
-// EndpointCount returns how many distinct endpoints have reported.
-func (c *Collector) EndpointCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byEndpoint)
-}
-
 // TopEndpoints returns the n busiest endpoints by transfer count.
 func (c *Collector) TopEndpoints(n int) []string {
 	c.mu.Lock()

@@ -31,8 +31,8 @@ func TestCollectorAggregatesByDay(t *testing.T) {
 	if tr != 3 || by != 350 {
 		t.Fatalf("totals %d %d", tr, by)
 	}
-	if c.EndpointCount() != 2 {
-		t.Fatalf("endpoints %d", c.EndpointCount())
+	if eps := c.TopEndpoints(10); len(eps) != 2 {
+		t.Fatalf("endpoints %v", eps)
 	}
 }
 
