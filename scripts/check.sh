@@ -9,7 +9,10 @@
 # /metrics (no trace exemplars on its text, no in-tree parser of it, no
 # benchreport mode that re-renders it or the stream table), the one-place-per-scenario guard
 # (internal/world) with examples/ staying deleted, the one-experiment-runner
-# guard (benchreport; no scripts/bench.*, no root *_test.go), build, vet,
+# guard (benchreport; no scripts/bench.*, no root *_test.go), the
+# unread-exported-names ratchet (every exported name under internal/ has a
+# reader outside the tests, or a reason on its kept list; DEFLATE data
+# channels and ERET stay deleted), build, vet,
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
 # included), the full test suite again under the race detector (about two
 # minutes on two cores), and ten seconds each of the record-boundary fuzzer
@@ -138,6 +141,61 @@ for f in scripts/bench.* ./*_test.go; do
 		exit 1
 	fi
 done
+
+echo "==> every exported name under internal/ has a reader outside the tests; DEFLATE and ERET stay deleted"
+# An exported func, method or type declared in a non-test file under
+# internal/ must be named in some non-test Go file other than on its own
+# declaration line, comment lines aside: a name only tests read is a deletion
+# candidate (ROADMAP's north star). The match is by name, as a word, so a
+# common name — Size, Noop, Format — always passes whoever reads it; this
+# catches names nothing else says. internal/leakcheck is a test helper and
+# exempt. The names kept without a reader are listed in the here-document
+# below, one a line with why; an entry that is no longer flagged fails as
+# well, so the list only shrinks.
+unread=$(git grep --untracked -nE '^(func (\([^)]*\) )?|type )[A-Z][A-Za-z0-9_]*' -- 'internal/*.go' ':!*_test.go' ':!internal/leakcheck/*' |
+	sed -E 's/^([^:]*:[0-9]*):(func (\([^)]*\) )?|type )([A-Z][A-Za-z0-9_]*).*/\4 \1/' |
+	while read -r name at; do
+		git grep --untracked -nw "$name" -- '*.go' ':!*_test.go' | grep -v "^$at:" |
+			grep -qvE '^[^:]*:[0-9]*:[[:space:]]*//' || echo "$name $at"
+	done)
+kept=$(sed -n 's/^\([A-Za-z0-9_]*\) .*/\1/p' <<'EOF'
+SetDCAU            §III.B limitation 1, tested from internal/baseline
+SetRestart         REST on the client's own transfers
+VerifyTransfer     a checksum after the copy: ROADMAP item 4
+NewArchivalStorage the DSI's HPSS profile (§II.A)
+NewNISMaps         §IV's PAM backends
+NewRADIUSServer    §IV's PAM backends
+NewOTPAuthority    §IV's PAM backends
+Enroll             §IV's PAM backends (OTP)
+NextCode           §IV's PAM backends (OTP)
+CutLink            netsim fault hook for ROADMAP item 5
+RestoreLink        netsim fault hook for ROADMAP item 5
+Trips              dsi fault hook for ROADMAP item 5
+LocalAddr          net.Conn
+SetWriteDeadline   net.Conn
+FromInfos          obs/collector: ROADMAP item 8
+EOF
+)
+status=0
+for name in $(printf '%s\n' "$unread" | sed 's/ .*//'); do
+	printf '%s\n' "$kept" | grep -qx "$name" && continue
+	printf '%s\n' "$unread" | grep "^$name " >&2
+	status=1
+done
+if [ "$status" != 0 ]; then
+	echo "check.sh: the exported names above have no reader outside the tests: delete them, or keep them with a reason in scripts/check.sh" >&2
+	exit 1
+fi
+for name in $kept; do
+	printf '%s\n' "$unread" | grep -q "^$name " && continue
+	echo "check.sh: $name is kept without a reader in scripts/check.sh, but it has one now or is gone: take it off the list" >&2
+	status=1
+done
+[ "$status" = 0 ] || exit 1
+if git grep -nE 'Deflate=|"ERET"' -- 'internal/gridftp/*.go' ':!*_test.go'; then
+	echo "check.sh: DEFLATE data channels and ERET are not served (CHANGES.md); nothing in internal/gridftp negotiates them" >&2
+	exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...
