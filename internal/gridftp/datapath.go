@@ -24,10 +24,10 @@ import (
 //
 // Only a layer that leaves the byte stream as it found it may forward
 // io.ReaderFrom (sendfile) and WriteBuffers (one vectored write per block):
-// streamstats does, exactly when the conn below has them; TLS, the
-// integrity frames never do, because a forwarded call would
-// bypass the transform. secure is the one place a raw conn becomes a
-// channel — a new transport or endpoint type plugs in there.
+// streamstats does, exactly when the conn below has them; TLS and the
+// integrity frames never do, because a forwarded call would bypass the
+// transform. secure is the one place a raw conn becomes a channel — a new
+// transport or endpoint type plugs in there.
 
 // errNoDataPath answers a transfer command on a session that has negotiated
 // no data path, or lost it to a failed transfer.

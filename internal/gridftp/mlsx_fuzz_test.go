@@ -9,7 +9,7 @@ import (
 // FuzzParseMlsxLine throws arbitrary fact lines at the MLSD/MLST parser.
 // Fact lines are untrusted remote input — any server a client lists can
 // emit them — and the parsed entries flow directly into transfer
-// planning (WalkEntries sizes every file from the Size fact, recursion
+// planning (a walk sizes every file from the Size fact, recursion
 // follows every IsDir). The parser must never panic, must never accept
 // an entry without a name or Type fact, and must never hand planning a
 // negative size; and a parsed name that the walk's name rule lets through

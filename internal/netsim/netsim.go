@@ -207,7 +207,7 @@ func (n *Network) Dial(fromHost, target string) (net.Conn, error) {
 }
 
 // Host is one simulated machine. It can listen on ports and dial other
-// hosts; it satisfies the Dialer interface used throughout the codebase.
+// hosts.
 type Host struct {
 	net       *Network
 	name      string
