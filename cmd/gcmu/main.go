@@ -11,8 +11,8 @@
 //
 // The observability flags are the set every binary here shares
 // (admin.Flags). With -admin ADDR, install/console serve the HTTP admin
-// plane (Prometheus /metrics, /debug/events, ...) on ADDR and hold until
-// SIGINT/SIGTERM.
+// plane (Prometheus /metrics, the log's ring at /debug/events, ...) on
+// ADDR and hold until SIGINT/SIGTERM.
 package main
 
 import (

@@ -12,8 +12,8 @@
 //
 // The observability flags are the set every binary here shares
 // (admin.Flags). With -admin, the HTTP admin plane (Prometheus /metrics,
-// auth events at /debug/events, ...) is served on the given address and
-// the process holds until SIGINT/SIGTERM.
+// the logged auth.* records at /debug/events, ...) is served on the given
+// address and the process holds until SIGINT/SIGTERM.
 package main
 
 import (

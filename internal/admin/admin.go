@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/expfmt"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tsdb"
@@ -320,7 +319,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	events := s.o.EventLog().Events()
+	events := s.o.Logger().Events()
 	if prefix := r.URL.Query().Get("type"); prefix != "" {
 		kept := events[:0:0]
 		for _, ev := range events {
@@ -334,7 +333,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		events = events[len(events)-n:]
 	}
 	if events == nil {
-		events = []eventlog.Event{}
+		events = []obs.Event{}
 	}
 	expfmt.ServeJSON(w, map[string]any{"events": events})
 }

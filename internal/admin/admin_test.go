@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, string, http.Header) {
@@ -172,15 +171,17 @@ func TestSpansTraceFilter(t *testing.T) {
 
 func TestEventsEndpoint(t *testing.T) {
 	o := obs.Nop()
-	o.EventLog().Append(eventlog.SessionOpen, "session", "s1")
-	o.EventLog().Append(eventlog.TransferStart, "session", "s1", "path", "/a")
-	o.EventLog().Append(eventlog.TransferComplete, "session", "s1", "path", "/a")
+	log := o.Logger().With("session", "s1")
+	log.Info("session.open")
+	log.Debug("not kept")
+	log.Info("transfer.start", "path", "/a")
+	log.Warn("transfer.complete", "path", "/a")
 	ts := httptest.NewServer(New(o, Planes{}).Handler())
 	defer ts.Close()
 
-	decode := func(body string) []eventlog.Event {
+	decode := func(body string) []obs.Event {
 		var doc struct {
-			Events []eventlog.Event `json:"events"`
+			Events []obs.Event `json:"events"`
 		}
 		if err := json.Unmarshal([]byte(body), &doc); err != nil {
 			t.Fatalf("bad JSON: %v\n%s", err, body)
@@ -189,7 +190,7 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 
 	_, body, _ := get(t, ts, "/debug/events")
-	if evs := decode(body); len(evs) != 3 || evs[0].Type != eventlog.SessionOpen {
+	if evs := decode(body); len(evs) != 3 || evs[0].Type != "session.open" || evs[0].Fields["session"] != "s1" {
 		t.Errorf("all events = %+v", evs)
 	}
 	_, body, _ = get(t, ts, "/debug/events?type=transfer.")
@@ -197,7 +198,7 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Errorf("type filter: %+v", evs)
 	}
 	_, body, _ = get(t, ts, "/debug/events?n=1")
-	if evs := decode(body); len(evs) != 1 || evs[0].Type != eventlog.TransferComplete {
+	if evs := decode(body); len(evs) != 1 || evs[0].Type != "transfer.complete" || evs[0].Fields["level"] != "warn" {
 		t.Errorf("n=1: %+v", evs)
 	}
 	if code, _, _ := get(t, ts, "/debug/events?n=bogus"); code != http.StatusBadRequest {

@@ -227,6 +227,10 @@ func TestMetricsDumpReadsBackLikeTheMetricsRoute(t *testing.T) {
 			t.Errorf("/metrics has no line starting %q:\n%s", line, served.Body.String())
 		}
 	}
+	// A completed transfer is counted once, under gridftp_server_*.
+	if strings.Contains(served.Body.String(), "\nusage_") {
+		t.Errorf("/metrics re-counts transfers as usage_* samples:\n%s", served.Body.String())
+	}
 }
 
 // TestRecorderSeriesDoNotGrowWithTasks: the registry sampler is the

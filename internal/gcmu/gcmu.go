@@ -19,7 +19,6 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/oauth"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/pam"
 	"gridftp.dev/instant/internal/usagestats"
@@ -52,9 +51,9 @@ type Options struct {
 	MarkerInterval time.Duration
 	// DataTimeout bounds GridFTP waits for data connections.
 	DataTimeout time.Duration
-	// Usage optionally connects the endpoint to a usage-stats sink (a
-	// fleet Collector, a MetricsSink, or a MultiSink of several).
-	Usage usagestats.Sink
+	// Usage, if non-nil, receives a report of every transfer the endpoint's
+	// GridFTP server completes (gridftp.ServerConfig.Usage).
+	Usage *usagestats.Collector
 	// Obs receives the endpoint's structured logs, metrics, and spans;
 	// it is passed through to the GridFTP server. Nil disables it.
 	Obs *obs.Obs
@@ -181,12 +180,7 @@ func Install(opts Options) (*Endpoint, error) {
 	ep.MyProxyAddr = mpAddr.String()
 	log.Info("install: myproxy up", "addr", ep.MyProxyAddr)
 
-	// 6. GridFTP server. When the endpoint carries an Obs bundle, its
-	// usage reports feed the metrics registry alongside any fleet sink.
-	var metricsSink usagestats.Sink
-	if opts.Obs != nil {
-		metricsSink = usagestats.MetricsSink(opts.Obs.Registry())
-	}
+	// 6. GridFTP server.
 	srv, err := gridftp.NewServer(opts.Host, gridftp.ServerConfig{
 		HostCred:       gridftpCred,
 		Trust:          trust,
@@ -195,7 +189,7 @@ func Install(opts Options) (*Endpoint, error) {
 		Banner:         fmt.Sprintf("GCMU GridFTP server on %s ready", opts.Name),
 		MarkerInterval: opts.MarkerInterval,
 		DataTimeout:    opts.DataTimeout,
-		Usage:          usagestats.MultiSink(opts.Usage, metricsSink),
+		Usage:          opts.Usage,
 		EndpointName:   opts.Name,
 		Obs:            opts.Obs,
 		Streams:        opts.Streams,
@@ -228,10 +222,7 @@ func Install(opts Options) (*Endpoint, error) {
 	if opts.Obs != nil {
 		opts.Obs.Registry().Counter("gcmu.endpoints_installed").Inc()
 	}
-	opts.Obs.EventLog().Append(eventlog.EndpointInstall,
-		"component", "gcmu", "endpoint", ep.Name,
-		"gridftp", ep.GridFTPAddr, "myproxy", ep.MyProxyAddr, "oauth", ep.OAuthAddr)
-	log.Info("install complete")
+	log.Info("endpoint.install", "gridftp", ep.GridFTPAddr, "myproxy", ep.MyProxyAddr, "oauth", ep.OAuthAddr)
 	return ep, nil
 }
 

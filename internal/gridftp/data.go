@@ -11,7 +11,6 @@ import (
 	"gridftp.dev/instant/internal/ftp"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/usagestats"
 )
 
@@ -175,7 +174,7 @@ func (sess *session) handleRetr(params string) {
 		return
 	}
 	sess.reply(ftp.CodeFileStatusOK, fmt.Sprintf("Opening data connection for %s (%d bytes)", p, size))
-	sess.eventTransfer(eventlog.TransferStart, "RETR", p, size)
+	sess.log.Info("transfer.start", traceFields([]any{"op", "RETR", "path", p, "size", size}, sess.cmdSpan)...)
 	start := time.Now()
 	var sendErr error
 	// closing is the transfer's last markers, framed and not yet written: they
@@ -203,7 +202,7 @@ func (sess *session) handleRetr(params string) {
 	sess.data.retire(chans, sess.spec.Mode, sendErr == nil)
 	if sendErr != nil {
 		sess.observeTransfer(time.Since(start), false)
-		sess.eventAbort("RETR", p, sendErr)
+		sess.log.Warn("transfer.abort", traceFields([]any{"op", "RETR", "path", p, "err", sendErr}, sess.cmdSpan)...)
 		sess.complete(closing, ftp.CodeTransferAborted, errText(sendErr))
 		return
 	}
@@ -255,7 +254,7 @@ func (sess *session) handleStor(params string) {
 			return
 		}
 		sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
-		sess.eventTransfer(eventlog.TransferStart, "STOR", p, -1)
+		sess.log.Info("transfer.start", traceFields([]any{"op", "STOR", "path", p}, sess.cmdSpan)...)
 		offset := int64(0)
 		if len(restart) == 1 && restart[0].Start == 0 {
 			offset = restart[0].End
@@ -264,7 +263,7 @@ func (sess *session) handleStor(params string) {
 		closeChannels(chans)
 		if recvErr != nil {
 			sess.observeTransfer(time.Since(start), false)
-			sess.eventAbort("STOR", p, recvErr)
+			sess.log.Warn("transfer.abort", traceFields([]any{"op", "STOR", "path", p, "err", recvErr}, sess.cmdSpan)...)
 			sess.reply(ftp.CodeTransferAborted, errText(recvErr))
 			return
 		}
@@ -282,26 +281,24 @@ func (sess *session) handleStor(params string) {
 	}
 
 	sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
-	sess.eventTransfer(eventlog.TransferStart, "STOR", p, -1)
+	sess.log.Info("transfer.start", traceFields([]any{"op", "STOR", "path", p}, sess.cmdSpan)...)
 
 	// Restart markers carry *which ranges* landed (for checkpointing), perf
 	// markers *per-stripe throughput counters* (for in-flight monitoring);
 	// both are framed on the same tick.
 	perf := &perfTracker{}
-	// Capture the command span before launching the marker goroutine: it
-	// must not read sess.cmdSpan concurrently with the command loop.
-	cmdSpan := sess.cmdSpan
+	// Capture the command span and the logger before launching the marker
+	// goroutine: it must not read the session concurrently with the loop.
+	cmdSpan, log := sess.cmdSpan, sess.log
 	lastRanges := ""
 	finish := sess.startMarkers(func(closing bool) []ftp.Reply {
 		var set []ftp.Reply
 		if m := received.Marker(); m != "" && m != lastRanges {
 			lastRanges = m
 			set = append(set, ftp.Reply{Code: ftp.CodeRestartMarker, Lines: []string{"Range Marker " + m}})
-			// Each restart marker is a durable checkpoint: record it so
-			// /debug/events shows how far a later resume could pick up.
-			kv := []any{"component", "gridftp-server", "session", sess.id,
-				"path", p, "ranges", m}
-			sess.srv.cfg.Obs.EventLog().Append(eventlog.Checkpoint, traceFields(kv, cmdSpan)...)
+			// Each restart marker is a durable checkpoint: logged, it
+			// shows on /debug/events how far a later resume could pick up.
+			log.Info("transfer.checkpoint", traceFields([]any{"path", p, "ranges", m}, cmdSpan)...)
 		}
 		return append(set, perf.frame(closing)...)
 	})
@@ -314,7 +311,7 @@ func (sess *session) handleStor(params string) {
 
 	if res.Err != nil {
 		sess.observeTransfer(time.Since(start), false)
-		sess.eventAbort("STOR", p, res.Err)
+		sess.log.Warn("transfer.abort", traceFields([]any{"op", "STOR", "path", p, "err", res.Err}, sess.cmdSpan)...)
 		sess.complete(closing, ftp.CodeTransferAborted, errText(res.Err))
 		return
 	}
@@ -407,30 +404,13 @@ func (sess *session) handleMlsd(params string) {
 	sess.reply(ftp.CodeClosingData, "MLSD complete")
 }
 
-// traceFields appends span's wire ids to an event's key/value list so
-// events and spans cross-reference; a nil span appends nothing.
+// traceFields appends span's wire ids to a record's key/value list so
+// records and spans cross-reference; a nil span appends nothing.
 func traceFields(kv []any, span *obs.Span) []any {
 	if span != nil {
 		kv = append(kv, "trace", span.TraceID.String(), "span", span.SpanID.String())
 	}
 	return kv
-}
-
-// eventTransfer records a transfer lifecycle event (size < 0 = unknown,
-// e.g. an inbound STOR whose length only the sender knows).
-func (sess *session) eventTransfer(typ, op, path string, size int64) {
-	kv := []any{"component", "gridftp-server", "session", sess.id,
-		"user", sess.localUser, "op", op, "path", path}
-	if size >= 0 {
-		kv = append(kv, "size", size)
-	}
-	sess.srv.cfg.Obs.EventLog().Append(typ, traceFields(kv, sess.cmdSpan)...)
-}
-
-func (sess *session) eventAbort(op, path string, err error) {
-	kv := []any{"component", "gridftp-server", "session", sess.id,
-		"user", sess.localUser, "op", op, "path", path, "err", err.Error()}
-	sess.srv.cfg.Obs.EventLog().Append(eventlog.TransferAbort, traceFields(kv, sess.cmdSpan)...)
 }
 
 // observeTransfer feeds the transfer latency histograms: the unlabeled
@@ -451,12 +431,8 @@ func (sess *session) reportUsage(op, path string, bytes int64, dur time.Duration
 	reg.Counter(obs.Name("gridftp.server.bytes", op)).Add(bytes)
 	sess.observeTransfer(dur, true)
 	sess.cmdSpan.SetAttr("bytes", bytes)
-	sess.log.Info("transfer complete",
-		"op", op, "path", path, "bytes", bytes, "dur", dur.Round(time.Microsecond))
-	kv := []any{"component", "gridftp-server", "session", sess.id,
-		"user", sess.localUser, "op", op, "path", path,
-		"bytes", bytes, "dur", dur.Round(time.Microsecond).String()}
-	sess.srv.cfg.Obs.EventLog().Append(eventlog.TransferComplete, traceFields(kv, sess.cmdSpan)...)
+	sess.log.Info("transfer.complete", traceFields([]any{"op", op, "path", path,
+		"bytes", bytes, "dur", dur.Round(time.Microsecond)}, sess.cmdSpan)...)
 	if sess.srv.cfg.Usage == nil {
 		return
 	}

@@ -12,7 +12,6 @@ import (
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
 // TestClassicClientStillLogsIn: an RFC 4217 client reads the greeting, sends
@@ -86,18 +85,18 @@ func TestPlaintextBehindAuthIsNeverACommand(t *testing.T) {
 	if strings.Contains(lines[2], "\r\n") {
 		t.Errorf("behind the 234 the server sent %q, want no reply line", lines[2])
 	}
-	waitFor(t, "the session to end", func() bool { return len(o.Events.Events()) >= 3 })
+	waitFor(t, "the session to end", func() bool { return len(o.Logger().Events()) >= 3 })
 	if n := o.Metrics.Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Count(); n != 1 {
 		t.Errorf("%d commands dispatched, want 1 (the AUTH)", n)
 	}
 	var types []string
-	for _, e := range o.Events.Events() {
+	for _, e := range o.Logger().Events() {
 		types = append(types, e.Type)
-		if e.Type == eventlog.AuthFailure && e.Fields["stage"] != "handshake" {
+		if e.Type == "auth.failure" && e.Fields["stage"] != "handshake" {
 			t.Errorf("the session failed at stage %q, want the handshake", e.Fields["stage"])
 		}
 	}
-	if got, want := strings.Join(types, " "), strings.Join([]string{eventlog.SessionOpen, eventlog.AuthFailure, eventlog.SessionClose}, " "); got != want {
+	if got, want := strings.Join(types, " "), strings.Join([]string{"session.open", "auth.failure", "session.close"}, " "); got != want {
 		t.Errorf("event log %q, want %q", got, want)
 	}
 }

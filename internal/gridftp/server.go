@@ -18,7 +18,6 @@ import (
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/usagestats"
 )
@@ -59,11 +58,10 @@ type ServerConfig struct {
 	DisableChannelCache bool
 	// DataTimeout bounds waits for data connections (default 30s).
 	DataTimeout time.Duration
-	// Usage, if non-nil, receives per-transfer usage reports (the
-	// opt-in statistics stream behind the paper's Fig 1). Use
-	// usagestats.MultiSink to feed several sinks — e.g. the fleet
-	// collector plus a metrics registry — from one server.
-	Usage usagestats.Sink
+	// Usage, if non-nil, receives a report of every completed transfer
+	// (the opt-in statistics stream behind the paper's Fig 1). The
+	// server's own counts are in Obs's registry either way.
+	Usage *usagestats.Collector
 	// EndpointName identifies this server in usage reports.
 	EndpointName string
 	// Obs receives structured logs, metrics, and spans. Nil disables
@@ -105,10 +103,6 @@ func NewServer(host *netsim.Host, cfg ServerConfig) (*Server, error) {
 	if cfg.Banner == "" {
 		cfg.Banner = "Instant GridFTP server ready"
 	}
-	// Normalize the usage sink: a typed nil (nil *Collector in the
-	// interface) must not survive past this point, or every transfer's
-	// report call would panic the session.
-	cfg.Usage = usagestats.MultiSink(cfg.Usage)
 	logger := cfg.Obs.Logger().With("component", "gridftp-server")
 	if cfg.EndpointName != "" {
 		logger = logger.With("endpoint", cfg.EndpointName)
@@ -231,12 +225,9 @@ func (s *Server) serveSession(conn net.Conn) {
 		data: s.newDataPath(),
 	}
 	reg := s.cfg.Obs.Registry()
-	ev := s.cfg.Obs.EventLog()
 	reg.Counter("gridftp.server.sessions_total").Inc()
 	reg.Gauge("gridftp.server.sessions_active").Add(1)
-	sess.log.Info("session open")
-	ev.Append(eventlog.SessionOpen, "component", "gridftp-server",
-		"session", id, "remote", conn.RemoteAddr().String())
+	sess.log.Info("session.open")
 	start := time.Now()
 	defer func() {
 		// The panic handler runs before close so a crashed session still
@@ -248,9 +239,7 @@ func (s *Server) serveSession(conn net.Conn) {
 		}
 		sess.close()
 		reg.Gauge("gridftp.server.sessions_active").Add(-1)
-		sess.log.Info("session close", "dur", time.Since(start).Round(time.Microsecond))
-		ev.Append(eventlog.SessionClose, "component", "gridftp-server",
-			"session", id, "dur", time.Since(start).Round(time.Microsecond).String())
+		sess.log.Info("session.close", "dur", time.Since(start).Round(time.Microsecond))
 	}()
 	sess.reply(ftp.CodeReadyForNewUser, s.cfg.Banner)
 	sess.loop()
@@ -382,19 +371,14 @@ func (sess *session) handleAuth(params string) bool {
 	raw := sess.ctrl.RW()
 	tc := tls.Server(raw, gsi.ServerTLSConfig(sess.srv.cfg.HostCred, sess.srv.cfg.Trust))
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
-	ev := sess.srv.cfg.Obs.EventLog()
 	if err := tc.Handshake(); err != nil {
-		sess.log.Warn("control handshake failed", "err", err)
-		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
-			"session", sess.id, "stage", "handshake", "err", err.Error())
+		sess.log.Warn("auth.failure", "stage", "handshake", "err", err)
 		return true // connection is unusable; drop the session
 	}
 	raw.SetDeadline(time.Time{})
 	id, err := gsi.PeerIdentity(tc, sess.srv.cfg.Trust)
 	if err != nil {
-		sess.log.Warn("control peer verification failed", "err", err)
-		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
-			"session", sess.id, "stage", "verify", "err", err.Error())
+		sess.log.Warn("auth.failure", "stage", "verify", "err", err)
 		return true
 	}
 	sess.ctrl.Upgrade(tc)
@@ -402,9 +386,7 @@ func (sess *session) handleAuth(params string) bool {
 	user, err := sess.srv.cfg.Authz.Map(id)
 	if err != nil {
 		sess.srv.cfg.Obs.Registry().Counter("gridftp.server.authz_denied").Inc()
-		sess.log.Warn("authorization failed", "dn", string(id.Identity), "err", err)
-		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
-			"session", sess.id, "stage", "authz", "dn", string(id.Identity), "err", err.Error())
+		sess.log.Warn("auth.failure", "stage", "authz", "dn", string(id.Identity), "err", err)
 		sess.reply(ftp.CodeNotLoggedIn, fmt.Sprintf("Authorization failed: %v", err))
 		return true
 	}
@@ -412,9 +394,7 @@ func (sess *session) handleAuth(params string) bool {
 	sess.identity = id
 	sess.localUser = user
 	sess.log = sess.log.With("dn", string(id.Identity), "user", user)
-	sess.log.Info("session authenticated")
-	ev.Append(eventlog.AuthSuccess, "component", "gridftp-server",
-		"session", sess.id, "dn", string(id.Identity), "user", user)
+	sess.log.Info("auth.success")
 	// The delegation key rides the login reply: the client signs its proxy
 	// over it without asking for it, so DELG costs no round trip of its own.
 	// The key pair is the session's, not the delegation's — it never leaves

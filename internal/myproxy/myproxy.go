@@ -37,7 +37,6 @@ import (
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -176,9 +175,7 @@ func (s *Server) serve(raw net.Conn) {
 	if err != nil {
 		reg.Counter("myproxy.logons_denied").Inc()
 		span.SetError(err)
-		log.Warn("logon denied", "user", username, "err", err)
-		s.Obs.EventLog().Append(eventlog.AuthFailure,
-			traceEventKV(span, "component", "myproxy", "user", username, "err", err.Error())...)
+		log.Warn("auth.failure", traceEventKV(span, "user", username, "err", err)...)
 		fmt.Fprintf(tc, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
 		return
 	}
@@ -199,14 +196,12 @@ func (s *Server) serve(raw net.Conn) {
 	reg.Counter("myproxy.logons_total").Inc()
 	reg.Histogram("myproxy.logon_seconds", obs.DefaultDurationBuckets).
 		Observe(time.Since(start).Seconds())
-	log.Info("logon issued", "user", username,
-		"dn", string(cred.Identity()), "dur", time.Since(start).Round(time.Microsecond))
-	s.Obs.EventLog().Append(eventlog.AuthSuccess,
-		traceEventKV(span, "component", "myproxy", "user", username, "dn", string(cred.Identity()))...)
+	log.Info("auth.success", traceEventKV(span, "user", username,
+		"dn", string(cred.Identity()), "dur", time.Since(start).Round(time.Microsecond))...)
 }
 
 // traceEventKV appends the span's trace/span ids (when tracing is active)
-// so MyProxy events cross-reference with the distributed trace.
+// so MyProxy's auth records cross-reference with the distributed trace.
 func traceEventKV(span *obs.Span, kv ...any) []any {
 	if span != nil {
 		kv = append(kv, "trace", span.TraceID.String(), "span", span.SpanID.String())

@@ -13,7 +13,6 @@ import (
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/pam"
 )
 
@@ -106,8 +105,8 @@ func TestLogonWrongPassword(t *testing.T) {
 	if denied, total := reg.Counter("myproxy.logons_denied").Value(), reg.Counter("myproxy.logons_total").Value(); denied != 1 || total != 0 {
 		t.Fatalf("myproxy.logons_denied %d, logons_total %d, want 1 and 0", denied, total)
 	}
-	events := srv.Obs.EventLog().Events()
-	if len(events) != 1 || events[0].Type != eventlog.AuthFailure || events[0].Fields["user"] != "alice" {
+	events := srv.Obs.Logger().Events()
+	if len(events) != 1 || events[0].Type != "auth.failure" || events[0].Fields["user"] != "alice" {
 		t.Fatalf("events %+v, want one auth.failure for alice", events)
 	}
 }

@@ -53,10 +53,13 @@ func ParseLevel(s string) (Level, bool) {
 
 // Logger is a leveled key=value logger. With() derives child loggers that
 // carry permanent context fields (session id, remote DN, task id), so
-// every line of one session is greppable by a stable key. Loggers sharing
-// an output serialize writes through a common mutex.
+// every line of one session is greppable by a stable key. A logger and all
+// its With children share one output: the writer, and a ring that keeps
+// their last ringCapacity lines at Info and above whatever level the writer
+// is set to. The ring is the lifecycle and audit record — session, auth,
+// transfer, task, stall, alert — that /debug/events serves.
 type Logger struct {
-	out    *lockedWriter
+	out    *output
 	level  Level
 	fields []field // permanent context, rendered after the message
 }
@@ -66,14 +69,44 @@ type field struct {
 	val string
 }
 
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
+// ringCapacity is how many lines a logger tree keeps.
+const ringCapacity = 1024
+
+// output is what a logger tree shares, behind one mutex.
+type output struct {
+	mu   sync.Mutex
+	w    io.Writer
+	seq  int64
+	ring []kept // nil keeps nothing
+	head int    // index of the oldest kept line
+	n    int
 }
 
-// NewLogger creates a logger writing lines at or above level to w.
+// kept is one line in the ring. with is the logger's With slice, which is
+// never written after With returns, so it is shared rather than copied.
+type kept struct {
+	seq   int64
+	at    time.Time
+	level Level
+	msg   string
+	with  []field
+	kv    []field
+}
+
+// Event is one kept line: Type is its message, Fields its With fields and
+// the call's pairs, plus "level". Seq grows by one a line and never resets,
+// so a reader sees both a ring overflow and its own resume point.
+type Event struct {
+	Seq    int64             `json:"seq"`
+	Time   time.Time         `json:"time"`
+	Type   string            `json:"type"`
+	Fields map[string]string `json:"fields,omitempty"`
+}
+
+// NewLogger creates a logger writing lines at or above level to w and
+// keeping its lines at Info and above.
 func NewLogger(w io.Writer, level Level) *Logger {
-	return &Logger{out: &lockedWriter{w: w}, level: level}
+	return &Logger{out: &output{w: w, ring: make([]kept, ringCapacity)}, level: level}
 }
 
 // With returns a child logger whose lines all carry the given key=value
@@ -110,31 +143,72 @@ func quoteIfNeeded(s string) string {
 }
 
 func (l *Logger) log(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
+	keep := l != nil && l.out.ring != nil && level >= LevelInfo
+	write := l.Enabled(level)
+	if !keep && !write {
 		return
 	}
-	var b strings.Builder
-	b.WriteString(time.Now().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" level=")
-	b.WriteString(level.String())
-	b.WriteString(" msg=")
-	b.WriteString(quoteIfNeeded(msg))
-	for _, f := range l.fields {
-		b.WriteByte(' ')
-		b.WriteString(f.key)
-		b.WriteByte('=')
-		b.WriteString(quoteIfNeeded(f.val))
+	now := time.Now()
+	pairs := toFields(kv)
+	var line string
+	if write {
+		var b strings.Builder
+		b.WriteString(now.UTC().Format("2006-01-02T15:04:05.000Z"))
+		b.WriteString(" level=")
+		b.WriteString(level.String())
+		b.WriteString(" msg=")
+		b.WriteString(quoteIfNeeded(msg))
+		for _, fs := range [][]field{l.fields, pairs} {
+			for _, f := range fs {
+				b.WriteByte(' ')
+				b.WriteString(f.key)
+				b.WriteByte('=')
+				b.WriteString(quoteIfNeeded(f.val))
+			}
+		}
+		b.WriteByte('\n')
+		line = b.String()
 	}
-	for _, f := range toFields(kv) {
-		b.WriteByte(' ')
-		b.WriteString(f.key)
-		b.WriteByte('=')
-		b.WriteString(quoteIfNeeded(f.val))
+	o := l.out
+	o.mu.Lock()
+	if keep {
+		o.seq++
+		o.ring[(o.head+o.n)%len(o.ring)] = kept{o.seq, now, level, msg, l.fields, pairs}
+		if o.n < len(o.ring) {
+			o.n++
+		} else {
+			o.head = (o.head + 1) % len(o.ring)
+		}
 	}
-	b.WriteByte('\n')
-	l.out.mu.Lock()
-	io.WriteString(l.out.w, b.String())
-	l.out.mu.Unlock()
+	if write {
+		io.WriteString(o.w, line)
+	}
+	o.mu.Unlock()
+}
+
+// Events returns the kept lines, oldest first; nil for a logger that keeps
+// nothing.
+func (l *Logger) Events() []Event {
+	if l == nil || l.out.ring == nil {
+		return nil
+	}
+	o := l.out
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]Event, o.n)
+	for i := range out {
+		k := &o.ring[(o.head+i)%len(o.ring)]
+		fields := make(map[string]string, len(k.with)+len(k.kv)+1)
+		for _, f := range k.with {
+			fields[f.key] = f.val
+		}
+		for _, f := range k.kv {
+			fields[f.key] = f.val
+		}
+		fields["level"] = k.level.String()
+		out[i] = Event{Seq: k.seq, Time: k.at, Type: k.msg, Fields: fields}
+	}
+	return out
 }
 
 // Debug logs at debug level; kv are key=value pairs.

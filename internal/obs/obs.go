@@ -16,8 +16,6 @@ import (
 	"io"
 	"os"
 	"time"
-
-	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
 // Obs bundles the observability facilities a component needs. A nil *Obs
@@ -27,40 +25,26 @@ type Obs struct {
 	Log     *Logger
 	Metrics *Registry
 	Trace   *Tracer
-	// Events is the bounded structured lifecycle/audit event ring
-	// (session open/close, auth outcomes, transfer progress); the admin
-	// plane serves it at /debug/events.
-	Events *eventlog.Log
 }
 
 // New returns a fully wired Obs: logger writing to w at the given level,
-// a fresh metrics registry (carrying the process.* identity gauges), a
-// fresh tracer, and a fresh event log.
+// a fresh metrics registry (carrying the process.* identity gauges) and a
+// fresh tracer.
 func New(w io.Writer, level Level) *Obs {
 	o := &Obs{
 		Log:     NewLogger(w, level),
 		Metrics: NewRegistry(),
 		Trace:   NewTracer(),
-		Events:  eventlog.New(eventlog.DefaultCapacity),
 	}
 	registerProcessMetrics(o.Metrics)
 	registerRuntimeMetrics(o.Metrics)
 	return o
 }
 
-// Nop returns an Obs that records metrics, spans, and events but writes
-// no log output — the default for tests that only assert on telemetry.
-func Nop() *Obs {
-	o := &Obs{
-		Log:     NewLogger(io.Discard, LevelError),
-		Metrics: NewRegistry(),
-		Trace:   NewTracer(),
-		Events:  eventlog.New(eventlog.DefaultCapacity),
-	}
-	registerProcessMetrics(o.Metrics)
-	registerRuntimeMetrics(o.Metrics)
-	return o
-}
+// Nop returns an Obs that records metrics, spans, and the logger's kept
+// lines but writes no log output — the default for tests that only assert
+// on telemetry.
+func Nop() *Obs { return New(io.Discard, LevelError) }
 
 // processStart anchors the process.* metrics: one value per process, set
 // at init so every registry that registers the process metrics reports
@@ -90,8 +74,8 @@ func FromEnv() *Obs {
 	return New(os.Stderr, lvl)
 }
 
-// Logger returns the bundle's logger, or a silent one when o is nil or
-// has no logger.
+// Logger returns the bundle's logger, or a silent one that keeps nothing
+// when o is nil or has no logger.
 func (o *Obs) Logger() *Logger {
 	if o == nil || o.Log == nil {
 		return nopLogger
@@ -117,19 +101,8 @@ func (o *Obs) Tracer() *Tracer {
 	return o.Trace
 }
 
-// EventLog returns the bundle's event log, or a discard log when o is nil
-// or has no event log. Like the discard registry, the discard log is real
-// (and bounded), just unreachable — call sites stay branch-free.
-func (o *Obs) EventLog() *eventlog.Log {
-	if o == nil || o.Events == nil {
-		return discardEvents
-	}
-	return o.Events
-}
-
 var (
-	nopLogger       = NewLogger(io.Discard, LevelError+1)
+	nopLogger       = &Logger{out: &output{w: io.Discard}, level: LevelError + 1}
 	discardRegistry = NewRegistry()
 	discardTracer   = NewTracer()
-	discardEvents   = eventlog.New(64)
 )

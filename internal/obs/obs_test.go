@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -281,11 +282,25 @@ func TestTracerFullRingAllocatesNoMore(t *testing.T) {
 
 func TestLoggerLevelsAndFields(t *testing.T) {
 	var b bytes.Buffer
-	l := NewLogger(&b, LevelInfo)
-	l.Debug("hidden")
-	l.Info("plain")
-	child := l.With("session", 7, "dn", "/O=Grid/CN=alice")
-	child.Warn("spaced msg", "bytes", 1024)
+	// The second logger's output is silenced at Error: what it keeps does
+	// not depend on what it writes.
+	for _, l := range []*Logger{NewLogger(&b, LevelInfo), Nop().Logger()} {
+		l.Debug("hidden")
+		l.Info("plain")
+		child := l.With("session", 7, "dn", "/O=Grid/CN=alice")
+		child.Warn("spaced msg", "bytes", 1024)
+		evs := l.Events()
+		if len(evs) != 2 || evs[0].Type != "plain" || evs[1].Type != "spaced msg" {
+			t.Fatalf("kept %+v, want the info and the warn line and no debug", evs)
+		}
+		if f := evs[0].Fields; len(f) != 1 || f["level"] != "info" {
+			t.Errorf("info record fields %v, want level=info alone", f)
+		}
+		if f := evs[1].Fields; f["level"] != "warn" || f["session"] != "7" ||
+			f["dn"] != "/O=Grid/CN=alice" || f["bytes"] != "1024" {
+			t.Errorf("warn record fields %v, want its With fields, its pair and level=warn", f)
+		}
+	}
 	out := b.String()
 	if strings.Contains(out, "hidden") {
 		t.Errorf("debug line leaked through info level:\n%s", out)
@@ -298,6 +313,53 @@ func TestLoggerLevelsAndFields(t *testing.T) {
 	}
 }
 
+// TestLoggerRingBoundsAndOrder: With children writing concurrently with
+// readers share one ring, which keeps the newest ringCapacity lines oldest
+// first, each numbered one past the line before it across the overflow.
+func TestLoggerRingBoundsAndOrder(t *testing.T) {
+	const workers, rounds = 8, 200
+	l := Nop().Logger()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(log *Logger) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				log.Info("line", "i", i)
+			}
+		}(l.With("worker", w))
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				l.Events()
+			}
+		}()
+	}
+	wg.Wait()
+	evs := l.Events()
+	if len(evs) != ringCapacity {
+		t.Fatalf("kept %d lines, want %d", len(evs), ringCapacity)
+	}
+	last := map[string]int{}
+	for i, ev := range evs {
+		if want := int64(workers*rounds - ringCapacity + 1 + i); ev.Seq != want {
+			t.Fatalf("record %d has seq %d, want %d", i, ev.Seq, want)
+		}
+		n, _ := strconv.Atoi(ev.Fields["i"])
+		if prev, ok := last[ev.Fields["worker"]]; ok && n != prev+1 {
+			t.Fatalf("worker %s: line %d after line %d", ev.Fields["worker"], n, prev)
+		}
+		last[ev.Fields["worker"]] = n
+	}
+	l.Info("one more")
+	if evs := l.Events(); evs[len(evs)-1].Seq != workers*rounds+1 || evs[0].Seq != workers*rounds-ringCapacity+2 {
+		t.Errorf("after one more line the ring spans seq %d..%d", evs[0].Seq, evs[len(evs)-1].Seq)
+	}
+}
+
 // TestNilSafety exercises every accessor off a nil bundle, logger, span,
 // and metric — the "call sites never guard" contract.
 func TestNilSafety(t *testing.T) {
@@ -306,6 +368,14 @@ func TestNilSafety(t *testing.T) {
 	o.Logger().With("a", 1).Debug("still fine")
 	o.Registry().Counter("nil.test").Inc()
 	o.Tracer().StartSpan("nil-span").Child("kid").End()
+	if evs := o.Logger().Events(); evs != nil {
+		t.Errorf("the nil bundle's logger kept %+v", evs)
+	}
+	var l *Logger
+	l.Warn("into the void")
+	if l.Events() != nil {
+		t.Error("a nil logger keeps nothing")
+	}
 
 	var span *Span
 	span.SetAttr("k", "v")

@@ -1,6 +1,6 @@
 // Package streamstats is the data-path X-ray of the Instant GridFTP
 // reproduction: per-stream wire telemetry for every data connection of
-// every transfer. The session/task-level planes (metrics, tsdb, events)
+// every transfer. The session/task-level planes (metrics, tsdb, the log)
 // can say that *a transfer* is slow; this plane says *which of its
 // streams* is stalled, lossy, or starved — the per-stream analysis that
 // dominates parallel-transfer behavior in practice.
@@ -20,9 +20,9 @@
 //	gridftp.streams.imbalance_pct   worst max/min stream-throughput ratio, in percent
 //
 // The poller doubles as the stall watchdog: a stream with no progress
-// for the configured window raises a stream.stalled event and aborts the
-// transfer, so the scheduler retries the file from its restart-marker
-// checkpoint; progress or transfer end raises stream.recovered.
+// for the configured window is logged as stream.stalled and its transfer
+// aborted, so the scheduler retries the file from its restart-marker
+// checkpoint; progress or transfer end logs stream.recovered.
 //
 // Like the rest of internal/obs, a nil *Registry and a nil *Transfer are
 // valid everywhere: all methods degrade to no-ops, so the data path never
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
 // Registry gauges the poller sets for the alert rules.
@@ -88,7 +87,7 @@ func wireInfo(c net.Conn) (WireInfo, bool) {
 
 // Options configures a Registry.
 type Options struct {
-	// Obs receives the stall/recovery events and the gridftp.streams.*
+	// Obs receives the stall/recovery records and the gridftp.streams.*
 	// gauges.
 	Obs *obs.Obs
 	// Interval is the poll/watchdog cadence. Default 500ms.
@@ -118,6 +117,7 @@ const ewmaAlpha = 0.3
 // transfers; its poller is also the stall watchdog.
 type Registry struct {
 	opts Options
+	log  *obs.Logger
 
 	mu     sync.Mutex
 	seq    int64
@@ -126,10 +126,10 @@ type Registry struct {
 }
 
 // New creates a Registry. Wrapped conns count bytes from the start; the
-// rates, gauges, events and stall checks need the poller — Start, or poll
+// rates, gauges, records and stall checks need the poller — Start, or poll
 // driven by hand in tests.
 func New(opts Options) *Registry {
-	return &Registry{opts: opts}
+	return &Registry{opts: opts, log: opts.Obs.Logger().With("component", "streamstats")}
 }
 
 // Start launches the poller/watchdog; the returned stop halts it
@@ -290,7 +290,7 @@ func (t *Transfer) Done(err error) {
 		r.recent = r.recent[len(r.recent)-retain:]
 	}
 	r.mu.Unlock()
-	t.finishStreams(r.opts.Obs.EventLog())
+	t.finishStreams(r.log)
 }
 
 // streamConn is the instrumented connection: every byte in or out bumps
@@ -392,9 +392,6 @@ func (r *Registry) poll(now time.Time) {
 	transfers := append([]*Transfer(nil), r.active...)
 	r.mu.Unlock()
 
-	o := r.opts.Obs
-	events := o.EventLog()
-
 	var stalledCount int64
 	worstRatio := 1.0
 	activeStreams := 0
@@ -465,21 +462,12 @@ func (r *Registry) poll(now time.Time) {
 			}
 
 			if newlyStalled {
-				events.Append(eventlog.StreamStalled,
-					"component", "streamstats",
-					"transfer", t.label,
-					"verb", t.verb,
-					"stream", s.idx,
-					"idle_ms", idle.Milliseconds(),
-					"bytes", b)
+				r.log.Warn("stream.stalled", "transfer", t.label, "verb", t.verb,
+					"stream", s.idx, "idle_ms", idle.Milliseconds(), "bytes", b)
 				stalledStream = s
 			}
 			if recovered {
-				events.Append(eventlog.StreamRecovered,
-					"component", "streamstats",
-					"transfer", t.label,
-					"stream", s.idx,
-					"reason", "progress")
+				r.log.Info("stream.recovered", "transfer", t.label, "stream", s.idx, "reason", "progress")
 			}
 		}
 		if rated >= 2 && minRate > 0 {
@@ -493,7 +481,7 @@ func (r *Registry) poll(now time.Time) {
 		}
 	}
 
-	reg := o.Registry()
+	reg := r.opts.Obs.Registry()
 	reg.Gauge(StalledSeries).Set(stalledCount)
 	// A stream whose rate decays toward zero drives the ratio without
 	// bound; the gauge saturates rather than overflow int64.
@@ -501,12 +489,12 @@ func (r *Registry) poll(now time.Time) {
 	reg.Gauge("gridftp.streams.active").Set(int64(activeStreams))
 }
 
-// finishStreams emits recovered events for any still-stalled streams of
+// finishStreams logs stream.recovered for any still-stalled streams of
 // a finished transfer, so every stream.stalled is eventually paired with
 // a stream.recovered. The stalled *count* clears on its own: Done removes
 // the transfer from the active set and the poller recomputes the gauge
 // from scratch each pass.
-func (t *Transfer) finishStreams(events *eventlog.Log) {
+func (t *Transfer) finishStreams(log *obs.Logger) {
 	t.mu.Lock()
 	streams := append([]*Stream(nil), t.streams...)
 	t.mu.Unlock()
@@ -516,11 +504,7 @@ func (t *Transfer) finishStreams(events *eventlog.Log) {
 		s.stalled = false
 		s.mu.Unlock()
 		if wasStalled {
-			events.Append(eventlog.StreamRecovered,
-				"component", "streamstats",
-				"transfer", t.label,
-				"stream", s.idx,
-				"reason", "closed")
+			log.Info("stream.recovered", "transfer", t.label, "stream", s.idx, "reason", "closed")
 		}
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
 // This file is the SLO alert engine over the recorder: declarative rules
 // evaluated on every sampling tick, with for-duration hysteresis in both
 // directions (a rule must hold for For before firing and must stay clear
-// for For before resolving — flap suppression). Transitions land in the
-// event log (alert.firing / alert.resolved) and on the obs.alerts_active /
+// for For before resolving — flap suppression). Transitions are logged
+// (alert.firing / alert.resolved) and land on the obs.alerts_active /
 // obs.alerts_fired_total metrics.
 
 // Kind selects how a rule turns series points into a test value.
@@ -44,7 +43,7 @@ const (
 
 // Rule is one declarative alert rule.
 type Rule struct {
-	// Name identifies the rule in events, metrics, and /alerts.
+	// Name identifies the rule in the log, metrics, and /alerts.
 	Name string `json:"name"`
 	// Series is the recorder series the rule watches (for registry-fed
 	// series: "<gauge name>", "<counter name>.rate", "<histogram>.p99").
@@ -100,6 +99,7 @@ type alertState struct {
 type Engine struct {
 	rec *Recorder
 	o   *obs.Obs
+	log *obs.Logger
 
 	mu     sync.Mutex
 	alerts []*alertState
@@ -108,7 +108,7 @@ type Engine struct {
 // NewEngine builds an engine over rec reporting into o (both may be nil
 // for a disconnected engine, which then never fires).
 func NewEngine(rec *Recorder, o *obs.Obs, rules []Rule) *Engine {
-	e := &Engine{rec: rec, o: o}
+	e := &Engine{rec: rec, o: o, log: o.Logger().With("component", "tsdb")}
 	for _, r := range rules {
 		if r.Window <= 0 {
 			r.Window = time.Minute
@@ -262,14 +262,14 @@ func (e *Engine) Eval(now time.Time) {
 	reg := e.o.Registry()
 	reg.Gauge("obs.alerts_active").Set(int64(active))
 	for _, tr := range fired {
-		typ := eventlog.AlertResolved
-		if tr.firing {
-			typ = eventlog.AlertFiring
-			reg.Counter("obs.alerts_fired_total").Inc()
+		kv := []any{"alert", tr.rule.Name, "series", tr.rule.Series,
+			"severity", tr.rule.Severity, "value", fmt.Sprintf("%g", tr.value)}
+		if !tr.firing {
+			e.log.Info("alert.resolved", kv...)
+			continue
 		}
-		e.o.EventLog().Append(typ, "component", "tsdb",
-			"alert", tr.rule.Name, "series", tr.rule.Series, "severity", tr.rule.Severity,
-			"value", fmt.Sprintf("%g", tr.value))
+		reg.Counter("obs.alerts_fired_total").Inc()
+		e.log.Warn("alert.firing", kv...)
 	}
 }
 

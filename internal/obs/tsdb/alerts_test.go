@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 )
 
 // step advances the scenario one virtual second: observe v on the rule's
@@ -19,7 +18,7 @@ func stepEval(e *Engine, r *Recorder, series string, at time.Time, v float64) {
 // alert transitions the engine has appended.
 func eventTypes(o *obs.Obs) []string {
 	var types []string
-	for _, ev := range o.EventLog().Events() {
+	for _, ev := range o.Logger().Events() {
 		types = append(types, ev.Type)
 	}
 	return types
@@ -63,7 +62,7 @@ func TestThresholdHysteresisAndFlapSuppression(t *testing.T) {
 	if got := stateOf(t, e, "hot"); got != StateFiring {
 		t.Fatalf("after held breach: state = %s, want firing", got)
 	}
-	if types := eventTypes(o); len(types) != 1 || types[0] != eventlog.AlertFiring {
+	if types := eventTypes(o); len(types) != 1 || types[0] != "alert.firing" {
 		t.Fatalf("transitions = %v, want one firing", types)
 	}
 
@@ -88,7 +87,7 @@ func TestThresholdHysteresisAndFlapSuppression(t *testing.T) {
 	if got := stateOf(t, e, "hot"); got != StateInactive {
 		t.Fatalf("after held clear: state = %s, want inactive", got)
 	}
-	if types := eventTypes(o); len(types) != 2 || types[0] != eventlog.AlertFiring || types[1] != eventlog.AlertResolved {
+	if types := eventTypes(o); len(types) != 2 || types[0] != "alert.firing" || types[1] != "alert.resolved" {
 		t.Fatalf("event types = %v, want [alert.firing alert.resolved]", types)
 	}
 
@@ -183,8 +182,8 @@ func TestQueueWaitBurnRateFiresAndResolves(t *testing.T) {
 		t.Fatalf("obs.alerts_active = %d, want 1", v)
 	}
 	foundFiring := false
-	for _, ev := range o.EventLog().Events() {
-		if ev.Type == eventlog.AlertFiring && ev.Fields["alert"] == ruleName {
+	for _, ev := range o.Logger().Events() {
+		if ev.Type == "alert.firing" && ev.Fields["alert"] == ruleName {
 			foundFiring = true
 			if ev.Fields["series"] != "transfer.queue_wait_seconds.p99" {
 				t.Errorf("firing event series = %q", ev.Fields["series"])
@@ -192,7 +191,7 @@ func TestQueueWaitBurnRateFiresAndResolves(t *testing.T) {
 		}
 	}
 	if !foundFiring {
-		t.Fatalf("no alert.firing event in the event log: %v", o.EventLog().Events())
+		t.Fatalf("no alert.firing event in the event log: %v", o.Logger().Events())
 	}
 
 	// Starvation ends: no new observations, so the windowed p99 drops to
@@ -213,8 +212,8 @@ func TestQueueWaitBurnRateFiresAndResolves(t *testing.T) {
 		t.Fatalf("obs.alerts_active = %d after resolve, want 0", v)
 	}
 	foundResolved := false
-	for _, ev := range o.EventLog().Events() {
-		if ev.Type == eventlog.AlertResolved && ev.Fields["alert"] == ruleName {
+	for _, ev := range o.Logger().Events() {
+		if ev.Type == "alert.resolved" && ev.Fields["alert"] == ruleName {
 			foundResolved = true
 		}
 	}

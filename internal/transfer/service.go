@@ -19,7 +19,6 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/oauth"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/pam"
 )
@@ -423,16 +422,13 @@ func (s *Service) run(task *Task) {
 	defer close(task.done)
 	s.update(task, func(t *Task) { t.Status = TaskActive })
 	reg := s.cfg.Obs.Registry()
-	ev := s.cfg.Obs.EventLog()
 	reg.Counter("transfer.tasks_total").Inc()
-	log := s.log.With("task", task.ID, "src", task.Src, "dst", task.Dst)
-	log.Info("task started", "user", task.User)
 	span := s.cfg.Obs.Tracer().StartSpan("task")
 	span.SetAttr("task", task.ID)
 	span.SetAttr("src", task.Src)
 	span.SetAttr("dst", task.Dst)
-	ev.Append(eventlog.TaskStart, "component", "transfer-service",
-		"task", task.ID, "user", task.User, "src", task.Src, "dst", task.Dst,
+	log := s.log.With("task", task.ID, "src", task.Src, "dst", task.Dst)
+	log.Info("task.start", "user", task.User,
 		"trace", span.TraceID.String(), "span", span.SpanID.String())
 	var plan *transferPlan
 	var lastErr error
@@ -453,21 +449,15 @@ func (s *Service) run(task *Task) {
 			span.End()
 			reg.Counter("transfer.tasks_succeeded").Inc()
 			s.observeTask(time.Since(task.Started), true)
-			log.Info("task succeeded", "attempts", attempt,
+			log.Info("task.complete", "status", TaskSucceeded, "attempts", attempt,
 				"bytes", task.BytesTransferred,
-				"dur", time.Since(task.Started).Round(time.Microsecond))
-			ev.Append(eventlog.TaskComplete, "component", "transfer-service",
-				"task", task.ID, "status", string(TaskSucceeded),
-				"attempts", attempt, "bytes", task.BytesTransferred,
+				"dur", time.Since(task.Started).Round(time.Microsecond),
 				"trace", span.TraceID.String())
 			return
 		}
 		lastErr = err
 		reg.Counter("transfer.attempt_failures").Inc()
-		log.Warn("attempt failed", "attempt", attempt, "err", err)
-		ev.Append(eventlog.TransferRetry, "component", "transfer-service",
-			"task", task.ID, "attempt", attempt, "err", err.Error(),
-			"trace", span.TraceID.String())
+		log.Warn("transfer.retry", "attempt", attempt, "err", err, "trace", span.TraceID.String())
 		if s.cfg.DisableCheckpointing && plan != nil {
 			plan.clearMarkers()
 		}
@@ -488,18 +478,15 @@ func (s *Service) run(task *Task) {
 	span.End()
 	reg.Counter("transfer.tasks_failed").Inc()
 	s.observeTask(time.Since(task.Started), false)
-	log.Error("task failed", "err", lastErr)
-	ev.Append(eventlog.TaskComplete, "component", "transfer-service",
-		"task", task.ID, "status", string(TaskFailed), "err", lastErr.Error(),
-		"trace", span.TraceID.String())
+	log.Warn("task.complete", "status", TaskFailed, "err", lastErr, "trace", span.TraceID.String())
 }
 
 // recordWireEvidence closes out one attempt against the stream-telemetry
 // plane: it aggregates every tracked transfer labeled with the task id
 // (both the "<task>" destination and "<task>-src" source legs, installed
-// on the endpoints via SITE TASK) and records the attempt's retransmit
+// on the endpoints via SITE TASK) and logs the attempt's retransmit
 // total, worst inter-stream imbalance, and stall-abort count as a
-// transfer.wire event. This is the wire-level
+// transfer.wire record. This is the wire-level
 // counterpart of the 112 PERF progress view: PERF says how far the
 // attempt got, the wire evidence says why it went no faster.
 func (s *Service) recordWireEvidence(task *Task, attempt int, traceID string) {
@@ -513,8 +500,7 @@ func (s *Service) recordWireEvidence(task *Task, attempt int, traceID string) {
 	if ws.Stalls > 0 {
 		s.cfg.Obs.Registry().Counter("transfer.stall_aborts").Add(int64(ws.Stalls))
 	}
-	s.cfg.Obs.EventLog().Append(eventlog.TransferWire,
-		"component", "transfer-service", "task", task.ID, "attempt", attempt,
+	s.log.Info("transfer.wire", "task", task.ID, "attempt", attempt,
 		"transfers", ws.Transfers, "retransmits", ws.Retransmits,
 		"imbalance", ws.Imbalance, "stalls", ws.Stalls, "trace", traceID)
 }

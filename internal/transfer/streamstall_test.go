@@ -12,7 +12,6 @@ import (
 	"gridftp.dev/instant/internal/admin"
 	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/eventlog"
 	"gridftp.dev/instant/internal/obs/streamstats"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
@@ -85,7 +84,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	// Mid-flight, collapse the path to a few hundred bytes per second:
 	// connections stay up, writes just stop making progress. Only the
 	// watchdog can turn this into a retry.
-	events := o.EventLog()
+	events := o.Logger()
 	go func() {
 		time.Sleep(70 * time.Millisecond)
 		w.nw.SetLink("siteA", "siteB", netsim.LinkParams{
@@ -95,7 +94,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 		// checkpoint retry runs at full speed.
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if countEvents(events, eventlog.StreamStalled) > 0 {
+			if countEvents(events, "stream.stalled") > 0 {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -119,13 +118,13 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 
 	// The watchdog's paper trail: a stall, a paired recovery, and the
 	// scheduler's per-attempt wire-evidence record.
-	if n := countEvents(events, eventlog.StreamStalled); n == 0 {
+	if n := countEvents(events, "stream.stalled"); n == 0 {
 		t.Fatal("no stream.stalled event recorded")
 	}
-	if n := countEvents(events, eventlog.StreamRecovered); n == 0 {
+	if n := countEvents(events, "stream.recovered"); n == 0 {
 		t.Fatal("no stream.recovered event recorded")
 	}
-	if n := countEvents(events, eventlog.TransferWire); n == 0 {
+	if n := countEvents(events, "transfer.wire"); n == 0 {
 		t.Fatal("no transfer.wire evidence event recorded")
 	}
 
@@ -139,8 +138,8 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 			if ev.Fields["alert"] != "stream-stall" {
 				continue
 			}
-			fired = fired || ev.Type == eventlog.AlertFiring
-			resolved = resolved || (fired && ev.Type == eventlog.AlertResolved)
+			fired = fired || ev.Type == "alert.firing"
+			resolved = resolved || (fired && ev.Type == "alert.resolved")
 		}
 		return fired && resolved
 	})
@@ -184,10 +183,10 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 		t.Fatalf("text health table missing expected columns/state:\n%s", table)
 	}
 	t.Logf("attempts=%d moved=%d stalls=%d", done.Attempts, done.BytesTransferred,
-		countEvents(events, eventlog.StreamStalled))
+		countEvents(events, "stream.stalled"))
 }
 
-func countEvents(l *eventlog.Log, typ string) int {
+func countEvents(l *obs.Logger, typ string) int {
 	n := 0
 	for _, e := range l.Events() {
 		if e.Type == typ {

@@ -8,13 +8,10 @@ package usagestats
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"gridftp.dev/instant/internal/obs"
 )
 
 // TransferRecord is one completed transfer as reported by a server.
@@ -26,83 +23,6 @@ type TransferRecord struct {
 	Bytes    int64
 	Duration time.Duration
 	When     time.Time
-}
-
-// Sink receives per-transfer usage reports. Collector is the canonical
-// aggregating sink; MetricsSink bridges records into an obs metrics
-// registry, and MultiSink fans one report out to several sinks — which is
-// how a live GridFTP server feeds both the fleet collector and its own
-// metrics registry from a single Report call.
-type Sink interface {
-	Report(TransferRecord)
-}
-
-// MultiSink returns a sink that forwards each record to every non-nil
-// sink in order. It returns nil when no usable sinks are given, so the
-// result can be assigned directly to an optional config field. Typed nils
-// (a nil *Collector stored in a Sink variable) are dropped too, which
-// makes MultiSink(s) the canonical way to normalize an optional sink.
-func MultiSink(sinks ...Sink) Sink {
-	var live []Sink
-	for _, s := range sinks {
-		if !isNilSink(s) {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiSink(live)
-}
-
-type multiSink []Sink
-
-func (m multiSink) Report(r TransferRecord) {
-	for _, s := range m {
-		s.Report(r)
-	}
-}
-
-// isNilSink reports whether s is nil or an interface wrapping a nil
-// pointer — calling Report on either would panic.
-func isNilSink(s Sink) bool {
-	if s == nil {
-		return true
-	}
-	v := reflect.ValueOf(s)
-	switch v.Kind() {
-	case reflect.Ptr, reflect.Map, reflect.Func, reflect.Chan, reflect.Slice:
-		return v.IsNil()
-	}
-	return false
-}
-
-// MetricsSink adapts an obs metrics registry into a Sink: each record
-// bumps fleet-wide transfer/byte counters, a per-endpoint counter, and a
-// transfer-duration histogram.
-func MetricsSink(reg *obs.Registry) Sink {
-	if reg == nil {
-		return nil
-	}
-	return &metricsSink{reg: reg}
-}
-
-type metricsSink struct {
-	reg *obs.Registry
-}
-
-func (m *metricsSink) Report(r TransferRecord) {
-	m.reg.Counter("usage.transfers_total").Inc()
-	m.reg.Counter("usage.bytes_total").Add(r.Bytes)
-	if r.Endpoint != "" {
-		m.reg.Counter(obs.Name("usage.endpoint.transfers", r.Endpoint)).Inc()
-		m.reg.Counter(obs.Name("usage.endpoint.bytes", r.Endpoint)).Add(r.Bytes)
-	}
-	m.reg.Histogram("usage.transfer_seconds", obs.DefaultDurationBuckets).
-		Observe(r.Duration.Seconds())
 }
 
 // Collector receives usage reports. It is safe for concurrent use by many
