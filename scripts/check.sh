@@ -3,8 +3,9 @@
 # root package included), the client's one-place-for-reply-reads guard
 # (internal/gridftp/settle.go), the server's one-place-for-reply-writes guard
 # (session.reply/replies), the binaries' no-plane-imports guard
-# (internal/admin/boot.go), the three deleted planes' stay-deleted guard and
-# the observability tree's size ratchet, the recorder's one-input guard (no
+# (internal/admin/boot.go), the stay-deleted guard for the three deleted
+# planes and the two duplicate writers (the event log, the usage metrics
+# sink) and the observability tree's size ratchet, the recorder's one-input guard (no
 # series push, no push feed from the admin plane), the one-writer guard for
 # /metrics (no trace exemplars on its text, no in-tree parser of it, no
 # benchreport mode that re-renders it or the stream table), the one-place-per-scenario guard
@@ -75,14 +76,18 @@ if grep -nE '"gridftp.dev/instant/internal/obs/(streamstats|tsdb|collector)"' cm
 	exit 1
 fi
 
-echo "==> the federation head, the continuous profiler and the tenant plane stay deleted; internal/obs/* stays smaller than the engine"
-# None of the three had a reader outside itself (CHANGES.md): profiles are
-# the toolchain's (/debug/pprof/, go tool pprof -diff_base), every measured
-# world is one process, and a task reports its own owner (transfer.Task.DN).
-# The config fields that fed these planes had their types from them, so this
-# also keeps those fields from coming back.
-if git grep -nE 'internal/obs/(fleet|profile|tenant)' -- '*.go' '*.sh' '*.yml'; then
-	echo "check.sh: the fleet, profile and tenant planes under internal/obs are gone; nothing names them" >&2
+echo "==> the federation head, the continuous profiler, the tenant plane, the event log and the usage metrics sink stay deleted; internal/obs/* stays smaller than the engine"
+# None of the three planes had a reader outside itself (CHANGES.md): profiles
+# are the toolchain's (/debug/pprof/, go tool pprof -diff_base), every
+# measured world is one process, and a task reports its own owner
+# (transfer.Task.DN). The config fields that fed these planes had their types
+# from them, so this also keeps those fields from coming back. An occurrence
+# is recorded once: a lifecycle or audit record is a logger line (the
+# logger's ring is /debug/events), and a completed transfer is counted in the
+# registry by the server, not again as usage.* series.
+if git grep -nE 'internal/obs/(fleet|profile|tenant)' -- '*.go' '*.sh' '*.yml' ||
+	git grep --untracked -nE 'internal/obs/eventlog|EventLog\(\)|MetricsSink|MultiSink|"usage\.' -- '*.go' ':!*_test.go'; then
+	echo "check.sh: the fleet, profile and tenant planes, the event log and the usage metrics sink are gone; nothing names them" >&2
 	exit 1
 fi
 # ROADMAP item 6's done-condition: the tree that observes the engine is
