@@ -88,6 +88,17 @@ func TestDistributedTraceAcrossThreeProcesses(t *testing.T) {
 		t.Fatalf("task %s: %s (%s)", done.ID, done.Status, done.Error)
 	}
 
+	// A server ends its command span just after writing the 226 the service
+	// has read, so the endpoints' transfer spans may land a moment after the
+	// task succeeds: wait for them before exporting.
+	for o, name := range map[*obs.Obs]string{srcObs: "gridftp.retr", dstObs: "gridftp.stor"} {
+		for deadline := time.Now().Add(5 * time.Second); !hasSpan(o, name); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s span ended", name)
+			}
+		}
+	}
+
 	// Export each "process" into the collector, exactly as three daemons'
 	// /debug/spans exports read by benchreport -trace-timeline would.
 	c := collector.New()
@@ -230,4 +241,14 @@ func writeTraceArtifact(t *testing.T, tr *collector.Trace) {
 		return
 	}
 	t.Logf("stitched trace written to %s", path)
+}
+
+// hasSpan reports whether o's tracer holds an ended span of that name.
+func hasSpan(o *obs.Obs, name string) bool {
+	for _, si := range o.Tracer().Spans() {
+		if si.Name == name && si.Ended {
+			return true
+		}
+	}
+	return false
 }
