@@ -313,10 +313,36 @@ func TestLoggerLevelsAndFields(t *testing.T) {
 	}
 }
 
-// TestLoggerRingBoundsAndOrder: With children writing concurrently with
-// readers share one ring, which keeps the newest ringCapacity lines oldest
-// first, each numbered one past the line before it across the overflow.
+// TestLoggerRingBoundsAndOrder: the ring keeps the newest ringCapacity
+// lines oldest first, and numbering carries on across the overflow.
 func TestLoggerRingBoundsAndOrder(t *testing.T) {
+	const extra = 6
+	l := Nop().Logger()
+	for i := 0; i < ringCapacity+extra; i++ {
+		l.Info("line", "i", i)
+	}
+	evs := l.Events()
+	if len(evs) != ringCapacity {
+		t.Fatalf("kept %d lines, want %d", len(evs), ringCapacity)
+	}
+	for i, ev := range evs {
+		if want := strconv.Itoa(extra + i); ev.Fields["i"] != want {
+			t.Fatalf("record %d: field i = %q, want %q", i, ev.Fields["i"], want)
+		}
+		if want := int64(extra + 1 + i); ev.Seq != want {
+			t.Fatalf("record %d has seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+	l.Info("one more")
+	if evs := l.Events(); evs[len(evs)-1].Seq != ringCapacity+extra+1 || evs[0].Seq != extra+2 {
+		t.Errorf("after one more line the ring spans seq %d..%d", evs[0].Seq, evs[len(evs)-1].Seq)
+	}
+}
+
+// TestLoggerRingConcurrentAppend is the -race proof: With children writing
+// concurrently with readers share one ring, and every line gets the next
+// number in ring order.
+func TestLoggerRingConcurrentAppend(t *testing.T) {
 	const workers, rounds = 8, 200
 	l := Nop().Logger()
 	var wg sync.WaitGroup
@@ -354,9 +380,20 @@ func TestLoggerRingBoundsAndOrder(t *testing.T) {
 		}
 		last[ev.Fields["worker"]] = n
 	}
-	l.Info("one more")
-	if evs := l.Events(); evs[len(evs)-1].Seq != workers*rounds+1 || evs[0].Seq != workers*rounds-ringCapacity+2 {
-		t.Errorf("after one more line the ring spans seq %d..%d", evs[0].Seq, evs[len(evs)-1].Seq)
+}
+
+// TestLoggerRingNilSafety: a nil logger, and the nil bundle's logger, keep
+// nothing.
+func TestLoggerRingNilSafety(t *testing.T) {
+	var o *Obs
+	o.Logger().Info("into the void", "k", "v")
+	if evs := o.Logger().Events(); evs != nil {
+		t.Errorf("the nil bundle's logger kept %+v", evs)
+	}
+	var l *Logger
+	l.Warn("into the void")
+	if l.Events() != nil {
+		t.Error("a nil logger keeps nothing")
 	}
 }
 
@@ -368,14 +405,6 @@ func TestNilSafety(t *testing.T) {
 	o.Logger().With("a", 1).Debug("still fine")
 	o.Registry().Counter("nil.test").Inc()
 	o.Tracer().StartSpan("nil-span").Child("kid").End()
-	if evs := o.Logger().Events(); evs != nil {
-		t.Errorf("the nil bundle's logger kept %+v", evs)
-	}
-	var l *Logger
-	l.Warn("into the void")
-	if l.Events() != nil {
-		t.Error("a nil logger keeps nothing")
-	}
 
 	var span *Span
 	span.SetAttr("k", "v")
