@@ -319,7 +319,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	events := s.o.Logger().Events()
+	events := s.o.Events()
 	if prefix := r.URL.Query().Get("type"); prefix != "" {
 		kept := events[:0:0]
 		for _, ev := range events {
@@ -331,9 +331,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if n >= 0 && len(events) > n {
 		events = events[len(events)-n:]
-	}
-	if events == nil {
-		events = []obs.Event{}
 	}
 	expfmt.ServeJSON(w, map[string]any{"events": events})
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -87,7 +88,7 @@ func (b *Boot) Start() (*Daemon, error) {
 func (b *Boot) boot() *Daemon {
 	o := obs.FromEnv()
 	if b.verbose {
-		o = obs.New(os.Stderr, obs.LevelDebug)
+		o = obs.New(os.Stderr, slog.LevelDebug)
 	}
 	d := &Daemon{Obs: o, metrics: b.metrics}
 

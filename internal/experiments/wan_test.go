@@ -70,7 +70,7 @@ func BenchmarkE18StreamTelemetryOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			reg := streamstats.New(streamstats.Options{Obs: obs.Nop(), Interval: 500 * time.Millisecond})
+			reg := streamstats.New(streamstats.Options{Obs: obs.Nop()})
 			stop := reg.Start()
 			on, err := bestGetRate(link, fileBytes, parallelism, gridftp.ProtClear, reg)
 			stop()

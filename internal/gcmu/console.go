@@ -3,7 +3,6 @@ package gcmu
 import (
 	"context"
 	"crypto/subtle"
-	"crypto/tls"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -72,14 +71,7 @@ func (c *Console) ListenAndServe(port int) (net.Addr, error) {
 	mux.HandleFunc("POST /accounts", c.auth(c.handleAddAccount))
 	mux.HandleFunc("POST /accounts/lock", c.auth(c.handleLockAccount))
 	mux.HandleFunc("GET /usage", c.auth(c.handleUsage))
-	c.httpSrv = &http.Server{
-		Handler: mux,
-		TLSConfig: &tls.Config{
-			Certificates: []tls.Certificate{cred.TLSCertificate()},
-			MinVersion:   tls.VersionTLS12,
-		},
-	}
-	go c.httpSrv.ServeTLS(l, "", "")
+	c.httpSrv = gsi.ServeHTTPS(l, cred, mux)
 	return l.Addr(), nil
 }
 

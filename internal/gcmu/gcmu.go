@@ -8,6 +8,7 @@ package gcmu
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"gridftp.dev/instant/internal/authz"
@@ -41,10 +42,8 @@ type Options struct {
 	// paper lists packaging it as future work — implemented here).
 	WithOAuth bool
 	// LegacyGridmap, if non-nil, is consulted after the GCMU callout so
-	// existing DN mappings keep working.
+	// existing DN mappings keep working. Tests set it: no default gives a map.
 	LegacyGridmap *authz.Gridmap
-	// CertLifetime is the short-lived user certificate lifetime.
-	CertLifetime time.Duration
 	// MarkerInterval is the endpoint server's marker cadence: STOR's restart
 	// markers (111) and the performance markers (112) of STOR and RETR. Zero
 	// disables both (gridftp.ServerConfig.MarkerInterval).
@@ -88,7 +87,7 @@ type Endpoint struct {
 	Accounts *pam.AccountDB
 	Storage  dsi.Storage
 
-	log *obs.Logger
+	log *slog.Logger
 }
 
 // Install performs the GCMU server installation (§IV.D): it creates the
@@ -149,7 +148,6 @@ func Install(opts Options) (*Endpoint, error) {
 
 	// 3. Online CA bound to the site authentication system.
 	online := ca.New(signing, opts.Auth, gsi.DN(fmt.Sprintf("/O=GCMU/OU=%s", opts.Name)))
-	online.Lifetime = opts.CertLifetime
 
 	// 4. AUTHZ callout: username parsed from the DN for local-CA certs
 	//    (§IV.C); optional legacy gridmap as fallback.

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"reflect"
 	"runtime"
@@ -569,7 +570,7 @@ func TestPutReadsItsSetUpInOneFlight(t *testing.T) {
 // ends, and the server logs no warning for it.
 func TestQuitEndsASessionQuietly(t *testing.T) {
 	var logged bytes.Buffer // the logger serialises its writes; the gauge orders the read after them
-	o := obs.New(&logged, obs.LevelWarn)
+	o := obs.New(&logged, slog.LevelWarn)
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Obs = o })
 	for i := 0; i < 5; i++ {

@@ -32,6 +32,7 @@ func (s *Server) ServeLite(conn net.Conn, localUser string) {
 		spec: ChannelSpec{DCAU: DCAUNone}.Normalize(),
 		cwd:  "/",
 		data: s.newDataPath(),
+		log:  s.log.With("lite", localUser),
 
 		authenticated: true,
 		localUser:     localUser,

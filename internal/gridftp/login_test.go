@@ -85,12 +85,12 @@ func TestPlaintextBehindAuthIsNeverACommand(t *testing.T) {
 	if strings.Contains(lines[2], "\r\n") {
 		t.Errorf("behind the 234 the server sent %q, want no reply line", lines[2])
 	}
-	waitFor(t, "the session to end", func() bool { return len(o.Logger().Events()) >= 3 })
+	waitFor(t, "the session to end", func() bool { return len(o.Events()) >= 3 })
 	if n := o.Metrics.Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Count(); n != 1 {
 		t.Errorf("%d commands dispatched, want 1 (the AUTH)", n)
 	}
 	var types []string
-	for _, e := range o.Logger().Events() {
+	for _, e := range o.Events() {
 		types = append(types, e.Type)
 		if e.Type == "auth.failure" && e.Fields["stage"] != "handshake" {
 			t.Errorf("the session failed at stage %q, want the handshake", e.Fields["stage"])

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -80,7 +81,7 @@ type ServerConfig struct {
 type Server struct {
 	cfg  ServerConfig
 	host *netsim.Host
-	log  *obs.Logger
+	log  *slog.Logger
 
 	nextSession atomic.Int64
 
@@ -156,7 +157,7 @@ type session struct {
 	// id is this session's server-unique identifier; log carries it (and,
 	// after authentication, the remote DN) on every line.
 	id  int64
-	log *obs.Logger
+	log *slog.Logger
 
 	// replyMu serializes control-channel writes (a transfer's marker
 	// goroutine writes 1xx replies concurrently with the command loop).

@@ -72,8 +72,7 @@ func (sess *session) handleSiteTrace(params string) {
 		return
 	}
 	sess.traceCtx = sc
-	sess.log.Debug("trace context installed",
-		"trace", sc.TraceID.String(), "parent", sc.SpanID.String())
+	sess.log.Debug("trace context installed", "trace", sc.TraceID, "parent", sc.SpanID)
 	sess.reply(ftp.CodeOK, "Trace context accepted")
 }
 

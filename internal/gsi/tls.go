@@ -1,11 +1,14 @@
 package gsi
 
 import (
+	"bytes"
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"time"
 )
 
@@ -123,4 +126,39 @@ func HandshakeClient(conn net.Conn, cred *Credential, trust *TrustStore) (*tls.C
 		return nil, nil, err
 	}
 	return tc, id, nil
+}
+
+// The bounds of ServeHTTPS: the time a client has for its TLS handshake and
+// request headers, the time an idle connection is kept, and the largest
+// request body read (a JSON request is a few hundred bytes).
+const (
+	httpsHeaderTimeout = 5 * time.Second
+	httpsIdleTimeout   = time.Minute
+	httpsMaxBody       = 4 << 10
+)
+
+// ServeHTTPS serves h over TLS on l, presenting cred, and returns the server
+// for Close. A request's body is read before h sees it, and one over
+// httpsMaxBody is answered 413 instead.
+func ServeHTTPS(l net.Listener, cred *Credential, h http.Handler) *http.Server {
+	srv := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpsMaxBody))
+			if err != nil {
+				code := http.StatusBadRequest
+				if _, tooBig := err.(*http.MaxBytesError); tooBig {
+					code = http.StatusRequestEntityTooLarge
+				}
+				http.Error(w, http.StatusText(code), code)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			h.ServeHTTP(w, r)
+		}),
+		TLSConfig:         &tls.Config{Certificates: []tls.Certificate{cred.TLSCertificate()}, MinVersion: tls.VersionTLS12},
+		ReadHeaderTimeout: httpsHeaderTimeout,
+		IdleTimeout:       httpsIdleTimeout,
+	}
+	go srv.ServeTLS(l, "", "")
+	return srv
 }

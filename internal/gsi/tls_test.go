@@ -1,8 +1,12 @@
 package gsi
 
 import (
+	"crypto/tls"
 	"crypto/x509"
+	"io"
 	"net"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,4 +300,47 @@ func readFull(c net.Conn, buf []byte) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// TestServeHTTPSCutsOffATrickle: a client that sends its request headers a
+// byte at a time is hung up on once httpsHeaderTimeout has passed.
+func TestServeHTTPSCutsOffATrickle(t *testing.T) {
+	nw := netsim.NewNetwork()
+	l, err := nw.Listen("server", 443)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred, err := SelfSignedCredential("/CN=https", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeHTTPS(l, cred, http.NotFoundHandler())
+	defer srv.Close()
+	conn, err := nw.Dial("client", "server:443")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := tls.Client(conn, &tls.Config{InsecureSkipVerify: true})
+	defer tc.Close()
+	start := time.Now()
+	closed := make(chan time.Duration, 1)
+	go func() {
+		io.Copy(io.Discard, tc)
+		closed <- time.Since(start)
+	}()
+	req := "GET / HTTP/1.1\r\nHost: server\r\nX-Pad: " + strings.Repeat("a", 64)
+	for i := 0; ; i++ {
+		select {
+		case d := <-closed:
+			if d < httpsHeaderTimeout-time.Second || d > httpsHeaderTimeout+2*time.Second {
+				t.Fatalf("the trickling client was cut off after %v, want about %v", d, httpsHeaderTimeout)
+			}
+			return
+		case <-time.After(100 * time.Millisecond):
+		}
+		if i == len(req) {
+			t.Fatalf("%v of headers a byte at a time and the server still reads", time.Since(start))
+		}
+		tc.Write([]byte{req[i]})
+	}
 }

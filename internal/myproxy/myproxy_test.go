@@ -105,7 +105,7 @@ func TestLogonWrongPassword(t *testing.T) {
 	if denied, total := reg.Counter("myproxy.logons_denied").Value(), reg.Counter("myproxy.logons_total").Value(); denied != 1 || total != 0 {
 		t.Fatalf("myproxy.logons_denied %d, logons_total %d, want 1 and 0", denied, total)
 	}
-	events := srv.Obs.Logger().Events()
+	events := srv.Obs.Events()
 	if len(events) != 1 || events[0].Type != "auth.failure" || events[0].Fields["user"] != "alice" {
 		t.Fatalf("events %+v, want one auth.failure for alice", events)
 	}

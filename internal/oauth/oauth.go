@@ -105,14 +105,7 @@ func (s *Server) ListenAndServe(host *netsim.Host, port int) (net.Addr, error) {
 	mux.HandleFunc("GET /authorize", s.handleAuthorize)
 	mux.HandleFunc("POST /login", s.handleLogin)
 	mux.HandleFunc("POST /token", s.handleToken)
-	s.httpSrv = &http.Server{
-		Handler: mux,
-		TLSConfig: &tls.Config{
-			Certificates: []tls.Certificate{s.HostCred.TLSCertificate()},
-			MinVersion:   tls.VersionTLS12,
-		},
-	}
-	go s.httpSrv.ServeTLS(l, "", "")
+	s.httpSrv = gsi.ServeHTTPS(l, s.HostCred, mux)
 	return l.Addr(), nil
 }
 

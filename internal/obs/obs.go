@@ -1,8 +1,9 @@
 // Package obs is the observability core of the Instant GridFTP
-// reproduction: a leveled structured logger, a concurrency-safe metrics
-// registry (counters, gauges, histograms), and lightweight spans for
-// tracing a transfer across its phases (MyProxy activation, control
-// channel, data channel, hosted-service retry).
+// reproduction: a log/slog logger whose handler keeps the lifecycle record
+// /debug/events serves, a concurrency-safe metrics registry (counters,
+// gauges, histograms), and lightweight spans for tracing a transfer across
+// its phases (MyProxy activation, control channel, data channel,
+// hosted-service retry).
 //
 // The package is stdlib-only by design. Every other layer — the GridFTP
 // protocol engine, the hosted transfer service, the network simulator,
@@ -14,6 +15,7 @@ package obs
 
 import (
 	"io"
+	"log/slog"
 	"os"
 	"time"
 )
@@ -22,17 +24,18 @@ import (
 // is valid everywhere: all methods degrade to no-ops, so call sites never
 // have to guard.
 type Obs struct {
-	Log     *Logger
+	Log     *slog.Logger
 	Metrics *Registry
 	Trace   *Tracer
 }
 
-// New returns a fully wired Obs: logger writing to w at the given level,
-// a fresh metrics registry (carrying the process.* identity gauges) and a
+// New returns a fully wired Obs: a logger writing records at or above
+// level to w in slog's text format and keeping those at Info and above, a
+// fresh metrics registry (carrying the process.* identity gauges) and a
 // fresh tracer.
-func New(w io.Writer, level Level) *Obs {
+func New(w io.Writer, level slog.Level) *Obs {
 	o := &Obs{
-		Log:     NewLogger(w, level),
+		Log:     slog.New(&handler{ring: &ring{}, out: slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})}),
 		Metrics: NewRegistry(),
 		Trace:   NewTracer(),
 	}
@@ -42,9 +45,12 @@ func New(w io.Writer, level Level) *Obs {
 }
 
 // Nop returns an Obs that records metrics, spans, and the logger's kept
-// lines but writes no log output — the default for tests that only assert
-// on telemetry.
-func Nop() *Obs { return New(io.Discard, LevelError) }
+// records but writes no log output — the default for tests that only
+// assert on telemetry.
+func Nop() *Obs { return New(io.Discard, silent) }
+
+// silent is a level no record reaches.
+const silent = slog.LevelError + 1
 
 // processStart anchors the process.* metrics: one value per process, set
 // at init so every registry that registers the process metrics reports
@@ -64,19 +70,19 @@ func registerProcessMetrics(r *Registry) {
 }
 
 // FromEnv builds an Obs honoring the OBS_LOG_LEVEL environment variable
-// (debug|info|warn|error; anything else silences logging). Logs go to
-// stderr.
+// (debug|info|warn|error in either case, as slog.Level parses them;
+// anything else silences logging). Logs go to stderr.
 func FromEnv() *Obs {
-	lvl, ok := ParseLevel(os.Getenv("OBS_LOG_LEVEL"))
-	if !ok {
+	var level slog.Level
+	if level.UnmarshalText([]byte(os.Getenv("OBS_LOG_LEVEL"))) != nil {
 		return Nop()
 	}
-	return New(os.Stderr, lvl)
+	return New(os.Stderr, level)
 }
 
 // Logger returns the bundle's logger, or a silent one that keeps nothing
 // when o is nil or has no logger.
-func (o *Obs) Logger() *Logger {
+func (o *Obs) Logger() *slog.Logger {
 	if o == nil || o.Log == nil {
 		return nopLogger
 	}
@@ -102,7 +108,7 @@ func (o *Obs) Tracer() *Tracer {
 }
 
 var (
-	nopLogger       = &Logger{out: &output{w: io.Discard}, level: LevelError + 1}
+	nopLogger       = slog.New(&handler{out: slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: silent})})
 	discardRegistry = NewRegistry()
 	discardTracer   = NewTracer()
 )

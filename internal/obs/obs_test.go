@@ -2,12 +2,16 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRegistryConcurrent hammers one registry from many goroutines — the
@@ -282,14 +286,15 @@ func TestTracerFullRingAllocatesNoMore(t *testing.T) {
 
 func TestLoggerLevelsAndFields(t *testing.T) {
 	var b bytes.Buffer
-	// The second logger's output is silenced at Error: what it keeps does
-	// not depend on what it writes.
-	for _, l := range []*Logger{NewLogger(&b, LevelInfo), Nop().Logger()} {
+	// The second logger's output is silenced: what it keeps does not depend
+	// on what it writes.
+	for _, o := range []*Obs{New(&b, slog.LevelInfo), Nop()} {
+		l := o.Logger()
 		l.Debug("hidden")
 		l.Info("plain")
 		child := l.With("session", 7, "dn", "/O=Grid/CN=alice")
 		child.Warn("spaced msg", "bytes", 1024)
-		evs := l.Events()
+		evs := o.Events()
 		if len(evs) != 2 || evs[0].Type != "plain" || evs[1].Type != "spaced msg" {
 			t.Fatalf("kept %+v, want the info and the warn line and no debug", evs)
 		}
@@ -301,15 +306,53 @@ func TestLoggerLevelsAndFields(t *testing.T) {
 			t.Errorf("warn record fields %v, want its With fields, its pair and level=warn", f)
 		}
 	}
+	// The output is slog's text format.
 	out := b.String()
 	if strings.Contains(out, "hidden") {
 		t.Errorf("debug line leaked through info level:\n%s", out)
 	}
-	if !strings.Contains(out, "level=info msg=plain") {
+	if !strings.Contains(out, " level=INFO msg=plain\n") {
 		t.Errorf("missing info line:\n%s", out)
 	}
-	if !strings.Contains(out, `msg="spaced msg" session=7 dn="/O=Grid/CN=alice" bytes=1024`) {
+	if !strings.Contains(out, ` level=WARN msg="spaced msg" session=7 dn="/O=Grid/CN=alice" bytes=1024`+"\n") {
 		t.Errorf("missing structured warn line:\n%s", out)
+	}
+
+	// A kept field reads as fmt.Sprint renders the value, for each kind the
+	// call sites pass.
+	o := Nop()
+	for _, v := range []any{"a b", 42, int64(1) << 40, 1500 * time.Microsecond,
+		fmt.Errorf("wrapped: %w", io.EOF), true} {
+		o.Logger().Info("kind", "v", v)
+		evs := o.Events()
+		if got, want := evs[len(evs)-1].Fields["v"], fmt.Sprint(v); got != want {
+			t.Errorf("a kept %T reads %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestLoggerKeepsALineCheaply: a kept transfer.complete-shaped line (six
+// pairs) under Nop costs at most one allocation, the record's overflow of
+// slog's five inline attrs; the ring copies no field into a string.
+func TestLoggerKeepsALineCheaply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	o := Nop()
+	l := o.Logger().With("component", "gridftp-server", "session", "s1")
+	// The call site builds its pairs first (gridftp's traceFields), so
+	// their boxing is its own.
+	kv := []any{"op", "RETR", "path", "/data/file-07", "bytes", int64(1 << 20), "dur", 83 * time.Millisecond,
+		"trace", "4bf92f3577b34da6a3ce929d0e0e4736", "span", "00f067aa0ba902b7"}
+	for i := 0; i < ringCapacity; i++ { // a full ring: no growth in the count
+		l.Info("fill")
+	}
+	got := testing.AllocsPerRun(1000, func() { l.Info("transfer.complete", kv...) })
+	if got > 1 {
+		t.Fatalf("a kept transfer.complete line allocates %.0f objects, want at most 1", got)
+	}
+	if f := o.Events()[ringCapacity-1].Fields; f["dur"] != "83ms" || f["session"] != "s1" {
+		t.Errorf("the last kept line reads %v", f)
 	}
 }
 
@@ -317,11 +360,12 @@ func TestLoggerLevelsAndFields(t *testing.T) {
 // lines oldest first, and numbering carries on across the overflow.
 func TestLoggerRingBoundsAndOrder(t *testing.T) {
 	const extra = 6
-	l := Nop().Logger()
+	o := Nop()
+	l := o.Logger()
 	for i := 0; i < ringCapacity+extra; i++ {
 		l.Info("line", "i", i)
 	}
-	evs := l.Events()
+	evs := o.Events()
 	if len(evs) != ringCapacity {
 		t.Fatalf("kept %d lines, want %d", len(evs), ringCapacity)
 	}
@@ -334,7 +378,7 @@ func TestLoggerRingBoundsAndOrder(t *testing.T) {
 		}
 	}
 	l.Info("one more")
-	if evs := l.Events(); evs[len(evs)-1].Seq != ringCapacity+extra+1 || evs[0].Seq != extra+2 {
+	if evs := o.Events(); evs[len(evs)-1].Seq != ringCapacity+extra+1 || evs[0].Seq != extra+2 {
 		t.Errorf("after one more line the ring spans seq %d..%d", evs[0].Seq, evs[len(evs)-1].Seq)
 	}
 }
@@ -344,28 +388,28 @@ func TestLoggerRingBoundsAndOrder(t *testing.T) {
 // number in ring order.
 func TestLoggerRingConcurrentAppend(t *testing.T) {
 	const workers, rounds = 8, 200
-	l := Nop().Logger()
+	o := Nop()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(log *Logger) {
+		go func(log *slog.Logger) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				log.Info("line", "i", i)
 			}
-		}(l.With("worker", w))
+		}(o.Logger().With("worker", w))
 	}
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				l.Events()
+				o.Events()
 			}
 		}()
 	}
 	wg.Wait()
-	evs := l.Events()
+	evs := o.Events()
 	if len(evs) != ringCapacity {
 		t.Fatalf("kept %d lines, want %d", len(evs), ringCapacity)
 	}
@@ -382,18 +426,14 @@ func TestLoggerRingConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestLoggerRingNilSafety: a nil logger, and the nil bundle's logger, keep
-// nothing.
+// TestLoggerRingNilSafety: the nil bundle's logger, and a bundle without
+// one, hand out a usable logger that keeps nothing.
 func TestLoggerRingNilSafety(t *testing.T) {
-	var o *Obs
-	o.Logger().Info("into the void", "k", "v")
-	if evs := o.Logger().Events(); evs != nil {
-		t.Errorf("the nil bundle's logger kept %+v", evs)
-	}
-	var l *Logger
-	l.Warn("into the void")
-	if l.Events() != nil {
-		t.Error("a nil logger keeps nothing")
+	for _, o := range []*Obs{nil, {}} {
+		o.Logger().With("a", 1).Warn("into the void", "k", "v")
+		if evs := o.Events(); len(evs) != 0 {
+			t.Errorf("a logger-less bundle kept %+v", evs)
+		}
 	}
 }
 
@@ -422,16 +462,23 @@ func TestNilSafety(t *testing.T) {
 	h.Observe(1)
 }
 
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "Warning": LevelWarn, "error": LevelError,
+// TestFromEnvLevels: OBS_LOG_LEVEL names slog's four levels in either
+// case; anything else, the old "warning" alias included, silences logging.
+func TestFromEnvLevels(t *testing.T) {
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, "Warn": slog.LevelWarn, "error": slog.LevelError,
+		"DEBUG": slog.LevelDebug, "info": slog.LevelInfo, "WARN": slog.LevelWarn, "ERROR": slog.LevelError,
 	} {
-		got, ok := ParseLevel(in)
-		if !ok || got != want {
-			t.Errorf("ParseLevel(%q) = %v,%v", in, got, ok)
+		t.Setenv("OBS_LOG_LEVEL", in)
+		out := FromEnv().Logger().Handler().(*handler).out
+		if !out.Enabled(context.Background(), want) || out.Enabled(context.Background(), want-1) {
+			t.Errorf("OBS_LOG_LEVEL=%s does not write from %v up", in, want)
 		}
 	}
-	if _, ok := ParseLevel("loud"); ok {
-		t.Error("ParseLevel should reject unknown names")
+	for _, in := range []string{"", "loud", "warning"} {
+		t.Setenv("OBS_LOG_LEVEL", in)
+		if FromEnv().Logger().Handler().(*handler).out.Enabled(context.Background(), slog.LevelError) {
+			t.Errorf("OBS_LOG_LEVEL=%q writes log output", in)
+		}
 	}
 }

@@ -58,6 +58,11 @@ type Span struct {
 	err   string
 }
 
+type field struct {
+	key string
+	val string
+}
+
 // StartSpan begins a root span with a freshly generated trace id.
 func (t *Tracer) StartSpan(name string) *Span {
 	return t.startSpan(name, 0, newTraceID(), SpanID{})
@@ -255,4 +260,13 @@ func (t *Tracer) TreeString() string {
 	}
 	render(0, 0)
 	return b.String()
+}
+
+// quoteIfNeeded quotes values containing spaces, quotes, or '=' so lines
+// stay machine-splittable on spaces.
+func quoteIfNeeded(s string) string {
+	if strings.ContainsAny(s, " \"=\t\n") || s == "" {
+		return fmt.Sprintf("%q", s)
+	}
+	return s
 }

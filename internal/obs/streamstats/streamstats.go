@@ -32,6 +32,7 @@ package streamstats
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"sort"
@@ -90,20 +91,13 @@ type Options struct {
 	// Obs receives the stall/recovery records and the gridftp.streams.*
 	// gauges.
 	Obs *obs.Obs
-	// Interval is the poll/watchdog cadence. Default 500ms.
+	// Interval is the poll/watchdog cadence, default 500ms; tests poll faster.
 	Interval time.Duration
 	// Stall is the no-progress window after which a stream is flagged
 	// stalled and its transfer aborted, so the attempt fails fast and the
 	// scheduler retries the file from its checkpoint instead of waiting
 	// out the transfer. Zero disables the watchdog (telemetry still flows).
 	Stall time.Duration
-}
-
-func (o Options) interval() time.Duration {
-	if o.Interval <= 0 {
-		return 500 * time.Millisecond
-	}
-	return o.Interval
 }
 
 // retain is how many finished transfers Health keeps for /debug/streams.
@@ -117,7 +111,7 @@ const ewmaAlpha = 0.3
 // transfers; its poller is also the stall watchdog.
 type Registry struct {
 	opts Options
-	log  *obs.Logger
+	log  *slog.Logger
 
 	mu     sync.Mutex
 	seq    int64
@@ -129,6 +123,9 @@ type Registry struct {
 // rates, gauges, records and stall checks need the poller — Start, or poll
 // driven by hand in tests.
 func New(opts Options) *Registry {
+	if opts.Interval <= 0 {
+		opts.Interval = 500 * time.Millisecond
+	}
 	return &Registry{opts: opts, log: opts.Obs.Logger().With("component", "streamstats")}
 }
 
@@ -138,7 +135,7 @@ func (r *Registry) Start() (stop func()) {
 	if r == nil {
 		return func() {}
 	}
-	return obs.Every(r.opts.interval(), r.poll)
+	return obs.Every(r.opts.Interval, r.poll)
 }
 
 // Begin registers a transfer under the given label ("task-7", or a
@@ -494,7 +491,7 @@ func (r *Registry) poll(now time.Time) {
 // a stream.recovered. The stalled *count* clears on its own: Done removes
 // the transfer from the active set and the poller recomputes the gauge
 // from scratch each pass.
-func (t *Transfer) finishStreams(log *obs.Logger) {
+func (t *Transfer) finishStreams(log *slog.Logger) {
 	t.mu.Lock()
 	streams := append([]*Stream(nil), t.streams...)
 	t.mu.Unlock()

@@ -203,7 +203,7 @@ func gauge(reg *Registry, name string) int64 {
 
 func eventsOfType(reg *Registry, typ string) []map[string]string {
 	var out []map[string]string
-	for _, ev := range reg.opts.Obs.Logger().Events() {
+	for _, ev := range reg.opts.Obs.Events() {
 		if ev.Type == typ {
 			out = append(out, ev.Fields)
 		}

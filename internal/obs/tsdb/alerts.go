@@ -1,7 +1,7 @@
 package tsdb
 
 import (
-	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -99,7 +99,7 @@ type alertState struct {
 type Engine struct {
 	rec *Recorder
 	o   *obs.Obs
-	log *obs.Logger
+	log *slog.Logger
 
 	mu     sync.Mutex
 	alerts []*alertState
@@ -262,8 +262,7 @@ func (e *Engine) Eval(now time.Time) {
 	reg := e.o.Registry()
 	reg.Gauge("obs.alerts_active").Set(int64(active))
 	for _, tr := range fired {
-		kv := []any{"alert", tr.rule.Name, "series", tr.rule.Series,
-			"severity", tr.rule.Severity, "value", fmt.Sprintf("%g", tr.value)}
+		kv := []any{"alert", tr.rule.Name, "series", tr.rule.Series, "severity", tr.rule.Severity, "value", tr.value}
 		if !tr.firing {
 			e.log.Info("alert.resolved", kv...)
 			continue

@@ -18,7 +18,7 @@ func stepEval(e *Engine, r *Recorder, series string, at time.Time, v float64) {
 // alert transitions the engine has appended.
 func eventTypes(o *obs.Obs) []string {
 	var types []string
-	for _, ev := range o.Logger().Events() {
+	for _, ev := range o.Events() {
 		types = append(types, ev.Type)
 	}
 	return types
@@ -182,7 +182,7 @@ func TestQueueWaitBurnRateFiresAndResolves(t *testing.T) {
 		t.Fatalf("obs.alerts_active = %d, want 1", v)
 	}
 	foundFiring := false
-	for _, ev := range o.Logger().Events() {
+	for _, ev := range o.Events() {
 		if ev.Type == "alert.firing" && ev.Fields["alert"] == ruleName {
 			foundFiring = true
 			if ev.Fields["series"] != "transfer.queue_wait_seconds.p99" {
@@ -191,7 +191,7 @@ func TestQueueWaitBurnRateFiresAndResolves(t *testing.T) {
 		}
 	}
 	if !foundFiring {
-		t.Fatalf("no alert.firing event in the event log: %v", o.Logger().Events())
+		t.Fatalf("no alert.firing event in the event log: %v", o.Events())
 	}
 
 	// Starvation ends: no new observations, so the windowed p99 drops to
@@ -212,7 +212,7 @@ func TestQueueWaitBurnRateFiresAndResolves(t *testing.T) {
 		t.Fatalf("obs.alerts_active = %d after resolve, want 0", v)
 	}
 	foundResolved := false
-	for _, ev := range o.Logger().Events() {
+	for _, ev := range o.Events() {
 		if ev.Type == "alert.resolved" && ev.Fields["alert"] == ruleName {
 			foundResolved = true
 		}

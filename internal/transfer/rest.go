@@ -1,7 +1,6 @@
 package transfer
 
 import (
-	"crypto/tls"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -53,14 +52,7 @@ func (r *RESTServer) ListenAndServe(host *netsim.Host, port int) (net.Addr, erro
 	mux.HandleFunc("POST /transfer", r.handleSubmit)
 	mux.HandleFunc("GET /task/{id}", r.handleTask)
 	mux.HandleFunc("GET /endpoints", r.handleEndpoints)
-	r.httpSrv = &http.Server{
-		Handler: mux,
-		TLSConfig: &tls.Config{
-			Certificates: []tls.Certificate{cred.TLSCertificate()},
-			MinVersion:   tls.VersionTLS12,
-		},
-	}
-	go r.httpSrv.ServeTLS(l, "", "")
+	r.httpSrv = gsi.ServeHTTPS(l, cred, mux)
 	return l.Addr(), nil
 }
 

@@ -10,6 +10,7 @@ package transfer
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -143,7 +144,7 @@ type Config struct {
 type Service struct {
 	host *netsim.Host
 	cfg  Config
-	log  *obs.Logger
+	log  *slog.Logger
 
 	mu          sync.Mutex
 	endpoints   map[string]*Endpoint
@@ -428,8 +429,7 @@ func (s *Service) run(task *Task) {
 	span.SetAttr("src", task.Src)
 	span.SetAttr("dst", task.Dst)
 	log := s.log.With("task", task.ID, "src", task.Src, "dst", task.Dst)
-	log.Info("task.start", "user", task.User,
-		"trace", span.TraceID.String(), "span", span.SpanID.String())
+	log.Info("task.start", "user", task.User, "trace", span.TraceID, "span", span.SpanID)
 	var plan *transferPlan
 	var lastErr error
 	for attempt := 1; attempt <= s.cfg.RetryLimit; attempt++ {

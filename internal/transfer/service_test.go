@@ -306,6 +306,20 @@ func TestRESTAPI(t *testing.T) {
 		return resp, out
 	}
 
+	// A 1 MiB body is refused before it is decoded, and activates nothing.
+	huge := `{"endpoint":"siteA","user":"alice","password":"` + strings.Repeat("x", 1<<20) + `"}`
+	resp, err := hc.Post(base+"/activate", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a 1 MiB activation: status %d, want 413", resp.StatusCode)
+	}
+	if _, err := w.svc.credentialFor("siteA", "alice"); err == nil {
+		t.Fatal("a refused 1 MiB activation activated siteA")
+	}
+
 	// Activate both endpoints via the API.
 	for _, ep := range []struct{ name, pw string }{{"siteA", "pwA"}, {"siteB", "pwB"}} {
 		resp, out := post("/activate", activateRequest{Endpoint: ep.name, User: "alice", Password: ep.pw})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ import (
 // through the admin plane's /alerts, /debug/timeseries and /debug/streams
 // endpoints.
 func TestStreamStallWatchdogRecovery(t *testing.T) {
-	o := obs.New(io.Discard, obs.LevelInfo)
+	o := obs.New(io.Discard, slog.LevelInfo)
 	// Sample well under the poller interval so the stalled>0 gauge cannot
 	// slip between samples; the short raw retention keeps the rings small.
 	rec := tsdb.New(tsdb.Options{Step: 5 * time.Millisecond, Retention: 5 * time.Second})
@@ -84,7 +85,6 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	// Mid-flight, collapse the path to a few hundred bytes per second:
 	// connections stay up, writes just stop making progress. Only the
 	// watchdog can turn this into a retry.
-	events := o.Logger()
 	go func() {
 		time.Sleep(70 * time.Millisecond)
 		w.nw.SetLink("siteA", "siteB", netsim.LinkParams{
@@ -94,7 +94,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 		// checkpoint retry runs at full speed.
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if countEvents(events, "stream.stalled") > 0 {
+			if countEvents(o, "stream.stalled") > 0 {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -118,13 +118,13 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 
 	// The watchdog's paper trail: a stall, a paired recovery, and the
 	// scheduler's per-attempt wire-evidence record.
-	if n := countEvents(events, "stream.stalled"); n == 0 {
+	if n := countEvents(o, "stream.stalled"); n == 0 {
 		t.Fatal("no stream.stalled event recorded")
 	}
-	if n := countEvents(events, "stream.recovered"); n == 0 {
+	if n := countEvents(o, "stream.recovered"); n == 0 {
 		t.Fatal("no stream.recovered event recorded")
 	}
-	if n := countEvents(events, "transfer.wire"); n == 0 {
+	if n := countEvents(o, "transfer.wire"); n == 0 {
 		t.Fatal("no transfer.wire evidence event recorded")
 	}
 
@@ -134,7 +134,7 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 	// aborted transfers drain, so give the background evaluator a moment.
 	waitFor(t, 5*time.Second, "stream-stall alert fire+resolve", func() bool {
 		var fired, resolved bool
-		for _, ev := range events.Events() {
+		for _, ev := range o.Events() {
 			if ev.Fields["alert"] != "stream-stall" {
 				continue
 			}
@@ -183,12 +183,12 @@ func TestStreamStallWatchdogRecovery(t *testing.T) {
 		t.Fatalf("text health table missing expected columns/state:\n%s", table)
 	}
 	t.Logf("attempts=%d moved=%d stalls=%d", done.Attempts, done.BytesTransferred,
-		countEvents(events, "stream.stalled"))
+		countEvents(o, "stream.stalled"))
 }
 
-func countEvents(l *obs.Logger, typ string) int {
+func countEvents(o *obs.Obs, typ string) int {
 	n := 0
-	for _, e := range l.Events() {
+	for _, e := range o.Events() {
 		if e.Type == typ {
 			n++
 		}

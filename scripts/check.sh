@@ -4,8 +4,10 @@
 # (internal/gridftp/settle.go), the server's one-place-for-reply-writes guard
 # (session.reply/replies), the binaries' no-plane-imports guard
 # (internal/admin/boot.go), the stay-deleted guard for the three deleted
-# planes and the two duplicate writers (the event log, the usage metrics
-# sink) and the observability tree's size ratchet, the recorder's one-input guard (no
+# planes, the two duplicate writers (the event log, the usage metrics sink)
+# and the hand-rolled logger (log/slog is the logger) and the observability
+# tree's size ratchet, the bounded-HTTP-server guard (every http.Server sets
+# ReadHeaderTimeout), the recorder's one-input guard (no
 # series push, no push feed from the admin plane), the one-writer guard for
 # /metrics (no trace exemplars on its text, no in-tree parser of it, no
 # benchreport mode that re-renders it or the stream table), the one-place-per-scenario guard
@@ -76,7 +78,7 @@ if grep -nE '"gridftp.dev/instant/internal/obs/(streamstats|tsdb|collector)"' cm
 	exit 1
 fi
 
-echo "==> the federation head, the continuous profiler, the tenant plane, the event log and the usage metrics sink stay deleted; internal/obs/* stays smaller than the engine"
+echo "==> the federation head, the continuous profiler, the tenant plane, the event log, the usage metrics sink and the hand-rolled logger stay deleted; internal/obs/* stays smaller than the engine"
 # None of the three planes had a reader outside itself (CHANGES.md): profiles
 # are the toolchain's (/debug/pprof/, go tool pprof -diff_base), every
 # measured world is one process, and a task reports its own owner
@@ -84,10 +86,12 @@ echo "==> the federation head, the continuous profiler, the tenant plane, the ev
 # from them, so this also keeps those fields from coming back. An occurrence
 # is recorded once: a lifecycle or audit record is a logger line (the
 # logger's ring is /debug/events), and a completed transfer is counted in the
-# registry by the server, not again as usage.* series.
+# registry by the server, not again as usage.* series. The logger is a
+# *slog.Logger whose handler is the ring: no levels, field boxing or
+# formatter of obs's own.
 if git grep -nE 'internal/obs/(fleet|profile|tenant)' -- '*.go' '*.sh' '*.yml' ||
-	git grep --untracked -nE 'internal/obs/eventlog|EventLog\(\)|MetricsSink|MultiSink|"usage\.' -- '*.go' ':!*_test.go'; then
-	echo "check.sh: the fleet, profile and tenant planes, the event log and the usage metrics sink are gone; nothing names them" >&2
+	git grep --untracked -nE 'internal/obs/eventlog|EventLog\(\)|MetricsSink|MultiSink|"usage\.|obs\.Level|ParseLevel|toFields|\*obs\.Logger' -- '*.go' ':!*_test.go'; then
+	echo "check.sh: the fleet, profile and tenant planes, the event log, the usage metrics sink and obs's own logger are gone; nothing names them" >&2
 	exit 1
 fi
 # ROADMAP item 6's done-condition: the tree that observes the engine is
@@ -102,6 +106,25 @@ fi
 		}
 		printf "internal/obs* %d < internal/gridftp %d\n", obs, engine
 	}'
+
+echo "==> every http.Server bounds the time a client has for its headers"
+# A server without ReadHeaderTimeout holds a goroutine for any peer that
+# opens a connection and trickles (ROADMAP item 14); the HTTPS services get
+# theirs, and their bounded request bodies, from gsi.ServeHTTPS.
+if git grep --untracked -l 'http\.Server{' -- '*.go' ':!*_test.go' | xargs -r awk '
+	/http\.Server\{/ { open = 1; depth = 0; body = ""; at = FILENAME ":" FNR }
+	open {
+		body = body $0
+		depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+		if (depth <= 0) {
+			if (body !~ /ReadHeaderTimeout/) { print at; bad = 1 }
+			open = 0
+		}
+	}
+	END { exit !bad }'; then
+	echo "check.sh: the http.Server literals above set no ReadHeaderTimeout; serve HTTPS through gsi.ServeHTTPS or set one" >&2
+	exit 1
+fi
 
 echo "==> the registry sampler is the recorder's one input; the admin plane pushes nothing"
 # One input to the recorder, and no push feed without a reader (CHANGES.md).
