@@ -31,7 +31,8 @@ type ring struct {
 }
 
 // kept is one record and the handler that took it, for its With attrs and
-// groups.
+// groups. Its values are rendered when Events reads them, so a caller logs
+// values it does not mutate afterwards (strings, numbers, errors).
 type kept struct {
 	seq int64
 	rec slog.Record

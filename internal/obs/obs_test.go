@@ -335,9 +335,6 @@ func TestLoggerLevelsAndFields(t *testing.T) {
 // pairs) under Nop costs at most one allocation, the record's overflow of
 // slog's five inline attrs; the ring copies no field into a string.
 func TestLoggerKeepsALineCheaply(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
 	o := Nop()
 	l := o.Logger().With("component", "gridftp-server", "session", "s1")
 	// The call site builds its pairs first (gridftp's traceFields), so
