@@ -38,6 +38,16 @@ func RunE12ControlSecurity() (*Table, error) {
 		}
 		t.AddRow(name, probe, observed, v)
 	}
+	// login dials and reads the login's verdict, which Dial leaves owed to
+	// the first read once the handshake has verified the server.
+	login := func(cred *gsi.Credential, trust *gsi.TrustStore) error {
+		c, err := gridftp.Dial(laptop, s.Addr, cred, trust)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		return c.Noop()
+	}
 
 	// 1. Commands before AUTH are refused with 530.
 	{
@@ -73,7 +83,7 @@ func RunE12ControlSecurity() (*Table, error) {
 
 	// 3. A client without a certificate cannot complete AUTH TLS.
 	{
-		_, err := gridftp.Dial(laptop, s.Addr, nil, s.Trust)
+		err := login(nil, s.Trust)
 		check("client certificate obligatory", "AUTH TLS with no client cert",
 			errString(err), err != nil)
 	}
@@ -90,7 +100,7 @@ func RunE12ControlSecurity() (*Table, error) {
 		}
 		clientTrust := s.Trust.Clone()
 		clientTrust.AddCA(other.Certificate())
-		_, derr := gridftp.Dial(laptop, s.Addr, mallory, clientTrust)
+		derr := login(mallory, clientTrust)
 		check("untrusted CA rejected", "login with /O=Evil credential", errString(derr), derr != nil)
 	}
 
@@ -100,7 +110,7 @@ func RunE12ControlSecurity() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, derr := gridftp.Dial(laptop, s.Addr, ghost, s.Trust)
+		derr := login(ghost, s.Trust)
 		check("authorization callout enforced", "valid cert, no local mapping", errString(derr), derr != nil)
 	}
 
@@ -111,7 +121,7 @@ func RunE12ControlSecurity() (*Table, error) {
 			return nil, err
 		}
 		time.Sleep(5 * time.Millisecond)
-		_, derr := gridftp.Dial(laptop, s.Addr, shortLived, s.Trust)
+		derr := login(shortLived, s.Trust)
 		check("expired credential rejected", "login with expired cert", errString(derr), derr != nil)
 	}
 

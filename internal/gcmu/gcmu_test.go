@@ -124,7 +124,14 @@ func TestGCMURejectsForeignCA(t *testing.T) {
 	}
 	trust := ep.Trust.Clone()
 	trust.AddCA(foreign.Certificate()) // client may trust it; the server must not
-	if _, err := gridftp.Dial(nw.Host("laptop"), ep.GridFTPAddr, cred, trust); err == nil {
+	// Dial returns once the server is verified; the server's refusal of the
+	// client is the first read's error.
+	c, err := gridftp.Dial(nw.Host("laptop"), ep.GridFTPAddr, cred, trust)
+	if err == nil {
+		defer c.Close()
+		err = c.Noop()
+	}
+	if err == nil {
 		t.Fatal("foreign-CA login accepted")
 	}
 }

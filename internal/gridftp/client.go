@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"crypto/tls"
+	"crypto/x509"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ type Client struct {
 	trust *gsi.TrustStore
 
 	// delegKey is the server session's delegation public key (PKIX DER) as
-	// the login reply carried it; Delegate signs over it.
+	// the 234 carried it; Delegate signs over it.
 	delegKey []byte
 
 	spec    ChannelSpec
@@ -81,7 +82,10 @@ type DialOptions struct {
 
 // Dial connects to a GridFTP server at addr from the given simulated host,
 // performs the AUTH TLS security exchange with cred, and verifies the
-// server against trust.
+// server against trust. It returns once the handshake has verified the
+// server: the login's USER and MODE E are written behind it and their replies
+// are owed (settle.go), so a refused login — an unmapped DN, a certificate
+// the server's TLS side rejects — is the error of the first call that reads.
 func Dial(host *netsim.Host, addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, error) {
 	return DialWithOptions(host, addr, cred, trust, DialOptions{})
 }
@@ -126,32 +130,11 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		return nil, fmt.Errorf("gridftp: server verification: %w", err)
 	}
 	c.ctrl.Upgrade(tc)
-	// The server session starts in RFC 959 stream mode, so the client's
-	// default (MODE E) is negotiated explicitly — written right behind the
-	// handshake instead of after the login reply: the server reads it once
-	// it has authorized the login and the two replies come back in order,
-	// one round trip instead of two. A refused login closes the connection
-	// and may fail this write; the login reply is the error to report.
-	modeErr := c.send("MODE", "E")
-	login230, err := c.expect(ftp.CodeUserLoggedIn)
-	if err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("gridftp: login: %w", err)
-	}
-	for _, line := range login230.Lines {
-		if b64, ok := strings.CutPrefix(line, delegKeyPrefix); ok {
-			// A key that does not decode is no key: Delegate says so.
-			c.delegKey, _ = base64.StdEncoding.DecodeString(b64)
-		}
-	}
-	if modeErr == nil {
-		_, modeErr = c.expect(ftp.CodeOK)
-	}
-	if modeErr != nil {
-		raw.Close()
-		return nil, fmt.Errorf("gridftp: MODE E: %w", modeErr)
-	}
-	return c, nil
+	// The server answers USER with the login's verdict, and its session starts
+	// in RFC 959 stream mode, so the client's default (MODE E) is negotiated
+	// explicitly. Both leave behind the handshake's Finished.
+	return c, c.owe(sessionCmd{name: "USER", params: ":globus-mapping:", code: ftp.CodeUserLoggedIn},
+		sessionCmd{name: "MODE", params: "E"})
 }
 
 // loginConn is the transport under the control channel's TLS client: the
@@ -167,13 +150,23 @@ type loginConn struct {
 	err  error
 }
 
+// replies reads the 220 and the 234, whose DELGKEY line is the session's
+// delegation key. A key that does not parse is no key: Delegate says so.
 func (l *loginConn) replies() error {
 	if !l.read {
 		l.read = true
+		var auth ftp.Reply
 		if _, err := l.c.expect(ftp.CodeReadyForNewUser); err != nil {
 			l.err = err
 		} else if l.err == nil {
-			_, l.err = l.c.expect(ftp.CodeAuthOK)
+			auth, l.err = l.c.expect(ftp.CodeAuthOK)
+		}
+		for _, line := range auth.Lines {
+			b64, ok := strings.CutPrefix(line, delegKeyPrefix)
+			der, err := base64.StdEncoding.DecodeString(b64)
+			if _, perr := x509.ParsePKIXPublicKey(der); ok && l.err == nil && err == nil && perr == nil {
+				l.c.delegKey = der
+			}
 		}
 	}
 	return l.err
@@ -278,16 +271,16 @@ func (c *Client) Setup(s SessionSetup) error {
 // Delegate delegates a proxy of the client credential to the server over
 // the encrypted control channel; the server uses it to authenticate data
 // channels on the user's behalf (required for DCAU unless DCSC is used). The
-// server's key arrived with the login, so the proxy is signed here and sent
-// as one command, and nothing is waited for: DELG's 200 is owed (settle.go),
-// and a server that rejects the proxy says so to the next call that reads the
-// channel.
+// server's key arrived in the 234, ahead of the handshake, so the proxy is
+// signed here and sent as one command, and nothing is waited for: DELG's 200
+// is owed (settle.go) like the login's 230, and a server that refuses either
+// says so to the next call that reads the channel.
 func (c *Client) Delegate(lifetime time.Duration) error {
 	if c.cred == nil {
 		return ErrLiteNoDelegation
 	}
 	if c.delegKey == nil {
-		return errors.New("gridftp: the server's login reply offered no delegation key")
+		return errors.New("gridftp: the server's 234 offered no delegation key")
 	}
 	bundle, err := gsi.SignDelegation(c.cred, c.delegKey, lifetime)
 	if err != nil {

@@ -62,7 +62,7 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 	}
 	switch cmd.Name {
 	case "USER":
-		sess.reply(ftp.CodeUserLoggedIn, "Already authenticated via GSI")
+		sess.reply(ftp.CodeUserLoggedIn, "Logged in as local user "+sess.localUser)
 	case "PASS":
 		sess.reply(ftp.CodeUserLoggedIn, "Already authenticated via GSI")
 	case "DELG":

@@ -77,7 +77,14 @@ func TestLoginRejectsUnknownCA(t *testing.T) {
 	trust := gsi.NewTrustStore()
 	trust.AddCA(s.ca.Certificate())
 	trust.AddCA(other.Certificate()) // client trusts the server; server must still reject the client
-	if _, err := Dial(nw.Host("laptop"), s.addr, mallory, trust); err == nil {
+	// Dial returns once it has verified the server; the server's refusal of
+	// the client comes back to the first call that reads.
+	c, err := Dial(nw.Host("laptop"), s.addr, mallory, trust)
+	if err == nil {
+		defer c.Close()
+		err = c.Noop()
+	}
+	if err == nil {
 		t.Fatal("login with untrusted CA should fail")
 	}
 }
@@ -90,7 +97,11 @@ func TestLoginRejectsUnmappedUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Dial(nw.Host("laptop"), s.addr, bob, s.trust)
+	c, err := Dial(nw.Host("laptop"), s.addr, bob, s.trust)
+	if err == nil {
+		defer c.Close()
+		err = c.Noop() // the login's verdict is the first read's
+	}
 	if err == nil {
 		t.Fatal("unmapped user should be rejected")
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -15,9 +16,11 @@ import (
 )
 
 // TestClassicClientStillLogsIn: an RFC 4217 client reads the greeting, sends
-// AUTH TLS, waits for the 234 and only then starts its handshake. The server
-// reads that handshake through the control channel's line buffer, which is
-// empty by then, and the session goes on as it always did.
+// AUTH TLS, waits for the 234 — multi-line here, its last line the session's
+// delegation key — and only then starts its handshake. The server reads that
+// handshake through the control channel's line buffer, which is empty by then,
+// and answers the RFC 959 login that follows it in step: every reply comes
+// back behind the command it answers and none before.
 func TestClassicClientStillLogsIn(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -27,29 +30,39 @@ func TestClassicClientStillLogsIn(t *testing.T) {
 	}
 	defer raw.Close()
 	ctrl := ftp.NewConn(raw)
+	step := func(name, params string, want int) ftp.Reply {
+		t.Helper()
+		// A reply waiting before its command is sent answers something else.
+		raw.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		if r, err := ctrl.ReadReply(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("before %s the server sent %v (%v), want nothing", name, r, err)
+		}
+		raw.SetReadDeadline(time.Time{})
+		if err := ctrl.Cmd(name, "%s", params); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ctrl.Expect(want)
+		if err != nil {
+			t.Fatalf("%s %s: %v %v", name, params, r, err)
+		}
+		return r
+	}
 	if _, err := ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Cmd("AUTH", "TLS"); err != nil {
-		t.Fatal(err)
+	if r := step("AUTH", "TLS", ftp.CodeAuthOK); len(r.Lines) != 2 || !strings.HasPrefix(r.Lines[1], delegKeyPrefix) {
+		t.Fatalf("the 234 read %q, want its text and a %q line", r.Lines, delegKeyPrefix)
 	}
-	if _, err := ctrl.Expect(ftp.CodeAuthOK); err != nil {
-		t.Fatal(err)
-	}
-	tc := tls.Client(raw, gsi.ClientTLSConfig(s.user, s.trust))
+	tc := tls.Client(ctrl.RW(), gsi.ClientTLSConfig(s.user, s.trust))
 	if err := tc.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	ctrl = ftp.NewConn(tc)
-	if r, err := ctrl.Expect(ftp.CodeUserLoggedIn); err != nil {
-		t.Fatalf("login: %v %v", r, err)
-	}
-	if err := ctrl.Cmd("PWD", ""); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := ctrl.Expect(ftp.CodePathCreated); err != nil {
-		t.Fatalf("PWD on the classic client's session: %v %v", r, err)
-	}
+	ctrl.Upgrade(tc)
+	step("USER", ":globus-mapping:", ftp.CodeUserLoggedIn)
+	step("PASS", "x", ftp.CodeUserLoggedIn)
+	step("PBSZ", "0", ftp.CodeOK)
+	step("PROT", "P", ftp.CodeOK)
+	step("PWD", "", ftp.CodePathCreated)
 }
 
 // TestPlaintextBehindAuthIsNeverACommand is the STARTTLS injection
@@ -73,17 +86,20 @@ func TestPlaintextBehindAuthIsNeverACommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	wire, err := io.ReadAll(raw)
+	ctrl := ftp.NewConn(raw)
+	if _, err := ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := ctrl.Expect(ftp.CodeAuthOK); err != nil {
+		t.Fatalf("the server answered AUTH with %v %v, want a 234", r, err)
+	}
+	rest, err := io.ReadAll(ctrl.RW())
 	if err != nil {
 		t.Fatalf("the server did not hang up: %v", err)
 	}
-	lines := strings.SplitN(string(wire), "\r\n", 3)
-	if len(lines) != 3 || !strings.HasPrefix(lines[0], "220 ") || !strings.HasPrefix(lines[1], "234 ") {
-		t.Fatalf("the server sent %q, want 220, 234 and a failed handshake", wire)
-	}
 	// A reply to the SITE would be a line behind the 234: 214, 200, 530.
-	if strings.Contains(lines[2], "\r\n") {
-		t.Errorf("behind the 234 the server sent %q, want no reply line", lines[2])
+	if strings.Contains(string(rest), "\r\n") {
+		t.Errorf("behind the 234 the server sent %q, want no reply line", rest)
 	}
 	waitFor(t, "the session to end", func() bool { return len(o.Events()) >= 3 })
 	if n := o.Metrics.Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Count(); n != 1 {
@@ -114,7 +130,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // ClientHello before it has read anything, so a server that refuses — at the
 // greeting, at AUTH, or at the login once it knows who is asking — does so to
 // a client already in its handshake. The error Dial returns is still that
-// refusal, not what the handshake made of it.
+// refusal, not what the handshake made of it; the login's, which Dial leaves
+// owed, is the first read's error.
 func TestDialReportsTheRefusalItWasGiven(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -161,8 +178,12 @@ func TestDialReportsTheRefusalItWasGiven(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = Dial(nw.Host("laptop"), s.addr, nobody, s.trust)
-			return err
+			c, err := Dial(nw.Host("laptop"), s.addr, nobody, s.trust)
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			return c.Noop() // the login's verdict is owed to the first read
 		}, ftp.CodeNotLoggedIn, "Authorization failed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,11 +8,15 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 )
 
-// rawSession opens an authenticated control channel and returns the
-// protocol-level connection for hand-driven command tests.
+// rawSession opens an authenticated control channel, reads the login's
+// replies Dial left owed, and returns the protocol-level connection for
+// hand-driven command tests.
 func rawSession(t *testing.T, s *site, nw *netsim.Network) *ftp.Conn {
 	t.Helper()
 	c := s.connect(t, nw.Host("laptop"), false)
+	if err := c.Settle(); err != nil {
+		t.Fatal(err)
+	}
 	return c.ctrl
 }
 

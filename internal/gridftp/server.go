@@ -6,11 +6,13 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"gridftp.dev/instant/internal/authz"
@@ -167,9 +169,9 @@ type session struct {
 	identity      *gsi.VerifiedIdentity
 	localUser     string
 
-	// delegKey is the session's delegation key pair, generated when the
-	// login is authorized; its public half travels in the 230 and every DELG
-	// of the session is a proxy signed over it. Nil on a Lite session.
+	// delegKey is the session's delegation key pair, generated at AUTH; its
+	// public half travels in the 234 and every DELG of the session is a proxy
+	// signed over it. Nil on a Lite session.
 	delegKey *ecdsa.PrivateKey
 	// delegated is the user proxy delegated over the control channel;
 	// it is the default data channel credential.
@@ -275,12 +277,23 @@ func (sess *session) replies(flight ...ftp.Reply) error {
 		}
 	}
 	err := sess.ctrl.WriteReplies(flight...)
-	// QUIT's 221 ends the session, and the client hangs up behind its QUIT
-	// without reading it (Client.Close): that write failing is no news.
-	if err != nil && sess.lastReplyCode != 221 {
+	// A client hangs up without reading what it has no use for — QUIT's 221
+	// (Client.Close), or the login's replies behind a Dial it closed at once:
+	// a write that finds the peer gone is the session's end, not news.
+	switch {
+	case err == nil:
+	case peerGone(err):
+		sess.log.Debug("reply unread: the client hung up", "err", err)
+	default:
 		sess.log.Warn("reply write failed", "err", err)
 	}
 	return err
+}
+
+// peerGone reports whether a write failed because the other end hung up.
+func peerGone(err error) bool {
+	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }
 
 func (sess *session) loop() {
@@ -359,6 +372,16 @@ func (sess *session) endCommandSpan() {
 // for the 234 sends it a round trip later, and either way whatever arrived
 // behind the AUTH line is handshake input — a plaintext command injected
 // there fails the handshake and is never dispatched.
+//
+// The session's delegation key rides the 234, which leaves in the flight of
+// the ServerHello, so the client signs DELG without waiting on the login.
+// Sent before TLS, it can be replaced on the path; but the proxy signed over
+// it travels only inside the channel that has verified this server, and
+// handleDelegation refuses a proxy over any key but this one. The key pair is
+// the session's, not the delegation's: it never leaves this process and dies
+// with the session, so a later DELG renews the certificate over the same key.
+// The login's verdict is the answer to the client's USER; a refused login is
+// a 530 and the end of the session, so nothing pipelined behind it runs.
 func (sess *session) handleAuth(params string) bool {
 	if params != "TLS" && params != "GSSAPI" {
 		sess.reply(ftp.CodeParamNotImpl, "Only AUTH TLS/GSSAPI supported")
@@ -368,7 +391,14 @@ func (sess *session) handleAuth(params string) bool {
 		sess.reply(ftp.CodeBadSequence, "Already authenticated")
 		return false
 	}
-	sess.reply(ftp.CodeAuthOK, "Proceed with security exchange")
+	lines := []string{"Proceed with security exchange"}
+	if key, pubDER, err := gsi.NewDelegationKey(); err != nil {
+		sess.log.Warn("no delegation key", "err", err) // DELG will be refused
+	} else {
+		sess.delegKey = key
+		lines = append(lines, delegKeyPrefix+base64.StdEncoding.EncodeToString(pubDER))
+	}
+	sess.reply(ftp.CodeAuthOK, lines...)
 	raw := sess.ctrl.RW()
 	tc := tls.Server(raw, gsi.ServerTLSConfig(sess.srv.cfg.HostCred, sess.srv.cfg.Trust))
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
@@ -396,28 +426,15 @@ func (sess *session) handleAuth(params string) bool {
 	sess.localUser = user
 	sess.log = sess.log.With("dn", string(id.Identity), "user", user)
 	sess.log.Info("auth.success")
-	// The delegation key rides the login reply: the client signs its proxy
-	// over it without asking for it, so DELG costs no round trip of its own.
-	// The key pair is the session's, not the delegation's — it never leaves
-	// this process and dies with the session, so a later DELG renews the
-	// certificate over the same key and loses nothing a fresh key would keep.
-	lines := []string{fmt.Sprintf("User %s logged in as local user %s", id.Identity, user)}
-	if key, pubDER, err := gsi.NewDelegationKey(); err != nil {
-		sess.log.Warn("no delegation key", "err", err) // DELG will be refused
-	} else {
-		sess.delegKey = key
-		lines = append(lines, delegKeyPrefix+base64.StdEncoding.EncodeToString(pubDER))
-	}
-	sess.reply(ftp.CodeUserLoggedIn, lines...)
 	return false
 }
 
-// delegKeyPrefix starts the line of the 230 that carries the session's
+// delegKeyPrefix starts the line of the 234 that carries the session's
 // delegation public key, base64 of its PKIX DER.
 const delegKeyPrefix = "DELGKEY "
 
 // handleDelegation takes "DELG <base64 PEM bundle>": a proxy of the login's
-// credential signed over the session's delegation key (the one the 230
+// credential signed over the session's delegation key (the one the 234
 // carried), with its chain. Installed, it is the default data channel
 // credential — so nothing is installed that the server has not checked the
 // way it checks a peer: the leaf certifies the session's own key, and the
@@ -425,7 +442,7 @@ const delegKeyPrefix = "DELGKEY "
 // A refusal changes nothing: the credential and the pooled channels stay.
 func (sess *session) handleDelegation(params string) {
 	if params == "" || sess.delegKey == nil {
-		sess.reply(ftp.CodeParamSyntaxError, "DELG takes a proxy signed over the login reply's DELGKEY")
+		sess.reply(ftp.CodeParamSyntaxError, "DELG takes a proxy signed over the 234's DELGKEY")
 		return
 	}
 	bundle, err := base64.StdEncoding.DecodeString(params)

@@ -33,11 +33,19 @@ type sessionCmd struct {
 	refused func(error)
 }
 
-// send counts and writes one command and reads nothing.
+// send counts and writes one command and reads nothing. A server that
+// refuses an owed command may end the session behind it (a refused login
+// does), and a write that fails then reports that refusal.
 func (c *Client) send(name, params string) error {
 	c.countCommand(name)
 	c.written = true
-	return c.ctrl.Cmd(name, "%s", params)
+	err := c.ctrl.Cmd(name, "%s", params)
+	if err != nil {
+		if _, owedErr := c.settle(); owedErr != nil {
+			return owedErr
+		}
+	}
+	return err
 }
 
 // reading precedes every read of the control channel. The first read after a
@@ -64,8 +72,9 @@ func (c *Client) owe(cmds ...sessionCmd) error {
 // settle reads the final reply of every owed command, oldest first. A
 // command's state change is applied only on that command's own success; a
 // refusal does not stop the reading, so the channel stays in step, and the
-// first one that no command's refused takes is returned. inStep is false when
-// the channel itself failed: nothing more can be read from it.
+// first one that no command's refused takes is returned — also when the
+// channel fails behind it, as it does behind a refused login. inStep is false
+// when the channel itself failed: nothing more can be read from it.
 func (c *Client) settle() (inStep bool, err error) {
 	owed := c.owed
 	c.owed = nil
@@ -84,7 +93,10 @@ func (c *Client) settle() (inStep bool, err error) {
 				cmd.apply(rerr == nil)
 			}
 		case r.Code == 0:
-			return false, rerr
+			if err == nil {
+				err = rerr
+			}
+			return false, err
 		case cmd.refused != nil:
 			cmd.refused(rerr)
 		case err == nil:

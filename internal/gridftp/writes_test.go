@@ -470,6 +470,7 @@ func TestPortAndRetrInOneSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl = ftp.NewConn(tc)
+	ctrl.WriteCommand(ftp.Command{Name: "USER", Params: ":globus-mapping:"})
 	expect(ftp.CodeUserLoggedIn)
 	ctrl.WriteCommand(ftp.Command{Name: "DCAU", Params: "N"}) // a cleartext data connection, stream mode
 	expect(ftp.CodeOK)
