@@ -19,6 +19,11 @@
 // it until authentication has succeeded, and answers the last RESPONSE with
 // the certificate or the refusal — a logon costs the TLS handshake, one round
 // trip per prompt, and nothing else. ERR is terminal wherever it appears.
+//
+// Either end reads a line through readLine, which refuses one longer than
+// maxLineBytes before it has buffered more, and waits under a deadline: a
+// handshake, a request and every answer within exchangeTimeout, a prompt's
+// RESPONSE within promptTimeout, the time a person needs to read and type.
 package myproxy
 
 import (
@@ -28,6 +33,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -42,6 +48,17 @@ import (
 
 // DefaultPort is the registered MyProxy port.
 const DefaultPort = 7512
+
+// maxLineBytes caps one protocol line. The longest sent is CERT's, a short
+// chain of certificates in base64.
+const maxLineBytes = 16 << 10
+
+// The deadlines of a logon's phases (package comment); variables so that the
+// tests can shorten them.
+var (
+	exchangeTimeout = 30 * time.Second
+	promptTimeout   = 5 * time.Minute
+)
 
 // Server serves MyProxy logons for one online CA.
 type Server struct {
@@ -91,36 +108,22 @@ func (s *Server) serve(raw net.Conn) {
 	reg := s.Obs.Registry()
 	start := time.Now()
 	tc := tls.Server(raw, gsi.ServerTLSConfigNoClientAuth(s.HostCred))
-	raw.SetDeadline(time.Now().Add(time.Minute))
+	raw.SetDeadline(time.Now().Add(exchangeTimeout))
 	if err := tc.Handshake(); err != nil {
 		reg.Counter("myproxy.handshake_failures").Inc()
 		log.Warn("handshake failed", "err", err)
 		return
 	}
-	raw.SetDeadline(time.Time{})
+	raw.SetDeadline(time.Now().Add(exchangeTimeout)) // the request follows in one flight
 	br := bufio.NewReader(tc)
-
 	line, err := readLine(br)
 	if err != nil {
 		return
 	}
-	fields := strings.Fields(line)
-	if (len(fields) != 3 && len(fields) != 4) || fields[0] != "LOGON" {
-		fmt.Fprintf(tc, "ERR expected LOGON <user> <lifetime>\n")
+	username, lifetime, sc, err := parseLogon(line)
+	if err != nil {
+		fmt.Fprintf(tc, "ERR %s\n", err)
 		return
-	}
-	username := fields[1]
-	seconds, err := strconv.Atoi(fields[2])
-	if err != nil || seconds < 0 {
-		fmt.Fprintf(tc, "ERR bad lifetime\n")
-		return
-	}
-	// The optional fourth field carries the caller's traceparent. It is
-	// best-effort telemetry: a malformed value degrades to a fresh local
-	// trace rather than failing the logon.
-	var sc obs.SpanContext
-	if len(fields) == 4 {
-		sc, _ = obs.Extract(fields[3])
 	}
 	// The key arrived behind LOGON. It is parsed before the conversation, so
 	// a request that could never be served costs the user no prompt, and used
@@ -129,19 +132,9 @@ func (s *Server) serve(raw net.Conn) {
 	if err != nil {
 		return
 	}
-	keyB64, ok := strings.CutPrefix(line, "PUBKEY ")
-	if !ok {
-		fmt.Fprintf(tc, "ERR expected PUBKEY\n")
-		return
-	}
-	keyDER, err := base64.StdEncoding.DecodeString(keyB64)
+	pub, err := parsePubkey(line)
 	if err != nil {
-		fmt.Fprintf(tc, "ERR bad key encoding\n")
-		return
-	}
-	pub, err := x509.ParsePKIXPublicKey(keyDER)
-	if err != nil {
-		fmt.Fprintf(tc, "ERR unparsable public key\n")
+		fmt.Fprintf(tc, "ERR %s\n", err)
 		return
 	}
 
@@ -155,6 +148,7 @@ func (s *Server) serve(raw net.Conn) {
 		if echo {
 			e = "1"
 		}
+		raw.SetDeadline(time.Now().Add(promptTimeout))
 		if _, err := fmt.Fprintf(tc, "PROMPT %s %s\n", e, strings.ReplaceAll(prompt, "\n", " ")); err != nil {
 			return "", err
 		}
@@ -172,6 +166,7 @@ func (s *Server) serve(raw net.Conn) {
 	// Authenticate, then issue: a two-phase logon through the online CA, so
 	// nothing is signed for a user who has not answered every prompt.
 	acct, err := s.OnlineCA.Auth.Authenticate(username, conv)
+	raw.SetDeadline(time.Now().Add(exchangeTimeout)) // for the answer
 	if err != nil {
 		reg.Counter("myproxy.logons_denied").Inc()
 		span.SetError(err)
@@ -179,7 +174,7 @@ func (s *Server) serve(raw net.Conn) {
 		fmt.Fprintf(tc, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
 		return
 	}
-	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, pub, time.Duration(seconds)*time.Second)
+	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, pub, lifetime)
 	if err != nil {
 		reg.Counter("myproxy.issue_failures").Inc()
 		span.SetError(err)
@@ -209,13 +204,65 @@ func traceEventKV(span *obs.Span, kv ...any) []any {
 	return kv
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
+// parseLogon parses "LOGON <user> <lifetime-seconds> [traceparent]"; an
+// error's text is what ERR says.
+func parseLogon(line string) (user string, lifetime time.Duration, sc obs.SpanContext, err error) {
+	fields := strings.Fields(line)
+	if (len(fields) != 3 && len(fields) != 4) || fields[0] != "LOGON" {
+		return "", 0, sc, errors.New("expected LOGON <user> <lifetime>")
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	seconds, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil || seconds < 0 || seconds > int64(math.MaxInt64/time.Second) {
+		return "", 0, sc, errors.New("bad lifetime")
+	}
+	// The optional fourth field carries the caller's traceparent. It is
+	// best-effort telemetry: a malformed value degrades to a fresh local
+	// trace rather than failing the logon.
+	if len(fields) == 4 {
+		sc, _ = obs.Extract(fields[3])
+	}
+	return fields[1], time.Duration(seconds) * time.Second, sc, nil
 }
+
+// parsePubkey parses "PUBKEY <base64 PKIX DER>"; an error's text is what ERR
+// says.
+func parsePubkey(line string) (any, error) {
+	keyB64, ok := strings.CutPrefix(line, "PUBKEY ")
+	if !ok {
+		return nil, errors.New("expected PUBKEY")
+	}
+	keyDER, err := base64.StdEncoding.DecodeString(keyB64)
+	if err != nil {
+		return nil, errors.New("bad key encoding")
+	}
+	pub, err := x509.ParsePKIXPublicKey(keyDER)
+	if err != nil {
+		return nil, errors.New("unparsable public key")
+	}
+	return pub, nil
+}
+
+// readLine reads one line, less its ending. It fails once the line has run
+// past maxLineBytes, checking each buffered fragment before keeping it, so a
+// peer that never sends a newline grows nothing past the cap.
+func readLine(br *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if err != nil && err != bufio.ErrBufferFull {
+			return "", err
+		}
+		if len(line)+len(frag) > maxLineBytes {
+			return "", errLineTooLong
+		}
+		line = append(line, frag...)
+		if err == nil {
+			return strings.TrimRight(string(line), "\r\n"), nil
+		}
+	}
+}
+
+var errLineTooLong = fmt.Errorf("line exceeds %d bytes", maxLineBytes)
 
 // LogonOptions configure a client logon.
 type LogonOptions struct {
@@ -248,11 +295,10 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 		cfg.InsecureSkipVerify = true
 	}
 	tc := tls.Client(raw, cfg)
-	raw.SetDeadline(time.Now().Add(time.Minute))
+	raw.SetDeadline(time.Now().Add(exchangeTimeout))
 	if err := tc.Handshake(); err != nil {
 		return nil, fmt.Errorf("myproxy: handshake: %w", err)
 	}
-	raw.SetDeadline(time.Time{})
 	br := bufio.NewReader(tc)
 
 	key, pubDER, err := gsi.NewDelegationKey()
@@ -268,6 +314,9 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 		return nil, err
 	}
 	for {
+		// Every answer is the server's to send at once: only the prompt
+		// waits on a person, and that is conv's time, not the server's.
+		raw.SetDeadline(time.Now().Add(exchangeTimeout))
 		line, err := readLine(br)
 		if err != nil {
 			return nil, fmt.Errorf("myproxy: %w", err)
@@ -280,6 +329,7 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 			if err != nil {
 				return nil, err
 			}
+			raw.SetDeadline(time.Now().Add(exchangeTimeout))
 			if _, err := fmt.Fprintf(tc, "RESPONSE %s\n", resp); err != nil {
 				return nil, err
 			}
