@@ -82,10 +82,8 @@ type DialOptions struct {
 
 // Dial connects to a GridFTP server at addr from the given simulated host,
 // performs the AUTH TLS security exchange with cred, and verifies the
-// server against trust. It returns once the handshake has verified the
-// server: the login's USER and MODE E are written behind it and their replies
-// are owed (settle.go), so a refused login — an unmapped DN, a certificate
-// the server's TLS side rejects — is the error of the first call that reads.
+// server against trust. It returns with the login's replies owed (settle.go):
+// a refused login is the error of the first call that reads.
 func Dial(host *netsim.Host, addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, error) {
 	return DialWithOptions(host, addr, cred, trust, DialOptions{})
 }
@@ -133,8 +131,12 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	// The server answers USER with the login's verdict, and its session starts
 	// in RFC 959 stream mode, so the client's default (MODE E) is negotiated
 	// explicitly. Both leave behind the handshake's Finished.
-	return c, c.owe(sessionCmd{name: "USER", params: ":globus-mapping:", code: ftp.CodeUserLoggedIn},
-		sessionCmd{name: "MODE", params: "E"})
+	if err := c.owe(sessionCmd{name: "USER", params: ":globus-mapping:", code: ftp.CodeUserLoggedIn},
+		sessionCmd{name: "MODE", params: "E"}); err != nil {
+		raw.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // loginConn is the transport under the control channel's TLS client: the

@@ -61,10 +61,8 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 		return false
 	}
 	switch cmd.Name {
-	case "USER":
+	case "USER", "PASS":
 		sess.reply(ftp.CodeUserLoggedIn, "Logged in as local user "+sess.localUser)
-	case "PASS":
-		sess.reply(ftp.CodeUserLoggedIn, "Already authenticated via GSI")
 	case "DELG":
 		sess.handleDelegation(cmd.Params)
 	case "PWD":

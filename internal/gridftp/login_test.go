@@ -1,7 +1,11 @@
 package gridftp
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/tls"
+	"crypto/x509"
+	"encoding/base64"
 	"errors"
 	"io"
 	"os"
@@ -9,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/ftp"
 	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
@@ -197,5 +202,193 @@ func TestDialReportsTheRefusalItWasGiven(t *testing.T) {
 				t.Errorf("the refusal took %v to come back", took)
 			}
 		})
+	}
+}
+
+// wireConn is a control connection whose peer has sent r: the bytes it hands
+// the reader are counted, and what is written to it goes nowhere.
+type wireConn struct {
+	discardConn
+	r    io.Reader
+	read int
+}
+
+func (w *wireConn) Read(p []byte) (int, error) {
+	n, err := w.r.Read(p)
+	w.read += n
+	return n, err
+}
+
+// endlessLine is a peer that never ends its line.
+type endlessLine struct{}
+
+func (endlessLine) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// FuzzLoginReplies feeds Dial's reader of the 220 and the 234 — replies that
+// precede TLS, so whoever is on the path writes them — arbitrary bytes, and,
+// when endless, a line that never ends behind them. Whatever they hold, the
+// reader does not panic, reads no further into a line than ftp's line cap,
+// and takes a delegation key only from a 234 it accepted and only one that
+// parses as a PKIX public key.
+func FuzzLoginReplies(f *testing.F) {
+	_, der, err := gsi.NewDelegationKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := delegKeyPrefix + base64.StdEncoding.EncodeToString(der)
+	f.Add([]byte("220 Instant GridFTP server ready\r\n234-Proceed with security exchange\r\n234 "+key+"\r\n"), false)
+	f.Add([]byte("421 Too many sessions, try later\r\n"), false)
+	f.Add([]byte("220 ready\r\n504 Only plain FTP here\r\n"), false)
+	f.Add([]byte("220 ready\r\n234-Proceed\r\n234 DELGKEY not*base64\r\n"), false)
+	f.Add([]byte("220 ready\r\n234-Proceed\r\n234 DELGKEY "+base64.StdEncoding.EncodeToString(der[:20])+"\r\n"), false)
+	f.Add([]byte("220 ready\r\n234-Proceed\r\n234 "), true) // a line past the cap
+	f.Fuzz(func(t *testing.T, wire []byte, endless bool) {
+		var r io.Reader = bytes.NewReader(wire)
+		if endless {
+			r = io.MultiReader(r, endlessLine{})
+		}
+		conn := &wireConn{r: r}
+		c := &Client{ctrl: ftp.NewConn(conn)}
+		l := &loginConn{Conn: c.ctrl.RW(), c: c}
+		err := l.replies()
+		// ftp's line cap, and a buffer's worth read ahead of it.
+		if limit := len(wire) + 1<<20 + 4096; conn.read > limit {
+			t.Fatalf("read %d bytes of a %d-byte wire, want at most %d", conn.read, len(wire), limit)
+		}
+		if c.delegKey == nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("the replies failed (%v), yet a key was taken", err)
+		}
+		if _, perr := x509.ParsePKIXPublicKey(c.delegKey); perr != nil {
+			t.Fatalf("took a key that does not parse: %v", perr)
+		}
+	})
+}
+
+// TestRefusedLoginRunsNothingPipelinedBehindIt: Dial returns once it has
+// verified the server, so a client whose DN the server does not map writes
+// DELG, PORT and RETR behind its handshake before the verdict can arrive.
+// The server answers the login 530 and ends the session: the Get's first read
+// returns that 530, no command behind the AUTH is dispatched, and no data
+// connection is opened to the client.
+func TestRefusedLoginRunsNothingPipelinedBehindIt(t *testing.T) {
+	nw := netsim.NewNetwork()
+	o := obs.Nop()
+	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Obs = o })
+	s.putFile(t, "/data.bin", pattern(1<<20))
+	nw.SetLink("laptop", "siteA", refWAN) // every write leaves before the verdict is back
+	nobody, err := s.ca.Issue(gsi.IssueOptions{Subject: "/O=Grid/OU=siteA/CN=nobody", Lifetime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(nw.Host("laptop"), s.addr, nobody, s.trust)
+	if err != nil {
+		t.Fatalf("Dial returned %v, want the login owed", err)
+	}
+	defer c.Close()
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Get("/data.bin", dsi.NewBufferFile(nil))
+	var re *ftp.ReplyError
+	if !errors.As(err, &re) || re.Reply.Code != ftp.CodeNotLoggedIn || !strings.Contains(re.Reply.Text(), "Authorization failed") {
+		t.Fatalf("Get behind a refused login returned %v, want the 530 Authorization failed", err)
+	}
+	active := o.Metrics.Gauge("gridftp.server.sessions_active")
+	waitFor(t, "the session to end", func() bool { return active.Value() == 0 })
+	if n := o.Metrics.Histogram("gridftp.server.command_seconds", obs.DefaultDurationBuckets).Count(); n != 1 {
+		t.Errorf("%d commands dispatched, want 1 (the AUTH)", n)
+	}
+	if n := nw.LinkStats("laptop", "siteA").Conns; n != 1 {
+		t.Errorf("%d connections between client and server, want 1 (the control channel)", n)
+	}
+}
+
+// TestSubstitutedDelegationKeyIsRefused: the 234 travels before TLS, so a
+// relay on the path can swap its DELGKEY for a key of its own while passing
+// the handshake and everything after it through untouched. The proxy the
+// client signs over that key reaches only the server, inside the channel
+// that verified it, and the server refuses a proxy over any key but its own:
+// DELG is answered 501, nothing is installed, and a GET under DCAU is refused
+// for want of a credential.
+func TestSubstitutedDelegationKeyIsRefused(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	s.putFile(t, "/data.bin", pattern(64<<10))
+	_, forged, err := gsi.NewDelegationKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := nw.Host("relay").Listen(DefaultPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	swapped := make(chan bool, 1)
+	go func() {
+		defer close(swapped)
+		client, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer client.Close()
+		server, err := nw.Host("relay").Dial(s.addr)
+		if err != nil {
+			return
+		}
+		defer server.Close()
+		go io.Copy(server, client)
+		// The 220 and the 234, line by line, one line rewritten; then the
+		// server's handshake and the session, byte for byte.
+		br := bufio.NewReader(server)
+		var pre strings.Builder
+		found := false
+		for !strings.HasPrefix(pre.String(), "220 ") || !strings.Contains(pre.String(), "\n234 ") {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			if rest, ok := strings.CutPrefix(line, "234 "+delegKeyPrefix); ok && rest != "" {
+				line = "234 " + delegKeyPrefix + base64.StdEncoding.EncodeToString(forged) + "\r\n"
+				found = true
+			}
+			pre.WriteString(line)
+		}
+		swapped <- found
+		if _, err := io.WriteString(client, pre.String()); err != nil {
+			return
+		}
+		io.Copy(client, br)
+	}()
+	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(nw.Host("laptop"), l.Addr().String(), proxy, s.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !<-swapped {
+		t.Fatal("the relay found no key to swap")
+	}
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Noop()
+	var re *ftp.ReplyError
+	if !errors.As(err, &re) || re.Reply.Code != ftp.CodeParamSyntaxError {
+		t.Fatalf("DELG over the relay's key: %v, want a 501", err)
+	}
+	_, err = c.Get("/data.bin", dsi.NewBufferFile(nil))
+	if !errors.As(err, &re) || re.Reply.Code != ftp.CodeNotLoggedIn || !strings.Contains(re.Reply.Text(), "requires a delegated credential") {
+		t.Fatalf("a DCAU GET behind the refused DELG: %v, want the 530 for a missing credential", err)
 	}
 }

@@ -373,15 +373,10 @@ func (sess *session) endCommandSpan() {
 // behind the AUTH line is handshake input — a plaintext command injected
 // there fails the handshake and is never dispatched.
 //
-// The session's delegation key rides the 234, which leaves in the flight of
-// the ServerHello, so the client signs DELG without waiting on the login.
-// Sent before TLS, it can be replaced on the path; but the proxy signed over
-// it travels only inside the channel that has verified this server, and
-// handleDelegation refuses a proxy over any key but this one. The key pair is
-// the session's, not the delegation's: it never leaves this process and dies
-// with the session, so a later DELG renews the certificate over the same key.
-// The login's verdict is the answer to the client's USER; a refused login is
-// a 530 and the end of the session, so nothing pipelined behind it runs.
+// The session's delegation key rides the 234, in the ServerHello's flight, so
+// the client signs DELG at once; one swapped on the path costs a refused DELG
+// (README.md). USER gets the 230; a refused login's 530 ends the session, so
+// nothing pipelined behind it runs.
 func (sess *session) handleAuth(params string) bool {
 	if params != "TLS" && params != "GSSAPI" {
 		sess.reply(ftp.CodeParamNotImpl, "Only AUTH TLS/GSSAPI supported")
@@ -391,14 +386,9 @@ func (sess *session) handleAuth(params string) bool {
 		sess.reply(ftp.CodeBadSequence, "Already authenticated")
 		return false
 	}
-	lines := []string{"Proceed with security exchange"}
-	if key, pubDER, err := gsi.NewDelegationKey(); err != nil {
-		sess.log.Warn("no delegation key", "err", err) // DELG will be refused
-	} else {
-		sess.delegKey = key
-		lines = append(lines, delegKeyPrefix+base64.StdEncoding.EncodeToString(pubDER))
-	}
-	sess.reply(ftp.CodeAuthOK, lines...)
+	var pubDER []byte
+	sess.delegKey, pubDER, _ = gsi.NewDelegationKey() // if nil, DELG is refused
+	sess.reply(ftp.CodeAuthOK, "Proceed with security exchange", delegKeyPrefix+base64.StdEncoding.EncodeToString(pubDER))
 	raw := sess.ctrl.RW()
 	tc := tls.Server(raw, gsi.ServerTLSConfig(sess.srv.cfg.HostCred, sess.srv.cfg.Trust))
 	raw.SetDeadline(time.Now().Add(30 * time.Second))

@@ -1,6 +1,10 @@
 package gridftp
 
-import "gridftp.dev/instant/internal/ftp"
+import (
+	"cmp"
+
+	"gridftp.dev/instant/internal/ftp"
+)
 
 // The client's reply discipline. A command costs a round trip only where the
 // client waits for its answer, so the client does not wait for answers it
@@ -39,13 +43,11 @@ type sessionCmd struct {
 func (c *Client) send(name, params string) error {
 	c.countCommand(name)
 	c.written = true
-	err := c.ctrl.Cmd(name, "%s", params)
-	if err != nil {
-		if _, owedErr := c.settle(); owedErr != nil {
-			return owedErr
-		}
+	if err := c.ctrl.Cmd(name, "%s", params); err != nil {
+		_, owedErr := c.settle()
+		return cmp.Or(owedErr, err)
 	}
-	return err
+	return nil
 }
 
 // reading precedes every read of the control channel. The first read after a
@@ -93,10 +95,7 @@ func (c *Client) settle() (inStep bool, err error) {
 				cmd.apply(rerr == nil)
 			}
 		case r.Code == 0:
-			if err == nil {
-				err = rerr
-			}
-			return false, err
+			return false, cmp.Or(err, rerr)
 		case cmd.refused != nil:
 			cmd.refused(rerr)
 		case err == nil:

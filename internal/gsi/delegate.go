@@ -22,9 +22,9 @@ import (
 //
 // The exchange is three halves — NewDelegationKey and AcceptBundle on the
 // receiver, SignDelegation on the delegator — and how the public key and the
-// bundle travel is the caller's: GridFTP carries the key in the login reply
-// and the bundle as DELG's parameter, Delegate and AcceptDelegation carry
-// them as two lines over a stream.
+// bundle travel is the caller's: GridFTP carries the key in the 234 that
+// answers AUTH TLS and the bundle as DELG's parameter, Delegate and
+// AcceptDelegation carry them as two lines over a stream.
 
 // NewDelegationKey is the receiver's first half: a fresh key pair, returned
 // with the PKIX DER encoding of its public half, which is what crosses the

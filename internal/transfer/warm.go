@@ -27,8 +27,9 @@ import (
 // MKD of the destination tree, owed, and every STOR behind them; every RETR
 // on the source (schedule, gridftp.Pipeline). Only a tree deeper than one
 // level adds source flights, one per level. A dialled pair sends the same plan
-// flight behind DELG, and between its two flights wires the data path: the
-// MKDs' replies come back with the PASV. Four rules keep adoption safe:
+// flight behind the login's USER and MODE E and behind DELG, so the login's
+// replies come back with it, and between its two flights wires the data path:
+// the MKDs' replies come back with the PASV. Four rules keep adoption safe:
 //
 //	W1  Only a pair whose attempt succeeded is parked, and any error on an
 //	    adopted pair closes it. After a failure nothing is known about what
