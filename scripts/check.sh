@@ -16,10 +16,12 @@
 # unread-exported-names ratchet (every exported name under internal/ has a
 # reader outside the tests, or a reason on its kept list; DEFLATE data
 # channels and ERET stay deleted), build, vet,
+# MyProxy's bounded-line guard (no ReadString('\n') in internal/myproxy),
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
 # included), the full test suite again under the race detector (about two
-# minutes on two cores), and ten seconds each of the record-boundary fuzzer
-# and the delegation-bundle fuzzer. It
+# minutes on two cores), and ten seconds each of the four wire fuzzers: the
+# record boundary, the delegation bundle, the login's pre-TLS replies and
+# MyProxy's request. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
 # the figure CHANGES.md reports, not a gate.
 #
@@ -225,6 +227,14 @@ if git grep -nE 'Deflate=|"ERET"' -- 'internal/gridftp/*.go' ':!*_test.go'; then
 	exit 1
 fi
 
+echo "==> MyProxy reads bounded lines"
+# A peer that never sends a newline grows an uncapped ReadString without
+# limit; myproxy.readLine checks the cap before it keeps a fragment.
+if grep -nF "ReadString('\n')" internal/myproxy/*.go; then
+	echo "check.sh: read MyProxy lines through myproxy.readLine, which caps them" >&2
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -246,6 +256,15 @@ echo "==> go test -fuzz FuzzDelegationBundle -fuzztime 10s ./internal/gridftp"
 # DELG's parameter becomes the credential the server presents on its data
 # channels; whatever it holds, nothing unchecked may be installed.
 go test -run '^$' -fuzz FuzzDelegationBundle -fuzztime 10s ./internal/gridftp
+
+echo "==> go test -fuzz FuzzLoginReplies -fuzztime 10s ./internal/gridftp"
+# The 220 and the 234 precede TLS, so whoever is on the path writes them, and
+# the 234 carries the key Delegate signs over.
+go test -run '^$' -fuzz FuzzLoginReplies -fuzztime 10s ./internal/gridftp
+
+echo "==> go test -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy"
+# LOGON and PUBKEY come from a peer that has authenticated nobody yet.
+go test -run '^$' -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy
 
 echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
 ./scripts/loc.sh
