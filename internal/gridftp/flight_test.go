@@ -724,11 +724,12 @@ var refWAN = netsim.LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, Stre
 
 // TestFreshGetRoundTripBudget is wan_fresh_p16's operation: dial, delegate,
 // sixteen streams, one 1 MiB GET, close. The floors — written out in
-// README.md — add up to about 7 round trips and the measured cost is 8.4, of
-// which Dial is 3.3: connect, AUTH TLS with the handshake behind it, the
-// login, whose reply carries the key Delegate signs over. (9.4 while Close
-// waited for QUIT's 221; 11.0 while DELG
-// fetched that key in an exchange of its own; 13.0 while AUTH TLS waited for
+// README.md — add up to about 6 round trips and the measured cost is 7.3, of
+// which Dial is 2.3: connect, then AUTH TLS with the handshake behind it,
+// whose 234 carries the key Delegate signs over; the login's 230 comes back
+// with the GET's first flight. (8.4 while Dial waited for a 230 that carried
+// the key; 9.4 while Close waited for QUIT's 221; 11.0 while DELG fetched
+// that key in an exchange of its own; 13.0 while AUTH TLS waited for
 // its 234 and every data channel for a key and an ack; 19.4 before short
 // transfers used every stream and before the client stopped waiting for
 // replies it did not need.)

@@ -387,7 +387,7 @@ func (sess *session) handleAuth(params string) bool {
 		return false
 	}
 	var pubDER []byte
-	sess.delegKey, pubDER, _ = gsi.NewDelegationKey() // if nil, DELG is refused
+	sess.delegKey, pubDER, _ = gsi.NewDelegationKey() // a key that failed is none: DELG is refused
 	sess.reply(ftp.CodeAuthOK, "Proceed with security exchange", delegKeyPrefix+base64.StdEncoding.EncodeToString(pubDER))
 	raw := sess.ctrl.RW()
 	tc := tls.Server(raw, gsi.ServerTLSConfig(sess.srv.cfg.HostCred, sess.srv.cfg.Trust))

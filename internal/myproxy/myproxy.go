@@ -50,8 +50,8 @@ import (
 const DefaultPort = 7512
 
 // maxLineBytes caps one protocol line. The longest sent is CERT's, a short
-// chain of certificates in base64.
-const maxLineBytes = 16 << 10
+// chain of certificates in base64: 1.7 KB for a user certificate and its CA.
+const maxLineBytes = 8 << 10
 
 // The deadlines of a logon's phases (package comment); variables so that the
 // tests can shorten them.
@@ -295,7 +295,7 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 		cfg.InsecureSkipVerify = true
 	}
 	tc := tls.Client(raw, cfg)
-	raw.SetDeadline(time.Now().Add(exchangeTimeout))
+	raw.SetDeadline(time.Now().Add(exchangeTimeout)) // and for the request and its first answer
 	if err := tc.Handshake(); err != nil {
 		return nil, fmt.Errorf("myproxy: handshake: %w", err)
 	}
@@ -314,9 +314,6 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 		return nil, err
 	}
 	for {
-		// Every answer is the server's to send at once: only the prompt
-		// waits on a person, and that is conv's time, not the server's.
-		raw.SetDeadline(time.Now().Add(exchangeTimeout))
 		line, err := readLine(br)
 		if err != nil {
 			return nil, fmt.Errorf("myproxy: %w", err)
@@ -329,6 +326,7 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 			if err != nil {
 				return nil, err
 			}
+			// conv took a person's time; the server's next answer does not.
 			raw.SetDeadline(time.Now().Add(exchangeTimeout))
 			if _, err := fmt.Fprintf(tc, "RESPONSE %s\n", resp); err != nil {
 				return nil, err
