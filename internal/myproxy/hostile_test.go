@@ -75,10 +75,8 @@ func TestServerRefusesAnEndlessLine(t *testing.T) {
 	if took := time.Since(start); took >= deadline {
 		t.Errorf("the line took %v to refuse, want it refused at the cap, before the %v deadline", took, deadline)
 	}
-	if err := <-sent; err == nil {
-		t.Error("the server read all of a mebibyte line")
-	}
 	tc.Close()
+	<-sent // the write fits the simulated send buffer, so its outcome says nothing
 	if n := leakcheck.AtMost(before); n > before {
 		t.Errorf("%d goroutines after the refusal, %d before the peer dialled", n, before)
 	}
