@@ -130,9 +130,16 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	c.ctrl.Upgrade(tc)
 	// The server answers USER with the login's verdict, and its session starts
 	// in RFC 959 stream mode, so the client's default (MODE E) is negotiated
-	// explicitly. Both leave behind the handshake's Finished.
-	if err := c.owe(sessionCmd{name: "USER", params: ":globus-mapping:", code: ftp.CodeUserLoggedIn},
-		sessionCmd{name: "MODE", params: "E"}); err != nil {
+	// explicitly. Both leave behind the handshake's Finished. The verdict is
+	// owed before USER is written: a refusal is sent as soon as the handshake
+	// ends, with the session, so USER's write can fail behind a 530 that is
+	// already on its way, and the failed write reports it (send).
+	c.owed = []sessionCmd{{name: "USER", params: ":globus-mapping:", code: ftp.CodeUserLoggedIn}}
+	err = c.send("USER", ":globus-mapping:")
+	if err == nil {
+		err = c.owe(sessionCmd{name: "MODE", params: "E"})
+	}
+	if err != nil {
 		raw.Close()
 		return nil, err
 	}

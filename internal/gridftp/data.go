@@ -293,12 +293,17 @@ func (sess *session) handleStor(params string) {
 	lastRanges := ""
 	finish := sess.startMarkers(func(closing bool) []ftp.Reply {
 		var set []ftp.Reply
-		if m := received.Marker(); m != "" && m != lastRanges {
-			lastRanges = m
+		// The closing set carries the final ranges even when a tick already
+		// sent them, as it carries the end-total 112s; markers are idempotent.
+		if m := received.Marker(); m != "" && (closing || m != lastRanges) {
 			set = append(set, ftp.Reply{Code: ftp.CodeRestartMarker, Lines: []string{"Range Marker " + m}})
-			// Each restart marker is a durable checkpoint: logged, it
-			// shows on /debug/events how far a later resume could pick up.
-			log.Info("transfer.checkpoint", traceFields([]any{"path", p, "ranges", m}, cmdSpan)...)
+			// Each restart marker is a durable checkpoint: logged once per
+			// range set, it shows on /debug/events how far a later resume
+			// could pick up.
+			if m != lastRanges {
+				log.Info("transfer.checkpoint", traceFields([]any{"path", p, "ranges", m}, cmdSpan)...)
+			}
+			lastRanges = m
 		}
 		return append(set, perf.frame(closing)...)
 	})

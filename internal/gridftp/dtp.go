@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"os"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
@@ -91,7 +93,12 @@ func jobSize(total int64, streams, blockSize int) int {
 }
 
 // sendModeE streams the given file ranges over the (already secured)
-// connections as MODE E blocks of jobSize bytes. Connection 0 additionally
+// connections as MODE E blocks of jobSize bytes, numbered through the ranges
+// in order. Stream i sends block i first, so every stream carries data when
+// there are as many blocks as streams; after that each stream takes the next
+// number no stream has taken once it has handed its last block to its
+// connection, so a slow stream costs at most about one block of tail. When a
+// stream fails the others stop at their next block. Connection 0 additionally
 // carries the EOF block announcing how many EODs the receiver should expect.
 // onBytes, if non-nil, is invoked per sent block with the stream index and
 // byte count (the performance-marker emitter samples the resulting counters).
@@ -99,63 +106,58 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 	if len(conns) == 0 {
 		return errors.New("gridftp: no data connections")
 	}
-	size := jobSize(totalLen(ranges), len(conns), blockSize)
-	type job struct {
-		off int64
-		n   int
+	size := int64(jobSize(totalLen(ranges), len(conns), blockSize))
+	starts := make([]int64, len(ranges)+1) // starts[k]: the number of range k's first block
+	for k, r := range ranges {
+		starts[k+1] = starts[k] + (r.Len()+size-1)/size
 	}
-	jobs := make(chan job, len(conns)*2)
-	go func() {
-		defer close(jobs)
-		for _, r := range ranges {
-			for off := r.Start; off < r.End; off += int64(size) {
-				n := int64(size)
-				if off+n > r.End {
-					n = r.End - off
-				}
-				jobs <- job{off, int(n)}
-			}
-		}
-	}()
+	blocks := starts[len(ranges)]
+	var next atomic.Int64 // the next block no stream has taken
+	next.Store(int64(len(conns)))
 
 	pool := poolFor(blockSize)
+	send := func(i int, conn net.Conn) error {
+		buf := pool.Lease()
+		defer pool.Release(buf)
+		bw := newBlockWriter(conn, int(size))
+		if i == 0 {
+			if err := bw.writeBlock(DescEOF, 0, uint64(len(conns)), nil); err != nil {
+				return fmt.Errorf("gridftp: send EOF block: %w", err)
+			}
+		}
+		for g := int64(i); g < blocks; g = next.Add(1) - 1 {
+			k := sort.Search(len(ranges), func(k int) bool { return starts[k+1] > g })
+			off := ranges[k].Start + (g-starts[k])*size
+			data := buf[:min(size, ranges[k].End-off)]
+			if _, err := f.ReadAt(data, off); err != nil && err != io.EOF {
+				return fmt.Errorf("gridftp: read at %d: %w", off, err)
+			}
+			if err := bw.writeBlock(DescRestartable, uint64(len(data)), uint64(off), data); err != nil {
+				return fmt.Errorf("gridftp: send block at %d: %w", off, err)
+			}
+			if onBytes != nil {
+				onBytes(i, int64(len(data)))
+			}
+		}
+		if err := bw.writeBlock(DescEOD, 0, 0, nil); err != nil {
+			return fmt.Errorf("gridftp: send EOD: %w", err)
+		}
+		if err := bw.flush(); err != nil {
+			return fmt.Errorf("gridftp: flush blocks: %w", err)
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(conns))
 	for i, conn := range conns {
 		wg.Add(1)
-		go func(i int, conn net.Conn) {
+		go func() {
 			defer wg.Done()
-			buf := pool.Lease()
-			defer pool.Release(buf)
-			bw := newBlockWriter(conn, size)
-			if i == 0 {
-				if err := bw.writeBlock(DescEOF, 0, uint64(len(conns)), nil); err != nil {
-					errCh <- fmt.Errorf("gridftp: send EOF block: %w", err)
-					return
-				}
+			if err := send(i, conn); err != nil {
+				next.Store(blocks)
+				errCh <- err
 			}
-			for j := range jobs {
-				data := buf[:j.n]
-				if _, err := f.ReadAt(data, j.off); err != nil && err != io.EOF {
-					errCh <- fmt.Errorf("gridftp: read at %d: %w", j.off, err)
-					return
-				}
-				if err := bw.writeBlock(DescRestartable, uint64(j.n), uint64(j.off), data); err != nil {
-					errCh <- fmt.Errorf("gridftp: send block at %d: %w", j.off, err)
-					return
-				}
-				if onBytes != nil {
-					onBytes(i, int64(j.n))
-				}
-			}
-			if err := bw.writeBlock(DescEOD, 0, 0, nil); err != nil {
-				errCh <- fmt.Errorf("gridftp: send EOD: %w", err)
-				return
-			}
-			if err := bw.flush(); err != nil {
-				errCh <- fmt.Errorf("gridftp: flush blocks: %w", err)
-			}
-		}(i, conn)
+		}()
 	}
 	wg.Wait()
 	select {

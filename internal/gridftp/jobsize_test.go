@@ -2,14 +2,19 @@ package gridftp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/leakcheck"
 	"gridftp.dev/instant/internal/netsim"
 )
 
@@ -89,37 +94,102 @@ func secConns(chans []*dataChannel) []net.Conn {
 }
 
 // TestShortTransferUsesEveryStream is the wan_fresh_p16 shape: 1 MiB over 16
-// streams on a 64 KiB-window link. Cut at the negotiated 256 KiB block that
-// is 4 jobs, so 12 of the 16 channels carried an EOD and nothing else and the
-// other 4 pushed four windows each (≈ 90 ms); cut per stream, every channel
-// carries its share (≈ 30 ms: one window, and half a round trip to arrive).
+// streams. Cut at the negotiated 256 KiB block that is 4 blocks, so 12 of the
+// 16 channels carried an EOD and nothing else and the other 4 pushed four
+// windows each (≈ 90 ms on the reference WAN); cut per stream and dealt
+// stream i block i, every channel carries exactly its share (≈ 30 ms: one
+// window, and half a round trip to arrive). The unshaped row is the lan_*
+// link, where nothing paces the writers: the deal, not the link, spreads the
+// blocks.
 func TestShortTransferUsesEveryStream(t *testing.T) {
 	const streams, size, share = 16, 1 << 20, (1 << 20) / 16
-	pp := newPathPair(t)
-	pp.nw.SetLink("lis", "con", refWAN)
-	accepted, dialed := pp.open(streams)
-	defer closeChannels(accepted)
-	defer closeChannels(dialed)
-	payload := pattern(size)
+	for _, tc := range []struct {
+		name   string
+		link   *netsim.LinkParams
+		within time.Duration // zero: no bound on the elapsed time
+	}{
+		{"reference WAN", &refWAN, 60 * time.Millisecond},
+		{"unshaped", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pp := newPathPair(t)
+			if tc.link != nil {
+				pp.nw.SetLink("lis", "con", *tc.link)
+			}
+			accepted, dialed := pp.open(streams)
+			defer closeChannels(accepted)
+			defer closeChannels(dialed)
+			payload := pattern(size)
+			sent := make([]int64, streams)
+			var mu sync.Mutex
+			errCh := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize,
+					func(stream int, n int64) { mu.Lock(); sent[stream] += n; mu.Unlock() })
+			}()
+			dst := dsi.NewBufferFile(nil)
+			var log blockLog
+			log.drain(t, secConns(accepted), dst, DefaultBlockSize)
+			elapsed := time.Since(start)
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst.Bytes(), payload) {
+				t.Fatal("received bytes differ from the source")
+			}
+			if len(log.blocks) != streams {
+				t.Fatalf("%d blocks sent, want one %d-byte share per stream", len(log.blocks), share)
+			}
+			for i, n := range sent {
+				if n != share {
+					t.Fatalf("stream %d carried %d bytes, want one %d-byte share (all: %v)", i, n, share, sent)
+				}
+			}
+			// Under the race detector starting a stream takes ≈ 1.5 ms and
+			// sixteen of them do not fit in a window; the shares are checked
+			// there, the elapsed time is not.
+			if tc.within > 0 && elapsed > tc.within && !raceEnabled {
+				t.Errorf("1 MiB over %d streams took %v; every stream carrying one window is ≈ 30 ms", streams, elapsed)
+			}
+		})
+	}
+}
 
-	// Streams take jobs as they come free, so one whose goroutine starts a
-	// whole window (20 ms) late loses its share to a neighbour: that is the
-	// scheduler, not the cut, and costs this test a second attempt. Under the
-	// race detector starting a stream takes ≈ 1.5 ms and sixteen of them do
-	// not fit in a window; only the bytes are checked there.
-	var problem string
-	for attempt := 0; attempt < 3; attempt++ {
-		sent := make([]int64, streams)
-		var mu sync.Mutex
+// slowConn sends blocks at a quarter of its link's pace: after each vectored
+// write it waits three times as long as the write took.
+type slowConn struct{ net.Conn }
+
+func (c slowConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	start := time.Now()
+	n, err := c.Conn.(buffersWriter).WriteBuffers(bufs)
+	time.Sleep(3 * time.Since(start))
+	return n, err
+}
+
+// TestSlowStreamCostsAtMostOneBlock: a stream holds only the block it is
+// sending, so one stream of 8 slowed 4× adds at most about one of its blocks
+// to the transfer. Dealt a fixed eighth of the blocks instead it would take
+// ≈ 3× as long as the other 7 alone.
+func TestSlowStreamCostsAtMostOneBlock(t *testing.T) {
+	const size, block = 16 << 20, 64 << 10
+	payload := pattern(size)
+	send := func(streams int, slow bool) time.Duration {
+		pp := newPathPair(t)
+		pp.nw.SetLink("lis", "con", refWAN)
+		accepted, dialed := pp.open(streams)
+		defer closeChannels(accepted)
+		defer closeChannels(dialed)
+		conns := secConns(dialed)
+		if slow {
+			conns[streams-1] = slowConn{conns[streams-1]}
+		}
 		errCh := make(chan error, 1)
 		start := time.Now()
-		go func() {
-			errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize,
-				func(stream int, n int64) { mu.Lock(); sent[stream] += n; mu.Unlock() })
-		}()
+		go func() { errCh <- sendModeE(conns, dsi.NewBufferFile(payload), []Range{{0, size}}, block, nil) }()
 		dst := dsi.NewBufferFile(nil)
 		var log blockLog
-		log.drain(t, secConns(accepted), dst, DefaultBlockSize)
+		log.drain(t, secConns(accepted), dst, block)
 		elapsed := time.Since(start)
 		if err := <-errCh; err != nil {
 			t.Fatal(err)
@@ -127,23 +197,96 @@ func TestShortTransferUsesEveryStream(t *testing.T) {
 		if !bytes.Equal(dst.Bytes(), payload) {
 			t.Fatal("received bytes differ from the source")
 		}
-		if len(log.blocks) != streams {
-			t.Fatalf("%d blocks sent, want one %d-byte share per stream", len(log.blocks), share)
-		}
-		problem = ""
-		for i, n := range sent {
-			if n < share/2 || n > 2*share {
-				problem = fmt.Sprintf("stream %d carried %d bytes, want between half and twice a %d-byte share (all: %v)", i, n, share, sent)
-			}
-		}
-		if problem == "" && elapsed > 60*time.Millisecond {
-			problem = fmt.Sprintf("1 MiB over %d streams took %v; every stream carrying one window is ≈ 30 ms", streams, elapsed)
-		}
-		if problem == "" || raceEnabled {
-			return
+		return elapsed
+	}
+	seven := send(7, false)
+	eight := send(8, true)
+	t.Logf("7 streams: %v; 8 streams, one slowed 4×: %v (%.2f×)", seven, eight, float64(eight)/float64(seven))
+	if eight > seven*5/4 {
+		t.Errorf("8 streams with one slowed 4× took %v, more than 1.25× the %v of 7 streams", eight, seven)
+	}
+}
+
+// failingConn refuses every write.
+type failingConn struct{ net.Conn }
+
+func (failingConn) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestFailedSendLeavesNoGoroutine: when every stream fails with most of the
+// blocks unsent, sendModeE returns and nothing it started stays behind
+// holding the file.
+func TestFailedSendLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	conns := []net.Conn{failingConn{}, failingConn{}}
+	if err := sendModeE(conns, dsi.NewBufferFile(make([]byte, 32<<20)), []Range{{0, 32 << 20}}, DefaultBlockSize, nil); err == nil {
+		t.Fatal("a send over conns that refuse every write succeeded")
+	}
+	if after := leakcheck.AtMost(before); after > before {
+		t.Fatalf("%d goroutines before the send, %d after it failed", before, after)
+	}
+}
+
+// deathWatch counts the data blocks each stream of a send begins — its
+// vectored writes — and makes stream dead fail its third and every later one.
+// atDeath is every stream's count at that first failure.
+type deathWatch struct {
+	mu             sync.Mutex
+	dead           int
+	begun, atDeath []int
+}
+
+type watchedConn struct {
+	net.Conn
+	w      *deathWatch
+	stream int
+}
+
+func (c watchedConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	w := c.w
+	w.mu.Lock()
+	w.begun[c.stream]++
+	dies := c.stream == w.dead && w.begun[c.stream] > 2
+	if dies && w.atDeath == nil {
+		w.atDeath = slices.Clone(w.begun)
+	}
+	w.mu.Unlock()
+	if dies {
+		return 0, errors.New("connection died")
+	}
+	return c.Conn.(buffersWriter).WriteBuffers(bufs)
+}
+
+// TestDeadStreamEndsTheSend: one of 16 streams dies after two blocks. The
+// others finish the block each is sending, begin at most one more — one taken
+// before the failed stream's goroutine ends the deal — and stop, instead of
+// sending the rest of the 32 MiB between them.
+func TestDeadStreamEndsTheSend(t *testing.T) {
+	const streams, size = 16, 32 << 20
+	pp := newPathPair(t)
+	pp.nw.SetLink("lis", "con", refWAN)
+	accepted, dialed := pp.open(streams)
+	defer closeChannels(dialed)
+	for _, ch := range accepted {
+		go io.Copy(io.Discard, ch.sec)
+	}
+	defer closeChannels(accepted)
+
+	w := &deathWatch{dead: 5, begun: make([]int, streams)}
+	conns := secConns(dialed)
+	for i := range conns {
+		conns[i] = watchedConn{conns[i], w, i}
+	}
+	if err := sendModeE(conns, dsi.NewBufferFile(pattern(size)), []Range{{0, size}}, DefaultBlockSize, nil); err == nil {
+		t.Fatal("a send with a dead stream succeeded")
+	}
+	if w.atDeath == nil {
+		t.Fatal("the dying stream never failed a write")
+	}
+	for i := range w.begun {
+		if i != w.dead && w.begun[i]-w.atDeath[i] > 1 {
+			t.Errorf("stream %d began %d blocks after stream %d died, want at most 1 (all, then and at the end: %v %v)", i, w.begun[i]-w.atDeath[i], w.dead, w.atDeath, w.begun)
 		}
 	}
-	t.Error(problem)
 }
 
 // TestLongTransferBlocksAreUnchanged: from streams × block bytes up the

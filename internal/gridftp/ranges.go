@@ -1,7 +1,9 @@
 package gridftp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,8 +52,7 @@ func (s *RangeSet) Add(start, end int64) {
 			end = s.ranges[j-1].End
 		}
 	}
-	merged := append(s.ranges[:i:i], Range{start, end})
-	s.ranges = append(merged, s.ranges[j:]...)
+	s.ranges = slices.Replace(s.ranges, i, j, Range{start, end})
 }
 
 // Ranges returns a copy of the current ranges.
@@ -144,9 +145,14 @@ func ParseRanges(s string) ([]Range, error) {
 	return out, nil
 }
 
-// FromRanges builds a set containing the given ranges.
+// FromRanges builds a set containing the given ranges. They are added in
+// order of Start, so each merges into or follows the set's last range and the
+// build is O(n log n) whatever order a REST line or saved markers list them
+// in.
 func FromRanges(rs []Range) *RangeSet {
 	s := NewRangeSet()
+	rs = slices.Clone(rs)
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Start, b.Start) })
 	for _, r := range rs {
 		s.Add(r.Start, r.End)
 	}

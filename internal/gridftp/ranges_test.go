@@ -2,10 +2,15 @@ package gridftp
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRangeSetAddMerge(t *testing.T) {
@@ -163,6 +168,91 @@ func TestRangeSetConcurrentAdds(t *testing.T) {
 	if rs := s.Ranges(); len(rs) != 1 {
 		t.Fatalf("ranges %v", rs)
 	}
+}
+
+// restartLine is one REST line of n one-byte ranges, every other byte of
+// [0, 2n), listed in ascending or descending order: 80,000 of them are just
+// under ftp's 1 MiB line cap.
+func restartLine(n int, descending bool) string {
+	parts := make([]string, n)
+	for k := range parts {
+		i := k
+		if descending {
+			i = n - 1 - k
+		}
+		parts[k] = fmt.Sprintf("%d-%d", 2*i, 2*i+1)
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestLongRestartLineIsCheap: RETR turns a client's REST ranges into the
+// blocks to send (FromRanges(…).Missing(size)). Each Add used to copy the set,
+// so the longest line a client may send took 14 s of CPU in either order.
+func TestLongRestartLineIsCheap(t *testing.T) {
+	const n = 80000
+	for _, descending := range []bool{false, true} {
+		rs, err := ParseRanges(restartLine(n, descending))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		missing := FromRanges(rs).Missing(2 * n)
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("descending %v: %d ranges took %v to build and complement, want under 1 s", descending, n, elapsed)
+		}
+		if len(missing) != n || missing[0] != (Range{1, 2}) || missing[n-1] != (Range{2*n - 1, 2 * n}) {
+			t.Fatalf("descending %v: %d missing ranges, first %v and last %v; want the %d odd bytes", descending, len(missing), missing[0], missing[len(missing)-1], n)
+		}
+	}
+}
+
+// FuzzRestartRanges feeds arbitrary REST text to ParseRanges. Whatever it
+// accepts builds a set that is sorted, disjoint and non-adjacent, whose
+// marker parses back to the same set, and which with Missing(size) tiles
+// [0, size) exactly.
+func FuzzRestartRanges(f *testing.F) {
+	f.Add(restartLine(8, false), uint64(16))
+	f.Add(restartLine(8, true), uint64(16))
+	f.Add("0-10,5-20,20-30,40-40", uint64(35))
+	f.Add(" 100-200 , 0-100", uint64(1000))
+	f.Add("0-9223372036854775807", uint64(1<<63-1))
+	f.Add("", uint64(5))
+	f.Add("1-2,bad", uint64(3))
+	f.Fuzz(func(t *testing.T, text string, size uint64) {
+		rs, err := ParseRanges(text)
+		if err != nil {
+			return
+		}
+		set := FromRanges(rs)
+		got := set.Ranges()
+		for i, r := range got {
+			if r.Start >= r.End || i > 0 && got[i-1].End >= r.Start {
+				t.Fatalf("FromRanges(%v) = %v: not sorted, disjoint, non-empty and non-adjacent", rs, got)
+			}
+		}
+		back, err := ParseRanges(set.Marker())
+		if err != nil || !slices.Equal(FromRanges(back).Ranges(), got) {
+			t.Fatalf("marker %q of %v parses back to %v, %v", set.Marker(), got, back, err)
+		}
+		n := int64(size >> 1)
+		pieces := set.Missing(n)
+		for _, r := range got {
+			if r.Start < n {
+				pieces = append(pieces, Range{r.Start, min(r.End, n)})
+			}
+		}
+		slices.SortFunc(pieces, func(a, b Range) int { return cmp.Compare(a.Start, b.Start) })
+		var pos int64
+		for _, r := range pieces {
+			if r.Start != pos || r.End <= r.Start {
+				t.Fatalf("set %v and Missing(%d) = %v do not tile [0, %d): %v", got, n, set.Missing(n), n, pieces)
+			}
+			pos = r.End
+		}
+		if pos != n {
+			t.Fatalf("set %v and Missing(%d) = %v cover [0, %d), not [0, %d)", got, n, set.Missing(n), pos, n)
+		}
+	})
 }
 
 func TestBlockRoundTrip(t *testing.T) {

@@ -19,9 +19,9 @@
 # MyProxy's bounded-line guard (no ReadString('\n') in internal/myproxy),
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
 # included), the full test suite again under the race detector (about two
-# minutes on two cores), and ten seconds each of the four wire fuzzers: the
-# record boundary, the delegation bundle, the login's pre-TLS replies and
-# MyProxy's request. It
+# minutes on two cores), and ten seconds each of the five wire fuzzers: the
+# record boundary, the delegation bundle, the login's pre-TLS replies, the
+# restart ranges of REST and 111 markers, and MyProxy's request. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
 # the figure CHANGES.md reports, not a gate.
 #
@@ -261,6 +261,11 @@ echo "==> go test -fuzz FuzzLoginReplies -fuzztime 10s ./internal/gridftp"
 # The 220 and the 234 precede TLS, so whoever is on the path writes them, and
 # the 234 carries the key Delegate signs over.
 go test -run '^$' -fuzz FuzzLoginReplies -fuzztime 10s ./internal/gridftp
+
+echo "==> go test -fuzz FuzzRestartRanges -fuzztime 10s ./internal/gridftp"
+# REST's ranges come from any client, and the 111s a Put saves for a resume
+# from the server; each line is parsed and built into a set.
+go test -run '^$' -fuzz FuzzRestartRanges -fuzztime 10s ./internal/gridftp
 
 echo "==> go test -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy"
 # LOGON and PUBKEY come from a peer that has authenticated nobody yet.
