@@ -142,11 +142,9 @@ func TestPerfEmitterDisabled(t *testing.T) {
 // the client parsing in-flight 112 replies; the per-stripe totals must sum
 // to exactly the bytes on disk.
 func TestPerfMarkersDuringTransfer(t *testing.T) {
+	// The link is unshaped: nothing paces the writers, and every stripe
+	// still carries data because the sender deals stream i block i.
 	nw := netsim.NewNetwork()
-	// Shape the link so writers are paced: with an unshaped pipe one fast
-	// stream can drain the whole job queue before the others get
-	// scheduled, collapsing the transfer to a single active stripe.
-	nw.SetLink("laptop", "siteA", netsim.LinkParams{RTT: 2 * time.Millisecond})
 	s := newSite(t, nw, "siteA", func(c *ServerConfig) {
 		c.MarkerInterval = 5 * time.Millisecond
 	})
