@@ -522,15 +522,16 @@ func (c *Client) Passive(striped bool) ([]string, error) {
 	return []string{addr}, nil
 }
 
-// Port sends the peer's data addresses to this (sender) server.
+// Port sends the peer's data addresses to this (sender) server and leaves
+// the 200 owed (settle.go): it comes back ahead of the replies of the transfer
+// written behind it, so a refused PORT is that transfer's error.
 func (c *Client) Port(addrs []string) error {
 	c.flushPools()
-	if len(addrs) == 1 {
-		_, err := c.cmdExpect("PORT", addrs[0], ftp.CodeOK)
-		return err
+	name := "PORT"
+	if len(addrs) > 1 {
+		name = "SPOR"
 	}
-	_, err := c.cmdExpect("SPOR", strings.Join(addrs, " "), ftp.CodeOK)
-	return err
+	return c.owe(sessionCmd{name: name, params: strings.Join(addrs, " ")})
 }
 
 // ensurePassive guarantees the server is listening for data connections.

@@ -72,8 +72,11 @@ func (sess *session) handlePassive(striped bool) {
 	sess.reply(ftp.CodeEnteringPassive, fmt.Sprintf("Entering Passive Mode (%s)", addrs[0]))
 }
 
-// handlePort records the remote data address(es) for active transfers.
+// handlePort records the remote data address(es) for active transfers. It
+// resets the data state first, refused or not: a transfer written behind a
+// refused PORT finds no data path (425), rather than the one before it.
 func (sess *session) handlePort(params string, striped bool) {
+	sess.data.reset()
 	addrs := strings.Fields(params)
 	if len(addrs) == 0 {
 		sess.reply(ftp.CodeParamSyntaxError, "No data address given")

@@ -818,6 +818,39 @@ func TestThirdPartyErrorIsTheCause(t *testing.T) {
 	}
 }
 
+// TestOwedPortRefusalIsTheCause: wire waits for the destination's PASV alone;
+// the source's PORT is owed and leaves with the RETR, in one flight. A source
+// that refuses the PORT answers the RETR 425 behind it — it has no address to
+// connect to — and the transfer reports the PORT's refusal, not that echo.
+// The destination waits out its DataTimeout for a sender that never comes
+// (ROADMAP item 5(a)); then both control channels are in step, and the pair
+// is no longer wired.
+func TestOwedPortRefusalIsTheCause(t *testing.T) {
+	src, srcSrv := newScriptedSessionOver(t, map[string][]byte{"/f.bin": pattern(100)}, 0)
+	srcObs := obs.Nop()
+	src.obs = srcObs
+	srcSrv.refuseNext("PORT", ftp.CodeParamSyntaxError)
+	nw := netsim.NewNetwork()
+	dst := newSite(t, nw, "siteB", func(cfg *ServerConfig) { cfg.DataTimeout = 200 * time.Millisecond }).
+		connect(t, nw.Host("laptop"), true)
+
+	_, err := ThirdParty(src, "/f.bin", dst, "/out.bin", ThirdPartyOptions{})
+	if want := "source: ftp: 501 Bad data address"; err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "425") {
+		t.Fatalf("the transfer's error is %q, want the PORT's refusal (%q) and not the RETR's 425", err, want)
+	}
+	if got := srcSrv.commands(); got != "PORT RETR" || flights(srcObs) != 1 {
+		t.Errorf("the source saw %q in %d flights, want PORT RETR in one", got, flights(srcObs))
+	}
+	if wired(src, dst, false) {
+		t.Error("the pair is still wired after a failed transfer")
+	}
+	for _, c := range []*Client{src, dst} {
+		if err := c.Noop(); err != nil {
+			t.Fatalf("control channel out of step after the refused PORT: %v", err)
+		}
+	}
+}
+
 // fact is one listing line as a server sends it.
 func fact(kind, name string) string { return "Type=" + kind + ";Size=7; " + name }
 

@@ -151,7 +151,7 @@ func (c *Client) finalReply(onPreliminary func(ftp.Reply)) (ftp.Reply, error) {
 }
 
 // cmdExpect sends a command and requires one of the given reply codes. It is
-// for commands whose success changes nothing here (queries, PASV, PORT): one
+// for commands whose success changes nothing here (queries, PASV): one
 // that does is a sessionCmd, so that its state follows its own reply even
 // when an owed refusal is what the caller gets back.
 func (c *Client) cmdExpect(name, params string, want ...int) (ftp.Reply, error) {

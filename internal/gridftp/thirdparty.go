@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -68,7 +69,9 @@ func wired(src, dst *Client, striped bool) bool {
 // wire (re-)establishes the pair's data path unless it is still wired for
 // the requested striping. PASV and PORT make both servers drop every pooled
 // channel, so after a re-wire stale bytes can never be read as the next
-// file. Clients dialled with DisableChannelCache never stay wired.
+// file. Clients dialled with DisableChannelCache never stay wired. Only the
+// PASV is waited for: the PORT is owed (Port), and its reply comes back with
+// the RETR written behind it.
 func wire(src, dst *Client, striped bool) error {
 	if wired(src, dst, striped) {
 		return nil
@@ -125,6 +128,9 @@ type Pipeline struct {
 	// refused holds the reply to every MKD of Mkdirs that the destination
 	// refused, by directory, until a STOR under the directory has judged it.
 	refused map[string]error
+	// parallelism is what SetParallelism last asked both sessions for, its
+	// replies perhaps still owed; 0 before it asks and after a failure.
+	parallelism int
 }
 
 // pipelined is one transfer whose STOR and RETR have been written and
@@ -158,8 +164,7 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 	}
 	defer func() {
 		if err != nil {
-			src.flushPools()
-			dst.flushPools()
+			p.unwire()
 		}
 	}()
 	if opts.DCSC != nil {
@@ -282,11 +287,18 @@ func (p *Pipeline) Next() bool {
 	p.inFlight = p.inFlight[1:]
 	res, err := p.readReplies(t)
 	if err != nil {
-		p.src.flushPools()
-		p.dst.flushPools()
+		p.unwire()
 	}
 	t.done(res, err)
 	return true
+}
+
+// unwire forgets the pair's data path and what it was last asked to
+// negotiate: after a failure neither is known.
+func (p *Pipeline) unwire() {
+	p.src.flushPools()
+	p.dst.flushPools()
+	p.parallelism = 0
 }
 
 // Drain completes every transfer in flight, oldest first.
@@ -321,7 +333,8 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 	dstFinal := <-dstCh
 
 	res := &ThirdPartyResult{Duration: time.Since(t.start), Markers: lastMarkers}
-	if srcErr != nil {
+	// An error beside the RETR's reply is the owed PORT's refusal: the cause.
+	if srcErr != nil && srcReply.Code == 0 {
 		return res, fmt.Errorf("gridftp: source control channel: %w", srcErr)
 	}
 	if dstFinal.err != nil {
@@ -337,7 +350,7 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 		}
 		return res, fmt.Errorf("gridftp: destination: %w", err)
 	}
-	if err := srcReply.Err(); err != nil {
+	if err := cmp.Or(srcErr, srcReply.Err()); err != nil {
 		return res, fmt.Errorf("gridftp: source: %w", err)
 	}
 	if err := dstFinal.reply.Err(); err != nil {
@@ -349,17 +362,26 @@ func (p *Pipeline) readReplies(t pipelined) (*ThirdPartyResult, error) {
 // SetParallelism negotiates n parallel streams on both sessions. A change
 // is a command with a reply of its own (and re-wires the pair), so the
 // transfers in flight complete first; the reply itself is left owed and comes
-// back with the PASV/PORT of the next Begin. Asking for the value in effect
-// is free.
+// back with the PASV, or the first RETR, of the next Begin. Asking for the
+// value in effect is free, and the value in effect is the one last asked for:
+// its replies need not have been read.
 func (p *Pipeline) SetParallelism(n int) error {
-	if p.src.spec.Parallelism == n && p.dst.spec.Parallelism == n {
+	inEffect := p.parallelism
+	if inEffect == 0 && p.src.spec.Parallelism == p.dst.spec.Parallelism {
+		inEffect = p.src.spec.Parallelism
+	}
+	if n == inEffect {
 		return nil
 	}
 	p.Drain()
 	if err := p.src.SetParallelism(n); err != nil {
 		return err
 	}
-	return p.dst.SetParallelism(n)
+	if err := p.dst.SetParallelism(n); err != nil {
+		return err
+	}
+	p.parallelism = n
+	return nil
 }
 
 // ThirdParty performs a third-party transfer: the client directs src to
