@@ -53,6 +53,10 @@ type Client struct {
 	// wiring is non-nil while this session is one end of an established
 	// third-party data path (see ThirdParty); flushPools drops it.
 	wiring *thirdPartyWiring
+	// passiveAddrs are what the server's last PASV (SPAS if passiveStriped)
+	// answered, until a flush or a wiring takes them (Passive).
+	passiveAddrs   []string
+	passiveStriped bool
 
 	// owed are the session commands written whose replies have not been
 	// read, oldest first, and written is set from a write to the next read
@@ -219,6 +223,7 @@ func (c *Client) flushPools() {
 	c.data.flush()
 	c.data.targets = nil
 	c.wiring = nil
+	c.passiveAddrs = nil
 }
 
 // countCommand records one control-channel command on the per-verb
@@ -481,18 +486,18 @@ func (c *Client) rest(ranges []Range) error {
 // closes listeners and flushes both its channel pools), so any channels we
 // still hold are now stale on the far end: flushing here keeps the pools
 // in lockstep, which is what makes channel caching safe.
-func (c *Client) passive() (string, error) {
+func (c *Client) passive() ([]string, error) {
 	c.flushPools()
 	r, err := c.cmdExpect("PASV", "", ftp.CodeEnteringPassive)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	open := strings.Index(r.Lines[0], "(")
 	closeIdx := strings.LastIndex(r.Lines[0], ")")
 	if open < 0 || closeIdx <= open {
-		return "", fmt.Errorf("gridftp: unparsable PASV reply %q", r.Lines[0])
+		return nil, fmt.Errorf("gridftp: unparsable PASV reply %q", r.Lines[0])
 	}
-	return r.Lines[0][open+1 : closeIdx], nil
+	return []string{r.Lines[0][open+1 : closeIdx]}, nil
 }
 
 // spas puts the (striped) server in striped passive mode and returns all
@@ -510,16 +515,23 @@ func (c *Client) spas() ([]string, error) {
 }
 
 // Passive exposes PASV/SPAS for third-party orchestration: it returns the
-// receiver's listening addresses (one per stripe).
-func (c *Client) Passive(striped bool) ([]string, error) {
-	if striped {
-		return c.spas()
+// receiver's listening addresses (one per stripe). They are remembered, and
+// answered again without asking, until anything flushes the pools or a
+// wiring takes them (wire): so a PASV written in a flight the session pays
+// for anyway — a fresh hosted pair's first — costs the wiring no round trip.
+func (c *Client) Passive(striped bool) (addrs []string, err error) {
+	if c.passiveAddrs == nil || c.passiveStriped != striped {
+		if striped {
+			addrs, err = c.spas()
+		} else {
+			addrs, err = c.passive()
+		}
+		if err != nil {
+			return nil, err
+		}
+		c.passiveAddrs, c.passiveStriped = addrs, striped
 	}
-	addr, err := c.passive()
-	if err != nil {
-		return nil, err
-	}
-	return []string{addr}, nil
+	return c.passiveAddrs, nil
 }
 
 // Port sends the peer's data addresses to this (sender) server and leaves
@@ -541,11 +553,11 @@ func (c *Client) ensurePassive() error {
 	if len(c.data.targets) > 0 {
 		return nil
 	}
-	addr, err := c.passive()
+	addrs, err := c.passive()
 	if err != nil {
 		return err
 	}
-	c.data.targets = []string{addr}
+	c.data.targets = addrs
 	return nil
 }
 

@@ -69,18 +69,22 @@ func wired(src, dst *Client, striped bool) bool {
 // wire (re-)establishes the pair's data path unless it is still wired for
 // the requested striping. PASV and PORT make both servers drop every pooled
 // channel, so after a re-wire stale bytes can never be read as the next
-// file. Clients dialled with DisableChannelCache never stay wired. Only the
-// PASV is waited for: the PORT is owed (Port), and its reply comes back with
-// the RETR written behind it.
+// file. Clients dialled with DisableChannelCache never stay wired. At most
+// the PASV is waited for — not at all when Passive already asked, in a flight
+// of its own — and the PORT is owed (Port): its reply comes back with the RETR
+// written behind it, so the first STOR and RETR leave as soon as the
+// destination's address is known.
 func wire(src, dst *Client, striped bool) error {
 	if wired(src, dst, striped) {
 		return nil
 	}
-	// Passive first: the destination (receiver) listens.
+	// Passive first: the destination (receiver) listens. Its address serves
+	// this wiring only: the channels of the transfers to come pool behind it.
 	addrs, err := dst.Passive(striped)
 	if err != nil {
 		return fmt.Errorf("gridftp: destination passive: %w", err)
 	}
+	dst.passiveAddrs = nil
 	if err := src.Port(addrs); err != nil {
 		return fmt.Errorf("gridftp: source port: %w", err)
 	}

@@ -219,23 +219,24 @@ type Host struct {
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
 
-// Listen opens a listening socket on the given port (0 = auto-assign).
+// The ports Listen(0) assigns: IANA's dynamic range, as a kernel's.
+const firstEphemeral, lastEphemeral = 49152, 65535
+
+// Listen opens a listening socket on the given port. Port 0 takes the next
+// free one of the ephemeral range, and fails, as a kernel's bind does, when
+// every one is taken.
 func (h *Host) Listen(port int) (net.Listener, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if port == 0 {
-		if h.nextPort == 0 {
-			h.nextPort = 40000
+	for i := firstEphemeral; port == 0 && i <= lastEphemeral; i++ {
+		if h.nextPort++; h.nextPort < firstEphemeral || h.nextPort > lastEphemeral {
+			h.nextPort = firstEphemeral
 		}
-		for {
-			h.nextPort++
-			if _, busy := h.listeners[h.nextPort]; !busy {
-				port = h.nextPort
-				break
-			}
+		if _, busy := h.listeners[h.nextPort]; !busy {
+			port = h.nextPort
 		}
 	}
-	if _, busy := h.listeners[port]; busy {
+	if _, busy := h.listeners[port]; busy || port == 0 {
 		return nil, &net.OpError{Op: "listen", Net: "sim", Addr: addr{h.name, port}, Err: errAddrInUse}
 	}
 	l := &listener{

@@ -106,6 +106,39 @@ func TestAutoAssignedPortsDistinct(t *testing.T) {
 	}
 }
 
+// TestEphemeralPortsRunOut: port 0 takes the ephemeral range's ports, each
+// once while it is held, and fails when none is left; a port given back is
+// the next one taken.
+func TestEphemeralPortsRunOut(t *testing.T) {
+	nw := NewNetwork()
+	var held []net.Listener
+	defer func() {
+		for _, l := range held {
+			l.Close()
+		}
+	}()
+	for {
+		l, err := nw.Listen("h", 0)
+		if err != nil {
+			if !errors.Is(err, errAddrInUse) {
+				t.Fatalf("listen with the range taken: %v, want address in use", err)
+			}
+			break
+		}
+		held = append(held, l)
+	}
+	if n := len(held); n != lastEphemeral-firstEphemeral+1 {
+		t.Fatalf("%d ephemeral ports, want %d", n, lastEphemeral-firstEphemeral+1)
+	}
+	given := held[100].Addr().String()
+	held[100].Close()
+	l, err := nw.Listen("h", 0)
+	if err != nil || l.Addr().String() != given {
+		t.Fatalf("listen after %s was given back: %v, %v", given, l, err)
+	}
+	held[100] = l
+}
+
 func TestHalfClose(t *testing.T) {
 	nw := NewNetwork()
 	l, _ := nw.Listen("s", 1)

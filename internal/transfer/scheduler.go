@@ -172,16 +172,24 @@ func (p *sessionPair) Close() {
 // (warm.go): the set-up commands, written and left owed, and — on the source
 // session of an attempt that has yet to plan — the start of the walk right
 // behind them, so one read brings back the set-up replies, what the source
-// path is and what its top level holds. A session with nothing to plan reads
-// its set-up replies alone. A refused set-up command fails the flight.
-func firstFlight(c *gridftp.Client, setup gridftp.SessionSetup, planPath string) (*gridftp.Walk, error) {
+// path is and what its top level holds. On the destination session of a pair
+// dialled to plan, listen puts a PASV there instead: the pair's wiring then
+// has the address without asking (gridftp.Client.Passive), and the first
+// STOR and RETR leave with the walk's answer. An empty tree leaves it unused.
+// A session with neither reads its set-up replies alone. A refused command
+// fails the flight.
+func firstFlight(c *gridftp.Client, setup gridftp.SessionSetup, planPath string, listen bool) (*gridftp.Walk, error) {
 	if err := c.Setup(setup); err != nil {
 		return nil, err
 	}
-	if planPath == "" {
-		return nil, c.Settle()
+	switch {
+	case planPath != "":
+		return c.StartWalk(planPath)
+	case listen:
+		_, err := c.Passive(false) // the hosted service never stripes
+		return nil, err
 	}
-	return c.StartWalk(planPath)
+	return nil, c.Settle()
 }
 
 // dialPair opens one worker's session pair, source and destination at the
@@ -192,12 +200,14 @@ func firstFlight(c *gridftp.Client, setup gridftp.SessionSetup, planPath string)
 // "<task>-src"), on the destination set the marker cadence and — for
 // cross-CA endpoint pairs — install the source credential via DCSC once
 // per session instead of once per file, and on the source start the walk of
-// planPath, when there is one. The source's flight is timed: it is the task's
+// planPath, when there is one — and then, on the destination, ask where it
+// will listen (PASV). Extra workers are dialled with no plan and no PASV: they
+// may find no file to wire for. The source's flight is timed: it is the task's
 // estimate of a control round trip, taken from a flight the pair pays for
 // anyway. Both flights have been read when dialPair returns; if either side
 // fails, the side that succeeded is closed.
 func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel, planPath string) (*sessionPair, error) {
-	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup, planPath string) (*gridftp.Client, *gridftp.Walk, time.Duration, error) {
+	open := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup, planPath string, listen bool) (*gridftp.Client, *gridftp.Walk, time.Duration, error) {
 		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust,
 			gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams})
 		if err != nil {
@@ -207,7 +217,7 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 		var flight time.Duration
 		if err = c.Delegate(delegatedLifetime); err == nil {
 			start := time.Now()
-			walk, err = firstFlight(c, setup, planPath)
+			walk, err = firstFlight(c, setup, planPath, listen)
 			flight = time.Since(start)
 		}
 		if err != nil {
@@ -232,9 +242,9 @@ func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Crede
 	srcDone := make(chan struct{})
 	go func() {
 		defer close(srcDone)
-		pair.src, pair.walk, pair.rtt, srcErr = open(srcEP, srcProxy, srcSetup, planPath)
+		pair.src, pair.walk, pair.rtt, srcErr = open(srcEP, srcProxy, srcSetup, planPath, false)
 	}()
-	pair.dst, _, _, dstErr = open(dstEP, dstProxy, dstSetup, "")
+	pair.dst, _, _, dstErr = open(dstEP, dstProxy, dstSetup, "", planPath != "")
 	<-srcDone
 	if err := errors.Join(srcErr, dstErr); err != nil {
 		pair.Close()

@@ -104,10 +104,10 @@ func (p *sessionPair) relabel(sc obs.SpanContext, taskLabel, planPath string) er
 	dstDone := make(chan struct{})
 	go func() {
 		defer close(dstDone)
-		_, dstErr = firstFlight(p.dst, setup, "")
+		_, dstErr = firstFlight(p.dst, setup, "", false)
 	}()
 	start := time.Now()
-	walk, srcErr := firstFlight(p.src, setup, planPath)
+	walk, srcErr := firstFlight(p.src, setup, planPath, false)
 	p.rtt = time.Since(start)
 	p.walk = walk
 	<-dstDone

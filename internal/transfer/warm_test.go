@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -575,6 +576,88 @@ func TestWarmTaskIsTwoFlightsPerSession(t *testing.T) {
 	}
 	if got := flights - flightsBefore; got != 4 {
 		t.Errorf("the two sessions were waited for %d times, want 4: two flights each", got)
+	}
+}
+
+// TestColdTaskIsTwoFlightsPerSession: a 24-file directory on a freshly
+// dialled pair is waited for as often as on a warm one, twice a session. The
+// login's replies come back with the plan flight, and the destination's half
+// of that flight ends with its PASV; the source's PORT is owed and leaves
+// with the RETRs. So the first STOR and RETR are written as soon as the walk
+// and the PASV have answered, with no wiring flight between.
+func TestColdTaskIsTwoFlightsPerSession(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o}, false)
+	slowLinks(w, 10*time.Millisecond)
+	activateBoth(t, w)
+	files := distinctTree(t, w, "/cold", 24, 16<<10)
+	done, _ := runDirTask(t, w, "/cold")
+	if done.Attempts != 1 || done.CompletedFiles != 24 || done.Workers != 1 {
+		t.Fatalf("%d files in %d attempts on %d workers", done.CompletedFiles, done.Attempts, done.Workers)
+	}
+	verifyTree(t, w, files)
+	cmds, flights := clientTraffic(o)
+	want := map[string]int64{"USER": 2, "MODE": 2, "DELG": 2, "SITE": 4, "OPTS": 1, "DCSC": 1,
+		"MLST": 1, "MLSC": 1, "PASV": 1, "MKD": 1, "PORT": 1, "RETR": 24, "STOR": 24}
+	if !reflect.DeepEqual(cmds, want) {
+		t.Errorf("the cold task sent %v, want %v", cmds, want)
+	}
+	if flights != 4 {
+		t.Errorf("the two sessions were waited for %d times, want 4: two flights each", flights)
+	}
+}
+
+// TestRefusedFirstFlightPASVFailsTheDial: a destination that cannot listen —
+// every ephemeral port of its host is taken — refuses the PASV that ends its
+// half of a fresh pair's plan flight, and the dial fails with that refusal.
+// The retry dials again (W2), and the plan the first attempt learned lets it
+// wire with a PASV of its own once the ports are free.
+func TestRefusedFirstFlightPASVFailsTheDial(t *testing.T) {
+	o := obs.Nop()
+	w := buildWorld(t, Config{Obs: o, RetryDelay: time.Second}, false)
+	activateBoth(t, w)
+	files := distinctTree(t, w, "/refused", 3, 16<<10)
+	var taken []net.Listener
+	release := func() {
+		for _, l := range taken {
+			l.Close()
+		}
+		taken = nil
+	}
+	defer release()
+	for {
+		l, err := w.nw.Host("siteB").Listen(0)
+		if err != nil {
+			break
+		}
+		taken = append(taken, l)
+	}
+
+	task, err := w.svc.Submit("alice", "siteA", "/refused", "siteB", "/refused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the first attempt to fail", func() bool {
+		return o.Metrics.Counter("transfer.attempt_failures").Value() == 1
+	})
+	release()
+	done, err := w.svc.Wait(task.ID, time.Minute)
+	if err != nil || done.Status != TaskSucceeded || done.Attempts != 2 {
+		t.Fatalf("task: %+v, %v; want success on the second attempt", done, err)
+	}
+	verifyTree(t, w, files)
+	var retried []string
+	for _, e := range o.Events() {
+		if e.Type == "transfer.retry" {
+			retried = append(retried, e.Fields["err"])
+		}
+	}
+	if len(retried) != 1 || !strings.Contains(retried[0], "425") {
+		t.Errorf("the attempts failed with %q, want one: the PASV's 425", retried)
+	}
+	got := w.wire(o)
+	if want := (wire{sessions: 4, conns: 1, pasv: 2, port: 1, delg: 4, dcsc: 2}); got != want {
+		t.Errorf("the two attempts cost %+v on the wire, want %+v: two dialled pairs, one wiring", got, want)
 	}
 }
 
