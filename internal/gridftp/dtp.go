@@ -100,6 +100,9 @@ func jobSize(total int64, streams, blockSize int) int {
 // connection, so a slow stream costs at most about one block of tail. When a
 // stream fails the others stop at their next block. Connection 0 additionally
 // carries the EOF block announcing how many EODs the receiver should expect.
+// Neither costs a write of its own: the EOF leaves with the first block, and
+// a stream's EOD is set on its last block when the stream can tell, before
+// writing it, that no block is left — else it follows alone.
 // onBytes, if non-nil, is invoked per sent block with the stream index and
 // byte count (the performance-marker emitter samples the resulting counters).
 func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBytes func(stream int, n int64)) error {
@@ -125,6 +128,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 				return fmt.Errorf("gridftp: send EOF block: %w", err)
 			}
 		}
+		eod := false // the stream's EOD has been sent
 		for g := int64(i); g < blocks; g = next.Add(1) - 1 {
 			k := sort.Search(len(ranges), func(k int) bool { return starts[k+1] > g })
 			off := ranges[k].Start + (g-starts[k])*size
@@ -132,15 +136,23 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 			if _, err := f.ReadAt(data, off); err != nil && err != io.EOF {
 				return fmt.Errorf("gridftp: read at %d: %w", off, err)
 			}
-			if err := bw.writeBlock(DescRestartable, uint64(len(data)), uint64(off), data); err != nil {
+			// next only grows: once every number is taken, this block is the
+			// stream's last, and it carries the EOD.
+			desc := byte(DescRestartable)
+			if eod = next.Load() >= blocks; eod {
+				desc |= DescEOD
+			}
+			if err := bw.writeBlock(desc, uint64(len(data)), uint64(off), data); err != nil {
 				return fmt.Errorf("gridftp: send block at %d: %w", off, err)
 			}
 			if onBytes != nil {
 				onBytes(i, int64(len(data)))
 			}
 		}
-		if err := bw.writeBlock(DescEOD, 0, 0, nil); err != nil {
-			return fmt.Errorf("gridftp: send EOD: %w", err)
+		if !eod {
+			if err := bw.writeBlock(DescEOD, 0, 0, nil); err != nil {
+				return fmt.Errorf("gridftp: send EOD: %w", err)
+			}
 		}
 		if err := bw.flush(); err != nil {
 			return fmt.Errorf("gridftp: flush blocks: %w", err)

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,56 @@ func TestShortTransferUsesEveryStream(t *testing.T) {
 				t.Errorf("1 MiB over %d streams took %v; every stream carrying one window is ≈ 30 ms", streams, elapsed)
 			}
 		})
+	}
+}
+
+// countedConn counts the writes a send hands its connection, vectored or not.
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c countedConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	c.writes.Add(1)
+	return c.Conn.(buffersWriter).WriteBuffers(bufs)
+}
+
+// TestShortTransferIsOneWritePerStream: 1 MiB over 16 streams is one 64 KiB
+// block a stream, and one write a stream. Connection 0's EOF block leaves
+// with its data block, and every stream's EOD rides its last block: when a
+// stream is about to write it, every block number has been taken.
+func TestShortTransferIsOneWritePerStream(t *testing.T) {
+	const streams, size = 16, 1 << 20
+	payload := pattern(size)
+	pp := newPathPair(t)
+	accepted, dialed := pp.open(streams)
+	defer closeChannels(accepted)
+	defer closeChannels(dialed)
+	var writes atomic.Int64
+	conns := secConns(dialed)
+	for i, c := range conns {
+		conns[i] = countedConn{c, &writes}
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- sendModeE(conns, dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize, nil)
+	}()
+	dst := dsi.NewBufferFile(nil)
+	var log blockLog
+	log.drain(t, secConns(accepted), dst, DefaultBlockSize)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst.Bytes(), payload) {
+		t.Fatal("received bytes differ from the source")
+	}
+	if got := writes.Load(); got != streams {
+		t.Errorf("%d writes for 1 MiB over %d streams, want %d: one a stream, its EOF and EOD riding its block", got, streams, streams)
 	}
 }
 

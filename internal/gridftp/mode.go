@@ -153,7 +153,7 @@ type blockWriter struct {
 	vw   buffersWriter // non-nil: conn takes vectored writes natively
 	tcp  *net.TCPConn  // non-nil: net.Buffers reaches writev
 	buf  []byte        // coalescing buffer; len is the pending byte count
-	vecs [2][]byte     // backing array for vectored [hdr, payload] calls
+	vecs [3][]byte     // backing array for vectored [pending, hdr, payload] calls
 	hdr  [blockHeaderLen]byte
 }
 
@@ -182,15 +182,20 @@ func (bw *blockWriter) flush() error {
 	return err
 }
 
-// writeVectored sends [hdr, payload] without copying the payload.
+// writeVectored sends [hdr, payload] without copying the payload, behind
+// whatever is pending in the coalescing buffer, in one write.
 func (bw *blockWriter) writeVectored(payload []byte) error {
+	bw.vecs = [3][]byte{bw.buf, bw.hdr[:], payload}
+	vecs := bw.vecs[:]
+	if len(bw.buf) == 0 {
+		vecs = vecs[1:]
+	}
+	bw.buf = bw.buf[:0]
 	if bw.vw != nil {
-		bw.vecs[0], bw.vecs[1] = bw.hdr[:], payload
-		_, err := bw.vw.WriteBuffers(bw.vecs[:])
+		_, err := bw.vw.WriteBuffers(vecs)
 		return err
 	}
-	nb := net.Buffers(bw.vecs[:])
-	nb[0], nb[1] = bw.hdr[:], payload
+	nb := net.Buffers(vecs) // escapes: declared here, so only writev pays for it
 	_, err := nb.WriteTo(bw.tcp)
 	return err
 }
@@ -199,15 +204,14 @@ func (bw *blockWriter) writeVectored(payload []byte) error {
 // soon as writeBlock returns (vectored paths complete the write before
 // returning; coalesced bytes are copied).
 func (bw *blockWriter) writeBlock(desc byte, count, offset uint64, payload []byte) error {
-	need := blockHeaderLen + len(payload)
-	if len(bw.buf)+need > cap(bw.buf) {
-		if err := bw.flush(); err != nil {
-			return err
-		}
-	}
 	if len(payload) >= vectorMin && (bw.vw != nil || bw.tcp != nil) {
 		putBlockHeader(bw.hdr[:], desc, count, offset)
 		return bw.writeVectored(payload)
+	}
+	if len(bw.buf)+blockHeaderLen+len(payload) > cap(bw.buf) {
+		if err := bw.flush(); err != nil {
+			return err
+		}
 	}
 	n := len(bw.buf)
 	bw.buf = bw.buf[:n+blockHeaderLen]
