@@ -851,6 +851,25 @@ func TestOwedPortRefusalIsTheCause(t *testing.T) {
 	}
 }
 
+// TestRefusedPortLeavesNoDataPath: a server resets its data state before it
+// judges a PORT, so a transfer written behind a refused one is refused too
+// (425), and does not run over the channels an earlier PORT left pooled.
+func TestRefusedPortLeavesNoDataPath(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	s.putFile(t, "/f.bin", pattern(1000))
+	c := s.connect(t, nw.Host("laptop"), true)
+	if _, err := c.Get("/f.bin", dsi.NewBufferFile(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.cmdExpect("PORT", "no-address", ftp.CodeOK); r.Code != ftp.CodeParamSyntaxError {
+		t.Fatalf("PORT without a port: %v, %v; want the 501", r, err)
+	}
+	if r, err := c.cmdExpect("RETR", "/f.bin", ftp.CodeCantOpenData); err != nil {
+		t.Fatalf("RETR behind the refused PORT: %v, %v; want 425, no data path", r, err)
+	}
+}
+
 // fact is one listing line as a server sends it.
 func fact(kind, name string) string { return "Type=" + kind + ";Size=7; " + name }
 

@@ -214,10 +214,11 @@ func (p *Pipeline) Begin(srcPath, dstPath string, opts ThirdPartyOptions, done f
 // land in, a parent before what lies under it, and waits for none of them:
 // each MKD is a session command left owed (settle.go), so its reply is read
 // ahead of the first reply the destination is next asked for — the PASV that
-// wires a fresh pair, or the first STOR's 150 on a wired one — and the tree
-// costs no round trip of its own. (More directories than one flight carries,
-// flightLen, cost one for each flight but the last.) An MKD is a command with
-// a reply of its own, so the transfers in flight complete first.
+// wires a pair, or the first STOR's 150 on a wired one or on one whose PASV
+// was asked earlier (Passive) — and the tree costs no round trip of its own.
+// (More directories than one flight carries, flightLen, cost one for each
+// flight but the last.) An MKD is a command with a reply of its own, so the
+// transfers in flight complete first.
 //
 // answered closes when the last of the replies has been read, whatever they
 // said. On these sessions the STORs are ordered behind the MKDs by the channel

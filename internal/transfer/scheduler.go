@@ -200,9 +200,9 @@ func firstFlight(c *gridftp.Client, setup gridftp.SessionSetup, planPath string,
 // "<task>-src"), on the destination set the marker cadence and — for
 // cross-CA endpoint pairs — install the source credential via DCSC once
 // per session instead of once per file, and on the source start the walk of
-// planPath, when there is one — and then, on the destination, ask where it
-// will listen (PASV). Extra workers are dialled with no plan and no PASV: they
-// may find no file to wire for. The source's flight is timed: it is the task's
+// planPath, when there is one, while the destination is asked where it will
+// listen (PASV). Extra workers are dialled with neither: they may find no
+// file to wire for. The source's flight is timed: it is the task's
 // estimate of a control round trip, taken from a flight the pair pays for
 // anyway. Both flights have been read when dialPair returns; if either side
 // fails, the side that succeeded is closed.

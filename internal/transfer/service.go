@@ -560,9 +560,10 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 	// — join the task trace and take the task label on both sessions, and
 	// learn the plan on the source — and a pair that fails it is closed and
 	// replaced within the same attempt. Dialled, it authenticates, delegates,
-	// and in the same first flight also sets the marker cadence and (cross-CA,
+	// and in the same first flight also sets the marker cadence, (cross-CA,
 	// §V) installs the source credential on the destination via DCSC once for
-	// the whole session instead of once per file.
+	// the whole session instead of once per file, and asks the destination
+	// for the address the pair's wiring will need (PASV).
 	ctlSpan := taskSpan.Child("control")
 	crossCA := task.crossCA(srcEP, dstEP)
 	key := pairKey{user: task.User, src: task.Src, dst: task.Dst, srcCred: srcCred, dstCred: dstCred, dcsc: crossCA}

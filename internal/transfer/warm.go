@@ -28,8 +28,11 @@ import (
 // on the source (schedule, gridftp.Pipeline). Only a tree deeper than one
 // level adds source flights, one per level. A dialled pair sends the same plan
 // flight behind the login's USER and MODE E and behind DELG, so the login's
-// replies come back with it, and between its two flights wires the data path:
-// the MKDs' replies come back with the PASV. Four rules keep adoption safe:
+// replies come back with it, and wires the data path inside its two flights:
+// the destination's half of the plan flight ends with PASV, and the source's
+// PORT is owed and leaves with the first RETR, so a cold task too is two
+// flights per session. (An empty tree leaves that PASV unused.) Four rules
+// keep adoption safe:
 //
 //	W1  Only a pair whose attempt succeeded is parked, and any error on an
 //	    adopted pair closes it. After a failure nothing is known about what

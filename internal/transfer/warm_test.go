@@ -646,14 +646,14 @@ func TestRefusedFirstFlightPASVFailsTheDial(t *testing.T) {
 		t.Fatalf("task: %+v, %v; want success on the second attempt", done, err)
 	}
 	verifyTree(t, w, files)
-	var retried []string
-	for _, e := range o.Events() {
-		if e.Type == "transfer.retry" {
-			retried = append(retried, e.Fields["err"])
+	var dialErrs []string
+	for _, sp := range o.Tracer().Spans() {
+		if sp.Name == "control" && sp.Err != "" {
+			dialErrs = append(dialErrs, sp.Err)
 		}
 	}
-	if len(retried) != 1 || !strings.Contains(retried[0], "425") {
-		t.Errorf("the attempts failed with %q, want one: the PASV's 425", retried)
+	if len(dialErrs) != 1 || !strings.Contains(dialErrs[0], "425") {
+		t.Errorf("the attempts' dials failed with %q, want one: the PASV's 425", dialErrs)
 	}
 	got := w.wire(o)
 	if want := (wire{sessions: 4, conns: 1, pasv: 2, port: 1, delg: 4, dcsc: 2}); got != want {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the pre-commit gate: gofmt over the whole tree (bench/ and the
 # root package included), the client's one-place-for-reply-reads guard
-# (internal/gridftp/settle.go), the server's one-place-for-reply-writes guard
+# (internal/gridftp/settle.go) and its no-waited-PORT guard (a third-party
+# PORT/SPOR is owed, Client.Port), the server's one-place-for-reply-writes guard
 # (session.reply/replies), the binaries' no-plane-imports guard
 # (internal/admin/boot.go), the stay-deleted guard for the three deleted
 # planes, the two duplicate writers (the event log, the usage metrics sink)
@@ -43,10 +44,16 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "==> control-channel reads stay in internal/gridftp/settle.go"
+echo "==> control-channel reads stay in internal/gridftp/settle.go; a third-party PORT stays owed"
 # A reply read anywhere else can take an owed 200 for its own answer.
 if grep -nE 'ctrl\.(Expect|ReadFinalReply|ReadReply)\(' internal/gridftp/*.go | grep -vE '^internal/gridftp/(settle|[a-z_]*_test)\.go:'; then
 	echo "check.sh: read the control channel through Client.expect or Client.finalReply" >&2
+	exit 1
+fi
+# A third-party PORT or SPOR is owed (Client.Port): its reply comes back with
+# the RETR behind it. One waited for puts a round trip back on every wiring.
+if grep -nE 'cmdExpect\("(PORT|SPOR)"' internal/gridftp/*.go | grep -v '_test\.go:'; then
+	echo "check.sh: leave PORT and SPOR owed (Client.Port); a waited one costs every wiring a round trip" >&2
 	exit 1
 fi
 # The connection under the line reader is handed out twice, to the two TLS
