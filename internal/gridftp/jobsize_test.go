@@ -207,6 +207,51 @@ func TestShortTransferIsOneWritePerStream(t *testing.T) {
 	}
 }
 
+// discardBuffers takes plain and vectored writes, counts them and keeps
+// nothing.
+type discardBuffers struct{ writes int }
+
+func (d *discardBuffers) Write(p []byte) (int, error) {
+	d.writes++
+	return len(p), nil
+}
+
+func (d *discardBuffers) WriteBuffers(bufs [][]byte) (int64, error) {
+	d.writes++
+	var n int64
+	for _, b := range bufs {
+		n += int64(len(b))
+	}
+	return n, nil
+}
+
+// TestVectoredBlocksAllocateNothing: a stream's blocks framed onto a conn
+// that takes vectored writes — the first behind the coalesced EOF block, the
+// last carrying the EOD — cost one write each and no allocation.
+func TestVectoredBlocksAllocateNothing(t *testing.T) {
+	d := &discardBuffers{}
+	bw := newBlockWriter(d, DefaultBlockSize)
+	payload := make([]byte, 64<<10)
+	stream := func() {
+		for _, err := range []error{
+			bw.writeBlock(DescEOF, 0, 1, nil),
+			bw.writeBlock(DescRestartable, uint64(len(payload)), 0, payload),
+			bw.writeBlock(DescRestartable|DescEOD, uint64(len(payload)), uint64(len(payload)), payload),
+			bw.flush(),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, stream); allocs != 0 {
+		t.Errorf("a stream of two vectored blocks costs %.1f allocations, want 0", allocs)
+	}
+	if d.writes != 2*51 { // AllocsPerRun warms up with one extra call
+		t.Errorf("%d writes for 51 streams of two blocks, want %d", d.writes, 2*51)
+	}
+}
+
 // slowConn sends blocks at a quarter of its link's pace: after each vectored
 // write it waits three times as long as the write took.
 type slowConn struct{ net.Conn }
