@@ -118,10 +118,11 @@ func (h *pipeHalf) sleepUntil(t time.Time) bool {
 	}
 }
 
-// timerPool recycles timers for the blocking waits below: every paced
-// write and deadline-bounded read of a busy transfer parks on a timer, and
-// allocating a fresh runtime timer (plus its channel) per wait showed up
-// in transfer allocation profiles.
+// timerPool recycles timers for the blocking waits below: a bulk writer
+// that has a round trip of bytes booked ahead of it, a read waiting for its
+// bytes to arrive, and a dial paying its handshake each park on a timer, and
+// allocating a fresh runtime timer (plus its channel) per wait showed up in
+// transfer allocation profiles.
 var timerPool sync.Pool
 
 func leaseTimer(d time.Duration) *time.Timer {
@@ -158,8 +159,10 @@ func (h *pipeHalf) trackQueue(n int64) {
 }
 
 // write appends p with a computed delivery time. It blocks (until deadline)
-// while the buffer is full, and also blocks until the bytes have finished
-// *transmitting* (not propagating), which paces the writer at the link rate.
+// while the buffer is full, and also while more than one round trip of the
+// stream's bytes is booked and not yet transmitted, as a socket write blocks
+// on a full send buffer: a back-to-back writer is paced at the link rate and
+// keeps it busy, and a small write on an idle conn returns at once.
 // Hysteresis: once the buffer fills, the writer waits for a meaningful
 // amount of space before resuming, so steady-state chunks never degrade
 // into slivers (which would make per-chunk costs dominate).
@@ -222,10 +225,12 @@ func (h *pipeHalf) writev(bufs [][]byte, deadline time.Time) (int, error) {
 		signal(h.dataReady)
 		total += n
 		remaining -= n
-		// Pace the writer: it regains control once transmission (finish
-		// time minus one-way propagation) completes.
+		// Pace the writer: it regains control once what it has booked and
+		// not yet transmitted is at most one RTT at the stream's rate (one
+		// window, for a window-limited stream). Transmission ends one
+		// propagation before at, and the RTT is two more.
 		if h.shaper != nil {
-			sendDone := at.Add(-h.shaper.propagation())
+			sendDone := at.Add(-3 * h.shaper.propagation())
 			if time.Until(sendDone) > 0 {
 				if !deadline.IsZero() && sendDone.After(deadline) {
 					h.sleepUntil(deadline)

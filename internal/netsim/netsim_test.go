@@ -294,14 +294,43 @@ func transferRate(t *testing.T, p LinkParams, n int, streams int) float64 {
 	return float64(received) / elapsed.Seconds()
 }
 
-func TestWindowLimitedThroughput(t *testing.T) {
-	// 64 KiB window over 40 ms RTT caps a stream near 1.6 MB/s even though
-	// the link itself is 100 MB/s.
-	p := LinkParams{Bandwidth: 100e6, RTT: 40 * time.Millisecond, StreamWindow: 64 * 1024}
-	rate := transferRate(t, p, 512*1024, 1)
-	want := p.StreamCap()
-	if rate > want*1.3 || rate < want*0.4 {
-		t.Fatalf("rate %.0f not near window-limited cap %.0f", rate, want)
+// TestThroughputMatchesClosedForm moves bytes across a grid of links and
+// checks each transfer's wall time against the model's closed form: the
+// dial's round trip, the bytes at min(streams × per-stream cap, Bandwidth),
+// and the last byte's one-way propagation. The per-stream cap is worked out
+// here, not read from StreamCap: window ÷ RTT, and under loss the Mathis
+// bound MSS ÷ RTT × C ÷ √loss if that is lower. Every row must land within
+// ±10 %: window-limited streams, streams sharing a link and loss-limited
+// streams alike.
+func TestThroughputMatchesClosedForm(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		link    LinkParams
+		bytes   int
+		streams int
+	}{
+		{"64KiB window over 40ms", LinkParams{Bandwidth: 100e6, RTT: 40 * time.Millisecond, StreamWindow: 64 << 10}, 512 << 10, 1},
+		{"256KiB window over 20ms", LinkParams{Bandwidth: 100e6, RTT: 20 * time.Millisecond, StreamWindow: 256 << 10}, 2 << 20, 1},
+		{"4 streams on a 64KiB window", LinkParams{Bandwidth: 100e6, RTT: 40 * time.Millisecond, StreamWindow: 64 << 10}, 1 << 20, 4},
+		{"8 streams share 4MB/s", LinkParams{Bandwidth: 4e6, RTT: 5 * time.Millisecond, StreamWindow: 1 << 20}, 2 << 20, 8},
+		{"16 streams share 8MB/s", LinkParams{Bandwidth: 8e6, RTT: 5 * time.Millisecond, StreamWindow: 1 << 20}, 2 << 20, 16},
+		{"0.1% loss", LinkParams{Bandwidth: 1e9, RTT: 50 * time.Millisecond, Loss: 0.001, StreamWindow: 1 << 30}, 512 << 10, 1},
+		{"1% loss, 4 streams", LinkParams{Bandwidth: 1e9, RTT: 50 * time.Millisecond, Loss: 0.01, StreamWindow: 1 << 30}, 512 << 10, 4},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := row.link
+			perStream := float64(p.StreamWindow) / p.RTT.Seconds()
+			if p.Loss > 0 {
+				perStream = math.Min(perStream, 1460/p.RTT.Seconds()*1.22/math.Sqrt(p.Loss))
+			}
+			rate := math.Min(float64(row.streams)*perStream, p.Bandwidth)
+			want := p.RTT.Seconds() + float64(row.bytes)/rate + p.RTT.Seconds()/2
+			got := float64(row.bytes) / transferRate(t, p, row.bytes, row.streams)
+			t.Logf("%.1f ms against the closed form's %.1f ms (%.3f)", got*1e3, want*1e3, got/want)
+			if got < 0.9*want || got > 1.1*want {
+				t.Errorf("took %.1f ms, want %.1f ms ± 10 %%", got*1e3, want*1e3)
+			}
+		})
 	}
 }
 
@@ -311,23 +340,6 @@ func TestParallelStreamsScaleOnWindowLimitedLink(t *testing.T) {
 	r4 := transferRate(t, p, 1024*1024, 4)
 	if r4 < 2.5*r1 {
 		t.Fatalf("4 streams should be >2.5x faster than 1: r1=%.0f r4=%.0f", r1, r4)
-	}
-}
-
-func TestSharedBandwidthCap(t *testing.T) {
-	// Many streams cannot exceed the aggregate link bandwidth.
-	p := LinkParams{Bandwidth: 4e6, RTT: 5 * time.Millisecond, StreamWindow: 1 << 20}
-	rate := transferRate(t, p, 2*1024*1024, 8)
-	if rate > p.Bandwidth*1.4 {
-		t.Fatalf("aggregate rate %.0f exceeds link bandwidth %.0f", rate, p.Bandwidth)
-	}
-}
-
-func TestMathisLossCap(t *testing.T) {
-	p := LinkParams{Bandwidth: 1e9, RTT: 50 * time.Millisecond, Loss: 0.001, StreamWindow: 1 << 30}
-	mathis := float64(p.mss()) / p.RTT.Seconds() * mathisC / math.Sqrt(p.Loss)
-	if got := p.StreamCap(); math.Abs(got-mathis) > 1 {
-		t.Fatalf("StreamCap=%v want mathis=%v", got, mathis)
 	}
 }
 

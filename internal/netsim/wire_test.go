@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -139,7 +140,11 @@ func TestWireStatusAgreesWithLinkStats(t *testing.T) {
 
 // TestSetLinkReshapesLiveConns checks that SetLink on an existing link
 // updates connections in flight: a stream that starts on a fast link and
-// is then squeezed to a trickle observes the new cap without redialing.
+// is then squeezed to a trickle observes the new cap without redialing. It
+// times delivery, not the write: a write returns once its bytes are within a
+// round trip of being sent, so on the squeezed link (64 KiB/s, 1 s RTT) the
+// 64 KiB write returns at once and its bytes take a second to transmit and
+// half a second more to arrive.
 func TestSetLinkReshapesLiveConns(t *testing.T) {
 	nw := NewNetwork()
 	fast := LinkParams{RTT: time.Millisecond, StreamWindow: 8 << 20}
@@ -150,12 +155,13 @@ func TestSetLinkReshapesLiveConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	accepted := make(chan net.Conn, 1)
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		io.Copy(io.Discard, conn)
+		accepted <- conn
 	}()
 
 	conn, err := nw.Host("a").Dial("b:9000")
@@ -163,27 +169,26 @@ func TestSetLinkReshapesLiveConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	peer := <-accepted
+	defer peer.Close()
 
+	// deliver writes n bytes and returns when the peer has read them all.
+	deliver := func(n int) time.Duration {
+		start := time.Now()
+		if _, err := conn.Write(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(peer, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
 	// Fast phase: 1 MiB at ~8 GB/s cap is effectively instant.
-	payload := make([]byte, 1<<20)
-	start := time.Now()
-	if _, err := conn.Write(payload); err != nil {
-		t.Fatal(err)
+	if d := deliver(1 << 20); d > 500*time.Millisecond {
+		t.Fatalf("fast-phase delivery took %v", d)
 	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("fast-phase write took %v", d)
-	}
-
-	// Squeeze the live link to ~64 KiB/s and verify the next write is
-	// paced by the new cap (64 KiB should take on the order of a second;
-	// accept anything clearly slower than the fast phase).
-	slow := LinkParams{RTT: time.Second, StreamWindow: 64 << 10}
-	nw.SetLink("a", "b", slow)
-	start = time.Now()
-	if _, err := conn.Write(make([]byte, 64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 200*time.Millisecond {
-		t.Fatalf("squeezed write finished in %v; SetLink did not reshape the live conn", d)
+	nw.SetLink("a", "b", LinkParams{RTT: time.Second, StreamWindow: 64 << 10})
+	if d := deliver(64 << 10); d < time.Second {
+		t.Fatalf("squeezed delivery finished in %v, want at least a second at 64 KiB/s; SetLink did not reshape the live conn", d)
 	}
 }
