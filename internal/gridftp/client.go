@@ -345,9 +345,10 @@ func (c *Client) SetParallelism(n int) error {
 }
 
 // SetBlockSize negotiates the MODE E block size, its reply owed like
-// SetParallelism's. Renegotiating the value already in effect is a no-op
-// (the autotuner calls this per transfer). Block size is this tree's
-// extension to OPTS: a server without it keeps its own, and so does the client.
+// SetParallelism's. Renegotiating the value already in effect is a no-op.
+// The block-size ablation is its caller; the hosted scheduler never picks a
+// block size. Block size is this tree's extension to OPTS: a server without
+// it keeps its own, and so does the client.
 func (c *Client) SetBlockSize(n int) error {
 	if n == c.spec.BlockSize {
 		return nil

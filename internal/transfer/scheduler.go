@@ -273,35 +273,9 @@ func (s *Service) workerCount(pendingFiles int, pendingBytes int64) int {
 	return k
 }
 
-// autotuner implements the §VI.A "automatically tune GridFTP transfer
-// options" policy, upgraded from a static size table: per-file
-// parallelism seeds from the file size, the task's total stream budget
-// scales with the measured control RTT (long fat links need more
-// concurrent streams to fill), the budget is divided across the task's
-// workers, and live throughput feedback backs the budget off when the
-// workers share a bottleneck link.
-type autotuner struct {
-	disabled bool
-
-	mu      sync.Mutex
-	workers int
-	budget  int     // total streams across all workers
-	best    float64 // best per-stream throughput observed (bytes/sec)
-}
-
-func newAutotuner(cfg Config, rtt time.Duration, workers int) *autotuner {
-	a := &autotuner{disabled: cfg.DisableAutotune, workers: workers, budget: 8}
-	if rtt >= 5*time.Millisecond {
-		a.budget = 16
-	}
-	if a.budget < workers {
-		a.budget = workers
-	}
-	return a
-}
-
-// sizeStreams is the size-seeded parallelism (the original static
-// autotune table).
+// sizeStreams is the §VI.A "automatically tune GridFTP transfer options"
+// policy: a file's parallelism, chosen from its size. A file never gets more
+// than its worker's streamShare.
 func sizeStreams(size int64) int {
 	switch {
 	case size >= 100<<20:
@@ -315,58 +289,20 @@ func sizeStreams(size int64) int {
 	}
 }
 
-// streamsFor picks the parallelism for one file: the size seed clamped
-// to this worker's share of the task budget.
-func (a *autotuner) streamsFor(size int64) int {
-	if a.disabled {
+// streamShare is how many streams each of an attempt's workers may give one
+// file: a task-wide total of 8, or 16 when the control RTT is 5 ms or more
+// (a long fat link needs more concurrent streams to fill), divided among the
+// workers and never below one. The autotune ablation (Config.DisableAutotune)
+// pins it to one, so every file moves on a single stream.
+func streamShare(cfg Config, rtt time.Duration, workers int) int {
+	if cfg.DisableAutotune {
 		return 1
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	share := a.budget / a.workers
-	if share < 1 {
-		share = 1
+	total := 8
+	if rtt >= 5*time.Millisecond {
+		total = 16
 	}
-	n := sizeStreams(size)
-	if n > share {
-		n = share
-	}
-	return n
-}
-
-// budgetNow reports the current total stream budget (for metrics).
-func (a *autotuner) budgetNow() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.budget
-}
-
-// observe feeds one completed file's achieved throughput back (the same
-// signal the live 112 PERF markers carry, measured at file granularity).
-// dur is the time the file had the pair's data path to itself: since it
-// began, or since the file queued ahead of it completed if that is later —
-// time spent waiting behind a neighbour is not the stream being slow.
-// A per-stream rate that collapses below half the best seen means the
-// workers are sharing a bottleneck — adding streams is not adding
-// bandwidth — so the total budget backs off toward one stream per worker
-// instead of letting K workers each push a full complement.
-func (a *autotuner) observe(bytes int64, dur time.Duration, streams int) {
-	if a.disabled || dur <= 0 || streams <= 0 {
-		return
-	}
-	perStream := float64(bytes) / dur.Seconds() / float64(streams)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if perStream > a.best {
-		a.best = perStream
-		return
-	}
-	if perStream < a.best/2 && a.budget > a.workers {
-		a.budget /= 2
-		if a.budget < a.workers {
-			a.budget = a.workers
-		}
-	}
+	return max(total/workers, 1)
 }
 
 // perfAgg aggregates in-flight 112 PERF-marker progress across a task's
@@ -412,7 +348,7 @@ func (g *perfAgg) report(slot int, total int64, markers int) {
 type workerRun struct {
 	task   *Task
 	plan   *transferPlan
-	tuner  *autotuner
+	share  int // streamShare: the most streams one file gets
 	agg    *perfAgg
 	queue  chan int
 	stop   chan struct{}
@@ -429,8 +365,6 @@ type worker struct {
 	pipe *gridftp.Pipeline
 	// inFlight is the plan size of the files begun and not yet completed.
 	inFlight int64
-	// lastDone is when the pair last completed a file.
-	lastDone time.Time
 	// err is the first failure; the worker begins nothing more after it.
 	err error
 }
@@ -439,11 +373,9 @@ type worker struct {
 type fileTransfer struct {
 	index   int
 	size    int64
-	par     int
 	already int64           // bytes earlier attempts landed
 	latest  []gridftp.Range // newest restart markers seen
 	span    *obs.Span
-	begun   time.Time
 }
 
 // runWorker drains the task queue over one session pair until the queue
@@ -509,11 +441,12 @@ func (w *worker) beginNext() bool {
 }
 
 // begin is the first half of moving one plan file third-party: it takes
-// the file into the active set, negotiates what the autotuner wants for it
-// and writes its transfer commands behind the worker's files already in
-// flight. Renegotiating a changed parallelism and resuming
-// from restart markers need control round trips of their own, so such a
-// file completes everything ahead of it first — the pipeline sees to that.
+// the file into the active set, negotiates its parallelism — its size's,
+// capped at the worker's share — and writes its transfer commands behind
+// the worker's files already in flight. Renegotiating a changed parallelism
+// and resuming from restart markers need control round trips of their own,
+// so such a file completes everything ahead of it first — the pipeline sees
+// to that.
 // complete runs exactly once for every file begun.
 func (w *worker) begin(i int, wait time.Duration) {
 	s, r := w.s, w.workerRun
@@ -531,11 +464,11 @@ func (w *worker) begin(i int, wait time.Duration) {
 		dstPath = strings.TrimSuffix(r.task.DstPath, "/") + "/" + f.rel
 	}
 
-	par := r.tuner.streamsFor(f.size)
+	par := min(sizeStreams(f.size), r.share)
 	s.update(r.task, func(t *Task) { t.FileSize = f.size; t.Parallelism = par })
 	restart := r.plan.takeMarkers(i)
 	ft := &fileTransfer{
-		index: i, size: f.size, par: par,
+		index: i, size: f.size,
 		already: gridftp.FromRanges(restart).Covered(), latest: restart,
 	}
 	// Data phase: one span per file, third-party MODE E transfer.
@@ -550,7 +483,6 @@ func (w *worker) begin(i int, wait time.Duration) {
 		w.complete(ft, err)
 		return
 	}
-	reg.Gauge("transfer.stream_budget").Set(int64(r.tuner.budgetNow()))
 
 	opts := gridftp.ThirdPartyOptions{
 		Restart: restart,
@@ -560,7 +492,6 @@ func (w *worker) begin(i int, wait time.Duration) {
 			s.update(r.task, func(t *Task) { t.Markers = rs })
 		},
 	}
-	ft.begun = time.Now()
 	if err := w.pipe.Begin(srcPath, dstPath, opts, func(_ *gridftp.ThirdPartyResult, err error) {
 		w.complete(ft, err)
 	}); err != nil {
@@ -578,11 +509,6 @@ func (w *worker) complete(ft *fileTransfer, terr error) {
 	reg.Gauge("transfer.active_transfers").Add(-1)
 	<-s.sem
 	w.inFlight -= ft.size
-	alone := ft.begun
-	if w.lastDone.After(alone) {
-		alone = w.lastDone
-	}
-	w.lastDone = time.Now()
 
 	if terr != nil {
 		ft.span.SetError(terr)
@@ -601,7 +527,6 @@ func (w *worker) complete(ft *fileTransfer, terr error) {
 	}
 	ft.span.End()
 	moved := ft.size - ft.already
-	r.tuner.observe(moved, w.lastDone.Sub(alone), ft.par)
 	r.plan.complete(i)
 	done := r.plan.doneCount()
 	s.update(r.task, func(t *Task) {
@@ -629,7 +554,7 @@ func (w *worker) complete(ft *fileTransfer, terr error) {
 // destination kept — and an existing directory's refusal costs nothing
 // (Pipeline.Mkdirs).
 func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
-	srcEP, dstEP *Endpoint, taskSpan *obs.Span, pending []int, workers int, tuner *autotuner) error {
+	srcEP, dstEP *Endpoint, taskSpan *obs.Span, pending []int, workers, share int) error {
 
 	queue := make(chan int, len(pending))
 	for _, i := range pending {
@@ -646,7 +571,7 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 	}
 	if workers == 1 {
 		return s.runWorker(workerRun{
-			task: task, plan: plan, tuner: tuner, agg: agg,
+			task: task, plan: plan, share: share, agg: agg,
 			queue: queue, stop: stop, parent: taskSpan, slot: 0,
 		}, primary, primaryPipe)
 	}
@@ -694,7 +619,7 @@ func (s *Service) schedule(task *Task, plan *transferPlan, primary *sessionPair,
 				}
 			}
 			if err := s.runWorker(workerRun{
-				task: task, plan: plan, tuner: tuner, agg: agg,
+				task: task, plan: plan, share: share, agg: agg,
 				queue: queue, stop: stop, parent: wspan, slot: w,
 			}, pair, pipe); err != nil {
 				wspan.SetError(err)

@@ -225,6 +225,69 @@ func TestWorkerCount(t *testing.T) {
 	}
 }
 
+// TestStreamShare: a task's streams — 8, or 16 at an RTT of 5 ms or more —
+// are divided among its workers, never below one each, and the autotune
+// ablation gives every file one stream.
+func TestStreamShare(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		disabled bool
+		rtt      time.Duration
+		workers  int
+		want     int
+	}{
+		{"LAN, one worker", false, time.Millisecond, 1, 8},
+		{"LAN, eight workers", false, time.Millisecond, 8, 1},
+		{"5 ms, one worker", false, 5 * time.Millisecond, 1, 16},
+		{"5 ms, eight workers", false, 5 * time.Millisecond, 8, 2},
+		{"more workers than streams", false, time.Millisecond, 12, 1},
+		{"autotune off, one worker", true, 50 * time.Millisecond, 1, 1},
+		{"autotune off, eight workers", true, time.Millisecond, 8, 1},
+	} {
+		if got := streamShare(Config{DisableAutotune: tc.disabled}, tc.rtt, tc.workers); got != tc.want {
+			t.Errorf("%s: streamShare(rtt %v, %d workers) = %d, want %d", tc.name, tc.rtt, tc.workers, got, tc.want)
+		}
+	}
+}
+
+// TestSmallFilesDoNotThrottleALaterLargeOne: a file's parallelism is its
+// size's, whatever moved before it on the worker. A 1 KiB file moves at a
+// per-stream rate set by its per-file overhead, not by any bottleneck, so a
+// tree whose 2 MiB files sit around a run of tiny ones still gives the last
+// 2 MiB file two streams.
+func TestSmallFilesDoNotThrottleALaterLargeOne(t *testing.T) {
+	w := buildWorld(t, Config{TaskConcurrency: 1}, false)
+	activateBoth(t, w)
+	if err := w.epA.Storage.Mkdir("alice", "/mixed"); err != nil {
+		t.Fatal(err)
+	}
+	w.putSrc(t, "/mixed/a.bin", pattern(2<<20))
+	for i := 0; i < 6; i++ {
+		w.putSrc(t, fmt.Sprintf("/mixed/b%d.bin", i), pattern(1<<10))
+	}
+	for i := 0; i < 10; i++ {
+		w.putSrc(t, fmt.Sprintf("/mixed/c%d.bin", i), pattern(512<<10))
+	}
+	w.putSrc(t, "/mixed/d.bin", pattern(2<<20))
+
+	task, err := w.svc.Submit("alice", "siteA", "/mixed", "siteB", "/mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := w.svc.Wait(task.ID, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != TaskSucceeded || done.CompletedFiles != 18 {
+		t.Fatalf("task: %s, %d of 18 files (%s)", done.Status, done.CompletedFiles, done.Error)
+	}
+	// One worker begins the files in name order, so the task's parallelism
+	// is the last one's: d.bin's.
+	if done.Parallelism != 2 {
+		t.Fatalf("the last 2 MiB file moved on %d streams, want 2", done.Parallelism)
+	}
+}
+
 // TestConcurrentSubmitsShareService drives N simultaneous Submits through
 // one service instance with a small MaxActiveTransfers, exercising the
 // global admission semaphore and the shared task map under -race.

@@ -599,7 +599,7 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 		}
 	}()
 	// The pair's session-command flight doubles as the control-channel RTT
-	// estimate; it sizes the autotuner's stream budget.
+	// estimate; it sizes the workers' stream share.
 	rtt := primary.rtt
 	ctlSpan.SetAttr("rtt_ms", float64(rtt)/float64(time.Millisecond))
 	ctlSpan.SetAttr("warm", adopted)
@@ -627,11 +627,10 @@ func (s *Service) attempt(task *Task, planp **transferPlan, taskSpan *obs.Span, 
 		pendingBytes += plan.files[i].size
 	}
 	workers := s.workerCount(len(pending), pendingBytes)
-	tuner := newAutotuner(s.cfg, rtt, workers)
 	s.update(task, func(t *Task) { t.Workers = workers })
 	taskSpan.SetAttr("workers", workers)
 	s.cfg.Obs.Registry().Gauge("transfer.task_workers").Max(int64(workers))
-	return adopted, s.schedule(task, plan, primary, srcEP, dstEP, taskSpan, pending, workers, tuner)
+	return adopted, s.schedule(task, plan, primary, srcEP, dstEP, taskSpan, pending, workers, streamShare(s.cfg, rtt, workers))
 }
 
 // dialPrimary dials a task's primary pair with proxies derived now from the

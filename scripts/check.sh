@@ -18,6 +18,8 @@
 # reader outside the tests, or a reason on its kept list; DEFLATE data
 # channels and ERET stay deleted), build, vet,
 # MyProxy's bounded-line guard (no ReadString('\n') in internal/myproxy),
+# the scheduler's stay-deleted guard for the throughput-feedback autotuner
+# (no autotuner type, tuner observe call or transfer.stream_budget gauge),
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
 # included), the full test suite again under the race detector (about two
 # minutes on two cores), and ten seconds each of the five wire fuzzers: the
@@ -239,6 +241,15 @@ echo "==> MyProxy reads bounded lines"
 # limit; myproxy.readLine checks the cap before it keeps a fragment.
 if grep -nF "ReadString('\n')" internal/myproxy/*.go; then
 	echo "check.sh: read MyProxy lines through myproxy.readLine, which caps them" >&2
+	exit 1
+fi
+
+echo "==> a file's parallelism is its size's, over a fixed share; no throughput feedback"
+# Per-stream rate falls with file size and with stream count, so it cannot
+# signal a shared bottleneck: the autotuner that halved a task's stream budget
+# on it throttled mixed-size trees (CHANGES.md).
+if grep -nE 'type autotuner|tuner\.observe\(|"transfer\.stream_budget"' internal/transfer/*.go | grep -v '_test\.go:'; then
+	echo "check.sh: pick a file's streams with min(sizeStreams, streamShare); the throughput-feedback autotuner and its stream_budget gauge are gone" >&2
 	exit 1
 fi
 
