@@ -20,8 +20,9 @@ import (
 // What the network charges for a small write — a syscall, a TLS record, a
 // segment, on netsim's shaped links a place in the link's queue — it
 // charges per write, so the number of writes a flight of replies costs is
-// the server's to keep small. These tests pin that number, not a time: a transfer's closing
-// markers and its completion reply are one write, and so is a tick's set.
+// the server's to keep small. These tests pin that number, not a time: a
+// transfer's closing markers and its completion reply are one write, and so
+// is a tick's set.
 
 // ctrlWrites is the server's end of a control connection that records every
 // Write made on it, as the transport sees them.
