@@ -294,14 +294,61 @@ func transferRate(t *testing.T, p LinkParams, n int, streams int) float64 {
 	return float64(received) / elapsed.Seconds()
 }
 
-// TestThroughputMatchesClosedForm moves bytes across a grid of links and
-// checks each transfer's wall time against the model's closed form: the
-// dial's round trip, the bytes at min(streams × per-stream cap, Bandwidth),
-// and the last byte's one-way propagation. The per-stream cap is worked out
-// here, not read from StreamCap: window ÷ RTT, and under loss the Mathis
-// bound MSS ÷ RTT × C ÷ √loss if that is lower. Every row must land within
-// ±10 %: window-limited streams, streams sharing a link and loss-limited
-// streams alike.
+// closedFormTime is the model's wall time for moving n bytes over p on the
+// given number of streams: the dial's round trip, the bytes at
+// min(streams × per-stream cap, Bandwidth), and the last byte's one-way
+// propagation. The per-stream cap is worked out here, not read from
+// StreamCap: window ÷ RTT, and under loss the Mathis bound
+// MSS ÷ RTT × C ÷ √loss if that is lower.
+func closedFormTime(p LinkParams, n, streams int) float64 {
+	perStream := float64(p.StreamWindow) / p.RTT.Seconds()
+	if p.Loss > 0 {
+		perStream = math.Min(perStream, 1460/p.RTT.Seconds()*1.22/math.Sqrt(p.Loss))
+	}
+	rate := math.Min(float64(streams)*perStream, p.Bandwidth)
+	return p.RTT.Seconds() + float64(n)/rate + p.RTT.Seconds()/2
+}
+
+// checkClosedForm moves n bytes over p and fails t unless the transfer's
+// wall time lands within ±10 % of closedFormTime.
+func checkClosedForm(t *testing.T, p LinkParams, n, streams int) {
+	t.Helper()
+	want := closedFormTime(p, n, streams)
+	got := float64(n) / transferRate(t, p, n, streams)
+	t.Logf("%.1f ms against the closed form's %.1f ms (%.3f)", got*1e3, want*1e3, got/want)
+	if got < 0.9*want || got > 1.1*want {
+		t.Errorf("took %.1f ms, want %.1f ms ± 10 %%", got*1e3, want*1e3)
+	}
+}
+
+// TestWindowLimitedThroughput: a 64 KiB window over a 40 ms RTT caps a
+// stream near 1.6 MB/s even though the link itself is 100 MB/s.
+func TestWindowLimitedThroughput(t *testing.T) {
+	p := LinkParams{Bandwidth: 100e6, RTT: 40 * time.Millisecond, StreamWindow: 64 << 10}
+	checkClosedForm(t, p, 512<<10, 1)
+}
+
+// TestSharedBandwidthCap: eight streams whose windows would each fill the
+// link share its 4 MB/s, neither above nor below it.
+func TestSharedBandwidthCap(t *testing.T) {
+	p := LinkParams{Bandwidth: 4e6, RTT: 5 * time.Millisecond, StreamWindow: 1 << 20}
+	checkClosedForm(t, p, 2<<20, 8)
+}
+
+// TestMathisLossCap: under 0.1 % loss StreamCap is the Mathis bound, and a
+// stream whose window is far above it moves its bytes at that bound.
+func TestMathisLossCap(t *testing.T) {
+	p := LinkParams{Bandwidth: 1e9, RTT: 50 * time.Millisecond, Loss: 0.001, StreamWindow: 1 << 30}
+	mathis := float64(p.mss()) / p.RTT.Seconds() * mathisC / math.Sqrt(p.Loss)
+	if got := p.StreamCap(); math.Abs(got-mathis) > 1 {
+		t.Fatalf("StreamCap=%v want mathis=%v", got, mathis)
+	}
+	checkClosedForm(t, p, 512<<10, 1)
+}
+
+// TestThroughputMatchesClosedForm holds the rest of the grid of links to
+// closedFormTime within ±10 %: a wider window, streams splitting a window
+// limit, more streams sharing a link, and loss-limited parallel streams.
 func TestThroughputMatchesClosedForm(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -309,27 +356,13 @@ func TestThroughputMatchesClosedForm(t *testing.T) {
 		bytes   int
 		streams int
 	}{
-		{"64KiB window over 40ms", LinkParams{Bandwidth: 100e6, RTT: 40 * time.Millisecond, StreamWindow: 64 << 10}, 512 << 10, 1},
 		{"256KiB window over 20ms", LinkParams{Bandwidth: 100e6, RTT: 20 * time.Millisecond, StreamWindow: 256 << 10}, 2 << 20, 1},
 		{"4 streams on a 64KiB window", LinkParams{Bandwidth: 100e6, RTT: 40 * time.Millisecond, StreamWindow: 64 << 10}, 1 << 20, 4},
-		{"8 streams share 4MB/s", LinkParams{Bandwidth: 4e6, RTT: 5 * time.Millisecond, StreamWindow: 1 << 20}, 2 << 20, 8},
 		{"16 streams share 8MB/s", LinkParams{Bandwidth: 8e6, RTT: 5 * time.Millisecond, StreamWindow: 1 << 20}, 2 << 20, 16},
-		{"0.1% loss", LinkParams{Bandwidth: 1e9, RTT: 50 * time.Millisecond, Loss: 0.001, StreamWindow: 1 << 30}, 512 << 10, 1},
 		{"1% loss, 4 streams", LinkParams{Bandwidth: 1e9, RTT: 50 * time.Millisecond, Loss: 0.01, StreamWindow: 1 << 30}, 512 << 10, 4},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			p := row.link
-			perStream := float64(p.StreamWindow) / p.RTT.Seconds()
-			if p.Loss > 0 {
-				perStream = math.Min(perStream, 1460/p.RTT.Seconds()*1.22/math.Sqrt(p.Loss))
-			}
-			rate := math.Min(float64(row.streams)*perStream, p.Bandwidth)
-			want := p.RTT.Seconds() + float64(row.bytes)/rate + p.RTT.Seconds()/2
-			got := float64(row.bytes) / transferRate(t, p, row.bytes, row.streams)
-			t.Logf("%.1f ms against the closed form's %.1f ms (%.3f)", got*1e3, want*1e3, got/want)
-			if got < 0.9*want || got > 1.1*want {
-				t.Errorf("took %.1f ms, want %.1f ms ± 10 %%", got*1e3, want*1e3)
-			}
+			checkClosedForm(t, row.link, row.bytes, row.streams)
 		})
 	}
 }
