@@ -1,6 +1,7 @@
 package myproxy
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/tls"
 	"encoding/base64"
@@ -178,37 +179,76 @@ func TestHostileServerCannotHoldLogon(t *testing.T) {
 	}
 }
 
-// FuzzMyProxyRequest feeds the request's two lines — LOGON and PUBKEY, sent
-// by a peer that has authenticated nobody yet — to their parsers. Whatever
-// they hold, the parsers do not panic, refuse in one ERR line, and accept
-// only a user name, a lifetime that is no negative or overflowed duration,
-// and a public key.
+// FuzzMyProxyRequest feeds raw bytes — the request's flight, sent by a peer
+// that has authenticated nobody yet — to readRequest. Whatever they hold, it
+// does not panic; reads no more than its three lines' cap from the peer; a
+// refusal is one ERR line whose text does not depend on the pass phrase (the
+// same input with every byte of the pass phrase changed is refused in the
+// same words); and what it accepts is a user name, a lifetime that is no
+// negative or overflowed duration, and a public key.
 func FuzzMyProxyRequest(f *testing.F) {
-	key := "PUBKEY " + base64.StdEncoding.EncodeToString(pubkeyDER(f))
-	f.Add("LOGON alice 3600", key)
-	f.Add("LOGON alice 0 00-0123456789abcdef0123456789abcdef-0123456789abcdef-01", key)
-	f.Add("LOGON alice 9223372036854775807", key)
-	f.Add("LOGON alice -1", "PUBKEY !!!")
-	f.Add("LOGON", "PUBKEY "+base64.StdEncoding.EncodeToString([]byte("not DER")))
-	f.Add("LOGON a b c d e", "")
-	f.Fuzz(func(t *testing.T, logon, pubkey string) {
-		user, lifetime, _, err := parseLogon(logon)
-		switch {
-		case err != nil && strings.ContainsAny(err.Error(), "\r\n"):
-			t.Fatalf("LOGON %q: ERR text %q spans lines", logon, err)
-		case err == nil && (user == "" || strings.ContainsAny(user, " \t\r\n")):
-			t.Fatalf("LOGON %q: user %q", logon, user)
-		case err == nil && lifetime < 0:
-			t.Fatalf("LOGON %q: lifetime %v", logon, lifetime)
+	key := "PUBKEY " + base64.StdEncoding.EncodeToString(pubkeyDER(f)) + "\n"
+	f.Add([]byte("LOGON alice 3600\nPASSPHRASE s3cret\n" + key))
+	f.Add([]byte("LOGON alice 3600\n" + key))
+	f.Add([]byte("LOGON alice 0 00-0123456789abcdef0123456789abcdef-0123456789abcdef-01\nPASSPHRASE \n" + key))
+	f.Add([]byte("LOGON alice 9223372036854775807\r\n" + key))
+	f.Add([]byte("LOGON alice 60\nPASSPHRASE PUBKEY\nPUBKEY !!!\n"))
+	f.Add([]byte("LOGON alice -1\nPASSPHRASE x\nPASSPHRASE y\n" + key))
+	f.Add([]byte("LOGON\nPUBKEY " + base64.StdEncoding.EncodeToString([]byte("not DER")) + "\n"))
+	f.Add([]byte("LOGON a b c d e\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &countingReader{r: bytes.NewReader(data)}
+		br := bufio.NewReader(src)
+		req, err := readRequest(br)
+		if limit := 3*(maxLineBytes+1) + br.Size(); src.n > limit {
+			t.Fatalf("read %d bytes of the request, past its three lines' cap of %d", src.n, limit)
 		}
-		pub, err := parsePubkey(pubkey)
+		var r refusal
 		switch {
-		case err != nil && strings.ContainsAny(err.Error(), "\r\n"):
-			t.Fatalf("%q: ERR text %q spans lines", pubkey, err)
-		case err == nil && pub == nil:
-			t.Fatalf("%q: no key and no error", pubkey)
+		case errors.As(err, &r):
+			if strings.ContainsAny(r.Error(), "\r\n") {
+				t.Fatalf("ERR text %q spans lines", r.Error())
+			}
+			if req.pass != nil {
+				// The pass phrase line is the second: it starts behind
+				// the first newline.
+				at := bytes.IndexByte(data, '\n') + 1 + len("PASSPHRASE ")
+				other := bytes.Clone(data)
+				for i := at; i < at+len(*req.pass); i++ {
+					if other[i] == 'a' {
+						other[i] = 'b'
+					} else {
+						other[i] = 'a'
+					}
+				}
+				_, err2 := readRequest(bufio.NewReader(bytes.NewReader(other)))
+				if err2 == nil || err2.Error() != r.Error() {
+					t.Fatalf("ERR text %q depends on the pass phrase %q (changed, it reads %v)", r.Error(), *req.pass, err2)
+				}
+			}
+		case err != nil:
+		case req.user == "" || strings.ContainsAny(req.user, " \t\r\n"):
+			t.Fatalf("user %q", req.user)
+		case req.lifetime < 0:
+			t.Fatalf("lifetime %v", req.lifetime)
+		case req.pub == nil:
+			t.Fatal("no key and no error")
+		case req.pass != nil && len(*req.pass) > maxLineBytes:
+			t.Fatalf("a pass phrase of %d bytes, past the line cap", len(*req.pass))
 		}
 	})
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 func pubkeyDER(t testing.TB) []byte {

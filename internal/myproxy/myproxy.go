@@ -8,17 +8,23 @@
 // Wire protocol (CRLF-free, one line per message, over TLS):
 //
 //	C: LOGON <username> <lifetime-seconds> [traceparent]
+//	C: PASSPHRASE <text>          (optional; in one flight with LOGON)
 //	C: PUBKEY <base64 PKIX DER>   (in one flight with LOGON)
 //	S: PROMPT <0|1> <text>        (repeated; 0 = secret prompt)
 //	C: RESPONSE <text>
 //	S: CERT <base64 PEM bundle>   (certificate + chain, no key)  |  S: ERR <message>
 //
-// The public key is no secret and does not depend on anything the server
-// says, so it rides the request instead of waiting for the conversation's
-// outcome: the server parses it before the first prompt, signs nothing over
-// it until authentication has succeeded, and answers the last RESPONSE with
-// the certificate or the refusal — a logon costs the TLS handshake, one round
-// trip per prompt, and nothing else. ERR is terminal wherever it appears.
+// Nothing in the request depends on what the server says, so it is one
+// flight behind the TLS handshake. The pass phrase rides it, as MyProxy v2's
+// PASSPHRASE= does: it answers the PAM stack's first secret prompt, once, and
+// every other prompt (a one-time code's, say) is tunnelled as PROMPT and
+// RESPONSE. A client that sends no PASSPHRASE gets every prompt tunnelled.
+// The server parses the key before the conversation, signs nothing over it
+// until authentication has succeeded, and answers the last answer with the
+// certificate or the refusal. So a logon against a one-password stack costs
+// TCP's connect, the TLS handshake and one round trip for the request, and a
+// further round trip per tunnelled prompt. ERR is terminal wherever it
+// appears, and its text never carries the pass phrase.
 //
 // Either end reads a line through readLine, which refuses one longer than
 // maxLineBytes before it has buffered more, and waits under a deadline: a
@@ -116,34 +122,28 @@ func (s *Server) serve(raw net.Conn) {
 	}
 	raw.SetDeadline(time.Now().Add(exchangeTimeout)) // the request follows in one flight
 	br := bufio.NewReader(tc)
-	line, err := readLine(br)
+	req, err := readRequest(br)
 	if err != nil {
-		return
-	}
-	username, lifetime, sc, err := parseLogon(line)
-	if err != nil {
-		fmt.Fprintf(tc, "ERR %s\n", err)
-		return
-	}
-	// The key arrived behind LOGON. It is parsed before the conversation, so
-	// a request that could never be served costs the user no prompt, and used
-	// only once the conversation has succeeded.
-	line, err = readLine(br)
-	if err != nil {
-		return
-	}
-	pub, err := parsePubkey(line)
-	if err != nil {
-		fmt.Fprintf(tc, "ERR %s\n", err)
+		// A refusal's text is ERR's; a broken or overlong line gets nothing.
+		var r refusal
+		if errors.As(err, &r) {
+			fmt.Fprintf(tc, "ERR %s\n", r.error)
+		}
 		return
 	}
 
-	span := s.Obs.Tracer().StartSpanContext("myproxy.logon", sc)
-	span.SetAttr("user", username)
+	span := s.Obs.Tracer().StartSpanContext("myproxy.logon", req.trace)
+	span.SetAttr("user", req.user)
 	defer span.End()
 
-	// Tunnel the PAM conversation to the client.
+	// Tunnel the PAM conversation to the client, less the first secret
+	// prompt when the request carried its answer.
 	conv := func(prompt string, echo bool) (string, error) {
+		if req.pass != nil && !echo {
+			pass := *req.pass
+			req.pass = nil
+			return pass, nil
+		}
 		e := "0"
 		if echo {
 			e = "1"
@@ -158,27 +158,27 @@ func (s *Server) serve(raw net.Conn) {
 		}
 		resp, ok := strings.CutPrefix(reply, "RESPONSE ")
 		if !ok {
-			return "", fmt.Errorf("myproxy: expected RESPONSE, got %q", reply)
+			return "", errors.New("myproxy: expected RESPONSE")
 		}
 		return resp, nil
 	}
 
 	// Authenticate, then issue: a two-phase logon through the online CA, so
 	// nothing is signed for a user who has not answered every prompt.
-	acct, err := s.OnlineCA.Auth.Authenticate(username, conv)
+	acct, err := s.OnlineCA.Auth.Authenticate(req.user, conv)
 	raw.SetDeadline(time.Now().Add(exchangeTimeout)) // for the answer
 	if err != nil {
 		reg.Counter("myproxy.logons_denied").Inc()
 		span.SetError(err)
-		log.Warn("auth.failure", traceEventKV(span, "user", username, "err", err)...)
+		log.Warn("auth.failure", traceEventKV(span, "user", req.user, "err", err)...)
 		fmt.Fprintf(tc, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
 		return
 	}
-	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, pub, lifetime)
+	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, req.pub, req.lifetime)
 	if err != nil {
 		reg.Counter("myproxy.issue_failures").Inc()
 		span.SetError(err)
-		log.Warn("issue failed", "user", username, "err", err)
+		log.Warn("issue failed", "user", req.user, "err", err)
 		fmt.Fprintf(tc, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
 		return
 	}
@@ -191,7 +191,7 @@ func (s *Server) serve(raw net.Conn) {
 	reg.Counter("myproxy.logons_total").Inc()
 	reg.Histogram("myproxy.logon_seconds", obs.DefaultDurationBuckets).
 		Observe(time.Since(start).Seconds())
-	log.Info("auth.success", traceEventKV(span, "user", username,
+	log.Info("auth.success", traceEventKV(span, "user", req.user,
 		"dn", string(cred.Identity()), "dur", time.Since(start).Round(time.Microsecond))...)
 }
 
@@ -202,6 +202,47 @@ func traceEventKV(span *obs.Span, kv ...any) []any {
 		kv = append(kv, "trace", span.TraceID.String(), "span", span.SpanID.String())
 	}
 	return kv
+}
+
+// request is what a client sends before the server says anything.
+type request struct {
+	user     string
+	lifetime time.Duration
+	trace    obs.SpanContext
+	pass     *string // PASSPHRASE's text; nil when the client waits to be prompted
+	pub      any
+}
+
+// refusal wraps an error of readRequest's that the server answers with ERR
+// and its text; any other error is the connection's and gets no answer.
+type refusal struct{ error }
+
+// readRequest reads the request's flight: LOGON, then PASSPHRASE if the
+// client sent one, then PUBKEY. The key is parsed here, before the
+// conversation, so a request that could never be served costs the user no
+// prompt.
+func readRequest(br *bufio.Reader) (request, error) {
+	var req request
+	line, err := readLine(br)
+	if err != nil {
+		return req, err
+	}
+	if req.user, req.lifetime, req.trace, err = parseLogon(line); err != nil {
+		return req, refusal{err}
+	}
+	if line, err = readLine(br); err != nil {
+		return req, err
+	}
+	if pass, ok := strings.CutPrefix(line, "PASSPHRASE "); ok {
+		req.pass = &pass
+		if line, err = readLine(br); err != nil {
+			return req, err
+		}
+	}
+	if req.pub, err = parsePubkey(line); err != nil {
+		return req, refusal{err}
+	}
+	return req, nil
 }
 
 // parseLogon parses "LOGON <user> <lifetime-seconds> [traceparent]"; an
@@ -278,8 +319,19 @@ type LogonOptions struct {
 
 // Logon is the myproxy-logon client: it authenticates to the server with
 // the PAM conversation conv and returns a fresh short-lived credential
-// whose private key was generated locally.
+// whose private key was generated locally. conv is asked for the pass phrase
+// once, before anything is sent, and then answers whatever further prompt
+// the server tunnels.
 func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts LogonOptions) (*gsi.Credential, error) {
+	// The pass phrase rides the request, so it is asked for before dialling:
+	// a person's typing does not run against the exchange's deadline.
+	pass, err := conv("MyProxy pass phrase: ", false)
+	if err != nil {
+		return nil, err
+	}
+	if strings.ContainsAny(pass, "\r\n") {
+		return nil, errors.New("myproxy: a pass phrase is one line")
+	}
 	raw, err := host.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("myproxy: dial %s: %w", addr, err)
@@ -309,8 +361,9 @@ func Logon(host *netsim.Host, addr, username string, conv pam.Conversation, opts
 	if opts.Trace.Valid() {
 		req += " " + obs.Inject(opts.Trace)
 	}
-	// One write: the request and the key are one flight, and one TLS record.
-	if _, err := fmt.Fprintf(tc, "%s\nPUBKEY %s\n", req, base64.StdEncoding.EncodeToString(pubDER)); err != nil {
+	// One write: the request, the pass phrase and the key are one flight,
+	// and one TLS record, sent only to the peer the handshake verified.
+	if _, err := fmt.Fprintf(tc, "%s\nPASSPHRASE %s\nPUBKEY %s\n", req, pass, base64.StdEncoding.EncodeToString(pubDER)); err != nil {
 		return nil, err
 	}
 	for {

@@ -2,9 +2,14 @@ package myproxy
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/tls"
 	"encoding/base64"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,20 +116,99 @@ func TestLogonWrongPassword(t *testing.T) {
 	}
 }
 
-// TestLogonRoundTrips pins the flight: TCP connect, the TLS handshake with
-// LOGON and PUBKEY behind its Finished, and one round trip for the one prompt
-// whose answer CERT follows — 4, and the CPU of a handshake and two
-// signatures. The parent read ≈ 5.75: OK and PUBKEY were a flight of their own.
+// TestLogonRoundTrips pins the flight: TCP's connect, the TLS handshake with
+// LOGON, PASSPHRASE and PUBKEY behind its Finished, and the one round trip
+// whose answer is CERT — 3, and the CPU of a handshake and two signatures.
+// With the pass phrase sent as the RESPONSE to a PROMPT it read ≥ 4.33 (and
+// ≈ 5.75 while PUBKEY waited for an OK). The best of three tries is judged:
+// a logon is a few milliseconds of CPU, and one try can meet a busy host.
 func TestLogonRoundTrips(t *testing.T) {
 	nw, _, addr, trust, _ := env(t)
 	const rtt = 20 * time.Millisecond
 	nw.SetLink("laptop", "siteA", netsim.LinkParams{RTT: rtt})
-	start := time.Now()
+	best := math.Inf(1)
+	for range 3 {
+		start := time.Now()
+		if _, err := Logon(nw.Host("laptop"), addr, "alice", pam.PasswordConv("s3cret"), LogonOptions{Trust: trust}); err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, float64(time.Since(start))/float64(rtt))
+	}
+	t.Logf("the best of three logons took %.2f round trips", best)
+	if best > 4.2 {
+		t.Fatalf("the best of three logons took %.2f round trips, want at most 4.2", best)
+	}
+}
+
+// rawRequest completes the TLS handshake and writes request in one flight,
+// as Logon does, and returns the reader of the server's answers.
+func rawRequest(t *testing.T, nw *netsim.Network, addr, request string) (*tls.Conn, *bufio.Reader) {
+	t.Helper()
+	tc := handshaken(t, nw, addr)
+	t.Cleanup(func() { tc.Close() })
+	if _, err := io.WriteString(tc, request); err != nil {
+		t.Fatal(err)
+	}
+	return tc, bufio.NewReader(tc)
+}
+
+// TestPassphraseRidesTheRequest: a request that carries the pass phrase is
+// answered CERT (or ERR) on the first line back, with no prompt — and one
+// that carries none, a classic client's, is still prompted and still served.
+func TestPassphraseRidesTheRequest(t *testing.T) {
+	key := "PUBKEY " + base64.StdEncoding.EncodeToString(pubkeyDER(t)) + "\n"
+	for _, c := range []struct {
+		name, request, first string
+		issued               int64
+	}{
+		{"right pass phrase", "LOGON alice 3600\nPASSPHRASE s3cret\n" + key, "CERT ", 1},
+		{"wrong pass phrase", "LOGON alice 3600\nPASSPHRASE wrong\n" + key, "ERR ", 0},
+		{"no pass phrase", "LOGON alice 3600\n" + key, "PROMPT 0 ", 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nw, srv, addr, _, _ := env(t)
+			tc, br := rawRequest(t, nw, addr, c.request)
+			line, err := readLine(br)
+			if err != nil || !strings.HasPrefix(line, c.first) {
+				t.Fatalf("first line back %q, %v; want %q…", line, err, c.first)
+			}
+			if c.first == "PROMPT 0 " {
+				if _, err := io.WriteString(tc, "RESPONSE s3cret\n"); err != nil {
+					t.Fatal(err)
+				}
+				if line, err = readLine(br); err != nil || !strings.HasPrefix(line, "CERT ") {
+					t.Fatalf("answer to the prompted pass phrase %q, %v; want CERT", line, err)
+				}
+			}
+			if n := srv.OnlineCA.Issued(); n != c.issued {
+				t.Fatalf("%d certificates issued, want %d", n, c.issued)
+			}
+		})
+	}
+}
+
+// TestPassphraseIsNeverLogged: after a right and a wrong logon, no log
+// record — written text, kept event or span — holds either pass phrase.
+func TestPassphraseIsNeverLogged(t *testing.T) {
+	nw, srv, addr, trust, _ := env(t)
+	var out bytes.Buffer
+	srv.Obs = obs.New(&out, slog.LevelDebug)
+	const wrong = "wr0ng-pass-phrase"
 	if _, err := Logon(nw.Host("laptop"), addr, "alice", pam.PasswordConv("s3cret"), LogonOptions{Trust: trust}); err != nil {
 		t.Fatal(err)
 	}
-	if got := float64(time.Since(start)) / float64(rtt); got > 5.2 {
-		t.Fatalf("a logon took %.2f round trips, want at most 5.2", got)
+	if _, err := Logon(nw.Host("laptop"), addr, "alice", pam.PasswordConv(wrong), LogonOptions{Trust: trust}); err == nil {
+		t.Fatal("a wrong pass phrase logged on")
+	}
+	events := srv.Obs.Events()
+	if len(events) != 2 || out.Len() == 0 {
+		t.Fatalf("%d events and %d bytes of log, want the two logons'", len(events), out.Len())
+	}
+	records := out.String() + fmt.Sprint(events) + fmt.Sprint(srv.Obs.Tracer().Spans())
+	for _, pass := range []string{"s3cret", wrong} {
+		if strings.Contains(records, pass) {
+			t.Errorf("pass phrase %q is in the log:\n%s", pass, records)
+		}
 	}
 }
 
@@ -225,8 +309,9 @@ func TestLogonWithOTPStack(t *testing.T) {
 }
 
 // TestLogonWithTwoPrompts: a stack that asks twice — password, then one-time
-// code — still logs on, one round trip a prompt, CERT behind the last answer;
-// and the right password with a wrong code gets ERR and no certificate.
+// code — still logs on: the pass phrase rides the request, the code's prompt
+// alone crosses the wire, and CERT follows its answer. The right password
+// with a wrong code gets ERR and no certificate.
 func TestLogonWithTwoPrompts(t *testing.T) {
 	nw, srv, addr, trust, otp := env(t)
 	dir := pam.NewLDAPDirectory("dc=siteA")
@@ -241,30 +326,33 @@ func TestLogonWithTwoPrompts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers := func(code string) (pam.Conversation, *int) {
-		prompts := 0
+	// Logon asks for the pass phrase before it dials; every later question
+	// is a PROMPT that crossed the wire.
+	answers := func(code string) (pam.Conversation, *[]string) {
+		var prompts []string
 		return func(prompt string, echo bool) (string, error) {
-			prompts++
+			prompts = append(prompts, prompt)
 			if strings.Contains(prompt, "One-time") {
 				return code, nil
 			}
 			return "s3cret", nil
 		}, &prompts
 	}
+	want := []string{"MyProxy pass phrase: ", "One-time code: "}
 	conv, prompts := answers("000000")
 	if _, err := Logon(nw.Host("laptop"), addr, "alice", conv, LogonOptions{Trust: trust}); err == nil {
 		t.Fatal("a wrong one-time code logged on")
 	}
-	if *prompts != 2 || srv.OnlineCA.Issued() != 0 {
-		t.Fatalf("wrong code: %d prompts, %d issued; want 2 and 0", *prompts, srv.OnlineCA.Issued())
+	if !slices.Equal(*prompts, want) || srv.OnlineCA.Issued() != 0 {
+		t.Fatalf("wrong code: asked %q, %d issued; want %q (one PROMPT on the wire) and 0", *prompts, srv.OnlineCA.Issued(), want)
 	}
 	conv, prompts = answers(code)
 	cred, err := Logon(nw.Host("laptop"), addr, "alice", conv, LogonOptions{Trust: trust})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *prompts != 2 || cred.DN().LastCN() != "alice" || cred.Key == nil {
-		t.Fatalf("%d prompts, DN %q", *prompts, cred.DN())
+	if !slices.Equal(*prompts, want) || cred.DN().LastCN() != "alice" || cred.Key == nil {
+		t.Fatalf("asked %q, DN %q; want %q (one PROMPT on the wire)", *prompts, cred.DN(), want)
 	}
 }
 
