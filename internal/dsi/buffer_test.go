@@ -169,3 +169,45 @@ func TestWriteAllReadAllHelpers(t *testing.T) {
 		t.Fatalf("empty: %q %v", got, err)
 	}
 }
+
+// TestInMemoryFilesRefuseHostileOffsets: a BufferFile and a MemStorage file
+// refuse a negative offset, as os.File does, and a write that would grow
+// them past maxMemBytes, without allocating for it; a size hint past the
+// bound is ignored. A refused write leaves the file as it was.
+func TestInMemoryFilesRefuseHostileOffsets(t *testing.T) {
+	mem := NewMemStorage()
+	mem.AddUser("alice")
+	memFile, err := mem.Create("alice", "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]File{"buffer": NewBufferFile(nil), "mem": memFile} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := f.WriteAt([]byte("ok"), 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []struct {
+				off int64
+				n   int
+				err error
+			}{
+				{-1, 2, errNegativeOffset},
+				{-1 << 63, 2, errNegativeOffset},
+				{maxMemBytes, 1, errTooLarge},
+				{maxMemBytes - 1, 2, errTooLarge},
+				{1<<63 - 1, 2, errTooLarge},
+			} {
+				if n, err := f.WriteAt(make([]byte, w.n), w.off); n != 0 || !errors.Is(err, w.err) {
+					t.Errorf("WriteAt(%d bytes, %d) = %d, %v; want 0, %v", w.n, w.off, n, err, w.err)
+				}
+			}
+			if _, err := f.ReadAt(make([]byte, 1), -1); !errors.Is(err, errNegativeOffset) {
+				t.Errorf("ReadAt at -1: %v", err)
+			}
+			f.(interface{ Preallocate(int64) }).Preallocate(1 << 62)
+			if got, err := ReadAll(f); err != nil || string(got) != "ok" {
+				t.Fatalf("after the refusals the file holds %q, %v; want %q", got, err, "ok")
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package dsi
 
 import (
 	"fmt"
-	"io"
 	"path"
 	"strings"
 	"sync"
@@ -285,37 +284,17 @@ type memFile struct {
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.data.mu.RLock()
 	defer f.data.mu.RUnlock()
-	if off >= int64(len(f.data.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.data.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return readAt(f.data.data, p, off)
 }
 
-// WriteAt implements io.WriterAt, growing the file (sparse zero-fill) as
-// needed — out-of-order MODE E blocks land wherever their offsets say.
-// Growth is geometric so block-at-a-time extension stays linear overall.
-func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+// WriteAt implements io.WriterAt (writeAt): the file grows to at most
+// maxMemBytes, 1 GiB.
+func (f *memFile) WriteAt(p []byte, off int64) (n int, err error) {
 	f.data.mu.Lock()
 	defer f.data.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.data.data)) {
-		if end > int64(cap(f.data.data)) {
-			newCap := 2 * int64(cap(f.data.data))
-			if newCap < end {
-				newCap = end
-			}
-			grown := make([]byte, end, newCap)
-			copy(grown, f.data.data)
-			f.data.data = grown
-		} else {
-			f.data.data = f.data.data[:end]
-		}
+	if f.data.data, err = writeAt(f.data.data, p, off); err != nil {
+		return 0, err
 	}
-	copy(f.data.data[off:end], p)
 	f.data.mod = time.Now()
 	return len(p), nil
 }
@@ -324,17 +303,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 // logical length, so a store whose size was announced up front (ALLO)
 // lands block by block with zero grow-copies.
 func (f *memFile) Preallocate(size int64) {
-	if size <= 0 {
-		return
-	}
 	f.data.mu.Lock()
 	defer f.data.mu.Unlock()
-	if size <= int64(cap(f.data.data)) {
-		return
-	}
-	grown := make([]byte, len(f.data.data), size)
-	copy(grown, f.data.data)
-	f.data.data = grown
+	f.data.data = preallocate(f.data.data, size)
 }
 
 // Size implements File.

@@ -904,7 +904,9 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 		replyCh <- final{r, err}
 	}()
 	resCh := make(chan recvResult, 1)
-	go func() { resCh <- recvModeE(rcv.accept, dst, received, c.spec.BlockSize, nil, rcv.canceled) }()
+	go func() {
+		resCh <- recvModeE(rcv.accept, dst, received, c.spec.BlockSize, c.spec.Parallelism, nil, rcv.canceled)
+	}()
 
 	var res recvResult
 	var fin final

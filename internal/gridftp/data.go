@@ -310,7 +310,7 @@ func (sess *session) handleStor(params string) {
 		}
 		return append(set, perf.frame(closing)...)
 	})
-	res := recvModeE(rcv.accept, f, received, sess.spec.BlockSize, perf.add, rcv.canceled)
+	res := recvModeE(rcv.accept, f, received, sess.spec.BlockSize, sess.spec.Parallelism, perf.add, rcv.canceled)
 	if rcv.tracker.StallAborted() && res.Err != nil {
 		res.Err = fmt.Errorf("stalled stream aborted by watchdog: %w", res.Err)
 	}

@@ -414,7 +414,7 @@ func TestPassiveDownloadParallel(t *testing.T) {
 			}
 			next++
 			return chans[next-1].sec, nil
-		}, dst, nil, c.spec.BlockSize, nil, nil)
+		}, dst, nil, c.spec.BlockSize, c.spec.Parallelism, nil, nil)
 		if res.Err != nil {
 			t.Fatalf("round %d: %v", round, res.Err)
 		}

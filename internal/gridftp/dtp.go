@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"sort"
@@ -190,13 +191,16 @@ type recvResult struct {
 // recvModeE accepts data connections from accept and reassembles blocks
 // into f. It stops accepting once the EOF block announces the stream
 // count; the stop channel passed to accept closes when the transfer has
-// concluded so a blocked accept can bail out. onBytes, if non-nil, is
+// concluded so a blocked accept can bail out. Every block is judged before
+// storage sees it: one whose offset + count passes math.MaxInt64, or an EOF
+// that announces no stream or more than maxStreams (the most this end can
+// have negotiated), fails the receive. onBytes, if non-nil, is
 // invoked whenever new data lands, with the stream index (accept order)
 // and byte count — the performance-marker emitter samples the resulting
 // per-stripe counters. A close of cancel (may be nil) aborts the receive —
 // used when the control channel reports failure before or during the
 // transfer.
-func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, existing *RangeSet, blockSize int, onBytes func(stream int, n int64), cancel <-chan struct{}) recvResult {
+func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, existing *RangeSet, blockSize, maxStreams int, onBytes func(stream int, n int64), cancel <-chan struct{}) recvResult {
 	received := existing
 	if received == nil {
 		received = NewRangeSet()
@@ -273,6 +277,14 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 			}
 			if err != nil {
 				setErr(fmt.Errorf("gridftp: data connection lost: %w", err))
+				return
+			}
+			if b.EOF() && (b.Offset < 1 || b.Offset > uint64(maxStreams)) {
+				setErr(fmt.Errorf("gridftp: EOF block announces %d streams, want 1 to %d", b.Offset, maxStreams))
+				return
+			}
+			if b.Offset > math.MaxInt64 || b.Count > math.MaxInt64-b.Offset {
+				setErr(fmt.Errorf("gridftp: block at offset %d of %d bytes ends past the largest file offset", b.Offset, b.Count))
 				return
 			}
 			if b.EOF() {

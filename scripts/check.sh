@@ -22,9 +22,10 @@
 # (no autotuner type, tuner observe call or transfer.stream_budget gauge),
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
 # included), the full test suite again under the race detector (about two
-# minutes on two cores), and ten seconds each of the five wire fuzzers: the
+# minutes on two cores), and ten seconds each of the six wire fuzzers: the
 # record boundary, the delegation bundle, the login's pre-TLS replies, the
-# restart ranges of REST and 111 markers, and MyProxy's request. It
+# restart ranges of REST and 111 markers, the MODE E receive loop, and
+# MyProxy's request. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
 # the figure CHANGES.md reports, not a gate.
 #
@@ -285,8 +286,15 @@ echo "==> go test -fuzz FuzzRestartRanges -fuzztime 10s ./internal/gridftp"
 # from the server; each line is parsed and built into a set.
 go test -run '^$' -fuzz FuzzRestartRanges -fuzztime 10s ./internal/gridftp
 
+echo "==> go test -fuzz FuzzReceiveModeE -fuzztime 10s ./internal/gridftp"
+# A MODE E receive takes its blocks' offsets and its stream count from the
+# sender, a client's STOR or a server's RETR; storage sees only blocks it has
+# judged.
+go test -run '^$' -fuzz FuzzReceiveModeE -fuzztime 10s ./internal/gridftp
+
 echo "==> go test -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy"
-# LOGON and PUBKEY come from a peer that has authenticated nobody yet.
+# LOGON, PASSPHRASE and PUBKEY come from a peer that has authenticated nobody
+# yet.
 go test -run '^$' -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy
 
 echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
