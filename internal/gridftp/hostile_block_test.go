@@ -98,8 +98,7 @@ func TestGetRefusesAHostileServer(t *testing.T) {
 					case "PORT":
 						data, err := nw.Host("evil").Dial(param)
 						if err != nil {
-							io.WriteString(serverEnd, "425 Can't open data connection\r\n")
-							continue
+							return
 						}
 						defer data.Close()
 						WriteBlock(data, &b)
