@@ -11,7 +11,6 @@ package dsi
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"path"
 	"sort"
@@ -69,19 +68,16 @@ type Storage interface {
 }
 
 // CleanPath normalizes an absolute-or-relative GridFTP path to a rooted,
-// dot-free form and rejects escapes above the root.
-func CleanPath(p string) (string, error) {
+// dot-free form. Cleaning a rooted path cannot climb above the root: ".."
+// at the root is the root.
+func CleanPath(p string) string {
 	if p == "" {
 		p = "/"
 	}
 	if !strings.HasPrefix(p, "/") {
 		p = "/" + p
 	}
-	c := path.Clean(p)
-	if c == "/.." || strings.HasPrefix(c, "/../") {
-		return "", fmt.Errorf("%w: %q escapes root", ErrBadPath, p)
-	}
-	return c, nil
+	return path.Clean(p)
 }
 
 // ReadAll reads an entire file through the File interface.

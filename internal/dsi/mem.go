@@ -62,10 +62,7 @@ func (s *MemStorage) root(user string) (*memDir, error) {
 
 // walk resolves the directory containing the final path element.
 func (s *MemStorage) walk(user, p string) (*memDir, string, error) {
-	clean, err := CleanPath(p)
-	if err != nil {
-		return nil, "", err
-	}
+	clean := CleanPath(p)
 	root, err := s.root(user)
 	if err != nil {
 		return nil, "", err
@@ -137,10 +134,7 @@ func (s *MemStorage) Create(user, p string) (File, error) {
 
 // Stat implements Storage.
 func (s *MemStorage) Stat(user, p string) (FileInfo, error) {
-	clean, err := CleanPath(p)
-	if err != nil {
-		return FileInfo{}, err
-	}
+	clean := CleanPath(p)
 	if clean == "/" {
 		if _, err := s.root(user); err != nil {
 			return FileInfo{}, err
@@ -171,10 +165,7 @@ func nodeInfo(name string, n *memNode) FileInfo {
 
 // List implements Storage.
 func (s *MemStorage) List(user, p string) ([]FileInfo, error) {
-	clean, err := CleanPath(p)
-	if err != nil {
-		return nil, err
-	}
+	clean := CleanPath(p)
 	root, err := s.root(user)
 	if err != nil {
 		return nil, err

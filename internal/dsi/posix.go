@@ -8,16 +8,21 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // PosixStorage is a Storage backed by a real directory tree. Each user's
-// sandbox is <root>/<user>; paths are confined to it, reproducing the
-// privilege boundary the GridFTP server's setuid provides.
+// sandbox is <root>/<user>, opened once as an *os.Root when the user is
+// provisioned; every operation goes through that Root, so a symlink in the
+// tree is followed only while it stays inside the user's own sandbox — one to
+// /etc, to another user's tree, or swapped in between a Stat and an Open is
+// refused. This is the privilege boundary the GridFTP server's setuid
+// provides.
 type PosixStorage struct {
 	root string
 	mu   sync.RWMutex
-	// known tracks provisioned users; access for others is refused.
-	known map[string]bool
+	// users holds each provisioned user's sandbox; others are refused.
+	users map[string]*os.Root
 }
 
 // NewPosixStorage creates a store rooted at dir (created if absent).
@@ -25,7 +30,7 @@ func NewPosixStorage(dir string) (*PosixStorage, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &PosixStorage{root: dir, known: make(map[string]bool)}, nil
+	return &PosixStorage{root: dir, users: make(map[string]*os.Root)}, nil
 }
 
 // AddUser provisions a user's home sandbox.
@@ -33,28 +38,37 @@ func (s *PosixStorage) AddUser(user string) error {
 	if strings.ContainsAny(user, "/\\") || user == "" || user == "." || user == ".." {
 		return fmt.Errorf("%w: bad username %q", ErrBadPath, user)
 	}
-	if err := os.MkdirAll(filepath.Join(s.root, user), 0o755); err != nil {
+	dir := filepath.Join(s.root, user)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.known[user] = true
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.users[user] != nil {
+		return nil
+	}
+	r, err := os.OpenRoot(dir)
+	if err != nil {
+		return err
+	}
+	s.users[user] = r
 	return nil
 }
 
-// resolve maps (user, gridftp path) to a confined OS path.
-func (s *PosixStorage) resolve(user, p string) (string, error) {
+// resolve maps (user, gridftp path) to the user's sandbox and the path
+// within it, relative as *os.Root takes it ("." is the sandbox itself).
+func (s *PosixStorage) resolve(user, p string) (*os.Root, string, error) {
 	s.mu.RLock()
-	ok := s.known[user]
+	r := s.users[user]
 	s.mu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoUser, user)
+	if r == nil {
+		return nil, "", fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	clean, err := CleanPath(p)
-	if err != nil {
-		return "", err
+	rel := strings.TrimPrefix(CleanPath(p), "/")
+	if rel == "" {
+		rel = "."
 	}
-	return filepath.Join(s.root, user, filepath.FromSlash(clean)), nil
+	return r, filepath.FromSlash(rel), nil
 }
 
 func mapOSErr(err error, p string) error {
@@ -63,45 +77,65 @@ func mapOSErr(err error, p string) error {
 		return nil
 	case errors.Is(err, fs.ErrNotExist):
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
+	case errors.Is(err, syscall.ENOTEMPTY): // before ErrExist, which it also is
+		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
 	case errors.Is(err, fs.ErrExist):
 		return fmt.Errorf("%w: %s", ErrExist, p)
 	case errors.Is(err, fs.ErrPermission):
 		return fmt.Errorf("%w: %s", ErrDenied, p)
+	case errors.Is(err, syscall.ENOTDIR):
+		return fmt.Errorf("%w: %s", ErrNotDir, p)
+	case strings.Contains(err.Error(), "escapes"):
+		// A symlink that leaves the sandbox: the Root's "path escapes
+		// from parent", or renameIn's refusal.
+		return fmt.Errorf("%w: %s leaves the sandbox", ErrDenied, p)
 	default:
 		return err
 	}
 }
 
+// refuseRootPanic, deferred by every operation, turns a panic inside os.Root
+// into a refusal: Go 1.24.0's Root panics resolving a symlink whose target is
+// the Root's own directory reached through "..", a link any local account
+// can plant in a sandbox.
+func refuseRootPanic(p string, err *error) {
+	if recover() != nil {
+		*err = fmt.Errorf("%w: %s resolves to the sandbox itself through a symlink", ErrDenied, p)
+	}
+}
+
 // Open implements Storage.
-func (s *PosixStorage) Open(user, p string) (File, error) {
-	osp, err := s.resolve(user, p)
+func (s *PosixStorage) Open(user, p string) (_ File, err error) {
+	defer refuseRootPanic(p, &err)
+	r, rel, err := s.resolve(user, p)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := os.Stat(osp)
+	f, err := r.Open(rel)
 	if err != nil {
 		return nil, mapOSErr(err, p)
 	}
-	if fi.IsDir() {
+	if fi, err := f.Stat(); err != nil || fi.IsDir() {
+		f.Close()
+		if err != nil {
+			return nil, mapOSErr(err, p)
+		}
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
-	}
-	f, err := os.Open(osp)
-	if err != nil {
-		return nil, mapOSErr(err, p)
 	}
 	return &posixFile{f: f}, nil
 }
 
 // Create implements Storage.
-func (s *PosixStorage) Create(user, p string) (File, error) {
-	osp, err := s.resolve(user, p)
+func (s *PosixStorage) Create(user, p string) (_ File, err error) {
+	defer refuseRootPanic(p, &err)
+	r, rel, err := s.resolve(user, p)
 	if err != nil {
 		return nil, err
 	}
-	if fi, err := os.Stat(osp); err == nil && fi.IsDir() {
+	f, err := r.OpenFile(rel, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if errors.Is(err, syscall.EISDIR) {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
-	f, err := os.OpenFile(osp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, mapOSErr(err, p)
 	}
@@ -109,12 +143,13 @@ func (s *PosixStorage) Create(user, p string) (File, error) {
 }
 
 // Stat implements Storage.
-func (s *PosixStorage) Stat(user, p string) (FileInfo, error) {
-	osp, err := s.resolve(user, p)
+func (s *PosixStorage) Stat(user, p string) (_ FileInfo, err error) {
+	defer refuseRootPanic(p, &err)
+	r, rel, err := s.resolve(user, p)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	fi, err := os.Stat(osp)
+	fi, err := r.Stat(rel)
 	if err != nil {
 		return FileInfo{}, mapOSErr(err, p)
 	}
@@ -122,16 +157,19 @@ func (s *PosixStorage) Stat(user, p string) (FileInfo, error) {
 }
 
 // List implements Storage.
-func (s *PosixStorage) List(user, p string) ([]FileInfo, error) {
-	osp, err := s.resolve(user, p)
+func (s *PosixStorage) List(user, p string) (_ []FileInfo, err error) {
+	defer refuseRootPanic(p, &err)
+	r, rel, err := s.resolve(user, p)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(osp)
+	d, err := r.Open(rel)
 	if err != nil {
-		if fi, statErr := os.Stat(osp); statErr == nil && !fi.IsDir() {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
-		}
+		return nil, mapOSErr(err, p)
+	}
+	defer d.Close()
+	entries, err := d.ReadDir(-1)
+	if err != nil {
 		return nil, mapOSErr(err, p)
 	}
 	infos := make([]FileInfo, 0, len(entries))
@@ -147,44 +185,40 @@ func (s *PosixStorage) List(user, p string) ([]FileInfo, error) {
 }
 
 // Mkdir implements Storage.
-func (s *PosixStorage) Mkdir(user, p string) error {
-	osp, err := s.resolve(user, p)
+func (s *PosixStorage) Mkdir(user, p string) (err error) {
+	defer refuseRootPanic(p, &err)
+	r, rel, err := s.resolve(user, p)
 	if err != nil {
 		return err
 	}
-	return mapOSErr(os.Mkdir(osp, 0o755), p)
+	return mapOSErr(r.Mkdir(rel, 0o755), p)
 }
 
 // Remove implements Storage.
-func (s *PosixStorage) Remove(user, p string) error {
-	osp, err := s.resolve(user, p)
+func (s *PosixStorage) Remove(user, p string) (err error) {
+	defer refuseRootPanic(p, &err)
+	r, rel, err := s.resolve(user, p)
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(osp); err != nil {
-		var pathErr *os.PathError
-		if errors.As(err, &pathErr) && strings.Contains(pathErr.Err.Error(), "not empty") {
-			return fmt.Errorf("%w: %s", ErrNotEmpty, p)
-		}
-		return mapOSErr(err, p)
-	}
-	return nil
+	return mapOSErr(r.Remove(rel), p)
 }
 
-// Rename implements Storage.
-func (s *PosixStorage) Rename(user, from, to string) error {
-	fromOS, err := s.resolve(user, from)
+// Rename implements Storage, through the user's Root: see renameIn.
+func (s *PosixStorage) Rename(user, from, to string) (err error) {
+	defer refuseRootPanic(from, &err)
+	r, fromRel, err := s.resolve(user, from)
 	if err != nil {
 		return err
 	}
-	toOS, err := s.resolve(user, to)
+	_, toRel, err := s.resolve(user, to)
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stat(toOS); err == nil {
+	if _, err := r.Lstat(toRel); err == nil {
 		return fmt.Errorf("%w: %s", ErrExist, to)
 	}
-	return mapOSErr(os.Rename(fromOS, toOS), from)
+	return mapOSErr(renameIn(r, filepath.Join(s.root, user), fromRel, toRel), from)
 }
 
 type posixFile struct {

@@ -75,11 +75,7 @@ func (sess *session) handleCksm(params string) {
 		sess.reply(ftp.CodeParamSyntaxError, "Bad CKSM offsets")
 		return
 	}
-	p, err := sess.resolve(strings.Join(fields[3:], " "))
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(strings.Join(fields[3:], " "))
 	f, err := sess.srv.cfg.Storage.Open(sess.localUser, p)
 	if err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))

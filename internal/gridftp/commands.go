@@ -137,7 +137,7 @@ func (sess *session) dispatch(cmd ftp.Command) bool {
 }
 
 // resolve joins a possibly relative path against the session CWD.
-func (sess *session) resolve(p string) (string, error) {
+func (sess *session) resolve(p string) string {
 	if !strings.HasPrefix(p, "/") {
 		p = sess.cwd + "/" + p
 	}
@@ -145,11 +145,7 @@ func (sess *session) resolve(p string) (string, error) {
 }
 
 func (sess *session) handleCWD(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, err.Error())
-		return
-	}
+	p := sess.resolve(params)
 	fi, err := sess.srv.cfg.Storage.Stat(sess.localUser, p)
 	if err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
@@ -350,11 +346,7 @@ func (sess *session) handleRest(params string) {
 }
 
 func (sess *session) handleSize(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	fi, err := sess.srv.cfg.Storage.Stat(sess.localUser, p)
 	if err != nil || fi.IsDir {
 		sess.reply(ftp.CodeFileUnavailable, "No such file")
@@ -373,11 +365,7 @@ func mlstFacts(fi dsi.FileInfo) string {
 }
 
 func (sess *session) handleMlst(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	fi, err := sess.srv.cfg.Storage.Stat(sess.localUser, p)
 	if err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
@@ -392,11 +380,7 @@ func (sess *session) handleMlst(params string) {
 // are what they were. A listing too large for one reply is refused with 504
 // — not implemented for that parameter — and MLSD is the way to get it.
 func (sess *session) handleMlsc(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	infos, err := sess.srv.cfg.Storage.List(sess.localUser, p)
 	if err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
@@ -414,11 +398,7 @@ func (sess *session) handleMlsc(params string) {
 }
 
 func (sess *session) handleMkd(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	if err := sess.srv.cfg.Storage.Mkdir(sess.localUser, p); err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
 		return
@@ -427,11 +407,7 @@ func (sess *session) handleMkd(params string) {
 }
 
 func (sess *session) handleDele(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	if err := sess.srv.cfg.Storage.Remove(sess.localUser, p); err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
 		return
@@ -440,11 +416,7 @@ func (sess *session) handleDele(params string) {
 }
 
 func (sess *session) handleRnfr(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	if _, err := sess.srv.cfg.Storage.Stat(sess.localUser, p); err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))
 		return
@@ -458,12 +430,8 @@ func (sess *session) handleRnto(params string) {
 		sess.reply(ftp.CodeBadSequence, "RNFR required first")
 		return
 	}
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
-	err = sess.srv.cfg.Storage.Rename(sess.localUser, sess.renameFrom, p)
+	p := sess.resolve(params)
+	err := sess.srv.cfg.Storage.Rename(sess.localUser, sess.renameFrom, p)
 	sess.renameFrom = ""
 	if err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))

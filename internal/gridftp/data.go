@@ -141,11 +141,7 @@ func (sess *session) refuseTransfer(code int, err error) {
 
 // handleRetr sends a file, or the ranges a REST left missing.
 func (sess *session) handleRetr(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.refuseTransfer(ftp.CodeBadFileName, err)
-		return
-	}
+	p := sess.resolve(params)
 	if !sess.requireDataAuth() {
 		return
 	}
@@ -215,17 +211,14 @@ func (sess *session) handleRetr(params string) {
 
 // handleStor receives a file, emitting restart markers while it runs.
 func (sess *session) handleStor(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.refuseTransfer(ftp.CodeBadFileName, err)
-		return
-	}
+	p := sess.resolve(params)
 	if !sess.requireDataAuth() {
 		return
 	}
 	restart := sess.restart
 	sess.restart = nil
 	var f dsi.File
+	var err error
 	if len(restart) > 0 {
 		// Resuming: keep existing contents.
 		f, err = sess.srv.cfg.Storage.Open(sess.localUser, p)
@@ -375,11 +368,7 @@ func (sess *session) markerInterval() time.Duration {
 // handleMlsd streams a machine-readable directory listing over a fresh,
 // uncached data connection (stream mode regardless of session mode).
 func (sess *session) handleMlsd(params string) {
-	p, err := sess.resolve(params)
-	if err != nil {
-		sess.reply(ftp.CodeBadFileName, errText(err))
-		return
-	}
+	p := sess.resolve(params)
 	infos, err := sess.srv.cfg.Storage.List(sess.localUser, p)
 	if err != nil {
 		sess.reply(ftp.CodeFileUnavailable, errText(err))

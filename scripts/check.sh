@@ -22,10 +22,10 @@
 # (no autotuner type, tuner observe call or transfer.stream_budget gauge),
 # the full test suite (the allocation canary TestFreshParallelGetAllocBudget
 # included), the full test suite again under the race detector (about two
-# minutes on two cores), and ten seconds each of the six wire fuzzers: the
+# minutes on two cores), ten seconds each of the six wire fuzzers: the
 # record boundary, the delegation bundle, the login's pre-TLS replies, the
 # restart ranges of REST and 111 markers, the MODE E receive loop, and
-# MyProxy's request. It
+# MyProxy's request; and ten seconds of the POSIX sandbox fuzzer. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
 # the figure CHANGES.md reports, not a gate.
 #
@@ -296,6 +296,11 @@ echo "==> go test -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy"
 # LOGON, PASSPHRASE and PUBKEY come from a peer that has authenticated nobody
 # yet.
 go test -run '^$' -fuzz FuzzMyProxyRequest -fuzztime 10s ./internal/myproxy
+
+echo "==> go test -fuzz FuzzPosixSandbox -fuzztime 10s ./internal/dsi"
+# A user's paths meet a tree that may hold symlinks out of the sandbox, into
+# another user's, looping or dangling; os.Root must refuse every way out.
+go test -run '^$' -fuzz FuzzPosixSandbox -fuzztime 10s ./internal/dsi
 
 echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
 ./scripts/loc.sh
