@@ -123,7 +123,8 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 	send := func(i int, conn net.Conn) error {
 		buf := pool.Lease()
 		defer pool.Release(buf)
-		bw := newBlockWriter(conn, int(size))
+		bw := newBlockWriter(conn, blockSize)
+		defer bw.release()
 		if i == 0 {
 			if err := bw.writeBlock(DescEOF, 0, uint64(len(conns)), nil); err != nil {
 				return fmt.Errorf("gridftp: send EOF block: %w", err)

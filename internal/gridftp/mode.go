@@ -137,9 +137,10 @@ type buffersWriter interface {
 // buffer. Below it the copy is cheaper than the per-vector bookkeeping.
 const vectorMin = 8 * 1024
 
-// batchCap is the minimum coalescing-buffer capacity; small blocks batch
-// until the buffer fills, so a 16 KiB-block transfer issues one write per
-// ~4 blocks instead of two per block.
+// batchCap is the coalescing buffer's capacity on a conn that takes
+// vectored writes, where it carries only headers and blocks under vectorMin:
+// small blocks batch until it fills, so a 4 KiB-block transfer issues one
+// write per ~15 blocks instead of two per block.
 const batchCap = 64 * 1024
 
 // blockWriter frames MODE E blocks onto one data connection with as few
@@ -148,6 +149,8 @@ const batchCap = 64 * 1024
 // vectorMin and up go out as [header, payload] via WriteBuffers when the
 // connection supports it, net.Buffers (writev) on real TCP, and a single
 // coalesced write otherwise — never the historical two-writes-per-block.
+// The coalescing buffer is leased from the process pools (poolFor) and goes
+// back with release.
 type blockWriter struct {
 	w    io.Writer
 	vw   buffersWriter // non-nil: conn takes vectored writes natively
@@ -157,19 +160,32 @@ type blockWriter struct {
 	hdr  [blockHeaderLen]byte
 }
 
-// newBlockWriter sizes the coalescing buffer so any block of the
-// negotiated size can be flushed as one write even on plain io.Writer
-// connections (TLS: one record instead of two).
+// newBlockWriter leases a coalescing buffer sized by what it will carry. On a
+// conn with vectored writes that is headers and blocks under vectorMin, so
+// batchCap; on any other (PROT P's TLS, PROT S's integrityConn) it is a whole
+// block of the negotiated size with its header, so a block is still one
+// write — one record group — there. Sizing by the negotiated size, not a
+// transfer's job size, keeps the pools to a handful of sizes per process.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	bw := &blockWriter{w: w}
 	bw.vw, _ = w.(buffersWriter)
 	bw.tcp, _ = w.(*net.TCPConn)
 	capacity := batchCap
-	if blockSize+blockHeaderLen > capacity {
-		capacity = blockSize + blockHeaderLen
+	if bw.vw == nil && bw.tcp == nil {
+		capacity = max(batchCap, blockSize+blockHeaderLen)
 	}
-	bw.buf = make([]byte, 0, capacity)
+	bw.buf = poolFor(capacity).Lease()[:0]
 	return bw
+}
+
+// release gives the coalescing buffer back to its pool; the writer is not
+// used again. Every write has returned by then, and none keeps the buffer:
+// a netsim conn and writev copy it before WriteBuffers returns, and TLS and
+// integrityConn before Write returns.
+func (bw *blockWriter) release() {
+	buf := bw.buf[:cap(bw.buf)]
+	bw.buf = nil
+	poolFor(len(buf)).Release(buf)
 }
 
 // flush writes any batched bytes as a single write.
