@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,13 +128,15 @@ func TestLeaseAndReleaseAllocateNothing(t *testing.T) {
 // (client and server) in PROT C and in PROT P, its sink reused. Its buffers
 // — the payload leases and each stream's coalescing buffer — all come from
 // the pools; a coalescing buffer made per stream per transfer was 512 KiB a
-// GET.
+// GET. The reading is the median of nine GETs: now and then one GET pays
+// for a fresh pooled buffer, when the buffer it wants sits in another P's
+// private sync.Pool slot or the link's queue reaches a new depth.
 func TestWarmGetAllocatesLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account, and sync.Pool drops puts")
 	}
-	const size, gets, budget = 16 << 20, 4, 64 << 10
-	for _, prot := range []ProtLevel{ProtClear} {
+	const size, warm, gets, budget = 16 << 20, 8, 9, 64 << 10
+	for _, prot := range []ProtLevel{ProtClear, ProtPrivate} {
 		t.Run(string(prot), func(t *testing.T) {
 			nw := netsim.NewNetwork()
 			s := newSite(t, nw, "siteA")
@@ -145,25 +148,22 @@ func TestWarmGetAllocatesLittle(t *testing.T) {
 				}
 			}
 			sink := dsi.NewBufferFile(nil)
-			get := func() {
+			var per []uint64
+			for i := 0; i < warm+gets; i++ { // the first dials the channels and grows the sink
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				if _, err := c.Get("/big.bin", sink); err != nil {
 					t.Fatal(err)
 				}
+				runtime.ReadMemStats(&after)
+				if i >= warm {
+					per = append(per, after.TotalAlloc-before.TotalAlloc)
+				}
 			}
-			get() // dials the channels, grows the sink
-			for i := 0; i < 24; i++ {
-				get()
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < gets; i++ {
-				get()
-			}
-			runtime.ReadMemStats(&after)
-			perGet := (after.TotalAlloc - before.TotalAlloc) / gets
-			t.Logf("PROT %c: %d bytes allocated per warm GET", prot, perGet)
-			if perGet >= budget {
-				t.Errorf("a warm 16 MiB GET allocates %d bytes, want under %d", perGet, budget)
+			slices.Sort(per)
+			t.Logf("PROT %c: bytes allocated per warm GET, sorted: %v", prot, per)
+			if median := per[gets/2]; median >= budget {
+				t.Errorf("a warm 16 MiB GET allocates %d bytes (median of %d), want under %d", median, gets, budget)
 			}
 			if !bytes.Equal(sink.Bytes(), pattern(size)) {
 				t.Fatal("the GET's bytes differ from the file's")

@@ -35,6 +35,11 @@ const (
 
 var chunkPools [chunkClassBits]sync.Pool
 
+// chunkBoxes holds the *[]byte a leaseChunk emptied, for a releaseChunk to
+// refill: a slice put into a sync.Pool by the address of a fresh variable
+// would cost a heap allocation per release.
+var chunkBoxes sync.Pool
+
 // chunkClass maps a byte count to (pool index, class capacity).
 func chunkClass(n int) (int, int) {
 	idx, size := 0, 1<<chunkClassMin
@@ -52,7 +57,11 @@ func leaseChunk(n int) []byte {
 	}
 	idx, size := chunkClass(n)
 	if v := chunkPools[idx].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		box := v.(*[]byte)
+		b := (*box)[:n]
+		*box = nil
+		chunkBoxes.Put(box)
+		return b
 	}
 	return make([]byte, n, size)
 }
@@ -65,15 +74,20 @@ func releaseChunk(b []byte) {
 	if size != c {
 		return
 	}
-	b = b[:size]
-	chunkPools[idx].Put(&b)
+	box, _ := chunkBoxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:size]
+	chunkPools[idx].Put(box)
 }
 
 // pipeHalf is one direction of a connection: written by one end, read by
 // the other. Delivery times are computed by the stream shaper at write time.
 type pipeHalf struct {
 	mu        sync.Mutex
-	buf       []chunk
+	buf       []chunk // the queue: read pops its head, write appends
+	queue     []chunk // buf's backing array, from its first slot
 	buffered  int
 	shaper    *streamShaper
 	wclosed   bool          // writer called CloseWrite/Close
@@ -218,7 +232,15 @@ func (h *pipeHalf) writev(bufs [][]byte, deadline time.Time) (int, error) {
 				bo = 0
 			}
 		}
+		if len(h.buf) == cap(h.buf) && len(h.buf) < cap(h.queue) {
+			// The popped head slots are free again: slide the queue back
+			// to the front of its array rather than grow a new one.
+			h.buf = h.queue[:copy(h.queue[:cap(h.queue)], h.buf)]
+		}
 		h.buf = append(h.buf, chunk{data: data, full: data, at: at})
+		if cap(h.buf) > cap(h.queue) {
+			h.queue = h.buf
+		}
 		h.buffered += n
 		h.trackQueue(int64(n))
 		h.mu.Unlock()
@@ -320,7 +342,7 @@ func (h *pipeHalf) hardClose() {
 	for i := range h.buf {
 		releaseChunk(h.buf[i].full)
 	}
-	h.buf = nil
+	h.buf, h.queue = nil, nil
 	h.trackQueue(-int64(h.buffered))
 	h.buffered = 0
 	h.mu.Unlock()
