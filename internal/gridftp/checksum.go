@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/adler32"
-	"io"
 	"strconv"
 	"strings"
 
@@ -47,13 +46,12 @@ func ChecksumFile(algorithm string, f dsi.File, offset, length int64) (string, e
 		end = offset + length
 	}
 	h := mk()
-	buf := make([]byte, 256*1024)
+	pool := poolFor(DefaultBlockSize)
+	buf := pool.Lease()
+	defer pool.Release(buf)
 	for off := offset; off < end; {
-		n := int64(len(buf))
-		if off+n > end {
-			n = end - off
-		}
-		if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
+		n := min(int64(len(buf)), end-off)
+		if err := readAtFull(f, buf[:n], off); err != nil {
 			return "", err
 		}
 		h.Write(buf[:n])

@@ -135,8 +135,8 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 			k := sort.Search(len(ranges), func(k int) bool { return starts[k+1] > g })
 			off := ranges[k].Start + (g-starts[k])*size
 			data := buf[:min(size, ranges[k].End-off)]
-			if _, err := f.ReadAt(data, off); err != nil && err != io.EOF {
-				return fmt.Errorf("gridftp: read at %d: %w", off, err)
+			if err := readAtFull(f, data, off); err != nil {
+				return err
 			}
 			// next only grows: once every number is taken, this block is the
 			// stream's last, and it carries the EOD.
@@ -180,6 +180,21 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 	default:
 		return nil
 	}
+}
+
+// readAtFull fills buf from f at off. A file that ends sooner — one that
+// shrank after its size was taken, say under a concurrent STOR — is an
+// error: the rest of buf holds a pooled buffer's stale bytes, and sending or
+// hashing them would report a copy that never happened.
+func readAtFull(f io.ReaderAt, buf []byte, off int64) error {
+	n, err := f.ReadAt(buf, off)
+	if n == len(buf) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("gridftp: read %d of %d bytes at %d: %w", n, len(buf), off, err)
 }
 
 // recvResult reports what a receive attempt accomplished; Received is
@@ -408,7 +423,7 @@ func sendStream(conn net.Conn, f dsi.File, offset, size int64, blockSize int) er
 		if off+n > size {
 			n = size - off
 		}
-		if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
+		if err := readAtFull(f, buf[:n], off); err != nil {
 			return err
 		}
 		if _, err := conn.Write(buf[:n]); err != nil {
