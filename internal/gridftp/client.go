@@ -230,8 +230,22 @@ func (c *Client) flushPools() {
 // counter, giving observability stacks (and tests) a command trace: e.g.
 // asserting a directory transfer issued zero per-file SIZE commands.
 func (c *Client) countCommand(name string) {
-	c.obs.Registry().Counter(obs.Name("gridftp.client.commands", "cmd="+name)).Inc()
+	commandCounters.Lock()
+	metric, ok := commandCounters.names[name]
+	if !ok {
+		metric = obs.Name("gridftp.client.commands", "cmd="+name)
+		commandCounters.names[name] = metric
+	}
+	commandCounters.Unlock()
+	c.obs.Registry().Counter(metric).Inc()
 }
+
+// commandCounters names each verb's counter once a process, not once a
+// command. The verbs are the client's own, a fixed handful.
+var commandCounters = struct {
+	sync.Mutex
+	names map[string]string
+}{names: make(map[string]string)}
 
 // SessionSetup names the per-session settings a caller applies after
 // Delegate; zero fields are skipped.

@@ -402,30 +402,46 @@ func (sess *session) handleMlsd(params string) {
 }
 
 // traceFields appends span's wire ids to a record's key/value list so
-// records and spans cross-reference; a nil span appends nothing.
+// records and spans cross-reference; a nil span appends nothing. The ids
+// are rendered when the record is read (Span.LogIDs).
 func traceFields(kv []any, span *obs.Span) []any {
 	if span != nil {
-		kv = append(kv, "trace", span.TraceID.String(), "span", span.SpanID.String())
+		trace, id := span.LogIDs()
+		kv = append(kv, "trace", trace, "span", id)
 	}
 	return kv
 }
+
+// The outcome-labeled transfer histograms and the per-verb byte counters,
+// named once rather than once a transfer.
+var (
+	transferSecondsOK  = obs.Name("gridftp.server.transfer_seconds", "outcome=ok")
+	transferSecondsErr = obs.Name("gridftp.server.transfer_seconds", "outcome=err")
+	bytesRETR          = obs.Name("gridftp.server.bytes", "RETR")
+	bytesSTOR          = obs.Name("gridftp.server.bytes", "STOR")
+)
 
 // observeTransfer feeds the transfer latency histograms: the unlabeled
 // aggregate plus the ok|err outcome split.
 func (sess *session) observeTransfer(dur time.Duration, ok bool) {
 	reg := sess.srv.cfg.Obs.Registry()
 	reg.Histogram("gridftp.server.transfer_seconds", obs.DefaultDurationBuckets).Observe(dur.Seconds())
-	outcome := "outcome=ok"
+	name := transferSecondsOK
 	if !ok {
-		outcome = "outcome=err"
+		name = transferSecondsErr
 	}
-	reg.Histogram(obs.Name("gridftp.server.transfer_seconds", outcome), obs.DefaultDurationBuckets).Observe(dur.Seconds())
+	reg.Histogram(name, obs.DefaultDurationBuckets).Observe(dur.Seconds())
 }
 
+// reportUsage records a completed transfer; op is RETR or STOR.
 func (sess *session) reportUsage(op, path string, bytes int64, dur time.Duration) {
 	reg := sess.srv.cfg.Obs.Registry()
 	reg.Counter("gridftp.server.transfers_total").Inc()
-	reg.Counter(obs.Name("gridftp.server.bytes", op)).Add(bytes)
+	name := bytesSTOR
+	if op == "RETR" {
+		name = bytesRETR
+	}
+	reg.Counter(name).Add(bytes)
 	sess.observeTransfer(dur, true)
 	sess.cmdSpan.SetAttr("bytes", bytes)
 	sess.log.Info("transfer.complete", traceFields([]any{"op", op, "path", path,

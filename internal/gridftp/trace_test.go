@@ -84,8 +84,18 @@ func TestSiteTraceBindsTransferSpans(t *testing.T) {
 	if !retr.Ended {
 		t.Error("retr span not ended")
 	}
-	if retr.Attrs["path"] != "/data.bin" {
-		t.Errorf("retr span path attr = %q", retr.Attrs["path"])
+	if retr.Attrs["path"] != "/data.bin" || retr.Attrs["size"] != "131072" || retr.Attrs["bytes"] != "131072" {
+		t.Errorf("retr span attrs = %v", retr.Attrs)
+	}
+	// The transfer's records name the span in the same hex as the span
+	// store, though they are rendered only when read.
+	waitFor(t, "the transfer.complete record", func() bool {
+		return slices.ContainsFunc(o.Events(), func(e obs.Event) bool { return e.Type == "transfer.complete" })
+	})
+	for _, e := range o.Events() {
+		if strings.HasPrefix(e.Type, "transfer.") && (e.Fields["trace"] != retr.TraceID || e.Fields["span"] != retr.SpanID) {
+			t.Errorf("%s record names trace %q span %q, want %s %s", e.Type, e.Fields["trace"], e.Fields["span"], retr.TraceID, retr.SpanID)
+		}
 	}
 }
 

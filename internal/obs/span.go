@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -58,9 +59,10 @@ type Span struct {
 	err   string
 }
 
+// field is one attribute as SetAttr took it; Spans renders it.
 type field struct {
 	key string
-	val string
+	val any
 }
 
 // StartSpan begins a root span with a freshly generated trace id.
@@ -118,15 +120,33 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.TraceID, SpanID: s.SpanID}
 }
 
-// SetAttr attaches a key/value attribute.
+// SetAttr attaches a key/value attribute. The value is kept as given and
+// rendered with fmt.Sprint when Spans reads it, so a caller passes values it
+// does not mutate afterwards (strings, numbers, bools).
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, field{key: key, val: fmt.Sprint(value)})
+	s.attrs = append(s.attrs, field{key: key, val: value})
 	s.mu.Unlock()
 }
+
+// LogIDs returns the span's trace and span ids for a log record's fields.
+// Each renders its lowercase-hex wire id when the record is read
+// (/debug/events, the text output), not when it is logged, and each is the
+// span's own pointer, so logging them boxes nothing.
+func (s *Span) LogIDs() (trace, span slog.LogValuer) {
+	return (*traceIDOf)(s), (*spanIDOf)(s)
+}
+
+type traceIDOf Span
+
+func (s *traceIDOf) LogValue() slog.Value { return slog.StringValue(s.TraceID.String()) }
+
+type spanIDOf Span
+
+func (s *spanIDOf) LogValue() slog.Value { return slog.StringValue(s.SpanID.String()) }
 
 // SetError records an error on the span (nil err is a no-op).
 func (s *Span) SetError(err error) {
@@ -192,7 +212,7 @@ func (t *Tracer) Spans() []SpanInfo {
 			info.Duration = s.end.Sub(s.Start)
 		}
 		for _, f := range s.attrs {
-			info.Attrs[f.key] = f.val
+			info.Attrs[f.key] = fmt.Sprint(f.val)
 		}
 		s.mu.Unlock()
 		out = append(out, info)
