@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"io"
+	"math/bits"
 	"net"
 	"os"
 	"sync"
@@ -24,30 +25,39 @@ type chunk struct {
 	at   time.Time
 }
 
-// Chunk buffers are pooled by power-of-two size class (4 KiB .. 4 MiB):
-// the E2 profile showed pipeHalf.write's per-chunk make([]byte, n) as a
-// top allocator, and MODE E traffic reuses a handful of sizes heavily.
+// Chunk buffers are pooled by size class (4 KiB .. 4 MiB): the E2 profile
+// showed pipeHalf.write's per-chunk make([]byte, n) as a top allocator, and
+// MODE E traffic reuses a handful of sizes heavily. Each octave has two
+// classes, 2^k and 2^k + 2^(k-4). Bulk writes are a power of two plus a
+// header — a 256 KiB MODE E block and its 17-byte header, a 16 KiB TLS
+// record and its 22 bytes of framing — and the second class holds them
+// within a sixteenth of their size, where the next power of two would hold
+// them in twice it: a queued chunk is memory in the measured process, which
+// a kernel socket buffer is not.
 const (
-	chunkClassMin  = 12 // 4 KiB
-	chunkClassMax  = 22 // 4 MiB
-	chunkClassBits = chunkClassMax - chunkClassMin + 1
+	chunkClassMin = 12 // 4 KiB
+	chunkClassMax = 22 // 4 MiB
+	chunkClasses  = 2*(chunkClassMax-chunkClassMin) + 1
 )
 
-var chunkPools [chunkClassBits]sync.Pool
+var chunkPools [chunkClasses]sync.Pool
 
 // chunkBoxes holds the *[]byte a leaseChunk emptied, for a releaseChunk to
 // refill: a slice put into a sync.Pool by the address of a fresh variable
 // would cost a heap allocation per release.
 var chunkBoxes sync.Pool
 
-// chunkClass maps a byte count to (pool index, class capacity).
+// chunkClass maps a byte count of at most 1<<chunkClassMax to (pool index,
+// class capacity): the smallest class that holds n.
 func chunkClass(n int) (int, int) {
-	idx, size := 0, 1<<chunkClassMin
-	for size < n && idx < chunkClassBits-1 {
-		size <<= 1
-		idx++
+	if n <= 1<<chunkClassMin {
+		return 0, 1 << chunkClassMin
 	}
-	return idx, size
+	k := bits.Len(uint(n-1)) - 1 // 2^k < n <= 2^(k+1)
+	if mid := 1<<k + 1<<(k-4); n <= mid {
+		return 2*(k-chunkClassMin) + 1, mid
+	}
+	return 2 * (k + 1 - chunkClassMin), 1 << (k + 1)
 }
 
 // leaseChunk returns an n-byte buffer, pooled when n fits a size class.
@@ -70,6 +80,9 @@ func leaseChunk(n int) []byte {
 // (oversize one-offs) are left to the GC.
 func releaseChunk(b []byte) {
 	c := cap(b)
+	if c > 1<<chunkClassMax {
+		return
+	}
 	idx, size := chunkClass(c)
 	if size != c {
 		return
