@@ -42,9 +42,12 @@ checkout() { # checkout <name> <ref>: extract and build
 	git archive "$2" | tar -x -C "$tmp/$1"
 	(cd "$tmp/$1" && go build -o "$tmp/$1.bench" ./bench)
 }
-echo "building parent ($ref) and change (HEAD: $(git rev-parse --short HEAD))" >&2
+# The hash is taken once, before the change is extracted: a commit that lands
+# while the pairs run must not relabel what was built.
+head=$(git rev-parse --short HEAD)
+echo "building parent ($ref) and change (HEAD: $head)" >&2
 checkout parent "$ref"
-checkout change HEAD
+checkout change "$head"
 
 # run <side> <seed>: append "side metric value" lines, and the side's
 # attempted/failed counts, to $tmp/values.
@@ -82,7 +85,7 @@ inside && /\]/ { inside = 0 }
 ' "$tmp/change/BENCHMARK.json" >"$tmp/better"
 
 echo
-echo "workload $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), parent $ref, change $(git rev-parse --short HEAD)"
+echo "workload $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), parent $ref, change $head"
 awk -v betterfile="$tmp/better" '
 function median(a, n) { return n % 2 ? a[(n - 1) / 2] : (a[n / 2 - 1] + a[n / 2]) / 2 }
 function quartile(a, n, i,    pos, j) { # i-th of the 4 cut points, exclusive method
