@@ -90,13 +90,18 @@ func WriteBlock(w io.Writer, b *Block) error {
 
 // ReadBlock reads one block from r into buf (grown if needed) and returns
 // it by value. The returned block's Data aliases buf, so with a pooled buf
-// the steady-state receive loop performs zero allocations per block. limit
-// caps the accepted payload length — pass blockLenLimit(blockSize) for a
-// negotiated session, or 0 for the absolute 1 GiB sanity cap — so a
-// hostile header cannot force a giant allocation.
+// the steady-state receive loop performs zero allocations per block: the
+// header is read into buf too, ahead of the payload that overwrites it (a
+// header array of its own would escape through io.Reader, one allocation a
+// block). limit caps the accepted payload length — pass
+// blockLenLimit(blockSize) for a negotiated session, or 0 for the absolute
+// 1 GiB sanity cap — so a hostile header cannot force a giant allocation.
 func ReadBlock(r io.Reader, buf []byte, limit uint64) (Block, []byte, error) {
-	var hdr [blockHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < blockHeaderLen {
+		buf = make([]byte, blockHeaderLen)
+	}
+	hdr := buf[:blockHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Block{}, buf, err
 	}
 	b := Block{

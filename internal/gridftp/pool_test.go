@@ -110,6 +110,27 @@ func TestReadBlockPooledAliasing(t *testing.T) {
 	}
 }
 
+// TestReadBlockAllocatesNothing: reading a block into a leased buffer costs
+// no allocation — the header lands in the lease too, not in an array that
+// escapes through io.Reader.
+func TestReadBlockAllocatesNothing(t *testing.T) {
+	var wire bytes.Buffer
+	if err := WriteBlock(&wire, &Block{Desc: DescRestartable, Count: 512, Data: make([]byte, 512)}); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(wire.Bytes())
+	buf := NewBufferPool(1024).Lease()
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(wire.Bytes())
+		if _, _, err := ReadBlock(r, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadBlock into a leased buffer costs %.1f allocations, want 0", allocs)
+	}
+}
+
 // TestLeaseAndReleaseAllocateNothing: a lease cycle is free once the pool is
 // warm — Release keeps a *[]byte box for the buffer instead of taking the
 // address of its parameter.
