@@ -6,20 +6,21 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/netsim"
 )
 
-// shrinkingStorage opens every file as one that is cut to half its length
-// once its first block has been read, as a concurrent STOR to the same path
-// cuts a file under a running RETR.
+// shrinkingStorage opens every file whose path names "shrinks" as one that
+// is cut to half its length once its first block has been read, as a
+// concurrent STOR to the same path cuts a file under a running RETR.
 type shrinkingStorage struct{ dsi.Storage }
 
 func (s shrinkingStorage) Open(user, p string) (dsi.File, error) {
 	f, err := s.Storage.Open(user, p)
-	if err != nil {
-		return nil, err
+	if err != nil || !strings.Contains(p, "shrinks") {
+		return f, err
 	}
 	size, err := f.Size()
 	if err != nil {
@@ -93,5 +94,38 @@ func TestShrinkingFileFailsItsTransfer(t *testing.T) {
 	}
 	if err := c.Noop(); err != nil {
 		t.Fatalf("the session did not survive: %v", err)
+	}
+}
+
+// TestStreamGetAfterAFailedExtendedGet: on one session, a MODE S GET after a
+// MODE E GET the server failed with a 426 succeeds, and well inside the
+// data-channel wait: it once accepted a channel the failed transfer had left
+// behind, and the server's own channel waited out its authentication.
+func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Storage = shrinkingStorage{cfg.Storage} })
+	s.putFile(t, "/shrinks.bin", pattern(4*DefaultBlockSize))
+	healthy := pattern(1000)
+	s.putFile(t, "/healthy.bin", healthy)
+	c := s.connect(t, nw.Host("laptop"), true)
+	if err := c.SetParallelism(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get("/shrinks.bin", dsi.NewBufferFile(nil)); err == nil || !strings.Contains(err.Error(), "426") {
+		t.Fatalf("MODE E GET of a shrinking file: %v, want the server's 426", err)
+	}
+	if err := c.SetMode(ModeStream); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	dst := dsi.NewBufferFile(nil)
+	if _, err := c.Get("/healthy.bin", dst); err != nil {
+		t.Fatalf("MODE S GET after the failed MODE E GET (%v): %v", time.Since(start), err)
+	}
+	if took := time.Since(start); took > defaultDataWait/4 {
+		t.Errorf("MODE S GET after the failed MODE E GET took %v", took)
+	}
+	if !bytes.Equal(dst.Bytes(), healthy) {
+		t.Fatal("MODE S GET after the failed MODE E GET: bytes differ")
 	}
 }
