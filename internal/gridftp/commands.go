@@ -162,16 +162,22 @@ func (sess *session) handleCWD(params string) {
 func (sess *session) handleMode(params string) {
 	switch strings.ToUpper(params) {
 	case "S":
-		sess.spec.Mode = ModeStream
-		sess.data.flush()
-		sess.reply(ftp.CodeOK, "Mode S ok")
+		sess.setMode(ModeStream)
 	case "E":
-		sess.spec.Mode = ModeExtended
-		sess.data.flush()
-		sess.reply(ftp.CodeOK, "Mode E ok")
+		sess.setMode(ModeExtended)
 	default:
 		sess.reply(ftp.CodeParamNotImpl, "Unsupported mode")
 	}
+}
+
+// setMode normalizes the spec as the client's SetMode does, so both ends
+// derive the same parallelism: one stream in MODE S, and still one after a
+// return to MODE E until OPTS says otherwise.
+func (sess *session) setMode(m TransferMode) {
+	sess.spec.Mode = m
+	sess.spec = sess.spec.Normalize()
+	sess.data.flush()
+	sess.reply(ftp.CodeOK, fmt.Sprintf("Mode %c ok", m))
 }
 
 // handleAllo records the size announced for the next STOR ("ALLO n",

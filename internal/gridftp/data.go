@@ -165,7 +165,11 @@ func (sess *session) handleRetr(params string) {
 	sess.cmdSpan.SetAttr("path", p)
 	sess.cmdSpan.SetAttr("size", size)
 	est := sess.cmdSpan.Child("gridftp.data.establish")
-	chans, err := sess.establishChannels(sess.spec.Parallelism)
+	streams := sess.spec.Parallelism
+	if sess.spec.Mode == ModeStream {
+		streams = 1 // MODE S is one byte stream, as handleStor and the client have it
+	}
+	chans, err := sess.establishChannels(streams)
 	est.SetError(err)
 	est.End()
 	if err != nil {

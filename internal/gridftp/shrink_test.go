@@ -66,12 +66,8 @@ func TestShrinkingFileFailsItsTransfer(t *testing.T) {
 	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Storage = shrinkingStorage{cfg.Storage} })
 	payload := pattern(4 * DefaultBlockSize)
 	s.putFile(t, "/shrinks.bin", payload)
-	var c *Client
+	c := s.connect(t, nw.Host("laptop"), true)
 	for _, mode := range []TransferMode{ModeExtended, ModeStream} {
-		// A session of its own each: on one session, a MODE S GET after a
-		// failed MODE E GET waits out the data-channel auth timeout, a fault
-		// of its own.
-		c = s.connect(t, nw.Host("laptop"), true)
 		if err := c.SetMode(mode); err != nil {
 			t.Fatal(err)
 		}
@@ -98,9 +94,11 @@ func TestShrinkingFileFailsItsTransfer(t *testing.T) {
 }
 
 // TestStreamGetAfterAFailedExtendedGet: on one session, a MODE S GET after a
-// MODE E GET the server failed with a 426 succeeds, and well inside the
-// data-channel wait: it once accepted a channel the failed transfer had left
-// behind, and the server's own channel waited out its authentication.
+// two-stream MODE E GET the server failed with a 426 succeeds, well inside
+// the data-channel wait, and so does a MODE E GET after it. The server once
+// kept its two streams in MODE S and dialled both for the one the client
+// accepts; the second waited out its DCAU handshake and the GET was
+// answered 425 after 30 s.
 func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Storage = shrinkingStorage{cfg.Storage} })
@@ -127,5 +125,13 @@ func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
 	}
 	if !bytes.Equal(dst.Bytes(), healthy) {
 		t.Fatal("MODE S GET after the failed MODE E GET: bytes differ")
+	}
+	// Back in MODE E, both ends agree on the streams again.
+	if err := c.SetMode(ModeExtended); err != nil {
+		t.Fatal(err)
+	}
+	dst = dsi.NewBufferFile(nil)
+	if _, err := c.Get("/healthy.bin", dst); err != nil || !bytes.Equal(dst.Bytes(), healthy) {
+		t.Fatalf("MODE E GET after the MODE S GET: %v", err)
 	}
 }
