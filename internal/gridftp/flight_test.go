@@ -43,12 +43,41 @@ type scriptedServer struct {
 	done     chan struct{}
 	// delegKey is what a real session generates at login.
 	delegKey *ecdsa.PrivateKey
+	// conn and client are the server's and the client's ends of the control
+	// channel, as accepted and dialled.
+	conn, client net.Conn
 
 	mu     sync.Mutex
 	refuse map[string]int
 	lines  []string // the commands seen, parameters included
 	par    int
+
+	// verdicts, when set, answers every command by its turn instead of the
+	// script above (the sequence model, sequence_test.go): the i-th command
+	// read gets verdicts[i], and accept from the end of the list on.
+	verdicts []verdict
+	// answered counts the commands a verdict went to; over is set once the
+	// server hung up or stalled: it answers nothing more.
+	answered              int
+	over, stalled, hungUp bool
 }
+
+// verdict is how the scripted server answers one command.
+type verdict struct {
+	kind verdictKind
+	code int // the refusal's reply code
+}
+
+type verdictKind int
+
+const (
+	accept  verdictKind = iota
+	refuse              // answer code
+	// hangUp answers code and shuts the control channel's sending half (a
+	// FIN: the client reads the reply, then EOF); hangUpNow closes the rest.
+	hangUp
+	stall // answer nothing, now or later: the client's read deadline passes
+)
 
 // newScriptedSession connects a Client to a scriptedServer over a 20 ms link.
 func newScriptedSession(t *testing.T, files map[string][]byte) (*Client, *scriptedServer) {
@@ -81,8 +110,9 @@ func newScriptedSessionOver(t *testing.T, files map[string][]byte, rtt time.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn := <-accepted
 	srv := &scriptedServer{
-		ctrl: ftp.NewConn(<-accepted), files: files, done: make(chan struct{}), delegKey: key,
+		ctrl: ftp.NewConn(conn), files: files, done: make(chan struct{}), delegKey: key, conn: conn, client: raw,
 		data:   dataPath{dialFrom: []*netsim.Host{nw.Host("fake")}, wait: 3 * time.Second, cache: true},
 		refuse: map[string]int{}, par: 1,
 	}
@@ -141,6 +171,12 @@ func (s *scriptedServer) serve() {
 		refused := s.refuse[cmd.Name]
 		delete(s.refuse, cmd.Name)
 		s.mu.Unlock()
+		if s.verdicts != nil {
+			if !s.answer(cmd.Name) {
+				return
+			}
+			continue
+		}
 		switch cmd.Name {
 		case "DELG":
 			bundle, _ := base64.StdEncoding.DecodeString(cmd.Params)
@@ -216,6 +252,66 @@ func (s *scriptedServer) serve() {
 			s.ctrl.WriteReply(ftp.CodeNotImplemented, "not scripted")
 		}
 	}
+}
+
+// answer replies to one command by its verdict. Every reply names the turn
+// it answers, "#i", so the client's errors can be traced to the command that
+// caused them. It returns false once the session is over (QUIT).
+func (s *scriptedServer) answer(verb string) bool {
+	if verb == "QUIT" {
+		return false
+	}
+	s.mu.Lock()
+	if s.over {
+		s.mu.Unlock()
+		return true
+	}
+	i := s.answered
+	var v verdict
+	if i < len(s.verdicts) {
+		v = s.verdicts[i]
+	}
+	s.mu.Unlock()
+	switch {
+	case v.kind == refuse || v.kind == hangUp:
+		s.ctrl.WriteReply(v.code, fmt.Sprintf("no #%d", i))
+	case v.kind == stall:
+	case verb == "PASV":
+		s.ctrl.WriteReply(ftp.CodeEnteringPassive, fmt.Sprintf("Entering Passive Mode (pasv#%d)", i))
+	default:
+		s.ctrl.WriteReply(acceptCode(verb), fmt.Sprintf("ok #%d", i))
+	}
+	if v.kind == hangUp {
+		s.conn.(interface{ CloseWrite() error }).CloseWrite()
+	}
+	s.mu.Lock()
+	s.answered++
+	s.stalled, s.hungUp = v.kind == stall, v.kind == hangUp
+	s.over = s.stalled || s.hungUp
+	s.mu.Unlock()
+	return true
+}
+
+// hangUpNow completes a hang-up: the connection closes, and the client's
+// writes fail from then on. It is the caller's to call between two of the
+// client's calls, where no write of the client is under way: a netsim write
+// that the close overtakes fails even though its bytes went out.
+func (s *scriptedServer) hangUpNow() {
+	s.ctrl.Close()
+	<-s.done
+}
+
+// acceptCode is the reply that accepts a verb answered by verdict.
+func acceptCode(verb string) int {
+	switch verb {
+	case "USER":
+		return ftp.CodeUserLoggedIn
+	case "MKD":
+		return ftp.CodePathCreated
+	case "PASV":
+		return ftp.CodeEnteringPassive
+	}
+	return ftp.CodeOK
 }
 
 func (s *scriptedServer) mlst(path string) {

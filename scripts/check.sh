@@ -25,7 +25,8 @@
 # minutes on two cores), ten seconds each of the six wire fuzzers: the
 # record boundary, the delegation bundle, the login's pre-TLS replies, the
 # restart ranges of REST and 111 markers, the MODE E receive loop, and
-# MyProxy's request; and ten seconds of the POSIX sandbox fuzzer. It
+# MyProxy's request; ten seconds of the POSIX sandbox fuzzer; and ten
+# seconds of the client's reply-discipline sequences. It
 # ends by printing the non-test lines of Go per package (scripts/loc.sh) —
 # the figure CHANGES.md reports, not a gate.
 #
@@ -301,6 +302,11 @@ echo "==> go test -fuzz FuzzPosixSandbox -fuzztime 10s ./internal/dsi"
 # A user's paths meet a tree that may hold symlinks out of the sandbox, into
 # another user's, looping or dangling; os.Root must refuse every way out.
 go test -run '^$' -fuzz FuzzPosixSandbox -fuzztime 10s ./internal/dsi
+
+echo "==> go test -fuzz FuzzClientSequence -fuzztime 10s ./internal/gridftp"
+# The owed-reply contract (settle.go) against a reference model, over call
+# sequences and server verdicts drawn from the fuzzer's seed.
+go test -run '^$' -fuzz FuzzClientSequence -fuzztime 10s ./internal/gridftp
 
 echo "==> non-test lines per package (informational; ./scripts/loc.sh <ref> for a delta)"
 ./scripts/loc.sh
