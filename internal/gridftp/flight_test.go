@@ -71,12 +71,14 @@ type verdict struct {
 type verdictKind int
 
 const (
-	accept  verdictKind = iota
-	refuse              // answer code
+	accept verdictKind = iota
+	// refuse answers code.
+	refuse
 	// hangUp answers code and shuts the control channel's sending half (a
 	// FIN: the client reads the reply, then EOF); hangUpNow closes the rest.
 	hangUp
-	stall // answer nothing, now or later: the client's read deadline passes
+	// stall answers nothing, now or later: the client's read deadline passes.
+	stall
 )
 
 // newScriptedSession connects a Client to a scriptedServer over a 20 ms link.
