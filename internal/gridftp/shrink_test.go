@@ -95,10 +95,10 @@ func TestShrinkingFileFailsItsTransfer(t *testing.T) {
 
 // TestStreamGetAfterAFailedExtendedGet: on one session, a MODE S GET after a
 // two-stream MODE E GET the server failed with a 426 succeeds, well inside
-// the data-channel wait, and so does a MODE E GET after it. The server once
-// kept its two streams in MODE S and dialled both for the one the client
-// accepts; the second waited out its DCAU handshake and the GET was
-// answered 425 after 30 s.
+// the data-channel wait; so does one after an OPTS RETR Parallelism=2 in
+// MODE S, and a MODE E GET after them. The server once kept its two streams
+// in MODE S and dialled both for the one the client accepts; the second
+// waited out its DCAU handshake and the GET was answered 425 after 30 s.
 func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA", func(cfg *ServerConfig) { cfg.Storage = shrinkingStorage{cfg.Storage} })
@@ -125,6 +125,15 @@ func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
 	}
 	if !bytes.Equal(dst.Bytes(), healthy) {
 		t.Fatal("MODE S GET after the failed MODE E GET: bytes differ")
+	}
+	// A parallelism set in MODE S leaves it one stream at both ends.
+	if err := c.SetParallelism(2); err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	dst = dsi.NewBufferFile(nil)
+	if _, err := c.Get("/healthy.bin", dst); err != nil || !bytes.Equal(dst.Bytes(), healthy) {
+		t.Fatalf("MODE S GET after OPTS RETR Parallelism=2 (%v): %v", time.Since(start), err)
 	}
 	// Back in MODE E, both ends agree on the streams again.
 	if err := c.SetMode(ModeExtended); err != nil {
