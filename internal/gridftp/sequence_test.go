@@ -229,11 +229,11 @@ func step(c *Client, p *Pipeline, m *seqModel, call seqCall) (got, want string) 
 				m.passive = fmt.Sprintf("pasv#%d", turn)
 			}
 		}
+		addr := ""
 		if want == "" {
-			want = " " + m.passive
-		} else {
-			want += " "
+			addr = m.passive
 		}
+		want += " " + addr
 	case opSettle:
 		got = outcome(c.Settle())
 		_, want = m.settle()
@@ -289,7 +289,7 @@ func sortedJoin(s []string) string {
 // The scripted server as the model sees it.
 const (
 	serverUp      = iota
-	serverHungUp  // hung up in this call: a write may still find the connection
+	serverHungUp  // hung up in this call, which still writes to it: its FIN is read, not its close
 	serverClosed  // hung up in an earlier call: every write fails
 	serverStalled // reads every command and answers none
 )
