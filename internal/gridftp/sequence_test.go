@@ -52,7 +52,7 @@ func FuzzClientSequence(f *testing.F) {
 	f.Fuzz(runSequence)
 }
 
-// The calls the driver draws from.
+// The calls a sequence is drawn from.
 const (
 	opParallelism = iota // SetParallelism(arg), arg 0..4
 	opBlockSize          // SetBlockSize(arg KiB)
