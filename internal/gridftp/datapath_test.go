@@ -334,18 +334,21 @@ func TestDataPathPooling(t *testing.T) {
 	}
 }
 
-// fullCapConn is a net.Conn with both fast-path capabilities, standing in
-// for a real TCP socket or a netsim conn.
+// fullCapConn is a net.Conn with all three fast-path capabilities, standing
+// in for a netsim conn.
 type fullCapConn struct{ net.Conn }
 
 func (c *fullCapConn) ReadFrom(r io.Reader) (int64, error) { return io.Copy(c.Conn, r) }
+func (c *fullCapConn) WriteTo(w io.Writer) (int64, error) {
+	return io.Copy(w, struct{ io.Reader }{c.Conn})
+}
 func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	return (*net.Buffers)(&bufs).WriteTo(c.Conn)
 }
 
 // TestTransformingLayersHideFastPaths: TLS and the PROT S integrity frames
-// transform the byte stream, so they must swallow io.ReaderFrom and
-// WriteBuffers even over a conn that has both — a forwarded call would put
+// transform the byte stream, so they must swallow io.ReaderFrom, io.WriterTo
+// and WriteBuffers even over a conn that has all three — a forwarded call would put
 // untransformed bytes on the wire — and stream telemetry stacked on top of
 // them must advertise neither.
 func TestTransformingLayersHideFastPaths(t *testing.T) {
@@ -373,6 +376,9 @@ func TestTransformingLayersHideFastPaths(t *testing.T) {
 			}
 			if _, ok := conn.(buffersWriter); ok {
 				t.Errorf("%s leaks WriteBuffers past the transform", what)
+			}
+			if _, ok := conn.(io.WriterTo); ok {
+				t.Errorf("%s leaks io.WriterTo past the transform", what)
 			}
 		}
 		a.Close()

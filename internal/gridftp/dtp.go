@@ -119,10 +119,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 	var next atomic.Int64 // the next block no stream has taken
 	next.Store(int64(len(conns)))
 
-	pool := poolFor(blockSize)
 	send := func(i int, conn net.Conn) error {
-		buf := pool.Lease()
-		defer pool.Release(buf)
 		bw := newBlockWriter(conn, blockSize)
 		defer bw.release()
 		if i == 0 {
@@ -134,21 +131,18 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 		for g := int64(i); g < blocks; g = next.Add(1) - 1 {
 			k := sort.Search(len(ranges), func(k int) bool { return starts[k+1] > g })
 			off := ranges[k].Start + (g-starts[k])*size
-			data := buf[:min(size, ranges[k].End-off)]
-			if err := readAtFull(f, data, off); err != nil {
-				return err
-			}
+			n := int(min(size, ranges[k].End-off))
 			// next only grows: once every number is taken, this block is the
 			// stream's last, and it carries the EOD.
 			desc := byte(DescRestartable)
 			if eod = next.Load() >= blocks; eod {
 				desc |= DescEOD
 			}
-			if err := bw.writeBlock(desc, uint64(len(data)), uint64(off), data); err != nil {
-				return fmt.Errorf("gridftp: send block at %d: %w", off, err)
+			if err := bw.writeBlockAt(desc, f, off, n); err != nil {
+				return err
 			}
 			if onBytes != nil {
-				onBytes(i, int64(len(data)))
+				onBytes(i, int64(n))
 			}
 		}
 		if !eod {

@@ -323,12 +323,13 @@ func TestFailedSendLeavesNoGoroutine(t *testing.T) {
 }
 
 // deathWatch counts the data blocks each stream of a send begins — its
-// vectored writes — and makes stream dead fail its third and every later one.
-// atDeath is every stream's count at that first failure.
+// vectored writes or ReadFroms — and makes stream dead fail its third and
+// every later one. atDeath is every stream's count at that first failure.
 type deathWatch struct {
 	mu             sync.Mutex
 	dead           int
 	begun, atDeath []int
+	readFroms      int
 }
 
 type watchedConn struct {
@@ -337,51 +338,82 @@ type watchedConn struct {
 	stream int
 }
 
-func (c watchedConn) WriteBuffers(bufs [][]byte) (int64, error) {
+// begin counts a block the stream begins and reports whether it dies.
+func (c watchedConn) begin() bool {
 	w := c.w
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.begun[c.stream]++
 	dies := c.stream == w.dead && w.begun[c.stream] > 2
 	if dies && w.atDeath == nil {
 		w.atDeath = slices.Clone(w.begun)
 	}
-	w.mu.Unlock()
-	if dies {
+	return dies
+}
+
+func (c watchedConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	if c.begin() {
 		return 0, errors.New("connection died")
 	}
 	return c.Conn.(buffersWriter).WriteBuffers(bufs)
 }
 
+// watchedDirectConn also takes ReadFrom, so each block goes from storage
+// into the conn.
+type watchedDirectConn struct{ watchedConn }
+
+func (c watchedDirectConn) ReadFrom(r io.Reader) (int64, error) {
+	c.w.mu.Lock()
+	c.w.readFroms++
+	c.w.mu.Unlock()
+	if c.begin() {
+		return 0, errors.New("connection died")
+	}
+	return c.Conn.(io.ReaderFrom).ReadFrom(r)
+}
+
 // TestDeadStreamEndsTheSend: one of 16 streams dies after two blocks. The
 // others finish the block each is sending, begin at most one more — one taken
 // before the failed stream's goroutine ends the deal — and stop, instead of
-// sending the rest of the 32 MiB between them.
+// sending the rest of the 32 MiB between them; over conns that take vectored
+// writes, and over conns that take ReadFrom.
 func TestDeadStreamEndsTheSend(t *testing.T) {
 	const streams, size = 16, 32 << 20
-	pp := newPathPair(t)
-	pp.nw.SetLink("lis", "con", refWAN)
-	accepted, dialed := pp.open(streams)
-	defer closeChannels(dialed)
-	for _, ch := range accepted {
-		go io.Copy(io.Discard, ch.sec)
-	}
-	defer closeChannels(accepted)
+	for _, direct := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ReadFrom=%v", direct), func(t *testing.T) {
+			pp := newPathPair(t)
+			pp.nw.SetLink("lis", "con", refWAN)
+			accepted, dialed := pp.open(streams)
+			defer closeChannels(dialed)
+			for _, ch := range accepted {
+				go io.Copy(io.Discard, ch.sec)
+			}
+			defer closeChannels(accepted)
 
-	w := &deathWatch{dead: 5, begun: make([]int, streams)}
-	conns := secConns(dialed)
-	for i := range conns {
-		conns[i] = watchedConn{conns[i], w, i}
-	}
-	if err := sendModeE(conns, dsi.NewBufferFile(pattern(size)), []Range{{0, size}}, DefaultBlockSize, nil); err == nil {
-		t.Fatal("a send with a dead stream succeeded")
-	}
-	if w.atDeath == nil {
-		t.Fatal("the dying stream never failed a write")
-	}
-	for i := range w.begun {
-		if i != w.dead && w.begun[i]-w.atDeath[i] > 1 {
-			t.Errorf("stream %d began %d blocks after stream %d died, want at most 1 (all, then and at the end: %v %v)", i, w.begun[i]-w.atDeath[i], w.dead, w.atDeath, w.begun)
-		}
+			w := &deathWatch{dead: 5, begun: make([]int, streams)}
+			conns := secConns(dialed)
+			for i := range conns {
+				if direct {
+					conns[i] = watchedDirectConn{watchedConn{conns[i], w, i}}
+				} else {
+					conns[i] = watchedConn{conns[i], w, i}
+				}
+			}
+			if err := sendModeE(conns, dsi.NewBufferFile(pattern(size)), []Range{{0, size}}, DefaultBlockSize, nil); err == nil {
+				t.Fatal("a send with a dead stream succeeded")
+			}
+			if w.atDeath == nil {
+				t.Fatal("the dying stream never failed a write")
+			}
+			if direct != (w.readFroms > 0) {
+				t.Fatalf("%d blocks went by ReadFrom, over conns that take it: %v", w.readFroms, direct)
+			}
+			for i := range w.begun {
+				if i != w.dead && w.begun[i]-w.atDeath[i] > 1 {
+					t.Errorf("stream %d began %d blocks after stream %d died, want at most 1 (all, then and at the end: %v %v)", i, w.begun[i]-w.atDeath[i], w.dead, w.atDeath, w.begun)
+				}
+			}
+		})
 	}
 }
 

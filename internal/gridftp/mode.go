@@ -149,20 +149,29 @@ const vectorMin = 8 * 1024
 const batchCap = 64 * 1024
 
 // blockWriter frames MODE E blocks onto one data connection with as few
-// writes as possible. Small blocks and headers coalesce into a scratch
-// buffer (batched: consecutive small blocks share one write); payloads of
-// vectorMin and up go out as [header, payload] via WriteBuffers when the
-// connection supports it, net.Buffers (writev) on real TCP, and a single
-// coalesced write otherwise — never the historical two-writes-per-block.
-// The coalescing buffer is leased from the process pools (poolFor) and goes
-// back with release.
+// writes and copies as possible. Small blocks and headers coalesce into a
+// scratch buffer (batched: consecutive small blocks share one write).
+// Payloads of vectorMin and up go out behind their header in one write: on a
+// conn that takes io.ReaderFrom and vectored writes (netsim, and stream
+// telemetry over it) straight from storage into the conn's chunk, one copy
+// (writeBlockAt); otherwise from a buffer, as [header, payload] via
+// WriteBuffers, net.Buffers (writev) on real TCP, and a single coalesced
+// write on the rest — never the historical two writes per block. The
+// coalescing buffer is leased from the process pools (poolFor) and goes back
+// with release, as does the payload buffer, leased on first use.
 type blockWriter struct {
 	w    io.Writer
 	vw   buffersWriter // non-nil: conn takes vectored writes natively
+	rf   io.ReaderFrom // non-nil (with vw): conn fills its chunks from a reader
 	tcp  *net.TCPConn  // non-nil: net.Buffers reaches writev
 	buf  []byte        // coalescing buffer; len is the pending byte count
 	vecs [3][]byte     // backing array for vectored [pending, hdr, payload] calls
 	hdr  [blockHeaderLen]byte
+	// payload is what writeBlockAt reads a block into when it cannot go
+	// from storage to the conn; nil until then.
+	payload   []byte
+	blockSize int
+	rd        blockReader // the reader writeBlockAt hands rf
 }
 
 // newBlockWriter leases a coalescing buffer sized by what it will carry. On a
@@ -172,8 +181,11 @@ type blockWriter struct {
 // write — one record group — there. Sizing by the negotiated size, not a
 // transfer's job size, keeps the pools to a handful of sizes per process.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
-	bw := &blockWriter{w: w}
+	bw := &blockWriter{w: w, blockSize: blockSize}
 	bw.vw, _ = w.(buffersWriter)
+	if bw.vw != nil {
+		bw.rf, _ = w.(io.ReaderFrom)
+	}
 	bw.tcp, _ = w.(*net.TCPConn)
 	capacity := batchCap
 	if bw.vw == nil && bw.tcp == nil {
@@ -183,14 +195,18 @@ func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	return bw
 }
 
-// release gives the coalescing buffer back to its pool; the writer is not
-// used again. Every write has returned by then, and none keeps the buffer:
-// a netsim conn and writev copy it before WriteBuffers returns, and TLS and
+// release gives the leased buffers back to their pools; the writer is not
+// used again. Every write has returned by then, and none keeps a buffer: a
+// netsim conn and writev copy it before WriteBuffers returns, and TLS and
 // integrityConn before Write returns.
 func (bw *blockWriter) release() {
 	buf := bw.buf[:cap(bw.buf)]
 	bw.buf = nil
 	poolFor(len(buf)).Release(buf)
+	if bw.payload != nil {
+		poolFor(bw.blockSize).Release(bw.payload)
+		bw.payload = nil
+	}
 }
 
 // flush writes any batched bytes as a single write.
@@ -239,4 +255,76 @@ func (bw *blockWriter) writeBlock(desc byte, count, offset uint64, payload []byt
 	putBlockHeader(bw.buf[n:], desc, count, offset)
 	bw.buf = append(bw.buf, payload...)
 	return nil
+}
+
+// writeBlockAt frames one block whose payload is the n bytes of f at off. On
+// a conn that fills its chunks from a reader, a payload of vectorMin and up
+// goes from storage straight into the chunk, behind whatever is batched and
+// the header, in one write. Otherwise it is read into the payload buffer
+// and framed by writeBlock. A file that ends short of the block fails it,
+// as readAtFull does; a failed write is wrapped with the block's offset.
+func (bw *blockWriter) writeBlockAt(desc byte, f io.ReaderAt, off int64, n int) error {
+	if bw.rf == nil || n < vectorMin {
+		if bw.payload == nil {
+			bw.payload = poolFor(bw.blockSize).Lease()
+		}
+		data := bw.payload[:n]
+		if err := readAtFull(f, data, off); err != nil {
+			return err
+		}
+		if err := bw.writeBlock(desc, uint64(n), uint64(off), data); err != nil {
+			return fmt.Errorf("gridftp: send block at %d: %w", off, err)
+		}
+		return nil
+	}
+	if len(bw.buf)+blockHeaderLen > cap(bw.buf) {
+		if err := bw.flush(); err != nil {
+			return fmt.Errorf("gridftp: send block at %d: %w", off, err)
+		}
+	}
+	k := len(bw.buf)
+	bw.buf = bw.buf[:k+blockHeaderLen]
+	putBlockHeader(bw.buf[k:], desc, uint64(n), uint64(off))
+	bw.rd = blockReader{head: bw.buf, f: f, off: off, n: n}
+	bw.buf = bw.buf[:0]
+	_, err := bw.rf.ReadFrom(&bw.rd)
+	if rerr := bw.rd.err; rerr != nil {
+		return rerr
+	}
+	if err != nil {
+		return fmt.Errorf("gridftp: send block at %d: %w", off, err)
+	}
+	return nil
+}
+
+// blockReader is one block as a conn's ReadFrom takes it: the batched bytes
+// and the header, then n bytes of f from off, read into the conn's chunk. It
+// states its length (Len), so the conn sizes its chunk for all of it.
+type blockReader struct {
+	head []byte
+	f    io.ReaderAt
+	off  int64
+	n    int
+	err  error // the storage failure that ended the block
+}
+
+// Len is what is left of the block.
+func (r *blockReader) Len() int { return len(r.head) + r.n }
+
+func (r *blockReader) Read(p []byte) (int, error) {
+	k := copy(p, r.head)
+	r.head = r.head[k:]
+	if m := min(len(p)-k, r.n); m > 0 {
+		if err := readAtFull(r.f, p[k:k+m], r.off); err != nil {
+			r.err = err
+			return k, err
+		}
+		r.off += int64(m)
+		r.n -= m
+		k += m
+	}
+	if k == 0 {
+		return 0, io.EOF
+	}
+	return k, nil
 }

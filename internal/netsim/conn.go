@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"io"
 	"math/bits"
 	"net"
@@ -96,12 +97,14 @@ func releaseChunk(b []byte) {
 }
 
 // pipeHalf is one direction of a connection: written by one end, read by
-// the other. Delivery times are computed by the stream shaper at write time.
+// the other. Delivery times are computed by the stream shaper when a chunk
+// is queued.
 type pipeHalf struct {
 	mu        sync.Mutex
-	buf       []chunk // the queue: read pops its head, write appends
+	buf       []chunk // the queue: a read pops its head, a send appends
 	queue     []chunk // buf's backing array, from its first slot
-	buffered  int
+	buffered  int     // bytes queued
+	reserved  int     // bytes a send has booked room for and is still filling
 	shaper    *streamShaper
 	wclosed   bool          // writer called CloseWrite/Close
 	dead      bool          // hard-closed; reads fail immediately
@@ -109,6 +112,10 @@ type pipeHalf struct {
 	spaceFree chan struct{} // signalled when buffer space frees up
 	deadCh    chan struct{} // closed on hardClose; interrupts pacing sleeps
 	deadOnce  sync.Once
+	// rmu serialises the readers of the half, as a socket's read lock
+	// does: WriteTo lends the head chunk out unlocked, and no other read
+	// may take it meanwhile.
+	rmu sync.Mutex
 }
 
 func newPipeHalf(s *streamShaper) *pipeHalf {
@@ -185,81 +192,40 @@ func (h *pipeHalf) trackQueue(n int64) {
 	}
 }
 
-// write appends p with a computed delivery time. It blocks (until deadline)
-// while the buffer is full, and also while more than one round trip of the
-// stream's bytes is booked and not yet transmitted, as a socket write blocks
-// on a full send buffer: a back-to-back writer is paced at the link rate and
-// keeps it busy, and a small write on an idle conn returns at once.
-// Hysteresis: once the buffer fills, the writer waits for a meaningful
-// amount of space before resuming, so steady-state chunks never degrade
-// into slivers (which would make per-chunk costs dominate).
-func (h *pipeHalf) write(p []byte, deadline time.Time) (int, error) {
-	bufs := [1][][]byte{{p}}
-	return h.writev(bufs[0], deadline)
-}
-
-// writev is the gather form of write: all slices land contiguously, so a
-// MODE E [header, payload] pair becomes one chunk (one delivery-time
-// computation, one pooled buffer) instead of two — the simulated
-// equivalent of writev(2) on a TCP socket.
-func (h *pipeHalf) writev(bufs [][]byte, deadline time.Time) (int, error) {
-	remaining := 0
-	for _, b := range bufs {
-		remaining += len(b)
-	}
+// send is the one send loop: Write, WriteBuffers and ReadFrom queue their
+// n bytes through it, fill copying the next bytes into each chunk. It blocks
+// (until deadline) while the buffer is full, and also while more than one
+// round trip of the stream's bytes is booked and not yet transmitted, as a
+// socket write blocks on a full send buffer: a back-to-back writer is paced
+// at the link rate and keeps it busy, and a small write on an idle conn
+// returns at once. Hysteresis: once the buffer fills, the writer waits for a
+// meaningful amount of space before resuming, so steady-state chunks never
+// degrade into slivers (which would make per-chunk costs dominate).
+//
+// A chunk is filled outside the lock, so a reader's storage I/O holds up
+// neither the peer nor a close. fill may stop short (a reader at its end, or
+// failing); what it filled is queued and the send ends there. Bytes that
+// are queued count as written: a hard close that interrupts the pacing
+// sleep after the call's last chunk leaves the call's result alone and
+// fails the next write.
+func (h *pipeHalf) send(n int, fill func(dst []byte) (int, bool), deadline time.Time) (int, error) {
 	total := 0
-	bi, bo := 0, 0 // gather cursor: buffer index, offset within it
-	for remaining > 0 {
-		want := remaining
-		if want > maxBufferedBytes/4 {
-			want = maxBufferedBytes / 4
+	for remaining := n; remaining > 0; {
+		size, err := h.reserve(remaining, deadline)
+		if err != nil {
+			return total, err
 		}
-		h.mu.Lock()
-		for maxBufferedBytes-h.buffered < want && !h.wclosed && !h.dead {
-			h.mu.Unlock()
-			if err := waitSignal(h.spaceFree, deadline); err != nil {
-				return total, err
-			}
-			h.mu.Lock()
+		data := leaseChunk(size)
+		k, more := fill(data)
+		at, err := h.publish(data, k, size)
+		if err != nil {
+			return total, err
 		}
-		if h.wclosed || h.dead {
-			h.mu.Unlock()
-			return total, net.ErrClosed
+		total += k
+		remaining -= k
+		if !more {
+			return total, nil
 		}
-		n := remaining
-		if room := maxBufferedBytes - h.buffered; n > room {
-			n = room
-		}
-		now := time.Now()
-		at := now
-		if h.shaper != nil {
-			at = h.shaper.deliveryTime(n, now)
-		}
-		data := leaseChunk(n)
-		for m := 0; m < n; {
-			k := copy(data[m:], bufs[bi][bo:])
-			m += k
-			bo += k
-			if bo == len(bufs[bi]) {
-				bi++
-				bo = 0
-			}
-		}
-		if len(h.buf) == cap(h.buf) && len(h.buf) < cap(h.queue) {
-			// The popped head slots are free again: slide the queue back
-			// to the front of its array rather than grow a new one.
-			h.buf = h.queue[:copy(h.queue[:cap(h.queue)], h.buf)]
-		}
-		h.buf = append(h.buf, chunk{data: data, full: data, at: at})
-		if cap(h.buf) > cap(h.queue) {
-			h.queue = h.buf
-		}
-		h.buffered += n
-		h.trackQueue(int64(n))
-		h.mu.Unlock()
-		signal(h.dataReady)
-		total += n
-		remaining -= n
 		// Pace the writer: it regains control once what it has booked and
 		// not yet transmitted is at most one RTT at the stream's rate (one
 		// window, for a window-limited stream). Transmission ends one
@@ -271,72 +237,212 @@ func (h *pipeHalf) writev(bufs [][]byte, deadline time.Time) (int, error) {
 					h.sleepUntil(deadline)
 					return total, os.ErrDeadlineExceeded
 				}
-				if !h.sleepUntil(sendDone) {
-					return total, net.ErrClosed
-				}
+				h.sleepUntil(sendDone) // a close ends the next reserve, if any
 			}
 		}
 	}
 	return total, nil
 }
 
-// read pops delivered bytes into p, blocking until data is available (and
-// has arrived, per its delivery timestamp) or the writer side is closed.
-func (h *pipeHalf) read(p []byte, deadline time.Time) (int, error) {
+// reserve waits (until deadline) for room in the queue, at least a quarter
+// of the buffer or all that is left to send, and books up to remaining
+// bytes of it.
+func (h *pipeHalf) reserve(remaining int, deadline time.Time) (int, error) {
+	want := min(remaining, maxBufferedBytes/4)
+	h.mu.Lock()
+	for maxBufferedBytes-h.buffered-h.reserved < want && !h.wclosed && !h.dead {
+		h.mu.Unlock()
+		if err := waitSignal(h.spaceFree, deadline); err != nil {
+			return 0, err
+		}
+		h.mu.Lock()
+	}
+	if h.wclosed || h.dead {
+		h.mu.Unlock()
+		return 0, net.ErrClosed
+	}
+	n := min(remaining, maxBufferedBytes-h.buffered-h.reserved)
+	h.reserved += n
+	h.mu.Unlock()
+	return n, nil
+}
+
+// publish queues the first k bytes of data, a chunk reserve booked size
+// bytes for, and returns when they arrive. A closed half takes nothing.
+func (h *pipeHalf) publish(data []byte, k, size int) (time.Time, error) {
+	h.mu.Lock()
+	h.reserved -= size
+	if h.wclosed || h.dead || k == 0 {
+		closed := h.wclosed || h.dead
+		h.mu.Unlock()
+		releaseChunk(data)
+		if closed {
+			return time.Time{}, net.ErrClosed
+		}
+		return time.Time{}, nil
+	}
+	now := time.Now()
+	at := now
+	if h.shaper != nil {
+		at = h.shaper.deliveryTime(k, now)
+	}
+	if len(h.buf) == cap(h.buf) && len(h.buf) < cap(h.queue) {
+		// The popped head slots are free again: slide the queue back
+		// to the front of its array rather than grow a new one.
+		h.buf = h.queue[:copy(h.queue[:cap(h.queue)], h.buf)]
+	}
+	h.buf = append(h.buf, chunk{data: data[:k], full: data, at: at})
+	if cap(h.buf) > cap(h.queue) {
+		h.queue = h.buf
+	}
+	h.buffered += k
+	h.trackQueue(int64(k))
+	h.mu.Unlock()
+	signal(h.dataReady)
+	return at, nil
+}
+
+// writev queues the gathered slices. They land contiguously, so a MODE E
+// [header, payload] pair becomes one chunk (one delivery-time computation,
+// one pooled buffer) instead of two — the simulated equivalent of writev(2)
+// on a TCP socket.
+func (h *pipeHalf) writev(bufs [][]byte, deadline time.Time) (int, error) {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	bi, bo := 0, 0 // gather cursor: buffer index, offset within it
+	return h.send(n, func(dst []byte) (int, bool) {
+		for m := 0; m < len(dst); {
+			k := copy(dst[m:], bufs[bi][bo:])
+			m += k
+			bo += k
+			if bo == len(bufs[bi]) {
+				bi++
+				bo = 0
+			}
+		}
+		return len(dst), true
+	}, deadline)
+}
+
+// write queues p; see send.
+func (h *pipeHalf) write(p []byte, deadline time.Time) (int, error) {
+	bufs := [1][][]byte{{p}}
+	return h.writev(bufs[0], deadline)
+}
+
+// arrived is the one receive loop's wait: it locks h and waits (until
+// deadline) for the head chunk to arrive. It returns nil with h.mu held,
+// or io.EOF after CloseWrite, or why the wait failed, with it released.
+func (h *pipeHalf) arrived(deadline time.Time) error {
 	for {
 		h.mu.Lock()
 		if h.dead {
 			h.mu.Unlock()
-			return 0, net.ErrClosed
+			return net.ErrClosed
 		}
 		if len(h.buf) > 0 {
 			at := h.buf[0].at
-			if wait := time.Until(at); wait > 0 {
-				h.mu.Unlock()
-				if !deadline.IsZero() && at.After(deadline) {
-					h.sleepUntil(deadline)
-					return 0, os.ErrDeadlineExceeded
-				}
-				if !h.sleepUntil(at) {
-					return 0, net.ErrClosed
-				}
-				continue
+			if time.Until(at) <= 0 {
+				return nil
 			}
-			// Coalesce: drain as many *delivered* chunks as fit in p, so
-			// large reads are not limited to one chunk per call.
-			n := 0
-			now := time.Now()
-			for n < len(p) && len(h.buf) > 0 {
-				c := &h.buf[0]
-				if c.at.After(now) {
-					break
-				}
-				m := copy(p[n:], c.data)
-				n += m
-				if m == len(c.data) {
-					releaseChunk(c.full)
-					h.buf[0] = chunk{}
-					h.buf = h.buf[1:]
-				} else {
-					c.data = c.data[m:]
-				}
-			}
-			h.buffered -= n
-			h.trackQueue(-int64(n))
 			h.mu.Unlock()
-			signal(h.spaceFree)
-			return n, nil
+			if !deadline.IsZero() && at.After(deadline) {
+				h.sleepUntil(deadline)
+				return os.ErrDeadlineExceeded
+			}
+			if !h.sleepUntil(at) {
+				return net.ErrClosed
+			}
+			continue
 		}
 		if h.wclosed {
 			h.mu.Unlock()
-			return 0, io.EOF
+			return io.EOF
 		}
 		h.mu.Unlock()
 		if err := waitSignal(h.dataReady, deadline); err != nil {
-			return 0, err
+			return err
 		}
 	}
 }
+
+// consumed accounts for n bytes taken off the queue and releases h.mu.
+func (h *pipeHalf) consumed(n int) {
+	h.buffered -= n
+	h.trackQueue(-int64(n))
+	h.mu.Unlock()
+	signal(h.spaceFree)
+}
+
+// read pops delivered bytes into p, blocking until data is available (and
+// has arrived, per its delivery timestamp) or the writer side is closed.
+func (h *pipeHalf) read(p []byte, deadline time.Time) (int, error) {
+	h.rmu.Lock()
+	defer h.rmu.Unlock()
+	if err := h.arrived(deadline); err != nil {
+		return 0, err
+	}
+	// Coalesce: drain as many *delivered* chunks as fit in p, so large
+	// reads are not limited to one chunk per call.
+	n := 0
+	now := time.Now()
+	for n < len(p) && len(h.buf) > 0 {
+		c := &h.buf[0]
+		if c.at.After(now) {
+			break
+		}
+		m := copy(p[n:], c.data)
+		n += m
+		if m == len(c.data) {
+			releaseChunk(c.full)
+			h.buf[0] = chunk{}
+			h.buf = h.buf[1:]
+		} else {
+			c.data = c.data[m:]
+		}
+	}
+	h.consumed(n)
+	return n, nil
+}
+
+// lend hands the arrived head chunk to w, called with h.mu held (arrived).
+// The chunk stays at the head of the queue, so no write can overtake it,
+// but its buffer is marked lent: a hard close during w.Write empties the
+// queue without pooling it, and it is released here. Bytes w does not take
+// stay queued for the next read.
+func (h *pipeHalf) lend(w io.Writer) (int, error) {
+	c := h.buf[0]
+	h.buf[0].full = nil
+	h.mu.Unlock()
+	k, err := w.Write(c.data)
+	if k < 0 || k > len(c.data) {
+		k, err = 0, errInvalidWrite
+	} else if k < len(c.data) && err == nil {
+		err = io.ErrShortWrite
+	}
+	h.mu.Lock()
+	if h.dead {
+		h.mu.Unlock()
+		releaseChunk(c.full)
+		return k, err
+	}
+	if k == len(c.data) {
+		h.buf[0] = chunk{}
+		h.buf = h.buf[1:]
+		releaseChunk(c.full)
+	} else {
+		h.buf[0].data = c.data[k:]
+		h.buf[0].full = c.full
+	}
+	h.consumed(k)
+	return k, err
+}
+
+// errInvalidWrite is a writer's report of more bytes than it was handed,
+// or fewer than none.
+var errInvalidWrite = errors.New("netsim: writer returned an invalid count")
 
 // closeWrite marks the writer side done; readers drain then see EOF.
 func (h *pipeHalf) closeWrite() {
@@ -413,41 +519,105 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	c.mu.Lock()
-	dl := c.rdeadline
-	c.mu.Unlock()
-	n, err := c.rd.read(p, dl)
-	if err != nil && err != io.EOF {
-		err = &net.OpError{Op: "read", Net: "sim", Source: c.local, Addr: c.remote, Err: err}
+	n, err := c.rd.read(p, c.readDeadline())
+	if err == io.EOF {
+		return n, err
 	}
-	return n, err
+	return n, c.opError("read", err)
 }
 
 // Write implements net.Conn.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	dl := c.wdeadline
-	c.mu.Unlock()
-	n, err := c.wr.write(p, dl)
-	if err != nil {
-		err = &net.OpError{Op: "write", Net: "sim", Source: c.local, Addr: c.remote, Err: err}
-	}
-	return n, err
+	n, err := c.wr.write(p, c.writeDeadline())
+	return n, c.opError("write", err)
 }
 
 // WriteBuffers writes several slices as one wire operation — the
-// simulated writev(2). The MODE E fast path uses it to put a block header
-// and its payload (or a batch of small blocks) into a single shaped chunk
+// simulated writev(2). The MODE E path uses it to put a block header and
+// its payload (or a batch of small blocks) into a single shaped chunk
 // instead of one per Write call.
 func (c *Conn) WriteBuffers(bufs [][]byte) (int64, error) {
-	c.mu.Lock()
-	dl := c.wdeadline
-	c.mu.Unlock()
-	n, err := c.wr.writev(bufs, dl)
-	if err != nil {
-		err = &net.OpError{Op: "writev", Net: "sim", Source: c.local, Addr: c.remote, Err: err}
+	n, err := c.wr.writev(bufs, c.writeDeadline())
+	return int64(n), c.opError("writev", err)
+}
+
+// ReadFrom queues r's bytes straight into the send chunks, one copy, where
+// a Write would take them from a buffer the caller filled first: the
+// simulated sendfile(2). It takes a reader that states its length, an
+// *io.LimitedReader (N is then an upper bound) or one with a Len method,
+// and copies other readers through a buffer. Chunking, delivery times and
+// pacing are Write's. A reader's own error ends the call unwrapped.
+func (c *Conn) ReadFrom(r io.Reader) (int64, error) {
+	var n int64
+	switch r := r.(type) {
+	case *io.LimitedReader:
+		n = r.N
+	case interface{ Len() int }:
+		n = int64(r.Len())
+	default:
+		return io.Copy(writerOnly{c}, r)
 	}
-	return int64(n), err
+	var rerr error
+	k, err := c.wr.send(int(max(n, 0)), func(dst []byte) (int, bool) {
+		m, err := io.ReadFull(r, dst)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			rerr = err
+		}
+		return m, err == nil
+	}, c.writeDeadline())
+	if rerr != nil {
+		return int64(k), rerr
+	}
+	return int64(k), c.opError("readfrom", err)
+}
+
+// writerOnly hides Conn's ReadFrom from io.Copy.
+type writerOnly struct{ io.Writer }
+
+// WriteTo hands each delivered chunk straight to w until EOF, one copy,
+// where a Read would copy it into a buffer first: the simulated splice(2).
+// Deadlines, EOF after CloseWrite and Abort behave as they do for Read. w
+// writes outside the connection's lock, so its storage I/O holds up
+// neither end. Bytes w does not take stay queued for the next Read or
+// WriteTo, and w's own error ends the call unwrapped.
+func (c *Conn) WriteTo(w io.Writer) (int64, error) {
+	h := c.rd
+	h.rmu.Lock()
+	defer h.rmu.Unlock()
+	var total int64
+	for {
+		if err := h.arrived(c.readDeadline()); err != nil {
+			if err == io.EOF {
+				return total, nil
+			}
+			return total, c.opError("writeto", err)
+		}
+		n, err := h.lend(w)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+func (c *Conn) readDeadline() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rdeadline
+}
+
+func (c *Conn) writeDeadline() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wdeadline
+}
+
+// opError wraps a failure of the connection itself as *net.OpError does.
+func (c *Conn) opError(op string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return &net.OpError{Op: op, Net: "sim", Source: c.local, Addr: c.remote, Err: err}
 }
 
 // Close shuts down both directions of this end. The peer sees EOF after

@@ -215,20 +215,22 @@ func (t *Transfer) Wrap(i int, payload, wire net.Conn) net.Conn {
 	s.wire = wire
 	s.mu.Unlock()
 	sc := &streamConn{Conn: payload, s: s}
-	// Capability-gated fast-path passthrough: the instrumented conn only
-	// advertises vectored writes (WriteBuffers) or sendfile (io.ReaderFrom)
-	// when the payload conn underneath provides them, and the forwarding
-	// methods keep the byte/progress counters honest — the MODE E fast
-	// path must never bypass stream telemetry.
+	// Capability-gated fast-path passthrough, in two sets: a conn that
+	// moves bytes with no buffer of its own between the caller and the
+	// wire (a netsim conn) has sendfile (io.ReaderFrom), splice
+	// (io.WriterTo) and vectored writes (WriteBuffers), and the wrapper
+	// forwards all three; a TCP socket's sendfile alone is forwarded
+	// without them. The forwarding methods keep the byte/progress
+	// counters honest — the MODE E fast path must never bypass stream
+	// telemetry — and a plain conn is not dressed up as one that batches.
 	rf, _ := payload.(io.ReaderFrom)
+	wt, _ := payload.(io.WriterTo)
 	bw, _ := payload.(buffersWriter)
 	switch {
-	case rf != nil && bw != nil:
-		return &streamStreamConn{streamConn: sc, rf: rf, bw: bw}
+	case rf != nil && wt != nil && bw != nil:
+		return &streamDirectConn{streamConn: sc, rf: rf, wt: wt, bw: bw}
 	case rf != nil:
 		return &streamReaderFromConn{streamConn: sc, rf: rf}
-	case bw != nil:
-		return &streamBuffersConn{streamConn: sc, bw: bw}
 	}
 	return sc
 }
@@ -300,10 +302,7 @@ type streamConn struct {
 
 func (c *streamConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.s.bytes.Add(int64(n))
-		c.s.last.Store(time.Now().UnixNano())
-	}
+	c.progress(int64(n))
 	return n, err
 }
 
@@ -311,10 +310,7 @@ func (c *streamConn) Write(p []byte) (int, error) {
 	start := time.Now()
 	n, err := c.Conn.Write(p)
 	c.s.blocked.Add(int64(time.Since(start)))
-	if n > 0 {
-		c.s.bytes.Add(int64(n))
-		c.s.last.Store(time.Now().UnixNano())
-	}
+	c.progress(int64(n))
 	return n, err
 }
 
@@ -333,23 +329,16 @@ func (c *streamConn) readFrom(rf io.ReaderFrom, r io.Reader) (int64, error) {
 	start := time.Now()
 	n, err := rf.ReadFrom(r)
 	c.s.blocked.Add(int64(time.Since(start)))
-	if n > 0 {
-		c.s.bytes.Add(n)
-		c.s.last.Store(time.Now().UnixNano())
-	}
+	c.progress(n)
 	return n, err
 }
 
-// writeBuffers forwards a vectored write with full accounting.
-func (c *streamConn) writeBuffers(bw buffersWriter, bufs [][]byte) (int64, error) {
-	start := time.Now()
-	n, err := bw.WriteBuffers(bufs)
-	c.s.blocked.Add(int64(time.Since(start)))
+// progress counts n moved bytes toward the stream.
+func (c *streamConn) progress(n int64) {
 	if n > 0 {
 		c.s.bytes.Add(n)
 		c.s.last.Store(time.Now().UnixNano())
 	}
-	return n, err
 }
 
 // streamReaderFromConn instruments a conn that supports io.ReaderFrom.
@@ -360,26 +349,30 @@ type streamReaderFromConn struct {
 
 func (c *streamReaderFromConn) ReadFrom(r io.Reader) (int64, error) { return c.readFrom(c.rf, r) }
 
-// streamBuffersConn instruments a conn that supports vectored writes.
-type streamBuffersConn struct {
-	*streamConn
-	bw buffersWriter
-}
-
-func (c *streamBuffersConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	return c.writeBuffers(c.bw, bufs)
-}
-
-// streamStreamConn instruments a conn that supports both.
-type streamStreamConn struct {
+// streamDirectConn instruments a conn with all three fast paths.
+type streamDirectConn struct {
 	*streamConn
 	rf io.ReaderFrom
+	wt io.WriterTo
 	bw buffersWriter
 }
 
-func (c *streamStreamConn) ReadFrom(r io.Reader) (int64, error) { return c.readFrom(c.rf, r) }
-func (c *streamStreamConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	return c.writeBuffers(c.bw, bufs)
+func (c *streamDirectConn) ReadFrom(r io.Reader) (int64, error) { return c.readFrom(c.rf, r) }
+
+// WriteTo forwards io.WriterTo, counting the moved bytes as reads.
+func (c *streamDirectConn) WriteTo(w io.Writer) (int64, error) {
+	n, err := c.wt.WriteTo(w)
+	c.progress(n)
+	return n, err
+}
+
+// WriteBuffers forwards a vectored write with full accounting.
+func (c *streamDirectConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	start := time.Now()
+	n, err := c.bw.WriteBuffers(bufs)
+	c.s.blocked.Add(int64(time.Since(start)))
+	c.progress(n)
+	return n, err
 }
 
 // poll is one pass: refresh throughput EWMAs and wire counters, set the

@@ -28,17 +28,23 @@ func streamHealth(t *testing.T, r *Registry, i int) StreamHealth {
 	return h[0].Streams[i]
 }
 
-// fullCapConn is a net.Conn with both fast-path capabilities, standing in
-// for a real TCP socket or a netsim conn.
+// fullCapConn is a net.Conn with all three fast-path capabilities,
+// standing in for a netsim conn.
 type fullCapConn struct {
 	net.Conn
 	readFromCalls     int
+	writeToCalls      int
 	writeBuffersCalls int
 }
 
 func (c *fullCapConn) ReadFrom(r io.Reader) (int64, error) {
 	c.readFromCalls++
 	return io.Copy(c.Conn, r)
+}
+
+func (c *fullCapConn) WriteTo(w io.Writer) (int64, error) {
+	c.writeToCalls++
+	return io.Copy(w, struct{ io.Reader }{c.Conn})
 }
 
 func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
@@ -55,11 +61,11 @@ func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
 }
 
 // TestWrapCapabilityGating pins the fast-path passthrough contract of
-// Transfer.Wrap: the instrumented conn advertises io.ReaderFrom and
-// WriteBuffers exactly when the conn underneath provides them, forwards
-// each call once, and counts the bytes as stream progress — the MODE E
-// fast path must never bypass stream telemetry, and a plain conn must not
-// be dressed up as one that batches.
+// Transfer.Wrap: the instrumented conn advertises io.ReaderFrom,
+// io.WriterTo and WriteBuffers when the conn underneath provides all three,
+// forwards each call once, and counts the bytes as stream progress — the
+// MODE E fast path must never bypass stream telemetry, and a plain conn must
+// not be dressed up as one that batches.
 func TestWrapCapabilityGating(t *testing.T) {
 	reg := newTestRegistry(t)
 	tr := reg.Begin("gating", "test")
@@ -76,6 +82,9 @@ func TestWrapCapabilityGating(t *testing.T) {
 	bw, ok := wrapped.(buffersWriter)
 	if !ok {
 		t.Fatal("Wrap over a capable conn must forward WriteBuffers")
+	}
+	if _, ok := wrapped.(io.WriterTo); !ok {
+		t.Fatal("Wrap over a capable conn must forward io.WriterTo")
 	}
 	before := streamHealth(t, reg, 0).LastProgress
 	done := make(chan struct{})
@@ -115,25 +124,61 @@ func TestWrapCapabilityGating(t *testing.T) {
 	if _, ok := plain.(buffersWriter); ok {
 		t.Fatal("Wrap over a plain conn must not advertise WriteBuffers")
 	}
+	if _, ok := plain.(io.WriterTo); ok {
+		t.Fatal("Wrap over a plain conn must not advertise io.WriterTo")
+	}
 }
 
-// TestWrapCountsBytesBothWays: plain Read and Write both count toward the
-// stream, on each end's own transfer record.
+// TestWrapCountsBytesBothWays: Write and Read count toward the stream, on
+// each end's own transfer record, over a plain conn and over a netsim conn,
+// where io.Copy takes the forwarded WriteTo.
 func TestWrapCountsBytesBothWays(t *testing.T) {
-	sendReg, recvReg := newTestRegistry(t), newTestRegistry(t)
-	a, b := net.Pipe()
-	ca := sendReg.Begin("send", "test").Wrap(0, a, a)
-	cb := recvReg.Begin("recv", "test").Wrap(0, b, b)
-	go func() {
-		ca.Write(bytes.Repeat([]byte("x"), 1000))
-		ca.Close()
-	}()
-	io.Copy(io.Discard, cb)
-	if got := streamHealth(t, sendReg, 0).Bytes; got != 1000 {
-		t.Fatalf("sender counted %d bytes, want 1000", got)
+	nw := netsim.NewNetwork()
+	l, err := nw.Listen("s", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := streamHealth(t, recvReg, 0).Bytes; got != 1000 {
-		t.Fatalf("receiver counted %d bytes, want 1000", got)
+	defer l.Close()
+	for _, tc := range []struct {
+		name string
+		pipe func() (net.Conn, net.Conn)
+	}{
+		{"net.Pipe", net.Pipe},
+		{"netsim", func() (net.Conn, net.Conn) {
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, _ := l.Accept()
+				accepted <- c
+			}()
+			c, err := nw.Dial("c", "s:1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, <-accepted
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sendReg, recvReg := newTestRegistry(t), newTestRegistry(t)
+			a, b := tc.pipe()
+			ca := sendReg.Begin("send", "test").Wrap(0, a, a)
+			cb := recvReg.Begin("recv", "test").Wrap(0, b, b)
+			_, direct := b.(io.WriterTo)
+			if _, ok := cb.(io.WriterTo); ok != direct {
+				t.Fatalf("the wrapper advertises io.WriterTo: %v; the conn under it: %v", ok, direct)
+			}
+			go func() {
+				ca.Write(bytes.Repeat([]byte("x"), 1000))
+				ca.Close()
+			}()
+			io.Copy(io.Discard, cb)
+			if got := streamHealth(t, sendReg, 0).Bytes; got != 1000 {
+				t.Fatalf("sender counted %d bytes, want 1000", got)
+			}
+			if got := streamHealth(t, recvReg, 0).Bytes; got != 1000 {
+				t.Fatalf("receiver counted %d bytes, want 1000", got)
+			}
+			b.Close()
+		})
 	}
 }
 
