@@ -276,14 +276,25 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 			dl.SetReadDeadline(time.Now().Add(60 * time.Second))
 		}
 		first := true
-		buf := pool.Lease()
-		defer func() { pool.Release(buf) }()
+		// A conn with a splice lands each payload from its queue straight
+		// in storage; any other reads the block into a leased buffer first.
+		wt := splicer(conn)
+		var buf []byte
+		var sink *blockSink
+		if wt != nil {
+			sink = sinks.Get().(*blockSink)
+			defer sinks.Put(sink)
+		} else {
+			buf = pool.Lease()
+			defer func() { pool.Release(buf) }()
+		}
 		for {
-			b, nbuf, err := ReadBlock(conn, buf, limit)
-			buf = nbuf
-			if err == nil && first && hasDeadline {
-				dl.SetReadDeadline(time.Time{})
-				first = false
+			var b Block
+			var err error
+			if wt != nil {
+				b, err = readBlockHeader(conn, sink.hdr[:], limit)
+			} else {
+				b, buf, err = ReadBlock(conn, buf, limit)
 			}
 			if err != nil {
 				setErr(fmt.Errorf("gridftp: data connection lost: %w", err))
@@ -307,14 +318,30 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 				}
 			}
 			if b.Count > 0 {
-				if _, err := f.WriteAt(b.Data, int64(b.Offset)); err != nil {
+				off := int64(b.Offset)
+				if wt != nil {
+					err = sink.land(wt, f, off, int(b.Count))
+				} else {
+					_, err = f.WriteAt(b.Data, off)
+				}
+				switch {
+				case err == nil:
+				case wt != nil && sink.err == nil:
+					setErr(fmt.Errorf("gridftp: data connection lost: %w", err))
+					return
+				default:
 					setErr(fmt.Errorf("gridftp: write at %d: %w", b.Offset, err))
 					return
 				}
-				received.Add(int64(b.Offset), int64(b.Offset)+int64(b.Count))
+				// A block is claimed only once all of it has landed.
+				received.Add(off, off+int64(b.Count))
 				if onBytes != nil {
 					onBytes(stream, int64(b.Count))
 				}
+			}
+			if first && hasDeadline {
+				dl.SetReadDeadline(time.Time{})
+				first = false
 			}
 			if b.EOD() {
 				mu.Lock()

@@ -7,9 +7,11 @@ package gridftp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 )
 
 // MODE E block descriptor bits (GridFTP extended block mode).
@@ -100,20 +102,9 @@ func ReadBlock(r io.Reader, buf []byte, limit uint64) (Block, []byte, error) {
 	if cap(buf) < blockHeaderLen {
 		buf = make([]byte, blockHeaderLen)
 	}
-	hdr := buf[:blockHeaderLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	b, err := readBlockHeader(r, buf[:blockHeaderLen], limit)
+	if err != nil {
 		return Block{}, buf, err
-	}
-	b := Block{
-		Desc:   hdr[0],
-		Count:  binary.BigEndian.Uint64(hdr[1:9]),
-		Offset: binary.BigEndian.Uint64(hdr[9:17]),
-	}
-	if limit == 0 {
-		limit = maxBlockLen
-	}
-	if b.Count > limit {
-		return Block{}, buf, fmt.Errorf("gridftp: block length %d exceeds negotiated limit %d", b.Count, limit)
 	}
 	if b.Count > 0 {
 		if uint64(cap(buf)) < b.Count {
@@ -126,6 +117,87 @@ func ReadBlock(r io.Reader, buf []byte, limit uint64) (Block, []byte, error) {
 		b.Data = data
 	}
 	return b, buf, nil
+}
+
+// readBlockHeader reads a block's header into hdr and refuses a payload
+// length past limit (0: the absolute 1 GiB sanity cap).
+func readBlockHeader(r io.Reader, hdr []byte, limit uint64) (Block, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Block{}, err
+	}
+	b := Block{
+		Desc:   hdr[0],
+		Count:  binary.BigEndian.Uint64(hdr[1:9]),
+		Offset: binary.BigEndian.Uint64(hdr[9:17]),
+	}
+	if limit == 0 {
+		limit = maxBlockLen
+	}
+	if b.Count > limit {
+		return Block{}, fmt.Errorf("gridftp: block length %d exceeds negotiated limit %d", b.Count, limit)
+	}
+	return b, nil
+}
+
+// splicer returns conn's io.WriterTo when conn moves bytes with no buffer of
+// its own, which the conns that take vectored writes do (netsim, and stream
+// telemetry over it), and nil otherwise: a TCP socket's WriteTo copies
+// through a 32 KiB buffer for any writer but a socket.
+func splicer(conn io.Reader) io.WriterTo {
+	if _, ok := conn.(buffersWriter); !ok {
+		return nil
+	}
+	wt, _ := conn.(io.WriterTo)
+	return wt
+}
+
+// blockSink lands one block's payload in a file as a conn's WriteTo hands
+// it over, one copy from the conn's queue into storage, and takes nothing
+// past the block: the next header stays queued for the next read. Sinks
+// are pooled (sinks), as the payload buffers of the buffered path are.
+type blockSink struct {
+	hdr  [blockHeaderLen]byte // the stream's header buffer
+	f    io.WriterAt
+	off  int64
+	left int
+	err  error // the storage failure that ended the block
+}
+
+var sinks = sync.Pool{New: func() any { return new(blockSink) }}
+
+// errBlockLanded ends a WriteTo once the block's last byte is in storage.
+var errBlockLanded = errors.New("gridftp: block landed")
+
+func (s *blockSink) Write(p []byte) (int, error) {
+	k, err := s.f.WriteAt(p[:min(len(p), s.left)], s.off)
+	s.off += int64(k)
+	s.left -= k
+	if err != nil {
+		s.err = err
+		return k, err
+	}
+	if s.left == 0 {
+		return k, errBlockLanded
+	}
+	return k, nil
+}
+
+// land moves the n-byte payload of the block at off from wt into f. It
+// fails unless all of it landed: with the storage error (s.err) if storage
+// refused, else as a short payload.
+func (s *blockSink) land(wt io.WriterTo, f io.WriterAt, off int64, n int) error {
+	s.f, s.off, s.left, s.err = f, off, n, nil
+	_, err := wt.WriteTo(s)
+	s.f = nil
+	switch {
+	case s.left == 0:
+		return nil
+	case s.err != nil:
+		return s.err
+	case err == nil:
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("gridftp: short block payload: %w", err)
 }
 
 // buffersWriter is the vectored-write capability: one call delivers several

@@ -9,11 +9,15 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/netsim"
 )
 
 // FuzzReceiveModeE writes arbitrary bytes on one to four data connections
 // into recvModeE over a MemStorage file, as a hostile sender could. The first
 // byte picks the number of connections and the rest is dealt among them.
+// Each input runs twice: over net.Pipe, where payloads pass through a
+// buffer, and over netsim conns, where they move from the conn's queue
+// straight into the file (WriteTo).
 // Whatever the bytes, the receive does not panic, returns within its
 // deadline, and grows the heap by no more than the bytes sent plus a
 // constant. The constant is the file's own bytes — at most twice its size,
@@ -46,60 +50,71 @@ func FuzzReceiveModeE(f *testing.F) {
 		const streams = 4 // the parallelism the receive negotiated
 		n := 1 + int(wire[0])%streams
 		wire = wire[1:]
-		mem := dsi.NewMemStorage()
-		mem.AddUser("u")
-		file, err := mem.Create("u", "/f")
-		if err != nil {
-			t.Fatal(err)
+		nw := netsim.NewNetwork()
+		for _, pipe := range []func() (net.Conn, net.Conn){
+			net.Pipe,
+			func() (net.Conn, net.Conn) { return simPipe(t, nw) },
+		} {
+			receiveHostile(t, wire, n, streams, pipe)
 		}
-
-		var writers sync.WaitGroup
-		conns := make([]net.Conn, n)
-		for i := range conns {
-			var peer net.Conn
-			conns[i], peer = net.Pipe()
-			part := wire[i*len(wire)/n : (i+1)*len(wire)/n]
-			writers.Add(1)
-			go func() {
-				defer writers.Done()
-				peer.Write(part)
-				peer.Close()
-			}()
-		}
-		next := 0
-		accept := func(stop <-chan struct{}) (net.Conn, error) {
-			if next < len(conns) {
-				next++
-				return conns[next-1], nil
-			}
-			// No sender connects again: the data wait ends.
-			select {
-			case <-stop:
-			case <-time.After(10 * time.Millisecond):
-			}
-			return nil, errors.New("no further data connection")
-		}
-
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		recvModeE(accept, file, nil, minBlockSize, streams, nil, nil)
-		if took := time.Since(start); took > 5*time.Second {
-			t.Fatalf("the receive took %v", took)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		size, _ := file.Size()
-		if size > 1<<30 {
-			t.Fatalf("the file grew to %d bytes, past the 1 GiB bound", size)
-		}
-		if growth, limit := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(len(wire))+2*size+1<<20; growth > limit {
-			t.Fatalf("the heap grew %d bytes for %d sent into a %d-byte file, past %d", growth, len(wire), size, limit)
-		}
-		for _, c := range conns {
-			c.Close()
-		}
-		writers.Wait()
 	})
+}
+
+// receiveHostile deals wire over n conns made by pipe and receives it.
+func receiveHostile(t *testing.T, wire []byte, n, streams int, pipe func() (net.Conn, net.Conn)) {
+	mem := dsi.NewMemStorage()
+	mem.AddUser("u")
+	file, err := mem.Create("u", "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var writers sync.WaitGroup
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		var peer net.Conn
+		peer, conns[i] = pipe()
+		part := wire[i*len(wire)/n : (i+1)*len(wire)/n]
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			peer.Write(part)
+			peer.Close()
+		}()
+	}
+	next := 0
+	accept := func(stop <-chan struct{}) (net.Conn, error) {
+		if next < len(conns) {
+			next++
+			return conns[next-1], nil
+		}
+		// No sender connects again: the data wait ends.
+		select {
+		case <-stop:
+		case <-time.After(10 * time.Millisecond):
+		}
+		return nil, errors.New("no further data connection")
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	recvModeE(accept, file, nil, minBlockSize, streams, nil, nil)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the receive took %v", took)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	size, _ := file.Size()
+	if size > 1<<30 {
+		t.Fatalf("the file grew to %d bytes, past the 1 GiB bound", size)
+	}
+	if growth, limit := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(len(wire))+2*size+1<<20; growth > limit {
+		t.Fatalf("the heap grew %d bytes for %d sent into a %d-byte file, past %d", growth, len(wire), size, limit)
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	writers.Wait()
 }
