@@ -171,8 +171,8 @@ func (sess *session) handleMode(params string) {
 }
 
 // setMode normalizes the spec as the client's SetMode does, so both ends
-// derive the same parallelism: one stream in MODE S, and still one after a
-// return to MODE E until OPTS says otherwise.
+// keep the same parallelism: a MODE S transfer opens one channel, and a
+// return to MODE E runs the streams OPTS last set.
 func (sess *session) setMode(m TransferMode) {
 	sess.spec.Mode = m
 	sess.spec = sess.spec.Normalize()

@@ -46,15 +46,14 @@ type ChannelSpec struct {
 	MarkerInterval time.Duration
 }
 
-// Normalize fills defaults.
+// Normalize fills defaults. It keeps the parallelism in MODE S, where every
+// transfer opens one channel whatever it says, so a session that returns to
+// MODE E runs the streams it negotiated.
 func (s ChannelSpec) Normalize() ChannelSpec {
 	if s.Mode == 0 {
 		s.Mode = ModeStream
 	}
 	if s.Parallelism <= 0 {
-		s.Parallelism = 1
-	}
-	if s.Mode == ModeStream {
 		s.Parallelism = 1
 	}
 	if s.BlockSize <= 0 {

@@ -198,9 +198,6 @@ func step(c *Client, p *Pipeline, m *seqModel, call seqCall) (got, want string) 
 		got = outcome(c.SetMode(mode))
 		want = m.batch(&modelCmd{apply: func(bool) {
 			m.spec.Mode = mode
-			if mode == ModeStream {
-				m.spec.Parallelism = 1
-			}
 			m.passive = ""
 		}})
 	case opDCAU:

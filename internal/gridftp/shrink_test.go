@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/obs"
 )
 
 // shrinkingStorage opens every file whose path names "shrinks" as one that
@@ -95,7 +97,7 @@ func TestShrinkingFileFailsItsTransfer(t *testing.T) {
 
 // TestStreamGetAfterAFailedExtendedGet: on one session, a MODE S GET after a
 // two-stream MODE E GET the server failed with a 426 succeeds, well inside
-// the data-channel wait; so does one after an OPTS RETR Parallelism=2 in
+// the data-channel wait; so does one after an OPTS RETR Parallelism=3 in
 // MODE S, and a MODE E GET after them. The server once kept its two streams
 // in MODE S and dialled both for the one the client accepts; the second
 // waited out its DCAU handshake and the GET was answered 425 after 30 s.
@@ -127,13 +129,13 @@ func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
 		t.Fatal("MODE S GET after the failed MODE E GET: bytes differ")
 	}
 	// A parallelism set in MODE S leaves it one stream at both ends.
-	if err := c.SetParallelism(2); err != nil {
+	if err := c.SetParallelism(3); err != nil {
 		t.Fatal(err)
 	}
 	start = time.Now()
 	dst = dsi.NewBufferFile(nil)
 	if _, err := c.Get("/healthy.bin", dst); err != nil || !bytes.Equal(dst.Bytes(), healthy) {
-		t.Fatalf("MODE S GET after OPTS RETR Parallelism=2 (%v): %v", time.Since(start), err)
+		t.Fatalf("MODE S GET after OPTS RETR Parallelism=3 (%v): %v", time.Since(start), err)
 	}
 	// Back in MODE E, both ends agree on the streams again.
 	if err := c.SetMode(ModeExtended); err != nil {
@@ -142,5 +144,48 @@ func TestStreamGetAfterAFailedExtendedGet(t *testing.T) {
 	dst = dsi.NewBufferFile(nil)
 	if _, err := c.Get("/healthy.bin", dst); err != nil || !bytes.Equal(dst.Bytes(), healthy) {
 		t.Fatalf("MODE E GET after the MODE S GET: %v", err)
+	}
+}
+
+// TestParallelismSurvivesAStreamModeRoundTrip: after SetParallelism(2), a
+// MODE S GET and a return to MODE E, the next GET runs two streams at both
+// ends without another OPTS: the server dials two data connections and the
+// client takes both.
+func TestParallelismSurvivesAStreamModeRoundTrip(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	payload := pattern(4 * DefaultBlockSize)
+	s.putFile(t, "/f.bin", payload)
+	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialWithOptions(nw.Host("laptop"), s.addr, proxy, s.trust, DialOptions{Obs: obs.Nop()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, err := range []error{c.Delegate(time.Hour), c.SetParallelism(2), c.SetMode(ModeStream)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(what string) {
+		dst := dsi.NewBufferFile(nil)
+		if _, err := c.Get("/f.bin", dst); err != nil || !bytes.Equal(dst.Bytes(), payload) {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	get("MODE S GET")
+	if err := c.SetMode(ModeExtended); err != nil {
+		t.Fatal(err)
+	}
+	opts, conns := sent(c, "OPTS"), nw.LinkStats("laptop", "siteA").Conns
+	get("MODE E GET after the MODE S GET")
+	if got := nw.LinkStats("laptop", "siteA").Conns - conns; got != 2 {
+		t.Errorf("the MODE E GET opened %d data connections, want the 2 SetParallelism negotiated", got)
+	}
+	if got := sent(c, "OPTS") - opts; got != 0 {
+		t.Errorf("the MODE E GET sent %d OPTS, want none", got)
 	}
 }
