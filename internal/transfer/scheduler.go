@@ -465,7 +465,14 @@ func (w *worker) begin(i int, wait time.Duration) {
 	}
 
 	par := min(sizeStreams(f.size), r.share)
-	s.update(r.task, func(t *Task) { t.FileSize = f.size; t.Parallelism = par })
+	s.update(r.task, func(t *Task) {
+		// The task's figures, not this file's: any worker may begin the
+		// next file of a directory.
+		t.Parallelism = max(t.Parallelism, par)
+		if f.rel == "" {
+			t.FileSize = f.size
+		}
+	})
 	restart := r.plan.takeMarkers(i)
 	ft := &fileTransfer{
 		index: i, size: f.size,

@@ -281,10 +281,52 @@ func TestSmallFilesDoNotThrottleALaterLargeOne(t *testing.T) {
 	if done.Status != TaskSucceeded || done.CompletedFiles != 18 {
 		t.Fatalf("task: %s, %d of 18 files (%s)", done.Status, done.CompletedFiles, done.Error)
 	}
-	// One worker begins the files in name order, so the task's parallelism
-	// is the last one's: d.bin's.
+	// The task reports the most streams any of its files used: two, for
+	// each 2 MiB file.
 	if done.Parallelism != 2 {
 		t.Fatalf("the last 2 MiB file moved on %d streams, want 2", done.Parallelism)
+	}
+}
+
+// TestDirectoryTaskReportsTheTask: GET /task/{id} of a directory task reports
+// the task, not whichever file began last on either worker. Two workers move
+// a 2 MiB file, which begins first, and eight 1 KiB files behind it: the
+// task's parallelism is the 2 MiB file's two streams, and its FileSize is 0.
+// A single-file task reports its file's size.
+func TestDirectoryTaskReportsTheTask(t *testing.T) {
+	w := buildWorld(t, Config{TaskConcurrency: 2}, false)
+	activateBoth(t, w)
+	if err := w.epA.Storage.Mkdir("alice", "/mixed"); err != nil {
+		t.Fatal(err)
+	}
+	w.putSrc(t, "/mixed/a.bin", pattern(2<<20))
+	for i := 0; i < 8; i++ {
+		w.putSrc(t, fmt.Sprintf("/mixed/b%d.bin", i), pattern(1<<10))
+	}
+	task, err := w.svc.Submit("alice", "siteA", "/mixed", "siteB", "/mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := w.svc.Wait(task.ID, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != TaskSucceeded || done.CompletedFiles != 9 || done.Workers != 2 {
+		t.Fatalf("task: %s, %d of 9 files on %d workers (%s)", done.Status, done.CompletedFiles, done.Workers, done.Error)
+	}
+	if done.Parallelism != 2 || done.FileSize != 0 {
+		t.Errorf("directory task reports parallelism %d and file size %d, want 2 (its 2 MiB file's) and 0", done.Parallelism, done.FileSize)
+	}
+
+	w.putSrc(t, "/single.bin", pattern(3<<10))
+	if task, err = w.svc.Submit("alice", "siteA", "/single.bin", "siteB", "/single.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if done, err = w.svc.Wait(task.ID, time.Minute); err != nil || done.Status != TaskSucceeded {
+		t.Fatalf("single-file task: %v %+v", err, done)
+	}
+	if done.FileSize != 3<<10 || done.Parallelism != 1 {
+		t.Errorf("single-file task reports file size %d and parallelism %d, want %d and 1", done.FileSize, done.Parallelism, 3<<10)
 	}
 }
 

@@ -76,7 +76,8 @@ type Task struct {
 	// BytesTransferred counts bytes moved across all attempts; with
 	// checkpointing, retries move only the missing remainder.
 	BytesTransferred int64
-	FileSize         int64
+	// FileSize is a single-file task's size; 0 for a directory.
+	FileSize int64
 	// PerfBytes is the in-flight progress of the current attempt as
 	// reported by 112 performance markers, summed across stripes and
 	// across the task's scheduler workers; PerfMarkers counts how many
@@ -89,6 +90,7 @@ type Task struct {
 	Markers     []gridftp.Range
 	Started     time.Time
 	Finished    time.Time
+	// Parallelism is the most streams any of the task's files used.
 	Parallelism int
 	// Workers is the scheduler fan-out the last attempt used (K control
 	// session pairs draining the task's file queue).
