@@ -22,6 +22,10 @@
 # worse than the parent's by more than the bound BENCHMARK.json fixes. A gain
 # is claimed only when the change wins at least nine tenths of the pairs and
 # the medians are that far apart; a regression is a median beyond the bound.
+# Below them it prints process.cpu_ms_per_op, read from each run's text
+# output, in the same columns: the CPU the process spent per operation, a
+# steadier reading of a CPU-bound workload than its wall time, reported and
+# not gated.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,6 +66,7 @@ run() {
 		sed 's/^"\([^"]*\)":{"value":\(.*\)$/'"$1"' \1 \2/' >>"$tmp/values"
 	echo "$line" | sed 's/.*"attempted":\([0-9]*\).*/'"$1"' _attempted \1/' >>"$tmp/values"
 	echo "$line" | sed 's/.*"failed":\([0-9]*\).*/'"$1"' _failed \1/' >>"$tmp/values"
+	echo "$out" | awk -v side="$1" '$1 == "process.cpu_ms_per_op" { print side, $1, $2 }' >>"$tmp/values"
 }
 
 i=0
@@ -83,6 +88,7 @@ inside && /"better"/ { gsub(/[",]/, ""); better = $2 }
 inside && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }
 inside && /\]/ { inside = 0 }
 ' "$tmp/change/BENCHMARK.json" >"$tmp/better"
+echo "process.cpu_ms_per_op lower -" >>"$tmp/better"
 
 echo
 echo "workload $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), parent $ref, change $head"
@@ -120,11 +126,12 @@ END {
 		diff = cm - pm; if (diff < 0) diff = -diff
 		worse = ((better[m] == "lower") == (cm > pm)) && cm != pm
 		verdict = (diff > iqr) ? (worse ? "yes, the change being worse" : "yes") : "no"
-		beyond = (worse && pm && diff / pm > bound[m]) ? "YES" : "no"
-		printf "%-14s %-34s %-34s %-6s %s (%+.1f%%, IQR %.4g); %s (bound %g%%)\n", m,
+		if (bound[m] == "-") gate = "reported, not gated"
+		else gate = sprintf("%s (bound %g%%)", (worse && pm && diff / pm > bound[m]) ? "YES" : "no", 100 * bound[m])
+		printf "%-14s %-34s %-34s %-6s %s (%+.1f%%, IQR %.4g); %s\n", m,
 			sprintf("%.6g [%.6g, %.6g]", pm, quartile(p, n, 1), quartile(p, n, 3)),
 			sprintf("%.6g [%.6g, %.6g]", cm, quartile(c, n, 1), quartile(c, n, 3)),
-			wins "/" n, verdict, pm ? 100 * (cm - pm) / pm : 0, iqr, beyond, 100 * bound[m]
+			wins "/" n, verdict, pm ? 100 * (cm - pm) / pm : 0, iqr, gate
 	}
 	printf "failed ops: parent %d of %d, change %d of %d\n",
 		total["parent", "_failed"], total["parent", "_attempted"], total["change", "_failed"], total["change", "_attempted"]
