@@ -112,10 +112,7 @@ type pipeHalf struct {
 	spaceFree chan struct{} // signalled when buffer space frees up
 	deadCh    chan struct{} // closed on hardClose; interrupts pacing sleeps
 	deadOnce  sync.Once
-	// rmu serialises the readers of the half, as a socket's read lock
-	// does: WriteTo lends the head chunk out unlocked, and no other read
-	// may take it meanwhile.
-	rmu sync.Mutex
+	lent      bool // the head chunk is out with a WriteTo's writer (lend)
 }
 
 func newPipeHalf(s *streamShaper) *pipeHalf {
@@ -333,8 +330,9 @@ func (h *pipeHalf) write(p []byte, deadline time.Time) (int, error) {
 }
 
 // arrived is the one receive loop's wait: it locks h and waits (until
-// deadline) for the head chunk to arrive. It returns nil with h.mu held,
-// or io.EOF after CloseWrite, or why the wait failed, with it released.
+// deadline) for the head chunk to arrive, and for a WriteTo that has it out
+// to give it back. It returns nil with h.mu held, or io.EOF after
+// CloseWrite, or why the wait failed, with it released.
 func (h *pipeHalf) arrived(deadline time.Time) error {
 	for {
 		h.mu.Lock()
@@ -342,7 +340,7 @@ func (h *pipeHalf) arrived(deadline time.Time) error {
 			h.mu.Unlock()
 			return net.ErrClosed
 		}
-		if len(h.buf) > 0 {
+		if len(h.buf) > 0 && !h.lent {
 			at := h.buf[0].at
 			if time.Until(at) <= 0 {
 				return nil
@@ -357,7 +355,7 @@ func (h *pipeHalf) arrived(deadline time.Time) error {
 			}
 			continue
 		}
-		if h.wclosed {
+		if h.wclosed && len(h.buf) == 0 {
 			h.mu.Unlock()
 			return io.EOF
 		}
@@ -379,8 +377,6 @@ func (h *pipeHalf) consumed(n int) {
 // read pops delivered bytes into p, blocking until data is available (and
 // has arrived, per its delivery timestamp) or the writer side is closed.
 func (h *pipeHalf) read(p []byte, deadline time.Time) (int, error) {
-	h.rmu.Lock()
-	defer h.rmu.Unlock()
 	if err := h.arrived(deadline); err != nil {
 		return 0, err
 	}
@@ -407,14 +403,16 @@ func (h *pipeHalf) read(p []byte, deadline time.Time) (int, error) {
 	return n, nil
 }
 
-// lend hands the arrived head chunk to w, called with h.mu held (arrived).
-// The chunk stays at the head of the queue, so no write can overtake it,
-// but its buffer is marked lent: a hard close during w.Write empties the
-// queue without pooling it, and it is released here. Bytes w does not take
-// stay queued for the next read.
+// lend hands the arrived head chunk to w, called with h.mu held (arrived),
+// and w writes without it. The chunk stays at the head of the queue, so no
+// byte can overtake it, and lent holds every other read off it; its buffer
+// is the lender's: a hard close during w.Write empties the queue without
+// pooling it, and it is released here. Bytes w does not take stay queued
+// for the next read.
 func (h *pipeHalf) lend(w io.Writer) (int, error) {
 	c := h.buf[0]
 	h.buf[0].full = nil
+	h.lent = true
 	h.mu.Unlock()
 	k, err := w.Write(c.data)
 	if k < 0 || k > len(c.data) {
@@ -423,6 +421,8 @@ func (h *pipeHalf) lend(w io.Writer) (int, error) {
 		err = io.ErrShortWrite
 	}
 	h.mu.Lock()
+	h.lent = false
+	signal(h.dataReady) // a read that waited for the chunk looks again
 	if h.dead {
 		h.mu.Unlock()
 		releaseChunk(c.full)
@@ -582,8 +582,6 @@ type writerOnly struct{ io.Writer }
 // WriteTo, and w's own error ends the call unwrapped.
 func (c *Conn) WriteTo(w io.Writer) (int64, error) {
 	h := c.rd
-	h.rmu.Lock()
-	defer h.rmu.Unlock()
 	var total int64
 	for {
 		if err := h.arrived(c.readDeadline()); err != nil {

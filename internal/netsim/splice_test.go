@@ -402,4 +402,3 @@ func TestQueuedWriteSucceedsAcrossAClose(t *testing.T) {
 		})
 	}
 }
-
