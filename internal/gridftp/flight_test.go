@@ -58,8 +58,8 @@ type scriptedServer struct {
 	verdicts []verdict
 	// answered counts the commands a verdict went to; over is set once the
 	// server hung up or stalled: it answers nothing more.
-	answered              int
-	over, stalled, hungUp bool
+	answered      int
+	over, stalled bool
 }
 
 // verdict is how the scripted server answers one command.
@@ -74,8 +74,8 @@ const (
 	accept verdictKind = iota
 	// refuse answers code.
 	refuse
-	// hangUp answers code and shuts the control channel's sending half (a
-	// FIN: the client reads the reply, then EOF); hangUpNow closes the rest.
+	// hangUp answers code and closes the control channel: the client reads
+	// the reply, then EOF, and its writes fail from then on.
 	hangUp
 	// stall answers nothing, now or later: the client's read deadline passes.
 	stall
@@ -284,23 +284,14 @@ func (s *scriptedServer) answer(verb string) bool {
 		s.ctrl.WriteReply(acceptCode(verb), fmt.Sprintf("ok #%d", i))
 	}
 	if v.kind == hangUp {
-		s.conn.(interface{ CloseWrite() error }).CloseWrite()
+		s.ctrl.Close()
 	}
 	s.mu.Lock()
 	s.answered++
-	s.stalled, s.hungUp = v.kind == stall, v.kind == hangUp
-	s.over = s.stalled || s.hungUp
+	s.stalled = v.kind == stall
+	s.over = s.stalled || v.kind == hangUp
 	s.mu.Unlock()
 	return true
-}
-
-// hangUpNow completes a hang-up: the connection closes, and the client's
-// writes fail from then on. It is the caller's to call between two of the
-// client's calls, where no write of the client is under way: a netsim write
-// that the close overtakes fails even though its bytes went out.
-func (s *scriptedServer) hangUpNow() {
-	s.ctrl.Close()
-	<-s.done
 }
 
 // acceptCode is the reply that accepts a verb answered by verdict.

@@ -445,18 +445,14 @@ func (m *seqModel) exchange(want int) (turn int, err string) {
 }
 
 // quiesce waits until the server has answered every command the client
-// wrote, or has hung up or stalled; a hang-up is completed here, between two
-// calls, so the next call's writes fail and none of this call's did.
+// wrote, or has hung up or stalled, so the next call starts from a settled
+// server.
 func quiesce(t *testing.T, conn *modelConn, srv *scriptedServer) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
 		srv.mu.Lock()
 		done := srv.over || int64(srv.answered) >= conn.writes.Load()
-		hungUp := srv.hungUp
 		srv.mu.Unlock()
-		if hungUp {
-			srv.hangUpNow()
-		}
 		if done {
 			return
 		}
