@@ -1,12 +1,14 @@
 package gridftp
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"testing"
 	"time"
 
+	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/netsim"
 )
 
@@ -14,14 +16,18 @@ import (
 // measurable now that the legacy block loop is gone from the DTP: the
 // sender/receiver loops exist here in both their historical form (a fresh
 // payload buffer and two writes per block) and the current form (pooled
-// lease, batched/vectored blockWriter, pooled receive).
+// lease, batched/vectored blockWriter, pooled receive). On a conn that takes
+// ReadFrom and WriteTo (netsim) the current form is the engine's direct
+// path: each block goes from a source file into the conn's chunk and from
+// the chunk into a destination file, one copy per end, where a buffered
+// conn copies the block into a lease and out of it.
 
 // sendBenchBlocks streams totalBytes of MODE E data blocks over conn,
 // followed by EOD and an EOF announcing one stream, then half-closes.
 // fast selects the pooled+vectored writer; legacy reproduces the
 // pre-fast-path behavior (per-block allocation, header and payload as
 // separate writes).
-func sendBenchBlocks(conn net.Conn, totalBytes int64, blockSize int, fast bool) error {
+func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize int, fast bool) error {
 	defer closeWrite(conn)
 	var off int64
 	if fast {
@@ -29,6 +35,7 @@ func sendBenchBlocks(conn net.Conn, totalBytes int64, blockSize int, fast bool) 
 		buf := pool.Lease()
 		defer pool.Release(buf)
 		bw := newBlockWriter(conn, blockSize)
+		defer bw.release()
 		if err := bw.writeBlock(DescEOF, 0, 1, nil); err != nil {
 			return err
 		}
@@ -37,7 +44,13 @@ func sendBenchBlocks(conn net.Conn, totalBytes int64, blockSize int, fast bool) 
 			if rem := totalBytes - off; rem < n {
 				n = rem
 			}
-			if err := bw.writeBlock(DescRestartable, uint64(n), uint64(off), buf[:n]); err != nil {
+			var err error
+			if bw.rf != nil {
+				err = bw.writeBlockAt(DescRestartable, src, off, int(n))
+			} else {
+				err = bw.writeBlock(DescRestartable, uint64(n), uint64(off), buf[:n])
+			}
+			if err != nil {
 				return err
 			}
 			off += n
@@ -68,10 +81,13 @@ func sendBenchBlocks(conn net.Conn, totalBytes int64, blockSize int, fast bool) 
 // payload byte count. fast reuses one pooled buffer across blocks; legacy
 // reads every block into a fresh allocation, as the receive loop did
 // before the fast path.
-func recvBenchBlocks(conn net.Conn, blockSize int, fast bool) (int64, error) {
+func recvBenchBlocks(conn net.Conn, dst io.WriterAt, blockSize int, fast bool) (int64, error) {
 	limit := blockLenLimit(blockSize)
 	var buf []byte
+	var wt io.WriterTo
+	sink := new(blockSink)
 	if fast {
+		wt = splicer(conn)
 		pool := poolFor(blockSize)
 		buf = pool.Lease()
 		defer func() { pool.Release(buf) }()
@@ -80,9 +96,14 @@ func recvBenchBlocks(conn net.Conn, blockSize int, fast bool) (int64, error) {
 	for {
 		var b Block
 		var err error
-		if fast {
+		switch {
+		case wt != nil:
+			if b, err = readBlockHeader(conn, sink.hdr[:], limit); err == nil && b.Count > 0 {
+				err = sink.land(wt, dst, int64(b.Offset), int(b.Count))
+			}
+		case fast:
 			b, buf, err = ReadBlock(conn, buf, limit)
-		} else {
+		default:
 			b, _, err = ReadBlock(conn, nil, limit)
 		}
 		if err != nil {
@@ -149,6 +170,8 @@ func simPair() (net.Conn, net.Conn, error) {
 // of frame.
 func BenchmarkE19DataPath(b *testing.B) {
 	const totalBytes = 16 << 20
+	src := bytes.NewReader(make([]byte, totalBytes))
+	dst := dsi.NewBufferFile(make([]byte, totalBytes))
 	for _, tc := range []struct {
 		name string
 		pair func() (net.Conn, net.Conn, error)
@@ -161,14 +184,14 @@ func BenchmarkE19DataPath(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				src, dst, err := tc.pair()
+				from, to, err := tc.pair()
 				if err != nil {
 					b.Fatal(err)
 				}
 				errCh := make(chan error, 1)
-				go func() { errCh <- sendBenchBlocks(src, totalBytes, DefaultBlockSize, tc.fast) }()
+				go func() { errCh <- sendBenchBlocks(from, src, totalBytes, DefaultBlockSize, tc.fast) }()
 				start := time.Now()
-				got, err := recvBenchBlocks(dst, DefaultBlockSize, tc.fast)
+				got, err := recvBenchBlocks(to, dst, DefaultBlockSize, tc.fast)
 				elapsed := time.Since(start)
 				if err != nil {
 					b.Fatal(err)
@@ -179,8 +202,8 @@ func BenchmarkE19DataPath(b *testing.B) {
 				if got != totalBytes {
 					b.Fatalf("received %d bytes, want %d", got, totalBytes)
 				}
-				src.Close()
-				dst.Close()
+				from.Close()
+				to.Close()
 				b.ReportMetric(totalBytes/elapsed.Seconds()/1e6, "MB/s")
 			}
 		})
