@@ -23,11 +23,13 @@ import (
 //	→ MODE E framing  blockWriter / ReadBlock (or the MODE S byte stream)
 //
 // Only a layer that leaves the byte stream as it found it may forward
-// io.ReaderFrom (sendfile) and WriteBuffers (one vectored write per block):
-// streamstats does, exactly when the conn below has them; TLS and the
-// integrity frames never do, because a forwarded call would bypass the
-// transform. secure is the one place a raw conn becomes a channel — a new
-// transport or endpoint type plugs in there.
+// io.ReaderFrom (sendfile), io.WriterTo (splice) and WriteBuffers (one
+// vectored write per block): streamstats does, exactly when the conn below
+// has them; TLS and the integrity frames never do, because a forwarded call
+// would bypass the transform. A conn with all three (netsim) moves a MODE E
+// block with one copy per end, storage to the wire and the wire to storage.
+// secure is the one place a raw conn becomes a channel — a new transport or
+// endpoint type plugs in there.
 
 // errNoDataPath answers a transfer command on a session that has negotiated
 // no data path, or lost it to a failed transfer.
