@@ -138,3 +138,66 @@ func TestDirectBlocksAllocateNothing(t *testing.T) {
 		t.Fatal("the landed blocks differ from the file")
 	}
 }
+
+// TestStreamModeSendfileOnNetsim: a MODE S send of a POSIX file over a
+// netsim conn reads the file straight into the conn's chunks (ReadFrom),
+// and the receive into a POSIX file takes them straight off (WriteTo); the
+// bytes arrive whole, and a file that ends short of the size the send was
+// given fails the send, as readAtFull fails the buffered one.
+func TestStreamModeSendfileOnNetsim(t *testing.T) {
+	store, err := dsi.NewPosixStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AddUser("u"); err != nil {
+		t.Fatal(err)
+	}
+	payload := pattern(300 << 10)
+	f, err := store.Create("u", "/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, tc := range []struct {
+		name  string
+		size  int64
+		whole bool
+	}{{"whole", int64(len(payload)), true}, {"shrunk", int64(len(payload)) + 100, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			send, recv := simPipe(t, netsim.NewNetwork())
+			defer recv.Close()
+			src, err := store.Open("u", "/src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			dst, err := store.Create("u", "/dst-"+tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			got := make(chan int64, 1)
+			go func() {
+				n, _ := recvStream(recv, dst, 0, DefaultBlockSize)
+				got <- n
+			}()
+			err = sendStream(send, src, 0, tc.size, DefaultBlockSize)
+			send.Close()
+			if tc.whole != (err == nil) {
+				t.Fatalf("sendStream of %d bytes from a %d-byte file: %v", tc.size, len(payload), err)
+			}
+			if n := <-got; tc.whole && n != int64(len(payload)) {
+				t.Fatalf("received %d bytes, want %d", n, len(payload))
+			}
+			if tc.whole {
+				back := make([]byte, len(payload))
+				if _, err := dst.ReadAt(back, 0); err != nil || !bytes.Equal(back, payload) {
+					t.Fatalf("the received file differs from the sent one (%v)", err)
+				}
+			}
+		})
+	}
+}

@@ -416,17 +416,21 @@ type osFiler interface {
 
 // sendStream writes the file range [offset, size) as a raw byte stream and
 // half-closes the connection to signal EOF. When the file is *os.File-
-// backed and the connection (or its counting wrappers) forwards
-// io.ReaderFrom to a real TCP socket, the copy runs zero-copy via
-// sendfile; otherwise it loops through a pooled buffer of the negotiated
-// block size.
+// backed and the connection takes io.ReaderFrom, the copy skips the user
+// buffer: sendfile on a TCP socket, the file read straight into the chunks
+// on a netsim conn. Otherwise it loops through a pooled buffer of the
+// negotiated block size. A file that ends short of size fails the send.
 func sendStream(conn net.Conn, f dsi.File, offset, size int64, blockSize int) error {
 	if rf, ok := conn.(io.ReaderFrom); ok {
 		if of, ok := f.(osFiler); ok && size > offset {
 			if _, err := of.OSFile().Seek(offset, io.SeekStart); err == nil {
 				lr := &io.LimitedReader{R: of.OSFile(), N: size - offset}
-				if _, err := rf.ReadFrom(lr); err != nil {
+				n, err := rf.ReadFrom(lr)
+				if err != nil {
 					return err
+				}
+				if n < size-offset { // the file shrank: as readAtFull, fail the send
+					return fmt.Errorf("gridftp: sent %d of %d bytes from %d: %w", n, size-offset, offset, io.ErrUnexpectedEOF)
 				}
 				return closeWrite(conn)
 			}
@@ -462,9 +466,9 @@ func closeWrite(conn net.Conn) error {
 }
 
 // recvStream reads a raw byte stream into f starting at offset until EOF.
-// *os.File-backed DSI files receive via (*os.File).ReadFrom — splice/
-// copy_file_range when the kernel supports it; everything else loops
-// through a pooled buffer of the negotiated block size.
+// *os.File-backed DSI files receive through io.Copy — the conn's WriteTo on
+// a netsim conn, (*os.File).ReadFrom's splice on a TCP socket; everything
+// else loops through a pooled buffer of the negotiated block size.
 func recvStream(conn net.Conn, f dsi.File, offset int64, blockSize int) (int64, error) {
 	if of, ok := f.(osFiler); ok {
 		if _, err := of.OSFile().Seek(offset, io.SeekStart); err == nil {
