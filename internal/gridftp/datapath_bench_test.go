@@ -1,14 +1,12 @@
 package gridftp
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"testing"
 	"time"
 
-	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/netsim"
 )
 
@@ -18,9 +16,21 @@ import (
 // payload buffer and two writes per block) and the current form (pooled
 // lease, batched/vectored blockWriter, pooled receive). On a conn that takes
 // ReadFrom and WriteTo (netsim) the current form is the engine's direct
-// path: each block goes from a source file into the conn's chunk and from
-// the chunk into a destination file, one copy per end, where a buffered
-// conn copies the block into a lease and out of it.
+// path: each block goes from storage into the conn's chunk and from the
+// chunk into storage, one copy per end, where a buffered conn copies the
+// block out of a lease and into one. The storage is a blockRing, so both
+// forms copy the same cache-hot bytes and the disk stays out of frame.
+
+// blockRing is storage one block long that every offset maps into.
+type blockRing []byte
+
+func (r blockRing) ReadAt(p []byte, off int64) (int, error) {
+	return copy(p, r[off%int64(len(r)):]), nil
+}
+
+func (r blockRing) WriteAt(p []byte, off int64) (int, error) {
+	return copy(r[off%int64(len(r)):], p), nil
+}
 
 // sendBenchBlocks streams totalBytes of MODE E data blocks over conn,
 // followed by EOD and an EOF announcing one stream, then half-closes.
@@ -170,8 +180,7 @@ func simPair() (net.Conn, net.Conn, error) {
 // of frame.
 func BenchmarkE19DataPath(b *testing.B) {
 	const totalBytes = 16 << 20
-	src := bytes.NewReader(make([]byte, totalBytes))
-	dst := dsi.NewBufferFile(make([]byte, totalBytes))
+	src, dst := make(blockRing, DefaultBlockSize), make(blockRing, DefaultBlockSize)
 	for _, tc := range []struct {
 		name string
 		pair func() (net.Conn, net.Conn, error)
