@@ -384,17 +384,26 @@ func TestReadFromEndsAsWriteDoes(t *testing.T) {
 // reports them written, as a socket does for bytes in its send buffer, even
 // when the peer hard-closes while the writer sleeps out its pacing; the next
 // write fails. On the reference WAN one write of four windows is one chunk,
-// and its writer sleeps about 60 ms after queueing it.
+// and its writer sleeps about 60 ms after queueing it: the peer closes as
+// soon as the chunk is queued.
 func TestQueuedWriteSucceedsAcrossAClose(t *testing.T) {
 	link := LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 64 << 10}
 	for _, via := range []string{"Write", "ReadFrom"} {
 		t.Run(via, func(t *testing.T) {
 			c, s := pair(t, &link)
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				s.Close()
-			}()
 			p := make([]byte, 4*link.StreamWindow)
+			go func() { // closes once the write's bytes are all queued
+				for {
+					c.wr.mu.Lock()
+					queued := c.wr.buffered
+					c.wr.mu.Unlock()
+					if queued == len(p) {
+						s.Close()
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
 			var n int64
 			var err error
 			if via == "Write" {
