@@ -16,6 +16,12 @@ import (
 // reader eventually blocks.
 const maxBufferedBytes = 8 << 20
 
+// maxChunk is the most one chunk holds, the largest chunk class. A call
+// that sends more — a whole file by ReadFrom, say — is queued as several
+// chunks, each pooled and each arriving while the next is still on the wire,
+// where one would hold all of it until its last byte was sent.
+const maxChunk = 1 << chunkClassMax
+
 // chunk is a span of bytes plus the simulated time at which it arrives at
 // the receiver. full retains the original allocation so a fully consumed
 // chunk's buffer can return to the pool even after partial reads advanced
@@ -26,7 +32,7 @@ type chunk struct {
 	at   time.Time
 }
 
-// Chunk buffers are pooled by size class (4 KiB .. 4 MiB): the E2 profile
+// Chunk buffers are pooled by size class (4 KiB .. 2 MiB): the E2 profile
 // showed pipeHalf.write's per-chunk make([]byte, n) as a top allocator, and
 // MODE E traffic reuses a handful of sizes heavily. Each octave has two
 // classes, 2^k and 2^k + 2^(k-4). Bulk writes are a power of two plus a
@@ -37,7 +43,7 @@ type chunk struct {
 // a kernel socket buffer is not.
 const (
 	chunkClassMin = 12 // 4 KiB
-	chunkClassMax = 22 // 4 MiB
+	chunkClassMax = 21 // 2 MiB, a quarter of maxBufferedBytes
 	chunkClasses  = 2*(chunkClassMax-chunkClassMin) + 1
 )
 
@@ -61,11 +67,9 @@ func chunkClass(n int) (int, int) {
 	return 2 * (k + 1 - chunkClassMin), 1 << (k + 1)
 }
 
-// leaseChunk returns an n-byte buffer, pooled when n fits a size class.
+// leaseChunk returns an n-byte buffer from its size class's pool; n is at
+// most maxChunk.
 func leaseChunk(n int) []byte {
-	if n > 1<<chunkClassMax {
-		return make([]byte, n)
-	}
 	idx, size := chunkClass(n)
 	if v := chunkPools[idx].Get(); v != nil {
 		box := v.(*[]byte)
@@ -78,7 +82,7 @@ func leaseChunk(n int) []byte {
 }
 
 // releaseChunk recycles a buffer leased by leaseChunk; foreign capacities
-// (oversize one-offs) are left to the GC.
+// are left to the GC.
 func releaseChunk(b []byte) {
 	c := cap(b)
 	if c > 1<<chunkClassMax {
@@ -195,9 +199,10 @@ func (h *pipeHalf) trackQueue(n int64) {
 // round trip of the stream's bytes is booked and not yet transmitted, as a
 // socket write blocks on a full send buffer: a back-to-back writer is paced
 // at the link rate and keeps it busy, and a small write on an idle conn
-// returns at once. Hysteresis: once the buffer fills, the writer waits for a
-// meaningful amount of space before resuming, so steady-state chunks never
-// degrade into slivers (which would make per-chunk costs dominate).
+// returns at once. Hysteresis: once the buffer fills, the writer waits for
+// room for a whole chunk — what is left to send, up to maxChunk — before
+// resuming, so steady-state chunks never degrade into slivers (which would
+// make per-chunk costs dominate).
 //
 // A chunk is filled outside the lock, so a reader's storage I/O holds up
 // neither the peer nor a close. fill may stop short (a reader at its end, or
@@ -241,13 +246,12 @@ func (h *pipeHalf) send(n int, fill func(dst []byte) (int, bool), deadline time.
 	return total, nil
 }
 
-// reserve waits (until deadline) for room in the queue, at least a quarter
-// of the buffer or all that is left to send, and books up to remaining
-// bytes of it.
+// reserve waits (until deadline) for room in the queue for the next chunk,
+// all that is left to send up to maxChunk, and books it.
 func (h *pipeHalf) reserve(remaining int, deadline time.Time) (int, error) {
-	want := min(remaining, maxBufferedBytes/4)
+	n := min(remaining, maxChunk)
 	h.mu.Lock()
-	for maxBufferedBytes-h.buffered-h.reserved < want && !h.wclosed && !h.dead {
+	for maxBufferedBytes-h.buffered-h.reserved < n && !h.wclosed && !h.dead {
 		h.mu.Unlock()
 		if err := waitSignal(h.spaceFree, deadline); err != nil {
 			return 0, err
@@ -258,7 +262,6 @@ func (h *pipeHalf) reserve(remaining int, deadline time.Time) (int, error) {
 		h.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	n := min(remaining, maxBufferedBytes-h.buffered-h.reserved)
 	h.reserved += n
 	h.mu.Unlock()
 	return n, nil

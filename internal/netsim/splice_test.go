@@ -68,125 +68,175 @@ func (s *statedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// arrival is when the receiver held each block's last byte, from when it
-// held the first block's.
-type arrival struct {
-	got   []byte
-	times []time.Duration
+// stamp is one queued chunk: its size, its buffer's capacity, and the
+// simulated time it arrives, from when the first queued chunk does.
+type stamp struct {
+	size, cap int
+	at        time.Duration
 }
 
-// record notes the time each block boundary is crossed as bytes land.
-func (a *arrival) record(p []byte, block int, first *time.Time) {
-	for len(p) > 0 {
-		n := min(len(p), block-len(a.got)%block)
-		a.got = append(a.got, p[:n]...)
-		p = p[n:]
-		if len(a.got)%block == 0 {
-			now := time.Now()
-			if first.IsZero() {
-				*first = now
-			}
-			a.times = append(a.times, now.Sub(*first))
+// stamps snapshots the chunks c has queued toward its peer. Times are taken
+// from the first chunk's, so when the sender began is out of frame.
+func stamps(c *Conn) []stamp {
+	h := c.wr
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]stamp, len(h.buf))
+	for i, ch := range h.buf {
+		out[i] = stamp{len(ch.data), cap(ch.full), ch.at.Sub(h.buf[0].at)}
+	}
+	return out
+}
+
+// drain takes everything c's peer s has been sent, by WriteTo or by Read.
+func drain(t *testing.T, s *Conn, direct bool) []byte {
+	t.Helper()
+	var got bytes.Buffer
+	var err error
+	if direct {
+		_, err = s.WriteTo(&got)
+	} else {
+		_, err = got.ReadFrom(struct{ io.Reader }{s}) // Read, not WriteTo
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got.Bytes()
+}
+
+// sameTimes fails t at the first chunk whose size or simulated arrival
+// (beyond slack) differs between a and b.
+func sameTimes(t *testing.T, what string, a, b []stamp, slack time.Duration) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d chunks against %d (%v, %v)", what, len(a), len(b), a, b)
+	}
+	for i := range a {
+		if d := a[i].at - b[i].at; a[i].size != b[i].size || d > slack || d < -slack {
+			t.Fatalf("%s: chunk %d is %d bytes at %v against %d bytes at %v (all: %v, %v)",
+				what, i, a[i].size, a[i].at, b[i].size, b[i].at, a, b)
 		}
 	}
 }
 
-// arrivalWriter is a WriteTo sink that records arrivals.
-type arrivalWriter struct {
-	a     *arrival
-	block int
-	first time.Time
-}
-
-func (w *arrivalWriter) Write(p []byte) (int, error) {
-	w.a.record(p, w.block, &w.first)
-	return len(p), nil
-}
-
 // TestSendfileAndSpliceMatchWritevAndRead: a block stream sent with
 // ReadFrom and received with WriteTo delivers the same bytes, at the same
-// times, as one sent with WriteBuffers and received with Read, on a shaped,
-// a lossy and an unshaped link. All four share one send loop and one
-// receive loop, so only the copies differ; the times agree within a
-// scheduling slack. A run can lose the CPU to whatever else the machine
-// runs (under -race, one block in a run read 20 ms late), and a lost CPU
-// only delays, so each block's time is its earliest in three runs.
+// simulated times, as one sent with WriteBuffers and received with Read, on
+// a shaped, a lossy and an unshaped link. All four share one send loop and
+// one receive loop, so only the copies differ. The times compared are the
+// ones the shaper stamps on the queued chunks, which every receive waits
+// out, so the receiver's scheduling is out of frame; a sender that loses
+// the CPU for longer than its lead on the link stamps later, and only
+// later, so each chunk's time is its earliest in three runs.
 func TestSendfileAndSpliceMatchWritevAndRead(t *testing.T) {
 	const blocks, payload = 12, 64 << 10
 	block := 17 + payload
 	hdrs, payloads := blockSource(blocks, payload)
 	shaped := LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 64 << 10}
 	lossy := LinkParams{Bandwidth: 40e6, RTT: 20 * time.Millisecond, StreamWindow: 1 << 20, Loss: 1e-4}
-	run := func(t *testing.T, p *LinkParams, direct bool) arrival {
+	// run queues the whole stream, reads its chunks' stamps, and drains it.
+	run := func(t *testing.T, p *LinkParams, direct bool) ([]byte, []stamp) {
 		c, s := pair(t, p)
-		errCh := make(chan error, 1)
-		go func() {
-			for i := range hdrs {
-				var err error
-				if direct {
-					_, err = c.ReadFrom(&statedReader{io.MultiReader(bytes.NewReader(hdrs[i]), bytes.NewReader(payloads[i])), block})
-				} else {
-					_, err = c.WriteBuffers([][]byte{hdrs[i], payloads[i]})
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
+		for i := range hdrs {
+			var err error
+			if direct {
+				_, err = c.ReadFrom(&statedReader{io.MultiReader(bytes.NewReader(hdrs[i]), bytes.NewReader(payloads[i])), block})
+			} else {
+				_, err = c.WriteBuffers([][]byte{hdrs[i], payloads[i]})
 			}
-			errCh <- c.CloseWrite()
-		}()
-		var a arrival
-		var first time.Time
-		if direct {
-			if _, err := s.WriteTo(&arrivalWriter{a: &a, block: block}); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			buf := make([]byte, 256<<10)
-			for {
-				n, err := s.Read(buf)
-				a.record(buf[:n], block, &first)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-		return a
+		c.CloseWrite()
+		st := stamps(c)
+		return drain(t, s, direct), st
 	}
 	for _, tc := range []struct {
 		name string
 		link *LinkParams
 	}{{"shaped", &shaped}, {"lossy", &lossy}, {"unshaped", nil}} {
 		t.Run(tc.name, func(t *testing.T) {
-			earliest := func(direct bool) arrival {
-				a := run(t, tc.link, direct)
+			earliest := func(direct bool) ([]byte, []stamp) {
+				got, st := run(t, tc.link, direct)
 				for i := 0; i < 2; i++ {
-					for j, d := range run(t, tc.link, direct).times {
-						a.times[j] = min(a.times[j], d)
+					_, again := run(t, tc.link, direct)
+					for j := range st {
+						st[j].at = min(st[j].at, again[j].at)
 					}
 				}
-				return a
+				return got, st
 			}
-			copied, direct := earliest(false), earliest(true)
-			if !bytes.Equal(copied.got, direct.got) || len(direct.got) != blocks*block {
-				t.Fatalf("ReadFrom/WriteTo delivered %d bytes, WriteBuffers/Read %d, and they differ", len(direct.got), len(copied.got))
+			copied, copiedAt := earliest(false)
+			direct, directAt := earliest(true)
+			if !bytes.Equal(copied, direct) || len(direct) != blocks*block {
+				t.Fatalf("ReadFrom/WriteTo delivered %d bytes, WriteBuffers/Read %d, and they differ", len(direct), len(copied))
 			}
-			const slack = 10 * time.Millisecond
-			for i := range copied.times {
-				if d := direct.times[i] - copied.times[i]; d > slack || d < -slack {
-					t.Errorf("block %d arrived at %v by ReadFrom/WriteTo, at %v by WriteBuffers/Read (all: %v, %v)",
-						i, direct.times[i], copied.times[i], direct.times, copied.times)
-				}
-			}
-			t.Logf("last block at %v (ReadFrom/WriteTo) and %v (WriteBuffers/Read)", direct.times[blocks-1], copied.times[blocks-1])
+			sameTimes(t, "ReadFrom against WriteBuffers", directAt, copiedAt, 5*time.Millisecond)
+			t.Logf("last block at %v (ReadFrom) and %v (WriteBuffers)", directAt[blocks-1].at, copiedAt[blocks-1].at)
 		})
 	}
+}
+
+// TestReadFromOfAFileArrivesAsItsWritesWould: a MODE S send of a whole file
+// by ReadFrom — a reader stating the file's length — is queued as chunks of
+// at most maxChunk, each from a chunk pool, and on a shaped link each arrives
+// when the same bytes would by the block-sized writes of a buffered send:
+// the receiver has the file's first 2 MiB 21 ms after the link is free,
+// where one chunk would hold all 4 MiB back for 42 ms. Each send follows a
+// 2 MiB write that keeps the link busy while the first chunk is filled, so
+// the times, taken from that write's, are the shaper's arithmetic and not
+// how long a fill took.
+func TestReadFromOfAFileArrivesAsItsWritesWould(t *testing.T) {
+	const size, block, lead = 4 << 20, 256 << 10, 2 << 20
+	link := LinkParams{Bandwidth: 100e6, RTT: 20 * time.Millisecond, StreamWindow: 8 << 20}
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	run := func(direct bool) ([]byte, []stamp) {
+		c, s := pair(t, &link)
+		if _, err := c.Write(make([]byte, lead)); err != nil {
+			t.Fatal(err)
+		}
+		if direct {
+			if n, err := c.ReadFrom(&io.LimitedReader{R: bytes.NewReader(data), N: size}); n != size || err != nil {
+				t.Fatalf("ReadFrom = %d, %v", n, err)
+			}
+		} else {
+			for off := 0; off < size; off += block {
+				if _, err := c.Write(data[off : off+block]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		c.CloseWrite()
+		st := stamps(c)
+		for _, ch := range st {
+			if _, class := chunkClass(ch.cap); ch.size > maxChunk || class != ch.cap {
+				t.Fatalf("a %d-byte chunk of capacity %d: not a pooled one of at most %d bytes", ch.size, ch.cap, maxChunk)
+			}
+		}
+		return drain(t, s, direct)[lead:], st[1:]
+	}
+	written, writtenAt := run(false)
+	sent, sentAt := run(true)
+	if !bytes.Equal(sent, data) || !bytes.Equal(written, data) {
+		t.Fatal("the received bytes differ from the file")
+	}
+	// Each of the file's chunks against the write that ends where it does.
+	var ends []stamp
+	off, end, w := 0, 0, 0
+	for _, ch := range sentAt {
+		for off += ch.size; end < off; w++ {
+			end += writtenAt[w].size
+		}
+		if end != off {
+			t.Fatalf("a chunk of the file ends at %d, inside a write", off)
+		}
+		ends = append(ends, stamp{ch.size, ch.cap, writtenAt[w-1].at})
+	}
+	sameTimes(t, "ReadFrom's chunks against the writes ending with them", sentAt, ends, 5*time.Millisecond)
 }
 
 // takeN is a WriteTo sink that takes n bytes and then refuses.
