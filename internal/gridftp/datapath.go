@@ -24,9 +24,10 @@ import (
 //
 // Only a layer that leaves the byte stream as it found it may forward
 // io.ReaderFrom (sendfile), io.WriterTo (splice) and WriteBuffers (one
-// vectored write per block): streamstats does, exactly when the conn below
-// has them; TLS and the integrity frames never do, because a forwarded call
-// would bypass the transform. A conn with all three (netsim) moves a MODE E
+// vectored write, and the mark of a conn with no buffer of its own, whose
+// ReadFrom and WriteTo MODE E takes): streamstats does, exactly when the
+// conn below has them; TLS and the integrity frames never do, because a
+// forwarded call would bypass the transform. A conn with all three (netsim) moves a MODE E
 // block with one copy per end, storage to the wire and the wire to storage.
 // secure is the one place a raw conn becomes a channel — a new transport or
 // endpoint type plugs in there.

@@ -71,7 +71,7 @@ func (s ChannelSpec) Normalize() ChannelSpec {
 // minJobSize floors the blocks a short transfer is cut into (jobSize). A
 // block costs a 17-byte header, one ReadAt and one write whatever it carries;
 // from 16 KiB up that is under a thousandth of the payload and the block still
-// goes out as one vectored write (vectorMin). Cutting finer buys nothing: a
+// goes out behind its header in one write (vectorMin). Cutting finer buys nothing: a
 // 16 KiB share is already a quarter of a 64 KiB window.
 const minJobSize = 16 * 1024
 

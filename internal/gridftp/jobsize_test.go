@@ -157,7 +157,9 @@ func TestShortTransferUsesEveryStream(t *testing.T) {
 	}
 }
 
-// countedConn counts the writes a send hands its connection, vectored or not.
+// countedConn counts the writes a send hands its netsim connection, buffered,
+// vectored or from storage. It takes what the netsim conn takes, so a block
+// goes by ReadFrom.
 type countedConn struct {
 	net.Conn
 	writes *atomic.Int64
@@ -171,6 +173,11 @@ func (c countedConn) Write(p []byte) (int, error) {
 func (c countedConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	c.writes.Add(1)
 	return c.Conn.(buffersWriter).WriteBuffers(bufs)
+}
+
+func (c countedConn) ReadFrom(r io.Reader) (int64, error) {
+	c.writes.Add(1)
+	return c.Conn.(io.ReaderFrom).ReadFrom(r)
 }
 
 // TestShortTransferIsOneWritePerStream: 1 MiB over 16 streams is one 64 KiB
@@ -207,16 +214,20 @@ func TestShortTransferIsOneWritePerStream(t *testing.T) {
 	}
 }
 
-// discardBuffers takes plain and vectored writes, counts them and keeps
+// discardDirect takes what a netsim conn takes — plain and vectored writes,
+// and ReadFrom, read through a scratch buffer — counts the calls and keeps
 // nothing.
-type discardBuffers struct{ writes int }
+type discardDirect struct {
+	writes  int
+	scratch [16 << 10]byte
+}
 
-func (d *discardBuffers) Write(p []byte) (int, error) {
+func (d *discardDirect) Write(p []byte) (int, error) {
 	d.writes++
 	return len(p), nil
 }
 
-func (d *discardBuffers) WriteBuffers(bufs [][]byte) (int64, error) {
+func (d *discardDirect) WriteBuffers(bufs [][]byte) (int64, error) {
 	d.writes++
 	var n int64
 	for _, b := range bufs {
@@ -225,18 +236,35 @@ func (d *discardBuffers) WriteBuffers(bufs [][]byte) (int64, error) {
 	return n, nil
 }
 
+func (d *discardDirect) ReadFrom(r io.Reader) (int64, error) {
+	d.writes++
+	var n int64
+	for {
+		k, err := r.Read(d.scratch[:])
+		n += int64(k)
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+}
+
 // TestVectoredBlocksAllocateNothing: a stream's blocks framed onto a conn
-// that takes vectored writes — the first behind the coalesced EOF block, the
-// last carrying the EOD — cost one write each and no allocation.
+// that takes each header and its payload in one call — from storage, by
+// ReadFrom, the first block behind the coalesced EOF block, the last carrying
+// the EOD — cost one write each and no allocation.
 func TestVectoredBlocksAllocateNothing(t *testing.T) {
-	d := &discardBuffers{}
+	d := &discardDirect{}
 	bw := newBlockWriter(d, DefaultBlockSize)
-	payload := make([]byte, 64<<10)
+	const n = 64 << 10
+	src := dsi.NewBufferFile(make([]byte, 2*n))
 	stream := func() {
 		for _, err := range []error{
 			bw.writeBlock(DescEOF, 0, 1, nil),
-			bw.writeBlock(DescRestartable, uint64(len(payload)), 0, payload),
-			bw.writeBlock(DescRestartable|DescEOD, uint64(len(payload)), uint64(len(payload)), payload),
+			bw.writeBlockAt(DescRestartable, src, 0, n),
+			bw.writeBlockAt(DescRestartable|DescEOD, src, n, n),
 			bw.flush(),
 		} {
 			if err != nil {
@@ -252,13 +280,18 @@ func TestVectoredBlocksAllocateNothing(t *testing.T) {
 	}
 }
 
-// slowConn sends blocks at a quarter of its link's pace: after each vectored
-// write it waits three times as long as the write took.
+// slowConn sends blocks at a quarter of its netsim link's pace: after each
+// block it sends from storage (ReadFrom) it waits three times as long as the
+// send took. It takes what the netsim conn takes, so blocks go that way.
 type slowConn struct{ net.Conn }
 
 func (c slowConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	return c.Conn.(buffersWriter).WriteBuffers(bufs)
+}
+
+func (c slowConn) ReadFrom(r io.Reader) (int64, error) {
 	start := time.Now()
-	n, err := c.Conn.(buffersWriter).WriteBuffers(bufs)
+	n, err := c.Conn.(io.ReaderFrom).ReadFrom(r)
 	time.Sleep(3 * time.Since(start))
 	return n, err
 }
@@ -322,51 +355,36 @@ func TestFailedSendLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// deathWatch counts the data blocks each stream of a send begins — its
-// vectored writes or ReadFroms — and makes stream dead fail its third and
+// deathWatch counts the data blocks each stream of a send begins — each
+// sent from storage by ReadFrom — and makes stream dead fail its third and
 // every later one. atDeath is every stream's count at that first failure.
 type deathWatch struct {
 	mu             sync.Mutex
 	dead           int
 	begun, atDeath []int
-	readFroms      int
 }
 
+// watchedConn takes what its netsim conn takes, so blocks go by ReadFrom.
 type watchedConn struct {
 	net.Conn
 	w      *deathWatch
 	stream int
 }
 
-// begin counts a block the stream begins and reports whether it dies.
-func (c watchedConn) begin() bool {
+func (c watchedConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	return c.Conn.(buffersWriter).WriteBuffers(bufs)
+}
+
+func (c watchedConn) ReadFrom(r io.Reader) (int64, error) {
 	w := c.w
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.begun[c.stream]++
 	dies := c.stream == w.dead && w.begun[c.stream] > 2
 	if dies && w.atDeath == nil {
 		w.atDeath = slices.Clone(w.begun)
 	}
-	return dies
-}
-
-func (c watchedConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	if c.begin() {
-		return 0, errors.New("connection died")
-	}
-	return c.Conn.(buffersWriter).WriteBuffers(bufs)
-}
-
-// watchedDirectConn also takes ReadFrom, so each block goes from storage
-// into the conn.
-type watchedDirectConn struct{ watchedConn }
-
-func (c watchedDirectConn) ReadFrom(r io.Reader) (int64, error) {
-	c.w.mu.Lock()
-	c.w.readFroms++
-	c.w.mu.Unlock()
-	if c.begin() {
+	w.mu.Unlock()
+	if dies {
 		return 0, errors.New("connection died")
 	}
 	return c.Conn.(io.ReaderFrom).ReadFrom(r)
@@ -375,45 +393,33 @@ func (c watchedDirectConn) ReadFrom(r io.Reader) (int64, error) {
 // TestDeadStreamEndsTheSend: one of 16 streams dies after two blocks. The
 // others finish the block each is sending, begin at most one more — one taken
 // before the failed stream's goroutine ends the deal — and stop, instead of
-// sending the rest of the 32 MiB between them; over conns that take vectored
-// writes, and over conns that take ReadFrom.
+// sending the rest of the 32 MiB between them.
 func TestDeadStreamEndsTheSend(t *testing.T) {
 	const streams, size = 16, 32 << 20
-	for _, direct := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ReadFrom=%v", direct), func(t *testing.T) {
-			pp := newPathPair(t)
-			pp.nw.SetLink("lis", "con", refWAN)
-			accepted, dialed := pp.open(streams)
-			defer closeChannels(dialed)
-			for _, ch := range accepted {
-				go io.Copy(io.Discard, ch.sec)
-			}
-			defer closeChannels(accepted)
+	pp := newPathPair(t)
+	pp.nw.SetLink("lis", "con", refWAN)
+	accepted, dialed := pp.open(streams)
+	defer closeChannels(dialed)
+	for _, ch := range accepted {
+		go io.Copy(io.Discard, ch.sec)
+	}
+	defer closeChannels(accepted)
 
-			w := &deathWatch{dead: 5, begun: make([]int, streams)}
-			conns := secConns(dialed)
-			for i := range conns {
-				if direct {
-					conns[i] = watchedDirectConn{watchedConn{conns[i], w, i}}
-				} else {
-					conns[i] = watchedConn{conns[i], w, i}
-				}
-			}
-			if err := sendModeE(conns, dsi.NewBufferFile(pattern(size)), []Range{{0, size}}, DefaultBlockSize, nil); err == nil {
-				t.Fatal("a send with a dead stream succeeded")
-			}
-			if w.atDeath == nil {
-				t.Fatal("the dying stream never failed a write")
-			}
-			if direct != (w.readFroms > 0) {
-				t.Fatalf("%d blocks went by ReadFrom, over conns that take it: %v", w.readFroms, direct)
-			}
-			for i := range w.begun {
-				if i != w.dead && w.begun[i]-w.atDeath[i] > 1 {
-					t.Errorf("stream %d began %d blocks after stream %d died, want at most 1 (all, then and at the end: %v %v)", i, w.begun[i]-w.atDeath[i], w.dead, w.atDeath, w.begun)
-				}
-			}
-		})
+	w := &deathWatch{dead: 5, begun: make([]int, streams)}
+	conns := secConns(dialed)
+	for i := range conns {
+		conns[i] = watchedConn{conns[i], w, i}
+	}
+	if err := sendModeE(conns, dsi.NewBufferFile(pattern(size)), []Range{{0, size}}, DefaultBlockSize, nil); err == nil {
+		t.Fatal("a send with a dead stream succeeded")
+	}
+	if w.atDeath == nil {
+		t.Fatal("the dying stream never failed a write")
+	}
+	for i := range w.begun {
+		if i != w.dead && w.begun[i]-w.atDeath[i] > 1 {
+			t.Errorf("stream %d began %d blocks after stream %d died, want at most 1 (all, then and at the end: %v %v)", i, w.begun[i]-w.atDeath[i], w.dead, w.atDeath, w.begun)
+		}
 	}
 }
 

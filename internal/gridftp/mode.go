@@ -203,19 +203,21 @@ func (s *blockSink) land(wt io.WriterTo, f io.WriterAt, off int64, n int) error 
 // buffersWriter is the vectored-write capability: one call delivers several
 // byte slices as a single write on the wire. netsim connections and the
 // streamstats wrapper over them implement it; the TLS and integrity layers
-// deliberately do not, so framing falls back to a single coalesced write
-// there.
+// deliberately do not. It marks the conns that move bytes with no buffer of
+// their own, whose ReadFrom and WriteTo the MODE E direct paths take.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
 }
 
-// vectorMin is the payload size above which a block is written vectored
-// ([header, payload] in one call) instead of memcpy'd into the coalescing
-// buffer. Below it the copy is cheaper than the per-vector bookkeeping.
+// vectorMin is the payload size from which a block goes out behind its
+// header in one call — from storage into a netsim chunk, or by writev —
+// instead of being copied into the coalescing buffer. Below it the copy is
+// cheaper than the per-call bookkeeping.
 const vectorMin = 8 * 1024
 
-// batchCap is the coalescing buffer's capacity on a conn that takes
-// vectored writes, where it carries only headers and blocks under vectorMin:
+// batchCap is the coalescing buffer's capacity on a conn whose payloads of
+// vectorMin and up bypass it (a direct conn, or TCP), where it carries only
+// headers and blocks under vectorMin:
 // small blocks batch until it fills, so a 4 KiB-block transfer issues one
 // write per ~15 blocks instead of two per block.
 const batchCap = 64 * 1024
@@ -224,20 +226,19 @@ const batchCap = 64 * 1024
 // writes and copies as possible. Small blocks and headers coalesce into a
 // scratch buffer (batched: consecutive small blocks share one write).
 // Payloads of vectorMin and up go out behind their header in one write: on a
-// conn that takes io.ReaderFrom and vectored writes (netsim, and stream
-// telemetry over it) straight from storage into the conn's chunk, one copy
-// (writeBlockAt); otherwise from a buffer, as [header, payload] via
-// WriteBuffers, net.Buffers (writev) on real TCP, and a single coalesced
-// write on the rest — never the historical two writes per block. The
+// conn that fills its chunks from a reader (netsim, and stream telemetry over
+// it) straight from storage into the conn's chunk, one copy (writeBlockAt);
+// otherwise from a buffer, as [header, payload] by net.Buffers (writev) on
+// real TCP, and as a single coalesced write on the rest (PROT P's TLS, PROT
+// S's integrityConn) — never the historical two writes per block. The
 // coalescing buffer is leased from the process pools (poolFor) and goes back
 // with release, as does the payload buffer, leased on first use.
 type blockWriter struct {
 	w    io.Writer
-	vw   buffersWriter // non-nil: conn takes vectored writes natively
-	rf   io.ReaderFrom // non-nil (with vw): conn fills its chunks from a reader
+	rf   io.ReaderFrom // non-nil: conn fills its chunks from a reader
 	tcp  *net.TCPConn  // non-nil: net.Buffers reaches writev
 	buf  []byte        // coalescing buffer; len is the pending byte count
-	vecs [3][]byte     // backing array for vectored [pending, hdr, payload] calls
+	vecs [3][]byte     // backing array for writev's [pending, hdr, payload]
 	hdr  [blockHeaderLen]byte
 	// payload is what writeBlockAt reads a block into when it cannot go
 	// from storage to the conn; nil until then.
@@ -247,20 +248,19 @@ type blockWriter struct {
 }
 
 // newBlockWriter leases a coalescing buffer sized by what it will carry. On a
-// conn with vectored writes that is headers and blocks under vectorMin, so
+// direct conn or TCP that is headers and blocks under vectorMin, so
 // batchCap; on any other (PROT P's TLS, PROT S's integrityConn) it is a whole
 // block of the negotiated size with its header, so a block is still one
 // write — one record group — there. Sizing by the negotiated size, not a
 // transfer's job size, keeps the pools to a handful of sizes per process.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	bw := &blockWriter{w: w, blockSize: blockSize}
-	bw.vw, _ = w.(buffersWriter)
-	if bw.vw != nil {
+	if _, ok := w.(buffersWriter); ok {
 		bw.rf, _ = w.(io.ReaderFrom)
 	}
 	bw.tcp, _ = w.(*net.TCPConn)
 	capacity := batchCap
-	if bw.vw == nil && bw.tcp == nil {
+	if bw.rf == nil && bw.tcp == nil {
 		capacity = max(batchCap, blockSize+blockHeaderLen)
 	}
 	bw.buf = poolFor(capacity).Lease()[:0]
@@ -269,8 +269,8 @@ func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 
 // release gives the leased buffers back to their pools; the writer is not
 // used again. Every write has returned by then, and none keeps a buffer: a
-// netsim conn and writev copy it before WriteBuffers returns, and TLS and
-// integrityConn before Write returns.
+// netsim conn copies it before its ReadFrom or Write returns, writev before
+// it returns, and TLS and integrityConn before Write returns.
 func (bw *blockWriter) release() {
 	buf := bw.buf[:cap(bw.buf)]
 	bw.buf = nil
@@ -291,8 +291,8 @@ func (bw *blockWriter) flush() error {
 	return err
 }
 
-// writeVectored sends [hdr, payload] without copying the payload, behind
-// whatever is pending in the coalescing buffer, in one write.
+// writeVectored sends [hdr, payload] on TCP without copying the payload,
+// behind whatever is pending in the coalescing buffer, in one writev.
 func (bw *blockWriter) writeVectored(payload []byte) error {
 	bw.vecs = [3][]byte{bw.buf, bw.hdr[:], payload}
 	vecs := bw.vecs[:]
@@ -300,20 +300,17 @@ func (bw *blockWriter) writeVectored(payload []byte) error {
 		vecs = vecs[1:]
 	}
 	bw.buf = bw.buf[:0]
-	if bw.vw != nil {
-		_, err := bw.vw.WriteBuffers(vecs)
-		return err
-	}
 	nb := net.Buffers(vecs) // escapes: declared here, so only writev pays for it
 	_, err := nb.WriteTo(bw.tcp)
 	return err
 }
 
 // writeBlock frames one block. The payload may be reused by the caller as
-// soon as writeBlock returns (vectored paths complete the write before
-// returning; coalesced bytes are copied).
+// soon as writeBlock returns (writev completes before returning; coalesced
+// bytes are copied). On a direct conn a payload of vectorMin and up is
+// writeBlockAt's: it goes from storage, never through writeBlock.
 func (bw *blockWriter) writeBlock(desc byte, count, offset uint64, payload []byte) error {
-	if len(payload) >= vectorMin && (bw.vw != nil || bw.tcp != nil) {
+	if len(payload) >= vectorMin && bw.tcp != nil {
 		putBlockHeader(bw.hdr[:], desc, count, offset)
 		return bw.writeVectored(payload)
 	}

@@ -7,8 +7,8 @@ import "sync"
 // profile surfaced disappears. The payload buffers a send reads blocks into
 // and a receive reads them off the wire into come from the pool of the
 // negotiated block size; a send's coalescing buffer (blockWriter) comes from
-// one of two: batchCap on a conn with vectored writes, the block size plus a
-// header on one without. Buffers are handed out at full length (len == Size)
+// one of two: batchCap on a netsim or TCP conn, where large payloads bypass
+// it, the block size plus a header on any other. Buffers are handed out at full length (len == Size)
 // and recycled on Release; foreign buffers (wrong capacity, e.g. one
 // ReadBlock had to grow past the negotiated size) are dropped on the floor
 // rather than poisoning the pool. A Lease and its Release allocate nothing.
