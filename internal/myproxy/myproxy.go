@@ -187,12 +187,14 @@ func (s *Server) serve(raw net.Conn) {
 		fmt.Fprintf(tc, "ERR encoding failure\n")
 		return
 	}
-	fmt.Fprintf(tc, "CERT %s\n", base64.StdEncoding.EncodeToString(bundle))
+	// The logon's records are complete before its answer leaves, as a
+	// refused one's are: a client holding its certificate finds them kept.
 	reg.Counter("myproxy.logons_total").Inc()
 	reg.Histogram("myproxy.logon_seconds", obs.DefaultDurationBuckets).
 		Observe(time.Since(start).Seconds())
 	log.Info("auth.success", traceEventKV(span, "user", req.user,
 		"dn", string(cred.Identity()), "dur", time.Since(start).Round(time.Microsecond))...)
+	fmt.Fprintf(tc, "CERT %s\n", base64.StdEncoding.EncodeToString(bundle))
 }
 
 // traceEventKV appends the span's trace/span ids (when tracing is active)
