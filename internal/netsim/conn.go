@@ -11,16 +11,29 @@ import (
 	"time"
 )
 
-// maxBufferedBytes bounds how much written-but-unread data one direction of
-// a connection may hold, modelling TCP flow control: a writer outpacing its
-// reader eventually blocks.
-const maxBufferedBytes = 8 << 20
-
 // maxChunk is the most one chunk holds, the largest chunk class. A call
 // that sends more — a whole file by ReadFrom, say — is queued as several
 // chunks, each pooled and each arriving while the next is still on the wire,
-// where one would hold all of it until its last byte was sent.
+// where one would hold all of it until its last byte was sent. It holds a
+// 256 KiB MODE E block with its header whole.
 const maxChunk = 1 << chunkClassMax
+
+// minBufferBound is the least one direction of a connection may hold (see
+// bufferBound): two whole chunks, so a writer fills one while its reader
+// drains the other, and the hysteresis in reserve always has room to wait
+// for.
+const minBufferBound = 2 * maxChunk
+
+// bufferBound is how much written-but-unread data one direction of a
+// connection over p may hold, modelling TCP flow control as a socket's
+// buffers bound it: a writer outpacing its reader blocks once a window fills
+// the receive buffer and another the send buffer. A bound of its own, not
+// the window's, would let a writer on an unshaped link queue megabytes, heap
+// in the measured process, and have the reader copy each chunk out long after
+// it was written and left the cache.
+func bufferBound(p LinkParams) int {
+	return max(minBufferBound, 2*p.window())
+}
 
 // chunk is a span of bytes plus the simulated time at which it arrives at
 // the receiver. full retains the original allocation so a fully consumed
@@ -32,7 +45,7 @@ type chunk struct {
 	at   time.Time
 }
 
-// Chunk buffers are pooled by size class (4 KiB .. 2 MiB): the E2 profile
+// Chunk buffers are pooled by size class (4 KiB .. 512 KiB): the E2 profile
 // showed pipeHalf.write's per-chunk make([]byte, n) as a top allocator, and
 // MODE E traffic reuses a handful of sizes heavily. Each octave has two
 // classes, 2^k and 2^k + 2^(k-4). Bulk writes are a power of two plus a
@@ -43,7 +56,7 @@ type chunk struct {
 // a kernel socket buffer is not.
 const (
 	chunkClassMin = 12 // 4 KiB
-	chunkClassMax = 21 // 2 MiB, a quarter of maxBufferedBytes
+	chunkClassMax = 19 // 512 KiB, half of minBufferBound
 	chunkClasses  = 2*(chunkClassMax-chunkClassMin) + 1
 )
 
@@ -195,11 +208,12 @@ func (h *pipeHalf) trackQueue(n int64) {
 
 // send is the one send loop: Write, WriteBuffers and ReadFrom queue their
 // n bytes through it, fill copying the next bytes into each chunk. It blocks
-// (until deadline) while the buffer is full, and also while more than one
-// round trip of the stream's bytes is booked and not yet transmitted, as a
-// socket write blocks on a full send buffer: a back-to-back writer is paced
-// at the link rate and keeps it busy, and a small write on an idle conn
-// returns at once. Hysteresis: once the buffer fills, the writer waits for
+// (until deadline) while the direction holds its bound (bufferBound), and
+// also while more than one round trip of the stream's bytes is booked and
+// not yet transmitted, as a socket write blocks on a full send buffer: a
+// back-to-back writer is paced at the link rate and keeps it busy, and a
+// small write on an idle conn returns at once. Hysteresis: once the bound
+// is reached, the writer waits for
 // room for a whole chunk — what is left to send, up to maxChunk — before
 // resuming, so steady-state chunks never degrade into slivers (which would
 // make per-chunk costs dominate).
@@ -251,7 +265,7 @@ func (h *pipeHalf) send(n int, fill func(dst []byte) (int, bool), deadline time.
 func (h *pipeHalf) reserve(remaining int, deadline time.Time) (int, error) {
 	n := min(remaining, maxChunk)
 	h.mu.Lock()
-	for maxBufferedBytes-h.buffered-h.reserved < n && !h.wclosed && !h.dead {
+	for h.bound()-h.buffered-h.reserved < n && !h.wclosed && !h.dead {
 		h.mu.Unlock()
 		if err := waitSignal(h.spaceFree, deadline); err != nil {
 			return 0, err
@@ -265,6 +279,22 @@ func (h *pipeHalf) reserve(remaining int, deadline time.Time) (int, error) {
 	h.reserved += n
 	h.mu.Unlock()
 	return n, nil
+}
+
+// bound is the most the half may hold: its shaper's bufferBound, which a
+// reshaped link moves, or the floor on a half with no shaper.
+func (h *pipeHalf) bound() int {
+	if h.shaper == nil {
+		return minBufferBound
+	}
+	return int(h.shaper.bound.Load())
+}
+
+// setParams reshapes the half's stream and wakes a writer waiting for room,
+// which a raised bound may have made.
+func (h *pipeHalf) setParams(p LinkParams) {
+	h.shaper.setParams(p)
+	signal(h.spaceFree)
 }
 
 // publish queues the first k bytes of data, a chunk reserve booked size

@@ -149,8 +149,8 @@ func (l *link) updateParams(p LinkParams) {
 	conns := append([]*Conn(nil), l.conns...)
 	l.mu.Unlock()
 	for _, c := range conns {
-		c.wr.shaper.setParams(p)
-		c.rd.shaper.setParams(p)
+		c.wr.setParams(p)
+		c.rd.setParams(p)
 	}
 }
 
@@ -232,12 +232,15 @@ func (l *link) newStreamShaper(tr Transport) *streamShaper {
 func isInf(f float64) bool { return f > 1e30 }
 
 // streamShaper computes delivery times for one direction of one stream,
-// and accounts the loss model's retransmitted segments for that
-// direction. Its parameters are mutable: the loss injector updates them
-// mid-connection through setParams.
+// accounts the loss model's retransmitted segments for that direction, and
+// bounds what the direction may hold. Its parameters are mutable: the loss
+// injector updates them mid-connection through setParams.
 type streamShaper struct {
 	link *link
 	tr   Transport
+	// bound is the direction's bufferBound. Every reserve reads it, so it
+	// is an atomic rather than under mu.
+	bound atomic.Int64
 
 	mu      sync.Mutex
 	stream  *limiter
@@ -248,10 +251,11 @@ type streamShaper struct {
 	retrans int64   // cumulative retransmitted segments (this direction)
 }
 
-// applyParams installs the per-stream cap, propagation delay, and loss
-// model implied by p. Callers must not hold s.mu.
+// applyParams installs the per-stream cap, propagation delay, loss model
+// and buffer bound implied by p. Callers must not hold s.mu.
 func (s *streamShaper) applyParams(p LinkParams) {
 	cap := p.StreamCap()
+	s.bound.Store(int64(bufferBound(p)))
 	s.mu.Lock()
 	s.oneWay = p.RTT / 2
 	s.loss = p.Loss

@@ -423,7 +423,7 @@ func TestReadFromEndsAsWriteDoes(t *testing.T) {
 		c, _ := pair(t, nil)
 		c.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
 		// Nothing reads: the buffer fills and the send waits for room.
-		big := bytes.NewReader(make([]byte, maxBufferedBytes+1))
+		big := bytes.NewReader(make([]byte, minBufferBound+1))
 		if _, err := c.ReadFrom(big); !errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Fatalf("ReadFrom past its deadline: %v", err)
 		}
