@@ -13,12 +13,12 @@ import (
 // This file keeps the before/after of the MODE E fast-path work
 // measurable now that the legacy block loop is gone from the DTP: the
 // sender/receiver loops exist here in both their historical form (a fresh
-// payload buffer and two writes per block) and the current form (pooled
-// lease, batched/vectored blockWriter, pooled receive). On a conn that takes
-// ReadFrom and WriteTo (netsim) the current form is the engine's direct
-// path: each block goes from storage into the conn's chunk and from the
-// chunk into storage, one copy per end, where a buffered conn copies the
-// block out of a lease and into one. The storage is a blockRing, so both
+// payload buffer and two writes per block) and the current form (blockWriter,
+// pooled receive). On a conn that takes ReadFrom and WriteTo (netsim) the
+// current form is the engine's direct path: each block goes from storage
+// into the conn's chunk and from the chunk into storage, one copy per end,
+// where a buffered conn (TCP) reads the block into the coalescing buffer
+// behind its header and receives it into a lease. The storage is a blockRing, so both
 // forms copy the same cache-hot bytes and the disk stays out of frame.
 
 // blockRing is storage one block long that every offset maps into.
@@ -34,19 +34,16 @@ func (r blockRing) WriteAt(p []byte, off int64) (int, error) {
 
 // sendBenchBlocks streams totalBytes of MODE E data blocks over conn,
 // followed by EOD and an EOF announcing one stream, then half-closes.
-// fast selects the pooled+vectored writer; legacy reproduces the
+// fast selects the engine's blockWriter; legacy reproduces the
 // pre-fast-path behavior (per-block allocation, header and payload as
 // separate writes).
 func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize int, fast bool) error {
 	defer closeWrite(conn)
 	var off int64
 	if fast {
-		pool := poolFor(blockSize)
-		buf := pool.Lease()
-		defer pool.Release(buf)
 		bw := newBlockWriter(conn, blockSize)
 		defer bw.release()
-		if err := bw.writeBlock(DescEOF, 0, 1, nil); err != nil {
+		if err := bw.writeBlock(DescEOF, 1); err != nil {
 			return err
 		}
 		for off < totalBytes {
@@ -54,18 +51,12 @@ func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize
 			if rem := totalBytes - off; rem < n {
 				n = rem
 			}
-			var err error
-			if bw.rf != nil {
-				err = bw.writeBlockAt(DescRestartable, src, off, int(n))
-			} else {
-				err = bw.writeBlock(DescRestartable, uint64(n), uint64(off), buf[:n])
-			}
-			if err != nil {
+			if err := bw.writeBlockAt(DescRestartable, src, off, int(n)); err != nil {
 				return err
 			}
 			off += n
 		}
-		if err := bw.writeBlock(DescEOD, 0, 0, nil); err != nil {
+		if err := bw.writeBlock(DescEOD, 0); err != nil {
 			return err
 		}
 		return bw.flush()
@@ -174,8 +165,8 @@ func simPair() (net.Conn, net.Conn, error) {
 // streaming blocks to one receiver over a real TCP loopback socket and
 // over an unshaped netsim conn, in the historical form (fresh payload
 // buffer per block, header and payload as separate writes, per-block
-// receive allocation) and the fast-path form (pooled block buffers,
-// batched/vectored writes, pooled receive). The fast/legacy delta is the
+// receive allocation) and the fast-path form (blockWriter's one write per
+// block, pooled receive). The fast/legacy delta is the
 // fast-path PR's framing win with the protocol, crypto, and disk kept out
 // of frame.
 func BenchmarkE19DataPath(b *testing.B) {

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 
@@ -136,6 +137,68 @@ func TestDirectBlocksAllocateNothing(t *testing.T) {
 	}
 	if !bytes.Equal(dst.Bytes(), src.Bytes()) {
 		t.Fatal("the landed blocks differ from the file")
+	}
+}
+
+// recordingConn keeps a copy of every write it is handed, as a conn with no
+// direct path (TLS, integrityConn, TCP) puts each on the wire.
+type recordingConn struct{ writes [][]byte }
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestBufferedBlocksAreOneWriteEach: on a conn with no direct path each
+// block is read from storage into the coalescing buffer behind its header
+// and goes out as one write of exactly its framing: the EOF block alone
+// ahead of the first, which does not fit behind it, and the EOD set on the
+// last. A file that ends short of a block fails it, and nothing of the block
+// is sent; what was batched ahead of it still is.
+func TestBufferedBlocksAreOneWriteEach(t *testing.T) {
+	const blocks, n = 3, DefaultBlockSize
+	data := pattern(blocks * n)
+	src := dsi.NewBufferFile(data)
+	c := &recordingConn{}
+	bw := newBlockWriter(c, n)
+	defer bw.release()
+	frame := func(desc byte, count, offset uint64, payload []byte) []byte {
+		b := make([]byte, blockHeaderLen, blockHeaderLen+len(payload))
+		putBlockHeader(b, desc, count, offset)
+		return append(b, payload...)
+	}
+	want := [][]byte{frame(DescEOF, 0, 1, nil)}
+	if err := bw.writeBlock(DescEOF, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < blocks; i++ {
+		desc := byte(DescRestartable)
+		if i == blocks-1 {
+			desc |= DescEOD
+		}
+		if err := bw.writeBlockAt(desc, src, int64(i*n), n); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frame(desc, n, uint64(i*n), data[i*n:(i+1)*n]))
+	}
+	if err := bw.writeBlock(DescEOF, 1); err != nil {
+		t.Fatal(err)
+	}
+	err := bw.writeBlockAt(DescRestartable, src, blocks*n-100, n)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a block past the end of the file: %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if err := bw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, frame(DescEOF, 0, 1, nil))
+	if len(c.writes) != len(want) {
+		t.Fatalf("%d writes, want %d: one per block", len(c.writes), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(c.writes[i], want[i]) {
+			t.Fatalf("write %d is %d bytes that differ from the %d of its block", i, len(c.writes[i]), len(want[i]))
+		}
 	}
 }
 

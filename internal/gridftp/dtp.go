@@ -122,7 +122,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 		bw := newBlockWriter(conn, blockSize)
 		defer bw.release()
 		if i == 0 {
-			if err := bw.writeBlock(DescEOF, 0, uint64(len(conns)), nil); err != nil {
+			if err := bw.writeBlock(DescEOF, uint64(len(conns))); err != nil {
 				return fmt.Errorf("gridftp: send EOF block: %w", err)
 			}
 		}
@@ -145,7 +145,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 			}
 		}
 		if !eod {
-			if err := bw.writeBlock(DescEOD, 0, 0, nil); err != nil {
+			if err := bw.writeBlock(DescEOD, 0); err != nil {
 				return fmt.Errorf("gridftp: send EOD: %w", err)
 			}
 		}

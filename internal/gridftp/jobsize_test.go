@@ -262,7 +262,7 @@ func TestVectoredBlocksAllocateNothing(t *testing.T) {
 	src := dsi.NewBufferFile(make([]byte, 2*n))
 	stream := func() {
 		for _, err := range []error{
-			bw.writeBlock(DescEOF, 0, 1, nil),
+			bw.writeBlock(DescEOF, 1),
 			bw.writeBlockAt(DescRestartable, src, 0, n),
 			bw.writeBlockAt(DescRestartable|DescEOD, src, n, n),
 			bw.flush(),

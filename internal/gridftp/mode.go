@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 )
 
@@ -154,7 +153,7 @@ func splicer(conn io.Reader) io.WriterTo {
 // blockSink lands one block's payload in a file as a conn's WriteTo hands
 // it over, one copy from the conn's queue into storage, and takes nothing
 // past the block: the next header stays queued for the next read. Sinks
-// are pooled (sinks), as the payload buffers of the buffered path are.
+// are pooled (sinks), as the receive buffers of the buffered path are.
 type blockSink struct {
 	hdr  [blockHeaderLen]byte // the stream's header buffer
 	f    io.WriterAt
@@ -210,75 +209,61 @@ type buffersWriter interface {
 }
 
 // vectorMin is the payload size from which a block goes out behind its
-// header in one call — from storage into a netsim chunk, or by writev —
-// instead of being copied into the coalescing buffer. Below it the copy is
-// cheaper than the per-call bookkeeping.
+// header in one call from storage into a netsim chunk (ReadFrom), instead of
+// being read into the coalescing buffer. Below it the copy is cheaper than
+// the per-call bookkeeping.
 const vectorMin = 8 * 1024
 
-// batchCap is the coalescing buffer's capacity on a conn whose payloads of
-// vectorMin and up bypass it (a direct conn, or TCP), where it carries only
-// headers and blocks under vectorMin:
-// small blocks batch until it fills, so a 4 KiB-block transfer issues one
-// write per ~15 blocks instead of two per block.
+// batchCap is the coalescing buffer's capacity on a direct conn, whose
+// payloads of vectorMin and up bypass it, where it carries only headers and
+// blocks under vectorMin: small blocks batch until it fills, so a 4 KiB-block
+// transfer issues one write per ~15 blocks instead of two per block.
 const batchCap = 64 * 1024
 
 // blockWriter frames MODE E blocks onto one data connection with as few
-// writes and copies as possible. Small blocks and headers coalesce into a
-// scratch buffer (batched: consecutive small blocks share one write).
-// Payloads of vectorMin and up go out behind their header in one write: on a
-// conn that fills its chunks from a reader (netsim, and stream telemetry over
-// it) straight from storage into the conn's chunk, one copy (writeBlockAt);
-// otherwise from a buffer, as [header, payload] by net.Buffers (writev) on
-// real TCP, and as a single coalesced write on the rest (PROT P's TLS, PROT
-// S's integrityConn) — never the historical two writes per block. The
-// coalescing buffer is leased from the process pools (poolFor) and goes back
-// with release, as does the payload buffer, leased on first use.
+// writes and copies as possible. Blocks are read from storage into a
+// coalescing buffer behind their headers (batched: consecutive small blocks
+// share one write), except on a conn that fills its chunks from a reader
+// (netsim, and stream telemetry over it), where a payload of vectorMin and
+// up goes from storage straight into the conn's chunk behind its header,
+// one copy (writeBlockAt). On every other conn (PROT P's TLS, PROT S's
+// integrityConn, TCP) the buffer holds a whole block, so a block is one
+// write and one copy into the buffer. The coalescing buffer is leased from
+// the process pools (poolFor) and goes back with release.
 type blockWriter struct {
-	w    io.Writer
-	rf   io.ReaderFrom // non-nil: conn fills its chunks from a reader
-	tcp  *net.TCPConn  // non-nil: net.Buffers reaches writev
-	buf  []byte        // coalescing buffer; len is the pending byte count
-	vecs [3][]byte     // backing array for writev's [pending, hdr, payload]
-	hdr  [blockHeaderLen]byte
-	// payload is what writeBlockAt reads a block into when it cannot go
-	// from storage to the conn; nil until then.
-	payload   []byte
-	blockSize int
-	rd        blockReader // the reader writeBlockAt hands rf
+	w   io.Writer
+	rf  io.ReaderFrom // non-nil: conn fills its chunks from a reader
+	buf []byte        // coalescing buffer; len is the pending byte count
+	rd  blockReader   // the reader writeBlockAt hands rf
 }
 
 // newBlockWriter leases a coalescing buffer sized by what it will carry. On a
-// direct conn or TCP that is headers and blocks under vectorMin, so
-// batchCap; on any other (PROT P's TLS, PROT S's integrityConn) it is a whole
-// block of the negotiated size with its header, so a block is still one
-// write — one record group — there. Sizing by the negotiated size, not a
-// transfer's job size, keeps the pools to a handful of sizes per process.
+// direct conn that is headers and blocks under vectorMin, so batchCap; on
+// any other it is a whole block of the negotiated size with its header, so a
+// block is still one write — one record group under TLS — there. Sizing by
+// the negotiated size, not a transfer's job size (at most it), keeps the
+// pools to a handful of sizes per process.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
-	bw := &blockWriter{w: w, blockSize: blockSize}
+	bw := &blockWriter{w: w}
 	if _, ok := w.(buffersWriter); ok {
 		bw.rf, _ = w.(io.ReaderFrom)
 	}
-	bw.tcp, _ = w.(*net.TCPConn)
 	capacity := batchCap
-	if bw.rf == nil && bw.tcp == nil {
+	if bw.rf == nil {
 		capacity = max(batchCap, blockSize+blockHeaderLen)
 	}
 	bw.buf = poolFor(capacity).Lease()[:0]
 	return bw
 }
 
-// release gives the leased buffers back to their pools; the writer is not
-// used again. Every write has returned by then, and none keeps a buffer: a
-// netsim conn copies it before its ReadFrom or Write returns, writev before
-// it returns, and TLS and integrityConn before Write returns.
+// release gives the leased buffer back to its pool; the writer is not used
+// again. Every write has returned by then, and none keeps the buffer: a
+// netsim conn copies it before its ReadFrom or Write returns, and TLS,
+// integrityConn and TCP before Write returns.
 func (bw *blockWriter) release() {
 	buf := bw.buf[:cap(bw.buf)]
 	bw.buf = nil
 	poolFor(len(buf)).Release(buf)
-	if bw.payload != nil {
-		poolFor(bw.blockSize).Release(bw.payload)
-		bw.payload = nil
-	}
 }
 
 // flush writes any batched bytes as a single write.
@@ -291,69 +276,51 @@ func (bw *blockWriter) flush() error {
 	return err
 }
 
-// writeVectored sends [hdr, payload] on TCP without copying the payload,
-// behind whatever is pending in the coalescing buffer, in one writev.
-func (bw *blockWriter) writeVectored(payload []byte) error {
-	bw.vecs = [3][]byte{bw.buf, bw.hdr[:], payload}
-	vecs := bw.vecs[:]
-	if len(bw.buf) == 0 {
-		vecs = vecs[1:]
-	}
-	bw.buf = bw.buf[:0]
-	nb := net.Buffers(vecs) // escapes: declared here, so only writev pays for it
-	_, err := nb.WriteTo(bw.tcp)
-	return err
-}
-
-// writeBlock frames one block. The payload may be reused by the caller as
-// soon as writeBlock returns (writev completes before returning; coalesced
-// bytes are copied). On a direct conn a payload of vectorMin and up is
-// writeBlockAt's: it goes from storage, never through writeBlock.
-func (bw *blockWriter) writeBlock(desc byte, count, offset uint64, payload []byte) error {
-	if len(payload) >= vectorMin && bw.tcp != nil {
-		putBlockHeader(bw.hdr[:], desc, count, offset)
-		return bw.writeVectored(payload)
-	}
-	if len(bw.buf)+blockHeaderLen+len(payload) > cap(bw.buf) {
+// writeBlock frames a control block, one with no payload: the EOF block,
+// whose offset is the stream count, or an EOD. It is batched ahead of what
+// follows.
+func (bw *blockWriter) writeBlock(desc byte, offset uint64) error {
+	if len(bw.buf)+blockHeaderLen > cap(bw.buf) {
 		if err := bw.flush(); err != nil {
 			return err
 		}
 	}
 	n := len(bw.buf)
 	bw.buf = bw.buf[:n+blockHeaderLen]
-	putBlockHeader(bw.buf[n:], desc, count, offset)
-	bw.buf = append(bw.buf, payload...)
+	putBlockHeader(bw.buf[n:], desc, 0, offset)
 	return nil
 }
 
 // writeBlockAt frames one block whose payload is the n bytes of f at off. On
 // a conn that fills its chunks from a reader, a payload of vectorMin and up
 // goes from storage straight into the chunk, behind whatever is batched and
-// the header, in one write. Otherwise it is read into the payload buffer
-// and framed by writeBlock. A file that ends short of the block fails it,
-// as readAtFull does; a failed write is wrapped with the block's offset.
+// the header, in one write. Otherwise it is read from storage into the
+// coalescing buffer behind its header, after a flush if it does not fit
+// behind what is batched; the buffer holds a whole block (newBlockWriter).
+// A file that ends short of the block fails it, as readAtFull does, and
+// nothing of the block is sent; a failed write is wrapped with the block's
+// offset.
 func (bw *blockWriter) writeBlockAt(desc byte, f io.ReaderAt, off int64, n int) error {
-	if bw.rf == nil || n < vectorMin {
-		if bw.payload == nil {
-			bw.payload = poolFor(bw.blockSize).Lease()
-		}
-		data := bw.payload[:n]
-		if err := readAtFull(f, data, off); err != nil {
-			return err
-		}
-		if err := bw.writeBlock(desc, uint64(n), uint64(off), data); err != nil {
-			return fmt.Errorf("gridftp: send block at %d: %w", off, err)
-		}
-		return nil
+	direct := bw.rf != nil && n >= vectorMin
+	need := blockHeaderLen
+	if !direct {
+		need += n
 	}
-	if len(bw.buf)+blockHeaderLen > cap(bw.buf) {
+	if len(bw.buf)+need > cap(bw.buf) {
 		if err := bw.flush(); err != nil {
 			return fmt.Errorf("gridftp: send block at %d: %w", off, err)
 		}
 	}
 	k := len(bw.buf)
-	bw.buf = bw.buf[:k+blockHeaderLen]
+	bw.buf = bw.buf[:k+need]
 	putBlockHeader(bw.buf[k:], desc, uint64(n), uint64(off))
+	if !direct {
+		if err := readAtFull(f, bw.buf[k+blockHeaderLen:], off); err != nil {
+			bw.buf = bw.buf[:k]
+			return err
+		}
+		return nil
+	}
 	bw.rd = blockReader{head: bw.buf, f: f, off: off, n: n}
 	bw.buf = bw.buf[:0]
 	_, err := bw.rf.ReadFrom(&bw.rd)

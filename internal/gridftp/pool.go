@@ -4,12 +4,12 @@ import "sync"
 
 // BufferPool leases fixed-size buffers for the MODE E data path so the
 // per-block and per-connection `make([]byte, blockSize)` churn the E2
-// profile surfaced disappears. The payload buffers a send reads blocks into
-// and a receive reads them off the wire into come from the pool of the
-// negotiated block size; a send's coalescing buffer (blockWriter) comes from
-// one of two: batchCap on a netsim or TCP conn, where large payloads bypass
-// it, the block size plus a header on any other. Buffers are handed out at full length (len == Size)
-// and recycled on Release; foreign buffers (wrong capacity, e.g. one
+// profile surfaced disappears. The payload buffers a receive reads blocks
+// off the wire into come from the pool of the negotiated block size; a
+// send's coalescing buffer (blockWriter), which it reads blocks into, comes
+// from one of two: batchCap on a netsim conn, where large payloads bypass
+// it, the block size plus a header on any other. Buffers are handed out at
+// full length (len == Size) and recycled on Release; foreign buffers (wrong capacity, e.g. one
 // ReadBlock had to grow past the negotiated size) are dropped on the floor
 // rather than poisoning the pool. A Lease and its Release allocate nothing.
 type BufferPool struct {
