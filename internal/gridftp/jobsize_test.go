@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -299,7 +300,9 @@ func (c slowConn) ReadFrom(r io.Reader) (int64, error) {
 // TestSlowStreamCostsAtMostOneBlock: a stream holds only the block it is
 // sending, so one stream of 8 slowed 4× adds at most about one of its blocks
 // to the transfer. Dealt a fixed eighth of the blocks instead it would take
-// ≈ 3× as long as the other 7 alone.
+// ≈ 3× as long as the other 7 alone. The two sends alternate three times and
+// the best of each is compared, so a busy host that slows one send does not
+// decide the ratio.
 func TestSlowStreamCostsAtMostOneBlock(t *testing.T) {
 	const size, block = 16 << 20, 64 << 10
 	payload := pattern(size)
@@ -328,11 +331,14 @@ func TestSlowStreamCostsAtMostOneBlock(t *testing.T) {
 		}
 		return elapsed
 	}
-	seven := send(7, false)
-	eight := send(8, true)
-	t.Logf("7 streams: %v; 8 streams, one slowed 4×: %v (%.2f×)", seven, eight, float64(eight)/float64(seven))
+	seven, eight := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 3 {
+		seven = min(seven, send(7, false))
+		eight = min(eight, send(8, true))
+	}
+	t.Logf("best of three: 7 streams %v; 8 streams, one slowed 4×, %v (%.2f×)", seven, eight, float64(eight)/float64(seven))
 	if eight > seven*5/4 {
-		t.Errorf("8 streams with one slowed 4× took %v, more than 1.25× the %v of 7 streams", eight, seven)
+		t.Errorf("8 streams with one slowed 4× took at best %v, more than 1.25× the best %v of 7 streams", eight, seven)
 	}
 }
 
