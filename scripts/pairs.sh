@@ -1,18 +1,22 @@
 #!/bin/sh
 # pairs.sh — the paired-run protocol for a change that claims a benchmark
 # gain (choosing-metrics §8): build ./bench from a clean checkout of a parent
-# ref and from a clean checkout of HEAD, run them as alternating pairs on one
-# workload, and say per end-to-end metric whether the change won.
+# ref and from a clean checkout of HEAD, run them as alternating pairs on
+# each workload named, and say per end-to-end metric whether the change won.
 #
-# Usage: ./scripts/pairs.sh <parent-ref> <workload> [pairs=10] [first-seed=101]
+# Usage: ./scripts/pairs.sh <parent-ref> <workload[,workload...]|all> [pairs=10] [first-seed=101]
 #
-# Both sides of a pair get the same seed and every pair a fresh one
-# (first-seed, first-seed+1, …); which side runs first alternates. Each
-# binary runs from its own checkout, so it reads its own BENCHMARK.json, with
-# `-workload W -trace 0 -seed S` and the run length that file fixes. HEAD
-# means the committed files: commit before you measure. The checkouts are
-# `git archive` extracts in a temporary directory (nothing is left in .git or
-# in the working tree); the benchmark is read only through its command line.
+# Both binaries are built once; the workloads then run in turn, in the order
+# given (all: every workload the change's BENCHMARK.json declares, in its
+# order), each with its pairs and its own table. Within a workload both
+# sides of a pair get the same seed and every pair a fresh one (first-seed,
+# first-seed+1, …; each workload runs the same seeds); which side runs first
+# alternates. Each binary runs from its own checkout, so it reads its own
+# BENCHMARK.json, with `-workload W -trace 0 -seed S` and the run length that
+# file fixes. HEAD means the committed files: commit before you measure. The
+# checkouts are `git archive` extracts in a temporary directory (nothing is
+# left in .git or in the working tree); the benchmark is read only through
+# its command line.
 #
 # Per metric it prints each side's median [q1, q3] (quartiles the way
 # Python's statistics.quantiles(n=4) and bench -repeat compute them, the
@@ -22,19 +26,20 @@
 # worse than the parent's by more than the bound BENCHMARK.json fixes. A gain
 # is claimed only when the change wins at least nine tenths of the pairs and
 # the medians are that far apart; a regression is a median beyond the bound.
-# Below them it prints process.cpu_ms_per_op, read from each run's text
-# output, in the same columns: the CPU the process spent per operation, a
-# steadier reading of a CPU-bound workload than its wall time, reported and
-# not gated.
+# Below them it prints two per-layer readings from each run's text output,
+# in the same columns, reported and not gated: process.cpu_ms_per_op, the
+# CPU the process spent per operation, a steadier reading of a CPU-bound
+# workload than its wall time; and netsim.max_queue_KB, the most bytes the
+# simulated links held queued at once.
 set -eu
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-	echo "usage: $0 <parent-ref> <workload> [pairs=10] [first-seed=101]" >&2
+	echo "usage: $0 <parent-ref> <workload[,workload...]|all> [pairs=10] [first-seed=101]" >&2
 	exit 2
 fi
 ref=$1
-workload=$2
+workloads=$2
 pairs=${3:-10}
 seed=${4:-101}
 
@@ -53,34 +58,17 @@ echo "building parent ($ref) and change (HEAD: $head)" >&2
 checkout parent "$ref"
 checkout change "$head"
 
-# run <side> <seed>: append "side metric value" lines, and the side's
-# attempted/failed counts, to $tmp/values.
-run() {
-	out=$(cd "$tmp/$1" && "$tmp/$1.bench" -workload "$workload" -trace 0 -seed "$2" -out "$tmp/out.$1" 2>&1) || {
-		echo "$out" | tail -20 >&2
-		echo "pairs.sh: $1 run failed (seed $2)" >&2
-		exit 1
-	}
-	line=$(echo "$out" | grep '^{"correct"' | tail -1)
-	echo "$line" | grep -o '"[A-Za-z0-9_]*":{"value":[^,}]*' |
-		sed 's/^"\([^"]*\)":{"value":\(.*\)$/'"$1"' \1 \2/' >>"$tmp/values"
-	echo "$line" | sed 's/.*"attempted":\([0-9]*\).*/'"$1"' _attempted \1/' >>"$tmp/values"
-	echo "$line" | sed 's/.*"failed":\([0-9]*\).*/'"$1"' _failed \1/' >>"$tmp/values"
-	echo "$out" | awk -v side="$1" '$1 == "process.cpu_ms_per_op" { print side, $1, $2 }' >>"$tmp/values"
-}
-
-i=0
-while [ "$i" -lt "$pairs" ]; do
-	s=$((seed + i))
-	if [ $((i % 2)) -eq 0 ]; then first=parent second=change; else first=change second=parent; fi
-	echo "pair $((i + 1))/$pairs: seed $s, $first first" >&2
-	run "$first" "$s"
-	run "$second" "$s"
-	i=$((i + 1))
-done
+if [ "$workloads" = all ]; then
+	workloads=$(awk '
+	/"workloads"/ { inside = 1; next }
+	inside && /^ *\]/ { inside = 0 }
+	inside && /"name":/ { gsub(/[",]/, ""); print $2 }
+	' "$tmp/change/BENCHMARK.json" | paste -sd, -)
+fi
 
 # Per end-to-end metric the direction of "better" and the regression bound,
-# from the change's spec (one key per line; "bound" closes an entry).
+# from the change's spec (one key per line; "bound" closes an entry), then the
+# two per-layer readings, ungated.
 awk '
 /"end_to_end"/ { inside = 1 }
 inside && /"name"/ { gsub(/[",]/, ""); name = $2 }
@@ -89,10 +77,30 @@ inside && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }
 inside && /\]/ { inside = 0 }
 ' "$tmp/change/BENCHMARK.json" >"$tmp/better"
 echo "process.cpu_ms_per_op lower -" >>"$tmp/better"
+echo "netsim.max_queue_KB lower -" >>"$tmp/better"
 
-echo
-echo "workload $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), parent $ref, change $head"
-awk -v betterfile="$tmp/better" '
+# run <workload> <side> <seed>: append "side metric value" lines, and the
+# side's attempted/failed counts, to $tmp/values.<workload>.
+run() {
+	out=$(cd "$tmp/$2" && "$tmp/$2.bench" -workload "$1" -trace 0 -seed "$3" -out "$tmp/out.$2" 2>&1) || {
+		echo "$out" | tail -20 >&2
+		echo "pairs.sh: $2 run of $1 failed (seed $3)" >&2
+		exit 1
+	}
+	values=$tmp/values.$1
+	line=$(echo "$out" | grep '^{"correct"' | tail -1)
+	echo "$line" | grep -o '"[A-Za-z0-9_]*":{"value":[^,}]*' |
+		sed 's/^"\([^"]*\)":{"value":\(.*\)$/'"$2"' \1 \2/' >>"$values"
+	echo "$line" | sed 's/.*"attempted":\([0-9]*\).*/'"$2"' _attempted \1/' >>"$values"
+	echo "$line" | sed 's/.*"failed":\([0-9]*\).*/'"$2"' _failed \1/' >>"$values"
+	echo "$out" | awk -v side="$2" '$1 == "process.cpu_ms_per_op" || $1 == "netsim.max_queue_KB" { print side, $1, $2 }' >>"$values"
+}
+
+# summary <workload>: the table of one workload's pairs.
+summary() {
+	echo
+	echo "workload $1, $pairs pairs, seeds $seed..$((seed + pairs - 1)), parent $ref, change $head"
+	awk -v betterfile="$tmp/better" '
 function median(a, n) { return n % 2 ? a[(n - 1) / 2] : (a[n / 2 - 1] + a[n / 2]) / 2 }
 function quartile(a, n, i,    pos, j) { # i-th of the 4 cut points, exclusive method
 	if (n < 2) return a[0]
@@ -115,6 +123,7 @@ END {
 	for (k = 0; k < nm; k++) {
 		m = order[k]
 		n = sorted("parent", m, p); sorted("change", m, c)
+		if (n == 0) continue
 		wins = 0
 		for (i = 0; i < n; i++) {
 			a = val["parent", m, i]; b = val["change", m, i]
@@ -135,4 +144,20 @@ END {
 	}
 	printf "failed ops: parent %d of %d, change %d of %d\n",
 		total["parent", "_failed"], total["parent", "_attempted"], total["change", "_failed"], total["change", "_attempted"]
-}' "$tmp/better" "$tmp/values"
+}' "$tmp/better" "$tmp/values.$1"
+}
+
+# Each workload's table follows its pairs, so a long run's finished
+# workloads can be read while the next runs.
+for w in $(echo "$workloads" | tr ',' ' '); do
+	i=0
+	while [ "$i" -lt "$pairs" ]; do
+		s=$((seed + i))
+		if [ $((i % 2)) -eq 0 ]; then first=parent second=change; else first=change second=parent; fi
+		echo "$w pair $((i + 1))/$pairs: seed $s, $first first" >&2
+		run "$w" "$first" "$s"
+		run "$w" "$second" "$s"
+		i=$((i + 1))
+	done
+	summary "$w"
+done
