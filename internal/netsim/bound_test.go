@@ -26,22 +26,46 @@ func awaitQueued(t *testing.T, h *pipeHalf, want int) {
 	}
 }
 
+// dialTransport returns the dialing end of a conn of transport tr over a
+// link p; the accepting end never reads.
+func dialTransport(t *testing.T, p LinkParams, tr Transport) *Conn {
+	t.Helper()
+	nw := NewNetwork()
+	nw.SetLink("a", "b", p)
+	l, err := nw.Listen("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go l.Accept()
+	c, err := nw.Host("a").DialTransport("b:1", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c.(*Conn)
+}
+
 // TestStalledReaderBlocksTheWriterAtTheBound: against a reader that reads
 // nothing, a writer queues a direction's bound and no more, as a socket's
 // send and receive buffers would hold it. On an unshaped link that is the
-// floor, two whole chunks; on a link whose window is larger, two windows.
+// floor, two whole chunks; on a link whose window is larger, two windows;
+// for a rate-based stream, which has no window, two of the path's
+// bandwidth-delay products (here 32 MiB/s for 62.5 ms, 2 MiB).
 func TestStalledReaderBlocksTheWriterAtTheBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		link LinkParams
+		tr   Transport
 		want int
 	}{
-		{"unshaped", LinkParams{}, minBufferBound},
-		{"window-limited", LinkParams{RTT: 2 * time.Millisecond, StreamWindow: 4 << 20}, 8 << 20},
+		{"unshaped", LinkParams{}, TransportTCP, minBufferBound},
+		{"window-limited", LinkParams{RTT: 2 * time.Millisecond, StreamWindow: 4 << 20}, TransportTCP, 8 << 20},
+		{"rate-based", LinkParams{Bandwidth: 32 << 20, RTT: 62500 * time.Microsecond}, TransportUDT, 4 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _ := pair(t, &tc.link)
-			c.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+			c := dialTransport(t, tc.link, tc.tr)
+			c.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
 			n, err := c.Write(make([]byte, 2*tc.want))
 			if !errors.Is(err, os.ErrDeadlineExceeded) || n != tc.want {
 				t.Fatalf("a write of twice the bound to a stalled reader = %d, %v; want %d, a deadline", n, err, tc.want)

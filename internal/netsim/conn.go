@@ -25,14 +25,20 @@ const maxChunk = 1 << chunkClassMax
 const minBufferBound = 2 * maxChunk
 
 // bufferBound is how much written-but-unread data one direction of a
-// connection over p may hold, modelling TCP flow control as a socket's
-// buffers bound it: a writer outpacing its reader blocks once a window fills
-// the receive buffer and another the send buffer. A bound of its own, not
+// connection of transport tr over p may hold, modelling TCP flow control as a
+// socket's buffers bound it: a writer outpacing its reader blocks once a
+// window fills the receive buffer and another the send buffer. A rate-based
+// stream has no window; what it keeps in flight is the path's
+// bandwidth-delay product, so that stands in for it. A bound of its own, not
 // the window's, would let a writer on an unshaped link queue megabytes, heap
 // in the measured process, and have the reader copy each chunk out long after
 // it was written and left the cache.
-func bufferBound(p LinkParams) int {
-	return max(minBufferBound, 2*p.window())
+func bufferBound(p LinkParams, tr Transport) int {
+	window := p.window()
+	if tr == TransportUDT {
+		window = int(p.Bandwidth * p.RTT.Seconds())
+	}
+	return max(minBufferBound, 2*window)
 }
 
 // chunk is a span of bytes plus the simulated time at which it arrives at

@@ -255,7 +255,7 @@ type streamShaper struct {
 // and buffer bound implied by p. Callers must not hold s.mu.
 func (s *streamShaper) applyParams(p LinkParams) {
 	cap := p.StreamCap()
-	s.bound.Store(int64(bufferBound(p)))
+	s.bound.Store(int64(bufferBound(p, s.tr)))
 	s.mu.Lock()
 	s.oneWay = p.RTT / 2
 	s.loss = p.Loss
