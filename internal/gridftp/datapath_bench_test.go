@@ -18,8 +18,9 @@ import (
 // current form is the engine's direct path: each block goes from storage
 // into the conn's chunk and from the chunk into storage, one copy per end,
 // where a buffered conn (TCP) reads the block into the coalescing buffer
-// behind its header and receives it into a lease. The storage is a blockRing, so both
-// forms copy the same cache-hot bytes and the disk stays out of frame.
+// behind its header and receives it into a lease. The storage is a
+// blockRing, so both forms copy the same cache-hot bytes and the disk stays
+// out of frame.
 
 // blockRing is storage one block long that every offset maps into.
 type blockRing []byte
@@ -166,9 +167,8 @@ func simPair() (net.Conn, net.Conn, error) {
 // over an unshaped netsim conn, in the historical form (fresh payload
 // buffer per block, header and payload as separate writes, per-block
 // receive allocation) and the fast-path form (blockWriter's one write per
-// block, pooled receive). The fast/legacy delta is the
-// fast-path PR's framing win with the protocol, crypto, and disk kept out
-// of frame.
+// block, pooled receive). The fast/legacy delta is the fast-path PR's
+// framing win with the protocol, crypto, and disk kept out of frame.
 func BenchmarkE19DataPath(b *testing.B) {
 	const totalBytes = 16 << 20
 	src, dst := make(blockRing, DefaultBlockSize), make(blockRing, DefaultBlockSize)

@@ -29,10 +29,10 @@ const minBufferBound = 2 * maxChunk
 // socket's buffers bound it: a writer outpacing its reader blocks once a
 // window fills the receive buffer and another the send buffer. A rate-based
 // stream has no window; what it keeps in flight is the path's
-// bandwidth-delay product, so that stands in for it. A bound of its own, not
-// the window's, would let a writer on an unshaped link queue megabytes, heap
-// in the measured process, and have the reader copy each chunk out long after
-// it was written and left the cache.
+// bandwidth-delay product, so that stands in for it. One flat bound large
+// enough for every link would let a writer on an unshaped link queue
+// megabytes, heap in the measured process, and have the reader copy each
+// chunk out long after it was written and left the cache.
 func bufferBound(p LinkParams, tr Transport) int {
 	window := p.window()
 	if tr == TransportUDT {
@@ -219,10 +219,9 @@ func (h *pipeHalf) trackQueue(n int64) {
 // not yet transmitted, as a socket write blocks on a full send buffer: a
 // back-to-back writer is paced at the link rate and keeps it busy, and a
 // small write on an idle conn returns at once. Hysteresis: once the bound
-// is reached, the writer waits for
-// room for a whole chunk — what is left to send, up to maxChunk — before
-// resuming, so steady-state chunks never degrade into slivers (which would
-// make per-chunk costs dominate).
+// is reached, the writer waits for room for a whole chunk — what is left to
+// send, up to maxChunk — before resuming, so steady-state chunks never
+// degrade into slivers (which would make per-chunk costs dominate).
 //
 // A chunk is filled outside the lock, so a reader's storage I/O holds up
 // neither the peer nor a close. fill may stop short (a reader at its end, or

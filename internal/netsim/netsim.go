@@ -14,10 +14,11 @@
 //   - every byte is delivered no earlier than one-way latency (RTT/2)
 //     after it was written, so request/response exchanges pay full RTTs,
 //   - each direction of a connection holds at most what a socket's send
-//     and receive buffers would, a window each (and never less than two
-//     chunks), so a writer that outruns its reader blocks, as TCP flow
-//     control blocks it: no more is queued than the path needs, and the
-//     reader copies each chunk out soon after it was written.
+//     and receive buffers would, a window each (for a rate-based stream,
+//     the path's bandwidth-delay product; never less than two chunks), so
+//     a writer that outruns its reader blocks, as TCP flow control blocks
+//     it: no more is queued than the path needs, and the reader copies
+//     each chunk out soon after it was written.
 //
 // This preserves the phenomena the paper's claims rest on — parallel TCP
 // streams outperforming a single stream on lossy high-RTT paths, and
