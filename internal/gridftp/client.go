@@ -809,7 +809,10 @@ func (c *Client) sendOne(src dsi.File, ranges []Range) (markers []Range, err err
 	}
 	sent := c.obs.Registry().Counter("gridftp.client.bytes_sent")
 	conns, tracker := c.data.trackChannels(c.task, "put", chans)
-	err = sendModeE(conns, src, ranges, c.spec.BlockSize, func(_ int, n int64) { sent.Add(n) })
+	err = sendModeE(conns, src, ranges, c.spec.BlockSize, func(i int, n int64, took time.Duration) {
+		sent.Add(n)
+		tracker.Tell(i, n, took)
+	})
 	r, rerr := c.finalReply(func(p ftp.Reply) {
 		if ranges := c.handlePreliminary(p); ranges != nil {
 			markers = ranges
@@ -919,7 +922,7 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 	}()
 	resCh := make(chan recvResult, 1)
 	go func() {
-		resCh <- recvModeE(rcv.accept, dst, received, c.spec.BlockSize, c.spec.Parallelism, nil, rcv.canceled)
+		resCh <- recvModeE(rcv.accept, dst, received, c.spec.BlockSize, c.spec.Parallelism, rcv.tracker.Tell, rcv.canceled)
 	}()
 
 	var res recvResult

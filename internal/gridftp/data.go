@@ -189,7 +189,10 @@ func (sess *session) handleRetr(params string) {
 		perf := &perfTracker{}
 		finish := sess.startMarkers(perf.frame)
 		conns, tracker := sess.data.trackChannels(sess.streamLabel("RETR"), "RETR", chans)
-		sendErr = sendModeE(conns, f, ranges, sess.spec.BlockSize, perf.add)
+		sendErr = sendModeE(conns, f, ranges, sess.spec.BlockSize, func(i int, n int64, took time.Duration) {
+			perf.add(i, n)
+			tracker.Tell(i, n, took)
+		})
 		if tracker.StallAborted() && sendErr != nil {
 			sendErr = fmt.Errorf("stalled stream aborted by watchdog: %w", sendErr)
 		}
@@ -307,7 +310,10 @@ func (sess *session) handleStor(params string) {
 		}
 		return append(set, perf.frame(closing)...)
 	})
-	res := recvModeE(rcv.accept, f, received, sess.spec.BlockSize, sess.spec.Parallelism, perf.add, rcv.canceled)
+	res := recvModeE(rcv.accept, f, received, sess.spec.BlockSize, sess.spec.Parallelism, func(i int, n int64, took time.Duration) {
+		perf.add(i, n)
+		rcv.tracker.Tell(i, n, took)
+	}, rcv.canceled)
 	if rcv.tracker.StallAborted() && res.Err != nil {
 		res.Err = fmt.Errorf("stalled stream aborted by watchdog: %w", res.Err)
 	}

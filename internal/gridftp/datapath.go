@@ -19,18 +19,18 @@ import (
 //	raw conn          netsim or TCP, per ChannelSpec.Transport
 //	→ secureData      DCAU handshake; PROT P keeps the TLS conn, PROT S
 //	                  steps down to HMAC frames, PROT C to the raw conn
-//	→ streamstats     Transfer.Wrap, per transfer rather than per channel
 //	→ MODE E framing  blockWriter / ReadBlock (or the MODE S byte stream)
 //
-// Only a layer that leaves the byte stream as it found it may forward
-// io.ReaderFrom (sendfile), io.WriterTo (splice) and WriteBuffers (one
-// vectored write, and the mark of a conn with no buffer of its own, whose
-// ReadFrom and WriteTo MODE E takes): streamstats does, exactly when the
-// conn below has them; TLS and the integrity frames never do, because a
-// forwarded call would bypass the transform. A conn with all three (netsim) moves a MODE E
-// block with one copy per end, storage to the wire and the wire to storage.
-// secure is the one place a raw conn becomes a channel — a new transport or
-// endpoint type plugs in there.
+// The framing sees the conn secureData returned. TLS and the integrity
+// frames transform the byte stream, so they offer none of the raw conn's
+// direct paths: a forwarded call would bypass the transform. A raw netsim
+// conn has them all — io.ReaderFrom, io.WriterTo and WriteBuffers, the mark
+// of a conn with no buffer of its own — and moves a MODE E block with one
+// copy per end, storage to the wire and the wire to storage. Stream
+// telemetry is no layer: the block loops tell a transfer's streamstats
+// record what each block moved (blockHook), and the record polls the raw
+// conn for wire counters. secure is the one place a raw conn becomes a
+// channel — a new transport or endpoint type plugs in there.
 
 // errNoDataPath answers a transfer command on a session that has negotiated
 // no data path, or lost it to a failed transfer.
@@ -344,16 +344,17 @@ func (d *dataPath) retire(chans []*dataChannel, mode TransferMode, ok bool) {
 	}
 }
 
-// trackChannels registers a MODE E send's channels with stream telemetry
-// and returns the conns the block loop writes to: instrumented when a
-// registry is configured, the plain secured conns otherwise (a nil
-// registry yields a nil Transfer, whose methods are no-ops). The stall
+// trackChannels registers a MODE E send's channels with stream telemetry,
+// each polled for wire counters on its raw conn, and returns the secured
+// conns the block loop writes to and the record its blocks are told to (a
+// nil registry yields a nil Transfer, whose methods are no-ops). The stall
 // watchdog aborts the transfer by resetting its channels.
 func (d *dataPath) trackChannels(label, verb string, chans []*dataChannel) ([]net.Conn, *streamstats.Transfer) {
 	t := d.streams.Begin(label, verb)
 	conns := make([]net.Conn, len(chans))
 	for i, ch := range chans {
-		conns[i] = t.Wrap(i, ch.sec, ch.raw)
+		conns[i] = ch.sec
+		t.Stream(i, ch.raw)
 	}
 	t.SetAbort(func() { abortChannels(chans) })
 	return conns, t
@@ -369,8 +370,8 @@ type receive struct {
 	// fresh yields newly accepted and secured channels; nil without listeners.
 	fresh func(stop <-chan struct{}) (*dataChannel, error)
 	// tracker is the transfer's stream-telemetry record (nil without a
-	// registry); accept wraps each conn as it joins. streams is the next
-	// stream index and belongs to recvModeE's single acceptor goroutine.
+	// registry); accept registers each stream as it joins. streams is the
+	// next stream index and belongs to recvModeE's single acceptor goroutine.
 	tracker *streamstats.Transfer
 	streams int
 	// canceled is recvModeE's cancel channel; cancel closes it.
@@ -454,9 +455,9 @@ func (r *receive) accept(stop <-chan struct{}) (net.Conn, error) {
 			return nil, err
 		}
 	}
-	i := r.streams
+	r.tracker.Stream(r.streams, ch.raw)
 	r.streams++
-	return r.tracker.Wrap(i, ch.sec, ch.raw), nil
+	return ch.sec, nil
 }
 
 // finish concludes the receive with the transfer's outcome. Pooled

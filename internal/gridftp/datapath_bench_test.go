@@ -13,8 +13,9 @@ import (
 // This file keeps the before/after of the MODE E fast-path work
 // measurable now that the legacy block loop is gone from the DTP: the
 // sender/receiver loops exist here in both their historical form (a fresh
-// payload buffer and two writes per block) and the current form (blockWriter,
-// pooled receive). On a conn that takes ReadFrom and WriteTo (netsim) the
+// payload buffer per block, read from storage and sent as two writes, and a
+// fresh receive buffer per block, landed in storage) and the current form
+// (blockWriter, pooled receive). On a conn that takes ReadFrom and WriteTo (netsim) the
 // current form is the engine's direct path: each block goes from storage
 // into the conn's chunk and from the chunk into storage, one copy per end,
 // where a buffered conn (TCP) reads the block into the coalescing buffer
@@ -33,11 +34,11 @@ func (r blockRing) WriteAt(p []byte, off int64) (int, error) {
 	return copy(r[off%int64(len(r)):], p), nil
 }
 
-// sendBenchBlocks streams totalBytes of MODE E data blocks over conn,
-// followed by EOD and an EOF announcing one stream, then half-closes.
+// sendBenchBlocks streams totalBytes of src as MODE E data blocks over conn,
+// behind an EOF announcing one stream and followed by EOD, then half-closes.
 // fast selects the engine's blockWriter; legacy reproduces the
-// pre-fast-path behavior (per-block allocation, header and payload as
-// separate writes).
+// pre-fast-path behavior (per-block allocation the payload is read into,
+// header and payload as separate writes).
 func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize int, fast bool) error {
 	defer closeWrite(conn)
 	var off int64
@@ -71,6 +72,9 @@ func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize
 			n = rem
 		}
 		payload := make([]byte, n) // the historical per-block allocation
+		if err := readAtFull(src, payload, off); err != nil {
+			return err
+		}
 		if err := WriteBlock(conn, &Block{Desc: DescRestartable, Count: uint64(n), Offset: uint64(off), Data: payload}); err != nil {
 			return err
 		}
@@ -79,10 +83,11 @@ func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize
 	return WriteBlock(conn, &Block{Desc: DescEOD})
 }
 
-// recvBenchBlocks drains one sendBenchBlocks stream and returns the
-// payload byte count. fast reuses one pooled buffer across blocks; legacy
-// reads every block into a fresh allocation, as the receive loop did
-// before the fast path.
+// recvBenchBlocks drains one sendBenchBlocks stream into dst and returns the
+// payload byte count. fast lands each payload from the conn's queue (a
+// direct conn) or from one pooled buffer reused across blocks; legacy reads
+// every block into a fresh allocation, as the receive loop did before the
+// fast path, and lands it from there.
 func recvBenchBlocks(conn net.Conn, dst io.WriterAt, blockSize int, fast bool) (int64, error) {
 	limit := blockLenLimit(blockSize)
 	var buf []byte
@@ -104,9 +109,13 @@ func recvBenchBlocks(conn net.Conn, dst io.WriterAt, blockSize int, fast bool) (
 				err = sink.land(wt, dst, int64(b.Offset), int(b.Count))
 			}
 		case fast:
-			b, buf, err = ReadBlock(conn, buf, limit)
+			if b, buf, err = ReadBlock(conn, buf, limit); err == nil {
+				_, err = dst.WriteAt(b.Data, int64(b.Offset))
+			}
 		default:
-			b, _, err = ReadBlock(conn, nil, limit)
+			if b, _, err = ReadBlock(conn, nil, limit); err == nil {
+				_, err = dst.WriteAt(b.Data, int64(b.Offset))
+			}
 		}
 		if err != nil {
 			if err == io.EOF {

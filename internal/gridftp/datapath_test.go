@@ -334,52 +334,31 @@ func TestDataPathPooling(t *testing.T) {
 	}
 }
 
-// fullCapConn is a net.Conn with all three fast-path capabilities, standing
-// in for a netsim conn.
-type fullCapConn struct{ net.Conn }
-
-func (c *fullCapConn) ReadFrom(r io.Reader) (int64, error) { return io.Copy(c.Conn, r) }
-func (c *fullCapConn) WriteTo(w io.Writer) (int64, error) {
-	return io.Copy(w, struct{ io.Reader }{c.Conn})
-}
-func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	return (*net.Buffers)(&bufs).WriteTo(c.Conn)
-}
-
 // TestTransformingLayersHideFastPaths: TLS and the PROT S integrity frames
 // transform the byte stream, so they must swallow io.ReaderFrom, io.WriterTo
-// and WriteBuffers even over a conn that has all three — a forwarded call would put
-// untransformed bytes on the wire — and stream telemetry stacked on top of
-// them must advertise neither.
+// and WriteBuffers even over a netsim conn, which has all three — a
+// forwarded call would put untransformed bytes on the wire.
 func TestTransformingLayersHideFastPaths(t *testing.T) {
-	reg := streamstats.New(streamstats.Options{Obs: obs.Nop()})
-	tr := reg.Begin("layers", "test")
-	for i, tc := range []struct {
+	for _, tc := range []struct {
 		name string
 		wrap func(net.Conn) net.Conn
 	}{
 		{"tls", func(conn net.Conn) net.Conn { return tls.Client(conn, &tls.Config{}) }},
 		{"integrity", func(conn net.Conn) net.Conn { return newIntegrityConn(conn, keyAB, keyBA) }},
 	} {
-		a, b := net.Pipe()
-		capable := &fullCapConn{Conn: a}
-		if _, ok := tr.Wrap(2*i, capable, capable).(io.ReaderFrom); !ok {
-			t.Fatal("test conn is not seen as capable")
+		a, b := simPipe(t, netsim.NewNetwork())
+		if _, ok := a.(io.ReaderFrom); !ok || splicer(a) == nil {
+			t.Fatal("a netsim conn is not seen as capable")
 		}
-		layer := tc.wrap(capable)
-		for what, conn := range map[string]net.Conn{
-			tc.name + " layer":          layer,
-			"telemetry over " + tc.name: tr.Wrap(2*i+1, layer, capable),
-		} {
-			if _, ok := conn.(io.ReaderFrom); ok {
-				t.Errorf("%s leaks io.ReaderFrom past the transform", what)
-			}
-			if _, ok := conn.(buffersWriter); ok {
-				t.Errorf("%s leaks WriteBuffers past the transform", what)
-			}
-			if _, ok := conn.(io.WriterTo); ok {
-				t.Errorf("%s leaks io.WriterTo past the transform", what)
-			}
+		layer := tc.wrap(a)
+		if _, ok := layer.(io.ReaderFrom); ok {
+			t.Errorf("%s leaks io.ReaderFrom past the transform", tc.name)
+		}
+		if _, ok := layer.(buffersWriter); ok {
+			t.Errorf("%s leaks WriteBuffers past the transform", tc.name)
+		}
+		if _, ok := layer.(io.WriterTo); ok {
+			t.Errorf("%s leaks io.WriterTo past the transform", tc.name)
 		}
 		a.Close()
 		b.Close()
@@ -440,7 +419,8 @@ func TestPassiveDownloadParallel(t *testing.T) {
 // TestProtectedReceiveReportsWireCounters: the receiving end of a PROT P
 // transfer hands stream telemetry the raw conn as its wire-counter source —
 // the TLS conn the transfer reads from has no RTT or retransmit counters — so
-// the receiver's streams report an RTT like the sender's do.
+// the receiver's streams report an RTT like the sender's do. Its streams
+// count the payload that landed, no header or TLS byte: they sum to the put.
 func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	nw := netsim.NewNetwork()
 	reg := streamstats.New(streamstats.Options{Obs: obs.Nop(), Interval: 5 * time.Millisecond})
@@ -462,10 +442,18 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 	if rtt := health[0].Streams[0].RTTMillis; rtt <= 0 {
 		t.Fatalf("the receiving server reports RTT %v ms for its PROT P stream, want it positive (the link's 20 ms)", rtt)
 	}
+	var landed int64
+	for _, sh := range health[0].Streams {
+		landed += sh.Bytes
+	}
+	if landed != 2<<20 {
+		t.Fatalf("the receiving server's streams count %d bytes, want the %d put", landed, 2<<20)
+	}
 }
 
 // TestPutFeedsTelemetry: the client's uploads show up in its stream health
-// table (and under the stall watchdog) and in its byte counter.
+// table (and under the stall watchdog) and in its byte counter, both counting
+// exactly the payload over PROT P, whose TLS conn the blocks go through.
 func TestPutFeedsTelemetry(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -481,6 +469,9 @@ func TestPutFeedsTelemetry(t *testing.T) {
 	}
 	defer c.Close()
 	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetProt(ProtPrivate); err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{30000, 50000}
@@ -503,8 +494,8 @@ func TestPutFeedsTelemetry(t *testing.T) {
 	if puts != len(sizes) {
 		t.Fatalf("health table shows %d put transfers, want %d", puts, len(sizes))
 	}
-	if streamed < 80000 {
-		t.Fatalf("streams counted %d bytes, want at least the 80000 payload bytes", streamed)
+	if streamed != 80000 {
+		t.Fatalf("streams counted %d bytes, want the 80000 payload bytes", streamed)
 	}
 	if got := o.Registry().Counter("gridftp.client.bytes_sent").Value(); got != 80000 {
 		t.Fatalf("gridftp.client.bytes_sent = %d, want 80000", got)

@@ -6,9 +6,12 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/streamstats"
 )
 
 // simPipe returns the two ends of a conn on an unshaped netsim link: conns
@@ -93,8 +96,10 @@ func TestTruncatedBlockFailsTheReceive(t *testing.T) {
 
 // TestDirectBlocksAllocateNothing: on netsim conns a block goes from storage
 // into the conn's chunk (ReadFrom) and from the chunk into storage (WriteTo)
-// without an allocation, in either direction. One goroutine queues eight
-// 64 KiB blocks and then lands them, so the count is the blocks' own.
+// without an allocation, in either direction, and so does telling a live
+// stream-telemetry record of each block sent and landed. One goroutine
+// queues eight 64 KiB blocks and then lands them, so the count is the
+// blocks' own.
 func TestDirectBlocksAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
@@ -116,11 +121,17 @@ func TestDirectBlocksAllocateNothing(t *testing.T) {
 	}
 	sink := sinks.Get().(*blockSink)
 	defer sinks.Put(sink)
+	reg := streamstats.New(streamstats.Options{Obs: obs.Nop()})
+	sent, landed := reg.Begin("sent", "test"), reg.Begin("landed", "test")
+	sent.Stream(0, send)
+	landed.Stream(0, recv)
 	run := func() {
 		for i := 0; i < blocks; i++ {
+			start := time.Now()
 			if err := bw.writeBlockAt(DescRestartable, src, int64(i*n), n); err != nil {
 				t.Fatal(err)
 			}
+			sent.Tell(0, n, time.Since(start))
 		}
 		for i := 0; i < blocks; i++ {
 			b, err := readBlockHeader(recv, sink.hdr[:], blockLenLimit(n))
@@ -130,10 +141,17 @@ func TestDirectBlocksAllocateNothing(t *testing.T) {
 			if err := sink.land(wt, dst, int64(b.Offset), int(b.Count)); err != nil {
 				t.Fatal(err)
 			}
+			landed.Tell(0, int64(b.Count), 0)
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("%d direct blocks sent and received cost %.1f allocations, want 0", blocks, allocs)
+		t.Errorf("%d direct blocks sent, received and told cost %.1f allocations, want 0", blocks, allocs)
+	}
+	// AllocsPerRun runs once to warm up, then 20 times.
+	for _, th := range reg.Health() {
+		if got, want := th.Streams[0].Bytes, int64(21*blocks*n); got != want {
+			t.Errorf("%s stream counts %d bytes, want %d", th.Label, got, want)
+		}
 	}
 	if !bytes.Equal(dst.Bytes(), src.Bytes()) {
 		t.Fatal("the landed blocks differ from the file")
@@ -151,10 +169,10 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 
 // TestBufferedBlocksAreOneWriteEach: on a conn with no direct path each
 // block is read from storage into the coalescing buffer behind its header
-// and goes out as one write of exactly its framing: the EOF block alone
-// ahead of the first, which does not fit behind it, and the EOD set on the
-// last. A file that ends short of a block fails it, and nothing of the block
-// is sent; what was batched ahead of it still is.
+// and goes out as one write of exactly its framing, and a control block rides
+// in the write beside it: the EOF ahead of the first block, an EOD behind
+// the last. A file that ends short of a block fails it, and nothing of the
+// block is sent; what was batched ahead of it still is.
 func TestBufferedBlocksAreOneWriteEach(t *testing.T) {
 	const blocks, n = 3, DefaultBlockSize
 	data := pattern(blocks * n)
@@ -167,19 +185,22 @@ func TestBufferedBlocksAreOneWriteEach(t *testing.T) {
 		putBlockHeader(b, desc, count, offset)
 		return append(b, payload...)
 	}
-	want := [][]byte{frame(DescEOF, 0, 1, nil)}
+	block := func(i int) []byte {
+		return frame(DescRestartable, n, uint64(i*n), data[i*n:(i+1)*n])
+	}
 	if err := bw.writeBlock(DescEOF, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < blocks; i++ {
-		desc := byte(DescRestartable)
-		if i == blocks-1 {
-			desc |= DescEOD
-		}
-		if err := bw.writeBlockAt(desc, src, int64(i*n), n); err != nil {
+		if err := bw.writeBlockAt(DescRestartable, src, int64(i*n), n); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, frame(desc, n, uint64(i*n), data[i*n:(i+1)*n]))
+	}
+	if err := bw.writeBlock(DescEOD, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.flush(); err != nil {
+		t.Fatal(err)
 	}
 	if err := bw.writeBlock(DescEOF, 1); err != nil {
 		t.Fatal(err)
@@ -191,13 +212,18 @@ func TestBufferedBlocksAreOneWriteEach(t *testing.T) {
 	if err := bw.flush(); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, frame(DescEOF, 0, 1, nil))
+	want := [][]byte{
+		append(frame(DescEOF, 0, 1, nil), block(0)...),
+		block(1),
+		append(block(2), frame(DescEOD, 0, 0, nil)...),
+		frame(DescEOF, 0, 1, nil),
+	}
 	if len(c.writes) != len(want) {
-		t.Fatalf("%d writes, want %d: one per block", len(c.writes), len(want))
+		t.Fatalf("%d writes, want %d: one per block, control blocks riding along", len(c.writes), len(want))
 	}
 	for i := range want {
 		if !bytes.Equal(c.writes[i], want[i]) {
-			t.Fatalf("write %d is %d bytes that differ from the %d of its block", i, len(c.writes[i]), len(want[i]))
+			t.Fatalf("write %d is %d bytes that differ from the %d of its blocks", i, len(c.writes[i]), len(want[i]))
 		}
 	}
 }

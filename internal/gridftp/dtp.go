@@ -92,6 +92,12 @@ func jobSize(total int64, streams, blockSize int) int {
 	return blockSize
 }
 
+// blockHook is told of a MODE E block that a stream has sent or landed,
+// control blocks included: the stream's index, the block's payload bytes
+// (zero for a control block) and, on a send, how long the call that sent it
+// took. The 112 performance markers and stream telemetry both ride it.
+type blockHook func(stream int, n int64, took time.Duration)
+
 // sendModeE streams the given file ranges over the (already secured)
 // connections as MODE E blocks of jobSize bytes, numbered through the ranges
 // in order. Stream i sends block i first, so every stream carries data when
@@ -102,12 +108,15 @@ func jobSize(total int64, streams, blockSize int) int {
 // carries the EOF block announcing how many EODs the receiver should expect.
 // Neither costs a write of its own: the EOF leaves with the first block, and
 // a stream's EOD is set on its last block when the stream can tell, before
-// writing it, that no block is left — else it follows alone.
-// onBytes, if non-nil, is invoked per sent block with the stream index and
-// byte count (the performance-marker emitter samples the resulting counters).
-func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBytes func(stream int, n int64)) error {
+// writing it, that no block is left — else it follows alone. onBlock, if
+// non-nil, is told of every block sent, and of the flush that ends each
+// stream as a block of no payload.
+func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBlock blockHook) error {
 	if len(conns) == 0 {
 		return errors.New("gridftp: no data connections")
+	}
+	if onBlock == nil {
+		onBlock = func(int, int64, time.Duration) {}
 	}
 	size := int64(jobSize(totalLen(ranges), len(conns), blockSize))
 	starts := make([]int64, len(ranges)+1) // starts[k]: the number of range k's first block
@@ -122,9 +131,11 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 		bw := newBlockWriter(conn, blockSize)
 		defer bw.release()
 		if i == 0 {
+			start := time.Now()
 			if err := bw.writeBlock(DescEOF, uint64(len(conns))); err != nil {
 				return fmt.Errorf("gridftp: send EOF block: %w", err)
 			}
+			onBlock(i, 0, time.Since(start))
 		}
 		eod := false // the stream's EOD has been sent
 		for g := int64(i); g < blocks; g = next.Add(1) - 1 {
@@ -137,13 +148,13 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 			if eod = next.Load() >= blocks; eod {
 				desc |= DescEOD
 			}
+			start := time.Now()
 			if err := bw.writeBlockAt(desc, f, off, n); err != nil {
 				return err
 			}
-			if onBytes != nil {
-				onBytes(i, int64(n))
-			}
+			onBlock(i, int64(n), time.Since(start))
 		}
+		start := time.Now()
 		if !eod {
 			if err := bw.writeBlock(DescEOD, 0); err != nil {
 				return fmt.Errorf("gridftp: send EOD: %w", err)
@@ -152,6 +163,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 		if err := bw.flush(); err != nil {
 			return fmt.Errorf("gridftp: flush blocks: %w", err)
 		}
+		onBlock(i, 0, time.Since(start))
 		return nil
 	}
 	var wg sync.WaitGroup
@@ -203,13 +215,11 @@ type recvResult struct {
 // concluded so a blocked accept can bail out. Every block is judged before
 // storage sees it: one whose offset + count passes math.MaxInt64, or an EOF
 // that announces no stream or more than maxStreams (the most this end can
-// have negotiated), fails the receive. onBytes, if non-nil, is
-// invoked whenever new data lands, with the stream index (accept order)
-// and byte count — the performance-marker emitter samples the resulting
-// per-stripe counters. A close of cancel (may be nil) aborts the receive —
-// used when the control channel reports failure before or during the
-// transfer.
-func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, existing *RangeSet, blockSize, maxStreams int, onBytes func(stream int, n int64), cancel <-chan struct{}) recvResult {
+// have negotiated), fails the receive. onBlock, if non-nil, is told of every
+// block once it has landed, with the stream index in accept order. A close
+// of cancel (may be nil) aborts the receive — used when the control channel
+// reports failure before or during the transfer.
+func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, existing *RangeSet, blockSize, maxStreams int, onBlock blockHook, cancel <-chan struct{}) recvResult {
 	received := existing
 	if received == nil {
 		received = NewRangeSet()
@@ -334,9 +344,9 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 				}
 				// A block is claimed only once all of it has landed.
 				received.Add(off, off+int64(b.Count))
-				if onBytes != nil {
-					onBytes(stream, int64(b.Count))
-				}
+			}
+			if onBlock != nil {
+				onBlock(stream, int64(b.Count), 0)
 			}
 			if first && hasDeadline {
 				dl.SetReadDeadline(time.Time{})

@@ -128,7 +128,7 @@ func TestShortTransferUsesEveryStream(t *testing.T) {
 			start := time.Now()
 			go func() {
 				errCh <- sendModeE(secConns(dialed), dsi.NewBufferFile(payload), []Range{{0, size}}, DefaultBlockSize,
-					func(stream int, n int64) { mu.Lock(); sent[stream] += n; mu.Unlock() })
+					func(stream int, n int64, _ time.Duration) { mu.Lock(); sent[stream] += n; mu.Unlock() })
 			}()
 			dst := dsi.NewBufferFile(nil)
 			var log blockLog

@@ -139,8 +139,8 @@ func readBlockHeader(r io.Reader, hdr []byte, limit uint64) (Block, error) {
 }
 
 // splicer returns conn's io.WriterTo when conn moves bytes with no buffer of
-// its own, which the conns that take vectored writes do (netsim, and stream
-// telemetry over it), and nil otherwise: a TCP socket's WriteTo copies
+// its own, which the conns that take vectored writes do (netsim), and nil
+// otherwise: a TCP socket's WriteTo copies
 // through a 32 KiB buffer for any writer but a socket.
 func splicer(conn io.Reader) io.WriterTo {
 	if _, ok := conn.(buffersWriter); !ok {
@@ -200,9 +200,8 @@ func (s *blockSink) land(wt io.WriterTo, f io.WriterAt, off int64, n int) error 
 }
 
 // buffersWriter is the vectored-write capability: one call delivers several
-// byte slices as a single write on the wire. netsim connections and the
-// streamstats wrapper over them implement it; the TLS and integrity layers
-// deliberately do not. It marks the conns that move bytes with no buffer of
+// byte slices as a single write on the wire. netsim connections implement
+// it; the TLS and integrity layers deliberately do not. It marks the conns that move bytes with no buffer of
 // their own, whose ReadFrom and WriteTo the MODE E direct paths take.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
@@ -224,11 +223,12 @@ const batchCap = 64 * 1024
 // writes and copies as possible. Blocks are read from storage into a
 // coalescing buffer behind their headers (batched: consecutive small blocks
 // share one write), except on a conn that fills its chunks from a reader
-// (netsim, and stream telemetry over it), where a payload of vectorMin and
-// up goes from storage straight into the conn's chunk behind its header,
-// one copy (writeBlockAt). On every other conn (PROT P's TLS, PROT S's
-// integrityConn, TCP) the buffer holds a whole block, so a block is one
-// write and one copy into the buffer. The coalescing buffer is leased from
+// (netsim), where a payload of vectorMin and up goes from storage straight
+// into the conn's chunk behind its header, one copy (writeBlockAt). On every
+// other conn (PROT P's TLS, PROT S's integrityConn, TCP) the buffer holds a
+// whole block and two headers, so a block is one write and one copy into the
+// buffer, and a control block rides with the block beside it: the EOF ahead
+// of stream 0's first, an EOD behind a stream's last. The coalescing buffer is leased from
 // the process pools (poolFor) and goes back with release.
 type blockWriter struct {
 	w   io.Writer
@@ -239,8 +239,9 @@ type blockWriter struct {
 
 // newBlockWriter leases a coalescing buffer sized by what it will carry. On a
 // direct conn that is headers and blocks under vectorMin, so batchCap; on
-// any other it is a whole block of the negotiated size with its header, so a
-// block is still one write — one record group under TLS — there. Sizing by
+// any other it is a whole block of the negotiated size with its header and
+// one control block's, so a block is still one write — one record group
+// under TLS — there, the EOF or EOD beside it included. Sizing by
 // the negotiated size, not a transfer's job size (at most it), keeps the
 // pools to a handful of sizes per process.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
@@ -250,7 +251,7 @@ func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	}
 	capacity := batchCap
 	if bw.rf == nil {
-		capacity = max(batchCap, blockSize+blockHeaderLen)
+		capacity = max(batchCap, blockSize+2*blockHeaderLen)
 	}
 	bw.buf = poolFor(capacity).Lease()[:0]
 	return bw

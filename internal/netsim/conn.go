@@ -694,10 +694,10 @@ func (c *Conn) Abort() {
 // the path RTT, the loss model's cumulative retransmitted segments for
 // the send direction, whether the connection was reset by fault
 // injection (drops), and a congestion-window estimate in segments
-// derived from the effective stream cap. It implements the WireStatuser
-// contract the stream-telemetry plane (internal/obs/streamstats) probes
-// for, so simulated transfers produce the same per-stream wire series
-// real TCP sockets do via TCP_INFO.
+// derived from the effective stream cap. The stream-telemetry plane
+// (internal/obs/streamstats) probes for this method, so simulated
+// transfers produce the same per-stream wire series real TCP sockets do
+// via TCP_INFO.
 func (c *Conn) WireStatus() (rtt time.Duration, retransmits, drops, cwnd int64, ok bool) {
 	rtt = 2 * c.wr.shaper.propagation()
 	retransmits = c.wr.shaper.retransmitted()

@@ -6,12 +6,14 @@
 // dominates parallel-transfer behavior in practice.
 //
 // A Registry tracks active transfers. The data path calls Begin per
-// transfer and Wrap per data connection; the returned conn counts
-// cumulative bytes, time blocked in Write, and the last-progress
-// timestamp. A background poller derives an EWMA throughput per stream,
-// polls wire-level counters (RTT, retransmits, cwnd) — from TCP_INFO on
-// real Linux TCP sockets, or from the netsim limiter/loss injector on
-// simulated connections. Health serves the per-stream table; the poller
+// transfer and Stream per data connection, and its MODE E block loops Tell
+// the transfer what each block of a stream moved: payload bytes, the time
+// the send call took, and with them the last-progress timestamp. Nothing
+// sits between the data path and its conns, so whatever a conn can do
+// reaches the engine as it is. A background poller derives an EWMA
+// throughput per stream, polls wire-level counters (RTT, retransmits,
+// cwnd) — from TCP_INFO on real Linux TCP sockets, or from the netsim
+// limiter/loss injector on simulated connections. Health serves the per-stream table; the poller
 // also sets the registry gauges the alert rules watch once the recorder
 // has sampled them:
 //
@@ -31,7 +33,6 @@ package streamstats
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -63,20 +64,20 @@ type WireInfo struct {
 	CwndSegments int64
 }
 
-// WireStatuser is implemented by connections that expose transport
+// wireStatuser is implemented by connections that expose transport
 // counters directly — netsim.Conn derives them from its shaper and loss
 // model so simulated environments produce the same series real TCP does.
-type WireStatuser interface {
+type wireStatuser interface {
 	WireStatus() (rtt time.Duration, retransmits, drops, cwnd int64, ok bool)
 }
 
-// wireInfo extracts wire counters from a connection: a WireStatuser
+// wireInfo extracts wire counters from a connection: a wireStatuser
 // first (netsim), then a TCP_INFO poll via syscall.RawConn (Linux).
 func wireInfo(c net.Conn) (WireInfo, bool) {
 	if c == nil {
 		return WireInfo{}, false
 	}
-	if ws, ok := c.(WireStatuser); ok {
+	if ws, ok := c.(wireStatuser); ok {
 		rtt, retrans, drops, cwnd, ok := ws.WireStatus()
 		if ok {
 			return WireInfo{RTT: rtt, Retransmits: retrans, Drops: drops, CwndSegments: cwnd}, true
@@ -96,7 +97,9 @@ type Options struct {
 	// Stall is the no-progress window after which a stream is flagged
 	// stalled and its transfer aborted, so the attempt fails fast and the
 	// scheduler retries the file from its checkpoint instead of waiting
-	// out the transfer. Zero disables the watchdog (telemetry still flows).
+	// out the transfer. Progress is a block told, so the window has to
+	// outlast one block on the slowest stream that is still healthy. Zero
+	// disables the watchdog (telemetry still flows).
 	Stall time.Duration
 }
 
@@ -119,8 +122,7 @@ type Registry struct {
 	recent []*Transfer // finished, newest last, bounded by retain
 }
 
-// New creates a Registry. Wrapped conns count bytes from the start; the
-// rates, gauges, records and stall checks need the poller — Start, or poll
+// New creates a Registry. Told blocks count from the start; the rates, gauges, records and stall checks need the poller — Start, or poll
 // driven by hand in tests.
 func New(opts Options) *Registry {
 	if opts.Interval <= 0 {
@@ -173,16 +175,16 @@ type Transfer struct {
 	stallAborted atomic.Bool
 }
 
-// Stream is the per-stream record: cumulative bytes, last-progress
-// timestamp, time blocked inside Write, and the polled wire counters.
+// Stream is the per-stream record: cumulative payload bytes, last-progress
+// timestamp, time blocked in send calls, and the polled wire counters.
 type Stream struct {
 	idx     int
 	bytes   atomic.Int64
-	last    atomic.Int64 // unixnano of last byte of progress
-	blocked atomic.Int64 // cumulative ns spent inside Write
+	last    atomic.Int64 // unixnano of the last block told
+	blocked atomic.Int64 // cumulative ns spent in send calls
 
 	// mu guards the wire conn and the derived state below: written by
-	// Wrap and the poller, read by Health snapshots.
+	// Transfer.Stream and the poller, read by Health snapshots.
 	mu        sync.Mutex
 	wire      net.Conn // conn polled for WireStatus / TCP_INFO
 	prevBytes int64
@@ -193,14 +195,14 @@ type Stream struct {
 	lastWire  WireInfo
 }
 
-// Wrap instruments conn as stream i of the transfer. payload is the
-// connection the data blocks flow through (what gets wrapped); wire is
-// the transport-level connection polled for RTT/retransmit counters —
-// pass the raw conn when payload is a security wrapper, or the same conn
-// when they coincide. Safe on a nil Transfer: returns payload unwrapped.
-func (t *Transfer) Wrap(i int, payload, wire net.Conn) net.Conn {
-	if t == nil || payload == nil {
-		return payload
+// Stream registers stream i of the transfer. wire is the transport conn
+// the poller reads wire counters from (WireStatus on netsim, TCP_INFO on a
+// socket): the raw conn under any security layer, which has none of its
+// own. The stream's block loop then tells the transfer what each block
+// moved (Tell). Safe on a nil Transfer: registers nothing.
+func (t *Transfer) Stream(i int, wire net.Conn) {
+	if t == nil {
+		return
 	}
 	now := time.Now().UnixNano()
 	t.mu.Lock()
@@ -214,31 +216,30 @@ func (t *Transfer) Wrap(i int, payload, wire net.Conn) net.Conn {
 	s.mu.Lock()
 	s.wire = wire
 	s.mu.Unlock()
-	sc := &streamConn{Conn: payload, s: s}
-	// Capability-gated fast-path passthrough, in two sets: a conn that
-	// moves bytes with no buffer of its own between the caller and the
-	// wire (a netsim conn) has sendfile (io.ReaderFrom), splice
-	// (io.WriterTo) and vectored writes (WriteBuffers), and the wrapper
-	// forwards all three; a TCP socket's sendfile alone is forwarded
-	// without them. The forwarding methods keep the byte/progress
-	// counters honest — the MODE E fast path must never bypass stream
-	// telemetry — and a plain conn is not dressed up as one that batches.
-	rf, _ := payload.(io.ReaderFrom)
-	wt, _ := payload.(io.WriterTo)
-	bw, _ := payload.(buffersWriter)
-	switch {
-	case rf != nil && wt != nil && bw != nil:
-		return &streamDirectConn{streamConn: sc, rf: rf, wt: wt, bw: bw}
-	case rf != nil:
-		return &streamReaderFromConn{streamConn: sc, rf: rf}
-	}
-	return sc
 }
 
-// buffersWriter matches the vectored-write capability
-// (netsim.Conn.WriteBuffers) structurally, avoiding an import direction.
-type buffersWriter interface {
-	WriteBuffers(bufs [][]byte) (int64, error)
+// Tell records one block of stream i: n payload bytes (zero for a control
+// block) and took, how long the block's send call took (zero on a receive),
+// which accumulates as write-blocked time. Every block refreshes the
+// stream's last progress, so the watchdog sees a stream whose blocks keep
+// coming, payload or not. Safe on a nil Transfer and for a stream never
+// registered.
+func (t *Transfer) Tell(i int, n int64, took time.Duration) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	var s *Stream
+	if i < len(t.streams) {
+		s = t.streams[i]
+	}
+	t.mu.Unlock()
+	if s == nil {
+		return
+	}
+	s.bytes.Add(n)
+	s.blocked.Add(int64(took))
+	s.last.Store(time.Now().UnixNano())
 }
 
 // SetAbort installs the function the stall watchdog calls (once) when a
@@ -290,89 +291,6 @@ func (t *Transfer) Done(err error) {
 	}
 	r.mu.Unlock()
 	t.finishStreams(r.log)
-}
-
-// streamConn is the instrumented connection: every byte in or out bumps
-// the stream's counters and refreshes its last-progress timestamp, and
-// Write time is accumulated as write-block time.
-type streamConn struct {
-	net.Conn
-	s *Stream
-}
-
-func (c *streamConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.progress(int64(n))
-	return n, err
-}
-
-func (c *streamConn) Write(p []byte) (int, error) {
-	start := time.Now()
-	n, err := c.Conn.Write(p)
-	c.s.blocked.Add(int64(time.Since(start)))
-	c.progress(int64(n))
-	return n, err
-}
-
-// CloseWrite forwards half-close when the underlying transport supports
-// it (MODE S signals EOF that way).
-func (c *streamConn) CloseWrite() error {
-	if hc, ok := c.Conn.(interface{ CloseWrite() error }); ok {
-		return hc.CloseWrite()
-	}
-	return nil
-}
-
-// readFrom forwards io.ReaderFrom, accounting the moved bytes as write
-// progress and the elapsed time as write-blocked time.
-func (c *streamConn) readFrom(rf io.ReaderFrom, r io.Reader) (int64, error) {
-	start := time.Now()
-	n, err := rf.ReadFrom(r)
-	c.s.blocked.Add(int64(time.Since(start)))
-	c.progress(n)
-	return n, err
-}
-
-// progress counts n moved bytes toward the stream.
-func (c *streamConn) progress(n int64) {
-	if n > 0 {
-		c.s.bytes.Add(n)
-		c.s.last.Store(time.Now().UnixNano())
-	}
-}
-
-// streamReaderFromConn instruments a conn that supports io.ReaderFrom.
-type streamReaderFromConn struct {
-	*streamConn
-	rf io.ReaderFrom
-}
-
-func (c *streamReaderFromConn) ReadFrom(r io.Reader) (int64, error) { return c.readFrom(c.rf, r) }
-
-// streamDirectConn instruments a conn with all three fast paths.
-type streamDirectConn struct {
-	*streamConn
-	rf io.ReaderFrom
-	wt io.WriterTo
-	bw buffersWriter
-}
-
-func (c *streamDirectConn) ReadFrom(r io.Reader) (int64, error) { return c.readFrom(c.rf, r) }
-
-// WriteTo forwards io.WriterTo, counting the moved bytes as reads.
-func (c *streamDirectConn) WriteTo(w io.Writer) (int64, error) {
-	n, err := c.wt.WriteTo(w)
-	c.progress(n)
-	return n, err
-}
-
-// WriteBuffers forwards a vectored write with full accounting.
-func (c *streamDirectConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	start := time.Now()
-	n, err := c.bw.WriteBuffers(bufs)
-	c.s.blocked.Add(int64(time.Since(start)))
-	c.progress(n)
-	return n, err
 }
 
 // poll is one pass: refresh throughput EWMAs and wire counters, set the

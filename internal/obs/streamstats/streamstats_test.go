@@ -1,14 +1,11 @@
 package streamstats
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"net"
 	"testing"
 	"time"
 
-	"gridftp.dev/instant/internal/netsim"
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
@@ -28,205 +25,45 @@ func streamHealth(t *testing.T, r *Registry, i int) StreamHealth {
 	return h[0].Streams[i]
 }
 
-// fullCapConn is a net.Conn with all three fast-path capabilities,
-// standing in for a netsim conn.
-type fullCapConn struct {
-	net.Conn
-	readFromCalls     int
-	writeToCalls      int
-	writeBuffersCalls int
-}
-
-func (c *fullCapConn) ReadFrom(r io.Reader) (int64, error) {
-	c.readFromCalls++
-	return io.Copy(c.Conn, r)
-}
-
-func (c *fullCapConn) WriteTo(w io.Writer) (int64, error) {
-	c.writeToCalls++
-	return io.Copy(w, struct{ io.Reader }{c.Conn})
-}
-
-func (c *fullCapConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	c.writeBuffersCalls++
-	var total int64
-	for _, b := range bufs {
-		n, err := c.Conn.Write(b)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// TestWrapCapabilityGating pins the fast-path passthrough contract of
-// Transfer.Wrap: the instrumented conn advertises io.ReaderFrom,
-// io.WriterTo and WriteBuffers when the conn underneath provides all three,
-// forwards each call once, and counts the bytes as stream progress — the
-// MODE E fast path must never bypass stream telemetry, and a plain conn must
-// not be dressed up as one that batches.
-func TestWrapCapabilityGating(t *testing.T) {
+// TestTellCountsPayloadAndProgress: what a block loop tells a stream is what
+// its health row reports — payload bytes, the send calls' time as
+// write-blocked time, and a last-progress stamp every block refreshes, a
+// control block of no payload included. A stream index nothing registered
+// and a nil transfer take a Tell without effect.
+func TestTellCountsPayloadAndProgress(t *testing.T) {
 	reg := newTestRegistry(t)
-	tr := reg.Begin("gating", "test")
+	tr := reg.Begin("told", "test")
+	tr.Stream(0, nil)
+	tr.Stream(1, nil)
+	before := streamHealth(t, reg, 1).LastProgress
+	tr.Tell(0, 1000, 3*time.Millisecond)
+	tr.Tell(0, 24, 2*time.Millisecond)
+	time.Sleep(time.Millisecond) // a clock coarser than the registration would hide the refresh
+	tr.Tell(1, 0, 0)
+	tr.Tell(2, 500, time.Second)
+	var none *Transfer
+	none.Stream(0, nil)
+	none.Tell(0, 500, time.Second)
 
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	capable := &fullCapConn{Conn: a}
-	wrapped := tr.Wrap(0, capable, capable)
-	rf, ok := wrapped.(io.ReaderFrom)
-	if !ok {
-		t.Fatal("Wrap over a capable conn must forward io.ReaderFrom")
+	if sh := streamHealth(t, reg, 0); sh.Bytes != 1024 || sh.BlockedMs != 5 {
+		t.Fatalf("stream 0 reports %d bytes and %v ms blocked, want 1024 and 5", sh.Bytes, sh.BlockedMs)
 	}
-	bw, ok := wrapped.(buffersWriter)
-	if !ok {
-		t.Fatal("Wrap over a capable conn must forward WriteBuffers")
-	}
-	if _, ok := wrapped.(io.WriterTo); !ok {
-		t.Fatal("Wrap over a capable conn must forward io.WriterTo")
-	}
-	before := streamHealth(t, reg, 0).LastProgress
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		io.Copy(io.Discard, b)
-	}()
-	if _, err := rf.ReadFrom(bytes.NewReader(make([]byte, 100))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bw.WriteBuffers([][]byte{make([]byte, 17), make([]byte, 83)}); err != nil {
-		t.Fatal(err)
-	}
-	wrapped.Close()
-	<-done
-	if capable.readFromCalls != 1 || capable.writeBuffersCalls != 1 {
-		t.Fatalf("capabilities not forwarded once each: ReadFrom=%d WriteBuffers=%d",
-			capable.readFromCalls, capable.writeBuffersCalls)
-	}
-	sh := streamHealth(t, reg, 0)
-	if sh.Bytes != 200 {
-		t.Fatalf("stream counted %d bytes across ReadFrom and WriteBuffers, want 200", sh.Bytes)
+	sh := streamHealth(t, reg, 1)
+	if sh.Bytes != 0 || sh.BlockedMs != 0 {
+		t.Fatalf("stream 1 reports %d bytes and %v ms blocked after a control block, want 0 and 0", sh.Bytes, sh.BlockedMs)
 	}
 	if !sh.LastProgress.After(before) {
-		t.Fatalf("fast-path writes did not refresh last progress (%v, was %v)", sh.LastProgress, before)
+		t.Fatalf("a control block did not refresh last progress (%v, was %v)", sh.LastProgress, before)
 	}
-
-	// Over a plain conn the wrapper must advertise neither, or callers
-	// would silently lose batching to per-slice writes.
-	c, d := net.Pipe()
-	defer c.Close()
-	defer d.Close()
-	plain := tr.Wrap(1, c, c)
-	if _, ok := plain.(io.ReaderFrom); ok {
-		t.Fatal("Wrap over a plain conn must not advertise io.ReaderFrom")
-	}
-	if _, ok := plain.(buffersWriter); ok {
-		t.Fatal("Wrap over a plain conn must not advertise WriteBuffers")
-	}
-	if _, ok := plain.(io.WriterTo); ok {
-		t.Fatal("Wrap over a plain conn must not advertise io.WriterTo")
-	}
-}
-
-// TestWrapCountsBytesBothWays: Write and Read count toward the stream, on
-// each end's own transfer record, over a plain conn and over a netsim conn,
-// where io.Copy takes the forwarded WriteTo.
-func TestWrapCountsBytesBothWays(t *testing.T) {
-	nw := netsim.NewNetwork()
-	l, err := nw.Listen("s", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for _, tc := range []struct {
-		name string
-		pipe func() (net.Conn, net.Conn)
-	}{
-		{"net.Pipe", net.Pipe},
-		{"netsim", func() (net.Conn, net.Conn) {
-			accepted := make(chan net.Conn, 1)
-			go func() {
-				c, _ := l.Accept()
-				accepted <- c
-			}()
-			c, err := nw.Dial("c", "s:1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c, <-accepted
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sendReg, recvReg := newTestRegistry(t), newTestRegistry(t)
-			a, b := tc.pipe()
-			ca := sendReg.Begin("send", "test").Wrap(0, a, a)
-			cb := recvReg.Begin("recv", "test").Wrap(0, b, b)
-			_, direct := b.(io.WriterTo)
-			if _, ok := cb.(io.WriterTo); ok != direct {
-				t.Fatalf("the wrapper advertises io.WriterTo: %v; the conn under it: %v", ok, direct)
-			}
-			go func() {
-				ca.Write(bytes.Repeat([]byte("x"), 1000))
-				ca.Close()
-			}()
-			io.Copy(io.Discard, cb)
-			if got := streamHealth(t, sendReg, 0).Bytes; got != 1000 {
-				t.Fatalf("sender counted %d bytes, want 1000", got)
-			}
-			if got := streamHealth(t, recvReg, 0).Bytes; got != 1000 {
-				t.Fatalf("receiver counted %d bytes, want 1000", got)
-			}
-			b.Close()
-		})
-	}
-}
-
-// TestWrapForwardsCloseWrite: stream mode signals EOF by half-close, so
-// the instrumented conn has to pass CloseWrite through to the transport.
-func TestWrapForwardsCloseWrite(t *testing.T) {
-	nw := netsim.NewNetwork()
-	l, err := nw.Listen("s", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan []byte, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			done <- nil
-			return
-		}
-		data, _ := io.ReadAll(c) // returns only when CloseWrite propagates EOF
-		done <- data
-	}()
-	raw, err := nw.Dial("c", "s:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	wrapped := newTestRegistry(t).Begin("half-close", "test").Wrap(0, raw, raw)
-	wrapped.Write([]byte("fin"))
-	hc, ok := wrapped.(interface{ CloseWrite() error })
-	if !ok {
-		t.Fatal("instrumented conn lost CloseWrite")
-	}
-	hc.CloseWrite()
-	select {
-	case data := <-done:
-		if string(data) != "fin" {
-			t.Fatalf("peer read %q, want %q", data, "fin")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("EOF never reached the peer")
+	if n := len(reg.Health()[0].Streams); n != 2 {
+		t.Fatalf("a Tell to an unregistered stream left %d streams, want the 2 registered", n)
 	}
 }
 
 // The poller on a hand-driven clock: poll(now) is the loop's whole body
 // (Start only schedules it), so these tests choose every timestamp and
-// never sleep. A stream's counters are what its wrapped conn would have
-// written.
+// never sleep. A stream's counters are what its block loop would have
+// told.
 
 // polledStream is one transfer with one stream on a registry nothing else
 // polls.
@@ -237,7 +74,7 @@ func polledStream(t *testing.T, opts Options) (*Registry, *Transfer, *Stream) {
 	tr := reg.Begin("t", "retr")
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
-	tr.Wrap(0, a, nil)
+	tr.Stream(0, nil)
 	return reg, tr, tr.streams[0]
 }
 
@@ -369,7 +206,7 @@ func TestImbalanceGaugeFiresTheRule(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a, b := net.Pipe()
 		t.Cleanup(func() { a.Close(); b.Close() })
-		tr.Wrap(i, a, nil)
+		tr.Stream(i, nil)
 	}
 	var rule tsdb.Rule
 	for _, r := range tsdb.DefaultRules() {

@@ -7,7 +7,9 @@
 # (internal/admin/boot.go), the stay-deleted guard for the three deleted
 # planes, the two duplicate writers (the event log, the usage metrics sink)
 # and the hand-rolled logger (log/slog is the logger) and the observability
-# tree's size ratchet, the bounded-HTTP-server guard (every http.Server sets
+# tree's size ratchet, the stay-deleted guard for the stream-telemetry conn
+# wrapper (the block loops tell internal/obs/streamstats; nothing under
+# internal/obs forwards a conn's direct paths), the bounded-HTTP-server guard (every http.Server sets
 # ReadHeaderTimeout), the recorder's one-input guard (no
 # series push, no push feed from the admin plane), the one-writer guard for
 # /metrics (no trace exemplars on its text, no in-tree parser of it, no
@@ -119,6 +121,17 @@ fi
 		}
 		printf "internal/obs* %d < internal/gridftp %d\n", obs, engine
 	}'
+
+echo "==> stream telemetry is told by the block loops; nothing wraps a data conn"
+# A wrapper between the engine and its data conn has to forward every direct
+# path the conn has, or the fast path turns off without a word, and cannot
+# forward one that needs the socket itself (CHANGES.md). The block loops tell
+# the transfer's record instead (gridftp.blockHook), so nothing under
+# internal/obs names a conn's direct paths.
+if git grep -n 'WriteBuffers\|io.WriterTo\|io.ReaderFrom' internal/obs; then
+	echo "check.sh: tell streamstats per block (Transfer.Tell); no conn wrapper under internal/obs forwards ReadFrom, WriteTo or WriteBuffers" >&2
+	exit 1
+fi
 
 echo "==> every http.Server bounds the time a client has for its headers"
 # A server without ReadHeaderTimeout holds a goroutine for any peer that
