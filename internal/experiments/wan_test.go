@@ -44,9 +44,9 @@ func TestFreshParallelGetAllocBudget(t *testing.T) {
 // BenchmarkE18StreamTelemetryOverhead prices the data-path X-ray: the
 // same shaped-WAN parallel download with per-stream wire telemetry fully
 // installed (both data-path ends instrumented, poller live at the
-// daemons' default cadence) versus absent. The instrumented path adds
-// two atomic updates per Read/Write against 128 KiB-scale blocks, so the
-// budget is <=1% of achieved throughput — the deployment question is
+// daemons' default cadence) versus absent. Telling a stream costs a lock,
+// three atomic updates and a clock read per MODE E block, so the budget is
+// <=1% of achieved throughput — the deployment question is
 // whether watching the wire slows the wire. The link is shaped (40 MB/s,
 // wide windows) so pacing pins the transfer time and a genuine slowdown
 // would surface as missed pacing slots rather than scheduler jitter;

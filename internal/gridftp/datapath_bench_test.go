@@ -15,11 +15,11 @@ import (
 // sender/receiver loops exist here in both their historical form (a fresh
 // payload buffer per block, read from storage and sent as two writes, and a
 // fresh receive buffer per block, landed in storage) and the current form
-// (blockWriter, pooled receive). On a conn that takes ReadFrom and WriteTo (netsim) the
-// current form is the engine's direct path: each block goes from storage
-// into the conn's chunk and from the chunk into storage, one copy per end,
-// where a buffered conn (TCP) reads the block into the coalescing buffer
-// behind its header and receives it into a lease. The storage is a
+// (blockWriter, pooled receive). On a conn that takes ReadFrom and WriteTo
+// (netsim) the current form is the engine's direct path: each block goes
+// from storage into the conn's chunk and from the chunk into storage, one
+// copy per end, where a buffered conn (TCP) reads the block into the
+// coalescing buffer behind its header and receives it into a lease. The storage is a
 // blockRing, so both forms copy the same cache-hot bytes and the disk stays
 // out of frame.
 

@@ -140,8 +140,8 @@ func readBlockHeader(r io.Reader, hdr []byte, limit uint64) (Block, error) {
 
 // splicer returns conn's io.WriterTo when conn moves bytes with no buffer of
 // its own, which the conns that take vectored writes do (netsim), and nil
-// otherwise: a TCP socket's WriteTo copies
-// through a 32 KiB buffer for any writer but a socket.
+// otherwise: a TCP socket's WriteTo copies through a 32 KiB buffer for any
+// writer but a socket.
 func splicer(conn io.Reader) io.WriterTo {
 	if _, ok := conn.(buffersWriter); !ok {
 		return nil
@@ -201,8 +201,9 @@ func (s *blockSink) land(wt io.WriterTo, f io.WriterAt, off int64, n int) error 
 
 // buffersWriter is the vectored-write capability: one call delivers several
 // byte slices as a single write on the wire. netsim connections implement
-// it; the TLS and integrity layers deliberately do not. It marks the conns that move bytes with no buffer of
-// their own, whose ReadFrom and WriteTo the MODE E direct paths take.
+// it; the TLS and integrity layers deliberately do not. It marks the conns
+// that move bytes with no buffer of their own, whose ReadFrom and WriteTo
+// the MODE E direct paths take.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
 }
@@ -228,8 +229,8 @@ const batchCap = 64 * 1024
 // other conn (PROT P's TLS, PROT S's integrityConn, TCP) the buffer holds a
 // whole block and two headers, so a block is one write and one copy into the
 // buffer, and a control block rides with the block beside it: the EOF ahead
-// of stream 0's first, an EOD behind a stream's last. The coalescing buffer is leased from
-// the process pools (poolFor) and goes back with release.
+// of stream 0's first, an EOD behind a stream's last. The coalescing buffer
+// is leased from the process pools (poolFor) and goes back with release.
 type blockWriter struct {
 	w   io.Writer
 	rf  io.ReaderFrom // non-nil: conn fills its chunks from a reader

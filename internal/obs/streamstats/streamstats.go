@@ -13,9 +13,9 @@
 // reaches the engine as it is. A background poller derives an EWMA
 // throughput per stream, polls wire-level counters (RTT, retransmits,
 // cwnd) — from TCP_INFO on real Linux TCP sockets, or from the netsim
-// limiter/loss injector on simulated connections. Health serves the per-stream table; the poller
-// also sets the registry gauges the alert rules watch once the recorder
-// has sampled them:
+// limiter/loss injector on simulated connections. Health serves the
+// per-stream table; the poller also sets the registry gauges the alert
+// rules watch once the recorder has sampled them:
 //
 //	gridftp.streams.active          streams of active transfers
 //	gridftp.streams.stalled         streams currently past the stall window
@@ -122,8 +122,9 @@ type Registry struct {
 	recent []*Transfer // finished, newest last, bounded by retain
 }
 
-// New creates a Registry. Told blocks count from the start; the rates, gauges, records and stall checks need the poller — Start, or poll
-// driven by hand in tests.
+// New creates a Registry. Told blocks count from the start; the rates,
+// gauges, records and stall checks need the poller — Start, or poll driven
+// by hand in tests.
 func New(opts Options) *Registry {
 	if opts.Interval <= 0 {
 		opts.Interval = 500 * time.Millisecond
