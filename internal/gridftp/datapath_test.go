@@ -453,7 +453,8 @@ func TestProtectedReceiveReportsWireCounters(t *testing.T) {
 
 // TestPutFeedsTelemetry: the client's uploads show up in its stream health
 // table (and under the stall watchdog) and in its byte counter, both counting
-// exactly the payload over PROT P, whose TLS conn the blocks go through.
+// exactly the payload over PROT P, whose TLS conn the blocks go through; so
+// does a download, in the health table.
 func TestPutFeedsTelemetry(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -499,5 +500,21 @@ func TestPutFeedsTelemetry(t *testing.T) {
 	}
 	if got := o.Registry().Counter("gridftp.client.bytes_sent").Value(); got != 80000 {
 		t.Fatalf("gridftp.client.bytes_sent = %d, want 80000", got)
+	}
+
+	// A download is told to the client's record too, by the receive loop.
+	if _, err := c.Get("/m1.bin", dsi.NewBufferFile(nil)); err != nil {
+		t.Fatal(err)
+	}
+	var got int64
+	for _, th := range reg.Health() {
+		if th.Verb == "get" {
+			for _, sh := range th.Streams {
+				got += sh.Bytes
+			}
+		}
+	}
+	if got != 50000 {
+		t.Fatalf("the get's streams counted %d bytes, want the 50000 downloaded", got)
 	}
 }
