@@ -12,6 +12,7 @@ import (
 
 	"gridftp.dev/instant/internal/dsi"
 	"gridftp.dev/instant/internal/ftp"
+	"gridftp.dev/instant/internal/lease"
 )
 
 // The CKSM command (a Globus GridFTP extension) returns a checksum over a
@@ -46,9 +47,8 @@ func ChecksumFile(algorithm string, f dsi.File, offset, length int64) (string, e
 		end = offset + length
 	}
 	h := mk()
-	pool := poolFor(DefaultBlockSize)
-	buf := pool.Lease()
-	defer pool.Release(buf)
+	buf := lease.Get(DefaultBlockSize)
+	defer lease.Put(buf)
 	for off := offset; off < end; {
 		n := min(int64(len(buf)), end-off)
 		if err := readAtFull(f, buf[:n], off); err != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/lease"
 	"gridftp.dev/instant/internal/netsim"
 )
 
@@ -271,7 +272,6 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 		}()
 	}
 
-	pool := poolFor(blockSize)
 	limit := blockLenLimit(blockSize)
 	var wg sync.WaitGroup
 	handle := func(stream int, conn net.Conn) {
@@ -294,8 +294,8 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 			sink = sinks.Get().(*blockSink)
 			defer sinks.Put(sink)
 		} else {
-			buf = pool.Lease()
-			defer func() { pool.Release(buf) }()
+			buf = lease.Get(blockSize)
+			defer func() { lease.Put(buf) }()
 		}
 		for {
 			var b Block
@@ -428,7 +428,7 @@ type osFiler interface {
 // half-closes the connection to signal EOF. When the file is *os.File-
 // backed and the connection takes io.ReaderFrom, the copy skips the user
 // buffer: sendfile on a TCP socket, the file read straight into the chunks
-// on a netsim conn. Otherwise it loops through a pooled buffer of the
+// on a netsim conn. Otherwise it loops through a leased buffer of the
 // negotiated block size. A file that ends short of size fails the send.
 func sendStream(conn net.Conn, f dsi.File, offset, size int64, blockSize int) error {
 	if rf, ok := conn.(io.ReaderFrom); ok {
@@ -449,9 +449,8 @@ func sendStream(conn net.Conn, f dsi.File, offset, size int64, blockSize int) er
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	pool := poolFor(blockSize)
-	buf := pool.Lease()
-	defer pool.Release(buf)
+	buf := lease.Get(blockSize)
+	defer lease.Put(buf)
 	for off := offset; off < size; {
 		n := int64(len(buf))
 		if off+n > size {
@@ -478,7 +477,7 @@ func closeWrite(conn net.Conn) error {
 // recvStream reads a raw byte stream into f starting at offset until EOF.
 // *os.File-backed DSI files receive through io.Copy — the conn's WriteTo on
 // a netsim conn, (*os.File).ReadFrom's splice on a TCP socket; everything
-// else loops through a pooled buffer of the negotiated block size.
+// else loops through a leased buffer of the negotiated block size.
 func recvStream(conn net.Conn, f dsi.File, offset int64, blockSize int) (int64, error) {
 	if of, ok := f.(osFiler); ok {
 		if _, err := of.OSFile().Seek(offset, io.SeekStart); err == nil {
@@ -488,9 +487,8 @@ func recvStream(conn net.Conn, f dsi.File, offset int64, blockSize int) (int64, 
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	pool := poolFor(blockSize)
-	buf := pool.Lease()
-	defer pool.Release(buf)
+	buf := lease.Get(blockSize)
+	defer lease.Put(buf)
 	var total int64
 	for {
 		n, err := conn.Read(buf)

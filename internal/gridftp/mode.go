@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"gridftp.dev/instant/internal/lease"
 )
 
 // MODE E block descriptor bits (GridFTP extended block mode).
@@ -153,7 +155,9 @@ func splicer(conn io.Reader) io.WriterTo {
 // blockSink lands one block's payload in a file as a conn's WriteTo hands
 // it over, one copy from the conn's queue into storage, and takes nothing
 // past the block: the next header stays queued for the next read. Sinks
-// are pooled (sinks), as the receive buffers of the buffered path are.
+// are pooled (sinks) as the buffered path's receive buffers are leased: a
+// sink is a struct around its header array, not a byte buffer, so it has a
+// pool of its own.
 type blockSink struct {
 	hdr  [blockHeaderLen]byte // the stream's header buffer
 	f    io.WriterAt
@@ -230,7 +234,7 @@ const batchCap = 64 * 1024
 // whole block and two headers, so a block is one write and one copy into the
 // buffer, and a control block rides with the block beside it: the EOF ahead
 // of stream 0's first, an EOD behind a stream's last. The coalescing buffer
-// is leased from the process pools (poolFor) and goes back with release.
+// is leased (internal/lease) and goes back with release.
 type blockWriter struct {
 	w   io.Writer
 	rf  io.ReaderFrom // non-nil: conn fills its chunks from a reader
@@ -242,9 +246,8 @@ type blockWriter struct {
 // direct conn that is headers and blocks under vectorMin, so batchCap; on
 // any other it is a whole block of the negotiated size with its header and
 // one control block's, so a block is still one write — one record group
-// under TLS — there, the EOF or EOD beside it included. Sizing by
-// the negotiated size, not a transfer's job size (at most it), keeps the
-// pools to a handful of sizes per process.
+// under TLS — there, the EOF or EOD beside it included. The lease is that
+// size's class, so the buffer may hold more; it batches up to its capacity.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	bw := &blockWriter{w: w}
 	if _, ok := w.(buffersWriter); ok {
@@ -254,18 +257,17 @@ func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	if bw.rf == nil {
 		capacity = max(batchCap, blockSize+2*blockHeaderLen)
 	}
-	bw.buf = poolFor(capacity).Lease()[:0]
+	bw.buf = lease.Get(capacity)[:0]
 	return bw
 }
 
-// release gives the leased buffer back to its pool; the writer is not used
-// again. Every write has returned by then, and none keeps the buffer: a
-// netsim conn copies it before its ReadFrom or Write returns, and TLS,
-// integrityConn and TCP before Write returns.
+// release gives the leased buffer back; the writer is not used again. Every
+// write has returned by then, and none keeps the buffer: a netsim conn
+// copies it before its ReadFrom or Write returns, and TLS, integrityConn and
+// TCP before Write returns.
 func (bw *blockWriter) release() {
-	buf := bw.buf[:cap(bw.buf)]
+	lease.Put(bw.buf)
 	bw.buf = nil
-	poolFor(len(buf)).Release(buf)
 }
 
 // flush writes any batched bytes as a single write.

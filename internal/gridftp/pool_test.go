@@ -2,12 +2,14 @@ package gridftp
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/lease"
 	"gridftp.dev/instant/internal/netsim"
 )
 
@@ -60,11 +62,33 @@ func TestBufferPoolReleaseForeign(t *testing.T) {
 	if got := p.Lease(); len(got) != 1024 {
 		t.Fatalf("lease after foreign release: len %d, want 1024", len(got))
 	}
-	if poolFor(2048) == poolFor(4096) {
-		t.Fatal("poolFor must key pools by size")
+}
+
+// TestBlockSizesDoNotGrowTheHeap: a peer may negotiate any block size from
+// minBlockSize to maxBlockSize, and the buffers a MODE E receive and a
+// buffered conn's blockWriter lease for it come from a fixed set of size
+// classes, so 10,000 distinct sizes leave nothing behind once the pools
+// are collected. A registry of one pool per exact size kept two entries a
+// size alive for good, about 2 MB here.
+func TestBlockSizesDoNotGrowTheHeap(t *testing.T) {
+	heap := func() uint64 {
+		for range 3 {
+			runtime.GC()
+		}
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
 	}
-	if poolFor(2048) != poolFor(2048) {
-		t.Fatal("poolFor must return the same pool for the same size")
+	before := heap()
+	for size := minBlockSize; size < minBlockSize+10000; size++ {
+		lease.Put(lease.Get(size))                 // recvModeE's receive buffer
+		newBlockWriter(io.Discard, size).release() // a TLS or integrity conn's coalescing buffer
+	}
+	after := heap()
+	grown := int64(after) - int64(before)
+	t.Logf("live heap grew %d bytes over 10,000 block sizes", grown)
+	if grown >= 512<<10 {
+		t.Errorf("10,000 block sizes grew the live heap by %d bytes, want under 512 KiB", grown)
 	}
 }
 

@@ -3,20 +3,27 @@ package netsim
 import (
 	"errors"
 	"io"
-	"math/bits"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gridftp.dev/instant/internal/lease"
 )
 
-// maxChunk is the most one chunk holds, the largest chunk class. A call
-// that sends more — a whole file by ReadFrom, say — is queued as several
-// chunks, each pooled and each arriving while the next is still on the wire,
-// where one would hold all of it until its last byte was sent. It holds a
-// 256 KiB MODE E block with its header whole.
-const maxChunk = 1 << chunkClassMax
+// maxChunk is the most one chunk holds. A call that sends more — a whole
+// file by ReadFrom, say — is queued as several chunks, each leased and each
+// arriving while the next is still on the wire, where one would hold all of
+// it until its last byte was sent. It holds a 256 KiB MODE E block with its
+// header whole, and it is half of minBufferBound.
+//
+// Chunk buffers are leased by size class (internal/lease): the E2 profile
+// showed pipeHalf.write's per-chunk make([]byte, n) as a top allocator, and
+// the class a chunk takes holds a power of two plus a header within a
+// sixteenth of its size: a queued chunk is memory in the measured process,
+// which a kernel socket buffer is not.
+const maxChunk = 512 << 10
 
 // minBufferBound is the least one direction of a connection may hold (see
 // bufferBound): two whole chunks, so a writer fills one while its reader
@@ -43,80 +50,12 @@ func bufferBound(p LinkParams, tr Transport) int {
 
 // chunk is a span of bytes plus the simulated time at which it arrives at
 // the receiver. full retains the original allocation so a fully consumed
-// chunk's buffer can return to the pool even after partial reads advanced
-// data.
+// chunk's buffer can go back to its lease even after partial reads
+// advanced data.
 type chunk struct {
 	data []byte
 	full []byte
 	at   time.Time
-}
-
-// Chunk buffers are pooled by size class (4 KiB .. 512 KiB): the E2 profile
-// showed pipeHalf.write's per-chunk make([]byte, n) as a top allocator, and
-// MODE E traffic reuses a handful of sizes heavily. Each octave has two
-// classes, 2^k and 2^k + 2^(k-4). Bulk writes are a power of two plus a
-// header — a 256 KiB MODE E block and its 17-byte header, a 16 KiB TLS
-// record and its 22 bytes of framing — and the second class holds them
-// within a sixteenth of their size, where the next power of two would hold
-// them in twice it: a queued chunk is memory in the measured process, which
-// a kernel socket buffer is not.
-const (
-	chunkClassMin = 12 // 4 KiB
-	chunkClassMax = 19 // 512 KiB, half of minBufferBound
-	chunkClasses  = 2*(chunkClassMax-chunkClassMin) + 1
-)
-
-var chunkPools [chunkClasses]sync.Pool
-
-// chunkBoxes holds the *[]byte a leaseChunk emptied, for a releaseChunk to
-// refill: a slice put into a sync.Pool by the address of a fresh variable
-// would cost a heap allocation per release.
-var chunkBoxes sync.Pool
-
-// chunkClass maps a byte count of at most 1<<chunkClassMax to (pool index,
-// class capacity): the smallest class that holds n.
-func chunkClass(n int) (int, int) {
-	if n <= 1<<chunkClassMin {
-		return 0, 1 << chunkClassMin
-	}
-	k := bits.Len(uint(n-1)) - 1 // 2^k < n <= 2^(k+1)
-	if mid := 1<<k + 1<<(k-4); n <= mid {
-		return 2*(k-chunkClassMin) + 1, mid
-	}
-	return 2 * (k + 1 - chunkClassMin), 1 << (k + 1)
-}
-
-// leaseChunk returns an n-byte buffer from its size class's pool; n is at
-// most maxChunk.
-func leaseChunk(n int) []byte {
-	idx, size := chunkClass(n)
-	if v := chunkPools[idx].Get(); v != nil {
-		box := v.(*[]byte)
-		b := (*box)[:n]
-		*box = nil
-		chunkBoxes.Put(box)
-		return b
-	}
-	return make([]byte, n, size)
-}
-
-// releaseChunk recycles a buffer leased by leaseChunk; foreign capacities
-// are left to the GC.
-func releaseChunk(b []byte) {
-	c := cap(b)
-	if c > 1<<chunkClassMax {
-		return
-	}
-	idx, size := chunkClass(c)
-	if size != c {
-		return
-	}
-	box, _ := chunkBoxes.Get().(*[]byte)
-	if box == nil {
-		box = new([]byte)
-	}
-	*box = b[:size]
-	chunkPools[idx].Put(box)
 }
 
 // pipeHalf is one direction of a connection: written by one end, read by
@@ -236,7 +175,7 @@ func (h *pipeHalf) send(n int, fill func(dst []byte) (int, bool), deadline time.
 		if err != nil {
 			return total, err
 		}
-		data := leaseChunk(size)
+		data := lease.Get(size)
 		k, more := fill(data)
 		at, err := h.publish(data, k, size)
 		if err != nil {
@@ -310,7 +249,7 @@ func (h *pipeHalf) publish(data []byte, k, size int) (time.Time, error) {
 	if h.wclosed || h.dead || k == 0 {
 		closed := h.wclosed || h.dead
 		h.mu.Unlock()
-		releaseChunk(data)
+		lease.Put(data)
 		if closed {
 			return time.Time{}, net.ErrClosed
 		}
@@ -430,7 +369,7 @@ func (h *pipeHalf) read(p []byte, deadline time.Time) (int, error) {
 		m := copy(p[n:], c.data)
 		n += m
 		if m == len(c.data) {
-			releaseChunk(c.full)
+			lease.Put(c.full)
 			h.buf[0] = chunk{}
 			h.buf = h.buf[1:]
 		} else {
@@ -463,13 +402,13 @@ func (h *pipeHalf) lend(w io.Writer) (int, error) {
 	signal(h.dataReady) // a read that waited for the chunk looks again
 	if h.dead {
 		h.mu.Unlock()
-		releaseChunk(c.full)
+		lease.Put(c.full)
 		return k, err
 	}
 	if k == len(c.data) {
 		h.buf[0] = chunk{}
 		h.buf = h.buf[1:]
-		releaseChunk(c.full)
+		lease.Put(c.full)
 	} else {
 		h.buf[0].data = c.data[k:]
 		h.buf[0].full = c.full
@@ -497,7 +436,7 @@ func (h *pipeHalf) hardClose() {
 	h.wclosed = true
 	h.dead = true
 	for i := range h.buf {
-		releaseChunk(h.buf[i].full)
+		lease.Put(h.buf[i].full)
 	}
 	h.buf, h.queue = nil, nil
 	h.trackQueue(-int64(h.buffered))

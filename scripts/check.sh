@@ -9,7 +9,11 @@
 # and the hand-rolled logger (log/slog is the logger) and the observability
 # tree's size ratchet, the stay-deleted guard for the stream-telemetry conn
 # wrapper (the block loops tell internal/obs/streamstats; nothing under
-# internal/obs forwards a conn's direct paths), the bounded-HTTP-server guard (every http.Server sets
+# internal/obs forwards a conn's direct paths), the stay-deleted guard for
+# the two copies of the buffer lease (internal/lease is the one size-class
+# rule; no per-size pool registry, no netsim chunk pools, and no sync.Pool
+# outside it but gridftp's sinks and netsim's timerPool, which pool objects),
+# the bounded-HTTP-server guard (every http.Server sets
 # ReadHeaderTimeout), the recorder's one-input guard (no
 # series push, no push feed from the admin plane), the one-writer guard for
 # /metrics (no trace exemplars on its text, no in-tree parser of it, no
@@ -130,6 +134,22 @@ echo "==> stream telemetry is told by the block loops; nothing wraps a data conn
 # internal/obs names a conn's direct paths.
 if git grep -n 'WriteBuffers\|io.WriterTo\|io.ReaderFrom' internal/obs; then
 	echo "check.sh: tell streamstats per block (Transfer.Tell); no conn wrapper under internal/obs forwards ReadFrom, WriteTo or WriteBuffers" >&2
+	exit 1
+fi
+
+echo "==> the data path's buffers are leased in one place (internal/lease)"
+# gridftp kept one pool per exact buffer size in a process-wide map, which
+# every negotiated block size grew for good, and netsim kept its own size
+# classes: two copies of one boxed lease (CHANGES.md). internal/lease holds
+# the one size-class rule in a fixed array. The two pools left elsewhere hold
+# objects, not bytes: gridftp's sinks (*blockSink) and netsim's timerPool
+# (*time.Timer). Tests name sync.Pool only in their race-detector skips.
+if git grep -nE 'poolFor|payloadPools|chunkPools|chunkBoxes|leaseChunk|releaseChunk' -- '*.go'; then
+	echo "check.sh: lease buffers through internal/lease (Get, Put); the per-size pools and netsim's chunk pools are gone" >&2
+	exit 1
+fi
+if git grep -n 'sync.Pool' -- '*.go' ':!*_test.go' ':!internal/lease/*' | grep -vE '^internal/gridftp/mode\.go:[0-9]+:var sinks = |^internal/netsim/conn\.go:[0-9]+:var timerPool '; then
+	echo "check.sh: a byte buffer is leased from internal/lease; a new object pool needs its reason here" >&2
 	exit 1
 fi
 
