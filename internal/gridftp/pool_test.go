@@ -68,8 +68,8 @@ func TestBufferPoolReleaseForeign(t *testing.T) {
 // minBlockSize to maxBlockSize, and the buffers a MODE E receive and a
 // buffered conn's blockWriter lease for it come from a fixed set of size
 // classes, so 10,000 distinct sizes leave nothing behind once the pools
-// are collected. A registry of one pool per exact size kept two entries a
-// size alive for good, about 2 MB here.
+// are collected. A registry of one pool per exact size kept an entry a size
+// alive for good, about 2.3 MB here.
 func TestBlockSizesDoNotGrowTheHeap(t *testing.T) {
 	heap := func() uint64 {
 		for range 3 {

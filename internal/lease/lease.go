@@ -11,9 +11,10 @@
 // The classes are fixed, so the pools do not grow with the sizes a peer
 // negotiates. The cost is slack on a size that is not a class: a TLS or
 // integrity coalescing buffer of 256 KiB + 34 B takes the 272 KiB class
-// (16 KiB a stream more than an exact pool held), and a block size such as
-// 300,000 B leases up to 1.75× its size. 64 KiB and 256 KiB, netsim's
-// batch buffer and the default block, are classes.
+// (16 KiB a stream more than an exact pool held), a block size such as
+// 300,000 B leases 1.75× its size (one just above 2^k + 2^(k-4) nearly
+// 1.9×), and a block under 4 KiB leases 4 KiB. 64 KiB and 256 KiB,
+// netsim's batch buffer and the default block, are classes.
 package lease
 
 import (
