@@ -231,11 +231,6 @@ func (p *posixFile) ReadAt(b []byte, off int64) (int, error) { return p.f.ReadAt
 // WriteAt implements io.WriterAt.
 func (p *posixFile) WriteAt(b []byte, off int64) (int, error) { return p.f.WriteAt(b, off) }
 
-// OSFile exposes the backing descriptor so the transfer paths can hand it
-// to the kernel directly (sendfile/splice) instead of copying through a
-// user-space buffer.
-func (p *posixFile) OSFile() *os.File { return p.f }
-
 // Preallocate extends the file to size bytes up front (best-effort), so
 // out-of-order MODE E blocks land in already-allocated extents.
 func (p *posixFile) Preallocate(size int64) {

@@ -21,16 +21,16 @@ import (
 //	                  steps down to HMAC frames, PROT C to the raw conn
 //	→ MODE E framing  blockWriter / ReadBlock (or the MODE S byte stream)
 //
-// The framing sees the conn secureData returned. TLS and the integrity
-// frames transform the byte stream, so they offer none of the raw conn's
-// direct paths: a forwarded call would bypass the transform. A raw netsim
-// conn has them all — io.ReaderFrom, io.WriterTo and WriteBuffers, the mark
-// of a conn with no buffer of its own — and moves a MODE E block with one
-// copy per end, storage to the wire and the wire to storage. Stream
-// telemetry is no layer: the block loops tell a transfer's streamstats
-// record what each block moved (blockHook), and the record polls the raw
-// conn for wire counters. secure is the one place a raw conn becomes a
-// channel — a new transport or endpoint type plugs in there.
+// The framing sees the conn secureData returned, and asks direct (mode.go)
+// whether it has a direct path. TLS and the integrity frames transform the
+// byte stream, so they have none: a forwarded call would bypass the
+// transform. A raw netsim conn has one (directConn) and moves a MODE E block
+// or a MODE S file with one copy per end, storage to the wire and the wire
+// to storage; a TCP socket has none yet. Stream telemetry is no layer: the
+// block loops tell a transfer's streamstats record what each block moved
+// (blockHook), and the record polls the raw conn for wire counters. secure
+// is the one place a raw conn becomes a channel — a new transport or
+// endpoint type plugs in there.
 
 // errNoDataPath answers a transfer command on a session that has negotiated
 // no data path, or lost it to a failed transfer.

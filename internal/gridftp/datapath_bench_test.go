@@ -92,10 +92,10 @@ func sendBenchBlocks(conn net.Conn, src io.ReaderAt, totalBytes int64, blockSize
 func recvBenchBlocks(conn net.Conn, dst io.WriterAt, blockSize int, fast bool) (int64, error) {
 	limit := blockLenLimit(blockSize)
 	var buf []byte
-	var wt io.WriterTo
+	var dc directConn
 	sink := new(blockSink)
 	if fast {
-		wt = splicer(conn)
+		dc = direct(conn)
 		buf = lease.Get(blockSize)
 		defer func() { lease.Put(buf) }()
 	}
@@ -104,9 +104,9 @@ func recvBenchBlocks(conn net.Conn, dst io.WriterAt, blockSize int, fast bool) (
 		var b Block
 		var err error
 		switch {
-		case wt != nil:
+		case dc != nil:
 			if b, err = readBlockHeader(conn, sink.hdr[:], limit); err == nil && b.Count > 0 {
-				err = sink.land(wt, dst, int64(b.Offset), int(b.Count))
+				err = sink.land(dc, dst, int64(b.Offset), int(b.Count))
 			}
 		case fast:
 			if b, buf, err = ReadBlock(conn, buf, limit); err == nil {

@@ -335,10 +335,17 @@ func TestDataPathPooling(t *testing.T) {
 }
 
 // TestTransformingLayersHideFastPaths: TLS and the PROT S integrity frames
-// transform the byte stream, so they must swallow io.ReaderFrom, io.WriterTo
-// and WriteBuffers even over a netsim conn, which has all three — a
-// forwarded call would put untransformed bytes on the wire.
+// transform the byte stream, so they must have no direct path even over a
+// netsim conn, which has one, and must swallow io.ReaderFrom and io.WriterTo
+// — a forwarded call would put untransformed bytes on the wire. A TCP socket
+// has no direct path either: its ReadFrom and WriteTo copy through a buffer.
 func TestTransformingLayersHideFastPaths(t *testing.T) {
+	a, b := simPipe(t, netsim.NewNetwork())
+	defer a.Close()
+	defer b.Close()
+	if direct(a) == nil {
+		t.Fatal("a netsim conn has no direct path")
+	}
 	for _, tc := range []struct {
 		name string
 		wrap func(net.Conn) net.Conn
@@ -346,22 +353,25 @@ func TestTransformingLayersHideFastPaths(t *testing.T) {
 		{"tls", func(conn net.Conn) net.Conn { return tls.Client(conn, &tls.Config{}) }},
 		{"integrity", func(conn net.Conn) net.Conn { return newIntegrityConn(conn, keyAB, keyBA) }},
 	} {
-		a, b := simPipe(t, netsim.NewNetwork())
-		if _, ok := a.(io.ReaderFrom); !ok || splicer(a) == nil {
-			t.Fatal("a netsim conn is not seen as capable")
-		}
 		layer := tc.wrap(a)
+		if direct(layer) != nil {
+			t.Errorf("%s has a direct path past the transform", tc.name)
+		}
 		if _, ok := layer.(io.ReaderFrom); ok {
 			t.Errorf("%s leaks io.ReaderFrom past the transform", tc.name)
-		}
-		if _, ok := layer.(buffersWriter); ok {
-			t.Errorf("%s leaks WriteBuffers past the transform", tc.name)
 		}
 		if _, ok := layer.(io.WriterTo); ok {
 			t.Errorf("%s leaks io.WriterTo past the transform", tc.name)
 		}
-		a.Close()
-		b.Close()
+	}
+	from, to, err := tcpPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer from.Close()
+	defer to.Close()
+	if _, ok := from.(*net.TCPConn); !ok || direct(from) != nil {
+		t.Errorf("a loopback %T has a direct path", from)
 	}
 }
 

@@ -42,7 +42,7 @@ func simPipe(t testing.TB, nw *netsim.Network) (net.Conn, net.Conn) {
 // TestTruncatedBlockFailsTheReceive: a header that announces 1,000 bytes,
 // followed by 500 and a close, fails the receive, and the received ranges —
 // what restart markers claim — hold the whole block before it and nothing of
-// the truncated one, on netsim conns (the payload moves by WriteTo) and on
+// the truncated one, on netsim conns (the payload moves by landTo) and on
 // net.Pipe (through a buffer).
 func TestTruncatedBlockFailsTheReceive(t *testing.T) {
 	frame := func(desc byte, count, offset uint64, payload []byte) []byte {
@@ -65,7 +65,7 @@ func TestTruncatedBlockFailsTheReceive(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			send, recv := tc.pipe()
-			if got, want := splicer(recv) != nil, tc.name == "netsim"; got != want {
+			if got, want := direct(recv) != nil, tc.name == "netsim"; got != want {
 				t.Fatalf("the receive takes the direct path: %v, want %v", got, want)
 			}
 			go func() {
@@ -95,7 +95,7 @@ func TestTruncatedBlockFailsTheReceive(t *testing.T) {
 }
 
 // TestDirectBlocksAllocateNothing: on netsim conns a block goes from storage
-// into the conn's chunk (ReadFrom) and from the chunk into storage (WriteTo)
+// into the conn's chunk (sendFrom) and from the chunk into storage (landTo)
 // without an allocation, in either direction, and so does telling a live
 // stream-telemetry record of each block sent and landed. One goroutine
 // queues eight 64 KiB blocks and then lands them, so the count is the
@@ -112,11 +112,11 @@ func TestDirectBlocksAllocateNothing(t *testing.T) {
 	dst := dsi.NewBufferFile(make([]byte, blocks*n))
 	bw := newBlockWriter(send, n)
 	defer bw.release()
-	if bw.rf == nil {
+	if bw.dc == nil {
 		t.Fatal("a netsim conn does not take the direct send")
 	}
-	wt := splicer(recv)
-	if wt == nil {
+	dc := direct(recv)
+	if dc == nil {
 		t.Fatal("a netsim conn does not take the direct receive")
 	}
 	sink := sinks.Get().(*blockSink)
@@ -138,7 +138,7 @@ func TestDirectBlocksAllocateNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sink.land(wt, dst, int64(b.Offset), int(b.Count)); err != nil {
+			if err := sink.land(dc, dst, int64(b.Offset), int(b.Count)); err != nil {
 				t.Fatal(err)
 			}
 			landed.Tell(0, int64(b.Count), 0)
@@ -228,65 +228,97 @@ func TestBufferedBlocksAreOneWriteEach(t *testing.T) {
 	}
 }
 
-// TestStreamModeSendfileOnNetsim: a MODE S send of a POSIX file over a
-// netsim conn reads the file straight into the conn's chunks (ReadFrom),
-// and the receive into a POSIX file takes them straight off (WriteTo); the
-// bytes arrive whole, and a file that ends short of the size the send was
-// given fails the send, as readAtFull fails the buffered one.
+// TestStreamModeSendfileOnNetsim: a MODE S send over a netsim conn reads the
+// file straight into the conn's chunks (sendFrom), and the receive lands them
+// straight in the destination (landTo), for a POSIX file and an in-memory one
+// alike; the bytes arrive whole, and a file that ends short of the size the
+// send was given fails the send, as readAtFull fails the buffered one.
 func TestStreamModeSendfileOnNetsim(t *testing.T) {
-	store, err := dsi.NewPosixStorage(t.TempDir())
+	posix, err := dsi.NewPosixStorage(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.AddUser("u"); err != nil {
+	if err := posix.AddUser("u"); err != nil {
 		t.Fatal(err)
 	}
+	mem := dsi.NewMemStorage()
+	mem.AddUser("u")
 	payload := pattern(300 << 10)
-	f, err := store.Create("u", "/src")
+	for _, st := range []struct {
+		name  string
+		store dsi.Storage
+	}{{"posix", posix}, {"memory", mem}} {
+		f, err := st.store.Create("u", "/src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		for _, tc := range []struct {
+			name  string
+			size  int64
+			whole bool
+		}{{"whole", int64(len(payload)), true}, {"shrunk", int64(len(payload)) + 100, false}} {
+			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
+				send, recv := simPipe(t, netsim.NewNetwork())
+				defer recv.Close()
+				src, err := st.store.Open("u", "/src")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer src.Close()
+				dst, err := st.store.Create("u", "/dst-"+tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dst.Close()
+				got := make(chan int64, 1)
+				go func() {
+					n, _ := recvStream(recv, dst, 0, DefaultBlockSize)
+					got <- n
+				}()
+				err = sendStream(send, src, 0, tc.size, DefaultBlockSize)
+				send.Close()
+				if tc.whole != (err == nil) {
+					t.Fatalf("sendStream of %d bytes from a %d-byte file: %v", tc.size, len(payload), err)
+				}
+				if n := <-got; tc.whole && n != int64(len(payload)) {
+					t.Fatalf("received %d bytes, want %d", n, len(payload))
+				}
+				if tc.whole {
+					back := make([]byte, len(payload))
+					if _, err := dst.ReadAt(back, 0); err != nil || !bytes.Equal(back, payload) {
+						t.Fatalf("the received file differs from the sent one (%v)", err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStreamModeReceiveReportsStorage: a MODE S receive over a netsim conn
+// into a file whose storage refuses a write partway fails with the storage's
+// refusal, not with what the refusal did to the conn.
+func TestStreamModeReceiveReportsStorage(t *testing.T) {
+	const size = 300 << 10
+	mem := dsi.NewMemStorage()
+	mem.AddUser("u")
+	store := dsi.NewFaultStorage(mem)
+	store.Arm(size / 2)
+	dst, err := store.Create("u", "/dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	for _, tc := range []struct {
-		name  string
-		size  int64
-		whole bool
-	}{{"whole", int64(len(payload)), true}, {"shrunk", int64(len(payload)) + 100, false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			send, recv := simPipe(t, netsim.NewNetwork())
-			defer recv.Close()
-			src, err := store.Open("u", "/src")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			dst, err := store.Create("u", "/dst-"+tc.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dst.Close()
-			got := make(chan int64, 1)
-			go func() {
-				n, _ := recvStream(recv, dst, 0, DefaultBlockSize)
-				got <- n
-			}()
-			err = sendStream(send, src, 0, tc.size, DefaultBlockSize)
-			send.Close()
-			if tc.whole != (err == nil) {
-				t.Fatalf("sendStream of %d bytes from a %d-byte file: %v", tc.size, len(payload), err)
-			}
-			if n := <-got; tc.whole && n != int64(len(payload)) {
-				t.Fatalf("received %d bytes, want %d", n, len(payload))
-			}
-			if tc.whole {
-				back := make([]byte, len(payload))
-				if _, err := dst.ReadAt(back, 0); err != nil || !bytes.Equal(back, payload) {
-					t.Fatalf("the received file differs from the sent one (%v)", err)
-				}
-			}
-		})
+	defer dst.Close()
+	send, recv := simPipe(t, netsim.NewNetwork())
+	defer recv.Close()
+	go func() {
+		send.Write(pattern(size))
+		send.Close()
+	}()
+	if _, err := recvStream(recv, dst, 0, DefaultBlockSize); !errors.Is(err, dsi.ErrInjectedFault) {
+		t.Fatalf("a receive into storage that refuses a write: %v, want %v", err, dsi.ErrInjectedFault)
 	}
 }

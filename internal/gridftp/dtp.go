@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -279,18 +278,14 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 		// Backstop: the first block must arrive within a bounded window,
 		// so a silent channel (peer gone, protocol desync) cannot park
 		// this handler — and with it the whole transfer — forever.
-		type deadliner interface{ SetReadDeadline(time.Time) error }
-		dl, hasDeadline := conn.(deadliner)
-		if hasDeadline {
-			dl.SetReadDeadline(time.Now().Add(60 * time.Second))
-		}
+		conn.SetReadDeadline(time.Now().Add(60 * time.Second))
 		first := true
-		// A conn with a splice lands each payload from its queue straight
-		// in storage; any other reads the block into a leased buffer first.
-		wt := splicer(conn)
+		// A direct conn lands each payload from its queue straight in
+		// storage; any other reads the block into a leased buffer first.
+		dc := direct(conn)
 		var buf []byte
 		var sink *blockSink
-		if wt != nil {
+		if dc != nil {
 			sink = sinks.Get().(*blockSink)
 			defer sinks.Put(sink)
 		} else {
@@ -300,7 +295,7 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 		for {
 			var b Block
 			var err error
-			if wt != nil {
+			if dc != nil {
 				b, err = readBlockHeader(conn, sink.hdr[:], limit)
 			} else {
 				b, buf, err = ReadBlock(conn, buf, limit)
@@ -328,14 +323,14 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 			}
 			if b.Count > 0 {
 				off := int64(b.Offset)
-				if wt != nil {
-					err = sink.land(wt, f, off, int(b.Count))
+				if dc != nil {
+					err = sink.land(dc, f, off, int(b.Count))
 				} else {
 					_, err = f.WriteAt(b.Data, off)
 				}
 				switch {
 				case err == nil:
-				case wt != nil && sink.err == nil:
+				case dc != nil && sink.err == nil:
 					setErr(fmt.Errorf("gridftp: data connection lost: %w", err))
 					return
 				default:
@@ -348,8 +343,8 @@ func recvModeE(accept func(stop <-chan struct{}) (net.Conn, error), f dsi.File, 
 			if onBlock != nil {
 				onBlock(stream, int64(b.Count), 0)
 			}
-			if first && hasDeadline {
-				dl.SetReadDeadline(time.Time{})
+			if first {
+				conn.SetReadDeadline(time.Time{})
 				first = false
 			}
 			if b.EOD() {
@@ -417,37 +412,17 @@ func preallocate(f dsi.File, size int64) {
 	}
 }
 
-// osFiler is implemented by DSI files backed by a real *os.File (posix
-// storage); the stream-mode paths use it to reach the kernel's
-// sendfile/splice fast paths instead of shuttling through a user buffer.
-type osFiler interface {
-	OSFile() *os.File
-}
-
 // sendStream writes the file range [offset, size) as a raw byte stream and
-// half-closes the connection to signal EOF. When the file is *os.File-
-// backed and the connection takes io.ReaderFrom, the copy skips the user
-// buffer: sendfile on a TCP socket, the file read straight into the chunks
-// on a netsim conn. Otherwise it loops through a leased buffer of the
-// negotiated block size. A file that ends short of size fails the send.
+// half-closes the connection to signal EOF. On a direct conn the range goes
+// from storage straight into the conn's chunks (sendFrom); on any other it
+// loops through a leased buffer of the negotiated block size. A file that
+// ends short of size fails the send.
 func sendStream(conn net.Conn, f dsi.File, offset, size int64, blockSize int) error {
-	if rf, ok := conn.(io.ReaderFrom); ok {
-		if of, ok := f.(osFiler); ok && size > offset {
-			if _, err := of.OSFile().Seek(offset, io.SeekStart); err == nil {
-				lr := &io.LimitedReader{R: of.OSFile(), N: size - offset}
-				n, err := rf.ReadFrom(lr)
-				if err != nil {
-					return err
-				}
-				if n < size-offset { // the file shrank: as readAtFull, fail the send
-					return fmt.Errorf("gridftp: sent %d of %d bytes from %d: %w", n, size-offset, offset, io.ErrUnexpectedEOF)
-				}
-				return closeWrite(conn)
-			}
+	if dc := direct(conn); dc != nil {
+		if err := dc.sendFrom(&blockReader{f: f, off: offset, n: int(max(size-offset, 0))}); err != nil {
+			return err
 		}
-	}
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
+		return closeWrite(conn)
 	}
 	buf := lease.Get(blockSize)
 	defer lease.Put(buf)
@@ -474,18 +449,19 @@ func closeWrite(conn net.Conn) error {
 	return nil
 }
 
-// recvStream reads a raw byte stream into f starting at offset until EOF.
-// *os.File-backed DSI files receive through io.Copy — the conn's WriteTo on
-// a netsim conn, (*os.File).ReadFrom's splice on a TCP socket; everything
-// else loops through a leased buffer of the negotiated block size.
+// recvStream reads a raw byte stream into f starting at offset until EOF. A
+// direct conn lands it in storage from its queue (landTo) through a sink
+// with no block limit; any other loops through a leased buffer of the
+// negotiated block size. A storage failure is reported ahead of what it did
+// to the conn.
 func recvStream(conn net.Conn, f dsi.File, offset int64, blockSize int) (int64, error) {
-	if of, ok := f.(osFiler); ok {
-		if _, err := of.OSFile().Seek(offset, io.SeekStart); err == nil {
-			return io.Copy(of.OSFile(), conn)
+	if dc := direct(conn); dc != nil {
+		s := &blockSink{f: f, off: offset, left: math.MaxInt}
+		err := dc.landTo(s)
+		if s.err != nil {
+			err = s.err
 		}
-	}
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
+		return s.off - offset, err
 	}
 	buf := lease.Get(blockSize)
 	defer lease.Put(buf)

@@ -158,11 +158,12 @@ func TestShortTransferUsesEveryStream(t *testing.T) {
 	}
 }
 
-// countedConn counts the writes a send hands its netsim connection, buffered,
-// vectored or from storage. It takes what the netsim conn takes, so a block
-// goes by ReadFrom.
+// countedConn counts the writes a send hands its netsim connection, buffered
+// or from storage. It forwards the netsim conn's direct path, so a block goes
+// by sendFrom.
 type countedConn struct {
 	net.Conn
+	directConn
 	writes *atomic.Int64
 }
 
@@ -171,14 +172,9 @@ func (c countedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-func (c countedConn) WriteBuffers(bufs [][]byte) (int64, error) {
+func (c countedConn) sendFrom(r *blockReader) error {
 	c.writes.Add(1)
-	return c.Conn.(buffersWriter).WriteBuffers(bufs)
-}
-
-func (c countedConn) ReadFrom(r io.Reader) (int64, error) {
-	c.writes.Add(1)
-	return c.Conn.(io.ReaderFrom).ReadFrom(r)
+	return c.directConn.sendFrom(r)
 }
 
 // TestShortTransferIsOneWritePerStream: 1 MiB over 16 streams is one 64 KiB
@@ -195,7 +191,7 @@ func TestShortTransferIsOneWritePerStream(t *testing.T) {
 	var writes atomic.Int64
 	conns := secConns(dialed)
 	for i, c := range conns {
-		conns[i] = countedConn{c, &writes}
+		conns[i] = countedConn{c, direct(c), &writes}
 	}
 	errCh := make(chan error, 1)
 	go func() {
@@ -215,8 +211,8 @@ func TestShortTransferIsOneWritePerStream(t *testing.T) {
 	}
 }
 
-// discardDirect takes what a netsim conn takes — plain and vectored writes,
-// and ReadFrom, read through a scratch buffer — counts the calls and keeps
+// discardDirect is a direct conn that only sends: it takes plain writes and
+// sendFrom, read through a scratch buffer, counts the calls and keeps
 // nothing.
 type discardDirect struct {
 	writes  int
@@ -228,29 +224,20 @@ func (d *discardDirect) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (d *discardDirect) WriteBuffers(bufs [][]byte) (int64, error) {
+func (d *discardDirect) sendFrom(r *blockReader) error {
 	d.writes++
-	var n int64
-	for _, b := range bufs {
-		n += int64(len(b))
-	}
-	return n, nil
-}
-
-func (d *discardDirect) ReadFrom(r io.Reader) (int64, error) {
-	d.writes++
-	var n int64
 	for {
-		k, err := r.Read(d.scratch[:])
-		n += int64(k)
+		_, err := r.Read(d.scratch[:])
 		if err == io.EOF {
-			return n, nil
+			return nil
 		}
 		if err != nil {
-			return n, err
+			return err
 		}
 	}
 }
+
+func (d *discardDirect) landTo(*blockSink) error { return io.EOF }
 
 // TestVectoredBlocksAllocateNothing: a stream's blocks framed onto a conn
 // that takes each header and its payload in one call — from storage, by
@@ -282,19 +269,18 @@ func TestVectoredBlocksAllocateNothing(t *testing.T) {
 }
 
 // slowConn sends blocks at a quarter of its netsim link's pace: after each
-// block it sends from storage (ReadFrom) it waits three times as long as the
-// send took. It takes what the netsim conn takes, so blocks go that way.
-type slowConn struct{ net.Conn }
-
-func (c slowConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	return c.Conn.(buffersWriter).WriteBuffers(bufs)
+// block it sends from storage (sendFrom) it waits three times as long as the
+// send took. It forwards the netsim conn's direct path, so blocks go that way.
+type slowConn struct {
+	net.Conn
+	directConn
 }
 
-func (c slowConn) ReadFrom(r io.Reader) (int64, error) {
+func (c slowConn) sendFrom(r *blockReader) error {
 	start := time.Now()
-	n, err := c.Conn.(io.ReaderFrom).ReadFrom(r)
+	err := c.directConn.sendFrom(r)
 	time.Sleep(3 * time.Since(start))
-	return n, err
+	return err
 }
 
 // TestSlowStreamCostsAtMostOneBlock: a stream holds only the block it is
@@ -314,7 +300,7 @@ func TestSlowStreamCostsAtMostOneBlock(t *testing.T) {
 		defer closeChannels(dialed)
 		conns := secConns(dialed)
 		if slow {
-			conns[streams-1] = slowConn{conns[streams-1]}
+			conns[streams-1] = slowConn{conns[streams-1], direct(conns[streams-1])}
 		}
 		errCh := make(chan error, 1)
 		start := time.Now()
@@ -362,7 +348,7 @@ func TestFailedSendLeavesNoGoroutine(t *testing.T) {
 }
 
 // deathWatch counts the data blocks each stream of a send begins — each
-// sent from storage by ReadFrom — and makes stream dead fail its third and
+// sent from storage by sendFrom — and makes stream dead fail its third and
 // every later one. atDeath is every stream's count at that first failure.
 type deathWatch struct {
 	mu             sync.Mutex
@@ -370,18 +356,16 @@ type deathWatch struct {
 	begun, atDeath []int
 }
 
-// watchedConn takes what its netsim conn takes, so blocks go by ReadFrom.
+// watchedConn forwards its netsim conn's direct path, so blocks go by
+// sendFrom.
 type watchedConn struct {
 	net.Conn
+	directConn
 	w      *deathWatch
 	stream int
 }
 
-func (c watchedConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	return c.Conn.(buffersWriter).WriteBuffers(bufs)
-}
-
-func (c watchedConn) ReadFrom(r io.Reader) (int64, error) {
+func (c watchedConn) sendFrom(r *blockReader) error {
 	w := c.w
 	w.mu.Lock()
 	w.begun[c.stream]++
@@ -391,9 +375,9 @@ func (c watchedConn) ReadFrom(r io.Reader) (int64, error) {
 	}
 	w.mu.Unlock()
 	if dies {
-		return 0, errors.New("connection died")
+		return errors.New("connection died")
 	}
-	return c.Conn.(io.ReaderFrom).ReadFrom(r)
+	return c.directConn.sendFrom(r)
 }
 
 // TestDeadStreamEndsTheSend: one of 16 streams dies after two blocks. The
@@ -414,7 +398,7 @@ func TestDeadStreamEndsTheSend(t *testing.T) {
 	w := &deathWatch{dead: 5, begun: make([]int, streams)}
 	conns := secConns(dialed)
 	for i := range conns {
-		conns[i] = watchedConn{conns[i], w, i}
+		conns[i] = watchedConn{conns[i], direct(conns[i]), w, i}
 	}
 	if err := sendModeE(conns, dsi.NewBufferFile(pattern(size)), []Range{{0, size}}, DefaultBlockSize, nil); err == nil {
 		t.Fatal("a send with a dead stream succeeded")

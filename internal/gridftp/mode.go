@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"gridftp.dev/instant/internal/lease"
+	"gridftp.dev/instant/internal/netsim"
 )
 
 // MODE E block descriptor bits (GridFTP extended block mode).
@@ -140,24 +141,45 @@ func readBlockHeader(r io.Reader, hdr []byte, limit uint64) (Block, error) {
 	return b, nil
 }
 
-// splicer returns conn's io.WriterTo when conn moves bytes with no buffer of
-// its own, which the conns that take vectored writes do (netsim), and nil
-// otherwise: a TCP socket's WriteTo copies through a 32 KiB buffer for any
-// writer but a socket.
-func splicer(conn io.Reader) io.WriterTo {
-	if _, ok := conn.(buffersWriter); !ok {
-		return nil
-	}
-	wt, _ := conn.(io.WriterTo)
-	return wt
+// directConn is the direct data path: a conn that moves bytes between
+// storage and its own queue with no buffer of its own between them, one copy
+// per end. sendFrom queues r's bytes straight from storage into the conn's
+// chunks; landTo hands what arrives straight to s, which writes it into
+// storage. MODE E takes it a block at a time and MODE S for the whole file
+// range; direct decides which conns have it.
+type directConn interface {
+	sendFrom(r *blockReader) error
+	landTo(s *blockSink) error
 }
 
-// blockSink lands one block's payload in a file as a conn's WriteTo hands
-// it over, one copy from the conn's queue into storage, and takes nothing
-// past the block: the next header stays queued for the next read. Sinks
-// are pooled (sinks) as the buffered path's receive buffers are leased: a
-// sink is a struct around its header array, not a byte buffer, so it has a
-// pool of its own.
+// simConn is netsim's direct path: ReadFrom, the simulated sendfile(2), and
+// WriteTo, the simulated splice(2). Either ends with the reader's or the
+// sink's own error when storage fails.
+type simConn struct{ *netsim.Conn }
+
+func (c simConn) sendFrom(r *blockReader) error { _, err := c.ReadFrom(r); return err }
+func (c simConn) landTo(s *blockSink) error     { _, err := c.WriteTo(s); return err }
+
+// direct returns conn's direct path, or nil when it has none: TLS and the
+// PROT S integrity frames transform the bytes, and a TCP socket's ReadFrom
+// and WriteTo copy through a buffer for anything but a file or a socket. A
+// conn that is a directConn itself is its own path.
+func direct(conn any) directConn {
+	switch c := conn.(type) {
+	case *netsim.Conn:
+		return simConn{c}
+	case directConn:
+		return c
+	}
+	return nil
+}
+
+// blockSink lands bytes in a file as a direct conn hands them over (landTo),
+// one copy from the conn's queue into storage, and takes nothing past left:
+// in MODE E the next header stays queued for the next read. Sinks are pooled
+// (sinks) as the buffered path's receive buffers are leased: a sink is a
+// struct around its header array, not a byte buffer, so it has a pool of its
+// own.
 type blockSink struct {
 	hdr  [blockHeaderLen]byte // the stream's header buffer
 	f    io.WriterAt
@@ -168,7 +190,7 @@ type blockSink struct {
 
 var sinks = sync.Pool{New: func() any { return new(blockSink) }}
 
-// errBlockLanded ends a WriteTo once the block's last byte is in storage.
+// errBlockLanded ends a landTo once the block's last byte is in storage.
 var errBlockLanded = errors.New("gridftp: block landed")
 
 func (s *blockSink) Write(p []byte) (int, error) {
@@ -185,12 +207,12 @@ func (s *blockSink) Write(p []byte) (int, error) {
 	return k, nil
 }
 
-// land moves the n-byte payload of the block at off from wt into f. It
+// land moves the n-byte payload of the block at off from dc into f. It
 // fails unless all of it landed: with the storage error (s.err) if storage
 // refused, else as a short payload.
-func (s *blockSink) land(wt io.WriterTo, f io.WriterAt, off int64, n int) error {
+func (s *blockSink) land(dc directConn, f io.WriterAt, off int64, n int) error {
 	s.f, s.off, s.left, s.err = f, off, n, nil
-	_, err := wt.WriteTo(s)
+	err := dc.landTo(s)
 	s.f = nil
 	switch {
 	case s.left == 0:
@@ -203,19 +225,10 @@ func (s *blockSink) land(wt io.WriterTo, f io.WriterAt, off int64, n int) error 
 	return fmt.Errorf("gridftp: short block payload: %w", err)
 }
 
-// buffersWriter is the vectored-write capability: one call delivers several
-// byte slices as a single write on the wire. netsim connections implement
-// it; the TLS and integrity layers deliberately do not. It marks the conns
-// that move bytes with no buffer of their own, whose ReadFrom and WriteTo
-// the MODE E direct paths take.
-type buffersWriter interface {
-	WriteBuffers(bufs [][]byte) (int64, error)
-}
-
 // vectorMin is the payload size from which a block goes out behind its
-// header in one call from storage into a netsim chunk (ReadFrom), instead of
-// being read into the coalescing buffer. Below it the copy is cheaper than
-// the per-call bookkeeping.
+// header in one call from storage into a direct conn's chunk (sendFrom),
+// instead of being read into the coalescing buffer. Below it the copy is
+// cheaper than the per-call bookkeeping.
 const vectorMin = 8 * 1024
 
 // batchCap is the coalescing buffer's capacity on a direct conn, whose
@@ -227,19 +240,19 @@ const batchCap = 64 * 1024
 // blockWriter frames MODE E blocks onto one data connection with as few
 // writes and copies as possible. Blocks are read from storage into a
 // coalescing buffer behind their headers (batched: consecutive small blocks
-// share one write), except on a conn that fills its chunks from a reader
-// (netsim), where a payload of vectorMin and up goes from storage straight
-// into the conn's chunk behind its header, one copy (writeBlockAt). On every
-// other conn (PROT P's TLS, PROT S's integrityConn, TCP) the buffer holds a
-// whole block and two headers, so a block is one write and one copy into the
-// buffer, and a control block rides with the block beside it: the EOF ahead
-// of stream 0's first, an EOD behind a stream's last. The coalescing buffer
+// share one write), except on a direct conn (netsim), where a payload of
+// vectorMin and up goes from storage straight into the conn's chunk behind
+// its header, one copy (writeBlockAt). On every other conn (PROT P's TLS,
+// PROT S's integrityConn, TCP) the buffer holds a whole block and two
+// headers, so a block is one write and one copy into the buffer, and a
+// control block rides with the block beside it: the EOF ahead of stream 0's
+// first, an EOD behind a stream's last. The coalescing buffer
 // is leased (internal/lease) and goes back with release.
 type blockWriter struct {
 	w   io.Writer
-	rf  io.ReaderFrom // non-nil: conn fills its chunks from a reader
-	buf []byte        // coalescing buffer; len is the pending byte count
-	rd  blockReader   // the reader writeBlockAt hands rf
+	dc  directConn  // non-nil: the conn's direct path
+	buf []byte      // coalescing buffer; len is the pending byte count
+	rd  blockReader // the block writeBlockAt hands dc
 }
 
 // newBlockWriter leases a coalescing buffer sized by what it will carry. On a
@@ -249,12 +262,9 @@ type blockWriter struct {
 // under TLS — there, the EOF or EOD beside it included. The lease is that
 // size's class, so the buffer may hold more; it batches up to its capacity.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
-	bw := &blockWriter{w: w}
-	if _, ok := w.(buffersWriter); ok {
-		bw.rf, _ = w.(io.ReaderFrom)
-	}
+	bw := &blockWriter{w: w, dc: direct(w)}
 	capacity := batchCap
-	if bw.rf == nil {
+	if bw.dc == nil {
 		capacity = max(batchCap, blockSize+2*blockHeaderLen)
 	}
 	bw.buf = lease.Get(capacity)[:0]
@@ -263,7 +273,7 @@ func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 
 // release gives the leased buffer back; the writer is not used again. Every
 // write has returned by then, and none keeps the buffer: a netsim conn
-// copies it before its ReadFrom or Write returns, and TLS, integrityConn and
+// copies it before its sendFrom or Write returns, and TLS, integrityConn and
 // TCP before Write returns.
 func (bw *blockWriter) release() {
 	lease.Put(bw.buf)
@@ -296,18 +306,18 @@ func (bw *blockWriter) writeBlock(desc byte, offset uint64) error {
 }
 
 // writeBlockAt frames one block whose payload is the n bytes of f at off. On
-// a conn that fills its chunks from a reader, a payload of vectorMin and up
-// goes from storage straight into the chunk, behind whatever is batched and
-// the header, in one write. Otherwise it is read from storage into the
-// coalescing buffer behind its header, after a flush if it does not fit
-// behind what is batched; the buffer holds a whole block (newBlockWriter).
+// a direct conn, a payload of vectorMin and up goes from storage straight
+// into the chunk, behind whatever is batched and the header, in one write.
+// Otherwise it is read from storage into the coalescing buffer behind its
+// header, after a flush if it does not fit behind what is batched; the
+// buffer holds a whole block (newBlockWriter).
 // A file that ends short of the block fails it, as readAtFull does, and
 // nothing of the block is sent; a failed write is wrapped with the block's
 // offset.
 func (bw *blockWriter) writeBlockAt(desc byte, f io.ReaderAt, off int64, n int) error {
-	direct := bw.rf != nil && n >= vectorMin
+	straight := bw.dc != nil && n >= vectorMin
 	need := blockHeaderLen
-	if !direct {
+	if !straight {
 		need += n
 	}
 	if len(bw.buf)+need > cap(bw.buf) {
@@ -318,7 +328,7 @@ func (bw *blockWriter) writeBlockAt(desc byte, f io.ReaderAt, off int64, n int) 
 	k := len(bw.buf)
 	bw.buf = bw.buf[:k+need]
 	putBlockHeader(bw.buf[k:], desc, uint64(n), uint64(off))
-	if !direct {
+	if !straight {
 		if err := readAtFull(f, bw.buf[k+blockHeaderLen:], off); err != nil {
 			bw.buf = bw.buf[:k]
 			return err
@@ -327,7 +337,7 @@ func (bw *blockWriter) writeBlockAt(desc byte, f io.ReaderAt, off int64, n int) 
 	}
 	bw.rd = blockReader{head: bw.buf, f: f, off: off, n: n}
 	bw.buf = bw.buf[:0]
-	_, err := bw.rf.ReadFrom(&bw.rd)
+	err := bw.dc.sendFrom(&bw.rd)
 	if rerr := bw.rd.err; rerr != nil {
 		return rerr
 	}
@@ -337,9 +347,10 @@ func (bw *blockWriter) writeBlockAt(desc byte, f io.ReaderAt, off int64, n int) 
 	return nil
 }
 
-// blockReader is one block as a conn's ReadFrom takes it: the batched bytes
-// and the header, then n bytes of f from off, read into the conn's chunk. It
-// states its length (Len), so the conn sizes its chunk for all of it.
+// blockReader is what a direct conn's sendFrom takes: in MODE E one block,
+// the batched bytes and the header, then n bytes of f from off, read into
+// the conn's chunk; in MODE S the file range alone. It states its length
+// (Len), so the conn sizes its chunks for all of it.
 type blockReader struct {
 	head []byte
 	f    io.ReaderAt

@@ -251,8 +251,7 @@ func stepDownSafe(tc *tls.Conn, raw net.Conn, isListener bool) (net.Conn, error)
 // as it stands, coalesced otherwise. The steady state allocates nothing.
 type integrityConn struct {
 	net.Conn
-	vw  buffersWriter // non-nil: the conn takes vectored writes natively
-	tcp *net.TCPConn  // non-nil: net.Buffers reaches writev
+	vw interface{ WriteBuffers([][]byte) (int64, error) } // non-nil: the conn below takes vectors (netsim)
 
 	w, r integrityHalf
 	whdr [4]byte
@@ -288,8 +287,7 @@ func (h *integrityHalf) sum(payload []byte) []byte {
 // readKey: the peer's the other way round.
 func newIntegrityConn(conn net.Conn, writeKey, readKey []byte) *integrityConn {
 	c := &integrityConn{Conn: conn}
-	c.vw, _ = conn.(buffersWriter)
-	c.tcp, _ = conn.(*net.TCPConn)
+	c.vw, _ = conn.(interface{ WriteBuffers([][]byte) (int64, error) })
 	c.w.mac, c.r.mac = hmac.New(sha256.New, writeKey), hmac.New(sha256.New, readKey)
 	return c
 }
@@ -309,13 +307,9 @@ func (c *integrityConn) Write(p []byte) (int, error) {
 		binary.BigEndian.PutUint32(c.whdr[:], uint32(n))
 		c.vecs = [3][]byte{c.whdr[:], p[:n], c.w.sum(p[:n])}
 		var err error
-		switch {
-		case c.vw != nil:
+		if c.vw != nil {
 			_, err = c.vw.WriteBuffers(c.vecs[:])
-		case c.tcp != nil:
-			nb := net.Buffers(c.vecs[:])
-			_, err = nb.WriteTo(c.tcp)
-		default:
+		} else {
 			c.wbuf = append(append(append(c.wbuf[:0], c.vecs[0]...), c.vecs[1]...), c.vecs[2]...)
 			_, err = c.Conn.Write(c.wbuf)
 		}

@@ -510,9 +510,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // WriteBuffers writes several slices as one wire operation — the
-// simulated writev(2). The MODE E path uses it to put a block header and
-// its payload (or a batch of small blocks) into a single shaped chunk
-// instead of one per Write call.
+// simulated writev(2). PROT S's integrity frames use it to put a frame's
+// header, payload and tag into a single shaped chunk instead of copying
+// them together first.
 func (c *Conn) WriteBuffers(bufs [][]byte) (int64, error) {
 	n, err := c.wr.writev(bufs, c.writeDeadline())
 	return int64(n), c.opError("writev", err)

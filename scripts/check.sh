@@ -13,6 +13,9 @@
 # the two copies of the buffer lease (internal/lease is the one size-class
 # rule; no per-size pool registry, no netsim chunk pools, and no sync.Pool
 # outside it but gridftp's sinks and netsim's timerPool, which pool objects),
+# the one-statement guard for the direct data path (gridftp's direct() is the
+# one place that decides it: no WriteBuffers mark, splice helper or os.File
+# seek path, and no io.ReaderFrom or io.WriterTo assertion in the engine),
 # the bounded-HTTP-server guard (every http.Server sets
 # ReadHeaderTimeout), the recorder's one-input guard (no
 # series push, no push feed from the admin plane), the one-writer guard for
@@ -150,6 +153,17 @@ if git grep -nE 'poolFor|payloadPools|chunkPools|chunkBoxes|leaseChunk|releaseCh
 fi
 if git grep -n 'sync.Pool' -- '*.go' ':!*_test.go' ':!internal/lease/*' | grep -vE '^internal/gridftp/mode\.go:[0-9]+:var sinks = |^internal/netsim/conn\.go:[0-9]+:var timerPool '; then
 	echo "check.sh: a byte buffer is leased from internal/lease; a new object pool needs its reason here" >&2
+	exit 1
+fi
+
+echo "==> the direct data path is decided in one place (internal/gridftp/mode.go: direct)"
+# MODE E and MODE S reach a conn's direct path through one capability,
+# directConn, which direct() alone hands out. A mark inferred from another
+# method, a second splice helper, or a seek into a file's descriptor is a
+# second place deciding the same thing (CHANGES.md).
+if git grep -nE 'buffersWriter|splicer|osFiler|OSFile\(' -- '*.go' ||
+	git grep -nE '\.\(io\.(ReaderFrom|WriterTo)\)' -- 'internal/gridftp/*.go' ':!*_test.go'; then
+	echo "check.sh: take the direct data path through direct() and directConn (internal/gridftp/mode.go); nothing else infers it" >&2
 	exit 1
 fi
 
