@@ -243,11 +243,12 @@ func TestStreamModeSendfileOnNetsim(t *testing.T) {
 	}
 	mem := dsi.NewMemStorage()
 	mem.AddUser("u")
-	payload := pattern(300 << 10)
-	for _, st := range []struct {
+	stores := []struct {
 		name  string
 		store dsi.Storage
-	}{{"posix", posix}, {"memory", mem}} {
+	}{{"posix", posix}, {"memory", mem}}
+	payload := pattern(300 << 10)
+	for _, st := range stores {
 		f, err := st.store.Create("u", "/src")
 		if err != nil {
 			t.Fatal(err)
@@ -256,45 +257,49 @@ func TestStreamModeSendfileOnNetsim(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		for _, tc := range []struct {
-			name  string
-			size  int64
-			whole bool
-		}{{"whole", int64(len(payload)), true}, {"shrunk", int64(len(payload)) + 100, false}} {
-			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
-				send, recv := simPipe(t, netsim.NewNetwork())
-				defer recv.Close()
-				src, err := st.store.Open("u", "/src")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer src.Close()
-				dst, err := st.store.Create("u", "/dst-"+tc.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer dst.Close()
-				got := make(chan int64, 1)
-				go func() {
-					n, _ := recvStream(recv, dst, 0, DefaultBlockSize)
-					got <- n
-				}()
-				err = sendStream(send, src, 0, tc.size, DefaultBlockSize)
-				send.Close()
-				if tc.whole != (err == nil) {
-					t.Fatalf("sendStream of %d bytes from a %d-byte file: %v", tc.size, len(payload), err)
-				}
-				if n := <-got; tc.whole && n != int64(len(payload)) {
-					t.Fatalf("received %d bytes, want %d", n, len(payload))
-				}
-				if tc.whole {
-					back := make([]byte, len(payload))
-					if _, err := dst.ReadAt(back, 0); err != nil || !bytes.Equal(back, payload) {
-						t.Fatalf("the received file differs from the sent one (%v)", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		size  int64
+		whole bool
+	}{{"whole", int64(len(payload)), true}, {"shrunk", int64(len(payload)) + 100, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, st := range stores {
+				t.Run(st.name, func(t *testing.T) {
+					send, recv := simPipe(t, netsim.NewNetwork())
+					defer recv.Close()
+					src, err := st.store.Open("u", "/src")
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
-		}
+					defer src.Close()
+					dst, err := st.store.Create("u", "/dst-"+tc.name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer dst.Close()
+					got := make(chan int64, 1)
+					go func() {
+						n, _ := recvStream(recv, dst, 0, DefaultBlockSize)
+						got <- n
+					}()
+					err = sendStream(send, src, 0, tc.size, DefaultBlockSize)
+					send.Close()
+					if tc.whole != (err == nil) {
+						t.Fatalf("sendStream of %d bytes from a %d-byte file: %v", tc.size, len(payload), err)
+					}
+					if n := <-got; tc.whole && n != int64(len(payload)) {
+						t.Fatalf("received %d bytes, want %d", n, len(payload))
+					}
+					if tc.whole {
+						back := make([]byte, len(payload))
+						if _, err := dst.ReadAt(back, 0); err != nil || !bytes.Equal(back, payload) {
+							t.Fatalf("the received file differs from the sent one (%v)", err)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
