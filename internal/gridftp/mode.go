@@ -176,10 +176,10 @@ func direct(conn any) directConn {
 
 // blockSink lands bytes in a file as a direct conn hands them over (landTo),
 // one copy from the conn's queue into storage, and takes nothing past left:
-// in MODE E the next header stays queued for the next read. Sinks are pooled
-// (sinks) as the buffered path's receive buffers are leased: a sink is a
-// struct around its header array, not a byte buffer, so it has a pool of its
-// own.
+// in MODE E the next header stays queued for the next read. MODE E's sinks
+// are pooled (sinks) as the buffered path's receive buffers are leased: a
+// sink is a struct around its header array, not a byte buffer, so it has a
+// pool of its own.
 type blockSink struct {
 	hdr  [blockHeaderLen]byte // the stream's header buffer
 	f    io.WriterAt
